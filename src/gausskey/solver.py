@@ -8,9 +8,14 @@ Three routes to the boundary R_k(R_p):
     signal power ``b Q b^T`` and ``t`` lower-bounds the achieved ratio
     ``(e Q e^T - b Q b^T) / (b Q b^T + 1)``.  For fixed (s, t) the remaining
     problem -- maximize log|Q| subject to two linear constraints and
-    ``0 < Q <= sigma_x`` -- is convex and is solved by a logarithmic-barrier
-    Newton method (``inner_convex``).  Sweeping a log-spaced (s, t) grid and
-    taking running maxima over the achieved cells yields the boundary.
+    ``0 < Q <= sigma_x`` -- is convex.  After whitening by
+    ``sigma_x^1/2`` the constraints see only the compression of the
+    whitened matrix to the span of the whitened ``b`` and ``e``, so every
+    cell is a 2x2 problem whatever the source dimension (Fischer's
+    inequality fixes the rest at the identity); ``inner_convex`` solves it by
+    a logarithmic-barrier Newton method, and its cost does not grow with mx.
+    Sweeping a log-spaced (s, t) grid and taking running maxima over the
+    achieved cells yields the boundary.
 
 ``ascent_boundary``
     For aligned models of any dimension.  The constrained key-rate
@@ -54,6 +59,12 @@ from .rates import PointMeta, RatePair, RegionBoundary, rates_aligned
 BARRIER_GAP_TOL = 1e-8
 NEWTON_DECREMENT_TOL = 1e-10
 SIGMA_FLOOR_SCALE = 1e-9
+
+# Final barrier weight of a full schedule, handed to warm-started cells.
+# Every cell's reduced barrier has at most four terms (the 2x2 upper
+# interval bound and the two linear constraints), so this weight meets
+# BARRIER_GAP_TOL whatever the source dimension.
+TAU_FINAL = 10.0 ** math.ceil(math.log10(4 / BARRIER_GAP_TOL))
 
 # Sweep grid floors: the smallest swept s (relative to b sigma_x b^T) and the
 # smallest gap below the maximal t (relative to the t range).  Beyond the
@@ -118,21 +129,19 @@ def _basis(n):
     return _BASIS_CACHE[n]
 
 
-def _interval_linear_max(s_half, g):
-    """Maximize <g, Q'> over 0 <= Q' <= sigma_x (whitened by ``s_half``).
+def _interval_linear_max(g_w):
+    """Maximize <g_w, A> over the whitened matrix interval 0 <= A <= I.
 
-    Returns ``(value, q_white)`` where ``q_white`` is a maximizing projector
-    in whitened coordinates.
+    Returns ``(value, a_max)`` where ``a_max`` is a maximizing projector.
     """
-    g_w = linalg.symmetrize(s_half @ g @ s_half)
-    w, v = np.linalg.eigh(g_w)
+    w, v = np.linalg.eigh(linalg.symmetrize(g_w))
     pos = w > 0.0
     value = float(np.sum(w[pos]))
     if pos.any():
-        q_white = linalg.symmetrize((v[:, pos]) @ (v[:, pos]).T)
+        a_max = linalg.symmetrize((v[:, pos]) @ (v[:, pos]).T)
     else:
-        q_white = np.zeros_like(g_w)
-    return value, q_white
+        a_max = np.zeros_like(g_w)
+    return value, a_max
 
 
 def _sigma_floor(sigma_x):
@@ -143,10 +152,8 @@ def _sigma_floor(sigma_x):
 # inner convex problem of the sweep
 # ---------------------------------------------------------------------------
 
-def _cell_matrices(m, params):
+def _cell_matrices(b, e, params):
     """Linear constraint data of the cell: g_i(Q) = <G_i, Q> + c_i <= 0."""
-    b = m.b[0]
-    e = m.e[0]
     bb = np.outer(b, b)
     ee = np.outer(e, e)
     g1 = (1.0 + params.t) * bb - ee  # t (bQb^T + 1) <= eQe^T - bQb^T
@@ -154,20 +161,18 @@ def _cell_matrices(m, params):
     return (g1, params.t), (g2, -params.s)
 
 
-def _feasibility_bound(m, s_half, params, eta_max=1e8):
-    """Upper bound on max{e Q e^T - (1+t) b Q b^T : b Q b^T <= s} over the
-    interval, via the scalar Lagrangian dual.  The cell is infeasible when
-    this bound does not exceed t.  Returns early once either verdict is
-    certain: any single dual value already certifies infeasibility, and the
-    eta = 0 primal value certifies feasibility."""
-    b = m.b[0]
-    e = m.e[0]
+def _feasibility_bound(b, e, params, eta_max=1e8):
+    """Upper bound on max{e A e^T - (1+t) b A b^T : b A b^T <= s} over the
+    whitened interval, via the scalar Lagrangian dual.  The cell is
+    infeasible when this bound does not exceed t.  Returns early once either
+    verdict is certain: any single dual value already certifies
+    infeasibility, and the eta = 0 primal value certifies feasibility."""
     gt = np.outer(e, e) - (1.0 + params.t) * np.outer(b, b)
     bb = np.outer(b, b)
     margin = 1e-12 * (1.0 + abs(params.t))
 
     def dual(eta):
-        val, _ = _interval_linear_max(s_half, gt - eta * bb)
+        val, _ = _interval_linear_max(gt - eta * bb)
         return val + eta * params.s
 
     etas = np.concatenate(([0.0], np.geomspace(1e-8, eta_max, 25)))
@@ -202,60 +207,40 @@ def _slacks(constraints, sigma):
     return [-(float(np.sum(g * sigma)) + c) for g, c in constraints]
 
 
-def _slack_score(constraints, sigma):
-    """Worst constraint slack, each scaled by its constant term."""
-    slacks = _slacks(constraints, sigma)
-    if not slacks:
-        return 1.0
-    return min(s / (1.0 + abs(c)) for (_, c), s in zip(constraints, slacks))
-
-
-def _strictly_feasible(sigma, sigma_x, constraints):
-    try:
-        linalg.chol_lower(sigma)
-        linalg.chol_lower(sigma_x - sigma)
-    except Exception:
-        return False
-    return all(s > 0.0 for s in _slacks(constraints, sigma))
-
-
 _START_C = (1.0 - 1e-7, 1.0 - 1e-6, 1.0 - 1e-5, 1.0 - 1e-4, 1.0 - 1e-3,
             0.99, 0.9, 0.7, 0.5, 0.3, 0.1, 0.03, 0.01, 1e-3, 1e-4)
 _START_W = (1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-3, 0.01, 0.05)
 
 
-def _feasible_start(m, s_half, params, constraints, eta_star=None):
-    """Search a candidate family ``c * Q0 + w * I`` (whitened) for a strictly
-    feasible point.  The scalar constraint values are affine in (c, w), so
-    the scan is plain arithmetic; thin feasibility slivers near the extreme
-    achievable t need c very close to 1 with w tiny.  When no dual estimate
-    ``eta_star`` is available, a scale-aware probe grid stands in."""
-    b = m.b[0]
-    e = m.e[0]
+def _feasible_start(b, e, params, constraints, eta_star=None):
+    """Search a candidate family ``c * A0 + w * I`` of the whitened interval
+    for a strictly feasible point.  The scalar constraint values are affine
+    in (c, w), so the scan is plain arithmetic; thin feasibility slivers near
+    the extreme achievable t need c very close to 1 with w tiny.  The score
+    is the worst slack, the interval's own bounds included: a start next to
+    the PSD boundary costs the barrier Newton one step per doubling of its
+    smallest eigenvalue.  When no dual estimate ``eta_star`` is available, a
+    scale-aware probe grid stands in."""
     gt = np.outer(e, e) - (1.0 + params.t) * np.outer(b, b)
     bb = np.outer(b, b)
-    eye = np.eye(m.mx)
+    eye = np.eye(len(b))
     if eta_star is None:
         s_scale = max(params.s, 1e-12)
         etas = (0.0, 0.3 / s_scale, 3.0 / s_scale, 30.0 / s_scale)
     else:
         etas = (eta_star, 0.0, 0.25 * eta_star, 4.0 * eta_star)
-    bases = [eye]
-    for eta in etas:
-        _, q_white = _interval_linear_max(s_half, gt - eta * bb)
-        bases.append(q_white)
-    sigma_x = m.sigma_x
-    full_vals = [float(np.sum(g * sigma_x)) for g, _ in constraints]
+    bases = [eye] + [_interval_linear_max(gt - eta * bb)[1] for eta in etas]
+    full_vals = [float(np.trace(g)) for g, _ in constraints]
     best = None
     best_score = 0.0
-    for q0 in bases:
-        sig0 = s_half @ q0 @ s_half
-        base_vals = [float(np.sum(g * sig0)) for g, _ in constraints]
+    for a0 in bases:
+        base_vals = [float(np.sum(g * a0)) for g, _ in constraints]
+        eig_lo, eig_hi = np.linalg.eigvalsh(a0)[[0, -1]]
         for c in _START_C:
             for w in _START_W:
                 if c + w >= 1.0:
                     continue
-                score = 1.0
+                score = min(c * eig_lo + w, 1.0 - c * eig_hi - w)
                 for (_, cst), bv, fv in zip(constraints, base_vals, full_vals):
                     slack = -(c * bv + w * fv + cst)
                     score = min(score, slack / (1.0 + abs(cst)))
@@ -263,29 +248,29 @@ def _feasible_start(m, s_half, params, constraints, eta_star=None):
                         break
                 if score > best_score:
                     best_score = score
-                    best = (q0, c, w)
+                    best = (a0, c, w)
     if best is None:
         return None
-    q0, c, w = best
-    return linalg.symmetrize(s_half @ (c * q0 + w * eye) @ s_half)
+    a0, c, w = best
+    return linalg.symmetrize(c * a0 + w * eye)
 
 
-def _resolve_start(m, s_half, params, constraints):
-    """Strictly feasible start for a cell, or raise ``Infeasible``.
+def _resolve_start(b, e, params, constraints):
+    """Strictly feasible whitened start for a cell, or raise ``Infeasible``.
 
     Cheap candidate probes come first; the Lagrangian dual bound is only
     computed when they fail, to certify infeasibility (or rescue a sliver
     cell with the dual-informed direction)."""
-    start = _feasible_start(m, s_half, params, constraints)
+    start = _feasible_start(b, e, params, constraints)
     if start is not None:
         return start
-    bound, eta_star = _feasibility_bound(m, s_half, params)
+    bound, eta_star = _feasibility_bound(b, e, params)
     if bound <= params.t + 1e-12 * (1.0 + abs(params.t)):
         raise Infeasible(
             f"cell (s={params.s:g}, t={params.t:g}) certified infeasible "
             f"(dual bound {bound:g})"
         )
-    start = _feasible_start(m, s_half, params, constraints, eta_star)
+    start = _feasible_start(b, e, params, constraints, eta_star)
     if start is None:
         raise Infeasible(
             f"no strictly feasible start found for cell "
@@ -294,35 +279,43 @@ def _resolve_start(m, s_half, params, constraints):
     return start
 
 
-def _barrier_value(sigma, sigma_x, tau, constraints):
-    """Barrier objective, or None when ``sigma`` is not strictly feasible."""
-    try:
-        l_s = np.linalg.cholesky(sigma)
-        l_gap = np.linalg.cholesky(sigma_x - sigma)
-    except np.linalg.LinAlgError:
-        return None
-    val = -2.0 * (tau * float(np.sum(np.log(np.diag(l_s))))
-                  + float(np.sum(np.log(np.diag(l_gap)))))
-    for g_mat, c in constraints:
-        g_val = float(np.sum(g_mat * sigma)) + c
-        if g_val >= 0.0:
-            return None
-        val -= math.log(-g_val)
-    return val
+def _span_reduction(m):
+    """Whitening of the source and an orthonormal basis of the span of
+    ``S b^T`` and ``S e^T`` (``S = sigma_x^1/2``).
 
-
-def _inner_convex_2x2(m, params, sigma0, tau0, gap_tol, max_newton, s_half):
-    """Scalarized barrier Newton for the dominant 2x2 case.
-
-    Same algorithm as the general path, with the symmetric matrix unpacked
-    into (a, b, c) floats so PD checks, inverses and log-dets are closed
-    form.  Returns the optimal matrix and the iteration count.
+    Returns ``(s_half, s_half_inv, u, bw, ew)``: ``u`` is mx x 2 with
+    orthonormal columns and ``bw = u^T S b^T``, ``ew = u^T S e^T`` are the
+    reduced observation vectors.  Householder QR keeps ``u`` orthonormal
+    when ``b`` and ``e`` are parallel, completing it with an orthogonal
+    direction.  A scalar source is padded with one decoupled coordinate
+    (``u = [1, 0]``), whose optimal whitened entry is 1 and adds nothing to
+    the log-det.
     """
-    x00 = float(m.sigma_x[0, 0])
-    x01 = float(m.sigma_x[0, 1])
-    x11 = float(m.sigma_x[1, 1])
+    w, v = np.linalg.eigh(m.sigma_x)
+    root = np.sqrt(w)
+    s_half = (v * root) @ v.T
+    s_half_inv = (v / root) @ v.T
+    sb = s_half @ m.b[0]
+    se = s_half @ m.e[0]
+    if m.mx == 1:
+        u = np.eye(1, 2)
+    else:
+        u = np.linalg.qr(np.column_stack((sb, se)))[0]
+    return s_half, s_half_inv, u, u.T @ sb, u.T @ se
+
+
+def _inner_convex_2x2(bw, ew, params, a0, tau0, gap_tol, max_newton, padded):
+    """Scalarized barrier Newton for one whitened 2x2 cell.
+
+    Maximizes log|A| over ``0 < A < I`` under the cell constraints written
+    with the reduced observation vectors ``bw`` and ``ew``.  The symmetric
+    matrix is unpacked into (a, b, c) floats so PD checks, inverses and
+    log-dets are closed form.  ``padded`` marks the second coordinate as the
+    decoupled padding of a scalar source.  Returns the optimal matrix, the
+    Newton step count and the final duality-gap proxy.
+    """
     cons = []
-    for g_mat, cst in _cell_matrices(m, params):
+    for g_mat, cst in _cell_matrices(bw, ew, params):
         g00, g01, g11 = float(g_mat[0, 0]), float(g_mat[0, 1]), float(g_mat[1, 1])
         if g00 * g00 + 2.0 * g01 * g01 + g11 * g11 <= 1e-28:
             if cst > 0.0:
@@ -336,8 +329,8 @@ def _inner_convex_2x2(m, params, sigma0, tau0, gap_tol, max_newton, s_half):
 
     def feasible(a, b, c):
         det_s = a * c - b * b
-        ga, gb, gc = x00 - a, x01 - b, x11 - c
-        det_g = ga * gc - gb * gb
+        ga, gc = 1.0 - a, 1.0 - c
+        det_g = ga * gc - b * b
         if a <= 0.0 or det_s <= 0.0 or ga <= 0.0 or det_g <= 0.0:
             return None, None
         return det_s, det_g
@@ -353,18 +346,30 @@ def _inner_convex_2x2(m, params, sigma0, tau0, gap_tol, max_newton, s_half):
             val -= math.log(-gv)
         return val
 
-    if sigma0 is None or barrier_val(
-        float(sigma0[0, 0]), float(sigma0[0, 1]), float(sigma0[1, 1]), 1.0
+    tau = max(1.0, float(tau0))
+
+    def pad_center(x):
+        # no constraint sees the padding coordinate, so it starts at its own
+        # barrier center instead of crawling up from a tiny start value
+        if not padded:
+            return x
+        return np.array([[x[0, 0], 0.0], [0.0, tau / (1.0 + tau)]])
+
+    if a0 is not None:
+        a0 = pad_center(a0)
+    if a0 is None or barrier_val(
+        float(a0[0, 0]), float(a0[0, 1]), float(a0[1, 1]), 1.0
     ) is None:
         constraints = [(np.array([[g00, g01], [g01, g11]]), cst)
                        for g00, g01, g11, cst in cons]
-        sigma0 = _resolve_start(m, s_half, params, constraints)
+        a0 = pad_center(_resolve_start(bw, ew, params, constraints))
 
-    a, b, c = float(sigma0[0, 0]), float(sigma0[0, 1]), float(sigma0[1, 1])
+    a, b, c = float(a0[0, 0]), float(a0[0, 1]), float(a0[1, 1])
     n_constr = 2 + len(cons)
-    tau = max(1.0, float(tau0))
     total_iters = 0
     while True:
+        # decrement^2 / tau bounds the log-det suboptimality of the stage
+        # center, so the stop scales with the barrier weight
         decrement_tol = 2.0 * NEWTON_DECREMENT_TOL * max(1.0, tau)
         for _ in range(40):
             if total_iters >= max_newton:
@@ -375,8 +380,7 @@ def _inner_convex_2x2(m, params, sigma0, tau0, gap_tol, max_newton, s_half):
             if det_s is None:
                 raise SolverFailure("barrier iterate left the feasible set")
             p00, p01, p11 = c / det_s, -b / det_s, a / det_s
-            ga, gb, gc = x00 - a, x01 - b, x11 - c
-            r00, r01, r11 = gc / det_g, -gb / det_g, ga / det_g
+            r00, r01, r11 = (1.0 - c) / det_g, b / det_g, (1.0 - a) / det_g
             gr00 = -tau * p00 + r00
             gr01 = -tau * p01 + r01
             gr11 = -tau * p11 + r11
@@ -419,7 +423,7 @@ def _inner_convex_2x2(m, params, sigma0, tau0, gap_tol, max_newton, s_half):
                     break
                 alpha *= 0.5
             else:
-                break
+                break  # no productive step; this stage is centered enough
             a, b, c = a + alpha * da, b + alpha * db, c + alpha * dc
         if n_constr / tau < gap_tol:
             break
@@ -435,10 +439,18 @@ def inner_convex(m: GeneralModel, params: SweepParams, *, sigma0=None,
     Minimizes the public-rate contribution ``I_p(Q, s)`` over conditional
     covariances satisfying ``t (b Q b^T + 1) <= e Q e^T - b Q b^T``,
     ``b Q b^T <= s`` and ``0 < Q <= sigma_x``; only the ``-log|Q|/2`` term
-    depends on Q, so this is a log-det maximization.  Uses a log-barrier
-    Newton path with barrier parameter growing tenfold per stage (from
-    ``tau0``; pass the final value of a neighboring solve to warm-start)
-    until the duality-gap proxy drops below ``gap_tol``.
+    depends on Q, so this is a log-det maximization.
+
+    The cell is solved on the span of the whitened observation vectors.
+    With ``A = S^-1 Q S^-1`` (``S = sigma_x^1/2``) the constraints see only
+    the compression ``A_2 = u^T A u`` of A to that span (see
+    ``_span_reduction``).  Replacing A by ``I + u (A_2 - I) u^T`` keeps it
+    feasible and, by Fischer's inequality, does not lower log|A|; so every
+    cell is a 2x2 problem and its cost does not grow with the source
+    dimension.  The 2x2 problem is solved by a log-barrier Newton path with
+    barrier parameter growing tenfold per stage (from ``tau0``; pass the
+    final value of a neighboring solve, with its optimum as ``sigma0``, to
+    warm-start) until the duality-gap proxy drops below ``gap_tol``.
 
     Raises ``Infeasible`` when the constraint set is empty (certified by a
     dual bound) or has no strictly feasible point, ``MaxIterationsExceeded``
@@ -447,111 +459,25 @@ def inner_convex(m: GeneralModel, params: SweepParams, *, sigma0=None,
     validate_model(m)
     if m.my != 1 or m.mz != 1:
         raise SolverFailure("inner_convex requires scalar observations (my = mz = 1)")
-    s_half = linalg.sqrtm_psd(m.sigma_x)
-    if m.mx == 2:
-        sigma, total_iters, gap_proxy = _inner_convex_2x2(
-            m, params, sigma0, tau0, gap_tol, max_newton, s_half
-        )
-        value = (
-            0.5 * (linalg.logdet_pd(m.sigma_x) - linalg.logdet_pd(sigma))
-            - 0.5 * math.log1p(float(m.b[0] @ m.sigma_x @ m.b[0]))
-            + 0.5 * math.log1p(params.s)
-        )
-        return SolveReport(
-            optimum=ConditionalCov.for_model(m, sigma),
-            value=float(value),
-            iterations=total_iters,
-            kkt_residual=gap_proxy,
-            converged=True,
-        )
-    raw = _cell_matrices(m, params)
-    constraints = []
-    # drop constraints that are constant in Q; a constant violation is an
-    # immediate infeasibility
-    for g_mat, c in raw:
-        if linalg.frob(g_mat) <= 1e-14:
-            if c > 0.0:
-                raise Infeasible(f"constant constraint violated (c = {c:g})")
-        else:
-            constraints.append((g_mat, c))
-
-    if sigma0 is None or not _strictly_feasible(sigma0, m.sigma_x, constraints):
-        sigma0 = _resolve_start(m, s_half, params, constraints)
-
-    basis = _basis(m.mx)
-    n_constr = m.mx + len(constraints)
-    sigma = linalg.symmetrize(np.asarray(sigma0, dtype=float))
-    tau = max(1.0, float(tau0))
-    total_iters = 0
-    while True:
-        # decrement^2 / tau bounds the log-det suboptimality of the stage
-        # center, so the stop scales with the barrier weight
-        decrement_tol = 2.0 * NEWTON_DECREMENT_TOL * max(1.0, tau)
-        for _ in range(40):
-            if total_iters >= max_newton:
-                raise MaxIterationsExceeded(
-                    f"inner solve exceeded {max_newton} Newton steps"
-                )
-            # iterates are strictly feasible (line-search invariant), so the
-            # plain LAPACK inverse is safe and cheaper than a Cholesky route;
-            # round-off can still land an iterate exactly on the interval
-            # boundary, in which case the stage cannot be improved further
-            try:
-                inv_s = np.linalg.inv(sigma)
-                inv_gap = np.linalg.inv(m.sigma_x - sigma)
-            except np.linalg.LinAlgError:
-                break
-            inv_s = 0.5 * (inv_s + inv_s.T)
-            inv_gap = 0.5 * (inv_gap + inv_gap.T)
-            grad = -tau * inv_s + inv_gap
-            lin = []
-            for g_mat, c in constraints:
-                g_val = float(np.sum(g_mat * sigma)) + c
-                grad = grad + g_mat / (-g_val)
-                lin.append((g_mat, g_val))
-            gvec = np.einsum("ab,kab->k", grad, basis)
-            t1 = np.einsum("ab,kbc,cd->kad", inv_s, basis, inv_s)
-            t2 = np.einsum("ab,kbc,cd->kad", inv_gap, basis, inv_gap)
-            hess = tau * np.einsum("kab,lba->kl", t1, basis)
-            hess += np.einsum("kab,lba->kl", t2, basis)
-            for g_mat, g_val in lin:
-                gv = np.einsum("ab,kab->k", g_mat, basis)
-                hess += np.outer(gv, gv) / (g_val * g_val)
-            try:
-                step = -np.linalg.solve(hess, gvec)
-            except np.linalg.LinAlgError:
-                jitter = 1e-12 * (1.0 + abs(float(np.trace(hess))))
-                step = -np.linalg.solve(hess + jitter * np.eye(len(gvec)), gvec)
-            decrement = float(-gvec @ step)
-            total_iters += 1
-            if decrement <= decrement_tol:
-                break
-            delta = np.einsum("k,kab->ab", step, basis)
-            val0 = _barrier_value(sigma, m.sigma_x, tau, constraints)
-            alpha = 1.0
-            for _ in range(40):
-                val1 = _barrier_value(sigma + alpha * delta, m.sigma_x, tau,
-                                      constraints)
-                if val1 is not None and val1 <= val0 - 1e-4 * alpha * decrement:
-                    break
-                alpha *= 0.5
-            else:
-                break  # no productive step; this stage is centered enough
-            sigma = linalg.symmetrize(sigma + alpha * delta)
-        if n_constr / tau < gap_tol:
-            break
-        tau *= 10.0
-
+    s_half, s_half_inv, u, bw, ew = _span_reduction(m)
+    a0 = None
+    if sigma0 is not None:
+        a0 = u.T @ (s_half_inv @ np.asarray(sigma0, dtype=float) @ s_half_inv) @ u
+    a2, total_iters, gap_proxy = _inner_convex_2x2(
+        bw, ew, params, a0, tau0, gap_tol, max_newton, padded=m.mx == 1
+    )
+    a_full = linalg.symmetrize(np.eye(m.mx) + u @ (a2 - np.eye(2)) @ u.T)
     value = (
-        0.5 * (linalg.logdet_pd(m.sigma_x) - linalg.logdet_pd(sigma))
-        - 0.5 * math.log1p(float(m.b[0] @ m.sigma_x @ m.b[0]))
+        -0.5 * linalg.logdet_pd(a_full)
+        - 0.5 * math.log1p(float(bw @ bw))
         + 0.5 * math.log1p(params.s)
     )
+    sigma = linalg.symmetrize(s_half @ a_full @ s_half)
     return SolveReport(
         optimum=ConditionalCov.for_model(m, sigma),
         value=float(value),
         iterations=total_iters,
-        kkt_residual=n_constr / tau,
+        kkt_residual=gap_proxy,
         converged=True,
     )
 
@@ -563,17 +489,17 @@ def inner_convex(m: GeneralModel, params: SweepParams, *, sigma0=None,
 def _t_range(m, s_half):
     """Extreme achievable values of t = (eQe^T - bQb^T) / (bQb^T + 1) over
     the matrix interval, by bisection on a linear feasibility test."""
-    b = m.b[0]
-    e = m.e[0]
-    bb = np.outer(b, b)
-    ee = np.outer(e, e)
+    bw = s_half @ m.b[0]
+    ew = s_half @ m.e[0]
+    bb = np.outer(bw, bw)
+    ee = np.outer(ew, ew)
 
     def reachable_above(v):
-        val, _ = _interval_linear_max(s_half, ee - (1.0 + v) * bb)
+        val, _ = _interval_linear_max(ee - (1.0 + v) * bb)
         return val >= v
 
     def reachable_below(v):
-        val, _ = _interval_linear_max(s_half, (1.0 + v) * bb - ee)
+        val, _ = _interval_linear_max((1.0 + v) * bb - ee)
         return val >= -v
 
     # t = 0 is always achieved in the Q -> 0 limit
@@ -628,7 +554,7 @@ def _warm_candidate(m, params, constraints, warm, anchor):
     return None
 
 
-def _sweep_row(m, s_half, t, s_values_desc, ik_t, tau_final, row_seed=None):
+def _sweep_row(m, s_half, t, s_values_desc, ik_t, row_seed=None):
     """Solve one t row over descending s values; returns achieved cells.
 
     Within a row every cell shares the key-rate level ``ik_t``, so only the
@@ -639,21 +565,24 @@ def _sweep_row(m, s_half, t, s_values_desc, ik_t, tau_final, row_seed=None):
     cells = []
     warm = row_seed
     first_optimum = None
-    bb = np.outer(m.b[0], m.b[0])
-    ee = np.outer(m.e[0], m.e[0])
-    _, anchor_white = _interval_linear_max(s_half, ee - (1.0 + t) * bb)
+    bw = s_half @ m.b[0]
+    ew = s_half @ m.e[0]
+    _, anchor_white = _interval_linear_max(
+        np.outer(ew, ew) - (1.0 + t) * np.outer(bw, bw)
+    )
     anchor = linalg.symmetrize(s_half @ anchor_white @ s_half)
     row_min = math.inf
     prev_rp = math.inf
     rises = 0
     for s in s_values_desc:
         params = SweepParams(s=float(s), t=float(t))
-        constraints = [c for c in _cell_matrices(m, params) if linalg.frob(c[0]) > 1e-14]
+        constraints = [c for c in _cell_matrices(m.b[0], m.e[0], params)
+                       if linalg.frob(c[0]) > 1e-14]
         start = _warm_candidate(m, params, constraints, warm, anchor)
         try:
             if start is not None:
                 try:
-                    report = inner_convex(m, params, sigma0=start, tau0=tau_final,
+                    report = inner_convex(m, params, sigma0=start, tau0=TAU_FINAL,
                                           max_newton=120)
                 except MaxIterationsExceeded:
                     report = inner_convex(m, params, sigma0=start)
@@ -686,7 +615,7 @@ def _thread_count(threads):
         return 1
 
 
-def _row_min_rp(m, s_half, t, s_max, tau_final, n_scan=16, n_golden=18):
+def _row_min_rp(m, s_half, t, s_max, n_scan=16, n_golden=18):
     """Smallest achievable public rate on one t row.
 
     Pre-scans a log-spaced s grid, then golden-sections the bracket around
@@ -705,7 +634,7 @@ def _row_min_rp(m, s_half, t, s_max, tau_final, n_scan=16, n_golden=18):
         params = SweepParams(s=float(s), t=float(t))
         try:
             if warm["sigma"] is not None:
-                constraints = [c for c in _cell_matrices(m, params)
+                constraints = [c for c in _cell_matrices(m.b[0], m.e[0], params)
                                if linalg.frob(c[0]) > 1e-14]
                 start = _warm_candidate(m, params, constraints, warm["sigma"], None)
             else:
@@ -820,12 +749,11 @@ def sweep_boundary(m: GeneralModel, rp_grid, st_resolution: int = 200, *,
         if ik_t > 0.0:
             rows.append((float(t), ik_t))
 
-    tau_final = 10.0 ** math.ceil(math.log10((m.mx + 2) / BARRIER_GAP_TOL))
     n_workers = _thread_count(threads)
     if n_workers > 1 and len(rows) > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             futures = [
-                pool.submit(_sweep_row, m, s_half, t, s_values_desc, ik, tau_final)
+                pool.submit(_sweep_row, m, s_half, t, s_values_desc, ik)
                 for t, ik in rows
             ]
             row_cells = [f.result()[0] for f in futures]
@@ -834,7 +762,7 @@ def sweep_boundary(m: GeneralModel, rp_grid, st_resolution: int = 200, *,
         row_seed = None
         for t, ik in rows:
             cells, first_opt = _sweep_row(m, s_half, t, s_values_desc, ik,
-                                          tau_final, row_seed=row_seed)
+                                          row_seed=row_seed)
             if first_opt is not None:
                 row_seed = first_opt
             row_cells.append(cells)
@@ -856,7 +784,7 @@ def sweep_boundary(m: GeneralModel, rp_grid, st_resolution: int = 200, *,
 
     def reach(t):
         if t not in refined:
-            rp_min, cell = _row_min_rp(m, s_half, t, s_max, tau_final)
+            rp_min, cell = _row_min_rp(m, s_half, t, s_max)
             if cell is not None:
                 ik_t = ik_const + 0.5 * math.log1p(t)
                 cells.append((cell[0], ik_t, cell[2], cell[3], cell[4]))
@@ -889,7 +817,7 @@ def sweep_boundary(m: GeneralModel, rp_grid, st_resolution: int = 200, *,
                 if t_hi - t_lo < 1e-6 * (1.0 + abs(t_hi)):
                     break
                 t_mid = 0.5 * (t_lo + t_hi)
-                rp_min, cell = _row_min_rp(m, s_half, t_mid, s_max, tau_final)
+                rp_min, cell = _row_min_rp(m, s_half, t_mid, s_max)
                 if cell is not None:
                     ik_mid = ik_const + 0.5 * math.log1p(t_mid)
                     cells.append((cell[0], ik_mid, cell[2], cell[3], cell[4]))
@@ -952,7 +880,8 @@ def _pga_penalty(m, rp, q0, s_half, rho=10.0, max_iter=400):
     whitened interval, with eigenvalue flooring of the iterates.
 
     The floor is applied to the whitened eigenvalues so the unwhitened
-    iterate never exceeds the source covariance."""
+    iterate never exceeds the source covariance.  Returns ``(sigma, pair,
+    iterations)``, counting the ascent iterations actually taken."""
     floor = _sigma_floor(m.sigma_x)
     q_floor = floor / float(np.linalg.eigvalsh(m.sigma_x)[0])
 
@@ -964,7 +893,8 @@ def _pga_penalty(m, rp, q0, s_half, rho=10.0, max_iter=400):
     q = linalg.eig_clip(q0, q_floor, 1.0)
     val, sigma, pair = objective(q)
     eta = 0.1
-    for _ in range(max_iter):
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
         grad_ik, grad_ip = _aligned_grads(m, sigma)
         grad = grad_ik if pair.rp <= rp else grad_ik - rho * grad_ip
         grad_q = linalg.symmetrize(s_half @ grad @ s_half)
@@ -985,7 +915,7 @@ def _pga_penalty(m, rp, q0, s_half, rho=10.0, max_iter=400):
             eta *= 0.5
         if not accepted:
             break
-    return sigma, pair
+    return sigma, pair, iterations
 
 
 def _interior_stationary(m, mu, sigma_init, max_iter=300):
@@ -1241,8 +1171,10 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 8,
     source covariance scaled by {1, 0.75, 0.5, 0.25} plus seeded random SPD
     interpolants -- followed by a Newton polish of the stationarity system
     on the detected active face.  ``kkt_residual`` is the residual of that
-    first-order system.  Heuristic for the nonconvex general case: certify
-    the output through the KKT machinery before trusting it.
+    first-order system; ``iterations`` counts the ascent iterations actually
+    taken, over every start and penalty escalation.  Heuristic for the
+    nonconvex general case: certify the output through the KKT machinery
+    before trusting it.
     """
     validate_model(m)
     if rp < 0.0:
@@ -1271,15 +1203,17 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 8,
     iterations = 0
     for q0 in starts:
         rho = 10.0
-        sigma, pair = _pga_penalty(m, rp, q0, s_half, rho=rho, max_iter=max_iter)
+        sigma, pair, taken = _pga_penalty(m, rp, q0, s_half, rho=rho,
+                                          max_iter=max_iter)
+        iterations += taken
         for _ in range(4):
             if pair.rp <= rp + 1e-8:
                 break
             rho *= 10.0
             q_here = linalg.symmetrize(s_half_inv @ sigma @ s_half_inv)
-            sigma, pair = _pga_penalty(m, rp, q_here, s_half, rho=rho,
-                                       max_iter=max_iter)
-        iterations += max_iter
+            sigma, pair, taken = _pga_penalty(m, rp, q_here, s_half, rho=rho,
+                                              max_iter=max_iter)
+            iterations += taken
         if pair.rp <= rp + 1e-6 and (best_pair is None or pair.rk > best_pair.rk):
             best_sigma, best_pair = sigma, pair
     if best_sigma is None:

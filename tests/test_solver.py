@@ -144,7 +144,7 @@ def test_inner_matches_restricted_grid_search(degraded_demo):
 
 
 def test_inner_general_dimension_path():
-    # 3-d source exercises the generic vech-basis Newton (no 2x2 fast path)
+    # a 3-d source is solved on the 2-d whitened span of (b, e)
     rng = rng_for(46)
     sigma_x = random_spd(rng, 3)
     b = rng.standard_normal((1, 3))
@@ -232,6 +232,14 @@ def test_ascent_zero_rate_returns_full_covariance(scalar_aligned):
     report = solve_at_rate(scalar_aligned, 0.0)
     assert np.allclose(report.optimum.value, scalar_aligned.sigma_x)
     assert report.value == pytest.approx(0.0, abs=1e-12)
+
+
+def test_ascent_reports_iterations_taken(scalar_aligned):
+    # a scalar model converges long before the iteration cap, and the
+    # report counts the iterations of every start rather than the cap
+    report = solve_at_rate(scalar_aligned, 0.5, n_starts=4, max_iter=400)
+    assert report.converged
+    assert 0 < report.iterations < 4 * 400
 
 
 def test_ascent_matches_scalar_oracle():
