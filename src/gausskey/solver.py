@@ -98,6 +98,12 @@ class SolveReport:
     is a first-order optimality residual: the barrier duality-gap proxy for
     the convex inner solve, the stationarity-system residual for the ascent
     polish.
+
+    For ``inner_convex``, ``converged`` says that the last barrier stage,
+    at the final weight, met its Newton-decrement test (a stalled warm
+    schedule is first rerun in full).  A cell that is not converged still
+    returns a strictly feasible optimum and its value, which may then lie
+    above the cell's minimum.
     """
 
     optimum: ConditionalCov
@@ -130,18 +136,16 @@ def _basis(n):
 
 
 def _interval_linear_max(g_w):
-    """Maximize <g_w, A> over the whitened matrix interval 0 <= A <= I.
+    """Maximize <G, A> over the whitened matrix interval 0 <= A <= I, for
+    one symmetric matrix or a stack of them (shape ``(..., n, n)``).
 
-    Returns ``(value, a_max)`` where ``a_max`` is a maximizing projector.
+    Returns ``(value, a_max)``: the sum of the positive eigenvalues of G and
+    the projector onto their eigenvectors, which attains it.
     """
-    w, v = np.linalg.eigh(linalg.symmetrize(g_w))
+    w, v = np.linalg.eigh(g_w)
     pos = w > 0.0
-    value = float(np.sum(w[pos]))
-    if pos.any():
-        a_max = linalg.symmetrize((v[:, pos]) @ (v[:, pos]).T)
-    else:
-        a_max = np.zeros_like(g_w)
-    return value, a_max
+    vp = v * pos[..., None, :]
+    return np.where(pos, w, 0.0).sum(axis=-1), vp @ np.swapaxes(vp, -1, -2)
 
 
 def _sigma_floor(sigma_x):
@@ -152,144 +156,52 @@ def _sigma_floor(sigma_x):
 # inner convex problem of the sweep
 # ---------------------------------------------------------------------------
 
-def _cell_matrices(b, e, params):
-    """Linear constraint data of the cell: g_i(Q) = <G_i, Q> + c_i <= 0."""
-    bb = np.outer(b, b)
-    ee = np.outer(e, e)
-    g1 = (1.0 + params.t) * bb - ee  # t (bQb^T + 1) <= eQe^T - bQb^T
-    g2 = bb                          # bQb^T <= s
-    return (g1, params.t), (g2, -params.s)
+@dataclass(frozen=True, eq=False)
+class _SpanFrame:
+    """Per-model data of the sweep's cells, computed once by
+    ``_span_reduction``.
 
+    ``s_half = sigma_x^1/2`` whitens the source and ``u`` (mx x 2,
+    orthonormal columns) spans ``S b^T`` and ``S e^T``; ``bw``, ``ew`` are
+    the reduced observation vectors ``u^T S b^T``, ``u^T S e^T`` as float
+    pairs.  A cell is then a problem in the whitened 2x2 matrix
+    ``A_2 = [[a, b], [b, c]]``, held as the float triple ``(a, b, c)``.
+    ``padded`` marks the second coordinate as the decoupled padding of a
+    scalar source.
+    """
 
-def _feasibility_bound(b, e, params, eta_max=1e8):
-    """Upper bound on max{e A e^T - (1+t) b A b^T : b A b^T <= s} over the
-    whitened interval, via the scalar Lagrangian dual.  The cell is
-    infeasible when this bound does not exceed t.  Returns early once either
-    verdict is certain: any single dual value already certifies
-    infeasibility, and the eta = 0 primal value certifies feasibility."""
-    gt = np.outer(e, e) - (1.0 + params.t) * np.outer(b, b)
-    bb = np.outer(b, b)
-    margin = 1e-12 * (1.0 + abs(params.t))
+    mx: int
+    bw: tuple
+    ew: tuple
+    padded: bool
+    s_half: np.ndarray
+    s_half_inv: np.ndarray
+    u: np.ndarray
 
-    def dual(eta):
-        val, _ = _interval_linear_max(gt - eta * bb)
-        return val + eta * params.s
+    def reduce(self, sigma):
+        """Whitened 2x2 compression ``u^T S^-1 Q S^-1 u`` of a conditional
+        covariance, as ``(a, b, c)``."""
+        a2 = self.u.T @ (self.s_half_inv @ np.asarray(sigma, dtype=float)
+                         @ self.s_half_inv) @ self.u
+        return float(a2[0, 0]), float(a2[0, 1]), float(a2[1, 1])
 
-    etas = np.concatenate(([0.0], np.geomspace(1e-8, eta_max, 25)))
-    vals = []
-    for x in etas:
-        v = dual(x)
-        vals.append(v)
-        if v <= params.t + margin:
-            return v, float(x)
-    # interval-constrained primal value at eta given by complementarity is
-    # unavailable cheaply; refine the dual minimum instead
-    k = int(np.argmin(vals))
-    lo = etas[max(k - 1, 0)]
-    hi = etas[min(k + 1, len(etas) - 1)]
-    best = vals[k]
-    for _ in range(40):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        v1, v2 = dual(m1), dual(m2)
-        best = min(best, v1, v2)
-        if best <= params.t + margin:
-            return best, 0.5 * (m1 + m2)
-        if v1 <= v2:
-            hi = m2
-        else:
-            lo = m1
-    eta_star = 0.5 * (lo + hi)
-    return min(best, dual(eta_star)), eta_star
-
-
-def _slacks(constraints, sigma):
-    return [-(float(np.sum(g * sigma)) + c) for g, c in constraints]
-
-
-_START_C = (1.0 - 1e-7, 1.0 - 1e-6, 1.0 - 1e-5, 1.0 - 1e-4, 1.0 - 1e-3,
-            0.99, 0.9, 0.7, 0.5, 0.3, 0.1, 0.03, 0.01, 1e-3, 1e-4)
-_START_W = (1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-3, 0.01, 0.05)
-
-
-def _feasible_start(b, e, params, constraints, eta_star=None):
-    """Search a candidate family ``c * A0 + w * I`` of the whitened interval
-    for a strictly feasible point.  The scalar constraint values are affine
-    in (c, w), so the scan is plain arithmetic; thin feasibility slivers near
-    the extreme achievable t need c very close to 1 with w tiny.  The score
-    is the worst slack, the interval's own bounds included: a start next to
-    the PSD boundary costs the barrier Newton one step per doubling of its
-    smallest eigenvalue.  When no dual estimate ``eta_star`` is available, a
-    scale-aware probe grid stands in."""
-    gt = np.outer(e, e) - (1.0 + params.t) * np.outer(b, b)
-    bb = np.outer(b, b)
-    eye = np.eye(len(b))
-    if eta_star is None:
-        s_scale = max(params.s, 1e-12)
-        etas = (0.0, 0.3 / s_scale, 3.0 / s_scale, 30.0 / s_scale)
-    else:
-        etas = (eta_star, 0.0, 0.25 * eta_star, 4.0 * eta_star)
-    bases = [eye] + [_interval_linear_max(gt - eta * bb)[1] for eta in etas]
-    full_vals = [float(np.trace(g)) for g, _ in constraints]
-    best = None
-    best_score = 0.0
-    for a0 in bases:
-        base_vals = [float(np.sum(g * a0)) for g, _ in constraints]
-        eig_lo, eig_hi = np.linalg.eigvalsh(a0)[[0, -1]]
-        for c in _START_C:
-            for w in _START_W:
-                if c + w >= 1.0:
-                    continue
-                score = min(c * eig_lo + w, 1.0 - c * eig_hi - w)
-                for (_, cst), bv, fv in zip(constraints, base_vals, full_vals):
-                    slack = -(c * bv + w * fv + cst)
-                    score = min(score, slack / (1.0 + abs(cst)))
-                    if score <= best_score:
-                        break
-                if score > best_score:
-                    best_score = score
-                    best = (a0, c, w)
-    if best is None:
-        return None
-    a0, c, w = best
-    return linalg.symmetrize(c * a0 + w * eye)
-
-
-def _resolve_start(b, e, params, constraints):
-    """Strictly feasible whitened start for a cell, or raise ``Infeasible``.
-
-    Cheap candidate probes come first; the Lagrangian dual bound is only
-    computed when they fail, to certify infeasibility (or rescue a sliver
-    cell with the dual-informed direction)."""
-    start = _feasible_start(b, e, params, constraints)
-    if start is not None:
-        return start
-    bound, eta_star = _feasibility_bound(b, e, params)
-    if bound <= params.t + 1e-12 * (1.0 + abs(params.t)):
-        raise Infeasible(
-            f"cell (s={params.s:g}, t={params.t:g}) certified infeasible "
-            f"(dual bound {bound:g})"
-        )
-    start = _feasible_start(b, e, params, constraints, eta_star)
-    if start is None:
-        raise Infeasible(
-            f"no strictly feasible start found for cell "
-            f"(s={params.s:g}, t={params.t:g})"
-        )
-    return start
+    def lift(self, a2):
+        """Conditional covariance ``S (I + u (A_2 - I) u^T) S`` of a reduced
+        cell matrix ``(a, b, c)``."""
+        a, b, c = a2
+        d = np.array([[a - 1.0, b], [b, c - 1.0]])
+        a_full = linalg.symmetrize(np.eye(self.mx) + self.u @ d @ self.u.T)
+        return linalg.symmetrize(self.s_half @ a_full @ self.s_half)
 
 
 def _span_reduction(m):
     """Whitening of the source and an orthonormal basis of the span of
-    ``S b^T`` and ``S e^T`` (``S = sigma_x^1/2``).
+    ``S b^T`` and ``S e^T`` (``S = sigma_x^1/2``), as a ``_SpanFrame``.
 
-    Returns ``(s_half, s_half_inv, u, bw, ew)``: ``u`` is mx x 2 with
-    orthonormal columns and ``bw = u^T S b^T``, ``ew = u^T S e^T`` are the
-    reduced observation vectors.  Householder QR keeps ``u`` orthonormal
-    when ``b`` and ``e`` are parallel, completing it with an orthogonal
-    direction.  A scalar source is padded with one decoupled coordinate
-    (``u = [1, 0]``), whose optimal whitened entry is 1 and adds nothing to
-    the log-det.
+    Householder QR keeps ``u`` orthonormal when ``b`` and ``e`` are
+    parallel, completing it with an orthogonal direction.  A scalar source
+    is padded with one decoupled coordinate (``u = [1, 0]``), whose optimal
+    whitened entry is 1 and adds nothing to the log-det.
     """
     w, v = np.linalg.eigh(m.sigma_x)
     root = np.sqrt(w)
@@ -301,134 +213,325 @@ def _span_reduction(m):
         u = np.eye(1, 2)
     else:
         u = np.linalg.qr(np.column_stack((sb, se)))[0]
-    return s_half, s_half_inv, u, u.T @ sb, u.T @ se
+    bw = u.T @ sb
+    ew = u.T @ se
+    return _SpanFrame(mx=m.mx, bw=(float(bw[0]), float(bw[1])),
+                      ew=(float(ew[0]), float(ew[1])), padded=m.mx == 1,
+                      s_half=s_half, s_half_inv=s_half_inv, u=u)
 
 
-def _inner_convex_2x2(bw, ew, params, a0, tau0, gap_tol, max_newton, padded):
+def _cell_constraints(frame, params):
+    """Linear constraints of a reduced cell as float tuples
+    ``(g00, g01, g11, k)``, meaning ``g00 a + 2 g01 b + g11 c + k <= 0``.
+
+    The first is ``t (b Q b^T + 1) <= e Q e^T - b Q b^T``, the second
+    ``b Q b^T <= s``.  A constraint whose matrix vanishes is dropped, or
+    certifies infeasibility when its constant is positive.
+    """
+    b0, b1 = frame.bw
+    e0, e1 = frame.ew
+    tp = 1.0 + params.t
+    bb00, bb01, bb11 = b0 * b0, b0 * b1, b1 * b1
+    cons = []
+    for con in ((tp * bb00 - e0 * e0, tp * bb01 - e0 * e1, tp * bb11 - e1 * e1,
+                 params.t),
+                (bb00, bb01, bb11, -params.s)):
+        g00, g01, g11, cst = con
+        if g00 * g00 + 2.0 * g01 * g01 + g11 * g11 > 1e-28:
+            cons.append(con)
+        elif cst > 0.0:
+            raise Infeasible(f"constant constraint violated (c = {cst:g})")
+    return tuple(cons)
+
+
+def _ratio_gains(frame, t):
+    """``G_t = e e^T - (1 + t) b b^T`` and ``b b^T`` in the reduced frame."""
+    bw = np.array(frame.bw)
+    ew = np.array(frame.ew)
+    bb = np.outer(bw, bw)
+    return np.outer(ew, ew) - (1.0 + t) * bb, bb
+
+
+def _feasibility_bound(frame, params, eta_max=1e8):
+    """Upper bound on max{e A e^T - (1+t) b A b^T : b A b^T <= s} over the
+    whitened interval, via the scalar Lagrangian dual.  The cell is
+    infeasible when this bound does not exceed t.  Returns at the first
+    probe that certifies infeasibility (any single dual value does); the
+    probes are evaluated as one stack."""
+    gt, bb = _ratio_gains(frame, params.t)
+    margin = 1e-12 * (1.0 + abs(params.t))
+
+    def dual(etas):
+        vals, _ = _interval_linear_max(gt - etas[:, None, None] * bb)
+        return vals + etas * params.s
+
+    etas = np.concatenate(([0.0], np.geomspace(1e-8, eta_max, 25)))
+    vals = dual(etas)
+    hit = np.flatnonzero(vals <= params.t + margin)
+    if hit.size:
+        return float(vals[hit[0]]), float(etas[hit[0]])
+    # interval-constrained primal value at eta given by complementarity is
+    # unavailable cheaply; refine the dual minimum instead
+    k = int(np.argmin(vals))
+    lo = etas[max(k - 1, 0)]
+    hi = etas[min(k + 1, len(etas) - 1)]
+    best = float(vals[k])
+    for _ in range(40):
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        v1, v2 = dual(np.array([m1, m2]))
+        best = min(best, v1, v2)
+        if best <= params.t + margin:
+            return float(best), 0.5 * (m1 + m2)
+        if v1 <= v2:
+            hi = m2
+        else:
+            lo = m1
+    eta_star = 0.5 * (lo + hi)
+    return float(min(best, dual(np.array([eta_star]))[0])), eta_star
+
+
+_START_C = np.array((1.0 - 1e-7, 1.0 - 1e-6, 1.0 - 1e-5, 1.0 - 1e-4, 1.0 - 1e-3,
+                     0.99, 0.9, 0.7, 0.5, 0.3, 0.1, 0.03, 0.01, 1e-3, 1e-4))
+_START_W = np.array((1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-3, 0.01, 0.05))
+
+
+def _start_bases(frame, params, eta_star=None):
+    """Base matrices of the start search and their extreme eigenvalues:
+    the identity and the interval maximizers of ``G_t - eta b b^T`` for a
+    few dual values ``eta`` (a scale-aware probe set when no estimate
+    ``eta_star`` is available).  Returns a stack of 2x2 bases and their
+    smallest and largest eigenvalues."""
+    gt, bb = _ratio_gains(frame, params.t)
+    if eta_star is None:
+        s_scale = max(params.s, 1e-12)
+        etas = (0.0, 0.3 / s_scale, 3.0 / s_scale, 30.0 / s_scale)
+    else:
+        etas = (eta_star, 0.0, 0.25 * eta_star, 4.0 * eta_star)
+    _, proj = _interval_linear_max(gt - np.array(etas)[:, None, None] * bb)
+    bases = np.concatenate((np.eye(2)[None], proj))
+    eig = np.linalg.eigvalsh(bases)
+    return bases, eig[:, 0], eig[:, -1]
+
+
+def _feasible_start(frame, params, cons, eta_star=None):
+    """Search a candidate family ``c * A0 + w * I`` of the whitened interval
+    for a strictly feasible point, over the bases of ``_start_bases``.  The
+    scalar constraint values are affine in (c, w), so every candidate is
+    scored at once; thin feasibility slivers near the extreme achievable t
+    need c very close to 1 with w tiny.  The score is the worst slack, the
+    interval's own bounds included: a start next to the PSD boundary costs
+    the barrier Newton one step per doubling of its smallest eigenvalue.
+    Returns the first candidate of best positive score, in (base, c, w)
+    order, as ``(a, b, c)``, or None."""
+    bases, eig_lo, eig_hi = _start_bases(frame, params, eta_star)
+    c = _START_C[None, :, None]
+    w = _START_W[None, None, :]
+    score = np.minimum(c * eig_lo[:, None, None] + w,
+                       1.0 - c * eig_hi[:, None, None] - w)
+    for g00, g01, g11, cst in cons:
+        base_val = (g00 * bases[:, 0, 0] + 2.0 * g01 * bases[:, 0, 1]
+                    + g11 * bases[:, 1, 1])[:, None, None]
+        slack = -(c * base_val + w * (g00 + g11) + cst)
+        score = np.minimum(score, slack / (1.0 + abs(cst)))
+    score = np.where(c + w >= 1.0, -np.inf, score)
+    k, i, j = np.unravel_index(int(np.argmax(score)), score.shape)
+    if not score[k, i, j] > 0.0:
+        return None
+    cc, ww = float(_START_C[i]), float(_START_W[j])
+    a0 = bases[k]
+    return (cc * float(a0[0, 0]) + ww, cc * float(a0[0, 1]),
+            cc * float(a0[1, 1]) + ww)
+
+
+def _resolve_start(frame, params, cons):
+    """Strictly feasible whitened start for a cell, or raise ``Infeasible``.
+
+    Cheap candidate probes come first; the Lagrangian dual bound is only
+    computed when they fail, to certify infeasibility (or rescue a sliver
+    cell with the dual-informed direction)."""
+    start = _feasible_start(frame, params, cons)
+    if start is not None:
+        return start
+    bound, eta_star = _feasibility_bound(frame, params)
+    if bound <= params.t + 1e-12 * (1.0 + abs(params.t)):
+        raise Infeasible(
+            f"cell (s={params.s:g}, t={params.t:g}) certified infeasible "
+            f"(dual bound {bound:g})"
+        )
+    start = _feasible_start(frame, params, cons, eta_star)
+    if start is None:
+        raise Infeasible(
+            f"no strictly feasible start found for cell "
+            f"(s={params.s:g}, t={params.t:g})"
+        )
+    return start
+
+
+def _ldl_step(h00, h01, h02, h11, h12, h22, g0, g1, g2):
+    """Newton step ``-H^-1 g`` and decrement ``g^T H^-1 g`` for a symmetric
+    3x3 H (upper triangle given), by an unpivoted LDL^T factorization.
+
+    Returns ``(x0, x1, x2, decrement)``, or None when a pivot is not
+    positive, i.e. H is not numerically positive definite.
+    """
+    if not h00 > 0.0:
+        return None
+    l10 = h01 / h00
+    l20 = h02 / h00
+    d1 = h11 - l10 * h01
+    if not d1 > 0.0:
+        return None
+    l21 = (h12 - l20 * h01) / d1
+    d2 = h22 - l20 * h02 - l21 * l21 * d1
+    if not d2 > 0.0:
+        return None
+    y0 = -g0
+    y1 = -g1 - l10 * y0
+    y2 = -g2 - l20 * y0 - l21 * y1
+    z0 = y0 / h00
+    z1 = y1 / d1
+    x2 = y2 / d2
+    x1 = z1 - l21 * x2
+    x0 = z0 - l10 * x1 - l20 * x2
+    return x0, x1, x2, y0 * z0 + y1 * z1 + y2 * x2
+
+
+@dataclass(frozen=True)
+class _Cell:
+    """Outcome of one reduced cell: the whitened 2x2 optimum ``a2`` as
+    ``(a, b, c)`` and the fields of ``SolveReport`` that a sweep keeps."""
+
+    a2: tuple
+    value: float
+    iterations: int
+    kkt_residual: float
+    converged: bool
+
+
+def _inner_convex_2x2(frame, params, a0, tau0, gap_tol, max_newton):
     """Scalarized barrier Newton for one whitened 2x2 cell.
 
-    Maximizes log|A| over ``0 < A < I`` under the cell constraints written
-    with the reduced observation vectors ``bw`` and ``ew``.  The symmetric
-    matrix is unpacked into (a, b, c) floats so PD checks, inverses and
-    log-dets are closed form.  ``padded`` marks the second coordinate as the
-    decoupled padding of a scalar source.  Returns the optimal matrix, the
-    Newton step count and the final duality-gap proxy.
+    Maximizes log|A| over ``0 < A < I`` under the cell constraints of
+    ``_cell_constraints``.  The iterate is the float triple ``(a, b, c)``,
+    so PD checks, inverses and log-dets are closed form and each Newton
+    system is solved by ``_ldl_step``; no array is built inside the loop.
+    ``a0`` is a start ``(a, b, c)`` or None; a start that is not strictly
+    feasible is replaced by ``_resolve_start``.
+
+    A barrier stage is *centred* when the Newton decrement drops below its
+    tolerance; it ends uncentred after 40 steps, at a non-positive pivot, or
+    when the line search finds no decrease.  The schedule runs from ``tau0``
+    up tenfold per stage until the gap proxy ``n / tau`` drops below
+    ``gap_tol``.  When a warm schedule (``tau0 > 1``) ends with its last
+    stage uncentred, it restarts once from ``tau = 1`` at the same start,
+    its steps counted on top.  ``converged`` reports whether the last stage
+    of the final schedule was centred; an uncentred solve keeps its
+    feasible, possibly suboptimal, value.
     """
-    cons = []
-    for g_mat, cst in _cell_matrices(bw, ew, params):
-        g00, g01, g11 = float(g_mat[0, 0]), float(g_mat[0, 1]), float(g_mat[1, 1])
-        if g00 * g00 + 2.0 * g01 * g01 + g11 * g11 <= 1e-28:
-            if cst > 0.0:
-                raise Infeasible(f"constant constraint violated (c = {cst:g})")
-        else:
-            cons.append((g00, g01, g11, cst))
+    cons = _cell_constraints(frame, params)
+    n_constr = 2 + len(cons)
+    padded = frame.padded
+    tau = max(1.0, float(tau0))
 
-    def g_values(a, b, c):
-        return [g00 * a + 2.0 * g01 * b + g11 * c + cst
-                for g00, g01, g11, cst in cons]
-
-    def feasible(a, b, c):
+    def merit(a, b, c):
+        # the barrier value, or None outside its domain
         det_s = a * c - b * b
-        ga, gc = 1.0 - a, 1.0 - c
-        det_g = ga * gc - b * b
+        ga = 1.0 - a
+        det_g = ga * (1.0 - c) - b * b
         if a <= 0.0 or det_s <= 0.0 or ga <= 0.0 or det_g <= 0.0:
-            return None, None
-        return det_s, det_g
-
-    def barrier_val(a, b, c, tau):
-        det_s, det_g = feasible(a, b, c)
-        if det_s is None:
             return None
         val = -tau * math.log(det_s) - math.log(det_g)
-        for gv in g_values(a, b, c):
+        for g00, g01, g11, cst in cons:
+            gv = g00 * a + 2.0 * g01 * b + g11 * c + cst
             if gv >= 0.0:
                 return None
             val -= math.log(-gv)
         return val
 
-    tau = max(1.0, float(tau0))
-
-    def pad_center(x):
-        # no constraint sees the padding coordinate, so it starts at its own
-        # barrier center instead of crawling up from a tiny start value
-        if not padded:
-            return x
-        return np.array([[x[0, 0], 0.0], [0.0, tau / (1.0 + tau)]])
-
-    if a0 is not None:
-        a0 = pad_center(a0)
-    if a0 is None or barrier_val(
-        float(a0[0, 0]), float(a0[0, 1]), float(a0[1, 1]), 1.0
-    ) is None:
-        constraints = [(np.array([[g00, g01], [g01, g11]]), cst)
-                       for g00, g01, g11, cst in cons]
-        a0 = pad_center(_resolve_start(bw, ew, params, constraints))
-
-    a, b, c = float(a0[0, 0]), float(a0[0, 1]), float(a0[1, 1])
-    n_constr = 2 + len(cons)
+    if padded and a0 is not None:
+        a0 = (a0[0], 0.0, 0.5)  # the padding coordinate is reset below
+    if a0 is None or merit(*a0) is None:
+        a0 = _resolve_start(frame, params, cons)
     total_iters = 0
     while True:
-        # decrement^2 / tau bounds the log-det suboptimality of the stage
-        # center, so the stop scales with the barrier weight
-        decrement_tol = 2.0 * NEWTON_DECREMENT_TOL * max(1.0, tau)
-        for _ in range(40):
-            if total_iters >= max_newton:
-                raise MaxIterationsExceeded(
-                    f"inner solve exceeded {max_newton} Newton steps"
-                )
-            det_s, det_g = feasible(a, b, c)
-            if det_s is None:
-                raise SolverFailure("barrier iterate left the feasible set")
-            p00, p01, p11 = c / det_s, -b / det_s, a / det_s
-            r00, r01, r11 = (1.0 - c) / det_g, b / det_g, (1.0 - a) / det_g
-            gr00 = -tau * p00 + r00
-            gr01 = -tau * p01 + r01
-            gr11 = -tau * p11 + r11
-            gvals = g_values(a, b, c)
-            h = [[tau * p00 * p00 + r00 * r00,
-                  2.0 * (tau * p00 * p01 + r00 * r01),
-                  tau * p01 * p01 + r01 * r01],
-                 [0.0,
-                  2.0 * (tau * (p00 * p11 + p01 * p01) + r00 * r11 + r01 * r01),
-                  2.0 * (tau * p01 * p11 + r01 * r11)],
-                 [0.0, 0.0, tau * p11 * p11 + r11 * r11]]
-            h[1][0] = h[0][1]
-            h[2][0] = h[0][2]
-            h[2][1] = h[1][2]
-            for (g00, g01, g11, _), gv in zip(cons, gvals):
-                gr00 += g00 / (-gv)
-                gr01 += g01 / (-gv)
-                gr11 += g11 / (-gv)
-                v = (g00, 2.0 * g01, g11)
-                w = 1.0 / (gv * gv)
-                for i in range(3):
-                    for j in range(3):
-                        h[i][j] += v[i] * v[j] * w
-            gvec = np.array([gr00, 2.0 * gr01, gr11])
-            try:
-                step = -np.linalg.solve(np.array(h), gvec)
-            except np.linalg.LinAlgError:
-                break
-            decrement = float(-gvec @ step)
-            total_iters += 1
-            if decrement <= decrement_tol:
-                break
-            da, db, dc = step[0], step[1], step[2]
-            val0 = barrier_val(a, b, c, tau)
-            alpha = 1.0
+        tau_start = tau
+        a, b, c = a0
+        if padded:
+            # no constraint sees the padding coordinate, so it starts at its
+            # own barrier center instead of crawling up from a tiny value
+            b, c = 0.0, tau / (1.0 + tau)
+        while True:
+            # decrement / tau bounds the log-det suboptimality of the stage
+            # center, so the stop scales with the barrier weight
+            decrement_tol = 2.0 * NEWTON_DECREMENT_TOL * max(1.0, tau)
+            val = merit(a, b, c)
+            centred = False
             for _ in range(40):
-                val1 = barrier_val(a + alpha * da, b + alpha * db,
-                                   c + alpha * dc, tau)
-                if val1 is not None and val1 <= val0 - 1e-4 * alpha * decrement:
+                if total_iters >= max_newton:
+                    raise MaxIterationsExceeded(
+                        f"inner solve exceeded {max_newton} Newton steps"
+                    )
+                det_s = a * c - b * b
+                ga, gc = 1.0 - a, 1.0 - c
+                det_g = ga * gc - b * b
+                p00, p01, p11 = c / det_s, -b / det_s, a / det_s
+                r00, r01, r11 = gc / det_g, b / det_g, ga / det_g
+                gr00 = -tau * p00 + r00
+                gr01 = -tau * p01 + r01
+                gr11 = -tau * p11 + r11
+                h00 = tau * p00 * p00 + r00 * r00
+                h01 = 2.0 * (tau * p00 * p01 + r00 * r01)
+                h02 = tau * p01 * p01 + r01 * r01
+                h11 = 2.0 * (tau * (p00 * p11 + p01 * p01) + r00 * r11 + r01 * r01)
+                h12 = 2.0 * (tau * p01 * p11 + r01 * r11)
+                h22 = tau * p11 * p11 + r11 * r11
+                for g00, g01, g11, cst in cons:
+                    gv = g00 * a + 2.0 * g01 * b + g11 * c + cst
+                    gr00 += g00 / -gv
+                    gr01 += g01 / -gv
+                    gr11 += g11 / -gv
+                    w = 1.0 / (gv * gv)
+                    v1 = 2.0 * g01
+                    h00 += g00 * g00 * w
+                    h01 += g00 * v1 * w
+                    h02 += g00 * g11 * w
+                    h11 += v1 * v1 * w
+                    h12 += v1 * g11 * w
+                    h22 += g11 * g11 * w
+                step = _ldl_step(h00, h01, h02, h11, h12, h22,
+                                 gr00, 2.0 * gr01, gr11)
+                if step is None:
                     break
-                alpha *= 0.5
-            else:
-                break  # no productive step; this stage is centered enough
-            a, b, c = a + alpha * da, b + alpha * db, c + alpha * dc
-        if n_constr / tau < gap_tol:
+                da, db, dc, decrement = step
+                total_iters += 1
+                if decrement <= decrement_tol:
+                    centred = True
+                    break
+                alpha = 1.0
+                for _ in range(40):
+                    val1 = merit(a + alpha * da, b + alpha * db, c + alpha * dc)
+                    if val1 is not None and val1 <= val - 1e-4 * alpha * decrement:
+                        break
+                    alpha *= 0.5
+                else:
+                    break  # no productive step; the stage ends uncentred
+                a, b, c = a + alpha * da, b + alpha * db, c + alpha * dc
+                val = val1
+            if n_constr / tau < gap_tol:
+                break
+            tau *= 10.0
+        if centred or tau_start <= 1.0:
             break
-        tau *= 10.0
-    return np.array([[a, b], [b, c]]), total_iters, n_constr / tau
+        tau = 1.0  # a stalled warm schedule runs the full one
+    if padded:
+        logdet = math.log(a)
+    else:
+        logdet = math.log(a * c - b * b)
+    value = (-0.5 * logdet - 0.5 * math.log1p(frame.bw[0] ** 2 + frame.bw[1] ** 2)
+             + 0.5 * math.log1p(params.s))
+    return _Cell(a2=(a, b, c), value=value, iterations=total_iters,
+                 kkt_residual=n_constr / tau, converged=centred)
 
 
 def inner_convex(m: GeneralModel, params: SweepParams, *, sigma0=None,
@@ -450,35 +553,32 @@ def inner_convex(m: GeneralModel, params: SweepParams, *, sigma0=None,
     dimension.  The 2x2 problem is solved by a log-barrier Newton path with
     barrier parameter growing tenfold per stage (from ``tau0``; pass the
     final value of a neighboring solve, with its optimum as ``sigma0``, to
-    warm-start) until the duality-gap proxy drops below ``gap_tol``.
+    warm-start) until the duality-gap proxy drops below ``gap_tol``; see
+    ``_inner_convex_2x2`` for what ``converged`` reports.
+
+    The public call validates the model, reduces it, solves and lifts the
+    optimum.  The sweep, which reduces each model once, passes its
+    ``_SpanFrame`` as ``m`` instead: ``sigma0`` is then a reduced start
+    ``(a, b, c)`` and the result a ``_Cell``, with no lifted optimum.
 
     Raises ``Infeasible`` when the constraint set is empty (certified by a
     dual bound) or has no strictly feasible point, ``MaxIterationsExceeded``
     when the Newton budget is exhausted.
     """
+    if isinstance(m, _SpanFrame):
+        return _inner_convex_2x2(m, params, sigma0, tau0, gap_tol, max_newton)
     validate_model(m)
     if m.my != 1 or m.mz != 1:
         raise SolverFailure("inner_convex requires scalar observations (my = mz = 1)")
-    s_half, s_half_inv, u, bw, ew = _span_reduction(m)
-    a0 = None
-    if sigma0 is not None:
-        a0 = u.T @ (s_half_inv @ np.asarray(sigma0, dtype=float) @ s_half_inv) @ u
-    a2, total_iters, gap_proxy = _inner_convex_2x2(
-        bw, ew, params, a0, tau0, gap_tol, max_newton, padded=m.mx == 1
-    )
-    a_full = linalg.symmetrize(np.eye(m.mx) + u @ (a2 - np.eye(2)) @ u.T)
-    value = (
-        -0.5 * linalg.logdet_pd(a_full)
-        - 0.5 * math.log1p(float(bw @ bw))
-        + 0.5 * math.log1p(params.s)
-    )
-    sigma = linalg.symmetrize(s_half @ a_full @ s_half)
+    frame = _span_reduction(m)
+    a0 = None if sigma0 is None else frame.reduce(sigma0)
+    cell = _inner_convex_2x2(frame, params, a0, tau0, gap_tol, max_newton)
     return SolveReport(
-        optimum=ConditionalCov.for_model(m, sigma),
-        value=float(value),
-        iterations=total_iters,
-        kkt_residual=gap_proxy,
-        converged=True,
+        optimum=ConditionalCov.for_model(m, frame.lift(cell.a2)),
+        value=cell.value,
+        iterations=cell.iterations,
+        kkt_residual=cell.kkt_residual,
+        converged=cell.converged,
     )
 
 
@@ -486,11 +586,12 @@ def inner_convex(m: GeneralModel, params: SweepParams, *, sigma0=None,
 # (s, t) sweep
 # ---------------------------------------------------------------------------
 
-def _t_range(m, s_half):
+def _t_range(frame):
     """Extreme achievable values of t = (eQe^T - bQb^T) / (bQb^T + 1) over
-    the matrix interval, by bisection on a linear feasibility test."""
-    bw = s_half @ m.b[0]
-    ew = s_half @ m.e[0]
+    the matrix interval, by bisection on a linear feasibility test in the
+    reduced frame."""
+    bw = np.array(frame.bw)
+    ew = np.array(frame.ew)
     bb = np.outer(bw, bw)
     ee = np.outer(ew, ew)
 
@@ -526,18 +627,20 @@ def _t_range(m, s_half):
     return float(t_min), float(t_max)
 
 
-def _warm_candidate(m, params, constraints, warm, anchor):
-    """Blend the previous cell's optimum toward feasibility for this cell.
+def _warm_candidate(frame, params, warm, anchor):
+    """Blend the previous cell's reduced optimum toward feasibility for this
+    cell.
 
-    Both ingredients live in [0, sigma_x], so any sub-convex combination
-    stays strictly inside the matrix interval; only the two scalar
-    constraints need checking, which is cheap arithmetic on precomputed
-    quadratic forms.
+    Both ingredients lie in [0, I], so any sub-convex combination stays
+    strictly inside the matrix interval; only the two scalar constraints
+    need checking, which is plain arithmetic on ``(a, b, c)`` triples.
     """
     if warm is None:
         return None
-    b = m.b[0]
-    qb_warm = float(b @ warm @ b)
+    cons = _cell_constraints(frame, params)
+    wa, wb, wc = warm
+    b0, b1 = frame.bw
+    qb_warm = b0 * b0 * wa + 2.0 * b0 * b1 * wb + b1 * b1 * wc
     # rescale into a thin boundary layer below the new s cap so the barrier
     # Newton has no long crawl toward the active constraint
     if qb_warm <= (1.0 - 1e-6) * params.s:
@@ -546,16 +649,20 @@ def _warm_candidate(m, params, constraints, warm, anchor):
         beta = (1.0 - 1e-6) * params.s / qb_warm
     thetas = (0.0,) if anchor is None else (0.0, 1e-4, 1e-2, 0.1, 0.3, 0.6)
     for theta in thetas:
-        cand = (1.0 - theta) * beta * warm
+        scale = (1.0 - theta) * beta
+        ca, cb, cc = scale * wa, scale * wb, scale * wc
         if theta:
-            cand = cand + theta * 0.98 * anchor
-        if all(s > 0.0 for s in _slacks(constraints, cand)):
-            return linalg.symmetrize(cand)
+            pull = theta * 0.98
+            ca, cb, cc = ca + pull * anchor[0], cb + pull * anchor[1], cc + pull * anchor[2]
+        if all(g00 * ca + 2.0 * g01 * cb + g11 * cc + cst < 0.0
+               for g00, g01, g11, cst in cons):
+            return ca, cb, cc
     return None
 
 
-def _sweep_row(m, s_half, t, s_values_desc, ik_t, row_seed=None):
-    """Solve one t row over descending s values; returns achieved cells.
+def _sweep_row(frame, t, s_values_desc, ik_t, row_seed=None):
+    """Solve one t row over descending s values; returns achieved cells and
+    the row's first reduced optimum.
 
     Within a row every cell shares the key-rate level ``ik_t``, so only the
     cell of smallest achieved public rate can matter for the boundary; the
@@ -565,42 +672,36 @@ def _sweep_row(m, s_half, t, s_values_desc, ik_t, row_seed=None):
     cells = []
     warm = row_seed
     first_optimum = None
-    bw = s_half @ m.b[0]
-    ew = s_half @ m.e[0]
-    _, anchor_white = _interval_linear_max(
-        np.outer(ew, ew) - (1.0 + t) * np.outer(bw, bw)
-    )
-    anchor = linalg.symmetrize(s_half @ anchor_white @ s_half)
+    _, proj = _interval_linear_max(_ratio_gains(frame, t)[0])
+    anchor = (float(proj[0, 0]), float(proj[0, 1]), float(proj[1, 1]))
     row_min = math.inf
     prev_rp = math.inf
     rises = 0
     for s in s_values_desc:
         params = SweepParams(s=float(s), t=float(t))
-        constraints = [c for c in _cell_matrices(m.b[0], m.e[0], params)
-                       if linalg.frob(c[0]) > 1e-14]
-        start = _warm_candidate(m, params, constraints, warm, anchor)
         try:
+            start = _warm_candidate(frame, params, warm, anchor)
             if start is not None:
                 try:
-                    report = inner_convex(m, params, sigma0=start, tau0=TAU_FINAL,
-                                          max_newton=120)
+                    cell = inner_convex(frame, params, sigma0=start,
+                                        tau0=TAU_FINAL, max_newton=120)
                 except MaxIterationsExceeded:
-                    report = inner_convex(m, params, sigma0=start)
+                    cell = inner_convex(frame, params, sigma0=start)
             else:
-                report = inner_convex(m, params)
+                cell = inner_convex(frame, params)
         except Infeasible:
             break  # shrinking s only tightens the cell; the row is done
         except MaxIterationsExceeded:
             warm = None
             continue  # point excluded; neighbors are unaffected
-        warm = report.optimum.value
+        warm = cell.a2
         if first_optimum is None:
             first_optimum = warm
-        cells.append((report.value, ik_t, float(s), float(t), report.kkt_residual))
-        row_min = min(row_min, report.value)
-        rises = rises + 1 if report.value > prev_rp else 0
-        prev_rp = report.value
-        if rises >= 3 and report.value > row_min + 1.0:
+        cells.append((cell.value, ik_t, float(s), float(t), cell.kkt_residual))
+        row_min = min(row_min, cell.value)
+        rises = rises + 1 if cell.value > prev_rp else 0
+        prev_rp = cell.value
+        if rises >= 3 and cell.value > row_min + 1.0:
             break
     return cells, first_optimum
 
@@ -615,7 +716,7 @@ def _thread_count(threads):
         return 1
 
 
-def _row_min_rp(m, s_half, t, s_max, n_scan=16, n_golden=18):
+def _row_min_rp(frame, t, s_max, n_scan=16, n_golden=18):
     """Smallest achievable public rate on one t row.
 
     Pre-scans a log-spaced s grid, then golden-sections the bracket around
@@ -625,7 +726,7 @@ def _row_min_rp(m, s_half, t, s_max, n_scan=16, n_golden=18):
     """
     ik_t = float("nan")  # filled by caller; kept in the cell tuple later
     s_grid = s_max * np.geomspace(1.0, SWEEP_S_FLOOR, n_scan)
-    warm = {"sigma": None}
+    warm = {"a2": None}
 
     def solve(s):
         # the warm matrix only short-circuits the feasibility phase; the
@@ -633,17 +734,13 @@ def _row_min_rp(m, s_half, t, s_max, n_scan=16, n_golden=18):
         # too far for a final-stage-only solve to stay reliable
         params = SweepParams(s=float(s), t=float(t))
         try:
-            if warm["sigma"] is not None:
-                constraints = [c for c in _cell_matrices(m.b[0], m.e[0], params)
-                               if linalg.frob(c[0]) > 1e-14]
-                start = _warm_candidate(m, params, constraints, warm["sigma"], None)
-            else:
-                start = None
-            report = inner_convex(m, params, sigma0=start)
+            start = _warm_candidate(frame, params, warm["a2"], None)
+            cell = inner_convex(frame, params, sigma0=start)
         except (Infeasible, MaxIterationsExceeded):
             return None
-        warm["sigma"] = report.optimum.value
-        return report
+        warm["a2"] = cell.a2
+        return cell
+
 
     evals = []
     for s in s_grid:
@@ -720,13 +817,13 @@ def sweep_boundary(m: GeneralModel, rp_grid, st_resolution: int = 200, *,
     if rp_grid and rp_grid[0] < 0.0:
         raise ValueError("public rates must be nonnegative")
 
-    s_half = linalg.sqrtm_psd(m.sigma_x)
+    frame = _span_reduction(m)
     b = m.b[0]
     e = m.e[0]
     s_max = float(b @ m.sigma_x @ b)
     ez = float(e @ m.sigma_x @ e)
     ik_const = 0.5 * (math.log1p(s_max) - math.log1p(ez))
-    t_min, t_max = _t_range(m, s_half)
+    t_min, t_max = _t_range(frame)
 
     s_values_desc = s_max * np.geomspace(1.0, SWEEP_S_FLOOR, st_resolution)
     t_span = max(t_max - t_min, 1e-9)
@@ -753,7 +850,7 @@ def sweep_boundary(m: GeneralModel, rp_grid, st_resolution: int = 200, *,
     if n_workers > 1 and len(rows) > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             futures = [
-                pool.submit(_sweep_row, m, s_half, t, s_values_desc, ik)
+                pool.submit(_sweep_row, frame, t, s_values_desc, ik)
                 for t, ik in rows
             ]
             row_cells = [f.result()[0] for f in futures]
@@ -761,7 +858,7 @@ def sweep_boundary(m: GeneralModel, rp_grid, st_resolution: int = 200, *,
         row_cells = []
         row_seed = None
         for t, ik in rows:
-            cells, first_opt = _sweep_row(m, s_half, t, s_values_desc, ik,
+            cells, first_opt = _sweep_row(frame, t, s_values_desc, ik,
                                           row_seed=row_seed)
             if first_opt is not None:
                 row_seed = first_opt
@@ -784,7 +881,7 @@ def sweep_boundary(m: GeneralModel, rp_grid, st_resolution: int = 200, *,
 
     def reach(t):
         if t not in refined:
-            rp_min, cell = _row_min_rp(m, s_half, t, s_max)
+            rp_min, cell = _row_min_rp(frame, t, s_max)
             if cell is not None:
                 ik_t = ik_const + 0.5 * math.log1p(t)
                 cells.append((cell[0], ik_t, cell[2], cell[3], cell[4]))
@@ -817,7 +914,7 @@ def sweep_boundary(m: GeneralModel, rp_grid, st_resolution: int = 200, *,
                 if t_hi - t_lo < 1e-6 * (1.0 + abs(t_hi)):
                     break
                 t_mid = 0.5 * (t_lo + t_hi)
-                rp_min, cell = _row_min_rp(m, s_half, t_mid, s_max)
+                rp_min, cell = _row_min_rp(frame, t_mid, s_max)
                 if cell is not None:
                     ik_mid = ik_const + 0.5 * math.log1p(t_mid)
                     cells.append((cell[0], ik_mid, cell[2], cell[3], cell[4]))

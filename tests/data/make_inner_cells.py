@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from gausskey import GeneralModel, SweepParams, inner_convex, linalg, solver
+from gausskey import GeneralModel, SweepParams, inner_convex, solver
 from gausskey.errors import Infeasible, MaxIterationsExceeded
 
 WARM_TAU0 = 1e9
@@ -73,9 +73,9 @@ def entry(name, m, params, sigma0=None, tau0=None):
 
 
 def cells_for(name, m):
-    s_half = linalg.sqrtm_psd(m.sigma_x)
+    frame = solver._span_reduction(m)
     s_max = float(m.b[0] @ m.sigma_x @ m.b[0])
-    t_min, t_max = solver._t_range(m, s_half)
+    t_min, t_max = solver._t_range(frame)
     span = t_max - t_min
     out = []
     for t in (t_min + 0.3 * span, t_min + 0.7 * span, t_max - 1e-3 * span,
@@ -90,13 +90,11 @@ def cells_for(name, m):
                 continue
             # the next sweep cell down the row, warm-started as the sweep does
             nxt = SweepParams(s=0.8 * s, t=t)
-            bb = np.outer(m.b[0], m.b[0])
-            ee = np.outer(m.e[0], m.e[0])
-            constraints = [((1.0 + t) * bb - ee, t), (bb, -nxt.s)]
-            start = solver._warm_candidate(m, nxt, constraints,
-                                           report.optimum.value, None)
+            start = solver._warm_candidate(
+                frame, nxt, frame.reduce(report.optimum.value), None)
             if start is not None:
-                cell, _ = entry(name, m, nxt, sigma0=start, tau0=WARM_TAU0)
+                cell, _ = entry(name, m, nxt, sigma0=frame.lift(start),
+                                tau0=WARM_TAU0)
                 if cell is not None:
                     out.append(cell)
     return out

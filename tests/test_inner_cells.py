@@ -8,6 +8,11 @@ move by more than the corpus tolerance where the frozen solve fell short of
 the optimum: the new value must then be lower (the cell minimizes it) and
 meet the Lagrangian dual bound of the cell within the same tolerance.
 
+Every feasible corpus cell must also meet its dual bound and report
+convergence, and the float kernel's parts are checked against plain
+references: the LDL^T Newton step against a dense solve, the stacked start
+search against the candidate loop it replaces.
+
 The property tests check what the cell problem guarantees whatever the
 solver: its optimum does not depend on the basis of the source, nor on a
 decoupled extra source coordinate, and the returned matrix is feasible.
@@ -22,7 +27,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
-from gausskey import GeneralModel, SweepParams, inner_convex, linalg
+from gausskey import GeneralModel, SweepParams, inner_convex, linalg, solver
 from gausskey.errors import Infeasible
 
 from conftest import random_conditional, random_spd, rng_for
@@ -112,6 +117,21 @@ def test_frozen_cells_keep_their_values():
     assert not misses, misses
 
 
+def test_every_feasible_corpus_cell_meets_its_dual_bound():
+    # warm cells included: a stalled warm schedule must restart, not report
+    # a stalled iterate as converged
+    misses = []
+    for k, cell in enumerate(_corpus()):
+        if cell["value"] == "infeasible":
+            continue
+        report = _solve(cell)
+        m = GeneralModel(sigma_x=cell["sigma_x"], b=cell["b"], e=cell["e"])
+        gap = report.value - _dual_value_bound(m, SweepParams(s=cell["s"], t=cell["t"]))
+        if not (report.converged and abs(gap) <= CORPUS_TOL):
+            misses.append((k, cell["model"], report.converged, gap))
+    assert not misses, misses
+
+
 def test_frozen_infeasible_cells_still_raise():
     for cell in _corpus():
         if cell["value"] == "infeasible":
@@ -190,3 +210,129 @@ def test_inner_optimum_is_feasible(case):
               - 0.5 * math.log1p(float(m.b[0] @ m.sigma_x @ m.b[0]))
               + 0.5 * math.log1p(params.s))
     assert report.value == pytest.approx(expect, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# parts of the float kernel
+# ---------------------------------------------------------------------------
+
+# directions of the (a, b, c) coordinates of a symmetric 2x2 matrix
+_COORDS = (np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 1.0], [1.0, 0.0]]),
+           np.array([[0.0, 0.0], [0.0, 1.0]]))
+
+
+def _barrier_hessian(a2, tau, gs, gvs):
+    """Hessian of ``-tau log|A| - log|I - A| - sum log(-g_i)`` in the (a, b, c)
+    coordinates, from its trace form."""
+    p = np.linalg.inv(a2)
+    r = np.linalg.inv(np.eye(2) - a2)
+    h = np.empty((3, 3))
+    for i, ei in enumerate(_COORDS):
+        for j, ej in enumerate(_COORDS):
+            h[i, j] = (tau * np.trace(p @ ei @ p @ ej) + np.trace(r @ ei @ r @ ej)
+                       + sum(np.sum(g * ei) * np.sum(g * ej) / gv ** 2
+                             for g, gv in zip(gs, gvs)))
+    return h
+
+
+def _ldl_vs_dense(h, g):
+    step = solver._ldl_step(h[0, 0], h[0, 1], h[0, 2], h[1, 1], h[1, 2], h[2, 2], *g)
+    assert step is not None
+    ref = -np.linalg.solve(h, g)
+    assert np.linalg.norm(np.array(step[:3]) - ref) <= 1e-10 * np.linalg.norm(ref)
+    assert step[3] == pytest.approx(float(-g @ ref), rel=1e-10)
+
+
+def test_ldl_step_matches_dense_solve():
+    rng = rng_for(4101)
+    for _ in range(200):
+        a = rng.standard_normal((3, 3))
+        _ldl_vs_dense(a @ a.T + 0.1 * np.eye(3), rng.standard_normal(3))
+
+
+def test_ldl_step_matches_dense_solve_on_barrier_hessians():
+    rng = rng_for(4102)
+    for tau in (1.0, 1e3, 1e9):
+        for _ in range(50):
+            v, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+            a2 = (v * rng.uniform(0.02, 0.98, 2)) @ v.T
+            gs = [linalg.symmetrize(rng.standard_normal((2, 2))) for _ in range(2)]
+            gvs = -rng.uniform(1e-6, 1.0, 2)
+            _ldl_vs_dense(_barrier_hessian(a2, tau, gs, gvs), rng.standard_normal(3))
+
+
+def test_ldl_step_refuses_an_indefinite_hessian():
+    h = np.diag([1.0, -2.0, 3.0]) + 0.1
+    assert solver._ldl_step(h[0, 0], h[0, 1], h[0, 2], h[1, 1], h[1, 2], h[2, 2],
+                            1.0, 1.0, 1.0) is None
+
+
+def test_failed_newton_systems_end_stages_unconverged(monkeypatch, degraded_demo):
+    # every Newton system refused: each stage ends at once, the warm
+    # schedule restarts in full, and the solve returns its feasible start
+    params = SweepParams(s=1.0, t=-0.3)
+    cold = inner_convex(degraded_demo, params)
+    monkeypatch.setattr(solver, "_ldl_step", lambda *args: None)
+    for kwargs in ({}, {"sigma0": 0.9 * cold.optimum.value, "tau0": 1e9}):
+        report = inner_convex(degraded_demo, params, **kwargs)
+        assert not report.converged
+        assert report.iterations == 0
+        assert report.value >= cold.value - CORPUS_TOL
+
+
+def _reference_start(frame, params, cons, eta_star):
+    """The candidate loop that the stacked start search replaces: the first
+    strictly best score in (base, c, w) order."""
+    bases, eig_lo, eig_hi = solver._start_bases(frame, params, eta_star)
+    best, best_score = None, 0.0
+    for a0, lo, hi in zip(bases, eig_lo, eig_hi):
+        base_vals = [g00 * a0[0, 0] + 2.0 * g01 * a0[0, 1] + g11 * a0[1, 1]
+                     for g00, g01, g11, _ in cons]
+        for c in solver._START_C.tolist():
+            for w in solver._START_W.tolist():
+                if c + w >= 1.0:
+                    continue
+                score = min(c * lo + w, 1.0 - c * hi - w)
+                for (g00, _, g11, cst), bv in zip(cons, base_vals):
+                    slack = -(c * bv + w * (g00 + g11) + cst)
+                    score = min(score, slack / (1.0 + abs(cst)))
+                if score > best_score:
+                    best_score, best = score, (a0, c, w)
+    if best is None:
+        return None
+    a0, c, w = best
+    return (c * a0[0, 0] + w, c * a0[0, 1], c * a0[1, 1] + w)
+
+
+def test_start_search_matches_the_candidate_loop():
+    found = 0
+    for cell in _corpus():
+        m = GeneralModel(sigma_x=cell["sigma_x"], b=cell["b"], e=cell["e"])
+        params = SweepParams(s=cell["s"], t=cell["t"])
+        frame = solver._span_reduction(m)
+        try:
+            cons = solver._cell_constraints(frame, params)
+        except Infeasible:
+            continue
+        for eta_star in (None, 1.0 / params.s):
+            got = solver._feasible_start(frame, params, cons, eta_star)
+            assert got == _reference_start(frame, params, cons, eta_star)
+            found += got is not None
+    assert found > 0
+
+
+def test_sweep_reduces_the_model_once(monkeypatch, crossing_demo):
+    calls = {"validate_model": 0, "_span_reduction": 0}
+
+    def counted(name):
+        original = getattr(solver, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(solver, name, counted(name))
+    solver.sweep_boundary(crossing_demo, [0.0, 0.5, 1.0], st_resolution=12)
+    assert calls == {"validate_model": 1, "_span_reduction": 1}
