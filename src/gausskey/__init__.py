@@ -48,7 +48,6 @@ from .rates import (
     RatePair,
     RegionBoundary,
     asymptotic_limit,
-    contains,
     rates_aligned,
     rates_enhanced,
     rates_general,
@@ -58,6 +57,7 @@ from .solver import (
     SweepParams,
     ascent_boundary,
     brute_force_grid,
+    contains,
     inner_convex,
     solve_at_rate,
     sweep_boundary,

@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -50,7 +50,6 @@ class RunConfig:
     q_scale: float = 0.5
     tolerance: float = 1e-6
     units: str = "nats"
-    threads: int | None = None
 
     def __post_init__(self):
         if self.command == "region":
@@ -93,9 +92,7 @@ def _cmd_validate(cfg, out):
 def _compute_boundary(cfg, model):
     rp_grid = list(np.linspace(0.0, cfg.rp_max, cfg.points))
     if isinstance(model, GeneralModel) and model.my == 1 and model.mz == 1:
-        return solver.sweep_boundary(
-            model, rp_grid, st_resolution=cfg.resolution, threads=cfg.threads
-        )
+        return solver.sweep_boundary(model, rp_grid, st_resolution=cfg.resolution)
     return solver.ascent_boundary(_as_aligned(model), rp_grid, seed=cfg.seed)
 
 
@@ -279,8 +276,6 @@ def build_parser():
                    help="sweep resolution per axis")
     p.add_argument("--units", choices=("nats", "bits"), default="nats",
                    help="units of the CSV values")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads for the sweep (default: GAUSSKEY_THREADS)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the ascent solver's random starts")
 
@@ -311,22 +306,11 @@ def build_parser():
 
 
 def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        model_path=args.model,
-        output_path=getattr(args, "output", None),
-        rp=getattr(args, "rp", None),
-        rp_max=getattr(args, "rp_max", 5.0),
-        points=getattr(args, "points", 50),
-        resolution=getattr(args, "resolution", 200),
-        density=getattr(args, "density", 60),
-        samples=getattr(args, "samples", 100000),
-        seed=getattr(args, "seed", 0),
-        q_scale=getattr(args, "q_scale", 0.5),
-        tolerance=getattr(args, "tolerance", 1e-6),
-        units=getattr(args, "units", "nats"),
-        threads=getattr(args, "threads", None),
-    )
+    # an option the subcommand does not define keeps its RunConfig default
+    opts = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+            if f.name != "command" and hasattr(args, f.name)}
+    return RunConfig(command=args.command, model_path=args.model,
+                     output_path=getattr(args, "output", None), **opts)
 
 
 def main(argv=None) -> int:

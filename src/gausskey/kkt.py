@@ -147,27 +147,6 @@ def multiplier_composite(m: AlignedModel, sigma, mu: float):
     return psd_gap + compl, m_mat
 
 
-def _golden_refine(f, lo, hi, iters=80):
-    """Golden-section minimization of f over [lo, hi]."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-        if b - a < 1e-8 * (1.0 + abs(a)):
-            break
-    return 0.5 * (a + b)
-
-
 def recover_multipliers(m: AlignedModel, sigma_star, rp: float, *,
                         accept_tol: float = ACCEPT_COMPOSITE) -> MultiplierRecovery:
     """Recover KKT multipliers (mu, M) for a candidate boundary optimum.
@@ -207,7 +186,7 @@ def recover_multipliers(m: AlignedModel, sigma_star, rp: float, *,
         if 0 < k < len(grid) - 1 and grid[k] > 0.0:
             lo = math.log10(grid[k - 1]) if grid[k - 1] > 0.0 else math.log10(MU_SEARCH_LO) - 2.0
             hi = math.log10(grid[k + 1])
-            log_mu = _golden_refine(lambda x: composite(10.0 ** x), lo, hi)
+            log_mu = linalg.golden_section(lambda x: composite(10.0 ** x), lo, hi, 80, 1e-8)
             grid.append(10.0 ** log_mu)
             comps.append(composite(10.0 ** log_mu))
         mu_star = grid[int(np.argmin(comps))]

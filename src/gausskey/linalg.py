@@ -3,8 +3,9 @@
 Everything in the package funnels its linear algebra through this module:
 symmetry/PSD checks with the package-wide tolerances, Cholesky-based
 log-determinants, PSD square roots, and the symmetric-definite generalized
-eigenvalue solve via Cholesky whitening.  All functions are pure and operate
-on plain ``numpy`` arrays.
+eigenvalue solve via Cholesky whitening.  It also holds the package's one
+1-D search, a golden section over a caller's function.  The matrix functions
+are pure and operate on plain ``numpy`` arrays.
 
 Tolerance conventions
 ---------------------
@@ -13,6 +14,8 @@ A matrix is accepted as PSD when its minimum eigenvalue is at least
 minimum eigenvalue to exceed ``1e-10``.  Sweep iterates sit on the boundary
 of the PSD cone, so the PSD test must tolerate small negative round-off.
 """
+
+import math
 
 import numpy as np
 import scipy.linalg
@@ -25,9 +28,9 @@ PD_MIN_EIG = 1e-10
 
 
 def symmetrize(a):
-    """Return ``(a + a.T) / 2``."""
+    """Return ``(a + a.T) / 2``, for one matrix or a stack of them."""
     a = np.asarray(a, dtype=float)
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
 def check_symmetric(a, name="matrix", rtol=SYM_RTOL):
@@ -130,10 +133,11 @@ def eig_floor(a, floor):
 
 
 def eig_clip(a, lo, hi):
-    """Clamp the eigenvalues of a symmetric matrix into ``[lo, hi]``."""
+    """Clamp the eigenvalues of a symmetric matrix, or of each matrix of a
+    stack, into ``[lo, hi]``."""
     w, v = np.linalg.eigh(symmetrize(a))
     w = np.clip(w, lo, hi)
-    return symmetrize((v * w) @ v.T)
+    return symmetrize((v * w[..., None, :]) @ np.swapaxes(v, -1, -2))
 
 
 def gen_eig_pencil(a, c):
@@ -149,6 +153,31 @@ def gen_eig_pencil(a, c):
     white = scipy.linalg.solve_triangular(lower, half.T, lower=True)
     w = np.linalg.eigvalsh(symmetrize(white))
     return w[::-1].copy()
+
+
+def golden_section(f, lo, hi, iters, tol, rel=1.0):
+    """Golden-section minimization of f over [lo, hi].
+
+    Takes at most ``iters`` steps, stopping once the bracket ``[a, b]`` is
+    shorter than ``tol * (1 + rel |a|)``; returns its midpoint.
+    """
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(iters):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = f(d)
+        if b - a < tol * (1.0 + rel * abs(a)):
+            break
+    return 0.5 * (a + b)
 
 
 def frob(a):

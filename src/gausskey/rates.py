@@ -25,7 +25,6 @@ from .errors import InvalidEnhancedNoise
 from .models import (
     GEN_EIG_ONE_TOL,
     AlignedModel,
-    ConditionalCov,
     GeneralModel,
     conditional_cov,
     gen_eigs,
@@ -160,32 +159,3 @@ def asymptotic_limit(m) -> float:
     if above.size == 0:
         return 0.0
     return float(0.5 * np.sum(np.log(above)))
-
-
-def contains(m, p: RatePair, tol: float, *, boundary: RegionBoundary | None = None,
-             st_resolution: int = 200, rp_grid=None) -> bool:
-    """Region membership: is the pair within ``tol`` of achievable?
-
-    True iff the computed boundary at ``p.rp`` reaches ``p.rk - tol``.  A
-    precomputed ``boundary`` for the same model may be supplied to avoid
-    re-running the solver (it is trusted as-is); otherwise the boundary is
-    computed at the single grid point ``p.rp`` with the requested sweep
-    resolution (general models with scalar observations) or via the ascent
-    solver (aligned or square-invertible general models).
-    """
-    if p.rk <= tol:
-        return True
-    if boundary is not None:
-        return boundary.rk_at(p.rp) >= p.rk - tol
-    from . import solver  # deferred: solver depends on this module
-
-    if rp_grid is None:
-        rp_grid = [p.rp]
-    if isinstance(m, GeneralModel) and m.my == 1 and m.mz == 1:
-        bnd = solver.sweep_boundary(m, rp_grid, st_resolution=st_resolution)
-    else:
-        from .models import to_aligned
-
-        aligned = m if isinstance(m, AlignedModel) else to_aligned(m)
-        bnd = solver.ascent_boundary(aligned, rp_grid)
-    return bnd.rk_at(p.rp) >= p.rk - tol

@@ -31,15 +31,12 @@ Three routes to the boundary R_k(R_p):
     conditional covariances parameterized by whitened eigenvalues and a
     rotation angle.
 
-Each sweep cell and each grid point is an independent pure computation; the
-sweep optionally fans rows out over a thread pool (``threads`` argument or
-the ``GAUSSKEY_THREADS`` environment variable) and always reduces results in
-row order, so output is run-to-run identical.
+Each sweep cell and each grid point is an independent pure computation;
+the sweep solves rows in order, each warm-started from the row before, so
+output is run-to-run identical.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,10 +47,19 @@ from .errors import (
     DimensionTooLarge,
     Infeasible,
     MaxIterationsExceeded,
+    ModelValidationError,
+    NotPositiveDefinite,
     SolverFailure,
 )
 from .modelio import model_digest
-from .models import AlignedModel, ConditionalCov, GeneralModel, validate_model
+from .models import (
+    COND_COV_MIN_EIG,
+    AlignedModel,
+    ConditionalCov,
+    GeneralModel,
+    to_aligned,
+    validate_model,
+)
 from .rates import PointMeta, RatePair, RegionBoundary, rates_aligned
 
 BARRIER_GAP_TOL = 1e-8
@@ -121,17 +127,12 @@ _BASIS_CACHE = {}
 
 
 def _basis(n):
+    """Basis of the symmetric n x n matrices: ``E_ii``, and ``E_ij + E_ji``
+    for i < j, in row order."""
     if n not in _BASIS_CACHE:
-        basis = []
-        for i in range(n):
-            for j in range(i, n):
-                s = np.zeros((n, n))
-                if i == j:
-                    s[i, i] = 1.0
-                else:
-                    s[i, j] = s[j, i] = 1.0
-                basis.append(s)
-        _BASIS_CACHE[n] = np.array(basis)
+        e = np.eye(n)
+        _BASIS_CACHE[n] = np.array([np.outer(e[i], e[j]) + (i != j) * np.outer(e[j], e[i])
+                                    for i in range(n) for j in range(i, n)])
     return _BASIS_CACHE[n]
 
 
@@ -146,10 +147,6 @@ def _interval_linear_max(g_w):
     pos = w > 0.0
     vp = v * pos[..., None, :]
     return np.where(pos, w, 0.0).sum(axis=-1), vp @ np.swapaxes(vp, -1, -2)
-
-
-def _sigma_floor(sigma_x):
-    return SIGMA_FLOOR_SCALE * float(np.trace(sigma_x)) / sigma_x.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -706,25 +703,14 @@ def _sweep_row(frame, t, s_values_desc, ik_t, row_seed=None):
     return cells, first_optimum
 
 
-def _thread_count(threads):
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("GAUSSKEY_THREADS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
-
-
-def _row_min_rp(frame, t, s_max, n_scan=16, n_golden=18):
+def _row_min_rp(frame, t, s_max, ik_t, n_scan=16, n_golden=18):
     """Smallest achievable public rate on one t row.
 
     Pre-scans a log-spaced s grid, then golden-sections the bracket around
     the best scan point.  Returns ``(rp_min, cell)`` where ``cell`` is the
-    achieved-cell tuple of the minimizer, or ``(inf, None)`` when the row is
-    entirely infeasible.
+    achieved-cell tuple of the minimizer, with key-rate level ``ik_t``, or
+    ``(inf, None)`` when the row is entirely infeasible.
     """
-    ik_t = float("nan")  # filled by caller; kept in the cell tuple later
     s_grid = s_max * np.geomspace(1.0, SWEEP_S_FLOOR, n_scan)
     warm = {"a2": None}
 
@@ -741,7 +727,6 @@ def _row_min_rp(frame, t, s_max, n_scan=16, n_golden=18):
         warm["a2"] = cell.a2
         return cell
 
-
     evals = []
     for s in s_grid:
         rep = solve(s)
@@ -754,46 +739,24 @@ def _row_min_rp(frame, t, s_max, n_scan=16, n_golden=18):
     lo = evals[k + 1][1] if k + 1 < len(evals) else evals[k][1] * SWEEP_S_FLOOR ** (1.0 / n_scan)
     hi = evals[k - 1][1] if k > 0 else s_max
     best = evals[k]
-    # golden section on log s
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = math.log(lo), math.log(hi)
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
 
     def f(log_s):
+        nonlocal best
         rep = solve(math.exp(log_s))
         if rep is None:
-            return float("inf"), None
-        return rep.value, rep
+            return float("inf")
+        if rep.value < best[0]:
+            best = (rep.value, math.exp(log_s), rep)
+        return rep.value
 
-    fc, rc = f(c)
-    fd, rd = f(d)
-    if rc is not None and fc < best[0]:
-        best = (fc, math.exp(c), rc)
-    if rd is not None and fd < best[0]:
-        best = (fd, math.exp(d), rd)
-    for _ in range(n_golden):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc, rc = f(c)
-            if rc is not None and fc < best[0]:
-                best = (fc, math.exp(c), rc)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd, rd = f(d)
-            if rd is not None and fd < best[0]:
-                best = (fd, math.exp(d), rd)
-        if b - a < 1e-10:
-            break
+    # golden section on log s; f keeps the best cell it sees
+    linalg.golden_section(f, math.log(lo), math.log(hi), n_golden, 1e-10, rel=0.0)
     rp_min, s_at, rep = best
     cell = (rp_min, ik_t, s_at, float(t), rep.kkt_residual)
     return rp_min, cell
 
 
-def sweep_boundary(m: GeneralModel, rp_grid, st_resolution: int = 200, *,
-                   threads=None) -> RegionBoundary:
+def sweep_boundary(m: GeneralModel, rp_grid, st_resolution: int = 200) -> RegionBoundary:
     """Boundary of the rate region for a model with scalar observations.
 
     For every public rate in ``rp_grid`` (sorted ascending), reports the
@@ -803,10 +766,6 @@ def sweep_boundary(m: GeneralModel, rp_grid, st_resolution: int = 200, *,
     achievable value with log-spaced gaps, ``st_resolution`` points per
     axis.  Rows whose key-rate level is nonpositive are skipped; they can
     never beat the clamp.
-
-    Rows (fixed t) are independent and may be spread over ``threads`` worker
-    threads (default: the GAUSSKEY_THREADS environment variable, else 1);
-    reduction is in fixed row order so results are deterministic.
     """
     validate_model(m)
     if m.my != 1 or m.mz != 1:
@@ -846,23 +805,13 @@ def sweep_boundary(m: GeneralModel, rp_grid, st_resolution: int = 200, *,
         if ik_t > 0.0:
             rows.append((float(t), ik_t))
 
-    n_workers = _thread_count(threads)
-    if n_workers > 1 and len(rows) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            futures = [
-                pool.submit(_sweep_row, frame, t, s_values_desc, ik)
-                for t, ik in rows
-            ]
-            row_cells = [f.result()[0] for f in futures]
-    else:
-        row_cells = []
-        row_seed = None
-        for t, ik in rows:
-            cells, first_opt = _sweep_row(frame, t, s_values_desc, ik,
-                                          row_seed=row_seed)
-            if first_opt is not None:
-                row_seed = first_opt
-            row_cells.append(cells)
+    row_cells = []
+    row_seed = None
+    for t, ik in rows:
+        cells, first_opt = _sweep_row(frame, t, s_values_desc, ik, row_seed=row_seed)
+        if first_opt is not None:
+            row_seed = first_opt
+        row_cells.append(cells)
 
     cells = [c for row in row_cells for c in row]
 
@@ -881,10 +830,9 @@ def sweep_boundary(m: GeneralModel, rp_grid, st_resolution: int = 200, *,
 
     def reach(t):
         if t not in refined:
-            rp_min, cell = _row_min_rp(frame, t, s_max)
+            rp_min, cell = _row_min_rp(frame, t, s_max, ik_const + 0.5 * math.log1p(t))
             if cell is not None:
-                ik_t = ik_const + 0.5 * math.log1p(t)
-                cells.append((cell[0], ik_t, cell[2], cell[3], cell[4]))
+                cells.append(cell)
                 rp_min = min(rp_min, coarse_reach.get(t, math.inf))
             refined[t] = rp_min
         return refined[t]
@@ -914,10 +862,10 @@ def sweep_boundary(m: GeneralModel, rp_grid, st_resolution: int = 200, *,
                 if t_hi - t_lo < 1e-6 * (1.0 + abs(t_hi)):
                     break
                 t_mid = 0.5 * (t_lo + t_hi)
-                rp_min, cell = _row_min_rp(frame, t_mid, s_max)
+                rp_min, cell = _row_min_rp(frame, t_mid, s_max,
+                                           ik_const + 0.5 * math.log1p(t_mid))
                 if cell is not None:
-                    ik_mid = ik_const + 0.5 * math.log1p(t_mid)
-                    cells.append((cell[0], ik_mid, cell[2], cell[3], cell[4]))
+                    cells.append(cell)
                 if rp_min <= rp + 1e-12:
                     t_lo = t_mid
                 else:
@@ -952,67 +900,125 @@ def sweep_boundary(m: GeneralModel, rp_grid, st_resolution: int = 200, *,
 # projected-gradient ascent for aligned models
 # ---------------------------------------------------------------------------
 
-def _aligned_grads(m, sigma):
-    inv_y = linalg.inv_pd(sigma + m.sigma_wy, "sigma + sigma_wy")
-    inv_z = linalg.inv_pd(sigma + m.sigma_wz, "sigma + sigma_wz")
-    inv_s = linalg.inv_pd(sigma, "conditional covariance")
-    grad_ik = 0.5 * (inv_z - inv_y)
-    grad_ip = 0.5 * (inv_y - inv_s)
-    return grad_ik, grad_ip
+# The aligned route evaluates its small matrices as stacks.  Stacked eigh,
+# Cholesky and matmul make the LAPACK/BLAS call of a per-matrix call on every
+# slice, and ``_inv_stack`` the solve of ``linalg.inv_pd``: each slice matches
+# the per-matrix helpers bit for bit, so stacked loops decide as per-point ones.
+
+def _frob_stack(a):
+    flat = a.reshape(len(a), 1, -1)
+    return np.sqrt((flat @ np.swapaxes(flat, -1, -2))[:, 0, 0])
+
+
+def _chol_terms(m, sigma):
+    """Cholesky factors of ``Q``, ``Q + sigma_wz`` and ``Q + sigma_wy`` for
+    a stack of conditional covariances, shape ``(k, 3, n, n)``; raises
+    ``NotPositiveDefinite`` as ``linalg.chol_lower`` does."""
+    try:
+        return np.linalg.cholesky(
+            np.stack((sigma, sigma + m.sigma_wz, sigma + m.sigma_wy), axis=1))
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"conditional covariance terms have no "
+                                  f"Cholesky factor: {exc}") from exc
+
+
+def _logdet_stack(lower):
+    return 2.0 * np.sum(np.log(np.diagonal(lower, axis1=-2, axis2=-1)), axis=-1)
+
+
+def _inv_stack(lower):
+    eye = np.eye(lower.shape[-1])
+    inv = np.array([sla.lapack.dpotrs(c, eye, lower=1)[0]
+                    for c in lower.reshape((-1,) + eye.shape)])
+    return linalg.symmetrize(inv.reshape(lower.shape))
+
+
+def _rates_stack(m, sigma, ld_full):
+    """``rates_aligned`` for a stack of conditional covariances, one
+    ``RatePair`` each, given the log-dets ``ld_full`` of ``sigma_x`` plus 0,
+    ``sigma_wz`` and ``sigma_wy``.  The checks of ``ConditionalCov.for_model``
+    run stacked; the first matrix failing them raises its error."""
+    gap = np.linalg.eigvalsh(m.sigma_x - sigma)
+    bad = (np.linalg.eigvalsh(sigma)[:, 0] <= COND_COV_MIN_EIG) | ~(
+        gap[:, 0] >= -linalg.PSD_RTOL * (1.0 + np.abs(gap).max(axis=1)))
+    if bad.any():
+        ConditionalCov.for_model(m, sigma[int(np.argmax(bad))])
+    gx, gz, gy = (0.5 * (ld_full - _logdet_stack(_chol_terms(m, sigma)))).T
+    return [RatePair(rp=float(a), rk=float(b)) for a, b in zip(gx - gy, gy - gz)]
 
 
 def _multi_starts(m, n_starts, seed):
     starts = [f * np.eye(m.mx) for f in (1.0, 0.75, 0.5, 0.25)][:n_starts]
     rng = np.random.Generator(np.random.Philox(key=seed))
     while len(starts) < n_starts:
-        z = rng.standard_normal((m.mx, m.mx))
-        q_fac, _ = np.linalg.qr(z)
+        q_fac, _ = np.linalg.qr(rng.standard_normal((m.mx, m.mx)))
         u = rng.uniform(0.05, 0.95, size=m.mx)
         starts.append(linalg.symmetrize((q_fac * u) @ q_fac.T))
     return starts
 
 
-def _pga_penalty(m, rp, q0, s_half, rho=10.0, max_iter=400):
+def _pga_penalty(m, rp, q0, s_half, rho, max_iter=400):
     """Projected gradient ascent on I_k - rho * max(0, I_p - rp) over the
-    whitened interval, with eigenvalue flooring of the iterates.
+    whitened interval, with eigenvalue flooring of the iterates, for a stack
+    of starts ``q0`` with penalties ``rho`` (one per start).
 
     The floor is applied to the whitened eigenvalues so the unwhitened
-    iterate never exceeds the source covariance.  Returns ``(sigma, pair,
-    iterations)``, counting the ascent iterations actually taken."""
-    floor = _sigma_floor(m.sigma_x)
+    iterate never exceeds the source covariance.  The starts advance in
+    lockstep, one stacked evaluation per ascent step and per backtracking
+    trial, while each keeps its own step size, Armijo test and early stop:
+    it visits the iterates it would visit alone.  Returns ``(sigma, pair,
+    iterations)`` per start, counting the ascent iterations it took."""
+    floor = SIGMA_FLOOR_SCALE * float(np.trace(m.sigma_x)) / m.mx
     q_floor = floor / float(np.linalg.eigvalsh(m.sigma_x)[0])
+    ld_full = np.array([linalg.logdet_pd(m.sigma_x + w) for w in (0.0, m.sigma_wz, m.sigma_wy)])
+    rho = np.asarray(rho, dtype=float)
 
-    def objective(q):
+    def objective(q, idx):
         sigma = linalg.symmetrize(s_half @ q @ s_half)
-        pair = rates_aligned(m, sigma)
-        return pair.rk - rho * max(0.0, pair.rp - rp), sigma, pair
+        pairs = _rates_stack(m, sigma, ld_full)
+        vals = [p.rk - r * max(0.0, p.rp - rp) for p, r in zip(pairs, rho[idx])]
+        return np.array(vals), sigma, pairs
 
-    q = linalg.eig_clip(q0, q_floor, 1.0)
-    val, sigma, pair = objective(q)
-    eta = 0.1
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        grad_ik, grad_ip = _aligned_grads(m, sigma)
-        grad = grad_ik if pair.rp <= rp else grad_ik - rho * grad_ip
+    k = len(q0)
+    q = linalg.eig_clip(np.asarray(q0, dtype=float), q_floor, 1.0)
+    val, sigma, pairs = objective(q, np.arange(k))
+    eta = np.full(k, 0.1)
+    iterations = np.zeros(k, dtype=int)
+    live = np.arange(k)
+    for it in range(1, max_iter + 1):
+        if not live.size:
+            break
+        iterations[live] = it
+        inv_s, inv_z, inv_y = np.moveaxis(_inv_stack(_chol_terms(m, sigma[live])), 1, 0)
+        grad_ik, grad_ip = 0.5 * (inv_z - inv_y), 0.5 * (inv_y - inv_s)
+        over = np.array([not pairs[i].rp <= rp for i in live])[:, None, None]
+        grad = np.where(over, grad_ik - rho[live, None, None] * grad_ip, grad_ik)
         grad_q = linalg.symmetrize(s_half @ grad @ s_half)
-        if linalg.frob(grad_q) < 1e-13:
-            break
-        accepted = False
+        moving = ~(_frob_stack(grad_q) < 1e-13)
+        search, grad_q = live[moving], grad_q[moving]
+        accepted = []
         for _ in range(30):
-            q_new = linalg.eig_clip(q + eta * grad_q, q_floor, 1.0)
-            move = linalg.frob(q_new - q)
-            if move < 1e-14 * (1.0 + linalg.frob(q)):
+            if not search.size:
                 break
-            val_new, sigma_new, pair_new = objective(q_new)
-            if val_new > val + 1e-4 / max(eta, 1e-12) * move * move:
-                q, val, sigma, pair = q_new, val_new, sigma_new, pair_new
-                eta = min(eta * 1.5, 10.0)
-                accepted = True
+            q_new = linalg.eig_clip(q[search] + eta[search, None, None] * grad_q,
+                                    q_floor, 1.0)
+            move = _frob_stack(q_new - q[search])
+            keep = ~(move < 1e-14 * (1.0 + _frob_stack(q[search])))
+            search, q_new, move, grad_q = search[keep], q_new[keep], move[keep], grad_q[keep]
+            if not search.size:
                 break
-            eta *= 0.5
-        if not accepted:
-            break
-    return sigma, pair, iterations
+            val_new, sigma_new, pairs_new = objective(q_new, search)
+            up = val_new > val[search] + 1e-4 / np.maximum(eta[search], 1e-12) * move * move
+            win = search[up]
+            q[win], val[win], sigma[win] = q_new[up], val_new[up], sigma_new[up]
+            for i, j in zip(win, np.flatnonzero(up)):
+                pairs[i] = pairs_new[j]
+            eta[win] = np.minimum(eta[win] * 1.5, 10.0)
+            accepted.extend(win)
+            eta[search[~up]] *= 0.5
+            search, grad_q = search[~up], grad_q[~up]
+        live = np.sort(np.array(accepted, dtype=int))
+    return [(sigma[i], pairs[i], int(iterations[i])) for i in range(k)]
 
 
 def _interior_stationary(m, mu, sigma_init, max_iter=300):
@@ -1029,7 +1035,7 @@ def _interior_stationary(m, mu, sigma_init, max_iter=300):
         try:
             bracket = (1.0 + mu) * linalg.inv_pd(sigma + m.sigma_wy, "y term") \
                 - linalg.inv_pd(sigma + m.sigma_wz, "z term")
-        except Exception:
+        except (NotPositiveDefinite, np.linalg.LinAlgError):
             return None
         if linalg.min_eig(bracket) <= 0.0:
             return None
@@ -1090,26 +1096,16 @@ def _interior_mu_solve(m, rp, sigma_init, mu_hint):
     ip0, _ = rate_of(mu0)
     if ip0 is None:
         return None
-    if ip0 > rp:  # need larger mu to push the rate down
-        for _ in range(40):
-            hi *= 4.0
-            ip_hi, _ = rate_of(hi)
-            if ip_hi is None:
-                return None
-            if ip_hi <= rp:
-                break
-        else:
+    up = ip0 > rp  # a larger mu pushes the rate down
+    for _ in range(40):
+        lo, hi = (lo, hi * 4.0) if up else (lo / 4.0, hi)
+        ip_end, _ = rate_of(hi if up else lo)
+        if ip_end is None:
             return None
+        if (ip_end <= rp) if up else (ip_end >= rp):
+            break
     else:
-        for _ in range(40):
-            lo /= 4.0
-            ip_lo, _ = rate_of(lo)
-            if ip_lo is None:
-                return None
-            if ip_lo >= rp:
-                break
-        else:
-            return None
+        return None
     sigma = None
     mu = mu0
     for _ in range(200):
@@ -1132,16 +1128,92 @@ def _interior_mu_solve(m, rp, sigma_init, mu_hint):
 
 
 def _skew_rotate(u0, n_active, thetas):
-    """Rotate an orthogonal basis by a block-off-diagonal skew generator."""
+    """Rotate an orthogonal basis by block-off-diagonal skew generators, one
+    per row of ``thetas``; returns the stack of rotated bases."""
     n = u0.shape[0]
-    k = np.zeros((n, n))
-    idx = 0
-    for i in range(n_active):
-        for j in range(n_active, n):
-            k[i, j] = thetas[idx]
-            k[j, i] = -thetas[idx]
-            idx += 1
-    return u0 @ sla.expm(k)
+    rows = np.repeat(np.arange(n_active), n - n_active)
+    cols = np.tile(np.arange(n_active, n), n_active)
+    gen = np.zeros((len(thetas), n, n))
+    gen[:, rows, cols] = thetas
+    gen[:, cols, rows] = -thetas
+    return u0 @ sla.expm(gen)
+
+
+class _FaceSystem:
+    """The first-order system of ``_polish_face`` on one active face, for
+    stacks of points.  ``u0`` holds whitened eigendirections, largest first;
+    the top ``n_active`` are pinned to the source covariance.  A point holds
+    the free-block coordinates (in ``_basis(n_free)``), the angles of the
+    rotation mixing active and free directions and, if ``rate_active``, log mu.
+    """
+
+    def __init__(self, m, rp, s_half, u0, n_active, rate_active):
+        self.m, self.rp, self.s_half, self.u0 = m, rp, s_half, u0
+        self.n_active, self.rate_active = n_active, rate_active
+        self.basis_f = _basis(m.mx - n_active)
+        self.n_qf = len(self.basis_f)
+        self.n_rot = n_active * (m.mx - n_active)
+        self.ld_x = linalg.logdet_pd(m.sigma_x)
+        self.ld_xy = linalg.logdet_pd(m.sigma_x + m.sigma_wy)
+        self.excursion = 1e-3 * (1.0 + float(np.trace(m.sigma_x)))
+
+    def build(self, xs):
+        """Conditional covariances, multipliers and rotated bases of points."""
+        n_qf, n_rot, na = self.n_qf, self.n_rot, self.n_active
+        q_f = np.einsum("pk,kab->pab", xs[:, :n_qf], self.basis_f)
+        if n_rot:
+            u = _skew_rotate(self.u0, na, xs[:, n_qf:n_qf + n_rot])
+        else:
+            u = np.broadcast_to(self.u0, (len(xs),) + self.u0.shape)
+        u_a, u_f = u[:, :, :na], u[:, :, na:]
+        q = u_a @ np.swapaxes(u_a, -1, -2) + u_f @ q_f @ np.swapaxes(u_f, -1, -2)
+        sigma = linalg.symmetrize(self.s_half @ q @ self.s_half)
+        # the multiplier lives on a log scale; clamp runaway probes so the
+        # line search can back off instead of overflowing
+        mu = np.array([math.exp(min(max(v, -700.0), 60.0)) for v in xs[:, -1]]
+                      if self.rate_active else np.zeros(len(xs)))
+        return sigma, mu, u
+
+    def residuals(self, xs):
+        """Residual rows of points (free-block and cross-block components of
+        the whitened stationarity matrix, then ``I_p - rp`` when the rate is
+        active) and a mask of the valid ones.  A point is invalid, its row
+        NaN, when its covariance is not PD, leaves the interval by more than
+        the excursion bound (an escape toward stationary points beyond it),
+        or ``Q``, ``Q + sigma_wz`` or ``Q + sigma_wy`` has no Cholesky factor.
+        """
+        m = self.m
+        sigma, mu, u = self.build(xs)
+        valid = (np.linalg.eigvalsh(sigma)[:, 0] > 0.0) & (
+            np.linalg.eigvalsh(m.sigma_x - sigma)[:, 0] >= -self.excursion)
+        try:
+            lower = _chol_terms(m, sigma[valid])
+        except NotPositiveDefinite:
+            for i in np.flatnonzero(valid):  # find the points that fail
+                try:
+                    _chol_terms(m, sigma[i:i + 1])
+                except NotPositiveDefinite:
+                    valid[i] = False
+            lower = _chol_terms(m, sigma[valid])
+        rows = np.full((len(xs), self.n_qf + self.n_rot + int(self.rate_active)), np.nan)
+        if not valid.any():
+            return rows, valid
+        inv = _inv_stack(lower)
+        mu_v = mu[valid, None, None]
+        stat = linalg.symmetrize(mu_v * inv[:, 0] + inv[:, 1] - (1.0 + mu_v) * inv[:, 2])
+        m_w = self.s_half @ stat @ self.s_half
+        u = u[valid]  # views of it give each slice the strides of a 2-D basis
+        u_a, u_f = u[:, :, :self.n_active], u[:, :, self.n_active:]
+        u_ft = np.swapaxes(u_f, -1, -2)
+        parts = [np.einsum("kab,pab->kp", u_ft @ m_w @ u_f, self.basis_f)]
+        if self.n_rot:
+            parts.append((np.swapaxes(u_a, -1, -2) @ m_w @ u_f).reshape(len(m_w), -1))
+        if self.rate_active:
+            lds = _logdet_stack(lower[:, [0, 2]])
+            ip = 0.5 * (self.ld_x - lds[:, 0]) - 0.5 * (self.ld_xy - lds[:, 1])
+            parts.append((ip - self.rp)[:, None])
+        rows[valid] = np.concatenate(parts, axis=1)
+        return rows, valid
 
 
 def _polish_face(m, rp, sigma_hat, s_half, s_half_inv, mu_hint, n_active,
@@ -1153,110 +1225,60 @@ def _polish_face(m, rp, sigma_hat, s_half, s_half_inv, mu_hint, n_active,
     of the whitened conditional covariance, the rotation mixing active and
     free subspaces, and (when the rate constraint is active) log mu.
     Residuals: the free-block and cross-block components of the
-    stationarity matrix, plus the rate equality.  Returns
-    (sigma, mu, residual_norm) or None.
+    stationarity matrix, plus the rate equality (see ``_FaceSystem``).
+
+    A Newton step makes two stacked evaluations.  The central-difference
+    Jacobian evaluates its ``2 nx`` probes ``x +- h e_k``, ``h = 1e-7 (1 +
+    |x_k|)``, as one stack and abandons the face if any is invalid.  The
+    line search evaluates the 30 halvings ``x + 0.5^j step`` as one stack
+    and takes the first valid one that lowers the max-norm residual (halving
+    is exact, so these are a sequential search's trials).  The polish stops
+    after 80 steps, below 1e-12 or when no trial improves.  Returns (sigma,
+    mu, residual_norm), or None for an invalid start or probe or a result
+    outside the matrix interval.
     """
-    n = m.mx
     q_hat = linalg.symmetrize(s_half_inv @ sigma_hat @ s_half_inv)
     w, u0 = np.linalg.eigh(q_hat)
-    order = np.argsort(w)[::-1]
-    w = w[order]
-    u0 = u0[:, order]
-    n_free = n - n_active
-    if n_free == 0:
+    u0 = u0[:, np.argsort(w)[::-1]]
+    if n_active == m.mx:
         return np.array(m.sigma_x), mu_hint, 0.0
-
-    basis_f = _basis(n_free)
-    n_qf = len(basis_f)
-    n_rot = n_active * n_free
-
-    u_f0 = u0[:, n_active:]
-    q_free0 = u_f0.T @ q_hat @ u_f0
-    x0 = [float(np.sum(q_free0 * s)) / float(np.sum(s * s)) for s in basis_f]
-    x0 += [0.0] * n_rot
+    face = _FaceSystem(m, rp, s_half, u0, n_active, rate_active)
+    nx = face.n_qf + face.n_rot + int(rate_active)
+    x = np.zeros(nx)
+    q_free0 = u0[:, n_active:].T @ q_hat @ u0[:, n_active:]
+    x[:face.n_qf] = [float(np.sum(q_free0 * s)) / float(np.sum(s * s))
+                     for s in face.basis_f]
     if rate_active:
-        x0.append(math.log(max(mu_hint, 1e-12)))
-    x = np.array(x0)
-
-    def build(xv):
-        q_f = np.einsum("k,kab->ab", xv[:n_qf], basis_f)
-        u = _skew_rotate(u0, n_active, xv[n_qf:n_qf + n_rot]) if n_rot else u0
-        u_a = u[:, :n_active]
-        u_f = u[:, n_active:]
-        q = u_a @ u_a.T + u_f @ q_f @ u_f.T
-        sigma = linalg.symmetrize(s_half @ q @ s_half)
-        # the multiplier lives on a log scale; clamp runaway probes so the
-        # line search can back off instead of overflowing
-        mu = math.exp(min(max(xv[-1], -700.0), 60.0)) if rate_active else 0.0
-        return sigma, mu, u_a, u_f
-
-    ld_x = linalg.logdet_pd(m.sigma_x)
-    ld_xy = linalg.logdet_pd(m.sigma_x + m.sigma_wy)
-
-    def public_rate(sigma):
-        return 0.5 * (ld_x - linalg.logdet_pd(sigma)) - 0.5 * (
-            ld_xy - linalg.logdet_pd(sigma + m.sigma_wy)
-        )
-
-    excursion = 1e-3 * (1.0 + float(np.trace(m.sigma_x)))
-
-    def residual(xv):
-        sigma, mu, u_a, u_f = build(xv)
-        if linalg.min_eig(sigma) <= 0.0:
-            return None
-        # block escapes toward stationary points beyond the interval
-        if linalg.min_eig(m.sigma_x - sigma) < -excursion:
-            return None
-        try:
-            m_w = s_half @ kkt.stationarity_matrix(m, sigma, mu) @ s_half
-            parts = [np.array([float(np.sum((u_f.T @ m_w @ u_f) * s))
-                               for s in basis_f])]
-            if n_rot:
-                parts.append((u_a.T @ m_w @ u_f).ravel())
-            if rate_active:
-                parts.append(np.array([public_rate(sigma) - rp]))
-        except Exception:
-            return None
-        return np.concatenate(parts)
-
-    r = residual(x)
-    if r is None:
+        x[-1] = math.log(max(mu_hint, 1e-12))
+    rows, valid = face.residuals(x[None])
+    if not valid[0]:
         return None
+    r = rows[0]
+    halvings = 0.5 ** np.arange(30)[:, None]
     for _ in range(80):
         rnorm = float(np.max(np.abs(r)))
         if rnorm < 1e-12:
             break
-        jac = np.zeros((len(r), len(x)))
-        for k in range(len(x)):
-            h = 1e-7 * (1.0 + abs(x[k]))
-            xp = x.copy()
-            xp[k] += h
-            xm = x.copy()
-            xm[k] -= h
-            rp_v = residual(xp)
-            rm_v = residual(xm)
-            if rp_v is None or rm_v is None:
-                return None
-            jac[:, k] = (rp_v - rm_v) / (2.0 * h)
+        h = 1e-7 * (1.0 + np.abs(x))
+        rows, valid = face.residuals(np.concatenate((x + np.diag(h), x - np.diag(h))))
+        if not valid.all():
+            return None
+        jac = ((rows[:nx] - rows[nx:]) / (2.0 * h)[:, None]).T
         try:
             step = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:
             step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        improved = False
-        for _ in range(30):
-            x_new = x + step
-            r_new = residual(x_new)
-            if r_new is not None and float(np.max(np.abs(r_new))) < rnorm:
-                x, r = x_new, r_new
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
+        trials = x + halvings * step
+        rows, valid = face.residuals(trials)
+        better = np.flatnonzero(valid & (np.max(np.abs(rows), axis=1) < rnorm))
+        if not better.size:
             break
-    sigma, mu, _, _ = build(x)
+        x, r = trials[better[0]], rows[better[0]]
+    sigma, mu, _ = face.build(x[None])
+    sigma = sigma[0]
     if linalg.min_eig(sigma) <= 0.0 or not linalg.is_psd(m.sigma_x - sigma):
         return None
-    return sigma, mu, float(np.max(np.abs(r)))
+    return sigma, float(mu[0]), float(np.max(np.abs(r)))
 
 
 def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 8,
@@ -1281,36 +1303,32 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 8,
 
     if rp <= 1e-12:
         sigma = np.array(m.sigma_x)
-        pair = rates_aligned(m, sigma)
-        return SolveReport(
-            optimum=ConditionalCov.for_model(m, sigma),
-            value=pair.rk,
-            iterations=0,
-            kkt_residual=0.0,
-            converged=True,
-        )
+        return SolveReport(optimum=ConditionalCov.for_model(m, sigma),
+                           value=rates_aligned(m, sigma).rk, iterations=0,
+                           kkt_residual=0.0, converged=True)
 
     if sigma0 is not None:
         starts = [linalg.symmetrize(s_half_inv @ np.asarray(sigma0, float) @ s_half_inv)]
     else:
         starts = _multi_starts(m, n_starts, seed)
 
-    best_sigma = None
-    best_pair = None
-    iterations = 0
-    for q0 in starts:
-        rho = 10.0
-        sigma, pair, taken = _pga_penalty(m, rp, q0, s_half, rho=rho,
-                                          max_iter=max_iter)
-        iterations += taken
-        for _ in range(4):
-            if pair.rp <= rp + 1e-8:
-                break
-            rho *= 10.0
-            q_here = linalg.symmetrize(s_half_inv @ sigma @ s_half_inv)
-            sigma, pair, taken = _pga_penalty(m, rp, q_here, s_half, rho=rho,
-                                              max_iter=max_iter)
-            iterations += taken
+    # all starts ascend in lockstep; each later round escalates the penalty
+    # of the starts whose point is still infeasible, from that point
+    rho = np.full(len(starts), 10.0)
+    runs = _pga_penalty(m, rp, np.array(starts), s_half, rho, max_iter)
+    iterations = sum(run[2] for run in runs)
+    for _ in range(4):
+        redo = [i for i, run in enumerate(runs) if not run[1].rp <= rp + 1e-8]
+        if not redo:
+            break
+        rho[redo] *= 10.0
+        sigmas = np.array([runs[i][0] for i in redo])
+        q_here = linalg.symmetrize(s_half_inv @ sigmas @ s_half_inv)
+        for i, run in zip(redo, _pga_penalty(m, rp, q_here, s_half, rho[redo], max_iter)):
+            runs[i] = run
+            iterations += run[2]
+    best_sigma = best_pair = None
+    for sigma, pair, _ in runs:
         if pair.rp <= rp + 1e-6 and (best_pair is None or pair.rk > best_pair.rk):
             best_sigma, best_pair = sigma, pair
     if best_sigma is None:
@@ -1323,32 +1341,28 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 8,
     mus = np.geomspace(1e-8, 1e4, 61)
     comps = [kkt.multiplier_composite(m, best_sigma, mu)[0] for mu in mus]
     mu_hint = float(mus[int(np.argmin(comps))])
-    q_eigs = np.linalg.eigvalsh(
-        linalg.symmetrize(s_half_inv @ best_sigma @ s_half_inv)
-    )
+    q_eigs = np.linalg.eigvalsh(linalg.symmetrize(s_half_inv @ best_sigma @ s_half_inv))
     n_active_guess = int(np.sum(q_eigs >= 1.0 - 1e-4))
 
-    polished = None
-    if rate_guess:
-        interior = _interior_mu_solve(m, rp, best_sigma, mu_hint)
-        if interior is not None:
-            sigma_int, mu_int = interior
-            try:
-                pair_int = rates_aligned(m, sigma_int)
-            except Exception:
-                pair_int = None
-            if pair_int is not None and pair_int.rp <= rp + 1e-7 \
-                    and pair_int.rk >= best_pair.rk - 1e-7:
-                res_int, _ = kkt.multiplier_composite(m, sigma_int, mu_int)
-                polished = (sigma_int, pair_int, float(res_int))
+    def keeps_rate(sigma):
+        # a valid candidate's rates if it keeps the budget and the key rate
+        try:
+            pair = rates_aligned(m, sigma)
+        except ModelValidationError:
+            return None
+        return pair if pair.rp <= rp + 1e-7 and pair.rk >= best_pair.rk - 1e-7 else None
 
-    cands = []
-    for rate_active in (rate_guess, not rate_guess):
-        order = [n_active_guess] + [k for k in range(m.mx) if k != n_active_guess]
-        for idx, n_active in enumerate(order):
-            factors = (1.0, 2.0, 0.5, 4.0, 0.25) if idx == 0 else (1.0, 2.0)
-            for f in factors:
-                cands.append((n_active, rate_active, f))
+    polished = None
+    interior = _interior_mu_solve(m, rp, best_sigma, mu_hint) if rate_guess else None
+    pair_int = None if interior is None else keeps_rate(interior[0])
+    if pair_int is not None:
+        res_int, _ = kkt.multiplier_composite(m, *interior)
+        polished = (interior[0], pair_int, float(res_int))
+
+    order = [n_active_guess] + [k for k in range(m.mx) if k != n_active_guess]
+    cands = [(n_active, rate_active, f) for rate_active in (rate_guess, not rate_guess)
+             for idx, n_active in enumerate(order)
+             for f in ((1.0, 2.0, 0.5, 4.0, 0.25) if idx == 0 else (1.0, 2.0))]
 
     for n_active, rate_active, factor in cands:
         if polished is not None and polished[2] < 1e-10:
@@ -1359,11 +1373,8 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 8,
         if cand is None:
             continue
         sigma_pol, _, res = cand
-        try:
-            pair_pol = rates_aligned(m, sigma_pol)
-        except Exception:
-            continue
-        if pair_pol.rp > rp + 1e-7 or pair_pol.rk < best_pair.rk - 1e-7:
+        pair_pol = keeps_rate(sigma_pol)
+        if pair_pol is None:
             continue
         if polished is None or res < polished[2]:
             polished = (sigma_pol, pair_pol, res)
@@ -1375,13 +1386,9 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 8,
         sigma_out, pair_out = best_sigma, best_pair
         res_out = kkt.multiplier_composite(m, sigma_out, mu_hint)[0]
         converged = False
-    return SolveReport(
-        optimum=ConditionalCov.for_model(m, sigma_out),
-        value=pair_out.rk,
-        iterations=iterations,
-        kkt_residual=float(res_out),
-        converged=converged,
-    )
+    return SolveReport(optimum=ConditionalCov.for_model(m, sigma_out), value=pair_out.rk,
+                       iterations=iterations, kkt_residual=float(res_out),
+                       converged=converged)
 
 
 def ascent_boundary(m: AlignedModel, rp_grid, *, n_starts: int = 8, seed: int = 0,
@@ -1418,6 +1425,30 @@ def ascent_boundary(m: AlignedModel, rp_grid, *, n_starts: int = 8, seed: int = 
         meta.append(PointMeta(s=None, t=None, kkt_residual=float(residual)))
     return RegionBoundary(points=tuple(points), model_digest=model_digest(m),
                           solver_meta=tuple(meta))
+
+
+def contains(m, p: RatePair, tol: float, *, boundary: RegionBoundary | None = None,
+             st_resolution: int = 200, rp_grid=None) -> bool:
+    """Region membership: is the pair within ``tol`` of achievable?
+
+    True iff the computed boundary at ``p.rp`` reaches ``p.rk - tol``.  A
+    precomputed ``boundary`` for the same model may be supplied to avoid
+    re-running the solver (it is trusted as-is); otherwise the boundary is
+    computed at the single grid point ``p.rp`` with the requested sweep
+    resolution (general models with scalar observations) or via the ascent
+    solver (aligned or square-invertible general models).
+    """
+    if p.rk <= tol:
+        return True
+    if boundary is not None:
+        return boundary.rk_at(p.rp) >= p.rk - tol
+    if rp_grid is None:
+        rp_grid = [p.rp]
+    if isinstance(m, GeneralModel) and m.my == 1 and m.mz == 1:
+        bnd = sweep_boundary(m, rp_grid, st_resolution=st_resolution)
+    else:
+        bnd = ascent_boundary(m if isinstance(m, AlignedModel) else to_aligned(m), rp_grid)
+    return bnd.rk_at(p.rp) >= p.rk - tol
 
 
 # ---------------------------------------------------------------------------

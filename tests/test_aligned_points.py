@@ -1,0 +1,293 @@
+"""The aligned route against a frozen corpus and against per-point references.
+
+``data/aligned_points.json`` holds ``solve_at_rate`` results frozen from the
+per-point solver (see ``data/make_aligned_points.py``): the benchmark's 36
+aligned points at mx 2, 4 and 6, the ``scalar_aligned`` fixture and the
+mx = 2 models of the certificate tests.  Every point must keep its value,
+its optimum, its ``converged`` flag and its certificate outcome, including
+the points whose certificate raises ``NoValidMultiplier``.
+
+The stacked kernels are checked against plain per-point references: the
+face-polish residual against the per-point closure it replaces, the stacked
+``expm`` against per-matrix calls, and the lockstep multi-start ascent
+against the per-start loop.  Errors that are not a rejected face or an
+invalid point must propagate.
+"""
+
+import json
+import math
+import os
+
+import numpy as np
+import pytest
+import scipy.linalg as sla
+
+from gausskey import AlignedModel, certify, kkt, linalg, solve_at_rate, solver
+from gausskey.errors import GausskeyError
+from gausskey.rates import rates_aligned
+
+from conftest import random_conditional, random_spd, rng_for
+
+VALUE_TOL = 1e-10
+SIGMA_TOL = 1e-8
+CERT_GATE = 1e-6
+ROW_RTOL = 1e-12
+
+
+def _corpus():
+    path = os.path.join(os.path.dirname(__file__), "data", "aligned_points.json")
+    with open(path) as fh:
+        return json.load(fh)["points"]
+
+
+POINTS = _corpus()
+
+
+def _model(point):
+    return AlignedModel(sigma_x=point["sigma_x"], sigma_wy=point["sigma_wy"],
+                        sigma_wz=point["sigma_wz"])
+
+
+def _certificate_outcome(m, sigma, rp):
+    try:
+        cert = certify(m, sigma, rp)
+    except GausskeyError as exc:
+        return type(exc).__name__
+    return "certified" if cert.max_residual < CERT_GATE else "uncertified"
+
+
+def test_frozen_corpus_covers_its_cases():
+    bench = [p for p in POINTS if p["model"].startswith("bench_")]
+    assert len(bench) == 36
+    assert {len(p["sigma_x"]) for p in bench} == {2, 4, 6}
+    assert {p["rp"] for p in bench} == {0.5, 1.0, 2.0, 4.0}
+    assert sum(p["certificate"] == "NoValidMultiplier" for p in bench) == 9
+    assert any(not p["converged"] for p in POINTS)
+    assert "scalar_aligned" in {p["model"] for p in POINTS}
+
+
+@pytest.mark.parametrize("point", POINTS,
+                         ids=[f"{p['model']}-rp{p['rp']}" for p in POINTS])
+def test_frozen_point_keeps_its_optimum(point):
+    m = _model(point)
+    report = solve_at_rate(m, point["rp"])
+    assert abs(report.value - point["value"]) <= VALUE_TOL
+    assert linalg.frob(report.optimum.value - np.array(point["sigma"])) <= SIGMA_TOL
+    assert report.converged == point["converged"]
+    assert _certificate_outcome(m, report.optimum, point["rp"]) == point["certificate"]
+
+
+# ---------------------------------------------------------------------------
+# stacked face residual against the per-point closure
+# ---------------------------------------------------------------------------
+
+def _reference_residual(face, xv):
+    """The per-point residual of the face polish, one call per point."""
+    m = face.m
+    n_qf, n_rot, n_active = face.n_qf, face.n_rot, face.n_active
+    q_f = np.einsum("k,kab->ab", xv[:n_qf], face.basis_f)
+    u = face.u0
+    if n_rot:
+        n = u.shape[0]
+        gen = np.zeros((n, n))
+        idx = 0
+        for i in range(n_active):
+            for j in range(n_active, n):
+                gen[i, j] = xv[n_qf + idx]
+                gen[j, i] = -xv[n_qf + idx]
+                idx += 1
+        u = u @ sla.expm(gen)
+    u_a = u[:, :n_active]
+    u_f = u[:, n_active:]
+    q = u_a @ u_a.T + u_f @ q_f @ u_f.T
+    sigma = linalg.symmetrize(face.s_half @ q @ face.s_half)
+    mu = math.exp(min(max(xv[-1], -700.0), 60.0)) if face.rate_active else 0.0
+    if linalg.min_eig(sigma) <= 0.0:
+        return None
+    if linalg.min_eig(m.sigma_x - sigma) < -face.excursion:
+        return None
+    try:
+        m_w = face.s_half @ kkt.stationarity_matrix(m, sigma, mu) @ face.s_half
+        parts = [np.array([float(np.sum((u_f.T @ m_w @ u_f) * s))
+                           for s in face.basis_f])]
+        if n_rot:
+            parts.append((u_a.T @ m_w @ u_f).ravel())
+        if face.rate_active:
+            ip = 0.5 * (face.ld_x - linalg.logdet_pd(sigma)) - 0.5 * (
+                face.ld_xy - linalg.logdet_pd(sigma + m.sigma_wy))
+            parts.append(np.array([ip - face.rp]))
+    except GausskeyError:
+        return None
+    return np.concatenate(parts)
+
+
+def _bench_model(key, mx):
+    rng = rng_for(key)
+    sigma_wy = random_spd(rng, mx)
+    return AlignedModel(sigma_x=random_spd(rng, mx), sigma_wy=sigma_wy,
+                        sigma_wz=random_spd(rng, mx))
+
+
+def _face_probes(mx, key):
+    """Faces of one model with seeded probes around the polish start: small
+    and large perturbations, and free blocks scaled to just inside and just
+    outside the excursion bound."""
+    rng = rng_for(key)
+    m = _bench_model(2000 + key, mx)
+    s_half = linalg.sqrtm_psd(m.sigma_x)
+    s_half_inv = linalg.inv_sqrtm_pd(m.sigma_x)
+    sigma_hat = random_conditional(rng, m.sigma_x)
+    q_hat = linalg.symmetrize(s_half_inv @ sigma_hat @ s_half_inv)
+    w, u0 = np.linalg.eigh(q_hat)
+    u0 = u0[:, np.argsort(w)[::-1]]
+    for n_active in range(mx):
+        for rate_active in (True, False):
+            face = solver._FaceSystem(m, 1.0, s_half, u0, n_active, rate_active)
+            nx = face.n_qf + face.n_rot + int(rate_active)
+            x0 = np.zeros(nx)
+            u_f0 = u0[:, n_active:]
+            q_free0 = u_f0.T @ q_hat @ u_f0
+            x0[:face.n_qf] = [np.sum(q_free0 * s) / np.sum(s * s) for s in face.basis_f]
+            if rate_active:
+                x0[-1] = math.log(0.7)
+            probes = [x0 + scale * rng.standard_normal(nx)
+                      for scale in (1e-7, 1e-3, 0.05, 0.3, 1.0) for _ in range(3)]
+            if n_active == 0:
+                # free block c * I: sigma_x - sigma = (1 - c) sigma_x
+                eye_x = np.array([float(s.sum() == 1.0) for s in face.basis_f])
+                lam = float(np.linalg.eigvalsh(m.sigma_x)[-1])
+                for rel in (1.0 - 1e-6, 1.0 + 1e-6):
+                    c = 1.0 + rel * face.excursion / lam
+                    x = np.zeros(nx)
+                    x[:face.n_qf] = c * eye_x
+                    if rate_active:
+                        x[-1] = math.log(0.7)
+                    probes.append(x)
+            yield face, np.array(probes)
+
+
+@pytest.mark.parametrize("mx", [2, 4, 6])
+def test_stacked_face_residual_matches_per_point(mx):
+    n_invalid = n_valid = n_outside = 0
+    for key in range(2):
+        for face, probes in _face_probes(mx, key):
+            rows, valid = face.residuals(probes)
+            for x, row, ok in zip(probes, rows, valid):
+                ref = _reference_residual(face, x)
+                assert ok == (ref is not None)
+                if ref is None:
+                    n_invalid += 1
+                    assert np.isnan(row).all()
+                    continue
+                n_valid += 1
+                assert np.all(np.abs(row - ref) <= ROW_RTOL * (1.0 + np.abs(ref)))
+            if face.n_active == 0:
+                # the last two probes straddle the excursion bound
+                assert list(valid[-2:]) == [True, False]
+                n_outside += 1
+    assert n_valid and n_invalid and n_outside
+
+
+def test_stacked_expm_matches_per_matrix_calls():
+    rng = rng_for(71)
+    for n in (2, 4, 6):
+        gen = rng.standard_normal((9, n, n)) * np.geomspace(1e-6, 3.0, 9)[:, None, None]
+        gen = gen - np.swapaxes(gen, -1, -2)
+        stacked = sla.expm(gen)
+        for g, e in zip(gen, stacked):
+            assert np.array_equal(e, sla.expm(g))
+
+
+# ---------------------------------------------------------------------------
+# lockstep ascent against the per-start loop
+# ---------------------------------------------------------------------------
+
+def _reference_ascent(m, rp, q0, s_half, rho, max_iter):
+    """Penalised projected-gradient ascent from one start, one call per
+    point: the loop that the lockstep ascent runs for every start at once."""
+    floor = solver.SIGMA_FLOOR_SCALE * float(np.trace(m.sigma_x)) / m.mx
+    q_floor = floor / float(np.linalg.eigvalsh(m.sigma_x)[0])
+
+    def objective(q):
+        sigma = linalg.symmetrize(s_half @ q @ s_half)
+        pair = rates_aligned(m, sigma)
+        return pair.rk - rho * max(0.0, pair.rp - rp), sigma, pair
+
+    def grads(sigma):
+        inv_y = linalg.inv_pd(sigma + m.sigma_wy)
+        inv_z = linalg.inv_pd(sigma + m.sigma_wz)
+        inv_s = linalg.inv_pd(sigma)
+        return 0.5 * (inv_z - inv_y), 0.5 * (inv_y - inv_s)
+
+    q = linalg.eig_clip(q0, q_floor, 1.0)
+    val, sigma, pair = objective(q)
+    eta = 0.1
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        grad_ik, grad_ip = grads(sigma)
+        grad = grad_ik if pair.rp <= rp else grad_ik - rho * grad_ip
+        grad_q = linalg.symmetrize(s_half @ grad @ s_half)
+        if linalg.frob(grad_q) < 1e-13:
+            break
+        accepted = False
+        for _ in range(30):
+            q_new = linalg.eig_clip(q + eta * grad_q, q_floor, 1.0)
+            move = linalg.frob(q_new - q)
+            if move < 1e-14 * (1.0 + linalg.frob(q)):
+                break
+            val_new, sigma_new, pair_new = objective(q_new)
+            if val_new > val + 1e-4 / max(eta, 1e-12) * move * move:
+                q, val, sigma, pair = q_new, val_new, sigma_new, pair_new
+                eta = min(eta * 1.5, 10.0)
+                accepted = True
+                break
+            eta *= 0.5
+        if not accepted:
+            break
+    return sigma, pair, iterations
+
+
+@pytest.mark.parametrize("mx, key, rp, rho, max_iter", [
+    (1, 81, 0.5, 10.0, 400),
+    (2, 2001, 1.0, 10.0, 400),
+    (2, 2004, 0.2, 1e3, 60),
+    (4, 2005, 2.0, 10.0, 150),
+    (6, 2009, 1.0, 100.0, 40),
+])
+def test_lockstep_ascent_matches_per_start_loop(mx, key, rp, rho, max_iter):
+    m = _bench_model(key, mx)
+    s_half = linalg.sqrtm_psd(m.sigma_x)
+    starts = solver._multi_starts(m, 8, 0)
+    rhos = rho * np.geomspace(1.0, 100.0, len(starts))
+    got = solver._pga_penalty(m, rp, np.array(starts), s_half, rhos, max_iter)
+    for q0, r, (sigma, pair, iterations) in zip(starts, rhos, got):
+        want = _reference_ascent(m, rp, q0, s_half, float(r), max_iter)
+        assert iterations == want[2]
+        assert np.array_equal(sigma, want[0])
+        assert (pair.rp, pair.rk) == (want[1].rp, want[1].rk)
+
+
+# ---------------------------------------------------------------------------
+# errors that are not a rejected face propagate
+# ---------------------------------------------------------------------------
+
+def _bug(*args, **kwargs):
+    raise TypeError("a bug, not a rejected face")
+
+
+@pytest.mark.parametrize("target", ["rates_aligned", "_FaceSystem.residuals"])
+def test_bugs_in_the_polish_propagate(monkeypatch, target):
+    if target == "rates_aligned":
+        # the ascent does not call it; the interior and face polishes do,
+        # inside guards that reject an invalid point only
+        monkeypatch.setattr(solver, "rates_aligned", _bug)
+    else:
+        monkeypatch.setattr(solver._FaceSystem, "residuals", _bug)
+    with pytest.raises(TypeError):
+        solve_at_rate(_bench_model(2002, 2), 1.0)
+
+
+def test_bugs_in_the_interior_fixed_point_propagate(monkeypatch, scalar_aligned):
+    monkeypatch.setattr(solver.linalg, "inv_pd", _bug)
+    with pytest.raises(TypeError):
+        solver._interior_stationary(scalar_aligned, 0.5, np.array([[1.0]]))

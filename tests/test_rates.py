@@ -16,7 +16,8 @@ from gausskey import (
 )
 from gausskey.errors import InvalidConditionalCov, InvalidEnhancedNoise
 from gausskey.modelio import model_digest
-from gausskey.rates import PointMeta, contains
+from gausskey.rates import PointMeta
+from gausskey.solver import contains
 
 from conftest import random_conditional, random_spd, rng_for
 

@@ -210,15 +210,6 @@ def test_sweep_monotone_and_bounded(demo_sweeps, degraded_demo, crossing_demo):
         assert all(rk <= limit + 1e-9 for rk in rks)
 
 
-def test_sweep_thread_determinism(degraded_demo):
-    grid = [0.5, 2.0]
-    b1 = sweep_boundary(degraded_demo, grid, st_resolution=30, threads=1)
-    b2 = sweep_boundary(degraded_demo, grid, st_resolution=30, threads=3)
-    for p1, p2 in zip(b1.points, b2.points):
-        assert p1.rp == p2.rp
-        assert p1.rk == p2.rk
-
-
 def test_sweep_rejects_bad_grid(degraded_demo):
     with pytest.raises(ValueError):
         sweep_boundary(degraded_demo, [1.0, 0.5], st_resolution=20)
