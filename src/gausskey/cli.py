@@ -261,7 +261,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, help_text):
-        p = sub.add_parser(name, help=help_text)
+        # an option left out sets no attribute: RunConfig holds the defaults
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         p.add_argument("model", help="path to a model JSON file")
         return p
 
@@ -269,14 +270,12 @@ def build_parser():
 
     p = add("region", "compute the R_k(R_p) boundary and write a CSV")
     p.add_argument("-o", "--output", required=True, help="output CSV path")
-    p.add_argument("--rp-max", type=float, default=5.0,
+    p.add_argument("--rp-max", type=float,
                    help="largest public rate on the grid (nats)")
-    p.add_argument("--points", type=int, default=50, help="number of grid points")
-    p.add_argument("--resolution", type=int, default=200,
-                   help="sweep resolution per axis")
-    p.add_argument("--units", choices=("nats", "bits"), default="nats",
-                   help="units of the CSV values")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--points", type=int, help="number of grid points")
+    p.add_argument("--resolution", type=int, help="sweep resolution per axis")
+    p.add_argument("--units", choices=("nats", "bits"), help="units of the CSV values")
+    p.add_argument("--seed", type=int,
                    help="seed for the ascent solver's random starts")
 
     add("limit", "print the infinite-communication key-rate limit")
@@ -284,29 +283,30 @@ def build_parser():
     p = add("kkt-check", "solve at one rate and emit a KKT certificate")
     p.add_argument("--rp", type=float, required=True, help="public rate (nats)")
     p.add_argument("-o", "--output", default=None, help="certificate JSON path")
-    p.add_argument("--tolerance", type=float, default=1e-6,
+    p.add_argument("--tolerance", type=float,
                    help="max-residual gate for the certificate")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
 
     p = add("enhance", "emit the enhanced noise covariance at one rate")
     p.add_argument("--rp", type=float, required=True, help="public rate (nats)")
     p.add_argument("-o", "--output", default=None, help="output JSON path")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
 
     p = add("oracle", "brute-force boundary value at one rate (mx <= 2)")
     p.add_argument("--rp", type=float, required=True, help="public rate (nats)")
-    p.add_argument("--density", type=int, default=60, help="grid points per axis")
+    p.add_argument("--density", type=int, help="grid points per axis")
 
     p = add("mc", "Monte-Carlo cross-check of the rate functionals")
-    p.add_argument("--samples", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--q-scale", type=float, default=0.5,
+    p.add_argument("--samples", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--q-scale", type=float,
                    help="conditional covariance as a multiple of sigma_x")
     return parser
 
 
 def _config_from_args(args) -> RunConfig:
-    # an option the subcommand does not define keeps its RunConfig default
+    # an option the subcommand does not define, or that was left out,
+    # keeps its RunConfig default
     opts = {f.name: getattr(args, f.name) for f in fields(RunConfig)
             if f.name != "command" and hasattr(args, f.name)}
     return RunConfig(command=args.command, model_path=args.model,

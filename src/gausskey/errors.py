@@ -90,8 +90,8 @@ class CertificateError(GausskeyError):
 
 
 class NoValidMultiplier(CertificateError):
-    """No multiplier in the search bracket yields a PSD M with small
-    complementarity residual; the candidate point is not optimal."""
+    """The one admissible multiplier (the smallest that makes M PSD) leaves
+    a large complementarity residual; the candidate point is not optimal."""
 
 
 class NonPsdInput(CertificateError):

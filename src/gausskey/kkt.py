@@ -31,7 +31,6 @@ residuals are reported as 0.0 (not applicable).
 """
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,8 +61,6 @@ RESIDUAL_KEYS = (
 )
 
 M_MATRIX_PSD_TOL = 1e-8
-MU_SEARCH_LO = 1e-8
-MU_SEARCH_HI = 1e4
 ACCEPT_COMPOSITE = 1e-6
 K_SMALLEST_SV = 1e-10
 
@@ -147,90 +144,55 @@ def multiplier_composite(m: AlignedModel, sigma, mu: float):
     return psd_gap + compl, m_mat
 
 
-def recover_multipliers(m: AlignedModel, sigma_star, rp: float, *,
-                        accept_tol: float = ACCEPT_COMPOSITE) -> MultiplierRecovery:
+def closed_form_mu(m: AlignedModel, sigma) -> float:
+    """The one admissible rate multiplier at ``sigma`` when the rate binds.
+
+    ``M(mu) = M(0) + mu D`` is affine in mu with a PD slope
+    ``D = Q^-1 - (Q + sigma_wy)^-1``, so ``M(mu) >= 0`` exactly for mu at or
+    above the top generalized eigenvalue of the pencil
+    ``((Q + sigma_wy)^-1 - (Q + sigma_wz)^-1, D)``.  Above that value M is
+    PD, and complementarity would force the corner ``Q = sigma_x``; so the
+    threshold, floored at zero, is the multiplier, and there ``M`` is
+    singular whenever it is positive.
+    """
+    inv_s = linalg.inv_pd(sigma, "conditional covariance")
+    inv_z = linalg.inv_pd(sigma + m.sigma_wz, "sigma + sigma_wz")
+    inv_y = linalg.inv_pd(sigma + m.sigma_wy, "sigma + sigma_wy")
+    top = linalg.gen_eig_pencil(linalg.symmetrize(inv_y - inv_z),
+                                linalg.symmetrize(inv_s - inv_y))[0]
+    return max(0.0, float(top))
+
+
+def recover_multipliers(m: AlignedModel, sigma_star, rp: float) -> MultiplierRecovery:
     """Recover KKT multipliers (mu, M) for a candidate boundary optimum.
 
     When the rate constraint is slack (I_p < rp), complementary slackness
-    forces mu = 0.  Otherwise mu is searched over a log-spaced bracket
-    [1e-8, 1e4] minimizing the composite residual (PSD violation of M plus
-    the complementarity norm), refined by golden section; among equivalent
-    candidates the smallest mu is selected by bisection, so corner points
-    with a multiplier plateau get the extreme multiplier (where M is
-    singular).
+    forces mu = 0.  Otherwise mu is ``closed_form_mu``, the smallest
+    multiplier that makes M PSD (see there for why it is the only
+    admissible one); at a corner point with a multiplier plateau this is
+    the extreme multiplier, where M is singular.
 
-    Raises ``NoValidMultiplier`` when no multiplier in the bracket brings
-    the composite residual below ``accept_tol``: the point is not optimal.
+    Raises ``NoValidMultiplier`` when the composite residual at that
+    multiplier (PSD violation of M plus the complementarity norm) exceeds
+    ``ACCEPT_COMPOSITE``: the point is not optimal.
     """
     validate_model(m)
     sigma = conditional_cov(m, sigma_star).value
     ip = rates_aligned(m, sigma).rp
     slack = rp - ip
-
-    def composite(mu):
-        return multiplier_composite(m, sigma, mu)[0]
-
-    if slack > max(1e-7, 1e-6 * abs(rp)):
-        c0 = composite(0.0)
-        if c0 > accept_tol:
+    rate_slack = slack > max(1e-7, 1e-6 * abs(rp))
+    mu_star = 0.0 if rate_slack else closed_form_mu(m, sigma)
+    comp, m_mat = multiplier_composite(m, sigma, mu_star)
+    if comp > ACCEPT_COMPOSITE:
+        if rate_slack:
             raise NoValidMultiplier(
                 "rate constraint is slack so mu must vanish, but M(0) fails "
-                f"the KKT conditions (composite residual {c0:.3e})"
+                f"the KKT conditions (composite residual {comp:.3e})"
             )
-        mu_star = 0.0
-    else:
-        # scan plus golden refinement over the log bracket
-        grid = [0.0] + list(np.geomspace(MU_SEARCH_LO, MU_SEARCH_HI, 121))
-        comps = [composite(mu) for mu in grid]
-        k = int(np.argmin(comps))
-        if 0 < k < len(grid) - 1 and grid[k] > 0.0:
-            lo = math.log10(grid[k - 1]) if grid[k - 1] > 0.0 else math.log10(MU_SEARCH_LO) - 2.0
-            hi = math.log10(grid[k + 1])
-            log_mu = linalg.golden_section(lambda x: composite(10.0 ** x), lo, hi, 80, 1e-8)
-            grid.append(10.0 ** log_mu)
-            comps.append(composite(10.0 ** log_mu))
-        mu_star = grid[int(np.argmin(comps))]
-
-        # the smallest eigenvalue of M(mu) is strictly increasing, and every
-        # valid multiplier leaves M singular on its free directions (or sits
-        # at the left edge of a corner plateau), so the root of the smallest
-        # eigenvalue pins the canonical multiplier far more sharply than the
-        # composite scan when sigma_star is nearly singular
-        def min_eig_m(mu):
-            return linalg.min_eig(stationarity_matrix(m, sigma, mu))
-
-        if min_eig_m(0.0) >= 0.0:
-            root = 0.0
-        else:
-            hi_mu = MU_SEARCH_LO
-            root = None
-            for _ in range(80):
-                if min_eig_m(hi_mu) > 0.0:
-                    root = hi_mu
-                    break
-                hi_mu *= 4.0
-            if root is not None:
-                lo_mu = 0.0
-                hi_mu = root
-                for _ in range(200):
-                    mid = 0.5 * (lo_mu + hi_mu)
-                    if min_eig_m(mid) > 0.0:
-                        hi_mu = mid
-                    else:
-                        lo_mu = mid
-                    if hi_mu - lo_mu < 1e-16 * (1.0 + hi_mu):
-                        break
-                root = hi_mu
-        if root is not None and composite(root) <= composite(mu_star):
-            mu_star = root
-        c_star = composite(mu_star)
-        if c_star > accept_tol:
-            raise NoValidMultiplier(
-                f"no multiplier in [{MU_SEARCH_LO:g}, {MU_SEARCH_HI:g}] satisfies "
-                f"the KKT conditions (best composite residual {c_star:.3e})"
-            )
-
-    comp, m_mat = multiplier_composite(m, sigma, mu_star)
+        raise NoValidMultiplier(
+            f"the multiplier mu = {mu_star:.6g} that makes M PSD fails the KKT "
+            f"conditions (composite residual {comp:.3e})"
+        )
     m_mat = linalg.eig_floor(m_mat, 0.0) if linalg.min_eig(m_mat) > -M_MATRIX_PSD_TOL else m_mat
     diff = m.sigma_x - sigma
     residuals = {

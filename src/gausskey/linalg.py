@@ -3,8 +3,10 @@
 Everything in the package funnels its linear algebra through this module:
 symmetry/PSD checks with the package-wide tolerances, Cholesky-based
 log-determinants, PSD square roots, and the symmetric-definite generalized
-eigenvalue solve via Cholesky whitening.  It also holds the package's one
-1-D search, a golden section over a caller's function.  The matrix functions
+eigenvalue solve via Cholesky whitening (which also gives the closed-form
+KKT multiplier).  It also holds the package's one 1-D search, a golden
+section over a caller's function that stops on an absolute bracket width
+(the sweep's row minimum searches log s with it).  The matrix functions
 are pure and operate on plain ``numpy`` arrays.
 
 Tolerance conventions
@@ -155,11 +157,11 @@ def gen_eig_pencil(a, c):
     return w[::-1].copy()
 
 
-def golden_section(f, lo, hi, iters, tol, rel=1.0):
+def golden_section(f, lo, hi, iters, tol):
     """Golden-section minimization of f over [lo, hi].
 
     Takes at most ``iters`` steps, stopping once the bracket ``[a, b]`` is
-    shorter than ``tol * (1 + rel |a|)``; returns its midpoint.
+    shorter than ``tol``; returns its midpoint.
     """
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -175,7 +177,7 @@ def golden_section(f, lo, hi, iters, tol, rel=1.0):
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
             fd = f(d)
-        if b - a < tol * (1.0 + rel * abs(a)):
+        if b - a < tol:
             break
     return 0.5 * (a + b)
 

@@ -45,6 +45,7 @@ import scipy.linalg as sla
 from . import kkt, linalg
 from .errors import (
     DimensionTooLarge,
+    GausskeyError,
     Infeasible,
     MaxIterationsExceeded,
     ModelValidationError,
@@ -750,7 +751,7 @@ def _row_min_rp(frame, t, s_max, ik_t, n_scan=16, n_golden=18):
         return rep.value
 
     # golden section on log s; f keeps the best cell it sees
-    linalg.golden_section(f, math.log(lo), math.log(hi), n_golden, 1e-10, rel=0.0)
+    linalg.golden_section(f, math.log(lo), math.log(hi), n_golden, 1e-10)
     rp_min, s_at, rep = best
     cell = (rp_min, ik_t, s_at, float(t), rep.kkt_residual)
     return rp_min, cell
@@ -1021,112 +1022,6 @@ def _pga_penalty(m, rp, q0, s_half, rho, max_iter=400):
     return [(sigma[i], pairs[i], int(iterations[i])) for i in range(k)]
 
 
-def _interior_stationary(m, mu, sigma_init, max_iter=300):
-    """Fixed point of the interior stationarity equation at multiplier mu.
-
-    Solves ``sigma = mu [ (1+mu)(sigma+Wy)^-1 - (sigma+Wz)^-1 ]^-1`` by a
-    damped iteration with backtracking on the fixed-point defect, so it
-    converges even where the raw map is expansive.  Returns None when the
-    bracket loses definiteness or the defect stops improving.  The result
-    may violate the upper interval bound; callers must check.
-    """
-
-    def defect(sigma):
-        try:
-            bracket = (1.0 + mu) * linalg.inv_pd(sigma + m.sigma_wy, "y term") \
-                - linalg.inv_pd(sigma + m.sigma_wz, "z term")
-        except (NotPositiveDefinite, np.linalg.LinAlgError):
-            return None
-        if linalg.min_eig(bracket) <= 0.0:
-            return None
-        return mu * linalg.inv_pd(bracket, "stationarity bracket") - sigma
-
-    sigma = np.array(sigma_init, dtype=float)
-    scale = 1.0 + linalg.frob(m.sigma_x)
-    step = defect(sigma)
-    if step is None:
-        return None
-    beta = 1.0
-    for _ in range(max_iter):
-        norm = linalg.frob(step)
-        if norm < 1e-15 * scale:
-            return sigma
-        accepted = False
-        for _ in range(25):
-            cand = linalg.symmetrize(sigma + beta * step)
-            if linalg.min_eig(cand) > 0.0:
-                step_new = defect(cand)
-                if step_new is not None and linalg.frob(step_new) < norm:
-                    sigma, step = cand, step_new
-                    beta = min(1.0, 1.5 * beta)
-                    accepted = True
-                    break
-            beta *= 0.5
-        if not accepted:
-            return None
-    return sigma if linalg.frob(step) < 1e-12 * scale else None
-
-
-def _interior_mu_solve(m, rp, sigma_init, mu_hint):
-    """Interior polish: find mu with I_p(sigma(mu)) = rp by bisection.
-
-    The achieved rate of the interior stationary point is decreasing in mu;
-    the bracket expands geometrically around ``mu_hint`` and the fixed point
-    is warm-started by continuation.  Only applies when the optimum touches
-    neither end of the matrix interval; returns (sigma, mu) or None.
-    """
-    ld_x = linalg.logdet_pd(m.sigma_x)
-    ld_xy = linalg.logdet_pd(m.sigma_x + m.sigma_wy)
-    state = {"sigma": np.array(sigma_init, dtype=float)}
-
-    def rate_of(mu):
-        sigma = _interior_stationary(m, mu, state["sigma"])
-        if sigma is None:
-            sigma = _interior_stationary(m, mu, sigma_init)
-        if sigma is None:
-            return None, None
-        state["sigma"] = sigma
-        ip = 0.5 * (ld_x - linalg.logdet_pd(sigma)) - 0.5 * (
-            ld_xy - linalg.logdet_pd(sigma + m.sigma_wy)
-        )
-        return ip, sigma
-
-    mu0 = min(max(mu_hint, 1e-9), 1e3)
-    lo = hi = mu0
-    ip0, _ = rate_of(mu0)
-    if ip0 is None:
-        return None
-    up = ip0 > rp  # a larger mu pushes the rate down
-    for _ in range(40):
-        lo, hi = (lo, hi * 4.0) if up else (lo / 4.0, hi)
-        ip_end, _ = rate_of(hi if up else lo)
-        if ip_end is None:
-            return None
-        if (ip_end <= rp) if up else (ip_end >= rp):
-            break
-    else:
-        return None
-    sigma = None
-    mu = mu0
-    for _ in range(200):
-        mu = math.sqrt(lo * hi)
-        ip, sig = rate_of(mu)
-        if ip is None:
-            return None
-        sigma = sig
-        if abs(ip - rp) < 1e-13 * (1.0 + rp):
-            break
-        if ip > rp:
-            lo = mu
-        else:
-            hi = mu
-    if sigma is None or not linalg.is_psd(m.sigma_x - sigma):
-        return None
-    if linalg.min_eig(sigma) <= 0.0:
-        return None
-    return sigma, mu
-
-
 def _skew_rotate(u0, n_active, thetas):
     """Rotate an orthogonal basis by block-off-diagonal skew generators, one
     per row of ``thetas``; returns the stack of rotated bases."""
@@ -1289,11 +1184,15 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 8,
     returned point is infeasible) and multi-start initialization -- the
     source covariance scaled by {1, 0.75, 0.5, 0.25} plus seeded random SPD
     interpolants -- followed by a Newton polish of the stationarity system
-    on the detected active face.  ``kkt_residual`` is the residual of that
-    first-order system; ``iterations`` counts the ascent iterations actually
-    taken, over every start and penalty escalation.  Heuristic for the
-    nonconvex general case: certify the output through the KKT machinery
-    before trusting it.
+    on candidate active faces, the detected one first.  The polish starts
+    from the best ascent point, with the multiplier ``kkt.closed_form_mu``
+    gives there (clipped to [1e-8, 1e4], and scaled by 2, 1/2, 4 and 1/4 on
+    the detected face) when the rate constraint is active.
+    ``kkt_residual`` is the residual of that first-order system;
+    ``iterations`` counts the ascent iterations actually taken, over every
+    start and penalty escalation.  Heuristic for the nonconvex general case:
+    ``converged`` only says the system of some face was solved, so certify
+    the output through the KKT machinery before trusting it.
     """
     validate_model(m)
     if rp < 0.0:
@@ -1334,13 +1233,12 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 8,
     if best_sigma is None:
         raise MaxIterationsExceeded("no penalty run produced a feasible point")
 
-    # polish: estimate the multiplier, then solve the optimality system on
-    # every candidate active face (the dimension is small) and both rate
-    # branches, keeping the smallest-residual point that does not lose rate
+    # polish: take the closed-form multiplier of the ascent's point, then
+    # solve the optimality system on every candidate active face (the
+    # dimension is small) and both rate branches, keeping the
+    # smallest-residual point that does not lose rate
     rate_guess = best_pair.rp >= rp - max(1e-7, 1e-6 * rp)
-    mus = np.geomspace(1e-8, 1e4, 61)
-    comps = [kkt.multiplier_composite(m, best_sigma, mu)[0] for mu in mus]
-    mu_hint = float(mus[int(np.argmin(comps))])
+    mu_hint = min(max(kkt.closed_form_mu(m, best_sigma), 1e-8), 1e4)
     q_eigs = np.linalg.eigvalsh(linalg.symmetrize(s_half_inv @ best_sigma @ s_half_inv))
     n_active_guess = int(np.sum(q_eigs >= 1.0 - 1e-4))
 
@@ -1353,12 +1251,6 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 8,
         return pair if pair.rp <= rp + 1e-7 and pair.rk >= best_pair.rk - 1e-7 else None
 
     polished = None
-    interior = _interior_mu_solve(m, rp, best_sigma, mu_hint) if rate_guess else None
-    pair_int = None if interior is None else keeps_rate(interior[0])
-    if pair_int is not None:
-        res_int, _ = kkt.multiplier_composite(m, *interior)
-        polished = (interior[0], pair_int, float(res_int))
-
     order = [n_active_guess] + [k for k in range(m.mx) if k != n_active_guess]
     cands = [(n_active, rate_active, f) for rate_active in (rate_guess, not rate_guess)
              for idx, n_active in enumerate(order)
@@ -1416,9 +1308,9 @@ def ascent_boundary(m: AlignedModel, rp_grid, *, n_starts: int = 8, seed: int = 
         residual = report.kkt_residual
         if certify:
             try:
-                cert = kkt.certify(m, report.optimum, rp)
-                residual = cert.max_residual
-            except Exception:
+                residual = kkt.certify(m, report.optimum, rp).max_residual
+            except (GausskeyError, ValueError):
+                # ValueError: the certificate's own PSD check on M
                 residual = float("inf")
         best_rk = max(best_rk, report.value, 0.0)
         points.append(RatePair(rp=rp, rk=best_rk))

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from gausskey import RatePair, contains, kkt, load_model
-from gausskey.cli import main
+from gausskey.cli import RunConfig, _config_from_args, build_parser, main
 from gausskey.rates import PointMeta, RegionBoundary
 
 
@@ -178,3 +178,14 @@ def test_region_rejects_bad_options(model_files):
                  "--rp-max", "-1"]) == 2
     assert main(["region", model_files["general"], "-o", "/tmp/x.csv",
                  "--points", "1"]) == 2
+
+
+@pytest.mark.parametrize("argv", [["region", "m.json", "-o", "out.csv"], ["mc", "m.json"]])
+def test_options_left_out_take_the_run_config_defaults(argv):
+    args = build_parser().parse_args(argv)
+    # the parser sets only what was given, so RunConfig is the one copy
+    assert set(vars(args)) == {"command", "model"} | ({"output"} if "-o" in argv else set())
+    cfg = _config_from_args(args)
+    want = RunConfig(command=argv[0], model_path="m.json",
+                     output_path="out.csv" if "-o" in argv else None)
+    assert cfg == want

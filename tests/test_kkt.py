@@ -71,6 +71,73 @@ def test_slack_rate_with_wrong_sign_rejected(scalar_aligned):
 
 
 # ---------------------------------------------------------------------------
+# closed-form multiplier
+# ---------------------------------------------------------------------------
+
+def _reference_mu(m, sigma):
+    """Root of the smallest eigenvalue of M(mu), by the bracket and bisection
+    the multiplier recovery used before the closed form."""
+
+    def min_eig_m(mu):
+        return linalg.min_eig(kkt.stationarity_matrix(m, sigma, mu))
+
+    if min_eig_m(0.0) >= 0.0:
+        return 0.0
+    hi = 1e-8
+    for _ in range(80):
+        if min_eig_m(hi) > 0.0:
+            break
+        hi *= 4.0
+    else:
+        raise AssertionError("no bracket for the multiplier")
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if min_eig_m(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo < 1e-16 * (1.0 + hi):
+            break
+    return hi
+
+
+def _closed_form_cases():
+    # per dimension: degraded (mu > 0 throughout), reversed degraded
+    # (M(0) PD, so mu = 0) and unordered noises, at random 0 < Q < sigma_x
+    rng = rng_for(64)
+    for mx in range(1, 7):
+        for kind in ("degraded", "reversed", "unordered"):
+            m = random_aligned(rng, m=mx, degraded=kind == "degraded")
+            if kind == "reversed":
+                m = AlignedModel(sigma_x=m.sigma_x, sigma_wy=m.sigma_wz + m.sigma_wy,
+                                 sigma_wz=m.sigma_wz)
+            for _ in range(3):
+                yield mx, kind, m, random_conditional(rng, m.sigma_x)
+
+
+def test_closed_form_mu_matches_eigenvalue_root():
+    kinds = set()
+    for mx, kind, m, sigma in _closed_form_cases():
+        got = kkt.closed_form_mu(m, sigma)
+        want = _reference_mu(m, sigma)
+        assert got == pytest.approx(want, rel=1e-10, abs=0.0), (mx, kind)
+        m_mat = kkt.stationarity_matrix(m, sigma, got)
+        tol = 1e-10 * (1.0 + linalg.frob(m_mat))
+        assert linalg.min_eig(m_mat) >= -tol
+        if got > 0.0:
+            assert linalg.min_eig(m_mat) <= tol  # singular
+        kinds.add((kind, got > 0.0))
+    assert {("degraded", True), ("reversed", False)} <= kinds
+
+
+def test_recovery_uses_the_closed_form(certified_points):
+    for m, cert in certified_points:
+        if cert.mu > 0.0:
+            assert cert.mu == kkt.closed_form_mu(m, cert.sigma_star.value)
+
+
+# ---------------------------------------------------------------------------
 # enhancement
 # ---------------------------------------------------------------------------
 
