@@ -4,10 +4,8 @@ Everything in the package funnels its linear algebra through this module:
 symmetry/PSD checks with the package-wide tolerances, Cholesky-based
 log-determinants, PSD square roots, and the symmetric-definite generalized
 eigenvalue solve via Cholesky whitening (which also gives the closed-form
-KKT multiplier).  It also holds the package's one 1-D search, a golden
-section over a caller's function that stops on an absolute bracket width
-(the sweep's row minimum searches log s with it).  The matrix functions
-are pure and operate on plain ``numpy`` arrays.
+KKT multiplier).  The functions are pure and operate on plain ``numpy``
+arrays.
 
 Tolerance conventions
 ---------------------
@@ -16,8 +14,6 @@ A matrix is accepted as PSD when its minimum eigenvalue is at least
 minimum eigenvalue to exceed ``1e-10``.  Sweep iterates sit on the boundary
 of the PSD cone, so the PSD test must tolerate small negative round-off.
 """
-
-import math
 
 import numpy as np
 import scipy.linalg
@@ -155,31 +151,6 @@ def gen_eig_pencil(a, c):
     white = scipy.linalg.solve_triangular(lower, half.T, lower=True)
     w = np.linalg.eigvalsh(symmetrize(white))
     return w[::-1].copy()
-
-
-def golden_section(f, lo, hi, iters, tol):
-    """Golden-section minimization of f over [lo, hi].
-
-    Takes at most ``iters`` steps, stopping once the bracket ``[a, b]`` is
-    shorter than ``tol``; returns its midpoint.
-    """
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-        if b - a < tol:
-            break
-    return 0.5 * (a + b)
 
 
 def frob(a):

@@ -81,6 +81,26 @@ TAU_FINAL = 10.0 ** math.ceil(math.log10(4 / BARRIER_GAP_TOL))
 SWEEP_S_FLOOR = 1e-7
 SWEEP_T_GAP_FLOOR = 1e-6
 
+# Extra centring of the final barrier stage.  Its decrement stop (0.2 at
+# tau = 1e9) leaves 1 / (tau * slack) up to 40% off a constraint multiplier
+# on the cell corpus; three more full Newton steps bring it within 3e-7 of
+# a finite difference of the cell value, and the decrement stop of 1e-14
+# bounds the relative error of each slack by 1e-7.
+FINAL_CENTRING_STEPS = 6
+FINAL_DECREMENT_TOL = 1e-14
+
+# Row minimum of the refinement pass (``_row_min_rp``): first step down in
+# log s when bracketing, the bracket width in log s that ends a search, the
+# stop on the stationarity residual g and the cap on secant steps.
+ROW_MIN_LOG_STEP = 0.25
+ROW_MIN_LOG_TOL = 1e-9
+ROW_MIN_G_TOL = 1e-6
+ROW_MIN_SECANT_STEPS = 40
+
+# A constraint whose matrix has squared Frobenius norm below this is
+# dropped from a cell (see ``_cell_constraints``).
+_VANISHING_GAIN = 1e-28
+
 
 @dataclass(frozen=True)
 class SweepParams:
@@ -183,6 +203,13 @@ class _SpanFrame:
                          @ self.s_half_inv) @ self.u
         return float(a2[0, 0]), float(a2[0, 1]), float(a2[1, 1])
 
+    def signal_power(self, a2):
+        """Observed signal power ``b Q b^T`` of a reduced cell matrix
+        ``(a, b, c)``."""
+        b0, b1 = self.bw
+        a, b, c = a2
+        return b0 * b0 * a + 2.0 * b0 * b1 * b + b1 * b1 * c
+
     def lift(self, a2):
         """Conditional covariance ``S (I + u (A_2 - I) u^T) S`` of a reduced
         cell matrix ``(a, b, c)``."""
@@ -235,7 +262,7 @@ def _cell_constraints(frame, params):
                  params.t),
                 (bb00, bb01, bb11, -params.s)):
         g00, g01, g11, cst = con
-        if g00 * g00 + 2.0 * g01 * g01 + g11 * g11 > 1e-28:
+        if g00 * g00 + 2.0 * g01 * g01 + g11 * g11 > _VANISHING_GAIN:
             cons.append(con)
         elif cst > 0.0:
             raise Infeasible(f"constant constraint violated (c = {cst:g})")
@@ -398,13 +425,17 @@ def _ldl_step(h00, h01, h02, h11, h12, h22, g0, g1, g2):
 @dataclass(frozen=True)
 class _Cell:
     """Outcome of one reduced cell: the whitened 2x2 optimum ``a2`` as
-    ``(a, b, c)`` and the fields of ``SolveReport`` that a sweep keeps."""
+    ``(a, b, c)``, the fields of ``SolveReport`` that a sweep keeps, and
+    ``lam_s``, the multiplier of ``b Q b^T <= s``.  By the envelope theorem
+    ``lam_s`` is the derivative of the optimal log|Q| in ``s``, so the
+    cell value has ``d value / d s = 1 / (2 (1 + s)) - lam_s / 2``."""
 
     a2: tuple
     value: float
     iterations: int
     kkt_residual: float
     converged: bool
+    lam_s: float
 
 
 def _inner_convex_2x2(frame, params, a0, tau0, gap_tol, max_newton):
@@ -425,7 +456,10 @@ def _inner_convex_2x2(frame, params, a0, tau0, gap_tol, max_newton):
     stage uncentred, it restarts once from ``tau = 1`` at the same start,
     its steps counted on top.  ``converged`` reports whether the last stage
     of the final schedule was centred; an uncentred solve keeps its
-    feasible, possibly suboptimal, value.
+    feasible, possibly suboptimal, value.  A centred final stage takes up to
+    ``FINAL_CENTRING_STEPS`` more full Newton steps, until the decrement
+    reaches ``FINAL_DECREMENT_TOL``, so that ``1 / (tau * slack)`` is the
+    multiplier ``lam_s`` of ``b Q b^T <= s``.
     """
     cons = _cell_constraints(frame, params)
     n_constr = 2 + len(cons)
@@ -465,6 +499,8 @@ def _inner_convex_2x2(frame, params, a0, tau0, gap_tol, max_newton):
             decrement_tol = 2.0 * NEWTON_DECREMENT_TOL * max(1.0, tau)
             val = merit(a, b, c)
             centred = False
+            final = n_constr / tau < gap_tol
+            extra = 0
             for _ in range(40):
                 if total_iters >= max_newton:
                     raise MaxIterationsExceeded(
@@ -505,7 +541,19 @@ def _inner_convex_2x2(frame, params, a0, tau0, gap_tol, max_newton):
                 total_iters += 1
                 if decrement <= decrement_tol:
                     centred = True
-                    break
+                    if (not final or extra == FINAL_CENTRING_STEPS
+                            or decrement <= FINAL_DECREMENT_TOL
+                            or total_iters >= max_newton):
+                        break
+                    # centre the final stage tightly, so that 1 / (tau *
+                    # slack) is each constraint's multiplier; this close to
+                    # the centre full Newton steps converge quadratically
+                    extra += 1
+                    val1 = merit(a + da, b + db, c + dc)
+                    if val1 is None:
+                        break
+                    a, b, c, val = a + da, b + db, c + dc, val1
+                    continue
                 alpha = 1.0
                 for _ in range(40):
                     val1 = merit(a + alpha * da, b + alpha * db, c + alpha * dc)
@@ -526,10 +574,14 @@ def _inner_convex_2x2(frame, params, a0, tau0, gap_tol, max_newton):
         logdet = math.log(a)
     else:
         logdet = math.log(a * c - b * b)
-    value = (-0.5 * logdet - 0.5 * math.log1p(frame.bw[0] ** 2 + frame.bw[1] ** 2)
+    b0, b1 = frame.bw
+    value = (-0.5 * logdet - 0.5 * math.log1p(b0 * b0 + b1 * b1)
              + 0.5 * math.log1p(params.s))
+    lam_s = 0.0
+    if (b0 * b0 + b1 * b1) ** 2 > _VANISHING_GAIN:  # b Q b^T <= s was kept
+        lam_s = 1.0 / (tau * (params.s - frame.signal_power((a, b, c))))
     return _Cell(a2=(a, b, c), value=value, iterations=total_iters,
-                 kkt_residual=n_constr / tau, converged=centred)
+                 kkt_residual=n_constr / tau, converged=centred, lam_s=lam_s)
 
 
 def inner_convex(m: GeneralModel, params: SweepParams, *, sigma0=None,
@@ -557,7 +609,8 @@ def inner_convex(m: GeneralModel, params: SweepParams, *, sigma0=None,
     The public call validates the model, reduces it, solves and lifts the
     optimum.  The sweep, which reduces each model once, passes its
     ``_SpanFrame`` as ``m`` instead: ``sigma0`` is then a reduced start
-    ``(a, b, c)`` and the result a ``_Cell``, with no lifted optimum.
+    ``(a, b, c)`` and the result a ``_Cell``, with no lifted optimum and
+    with the multiplier of ``b Q b^T <= s``.
 
     Raises ``Infeasible`` when the constraint set is empty (certified by a
     dual bound) or has no strictly feasible point, ``MaxIterationsExceeded``
@@ -637,8 +690,7 @@ def _warm_candidate(frame, params, warm, anchor):
         return None
     cons = _cell_constraints(frame, params)
     wa, wb, wc = warm
-    b0, b1 = frame.bw
-    qb_warm = b0 * b0 * wa + 2.0 * b0 * b1 * wb + b1 * b1 * wc
+    qb_warm = frame.signal_power(warm)
     # rescale into a thin boundary layer below the new s cap so the barrier
     # Newton has no long crawl toward the active constraint
     if qb_warm <= (1.0 - 1e-6) * params.s:
@@ -704,57 +756,117 @@ def _sweep_row(frame, t, s_values_desc, ik_t, row_seed=None):
     return cells, first_optimum
 
 
-def _row_min_rp(frame, t, s_max, ik_t, n_scan=16, n_golden=18):
+def _row_min_rp(frame, t, s_max, ik_t):
     """Smallest achievable public rate on one t row.
 
-    Pre-scans a log-spaced s grid, then golden-sections the bracket around
-    the best scan point.  Returns ``(rp_min, cell)`` where ``cell`` is the
-    achieved-cell tuple of the minimizer, with key-rate level ``ik_t``, or
-    ``(inf, None)`` when the row is entirely infeasible.
+    The cell value is ``rp(s) = -log|Q*(s)| / 2 + log(1 + s) / 2 + const``
+    and, by the envelope theorem, ``d rp / d s = -g(s) / (2 (1 + s))`` with
+    ``g(s) = lam_s (1 + s) - 1`` and ``lam_s`` the multiplier of
+    ``b Q b^T <= s`` that the cell returns.
+
+    The search starts from one solve at ``s_max``, where that constraint is
+    redundant.  Its optimum stays optimal down to ``s_free = b Q* b^T``, so
+    the row has a *kink* there: the same cell, with ``log(1 + s_max)``
+    replaced by ``log(1 + s_free)``.  One probe just below ``s_free``
+    decides whether the kink is the row minimum (``g >= 0`` there, so rp
+    falls towards it).  Otherwise the minimum is a smooth root of ``g``
+    further down: steps in log s, doubling, bracket it; an infeasible probe
+    turns them into a bisection towards the feasibility edge, where rp may
+    still be rising; and an Anderson-Bjorck secant (the Illinois method
+    with a better reduction factor) on ``g`` closes the bracket.  Each
+    probe is warm-started from the last optimum and runs the full barrier
+    schedule; one that exceeds its Newton budget counts as infeasible.
+
+    Returns ``(rp_min, cell)`` where ``cell`` is the achieved-cell tuple of
+    the best cell seen, with key-rate level ``ik_t``, or ``(inf, None)``
+    when the row is infeasible at ``s_max``.
     """
-    s_grid = s_max * np.geomspace(1.0, SWEEP_S_FLOOR, n_scan)
-    warm = {"a2": None}
+    warm = None
 
     def solve(s):
-        # the warm matrix only short-circuits the feasibility phase; the
-        # barrier runs its full schedule because golden-section probes jump
-        # too far for a final-stage-only solve to stay reliable
-        params = SweepParams(s=float(s), t=float(t))
+        nonlocal warm
+        params = SweepParams(s=s, t=float(t))
         try:
-            start = _warm_candidate(frame, params, warm["a2"], None)
-            cell = inner_convex(frame, params, sigma0=start)
+            cell = inner_convex(frame, params,
+                                sigma0=_warm_candidate(frame, params, warm, None))
         except (Infeasible, MaxIterationsExceeded):
             return None
-        warm["a2"] = cell.a2
+        warm = cell.a2
         return cell
 
-    evals = []
-    for s in s_grid:
-        rep = solve(s)
-        if rep is None:
-            break
-        evals.append((rep.value, float(s), rep))
-    if not evals:
+    top = solve(s_max)
+    if top is None:
         return float("inf"), None
-    k = int(np.argmin([e[0] for e in evals]))
-    lo = evals[k + 1][1] if k + 1 < len(evals) else evals[k][1] * SWEEP_S_FLOOR ** (1.0 / n_scan)
-    hi = evals[k - 1][1] if k > 0 else s_max
-    best = evals[k]
+    s_free = frame.signal_power(top.a2)
+    best = (top.value + 0.5 * (math.log1p(s_free) - math.log1p(s_max)), s_free,
+            top.kkt_residual)
 
-    def f(log_s):
+    def probe(x):
+        # g at s = e^x, or None past the edge; keeps the best cell seen
         nonlocal best
-        rep = solve(math.exp(log_s))
-        if rep is None:
-            return float("inf")
-        if rep.value < best[0]:
-            best = (rep.value, math.exp(log_s), rep)
-        return rep.value
+        s = math.exp(x)
+        cell = solve(s)
+        if cell is None:
+            return None
+        if cell.value < best[0]:
+            best = (cell.value, s, cell.kkt_residual)
+        return cell.lam_s * (1.0 + s) - 1.0
 
-    # golden section on log s; f keeps the best cell it sees
-    linalg.golden_section(f, math.log(lo), math.log(hi), n_golden, 1e-10)
-    rp_min, s_at, rep = best
-    cell = (rp_min, ik_t, s_at, float(t), rep.kkt_residual)
-    return rp_min, cell
+    def result():
+        rp_min, s_at, residual = best
+        return rp_min, (rp_min, ik_t, s_at, float(t), residual)
+
+    s_floor = s_max * SWEEP_S_FLOOR
+    s_hi = s_free * (1.0 - 1e-6)
+    g_hi = probe(math.log(s_hi)) if s_hi > s_floor else None
+    if g_hi is None or g_hi >= 0.0:
+        return result()  # the kink is the row minimum
+    x_floor, x_hi = math.log(s_floor), math.log(s_hi)
+
+    # bracket the root of g below x_hi, where g < 0
+    x_edge = x_floor  # lowest x worth probing: the floor or an infeasible x
+    at_edge = False
+    step = ROW_MIN_LOG_STEP
+    while True:
+        if at_edge:
+            x = 0.5 * (x_hi + x_edge)
+        else:
+            x = max(x_hi - step, x_edge)
+            step *= 2.0
+        g = probe(x)
+        if g is None:
+            x_edge, at_edge = x, True
+        elif g >= 0.0:
+            x_lo, g_lo = x, g
+            break
+        else:
+            x_hi, g_hi = x, g
+            if x <= x_floor:
+                return result()  # rp still rises at the floor
+        if at_edge and x_hi - x_edge <= ROW_MIN_LOG_TOL:
+            return result()  # rp still rises at the feasibility edge
+
+    # secant on g over [x_lo, x_hi], where g(x_lo) >= 0 > g(x_hi); when one
+    # end is kept twice in a row its g is scaled down (Anderson-Bjorck)
+    kept = 0
+    for _ in range(ROW_MIN_SECANT_STEPS):
+        x = x_hi - g_hi * (x_hi - x_lo) / (g_hi - g_lo)
+        g = probe(x)
+        if g is None or abs(g) <= ROW_MIN_G_TOL:
+            break
+        if g >= 0.0:
+            if kept == 1:
+                scale = 1.0 - g / g_lo
+                g_hi *= scale if scale > 0.0 else 0.5
+            x_lo, g_lo, kept = x, g, 1
+        else:
+            if kept == -1:
+                scale = 1.0 - g / g_hi
+                g_lo *= scale if scale > 0.0 else 0.5
+            x_hi, g_hi, kept = x, g, -1
+        if x_hi - x_lo <= ROW_MIN_LOG_TOL:
+            break
+    return result()
 
 
 def sweep_boundary(m: GeneralModel, rp_grid, st_resolution: int = 200) -> RegionBoundary:
@@ -820,7 +932,9 @@ def sweep_boundary(m: GeneralModel, rp_grid, st_resolution: int = 200) -> Region
     # row's reach (its smallest achieved rp) is limited by the s grid, and
     # the best qualifying t is limited by the t grid.  Both are polished
     # with the same inner solver: rows near each requested rate get their
-    # reach refined by golden section over s, then the winning t is located
+    # reach refined by ``_row_min_rp`` (one solve at s_max settles a row
+    # whose minimum is the kink at b Q* b^T; elsewhere a secant on the
+    # s-multiplier finds the stationary s), then the winning t is located
     # by bisection between the best qualifying and first out-of-reach rows.
     coarse_reach = {}
     for (t, ik), rc in zip(rows, row_cells):

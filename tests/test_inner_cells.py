@@ -9,9 +9,11 @@ the optimum: the new value must then be lower (the cell minimizes it) and
 meet the Lagrangian dual bound of the cell within the same tolerance.
 
 Every feasible corpus cell must also meet its dual bound and report
-convergence, and the float kernel's parts are checked against plain
-references: the LDL^T Newton step against a dense solve, the stacked start
-search against the candidate loop it replaces.
+convergence, and its multiplier of ``b Q b^T <= s`` must be the derivative
+of its value in ``s`` (the envelope theorem), checked by finite differences.
+The float kernel's parts are checked against plain references: the LDL^T
+Newton step against a dense solve, the stacked start search against the
+candidate loop it replaces.
 
 The property tests check what the cell problem guarantees whatever the
 solver: its optimum does not depend on the basis of the source, nor on a
@@ -137,6 +139,51 @@ def test_frozen_infeasible_cells_still_raise():
         if cell["value"] == "infeasible":
             with pytest.raises(Infeasible):
                 _solve(cell)
+
+
+def test_s_multiplier_is_the_derivative_of_the_cell_value():
+    # The value is -log|Q*(s)| / 2 + log(1 + s) / 2 + const, and
+    # d log|Q*| / d s = lam_s, so each difference quotient of the log-det
+    # part gives a multiplier estimate.  The constraint is
+    # slack where both one-sided estimates vanish, active where they agree,
+    # and the cell sits at a kink of the value (s = b Q* b^T) otherwise;
+    # there lam_s must be a subgradient, between the two.  Slack is judged
+    # per unit of log s: the barrier leaves 1 / (tau * slack) on a slack
+    # constraint, up to 1.1e-5 on corpus cells with s near 5e-4.
+    counts = {"active": 0, "slack": 0, "kink": 0}
+    misses = []
+    for k, cell in enumerate(_corpus()):
+        if cell["value"] == "infeasible":
+            continue
+        m = GeneralModel(sigma_x=cell["sigma_x"], b=cell["b"], e=cell["e"])
+        frame = solver._span_reduction(m)
+        warm = {} if cell["sigma0"] is None else {
+            "sigma0": frame.reduce(np.array(cell["sigma0"])), "tau0": cell["tau0"]}
+
+        def half_logdet(s):
+            cell_s = inner_convex(frame, SweepParams(s=s, t=cell["t"]), **warm)
+            return 0.5 * math.log1p(s) - cell_s.value
+
+        s = cell["s"]
+        h = 1e-5 * s
+        lo, mid, hi = (half_logdet(x) for x in (s - h, s, s + h))
+        central = (hi - lo) / h
+        below = 2.0 * (mid - lo) / h
+        above = 2.0 * (hi - mid) / h
+        lam = inner_convex(frame, SweepParams(s=s, t=cell["t"]), **warm).lam_s
+        if max(abs(below), abs(above)) * s <= 1e-7:
+            counts["slack"] += 1
+            ok = lam * s <= 1e-6
+        elif abs(above - below) <= 1e-2 * abs(central):
+            counts["active"] += 1
+            ok = abs(lam - central) <= 1e-6 * abs(central)
+        else:
+            counts["kink"] += 1
+            ok = min(above, below) - 1e-6 <= lam <= max(above, below) + 1e-6
+        if not ok:
+            misses.append((k, cell["model"], s, cell["t"], lam, below, central, above))
+    assert not misses, misses
+    assert counts["active"] >= 80 and counts["slack"] >= 80, counts
 
 
 # ---------------------------------------------------------------------------

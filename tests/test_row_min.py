@@ -1,0 +1,225 @@
+"""The sweep's row minimum (``solver._row_min_rp``) against references.
+
+``_scan_golden_row_min`` is the search that the envelope-theorem search
+replaced: a 16-point log-s scan, then 18 golden-section steps around the
+best scan point, every probe a full barrier solve.  On every row that the
+refinement pass visits -- both demo sources at resolution 60 and the 13
+models of the benchmark's ``random_sweep`` workload -- the reach may not
+exceed that reference by more than 1e-9, and the demo boundaries must equal
+the ones the reference gives.
+
+Near ``t_max`` a row's feasible s-interval can be narrower than one scan
+step.  The scan then sees only ``s_max`` and the golden section probes a
+mostly infeasible bracket, so its reach is too high (by 2.2e-2 nats on the
+rows of random model 902).  There the reach is checked against a dense
+log-s scan that is refined by golden section and by bisection to the
+feasibility edge.
+
+A count of ``inner_convex`` calls guards the cost without a clock: on the
+degraded demo every row minimum sits at the kink and takes two solves.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from gausskey import GeneralModel, SweepParams, solver
+from gausskey.errors import Infeasible, MaxIterationsExceeded
+
+from conftest import random_spd, rng_for
+
+REACH_TOL = 1e-9
+DEMO_GRID = [float(x) for x in np.linspace(0.0, 20.0, 41)]
+
+
+def _models():
+    """(name, model, rp grid, resolution) of the checked sweeps: both demo
+    sources as ``gausskey region`` runs them, then the ``random_sweep``
+    benchmark models."""
+    out = [
+        ("degraded", GeneralModel(sigma_x=2.0 * np.eye(2), b=[[1.0, 0.5]],
+                                  e=[[0.7, 0.35]]), DEMO_GRID, 60),
+        ("crossing", GeneralModel(sigma_x=2.0 * np.eye(2), b=[[1.0, 0.5]],
+                                  e=[[0.5, 1.0]]), DEMO_GRID, 60),
+    ]
+    for mx, key, rp in tuple((2, 900 + k, 1.0 + 3.0 * k / 11.0) for k in range(12)) \
+            + ((3, 930, 2.5),):
+        rng = rng_for(key)
+        m = GeneralModel(sigma_x=random_spd(rng, mx, floor=0.5),
+                         b=rng.standard_normal((1, mx)),
+                         e=rng.standard_normal((1, mx)))
+        out.append((f"key{key}", m, [rp], 40))
+    return out
+
+
+MODELS = _models()
+
+
+def _solver(frame, t):
+    """Full-schedule cell solves along one row, each warm-started from the
+    last optimum; returns the value at s, or None past the edge."""
+    warm = {"a2": None}
+
+    def solve(s):
+        params = SweepParams(s=float(s), t=float(t))
+        try:
+            cell = solver.inner_convex(
+                frame, params,
+                sigma0=solver._warm_candidate(frame, params, warm["a2"], None))
+        except (Infeasible, MaxIterationsExceeded):
+            return None
+        warm["a2"] = cell.a2
+        return cell.value
+    return solve
+
+
+def _golden_section(f, lo, hi, iters):
+    """Golden-section minimization of f over [lo, hi]."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(iters):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = f(d)
+        if b - a < 1e-10:
+            break
+
+
+def _scan_golden_row_min(frame, t, s_max, ik_t, n_scan=16, n_golden=18):
+    """The former ``_row_min_rp``: a log-s scan, then a golden section on
+    the bracket around the best scan point; returns it in the same form."""
+    solve = _solver(frame, t)
+    evals = []
+    for s in s_max * np.geomspace(1.0, solver.SWEEP_S_FLOOR, n_scan):
+        value = solve(s)
+        if value is None:
+            break
+        evals.append((value, float(s)))
+    if not evals:
+        return float("inf"), None
+    k = int(np.argmin([e[0] for e in evals]))
+    lo = evals[k + 1][1] if k + 1 < len(evals) else \
+        evals[k][1] * solver.SWEEP_S_FLOOR ** (1.0 / n_scan)
+    hi = evals[k - 1][1] if k > 0 else s_max
+    best = list(evals[k])
+
+    def f(log_s):
+        value = solve(math.exp(log_s))
+        if value is None:
+            return float("inf")
+        if value < best[0]:
+            best[:] = [value, math.exp(log_s)]
+        return value
+
+    _golden_section(f, math.log(lo), math.log(hi), n_golden)
+    return best[0], (best[0], ik_t, best[1], float(t), 0.0)
+
+
+def _dense_row_min(frame, t, s_max):
+    """Row minimum from a 0.01-spaced log-s scan down to the feasibility
+    edge (located by bisection), refined by golden section around the best
+    scan point.  Only for rows whose feasible s-interval is short."""
+    solve = _solver(frame, t)
+    x_top = math.log(s_max)
+    x_in, x_out = x_top, x_top - 1.0
+    while solve(math.exp(x_out)) is not None:
+        x_in, x_out = x_out, x_out - 1.0
+        assert x_out > x_top - 4.0, "row feasible too far down for a dense scan"
+    for _ in range(60):
+        mid = 0.5 * (x_in + x_out)
+        if solve(math.exp(mid)) is None:
+            x_out = mid
+        else:
+            x_in = mid
+    xs = np.append(np.arange(x_top, x_in, -0.01), x_in)
+    values = [solve(math.exp(x)) for x in xs]
+    k = int(np.argmin(values))
+    best = [values[k]]
+
+    def f(x):
+        value = solve(math.exp(x))
+        best[0] = min(best[0], value)
+        return value
+
+    _golden_section(f, xs[min(k + 1, len(xs) - 1)], xs[max(k - 1, 0)], 80)
+    return best[0]
+
+
+@pytest.fixture(scope="module")
+def refined_rows():
+    """Per model: the boundary, and each ``_row_min_rp`` call of its sweep as
+    ``(frame, t, s_max, ik_t, reach, inner_convex calls)``."""
+    out = {}
+    row_min = solver._row_min_rp
+    inner = solver.inner_convex
+    calls = [0]
+
+    def counted_inner(*args, **kwargs):
+        calls[0] += 1
+        return inner(*args, **kwargs)
+
+    for name, m, grid, res in MODELS:
+        rows = []
+
+        def recorded(frame, t, s_max, ik_t):
+            before = calls[0]
+            rp_min, cell = row_min(frame, t, s_max, ik_t)
+            rows.append((frame, t, s_max, ik_t, rp_min, calls[0] - before))
+            return rp_min, cell
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_row_min_rp", recorded)
+            mp.setattr(solver, "inner_convex", counted_inner)
+            boundary = solver.sweep_boundary(m, grid, st_resolution=res)
+        out[name] = (boundary, rows)
+    return out
+
+
+@pytest.mark.parametrize("name", [name for name, *_ in MODELS])
+def test_reach_never_above_the_scan_reference(refined_rows, name):
+    _, rows = refined_rows[name]
+    assert rows
+    misses = []
+    for frame, t, s_max, ik_t, reach, _ in rows:
+        ref, _ = _scan_golden_row_min(frame, t, s_max, ik_t)
+        if not reach <= ref + REACH_TOL:
+            misses.append((t, reach, ref))
+    assert not misses, misses
+
+
+@pytest.mark.parametrize("name", ["degraded", "crossing"])
+def test_demo_boundaries_match_the_scan_reference(refined_rows, monkeypatch, name):
+    _, m, grid, res = next(entry for entry in MODELS if entry[0] == name)
+    monkeypatch.setattr(solver, "_row_min_rp", _scan_golden_row_min)
+    reference = solver.sweep_boundary(m, grid, st_resolution=res)
+    got = refined_rows[name][0]
+    diffs = [abs(p.rk - q.rk) for p, q in zip(got.points, reference.points)]
+    assert max(diffs) <= REACH_TOL, diffs
+
+
+def test_narrow_rows_reach_their_feasibility_edge(refined_rows):
+    # every refined row of model 902 is feasible on less than one scan step
+    _, rows = refined_rows["key902"]
+    misses = []
+    for frame, t, s_max, _, reach, _ in rows:
+        dense = _dense_row_min(frame, t, s_max)
+        if not abs(reach - dense) <= REACH_TOL:
+            misses.append((t, reach, dense))
+    assert not misses, misses
+
+
+def test_kink_rows_take_at_most_three_solves(refined_rows):
+    # a reversion to scanning s would take 16 or more per row
+    _, rows = refined_rows["degraded"]
+    solves = [row[-1] for row in rows]
+    assert len(solves) >= 50
+    assert sum(solves) <= 3 * len(solves), solves
