@@ -29,7 +29,8 @@ Three routes to the boundary R_k(R_p):
 ``brute_force_grid``
     An independent oracle for source dimension <= 2: exhaustive search over
     conditional covariances parameterized by whitened eigenvalues and a
-    rotation angle.
+    rotation angle, each evaluated in closed form through 2x2 Gram
+    determinants.
 
 Each sweep cell and each grid point is an independent pure computation;
 the sweep solves rows in order, each warm-started from the row before, so
@@ -130,7 +131,10 @@ class SolveReport:
     at the final weight, met its Newton-decrement test (a stalled warm
     schedule is first rerun in full).  A cell that is not converged still
     returns a strictly feasible optimum and its value, which may then lie
-    above the cell's minimum.
+    above the cell's minimum.  For ``solve_at_rate`` it says that the face
+    polish met its residual test and that the point has a valid KKT
+    multiplier (see there); a converged point can still miss another
+    certificate identity, so ``kkt.certify`` stays the final check.
     """
 
     optimum: ConditionalCov
@@ -1304,8 +1308,12 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 8,
     the detected face) when the rate constraint is active.
     ``kkt_residual`` is the residual of that first-order system;
     ``iterations`` counts the ascent iterations actually taken, over every
-    start and penalty escalation.  Heuristic for the nonconvex general case:
-    ``converged`` only says the system of some face was solved, so certify
+    start and penalty escalation.  ``converged`` says that the system of
+    some face was solved below 1e-8 and that the returned point passes the
+    multiplier check of ``kkt.recover_multipliers`` (mu = 0 when the rate
+    is slack, ``kkt.closed_form_mu`` otherwise, composite residual at most
+    ``kkt.ACCEPT_COMPOSITE``), so a point polished on a wrong face is not
+    reported converged.  Heuristic for the nonconvex general case: certify
     the output through the KKT machinery before trusting it.
     """
     validate_model(m)
@@ -1388,6 +1396,13 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 8,
     if polished is not None:
         sigma_out, pair_out, res_out = polished
         converged = res_out < 1e-8
+        if converged:
+            # a face system solved on a wrong face leaves a point with no
+            # multiplier that makes the stationarity matrix PSD
+            try:
+                kkt.recover_multipliers(m, sigma_out, rp)
+            except (GausskeyError, ValueError):
+                converged = False
     else:
         sigma_out, pair_out = best_sigma, best_pair
         res_out = kkt.multiplier_composite(m, sigma_out, mu_hint)[0]
@@ -1467,58 +1482,77 @@ def brute_force_grid(m: GeneralModel, rp: float, grid_density: int = 60) -> Rate
     Conditional covariances are enumerated as
     ``sigma_x^1/2 R(theta) diag(d) R(theta)^T sigma_x^1/2`` with the
     whitened eigenvalues ``d`` on a geometric grid in (0, 1] (endpoint
-    included) and ``theta`` uniform over half a turn; the best feasible key
-    rate is returned, clamped at zero to match boundary semantics.  Only
-    source dimensions 1 and 2 are supported (``DimensionTooLarge``).
+    included, so ``grid_density`` must be at least 2) and ``theta`` uniform
+    over half a turn; the best feasible key rate is returned, clamped at
+    zero to match boundary semantics.  Only source dimensions 1 and 2 are
+    supported (``DimensionTooLarge``).
+
+    Every grid point is evaluated in closed form.  A candidate is
+    ``Q = d1 w1 w1^T + d2 w2 w2^T`` with ``w_k = sigma_x^1/2 u_k(theta)``,
+    so by Sylvester's determinant identity, for an observation matrix ``a``
+    (``b`` or ``e``, any number of rows),
+
+        det(I + a Q a^T) = det(I_2 + diag(d) G(theta))
+                         = 1 + d1 g11 + d2 g22 + d1 d2 det G,
+
+    with the 2x2 Gram matrix ``G(theta) = W^T a^T a W``, ``W = [w1 w2]``.
+    ``det G = det(sigma_x) det(a^T a)`` does not depend on theta, and
+    Cauchy-Binet writes ``det(a^T a)`` as the sum of the squared 2x2 minors
+    of ``a``, so every term is nonnegative and ``log1p`` takes it without
+    cancellation (an ``a`` with one row has no minors: ``det G = 0``
+    exactly).  For mx = 1 there is one direction and the determinant is
+    ``1 + d g``.  The cost is ``O(T N^2)`` flops for ``T = N =
+    grid_density``, a few multiplies and one logarithm per grid point and
+    observation, in a few ``T x N x N`` float arrays.  The oracle uses no
+    part of the sweep, so it stays an independent arithmetic path.
     """
     validate_model(m)
     if m.mx > 2:
         raise DimensionTooLarge(f"brute-force oracle supports mx <= 2, got {m.mx}")
     if rp < 0.0:
         raise ValueError("rp must be nonnegative")
+    if grid_density < 2:
+        raise ValueError(f"grid_density must be at least 2, got {grid_density!r}")
+    ld_y_full = linalg.logdet_pd(m.b @ m.sigma_x @ m.b.T + np.eye(m.my))
+    ld_z_full = linalg.logdet_pd(m.e @ m.sigma_x @ m.e.T + np.eye(m.mz))
     # coverage: the public rate affords roughly rp plus the full observation
-    # information gain in log-det shrinkage, so the smallest useful
-    # eigenvalue scales with both
-    gain = 0.5 * linalg.logdet_pd(m.b @ m.sigma_x @ m.b.T + np.eye(m.my))
-    d_min = max(1e-14, min(1e-2, math.exp(-(2.0 * rp + 2.0 * gain + 2.0))))
+    # information gain (ld_y_full / 2) in log-det shrinkage, so the smallest
+    # useful eigenvalue scales with both
+    d_min = max(1e-14, min(1e-2, math.exp(-(2.0 * rp + ld_y_full + 2.0))))
     d = np.geomspace(d_min, 1.0, grid_density)
+    log_d = np.log(d)
     s_half = linalg.sqrtm_psd(m.sigma_x)
 
     if m.mx == 1:
-        sigmas = (s_half[0, 0] ** 2 * d)[:, None, None]
-        log_dq = np.log(d)
+        log_dq = log_d
+
+        def log_det(a):
+            # log det(I + a Q a^T) on the d grid: one direction, G = g
+            return np.log1p(d * float(np.sum((a @ s_half) ** 2)))
     else:
         theta = np.linspace(0.0, math.pi, grid_density, endpoint=False)
         c, s = np.cos(theta), np.sin(theta)
-        u1 = np.stack([c, s], axis=-1)
-        u2 = np.stack([-s, c], axis=-1)
-        p1 = np.einsum("ta,tb->tab", u1, u1)
-        p2 = np.einsum("ta,tb->tab", u2, u2)
-        q = (
-            d[None, :, None, None, None] * p1[:, None, None]
-            + d[None, None, :, None, None] * p2[:, None, None]
-        )
-        sigmas = np.einsum("ab,tijbc,cd->tijad", s_half, q, s_half).reshape(-1, 2, 2)
-        log_dq = (
-            np.log(d)[None, :, None]
-            + np.log(d)[None, None, :]
-            + np.zeros((grid_density, 1, 1))
-        ).reshape(-1)
+        w = s_half @ np.stack([np.stack([c, -s], axis=-1),
+                               np.stack([s, c], axis=-1)], axis=-2)
+        log_dq = log_d[:, None] + log_d[None, :]
+        d1 = d[None, :, None]
+        d2 = d[None, None, :]
+        d12 = d[:, None] * d[None, :]
+        det_x = float(np.linalg.det(m.sigma_x))
 
-    eye_y = np.eye(m.my)
-    eye_z = np.eye(m.mz)
-    cov_y = np.einsum("ij,njk,lk->nil", m.b, sigmas, m.b) + eye_y
-    cov_z = np.einsum("ij,njk,lk->nil", m.e, sigmas, m.e) + eye_z
-    ld_y = np.linalg.slogdet(cov_y)[1]
-    ld_z = np.linalg.slogdet(cov_z)[1]
-    ld_y_full = linalg.logdet_pd(m.b @ m.sigma_x @ m.b.T + eye_y)
-    ld_z_full = linalg.logdet_pd(m.e @ m.sigma_x @ m.e.T + eye_z)
+        def log_det(a):
+            # log det(I + a Q a^T) on the (theta, d1, d2) grid from the
+            # diagonal of G(theta) and its theta-free determinant
+            aw = a @ w
+            g = np.sum(aw * aw, axis=-2)
+            minors = a[:, None, 0] * a[None, :, 1] - a[:, None, 1] * a[None, :, 0]
+            det_g = det_x * 0.5 * float(np.sum(minors * minors))
+            out = d1 * g[:, 0, None, None] + d2 * g[:, 1, None, None]
+            out += det_g * d12
+            return np.log1p(out, out=out)
 
-    gx = -0.5 * log_dq
-    gy = 0.5 * (ld_y_full - ld_y)
-    gz = 0.5 * (ld_z_full - ld_z)
-    ip = gx - gy
-    ik = gy - gz
-    feasible = ip <= rp + 1e-12
-    best = float(np.max(ik[feasible])) if feasible.any() else 0.0
+    gy = 0.5 * (ld_y_full - log_det(m.b))
+    ip = -0.5 * log_dq - gy
+    ik = np.subtract(gy, 0.5 * (ld_z_full - log_det(m.e)), out=gy)
+    best = float(np.max(ik, where=ip <= rp + 1e-12, initial=-np.inf))
     return RatePair(rp=rp, rk=max(0.0, best))

@@ -91,6 +91,29 @@ def test_converged_points_certify():
     assert not wrong
 
 
+def _fresh_model(key):
+    """Aligned model off the corpus: sigma_x, sigma_wy and sigma_wz drawn in
+    that order, mx = 2 + key mod 4."""
+    rng = rng_for(key)
+    mx = 2 + key % 4
+    sigma_x = random_spd(rng, mx)
+    sigma_wy = random_spd(rng, mx)
+    return AlignedModel(sigma_x=sigma_x, sigma_wy=sigma_wy, sigma_wz=random_spd(rng, mx))
+
+
+@pytest.mark.parametrize("key,rp", [(5002, 1.5), (5007, 5.0), (5011, 3.0), (5011, 5.0)])
+def test_wrong_face_point_is_not_converged(key, rp):
+    # the polish solves some face's system to round-off here, but the point
+    # has no valid multiplier: it must not be reported converged
+    m = _fresh_model(key)
+    report = solve_at_rate(m, rp)
+    assert report.kkt_residual < 1e-8
+    with pytest.raises(NoValidMultiplier):
+        kkt.recover_multipliers(m, report.optimum, rp)
+    assert not report.converged
+    assert _certificate_outcome(m, report.optimum, rp) == "NoValidMultiplier"
+
+
 # ---------------------------------------------------------------------------
 # stacked face residual against the per-point closure
 # ---------------------------------------------------------------------------

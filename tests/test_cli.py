@@ -166,6 +166,11 @@ def test_oracle_command(model_files, capsys):
     assert out.startswith("rp=0.5")
 
 
+def test_oracle_rejects_degenerate_density(model_files):
+    assert main(["oracle", model_files["general"], "--rp", "0.5",
+                 "--density", "0"]) == 2
+
+
 def test_mc_command(model_files, capsys):
     assert main(["mc", model_files["general"], "--samples", "20000",
                  "--seed", "4", "--q-scale", "0.5"]) == 0

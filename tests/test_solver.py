@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,13 +16,14 @@ from gausskey import (
     linalg,
     rates_general,
     solve_at_rate,
+    solver,
     sweep_boundary,
     to_aligned,
     to_general,
 )
 from gausskey.errors import DimensionTooLarge, Infeasible, SolverFailure
 
-from conftest import random_spd, rng_for
+from conftest import random_general, random_spd, rng_for
 
 
 def scalar_boundary_oracle(sx, wy, wz, rp):
@@ -334,3 +336,84 @@ def test_grid_scalar_model_matches_oracle():
     got = brute_force_grid(m, 1.0, grid_density=400).rk
     assert got == pytest.approx(want, abs=2e-3)
     assert got <= want + 1e-12
+
+
+def _stacked_grid_reference(m, rp, grid_density):
+    """The oracle's grid evaluated the long way: every conditional
+    covariance of the grid is formed, and each observation's log-det is a
+    ``slogdet`` over the whole stack.  Same enumeration, same coverage rule,
+    same feasibility test as ``brute_force_grid``."""
+    gain = 0.5 * linalg.logdet_pd(m.b @ m.sigma_x @ m.b.T + np.eye(m.my))
+    d_min = max(1e-14, min(1e-2, math.exp(-(2.0 * rp + 2.0 * gain + 2.0))))
+    d = np.geomspace(d_min, 1.0, grid_density)
+    s_half = linalg.sqrtm_psd(m.sigma_x)
+    if m.mx == 1:
+        sigmas = (s_half[0, 0] ** 2 * d)[:, None, None]
+        log_dq = np.log(d)
+    else:
+        theta = np.linspace(0.0, math.pi, grid_density, endpoint=False)
+        c, s = np.cos(theta), np.sin(theta)
+        u1 = np.stack([c, s], axis=-1)
+        u2 = np.stack([-s, c], axis=-1)
+        p1 = np.einsum("ta,tb->tab", u1, u1)
+        p2 = np.einsum("ta,tb->tab", u2, u2)
+        q = (d[None, :, None, None, None] * p1[:, None, None]
+             + d[None, None, :, None, None] * p2[:, None, None])
+        sigmas = np.einsum("ab,tijbc,cd->tijad", s_half, q, s_half).reshape(-1, 2, 2)
+        log_dq = (np.log(d)[None, :, None] + np.log(d)[None, None, :]
+                  + np.zeros((grid_density, 1, 1))).reshape(-1)
+    eye_y, eye_z = np.eye(m.my), np.eye(m.mz)
+    ld_y = np.linalg.slogdet(np.einsum("ij,njk,lk->nil", m.b, sigmas, m.b) + eye_y)[1]
+    ld_z = np.linalg.slogdet(np.einsum("ij,njk,lk->nil", m.e, sigmas, m.e) + eye_z)[1]
+    gy = 0.5 * (linalg.logdet_pd(m.b @ m.sigma_x @ m.b.T + eye_y) - ld_y)
+    gz = 0.5 * (linalg.logdet_pd(m.e @ m.sigma_x @ m.e.T + eye_z) - ld_z)
+    ip = -0.5 * log_dq - gy
+    ik = gy - gz
+    feasible = ip <= rp + 1e-12
+    best = float(np.max(ik[feasible])) if feasible.any() else 0.0
+    return max(0.0, best)
+
+
+@pytest.mark.parametrize("mx", (1, 2))
+@pytest.mark.parametrize("my", (1, 2, 3))
+@pytest.mark.parametrize("mz", (1, 2, 3))
+def test_grid_matches_stacked_reference(mx, my, mz):
+    # the closed-form Gram evaluation against the stacked slogdet one
+    rng = rng_for(7000 + 100 * mx + 10 * my + mz)
+    for _ in range(2):
+        m = random_general(rng, mx, my, mz)
+        for density in (8, 30, 60):
+            for rp in (0.0, 0.5, 2.0, 6.0):
+                got = brute_force_grid(m, rp, grid_density=density).rk
+                assert got == pytest.approx(_stacked_grid_reference(m, rp, density),
+                                            abs=1e-12)
+
+
+def test_grid_uses_no_part_of_the_sweep(degraded_demo, monkeypatch):
+    # the oracle checks the sweep, so it must not share its arithmetic
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle reached the sweep")
+
+    monkeypatch.setattr(solver, "_span_reduction", forbidden)
+    monkeypatch.setattr(solver, "inner_convex", forbidden)
+    assert brute_force_grid(degraded_demo, 1.0, grid_density=20).rk > 0.0
+
+
+@pytest.mark.parametrize("density", (-1, 0, 1))
+def test_grid_rejects_degenerate_density(degraded_demo, density):
+    # density 0 evaluates no point and density 1 drops the d = 1 corner
+    with pytest.raises(ValueError, match="grid_density"):
+        brute_force_grid(degraded_demo, 1.0, grid_density=density)
+
+
+def test_grid_memory_stays_closed_form(crossing_demo):
+    # a density-60 call holds a few T x N x N float arrays (1.7 MB each);
+    # forming the grid's 2x2 covariance stacks takes 30 MB
+    brute_force_grid(crossing_demo, 2.0, grid_density=8)  # warm caches
+    tracemalloc.start()
+    try:
+        brute_force_grid(crossing_demo, 2.0, grid_density=60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12e6
