@@ -32,9 +32,9 @@ Three routes to the boundary R_k(R_p):
     rotation angle, each evaluated in closed form through 2x2 Gram
     determinants.
 
-Each sweep cell and each grid point is an independent pure computation;
-the sweep solves rows in order, each warm-started from the row before, so
-output is run-to-run identical.
+Each grid point is an independent pure computation, and so is each sweep
+row: its cells are solved in order, each started from the tangent of the
+one before, so output is run-to-run identical.
 """
 
 import math
@@ -86,7 +86,8 @@ SWEEP_T_GAP_FLOOR = 1e-6
 # tau = 1e9) leaves 1 / (tau * slack) up to 40% off a constraint multiplier
 # on the cell corpus; three more full Newton steps bring it within 3e-7 of
 # a finite difference of the cell value, and the decrement stop of 1e-14
-# bounds the relative error of each slack by 1e-7.
+# bounds the relative error of each slack by 1e-7.  The central-path
+# tangent that starts the next cell of a row is taken at this tight centre.
 FINAL_CENTRING_STEPS = 6
 FINAL_DECREMENT_TOL = 1e-14
 
@@ -429,10 +430,12 @@ def _ldl_step(h00, h01, h02, h11, h12, h22, g0, g1, g2):
 @dataclass(frozen=True)
 class _Cell:
     """Outcome of one reduced cell: the whitened 2x2 optimum ``a2`` as
-    ``(a, b, c)``, the fields of ``SolveReport`` that a sweep keeps, and
-    ``lam_s``, the multiplier of ``b Q b^T <= s``.  By the envelope theorem
-    ``lam_s`` is the derivative of the optimal log|Q| in ``s``, so the
-    cell value has ``d value / d s = 1 / (2 (1 + s)) - lam_s / 2``."""
+    ``(a, b, c)``, the fields of ``SolveReport`` that a sweep keeps, and,
+    for a centred (``converged``) cell only, else None: ``lam_s``, the
+    multiplier of ``b Q b^T <= s``, which by the envelope theorem gives
+    ``d value / d s = 1 / (2 (1 + s)) - lam_s / 2``; and ``dx_ds``, the
+    central path's tangent ``-H^-1 d(grad phi)/ds`` at ``a2``, from which
+    the next cell of a row starts at ``a2 + (s' - s) dx_ds``."""
 
     a2: tuple
     value: float
@@ -440,6 +443,7 @@ class _Cell:
     kkt_residual: float
     converged: bool
     lam_s: float
+    dx_ds: tuple
 
 
 def _inner_convex_2x2(frame, params, a0, tau0, gap_tol, max_newton):
@@ -463,7 +467,8 @@ def _inner_convex_2x2(frame, params, a0, tau0, gap_tol, max_newton):
     feasible, possibly suboptimal, value.  A centred final stage takes up to
     ``FINAL_CENTRING_STEPS`` more full Newton steps, until the decrement
     reaches ``FINAL_DECREMENT_TOL``, so that ``1 / (tau * slack)`` is the
-    multiplier ``lam_s`` of ``b Q b^T <= s``.
+    multiplier ``lam_s`` of ``b Q b^T <= s``; one more ``_ldl_step`` with
+    the Hessian of that last centring step gives the tangent ``dx_ds``.
     """
     cons = _cell_constraints(frame, params)
     n_constr = 2 + len(cons)
@@ -581,11 +586,23 @@ def _inner_convex_2x2(frame, params, a0, tau0, gap_tol, max_newton):
     b0, b1 = frame.bw
     value = (-0.5 * logdet - 0.5 * math.log1p(b0 * b0 + b1 * b1)
              + 0.5 * math.log1p(params.s))
-    lam_s = 0.0
-    if (b0 * b0 + b1 * b1) ** 2 > _VANISHING_GAIN:  # b Q b^T <= s was kept
-        lam_s = 1.0 / (tau * (params.s - frame.signal_power((a, b, c))))
+    lam_s = dx_ds = None
+    if centred and (b0 * b0 + b1 * b1) ** 2 <= _VANISHING_GAIN:
+        lam_s, dx_ds = 0.0, (0.0, 0.0, 0.0)  # s is not constrained
+    elif centred:  # b Q b^T <= s is the last constraint
+        g00, g01, g11, _ = cons[-1]
+        slack = params.s - frame.signal_power((a, b, c))
+        lam_s = 1.0 / (tau * slack)
+        # d(grad phi)/ds = -(g00, 2 g01, g11) / slack^2; h** is the Hessian
+        # at (a, b, c), assembled by the step that ended the stage
+        w = -1.0 / (slack * slack)
+        step = _ldl_step(h00, h01, h02, h11, h12, h22,
+                         g00 * w, 2.0 * g01 * w, g11 * w)
+        if step is not None:
+            dx_ds = step[:3]
     return _Cell(a2=(a, b, c), value=value, iterations=total_iters,
-                 kkt_residual=n_constr / tau, converged=centred, lam_s=lam_s)
+                 kkt_residual=n_constr / tau, converged=centred, lam_s=lam_s,
+                 dx_ds=dx_ds)
 
 
 def inner_convex(m: GeneralModel, params: SweepParams, *, sigma0=None,
@@ -682,82 +699,61 @@ def _t_range(frame):
     return float(t_min), float(t_max)
 
 
-def _warm_candidate(frame, params, warm, anchor):
-    """Blend the previous cell's reduced optimum toward feasibility for this
-    cell.
-
-    Both ingredients lie in [0, I], so any sub-convex combination stays
-    strictly inside the matrix interval; only the two scalar constraints
-    need checking, which is plain arithmetic on ``(a, b, c)`` triples.
-    """
-    if warm is None:
-        return None
-    cons = _cell_constraints(frame, params)
-    wa, wb, wc = warm
-    qb_warm = frame.signal_power(warm)
-    # rescale into a thin boundary layer below the new s cap so the barrier
-    # Newton has no long crawl toward the active constraint
-    if qb_warm <= (1.0 - 1e-6) * params.s:
-        beta = 1.0 - 1e-9
-    else:
-        beta = (1.0 - 1e-6) * params.s / qb_warm
-    thetas = (0.0,) if anchor is None else (0.0, 1e-4, 1e-2, 0.1, 0.3, 0.6)
-    for theta in thetas:
-        scale = (1.0 - theta) * beta
-        ca, cb, cc = scale * wa, scale * wb, scale * wc
-        if theta:
-            pull = theta * 0.98
-            ca, cb, cc = ca + pull * anchor[0], cb + pull * anchor[1], cc + pull * anchor[2]
-        if all(g00 * ca + 2.0 * g01 * cb + g11 * cc + cst < 0.0
-               for g00, g01, g11, cst in cons):
-            return ca, cb, cc
-    return None
+def _solve_row_cell(frame, params, prev):
+    """Solve one cell of a t row.  With ``prev = (s_prev, cell)``, the
+    previous cell of the row, the start is its tangent predictor
+    ``a2 + (s - s_prev) dx_ds``; when that is strictly feasible the cell
+    runs the warm schedule (the final barrier weight only) from it.  Any
+    other cell runs cold on the full schedule."""
+    if prev is not None and prev[1].dx_ds is not None:
+        s_prev, cell = prev
+        ds = params.s - s_prev
+        a, b, c = (x + ds * dx for x, dx in zip(cell.a2, cell.dx_ds))
+        if (0.0 < a < 1.0 and a * c - b * b > 0.0
+                and (1.0 - a) * (1.0 - c) - b * b > 0.0
+                and all(g00 * a + 2.0 * g01 * b + g11 * c + cst < 0.0
+                        for g00, g01, g11, cst in _cell_constraints(frame, params))):
+            return inner_convex(frame, params, sigma0=(a, b, c), tau0=TAU_FINAL)
+    return inner_convex(frame, params)
 
 
-def _sweep_row(frame, t, s_values_desc, ik_t, row_seed=None):
-    """Solve one t row over descending s values; returns achieved cells and
-    the row's first reduced optimum.
+def _sweep_row(frame, t, s_values_desc, ik_t):
+    """Solve one t row over descending s values; returns the achieved cells.
 
-    Within a row every cell shares the key-rate level ``ik_t``, so only the
-    cell of smallest achieved public rate can matter for the boundary; the
-    scan stops early once the achieved rate has risen a full nat above the
-    row minimum and keeps rising.
+    Each cell starts from the tangent predictor of the cell before it (see
+    ``_solve_row_cell``); the first cell of the row, and one after a cell
+    without a tangent, runs cold.  Within a row every cell shares the
+    key-rate level ``ik_t``, so only the cell of smallest achieved public
+    rate can matter for the boundary; the scan stops early once the
+    achieved rate has risen a full nat above the row minimum and keeps
+    rising.
     """
     cells = []
-    warm = row_seed
-    first_optimum = None
-    _, proj = _interval_linear_max(_ratio_gains(frame, t)[0])
-    anchor = (float(proj[0, 0]), float(proj[0, 1]), float(proj[1, 1]))
+    prev = None
     row_min = math.inf
     prev_rp = math.inf
     rises = 0
     for s in s_values_desc:
         params = SweepParams(s=float(s), t=float(t))
         try:
-            start = _warm_candidate(frame, params, warm, anchor)
-            if start is not None:
-                try:
-                    cell = inner_convex(frame, params, sigma0=start,
-                                        tau0=TAU_FINAL, max_newton=120)
-                except MaxIterationsExceeded:
-                    cell = inner_convex(frame, params, sigma0=start)
-            else:
-                cell = inner_convex(frame, params)
+            cell = _solve_row_cell(frame, params, prev)
         except Infeasible:
             break  # shrinking s only tightens the cell; the row is done
         except MaxIterationsExceeded:
-            warm = None
+            prev = None
             continue  # point excluded; neighbors are unaffected
-        warm = cell.a2
-        if first_optimum is None:
-            first_optimum = warm
+        prev = (params.s, cell)
         cells.append((cell.value, ik_t, float(s), float(t), cell.kkt_residual))
         row_min = min(row_min, cell.value)
         rises = rises + 1 if cell.value > prev_rp else 0
         prev_rp = cell.value
         if rises >= 3 and cell.value > row_min + 1.0:
             break
-    return cells, first_optimum
+    return cells
+
+
+class _NoMultiplier(Exception):
+    """A row-minimum probe ended uncentred, so it has no multiplier."""
 
 
 def _row_min_rp(frame, t, s_max, ik_t):
@@ -778,24 +774,26 @@ def _row_min_rp(frame, t, s_max, ik_t):
     turns them into a bisection towards the feasibility edge, where rp may
     still be rising; and an Anderson-Bjorck secant (the Illinois method
     with a better reduction factor) on ``g`` closes the bracket.  Each
-    probe is warm-started from the last optimum and runs the full barrier
-    schedule; one that exceeds its Newton budget counts as infeasible.
+    probe starts from the tangent predictor of the last solved one on the
+    warm schedule when the prediction is strictly feasible, and cold on the
+    full schedule otherwise (see ``_solve_row_cell``); one that exceeds its
+    Newton budget counts as infeasible.  A cell that ends uncentred has no
+    multiplier: its value still counts, and the search ends there.
 
     Returns ``(rp_min, cell)`` where ``cell`` is the achieved-cell tuple of
     the best cell seen, with key-rate level ``ik_t``, or ``(inf, None)``
     when the row is infeasible at ``s_max``.
     """
-    warm = None
+    prev = None
 
     def solve(s):
-        nonlocal warm
+        nonlocal prev
         params = SweepParams(s=s, t=float(t))
         try:
-            cell = inner_convex(frame, params,
-                                sigma0=_warm_candidate(frame, params, warm, None))
+            cell = _solve_row_cell(frame, params, prev)
         except (Infeasible, MaxIterationsExceeded):
             return None
-        warm = cell.a2
+        prev = (s, cell)
         return cell
 
     top = solve(s_max)
@@ -806,7 +804,8 @@ def _row_min_rp(frame, t, s_max, ik_t):
             top.kkt_residual)
 
     def probe(x):
-        # g at s = e^x, or None past the edge; keeps the best cell seen
+        # g at s = e^x, or None past the edge; keeps the best cell seen.  An
+        # uncentred cell has no multiplier, so it ends the search.
         nonlocal best
         s = math.exp(x)
         cell = solve(s)
@@ -814,6 +813,8 @@ def _row_min_rp(frame, t, s_max, ik_t):
             return None
         if cell.value < best[0]:
             best = (cell.value, s, cell.kkt_residual)
+        if not cell.converged:
+            raise _NoMultiplier
         return cell.lam_s * (1.0 + s) - 1.0
 
     def result():
@@ -822,54 +823,57 @@ def _row_min_rp(frame, t, s_max, ik_t):
 
     s_floor = s_max * SWEEP_S_FLOOR
     s_hi = s_free * (1.0 - 1e-6)
-    g_hi = probe(math.log(s_hi)) if s_hi > s_floor else None
-    if g_hi is None or g_hi >= 0.0:
-        return result()  # the kink is the row minimum
-    x_floor, x_hi = math.log(s_floor), math.log(s_hi)
+    try:
+        g_hi = probe(math.log(s_hi)) if top.converged and s_hi > s_floor else None
+        if g_hi is None or g_hi >= 0.0:
+            return result()  # the kink is the row minimum
+        x_floor, x_hi = math.log(s_floor), math.log(s_hi)
 
-    # bracket the root of g below x_hi, where g < 0
-    x_edge = x_floor  # lowest x worth probing: the floor or an infeasible x
-    at_edge = False
-    step = ROW_MIN_LOG_STEP
-    while True:
-        if at_edge:
-            x = 0.5 * (x_hi + x_edge)
-        else:
-            x = max(x_hi - step, x_edge)
-            step *= 2.0
-        g = probe(x)
-        if g is None:
-            x_edge, at_edge = x, True
-        elif g >= 0.0:
-            x_lo, g_lo = x, g
-            break
-        else:
-            x_hi, g_hi = x, g
-            if x <= x_floor:
-                return result()  # rp still rises at the floor
-        if at_edge and x_hi - x_edge <= ROW_MIN_LOG_TOL:
-            return result()  # rp still rises at the feasibility edge
+        # bracket the root of g below x_hi, where g < 0
+        x_edge = x_floor  # lowest x worth probing: the floor or an infeasible x
+        at_edge = False
+        step = ROW_MIN_LOG_STEP
+        while True:
+            if at_edge:
+                x = 0.5 * (x_hi + x_edge)
+            else:
+                x = max(x_hi - step, x_edge)
+                step *= 2.0
+            g = probe(x)
+            if g is None:
+                x_edge, at_edge = x, True
+            elif g >= 0.0:
+                x_lo, g_lo = x, g
+                break
+            else:
+                x_hi, g_hi = x, g
+                if x <= x_floor:
+                    return result()  # rp still rises at the floor
+            if at_edge and x_hi - x_edge <= ROW_MIN_LOG_TOL:
+                return result()  # rp still rises at the feasibility edge
 
-    # secant on g over [x_lo, x_hi], where g(x_lo) >= 0 > g(x_hi); when one
-    # end is kept twice in a row its g is scaled down (Anderson-Bjorck)
-    kept = 0
-    for _ in range(ROW_MIN_SECANT_STEPS):
-        x = x_hi - g_hi * (x_hi - x_lo) / (g_hi - g_lo)
-        g = probe(x)
-        if g is None or abs(g) <= ROW_MIN_G_TOL:
-            break
-        if g >= 0.0:
-            if kept == 1:
-                scale = 1.0 - g / g_lo
-                g_hi *= scale if scale > 0.0 else 0.5
-            x_lo, g_lo, kept = x, g, 1
-        else:
-            if kept == -1:
-                scale = 1.0 - g / g_hi
-                g_lo *= scale if scale > 0.0 else 0.5
-            x_hi, g_hi, kept = x, g, -1
-        if x_hi - x_lo <= ROW_MIN_LOG_TOL:
-            break
+        # secant on g over [x_lo, x_hi], where g(x_lo) >= 0 > g(x_hi); when
+        # one end is kept twice in a row its g is scaled down (Anderson-Bjorck)
+        kept = 0
+        for _ in range(ROW_MIN_SECANT_STEPS):
+            x = x_hi - g_hi * (x_hi - x_lo) / (g_hi - g_lo)
+            g = probe(x)
+            if g is None or abs(g) <= ROW_MIN_G_TOL:
+                break
+            if g >= 0.0:
+                if kept == 1:
+                    scale = 1.0 - g / g_lo
+                    g_hi *= scale if scale > 0.0 else 0.5
+                x_lo, g_lo, kept = x, g, 1
+            else:
+                if kept == -1:
+                    scale = 1.0 - g / g_hi
+                    g_lo *= scale if scale > 0.0 else 0.5
+                x_hi, g_hi, kept = x, g, -1
+            if x_hi - x_lo <= ROW_MIN_LOG_TOL:
+                break
+    except _NoMultiplier:
+        pass
     return result()
 
 
@@ -922,13 +926,7 @@ def sweep_boundary(m: GeneralModel, rp_grid, st_resolution: int = 200) -> Region
         if ik_t > 0.0:
             rows.append((float(t), ik_t))
 
-    row_cells = []
-    row_seed = None
-    for t, ik in rows:
-        cells, first_opt = _sweep_row(frame, t, s_values_desc, ik, row_seed=row_seed)
-        if first_opt is not None:
-            row_seed = first_opt
-        row_cells.append(cells)
+    row_cells = [_sweep_row(frame, t, s_values_desc, ik) for t, ik in rows]
 
     cells = [c for row in row_cells for c in row]
 

@@ -46,6 +46,22 @@ def models():
             yield f"random_mx{mx}_key{key}", random_model(key, mx)
 
 
+def scaled_start(frame, params, warm):
+    """The sweep's warm start when the corpus was frozen: the previous
+    reduced optimum scaled into a thin boundary layer below the ``s`` cap,
+    or None when that breaks a cell constraint."""
+    qb_warm = frame.signal_power(warm)
+    if qb_warm <= (1.0 - 1e-6) * params.s:
+        beta = 1.0 - 1e-9
+    else:
+        beta = (1.0 - 1e-6) * params.s / qb_warm
+    ca, cb, cc = beta * warm[0], beta * warm[1], beta * warm[2]
+    if all(g00 * ca + 2.0 * g01 * cb + g11 * cc + cst < 0.0
+           for g00, g01, g11, cst in solver._cell_constraints(frame, params)):
+        return ca, cb, cc
+    return None
+
+
 def entry(name, m, params, sigma0=None, tau0=None):
     kwargs = {}
     if sigma0 is not None:
@@ -90,8 +106,7 @@ def cells_for(name, m):
                 continue
             # the next sweep cell down the row, warm-started as the sweep does
             nxt = SweepParams(s=0.8 * s, t=t)
-            start = solver._warm_candidate(
-                frame, nxt, frame.reduce(report.optimum.value), None)
+            start = scaled_start(frame, nxt, frame.reduce(report.optimum.value))
             if start is not None:
                 cell, _ = entry(name, m, nxt, sigma0=frame.lift(start),
                                 tau0=WARM_TAU0)

@@ -10,7 +10,8 @@ meet the Lagrangian dual bound of the cell within the same tolerance.
 
 Every feasible corpus cell must also meet its dual bound and report
 convergence, and its multiplier of ``b Q b^T <= s`` must be the derivative
-of its value in ``s`` (the envelope theorem), checked by finite differences.
+of its value in ``s`` (the envelope theorem) and its central-path tangent
+the derivative of its optimum in ``s``, both checked by finite differences.
 The float kernel's parts are checked against plain references: the LDL^T
 Newton step against a dense solve, the stacked start search against the
 candidate loop it replaces.
@@ -184,6 +185,37 @@ def test_s_multiplier_is_the_derivative_of_the_cell_value():
             misses.append((k, cell["model"], s, cell["t"], lam, below, central, above))
     assert not misses, misses
     assert counts["active"] >= 80 and counts["slack"] >= 80, counts
+
+
+def test_s_tangent_is_the_derivative_of_the_centred_optimum():
+    # The cell's dx_ds is the tangent of the final barrier centre in s; where
+    # the s constraint is active and the active set persists over s +- h
+    # (the one-sided difference quotients of the optimum agree), a central
+    # difference of the centre must match it.  On a slack constraint the
+    # tangent is below the differences' rounding, so those cells are skipped.
+    checked = 0
+    misses = []
+    for k, cell in enumerate(_corpus()):
+        if cell["value"] == "infeasible":
+            continue
+        m = GeneralModel(sigma_x=cell["sigma_x"], b=cell["b"], e=cell["e"])
+        frame = solver._span_reduction(m)
+        s = cell["s"]
+        h = 1e-5 * s
+        lo, mid, hi = (inner_convex(frame, SweepParams(s=x, t=cell["t"]))
+                       for x in (s - h, s, s + h))
+        x_lo, x_mid, x_hi = (np.array(c.a2) for c in (lo, mid, hi))
+        central = (x_hi - x_lo) / (2.0 * h)
+        persists = (np.linalg.norm((x_hi - x_mid) - (x_mid - x_lo)) / h
+                    <= 1e-2 * np.linalg.norm(central))
+        if not (mid.lam_s * s > 1e-6 and persists):
+            continue
+        checked += 1
+        err = np.linalg.norm(np.array(mid.dx_ds) - central)
+        if not err <= 1e-5 * np.linalg.norm(central):
+            misses.append((k, cell["model"], s, cell["t"], mid.dx_ds, central))
+    assert not misses, misses
+    assert checked >= 80, checked
 
 
 # ---------------------------------------------------------------------------

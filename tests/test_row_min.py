@@ -17,8 +17,11 @@ feasibility edge.
 
 A count of ``inner_convex`` calls guards the cost without a clock: on the
 degraded demo every row minimum sits at the kink and takes two solves.
+A cell that ends uncentred has no multiplier, so the search must stop at
+it and keep the best value seen.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -56,17 +59,35 @@ def _models():
 MODELS = _models()
 
 
+def _scaled_start(frame, params, warm):
+    """The row search's former start: the last reduced optimum ``warm``
+    scaled into a thin boundary layer below the ``s`` cap, or None when
+    there is none or it breaks a cell constraint."""
+    if warm is None:
+        return None
+    qb_warm = frame.signal_power(warm)
+    if qb_warm <= (1.0 - 1e-6) * params.s:
+        beta = 1.0 - 1e-9
+    else:
+        beta = (1.0 - 1e-6) * params.s / qb_warm
+    ca, cb, cc = beta * warm[0], beta * warm[1], beta * warm[2]
+    if all(g00 * ca + 2.0 * g01 * cb + g11 * cc + cst < 0.0
+           for g00, g01, g11, cst in solver._cell_constraints(frame, params)):
+        return ca, cb, cc
+    return None
+
+
 def _solver(frame, t):
-    """Full-schedule cell solves along one row, each warm-started from the
-    last optimum; returns the value at s, or None past the edge."""
+    """Full-schedule cell solves along one row, each started from the last
+    optimum scaled by ``_scaled_start``; returns the value at s, or None
+    past the edge."""
     warm = {"a2": None}
 
     def solve(s):
         params = SweepParams(s=float(s), t=float(t))
         try:
             cell = solver.inner_convex(
-                frame, params,
-                sigma0=solver._warm_candidate(frame, params, warm["a2"], None))
+                frame, params, sigma0=_scaled_start(frame, params, warm["a2"]))
         except (Infeasible, MaxIterationsExceeded):
             return None
         warm["a2"] = cell.a2
@@ -223,3 +244,28 @@ def test_kink_rows_take_at_most_three_solves(refined_rows):
     solves = [row[-1] for row in rows]
     assert len(solves) >= 50
     assert sum(solves) <= 3 * len(solves), solves
+
+
+@pytest.mark.parametrize("forced", [1, 3])
+def test_an_uncentred_cell_ends_the_row_search(refined_rows, monkeypatch, forced):
+    # the first smooth crossing-demo row whose search takes more than three
+    # solves; its cell number `forced` is made to report converged=False
+    frame, t, s_max, ik_t, _, n_calls = next(
+        row for row in refined_rows["crossing"][1] if row[-1] > 3)
+    inner = solver.inner_convex
+    cells = []
+
+    def forcing(*args, **kwargs):
+        assert len(cells) < forced, "the search went on past an uncentred cell"
+        cell = inner(*args, **kwargs)
+        if len(cells) + 1 == forced:
+            cell = dataclasses.replace(cell, converged=False)
+        cells.append(cell)
+        return cell
+
+    monkeypatch.setattr(solver, "inner_convex", forcing)
+    rp_min, best = solver._row_min_rp(frame, t, s_max, ik_t)
+    assert len(cells) == forced < n_calls
+    s_free = frame.signal_power(cells[0].a2)
+    kink = cells[0].value + 0.5 * (math.log1p(s_free) - math.log1p(s_max))
+    assert rp_min == best[0] == min([kink] + [c.value for c in cells[1:]])
