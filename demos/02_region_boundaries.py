@@ -1,9 +1,9 @@
 """Compute the R_k(R_p) boundary for the two demo sources.
 
 Writes `boundary_degraded.csv` and `boundary_crossing.csv` next to this
-script (columns rp,rk in nats) and prints a compact table.  At moderate
-resolutions this takes a couple of minutes; lower `RESOLUTION` for a quick
-look.
+script (columns rp,rk in nats) and prints a compact table.  At this
+resolution the script runs in about a second; the cost grows roughly with
+the square of `RESOLUTION`.
 """
 
 import os

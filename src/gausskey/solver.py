@@ -894,7 +894,7 @@ def sweep_boundary(m: GeneralModel, rp_grid, st_resolution: int = 200) -> Region
     rp_grid = [float(r) for r in rp_grid]
     if any(y < x for x, y in zip(rp_grid, rp_grid[1:])):
         raise ValueError("rp_grid must be sorted ascending")
-    if rp_grid and rp_grid[0] < 0.0:
+    if not all(rp >= 0.0 for rp in rp_grid):
         raise ValueError("public rates must be nonnegative")
 
     frame = _span_reduction(m)
@@ -1292,6 +1292,27 @@ def _polish_face(m, rp, sigma_hat, s_half, s_half_inv, mu_hint, n_active,
     return sigma, float(mu[0]), float(np.max(np.abs(r)))
 
 
+def _face_schedule(n_active_guess, rate_guess, mx):
+    """Candidates ``(n_active, rate_active, factor)`` of the face polish, in
+    the order ``solve_at_rate`` tries them: the guessed rate branch, then the
+    other one.
+
+    Faces run from the detected count ``g`` (which may be ``mx``) up to
+    ``mx - 1``, then from ``g - 1`` down to 0: the ascent reaches ``A <= I``
+    from inside and counts an eigenvalue still converging to 1 as free, so a
+    wrongly detected face tends to lie below the true one.  On the
+    rate-active branch the multiplier factor 1 runs on every face, then 2 on
+    every face, then the detected face's 1/2, 4 and 1/4.  On the
+    rate-inactive branch every factor multiplies mu = 0, so each face runs
+    once."""
+    g = n_active_guess
+    faces = [g, *range(g + 1, mx), *range(g - 1, -1, -1)]
+    active = ([(k, True, f) for f in (1.0, 2.0) for k in faces]
+              + [(g, True, f) for f in (0.5, 4.0, 0.25)])
+    inactive = [(k, False, 1.0) for k in faces]
+    return active + inactive if rate_guess else inactive + active
+
+
 def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 8,
                   seed: int = 0, max_iter: int = 400) -> SolveReport:
     """Maximize the key rate of an aligned model at public-rate budget ``rp``.
@@ -1300,10 +1321,13 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 8,
     returned point is infeasible) and multi-start initialization -- the
     source covariance scaled by {1, 0.75, 0.5, 0.25} plus seeded random SPD
     interpolants -- followed by a Newton polish of the stationarity system
-    on candidate active faces, the detected one first.  The polish starts
-    from the best ascent point, with the multiplier ``kkt.closed_form_mu``
-    gives there (clipped to [1e-8, 1e4], and scaled by 2, 1/2, 4 and 1/4 on
-    the detected face) when the rate constraint is active.
+    on candidate active faces (``_face_schedule``).  The polish starts from
+    the best ascent point, with the multiplier ``kkt.closed_form_mu`` gives
+    there (clipped to [1e-8, 1e4]) when the rate constraint is active.  The
+    faces run from the detected one upward, then below it, on the guessed
+    rate branch first; on the rate-active branch the multiplier is scaled
+    by 1 on every face, then by 2 on every face, then by 1/2, 4 and 1/4 on
+    the detected face.
     ``kkt_residual`` is the residual of that first-order system;
     ``iterations`` counts the ascent iterations actually taken, over every
     start and penalty escalation.  ``converged`` says that the system of
@@ -1315,8 +1339,10 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 8,
     the output through the KKT machinery before trusting it.
     """
     validate_model(m)
-    if rp < 0.0:
-        raise ValueError("rp must be nonnegative")
+    if not rp >= 0.0:
+        raise ValueError(f"rp must be nonnegative, got {rp!r}")
+    if sigma0 is None and not n_starts >= 1:
+        raise ValueError(f"n_starts must be at least 1, got {n_starts!r}")
     s_half = linalg.sqrtm_psd(m.sigma_x)
     s_half_inv = linalg.inv_sqrtm_pd(m.sigma_x)
 
@@ -1371,12 +1397,7 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 8,
         return pair if pair.rp <= rp + 1e-7 and pair.rk >= best_pair.rk - 1e-7 else None
 
     polished = None
-    order = [n_active_guess] + [k for k in range(m.mx) if k != n_active_guess]
-    cands = [(n_active, rate_active, f) for rate_active in (rate_guess, not rate_guess)
-             for idx, n_active in enumerate(order)
-             for f in ((1.0, 2.0, 0.5, 4.0, 0.25) if idx == 0 else (1.0, 2.0))]
-
-    for n_active, rate_active, factor in cands:
+    for n_active, rate_active, factor in _face_schedule(n_active_guess, rate_guess, m.mx):
         if polished is not None and polished[2] < 1e-10:
             break
         cand = _polish_face(m, rp, best_sigma, s_half, s_half_inv,
@@ -1426,6 +1447,8 @@ def ascent_boundary(m: AlignedModel, rp_grid, *, n_starts: int = 8, seed: int = 
     rp_grid = [float(r) for r in rp_grid]
     if any(y < x for x, y in zip(rp_grid, rp_grid[1:])):
         raise ValueError("rp_grid must be sorted ascending")
+    if not all(rp >= 0.0 for rp in rp_grid):
+        raise ValueError("public rates must be nonnegative")
 
     points = []
     meta = []
@@ -1507,8 +1530,8 @@ def brute_force_grid(m: GeneralModel, rp: float, grid_density: int = 60) -> Rate
     validate_model(m)
     if m.mx > 2:
         raise DimensionTooLarge(f"brute-force oracle supports mx <= 2, got {m.mx}")
-    if rp < 0.0:
-        raise ValueError("rp must be nonnegative")
+    if not rp >= 0.0:
+        raise ValueError(f"rp must be nonnegative, got {rp!r}")
     if grid_density < 2:
         raise ValueError(f"grid_density must be at least 2, got {grid_density!r}")
     ld_y_full = linalg.logdet_pd(m.b @ m.sigma_x @ m.b.T + np.eye(m.my))

@@ -115,6 +115,74 @@ def test_wrong_face_point_is_not_converged(key, rp):
 
 
 # ---------------------------------------------------------------------------
+# the order of the face polish's candidates
+# ---------------------------------------------------------------------------
+
+def _reference_schedule(n_active_guess, rate_guess, mx):
+    """The candidate list the face schedule replaced: every factor of the
+    detected face before the next face, on both branches alike."""
+    order = [n_active_guess] + [k for k in range(mx) if k != n_active_guess]
+    return [(n_active, rate_active, f) for rate_active in (rate_guess, not rate_guess)
+            for idx, n_active in enumerate(order)
+            for f in ((1.0, 2.0, 0.5, 4.0, 0.25) if idx == 0 else (1.0, 2.0))]
+
+
+def _effective(cands):
+    # the polish sees the factor only through mu, which is 0 off the rate
+    return [(n_active, rate_active, f if rate_active else 0.0)
+            for n_active, rate_active, f in cands]
+
+
+@pytest.mark.parametrize("mx", range(1, 7))
+def test_face_schedule_tries_each_candidate_once(mx):
+    for g in range(mx + 1):
+        for rate_guess in (True, False):
+            got = _effective(solver._face_schedule(g, rate_guess, mx))
+            want = _effective(_reference_schedule(g, rate_guess, mx))
+            assert len(got) == len(set(got))
+            assert set(got) == set(want)
+            assert got[0] == (g, rate_guess, 1.0 if rate_guess else 0.0)
+            guessed = [c for c in got if c[1] == rate_guess]
+            assert got[:len(guessed)] == guessed
+            faces = [g, *range(g + 1, mx), *range(g - 1, -1, -1)]
+            assert [c[0] for c in guessed[:len(faces)]] == faces
+            assert ([f for _, rate_active, f in got if rate_active]
+                    == [1.0] * len(faces) + [2.0] * len(faces) + [0.5, 4.0, 0.25])
+
+
+def test_face_polish_calls_on_the_benchmark_points(monkeypatch):
+    # 169 calls at the schedule that tried every factor of the detected
+    # face before the next face
+    calls = []
+    polish = solver._polish_face
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return polish(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_polish_face", counted)
+    for point in POINTS:
+        if point["model"].startswith("bench_"):
+            solve_at_rate(_model(point), point["rp"])
+    assert len(calls) <= 90
+
+
+@pytest.mark.parametrize("key", range(5000, 5018))
+def test_face_schedule_keeps_the_reference_schedule_optima(monkeypatch, key):
+    m = _fresh_model(key)
+    for rp in (0.7, 1.5, 3.0, 5.0):
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_face_schedule", _reference_schedule)
+            want = solve_at_rate(m, rp)
+        got = solve_at_rate(m, rp)
+        assert got.value == want.value
+        assert np.array_equal(got.optimum.value, want.optimum.value)
+        assert got.converged == want.converged
+        assert (_certificate_outcome(m, got.optimum, rp)
+                == _certificate_outcome(m, want.optimum, rp))
+
+
+# ---------------------------------------------------------------------------
 # stacked face residual against the per-point closure
 # ---------------------------------------------------------------------------
 

@@ -171,6 +171,12 @@ def test_oracle_rejects_degenerate_density(model_files):
                  "--density", "0"]) == 2
 
 
+@pytest.mark.parametrize("command,model", [("oracle", "general"), ("kkt-check", "aligned")])
+def test_nan_rate_exits_2(model_files, capsys, command, model):
+    assert main([command, model_files[model], "--rp", "nan"]) == 2
+    assert "rp must be nonnegative" in capsys.readouterr().err
+
+
 def test_mc_command(model_files, capsys):
     assert main(["mc", model_files["general"], "--samples", "20000",
                  "--seed", "4", "--q-scale", "0.5"]) == 0

@@ -217,6 +217,19 @@ def test_sweep_rejects_bad_grid(degraded_demo):
         sweep_boundary(degraded_demo, [1.0, 0.5], st_resolution=20)
 
 
+@pytest.mark.parametrize("rp", [math.nan, -0.5])
+def test_entry_points_reject_a_rate_that_is_not_nonnegative(degraded_demo, scalar_aligned, rp):
+    # NaN passes every ordering test, so each entry point checks not rp >= 0
+    with pytest.raises(ValueError):
+        sweep_boundary(degraded_demo, [0.5, rp], st_resolution=20)
+    with pytest.raises(ValueError):
+        brute_force_grid(degraded_demo, rp)
+    with pytest.raises(ValueError):
+        solve_at_rate(scalar_aligned, rp)
+    with pytest.raises(ValueError):
+        ascent_boundary(scalar_aligned, [0.5, rp])
+
+
 # ---------------------------------------------------------------------------
 # ascent boundary
 # ---------------------------------------------------------------------------
@@ -233,6 +246,16 @@ def test_ascent_reports_iterations_taken(scalar_aligned):
     report = solve_at_rate(scalar_aligned, 0.5, n_starts=4, max_iter=400)
     assert report.converged
     assert 0 < report.iterations < 4 * 400
+
+
+@pytest.mark.parametrize("n_starts", [0, -1])
+def test_ascent_rejects_fewer_than_one_start(scalar_aligned, n_starts):
+    with pytest.raises(ValueError, match="n_starts"):
+        solve_at_rate(scalar_aligned, 0.5, n_starts=n_starts)
+    # a given start replaces the multi-start set, whose size is then unused
+    report = solve_at_rate(scalar_aligned, 0.5, sigma0=0.5 * scalar_aligned.sigma_x,
+                           n_starts=n_starts)
+    assert report.converged
 
 
 def test_ascent_matches_scalar_oracle():
