@@ -57,6 +57,8 @@ class RunConfig:
                 raise ValueError("--rp-max must be positive")
             if self.points < 2:
                 raise ValueError("--points must be at least 2")
+            if self.resolution < 2:
+                raise ValueError("--resolution must be at least 2")
         if self.units not in ("nats", "bits"):
             raise ValueError("--units must be 'nats' or 'bits'")
 

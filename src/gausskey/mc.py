@@ -190,10 +190,13 @@ def estimate_rates(batch: SampleBatch, layout: JointLayout,
     Returns ``(rp_est, rk_est)`` as ``MiEstimate`` values.  The point
     estimates use the full-batch empirical covariance; standard errors come
     from recomputing the estimates on ``folds`` contiguous sub-batches and
-    taking the standard error of the fold mean.  Requires at least
-    ``folds * (dim + 1)`` samples so every fold covariance is nonsingular;
-    raises ``SingularEmpiricalCov`` otherwise.
+    taking the standard error of the fold mean, so ``folds`` must be at
+    least 2 (``ValueError`` otherwise).  Requires at least ``folds * (dim +
+    1)`` samples so every fold covariance is nonsingular; raises
+    ``SingularEmpiricalCov`` otherwise.
     """
+    if not folds >= 2:
+        raise ValueError(f"folds must be at least 2 for a standard error, got {folds!r}")
     if batch.samples.shape[1] != layout.dim:
         raise ValueError(
             f"batch dimension {batch.samples.shape[1]} does not match layout "

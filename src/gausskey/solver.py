@@ -661,7 +661,8 @@ def inner_convex(m: GeneralModel, params: SweepParams, *, sigma0=None,
 def _t_range(frame):
     """Extreme achievable values of t = (eQe^T - bQb^T) / (bQb^T + 1) over
     the matrix interval, by bisection on a linear feasibility test in the
-    reduced frame."""
+    reduced frame.  Each bisection runs to its float fixed point, where
+    ``mid`` equals ``lo`` or ``hi``, or for at most 200 steps."""
     bw = np.array(frame.bw)
     ew = np.array(frame.ew)
     bb = np.outer(bw, bw)
@@ -675,27 +676,29 @@ def _t_range(frame):
         val, _ = _interval_linear_max((1.0 + v) * bb - ee)
         return val >= -v
 
+    def bisect(inside, outside, test):
+        # to the float fixed point, where mid repeats an end: later steps
+        # would test the same mid and change nothing
+        for _ in range(200):
+            mid = 0.5 * (inside + outside)
+            fixed = mid in (inside, outside)
+            if test(mid):
+                inside = mid
+            else:
+                outside = mid
+            if fixed:
+                break
+        return inside
+
     # t = 0 is always achieved in the Q -> 0 limit
     lo, hi = 0.0, 1.0
     while reachable_above(hi) and hi < 1e12:
         lo, hi = hi, 2.0 * hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if reachable_above(mid):
-            lo = mid
-        else:
-            hi = mid
-    t_max = lo
+    t_max = bisect(lo, hi, reachable_above)
     lo, hi = -0.999999999, 0.0
     while reachable_below(lo) and lo > -1.0 + 1e-12:
         hi, lo = lo, -1.0 + 0.5 * (1.0 + lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if reachable_below(mid):
-            hi = mid
-        else:
-            lo = mid
-    t_min = hi
+    t_min = bisect(hi, lo, reachable_below)
     return float(t_min), float(t_max)
 
 
@@ -885,8 +888,8 @@ def sweep_boundary(m: GeneralModel, rp_grid, st_resolution: int = 200) -> Region
     public rate at most that much, clamped at zero.  The grid spans
     ``s in (0, b sigma_x b^T]`` log-spaced and ``t`` approaching its maximal
     achievable value with log-spaced gaps, ``st_resolution`` points per
-    axis.  Rows whose key-rate level is nonpositive are skipped; they can
-    never beat the clamp.
+    axis (at least 2).  Rows whose key-rate level is nonpositive are
+    skipped; they can never beat the clamp.
     """
     validate_model(m)
     if m.my != 1 or m.mz != 1:
@@ -896,6 +899,8 @@ def sweep_boundary(m: GeneralModel, rp_grid, st_resolution: int = 200) -> Region
         raise ValueError("rp_grid must be sorted ascending")
     if not all(rp >= 0.0 for rp in rp_grid):
         raise ValueError("public rates must be nonnegative")
+    if not st_resolution >= 2:
+        raise ValueError(f"st_resolution must be at least 2, got {st_resolution!r}")
 
     frame = _span_reduction(m)
     b = m.b[0]
@@ -1022,6 +1027,12 @@ def sweep_boundary(m: GeneralModel, rp_grid, st_resolution: int = 200) -> Region
 # slice, and ``_inv_stack`` the solve of ``linalg.inv_pd``: each slice matches
 # the per-matrix helpers bit for bit, so stacked loops decide as per-point ones.
 
+# Step sizes that the ascent's Armijo backtracking, and the face polish's line
+# search, test per stacked evaluation.  On the benchmark's aligned points the
+# ascent accepts one of its first four trials on about four steps in five, so
+# four trials per call cut its stacked evaluations about threefold.
+HALVINGS_PER_STACK = 4
+
 def _frob_stack(a):
     flat = a.reshape(len(a), 1, -1)
     return np.sqrt((flat @ np.swapaxes(flat, -1, -2))[:, 0, 0])
@@ -1039,6 +1050,20 @@ def _chol_terms(m, sigma):
                                   f"Cholesky factor: {exc}") from exc
 
 
+def _chol_valid(m, sigma, valid):
+    """``_chol_terms`` of the matrices of a stack marked ``valid``; a matrix
+    whose terms have no Cholesky factor is marked invalid in place."""
+    try:
+        return _chol_terms(m, sigma[valid])
+    except NotPositiveDefinite:
+        for i in np.flatnonzero(valid):  # find the matrices that fail
+            try:
+                _chol_terms(m, sigma[i:i + 1])
+            except NotPositiveDefinite:
+                valid[i] = False
+        return _chol_terms(m, sigma[valid])
+
+
 def _logdet_stack(lower):
     return 2.0 * np.sum(np.log(np.diagonal(lower, axis1=-2, axis2=-1)), axis=-1)
 
@@ -1051,17 +1076,29 @@ def _inv_stack(lower):
 
 
 def _rates_stack(m, sigma, ld_full):
-    """``rates_aligned`` for a stack of conditional covariances, one
-    ``RatePair`` each, given the log-dets ``ld_full`` of ``sigma_x`` plus 0,
-    ``sigma_wz`` and ``sigma_wy``.  The checks of ``ConditionalCov.for_model``
-    run stacked; the first matrix failing them raises its error."""
+    """The public and key rates ``(ip, ik)`` that ``rates_aligned`` gives
+    for a stack of conditional covariances, given the log-dets ``ld_full``
+    of ``sigma_x`` plus 0, ``sigma_wz`` and ``sigma_wy``, and a mask of the
+    valid matrices.  The checks of ``ConditionalCov.for_model`` run stacked;
+    a matrix failing them, or whose terms have no Cholesky factor, is
+    invalid and its rates are NaN (``_raise_invalid`` raises its error)."""
     gap = np.linalg.eigvalsh(m.sigma_x - sigma)
-    bad = (np.linalg.eigvalsh(sigma)[:, 0] <= COND_COV_MIN_EIG) | ~(
+    valid = (np.linalg.eigvalsh(sigma)[:, 0] > COND_COV_MIN_EIG) & (
         gap[:, 0] >= -linalg.PSD_RTOL * (1.0 + np.abs(gap).max(axis=1)))
-    if bad.any():
-        ConditionalCov.for_model(m, sigma[int(np.argmax(bad))])
-    gx, gz, gy = (0.5 * (ld_full - _logdet_stack(_chol_terms(m, sigma)))).T
-    return [RatePair(rp=float(a), rk=float(b)) for a, b in zip(gx - gy, gy - gz)]
+    gx, gz, gy = (0.5 * (ld_full - _logdet_stack(_chol_valid(m, sigma, valid)))).T
+    ip, ik = np.full(len(sigma), np.nan), np.full(len(sigma), np.nan)
+    ip[valid], ik[valid] = gx - gy, gy - gz
+    return ip, ik, valid
+
+
+def _raise_invalid(m, sigma):
+    """Raise the error of the first of a stack of invalid conditional
+    covariances (see ``_rates_stack``), as a per-point evaluation would: a
+    failed ``ConditionalCov.for_model`` check first, else the Cholesky
+    failure."""
+    for s in sigma:
+        ConditionalCov.for_model(m, s)
+    _chol_terms(m, sigma)
 
 
 def _multi_starts(m, n_starts, seed):
@@ -1081,9 +1118,15 @@ def _pga_penalty(m, rp, q0, s_half, rho, max_iter=400):
 
     The floor is applied to the whitened eigenvalues so the unwhitened
     iterate never exceeds the source covariance.  The starts advance in
-    lockstep, one stacked evaluation per ascent step and per backtracking
-    trial, while each keeps its own step size, Armijo test and early stop:
-    it visits the iterates it would visit alone.  Returns ``(sigma, pair,
+    lockstep, one stacked evaluation per ascent step, while each keeps its
+    own step size, Armijo test and early stop.  The Armijo backtracking
+    tests at most 30 step sizes ``eta 2^-j`` per step, and each of its rounds
+    evaluates the next ``HALVINGS_PER_STACK`` of them for every start still
+    searching as one stack.  A start takes the first trial that passes the
+    Armijo test, or stops at the first one that barely moves; the later
+    trials of the round are discarded, and a trial that a one-at-a-time
+    search never reaches does not raise.  Halving is exact, so every start
+    visits the iterates it would visit alone.  Returns ``(sigma, pair,
     iterations)`` per start, counting the ascent iterations it took."""
     floor = SIGMA_FLOOR_SCALE * float(np.trace(m.sigma_x)) / m.mx
     q_floor = floor / float(np.linalg.eigvalsh(m.sigma_x)[0])
@@ -1092,13 +1135,14 @@ def _pga_penalty(m, rp, q0, s_half, rho, max_iter=400):
 
     def objective(q, idx):
         sigma = linalg.symmetrize(s_half @ q @ s_half)
-        pairs = _rates_stack(m, sigma, ld_full)
-        vals = [p.rk - r * max(0.0, p.rp - rp) for p, r in zip(pairs, rho[idx])]
-        return np.array(vals), sigma, pairs
+        ip, ik, valid = _rates_stack(m, sigma, ld_full)
+        return ik - rho[idx] * np.maximum(0.0, ip - rp), sigma, ip, ik, valid
 
-    k = len(q0)
+    k, n = len(q0), m.mx
     q = linalg.eig_clip(np.asarray(q0, dtype=float), q_floor, 1.0)
-    val, sigma, pairs = objective(q, np.arange(k))
+    val, sigma, ip, ik, valid = objective(q, np.arange(k))
+    if not valid.all():
+        _raise_invalid(m, sigma[~valid])
     eta = np.full(k, 0.1)
     iterations = np.zeros(k, dtype=int)
     live = np.arange(k)
@@ -1108,34 +1152,56 @@ def _pga_penalty(m, rp, q0, s_half, rho, max_iter=400):
         iterations[live] = it
         inv_s, inv_z, inv_y = np.moveaxis(_inv_stack(_chol_terms(m, sigma[live])), 1, 0)
         grad_ik, grad_ip = 0.5 * (inv_z - inv_y), 0.5 * (inv_y - inv_s)
-        over = np.array([not pairs[i].rp <= rp for i in live])[:, None, None]
+        over = ~(ip[live] <= rp)[:, None, None]
         grad = np.where(over, grad_ik - rho[live, None, None] * grad_ip, grad_ik)
         grad_q = linalg.symmetrize(s_half @ grad @ s_half)
         moving = ~(_frob_stack(grad_q) < 1e-13)
         search, grad_q = live[moving], grad_q[moving]
         accepted = []
-        for _ in range(30):
-            if not search.size:
-                break
-            q_new = linalg.eig_clip(q[search] + eta[search, None, None] * grad_q,
-                                    q_floor, 1.0)
-            move = _frob_stack(q_new - q[search])
-            keep = ~(move < 1e-14 * (1.0 + _frob_stack(q[search])))
-            search, q_new, move, grad_q = search[keep], q_new[keep], move[keep], grad_q[keep]
-            if not search.size:
-                break
-            val_new, sigma_new, pairs_new = objective(q_new, search)
-            up = val_new > val[search] + 1e-4 / np.maximum(eta[search], 1e-12) * move * move
-            win = search[up]
-            q[win], val[win], sigma[win] = q_new[up], val_new[up], sigma_new[up]
-            for i, j in zip(win, np.flatnonzero(up)):
-                pairs[i] = pairs_new[j]
-            eta[win] = np.minimum(eta[win] * 1.5, 10.0)
+        tried = 0
+        while search.size and tried < 30:
+            n_j = min(HALVINGS_PER_STACK, 30 - tried)
+            etas = np.empty((len(search), n_j))
+            etas[:, 0] = eta[search]
+            for j in range(1, n_j):
+                etas[:, j] = etas[:, j - 1] * 0.5
+            q_s = q[search]
+            q_new = linalg.eig_clip(q_s[:, None] + etas[:, :, None, None] * grad_q[:, None],
+                                    q_floor, 1.0).reshape(-1, n, n)
+            move = _frob_stack(q_new - np.repeat(q_s, n_j, axis=0)).reshape(-1, n_j)
+            stop = move < 1e-14 * (1.0 + _frob_stack(q_s))[:, None]
+            # a trial is evaluated when no trial before it, or itself, stops
+            tested = np.flatnonzero(~np.logical_or.accumulate(stop, axis=1))
+            owner = np.repeat(search, n_j)[tested]
+            val_t, sigma_t, ip_t, ik_t, valid_t = objective(q_new[tested], owner)
+            eta_t, move_t = etas.ravel()[tested], move.ravel()[tested]
+            up, bad = np.zeros_like(stop), np.zeros_like(stop)
+            armijo = val[owner] + 1e-4 / np.maximum(eta_t, 1e-12) * move_t * move_t
+            up.flat[tested] = val_t > armijo
+            bad.flat[tested] = ~valid_t
+            # each start ends at its first stop, invalid trial or Armijo pass
+            ends = stop | up | bad
+            first = np.argmax(ends, axis=1)
+            ended = ends[np.arange(len(search)), first]
+            at = np.arange(len(search)) * n_j + first
+            raising = ended & bad.ravel()[at]
+            if raising.any():
+                # the earliest invalid trial that is reached raises, as it would
+                # in a one-at-a-time search
+                pos = np.searchsorted(tested, at[raising & (first == first[raising].min())])
+                _raise_invalid(m, sigma_t[pos])
+            won = ended & up.ravel()[at]
+            win, pos = search[won], np.searchsorted(tested, at[won])
+            q[win], val[win], sigma[win] = q_new[at[won]], val_t[pos], sigma_t[pos]
+            ip[win], ik[win] = ip_t[pos], ik_t[pos]
+            eta[win] = np.minimum(etas[won, first[won]] * 1.5, 10.0)
             accepted.extend(win)
-            eta[search[~up]] *= 0.5
-            search, grad_q = search[~up], grad_q[~up]
+            eta[search[~ended]] = etas[~ended, -1] * 0.5
+            search, grad_q = search[~ended], grad_q[~ended]
+            tried += n_j
         live = np.sort(np.array(accepted, dtype=int))
-    return [(sigma[i], pairs[i], int(iterations[i])) for i in range(k)]
+    return [(sigma[i], RatePair(rp=float(ip[i]), rk=float(ik[i])), int(iterations[i]))
+            for i in range(k)]
 
 
 def _skew_rotate(u0, n_active, thetas):
@@ -1197,15 +1263,7 @@ class _FaceSystem:
         sigma, mu, u = self.build(xs)
         valid = (np.linalg.eigvalsh(sigma)[:, 0] > 0.0) & (
             np.linalg.eigvalsh(m.sigma_x - sigma)[:, 0] >= -self.excursion)
-        try:
-            lower = _chol_terms(m, sigma[valid])
-        except NotPositiveDefinite:
-            for i in np.flatnonzero(valid):  # find the points that fail
-                try:
-                    _chol_terms(m, sigma[i:i + 1])
-                except NotPositiveDefinite:
-                    valid[i] = False
-            lower = _chol_terms(m, sigma[valid])
+        lower = _chol_valid(m, sigma, valid)
         rows = np.full((len(xs), self.n_qf + self.n_rot + int(self.rate_active)), np.nan)
         if not valid.any():
             return rows, valid
@@ -1238,12 +1296,14 @@ def _polish_face(m, rp, sigma_hat, s_half, s_half_inv, mu_hint, n_active,
     Residuals: the free-block and cross-block components of the
     stationarity matrix, plus the rate equality (see ``_FaceSystem``).
 
-    A Newton step makes two stacked evaluations.  The central-difference
-    Jacobian evaluates its ``2 nx`` probes ``x +- h e_k``, ``h = 1e-7 (1 +
-    |x_k|)``, as one stack and abandons the face if any is invalid.  The
-    line search evaluates the 30 halvings ``x + 0.5^j step`` as one stack
-    and takes the first valid one that lowers the max-norm residual (halving
-    is exact, so these are a sequential search's trials).  The polish stops
+    A Newton step makes two or three stacked evaluations.  The
+    central-difference Jacobian evaluates its ``2 nx`` probes ``x +- h
+    e_k``, ``h = 1e-7 (1 + |x_k|)``, as one stack and abandons the face if
+    any is invalid.  The line search takes the first valid one of the 30
+    halvings ``x + 0.5^j step`` that lowers the max-norm residual (halving
+    is exact, so these are a sequential search's trials): it evaluates the
+    first ``HALVINGS_PER_STACK`` of them as one stack, and the other 26 as
+    a second stack only when none of those qualifies.  The polish stops
     after 80 steps, below 1e-12 or when no trial improves.  Returns (sigma,
     mu, residual_norm), or None for an invalid start or probe or a result
     outside the matrix interval.
@@ -1280,11 +1340,14 @@ def _polish_face(m, rp, sigma_hat, s_half, s_half_inv, mu_hint, n_active,
         except np.linalg.LinAlgError:
             step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         trials = x + halvings * step
-        rows, valid = face.residuals(trials)
-        better = np.flatnonzero(valid & (np.max(np.abs(rows), axis=1) < rnorm))
+        for lo, hi in ((0, HALVINGS_PER_STACK), (HALVINGS_PER_STACK, len(trials))):
+            rows, valid = face.residuals(trials[lo:hi])
+            better = np.flatnonzero(valid & (np.max(np.abs(rows), axis=1) < rnorm))
+            if better.size:
+                break
         if not better.size:
             break
-        x, r = trials[better[0]], rows[better[0]]
+        x, r = trials[lo + better[0]], rows[better[0]]
     sigma, mu, _ = face.build(x[None])
     sigma = sigma[0]
     if linalg.min_eig(sigma) <= 0.0 or not linalg.is_psd(m.sigma_x - sigma):
@@ -1330,7 +1393,8 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 8,
     the detected face.
     ``kkt_residual`` is the residual of that first-order system;
     ``iterations`` counts the ascent iterations actually taken, over every
-    start and penalty escalation.  ``converged`` says that the system of
+    start and penalty escalation; ``max_iter`` caps them per start and
+    penalty round (0 skips the ascent).  ``converged`` says that the system of
     some face was solved below 1e-8 and that the returned point passes the
     multiplier check of ``kkt.recover_multipliers`` (mu = 0 when the rate
     is slack, ``kkt.closed_form_mu`` otherwise, composite residual at most
@@ -1343,6 +1407,8 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 8,
         raise ValueError(f"rp must be nonnegative, got {rp!r}")
     if sigma0 is None and not n_starts >= 1:
         raise ValueError(f"n_starts must be at least 1, got {n_starts!r}")
+    if not max_iter >= 0:
+        raise ValueError(f"max_iter must be nonnegative, got {max_iter!r}")
     s_half = linalg.sqrtm_psd(m.sigma_x)
     s_half_inv = linalg.inv_sqrtm_pd(m.sigma_x)
 

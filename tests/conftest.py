@@ -1,5 +1,12 @@
-import numpy as np
-import pytest
+import os
+
+# gausskey's stacked matrices are small, and OpenBLAS threads only contend for
+# the cores on them; the pin must precede numpy's first import
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 from gausskey import AlignedModel, GeneralModel
 

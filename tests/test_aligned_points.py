@@ -11,13 +11,17 @@ must certify.
 The stacked kernels are checked against plain per-point references: the
 face-polish residual against the per-point closure it replaces, the stacked
 ``expm`` against per-matrix calls, and the lockstep multi-start ascent
-against the per-start loop.  Errors that are not a rejected face or an
-invalid point must propagate.
+against the per-start loop.  The line searches that test several step sizes
+per stacked call must keep every iterate of the ones they replaced, kept
+here as references: the ascent that evaluated one backtracking trial per
+call and the polish that evaluated all 30 halvings as one stack.  Errors
+that are not a rejected face or an invalid point must propagate.
 """
 
 import json
 import math
 import os
+import zlib
 
 import numpy as np
 import pytest
@@ -25,9 +29,9 @@ import scipy.linalg as sla
 
 from gausskey import AlignedModel, certify, kkt, linalg, solve_at_rate, solver
 from gausskey.errors import GausskeyError, NoValidMultiplier
-from gausskey.rates import rates_aligned
+from gausskey.rates import RatePair, rates_aligned
 
-from conftest import random_conditional, random_spd, rng_for
+from conftest import random_aligned, random_conditional, random_spd, rng_for
 
 VALUE_TOL = 1e-10
 SIGMA_TOL = 1e-8
@@ -370,6 +374,235 @@ def test_lockstep_ascent_matches_per_start_loop(mx, key, rp, rho, max_iter):
         assert iterations == want[2]
         assert np.array_equal(sigma, want[0])
         assert (pair.rp, pair.rk) == (want[1].rp, want[1].rk)
+
+
+# ---------------------------------------------------------------------------
+# line searches that test several step sizes per stacked call
+# ---------------------------------------------------------------------------
+
+def _reference_pga_penalty(m, rp, q0, s_half, rho, max_iter=400):
+    """The lockstep ascent with one stacked evaluation per backtracking
+    trial: what ``_pga_penalty`` did before it tested several trials per
+    call."""
+    floor = solver.SIGMA_FLOOR_SCALE * float(np.trace(m.sigma_x)) / m.mx
+    q_floor = floor / float(np.linalg.eigvalsh(m.sigma_x)[0])
+    ld_full = np.array([linalg.logdet_pd(m.sigma_x + w) for w in (0.0, m.sigma_wz, m.sigma_wy)])
+    rho = np.asarray(rho, dtype=float)
+
+    def objective(q, idx):
+        sigma = linalg.symmetrize(s_half @ q @ s_half)
+        ip, ik, valid = solver._rates_stack(m, sigma, ld_full)
+        if not valid.all():
+            solver._raise_invalid(m, sigma[~valid])
+        pairs = [RatePair(rp=float(a), rk=float(b)) for a, b in zip(ip, ik)]
+        vals = [p.rk - r * max(0.0, p.rp - rp) for p, r in zip(pairs, rho[idx])]
+        return np.array(vals), sigma, pairs
+
+    k = len(q0)
+    q = linalg.eig_clip(np.asarray(q0, dtype=float), q_floor, 1.0)
+    val, sigma, pairs = objective(q, np.arange(k))
+    eta = np.full(k, 0.1)
+    iterations = np.zeros(k, dtype=int)
+    live = np.arange(k)
+    for it in range(1, max_iter + 1):
+        if not live.size:
+            break
+        iterations[live] = it
+        inv_s, inv_z, inv_y = np.moveaxis(
+            solver._inv_stack(solver._chol_terms(m, sigma[live])), 1, 0)
+        grad_ik, grad_ip = 0.5 * (inv_z - inv_y), 0.5 * (inv_y - inv_s)
+        over = np.array([not pairs[i].rp <= rp for i in live])[:, None, None]
+        grad = np.where(over, grad_ik - rho[live, None, None] * grad_ip, grad_ik)
+        grad_q = linalg.symmetrize(s_half @ grad @ s_half)
+        moving = ~(solver._frob_stack(grad_q) < 1e-13)
+        search, grad_q = live[moving], grad_q[moving]
+        accepted = []
+        for _ in range(30):
+            if not search.size:
+                break
+            q_new = linalg.eig_clip(q[search] + eta[search, None, None] * grad_q,
+                                    q_floor, 1.0)
+            move = solver._frob_stack(q_new - q[search])
+            keep = ~(move < 1e-14 * (1.0 + solver._frob_stack(q[search])))
+            search, q_new, move, grad_q = search[keep], q_new[keep], move[keep], grad_q[keep]
+            if not search.size:
+                break
+            val_new, sigma_new, pairs_new = objective(q_new, search)
+            up = val_new > val[search] + 1e-4 / np.maximum(eta[search], 1e-12) * move * move
+            win = search[up]
+            q[win], val[win], sigma[win] = q_new[up], val_new[up], sigma_new[up]
+            for i, j in zip(win, np.flatnonzero(up)):
+                pairs[i] = pairs_new[j]
+            eta[win] = np.minimum(eta[win] * 1.5, 10.0)
+            accepted.extend(win)
+            eta[search[~up]] *= 0.5
+            search, grad_q = search[~up], grad_q[~up]
+        live = np.sort(np.array(accepted, dtype=int))
+    return [(sigma[i], pairs[i], int(iterations[i])) for i in range(k)]
+
+
+def _reference_polish_face(m, rp, sigma_hat, s_half, s_half_inv, mu_hint, n_active,
+                           rate_active):
+    """The face polish whose line search evaluates all 30 halvings as one
+    stack: what ``_polish_face`` did before it tried the first few alone."""
+    q_hat = linalg.symmetrize(s_half_inv @ sigma_hat @ s_half_inv)
+    w, u0 = np.linalg.eigh(q_hat)
+    u0 = u0[:, np.argsort(w)[::-1]]
+    if n_active == m.mx:
+        return np.array(m.sigma_x), mu_hint, 0.0
+    face = solver._FaceSystem(m, rp, s_half, u0, n_active, rate_active)
+    nx = face.n_qf + face.n_rot + int(rate_active)
+    x = np.zeros(nx)
+    q_free0 = u0[:, n_active:].T @ q_hat @ u0[:, n_active:]
+    x[:face.n_qf] = [float(np.sum(q_free0 * s)) / float(np.sum(s * s))
+                     for s in face.basis_f]
+    if rate_active:
+        x[-1] = math.log(max(mu_hint, 1e-12))
+    rows, valid = face.residuals(x[None])
+    if not valid[0]:
+        return None
+    r = rows[0]
+    halvings = 0.5 ** np.arange(30)[:, None]
+    for _ in range(80):
+        rnorm = float(np.max(np.abs(r)))
+        if rnorm < 1e-12:
+            break
+        h = 1e-7 * (1.0 + np.abs(x))
+        rows, valid = face.residuals(np.concatenate((x + np.diag(h), x - np.diag(h))))
+        if not valid.all():
+            return None
+        jac = ((rows[:nx] - rows[nx:]) / (2.0 * h)[:, None]).T
+        try:
+            step = np.linalg.solve(jac, -r)
+        except np.linalg.LinAlgError:
+            step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+        trials = x + halvings * step
+        rows, valid = face.residuals(trials)
+        better = np.flatnonzero(valid & (np.max(np.abs(rows), axis=1) < rnorm))
+        if not better.size:
+            break
+        x, r = trials[better[0]], rows[better[0]]
+    sigma, mu, _ = face.build(x[None])
+    sigma = sigma[0]
+    if linalg.min_eig(sigma) <= 0.0 or not linalg.is_psd(m.sigma_x - sigma):
+        return None
+    return sigma, float(mu[0]), float(np.max(np.abs(r)))
+
+
+def _degraded_model(key):
+    return random_aligned(rng_for(key), 2 + key % 5, degraded=True)
+
+
+_STACKED_SEARCH_CASES = (
+    [(f"corpus-{p['model']}", p["rp"]) for p in POINTS]
+    + [(f"fresh-{key}", rp) for key in range(5000, 5018) for rp in (0.7, 1.5, 3.0, 5.0)]
+    + [(f"degraded-{key}", rp) for key in range(6000, 6012) for rp in (0.5, 2.0, 6.0)])
+
+
+def _case_model(name):
+    kind, _, rest = name.partition("-")
+    if kind == "corpus":
+        return _model(next(p for p in POINTS if p["model"] == rest))
+    return _fresh_model(int(rest)) if kind == "fresh" else _degraded_model(int(rest))
+
+
+@pytest.mark.parametrize("name", sorted({n for n, _ in _STACKED_SEARCH_CASES}))
+def test_stacked_line_searches_keep_the_sequential_iterates(monkeypatch, name):
+    m = _case_model(name)
+    calls = []
+    pga = solver._pga_penalty
+
+    def recorded(mm, rp, q0, s_half, rho, max_iter=400):
+        out = pga(mm, rp, q0, s_half, rho, max_iter)
+        calls.append(((mm, rp, np.array(q0), s_half, np.array(rho), max_iter), out))
+        return out
+
+    for rp in sorted({rp for n, rp in _STACKED_SEARCH_CASES if n == name}):
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_pga_penalty", _reference_pga_penalty)
+            patch.setattr(solver, "_polish_face", _reference_polish_face)
+            want = solve_at_rate(m, rp)
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_pga_penalty", recorded)
+            got = solve_at_rate(m, rp)
+        assert got.value == want.value
+        assert got.optimum.value.tobytes() == want.optimum.value.tobytes()
+        assert (got.iterations, got.kkt_residual, got.converged) == (
+            want.iterations, want.kkt_residual, want.converged)
+        assert (_certificate_outcome(m, got.optimum, rp)
+                == _certificate_outcome(m, want.optimum, rp))
+    assert calls
+    for args, out in calls:
+        for (sigma, pair, its), (sigma_r, pair_r, its_r) in zip(
+                out, _reference_pga_penalty(*args)):
+            assert sigma.tobytes() == sigma_r.tobytes()
+            assert (pair.rp, pair.rk, its) == (pair_r.rp, pair_r.rk, its_r)
+
+
+class _MarkedInvalid(Exception):
+    pass
+
+
+@pytest.mark.parametrize("mx, key, rp, period, max_iter, ends", [
+    (2, 2001, 1.0, 5, 400, "raises"), (2, 2003, 0.5, 13, 400, "raises"),
+    (2, 2003, 0.5, 41, 3, "returns"), (4, 2005, 2.0, 41, 3, "returns"),
+    (4, 2005, 2.0, 13, 400, "raises"), (6, 2009, 1.0, 13, 400, "raises")])
+def test_only_reached_invalid_trials_raise(monkeypatch, mx, key, rp, period, max_iter,
+                                           ends):
+    # declare invalid every trial matrix whose bytes hash to 0 mod period: a
+    # property of the matrix alone, so both searches see the same invalid
+    # trials, and the batched one must raise where and only where the
+    # sequential one does, with the same first matrix
+    rates = solver._rates_stack
+    marked = []
+
+    def marking(mm, sigma, ld_full):
+        ip, ik, valid = rates(mm, sigma, ld_full)
+        for i, s in enumerate(sigma):
+            if zlib.crc32(s.tobytes()) % period == 0:
+                valid[i], ip[i], ik[i] = False, np.nan, np.nan
+                marked.append(s.tobytes())
+        return ip, ik, valid
+
+    def raising(mm, sigma):
+        raise _MarkedInvalid(sigma[0].tobytes().hex())
+
+    monkeypatch.setattr(solver, "_rates_stack", marking)
+    monkeypatch.setattr(solver, "_raise_invalid", raising)
+    m = _bench_model(key, mx)
+    s_half = linalg.sqrtm_psd(m.sigma_x)
+    starts = np.array(solver._multi_starts(m, 8, 0))
+    rho = np.full(len(starts), 10.0)
+    outcomes, n_marked = [], []
+    for search in (_reference_pga_penalty, solver._pga_penalty):
+        marked.clear()
+        try:
+            out = search(m, rp, starts, s_half, rho, max_iter)
+            outcomes.append([(s.tobytes(), p.rp, p.rk, its) for s, p, its in out])
+        except _MarkedInvalid as exc:
+            outcomes.append(str(exc))
+        n_marked.append(len(set(marked)))
+    assert outcomes[0] == outcomes[1]
+    assert isinstance(outcomes[0], str) == (ends == "raises")
+    # the batched search met invalid trials that the sequential one never
+    # reached, and went on
+    assert n_marked[1] > n_marked[0]
+
+
+def test_ascent_evaluations_on_the_benchmark_points(monkeypatch):
+    # 6,496 stacked evaluations with one backtracking trial per call
+    calls = []
+    rates = solver._rates_stack
+
+    def counted(*args):
+        calls.append(1)
+        return rates(*args)
+
+    monkeypatch.setattr(solver, "_rates_stack", counted)
+    for point in POINTS:
+        if point["model"].startswith("bench_"):
+            solve_at_rate(_model(point), point["rp"])
+    assert len(calls) <= 3000
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,15 @@ def test_region_rejects_bad_options(model_files):
                  "--points", "1"]) == 2
 
 
+@pytest.mark.parametrize("resolution", ("0", "1", "-3"))
+def test_region_rejects_degenerate_resolution(model_files, capsys, tmp_path, resolution):
+    out_csv = tmp_path / "out.csv"
+    assert main(["region", model_files["general"], "-o", str(out_csv),
+                 "--resolution", resolution]) == 2
+    assert "--resolution must be at least 2" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
 @pytest.mark.parametrize("argv", [["region", "m.json", "-o", "out.csv"], ["mc", "m.json"]])
 def test_options_left_out_take_the_run_config_defaults(argv):
     args = build_parser().parse_args(argv)

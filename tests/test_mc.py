@@ -139,6 +139,17 @@ def test_estimates_tighten_with_sample_size(degraded_demo):
     assert wins >= 0.95 * trials - 2  # binomial slack around the 95% claim
 
 
+@pytest.mark.parametrize("folds", (0, 1))
+def test_fewer_than_two_folds_are_rejected(degraded_demo, folds):
+    # one fold has no spread to give a standard error; zero divided by zero
+    joint = build_joint(degraded_demo, np.eye(2))
+    batch = sample(joint, 1000, seed=0)
+    with pytest.raises(ValueError, match="folds"):
+        estimate_rates(batch, layout_for(degraded_demo), folds=folds)
+    with pytest.raises(ValueError, match="folds"):
+        cross_validate(degraded_demo, np.eye(2), 1000, seed=0, folds=folds)
+
+
 def test_layout_dimension_check(degraded_demo, scalar_aligned):
     joint = build_joint(degraded_demo, np.eye(2))
     batch = sample(joint, 1000, seed=0)

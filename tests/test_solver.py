@@ -217,6 +217,13 @@ def test_sweep_rejects_bad_grid(degraded_demo):
         sweep_boundary(degraded_demo, [1.0, 0.5], st_resolution=20)
 
 
+@pytest.mark.parametrize("resolution", (-3, 0, 1))
+def test_sweep_rejects_degenerate_resolution(degraded_demo, resolution):
+    # resolution 0 swept no cell and reported rk = 0 at every rate
+    with pytest.raises(ValueError, match="st_resolution"):
+        sweep_boundary(degraded_demo, [1.0], st_resolution=resolution)
+
+
 @pytest.mark.parametrize("rp", [math.nan, -0.5])
 def test_entry_points_reject_a_rate_that_is_not_nonnegative(degraded_demo, scalar_aligned, rp):
     # NaN passes every ordering test, so each entry point checks not rp >= 0
@@ -246,6 +253,14 @@ def test_ascent_reports_iterations_taken(scalar_aligned):
     report = solve_at_rate(scalar_aligned, 0.5, n_starts=4, max_iter=400)
     assert report.converged
     assert 0 < report.iterations < 4 * 400
+
+
+def test_ascent_rejects_a_negative_iteration_cap(scalar_aligned):
+    with pytest.raises(ValueError, match="max_iter"):
+        solve_at_rate(scalar_aligned, 0.5, max_iter=-1)
+    # no ascent at all is legal: the polish starts from the clipped starts
+    report = solve_at_rate(scalar_aligned, 0.5, max_iter=0)
+    assert report.iterations == 0
 
 
 @pytest.mark.parametrize("n_starts", [0, -1])

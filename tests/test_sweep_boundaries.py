@@ -17,6 +17,7 @@ cell does.
 import json
 import os
 
+import numpy as np
 import pytest
 
 from gausskey import GeneralModel, solver
@@ -79,6 +80,54 @@ def test_boundaries_match_the_frozen_sweeps(swept):
 def test_newton_steps_stay_within_their_bound(swept, group):
     _, steps, _ = swept
     assert 0 < steps[group] <= STEP_BOUNDS[group], steps
+
+
+def _reference_t_range(frame):
+    """``solver._t_range`` with both bisections run for a fixed 200 steps,
+    as before they stopped at their float fixed point."""
+    bb = np.outer(frame.bw, frame.bw)
+    ee = np.outer(frame.ew, frame.ew)
+
+    def reachable_above(v):
+        return solver._interval_linear_max(ee - (1.0 + v) * bb)[0] >= v
+
+    def reachable_below(v):
+        return solver._interval_linear_max((1.0 + v) * bb - ee)[0] >= -v
+
+    lo, hi = 0.0, 1.0
+    while reachable_above(hi) and hi < 1e12:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if reachable_above(mid):
+            lo = mid
+        else:
+            hi = mid
+    t_max = lo
+    lo, hi = -0.999999999, 0.0
+    while reachable_below(lo) and lo > -1.0 + 1e-12:
+        hi, lo = lo, -1.0 + 0.5 * (1.0 + lo)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if reachable_below(mid):
+            hi = mid
+        else:
+            lo = mid
+    t_min = hi
+    return float(t_min), float(t_max)
+
+
+def test_t_range_stops_at_the_fixed_point_with_the_same_bounds():
+    # both demos, the random_sweep models and the criterion-3 corpus
+    path = os.path.join(os.path.dirname(__file__), "data", "sweep_boundaries.json")
+    with open(path) as fh:
+        entries = json.load(fh)["sweeps"]
+    models = {json.dumps([e["sigma_x"], e["b"], e["e"]]): e for e in entries}
+    assert len(models) == 2 + 13 + 20 - 12  # the corpus holds 12 of the 13
+    for entry in models.values():
+        m = GeneralModel(sigma_x=entry["sigma_x"], b=entry["b"], e=entry["e"])
+        frame = solver._span_reduction(m)
+        assert solver._t_range(frame) == _reference_t_range(frame), entry["name"]
 
 
 def test_predictor_started_cells_match_cold_solves(swept):
