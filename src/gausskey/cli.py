@@ -59,6 +59,8 @@ class RunConfig:
                 raise ValueError("--points must be at least 2")
             if self.resolution < 2:
                 raise ValueError("--resolution must be at least 2")
+            if self.output_path is None:
+                raise ValueError("region requires --output")
         if self.units not in ("nats", "bits"):
             raise ValueError("--units must be 'nats' or 'bits'")
 
@@ -102,8 +104,6 @@ def _cmd_region(cfg, out):
     model = load_model(cfg.model_path)
     boundary = _compute_boundary(cfg, model)
     scale = 1.0 if cfg.units == "nats" else 1.0 / LN2
-    if cfg.output_path is None:
-        raise ValueError("region requires --output")
     with open(cfg.output_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("rp,rk\n")
         for p in boundary.points:
@@ -275,7 +275,8 @@ def build_parser():
     p.add_argument("--rp-max", type=float,
                    help="largest public rate on the grid (nats)")
     p.add_argument("--points", type=int, help="number of grid points")
-    p.add_argument("--resolution", type=int, help="sweep resolution per axis")
+    p.add_argument("--resolution", type=int,
+                   help="number of t rows that bracket the sweep's search")
     p.add_argument("--units", choices=("nats", "bits"), help="units of the CSV values")
     p.add_argument("--seed", type=int,
                    help="seed for the ascent solver's random starts")

@@ -14,8 +14,10 @@ Three routes to the boundary R_k(R_p):
     cell is a 2x2 problem whatever the source dimension (Fischer's
     inequality fixes the rest at the identity); ``inner_convex`` solves it by
     a logarithmic-barrier Newton method, and its cost does not grow with mx.
-    Sweeping a log-spaced (s, t) grid and taking running maxima over the
-    achieved cells yields the boundary.
+    Every cell of a ``t`` row has the same key rate, rising with ``t``, and
+    the row's smallest public rate (``_row_min_rp``, a search over s) is
+    nondecreasing in ``t``; a monotone search over ``t`` rows, refined by
+    bisection, yields the boundary.
 
 ``ascent_boundary``
     For aligned models of any dimension.  The constrained key-rate
@@ -32,9 +34,9 @@ Three routes to the boundary R_k(R_p):
     rotation angle, each evaluated in closed form through 2x2 Gram
     determinants.
 
-Each grid point is an independent pure computation, and so is each sweep
-row: its cells are solved in order, each started from the tangent of the
-one before, so output is run-to-run identical.
+Each grid point is an independent pure computation, and so is each row
+minimum: its cells are solved in order, each started from the tangent of
+the one before, so output is run-to-run identical.
 """
 
 import math
@@ -74,11 +76,12 @@ SIGMA_FLOOR_SCALE = 1e-9
 # BARRIER_GAP_TOL whatever the source dimension.
 TAU_FINAL = 10.0 ** math.ceil(math.log10(4 / BARRIER_GAP_TOL))
 
-# Sweep grid floors: the smallest swept s (relative to b sigma_x b^T) and the
-# smallest gap below the maximal t (relative to the t range).  Beyond the
-# public rate these floors can represent (~8-10 nats) the boundary is flat to
-# well below every tolerance used here, and the floors keep every inner
-# optimum inside the strict-PD tolerance of ConditionalCov.
+# Sweep floors: the smallest s a row-minimum search probes (relative to
+# b sigma_x b^T) and the smallest gap of a t row below the maximal t
+# (relative to the t range).  Beyond the public rate these floors can
+# represent (~8-10 nats) the boundary is flat to well below every tolerance
+# used here, and the floors keep every inner optimum inside the strict-PD
+# tolerance of ConditionalCov.
 SWEEP_S_FLOOR = 1e-7
 SWEEP_T_GAP_FLOOR = 1e-6
 
@@ -91,9 +94,9 @@ SWEEP_T_GAP_FLOOR = 1e-6
 FINAL_CENTRING_STEPS = 6
 FINAL_DECREMENT_TOL = 1e-14
 
-# Row minimum of the refinement pass (``_row_min_rp``): first step down in
-# log s when bracketing, the bracket width in log s that ends a search, the
-# stop on the stationarity residual g and the cap on secant steps.
+# Row minimum (``_row_min_rp``): first step down in log s when bracketing,
+# the bracket width in log s that ends a search, the stop on the
+# stationarity residual g and the cap on secant steps.
 ROW_MIN_LOG_STEP = 0.25
 ROW_MIN_LOG_TOL = 1e-9
 ROW_MIN_G_TOL = 1e-6
@@ -446,7 +449,7 @@ class _Cell:
     dx_ds: tuple
 
 
-def _inner_convex_2x2(frame, params, a0, tau0, gap_tol, max_newton):
+def _inner_convex_2x2(frame, params, a0, tau0, max_newton):
     """Scalarized barrier Newton for one whitened 2x2 cell.
 
     Maximizes log|A| over ``0 < A < I`` under the cell constraints of
@@ -460,9 +463,9 @@ def _inner_convex_2x2(frame, params, a0, tau0, gap_tol, max_newton):
     tolerance; it ends uncentred after 40 steps, at a non-positive pivot, or
     when the line search finds no decrease.  The schedule runs from ``tau0``
     up tenfold per stage until the gap proxy ``n / tau`` drops below
-    ``gap_tol``.  When a warm schedule (``tau0 > 1``) ends with its last
-    stage uncentred, it restarts once from ``tau = 1`` at the same start,
-    its steps counted on top.  ``converged`` reports whether the last stage
+    ``BARRIER_GAP_TOL``.  When a warm schedule (``tau0 > 1``) ends with its
+    last stage uncentred, it restarts once from ``tau = 1`` at the same
+    start, its steps counted on top.  ``converged`` reports whether the last stage
     of the final schedule was centred; an uncentred solve keeps its
     feasible, possibly suboptimal, value.  A centred final stage takes up to
     ``FINAL_CENTRING_STEPS`` more full Newton steps, until the decrement
@@ -508,7 +511,7 @@ def _inner_convex_2x2(frame, params, a0, tau0, gap_tol, max_newton):
             decrement_tol = 2.0 * NEWTON_DECREMENT_TOL * max(1.0, tau)
             val = merit(a, b, c)
             centred = False
-            final = n_constr / tau < gap_tol
+            final = n_constr / tau < BARRIER_GAP_TOL
             extra = 0
             for _ in range(40):
                 if total_iters >= max_newton:
@@ -573,7 +576,7 @@ def _inner_convex_2x2(frame, params, a0, tau0, gap_tol, max_newton):
                     break  # no productive step; the stage ends uncentred
                 a, b, c = a + alpha * da, b + alpha * db, c + alpha * dc
                 val = val1
-            if n_constr / tau < gap_tol:
+            if n_constr / tau < BARRIER_GAP_TOL:
                 break
             tau *= 10.0
         if centred or tau_start <= 1.0:
@@ -606,8 +609,7 @@ def _inner_convex_2x2(frame, params, a0, tau0, gap_tol, max_newton):
 
 
 def inner_convex(m: GeneralModel, params: SweepParams, *, sigma0=None,
-                 tau0: float = 1.0, gap_tol=BARRIER_GAP_TOL,
-                 max_newton: int = 400) -> SolveReport:
+                 tau0: float = 1.0, max_newton: int = 400) -> SolveReport:
     """Solve one sweep cell: maximize log|Q| under the cell constraints.
 
     Minimizes the public-rate contribution ``I_p(Q, s)`` over conditional
@@ -624,8 +626,9 @@ def inner_convex(m: GeneralModel, params: SweepParams, *, sigma0=None,
     dimension.  The 2x2 problem is solved by a log-barrier Newton path with
     barrier parameter growing tenfold per stage (from ``tau0``; pass the
     final value of a neighboring solve, with its optimum as ``sigma0``, to
-    warm-start) until the duality-gap proxy drops below ``gap_tol``; see
-    ``_inner_convex_2x2`` for what ``converged`` reports.
+    warm-start) until the duality-gap proxy drops below
+    ``BARRIER_GAP_TOL``; see ``_inner_convex_2x2`` for what ``converged``
+    reports.
 
     The public call validates the model, reduces it, solves and lifts the
     optimum.  The sweep, which reduces each model once, passes its
@@ -638,13 +641,13 @@ def inner_convex(m: GeneralModel, params: SweepParams, *, sigma0=None,
     when the Newton budget is exhausted.
     """
     if isinstance(m, _SpanFrame):
-        return _inner_convex_2x2(m, params, sigma0, tau0, gap_tol, max_newton)
+        return _inner_convex_2x2(m, params, sigma0, tau0, max_newton)
     validate_model(m)
     if m.my != 1 or m.mz != 1:
         raise SolverFailure("inner_convex requires scalar observations (my = mz = 1)")
     frame = _span_reduction(m)
     a0 = None if sigma0 is None else frame.reduce(sigma0)
-    cell = _inner_convex_2x2(frame, params, a0, tau0, gap_tol, max_newton)
+    cell = _inner_convex_2x2(frame, params, a0, tau0, max_newton)
     return SolveReport(
         optimum=ConditionalCov.for_model(m, frame.lift(cell.a2)),
         value=cell.value,
@@ -718,41 +721,6 @@ def _solve_row_cell(frame, params, prev):
                         for g00, g01, g11, cst in _cell_constraints(frame, params))):
             return inner_convex(frame, params, sigma0=(a, b, c), tau0=TAU_FINAL)
     return inner_convex(frame, params)
-
-
-def _sweep_row(frame, t, s_values_desc, ik_t):
-    """Solve one t row over descending s values; returns the achieved cells.
-
-    Each cell starts from the tangent predictor of the cell before it (see
-    ``_solve_row_cell``); the first cell of the row, and one after a cell
-    without a tangent, runs cold.  Within a row every cell shares the
-    key-rate level ``ik_t``, so only the cell of smallest achieved public
-    rate can matter for the boundary; the scan stops early once the
-    achieved rate has risen a full nat above the row minimum and keeps
-    rising.
-    """
-    cells = []
-    prev = None
-    row_min = math.inf
-    prev_rp = math.inf
-    rises = 0
-    for s in s_values_desc:
-        params = SweepParams(s=float(s), t=float(t))
-        try:
-            cell = _solve_row_cell(frame, params, prev)
-        except Infeasible:
-            break  # shrinking s only tightens the cell; the row is done
-        except MaxIterationsExceeded:
-            prev = None
-            continue  # point excluded; neighbors are unaffected
-        prev = (params.s, cell)
-        cells.append((cell.value, ik_t, float(s), float(t), cell.kkt_residual))
-        row_min = min(row_min, cell.value)
-        rises = rises + 1 if cell.value > prev_rp else 0
-        prev_rp = cell.value
-        if rises >= 3 and cell.value > row_min + 1.0:
-            break
-    return cells
 
 
 class _NoMultiplier(Exception):
@@ -883,13 +851,21 @@ def _row_min_rp(frame, t, s_max, ik_t):
 def sweep_boundary(m: GeneralModel, rp_grid, st_resolution: int = 200) -> RegionBoundary:
     """Boundary of the rate region for a model with scalar observations.
 
-    For every public rate in ``rp_grid`` (sorted ascending), reports the
-    largest key rate among all swept (s, t) cells whose inner optimum needs
-    public rate at most that much, clamped at zero.  The grid spans
-    ``s in (0, b sigma_x b^T]`` log-spaced and ``t`` approaching its maximal
-    achievable value with log-spaced gaps, ``st_resolution`` points per
-    axis (at least 2).  Rows whose key-rate level is nonpositive are
-    skipped; they can never beat the clamp.
+    Every cell of a ``t`` row has the key-rate level
+    ``ik(t) = ik_const + log(1 + t) / 2``, which rises with ``t``, and the
+    row's smallest public rate ``F(t)`` (``_row_min_rp``) is nondecreasing:
+    a larger ``t`` only tightens the ratio constraint, and the public rate
+    does not depend on it.  So for every public rate ``rp`` in ``rp_grid``
+    (sorted ascending) the boundary is ``ik(t*)``, clamped at zero, with
+    ``t* = max{t : F(t) <= rp}``.
+
+    ``t*`` is located on ``st_resolution`` rows (at least 2) that approach
+    the maximal achievable ``t``: uniform in ``log(1 + t)``, plus log-spaced
+    gaps below the maximum.  Rows whose key-rate level is nonpositive are
+    skipped; they can never beat the clamp.  A binary search over the rows
+    above the previous rate's last qualifying row finds the last row that
+    qualifies, and a bisection between it (or the previous ``t*``, when
+    higher) and the next row refines ``t*``.
     """
     validate_model(m)
     if m.my != 1 or m.mz != 1:
@@ -910,7 +886,6 @@ def sweep_boundary(m: GeneralModel, rp_grid, st_resolution: int = 200) -> Region
     ik_const = 0.5 * (math.log1p(s_max) - math.log1p(ez))
     t_min, t_max = _t_range(frame)
 
-    s_values_desc = s_max * np.geomspace(1.0, SWEEP_S_FLOOR, st_resolution)
     t_span = max(t_max - t_min, 1e-9)
     g_min = SWEEP_T_GAP_FLOOR * t_span
     # hybrid t grid: uniform in log(1+t) for even key-rate coverage of the
@@ -922,98 +897,51 @@ def sweep_boundary(m: GeneralModel, rp_grid, st_resolution: int = 200) -> Region
         np.linspace(math.log1p(t_min), math.log1p(t_max - g_min), n_uniform)
     )
     t_refine = t_max - np.geomspace(g_min, 0.2 * t_span, n_refine)
-    t_values = np.unique(np.concatenate([t_uniform, t_refine]))
-    rows = []
-    for t in t_values:
-        if t <= -1.0:
-            continue
-        ik_t = ik_const + 0.5 * math.log1p(t)
-        if ik_t > 0.0:
-            rows.append((float(t), ik_t))
+    rows = [float(t) for t in np.unique(np.concatenate([t_uniform, t_refine]))
+            if ik_const + 0.5 * math.log1p(t) > 0.0]
 
-    row_cells = [_sweep_row(frame, t, s_values_desc, ik) for t, ik in rows]
+    def row_min(t):
+        return _row_min_rp(frame, t, s_max, ik_const + 0.5 * math.log1p(t))
 
-    cells = [c for row in row_cells for c in row]
+    reach = {}  # row index -> (rp_min, cell) of that row
 
-    # Refinement pass.  The coarse grid quantizes rk(rp) in two ways: each
-    # row's reach (its smallest achieved rp) is limited by the s grid, and
-    # the best qualifying t is limited by the t grid.  Both are polished
-    # with the same inner solver: rows near each requested rate get their
-    # reach refined by ``_row_min_rp`` (one solve at s_max settles a row
-    # whose minimum is the kink at b Q* b^T; elsewhere a secant on the
-    # s-multiplier finds the stationary s), then the winning t is located
-    # by bisection between the best qualifying and first out-of-reach rows.
-    coarse_reach = {}
-    for (t, ik), rc in zip(rows, row_cells):
-        if rc:
-            coarse_reach[t] = min(c[0] for c in rc)
-    ts_sorted = sorted(coarse_reach)
-    refined = {}
+    def row(i):
+        if i not in reach:
+            reach[i] = row_min(rows[i])
+        return reach[i]
 
-    def reach(t):
-        if t not in refined:
-            rp_min, cell = _row_min_rp(frame, t, s_max, ik_const + 0.5 * math.log1p(t))
-            if cell is not None:
-                cells.append(cell)
-                rp_min = min(rp_min, coarse_reach.get(t, math.inf))
-            refined[t] = rp_min
-        return refined[t]
-
-    if ts_sorted:
-        prev_t_star = None
-        for rp in rp_grid:
-            qual = [t for t in ts_sorted if coarse_reach[t] <= rp + 1e-12]
-            t_lo = max(qual) if qual else None
-            if prev_t_star is not None and (t_lo is None or prev_t_star > t_lo):
-                t_lo = prev_t_star  # the winning t is nondecreasing in rp
-            # a row just out of coarse reach may still qualify once refined
-            above = [t for t in ts_sorted if t_lo is None or t > t_lo]
-            for t in above[:3]:
-                if reach(t) <= rp + 1e-12:
-                    t_lo = t
-                else:
-                    break
-            if t_lo is None:
-                continue
-            later = [t for t in ts_sorted if t > t_lo]
-            if not later:
-                prev_t_star = t_lo
-                continue
-            t_hi = min(later)
+    points = []
+    meta = []
+    last = -1  # last row known to qualify; qualifying rows only grow with rp
+    winner = None  # achieved-cell tuple of the best t so far
+    for rp in rp_grid:
+        bound = rp + 1e-12
+        above = len(rows)  # first row known not to qualify
+        while above - last > 1:
+            mid = (last + above) // 2
+            if row(mid)[0] <= bound:
+                last = mid
+            else:
+                above = mid
+        if last >= 0 and (winner is None or rows[last] > winner[3]):
+            winner = row(last)[1]
+        if winner is not None and above < len(rows):
+            t_lo, t_hi = winner[3], rows[above]
             for _ in range(10):
                 if t_hi - t_lo < 1e-6 * (1.0 + abs(t_hi)):
                     break
                 t_mid = 0.5 * (t_lo + t_hi)
-                rp_min, cell = _row_min_rp(frame, t_mid, s_max,
-                                           ik_const + 0.5 * math.log1p(t_mid))
-                if cell is not None:
-                    cells.append(cell)
-                if rp_min <= rp + 1e-12:
-                    t_lo = t_mid
+                rp_min, cell = row_min(t_mid)
+                if rp_min <= bound:
+                    t_lo, winner = t_mid, cell
                 else:
                     t_hi = t_mid
-            prev_t_star = t_lo
-
-    cells.sort(key=lambda c: c[0])  # by achieved public rate
-
-    points = []
-    meta = []
-    best_rk = 0.0
-    best_cell = None
-    idx = 0
-    for rp in rp_grid:
-        while idx < len(cells) and cells[idx][0] <= rp + 1e-12:
-            if cells[idx][1] > best_rk:
-                best_rk = cells[idx][1]
-                best_cell = cells[idx]
-            idx += 1
-        points.append(RatePair(rp=rp, rk=best_rk))
-        if best_cell is None:
+        if winner is None:
+            points.append(RatePair(rp=rp, rk=0.0))
             meta.append(PointMeta(s=None, t=None, kkt_residual=0.0))
         else:
-            meta.append(
-                PointMeta(s=best_cell[2], t=best_cell[3], kkt_residual=best_cell[4])
-            )
+            points.append(RatePair(rp=rp, rk=max(0.0, winner[1])))
+            meta.append(PointMeta(s=winner[2], t=winner[3], kkt_residual=winner[4]))
     return RegionBoundary(points=tuple(points), model_digest=model_digest(m),
                           solver_meta=tuple(meta))
 
@@ -1536,7 +1464,7 @@ def ascent_boundary(m: AlignedModel, rp_grid, *, n_starts: int = 8, seed: int = 
 
 
 def contains(m, p: RatePair, tol: float, *, boundary: RegionBoundary | None = None,
-             st_resolution: int = 200, rp_grid=None) -> bool:
+             st_resolution: int = 200) -> bool:
     """Region membership: is the pair within ``tol`` of achievable?
 
     True iff the computed boundary at ``p.rp`` reaches ``p.rk - tol``.  A
@@ -1550,12 +1478,10 @@ def contains(m, p: RatePair, tol: float, *, boundary: RegionBoundary | None = No
         return True
     if boundary is not None:
         return boundary.rk_at(p.rp) >= p.rk - tol
-    if rp_grid is None:
-        rp_grid = [p.rp]
     if isinstance(m, GeneralModel) and m.my == 1 and m.mz == 1:
-        bnd = sweep_boundary(m, rp_grid, st_resolution=st_resolution)
+        bnd = sweep_boundary(m, [p.rp], st_resolution=st_resolution)
     else:
-        bnd = ascent_boundary(m if isinstance(m, AlignedModel) else to_aligned(m), rp_grid)
+        bnd = ascent_boundary(m if isinstance(m, AlignedModel) else to_aligned(m), [p.rp])
     return bnd.rk_at(p.rp) >= p.rk - tol
 
 

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from gausskey import RatePair, contains, kkt, load_model
+from gausskey import RatePair, contains, kkt, load_model, solver
 from gausskey.cli import RunConfig, _config_from_args, build_parser, main
 from gausskey.rates import PointMeta, RegionBoundary
 
@@ -198,6 +198,20 @@ def test_region_rejects_degenerate_resolution(model_files, capsys, tmp_path, res
                  "--resolution", resolution]) == 2
     assert "--resolution must be at least 2" in capsys.readouterr().err
     assert not out_csv.exists()
+
+
+def test_region_without_output_fails_before_the_sweep(model_files, monkeypatch):
+    calls = []
+    monkeypatch.setattr(solver, "sweep_boundary",
+                        lambda *args, **kwargs: calls.append(args))
+    # a library caller learns it from the config, the command line from the
+    # parser; neither runs the sweep first
+    with pytest.raises(ValueError, match="region requires --output"):
+        RunConfig(command="region", model_path=model_files["general"])
+    with pytest.raises(SystemExit) as exited:
+        main(["region", model_files["general"]])
+    assert exited.value.code == 2
+    assert calls == []
 
 
 @pytest.mark.parametrize("argv", [["region", "m.json", "-o", "out.csv"], ["mc", "m.json"]])

@@ -3,7 +3,7 @@
 ``_scan_golden_row_min`` is the search that the envelope-theorem search
 replaced: a 16-point log-s scan, then 18 golden-section steps around the
 best scan point, every probe a full barrier solve.  On every row that the
-refinement pass visits -- both demo sources at resolution 60 and the 13
+sweep visits -- both demo sources at resolution 60 and the 13
 models of the benchmark's ``random_sweep`` workload -- the reach may not
 exceed that reference by more than 1e-9, and the demo boundaries must equal
 the ones the reference gives.

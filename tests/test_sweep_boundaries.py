@@ -6,12 +6,18 @@ demo sources at resolutions 60 and 200, the 13 models of the benchmark's
 ``random_sweep`` workload and the criterion-3 corpus.  A change to how the
 cells are started or searched may not move any of them by more than 1e-12.
 
+The sweep searches its ``t`` rows for the last one whose row minimum
+``F(t)`` (``solver._row_min_rp``) is within the public rate, which is sound
+only because ``F`` is nondecreasing in ``t``; every row minimum that the
+frozen sweeps evaluate is checked for that.
+
 A count of Newton steps over every ``inner_convex`` call guards the sweep's
-cost without a clock: the sweeps that started each cell from the scaled
-previous optimum took 111,397 steps on the two demos at resolution 60 and
-229,876 on the ``random_sweep`` models.  A cell started from the tangent
-predictor of its neighbour must also land where a cold solve of the same
-cell does.
+cost without a clock: the sweeps that scanned a coarse (s, t) grid before
+refining took 80,752 steps on the two demos at resolution 60 and 110,762 on
+the ``random_sweep`` models; the search on row minima alone takes 68,026
+and 68,013.  A cell started from the tangent predictor of its neighbour
+must also land where a cold solve of the same cell does; those cells are
+drawn from every frozen sweep.
 """
 
 import json
@@ -24,7 +30,7 @@ from gausskey import GeneralModel, solver
 
 FROZEN_TOL = 1e-12
 PREDICTOR_TOL = 1e-10
-STEP_BOUNDS = {"demo_res60": 90_000, "random_sweep": 130_000}
+STEP_BOUNDS = {"demo_res60": 75_000, "random_sweep": 75_000}
 
 
 def _group(name):
@@ -35,32 +41,43 @@ def _group(name):
 
 @pytest.fixture(scope="module")
 def swept():
-    """Per frozen sweep: its entry and boundary; per group of sweeps: the
-    Newton steps of all its cells and its predictor-started cells as
+    """Per frozen sweep: its entry, its boundary and each row minimum it
+    evaluated as ``(t, F(t))``; per group of sweeps: the Newton steps of all
+    its cells; over all sweeps: the predictor-started cells as
     ``(frame, params, value)``."""
     path = os.path.join(os.path.dirname(__file__), "data", "sweep_boundaries.json")
     with open(path) as fh:
         entries = json.load(fh)["sweeps"]
     inner = solver.inner_convex
+    row_min = solver._row_min_rp
     steps = {}
-    predicted = {}
+    predicted = []
     group = None
+    reaches = None
 
     def counted(m, params, **kwargs):
         cell = inner(m, params, **kwargs)
         steps[group] = steps.get(group, 0) + cell.iterations
         if "tau0" in kwargs:
-            predicted.setdefault(group, []).append((m, params, cell.value))
+            predicted.append((m, params, cell.value))
         return cell
+
+    def recorded(frame, t, s_max, ik_t):
+        rp_min, cell = row_min(frame, t, s_max, ik_t)
+        reaches.append((t, rp_min))
+        return rp_min, cell
 
     out = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "inner_convex", counted)
+        mp.setattr(solver, "_row_min_rp", recorded)
         for entry in entries:
             group = _group(entry["name"])
+            reaches = []
             m = GeneralModel(sigma_x=entry["sigma_x"], b=entry["b"], e=entry["e"])
-            out.append((entry, solver.sweep_boundary(m, entry["rp"],
-                                                     st_resolution=entry["resolution"])))
+            boundary = solver.sweep_boundary(m, entry["rp"],
+                                             st_resolution=entry["resolution"])
+            out.append((entry, boundary, reaches))
     return out, steps, predicted
 
 
@@ -68,11 +85,28 @@ def test_boundaries_match_the_frozen_sweeps(swept):
     boundaries, _, _ = swept
     assert len(boundaries) == 4 + 13 + 20
     misses = []
-    for entry, boundary in boundaries:
+    for entry, boundary, _ in boundaries:
         for rp, rk, point in zip(entry["rp"], entry["rk"], boundary.points):
             assert point.rp == rp
             if not abs(point.rk - rk) <= FROZEN_TOL:
                 misses.append((entry["name"], rp, rk, point.rk))
+    assert not misses, misses
+
+
+def test_row_minimum_is_nondecreasing_in_t(swept):
+    # the sweep's search over t rows rests on this; an infeasible row would
+    # read inf and must not come below a feasible one either
+    boundaries, _, _ = swept
+    n_rows = 0
+    misses = []
+    for entry, _, reaches in boundaries:
+        f_of_t = dict(reaches)
+        ts = sorted(f_of_t)
+        n_rows += len(ts)
+        for lo, hi in zip(ts, ts[1:]):
+            if not f_of_t[hi] >= f_of_t[lo]:
+                misses.append((entry["name"], lo, f_of_t[lo], hi, f_of_t[hi]))
+    assert n_rows >= 1000
     assert not misses, misses
 
 
@@ -131,8 +165,7 @@ def test_t_range_stops_at_the_fixed_point_with_the_same_bounds():
 
 
 def test_predictor_started_cells_match_cold_solves(swept):
-    _, _, predicted = swept
-    cells = predicted["demo_res60"]
+    _, _, cells = swept
     assert len(cells) >= 1000
     misses = []
     for frame, params, value in cells:
