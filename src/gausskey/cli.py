@@ -53,8 +53,8 @@ class RunConfig:
 
     def __post_init__(self):
         if self.command == "region":
-            if not self.rp_max > 0.0:
-                raise ValueError("--rp-max must be positive")
+            if not 0.0 < self.rp_max < math.inf:
+                raise ValueError("--rp-max must be finite and positive")
             if self.points < 2:
                 raise ValueError("--points must be at least 2")
             if self.resolution < 2:

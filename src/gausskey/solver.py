@@ -16,8 +16,8 @@ Three routes to the boundary R_k(R_p):
     a logarithmic-barrier Newton method, and its cost does not grow with mx.
     Every cell of a ``t`` row has the same key rate, rising with ``t``, and
     the row's smallest public rate (``_row_min_rp``, a search over s) is
-    nondecreasing in ``t``; a monotone search over ``t`` rows, refined by
-    bisection, yields the boundary.
+    nondecreasing in ``t``; a monotone search over ``t`` rows, refined by a
+    root find on ``F(t) = rp``, yields the boundary.
 
 ``ascent_boundary``
     For aligned models of any dimension.  The constrained key-rate
@@ -39,6 +39,7 @@ minimum: its cells are solved in order, each started from the tangent of
 the one before, so output is run-to-run identical.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -95,12 +96,17 @@ FINAL_CENTRING_STEPS = 6
 FINAL_DECREMENT_TOL = 1e-14
 
 # Row minimum (``_row_min_rp``): first step down in log s when bracketing,
-# the bracket width in log s that ends a search, the stop on the
-# stationarity residual g and the cap on secant steps.
+# the bracket width in log s that ends a search and the stop on the
+# stationarity residual g.
 ROW_MIN_LOG_STEP = 0.25
 ROW_MIN_LOG_TOL = 1e-9
 ROW_MIN_G_TOL = 1e-6
-ROW_MIN_SECANT_STEPS = 40
+
+# The bracket width in key rate log(1 + t) / 2 that ends the sweep's search
+# for t*, so every reported key rate is within this many nats of its
+# bracket's t*; and the cap on the steps of either Anderson-Bjorck search.
+SWEEP_IK_TOL = 1e-7
+SECANT_STEPS = 40
 
 # A constraint whose matrix has squared Frobenius norm below this is
 # dropped from a cell (see ``_cell_constraints``).
@@ -152,17 +158,13 @@ class SolveReport:
 # shared small-matrix utilities
 # ---------------------------------------------------------------------------
 
-_BASIS_CACHE = {}
-
-
+@functools.cache
 def _basis(n):
     """Basis of the symmetric n x n matrices: ``E_ii``, and ``E_ij + E_ji``
     for i < j, in row order."""
-    if n not in _BASIS_CACHE:
-        e = np.eye(n)
-        _BASIS_CACHE[n] = np.array([np.outer(e[i], e[j]) + (i != j) * np.outer(e[j], e[i])
-                                    for i in range(n) for j in range(i, n)])
-    return _BASIS_CACHE[n]
+    e = np.eye(n)
+    return np.array([np.outer(e[i], e[j]) + (i != j) * np.outer(e[j], e[i])
+                     for i in range(n) for j in range(i, n)])
 
 
 def _interval_linear_max(g_w):
@@ -665,23 +667,15 @@ def _t_range(frame):
     """Extreme achievable values of t = (eQe^T - bQb^T) / (bQb^T + 1) over
     the matrix interval, by bisection on a linear feasibility test in the
     reduced frame.  Each bisection runs to its float fixed point, where
-    ``mid`` equals ``lo`` or ``hi``, or for at most 200 steps."""
-    bw = np.array(frame.bw)
-    ew = np.array(frame.ew)
-    bb = np.outer(bw, bw)
-    ee = np.outer(ew, ew)
-
+    ``mid`` equals an end and later steps would change nothing, or for at
+    most 200 steps."""
     def reachable_above(v):
-        val, _ = _interval_linear_max(ee - (1.0 + v) * bb)
-        return val >= v
+        return _interval_linear_max(_ratio_gains(frame, v)[0])[0] >= v
 
     def reachable_below(v):
-        val, _ = _interval_linear_max((1.0 + v) * bb - ee)
-        return val >= -v
+        return _interval_linear_max(-_ratio_gains(frame, v)[0])[0] >= -v
 
     def bisect(inside, outside, test):
-        # to the float fixed point, where mid repeats an end: later steps
-        # would test the same mid and change nothing
         for _ in range(200):
             mid = 0.5 * (inside + outside)
             fixed = mid in (inside, outside)
@@ -723,6 +717,38 @@ def _solve_row_cell(frame, params, prev):
     return inner_convex(frame, params)
 
 
+def _anderson_bjorck(f, x_lo, f_lo, x_hi, f_hi, tol, margin=0.0):
+    """Shrink a bracket ``x_lo < x_hi`` with ``f(x_lo) >= 0 > f(x_hi)`` to
+    at most ``tol`` by secant steps, scaling down the value of an end kept
+    twice in a row (the Illinois method with Anderson and Bjorck's factor).
+    While ``f(x_hi)`` is ``-inf`` it bisects.  A secant step lands at least
+    ``margin`` inside, so a search converging from one side still closes.
+    ``f`` returns None to end the search; the caller keeps what it needs
+    from the points ``f`` sees."""
+    kept = 0  # +1 (-1): the last step replaced x_lo (x_hi)
+    for _ in range(SECANT_STEPS):
+        if x_hi - x_lo <= tol:
+            break
+        if f_hi == -math.inf:
+            x = 0.5 * (x_lo + x_hi)
+        else:
+            x = x_hi - f_hi * (x_hi - x_lo) / (f_hi - f_lo)
+            x = min(max(x, x_lo + margin), x_hi - margin)
+        fx = f(x)
+        if fx is None:
+            break
+        if fx >= 0.0:
+            if kept == 1:
+                scale = 1.0 - fx / f_lo if f_lo > 0.0 else 0.0
+                f_hi *= scale if scale > 0.0 else 0.5
+            x_lo, f_lo, kept = x, fx, 1
+        else:
+            if kept == -1:
+                scale = 1.0 - fx / f_hi
+                f_lo *= scale if scale > 0.0 else 0.5
+            x_hi, f_hi, kept = x, fx, -1
+
+
 class _NoMultiplier(Exception):
     """A row-minimum probe ended uncentred, so it has no multiplier."""
 
@@ -743,12 +769,9 @@ def _row_min_rp(frame, t, s_max, ik_t):
     falls towards it).  Otherwise the minimum is a smooth root of ``g``
     further down: steps in log s, doubling, bracket it; an infeasible probe
     turns them into a bisection towards the feasibility edge, where rp may
-    still be rising; and an Anderson-Bjorck secant (the Illinois method
-    with a better reduction factor) on ``g`` closes the bracket.  Each
-    probe starts from the tangent predictor of the last solved one on the
-    warm schedule when the prediction is strictly feasible, and cold on the
-    full schedule otherwise (see ``_solve_row_cell``); one that exceeds its
-    Newton budget counts as infeasible.  A cell that ends uncentred has no
+    still be rising; and ``_anderson_bjorck`` on ``g`` closes the bracket.
+    ``_solve_row_cell`` starts each probe; one that exceeds its Newton
+    budget counts as infeasible.  A cell that ends uncentred has no
     multiplier: its value still counts, and the search ends there.
 
     Returns ``(rp_min, cell)`` where ``cell`` is the achieved-cell tuple of
@@ -789,8 +812,7 @@ def _row_min_rp(frame, t, s_max, ik_t):
         return cell.lam_s * (1.0 + s) - 1.0
 
     def result():
-        rp_min, s_at, residual = best
-        return rp_min, (rp_min, ik_t, s_at, float(t), residual)
+        return best[0], (best[0], ik_t, best[1], float(t), best[2])
 
     s_floor = s_max * SWEEP_S_FLOOR
     s_hi = s_free * (1.0 - 1e-6)
@@ -823,26 +845,11 @@ def _row_min_rp(frame, t, s_max, ik_t):
             if at_edge and x_hi - x_edge <= ROW_MIN_LOG_TOL:
                 return result()  # rp still rises at the feasibility edge
 
-        # secant on g over [x_lo, x_hi], where g(x_lo) >= 0 > g(x_hi); when
-        # one end is kept twice in a row its g is scaled down (Anderson-Bjorck)
-        kept = 0
-        for _ in range(ROW_MIN_SECANT_STEPS):
-            x = x_hi - g_hi * (x_hi - x_lo) / (g_hi - g_lo)
+        def g_or_stop(x):
             g = probe(x)
-            if g is None or abs(g) <= ROW_MIN_G_TOL:
-                break
-            if g >= 0.0:
-                if kept == 1:
-                    scale = 1.0 - g / g_lo
-                    g_hi *= scale if scale > 0.0 else 0.5
-                x_lo, g_lo, kept = x, g, 1
-            else:
-                if kept == -1:
-                    scale = 1.0 - g / g_hi
-                    g_lo *= scale if scale > 0.0 else 0.5
-                x_hi, g_hi, kept = x, g, -1
-            if x_hi - x_lo <= ROW_MIN_LOG_TOL:
-                break
+            return None if g is None or abs(g) <= ROW_MIN_G_TOL else g
+
+        _anderson_bjorck(g_or_stop, x_lo, g_lo, x_hi, g_hi, ROW_MIN_LOG_TOL)
     except _NoMultiplier:
         pass
     return result()
@@ -859,13 +866,14 @@ def sweep_boundary(m: GeneralModel, rp_grid, st_resolution: int = 200) -> Region
     (sorted ascending) the boundary is ``ik(t*)``, clamped at zero, with
     ``t* = max{t : F(t) <= rp}``.
 
-    ``t*`` is located on ``st_resolution`` rows (at least 2) that approach
+    ``t*`` is bracketed on ``st_resolution`` rows (at least 2) that approach
     the maximal achievable ``t``: uniform in ``log(1 + t)``, plus log-spaced
     gaps below the maximum.  Rows whose key-rate level is nonpositive are
     skipped; they can never beat the clamp.  A binary search over the rows
     above the previous rate's last qualifying row finds the last row that
-    qualifies, and a bisection between it (or the previous ``t*``, when
-    higher) and the next row refines ``t*``.
+    qualifies.  From it (or the previous ``t*``, when higher) to the next
+    row, an Anderson-Bjorck search on ``F(t) = rp`` in ``log(1 + t) / 2``
+    shrinks the bracket to ``SWEEP_IK_TOL`` and reports its lower end.
     """
     validate_model(m)
     if m.my != 1 or m.mz != 1:
@@ -879,10 +887,8 @@ def sweep_boundary(m: GeneralModel, rp_grid, st_resolution: int = 200) -> Region
         raise ValueError(f"st_resolution must be at least 2, got {st_resolution!r}")
 
     frame = _span_reduction(m)
-    b = m.b[0]
-    e = m.e[0]
-    s_max = float(b @ m.sigma_x @ b)
-    ez = float(e @ m.sigma_x @ e)
+    s_max = float(m.b[0] @ m.sigma_x @ m.b[0])
+    ez = float(m.e[0] @ m.sigma_x @ m.e[0])
     ik_const = 0.5 * (math.log1p(s_max) - math.log1p(ez))
     t_min, t_max = _t_range(frame)
 
@@ -893,49 +899,46 @@ def sweep_boundary(m: GeneralModel, rp_grid, st_resolution: int = 200) -> Region
     # the asymptote to ~1e-6
     n_uniform = max(2, int(0.6 * st_resolution))
     n_refine = max(2, st_resolution - n_uniform)
-    t_uniform = np.expm1(
-        np.linspace(math.log1p(t_min), math.log1p(t_max - g_min), n_uniform)
-    )
+    t_uniform = np.expm1(np.linspace(math.log1p(t_min), math.log1p(t_max - g_min),
+                                     n_uniform))
     t_refine = t_max - np.geomspace(g_min, 0.2 * t_span, n_refine)
     rows = [float(t) for t in np.unique(np.concatenate([t_uniform, t_refine]))
             if ik_const + 0.5 * math.log1p(t) > 0.0]
 
+    reach = {}  # t -> (F(t), cell) of every row evaluated
+
     def row_min(t):
-        return _row_min_rp(frame, t, s_max, ik_const + 0.5 * math.log1p(t))
+        if t not in reach:
+            reach[t] = _row_min_rp(frame, t, s_max, ik_const + 0.5 * math.log1p(t))
+        return reach[t]
 
-    reach = {}  # row index -> (rp_min, cell) of that row
-
-    def row(i):
-        if i not in reach:
-            reach[i] = row_min(rows[i])
-        return reach[i]
-
-    points = []
-    meta = []
+    points, meta = [], []
     last = -1  # last row known to qualify; qualifying rows only grow with rp
     winner = None  # achieved-cell tuple of the best t so far
+
+    def slack(u):
+        # bound - F(t) at u = log(1 + t) / 2; a qualifying t is the best yet
+        nonlocal winner
+        rp_min, cell = row_min(math.expm1(2.0 * u))
+        if rp_min <= bound:
+            winner = cell
+        return bound - rp_min
+
     for rp in rp_grid:
         bound = rp + 1e-12
         above = len(rows)  # first row known not to qualify
         while above - last > 1:
             mid = (last + above) // 2
-            if row(mid)[0] <= bound:
+            if row_min(rows[mid])[0] <= bound:
                 last = mid
             else:
                 above = mid
         if last >= 0 and (winner is None or rows[last] > winner[3]):
-            winner = row(last)[1]
+            winner = row_min(rows[last])[1]
         if winner is not None and above < len(rows):
-            t_lo, t_hi = winner[3], rows[above]
-            for _ in range(10):
-                if t_hi - t_lo < 1e-6 * (1.0 + abs(t_hi)):
-                    break
-                t_mid = 0.5 * (t_lo + t_hi)
-                rp_min, cell = row_min(t_mid)
-                if rp_min <= bound:
-                    t_lo, winner = t_mid, cell
-                else:
-                    t_hi = t_mid
+            _anderson_bjorck(slack, 0.5 * math.log1p(winner[3]), bound - winner[0],
+                             0.5 * math.log1p(rows[above]), bound - row_min(rows[above])[0],
+                             SWEEP_IK_TOL, margin=0.1 * SWEEP_IK_TOL)
         if winner is None:
             points.append(RatePair(rp=rp, rk=0.0))
             meta.append(PointMeta(s=None, t=None, kkt_residual=0.0))
@@ -1314,11 +1317,7 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 8,
     interpolants -- followed by a Newton polish of the stationarity system
     on candidate active faces (``_face_schedule``).  The polish starts from
     the best ascent point, with the multiplier ``kkt.closed_form_mu`` gives
-    there (clipped to [1e-8, 1e4]) when the rate constraint is active.  The
-    faces run from the detected one upward, then below it, on the guessed
-    rate branch first; on the rate-active branch the multiplier is scaled
-    by 1 on every face, then by 2 on every face, then by 1/2, 4 and 1/4 on
-    the detected face.
+    there (clipped to [1e-8, 1e4]) when the rate constraint is active.
     ``kkt_residual`` is the residual of that first-order system;
     ``iterations`` counts the ascent iterations actually taken, over every
     start and penalty escalation; ``max_iter`` caps them per start and

@@ -184,11 +184,17 @@ def test_mc_command(model_files, capsys):
     assert "rp estimate:" in out and "rk estimate:" in out
 
 
-def test_region_rejects_bad_options(model_files):
+def test_region_rejects_bad_options(model_files, capsys):
     assert main(["region", model_files["general"], "-o", "/tmp/x.csv",
                  "--rp-max", "-1"]) == 2
     assert main(["region", model_files["general"], "-o", "/tmp/x.csv",
                  "--points", "1"]) == 2
+    # an infinite rate grid used to reach numpy and fail as a negative rate
+    for rp_max in ("inf", "nan"):
+        capsys.readouterr()
+        assert main(["region", model_files["general"], "-o", "/tmp/x.csv",
+                     "--rp-max", rp_max]) == 2
+        assert "--rp-max must be finite and positive" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("resolution", ("0", "1", "-3"))

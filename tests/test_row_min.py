@@ -5,8 +5,8 @@ replaced: a 16-point log-s scan, then 18 golden-section steps around the
 best scan point, every probe a full barrier solve.  On every row that the
 sweep visits -- both demo sources at resolution 60 and the 13
 models of the benchmark's ``random_sweep`` workload -- the reach may not
-exceed that reference by more than 1e-9, and the demo boundaries must equal
-the ones the reference gives.
+exceed that reference by more than 1e-9, and the demo boundaries may not
+fall below the ones the reference gives by more than that.
 
 Near ``t_max`` a row's feasible s-interval can be narrower than one scan
 step.  The scan then sees only ``s_max`` and the golden section probes a
@@ -14,6 +14,10 @@ mostly infeasible bracket, so its reach is too high (by 2.2e-2 nats on the
 rows of random model 902).  There the reach is checked against a dense
 log-s scan that is refined by golden section and by bisection to the
 feasibility edge.
+
+On the same sweeps every reported key rate is within ``SWEEP_IK_TOL`` of
+the ``t*`` of its bracket: the row one step of that size above the
+reported ``t`` no longer qualifies.
 
 A count of ``inner_convex`` calls guards the cost without a clock: on the
 degraded demo every row minimum sits at the kink and takes two solves.
@@ -219,12 +223,64 @@ def test_reach_never_above_the_scan_reference(refined_rows, name):
 
 @pytest.mark.parametrize("name", ["degraded", "crossing"])
 def test_demo_boundaries_match_the_scan_reference(refined_rows, monkeypatch, name):
+    # one-sided: each sweep converges to the t* of its own row minimum, and
+    # the reference's is never below ours, so its t* is the lower one
     _, m, grid, res = next(entry for entry in MODELS if entry[0] == name)
     monkeypatch.setattr(solver, "_row_min_rp", _scan_golden_row_min)
     reference = solver.sweep_boundary(m, grid, st_resolution=res)
     got = refined_rows[name][0]
-    diffs = [abs(p.rk - q.rk) for p, q in zip(got.points, reference.points)]
-    assert max(diffs) <= REACH_TOL, diffs
+    diffs = [p.rk - q.rk for p, q in zip(got.points, reference.points)]
+    assert min(diffs) >= -REACH_TOL, diffs
+
+
+def test_root_find_bisects_an_infeasible_end_and_closes_the_bracket():
+    # f is -inf (an infeasible row) above 0.7 and zero on [0.5, root]: the
+    # search bisects into the finite part, survives a kept end whose value
+    # is exactly 0, and closes on the largest x with f >= 0
+    root = 0.5 + 2.5e-8
+
+    def f(x):
+        fx = -math.inf if x > 0.7 else 0.5 - x if x < 0.5 else min(0.0, root - x)
+        seen.append((x, fx))
+        return fx
+
+    seen = []
+    solver._anderson_bjorck(f, 0.0, 0.5, 1.0, -math.inf, 1e-7, margin=1e-8)
+    lo = max(x for x, fx in seen if fx >= 0.0)
+    hi = min(x for x, fx in seen if fx < 0.0)
+    assert lo <= root < hi and hi - lo <= 1e-7
+    assert any(fx == -math.inf for _, fx in seen)
+    assert any(fx == 0.0 for _, fx in seen)
+
+
+def _top_row(frame):
+    """The highest ``t`` row of ``sweep_boundary``'s grid: the last of its
+    uniform rows, ``t_max`` less the smallest gap, or the first of its gap
+    rows, which should be the same."""
+    t_min, t_max = solver._t_range(frame)
+    top = t_max - solver.SWEEP_T_GAP_FLOOR * max(t_max - t_min, 1e-9)
+    return max(top, float(np.expm1(np.log1p(top))))
+
+
+@pytest.mark.parametrize("name", [name for name, *_ in MODELS])
+def test_key_rates_are_within_the_tolerance_of_t_star(refined_rows, name):
+    # a point below the top row has a non-qualifying row above it, and the
+    # search for t* closes that bracket to SWEEP_IK_TOL in key rate
+    boundary, rows = refined_rows[name]
+    frame, _, s_max, *_ = rows[0]
+    top = _top_row(frame)
+    checked = 0
+    misses = []
+    for point, meta in zip(boundary.points, boundary.solver_meta):
+        if meta.t is None or not meta.t < top:
+            continue
+        checked += 1
+        t_up = math.expm1(2.0 * (0.5 * math.log1p(meta.t) + solver.SWEEP_IK_TOL))
+        reach, _ = solver._row_min_rp(frame, t_up, s_max, 0.0)
+        if not reach > point.rp + 1e-12:
+            misses.append((point.rp, meta.t, t_up, reach))
+    assert checked
+    assert not misses, misses
 
 
 def test_narrow_rows_reach_their_feasibility_edge(refined_rows):
