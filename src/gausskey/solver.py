@@ -168,16 +168,10 @@ def _basis(n):
 
 
 def _interval_linear_max(g_w):
-    """Maximize <G, A> over the whitened matrix interval 0 <= A <= I, for
-    one symmetric matrix or a stack of them (shape ``(..., n, n)``).
-
-    Returns ``(value, a_max)``: the sum of the positive eigenvalues of G and
-    the projector onto their eigenvectors, which attains it.
-    """
-    w, v = np.linalg.eigh(g_w)
-    pos = w > 0.0
-    vp = v * pos[..., None, :]
-    return np.where(pos, w, 0.0).sum(axis=-1), vp @ np.swapaxes(vp, -1, -2)
+    """Maximum of <G, A> over the whitened matrix interval 0 <= A <= I: the
+    sum of the positive eigenvalues of G."""
+    w = np.linalg.eigh(g_w)[0]
+    return float(w[w > 0.0].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -280,127 +274,70 @@ def _cell_constraints(frame, params):
 
 
 def _ratio_gains(frame, t):
-    """``G_t = e e^T - (1 + t) b b^T`` and ``b b^T`` in the reduced frame."""
+    """``G_t = e e^T - (1 + t) b b^T`` in the reduced frame."""
     bw = np.array(frame.bw)
     ew = np.array(frame.ew)
-    bb = np.outer(bw, bw)
-    return np.outer(ew, ew) - (1.0 + t) * bb, bb
+    return np.outer(ew, ew) - (1.0 + t) * np.outer(bw, bw)
 
 
-def _feasibility_bound(frame, params, eta_max=1e8):
-    """Upper bound on max{e A e^T - (1+t) b A b^T : b A b^T <= s} over the
-    whitened interval, via the scalar Lagrangian dual.  The cell is
-    infeasible when this bound does not exceed t.  Returns at the first
-    probe that certifies infeasibility (any single dual value does); the
-    probes are evaluated as one stack."""
-    gt, bb = _ratio_gains(frame, params.t)
-    margin = 1e-12 * (1.0 + abs(params.t))
-
-    def dual(etas):
-        vals, _ = _interval_linear_max(gt - etas[:, None, None] * bb)
-        return vals + etas * params.s
-
-    etas = np.concatenate(([0.0], np.geomspace(1e-8, eta_max, 25)))
-    vals = dual(etas)
-    hit = np.flatnonzero(vals <= params.t + margin)
-    if hit.size:
-        return float(vals[hit[0]]), float(etas[hit[0]])
-    # interval-constrained primal value at eta given by complementarity is
-    # unavailable cheaply; refine the dual minimum instead
-    k = int(np.argmin(vals))
-    lo = etas[max(k - 1, 0)]
-    hi = etas[min(k + 1, len(etas) - 1)]
-    best = float(vals[k])
-    for _ in range(40):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        v1, v2 = dual(np.array([m1, m2]))
-        best = min(best, v1, v2)
-        if best <= params.t + margin:
-            return float(best), 0.5 * (m1 + m2)
-        if v1 <= v2:
-            hi = m2
-        else:
-            lo = m1
-    eta_star = 0.5 * (lo + hi)
-    return float(min(best, dual(np.array([eta_star]))[0])), eta_star
+def _strictly_feasible(a2, cons):
+    """Whether the reduced cell matrix ``(a, b, c)`` lies strictly inside
+    ``0 < A < I`` and every cell constraint."""
+    a, b, c = a2
+    return (0.0 < a < 1.0 and a * c - b * b > 0.0
+            and (1.0 - a) * (1.0 - c) - b * b > 0.0
+            and all(g00 * a + 2.0 * g01 * b + g11 * c + cst < 0.0
+                    for g00, g01, g11, cst in cons))
 
 
-_START_C = np.array((1.0 - 1e-7, 1.0 - 1e-6, 1.0 - 1e-5, 1.0 - 1e-4, 1.0 - 1e-3,
-                     0.99, 0.9, 0.7, 0.5, 0.3, 0.1, 0.03, 0.01, 1e-3, 1e-4))
-_START_W = np.array((1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-3, 0.01, 0.05))
+def _cell_start(frame, params, cons):
+    """Strictly feasible start ``(a, b, c)`` of a cold cell and ``V``, the
+    largest ratio slack under the s cap; or raise ``Infeasible``.
 
-
-def _start_bases(frame, params, eta_star=None):
-    """Base matrices of the start search and their extreme eigenvalues:
-    the identity and the interval maximizers of ``G_t - eta b b^T`` for a
-    few dual values ``eta`` (a scale-aware probe set when no estimate
-    ``eta_star`` is available).  Returns a stack of 2x2 bases and their
-    smallest and largest eigenvalues."""
-    gt, bb = _ratio_gains(frame, params.t)
-    if eta_star is None:
-        s_scale = max(params.s, 1e-12)
-        etas = (0.0, 0.3 / s_scale, 3.0 / s_scale, 30.0 / s_scale)
-    else:
-        etas = (eta_star, 0.0, 0.25 * eta_star, 4.0 * eta_star)
-    _, proj = _interval_linear_max(gt - np.array(etas)[:, None, None] * bb)
-    bases = np.concatenate((np.eye(2)[None], proj))
-    eig = np.linalg.eigvalsh(bases)
-    return bases, eig[:, 0], eig[:, -1]
-
-
-def _feasible_start(frame, params, cons, eta_star=None):
-    """Search a candidate family ``c * A0 + w * I`` of the whitened interval
-    for a strictly feasible point, over the bases of ``_start_bases``.  The
-    scalar constraint values are affine in (c, w), so every candidate is
-    scored at once; thin feasibility slivers near the extreme achievable t
-    need c very close to 1 with w tiny.  The score is the worst slack, the
-    interval's own bounds included: a start next to the PSD boundary costs
-    the barrier Newton one step per doubling of its smallest eigenvalue.
-    Returns the first candidate of best positive score, in (base, c, w)
-    order, as ``(a, b, c)``, or None."""
-    bases, eig_lo, eig_hi = _start_bases(frame, params, eta_star)
-    c = _START_C[None, :, None]
-    w = _START_W[None, None, :]
-    score = np.minimum(c * eig_lo[:, None, None] + w,
-                       1.0 - c * eig_hi[:, None, None] - w)
-    for g00, g01, g11, cst in cons:
-        base_val = (g00 * bases[:, 0, 0] + 2.0 * g01 * bases[:, 0, 1]
-                    + g11 * bases[:, 1, 1])[:, None, None]
-        slack = -(c * base_val + w * (g00 + g11) + cst)
-        score = np.minimum(score, slack / (1.0 + abs(cst)))
-    score = np.where(c + w >= 1.0, -np.inf, score)
-    k, i, j = np.unravel_index(int(np.argmax(score)), score.shape)
-    if not score[k, i, j] > 0.0:
-        return None
-    cc, ww = float(_START_C[i]), float(_START_W[j])
-    a0 = bases[k]
-    return (cc * float(a0[0, 0]) + ww, cc * float(a0[0, 1]),
-            cc * float(a0[1, 1]) + ww)
-
-
-def _resolve_start(frame, params, cons):
-    """Strictly feasible whitened start for a cell, or raise ``Infeasible``.
-
-    Cheap candidate probes come first; the Lagrangian dual bound is only
-    computed when they fail, to certify infeasibility (or rescue a sliver
-    cell with the dual-informed direction)."""
-    start = _feasible_start(frame, params, cons)
-    if start is not None:
-        return start
-    bound, eta_star = _feasibility_bound(frame, params)
-    if bound <= params.t + 1e-12 * (1.0 + abs(params.t)):
-        raise Infeasible(
-            f"cell (s={params.s:g}, t={params.t:g}) certified infeasible "
-            f"(dual bound {bound:g})"
-        )
-    start = _feasible_start(frame, params, cons, eta_star)
-    if start is None:
-        raise Infeasible(
-            f"no strictly feasible start found for cell "
-            f"(s={params.s:g}, t={params.t:g})"
-        )
-    return start
+    In the frame of the whitened ``b = (beta, 0)`` the cell asks
+    ``<N, A> >= t``, ``N = e e^T - (1 + t) b b^T``, and ``A_00 <= s / beta^2``.
+    As N has at most one positive eigenvalue, ``V`` (the minimum over eta
+    of the Lagrangian dual ``lambda^+(N - eta b b^T) + eta s``) is attained
+    at ``A = 0`` or ``v v^T``: ``V = max(0, peak of v^T N v over unit v with
+    v_0^2 <= s / beta^2)``, at N's top eigenvector or at that arc's end.
+    The cell is infeasible when ``V <= t`` (to a relative 1e-12) or ``s`` is
+    below the float resolution ``eps beta^2`` of ``b Q b^T``.  The start
+    ``lam v v^T + delta w w^T`` (``w`` normal to ``v``) takes the midpoint
+    ``lam`` of the eigenvalues along ``v`` that keep the ratio slack
+    positive and half the largest ``delta`` that keeps both slacks positive;
+    one that rounding leaves outside the cell also raises ``Infeasible``.
+    """
+    b0, b1 = frame.bw
+    e0, e1 = frame.ew
+    s, t = params.s, params.t
+    beta = math.hypot(b0, b1)
+    cb, sb = (b0 / beta, b1 / beta) if beta > 0.0 else (1.0, 0.0)
+    ep, eq = cb * e0 + sb * e1, cb * e1 - sb * e0
+    n00, n01, n11 = ep * ep - (1.0 + t) * beta * beta, ep * eq, eq * eq
+    cap = 1.0 if beta * beta <= s else s / (beta * beta)  # bound on v_0^2
+    phi = 0.5 * math.atan2(n01, 0.5 * (n00 - n11))  # N's top eigenvector
+    v0, v1 = math.cos(phi), math.sin(phi)
+    if v0 * v0 > cap:  # off the arc: the peak is at its end
+        v0, v1 = math.sqrt(cap), math.copysign(math.sqrt(1.0 - cap), n01)
+    peak = n00 * v0 * v0 + 2.0 * n01 * v0 * v1 + n11 * v1 * v1
+    v_max = max(0.0, peak)
+    if s < math.ulp(1.0) * beta * beta or not v_max > t + 1e-12 * (1.0 + abs(t)):
+        raise Infeasible(f"cell (s={s:g}, t={t:g}) is infeasible (largest ratio "
+                         f"slack {v_max:g} under the s cap; beta^2 = {beta * beta:g})")
+    # lam * peak - t > 0 on (t / peak, 1) or (0, t / peak), clipped to (0, 1)
+    lam = (0.5 * (1.0 + max(0.0, t / peak)) if peak > 0.0
+           else 0.5 * min(1.0, t / peak) if peak < 0.0 else 0.5)
+    n_w = n00 * v1 * v1 - 2.0 * n01 * v0 * v1 + n11 * v0 * v0
+    q_w = beta * beta * v1 * v1
+    delta = 0.5 * min(1.0, (lam * peak - t) / -n_w if n_w < 0.0 else 1.0,
+                      (s - lam * beta * beta * v0 * v0) / q_w if q_w > 0.0 else 1.0)
+    u0, u1 = cb * v0 - sb * v1, sb * v0 + cb * v1  # v in the reduced frame
+    a2 = (lam * u0 * u0 + delta * u1 * u1, (lam - delta) * u0 * u1,
+          lam * u1 * u1 + delta * u0 * u0)
+    if not _strictly_feasible(a2, cons):
+        raise Infeasible(f"cell (s={s:g}, t={t:g}) has no strictly feasible "
+                         f"point resolved in float arithmetic")
+    return a2, v_max
 
 
 def _ldl_step(h00, h01, h02, h11, h12, h22, g0, g1, g2):
@@ -459,7 +396,8 @@ def _inner_convex_2x2(frame, params, a0, tau0, max_newton):
     so PD checks, inverses and log-dets are closed form and each Newton
     system is solved by ``_ldl_step``; no array is built inside the loop.
     ``a0`` is a start ``(a, b, c)`` or None; a start that is not strictly
-    feasible is replaced by ``_resolve_start``.
+    feasible is replaced by the closed-form start of ``_cell_start``, which
+    raises ``Infeasible`` for an empty cell.
 
     A barrier stage is *centred* when the Newton decrement drops below its
     tolerance; it ends uncentred after 40 steps, at a non-positive pivot, or
@@ -498,7 +436,7 @@ def _inner_convex_2x2(frame, params, a0, tau0, max_newton):
     if padded and a0 is not None:
         a0 = (a0[0], 0.0, 0.5)  # the padding coordinate is reset below
     if a0 is None or merit(*a0) is None:
-        a0 = _resolve_start(frame, params, cons)
+        a0 = _cell_start(frame, params, cons)[0]
     total_iters = 0
     while True:
         tau_start = tau
@@ -638,9 +576,12 @@ def inner_convex(m: GeneralModel, params: SweepParams, *, sigma0=None,
     ``(a, b, c)`` and the result a ``_Cell``, with no lifted optimum and
     with the multiplier of ``b Q b^T <= s``.
 
-    Raises ``Infeasible`` when the constraint set is empty (certified by a
-    dual bound) or has no strictly feasible point, ``MaxIterationsExceeded``
-    when the Newton budget is exhausted.
+    Raises ``Infeasible`` when the cell has no strictly feasible point, by
+    one exact test (see ``_cell_start``): the largest ratio slack ``V`` over
+    the interval capped by ``b Q b^T <= s``, in closed form, does not
+    exceed ``t`` (to a relative 1e-12), or ``s`` is below the float
+    resolution of ``b Q b^T``.  Raises ``MaxIterationsExceeded`` when the
+    Newton budget is exhausted.
     """
     if isinstance(m, _SpanFrame):
         return _inner_convex_2x2(m, params, sigma0, tau0, max_newton)
@@ -670,10 +611,10 @@ def _t_range(frame):
     ``mid`` equals an end and later steps would change nothing, or for at
     most 200 steps."""
     def reachable_above(v):
-        return _interval_linear_max(_ratio_gains(frame, v)[0])[0] >= v
+        return _interval_linear_max(_ratio_gains(frame, v)) >= v
 
     def reachable_below(v):
-        return _interval_linear_max(-_ratio_gains(frame, v)[0])[0] >= -v
+        return _interval_linear_max(-_ratio_gains(frame, v)) >= -v
 
     def bisect(inside, outside, test):
         for _ in range(200):
@@ -708,12 +649,9 @@ def _solve_row_cell(frame, params, prev):
     if prev is not None and prev[1].dx_ds is not None:
         s_prev, cell = prev
         ds = params.s - s_prev
-        a, b, c = (x + ds * dx for x, dx in zip(cell.a2, cell.dx_ds))
-        if (0.0 < a < 1.0 and a * c - b * b > 0.0
-                and (1.0 - a) * (1.0 - c) - b * b > 0.0
-                and all(g00 * a + 2.0 * g01 * b + g11 * c + cst < 0.0
-                        for g00, g01, g11, cst in _cell_constraints(frame, params))):
-            return inner_convex(frame, params, sigma0=(a, b, c), tau0=TAU_FINAL)
+        a2 = tuple(x + ds * dx for x, dx in zip(cell.a2, cell.dx_ds))
+        if _strictly_feasible(a2, _cell_constraints(frame, params)):
+            return inner_convex(frame, params, sigma0=a2, tau0=TAU_FINAL)
     return inner_convex(frame, params)
 
 
@@ -770,9 +708,11 @@ def _row_min_rp(frame, t, s_max, ik_t):
     further down: steps in log s, doubling, bracket it; an infeasible probe
     turns them into a bisection towards the feasibility edge, where rp may
     still be rising; and ``_anderson_bjorck`` on ``g`` closes the bracket.
-    ``_solve_row_cell`` starts each probe; one that exceeds its Newton
-    budget counts as infeasible.  A cell that ends uncentred has no
-    multiplier: its value still counts, and the search ends there.
+    ``_solve_row_cell`` starts each probe.  Only an ``Infeasible`` cell
+    reads as past the feasibility edge, as that test is exact; a cell that
+    exceeds its Newton budget raises ``MaxIterationsExceeded`` out of the
+    search.  A cell that ends uncentred has no multiplier: its value still
+    counts, and the search ends there.
 
     Returns ``(rp_min, cell)`` where ``cell`` is the achieved-cell tuple of
     the best cell seen, with key-rate level ``ik_t``, or ``(inf, None)``
@@ -785,7 +725,7 @@ def _row_min_rp(frame, t, s_max, ik_t):
         params = SweepParams(s=s, t=float(t))
         try:
             cell = _solve_row_cell(frame, params, prev)
-        except (Infeasible, MaxIterationsExceeded):
+        except Infeasible:
             return None
         prev = (s, cell)
         return cell

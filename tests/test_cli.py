@@ -6,6 +6,7 @@ import pytest
 
 from gausskey import RatePair, contains, kkt, load_model, solver
 from gausskey.cli import RunConfig, _config_from_args, build_parser, main
+from gausskey.errors import MaxIterationsExceeded
 from gausskey.rates import PointMeta, RegionBoundary
 
 
@@ -218,6 +219,23 @@ def test_region_without_output_fails_before_the_sweep(model_files, monkeypatch):
         main(["region", model_files["general"]])
     assert exited.value.code == 2
     assert calls == []
+
+
+def test_region_exits_3_when_a_cell_exceeds_its_newton_budget(model_files, monkeypatch,
+                                                              tmp_path):
+    inner = solver.inner_convex
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise MaxIterationsExceeded("injected")
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "inner_convex", failing)
+    code = main(["region", model_files["general"], "-o", str(tmp_path / "out.csv")])
+    assert code == 3
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("argv", [["region", "m.json", "-o", "out.csv"], ["mc", "m.json"]])

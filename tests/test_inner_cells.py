@@ -13,8 +13,11 @@ convergence, and its multiplier of ``b Q b^T <= s`` must be the derivative
 of its value in ``s`` (the envelope theorem) and its central-path tangent
 the derivative of its optimum in ``s``, both checked by finite differences.
 The float kernel's parts are checked against plain references: the LDL^T
-Newton step against a dense solve, the stacked start search against the
-candidate loop it replaces.
+Newton step against a dense solve, and the closed-form start's largest
+ratio slack against a numerical minimum of its one-variable Lagrangian
+dual, on cells up to within 1e-9 of the largest achievable t.  Every start
+must be strictly feasible, and cells at the ends of the range (s = 0,
+s = 1e-300, b = 0, t = t_max) must raise ``Infeasible`` or converge.
 
 The property tests check what the cell problem guarantees whatever the
 solver: its optimum does not depend on the basis of the source, nor on a
@@ -359,45 +362,130 @@ def test_failed_newton_systems_end_stages_unconverged(monkeypatch, degraded_demo
         assert report.value >= cold.value - CORPUS_TOL
 
 
-def _reference_start(frame, params, cons, eta_star):
-    """The candidate loop that the stacked start search replaces: the first
-    strictly best score in (base, c, w) order."""
-    bases, eig_lo, eig_hi = solver._start_bases(frame, params, eta_star)
-    best, best_score = None, 0.0
-    for a0, lo, hi in zip(bases, eig_lo, eig_hi):
-        base_vals = [g00 * a0[0, 0] + 2.0 * g01 * a0[0, 1] + g11 * a0[1, 1]
-                     for g00, g01, g11, _ in cons]
-        for c in solver._START_C.tolist():
-            for w in solver._START_W.tolist():
-                if c + w >= 1.0:
-                    continue
-                score = min(c * lo + w, 1.0 - c * hi - w)
-                for (g00, _, g11, cst), bv in zip(cons, base_vals):
-                    slack = -(c * bv + w * (g00 + g11) + cst)
-                    score = min(score, slack / (1.0 + abs(cst)))
-                if score > best_score:
-                    best_score, best = score, (a0, c, w)
-    if best is None:
-        return None
-    a0, c, w = best
-    return (c * a0[0, 0] + w, c * a0[0, 1], c * a0[1, 1] + w)
+# ---------------------------------------------------------------------------
+# the closed-form start
+# ---------------------------------------------------------------------------
+
+def _dual_minimum(frame, params):
+    """``min_{eta >= 0} lambda^+(N - eta b b^T) + eta s``, with
+    ``N = e e^T - (1 + t) b b^T`` in the reduced frame and ``lambda^+`` the
+    sum of the positive eigenvalues, by golden section on the convex dual.
+    Every dual value bounds the ratio slack from above, so the minimizer
+    lies below ``dual(0) / s``."""
+    bw, ew = np.array(frame.bw), np.array(frame.ew)
+    bb = np.outer(bw, bw)
+    n = np.outer(ew, ew) - (1.0 + params.t) * bb
+
+    def dual(eta):
+        w = np.linalg.eigvalsh(n - eta * bb)
+        return float(np.sum(w[w > 0.0])) + eta * params.s
+
+    best = dual(0.0)
+    lo, hi = 0.0, best / params.s
+    ratio = 0.5 * (math.sqrt(5.0) - 1.0)
+    x1, x2 = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+    f1, f2 = dual(x1), dual(x2)
+    for _ in range(300):
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - ratio * (hi - lo)
+            f1 = dual(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + ratio * (hi - lo)
+            f2 = dual(x2)
+    return min(best, f1, f2)
 
 
-def test_start_search_matches_the_candidate_loop():
-    found = 0
-    for cell in _corpus():
-        m = GeneralModel(sigma_x=cell["sigma_x"], b=cell["b"], e=cell["e"])
-        params = SweepParams(s=cell["s"], t=cell["t"])
+def _start_cells():
+    """Models with mx 1-4, random and with parallel ``b`` and ``e``, each
+    with cells over s from ``1e-7 s_max`` to ``s_max`` and t across
+    ``[t_min, t_max]``, the top rows within 1e-6 and 1e-9 of ``t_max``; the
+    last item marks the top row."""
+    models = []
+    for key in range(12):
+        rng = rng_for(4200 + key)
+        mx = 1 + key % 4
+        b = rng.standard_normal((1, mx))
+        e = rng.uniform(0.3, 2.0) * b if key >= 8 else rng.standard_normal((1, mx))
+        models.append(GeneralModel(sigma_x=random_spd(rng, mx), b=b, e=e))
+    for m in models:
         frame = solver._span_reduction(m)
+        s_max = float(m.b[0] @ m.sigma_x @ m.b[0])
+        t_min, t_max = solver._t_range(frame)
+        ts = list(np.linspace(t_min, t_max, 9)[1:-1]) + [t_max - 1e-6, t_max - 1e-9]
+        for s in s_max * np.geomspace(1e-7, 1.0, 8):
+            for t in ts:
+                yield frame, SweepParams(s=float(s), t=float(t)), t == ts[-1]
+
+
+def test_closed_form_start_meets_the_dual_and_is_strictly_feasible():
+    counts = {"feasible": 0, "infeasible": 0, "near_t_max": 0}
+    misses = []
+    for frame, params, near_t_max in _start_cells():
+        cons = solver._cell_constraints(frame, params)
+        dual = _dual_minimum(frame, params)
+        margin = 1e-12 * (1.0 + abs(params.t))
         try:
-            cons = solver._cell_constraints(frame, params)
+            a2, v_max = solver._cell_start(frame, params, cons)
         except Infeasible:
+            counts["infeasible"] += 1
+            if not dual <= params.t + margin + 1e-10 * abs(dual):
+                misses.append(("infeasible", params, dual))
             continue
-        for eta_star in (None, 1.0 / params.s):
-            got = solver._feasible_start(frame, params, cons, eta_star)
-            assert got == _reference_start(frame, params, cons, eta_star)
-            found += got is not None
-    assert found > 0
+        counts["feasible"] += 1
+        bw, ew = np.array(frame.bw), np.array(frame.ew)
+        # relative, above the rounding of the eigenvalues of N
+        rounding = 1e-15 * (2.0 + abs(params.t)) * (bw @ bw + ew @ ew)
+        a = np.array([[a2[0], a2[1]], [a2[1], a2[2]]])
+        eig = np.linalg.eigvalsh(a)
+        slack_s = params.s - bw @ a @ bw
+        slack_t = ew @ a @ ew - bw @ a @ bw - params.t * (bw @ a @ bw + 1.0)
+        if not (abs(v_max - dual) <= 1e-10 * abs(dual) + rounding and 0.0 < eig[0]
+                and eig[1] < 1.0 and slack_s > 0.0 and slack_t > 0.0):
+            misses.append(("start", params, v_max, dual, eig, slack_s, slack_t))
+        counts["near_t_max"] += near_t_max
+    assert not misses, misses
+    assert counts["feasible"] >= 300 and counts["infeasible"] >= 100, counts
+    assert counts["near_t_max"] >= 12, counts
+
+
+def _edge_cells():
+    """Cells at the ends of the sweep's range: ``s = 0``, ``s = 1e-300``,
+    ``b = 0`` and ``t = t_max``."""
+    crossing = GeneralModel(sigma_x=2.0 * np.eye(2), b=[[1.0, 0.5]], e=[[0.5, 1.0]])
+    scalar = GeneralModel(sigma_x=[[1.0]], b=[[1.0]], e=[[2.0]])
+    blind = GeneralModel(sigma_x=2.0 * np.eye(2), b=[[0.0, 0.0]], e=[[0.5, 1.0]])
+    for m in (crossing, scalar):
+        t_min, t_max = solver._t_range(solver._span_reduction(m))
+        for s in (0.0, 1e-300):
+            for t in (t_min, -0.5 * (1.0 + t_min), 0.0, 0.5 * t_max):
+                yield m, SweepParams(s=s, t=t)
+        s_max = float(m.b[0] @ m.sigma_x @ m.b[0])
+        yield m, SweepParams(s=s_max, t=t_max)
+    for s in (0.0, 1e-300, 1.0):
+        for t in (-0.5, 0.0, 2.4, 2.5, 3.0):
+            yield blind, SweepParams(s=s, t=t)
+
+
+@pytest.mark.parametrize("m, params", list(_edge_cells()))
+def test_edge_cells_raise_infeasible_or_converge(m, params):
+    try:
+        report = inner_convex(m, params)
+    except Infeasible:
+        return
+    assert report.converged
+
+
+@pytest.mark.parametrize("s, t", [(0.5, 0.9), (0.19, 0.45)])
+def test_scalar_cell_with_a_thin_feasible_interval(s, t):
+    # every Q in (t / (3 - t), s) is strictly feasible; the optimum is the
+    # cap Q = s, with value log((1 + s) / (2 s)) / 2
+    m = GeneralModel(sigma_x=[[1.0]], b=[[1.0]], e=[[2.0]])
+    report = inner_convex(m, SweepParams(s=s, t=t))
+    assert report.converged
+    assert report.optimum.value[0, 0] == pytest.approx(s, abs=1e-8)
+    assert report.value == pytest.approx(0.5 * math.log((1.0 + s) / (2.0 * s)), abs=1e-8)
 
 
 def test_sweep_reduces_the_model_once(monkeypatch, crossing_demo):

@@ -325,3 +325,22 @@ def test_an_uncentred_cell_ends_the_row_search(refined_rows, monkeypatch, forced
     s_free = frame.signal_power(cells[0].a2)
     kink = cells[0].value + 0.5 * (math.log1p(s_free) - math.log1p(s_max))
     assert rp_min == best[0] == min([kink] + [c.value for c in cells[1:]])
+
+
+def test_a_cell_over_its_newton_budget_is_not_read_as_infeasible(monkeypatch):
+    # only Infeasible marks the feasibility edge; a cell that exceeds its
+    # Newton budget must leave the sweep instead of being dropped
+    _, m, grid, res = MODELS[1]
+    inner = solver.inner_convex
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(args[1])
+        if len(calls) == 5:
+            raise MaxIterationsExceeded("injected")
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "inner_convex", failing)
+    with pytest.raises(MaxIterationsExceeded, match="injected"):
+        solver.sweep_boundary(m, grid, st_resolution=res)
+    assert len(calls) == 5
