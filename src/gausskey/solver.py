@@ -901,8 +901,10 @@ def sweep_boundary(m: GeneralModel, rp_grid, st_resolution: int = 200) -> Region
 # Step sizes that the ascent's Armijo backtracking, and the face polish's line
 # search, test per stacked evaluation.  On the benchmark's aligned points the
 # ascent accepts one of its first four trials on about four steps in five, so
-# four trials per call cut its stacked evaluations about threefold.
+# four trials per call cut its stacked evaluations about threefold.  The polish
+# stops at the damping floor 2^-7, its ``POLISH_HALVINGS``-th trial.
 HALVINGS_PER_STACK = 4
+POLISH_HALVINGS = 8
 
 def _frob_stack(a):
     flat = a.reshape(len(a), 1, -1)
@@ -1170,14 +1172,13 @@ def _polish_face(m, rp, sigma_hat, s_half, s_half_inv, mu_hint, n_active,
     A Newton step makes two or three stacked evaluations.  The
     central-difference Jacobian evaluates its ``2 nx`` probes ``x +- h
     e_k``, ``h = 1e-7 (1 + |x_k|)``, as one stack and abandons the face if
-    any is invalid.  The line search takes the first valid one of the 30
-    halvings ``x + 0.5^j step`` that lowers the max-norm residual (halving
-    is exact, so these are a sequential search's trials): it evaluates the
-    first ``HALVINGS_PER_STACK`` of them as one stack, and the other 26 as
-    a second stack only when none of those qualifies.  The polish stops
-    after 80 steps, below 1e-12 or when no trial improves.  Returns (sigma,
-    mu, residual_norm), or None for an invalid start or probe or a result
-    outside the matrix interval.
+    any is invalid.  The line search takes the first valid one of the
+    halvings ``x + 0.5^j step``, ``j < POLISH_HALVINGS``, that lowers the
+    max-norm residual (halving is exact, so these are a sequential search's
+    trials), ``HALVINGS_PER_STACK`` per stacked evaluation; when none does,
+    mostly on a wrong face, the polish stops, as it does after 80 steps or
+    below 1e-12.  Returns (sigma, mu, residual_norm), or None for an invalid
+    start or probe or a result outside the matrix interval.
     """
     q_hat = linalg.symmetrize(s_half_inv @ sigma_hat @ s_half_inv)
     w, u0 = np.linalg.eigh(q_hat)
@@ -1196,7 +1197,7 @@ def _polish_face(m, rp, sigma_hat, s_half, s_half_inv, mu_hint, n_active,
     if not valid[0]:
         return None
     r = rows[0]
-    halvings = 0.5 ** np.arange(30)[:, None]
+    halvings = 0.5 ** np.arange(POLISH_HALVINGS)[:, None]
     for _ in range(80):
         rnorm = float(np.max(np.abs(r)))
         if rnorm < 1e-12:
@@ -1211,19 +1212,18 @@ def _polish_face(m, rp, sigma_hat, s_half, s_half_inv, mu_hint, n_active,
         except np.linalg.LinAlgError:
             step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         trials = x + halvings * step
-        for lo, hi in ((0, HALVINGS_PER_STACK), (HALVINGS_PER_STACK, len(trials))):
-            rows, valid = face.residuals(trials[lo:hi])
+        for lo in range(0, POLISH_HALVINGS, HALVINGS_PER_STACK):
+            rows, valid = face.residuals(trials[lo:lo + HALVINGS_PER_STACK])
             better = np.flatnonzero(valid & (np.max(np.abs(rows), axis=1) < rnorm))
             if better.size:
                 break
         if not better.size:
             break
         x, r = trials[lo + better[0]], rows[better[0]]
-    sigma, mu, _ = face.build(x[None])
-    sigma = sigma[0]
+    (sigma,), (mu,), _ = face.build(x[None])
     if linalg.min_eig(sigma) <= 0.0 or not linalg.is_psd(m.sigma_x - sigma):
         return None
-    return sigma, float(mu[0]), float(np.max(np.abs(r)))
+    return sigma, float(mu), float(np.max(np.abs(r)))
 
 
 def _face_schedule(n_active_guess, rate_guess, mx):

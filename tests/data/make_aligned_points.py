@@ -15,12 +15,21 @@ closed-form KKT multiplier (the child of commit ef42ab7).  Its first freeze,
 from the per-point solver of commit 7117088, agrees with it within the
 test's tolerances on 40 of the 47 entries; the other 7 did not certify then
 and certify now, at higher key rates.  Regenerate only to freeze a
-deliberately changed solver.
+deliberately changed solver, and only after ``--check`` passes:
 
+    PYTHONPATH=src python tests/data/make_aligned_points.py --check
     PYTHONPATH=src python tests/data/make_aligned_points.py > tests/data/aligned_points.json
+
+``--check`` regenerates every entry and compares it with the committed
+file: per group of models it prints how many entries moved (a changed value
+or ``sigma``) and the largest change of value, and it exits non-zero when
+an entry's ``converged`` flag or certificate outcome changes, its value
+falls by more than ``VALUE_TOL``, the ``sigma`` of a certified entry moves
+by more than ``SIGMA_TOL`` in Frobenius norm, or its model or rate changed.
 """
 
 import json
+import os
 import sys
 
 import numpy as np
@@ -30,6 +39,10 @@ from gausskey.errors import GausskeyError
 
 CERT_GATE = 1e-6
 BENCH_RATES = (0.5, 1.0, 2.0, 4.0)
+FROZEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           "aligned_points.json")
+VALUE_TOL = 1e-10
+SIGMA_TOL = 1e-8
 
 
 def rng_for(key):
@@ -96,13 +109,62 @@ def entry(name, m, rp):
     }
 
 
-def main():
-    points = [entry(name, m, rp) for name, m, rp in cases()]
+def group(name):
+    """The group an entry's moves are reported in: its model family."""
+    return name.rsplit("_key", 1)[0]
+
+
+def check(fresh):
+    """Compare regenerated entries with the committed file, in order;
+    return the number of failures."""
+    with open(FROZEN_PATH) as fh:
+        frozen = json.load(fh)["points"]
+    failures = 0
+    if len(frozen) != len(fresh):
+        print(f"the corpus has {len(fresh)} entries, the file {len(frozen)}")
+        failures += 1
+    moves = {}
+    for old, new in zip(frozen, fresh):
+        label = f"{new['model']} rp={new['rp']}"
+        if any(old[k] != new[k] for k in ("model", "sigma_x", "sigma_wy", "sigma_wz", "rp")):
+            print(f"{label}: model or rate changed")
+            failures += 1
+            continue
+        for key in ("converged", "certificate"):
+            if old[key] != new[key]:
+                print(f"{label}: {key} {old[key]!r} -> {new[key]!r}")
+                failures += 1
+        if new["value"] < old["value"] - VALUE_TOL:
+            print(f"{label}: value fell {old['value']!r} -> {new['value']!r}")
+            failures += 1
+        shift = float(np.linalg.norm(np.array(new["sigma"]) - np.array(old["sigma"])))
+        if old["certificate"] == "certified" and shift > SIGMA_TOL:
+            print(f"{label}: certified sigma moved by {shift:.3g}")
+            failures += 1
+        moved = moves.setdefault(group(new["model"]), [0, 0, 0.0])
+        moved[0] += 1
+        if new["value"] != old["value"] or new["sigma"] != old["sigma"]:
+            moved[1] += 1
+            moved[2] = max(moved[2], abs(new["value"] - old["value"]))
+    for name, (n_entries, n_moved, largest) in moves.items():
+        print(f"{name}: {n_moved} of {n_entries} entries moved, "
+              f"largest value change {largest:.3g}")
+    return failures
+
+
+def main(argv):
+    fresh = [entry(name, m, rp) for name, m, rp in cases()]
+    if argv == ["--check"]:
+        return 1 if check(fresh) else 0
+    if argv:
+        sys.stderr.write("usage: make_aligned_points.py [--check]\n")
+        return 2
     # one point per line keeps the file diffable
     sys.stdout.write('{"points": [\n')
-    sys.stdout.write(",\n".join(json.dumps(p) for p in points))
+    sys.stdout.write(",\n".join(json.dumps(p) for p in fresh))
     sys.stdout.write("\n]}\n")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))

@@ -14,8 +14,16 @@ face-polish residual against the per-point closure it replaces, the stacked
 against the per-start loop.  The line searches that test several step sizes
 per stacked call must keep every iterate of the ones they replaced, kept
 here as references: the ascent that evaluated one backtracking trial per
-call and the polish that evaluated all 30 halvings as one stack.  Errors
-that are not a rejected face or an invalid point must propagate.
+call and the polish that evaluated all 30 halvings, down to 2^-29 of the
+step, as one stack.  The polish stops at 2^-7, so on its cases the
+reference also checks that the halvings below that floor change no
+result.  Errors that are not a rejected face or an invalid point must
+propagate.
+
+Two counts guard the aligned route's cost and reliability without a
+clock: the face polishes and the residual rows they evaluate over the
+benchmark's points, and the certified points per model on models off the
+corpus at mx 3 to 8.
 """
 
 import json
@@ -156,19 +164,48 @@ def test_face_schedule_tries_each_candidate_once(mx):
 
 def test_face_polish_calls_on_the_benchmark_points(monkeypatch):
     # 169 calls at the schedule that tried every factor of the detected
-    # face before the next face
+    # face before the next face; 34,532 residual rows with the line search
+    # that halved down to 2^-29, 10,824 with the floor at 2^-7
     calls = []
+    rows = []
     polish = solver._polish_face
+    residuals = solver._FaceSystem.residuals
 
     def counted(*args, **kwargs):
         calls.append(args)
         return polish(*args, **kwargs)
 
+    def counted_rows(face, xs):
+        rows.append(len(xs))
+        return residuals(face, xs)
+
     monkeypatch.setattr(solver, "_polish_face", counted)
+    monkeypatch.setattr(solver._FaceSystem, "residuals", counted_rows)
     for point in POINTS:
         if point["model"].startswith("bench_"):
             solve_at_rate(_model(point), point["rp"])
     assert len(calls) <= 90
+    assert sum(rows) <= 11_900
+
+
+# Certified points per model off the corpus, at rates 0.25, 0.5, 1, 2 and 4
+# (100 of 110): the benchmark's draw at keys 3300-3305 (mx 3), 3400-3405
+# (mx 4), 3600-3605 (mx 6) and 13-16 (mx 8).  The counts may only rise.
+RELIABILITY_RATES = (0.25, 0.5, 1.0, 2.0, 4.0)
+RELIABILITY_CERTIFIED = {
+    **{(3, key): 5 for key in range(3300, 3306)},
+    **{(4, key): 5 for key in range(3400, 3406)},
+    (6, 3600): 4, (6, 3601): 4, (6, 3602): 5, (6, 3603): 4, (6, 3604): 5, (6, 3605): 5,
+    (8, 13): 3, (8, 14): 3, (8, 15): 4, (8, 16): 3,
+}
+
+
+@pytest.mark.parametrize("mx,key", sorted(RELIABILITY_CERTIFIED))
+def test_certified_points_off_the_corpus_do_not_fall(mx, key):
+    m = _bench_model(key, mx)
+    certified = sum(_certificate_outcome(m, solve_at_rate(m, rp).optimum, rp) == "certified"
+                    for rp in RELIABILITY_RATES)
+    assert certified >= RELIABILITY_CERTIFIED[mx, key]
 
 
 @pytest.mark.parametrize("key", range(5000, 5018))
