@@ -17,7 +17,10 @@ Three routes to the boundary R_k(R_p):
     Every cell of a ``t`` row has the same key rate, rising with ``t``, and
     the row's smallest public rate (``_row_min_rp``, a search over s) is
     nondecreasing in ``t``; a monotone search over ``t`` rows, refined by a
-    root find on ``F(t) = rp``, yields the boundary.
+    root find on ``F(t) = rp``, yields the boundary.  The ratio form
+    ``e e^T - (1 + t) b b^T`` has at most one positive eigenvalue, so the
+    range of ``t`` (``_t_range``) and each row's feasible ``s``
+    (``_row_edge``) are closed forms, and no search probes an empty cell.
 
 ``ascent_boundary``
     For aligned models of any dimension.  The constrained key-rate
@@ -167,13 +170,6 @@ def _basis(n):
                      for i in range(n) for j in range(i, n)])
 
 
-def _interval_linear_max(g_w):
-    """Maximum of <G, A> over the whitened matrix interval 0 <= A <= I: the
-    sum of the positive eigenvalues of G."""
-    w = np.linalg.eigh(g_w)[0]
-    return float(w[w > 0.0].sum())
-
-
 # ---------------------------------------------------------------------------
 # inner convex problem of the sweep
 # ---------------------------------------------------------------------------
@@ -186,8 +182,9 @@ class _SpanFrame:
     ``s_half = sigma_x^1/2`` whitens the source and ``u`` (mx x 2,
     orthonormal columns) spans ``S b^T`` and ``S e^T``; ``bw``, ``ew`` are
     the reduced observation vectors ``u^T S b^T``, ``u^T S e^T`` as float
-    pairs.  A cell is then a problem in the whitened 2x2 matrix
-    ``A_2 = [[a, b], [b, c]]``, held as the float triple ``(a, b, c)``.
+    pairs, with ``bw = (beta, 0)`` exactly (the *b frame*).  A cell is then
+    a problem in the whitened 2x2 matrix ``A_2 = [[a, b], [b, c]]``, held
+    as the float triple ``(a, b, c)``.
     ``padded`` marks the second coordinate as the decoupled padding of a
     scalar source.
     """
@@ -210,9 +207,8 @@ class _SpanFrame:
     def signal_power(self, a2):
         """Observed signal power ``b Q b^T`` of a reduced cell matrix
         ``(a, b, c)``."""
-        b0, b1 = self.bw
-        a, b, c = a2
-        return b0 * b0 * a + 2.0 * b0 * b1 * b + b1 * b1 * c
+        beta = self.bw[0]
+        return beta * beta * a2[0]
 
     def lift(self, a2):
         """Conditional covariance ``S (I + u (A_2 - I) u^T) S`` of a reduced
@@ -228,9 +224,10 @@ def _span_reduction(m):
     ``S b^T`` and ``S e^T`` (``S = sigma_x^1/2``), as a ``_SpanFrame``.
 
     Householder QR keeps ``u`` orthonormal when ``b`` and ``e`` are
-    parallel, completing it with an orthogonal direction.  A scalar source
-    is padded with one decoupled coordinate (``u = [1, 0]``), whose optimal
-    whitened entry is 1 and adds nothing to the log-det.
+    parallel, completing it with an orthogonal direction; ``bw`` and ``ew``
+    are the columns of its ``R`` factor.  A scalar source is padded with
+    one decoupled coordinate (``u = [1, 0]``), whose optimal whitened entry
+    is 1 and adds nothing to the log-det.
     """
     w, v = np.linalg.eigh(m.sigma_x)
     root = np.sqrt(w)
@@ -239,13 +236,11 @@ def _span_reduction(m):
     sb = s_half @ m.b[0]
     se = s_half @ m.e[0]
     if m.mx == 1:
-        u = np.eye(1, 2)
+        u, r = np.eye(1, 2), np.array([[sb[0], se[0]], [0.0, 0.0]])
     else:
-        u = np.linalg.qr(np.column_stack((sb, se)))[0]
-    bw = u.T @ sb
-    ew = u.T @ se
-    return _SpanFrame(mx=m.mx, bw=(float(bw[0]), float(bw[1])),
-                      ew=(float(ew[0]), float(ew[1])), padded=m.mx == 1,
+        u, r = np.linalg.qr(np.column_stack((sb, se)))
+    return _SpanFrame(mx=m.mx, bw=(float(r[0, 0]), 0.0),
+                      ew=(float(r[0, 1]), float(r[1, 1])), padded=m.mx == 1,
                       s_half=s_half, s_half_inv=s_half_inv, u=u)
 
 
@@ -257,27 +252,17 @@ def _cell_constraints(frame, params):
     ``b Q b^T <= s``.  A constraint whose matrix vanishes is dropped, or
     certifies infeasibility when its constant is positive.
     """
-    b0, b1 = frame.bw
     e0, e1 = frame.ew
-    tp = 1.0 + params.t
-    bb00, bb01, bb11 = b0 * b0, b0 * b1, b1 * b1
+    bb = frame.bw[0] * frame.bw[0]
     cons = []
-    for con in ((tp * bb00 - e0 * e0, tp * bb01 - e0 * e1, tp * bb11 - e1 * e1,
-                 params.t),
-                (bb00, bb01, bb11, -params.s)):
+    for con in (((1.0 + params.t) * bb - e0 * e0, -e0 * e1, -e1 * e1, params.t),
+                (bb, 0.0, 0.0, -params.s)):
         g00, g01, g11, cst = con
         if g00 * g00 + 2.0 * g01 * g01 + g11 * g11 > _VANISHING_GAIN:
             cons.append(con)
         elif cst > 0.0:
             raise Infeasible(f"constant constraint violated (c = {cst:g})")
     return tuple(cons)
-
-
-def _ratio_gains(frame, t):
-    """``G_t = e e^T - (1 + t) b b^T`` in the reduced frame."""
-    bw = np.array(frame.bw)
-    ew = np.array(frame.ew)
-    return np.outer(ew, ew) - (1.0 + t) * np.outer(bw, bw)
 
 
 def _strictly_feasible(a2, cons):
@@ -290,50 +275,60 @@ def _strictly_feasible(a2, cons):
                     for g00, g01, g11, cst in cons))
 
 
+def _ratio_form(frame, t):
+    """The ratio form ``N = e e^T - (1 + t) b b^T`` in the b frame as
+    ``(n00, n01, n11)``, and the level ``t + 1e-12 (1 + |t|)`` that a
+    feasible cell's largest ratio slack exceeds."""
+    beta = frame.bw[0]
+    e0, e1 = frame.ew
+    return ((e0 * e0 - (1.0 + t) * beta * beta, e0 * e1, e1 * e1),
+            t + 1e-12 * (1.0 + abs(t)))
+
+
 def _cell_start(frame, params, cons):
     """Strictly feasible start ``(a, b, c)`` of a cold cell and ``V``, the
     largest ratio slack under the s cap; or raise ``Infeasible``.
 
-    In the frame of the whitened ``b = (beta, 0)`` the cell asks
-    ``<N, A> >= t``, ``N = e e^T - (1 + t) b b^T``, and ``A_00 <= s / beta^2``.
-    As N has at most one positive eigenvalue, ``V`` (the minimum over eta
-    of the Lagrangian dual ``lambda^+(N - eta b b^T) + eta s``) is attained
-    at ``A = 0`` or ``v v^T``: ``V = max(0, peak of v^T N v over unit v with
+    In the b frame the cell asks ``<N, A> >= t`` (N of ``_ratio_form``)
+    and ``A_00 <= s / beta^2``.  As N has at most one positive eigenvalue,
+    ``V`` (the minimum over eta of the Lagrangian dual
+    ``lambda^+(N - eta b b^T) + eta s``) is attained at ``A = 0`` or
+    ``v v^T``: ``V = max(0, peak of v^T N v over unit v with
     v_0^2 <= s / beta^2)``, at N's top eigenvector or at that arc's end.
-    The cell is infeasible when ``V <= t`` (to a relative 1e-12) or ``s`` is
-    below the float resolution ``eps beta^2`` of ``b Q b^T``.  The start
+    The cell is infeasible when ``V`` does not exceed the level of
+    ``_ratio_form`` (``_row_edge`` inverts this test) or ``s`` is below the
+    float resolution ``eps beta^2`` of ``b Q b^T``.  The level's margin is
+    absolute near ``t = 0``, where ``V`` shrinks with ``s``: it refuses the
+    cell ``s = 1e-15``, ``t = 0`` of ``sigma_x = b = 1``, ``e = 2``, whose
+    every feasible ``Q`` is below ``COND_COV_MIN_EIG``.  The start
     ``lam v v^T + delta w w^T`` (``w`` normal to ``v``) takes the midpoint
     ``lam`` of the eigenvalues along ``v`` that keep the ratio slack
-    positive and half the largest ``delta`` that keeps both slacks positive;
-    one that rounding leaves outside the cell also raises ``Infeasible``.
+    positive and half the largest ``delta`` that keeps both slacks
+    positive; one that rounding leaves outside the cell also raises
+    ``Infeasible``.
     """
-    b0, b1 = frame.bw
-    e0, e1 = frame.ew
+    bb = frame.bw[0] * frame.bw[0]
     s, t = params.s, params.t
-    beta = math.hypot(b0, b1)
-    cb, sb = (b0 / beta, b1 / beta) if beta > 0.0 else (1.0, 0.0)
-    ep, eq = cb * e0 + sb * e1, cb * e1 - sb * e0
-    n00, n01, n11 = ep * ep - (1.0 + t) * beta * beta, ep * eq, eq * eq
-    cap = 1.0 if beta * beta <= s else s / (beta * beta)  # bound on v_0^2
+    (n00, n01, n11), level = _ratio_form(frame, t)
+    cap = 1.0 if bb <= s else s / bb  # bound on v_0^2
     phi = 0.5 * math.atan2(n01, 0.5 * (n00 - n11))  # N's top eigenvector
     v0, v1 = math.cos(phi), math.sin(phi)
     if v0 * v0 > cap:  # off the arc: the peak is at its end
         v0, v1 = math.sqrt(cap), math.copysign(math.sqrt(1.0 - cap), n01)
     peak = n00 * v0 * v0 + 2.0 * n01 * v0 * v1 + n11 * v1 * v1
     v_max = max(0.0, peak)
-    if s < math.ulp(1.0) * beta * beta or not v_max > t + 1e-12 * (1.0 + abs(t)):
+    if s < math.ulp(1.0) * bb or not v_max > level:
         raise Infeasible(f"cell (s={s:g}, t={t:g}) is infeasible (largest ratio "
-                         f"slack {v_max:g} under the s cap; beta^2 = {beta * beta:g})")
+                         f"slack {v_max:g} under the s cap; beta^2 = {bb:g})")
     # lam * peak - t > 0 on (t / peak, 1) or (0, t / peak), clipped to (0, 1)
     lam = (0.5 * (1.0 + max(0.0, t / peak)) if peak > 0.0
            else 0.5 * min(1.0, t / peak) if peak < 0.0 else 0.5)
     n_w = n00 * v1 * v1 - 2.0 * n01 * v0 * v1 + n11 * v0 * v0
-    q_w = beta * beta * v1 * v1
+    q_w = bb * v1 * v1
     delta = 0.5 * min(1.0, (lam * peak - t) / -n_w if n_w < 0.0 else 1.0,
-                      (s - lam * beta * beta * v0 * v0) / q_w if q_w > 0.0 else 1.0)
-    u0, u1 = cb * v0 - sb * v1, sb * v0 + cb * v1  # v in the reduced frame
-    a2 = (lam * u0 * u0 + delta * u1 * u1, (lam - delta) * u0 * u1,
-          lam * u1 * u1 + delta * u0 * u0)
+                      (s - lam * bb * v0 * v0) / q_w if q_w > 0.0 else 1.0)
+    a2 = (lam * v0 * v0 + delta * v1 * v1, (lam - delta) * v0 * v1,
+          lam * v1 * v1 + delta * v0 * v0)
     if not _strictly_feasible(a2, cons):
         raise Infeasible(f"cell (s={s:g}, t={t:g}) has no strictly feasible "
                          f"point resolved in float arithmetic")
@@ -526,11 +521,10 @@ def _inner_convex_2x2(frame, params, a0, tau0, max_newton):
         logdet = math.log(a)
     else:
         logdet = math.log(a * c - b * b)
-    b0, b1 = frame.bw
-    value = (-0.5 * logdet - 0.5 * math.log1p(b0 * b0 + b1 * b1)
-             + 0.5 * math.log1p(params.s))
+    bb = frame.bw[0] * frame.bw[0]
+    value = -0.5 * logdet - 0.5 * math.log1p(bb) + 0.5 * math.log1p(params.s)
     lam_s = dx_ds = None
-    if centred and (b0 * b0 + b1 * b1) ** 2 <= _VANISHING_GAIN:
+    if centred and bb * bb <= _VANISHING_GAIN:
         lam_s, dx_ds = 0.0, (0.0, 0.0, 0.0)  # s is not constrained
     elif centred:  # b Q b^T <= s is the last constraint
         g00, g01, g11, _ = cons[-1]
@@ -579,9 +573,9 @@ def inner_convex(m: GeneralModel, params: SweepParams, *, sigma0=None,
     Raises ``Infeasible`` when the cell has no strictly feasible point, by
     one exact test (see ``_cell_start``): the largest ratio slack ``V`` over
     the interval capped by ``b Q b^T <= s``, in closed form, does not
-    exceed ``t`` (to a relative 1e-12), or ``s`` is below the float
-    resolution of ``b Q b^T``.  Raises ``MaxIterationsExceeded`` when the
-    Newton budget is exhausted.
+    exceed ``t + 1e-12 (1 + |t|)``, or ``s`` is below the float resolution
+    of ``b Q b^T``; the sweep solves no cell below ``_row_edge``.  Raises
+    ``MaxIterationsExceeded`` when the Newton budget is exhausted.
     """
     if isinstance(m, _SpanFrame):
         return _inner_convex_2x2(m, params, sigma0, tau0, max_newton)
@@ -605,39 +599,44 @@ def inner_convex(m: GeneralModel, params: SweepParams, *, sigma0=None,
 # ---------------------------------------------------------------------------
 
 def _t_range(frame):
-    """Extreme achievable values of t = (eQe^T - bQb^T) / (bQb^T + 1) over
-    the matrix interval, by bisection on a linear feasibility test in the
-    reduced frame.  Each bisection runs to its float fixed point, where
-    ``mid`` equals an end and later steps would change nothing, or for at
-    most 200 steps."""
-    def reachable_above(v):
-        return _interval_linear_max(_ratio_gains(frame, v)) >= v
+    """Extreme achievable values ``(t_min, t_max)`` of
+    ``t = (eQe^T - bQb^T) / (bQb^T + 1)`` over the matrix interval.
 
-    def reachable_below(v):
-        return _interval_linear_max(-_ratio_gains(frame, v)) >= -v
+    ``t >= v`` is achievable iff ``lambda_max(N_v) >= v`` (N of
+    ``_ratio_form``) and ``t <= v`` iff ``lambda_min(N_v) <= v``, so the
+    ends are the roots of ``det(N_v - v I) = (1 + beta^2) v^2 - p v -
+    beta^2 e_1^2``, one on each side of 0, taken in cancellation-free form.
+    """
+    beta = frame.bw[0]
+    e0, e1 = frame.ew
+    lead = 1.0 + beta * beta
+    p = e0 * e0 - beta * beta + lead * e1 * e1
+    q = 0.5 * (p + math.copysign(math.hypot(p, 2.0 * beta * e1 * math.sqrt(lead)), p))
+    if q == 0.0:
+        return 0.0, 0.0
+    roots = (q / lead, -(beta * beta) * (e1 * e1) / q)
+    return min(roots), max(roots)
 
-    def bisect(inside, outside, test):
-        for _ in range(200):
-            mid = 0.5 * (inside + outside)
-            fixed = mid in (inside, outside)
-            if test(mid):
-                inside = mid
-            else:
-                outside = mid
-            if fixed:
-                break
-        return inside
 
-    # t = 0 is always achieved in the Q -> 0 limit
-    lo, hi = 0.0, 1.0
-    while reachable_above(hi) and hi < 1e12:
-        lo, hi = hi, 2.0 * hi
-    t_max = bisect(lo, hi, reachable_above)
-    lo, hi = -0.999999999, 0.0
-    while reachable_below(lo) and lo > -1.0 + 1e-12:
-        hi, lo = lo, -1.0 + 0.5 * (1.0 + lo)
-    t_min = bisect(hi, lo, reachable_below)
-    return float(t_min), float(t_max)
+def _row_edge(frame, t):
+    """The smallest ``s`` above which row ``t`` passes ``_cell_start``'s
+    test; 0.0 when every ``s > 0`` does, None when none does.
+
+    ``V(s)``, the peak of ``v^T N v`` over ``v = (w, +-1) / sqrt(1 + w^2)``
+    with ``v_0^2 <= s / beta^2``, rises with ``s`` from ``n11`` until the
+    arc holds N's top eigenvector.  It reaches the level ``L`` at the least
+    root ``w >= 0`` of ``(n00 - L) w^2 + 2 |n01| w + n11 - L``, taken in
+    cancellation-free form: the edge is ``beta^2 w^2 / (1 + w^2)``.
+    """
+    (n00, n01, n11), level = _ratio_form(frame, t)
+    if n11 > level:
+        return 0.0
+    a, b, c = n00 - level, abs(n01), n11 - level
+    disc = b * b - a * c
+    if not disc > 0.0:  # b = c = 0 when a > 0: V exceeds L for every s > 0
+        return 0.0 if a > 0.0 else None
+    w = -c / (b + math.sqrt(disc))
+    return frame.bw[0] ** 2 * (w * w / (1.0 + w * w))
 
 
 def _solve_row_cell(frame, params, prev):
@@ -687,8 +686,8 @@ def _anderson_bjorck(f, x_lo, f_lo, x_hi, f_hi, tol, margin=0.0):
             x_hi, f_hi, kept = x, fx, -1
 
 
-class _NoMultiplier(Exception):
-    """A row-minimum probe ended uncentred, so it has no multiplier."""
+class _SearchEnd(Exception):
+    """A row-minimum probe has no multiplier, which ends the search."""
 
 
 def _row_min_rp(frame, t, s_max, ik_t):
@@ -699,25 +698,29 @@ def _row_min_rp(frame, t, s_max, ik_t):
     ``g(s) = lam_s (1 + s) - 1`` and ``lam_s`` the multiplier of
     ``b Q b^T <= s`` that the cell returns.
 
-    The search starts from one solve at ``s_max``, where that constraint is
-    redundant.  Its optimum stays optimal down to ``s_free = b Q* b^T``, so
-    the row has a *kink* there: the same cell, with ``log(1 + s_max)``
-    replaced by ``log(1 + s_free)``.  One probe just below ``s_free``
-    decides whether the kink is the row minimum (``g >= 0`` there, so rp
-    falls towards it).  Otherwise the minimum is a smooth root of ``g``
-    further down: steps in log s, doubling, bracket it; an infeasible probe
-    turns them into a bisection towards the feasibility edge, where rp may
-    still be rising; and ``_anderson_bjorck`` on ``g`` closes the bracket.
-    ``_solve_row_cell`` starts each probe.  Only an ``Infeasible`` cell
-    reads as past the feasibility edge, as that test is exact; a cell that
-    exceeds its Newton budget raises ``MaxIterationsExceeded`` out of the
-    search.  A cell that ends uncentred has no multiplier: its value still
-    counts, and the search ends there.
+    The row is feasible above its edge (``_row_edge``), and no probe goes
+    below it.  The search starts from one solve at ``s_max``, where the s
+    constraint is redundant.  Its optimum stays optimal down to
+    ``s_free = b Q* b^T``, so the row has a *kink* there: the same cell,
+    with ``log(1 + s_max)`` replaced by ``log(1 + s_free)``.  One probe
+    just below ``s_free`` decides whether the kink is the row minimum
+    (``g >= 0`` there, so rp falls towards it).  Otherwise the minimum is a
+    smooth root of ``g`` further down: steps in log s, doubling, bracket it
+    down to ``SWEEP_S_FLOOR s_max``, or bisect towards an edge above that
+    floor, where rp may still be rising; and ``_anderson_bjorck`` on ``g``
+    closes the bracket.  ``_solve_row_cell`` starts each probe.  A cell
+    over its Newton budget raises ``MaxIterationsExceeded`` out of the
+    search.  A probe without a multiplier (uncentred, or ``Infeasible``
+    from its start's float check) counts with its value, if any, and ends
+    the search.
 
     Returns ``(rp_min, cell)`` where ``cell`` is the achieved-cell tuple of
     the best cell seen, with key-rate level ``ik_t``, or ``(inf, None)``
     when the row is infeasible at ``s_max``.
     """
+    edge = _row_edge(frame, t)
+    if edge is None or not edge < s_max:
+        return float("inf"), None
     prev = None
 
     def solve(s):
@@ -738,59 +741,54 @@ def _row_min_rp(frame, t, s_max, ik_t):
             top.kkt_residual)
 
     def probe(x):
-        # g at s = e^x, or None past the edge; keeps the best cell seen.  An
-        # uncentred cell has no multiplier, so it ends the search.
+        # g at s = e^x; keeps the best cell seen
         nonlocal best
         s = math.exp(x)
         cell = solve(s)
         if cell is None:
-            return None
+            raise _SearchEnd
         if cell.value < best[0]:
             best = (cell.value, s, cell.kkt_residual)
         if not cell.converged:
-            raise _NoMultiplier
+            raise _SearchEnd
         return cell.lam_s * (1.0 + s) - 1.0
 
     def result():
         return best[0], (best[0], ik_t, best[1], float(t), best[2])
 
     s_floor = s_max * SWEEP_S_FLOOR
+    s_low = max(s_floor, edge)
     s_hi = s_free * (1.0 - 1e-6)
     try:
-        g_hi = probe(math.log(s_hi)) if top.converged and s_hi > s_floor else None
-        if g_hi is None or g_hi >= 0.0:
+        g_hi = probe(math.log(s_hi)) if top.converged and s_hi > s_low else 0.0
+        if g_hi >= 0.0:
             return result()  # the kink is the row minimum
-        x_floor, x_hi = math.log(s_floor), math.log(s_hi)
+        x_low, x_hi = math.log(s_low), math.log(s_hi)
 
-        # bracket the root of g below x_hi, where g < 0
-        x_edge = x_floor  # lowest x worth probing: the floor or an infeasible x
-        at_edge = False
+        # bracket the root of g below x_hi, where g < 0; the floor may be
+        # probed, the edge only approached
+        near_edge = edge > s_floor
         step = ROW_MIN_LOG_STEP
         while True:
-            if at_edge:
-                x = 0.5 * (x_hi + x_edge)
+            if near_edge and x_hi - step <= x_low:
+                x = 0.5 * (x_hi + x_low)
             else:
-                x = max(x_hi - step, x_edge)
+                x = max(x_hi - step, x_low)
                 step *= 2.0
             g = probe(x)
-            if g is None:
-                x_edge, at_edge = x, True
-            elif g >= 0.0:
+            if g >= 0.0:
                 x_lo, g_lo = x, g
                 break
-            else:
-                x_hi, g_hi = x, g
-                if x <= x_floor:
-                    return result()  # rp still rises at the floor
-            if at_edge and x_hi - x_edge <= ROW_MIN_LOG_TOL:
-                return result()  # rp still rises at the feasibility edge
+            x_hi, g_hi = x, g
+            if x <= x_low or x_hi - x_low <= ROW_MIN_LOG_TOL:
+                return result()  # rp still rises at the floor or the edge
 
         def g_or_stop(x):
             g = probe(x)
-            return None if g is None or abs(g) <= ROW_MIN_G_TOL else g
+            return None if abs(g) <= ROW_MIN_G_TOL else g
 
         _anderson_bjorck(g_or_stop, x_lo, g_lo, x_hi, g_hi, ROW_MIN_LOG_TOL)
-    except _NoMultiplier:
+    except _SearchEnd:
         pass
     return result()
 

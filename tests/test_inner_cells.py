@@ -17,7 +17,9 @@ Newton step against a dense solve, and the closed-form start's largest
 ratio slack against a numerical minimum of its one-variable Lagrangian
 dual, on cells up to within 1e-9 of the largest achievable t.  Every start
 must be strictly feasible, and cells at the ends of the range (s = 0,
-s = 1e-300, b = 0, t = t_max) must raise ``Infeasible`` or converge.
+s = 1e-300, b = 0, t = t_max) must raise ``Infeasible`` or converge.  The
+closed-form feasibility edge of a row must split its cells as the start's
+own test does.
 
 The property tests check what the cell problem guarantees whatever the
 solver: its optimum does not depend on the basis of the source, nor on a
@@ -450,6 +452,56 @@ def test_closed_form_start_meets_the_dual_and_is_strictly_feasible():
     assert counts["near_t_max"] >= 12, counts
 
 
+def _edge_rows():
+    """Seeded rows ``(frame, t)`` whose feasibility edge lies above s = 0:
+    ``t`` in ``[max(0, e_1^2), t_max)`` in the b frame, up to the sweep's
+    top row ``t_max - 1e-6 (t_max - t_min)``, on the crossing demo and on
+    models with mx 1-4, random and with ``e`` parallel to ``b``.  The row
+    ``t = e_1^2 > 0`` is left out: its edge lies below the float resolution
+    ``eps beta^2`` of ``b Q b^T``, where ``_cell_start`` refuses every s."""
+    models = [GeneralModel(sigma_x=2.0 * np.eye(2), b=[[1.0, 0.5]], e=[[0.5, 1.0]])]
+    for key in range(24):
+        rng = rng_for(4400 + key)
+        mx = 1 + key % 4
+        b = rng.standard_normal((1, mx))
+        e = rng.uniform(1.2, 2.0) * b if key >= 16 else rng.standard_normal((1, mx))
+        models.append(GeneralModel(sigma_x=random_spd(rng, mx), b=b, e=e))
+    fractions = list(np.linspace(0.0, 1.0, 16)[:-1]) + [1.0 - 1e-3, 1.0 - 1e-6]
+    for m in models:
+        frame = solver._span_reduction(m)
+        t_min, t_max = solver._t_range(frame)
+        lo = max(0.0, frame.ew[1] ** 2)
+        for f in fractions:
+            t = float(lo + f * (t_max - lo))
+            if (t > lo or lo == 0.0) and t < t_max - 1e-6 * (t_max - t_min):
+                yield frame, t
+
+
+def test_row_edge_inverts_the_cell_test():
+    # the closed-form edge of a row against _cell_start's feasibility test
+    # just above and just below it
+    misses = []
+    n_rows = 0
+    for frame, t in _edge_rows():
+        n_rows += 1
+        edge = solver._row_edge(frame, t)
+        if edge is None or not edge > 0.0:
+            misses.append(("no edge", t, edge))
+            continue
+        for factor, feasible in ((1.0 + 1e-7, True), (1.0 - 1e-7, False)):
+            params = SweepParams(s=edge * factor, t=t)
+            try:
+                solver._cell_start(frame, params, solver._cell_constraints(frame, params))
+            except Infeasible:
+                if feasible:
+                    misses.append(("infeasible above", params, edge))
+            else:
+                if not feasible:
+                    misses.append(("feasible below", params, edge))
+    assert n_rows >= 350, n_rows
+    assert not misses, misses
+
+
 def _edge_cells():
     """Cells at the ends of the sweep's range: ``s = 0``, ``s = 1e-300``,
     ``b = 0`` and ``t = t_max``."""
@@ -486,6 +538,16 @@ def test_scalar_cell_with_a_thin_feasible_interval(s, t):
     assert report.converged
     assert report.optimum.value[0, 0] == pytest.approx(s, abs=1e-8)
     assert report.value == pytest.approx(0.5 * math.log((1.0 + s) / (2.0 * s)), abs=1e-8)
+
+
+def test_the_feasibility_margin_refuses_a_cell_below_the_pd_floor():
+    # every Q in (0, 1e-15) is strictly feasible, but the ratio slack is at
+    # most 3e-15, below the absolute margin 1e-12 (1 + |t|).  A relative
+    # margin would solve the cell, and the public call would then raise
+    # InvalidConditionalCov: each such Q is below COND_COV_MIN_EIG.
+    m = GeneralModel(sigma_x=[[1.0]], b=[[1.0]], e=[[2.0]])
+    with pytest.raises(Infeasible):
+        inner_convex(m, SweepParams(s=1e-15, t=0.0))
 
 
 def test_sweep_reduces_the_model_once(monkeypatch, crossing_demo):

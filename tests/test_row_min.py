@@ -22,7 +22,8 @@ reported ``t`` no longer qualifies.
 A count of ``inner_convex`` calls guards the cost without a clock: on the
 degraded demo every row minimum sits at the kink and takes two solves.
 A cell that ends uncentred has no multiplier, so the search must stop at
-it and keep the best value seen.
+it and keep the best value seen; so must a probe above the row's
+closed-form edge that still raises ``Infeasible``.
 """
 
 import dataclasses
@@ -327,9 +328,35 @@ def test_an_uncentred_cell_ends_the_row_search(refined_rows, monkeypatch, forced
     assert rp_min == best[0] == min([kink] + [c.value for c in cells[1:]])
 
 
+def test_an_infeasible_probe_above_the_edge_ends_the_row_search(refined_rows,
+                                                                 monkeypatch):
+    # no probe lies below the closed-form edge, but a start that rounding
+    # leaves outside a sliver cell still raises Infeasible: the search keeps
+    # the best value seen and stops, as at an uncentred cell
+    frame, t, s_max, ik_t, _, n_calls = next(
+        row for row in refined_rows["crossing"][1] if row[-1] > 3)
+    inner = solver.inner_convex
+    cells = []
+
+    def failing(*args, **kwargs):
+        assert len(cells) < 3, "the search went on past an infeasible probe"
+        if len(cells) == 2:
+            cells.append(None)
+            raise Infeasible("injected")
+        cells.append(inner(*args, **kwargs))
+        return cells[-1]
+
+    monkeypatch.setattr(solver, "inner_convex", failing)
+    rp_min, best = solver._row_min_rp(frame, t, s_max, ik_t)
+    assert len(cells) == 3 < n_calls
+    s_free = frame.signal_power(cells[0].a2)
+    kink = cells[0].value + 0.5 * (math.log1p(s_free) - math.log1p(s_max))
+    assert rp_min == best[0] == min(kink, cells[1].value)
+
+
 def test_a_cell_over_its_newton_budget_is_not_read_as_infeasible(monkeypatch):
-    # only Infeasible marks the feasibility edge; a cell that exceeds its
-    # Newton budget must leave the sweep instead of being dropped
+    # a cell that exceeds its Newton budget must leave the sweep instead of
+    # being dropped or read as the end of a row
     _, m, grid, res = MODELS[1]
     inner = solver.inner_convex
     calls = []

@@ -19,12 +19,18 @@ cost without a clock: the sweeps that scanned a coarse (s, t) grid before
 refining took 80,752 steps on the two demos at resolution 60 and 110,762 on
 the ``random_sweep`` models; the search on row minima alone, with a 10-step
 bisection for ``t*``, took 68,026 and 68,013; with the Anderson-Bjorck root
-find for ``t*``, 45,909 and 43,090; with the closed-form cold start it takes
-43,233 and 40,613.  A badly centred start shows first as a cell that ends
-uncentred (``converged=False``): over all frozen sweeps at most
+find for ``t*``, 45,909 and 43,090; with the closed-form cold start,
+43,233 and 40,613; with the closed-form row edge, which leaves no probe
+below it, it takes 42,625 and 39,533.  No cell of the frozen sweeps may
+raise ``Infeasible``: each row's feasible ``s`` range is known in closed
+form (``solver._row_edge``).  A badly centred start shows first as a cell
+that ends uncentred (``converged=False``): over all frozen sweeps at most
 ``UNCENTRED_BOUND`` may.  A cell started from the tangent predictor of its
 neighbour must also land where a cold solve of the same cell does; those
 cells are drawn from every frozen sweep.
+
+The sweep's ``t`` range, now the two roots of a quadratic, is checked
+against the bisection on an eigenvalue test that it replaced.
 """
 
 import json
@@ -34,11 +40,14 @@ import numpy as np
 import pytest
 
 from gausskey import GeneralModel, solver
+from gausskey.errors import Infeasible
+
+from conftest import random_spd, rng_for
 
 FROZEN_TOL = 1e-12
 PREDICTOR_TOL = 1e-10
-STEP_BOUNDS = {"demo_res60": 50_500, "random_sweep": 47_500}
-UNCENTRED_BOUND = 1
+STEP_BOUNDS = {"demo_res60": 47_000, "random_sweep": 43_500}
+UNCENTRED_BOUND = 0
 
 
 def _group(name):
@@ -52,7 +61,8 @@ def swept():
     """Per frozen sweep: its entry, its boundary and each row minimum it
     evaluated as ``(t, F(t))``; per group of sweeps: the Newton steps of all
     its cells; over all sweeps: the predictor-started cells as
-    ``(frame, params, value)`` and the uncentred cells as ``(name, params)``."""
+    ``(frame, params, value)``, and the uncentred cells and the cells that
+    raise ``Infeasible``, each as ``(name, params)``."""
     path = os.path.join(os.path.dirname(__file__), "data", "sweep_boundaries.json")
     with open(path) as fh:
         entries = json.load(fh)["sweeps"]
@@ -61,11 +71,16 @@ def swept():
     steps = {}
     predicted = []
     uncentred = []
+    infeasible = []
     group = None
     reaches = None
 
     def counted(m, params, **kwargs):
-        cell = inner(m, params, **kwargs)
+        try:
+            cell = inner(m, params, **kwargs)
+        except Infeasible:
+            infeasible.append((entry["name"], params))
+            raise
         steps[group] = steps.get(group, 0) + cell.iterations
         if "tau0" in kwargs:
             predicted.append((m, params, cell.value))
@@ -89,7 +104,7 @@ def swept():
             boundary = solver.sweep_boundary(m, entry["rp"],
                                              st_resolution=entry["resolution"])
             out.append((entry, boundary, reaches))
-    return out, steps, predicted, uncentred
+    return out, steps, predicted, uncentred, infeasible
 
 
 def test_boundaries_match_the_frozen_sweeps(swept):
@@ -127,17 +142,24 @@ def test_newton_steps_stay_within_their_bound(swept, group):
     assert 0 < steps[group] <= STEP_BOUNDS[group], steps
 
 
+def _interval_linear_max(g_w):
+    """Maximum of <G, A> over the whitened matrix interval 0 <= A <= I: the
+    sum of the positive eigenvalues of G."""
+    w = np.linalg.eigh(g_w)[0]
+    return float(w[w > 0.0].sum())
+
+
 def _reference_t_range(frame):
-    """``solver._t_range`` with both bisections run for a fixed 200 steps,
-    as before they stopped at their float fixed point."""
+    """The former ``solver._t_range``: doubling, then 200 bisection steps on
+    the linear feasibility test of each end over the matrix interval."""
     bb = np.outer(frame.bw, frame.bw)
     ee = np.outer(frame.ew, frame.ew)
 
     def reachable_above(v):
-        return solver._interval_linear_max(ee - (1.0 + v) * bb) >= v
+        return _interval_linear_max(ee - (1.0 + v) * bb) >= v
 
     def reachable_below(v):
-        return solver._interval_linear_max((1.0 + v) * bb - ee) >= -v
+        return _interval_linear_max((1.0 + v) * bb - ee) >= -v
 
     lo, hi = 0.0, 1.0
     while reachable_above(hi) and hi < 1e12:
@@ -162,30 +184,60 @@ def _reference_t_range(frame):
     return float(t_min), float(t_max)
 
 
-def test_t_range_stops_at_the_fixed_point_with_the_same_bounds():
-    # both demos, the random_sweep models and the criterion-3 corpus
+def _t_range_models():
+    """The distinct models of the frozen sweeps (both demos, the
+    random_sweep models and the criterion-3 corpus), then seeded models with
+    mx 1-4: random, with ``e`` parallel to ``b`` and stronger, and degraded
+    (``e = c b`` with ``|c| < 1``)."""
     path = os.path.join(os.path.dirname(__file__), "data", "sweep_boundaries.json")
     with open(path) as fh:
         entries = json.load(fh)["sweeps"]
-    models = {json.dumps([e["sigma_x"], e["b"], e["e"]]): e for e in entries}
-    assert len(models) == 2 + 13 + 20 - 12  # the corpus holds 12 of the 13
-    for entry in models.values():
-        m = GeneralModel(sigma_x=entry["sigma_x"], b=entry["b"], e=entry["e"])
+    frozen = {json.dumps([e["sigma_x"], e["b"], e["e"]]): e for e in entries}
+    assert len(frozen) == 2 + 13 + 20 - 12  # the corpus holds 12 of the 13
+    for entry in frozen.values():
+        yield entry["name"], GeneralModel(sigma_x=entry["sigma_x"], b=entry["b"],
+                                          e=entry["e"])
+    for key in range(12):
+        rng = rng_for(4300 + key)
+        mx = 1 + key % 4
+        b = rng.standard_normal((1, mx))
+        kind = ("random", "parallel", "degraded")[key // 4]
+        scale = {"parallel": (1.2, 2.0), "degraded": (-0.9, 0.9)}.get(kind)
+        e = rng.standard_normal((1, mx)) if scale is None else rng.uniform(*scale) * b
+        yield f"{kind}_key{4300 + key}", GeneralModel(sigma_x=random_spd(rng, mx),
+                                                      b=b, e=e)
+
+
+def test_closed_form_t_range_matches_the_bisection():
+    # relative to the end, or absolute near 0: the degraded demo's t_max is
+    # about 1e-33, the rounding of its parallel b and e
+    misses = []
+    for name, m in _t_range_models():
         frame = solver._span_reduction(m)
-        assert solver._t_range(frame) == _reference_t_range(frame), entry["name"]
+        got, want = solver._t_range(frame), _reference_t_range(frame)
+        if not all(abs(g - w) <= 1e-13 * abs(w) + 1e-30 for g, w in zip(got, want)):
+            misses.append((name, got, want))
+    assert not misses, misses
 
 
 def test_uncentred_cells_stay_within_their_bound(swept):
-    # one ends uncentred before and after the closed-form cold start:
-    # criterion3_key906 at s = 0.3079, t = 0.8286 before, criterion3_key911
-    # at s = 0.5628, t = 0.4606 after: in both the largest ratio slack
-    # exceeds t by less than 1e-6, and the barrier's final stages stall
-    *_, uncentred = swept
+    # one ended uncentred before the closed-form row edge: criterion3_key906
+    # at s = 0.3079, t = 0.8286, then criterion3_key911 at s = 0.5628,
+    # t = 0.4606; in both the largest ratio slack exceeded t by less than
+    # 1e-6, and the barrier's final stages stalled.  The edge's bisection
+    # no longer reaches such sliver cells on the frozen sweeps.
+    _, _, _, uncentred, _ = swept
     assert len(uncentred) <= UNCENTRED_BOUND, uncentred
 
 
+def test_no_cell_of_the_frozen_sweeps_is_infeasible(swept):
+    # the row edge is known in closed form, so no probe lies below it
+    *_, infeasible = swept
+    assert not infeasible, infeasible
+
+
 def test_predictor_started_cells_match_cold_solves(swept):
-    _, _, cells, _ = swept
+    _, _, cells, *_ = swept
     assert len(cells) >= 1000
     misses = []
     for frame, params, value in cells:
