@@ -55,9 +55,11 @@ class RatePair:
 class PointMeta:
     """Per-boundary-point solver metadata.
 
-    ``s`` and ``t`` are the winning sweep cell (None for points produced by
-    the ascent solver or the zero-communication corner); ``kkt_residual`` is
-    the certificate or inner-solver residual attached to the point.
+    ``s`` and ``t`` are the winning sweep cell, or for a sweep point won by
+    the zero-communication corner ``Q = sigma_x`` its signal power
+    ``b sigma_x b^T`` and ratio (None for points produced by the ascent
+    solver); ``kkt_residual`` is the certificate or inner-solver residual
+    attached to the point.
     """
 
     s: float | None

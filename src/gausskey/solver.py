@@ -793,6 +793,16 @@ def _row_min_rp(frame, t, s_max, ik_t):
     return result()
 
 
+def _rate_grid(rp_grid):
+    """A boundary's public rates as floats: sorted, nonnegative, not NaN."""
+    rp_grid = [float(r) for r in rp_grid]
+    if any(y < x for x, y in zip(rp_grid, rp_grid[1:])):
+        raise ValueError("rp_grid must be sorted ascending")
+    if not all(rp >= 0.0 for rp in rp_grid):
+        raise ValueError("public rates must be nonnegative")
+    return rp_grid
+
+
 def sweep_boundary(m: GeneralModel, rp_grid, st_resolution: int = 200) -> RegionBoundary:
     """Boundary of the rate region for a model with scalar observations.
 
@@ -802,25 +812,22 @@ def sweep_boundary(m: GeneralModel, rp_grid, st_resolution: int = 200) -> Region
     a larger ``t`` only tightens the ratio constraint, and the public rate
     does not depend on it.  So for every public rate ``rp`` in ``rp_grid``
     (sorted ascending) the boundary is ``ik(t*)``, clamped at zero, with
-    ``t* = max{t : F(t) <= rp}``.
+    ``t* = max{t : F(t) <= rp}``, at least the level-0 row
+    ``t0 = expm1(-2 ik_const)`` of the corner ``Q = sigma_x`` (``rp = 0``).
 
     ``t*`` is bracketed on ``st_resolution`` rows (at least 2) that approach
     the maximal achievable ``t``: uniform in ``log(1 + t)``, plus log-spaced
-    gaps below the maximum.  Rows whose key-rate level is nonpositive are
-    skipped; they can never beat the clamp.  A binary search over the rows
-    above the previous rate's last qualifying row finds the last row that
-    qualifies.  From it (or the previous ``t*``, when higher) to the next
-    row, an Anderson-Bjorck search on ``F(t) = rp`` in ``log(1 + t) / 2``
-    shrinks the bracket to ``SWEEP_IK_TOL`` and reports its lower end.
+    gaps below the maximum.  Rows below ``t0`` are skipped.  A binary search
+    over the rows above the previous rate's last qualifying row finds the
+    last row that qualifies.  From it (or the previous ``t*``, or ``t0``,
+    when higher) to the next row, an Anderson-Bjorck search on
+    ``F(t) = rp`` in ``log(1 + t) / 2`` shrinks the bracket to
+    ``SWEEP_IK_TOL`` and reports its lower end and winning cell's ``s``.
     """
     validate_model(m)
     if m.my != 1 or m.mz != 1:
         raise SolverFailure("sweep_boundary requires scalar observations (my = mz = 1)")
-    rp_grid = [float(r) for r in rp_grid]
-    if any(y < x for x, y in zip(rp_grid, rp_grid[1:])):
-        raise ValueError("rp_grid must be sorted ascending")
-    if not all(rp >= 0.0 for rp in rp_grid):
-        raise ValueError("public rates must be nonnegative")
+    rp_grid = _rate_grid(rp_grid)
     if not st_resolution >= 2:
         raise ValueError(f"st_resolution must be at least 2, got {st_resolution!r}")
 
@@ -852,7 +859,8 @@ def sweep_boundary(m: GeneralModel, rp_grid, st_resolution: int = 200) -> Region
 
     points, meta = [], []
     last = -1  # last row known to qualify; qualifying rows only grow with rp
-    winner = None  # achieved-cell tuple of the best t so far
+    # achieved-cell tuple of the best t so far, first the corner Q = sigma_x
+    winner = (0.0, 0.0, s_max, math.expm1(-2.0 * ik_const), 0.0)
 
     def slack(u):
         # bound - F(t) at u = log(1 + t) / 2; a qualifying t is the best yet
@@ -871,18 +879,14 @@ def sweep_boundary(m: GeneralModel, rp_grid, st_resolution: int = 200) -> Region
                 last = mid
             else:
                 above = mid
-        if last >= 0 and (winner is None or rows[last] > winner[3]):
+        if last >= 0 and rows[last] > winner[3]:
             winner = row_min(rows[last])[1]
-        if winner is not None and above < len(rows):
+        if above < len(rows):
             _anderson_bjorck(slack, 0.5 * math.log1p(winner[3]), bound - winner[0],
                              0.5 * math.log1p(rows[above]), bound - row_min(rows[above])[0],
                              SWEEP_IK_TOL, margin=0.1 * SWEEP_IK_TOL)
-        if winner is None:
-            points.append(RatePair(rp=rp, rk=0.0))
-            meta.append(PointMeta(s=None, t=None, kkt_residual=0.0))
-        else:
-            points.append(RatePair(rp=rp, rk=max(0.0, winner[1])))
-            meta.append(PointMeta(s=winner[2], t=winner[3], kkt_residual=winner[4]))
+        points.append(RatePair(rp=rp, rk=max(0.0, winner[1])))
+        meta.append(PointMeta(s=winner[2], t=winner[3], kkt_residual=winner[4]))
     return RegionBoundary(points=tuple(points), model_digest=model_digest(m),
                           solver_meta=tuple(meta))
 
@@ -903,6 +907,10 @@ def sweep_boundary(m: GeneralModel, rp_grid, st_resolution: int = 200) -> Region
 # stops at the damping floor 2^-7, its ``POLISH_HALVINGS``-th trial.
 HALVINGS_PER_STACK = 4
 POLISH_HALVINGS = 8
+
+# Weight of the ascent's penalty on the rate constraint: the ascent need only
+# land near the boundary, as the face polish solves the rate equation exactly.
+PENALTY_RHO = 10.0
 
 def _frob_stack(a):
     flat = a.reshape(len(a), 1, -1)
@@ -982,10 +990,10 @@ def _multi_starts(m, n_starts, seed):
     return starts
 
 
-def _pga_penalty(m, rp, q0, s_half, rho, max_iter=400):
-    """Projected gradient ascent on I_k - rho * max(0, I_p - rp) over the
-    whitened interval, with eigenvalue flooring of the iterates, for a stack
-    of starts ``q0`` with penalties ``rho`` (one per start).
+def _pga_penalty(m, rp, q0, s_half, max_iter):
+    """Projected gradient ascent on I_k - PENALTY_RHO * max(0, I_p - rp)
+    over the whitened interval, with eigenvalue flooring of the iterates,
+    for a stack of starts ``q0``.
 
     The floor is applied to the whitened eigenvalues so the unwhitened
     iterate never exceeds the source covariance.  The starts advance in
@@ -995,23 +1003,23 @@ def _pga_penalty(m, rp, q0, s_half, rho, max_iter=400):
     evaluates the next ``HALVINGS_PER_STACK`` of them for every start still
     searching as one stack.  A start takes the first trial that passes the
     Armijo test, or stops at the first one that barely moves; the later
-    trials of the round are discarded, and a trial that a one-at-a-time
-    search never reaches does not raise.  Halving is exact, so every start
-    visits the iterates it would visit alone.  Returns ``(sigma, pair,
-    iterations)`` per start, counting the ascent iterations it took."""
+    trials of the round are discarded.  An invalid trial (see
+    ``_rates_stack``) has a NaN value, fails the test and is backtracked
+    past.  Halving is exact, so every start visits the iterates it would
+    visit alone.  Returns ``(sigma, pair, iterations)`` per start, counting
+    the ascent iterations it took."""
     floor = SIGMA_FLOOR_SCALE * float(np.trace(m.sigma_x)) / m.mx
     q_floor = floor / float(np.linalg.eigvalsh(m.sigma_x)[0])
     ld_full = np.array([linalg.logdet_pd(m.sigma_x + w) for w in (0.0, m.sigma_wz, m.sigma_wy)])
-    rho = np.asarray(rho, dtype=float)
 
-    def objective(q, idx):
+    def objective(q):
         sigma = linalg.symmetrize(s_half @ q @ s_half)
         ip, ik, valid = _rates_stack(m, sigma, ld_full)
-        return ik - rho[idx] * np.maximum(0.0, ip - rp), sigma, ip, ik, valid
+        return ik - PENALTY_RHO * np.maximum(0.0, ip - rp), sigma, ip, ik, valid
 
     k, n = len(q0), m.mx
     q = linalg.eig_clip(np.asarray(q0, dtype=float), q_floor, 1.0)
-    val, sigma, ip, ik, valid = objective(q, np.arange(k))
+    val, sigma, ip, ik, valid = objective(q)
     if not valid.all():
         _raise_invalid(m, sigma[~valid])
     eta = np.full(k, 0.1)
@@ -1024,7 +1032,7 @@ def _pga_penalty(m, rp, q0, s_half, rho, max_iter=400):
         inv_s, inv_z, inv_y = np.moveaxis(_inv_stack(_chol_terms(m, sigma[live])), 1, 0)
         grad_ik, grad_ip = 0.5 * (inv_z - inv_y), 0.5 * (inv_y - inv_s)
         over = ~(ip[live] <= rp)[:, None, None]
-        grad = np.where(over, grad_ik - rho[live, None, None] * grad_ip, grad_ik)
+        grad = np.where(over, grad_ik - PENALTY_RHO * grad_ip, grad_ik)
         grad_q = linalg.symmetrize(s_half @ grad @ s_half)
         moving = ~(_frob_stack(grad_q) < 1e-13)
         search, grad_q = live[moving], grad_q[moving]
@@ -1044,23 +1052,16 @@ def _pga_penalty(m, rp, q0, s_half, rho, max_iter=400):
             # a trial is evaluated when no trial before it, or itself, stops
             tested = np.flatnonzero(~np.logical_or.accumulate(stop, axis=1))
             owner = np.repeat(search, n_j)[tested]
-            val_t, sigma_t, ip_t, ik_t, valid_t = objective(q_new[tested], owner)
+            val_t, sigma_t, ip_t, ik_t, _ = objective(q_new[tested])
             eta_t, move_t = etas.ravel()[tested], move.ravel()[tested]
-            up, bad = np.zeros_like(stop), np.zeros_like(stop)
+            up = np.zeros_like(stop)
             armijo = val[owner] + 1e-4 / np.maximum(eta_t, 1e-12) * move_t * move_t
             up.flat[tested] = val_t > armijo
-            bad.flat[tested] = ~valid_t
-            # each start ends at its first stop, invalid trial or Armijo pass
-            ends = stop | up | bad
+            # each start ends at its first stop or Armijo pass
+            ends = stop | up
             first = np.argmax(ends, axis=1)
             ended = ends[np.arange(len(search)), first]
             at = np.arange(len(search)) * n_j + first
-            raising = ended & bad.ravel()[at]
-            if raising.any():
-                # the earliest invalid trial that is reached raises, as it would
-                # in a one-at-a-time search
-                pos = np.searchsorted(tested, at[raising & (first == first[raising].min())])
-                _raise_invalid(m, sigma_t[pos])
             won = ended & up.ravel()[at]
             win, pos = search[won], np.searchsorted(tested, at[won])
             q[win], val[win], sigma[win] = q_new[at[won]], val_t[pos], sigma_t[pos]
@@ -1092,12 +1093,12 @@ class _FaceSystem:
     stacks of points.  ``u0`` holds whitened eigendirections, largest first;
     the top ``n_active`` are pinned to the source covariance.  A point holds
     the free-block coordinates (in ``_basis(n_free)``), the angles of the
-    rotation mixing active and free directions and, if ``rate_active``, log mu.
+    rotation mixing active and free directions and log mu.
     """
 
-    def __init__(self, m, rp, s_half, u0, n_active, rate_active):
+    def __init__(self, m, rp, s_half, u0, n_active):
         self.m, self.rp, self.s_half, self.u0 = m, rp, s_half, u0
-        self.n_active, self.rate_active = n_active, rate_active
+        self.n_active = n_active
         self.basis_f = _basis(m.mx - n_active)
         self.n_qf = len(self.basis_f)
         self.n_rot = n_active * (m.mx - n_active)
@@ -1118,24 +1119,23 @@ class _FaceSystem:
         sigma = linalg.symmetrize(self.s_half @ q @ self.s_half)
         # the multiplier lives on a log scale; clamp runaway probes so the
         # line search can back off instead of overflowing
-        mu = np.array([math.exp(min(max(v, -700.0), 60.0)) for v in xs[:, -1]]
-                      if self.rate_active else np.zeros(len(xs)))
+        mu = np.array([math.exp(min(max(v, -700.0), 60.0)) for v in xs[:, -1]])
         return sigma, mu, u
 
     def residuals(self, xs):
         """Residual rows of points (free-block and cross-block components of
-        the whitened stationarity matrix, then ``I_p - rp`` when the rate is
-        active) and a mask of the valid ones.  A point is invalid, its row
-        NaN, when its covariance is not PD, leaves the interval by more than
-        the excursion bound (an escape toward stationary points beyond it),
-        or ``Q``, ``Q + sigma_wz`` or ``Q + sigma_wy`` has no Cholesky factor.
+        the whitened stationarity matrix, then ``I_p - rp``) and a mask of
+        the valid ones.  A point is invalid, its row NaN, when its covariance
+        is not PD, leaves the interval by more than the excursion bound (an
+        escape toward stationary points beyond it), or ``Q``,
+        ``Q + sigma_wz`` or ``Q + sigma_wy`` has no Cholesky factor.
         """
         m = self.m
         sigma, mu, u = self.build(xs)
         valid = (np.linalg.eigvalsh(sigma)[:, 0] > 0.0) & (
             np.linalg.eigvalsh(m.sigma_x - sigma)[:, 0] >= -self.excursion)
         lower = _chol_valid(m, sigma, valid)
-        rows = np.full((len(xs), self.n_qf + self.n_rot + int(self.rate_active)), np.nan)
+        rows = np.full((len(xs), self.n_qf + self.n_rot + 1), np.nan)
         if not valid.any():
             return rows, valid
         inv = _inv_stack(lower)
@@ -1148,24 +1148,23 @@ class _FaceSystem:
         parts = [np.einsum("kab,pab->kp", u_ft @ m_w @ u_f, self.basis_f)]
         if self.n_rot:
             parts.append((np.swapaxes(u_a, -1, -2) @ m_w @ u_f).reshape(len(m_w), -1))
-        if self.rate_active:
-            lds = _logdet_stack(lower[:, [0, 2]])
-            ip = 0.5 * (self.ld_x - lds[:, 0]) - 0.5 * (self.ld_xy - lds[:, 1])
-            parts.append((ip - self.rp)[:, None])
+        lds = _logdet_stack(lower[:, [0, 2]])
+        ip = 0.5 * (self.ld_x - lds[:, 0]) - 0.5 * (self.ld_xy - lds[:, 1])
+        parts.append((ip - self.rp)[:, None])
         rows[valid] = np.concatenate(parts, axis=1)
         return rows, valid
 
 
-def _polish_face(m, rp, sigma_hat, s_half, s_half_inv, mu_hint, n_active,
-                 rate_active):
-    """Newton solve of the first-order system on a prescribed active face.
+def _polish_face(m, rp, sigma_hat, s_half, s_half_inv, mu_hint, n_active):
+    """Newton solve of the first-order system on a prescribed active face,
+    with the rate constraint binding.
 
     The top ``n_active`` whitened eigendirections of the candidate are
     pinned to the source covariance.  Unknowns: the free-block coordinates
     of the whitened conditional covariance, the rotation mixing active and
-    free subspaces, and (when the rate constraint is active) log mu.
-    Residuals: the free-block and cross-block components of the
-    stationarity matrix, plus the rate equality (see ``_FaceSystem``).
+    free subspaces, and log mu.  Residuals: the free-block and cross-block
+    components of the stationarity matrix, plus the rate equality (see
+    ``_FaceSystem``).
 
     A Newton step makes two or three stacked evaluations.  The
     central-difference Jacobian evaluates its ``2 nx`` probes ``x +- h
@@ -1183,14 +1182,13 @@ def _polish_face(m, rp, sigma_hat, s_half, s_half_inv, mu_hint, n_active,
     u0 = u0[:, np.argsort(w)[::-1]]
     if n_active == m.mx:
         return np.array(m.sigma_x), mu_hint, 0.0
-    face = _FaceSystem(m, rp, s_half, u0, n_active, rate_active)
-    nx = face.n_qf + face.n_rot + int(rate_active)
+    face = _FaceSystem(m, rp, s_half, u0, n_active)
+    nx = face.n_qf + face.n_rot + 1
     x = np.zeros(nx)
     q_free0 = u0[:, n_active:].T @ q_hat @ u0[:, n_active:]
     x[:face.n_qf] = [float(np.sum(q_free0 * s)) / float(np.sum(s * s))
                      for s in face.basis_f]
-    if rate_active:
-        x[-1] = math.log(max(mu_hint, 1e-12))
+    x[-1] = math.log(max(mu_hint, 1e-12))
     rows, valid = face.residuals(x[None])
     if not valid[0]:
         return None
@@ -1224,48 +1222,44 @@ def _polish_face(m, rp, sigma_hat, s_half, s_half_inv, mu_hint, n_active,
     return sigma, float(mu), float(np.max(np.abs(r)))
 
 
-def _face_schedule(n_active_guess, rate_guess, mx):
-    """Candidates ``(n_active, rate_active, factor)`` of the face polish, in
-    the order ``solve_at_rate`` tries them: the guessed rate branch, then the
-    other one.
+def _face_schedule(n_active_guess, mx):
+    """Candidates ``(n_active, factor)`` of the face polish, in the order
+    ``solve_at_rate`` tries them.
 
     Faces run from the detected count ``g`` (which may be ``mx``) up to
     ``mx - 1``, then from ``g - 1`` down to 0: the ascent reaches ``A <= I``
     from inside and counts an eigenvalue still converging to 1 as free, so a
-    wrongly detected face tends to lie below the true one.  On the
-    rate-active branch the multiplier factor 1 runs on every face, then 2 on
-    every face, then the detected face's 1/2, 4 and 1/4.  On the
-    rate-inactive branch every factor multiplies mu = 0, so each face runs
-    once."""
+    wrongly detected face tends to lie below the true one.  The multiplier
+    factor 1 runs on every face, then 2 on every face, then the detected
+    face's 1/2, 4 and 1/4."""
     g = n_active_guess
     faces = [g, *range(g + 1, mx), *range(g - 1, -1, -1)]
-    active = ([(k, True, f) for f in (1.0, 2.0) for k in faces]
-              + [(g, True, f) for f in (0.5, 4.0, 0.25)])
-    inactive = [(k, False, 1.0) for k in faces]
-    return active + inactive if rate_guess else inactive + active
+    return [(k, f) for f in (1.0, 2.0) for k in faces] + [(g, f) for f in (0.5, 4.0, 0.25)]
 
 
 def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 8,
                   seed: int = 0, max_iter: int = 400) -> SolveReport:
     """Maximize the key rate of an aligned model at public-rate budget ``rp``.
 
-    Projected gradient ascent with an exact penalty (escalated when the
-    returned point is infeasible) and multi-start initialization -- the
-    source covariance scaled by {1, 0.75, 0.5, 0.25} plus seeded random SPD
-    interpolants -- followed by a Newton polish of the stationarity system
-    on candidate active faces (``_face_schedule``).  The polish starts from
-    the best ascent point, with the multiplier ``kkt.closed_form_mu`` gives
-    there (clipped to [1e-8, 1e4]) when the rate constraint is active.
-    ``kkt_residual`` is the residual of that first-order system;
-    ``iterations`` counts the ascent iterations actually taken, over every
-    start and penalty escalation; ``max_iter`` caps them per start and
-    penalty round (0 skips the ascent).  ``converged`` says that the system of
-    some face was solved below 1e-8 and that the returned point passes the
-    multiplier check of ``kkt.recover_multipliers`` (mu = 0 when the rate
-    is slack, ``kkt.closed_form_mu`` otherwise, composite residual at most
+    Projected gradient ascent with an exact penalty of weight
+    ``PENALTY_RHO`` and multi-start initialization -- the source covariance
+    scaled by {1, 0.75, 0.5, 0.25} plus seeded random SPD interpolants --
+    followed by a Newton polish of the stationarity system on candidate
+    active faces (``_face_schedule``), with the rate constraint binding.
+    The polish starts from the best ascent point that keeps the budget, with
+    the multiplier ``kkt.closed_form_mu`` gives there (clipped to
+    [1e-8, 1e4]).  ``kkt_residual`` is the residual of that first-order
+    system; ``iterations`` counts the ascent iterations actually taken, over
+    every start; ``max_iter`` caps them per start (0 skips the ascent).
+    ``converged`` says that the system of some face was solved below 1e-8
+    and that the returned point passes the multiplier check of
+    ``kkt.recover_multipliers`` (composite residual at most
     ``kkt.ACCEPT_COMPOSITE``), so a point polished on a wrong face is not
-    reported converged.  Heuristic for the nonconvex general case: certify
-    the output through the KKT machinery before trusting it.
+    reported converged.  When no face system is solved, the best ascent
+    point is returned unconverged.  Raises ``MaxIterationsExceeded`` when no
+    start ends within 1e-6 of the budget.  Heuristic for the nonconvex
+    general case: certify the output through the KKT machinery before
+    trusting it.
     """
     validate_model(m)
     if not rp >= 0.0:
@@ -1288,21 +1282,8 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 8,
     else:
         starts = _multi_starts(m, n_starts, seed)
 
-    # all starts ascend in lockstep; each later round escalates the penalty
-    # of the starts whose point is still infeasible, from that point
-    rho = np.full(len(starts), 10.0)
-    runs = _pga_penalty(m, rp, np.array(starts), s_half, rho, max_iter)
+    runs = _pga_penalty(m, rp, np.array(starts), s_half, max_iter)
     iterations = sum(run[2] for run in runs)
-    for _ in range(4):
-        redo = [i for i, run in enumerate(runs) if not run[1].rp <= rp + 1e-8]
-        if not redo:
-            break
-        rho[redo] *= 10.0
-        sigmas = np.array([runs[i][0] for i in redo])
-        q_here = linalg.symmetrize(s_half_inv @ sigmas @ s_half_inv)
-        for i, run in zip(redo, _pga_penalty(m, rp, q_here, s_half, rho[redo], max_iter)):
-            runs[i] = run
-            iterations += run[2]
     best_sigma = best_pair = None
     for sigma, pair, _ in runs:
         if pair.rp <= rp + 1e-6 and (best_pair is None or pair.rk > best_pair.rk):
@@ -1312,9 +1293,8 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 8,
 
     # polish: take the closed-form multiplier of the ascent's point, then
     # solve the optimality system on every candidate active face (the
-    # dimension is small) and both rate branches, keeping the
-    # smallest-residual point that does not lose rate
-    rate_guess = best_pair.rp >= rp - max(1e-7, 1e-6 * rp)
+    # dimension is small), keeping the smallest-residual point that does
+    # not lose rate
     mu_hint = min(max(kkt.closed_form_mu(m, best_sigma), 1e-8), 1e4)
     q_eigs = np.linalg.eigvalsh(linalg.symmetrize(s_half_inv @ best_sigma @ s_half_inv))
     n_active_guess = int(np.sum(q_eigs >= 1.0 - 1e-4))
@@ -1328,12 +1308,11 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 8,
         return pair if pair.rp <= rp + 1e-7 and pair.rk >= best_pair.rk - 1e-7 else None
 
     polished = None
-    for n_active, rate_active, factor in _face_schedule(n_active_guess, rate_guess, m.mx):
+    for n_active, factor in _face_schedule(n_active_guess, m.mx):
         if polished is not None and polished[2] < 1e-10:
             break
-        cand = _polish_face(m, rp, best_sigma, s_half, s_half_inv,
-                            factor * mu_hint if rate_active else 0.0, n_active,
-                            rate_active)
+        cand = _polish_face(m, rp, best_sigma, s_half, s_half_inv, factor * mu_hint,
+                            n_active)
         if cand is None:
             continue
         sigma_pol, _, res = cand
@@ -1375,11 +1354,7 @@ def ascent_boundary(m: AlignedModel, rp_grid, *, n_starts: int = 8, seed: int = 
     discarding communication.
     """
     validate_model(m)
-    rp_grid = [float(r) for r in rp_grid]
-    if any(y < x for x, y in zip(rp_grid, rp_grid[1:])):
-        raise ValueError("rp_grid must be sorted ascending")
-    if not all(rp >= 0.0 for rp in rp_grid):
-        raise ValueError("public rates must be nonnegative")
+    rp_grid = _rate_grid(rp_grid)
 
     points = []
     meta = []

@@ -17,8 +17,9 @@ here as references: the ascent that evaluated one backtracking trial per
 call and the polish that evaluated all 30 halvings, down to 2^-29 of the
 step, as one stack.  The polish stops at 2^-7, so on its cases the
 reference also checks that the halvings below that floor change no
-result.  Errors that are not a rejected face or an invalid point must
-propagate.
+result.  An invalid backtracking trial fails the Armijo test, in both
+ascents alike.  Errors that are not a rejected face or an invalid point
+must propagate.
 
 Two counts guard the aligned route's cost and reliability without a
 clock: the face polishes and the residual rows they evaluate over the
@@ -130,42 +131,31 @@ def test_wrong_face_point_is_not_converged(key, rp):
 # the order of the face polish's candidates
 # ---------------------------------------------------------------------------
 
-def _reference_schedule(n_active_guess, rate_guess, mx):
+def _reference_schedule(n_active_guess, mx):
     """The candidate list the face schedule replaced: every factor of the
-    detected face before the next face, on both branches alike."""
+    detected face before the next face."""
     order = [n_active_guess] + [k for k in range(mx) if k != n_active_guess]
-    return [(n_active, rate_active, f) for rate_active in (rate_guess, not rate_guess)
-            for idx, n_active in enumerate(order)
+    return [(n_active, f) for idx, n_active in enumerate(order)
             for f in ((1.0, 2.0, 0.5, 4.0, 0.25) if idx == 0 else (1.0, 2.0))]
-
-
-def _effective(cands):
-    # the polish sees the factor only through mu, which is 0 off the rate
-    return [(n_active, rate_active, f if rate_active else 0.0)
-            for n_active, rate_active, f in cands]
 
 
 @pytest.mark.parametrize("mx", range(1, 7))
 def test_face_schedule_tries_each_candidate_once(mx):
     for g in range(mx + 1):
-        for rate_guess in (True, False):
-            got = _effective(solver._face_schedule(g, rate_guess, mx))
-            want = _effective(_reference_schedule(g, rate_guess, mx))
-            assert len(got) == len(set(got))
-            assert set(got) == set(want)
-            assert got[0] == (g, rate_guess, 1.0 if rate_guess else 0.0)
-            guessed = [c for c in got if c[1] == rate_guess]
-            assert got[:len(guessed)] == guessed
-            faces = [g, *range(g + 1, mx), *range(g - 1, -1, -1)]
-            assert [c[0] for c in guessed[:len(faces)]] == faces
-            assert ([f for _, rate_active, f in got if rate_active]
-                    == [1.0] * len(faces) + [2.0] * len(faces) + [0.5, 4.0, 0.25])
+        got = solver._face_schedule(g, mx)
+        want = _reference_schedule(g, mx)
+        assert len(got) == len(set(got))
+        assert set(got) == set(want)
+        faces = [g, *range(g + 1, mx), *range(g - 1, -1, -1)]
+        assert [c[0] for c in got[:len(faces)]] == faces
+        assert [f for _, f in got] == [1.0] * len(faces) + [2.0] * len(faces) + [0.5, 4.0, 0.25]
 
 
 def test_face_polish_calls_on_the_benchmark_points(monkeypatch):
     # 169 calls at the schedule that tried every factor of the detected
     # face before the next face; 34,532 residual rows with the line search
-    # that halved down to 2^-29, 10,824 with the floor at 2^-7
+    # that halved down to 2^-29, 10,824 with the floor at 2^-7; 80 calls
+    # with the rate-slack faces, 72 and 10,054 rows without them
     calls = []
     rows = []
     polish = solver._polish_face
@@ -184,8 +174,8 @@ def test_face_polish_calls_on_the_benchmark_points(monkeypatch):
     for point in POINTS:
         if point["model"].startswith("bench_"):
             solve_at_rate(_model(point), point["rp"])
-    assert len(calls) <= 90
-    assert sum(rows) <= 11_900
+    assert len(calls) <= 81
+    assert sum(rows) <= 11_050
 
 
 # Certified points per model off the corpus, at rates 0.25, 0.5, 1, 2 and 4
@@ -247,7 +237,7 @@ def _reference_residual(face, xv):
     u_f = u[:, n_active:]
     q = u_a @ u_a.T + u_f @ q_f @ u_f.T
     sigma = linalg.symmetrize(face.s_half @ q @ face.s_half)
-    mu = math.exp(min(max(xv[-1], -700.0), 60.0)) if face.rate_active else 0.0
+    mu = math.exp(min(max(xv[-1], -700.0), 60.0))
     if linalg.min_eig(sigma) <= 0.0:
         return None
     if linalg.min_eig(m.sigma_x - sigma) < -face.excursion:
@@ -258,10 +248,9 @@ def _reference_residual(face, xv):
                            for s in face.basis_f])]
         if n_rot:
             parts.append((u_a.T @ m_w @ u_f).ravel())
-        if face.rate_active:
-            ip = 0.5 * (face.ld_x - linalg.logdet_pd(sigma)) - 0.5 * (
-                face.ld_xy - linalg.logdet_pd(sigma + m.sigma_wy))
-            parts.append(np.array([ip - face.rp]))
+        ip = 0.5 * (face.ld_x - linalg.logdet_pd(sigma)) - 0.5 * (
+            face.ld_xy - linalg.logdet_pd(sigma + m.sigma_wy))
+        parts.append(np.array([ip - face.rp]))
     except GausskeyError:
         return None
     return np.concatenate(parts)
@@ -287,29 +276,26 @@ def _face_probes(mx, key):
     w, u0 = np.linalg.eigh(q_hat)
     u0 = u0[:, np.argsort(w)[::-1]]
     for n_active in range(mx):
-        for rate_active in (True, False):
-            face = solver._FaceSystem(m, 1.0, s_half, u0, n_active, rate_active)
-            nx = face.n_qf + face.n_rot + int(rate_active)
-            x0 = np.zeros(nx)
-            u_f0 = u0[:, n_active:]
-            q_free0 = u_f0.T @ q_hat @ u_f0
-            x0[:face.n_qf] = [np.sum(q_free0 * s) / np.sum(s * s) for s in face.basis_f]
-            if rate_active:
-                x0[-1] = math.log(0.7)
-            probes = [x0 + scale * rng.standard_normal(nx)
-                      for scale in (1e-7, 1e-3, 0.05, 0.3, 1.0) for _ in range(3)]
-            if n_active == 0:
-                # free block c * I: sigma_x - sigma = (1 - c) sigma_x
-                eye_x = np.array([float(s.sum() == 1.0) for s in face.basis_f])
-                lam = float(np.linalg.eigvalsh(m.sigma_x)[-1])
-                for rel in (1.0 - 1e-6, 1.0 + 1e-6):
-                    c = 1.0 + rel * face.excursion / lam
-                    x = np.zeros(nx)
-                    x[:face.n_qf] = c * eye_x
-                    if rate_active:
-                        x[-1] = math.log(0.7)
-                    probes.append(x)
-            yield face, np.array(probes)
+        face = solver._FaceSystem(m, 1.0, s_half, u0, n_active)
+        nx = face.n_qf + face.n_rot + 1
+        x0 = np.zeros(nx)
+        u_f0 = u0[:, n_active:]
+        q_free0 = u_f0.T @ q_hat @ u_f0
+        x0[:face.n_qf] = [np.sum(q_free0 * s) / np.sum(s * s) for s in face.basis_f]
+        x0[-1] = math.log(0.7)
+        probes = [x0 + scale * rng.standard_normal(nx)
+                  for scale in (1e-7, 1e-3, 0.05, 0.3, 1.0) for _ in range(3)]
+        if n_active == 0:
+            # free block c * I: sigma_x - sigma = (1 - c) sigma_x
+            eye_x = np.array([float(s.sum() == 1.0) for s in face.basis_f])
+            lam = float(np.linalg.eigvalsh(m.sigma_x)[-1])
+            for rel in (1.0 - 1e-6, 1.0 + 1e-6):
+                c = 1.0 + rel * face.excursion / lam
+                x = np.zeros(nx)
+                x[:face.n_qf] = c * eye_x
+                x[-1] = math.log(0.7)
+                probes.append(x)
+        yield face, np.array(probes)
 
 
 @pytest.mark.parametrize("mx", [2, 4, 6])
@@ -348,9 +334,10 @@ def test_stacked_expm_matches_per_matrix_calls():
 # lockstep ascent against the per-start loop
 # ---------------------------------------------------------------------------
 
-def _reference_ascent(m, rp, q0, s_half, rho, max_iter):
+def _reference_ascent(m, rp, q0, s_half, max_iter):
     """Penalised projected-gradient ascent from one start, one call per
     point: the loop that the lockstep ascent runs for every start at once."""
+    rho = solver.PENALTY_RHO
     floor = solver.SIGMA_FLOOR_SCALE * float(np.trace(m.sigma_x)) / m.mx
     q_floor = floor / float(np.linalg.eigvalsh(m.sigma_x)[0])
 
@@ -400,14 +387,15 @@ def _reference_ascent(m, rp, q0, s_half, rho, max_iter):
     (4, 2005, 2.0, 10.0, 150),
     (6, 2009, 1.0, 100.0, 40),
 ])
-def test_lockstep_ascent_matches_per_start_loop(mx, key, rp, rho, max_iter):
+def test_lockstep_ascent_matches_per_start_loop(monkeypatch, mx, key, rp, rho, max_iter):
+    # the penalty weight is a module constant, read by both ascents
+    monkeypatch.setattr(solver, "PENALTY_RHO", rho)
     m = _bench_model(key, mx)
     s_half = linalg.sqrtm_psd(m.sigma_x)
     starts = solver._multi_starts(m, 8, 0)
-    rhos = rho * np.geomspace(1.0, 100.0, len(starts))
-    got = solver._pga_penalty(m, rp, np.array(starts), s_half, rhos, max_iter)
-    for q0, r, (sigma, pair, iterations) in zip(starts, rhos, got):
-        want = _reference_ascent(m, rp, q0, s_half, float(r), max_iter)
+    got = solver._pga_penalty(m, rp, np.array(starts), s_half, max_iter)
+    for q0, (sigma, pair, iterations) in zip(starts, got):
+        want = _reference_ascent(m, rp, q0, s_half, max_iter)
         assert iterations == want[2]
         assert np.array_equal(sigma, want[0])
         assert (pair.rp, pair.rk) == (want[1].rp, want[1].rk)
@@ -417,27 +405,26 @@ def test_lockstep_ascent_matches_per_start_loop(mx, key, rp, rho, max_iter):
 # line searches that test several step sizes per stacked call
 # ---------------------------------------------------------------------------
 
-def _reference_pga_penalty(m, rp, q0, s_half, rho, max_iter=400):
+def _reference_pga_penalty(m, rp, q0, s_half, max_iter):
     """The lockstep ascent with one stacked evaluation per backtracking
     trial: what ``_pga_penalty`` did before it tested several trials per
-    call."""
+    call.  An invalid trial's value is NaN, so it fails the Armijo test."""
     floor = solver.SIGMA_FLOOR_SCALE * float(np.trace(m.sigma_x)) / m.mx
     q_floor = floor / float(np.linalg.eigvalsh(m.sigma_x)[0])
     ld_full = np.array([linalg.logdet_pd(m.sigma_x + w) for w in (0.0, m.sigma_wz, m.sigma_wy)])
-    rho = np.asarray(rho, dtype=float)
 
-    def objective(q, idx):
+    def objective(q):
         sigma = linalg.symmetrize(s_half @ q @ s_half)
         ip, ik, valid = solver._rates_stack(m, sigma, ld_full)
-        if not valid.all():
-            solver._raise_invalid(m, sigma[~valid])
         pairs = [RatePair(rp=float(a), rk=float(b)) for a, b in zip(ip, ik)]
-        vals = [p.rk - r * max(0.0, p.rp - rp) for p, r in zip(pairs, rho[idx])]
-        return np.array(vals), sigma, pairs
+        vals = [p.rk - solver.PENALTY_RHO * max(0.0, p.rp - rp) for p in pairs]
+        return np.array(vals), sigma, pairs, valid
 
     k = len(q0)
     q = linalg.eig_clip(np.asarray(q0, dtype=float), q_floor, 1.0)
-    val, sigma, pairs = objective(q, np.arange(k))
+    val, sigma, pairs, valid = objective(q)
+    if not valid.all():
+        solver._raise_invalid(m, sigma[~valid])
     eta = np.full(k, 0.1)
     iterations = np.zeros(k, dtype=int)
     live = np.arange(k)
@@ -449,7 +436,7 @@ def _reference_pga_penalty(m, rp, q0, s_half, rho, max_iter=400):
             solver._inv_stack(solver._chol_terms(m, sigma[live])), 1, 0)
         grad_ik, grad_ip = 0.5 * (inv_z - inv_y), 0.5 * (inv_y - inv_s)
         over = np.array([not pairs[i].rp <= rp for i in live])[:, None, None]
-        grad = np.where(over, grad_ik - rho[live, None, None] * grad_ip, grad_ik)
+        grad = np.where(over, grad_ik - solver.PENALTY_RHO * grad_ip, grad_ik)
         grad_q = linalg.symmetrize(s_half @ grad @ s_half)
         moving = ~(solver._frob_stack(grad_q) < 1e-13)
         search, grad_q = live[moving], grad_q[moving]
@@ -464,7 +451,7 @@ def _reference_pga_penalty(m, rp, q0, s_half, rho, max_iter=400):
             search, q_new, move, grad_q = search[keep], q_new[keep], move[keep], grad_q[keep]
             if not search.size:
                 break
-            val_new, sigma_new, pairs_new = objective(q_new, search)
+            val_new, sigma_new, pairs_new, _ = objective(q_new)
             up = val_new > val[search] + 1e-4 / np.maximum(eta[search], 1e-12) * move * move
             win = search[up]
             q[win], val[win], sigma[win] = q_new[up], val_new[up], sigma_new[up]
@@ -478,8 +465,7 @@ def _reference_pga_penalty(m, rp, q0, s_half, rho, max_iter=400):
     return [(sigma[i], pairs[i], int(iterations[i])) for i in range(k)]
 
 
-def _reference_polish_face(m, rp, sigma_hat, s_half, s_half_inv, mu_hint, n_active,
-                           rate_active):
+def _reference_polish_face(m, rp, sigma_hat, s_half, s_half_inv, mu_hint, n_active):
     """The face polish whose line search evaluates all 30 halvings as one
     stack: what ``_polish_face`` did before it tried the first few alone."""
     q_hat = linalg.symmetrize(s_half_inv @ sigma_hat @ s_half_inv)
@@ -487,14 +473,13 @@ def _reference_polish_face(m, rp, sigma_hat, s_half, s_half_inv, mu_hint, n_acti
     u0 = u0[:, np.argsort(w)[::-1]]
     if n_active == m.mx:
         return np.array(m.sigma_x), mu_hint, 0.0
-    face = solver._FaceSystem(m, rp, s_half, u0, n_active, rate_active)
-    nx = face.n_qf + face.n_rot + int(rate_active)
+    face = solver._FaceSystem(m, rp, s_half, u0, n_active)
+    nx = face.n_qf + face.n_rot + 1
     x = np.zeros(nx)
     q_free0 = u0[:, n_active:].T @ q_hat @ u0[:, n_active:]
     x[:face.n_qf] = [float(np.sum(q_free0 * s)) / float(np.sum(s * s))
                      for s in face.basis_f]
-    if rate_active:
-        x[-1] = math.log(max(mu_hint, 1e-12))
+    x[-1] = math.log(max(mu_hint, 1e-12))
     rows, valid = face.residuals(x[None])
     if not valid[0]:
         return None
@@ -549,9 +534,9 @@ def test_stacked_line_searches_keep_the_sequential_iterates(monkeypatch, name):
     calls = []
     pga = solver._pga_penalty
 
-    def recorded(mm, rp, q0, s_half, rho, max_iter=400):
-        out = pga(mm, rp, q0, s_half, rho, max_iter)
-        calls.append(((mm, rp, np.array(q0), s_half, np.array(rho), max_iter), out))
+    def recorded(mm, rp, q0, s_half, max_iter):
+        out = pga(mm, rp, q0, s_half, max_iter)
+        calls.append(((mm, rp, np.array(q0), s_half, max_iter), out))
         return out
 
     for rp in sorted({rp for n, rp in _STACKED_SEARCH_CASES if n == name}):
@@ -576,20 +561,16 @@ def test_stacked_line_searches_keep_the_sequential_iterates(monkeypatch, name):
             assert (pair.rp, pair.rk, its) == (pair_r.rp, pair_r.rk, its_r)
 
 
-class _MarkedInvalid(Exception):
-    pass
-
-
-@pytest.mark.parametrize("mx, key, rp, period, max_iter, ends", [
-    (2, 2001, 1.0, 5, 400, "raises"), (2, 2003, 0.5, 13, 400, "raises"),
-    (2, 2003, 0.5, 41, 3, "returns"), (4, 2005, 2.0, 41, 3, "returns"),
-    (4, 2005, 2.0, 13, 400, "raises"), (6, 2009, 1.0, 13, 400, "raises")])
-def test_only_reached_invalid_trials_raise(monkeypatch, mx, key, rp, period, max_iter,
-                                           ends):
+@pytest.mark.parametrize("mx, key, rp, period, max_iter, sequential", [
+    (2, 2001, 1.0, 5, 400, "meets"), (2, 2003, 0.5, 13, 400, "meets"),
+    (2, 2003, 0.5, 41, 3, "misses"), (4, 2005, 2.0, 41, 3, "misses"),
+    (4, 2005, 2.0, 13, 400, "meets"), (6, 2009, 1.0, 13, 400, "meets")])
+def test_injected_invalid_trials_backtrack(monkeypatch, mx, key, rp, period, max_iter,
+                                           sequential):
     # declare invalid every trial matrix whose bytes hash to 0 mod period: a
     # property of the matrix alone, so both searches see the same invalid
-    # trials, and the batched one must raise where and only where the
-    # sequential one does, with the same first matrix
+    # trials; each fails its Armijo test, and the batched search must keep
+    # the sequential one's iterates, raising in neither
     rates = solver._rates_stack
     marked = []
 
@@ -601,29 +582,21 @@ def test_only_reached_invalid_trials_raise(monkeypatch, mx, key, rp, period, max
                 marked.append(s.tobytes())
         return ip, ik, valid
 
-    def raising(mm, sigma):
-        raise _MarkedInvalid(sigma[0].tobytes().hex())
-
     monkeypatch.setattr(solver, "_rates_stack", marking)
-    monkeypatch.setattr(solver, "_raise_invalid", raising)
     m = _bench_model(key, mx)
     s_half = linalg.sqrtm_psd(m.sigma_x)
     starts = np.array(solver._multi_starts(m, 8, 0))
-    rho = np.full(len(starts), 10.0)
     outcomes, n_marked = [], []
     for search in (_reference_pga_penalty, solver._pga_penalty):
         marked.clear()
-        try:
-            out = search(m, rp, starts, s_half, rho, max_iter)
-            outcomes.append([(s.tobytes(), p.rp, p.rk, its) for s, p, its in out])
-        except _MarkedInvalid as exc:
-            outcomes.append(str(exc))
+        out = search(m, rp, starts, s_half, max_iter)
+        outcomes.append([(s.tobytes(), p.rp, p.rk, its) for s, p, its in out])
         n_marked.append(len(set(marked)))
     assert outcomes[0] == outcomes[1]
-    assert isinstance(outcomes[0], str) == (ends == "raises")
     # the batched search met invalid trials that the sequential one never
-    # reached, and went on
+    # reached; where the sequential one met some, it backtracked past them
     assert n_marked[1] > n_marked[0]
+    assert (n_marked[0] > 0) == (sequential == "meets")
 
 
 def test_ascent_evaluations_on_the_benchmark_points(monkeypatch):

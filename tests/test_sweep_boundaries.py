@@ -245,3 +245,27 @@ def test_predictor_started_cells_match_cold_solves(swept):
         if not abs(value - cold) <= PREDICTOR_TOL:
             misses.append((params, value, cold))
     assert not misses, misses
+
+
+def test_small_rates_reach_the_oracle(degraded_demo, crossing_demo):
+    # below the first t row's public rate the sweep searches up from the
+    # zero-communication corner; it used to report 0 there, as at the
+    # crossing demo at rp 0.001, where 0.00118 is achievable
+    rates = (0.001, 0.01, 0.05)
+    models = [("degraded", degraded_demo), ("crossing", crossing_demo)]
+    for key in range(900, 920):
+        rng = rng_for(key)
+        models.append((f"criterion3_key{key}", GeneralModel(
+            sigma_x=random_spd(rng, 2, floor=0.5), b=rng.standard_normal((1, 2)),
+            e=rng.standard_normal((1, 2)))))
+    misses = []
+    for name, m in models:
+        oracle = [solver.brute_force_grid(m, rp, 60).rk for rp in rates]
+        for res in (60, 200):
+            boundary = solver.sweep_boundary(m, rates, st_resolution=res)
+            for rp, want, point in zip(rates, oracle, boundary.points):
+                if not point.rk >= want - 1e-6:
+                    misses.append((name, res, rp, point.rk, want))
+            if name == "crossing":
+                assert boundary.points[0].rk >= 0.00118
+    assert not misses, misses
