@@ -908,8 +908,8 @@ def sweep_boundary(m: GeneralModel, rp_grid, st_resolution: int = 200) -> Region
 HALVINGS_PER_STACK = 4
 POLISH_HALVINGS = 8
 
-# Weight of the ascent's penalty on the rate constraint: the ascent need only
-# land near the boundary, as the face polish solves the rate equation exactly.
+# Least weight of the ascent's penalty on the rate constraint: the ascent need
+# only land near the boundary, as the polish solves the rate equation exactly.
 PENALTY_RHO = 10.0
 
 def _frob_stack(a):
@@ -990,10 +990,22 @@ def _multi_starts(m, n_starts, seed):
     return starts
 
 
+def _penalty_weight(m):
+    """The ascent's penalty weight: ``PENALTY_RHO``, or 1.25 times the corner
+    multiplier ``kkt.closed_form_mu(m, sigma_x)`` when larger.  The corner
+    bounds the gradient ratio on all of ``0 < Q <= sigma_x``: with
+    ``P = Q^-1``, the pencil condition ``mu D >= (Q + sigma_wy)^-1 - (Q +
+    sigma_wz)^-1`` of ``closed_form_mu`` is congruent to ``mu P + (1 + mu)
+    sigma_wz^-1 >= sigma_wy^-1``, which only eases as ``P`` grows.  Above
+    the bound the penalised objective rises from every point over the
+    budget toward ``sigma_x``: the penalty is exact."""
+    return max(PENALTY_RHO, 1.25 * kkt.closed_form_mu(m, m.sigma_x))
+
+
 def _pga_penalty(m, rp, q0, s_half, max_iter):
-    """Projected gradient ascent on I_k - PENALTY_RHO * max(0, I_p - rp)
-    over the whitened interval, with eigenvalue flooring of the iterates,
-    for a stack of starts ``q0``.
+    """Projected gradient ascent on I_k - rho * max(0, I_p - rp), with
+    ``rho = _penalty_weight(m)``, over the whitened interval, with
+    eigenvalue flooring of the iterates, for a stack of starts ``q0``.
 
     The floor is applied to the whitened eigenvalues so the unwhitened
     iterate never exceeds the source covariance.  The starts advance in
@@ -1011,11 +1023,12 @@ def _pga_penalty(m, rp, q0, s_half, max_iter):
     floor = SIGMA_FLOOR_SCALE * float(np.trace(m.sigma_x)) / m.mx
     q_floor = floor / float(np.linalg.eigvalsh(m.sigma_x)[0])
     ld_full = np.array([linalg.logdet_pd(m.sigma_x + w) for w in (0.0, m.sigma_wz, m.sigma_wy)])
+    rho = _penalty_weight(m)
 
     def objective(q):
         sigma = linalg.symmetrize(s_half @ q @ s_half)
         ip, ik, valid = _rates_stack(m, sigma, ld_full)
-        return ik - PENALTY_RHO * np.maximum(0.0, ip - rp), sigma, ip, ik, valid
+        return ik - rho * np.maximum(0.0, ip - rp), sigma, ip, ik, valid
 
     k, n = len(q0), m.mx
     q = linalg.eig_clip(np.asarray(q0, dtype=float), q_floor, 1.0)
@@ -1032,7 +1045,7 @@ def _pga_penalty(m, rp, q0, s_half, max_iter):
         inv_s, inv_z, inv_y = np.moveaxis(_inv_stack(_chol_terms(m, sigma[live])), 1, 0)
         grad_ik, grad_ip = 0.5 * (inv_z - inv_y), 0.5 * (inv_y - inv_s)
         over = ~(ip[live] <= rp)[:, None, None]
-        grad = np.where(over, grad_ik - PENALTY_RHO * grad_ip, grad_ik)
+        grad = np.where(over, grad_ik - rho * grad_ip, grad_ik)
         grad_q = linalg.symmetrize(s_half @ grad @ s_half)
         moving = ~(_frob_stack(grad_q) < 1e-13)
         search, grad_q = live[moving], grad_q[moving]
@@ -1241,25 +1254,26 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 8,
                   seed: int = 0, max_iter: int = 400) -> SolveReport:
     """Maximize the key rate of an aligned model at public-rate budget ``rp``.
 
-    Projected gradient ascent with an exact penalty of weight
-    ``PENALTY_RHO`` and multi-start initialization -- the source covariance
-    scaled by {1, 0.75, 0.5, 0.25} plus seeded random SPD interpolants --
-    followed by a Newton polish of the stationarity system on candidate
-    active faces (``_face_schedule``), with the rate constraint binding.
-    The polish starts from the best ascent point that keeps the budget, with
-    the multiplier ``kkt.closed_form_mu`` gives there (clipped to
-    [1e-8, 1e4]).  ``kkt_residual`` is the residual of that first-order
-    system; ``iterations`` counts the ascent iterations actually taken, over
-    every start; ``max_iter`` caps them per start (0 skips the ascent).
+    Projected gradient ascent with an exact penalty, its weight above every
+    multiplier of the model (``_penalty_weight``), and multi-start
+    initialization -- the source covariance scaled by {1, 0.75, 0.5, 0.25}
+    plus seeded random SPD interpolants -- followed by a Newton polish of
+    the stationarity system on candidate active faces (``_face_schedule``),
+    with the rate constraint binding.  The polish starts from the best
+    ascent point that keeps the budget, with the multiplier
+    ``kkt.closed_form_mu`` gives there (clipped to [1e-8, 1e4]).
+    ``kkt_residual`` is the residual of that first-order system;
+    ``iterations`` counts the ascent iterations actually taken, over every
+    start; ``max_iter`` caps them per start (0 skips the ascent).
     ``converged`` says that the system of some face was solved below 1e-8
     and that the returned point passes the multiplier check of
     ``kkt.recover_multipliers`` (composite residual at most
     ``kkt.ACCEPT_COMPOSITE``), so a point polished on a wrong face is not
     reported converged.  When no face system is solved, the best ascent
     point is returned unconverged.  Raises ``MaxIterationsExceeded`` when no
-    start ends within 1e-6 of the budget.  Heuristic for the nonconvex
-    general case: certify the output through the KKT machinery before
-    trusting it.
+    start ends within 1e-6 of the budget in ``max_iter`` iterations.
+    Heuristic for the nonconvex general case: certify the output through
+    the KKT machinery before trusting it.
     """
     validate_model(m)
     if not rp >= 0.0:

@@ -127,6 +127,33 @@ def test_wrong_face_point_is_not_converged(key, rp):
     assert _certificate_outcome(m, report.optimum, rp) == "NoValidMultiplier"
 
 
+@pytest.mark.parametrize("rp", [0.001, 0.01, 0.03])
+def test_a_multiplier_far_above_the_weight_floor_keeps_the_budget(rp):
+    # a low-noise Y: the multiplier at the corner is 49.5, and at the weight
+    # floor PENALTY_RHO every start ends over the budget below rp 0.038.
+    # The scalar rate binds, so the optimum is closed form.
+    m = AlignedModel(sigma_x=[[1.0]], sigma_wy=[[0.01]], sigma_wz=[[1.0]])
+    assert kkt.closed_form_mu(m, m.sigma_x) > 4.0 * solver.PENALTY_RHO
+    report = solve_at_rate(m, rp)
+    sigma = 0.01 / (1.01 * math.exp(2.0 * rp) - 1.0)
+    assert abs(report.value - rates_aligned(m, [[sigma]]).rk) <= VALUE_TOL
+    assert report.converged
+    assert _certificate_outcome(m, report.optimum, rp) == "certified"
+
+
+def test_the_corner_multiplier_bounds_the_interval():
+    # what makes the ascent's penalty exact (see solver._penalty_weight):
+    # the gradient ratio is largest at Q = sigma_x
+    rng = rng_for(97)
+    for mx in (1, 2, 3, 4, 6):
+        for degraded in (False, True):
+            m = random_aligned(rng, mx, degraded)
+            corner = kkt.closed_form_mu(m, m.sigma_x)
+            for hi in np.repeat((0.1, 0.5, 0.9, 0.99, 0.9999), 4):
+                sigma = random_conditional(rng, m.sigma_x, lo=0.01, hi=hi)
+                assert kkt.closed_form_mu(m, sigma) <= corner * (1.0 + 1e-9) + 1e-12
+
+
 # ---------------------------------------------------------------------------
 # the order of the face polish's candidates
 # ---------------------------------------------------------------------------
@@ -337,7 +364,7 @@ def test_stacked_expm_matches_per_matrix_calls():
 def _reference_ascent(m, rp, q0, s_half, max_iter):
     """Penalised projected-gradient ascent from one start, one call per
     point: the loop that the lockstep ascent runs for every start at once."""
-    rho = solver.PENALTY_RHO
+    rho = solver._penalty_weight(m)
     floor = solver.SIGMA_FLOOR_SCALE * float(np.trace(m.sigma_x)) / m.mx
     q_floor = floor / float(np.linalg.eigvalsh(m.sigma_x)[0])
 
@@ -386,9 +413,10 @@ def _reference_ascent(m, rp, q0, s_half, max_iter):
     (2, 2004, 0.2, 1e3, 60),
     (4, 2005, 2.0, 10.0, 150),
     (6, 2009, 1.0, 100.0, 40),
+    (2, 2002, 0.5, 1.0, 400),  # the weight is the model's bound, 4.49
 ])
 def test_lockstep_ascent_matches_per_start_loop(monkeypatch, mx, key, rp, rho, max_iter):
-    # the penalty weight is a module constant, read by both ascents
+    # both ascents take their weight from _penalty_weight, floored at rho
     monkeypatch.setattr(solver, "PENALTY_RHO", rho)
     m = _bench_model(key, mx)
     s_half = linalg.sqrtm_psd(m.sigma_x)
@@ -412,12 +440,13 @@ def _reference_pga_penalty(m, rp, q0, s_half, max_iter):
     floor = solver.SIGMA_FLOOR_SCALE * float(np.trace(m.sigma_x)) / m.mx
     q_floor = floor / float(np.linalg.eigvalsh(m.sigma_x)[0])
     ld_full = np.array([linalg.logdet_pd(m.sigma_x + w) for w in (0.0, m.sigma_wz, m.sigma_wy)])
+    rho = solver._penalty_weight(m)
 
     def objective(q):
         sigma = linalg.symmetrize(s_half @ q @ s_half)
         ip, ik, valid = solver._rates_stack(m, sigma, ld_full)
         pairs = [RatePair(rp=float(a), rk=float(b)) for a, b in zip(ip, ik)]
-        vals = [p.rk - solver.PENALTY_RHO * max(0.0, p.rp - rp) for p in pairs]
+        vals = [p.rk - rho * max(0.0, p.rp - rp) for p in pairs]
         return np.array(vals), sigma, pairs, valid
 
     k = len(q0)
@@ -436,7 +465,7 @@ def _reference_pga_penalty(m, rp, q0, s_half, max_iter):
             solver._inv_stack(solver._chol_terms(m, sigma[live])), 1, 0)
         grad_ik, grad_ip = 0.5 * (inv_z - inv_y), 0.5 * (inv_y - inv_s)
         over = np.array([not pairs[i].rp <= rp for i in live])[:, None, None]
-        grad = np.where(over, grad_ik - solver.PENALTY_RHO * grad_ip, grad_ik)
+        grad = np.where(over, grad_ik - rho * grad_ip, grad_ik)
         grad_q = linalg.symmetrize(s_half @ grad @ s_half)
         moving = ~(solver._frob_stack(grad_q) < 1e-13)
         search, grad_q = live[moving], grad_q[moving]
