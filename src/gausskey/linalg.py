@@ -4,8 +4,11 @@ Everything in the package funnels its linear algebra through this module:
 symmetry/PSD checks with the package-wide tolerances, Cholesky-based
 log-determinants, PSD square roots, and the symmetric-definite generalized
 eigenvalue solve via Cholesky whitening (which also gives the closed-form
-KKT multiplier).  The functions are pure and operate on plain ``numpy``
-arrays.
+KKT multiplier).  The functions are pure and take ``numpy`` arrays.  All but
+``inv_pd`` run on numpy alone; ``inv_pd`` solves through SciPy's
+``cho_solve``, reached through ``sla``, a handle that imports
+``scipy.linalg`` on first use, so the scalar route (sweep, oracle and
+closed-form limit) never loads SciPy.
 
 Tolerance conventions
 ---------------------
@@ -16,13 +19,31 @@ of the PSD cone, so the PSD test must tolerate small negative round-off.
 """
 
 import numpy as np
-import scipy.linalg
 
 from .errors import AsymmetricInput, DimensionMismatch, NotPositiveDefinite
 
 SYM_RTOL = 1e-12
 PSD_RTOL = 1e-10
 PD_MIN_EIG = 1e-10
+
+
+class _LazySciPyLinalg:
+    """``scipy.linalg``, imported on the first attribute read.
+
+    The plain ``import`` holds the import lock, so concurrent first reads
+    all see the fully executed module; each attribute is then cached on the
+    handle.
+    """
+
+    def __getattr__(self, name):
+        import scipy.linalg
+
+        value = getattr(scipy.linalg, name)
+        setattr(self, name, value)
+        return value
+
+
+sla = _LazySciPyLinalg()
 
 
 def symmetrize(a):
@@ -101,7 +122,7 @@ def logdet_pd(a, name="matrix"):
 def inv_pd(a, name="matrix"):
     """Inverse of a PD matrix via Cholesky."""
     lower = chol_lower(a, name)
-    inv = scipy.linalg.cho_solve((lower, True), np.eye(a.shape[0]))
+    inv = sla.cho_solve((lower, True), np.eye(a.shape[0]))
     return symmetrize(inv)
 
 
@@ -147,8 +168,8 @@ def gen_eig_pencil(a, c):
     """
     a = check_symmetric(a, "pencil lhs")
     lower = chol_lower(c, "pencil rhs")
-    half = scipy.linalg.solve_triangular(lower, a, lower=True)
-    white = scipy.linalg.solve_triangular(lower, half.T, lower=True)
+    half = np.linalg.solve(lower, a)
+    white = np.linalg.solve(lower, half.T)
     w = np.linalg.eigvalsh(symmetrize(white))
     return w[::-1].copy()
 

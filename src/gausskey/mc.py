@@ -15,9 +15,12 @@ estimator is an independent arithmetic path to the same quantities, not an
 extra statistical assumption.
 
 Randomness comes from numpy's Philox counter-based generator keyed by the
-caller's 64-bit seed, with a single fixed draw order (one (n, dim) standard
-normal block), so batches are bitwise reproducible for a given seed and
-numpy version.  Standard errors use 10-fold batch splitting.
+caller's 64-bit seed, with a single fixed draw order (the rows of one
+(n, dim) standard-normal block, drawn a block of rows at a time), so
+batches are bitwise reproducible for a given seed and numpy version.
+Covariances come from centred Gram matrices ``X^T X - n m m^T``, one pass
+over the rows with no centred copy.  Standard errors use 10-fold batch
+splitting.
 """
 
 from dataclasses import dataclass
@@ -33,6 +36,9 @@ from .models import GeneralModel, conditional_cov, validate_model
 DEGENERATE_RTOL = 1e-5
 
 DEFAULT_FOLDS = 10
+
+# Rows drawn and transformed per block by ``sample``.
+SAMPLE_BLOCK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -127,12 +133,20 @@ def build_joint(m: GeneralModel, q) -> np.ndarray:
     return linalg.symmetrize(joint)
 
 
+def _centred_cov(gram, total, n, ddof):
+    """Covariance of ``n`` rows from their Gram matrix ``X^T X`` and column
+    sums ``total``."""
+    mean = total / n
+    return linalg.symmetrize((gram - n * np.outer(mean, mean)) / (n - ddof))
+
+
 def sample(joint_cov, n: int, seed: int) -> SampleBatch:
     """Draw ``n`` i.i.d. joint samples; bitwise deterministic given ``seed``.
 
-    Samples are the Cholesky factor of the joint covariance applied to a
-    single (n, dim) standard-normal block from a Philox generator keyed by
-    ``seed``.  Raises ``NotPsd`` when the covariance is not PSD.
+    Samples are the Cholesky factor of the joint covariance applied to the
+    rows of an (n, dim) standard-normal block from a Philox generator keyed
+    by ``seed``, drawn ``SAMPLE_BLOCK_ROWS`` rows at a time straight into
+    the result.  Raises ``NotPsd`` when the covariance is not PSD.
     """
     joint_cov = linalg.check_symmetric(joint_cov, "joint covariance")
     if not linalg.is_psd(joint_cov):
@@ -148,13 +162,22 @@ def sample(joint_cov, n: int, seed: int) -> SampleBatch:
         jitter = 1e-12 * (1.0 + float(np.trace(joint_cov)))
         factor = np.linalg.cholesky(joint_cov + jitter * np.eye(joint_cov.shape[0]))
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    z = rng.standard_normal((int(n), joint_cov.shape[0]))
-    samples = z @ factor.T
-    ddof = 1 if n > 1 else 0
-    emp = np.cov(samples, rowvar=False, ddof=ddof)
-    emp = np.atleast_2d(emp)
-    return SampleBatch(n=int(n), seed=int(seed), samples=samples,
-                       joint_cov_empirical=linalg.symmetrize(emp))
+    n, dim = int(n), joint_cov.shape[0]
+    samples = np.empty((n, dim))
+    gram = np.zeros((dim, dim))
+    total = np.zeros(dim)
+    lo = 0
+    while lo < n:
+        # a lone last row would go through a matrix-vector product, which
+        # rounds differently from the one-block draw; its block takes it
+        hi = n if n - lo <= SAMPLE_BLOCK_ROWS + 1 else lo + SAMPLE_BLOCK_ROWS
+        block = np.matmul(rng.standard_normal((hi - lo, dim)), factor.T,
+                          out=samples[lo:hi])
+        gram += block.T @ block
+        total += block.sum(axis=0)
+        lo = hi
+    emp = _centred_cov(gram, total, n, ddof=1 if n > 1 else 0)
+    return SampleBatch(n=n, seed=int(seed), samples=samples, joint_cov_empirical=emp)
 
 
 def _plugin_rates(cov, lay: JointLayout):
@@ -213,7 +236,7 @@ def estimate_rates(batch: SampleBatch, layout: JointLayout,
     rk_folds = []
     for k in range(folds):
         chunk = batch.samples[k * per_fold:(k + 1) * per_fold]
-        cov = linalg.symmetrize(np.atleast_2d(np.cov(chunk, rowvar=False, ddof=1)))
+        cov = _centred_cov(chunk.T @ chunk, chunk.sum(axis=0), per_fold, ddof=1)
         rp_k, rk_k = _plugin_rates(cov, layout)
         rp_folds.append(rp_k)
         rk_folds.append(rk_k)

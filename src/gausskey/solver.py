@@ -47,7 +47,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import kkt, linalg
 from .errors import (
@@ -70,6 +69,7 @@ from .models import (
 )
 from .rates import PointMeta, RatePair, RegionBoundary, rates_aligned
 
+sla = linalg.sla  # scipy.linalg, loaded on the aligned route's first use
 BARRIER_GAP_TOL = 1e-8
 NEWTON_DECREMENT_TOL = 1e-10
 SIGMA_FLOOR_SCALE = 1e-9
@@ -847,7 +847,7 @@ def sweep_boundary(m: GeneralModel, rp_grid, st_resolution: int = 200) -> Region
     t_uniform = np.expm1(np.linspace(math.log1p(t_min), math.log1p(t_max - g_min),
                                      n_uniform))
     t_refine = t_max - np.geomspace(g_min, 0.2 * t_span, n_refine)
-    rows = [float(t) for t in np.unique(np.concatenate([t_uniform, t_refine]))
+    rows = [t for t in sorted({float(t) for t in np.concatenate([t_uniform, t_refine])})
             if ik_const + 0.5 * math.log1p(t) > 0.0]
 
     reach = {}  # t -> (F(t), cell) of every row evaluated

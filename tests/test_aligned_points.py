@@ -182,7 +182,8 @@ def test_face_polish_calls_on_the_benchmark_points(monkeypatch):
     # 169 calls at the schedule that tried every factor of the detected
     # face before the next face; 34,532 residual rows with the line search
     # that halved down to 2^-29, 10,824 with the floor at 2^-7; 80 calls
-    # with the rate-slack faces, 72 and 10,054 rows without them
+    # with the rate-slack faces, 72 and 10,054 rows without them; 10,262
+    # once the pencil whitening moved to numpy (last bits of the mu hint)
     calls = []
     rows = []
     polish = solver._polish_face
