@@ -814,6 +814,8 @@ def sweep_boundary(m: GeneralModel, rp_grid, st_resolution: int = 200) -> Region
     (sorted ascending) the boundary is ``ik(t*)``, clamped at zero, with
     ``t* = max{t : F(t) <= rp}``, at least the level-0 row
     ``t0 = expm1(-2 ik_const)`` of the corner ``Q = sigma_x`` (``rp = 0``).
+    At ``rp = 0`` the corner is exact, as ``I(U;X|Y) = 0`` forces it, and no
+    row is searched.
 
     ``t*`` is bracketed on ``st_resolution`` rows (at least 2) that approach
     the maximal achievable ``t``: uniform in ``log(1 + t)``, plus log-spaced
@@ -871,20 +873,21 @@ def sweep_boundary(m: GeneralModel, rp_grid, st_resolution: int = 200) -> Region
         return bound - rp_min
 
     for rp in rp_grid:
-        bound = rp + 1e-12
-        above = len(rows)  # first row known not to qualify
-        while above - last > 1:
-            mid = (last + above) // 2
-            if row_min(rows[mid])[0] <= bound:
-                last = mid
-            else:
-                above = mid
-        if last >= 0 and rows[last] > winner[3]:
-            winner = row_min(rows[last])[1]
-        if above < len(rows):
-            _anderson_bjorck(slack, 0.5 * math.log1p(winner[3]), bound - winner[0],
-                             0.5 * math.log1p(rows[above]), bound - row_min(rows[above])[0],
-                             SWEEP_IK_TOL, margin=0.1 * SWEEP_IK_TOL)
+        if rp > 0.0:
+            bound = rp + 1e-12
+            above = len(rows)  # first row known not to qualify
+            while above - last > 1:
+                mid = (last + above) // 2
+                if row_min(rows[mid])[0] <= bound:
+                    last = mid
+                else:
+                    above = mid
+            if last >= 0 and rows[last] > winner[3]:
+                winner = row_min(rows[last])[1]
+            if above < len(rows):
+                _anderson_bjorck(slack, 0.5 * math.log1p(winner[3]), bound - winner[0],
+                                 0.5 * math.log1p(rows[above]), bound - row_min(rows[above])[0],
+                                 SWEEP_IK_TOL, margin=0.1 * SWEEP_IK_TOL)
         points.append(RatePair(rp=rp, rk=max(0.0, winner[1])))
         meta.append(PointMeta(s=winner[2], t=winner[3], kkt_residual=winner[4]))
     return RegionBoundary(points=tuple(points), model_digest=model_digest(m),
@@ -911,6 +914,9 @@ POLISH_HALVINGS = 8
 # Least weight of the ascent's penalty on the rate constraint: the ascent need
 # only land near the boundary, as the polish solves the rate equation exactly.
 PENALTY_RHO = 10.0
+
+# How far past the whitened cap ``A <= I`` a face polish may walk (scale-free).
+FACE_EXCURSION = 1e-2
 
 def _frob_stack(a):
     flat = a.reshape(len(a), 1, -1)
@@ -956,28 +962,15 @@ def _inv_stack(lower):
 
 def _rates_stack(m, sigma, ld_full):
     """The public and key rates ``(ip, ik)`` that ``rates_aligned`` gives
-    for a stack of conditional covariances, given the log-dets ``ld_full``
-    of ``sigma_x`` plus 0, ``sigma_wz`` and ``sigma_wy``, and a mask of the
-    valid matrices.  The checks of ``ConditionalCov.for_model`` run stacked;
-    a matrix failing them, or whose terms have no Cholesky factor, is
-    invalid and its rates are NaN (``_raise_invalid`` raises its error)."""
-    gap = np.linalg.eigvalsh(m.sigma_x - sigma)
-    valid = (np.linalg.eigvalsh(sigma)[:, 0] > COND_COV_MIN_EIG) & (
-        gap[:, 0] >= -linalg.PSD_RTOL * (1.0 + np.abs(gap).max(axis=1)))
+    for a stack of conditional covariances inside the matrix interval (see
+    ``_pga_penalty``), given the log-dets ``ld_full`` of ``sigma_x`` plus 0,
+    ``sigma_wz`` and ``sigma_wy``, and a mask of the valid matrices: one
+    whose terms have no Cholesky factor is invalid, its rates NaN."""
+    valid = np.ones(len(sigma), dtype=bool)
     gx, gz, gy = (0.5 * (ld_full - _logdet_stack(_chol_valid(m, sigma, valid)))).T
     ip, ik = np.full(len(sigma), np.nan), np.full(len(sigma), np.nan)
     ip[valid], ik[valid] = gx - gy, gy - gz
     return ip, ik, valid
-
-
-def _raise_invalid(m, sigma):
-    """Raise the error of the first of a stack of invalid conditional
-    covariances (see ``_rates_stack``), as a per-point evaluation would: a
-    failed ``ConditionalCov.for_model`` check first, else the Cholesky
-    failure."""
-    for s in sigma:
-        ConditionalCov.for_model(m, s)
-    _chol_terms(m, sigma)
 
 
 def _multi_starts(m, n_starts, seed):
@@ -1007,20 +1000,21 @@ def _pga_penalty(m, rp, q0, s_half, max_iter):
     ``rho = _penalty_weight(m)``, over the whitened interval, with
     eigenvalue flooring of the iterates, for a stack of starts ``q0``.
 
-    The floor is applied to the whitened eigenvalues so the unwhitened
-    iterate never exceeds the source covariance.  The starts advance in
-    lockstep, one stacked evaluation per ascent step, while each keeps its
-    own step size, Armijo test and early stop.  The Armijo backtracking
-    tests at most 30 step sizes ``eta 2^-j`` per step, and each of its rounds
-    evaluates the next ``HALVINGS_PER_STACK`` of them for every start still
-    searching as one stack.  A start takes the first trial that passes the
-    Armijo test, or stops at the first one that barely moves; the later
-    trials of the round are discarded.  An invalid trial (see
-    ``_rates_stack``) has a NaN value, fails the test and is backtracked
-    past.  Halving is exact, so every start visits the iterates it would
-    visit alone.  Returns ``(sigma, pair, iterations)`` per start, counting
-    the ascent iterations it took."""
-    floor = SIGMA_FLOOR_SCALE * float(np.trace(m.sigma_x)) / m.mx
+    The clip to whitened eigenvalues in ``[q_floor, 1]`` keeps every iterate
+    in the interval that ``ConditionalCov`` checks: ``q_floor min eig(sigma_x)``
+    is ``SIGMA_FLOOR_SCALE tr(sigma_x) / mx``, at least ``2 COND_COV_MIN_EIG``.
+    The starts advance in lockstep, one stacked evaluation per ascent step,
+    while each keeps its own step size, Armijo test and early stop.  The
+    Armijo backtracking tests at most 30 step sizes ``eta 2^-j`` per step,
+    and each of its rounds evaluates the next ``HALVINGS_PER_STACK`` of them
+    for every start still searching as one stack.  A start takes the first
+    trial that passes the Armijo test, or stops at the first one that barely
+    moves; the later trials of the round are discarded.  An invalid trial
+    (see ``_rates_stack``) has a NaN value, fails the test and is
+    backtracked past.  Halving is exact, so every start visits the iterates
+    it would visit alone.  Returns ``(sigma, pair, iterations)`` per start,
+    counting the ascent iterations it took."""
+    floor = max(SIGMA_FLOOR_SCALE * float(np.trace(m.sigma_x)) / m.mx, 2.0 * COND_COV_MIN_EIG)
     q_floor = floor / float(np.linalg.eigvalsh(m.sigma_x)[0])
     ld_full = np.array([linalg.logdet_pd(m.sigma_x + w) for w in (0.0, m.sigma_wz, m.sigma_wy)])
     rho = _penalty_weight(m)
@@ -1034,7 +1028,7 @@ def _pga_penalty(m, rp, q0, s_half, max_iter):
     q = linalg.eig_clip(np.asarray(q0, dtype=float), q_floor, 1.0)
     val, sigma, ip, ik, valid = objective(q)
     if not valid.all():
-        _raise_invalid(m, sigma[~valid])
+        _chol_terms(m, sigma[~valid])  # raises the start's Cholesky failure
     eta = np.full(k, 0.1)
     iterations = np.zeros(k, dtype=int)
     live = np.arange(k)
@@ -1106,7 +1100,9 @@ class _FaceSystem:
     stacks of points.  ``u0`` holds whitened eigendirections, largest first;
     the top ``n_active`` are pinned to the source covariance.  A point holds
     the free-block coordinates (in ``_basis(n_free)``), the angles of the
-    rotation mixing active and free directions and log mu.
+    rotation mixing active and free directions and log mu.  The rotated
+    basis stays orthogonal, so the free block alone places a point in the
+    matrix interval.
     """
 
     def __init__(self, m, rp, s_half, u0, n_active):
@@ -1117,10 +1113,9 @@ class _FaceSystem:
         self.n_rot = n_active * (m.mx - n_active)
         self.ld_x = linalg.logdet_pd(m.sigma_x)
         self.ld_xy = linalg.logdet_pd(m.sigma_x + m.sigma_wy)
-        self.excursion = 1e-3 * (1.0 + float(np.trace(m.sigma_x)))
 
     def build(self, xs):
-        """Conditional covariances, multipliers and rotated bases of points."""
+        """Conditional covariances, multipliers, rotated bases, free blocks."""
         n_qf, n_rot, na = self.n_qf, self.n_rot, self.n_active
         q_f = np.einsum("pk,kab->pab", xs[:, :n_qf], self.basis_f)
         if n_rot:
@@ -1133,20 +1128,20 @@ class _FaceSystem:
         # the multiplier lives on a log scale; clamp runaway probes so the
         # line search can back off instead of overflowing
         mu = np.array([math.exp(min(max(v, -700.0), 60.0)) for v in xs[:, -1]])
-        return sigma, mu, u
+        return sigma, mu, u, q_f
 
     def residuals(self, xs):
         """Residual rows of points (free-block and cross-block components of
         the whitened stationarity matrix, then ``I_p - rp``) and a mask of
-        the valid ones.  A point is invalid, its row NaN, when its covariance
-        is not PD, leaves the interval by more than the excursion bound (an
-        escape toward stationary points beyond it), or ``Q``,
+        the valid ones.  A point is invalid, its row NaN, when an eigenvalue
+        of its free block is not positive or exceeds ``1 + FACE_EXCURSION``
+        (an escape toward stationary points beyond the interval), or ``Q``,
         ``Q + sigma_wz`` or ``Q + sigma_wy`` has no Cholesky factor.
         """
         m = self.m
-        sigma, mu, u = self.build(xs)
-        valid = (np.linalg.eigvalsh(sigma)[:, 0] > 0.0) & (
-            np.linalg.eigvalsh(m.sigma_x - sigma)[:, 0] >= -self.excursion)
+        sigma, mu, u, q_f = self.build(xs)
+        w = np.linalg.eigvalsh(q_f)
+        valid = (w[:, 0] > 0.0) & (w[:, -1] <= 1.0 + FACE_EXCURSION)
         lower = _chol_valid(m, sigma, valid)
         rows = np.full((len(xs), self.n_qf + self.n_rot + 1), np.nan)
         if not valid.any():
@@ -1188,7 +1183,7 @@ def _polish_face(m, rp, sigma_hat, s_half, s_half_inv, mu_hint, n_active):
     trials), ``HALVINGS_PER_STACK`` per stacked evaluation; when none does,
     mostly on a wrong face, the polish stops, as it does after 80 steps or
     below 1e-12.  Returns (sigma, mu, residual_norm), or None for an invalid
-    start or probe or a result outside the matrix interval.
+    start or probe; ``solve_at_rate``'s gate checks the result's interval.
     """
     q_hat = linalg.symmetrize(s_half_inv @ sigma_hat @ s_half_inv)
     w, u0 = np.linalg.eigh(q_hat)
@@ -1229,9 +1224,7 @@ def _polish_face(m, rp, sigma_hat, s_half, s_half_inv, mu_hint, n_active):
         if not better.size:
             break
         x, r = trials[lo + better[0]], rows[better[0]]
-    (sigma,), (mu,), _ = face.build(x[None])
-    if linalg.min_eig(sigma) <= 0.0 or not linalg.is_psd(m.sigma_x - sigma):
-        return None
+    (sigma,), (mu,), _, _ = face.build(x[None])
     return sigma, float(mu), float(np.max(np.abs(r)))
 
 
@@ -1261,7 +1254,9 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 8,
     the stationarity system on candidate active faces (``_face_schedule``),
     with the rate constraint binding.  The polish starts from the best
     ascent point that keeps the budget, with the multiplier
-    ``kkt.closed_form_mu`` gives there (clipped to [1e-8, 1e4]).
+    ``kkt.closed_form_mu`` gives there (clipped to [1e-8, 1e4]).  One gate
+    accepts a candidate: ``rates_aligned`` (so ``ConditionalCov.for_model``)
+    takes it, and it keeps the budget and the ascent's key rate.
     ``kkt_residual`` is the residual of that first-order system;
     ``iterations`` counts the ascent iterations actually taken, over every
     start; ``max_iter`` caps them per start (0 skips the ascent).
@@ -1314,7 +1309,7 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 8,
     n_active_guess = int(np.sum(q_eigs >= 1.0 - 1e-4))
 
     def keeps_rate(sigma):
-        # a valid candidate's rates if it keeps the budget and the key rate
+        # the acceptance gate: a candidate's rates, if it passes
         try:
             pair = rates_aligned(m, sigma)
         except ModelValidationError:

@@ -6,7 +6,14 @@
 certificate tests.  Every point must keep its value, its optimum, its
 ``converged`` flag and its certificate outcome, including the points whose
 certificate raises ``NoValidMultiplier``, and a point reported converged
-must certify.
+must certify.  Scaling a model's three covariances by ``c`` scales its
+optimum by ``c`` and keeps both rates: frozen benchmark points rescaled by
+1e-3 to 1e8 must keep their value and ``sigma / c`` and certify.
+
+The ascent builds its iterates inside the matrix interval and the polish
+tests a point's whitened free block against ``1 + FACE_EXCURSION``; one
+gate in ``solve_at_rate`` checks every polished candidate.  The per-point
+references below mirror that.
 
 The stacked kernels are checked against plain per-point references: the
 face-polish residual against the per-point closure it replaces, the stacked
@@ -38,6 +45,7 @@ import scipy.linalg as sla
 
 from gausskey import AlignedModel, certify, kkt, linalg, solve_at_rate, solver
 from gausskey.errors import GausskeyError, NoValidMultiplier
+from gausskey.models import COND_COV_MIN_EIG
 from gausskey.rates import RatePair, rates_aligned
 
 from conftest import random_aligned, random_conditional, random_spd, rng_for
@@ -89,6 +97,24 @@ def test_frozen_point_keeps_its_optimum(point):
     assert linalg.frob(report.optimum.value - np.array(point["sigma"])) <= SIGMA_TOL
     assert report.converged == point["converged"]
     assert _certificate_outcome(m, report.optimum, point["rp"]) == point["certificate"]
+
+
+SCALED = [(name, rp, c) for name in ("bench_mx2_key2001", "bench_mx4_key2005",
+                                     "bench_mx6_key2009")
+          for rp in (0.5, 2.0) for c in (1e-3, 1e4, 1e6, 1e8)]
+
+
+@pytest.mark.parametrize("name,rp,c", SCALED, ids=[f"{n}-rp{r}-x{c:g}" for n, r, c in SCALED])
+def test_rescaled_model_keeps_its_optimum(name, rp, c):
+    # scaling all three covariances by c scales every admissible Q by c and
+    # leaves both rates unchanged; the absolute tolerances of a re-checked
+    # interval used to reject the rounding of the corner start S I S
+    point = next(p for p in POINTS if p["model"] == name and p["rp"] == rp)
+    m = AlignedModel(*(c * np.array(point[k]) for k in ("sigma_x", "sigma_wy", "sigma_wz")))
+    report = solve_at_rate(m, rp)
+    assert abs(report.value - point["value"]) <= 1e-9
+    assert linalg.frob(report.optimum.value / c - np.array(point["sigma"])) <= 1e-8
+    assert _certificate_outcome(m, report.optimum, rp) == "certified"
 
 
 def test_converged_points_certify():
@@ -183,7 +209,8 @@ def test_face_polish_calls_on_the_benchmark_points(monkeypatch):
     # face before the next face; 34,532 residual rows with the line search
     # that halved down to 2^-29, 10,824 with the floor at 2^-7; 80 calls
     # with the rate-slack faces, 72 and 10,054 rows without them; 10,262
-    # once the pencil whitening moved to numpy (last bits of the mu hint)
+    # once the pencil whitening moved to numpy (last bits of the mu hint);
+    # 10,010 with the polish's interval test on the whitened free block
     calls = []
     rows = []
     polish = solver._polish_face
@@ -250,6 +277,9 @@ def _reference_residual(face, xv):
     m = face.m
     n_qf, n_rot, n_active = face.n_qf, face.n_rot, face.n_active
     q_f = np.einsum("k,kab->ab", xv[:n_qf], face.basis_f)
+    w = np.linalg.eigvalsh(q_f)
+    if w[0] <= 0.0 or w[-1] > 1.0 + solver.FACE_EXCURSION:
+        return None
     u = face.u0
     if n_rot:
         n = u.shape[0]
@@ -266,10 +296,6 @@ def _reference_residual(face, xv):
     q = u_a @ u_a.T + u_f @ q_f @ u_f.T
     sigma = linalg.symmetrize(face.s_half @ q @ face.s_half)
     mu = math.exp(min(max(xv[-1], -700.0), 60.0))
-    if linalg.min_eig(sigma) <= 0.0:
-        return None
-    if linalg.min_eig(m.sigma_x - sigma) < -face.excursion:
-        return None
     try:
         m_w = face.s_half @ kkt.stationarity_matrix(m, sigma, mu) @ face.s_half
         parts = [np.array([float(np.sum((u_f.T @ m_w @ u_f) * s))
@@ -294,7 +320,7 @@ def _bench_model(key, mx):
 def _face_probes(mx, key):
     """Faces of one model with seeded probes around the polish start: small
     and large perturbations, and free blocks scaled to just inside and just
-    outside the excursion bound."""
+    outside the whitened bound ``1 + FACE_EXCURSION``."""
     rng = rng_for(key)
     m = _bench_model(2000 + key, mx)
     s_half = linalg.sqrtm_psd(m.sigma_x)
@@ -316,9 +342,8 @@ def _face_probes(mx, key):
         if n_active == 0:
             # free block c * I: sigma_x - sigma = (1 - c) sigma_x
             eye_x = np.array([float(s.sum() == 1.0) for s in face.basis_f])
-            lam = float(np.linalg.eigvalsh(m.sigma_x)[-1])
             for rel in (1.0 - 1e-6, 1.0 + 1e-6):
-                c = 1.0 + rel * face.excursion / lam
+                c = 1.0 + rel * solver.FACE_EXCURSION
                 x = np.zeros(nx)
                 x[:face.n_qf] = c * eye_x
                 x[-1] = math.log(0.7)
@@ -342,7 +367,7 @@ def test_stacked_face_residual_matches_per_point(mx):
                 n_valid += 1
                 assert np.all(np.abs(row - ref) <= ROW_RTOL * (1.0 + np.abs(ref)))
             if face.n_active == 0:
-                # the last two probes straddle the excursion bound
+                # the last two probes straddle the whitened bound
                 assert list(valid[-2:]) == [True, False]
                 n_outside += 1
     assert n_valid and n_invalid and n_outside
@@ -362,12 +387,19 @@ def test_stacked_expm_matches_per_matrix_calls():
 # lockstep ascent against the per-start loop
 # ---------------------------------------------------------------------------
 
+def _q_floor(m):
+    """The ascent's whitened eigenvalue floor, guarded so that every
+    iterate passes ``ConditionalCov``'s least-eigenvalue check."""
+    floor = max(solver.SIGMA_FLOOR_SCALE * float(np.trace(m.sigma_x)) / m.mx,
+                2.0 * COND_COV_MIN_EIG)
+    return floor / float(np.linalg.eigvalsh(m.sigma_x)[0])
+
+
 def _reference_ascent(m, rp, q0, s_half, max_iter):
     """Penalised projected-gradient ascent from one start, one call per
     point: the loop that the lockstep ascent runs for every start at once."""
     rho = solver._penalty_weight(m)
-    floor = solver.SIGMA_FLOOR_SCALE * float(np.trace(m.sigma_x)) / m.mx
-    q_floor = floor / float(np.linalg.eigvalsh(m.sigma_x)[0])
+    q_floor = _q_floor(m)
 
     def objective(q):
         sigma = linalg.symmetrize(s_half @ q @ s_half)
@@ -438,8 +470,7 @@ def _reference_pga_penalty(m, rp, q0, s_half, max_iter):
     """The lockstep ascent with one stacked evaluation per backtracking
     trial: what ``_pga_penalty`` did before it tested several trials per
     call.  An invalid trial's value is NaN, so it fails the Armijo test."""
-    floor = solver.SIGMA_FLOOR_SCALE * float(np.trace(m.sigma_x)) / m.mx
-    q_floor = floor / float(np.linalg.eigvalsh(m.sigma_x)[0])
+    q_floor = _q_floor(m)
     ld_full = np.array([linalg.logdet_pd(m.sigma_x + w) for w in (0.0, m.sigma_wz, m.sigma_wy)])
     rho = solver._penalty_weight(m)
 
@@ -454,7 +485,7 @@ def _reference_pga_penalty(m, rp, q0, s_half, max_iter):
     q = linalg.eig_clip(np.asarray(q0, dtype=float), q_floor, 1.0)
     val, sigma, pairs, valid = objective(q)
     if not valid.all():
-        solver._raise_invalid(m, sigma[~valid])
+        solver._chol_terms(m, sigma[~valid])
     eta = np.full(k, 0.1)
     iterations = np.zeros(k, dtype=int)
     live = np.arange(k)
@@ -534,11 +565,8 @@ def _reference_polish_face(m, rp, sigma_hat, s_half, s_half_inv, mu_hint, n_acti
         if not better.size:
             break
         x, r = trials[better[0]], rows[better[0]]
-    sigma, mu, _ = face.build(x[None])
-    sigma = sigma[0]
-    if linalg.min_eig(sigma) <= 0.0 or not linalg.is_psd(m.sigma_x - sigma):
-        return None
-    return sigma, float(mu[0]), float(np.max(np.abs(r)))
+    sigma, mu, _, _ = face.build(x[None])
+    return sigma[0], float(mu[0]), float(np.max(np.abs(r)))
 
 
 def _degraded_model(key):

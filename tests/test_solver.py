@@ -22,6 +22,7 @@ from gausskey import (
     to_general,
 )
 from gausskey.errors import DimensionTooLarge, Infeasible, SolverFailure
+from gausskey.rates import PointMeta, RatePair
 
 from conftest import random_general, random_spd, rng_for
 
@@ -191,6 +192,26 @@ def test_sweep_zero_communication_corner(demo_sweeps, degraded_demo):
     # rate is identically zero
     assert demo_sweeps["degraded"].points[0].rk == 0.0
     assert rates_general(degraded_demo, degraded_demo.sigma_x).rk == 0.0
+
+
+def test_sweep_at_zero_rate_solves_no_cell(degraded_demo, crossing_demo, monkeypatch):
+    # I(U;X|Y) = 0 forces Q = sigma_x, so the corner is exact at rp = 0; the
+    # row search cost 12 and 46 cells here at resolution 60
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner_convex(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "inner_convex", counted)
+    for m in (degraded_demo, crossing_demo):
+        boundary = sweep_boundary(m, [0.0], st_resolution=60)
+        s_max = float(m.b[0] @ m.sigma_x @ m.b[0])
+        ez = float(m.e[0] @ m.sigma_x @ m.e[0])
+        assert boundary.points[0] == RatePair(rp=0.0, rk=0.0)
+        assert boundary.solver_meta[0] == PointMeta(
+            s=s_max, t=math.expm1(math.log1p(ez) - math.log1p(s_max)), kkt_residual=0.0)
+    assert not calls
 
 
 def test_sweep_reaches_limit_degraded(demo_sweeps, degraded_demo):
