@@ -144,10 +144,11 @@ class SolveReport:
     at the final weight, met its Newton-decrement test (a stalled warm
     schedule is first rerun in full).  A cell that is not converged still
     returns a strictly feasible optimum and its value, which may then lie
-    above the cell's minimum.  For ``solve_at_rate`` it says that the face
-    polish met its residual test and that the point has a valid KKT
-    multiplier (see there); a converged point can still miss another
-    certificate identity, so ``kkt.certify`` stays the final check.
+    above the cell's minimum.  For ``solve_at_rate`` it says that the point
+    passed the polish's gate, a valid KKT multiplier included (see there);
+    unconverged, it is the best point found within the budget.  A converged
+    point can still miss another certificate identity, so ``kkt.certify``
+    stays the final check.
     """
 
     optimum: ConditionalCov
@@ -1233,14 +1234,14 @@ def _face_schedule(n_active_guess, mx):
     ``solve_at_rate`` tries them.
 
     Faces run from the detected count ``g`` (which may be ``mx``) up to
-    ``mx - 1``, then from ``g - 1`` down to 0: the ascent reaches ``A <= I``
-    from inside and counts an eigenvalue still converging to 1 as free, so a
-    wrongly detected face tends to lie below the true one.  The multiplier
-    factor 1 runs on every face, then 2 on every face, then the detected
-    face's 1/2, 4 and 1/4."""
+    ``mx - 1``, with the multiplier factor 1 on every face, then 2 on every
+    face, then the detected face's 4.  No face below ``g`` is tried: the
+    ascent reaches ``A <= I`` from inside and counts an eigenvalue still
+    converging to 1 as free, so the detected count can fall short of the
+    true one but never exceed it."""
     g = n_active_guess
-    faces = [g, *range(g + 1, mx), *range(g - 1, -1, -1)]
-    return [(k, f) for f in (1.0, 2.0) for k in faces] + [(g, f) for f in (0.5, 4.0, 0.25)]
+    faces = [g, *range(g + 1, mx)]
+    return [(k, f) for f in (1.0, 2.0) for k in faces] + [(g, 4.0)]
 
 
 def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 8,
@@ -1254,19 +1255,24 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 8,
     the stationarity system on candidate active faces (``_face_schedule``),
     with the rate constraint binding.  The polish starts from the best
     ascent point that keeps the budget, with the multiplier
-    ``kkt.closed_form_mu`` gives there (clipped to [1e-8, 1e4]).  One gate
-    accepts a candidate: ``rates_aligned`` (so ``ConditionalCov.for_model``)
-    takes it, and it keeps the budget and the ascent's key rate.
-    ``kkt_residual`` is the residual of that first-order system;
+    ``kkt.closed_form_mu`` gives there (clipped to [1e-8, 1e4]).
+
+    One gate decides every polished candidate: ``rates_aligned`` (so
+    ``ConditionalCov.for_model``) takes it, it keeps the budget and the
+    ascent's key rate, its face system is solved below 1e-8, and it passes
+    the multiplier check of ``kkt.recover_multipliers`` (composite residual
+    at most ``kkt.ACCEPT_COMPOSITE``).  A point with a valid multiplier is
+    optimal whatever candidate produced it (the enhancement argument), so
+    the first candidate to pass is returned converged and the polish stops;
+    a point solved on a wrong face has no valid multiplier and does not
+    pass.  When none passes, the candidate within the budget with the
+    highest key rate is returned unconverged, or the ascent point when no
+    candidate beats it.  ``kkt_residual`` is the returned candidate's face
+    residual, or the multiplier composite at the ascent point;
     ``iterations`` counts the ascent iterations actually taken, over every
-    start; ``max_iter`` caps them per start (0 skips the ascent).
-    ``converged`` says that the system of some face was solved below 1e-8
-    and that the returned point passes the multiplier check of
-    ``kkt.recover_multipliers`` (composite residual at most
-    ``kkt.ACCEPT_COMPOSITE``), so a point polished on a wrong face is not
-    reported converged.  When no face system is solved, the best ascent
-    point is returned unconverged.  Raises ``MaxIterationsExceeded`` when no
-    start ends within 1e-6 of the budget in ``max_iter`` iterations.
+    start; ``max_iter`` caps them per start (0 skips the ascent).  Raises
+    ``MaxIterationsExceeded`` when no start ends within 1e-6 of the budget
+    in ``max_iter`` iterations.
     Heuristic for the nonconvex general case: certify the output through
     the KKT machinery before trusting it.
     """
@@ -1301,25 +1307,22 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 8,
         raise MaxIterationsExceeded("no penalty run produced a feasible point")
 
     # polish: take the closed-form multiplier of the ascent's point, then
-    # solve the optimality system on every candidate active face (the
-    # dimension is small), keeping the smallest-residual point that does
-    # not lose rate
+    # solve the optimality system on candidate active faces (the dimension
+    # is small) until one passes the gate, else keep the best in budget
     mu_hint = min(max(kkt.closed_form_mu(m, best_sigma), 1e-8), 1e4)
     q_eigs = np.linalg.eigvalsh(linalg.symmetrize(s_half_inv @ best_sigma @ s_half_inv))
     n_active_guess = int(np.sum(q_eigs >= 1.0 - 1e-4))
 
     def keeps_rate(sigma):
-        # the acceptance gate: a candidate's rates, if it passes
+        # a candidate's rates, if it keeps the budget and the ascent's key rate
         try:
             pair = rates_aligned(m, sigma)
         except ModelValidationError:
             return None
         return pair if pair.rp <= rp + 1e-7 and pair.rk >= best_pair.rk - 1e-7 else None
 
-    polished = None
+    sigma_out, pair_out, res_out, converged = best_sigma, best_pair, None, False
     for n_active, factor in _face_schedule(n_active_guess, m.mx):
-        if polished is not None and polished[2] < 1e-10:
-            break
         cand = _polish_face(m, rp, best_sigma, s_half, s_half_inv, factor * mu_hint,
                             n_active)
         if cand is None:
@@ -1328,39 +1331,36 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 8,
         pair_pol = keeps_rate(sigma_pol)
         if pair_pol is None:
             continue
-        if polished is None or res < polished[2]:
-            polished = (sigma_pol, pair_pol, res)
-
-    if polished is not None:
-        sigma_out, pair_out, res_out = polished
-        converged = res_out < 1e-8
-        if converged:
-            # a face system solved on a wrong face leaves a point with no
-            # multiplier that makes the stationarity matrix PSD
+        if res < 1e-8:
+            # the gate's last test: a system solved on a wrong face leaves a
+            # point with no multiplier that makes the stationarity matrix PSD
             try:
-                kkt.recover_multipliers(m, sigma_out, rp)
+                kkt.recover_multipliers(m, sigma_pol, rp)
             except (GausskeyError, ValueError):
-                converged = False
-    else:
-        sigma_out, pair_out = best_sigma, best_pair
+                pass
+            else:
+                sigma_out, pair_out, res_out, converged = sigma_pol, pair_pol, res, True
+                break
+        if pair_pol.rk > pair_out.rk:
+            sigma_out, pair_out, res_out = sigma_pol, pair_pol, res
+
+    if res_out is None:
         res_out = kkt.multiplier_composite(m, sigma_out, mu_hint)[0]
-        converged = False
     return SolveReport(optimum=ConditionalCov.for_model(m, sigma_out), value=pair_out.rk,
                        iterations=iterations, kkt_residual=float(res_out),
                        converged=converged)
 
 
-def ascent_boundary(m: AlignedModel, rp_grid, *, n_starts: int = 8, seed: int = 0,
-                    certify: bool = True) -> RegionBoundary:
+def ascent_boundary(m: AlignedModel, rp_grid, *, seed: int = 0) -> RegionBoundary:
     """Boundary of an aligned model's rate region via penalized ascent.
 
-    Each grid point is solved with ``solve_at_rate`` and, when ``certify``
-    is set, validated end to end through the KKT/enhancement pipeline; the
-    point's ``kkt_residual`` is then the maximum certificate residual, and
-    points whose certificate fails the 1e-6 gate are reported with it so
-    downstream code can reject them.  Key rates are clamped at zero and made
-    monotone by running maximum, matching the region's closure under
-    discarding communication.
+    Each grid point is solved with ``solve_at_rate`` and validated end to
+    end through the KKT/enhancement pipeline; the point's ``kkt_residual``
+    is the maximum certificate residual (``inf`` when the certificate
+    raises), and points whose certificate fails the 1e-6 gate are reported
+    with it so downstream code can reject them.  Key rates are clamped at
+    zero and made monotone by running maximum, matching the region's
+    closure under discarding communication.
     """
     validate_model(m)
     rp_grid = _rate_grid(rp_grid)
@@ -1369,14 +1369,12 @@ def ascent_boundary(m: AlignedModel, rp_grid, *, n_starts: int = 8, seed: int = 
     meta = []
     best_rk = 0.0
     for rp in rp_grid:
-        report = solve_at_rate(m, rp, n_starts=n_starts, seed=seed)
-        residual = report.kkt_residual
-        if certify:
-            try:
-                residual = kkt.certify(m, report.optimum, rp).max_residual
-            except (GausskeyError, ValueError):
-                # ValueError: the certificate's own PSD check on M
-                residual = float("inf")
+        report = solve_at_rate(m, rp, seed=seed)
+        try:
+            residual = kkt.certify(m, report.optimum, rp).max_residual
+        except (GausskeyError, ValueError):
+            # ValueError: the certificate's own PSD check on M
+            residual = float("inf")
         best_rk = max(best_rk, report.value, 0.0)
         points.append(RatePair(rp=rp, rk=best_rk))
         meta.append(PointMeta(s=None, t=None, kkt_residual=float(residual)))

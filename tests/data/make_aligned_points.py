@@ -10,12 +10,17 @@ optimum (``"certified"`` when the largest residual is below 1e-6,
 The models are the benchmark's aligned workload (fixed generator keys
 2000-2009 at mx 2, 4 and 6, rates 0.5, 1, 2 and 4), the ``scalar_aligned``
 fixture of ``tests/conftest.py`` and the mx = 2 models of the certificate
-tests.  The committed file was re-frozen from the solver that takes the
-closed-form KKT multiplier (the child of commit ef42ab7).  Its first freeze,
-from the per-point solver of commit 7117088, agrees with it within the
-test's tolerances on 40 of the 47 entries; the other 7 did not certify then
-and certify now, at higher key rates.  Regenerate only to freeze a
-deliberately changed solver, and only after ``--check`` passes:
+tests.  The committed file was re-frozen from the polish whose first
+candidate to pass its gate is the answer (the child of commit e3a9220).
+Before that, 22 of its entries had moved by round-off (value by at most
+3.55e-15) since commit dfd4ac2 whitened the multiplier pencil in numpy; no
+flag or certificate outcome changed.  The freeze before came from the
+solver that takes the closed-form KKT multiplier (the child of commit
+ef42ab7).  The first freeze, from the per-point solver of commit 7117088,
+agrees with it within the test's tolerances on 40 of the 47 entries; the
+other 7 did not certify then and certify now, at higher key rates.
+Regenerate only to freeze a deliberately changed solver, and only after
+``--check`` passes:
 
     PYTHONPATH=src python tests/data/make_aligned_points.py --check
     PYTHONPATH=src python tests/data/make_aligned_points.py > tests/data/aligned_points.json

@@ -20,7 +20,10 @@ checked by saving the probe on the parent tree and comparing on the change:
 
 ``--compare`` prints how many points are bit-identical, how many moved (and
 the largest change of value and of ``sigma``), how many changed certificate
-outcome, and how many are certified now and in the file.
+outcome, how many values rose and fell by more than ``FALL_TOL`` (listing
+each fall with both values), and how many points are certified now and in
+the file.  It exits 1 when a value falls by more than ``FALL_TOL``, or is
+lost to an exception, or a certified point loses its certificate.
 """
 
 import json
@@ -41,6 +44,7 @@ from gausskey.errors import GausskeyError  # noqa: E402
 
 FRESH_RATES = (0.7, 1.5, 3.0, 5.0)
 DEGRADED_RATES = (0.5, 2.0, 6.0)
+FALL_TOL = 1e-9
 
 
 def cases():
@@ -80,9 +84,12 @@ def _floats(hexed):
 
 
 def compare(old, new):
-    """Print the comparison of two probe runs keyed by label."""
-    same = moved = changed = 0
+    """Print the comparison of two probe runs keyed by label; return the
+    number of points whose value fell by more than ``FALL_TOL`` or that lost
+    their certificate."""
+    same = moved = changed = rose = fell = 0
     value_move = sigma_move = 0.0
+    failed = set()
     for label, rec in new.items():
         ref = old[label]
         if rec == ref:
@@ -93,17 +100,34 @@ def compare(old, new):
             changed += 1
             print(f"{label}: certificate {ref.get('certificate', ref.get('error'))} -> "
                   f"{rec.get('certificate', rec.get('error'))}")
-        if "value" in rec and "value" in ref:
-            value_move = max(value_move,
-                             float(np.abs(_floats(rec["value"]) - _floats(ref["value"]))[0]))
-            sigma_move = max(sigma_move, float(np.linalg.norm(
-                _floats(rec["sigma"]) - _floats(ref["sigma"]))))
+            if ref.get("certificate") == "certified":
+                failed.add(label)
+        if "value" not in ref:
+            continue
+        was = float(_floats(ref["value"])[0])
+        if "value" not in rec:
+            fell += 1
+            failed.add(label)
+            print(f"{label}: value {was!r} -> {rec['error']}")
+            continue
+        now = float(_floats(rec["value"])[0])
+        value_move = max(value_move, abs(now - was))
+        sigma_move = max(sigma_move, float(np.linalg.norm(
+            _floats(rec["sigma"]) - _floats(ref["sigma"]))))
+        if now > was + FALL_TOL:
+            rose += 1
+        elif now < was - FALL_TOL:
+            fell += 1
+            failed.add(label)
+            print(f"{label}: value fell {was!r} -> {now!r}")
     certified = [sum(r.get("certificate") == "certified" for r in run.values())
                  for run in (new, old)]
     print(f"{len(new)} points: {same} bit-identical, {moved} moved "
           f"(largest value change {value_move:.3g}, sigma {sigma_move:.3g}), "
           f"{changed} changed certificate outcome")
+    print(f"values: {rose} rose and {fell} fell by more than {FALL_TOL:g}")
     print(f"certified: {certified[0]} (file: {certified[1]})")
+    return len(failed)
 
 
 def main(argv):
@@ -120,8 +144,7 @@ def main(argv):
     if set(old) != set(run):
         sys.stderr.write("the file holds a different probe set\n")
         return 2
-    compare(old, run)
-    return 0
+    return 1 if compare(old, run) else 0
 
 
 if __name__ == "__main__":

@@ -331,7 +331,7 @@ def test_sweep_and_ascent_agree_on_scalar_models():
         e = float(rng.uniform(0.2, 1.2))
         m = GeneralModel(sigma_x=[[float(rng.uniform(0.5, 3.0))]], b=[[b]], e=[[e]])
         bs = sweep_boundary(m, grid, st_resolution=80)
-        ba = ascent_boundary(to_aligned(m), grid, certify=False)
+        ba = ascent_boundary(to_aligned(m), grid)
         for p_sweep, p_ascent in zip(bs.points, ba.points):
             assert abs(p_sweep.rk - p_ascent.rk) < 1e-3
 
@@ -342,7 +342,7 @@ def test_ascent_points_certify():
     m = AlignedModel(
         sigma_x=random_spd(rng, 2), sigma_wy=wy, sigma_wz=wy + random_spd(rng, 2)
     )
-    bnd = ascent_boundary(m, [0.0, 0.7, 2.0], certify=True)
+    bnd = ascent_boundary(m, [0.0, 0.7, 2.0])
     for meta in bnd.solver_meta:
         assert meta.kkt_residual < 1e-6
 
