@@ -95,9 +95,7 @@ def _cmd_validate(cfg, out):
 
 def _compute_boundary(cfg, model):
     rp_grid = list(np.linspace(0.0, cfg.rp_max, cfg.points))
-    if isinstance(model, GeneralModel) and model.my == 1 and model.mz == 1:
-        return solver.sweep_boundary(model, rp_grid, st_resolution=cfg.resolution)
-    return solver.ascent_boundary(_as_aligned(model), rp_grid, seed=cfg.seed)
+    return solver._boundary(model, rp_grid, st_resolution=cfg.resolution, seed=cfg.seed)
 
 
 def _cmd_region(cfg, out):

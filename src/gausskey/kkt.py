@@ -21,13 +21,19 @@ the orderings, the invariance of the full-covariance/conditional-covariance
 products under enhancement, the rate match between original and enhanced
 functionals, and -- after changing variables to the conditional covariance
 given Z -- the proportionality between that matrix and the effective noise
-of the degraded channel, plus the invertibility of the regression
-coefficient that makes the change of variables sound.
+of the degraded channel.
+
+The enhanced triple is degraded in the coupling ``Z = Y~ + N``, with
+``Y~ = X + W~`` and ``N ~ N(0, sigma_wz - W~)`` independent of ``Y~``, so
+every quantity of the change of variables has a closed form (see
+``change_of_variable``).
 
 All residuals are Frobenius norms normalized by one plus the operand norms,
 so a certificate is scale-free; ``RESIDUAL_KEYS`` lists the ten named
 checks.  For mu = 0 the change of variables is undefined and its two
-residuals are reported as 0.0 (not applicable).
+residuals are reported as 0.0 (not applicable); otherwise
+``k_invertibility`` is 0.0 when the change of variables passes its
+singular-value gate and infinite when it cannot be built.
 """
 
 import json
@@ -38,6 +44,7 @@ import numpy as np
 from . import linalg
 from .errors import (
     CertificateError,
+    InvalidConditionalCov,
     ModelValidationError,
     MuZero,
     NonPsdInput,
@@ -127,11 +134,16 @@ class ChangeOfVariable:
     gamma: float
 
 
+def _inverses(m: AlignedModel, sigma):
+    """``Q^-1``, ``(Q + sigma_wz)^-1`` and ``(Q + sigma_wy)^-1``."""
+    return (linalg.inv_pd(sigma, "conditional covariance"),
+            linalg.inv_pd(sigma + m.sigma_wz, "sigma + sigma_wz"),
+            linalg.inv_pd(sigma + m.sigma_wy, "sigma + sigma_wy"))
+
+
 def stationarity_matrix(m: AlignedModel, sigma, mu: float):
     """M(mu) = mu Q^-1 + (Q + sigma_wz)^-1 - (1 + mu)(Q + sigma_wy)^-1."""
-    inv_s = linalg.inv_pd(sigma, "conditional covariance")
-    inv_z = linalg.inv_pd(sigma + m.sigma_wz, "sigma + sigma_wz")
-    inv_y = linalg.inv_pd(sigma + m.sigma_wy, "sigma + sigma_wy")
+    inv_s, inv_z, inv_y = _inverses(m, sigma)
     return linalg.symmetrize(mu * inv_s + inv_z - (1.0 + mu) * inv_y)
 
 
@@ -155,9 +167,7 @@ def closed_form_mu(m: AlignedModel, sigma) -> float:
     threshold, floored at zero, is the multiplier, and there ``M`` is
     singular whenever it is positive.
     """
-    inv_s = linalg.inv_pd(sigma, "conditional covariance")
-    inv_z = linalg.inv_pd(sigma + m.sigma_wz, "sigma + sigma_wz")
-    inv_y = linalg.inv_pd(sigma + m.sigma_wy, "sigma + sigma_wy")
+    inv_s, inv_z, inv_y = _inverses(m, sigma)
     top = linalg.gen_eig_pencil(linalg.symmetrize(inv_y - inv_z),
                                 linalg.symmetrize(inv_s - inv_y))[0]
     return max(0.0, float(top))
@@ -233,9 +243,19 @@ def change_of_variable(m: AlignedModel, wy_tilde, sigma_star, mu: float) -> Chan
     """Reparameterize the optimum by the conditional covariance given Z.
 
     Requires mu > 0 (otherwise ``MuZero``) and a strictly degraded enhanced
-    model, W~ < sigma_wz (otherwise ``NotDegraded``).  The regression
-    coefficient of the enhanced observation on the source is checked to be
-    invertible (smallest singular value above 1e-10).
+    model, W~ < sigma_wz (otherwise ``NotDegraded``).  In the degraded
+    coupling ``Z = Y~ + N``, ``N ~ N(0, gap)`` with ``gap = sigma_wz - W~``,
+    the regression of ``Y~ = X + W~`` on ``(Z, X)`` has the closed form
+
+        k_yz = W~ sigma_wz^-1,    k_yx = gap sigma_wz^-1,
+
+    with residual covariance ``W~ sigma_wz^-1 gap``; normalizing it by
+    ``k_yx`` gives the effective noise
+
+        sigma_n3 = W~ gap^-1 sigma_wz = (W~^-1 - sigma_wz^-1)^-1.
+
+    ``k_yx`` is checked to be invertible (smallest singular value above
+    1e-10, ``CertificateError`` otherwise).
     """
     validate_model(m)
     if mu <= 0.0:
@@ -248,49 +268,28 @@ def change_of_variable(m: AlignedModel, wy_tilde, sigma_star, mu: float) -> Chan
             "enhanced noise must lie strictly below sigma_wz "
             f"(min eig of gap = {linalg.min_eig(gap):.3e})"
         )
-    n = m.mx
-    sigma_yt = m.sigma_x + wy_tilde        # covariance of the enhanced observation
-    sigma_z = m.sigma_x + m.sigma_wz
-    inv_z = linalg.inv_pd(sigma_z, "sigma_z")
-    k_xz = m.sigma_x @ inv_z
-    sigma_xz = linalg.symmetrize(m.sigma_x - k_xz @ m.sigma_x)
-
-    # regression of the enhanced observation on (Z, X); under the degraded
-    # coupling its covariance with Z equals its own covariance and every
-    # cross covariance with X equals sigma_x
-    block = np.block([[sigma_z, m.sigma_x], [m.sigma_x, m.sigma_x]])
-    rhs = np.hstack([sigma_yt, m.sigma_x])
-    coeff = np.linalg.solve(block, rhs.T).T
-    k_yz = coeff[:, :n]
-    k_yx = coeff[:, n:]
-
+    inv_wz = linalg.inv_pd(m.sigma_wz, "sigma_wz")
+    k_yx = gap @ inv_wz
     sv_min = float(np.linalg.svd(k_yx, compute_uv=False)[-1])
     if sv_min <= K_SMALLEST_SV:
         raise CertificateError(
             f"regression coefficient is numerically singular (sv_min = {sv_min:.3e})"
         )
-    sigma_n2 = linalg.symmetrize(sigma_yt - k_yx @ m.sigma_x - k_yz @ sigma_yt)
-    k_inv = np.linalg.solve(k_yx, np.eye(n))
-    sigma_n3 = linalg.symmetrize(k_inv @ sigma_n2 @ k_inv.T)
-    sigma_xuz = linalg.inv_pd(
-        linalg.inv_pd(sigma, "sigma_star") + linalg.inv_pd(m.sigma_wz, "sigma_wz"),
-        "posterior precision",
-    )
+    k_xz = m.sigma_x @ linalg.inv_pd(m.sigma_x + m.sigma_wz, "sigma_z")
     return ChangeOfVariable(
-        sigma_xz=sigma_xz,
-        sigma_xuz=sigma_xuz,
+        sigma_xz=linalg.symmetrize(m.sigma_x - k_xz @ m.sigma_x),
+        sigma_xuz=linalg.inv_pd(linalg.inv_pd(sigma, "sigma_star") + inv_wz,
+                                "posterior precision"),
         k_xz=k_xz,
         k_yx=k_yx,
-        k_yz=k_yz,
-        sigma_n3=sigma_n3,
+        k_yz=wy_tilde @ inv_wz,
+        sigma_n3=linalg.symmetrize(wy_tilde @ np.linalg.solve(gap, m.sigma_wz)),
         gamma=(1.0 + mu) / mu,
     )
 
 
 def _compute_residuals(m, sigma, mu, m_matrix, wy_tilde, rp):
-    inv_s = linalg.inv_pd(sigma, "sigma_star")
-    inv_y = linalg.inv_pd(sigma + m.sigma_wy, "sigma + sigma_wy")
-    inv_z = linalg.inv_pd(sigma + m.sigma_wz, "sigma + sigma_wz")
+    inv_s, inv_z, inv_y = _inverses(m, sigma)
     diff = m.sigma_x - sigma
 
     stat_lhs = mu * inv_s + inv_z
@@ -299,7 +298,9 @@ def _compute_residuals(m, sigma, mu, m_matrix, wy_tilde, rp):
     try:
         pair_t = rates_enhanced(m, wy_tilde, sigma)
     except ModelValidationError:
-        pair_t = None
+        rate_match = float("inf")
+    else:
+        rate_match = abs(pair.rk - pair_t.rk) + abs(pair.rp - pair_t.rp)
 
     residuals = {
         "stationarity": linalg.rel_residual(stat_lhs - stat_rhs, stat_lhs, stat_rhs),
@@ -321,39 +322,25 @@ def _compute_residuals(m, sigma, mu, m_matrix, wy_tilde, rp):
         enh_rhs = (1.0 + mu) * inv_y + m_matrix
         pres_lhs = (m.sigma_x + wy_tilde) @ inv_yt
         pres_rhs = (m.sigma_x + m.sigma_wy) @ inv_y
-        residuals["enhancement_def"] = linalg.rel_residual(
-            enh_lhs - enh_rhs, enh_lhs, enh_rhs
-        )
-        residuals["preservation"] = linalg.rel_residual(
-            pres_lhs - pres_rhs, pres_lhs, pres_rhs
-        )
-    if pair_t is None:
-        residuals["rate_match"] = float("inf")
-    else:
-        residuals["rate_match"] = abs(pair.rk - pair_t.rk) + abs(pair.rp - pair_t.rp)
+        residuals["enhancement_def"] = linalg.rel_residual(enh_lhs - enh_rhs, enh_lhs, enh_rhs)
+        residuals["preservation"] = linalg.rel_residual(pres_lhs - pres_rhs, pres_lhs, pres_rhs)
+    residuals["rate_match"] = rate_match
 
     if mu <= 0.0:
-        residuals["proportionality"] = 0.0
-        residuals["k_invertibility"] = 0.0
-    else:
-        try:
-            cov = change_of_variable(m, wy_tilde, sigma, mu)
-        except (NotDegraded, CertificateError, MuZero):
-            residuals["proportionality"] = float("inf")
-            residuals["k_invertibility"] = float("inf")
-        else:
-            prop_lhs = linalg.inv_pd(cov.sigma_xuz, "sigma_xuz")
-            prop_rhs = cov.gamma * linalg.inv_pd(
-                cov.sigma_xuz + cov.sigma_n3, "sigma_xuz + sigma_n3"
-            )
-            residuals["proportionality"] = linalg.rel_residual(
-                prop_lhs - prop_rhs, prop_lhs, prop_rhs
-            )
-            if mu > 1e-6:
-                sv = float(np.linalg.svd(cov.k_yx, compute_uv=False)[-1])
-                residuals["k_invertibility"] = max(0.0, K_SMALLEST_SV - sv)
-            else:
-                residuals["k_invertibility"] = 0.0
+        residuals["proportionality"] = residuals["k_invertibility"] = 0.0
+        return residuals
+    try:
+        cov = change_of_variable(m, wy_tilde, sigma, mu)
+    except CertificateError:
+        # not degraded, or a singular regression coefficient: no change of
+        # variables, so neither of its two checks can pass
+        residuals["proportionality"] = residuals["k_invertibility"] = float("inf")
+        return residuals
+    prop_lhs = linalg.inv_pd(cov.sigma_xuz, "sigma_xuz")
+    prop_rhs = cov.gamma * linalg.inv_pd(cov.sigma_xuz + cov.sigma_n3, "sigma_xuz + sigma_n3")
+    residuals["proportionality"] = linalg.rel_residual(prop_lhs - prop_rhs, prop_lhs, prop_rhs)
+    # the change of variables returned, so its singular-value gate passed
+    residuals["k_invertibility"] = 0.0
     return residuals
 
 
@@ -364,7 +351,10 @@ def verify_certificate(m: AlignedModel, cert: KktCertificate) -> dict:
     infinite when a construction step is impossible).  The caller judges.
     """
     validate_model(m)
-    sigma = np.asarray(cert.sigma_star.value, dtype=float)
+    try:
+        sigma = conditional_cov(m, cert.sigma_star).value
+    except InvalidConditionalCov:
+        return dict.fromkeys(RESIDUAL_KEYS, float("inf"))
     return _compute_residuals(
         m, sigma, cert.mu, np.asarray(cert.m_matrix, float),
         np.asarray(cert.wy_tilde, float), cert.rp,

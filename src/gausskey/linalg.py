@@ -1,10 +1,13 @@
 """Dense symmetric-matrix kernels.
 
-Everything in the package funnels its linear algebra through this module:
-symmetry/PSD checks with the package-wide tolerances, Cholesky-based
-log-determinants, PSD square roots, and the symmetric-definite generalized
-eigenvalue solve via Cholesky whitening (which also gives the closed-form
-KKT multiplier).  The functions are pure and take ``numpy`` arrays.  All but
+The package's symmetric-matrix kernels: symmetry/PSD checks with the
+package-wide tolerances, Cholesky-based inverses and log-determinants, PSD
+square roots, and the symmetric-definite generalized eigenvalue solve via
+Cholesky whitening (which also gives the closed-form KKT multiplier).  It
+is not the only route to ``numpy.linalg``: ``solver``, ``kkt``, ``models``
+and ``mc`` call it directly for general solves, SVDs, stacked
+factorizations and eigensolves, and the sampler's Cholesky factor.
+The functions are pure and take ``numpy`` arrays.  All but
 ``inv_pd`` run on numpy alone; ``inv_pd`` solves through SciPy's
 ``cho_solve``, reached through ``sla``, a handle that imports
 ``scipy.linalg`` on first use, so the scalar route (sweep, oracle and

@@ -93,10 +93,13 @@ def build_joint(m: GeneralModel, q) -> np.ndarray:
 
     The auxiliary variable is U = X + V with V ~ N(0, (q^-1 - sigma_x^-1)^-1)
     independent of everything else; by the information-form identity the
-    conditional covariance of X given U is then exactly q.  Requires q
-    strictly below sigma_x; raises ``DegenerateConditional`` when the gap
-    eigenvalues fall below ``1e-5 * (1 + max eig sigma_x)`` and the auxiliary
-    noise would blow up.
+    conditional covariance of X given U is then exactly q.  The stacked
+    vector is ``T X`` plus independent noise, ``T = [I; B; E; I]``, so the
+    joint covariance is the congruence ``T sigma_x T^T`` plus ``I``, ``I``
+    and ``cov V`` on the Y, Z and U diagonal blocks.  Requires q strictly
+    below sigma_x; raises ``DegenerateConditional`` when the gap eigenvalues
+    fall below ``1e-5 * (1 + max eig sigma_x)`` and the auxiliary noise
+    would blow up.
     """
     validate_model(m)
     q = conditional_cov(m, q).value
@@ -110,26 +113,12 @@ def build_joint(m: GeneralModel, q) -> np.ndarray:
         linalg.inv_pd(q, "conditional covariance") - linalg.inv_pd(m.sigma_x, "sigma_x"),
         "auxiliary precision",
     )
-    lay = layout_for(m)
-    joint = np.zeros((lay.dim, lay.dim))
-    ix, iy, iz, iu = lay.slices
-    sx = m.sigma_x
-    joint[ix, ix] = sx
-    joint[ix, iy] = sx @ m.b.T
-    joint[iy, ix] = m.b @ sx
-    joint[ix, iz] = sx @ m.e.T
-    joint[iz, ix] = m.e @ sx
-    joint[ix, iu] = sx
-    joint[iu, ix] = sx
-    joint[iy, iy] = m.b @ sx @ m.b.T + np.eye(m.my)
-    joint[iy, iz] = m.b @ sx @ m.e.T
-    joint[iz, iy] = m.e @ sx @ m.b.T
-    joint[iy, iu] = m.b @ sx
-    joint[iu, iy] = sx @ m.b.T
-    joint[iz, iz] = m.e @ sx @ m.e.T + np.eye(m.mz)
-    joint[iz, iu] = m.e @ sx
-    joint[iu, iz] = sx @ m.e.T
-    joint[iu, iu] = sx + sigma_v
+    t = np.vstack([np.eye(m.mx), m.b, m.e, np.eye(m.mx)])
+    joint = t @ m.sigma_x @ t.T
+    _, iy, iz, iu = layout_for(m).slices
+    joint[iy, iy] += np.eye(m.my)
+    joint[iz, iz] += np.eye(m.mz)
+    joint[iu, iu] += sigma_v
     return linalg.symmetrize(joint)
 
 

@@ -262,11 +262,11 @@ def _square_embed(mat, mx):
     embedded in an mx x mx diagonal.
     """
     if mat.shape == (mx, mx):
-        return np.asarray(mat, dtype=float), None
+        return np.asarray(mat, dtype=float)
     _, svals, vh = np.linalg.svd(mat)
     s_pad = np.zeros(mx)
     s_pad[: len(svals)] = svals
-    return s_pad[:, None] * vh[:mx, :], (s_pad, vh)
+    return s_pad[:, None] * vh[:mx, :]
 
 
 def perturb_svd(m: GeneralModel, alpha: float) -> PerturbedPair:
@@ -285,8 +285,7 @@ def perturb_svd(m: GeneralModel, alpha: float) -> PerturbedPair:
     mx = m.mx
 
     def perturbed(mat):
-        sq, _ = _square_embed(np.asarray(mat, dtype=float), mx)
-        u, svals, vh = np.linalg.svd(sq)
+        u, svals, vh = np.linalg.svd(_square_embed(np.asarray(mat, dtype=float), mx))
         return u @ ((svals + alpha)[:, None] * vh)
 
     model_bar = GeneralModel(sigma_x=m.sigma_x, b=perturbed(m.b), e=perturbed(m.e))

@@ -113,13 +113,16 @@ def rates_general(m: GeneralModel, q) -> RatePair:
     return RatePair(rp=gx - gy, rk=gy - gz)
 
 
-def rates_aligned(m: AlignedModel, q) -> RatePair:
-    """Evaluate (I_p, I_k) for an aligned model at conditional covariance q."""
-    q = conditional_cov(m, q).value
+def _rates_with_y_noise(m: AlignedModel, wy, q) -> RatePair:
     gx = _hgap(m.sigma_x, q, "sigma_x terms")
-    gy = _hgap(m.sigma_x + m.sigma_wy, q + m.sigma_wy, "Y terms")
+    gy = _hgap(m.sigma_x + wy, q + wy, "Y terms")
     gz = _hgap(m.sigma_x + m.sigma_wz, q + m.sigma_wz, "Z terms")
     return RatePair(rp=gx - gy, rk=gy - gz)
+
+
+def rates_aligned(m: AlignedModel, q) -> RatePair:
+    """Evaluate (I_p, I_k) for an aligned model at conditional covariance q."""
+    return _rates_with_y_noise(m, m.sigma_wy, conditional_cov(m, q).value)
 
 
 def rates_enhanced(m: AlignedModel, wy_tilde, q) -> RatePair:
@@ -140,11 +143,7 @@ def rates_enhanced(m: AlignedModel, wy_tilde, q) -> RatePair:
             "enhanced noise covariance must not exceed sigma_wy "
             f"(min eig of difference = {linalg.min_eig(m.sigma_wy - wy_tilde):.3e})"
         )
-    q = conditional_cov(m, q).value
-    gx = _hgap(m.sigma_x, q, "sigma_x terms")
-    gy = _hgap(m.sigma_x + wy_tilde, q + wy_tilde, "enhanced Y terms")
-    gz = _hgap(m.sigma_x + m.sigma_wz, q + m.sigma_wz, "Z terms")
-    return RatePair(rp=gx - gy, rk=gy - gz)
+    return _rates_with_y_noise(m, wy_tilde, conditional_cov(m, q).value)
 
 
 def asymptotic_limit(m) -> float:

@@ -1388,20 +1388,24 @@ def contains(m, p: RatePair, tol: float, *, boundary: RegionBoundary | None = No
 
     True iff the computed boundary at ``p.rp`` reaches ``p.rk - tol``.  A
     precomputed ``boundary`` for the same model may be supplied to avoid
-    re-running the solver (it is trusted as-is); otherwise the boundary is
-    computed at the single grid point ``p.rp`` with the requested sweep
-    resolution (general models with scalar observations) or via the ascent
-    solver (aligned or square-invertible general models).
+    re-running the solver (it is trusted as-is); otherwise ``_boundary``
+    computes it at the single grid point ``p.rp``, with the requested sweep
+    resolution when the model takes the sweep.
     """
     if p.rk <= tol:
         return True
-    if boundary is not None:
-        return boundary.rk_at(p.rp) >= p.rk - tol
+    if boundary is None:
+        boundary = _boundary(m, [p.rp], st_resolution=st_resolution)
+    return boundary.rk_at(p.rp) >= p.rk - tol
+
+
+def _boundary(m, rp_grid, *, st_resolution: int = 200, seed: int = 0) -> RegionBoundary:
+    """The sweep for a general model with scalar observations, else the
+    ascent on the aligned form (``to_aligned`` for a general model)."""
     if isinstance(m, GeneralModel) and m.my == 1 and m.mz == 1:
-        bnd = sweep_boundary(m, [p.rp], st_resolution=st_resolution)
-    else:
-        bnd = ascent_boundary(m if isinstance(m, AlignedModel) else to_aligned(m), [p.rp])
-    return bnd.rk_at(p.rp) >= p.rk - tol
+        return sweep_boundary(m, rp_grid, st_resolution=st_resolution)
+    aligned = m if isinstance(m, AlignedModel) else to_aligned(m)
+    return ascent_boundary(aligned, rp_grid, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,13 @@ import sys
 
 import numpy as np
 
-from gausskey import AlignedModel, certify, solve_at_rate
-from gausskey.errors import GausskeyError
+# the corpus draws its models with the helpers of tests/conftest.py; not
+# through test_aligned_points, whose import reads the file being rewritten
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+from conftest import random_aligned, random_spd, rng_for  # noqa: E402
+from gausskey import AlignedModel, certify, solve_at_rate  # noqa: E402
+from gausskey.errors import GausskeyError  # noqa: E402
 
 CERT_GATE = 1e-6
 BENCH_RATES = (0.5, 1.0, 2.0, 4.0)
@@ -50,33 +55,12 @@ VALUE_TOL = 1e-10
 SIGMA_TOL = 1e-8
 
 
-def rng_for(key):
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-def random_spd(rng, n, floor=0.3):
-    a = rng.standard_normal((n, n))
-    return a @ a.T + floor * np.eye(n)
-
-
 def bench_aligned(key, mx):
     # the benchmark draws sigma_wy, sigma_x, sigma_wz in this order
     rng = rng_for(key)
     sigma_wy = random_spd(rng, mx)
     return AlignedModel(sigma_x=random_spd(rng, mx), sigma_wy=sigma_wy,
                         sigma_wz=random_spd(rng, mx))
-
-
-def random_aligned(key, mx, degraded=False):
-    # ``random_aligned`` of tests/conftest.py: sigma_wy, sigma_wz, sigma_x
-    rng = rng_for(key)
-    sigma_wy = random_spd(rng, mx)
-    if degraded:
-        sigma_wz = sigma_wy + random_spd(rng, mx)
-    else:
-        sigma_wz = random_spd(rng, mx)
-    return AlignedModel(sigma_x=random_spd(rng, mx), sigma_wy=sigma_wy,
-                        sigma_wz=sigma_wz)
 
 
 def cases():
@@ -89,7 +73,7 @@ def cases():
         yield "scalar_aligned", scalar, rp
     for key, degraded in ((52, True), (53, True), (55, False), (56, False)):
         for rp in (0.4, 1.5):
-            yield f"kkt_mx2_key{key}", random_aligned(key, 2, degraded), rp
+            yield f"kkt_mx2_key{key}", random_aligned(rng_for(key), 2, degraded), rp
 
 
 def entry(name, m, rp):

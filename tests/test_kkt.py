@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -287,6 +289,66 @@ def test_change_of_variable_scalar_formulas(scalar_aligned):
     )
 
 
+def _corpus_certificates():
+    """``(model, certificate)`` at every certified point of the frozen
+    corpus of aligned optima with a positive rate multiplier."""
+    path = os.path.join(os.path.dirname(__file__), "data", "aligned_points.json")
+    with open(path) as fh:
+        points = json.load(fh)["points"]
+    out = []
+    for p in points:
+        if p["certificate"] != "certified":
+            continue
+        m = AlignedModel(p["sigma_x"], p["sigma_wy"], p["sigma_wz"])
+        cert = certify(m, np.array(p["sigma"]), p["rp"])
+        if cert.mu > 0.0:
+            out.append((m, cert))
+    return out
+
+
+def _regression_reference(m, wy_tilde):
+    """(k_yz, k_yx, sigma_n3) by the generic 2n x 2n regression of the
+    enhanced observation on (Z, X), normalized by the inverse of k_yx."""
+    n = m.mx
+    sigma_yt = m.sigma_x + wy_tilde
+    block = np.block([[m.sigma_x + m.sigma_wz, m.sigma_x], [m.sigma_x, m.sigma_x]])
+    coeff = np.linalg.solve(block, np.hstack([sigma_yt, m.sigma_x]).T).T
+    k_yz, k_yx = coeff[:, :n], coeff[:, n:]
+    sigma_n2 = sigma_yt - k_yx @ m.sigma_x - k_yz @ sigma_yt
+    k_inv = np.linalg.inv(k_yx)
+    return k_yz, k_yx, linalg.symmetrize(k_inv @ sigma_n2 @ k_inv.T)
+
+
+def _rel(a, b):
+    return linalg.frob(a - b) / linalg.frob(b)
+
+
+def test_change_of_variable_matches_the_regression():
+    # the closed forms of the degraded coupling against the generic
+    # regression they replace, at every certified corpus point with mu > 0
+    cases = _corpus_certificates()
+    assert len(cases) >= 30
+    for m, cert in cases:
+        cov = change_of_variable(m, cert.wy_tilde, cert.sigma_star, cert.mu)
+        k_yz, k_yx, sigma_n3 = _regression_reference(m, cert.wy_tilde)
+        assert _rel(cov.k_yz, k_yz) <= 1e-13
+        assert _rel(cov.k_yx, k_yx) <= 1e-13
+        assert _rel(cov.sigma_n3, sigma_n3) <= 1e-9
+        assert cert.residuals["k_invertibility"] == 0.0
+
+
+def test_k_invertibility_is_infinite_without_degradation(scalar_aligned):
+    cert = certify(scalar_aligned, solve_at_rate(scalar_aligned, 0.5).optimum, 0.5)
+    assert cert.mu > 0.0 and cert.residuals["k_invertibility"] == 0.0
+    # the eavesdropper's own noise as the enhanced noise: not degraded
+    bad = dataclasses.replace(cert, wy_tilde=scalar_aligned.sigma_wz)
+    with pytest.raises(NotDegraded):
+        change_of_variable(scalar_aligned, bad.wy_tilde, bad.sigma_star, bad.mu)
+    residuals = verify_certificate(scalar_aligned, bad)
+    assert residuals["k_invertibility"] == float("inf")
+    assert residuals["proportionality"] == float("inf")
+
+
 def test_proportionality_at_certified_optima(certified_points):
     for m, cert in certified_points:
         if cert.mu <= 1e-9:
@@ -323,6 +385,18 @@ def test_certificate_json_roundtrip(scalar_aligned):
     assert np.allclose(back.sigma_star.value, cert.sigma_star.value)
     recomputed = verify_certificate(scalar_aligned, back)
     assert max(recomputed.values()) < 1e-6
+
+
+@pytest.mark.parametrize("value", [3.0, 0.0, -1.0])
+def test_verify_certificate_reports_an_invalid_point(scalar_aligned, value):
+    # a certificate read from a file may carry any matrix; one outside the
+    # interval 0 < Q <= sigma_x fails every check instead of raising
+    cert = certify(scalar_aligned, solve_at_rate(scalar_aligned, 0.5).optimum, 0.5)
+    obj = kkt.certificate_to_dict(cert)
+    obj["sigma_star"] = [[value]]
+    residuals = verify_certificate(scalar_aligned, kkt.certificate_from_dict(obj))
+    assert set(residuals) == set(kkt.RESIDUAL_KEYS)
+    assert all(v == float("inf") for v in residuals.values())
 
 
 def test_certificate_requires_all_residual_keys(scalar_aligned):
