@@ -52,7 +52,7 @@ from .errors import (
     NoValidMultiplier,
 )
 from .models import AlignedModel, ConditionalCov, conditional_cov, validate_model
-from .rates import rates_aligned, rates_enhanced
+from .rates import _rates_with_y_noise, rates_aligned
 
 RESIDUAL_KEYS = (
     "stationarity",
@@ -295,12 +295,6 @@ def _compute_residuals(m, sigma, mu, m_matrix, wy_tilde, rp):
     stat_lhs = mu * inv_s + inv_z
     stat_rhs = (1.0 + mu) * inv_y + m_matrix
     pair = rates_aligned(m, sigma)
-    try:
-        pair_t = rates_enhanced(m, wy_tilde, sigma)
-    except ModelValidationError:
-        rate_match = float("inf")
-    else:
-        rate_match = abs(pair.rk - pair_t.rk) + abs(pair.rp - pair_t.rp)
 
     residuals = {
         "stationarity": linalg.rel_residual(stat_lhs - stat_rhs, stat_lhs, stat_rhs),
@@ -314,9 +308,10 @@ def _compute_residuals(m, sigma, mu, m_matrix, wy_tilde, rp):
     }
     try:
         inv_yt = linalg.inv_pd(sigma + wy_tilde, "sigma + enhanced noise")
+        # ungated: order_wy reports how far W~ is from 0 < W~ <= sigma_wy
+        pair_t = _rates_with_y_noise(m, wy_tilde, sigma)
     except ModelValidationError:
-        residuals["enhancement_def"] = float("inf")
-        residuals["preservation"] = float("inf")
+        residuals.update(dict.fromkeys(("enhancement_def", "preservation", "rate_match"), np.inf))
     else:
         enh_lhs = (1.0 + mu) * inv_yt
         enh_rhs = (1.0 + mu) * inv_y + m_matrix
@@ -324,23 +319,23 @@ def _compute_residuals(m, sigma, mu, m_matrix, wy_tilde, rp):
         pres_rhs = (m.sigma_x + m.sigma_wy) @ inv_y
         residuals["enhancement_def"] = linalg.rel_residual(enh_lhs - enh_rhs, enh_lhs, enh_rhs)
         residuals["preservation"] = linalg.rel_residual(pres_lhs - pres_rhs, pres_lhs, pres_rhs)
-    residuals["rate_match"] = rate_match
+        residuals["rate_match"] = abs(pair.rk - pair_t.rk) + abs(pair.rp - pair_t.rp)
 
     if mu <= 0.0:
         residuals["proportionality"] = residuals["k_invertibility"] = 0.0
         return residuals
+    residuals["proportionality"] = residuals["k_invertibility"] = float("inf")
     try:
+        # not degraded or a singular regression coefficient: no change of
+        # variables, so neither of its two checks can pass; a factor that
+        # fails after it fails the proportionality check only
         cov = change_of_variable(m, wy_tilde, sigma, mu)
-    except CertificateError:
-        # not degraded, or a singular regression coefficient: no change of
-        # variables, so neither of its two checks can pass
-        residuals["proportionality"] = residuals["k_invertibility"] = float("inf")
+        residuals["k_invertibility"] = 0.0  # its singular-value gate passed
+        prop_lhs = linalg.inv_pd(cov.sigma_xuz, "sigma_xuz")
+        prop_rhs = cov.gamma * linalg.inv_pd(cov.sigma_xuz + cov.sigma_n3, "sigma_xuz + sigma_n3")
+    except (CertificateError, ModelValidationError):
         return residuals
-    prop_lhs = linalg.inv_pd(cov.sigma_xuz, "sigma_xuz")
-    prop_rhs = cov.gamma * linalg.inv_pd(cov.sigma_xuz + cov.sigma_n3, "sigma_xuz + sigma_n3")
     residuals["proportionality"] = linalg.rel_residual(prop_lhs - prop_rhs, prop_lhs, prop_rhs)
-    # the change of variables returned, so its singular-value gate passed
-    residuals["k_invertibility"] = 0.0
     return residuals
 
 
@@ -348,17 +343,19 @@ def verify_certificate(m: AlignedModel, cert: KktCertificate) -> dict:
     """Recompute every named residual of a certificate from its fields.
 
     Never raises on a bad certificate; residuals simply come out large (or
-    infinite when a construction step is impossible).  The caller judges.
+    infinite when a construction step is impossible).  A ``sigma_star``
+    outside the matrix interval, or an ``m_matrix`` or ``wy_tilde`` that is
+    not ``(mx, mx)``, makes every residual infinite.  The caller judges.
     """
     validate_model(m)
+    m_matrix, wy_tilde = (np.asarray(a, float) for a in (cert.m_matrix, cert.wy_tilde))
     try:
         sigma = conditional_cov(m, cert.sigma_star).value
     except InvalidConditionalCov:
+        sigma = None
+    if sigma is None or not m_matrix.shape == wy_tilde.shape == sigma.shape:
         return dict.fromkeys(RESIDUAL_KEYS, float("inf"))
-    return _compute_residuals(
-        m, sigma, cert.mu, np.asarray(cert.m_matrix, float),
-        np.asarray(cert.wy_tilde, float), cert.rp,
-    )
+    return _compute_residuals(m, sigma, cert.mu, m_matrix, wy_tilde, cert.rp)
 
 
 def certify(m: AlignedModel, sigma_star, rp: float) -> KktCertificate:

@@ -106,8 +106,9 @@ class ConditionalCov:
     """Candidate conditional covariance of X given the auxiliary variable.
 
     The optimization variable of the rate characterization: a symmetric
-    matrix Q with ``0 < Q <= sigma_x`` (eigenvalue tolerances: min eig of Q
-    above 1e-10, ``sigma_x - Q`` PSD up to round-off).
+    matrix Q with ``0 < Q <= sigma_x``, tested scale-free on the eigenvalues
+    ``phi`` of the pencil ``(Q, sigma_x)``: the least must exceed
+    ``COND_COV_MIN_EIG``, and ``I - diag(phi)`` must pass ``linalg.is_psd``.
     """
 
     value: np.ndarray
@@ -133,15 +134,17 @@ class ConditionalCov:
                 f"conditional covariance shape {value.shape} does not match "
                 f"source covariance shape {model.sigma_x.shape}"
             )
-        if linalg.min_eig(value) <= COND_COV_MIN_EIG:
+        phis = linalg.gen_eig_pencil(value, model.sigma_x)
+        if not phis[-1] > COND_COV_MIN_EIG:
             raise InvalidConditionalCov(
                 "conditional covariance is not strictly positive definite "
-                f"(min eig = {linalg.min_eig(value):.3e})"
+                f"relative to sigma_x (least pencil eigenvalue = {phis[-1]:.3e})"
             )
-        if not linalg.is_psd(model.sigma_x - value):
+        gap = 1.0 - phis  # ascending; is_psd's test on I - diag(phi)
+        if gap[0] < -linalg.PSD_RTOL * (1.0 + float(np.max(np.abs(gap)))):
             raise InvalidConditionalCov(
                 "conditional covariance exceeds the source covariance "
-                f"(min eig of difference = {linalg.min_eig(model.sigma_x - value):.3e})"
+                f"(largest pencil eigenvalue = {phis[0]:.3e})"
             )
         return cls(value)
 

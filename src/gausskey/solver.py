@@ -23,13 +23,14 @@ Three routes to the boundary R_k(R_p):
     (``_row_edge``) are closed forms, and no search probes an empty cell.
 
 ``ascent_boundary``
-    For aligned models of any dimension.  The constrained key-rate
-    maximization is attacked by projected gradient ascent on the whitened
-    matrix interval with an exact penalty on the rate constraint and
-    multi-start initialization, then polished by a Newton solve of the
-    first-order optimality system on the detected active face.  The general
-    problem is nonconvex, so this route is a heuristic: every returned point
-    is either certified through the KKT machinery or flagged unconverged.
+    For aligned models of any dimension.  The model is whitened once, to
+    ``sigma_x = I`` (a congruence, which keeps both rates), so every floor
+    and tolerance is relative.  On ``0 < A <= I`` a projected gradient ascent
+    with an exact penalty on the rate constraint and multi-start
+    initialization is polished by a Newton solve of the first-order
+    optimality system on the detected active face.  The general problem is
+    nonconvex, so this route is a heuristic: every returned point is either
+    certified through the KKT machinery or flagged unconverged.
 
 ``brute_force_grid``
     An independent oracle for source dimension <= 2: exhaustive search over
@@ -60,7 +61,6 @@ from .errors import (
 )
 from .modelio import model_digest
 from .models import (
-    COND_COV_MIN_EIG,
     AlignedModel,
     ConditionalCov,
     GeneralModel,
@@ -171,6 +171,13 @@ def _basis(n):
                      for i in range(n) for j in range(i, n)])
 
 
+def _roots(sigma_x):
+    """``S = sigma_x^1/2`` and ``S^-1``, from one eigendecomposition."""
+    w, v = np.linalg.eigh(sigma_x)
+    root = np.sqrt(w)
+    return (v * root) @ v.T, (v / root) @ v.T
+
+
 # ---------------------------------------------------------------------------
 # inner convex problem of the sweep
 # ---------------------------------------------------------------------------
@@ -230,12 +237,8 @@ def _span_reduction(m):
     one decoupled coordinate (``u = [1, 0]``), whose optimal whitened entry
     is 1 and adds nothing to the log-det.
     """
-    w, v = np.linalg.eigh(m.sigma_x)
-    root = np.sqrt(w)
-    s_half = (v * root) @ v.T
-    s_half_inv = (v / root) @ v.T
-    sb = s_half @ m.b[0]
-    se = s_half @ m.e[0]
+    s_half, s_half_inv = _roots(m.sigma_x)
+    sb, se = s_half @ m.b[0], s_half @ m.e[0]
     if m.mx == 1:
         u, r = np.eye(1, 2), np.array([[sb[0], se[0]], [0.0, 0.0]])
     else:
@@ -996,14 +999,12 @@ def _penalty_weight(m):
     return max(PENALTY_RHO, 1.25 * kkt.closed_form_mu(m, m.sigma_x))
 
 
-def _pga_penalty(m, rp, q0, s_half, max_iter):
+def _pga_penalty(m, rp, q0, max_iter):
     """Projected gradient ascent on I_k - rho * max(0, I_p - rp), with
-    ``rho = _penalty_weight(m)``, over the whitened interval, with
-    eigenvalue flooring of the iterates, for a stack of starts ``q0``.
-
-    The clip to whitened eigenvalues in ``[q_floor, 1]`` keeps every iterate
-    in the interval that ``ConditionalCov`` checks: ``q_floor min eig(sigma_x)``
-    is ``SIGMA_FLOOR_SCALE tr(sigma_x) / mx``, at least ``2 COND_COV_MIN_EIG``.
+    ``rho = _penalty_weight(m)``, over ``0 < Q <= I`` of a whitened model
+    (``_whiten``), for a stack of starts ``q0``.  The clip of the
+    eigenvalues to ``[SIGMA_FLOOR_SCALE, 1]`` keeps every iterate in the
+    interval that ``ConditionalCov`` checks, at any scale of the model.
     The starts advance in lockstep, one stacked evaluation per ascent step,
     while each keeps its own step size, Armijo test and early stop.  The
     Armijo backtracking tests at most 30 step sizes ``eta 2^-j`` per step,
@@ -1013,23 +1014,20 @@ def _pga_penalty(m, rp, q0, s_half, max_iter):
     moves; the later trials of the round are discarded.  An invalid trial
     (see ``_rates_stack``) has a NaN value, fails the test and is
     backtracked past.  Halving is exact, so every start visits the iterates
-    it would visit alone.  Returns ``(sigma, pair, iterations)`` per start,
+    it would visit alone.  Returns ``(q, pair, iterations)`` per start,
     counting the ascent iterations it took."""
-    floor = max(SIGMA_FLOOR_SCALE * float(np.trace(m.sigma_x)) / m.mx, 2.0 * COND_COV_MIN_EIG)
-    q_floor = floor / float(np.linalg.eigvalsh(m.sigma_x)[0])
     ld_full = np.array([linalg.logdet_pd(m.sigma_x + w) for w in (0.0, m.sigma_wz, m.sigma_wy)])
     rho = _penalty_weight(m)
 
     def objective(q):
-        sigma = linalg.symmetrize(s_half @ q @ s_half)
-        ip, ik, valid = _rates_stack(m, sigma, ld_full)
-        return ik - rho * np.maximum(0.0, ip - rp), sigma, ip, ik, valid
+        ip, ik, valid = _rates_stack(m, q, ld_full)
+        return ik - rho * np.maximum(0.0, ip - rp), ip, ik, valid
 
     k, n = len(q0), m.mx
-    q = linalg.eig_clip(np.asarray(q0, dtype=float), q_floor, 1.0)
-    val, sigma, ip, ik, valid = objective(q)
+    q = linalg.eig_clip(np.asarray(q0, dtype=float), SIGMA_FLOOR_SCALE, 1.0)
+    val, ip, ik, valid = objective(q)
     if not valid.all():
-        _chol_terms(m, sigma[~valid])  # raises the start's Cholesky failure
+        _chol_terms(m, q[~valid])  # raises the start's Cholesky failure
     eta = np.full(k, 0.1)
     iterations = np.zeros(k, dtype=int)
     live = np.arange(k)
@@ -1037,11 +1035,10 @@ def _pga_penalty(m, rp, q0, s_half, max_iter):
         if not live.size:
             break
         iterations[live] = it
-        inv_s, inv_z, inv_y = np.moveaxis(_inv_stack(_chol_terms(m, sigma[live])), 1, 0)
+        inv_s, inv_z, inv_y = np.moveaxis(_inv_stack(_chol_terms(m, q[live])), 1, 0)
         grad_ik, grad_ip = 0.5 * (inv_z - inv_y), 0.5 * (inv_y - inv_s)
         over = ~(ip[live] <= rp)[:, None, None]
-        grad = np.where(over, grad_ik - rho * grad_ip, grad_ik)
-        grad_q = linalg.symmetrize(s_half @ grad @ s_half)
+        grad_q = np.where(over, grad_ik - rho * grad_ip, grad_ik)
         moving = ~(_frob_stack(grad_q) < 1e-13)
         search, grad_q = live[moving], grad_q[moving]
         accepted = []
@@ -1054,13 +1051,13 @@ def _pga_penalty(m, rp, q0, s_half, max_iter):
                 etas[:, j] = etas[:, j - 1] * 0.5
             q_s = q[search]
             q_new = linalg.eig_clip(q_s[:, None] + etas[:, :, None, None] * grad_q[:, None],
-                                    q_floor, 1.0).reshape(-1, n, n)
+                                    SIGMA_FLOOR_SCALE, 1.0).reshape(-1, n, n)
             move = _frob_stack(q_new - np.repeat(q_s, n_j, axis=0)).reshape(-1, n_j)
             stop = move < 1e-14 * (1.0 + _frob_stack(q_s))[:, None]
             # a trial is evaluated when no trial before it, or itself, stops
             tested = np.flatnonzero(~np.logical_or.accumulate(stop, axis=1))
             owner = np.repeat(search, n_j)[tested]
-            val_t, sigma_t, ip_t, ik_t, _ = objective(q_new[tested])
+            val_t, ip_t, ik_t, _ = objective(q_new[tested])
             eta_t, move_t = etas.ravel()[tested], move.ravel()[tested]
             up = np.zeros_like(stop)
             armijo = val[owner] + 1e-4 / np.maximum(eta_t, 1e-12) * move_t * move_t
@@ -1072,7 +1069,7 @@ def _pga_penalty(m, rp, q0, s_half, max_iter):
             at = np.arange(len(search)) * n_j + first
             won = ended & up.ravel()[at]
             win, pos = search[won], np.searchsorted(tested, at[won])
-            q[win], val[win], sigma[win] = q_new[at[won]], val_t[pos], sigma_t[pos]
+            q[win], val[win] = q_new[at[won]], val_t[pos]
             ip[win], ik[win] = ip_t[pos], ik_t[pos]
             eta[win] = np.minimum(etas[won, first[won]] * 1.5, 10.0)
             accepted.extend(win)
@@ -1080,7 +1077,7 @@ def _pga_penalty(m, rp, q0, s_half, max_iter):
             search, grad_q = search[~ended], grad_q[~ended]
             tried += n_j
         live = np.sort(np.array(accepted, dtype=int))
-    return [(sigma[i], RatePair(rp=float(ip[i]), rk=float(ik[i])), int(iterations[i]))
+    return [(q[i], RatePair(rp=float(ip[i]), rk=float(ik[i])), int(iterations[i]))
             for i in range(k)]
 
 
@@ -1097,22 +1094,20 @@ def _skew_rotate(u0, n_active, thetas):
 
 
 class _FaceSystem:
-    """The first-order system of ``_polish_face`` on one active face, for
-    stacks of points.  ``u0`` holds whitened eigendirections, largest first;
-    the top ``n_active`` are pinned to the source covariance.  A point holds
-    the free-block coordinates (in ``_basis(n_free)``), the angles of the
-    rotation mixing active and free directions and log mu.  The rotated
-    basis stays orthogonal, so the free block alone places a point in the
-    matrix interval.
+    """The first-order system of ``_polish_face`` on one active face of a
+    whitened model (``sigma_x = I``), for stacks of points.  ``u0`` holds
+    eigendirections, largest first; the top ``n_active`` are pinned to the
+    source covariance.  A point holds the free-block coordinates (in
+    ``_basis(n_free)``), the angles of the rotation mixing active and free
+    directions and log mu.  The rotated basis stays orthogonal, so the free
+    block alone places a point in the matrix interval.
     """
 
-    def __init__(self, m, rp, s_half, u0, n_active):
-        self.m, self.rp, self.s_half, self.u0 = m, rp, s_half, u0
-        self.n_active = n_active
+    def __init__(self, m, rp, u0, n_active):
+        self.m, self.rp, self.u0, self.n_active = m, rp, u0, n_active
         self.basis_f = _basis(m.mx - n_active)
         self.n_qf = len(self.basis_f)
         self.n_rot = n_active * (m.mx - n_active)
-        self.ld_x = linalg.logdet_pd(m.sigma_x)
         self.ld_xy = linalg.logdet_pd(m.sigma_x + m.sigma_wy)
 
     def build(self, xs):
@@ -1124,8 +1119,8 @@ class _FaceSystem:
         else:
             u = np.broadcast_to(self.u0, (len(xs),) + self.u0.shape)
         u_a, u_f = u[:, :, :na], u[:, :, na:]
-        q = u_a @ np.swapaxes(u_a, -1, -2) + u_f @ q_f @ np.swapaxes(u_f, -1, -2)
-        sigma = linalg.symmetrize(self.s_half @ q @ self.s_half)
+        sigma = linalg.symmetrize(u_a @ np.swapaxes(u_a, -1, -2)
+                                  + u_f @ q_f @ np.swapaxes(u_f, -1, -2))
         # the multiplier lives on a log scale; clamp runaway probes so the
         # line search can back off instead of overflowing
         mu = np.array([math.exp(min(max(v, -700.0), 60.0)) for v in xs[:, -1]])
@@ -1149,8 +1144,7 @@ class _FaceSystem:
             return rows, valid
         inv = _inv_stack(lower)
         mu_v = mu[valid, None, None]
-        stat = linalg.symmetrize(mu_v * inv[:, 0] + inv[:, 1] - (1.0 + mu_v) * inv[:, 2])
-        m_w = self.s_half @ stat @ self.s_half
+        m_w = linalg.symmetrize(mu_v * inv[:, 0] + inv[:, 1] - (1.0 + mu_v) * inv[:, 2])
         u = u[valid]  # views of it give each slice the strides of a 2-D basis
         u_a, u_f = u[:, :, :self.n_active], u[:, :, self.n_active:]
         u_ft = np.swapaxes(u_f, -1, -2)
@@ -1158,22 +1152,22 @@ class _FaceSystem:
         if self.n_rot:
             parts.append((np.swapaxes(u_a, -1, -2) @ m_w @ u_f).reshape(len(m_w), -1))
         lds = _logdet_stack(lower[:, [0, 2]])
-        ip = 0.5 * (self.ld_x - lds[:, 0]) - 0.5 * (self.ld_xy - lds[:, 1])
+        ip = -0.5 * lds[:, 0] - 0.5 * (self.ld_xy - lds[:, 1])
         parts.append((ip - self.rp)[:, None])
         rows[valid] = np.concatenate(parts, axis=1)
         return rows, valid
 
 
-def _polish_face(m, rp, sigma_hat, s_half, s_half_inv, mu_hint, n_active):
+def _polish_face(m, rp, q_hat, mu_hint, n_active):
     """Newton solve of the first-order system on a prescribed active face,
     with the rate constraint binding.
 
-    The top ``n_active`` whitened eigendirections of the candidate are
-    pinned to the source covariance.  Unknowns: the free-block coordinates
-    of the whitened conditional covariance, the rotation mixing active and
-    free subspaces, and log mu.  Residuals: the free-block and cross-block
-    components of the stationarity matrix, plus the rate equality (see
-    ``_FaceSystem``).
+    On a whitened model (``sigma_x = I``), the top ``n_active``
+    eigendirections of the candidate ``q_hat`` are pinned to the source
+    covariance.  Unknowns: the free-block coordinates, the rotation mixing
+    active and free subspaces, and log mu.  Residuals: the free-block and
+    cross-block components of the stationarity matrix, plus the rate
+    equality (see ``_FaceSystem``).
 
     A Newton step makes two or three stacked evaluations.  The
     central-difference Jacobian evaluates its ``2 nx`` probes ``x +- h
@@ -1183,15 +1177,14 @@ def _polish_face(m, rp, sigma_hat, s_half, s_half_inv, mu_hint, n_active):
     max-norm residual (halving is exact, so these are a sequential search's
     trials), ``HALVINGS_PER_STACK`` per stacked evaluation; when none does,
     mostly on a wrong face, the polish stops, as it does after 80 steps or
-    below 1e-12.  Returns (sigma, mu, residual_norm), or None for an invalid
+    below 1e-12.  Returns (q, mu, residual_norm), or None for an invalid
     start or probe; ``solve_at_rate``'s gate checks the result's interval.
     """
-    q_hat = linalg.symmetrize(s_half_inv @ sigma_hat @ s_half_inv)
     w, u0 = np.linalg.eigh(q_hat)
     u0 = u0[:, np.argsort(w)[::-1]]
     if n_active == m.mx:
         return np.array(m.sigma_x), mu_hint, 0.0
-    face = _FaceSystem(m, rp, s_half, u0, n_active)
+    face = _FaceSystem(m, rp, u0, n_active)
     nx = face.n_qf + face.n_rot + 1
     x = np.zeros(nx)
     q_free0 = u0[:, n_active:].T @ q_hat @ u0[:, n_active:]
@@ -1244,9 +1237,22 @@ def _face_schedule(n_active_guess, mx):
     return [(k, f) for f in (1.0, 2.0) for k in faces] + [(g, 4.0)]
 
 
+def _whiten(m):
+    """The whitened model ``(I, S^-1 sigma_wy S^-1, S^-1 sigma_wz S^-1)``,
+    ``S = sigma_x^1/2``, whose ``Q`` has the rates of ``S Q S`` in ``m``;
+    with ``S`` and ``S^-1``."""
+    s_half, s_half_inv = _roots(m.sigma_x)
+    noise = (linalg.symmetrize(s_half_inv @ w @ s_half_inv) for w in (m.sigma_wy, m.sigma_wz))
+    return AlignedModel(np.eye(m.mx), *noise), s_half, s_half_inv
+
+
 def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 8,
                   seed: int = 0, max_iter: int = 400) -> SolveReport:
     """Maximize the key rate of an aligned model at public-rate budget ``rp``.
+
+    The model is whitened once (``_whiten``): ascent, polish and gate run on
+    ``sigma_x = I``, so every floor and tolerance is relative to
+    ``sigma_x``, and the optimum is mapped back once as ``S Q S``.
 
     Projected gradient ascent with an exact penalty, its weight above every
     multiplier of the model (``_penalty_weight``), and multi-start
@@ -1268,8 +1274,8 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 8,
     pass.  When none passes, the candidate within the budget with the
     highest key rate is returned unconverged, or the ascent point when no
     candidate beats it.  ``kkt_residual`` is the returned candidate's face
-    residual, or the multiplier composite at the ascent point;
-    ``iterations`` counts the ascent iterations actually taken, over every
+    residual, or the multiplier composite at the ascent point, both in the
+    whitened frame; ``iterations`` counts the ascent iterations actually taken, over every
     start; ``max_iter`` caps them per start (0 skips the ascent).  Raises
     ``MaxIterationsExceeded`` when no start ends within 1e-6 of the budget
     in ``max_iter`` iterations.
@@ -1283,72 +1289,66 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 8,
         raise ValueError(f"n_starts must be at least 1, got {n_starts!r}")
     if not max_iter >= 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter!r}")
-    s_half = linalg.sqrtm_psd(m.sigma_x)
-    s_half_inv = linalg.inv_sqrtm_pd(m.sigma_x)
-
     if rp <= 1e-12:
         sigma = np.array(m.sigma_x)
         return SolveReport(optimum=ConditionalCov.for_model(m, sigma),
                            value=rates_aligned(m, sigma).rk, iterations=0,
                            kkt_residual=0.0, converged=True)
 
-    if sigma0 is not None:
-        starts = [linalg.symmetrize(s_half_inv @ np.asarray(sigma0, float) @ s_half_inv)]
-    else:
-        starts = _multi_starts(m, n_starts, seed)
+    w, s_half, s_half_inv = _whiten(m)
+    starts = (_multi_starts(m, n_starts, seed) if sigma0 is None else
+              [linalg.symmetrize(s_half_inv @ np.asarray(sigma0, float) @ s_half_inv)])
 
-    runs = _pga_penalty(m, rp, np.array(starts), s_half, max_iter)
+    runs = _pga_penalty(w, rp, np.array(starts), max_iter)
     iterations = sum(run[2] for run in runs)
-    best_sigma = best_pair = None
-    for sigma, pair, _ in runs:
+    best_q = best_pair = None
+    for q, pair, _ in runs:
         if pair.rp <= rp + 1e-6 and (best_pair is None or pair.rk > best_pair.rk):
-            best_sigma, best_pair = sigma, pair
-    if best_sigma is None:
+            best_q, best_pair = q, pair
+    if best_q is None:
         raise MaxIterationsExceeded("no penalty run produced a feasible point")
 
     # polish: take the closed-form multiplier of the ascent's point, then
     # solve the optimality system on candidate active faces (the dimension
     # is small) until one passes the gate, else keep the best in budget
-    mu_hint = min(max(kkt.closed_form_mu(m, best_sigma), 1e-8), 1e4)
-    q_eigs = np.linalg.eigvalsh(linalg.symmetrize(s_half_inv @ best_sigma @ s_half_inv))
-    n_active_guess = int(np.sum(q_eigs >= 1.0 - 1e-4))
+    mu_hint = min(max(kkt.closed_form_mu(w, best_q), 1e-8), 1e4)
+    n_active_guess = int(np.sum(np.linalg.eigvalsh(best_q) >= 1.0 - 1e-4))
 
-    def keeps_rate(sigma):
+    def keeps_rate(q):
         # a candidate's rates, if it keeps the budget and the ascent's key rate
         try:
-            pair = rates_aligned(m, sigma)
+            pair = rates_aligned(w, q)
         except ModelValidationError:
             return None
         return pair if pair.rp <= rp + 1e-7 and pair.rk >= best_pair.rk - 1e-7 else None
 
-    sigma_out, pair_out, res_out, converged = best_sigma, best_pair, None, False
+    q_out, pair_out, res_out, converged = best_q, best_pair, None, False
     for n_active, factor in _face_schedule(n_active_guess, m.mx):
-        cand = _polish_face(m, rp, best_sigma, s_half, s_half_inv, factor * mu_hint,
-                            n_active)
+        cand = _polish_face(w, rp, best_q, factor * mu_hint, n_active)
         if cand is None:
             continue
-        sigma_pol, _, res = cand
-        pair_pol = keeps_rate(sigma_pol)
+        q_pol, _, res = cand
+        pair_pol = keeps_rate(q_pol)
         if pair_pol is None:
             continue
         if res < 1e-8:
             # the gate's last test: a system solved on a wrong face leaves a
             # point with no multiplier that makes the stationarity matrix PSD
             try:
-                kkt.recover_multipliers(m, sigma_pol, rp)
+                kkt.recover_multipliers(w, q_pol, rp)
             except (GausskeyError, ValueError):
                 pass
             else:
-                sigma_out, pair_out, res_out, converged = sigma_pol, pair_pol, res, True
+                q_out, pair_out, res_out, converged = q_pol, pair_pol, res, True
                 break
         if pair_pol.rk > pair_out.rk:
-            sigma_out, pair_out, res_out = sigma_pol, pair_pol, res
+            q_out, pair_out, res_out = q_pol, pair_pol, res
 
     if res_out is None:
-        res_out = kkt.multiplier_composite(m, sigma_out, mu_hint)[0]
-    return SolveReport(optimum=ConditionalCov.for_model(m, sigma_out), value=pair_out.rk,
-                       iterations=iterations, kkt_residual=float(res_out),
-                       converged=converged)
+        res_out = kkt.multiplier_composite(w, q_out, mu_hint)[0]
+    sigma_out = ConditionalCov.for_model(m, linalg.symmetrize(s_half @ q_out @ s_half))
+    return SolveReport(optimum=sigma_out, value=pair_out.rk, iterations=iterations,
+                       kkt_residual=float(res_out), converged=converged)
 
 
 def ascent_boundary(m: AlignedModel, rp_grid, *, seed: int = 0) -> RegionBoundary:

@@ -21,9 +21,10 @@ checked by saving the probe on the parent tree and comparing on the change:
 ``--compare`` prints how many points are bit-identical, how many moved (and
 the largest change of value and of ``sigma``), how many changed certificate
 outcome, how many values rose and fell by more than ``FALL_TOL`` (listing
-each fall with both values), and how many points are certified now and in
-the file.  It exits 1 when a value falls by more than ``FALL_TOL``, or is
-lost to an exception, or a certified point loses its certificate.
+each fall with both values and its certificate outcome on both trees), and
+how many points are certified now and in the file.  It exits 1 when a value
+falls by more than ``FALL_TOL``, or is lost to an exception, or a certified
+point loses its certificate.
 """
 
 import json
@@ -90,6 +91,10 @@ def compare(old, new):
     same = moved = changed = rose = fell = 0
     value_move = sigma_move = 0.0
     failed = set()
+
+    def outcomes(ref, rec):
+        return f"certificate {ref['certificate']} -> {rec.get('certificate', rec.get('error'))}"
+
     for label, rec in new.items():
         ref = old[label]
         if rec == ref:
@@ -108,7 +113,7 @@ def compare(old, new):
         if "value" not in rec:
             fell += 1
             failed.add(label)
-            print(f"{label}: value {was!r} -> {rec['error']}")
+            print(f"{label}: value {was!r} -> {rec['error']} ({outcomes(ref, rec)})")
             continue
         now = float(_floats(rec["value"])[0])
         value_move = max(value_move, abs(now - was))
@@ -119,7 +124,7 @@ def compare(old, new):
         elif now < was - FALL_TOL:
             fell += 1
             failed.add(label)
-            print(f"{label}: value fell {was!r} -> {now!r}")
+            print(f"{label}: value fell {was!r} -> {now!r} ({outcomes(ref, rec)})")
     certified = [sum(r.get("certificate") == "certified" for r in run.values())
                  for run in (new, old)]
     print(f"{len(new)} points: {same} bit-identical, {moved} moved "

@@ -399,6 +399,25 @@ def test_verify_certificate_reports_an_invalid_point(scalar_aligned, value):
     assert all(v == float("inf") for v in residuals.values())
 
 
+@pytest.mark.parametrize("field, value", [
+    ("wy_tilde", [[-1.0]]),
+    ("m_matrix", [[0.0, 0.0], [0.0, 0.0]]),
+    ("wy_tilde", [[0.5, 0.0], [0.0, 0.5]]),
+])
+def test_verify_certificate_reports_malformed_fields(scalar_aligned, field, value):
+    # a negative W~ leaves sigma_xuz + sigma_n3 without a Cholesky factor,
+    # which fails the proportionality check; a field that is not mx x mx
+    # fails every check instead of raising or broadcasting
+    cert = certify(scalar_aligned, solve_at_rate(scalar_aligned, 0.5).optimum, 0.5)
+    obj = kkt.certificate_to_dict(cert)
+    obj[field] = value
+    residuals = verify_certificate(scalar_aligned, kkt.certificate_from_dict(obj))
+    assert set(residuals) == set(kkt.RESIDUAL_KEYS)
+    assert residuals["proportionality"] == float("inf")
+    if np.shape(value) != (1, 1):
+        assert all(v == float("inf") for v in residuals.values())
+
+
 def test_certificate_requires_all_residual_keys(scalar_aligned):
     report = solve_at_rate(scalar_aligned, 0.5)
     cert = certify(scalar_aligned, report.optimum, 0.5)

@@ -77,6 +77,27 @@ def test_conditional_cov_gates(degraded_demo):
         ConditionalCov.for_model(degraded_demo, np.eye(3))
 
 
+def test_conditional_cov_interval_is_scale_free(degraded_demo):
+    # the interval is tested relative to sigma_x (= 2 I here), so scaling
+    # sigma_x and Q together keeps every decision
+    sigma_x = degraded_demo.sigma_x
+    rot = np.array([[0.8, -0.6], [0.6, 0.8]])
+    candidates = [
+        (np.eye(2), True), (sigma_x, True), ((1.0 - 1e-12) * sigma_x, True),
+        (1e-3 * np.eye(2), True), (rot @ np.diag([2.0, 1e-4]) @ rot.T, True),
+        (np.zeros((2, 2)), False), (3.0 * np.eye(2), False), (1e-11 * sigma_x, False),
+        ((1.0 + 1e-6) * sigma_x, False), (rot @ np.diag([2.0 + 1e-6, 1.0]) @ rot.T, False),
+    ]
+    for c in (1.0, 1e-9, 1e9):
+        m = GeneralModel(sigma_x=c * sigma_x, b=degraded_demo.b, e=degraded_demo.e)
+        for q, valid in candidates:
+            if valid:
+                ConditionalCov.for_model(m, c * q)
+            else:
+                with pytest.raises(InvalidConditionalCov):
+                    ConditionalCov.for_model(m, c * q)
+
+
 # ---------------------------------------------------------------------------
 # aligned reduction
 # ---------------------------------------------------------------------------
