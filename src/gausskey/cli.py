@@ -23,7 +23,7 @@ import numpy as np
 from . import kkt, mc, solver
 from .errors import CertificateError, GausskeyError, ModelValidationError, SolverError
 from .modelio import load_model, model_digest
-from .models import AlignedModel, GeneralModel, to_aligned, to_general
+from .models import GeneralModel, to_aligned, to_general
 from .rates import asymptotic_limit, rates_general
 
 LN2 = math.log(2.0)
@@ -71,12 +71,6 @@ def _fmt(x):
 
 def _both_units(nats):
     return f"{nats:.6f} nats ({nats / LN2:.6f} bits)"
-
-
-def _as_aligned(model):
-    if isinstance(model, AlignedModel):
-        return model
-    return to_aligned(model)
 
 
 def _cmd_validate(cfg, out):
@@ -141,7 +135,7 @@ def _cmd_limit(cfg, out):
 
 
 def _certified_point(cfg, model):
-    aligned = _as_aligned(model)
+    aligned = to_aligned(model)
     if cfg.rp is None:
         raise ValueError("this command requires --rp")
     report = solver.solve_at_rate(aligned, cfg.rp, seed=cfg.seed)
@@ -190,9 +184,7 @@ def _cmd_enhance(cfg, out):
 
 
 def _cmd_oracle(cfg, out):
-    model = load_model(cfg.model_path)
-    if isinstance(model, AlignedModel):
-        model = to_general(model)
+    model = to_general(load_model(cfg.model_path))
     if cfg.rp is None:
         raise ValueError("oracle requires --rp")
     pair = solver.brute_force_grid(model, cfg.rp, grid_density=cfg.density)
@@ -202,9 +194,7 @@ def _cmd_oracle(cfg, out):
 
 
 def _cmd_mc(cfg, out):
-    model = load_model(cfg.model_path)
-    if isinstance(model, AlignedModel):
-        model = to_general(model)
+    model = to_general(load_model(cfg.model_path))
     q = cfg.q_scale * model.sigma_x
     rp_est, rk_est = mc.cross_validate(model, q, cfg.samples, cfg.seed)
     analytic = rates_general(model, q)

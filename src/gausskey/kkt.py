@@ -51,8 +51,8 @@ from .errors import (
     NotDegraded,
     NoValidMultiplier,
 )
-from .models import AlignedModel, ConditionalCov, conditional_cov, validate_model
-from .rates import _rates_with_y_noise, rates_aligned
+from .models import AlignedModel, ConditionalCov, validate_model
+from .rates import _chol_terms, _rates_with_y_noise, rates_aligned
 
 RESIDUAL_KEYS = (
     "stationarity",
@@ -97,8 +97,8 @@ class KktCertificate:
     residuals: dict
 
     def __post_init__(self):
-        if self.mu < 0.0:
-            raise ValueError("mu must be nonnegative")
+        if not self.mu >= 0.0:
+            raise ValueError(f"mu must be nonnegative, got {self.mu!r}")
         if linalg.min_eig(self.m_matrix) < -M_MATRIX_PSD_TOL:
             raise ValueError(
                 f"M must be PSD to {M_MATRIX_PSD_TOL:g} "
@@ -110,7 +110,8 @@ class KktCertificate:
 
     @property
     def max_residual(self):
-        return max(self.residuals.values())
+        """The largest residual; a NaN residual counts as infinite."""
+        return max(np.inf if np.isnan(v) else v for v in self.residuals.values())
 
 
 @dataclass(frozen=True)
@@ -136,9 +137,7 @@ class ChangeOfVariable:
 
 def _inverses(m: AlignedModel, sigma):
     """``Q^-1``, ``(Q + sigma_wz)^-1`` and ``(Q + sigma_wy)^-1``."""
-    return (linalg.inv_pd(sigma, "conditional covariance"),
-            linalg.inv_pd(sigma + m.sigma_wz, "sigma + sigma_wz"),
-            linalg.inv_pd(sigma + m.sigma_wy, "sigma + sigma_wy"))
+    return linalg.inv_chol(_chol_terms(m, sigma))
 
 
 def stationarity_matrix(m: AlignedModel, sigma, mu: float):
@@ -187,7 +186,7 @@ def recover_multipliers(m: AlignedModel, sigma_star, rp: float) -> MultiplierRec
     ``ACCEPT_COMPOSITE``: the point is not optimal.
     """
     validate_model(m)
-    sigma = conditional_cov(m, sigma_star).value
+    sigma = ConditionalCov.for_model(m, sigma_star).value
     ip = rates_aligned(m, sigma).rp
     slack = rp - ip
     rate_slack = slack > max(1e-7, 1e-6 * abs(rp))
@@ -203,7 +202,8 @@ def recover_multipliers(m: AlignedModel, sigma_star, rp: float) -> MultiplierRec
             f"the multiplier mu = {mu_star:.6g} that makes M PSD fails the KKT "
             f"conditions (composite residual {comp:.3e})"
         )
-    m_mat = linalg.eig_floor(m_mat, 0.0) if linalg.min_eig(m_mat) > -M_MATRIX_PSD_TOL else m_mat
+    if linalg.min_eig(m_mat) > -M_MATRIX_PSD_TOL:
+        m_mat = linalg.eig_clip(m_mat, 0.0, np.inf)
     diff = m.sigma_x - sigma
     residuals = {
         "psd_M": linalg.psd_violation(m_mat) / (1.0 + linalg.frob(m_mat)),
@@ -225,7 +225,7 @@ def enhance(m: AlignedModel, sigma_star, mu: float, m_matrix) -> np.ndarray:
     Raises ``NonPsdInput`` when mu < 0 or M is not PSD.
     """
     validate_model(m)
-    sigma = conditional_cov(m, sigma_star).value
+    sigma = ConditionalCov.for_model(m, sigma_star).value
     m_matrix = linalg.check_symmetric(m_matrix, "M")
     if mu < 0.0:
         raise NonPsdInput(f"mu must be nonnegative, got {mu!r}")
@@ -260,7 +260,7 @@ def change_of_variable(m: AlignedModel, wy_tilde, sigma_star, mu: float) -> Chan
     validate_model(m)
     if mu <= 0.0:
         raise MuZero("gamma = (1 + mu)/mu is undefined for mu = 0")
-    sigma = conditional_cov(m, sigma_star).value
+    sigma = ConditionalCov.for_model(m, sigma_star).value
     wy_tilde = linalg.check_symmetric(wy_tilde, "enhanced noise")
     gap = m.sigma_wz - wy_tilde
     if linalg.min_eig(gap) <= 0.0:
@@ -350,7 +350,7 @@ def verify_certificate(m: AlignedModel, cert: KktCertificate) -> dict:
     validate_model(m)
     m_matrix, wy_tilde = (np.asarray(a, float) for a in (cert.m_matrix, cert.wy_tilde))
     try:
-        sigma = conditional_cov(m, cert.sigma_star).value
+        sigma = ConditionalCov.for_model(m, cert.sigma_star).value
     except InvalidConditionalCov:
         sigma = None
     if sigma is None or not m_matrix.shape == wy_tilde.shape == sigma.shape:
@@ -364,7 +364,7 @@ def certify(m: AlignedModel, sigma_star, rp: float) -> KktCertificate:
     Raises ``NoValidMultiplier`` when the point is not optimal; otherwise
     returns the certificate with all ten residuals filled in.
     """
-    sigma = conditional_cov(m, sigma_star)
+    sigma = ConditionalCov.for_model(m, sigma_star)
     rec = recover_multipliers(m, sigma, rp)
     wy_tilde = enhance(m, sigma, rec.mu, rec.m_matrix)
     residuals = _compute_residuals(m, sigma.value, rec.mu, rec.m_matrix, wy_tilde, rp)

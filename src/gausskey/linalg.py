@@ -1,17 +1,20 @@
 """Dense symmetric-matrix kernels.
 
-The package's symmetric-matrix kernels: symmetry/PSD checks with the
-package-wide tolerances, Cholesky-based inverses and log-determinants, PSD
-square roots, and the symmetric-definite generalized eigenvalue solve via
-Cholesky whitening (which also gives the closed-form KKT multiplier).  It
-is not the only route to ``numpy.linalg``: ``solver``, ``kkt``, ``models``
-and ``mc`` call it directly for general solves, SVDs, stacked
-factorizations and eigensolves, and the sampler's Cholesky factor.
-The functions are pure and take ``numpy`` arrays.  All but
-``inv_pd`` run on numpy alone; ``inv_pd`` solves through SciPy's
-``cho_solve``, reached through ``sla``, a handle that imports
-``scipy.linalg`` on first use, so the scalar route (sweep, oracle and
-closed-form limit) never loads SciPy.
+The package's one home for its symmetric-matrix kernels: symmetry/PSD
+checks with the package-wide tolerances, Cholesky factors and the inverses
+and log-determinants taken from them (``chol_lower``, ``inv_chol``,
+``logdet_chol`` and ``eig_clip`` take one matrix or a stack of them), square
+roots, and the symmetric-definite generalized eigenvalue solve via Cholesky
+whitening (which also gives the closed-form KKT multiplier).  Callers use
+``numpy.linalg`` directly only where no kernel here fits: QR and SVD, solves
+of non-symmetric systems, eigenbases that the caller reads (the face
+polish's directions) and the sampler's Cholesky, which retries with a jitter
+instead of raising (``mc``).
+The functions are pure and take ``numpy`` arrays.  All but ``inv_chol`` (so
+``inv_pd``) run on numpy alone; ``inv_chol`` solves through LAPACK's
+``dpotrs``, reached through ``sla``, a handle that imports ``scipy.linalg``
+on first use, so the scalar route (sweep, oracle and closed-form limit)
+never loads SciPy.
 
 Tolerance conventions
 ---------------------
@@ -112,46 +115,41 @@ def chol_lower(a, name="matrix"):
         raise NotPositiveDefinite(f"{name} has no Cholesky factor: {exc}") from exc
 
 
-def logdet_pd(a, name="matrix"):
-    """log|a| for a PD matrix via Cholesky.
+def logdet_chol(lower):
+    """log|a| from the lower Cholesky factor of ``a``, for one factor or a
+    stack of them.
 
     Log-determinant ratios elsewhere in the package are always computed as
     differences of these values, never as determinant quotients.
     """
-    lower = chol_lower(a, name)
-    return 2.0 * float(np.sum(np.log(np.diag(lower))))
+    return 2.0 * np.sum(np.log(np.diagonal(lower, axis1=-2, axis2=-1)), axis=-1)
+
+
+def inv_chol(lower):
+    """Inverse of ``a`` from its lower Cholesky factor, for one factor or a
+    stack of them: one LAPACK ``dpotrs`` solve per matrix."""
+    eye = np.eye(lower.shape[-1])
+    inv = np.array([sla.lapack.dpotrs(c, eye, lower=1)[0]
+                    for c in lower.reshape((-1,) + eye.shape)])
+    return symmetrize(inv.reshape(lower.shape))
+
+
+def logdet_pd(a, name="matrix"):
+    """log|a| for a PD matrix via Cholesky (see ``logdet_chol``)."""
+    return float(logdet_chol(chol_lower(a, name)))
 
 
 def inv_pd(a, name="matrix"):
     """Inverse of a PD matrix via Cholesky."""
-    lower = chol_lower(a, name)
-    inv = sla.cho_solve((lower, True), np.eye(a.shape[0]))
-    return symmetrize(inv)
+    return inv_chol(chol_lower(a, name))
 
 
-def sqrtm_psd(a):
-    """Symmetric PSD square root via eigendecomposition.
-
-    Negative round-off eigenvalues are clamped to 0 before the square root.
-    """
-    w, v = np.linalg.eigh(symmetrize(a))
-    w = np.clip(w, 0.0, None)
-    return symmetrize((v * np.sqrt(w)) @ v.T)
-
-
-def inv_sqrtm_pd(a, name="matrix"):
-    """Inverse symmetric square root of a PD matrix."""
-    w, v = np.linalg.eigh(symmetrize(a))
-    if w[0] <= 0.0:
-        raise NotPositiveDefinite(f"{name} is singular; no inverse square root")
-    return symmetrize((v / np.sqrt(w)) @ v.T)
-
-
-def eig_floor(a, floor):
-    """Clamp the eigenvalues of a symmetric matrix from below."""
-    w, v = np.linalg.eigh(symmetrize(a))
-    w = np.maximum(w, floor)
-    return symmetrize((v * w) @ v.T)
+def roots(a):
+    """``a^1/2`` and ``a^-1/2`` of a PD matrix, from one eigendecomposition
+    (of the lower triangle of ``a``)."""
+    w, v = np.linalg.eigh(a)
+    root = np.sqrt(w)
+    return (v * root) @ v.T, (v / root) @ v.T
 
 
 def eig_clip(a, lo, hi):

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DegenerateConditional, NotPsd, SingularEmpiricalCov
-from .models import GeneralModel, conditional_cov, validate_model
+from .models import ConditionalCov, GeneralModel, validate_model
 
 # Relative eigenvalue gate below which sigma_x - q counts as degenerate and
 # no finite auxiliary-noise covariance exists.
@@ -102,7 +102,7 @@ def build_joint(m: GeneralModel, q) -> np.ndarray:
     would blow up.
     """
     validate_model(m)
-    q = conditional_cov(m, q).value
+    q = ConditionalCov.for_model(m, q).value
     gap_scale = 1.0 + float(np.max(np.abs(np.linalg.eigvalsh(m.sigma_x))))
     if linalg.min_eig(m.sigma_x - q) <= DEGENERATE_RTOL * gap_scale:
         raise DegenerateConditional(

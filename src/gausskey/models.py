@@ -178,13 +178,6 @@ class PerturbedPair:
     gap: float
 
 
-def conditional_cov(model, q):
-    """Coerce ``q`` (array or ConditionalCov) to a validated ConditionalCov."""
-    if isinstance(q, ConditionalCov):
-        q = q.value
-    return ConditionalCov.for_model(model, q)
-
-
 def validate_model(m):
     """Check every invariant of a model; return it unchanged if valid.
 
@@ -216,8 +209,9 @@ def validate_model(m):
     raise TypeError(f"not a model: {type(m).__name__}")
 
 
-def to_aligned(m: GeneralModel) -> AlignedModel:
-    """Reduce a general model with square invertible B, E to aligned form.
+def to_aligned(m) -> AlignedModel:
+    """Reduce a general model with square invertible B, E to aligned form;
+    an aligned model is returned as it is.
 
     Applying ``B^-1`` to Y and ``E^-1`` to Z is information preserving, so
     the aligned model has the same rate region; its noise covariances are
@@ -225,6 +219,8 @@ def to_aligned(m: GeneralModel) -> AlignedModel:
 
     Raises ``NotSquare`` or ``NearSingular`` (condition number >= 1e12).
     """
+    if isinstance(m, AlignedModel):
+        return m
     validate_model(m)
     for name, mat in (("b", m.b), ("e", m.e)):
         if mat.shape[0] != mat.shape[1]:
@@ -241,19 +237,19 @@ def to_aligned(m: GeneralModel) -> AlignedModel:
     )
 
 
-def to_general(m: AlignedModel) -> GeneralModel:
-    """Rewrite an aligned model with identity-covariance noise.
+def to_general(m) -> GeneralModel:
+    """Rewrite an aligned model with identity-covariance noise; a general
+    model is returned as it is.
 
     Whitening each observation by the inverse square root of its noise
     covariance is information preserving, giving ``B = sigma_wy^-1/2`` and
     ``E = sigma_wz^-1/2``.
     """
+    if isinstance(m, GeneralModel):
+        return m
     validate_model(m)
-    return GeneralModel(
-        sigma_x=m.sigma_x,
-        b=linalg.inv_sqrtm_pd(m.sigma_wy, "sigma_wy"),
-        e=linalg.inv_sqrtm_pd(m.sigma_wz, "sigma_wz"),
-    )
+    return GeneralModel(sigma_x=m.sigma_x, b=linalg.roots(m.sigma_wy)[1],
+                        e=linalg.roots(m.sigma_wz)[1])
 
 
 def _square_embed(mat, mx):
@@ -308,7 +304,7 @@ def gen_eigs(m: GeneralModel) -> GenEigResult:
     eigensolve.  All values are positive; ``rho`` counts those above 1.
     """
     validate_model(m)
-    s_half = linalg.sqrtm_psd(m.sigma_x)
+    s_half = linalg.roots(m.sigma_x)[0]
     eye = np.eye(m.mx)
     a = s_half @ (m.b.T @ m.b) @ s_half + eye
     c = s_half @ (m.e.T @ m.e) @ s_half + eye

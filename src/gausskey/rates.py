@@ -25,8 +25,8 @@ from .errors import InvalidEnhancedNoise
 from .models import (
     GEN_EIG_ONE_TOL,
     AlignedModel,
+    ConditionalCov,
     GeneralModel,
-    conditional_cov,
     gen_eigs,
     to_general,
 )
@@ -104,7 +104,7 @@ def rates_general(m: GeneralModel, q) -> RatePair:
 
     Raises ``InvalidConditionalCov`` when q violates 0 < q <= sigma_x.
     """
-    q = conditional_cov(m, q).value
+    q = ConditionalCov.for_model(m, q).value
     eye_y = np.eye(m.my)
     eye_z = np.eye(m.mz)
     gx = _hgap(m.sigma_x, q, "sigma_x terms")
@@ -120,9 +120,17 @@ def _rates_with_y_noise(m: AlignedModel, wy, q) -> RatePair:
     return RatePair(rp=gx - gy, rk=gy - gz)
 
 
+def _chol_terms(m: AlignedModel, q):
+    """Lower Cholesky factors of ``Q``, ``Q + sigma_wz`` and ``Q + sigma_wy``
+    for one conditional covariance or a stack of them, stacked on axis -3;
+    raises ``NotPositiveDefinite`` as ``linalg.chol_lower`` does."""
+    return linalg.chol_lower(np.stack((q, q + m.sigma_wz, q + m.sigma_wy), axis=-3),
+                             "Q, Q + sigma_wz or Q + sigma_wy")
+
+
 def rates_aligned(m: AlignedModel, q) -> RatePair:
     """Evaluate (I_p, I_k) for an aligned model at conditional covariance q."""
-    return _rates_with_y_noise(m, m.sigma_wy, conditional_cov(m, q).value)
+    return _rates_with_y_noise(m, m.sigma_wy, ConditionalCov.for_model(m, q).value)
 
 
 def rates_enhanced(m: AlignedModel, wy_tilde, q) -> RatePair:
@@ -143,7 +151,7 @@ def rates_enhanced(m: AlignedModel, wy_tilde, q) -> RatePair:
             "enhanced noise covariance must not exceed sigma_wy "
             f"(min eig of difference = {linalg.min_eig(m.sigma_wy - wy_tilde):.3e})"
         )
-    return _rates_with_y_noise(m, wy_tilde, conditional_cov(m, q).value)
+    return _rates_with_y_noise(m, wy_tilde, ConditionalCov.for_model(m, q).value)
 
 
 def asymptotic_limit(m) -> float:
@@ -153,9 +161,7 @@ def asymptotic_limit(m) -> float:
     exactly 0.0 when no eigenvalue exceeds 1 (e.g. identical observation
     channels).  Accepts general or aligned models.
     """
-    if isinstance(m, AlignedModel):
-        m = to_general(m)
-    res = gen_eigs(m)
+    res = gen_eigs(to_general(m))
     above = res.phis[res.phis > 1.0 + GEN_EIG_ONE_TOL]
     if above.size == 0:
         return 0.0

@@ -67,12 +67,15 @@ from .models import (
     to_aligned,
     validate_model,
 )
-from .rates import PointMeta, RatePair, RegionBoundary, rates_aligned
+from .rates import PointMeta, RatePair, RegionBoundary, _chol_terms, rates_aligned
 
 sla = linalg.sla  # scipy.linalg, loaded on the aligned route's first use
 BARRIER_GAP_TOL = 1e-8
 NEWTON_DECREMENT_TOL = 1e-10
 SIGMA_FLOOR_SCALE = 1e-9
+
+# Newton steps one cell solve may take over all its barrier stages.
+MAX_NEWTON = 400
 
 # Final barrier weight of a full schedule, handed to warm-started cells.
 # Every cell's reduced barrier has at most four terms (the 2x2 upper
@@ -171,13 +174,6 @@ def _basis(n):
                      for i in range(n) for j in range(i, n)])
 
 
-def _roots(sigma_x):
-    """``S = sigma_x^1/2`` and ``S^-1``, from one eigendecomposition."""
-    w, v = np.linalg.eigh(sigma_x)
-    root = np.sqrt(w)
-    return (v * root) @ v.T, (v / root) @ v.T
-
-
 # ---------------------------------------------------------------------------
 # inner convex problem of the sweep
 # ---------------------------------------------------------------------------
@@ -237,7 +233,7 @@ def _span_reduction(m):
     one decoupled coordinate (``u = [1, 0]``), whose optimal whitened entry
     is 1 and adds nothing to the log-det.
     """
-    s_half, s_half_inv = _roots(m.sigma_x)
+    s_half, s_half_inv = linalg.roots(m.sigma_x)
     sb, se = s_half @ m.b[0], s_half @ m.e[0]
     if m.mx == 1:
         u, r = np.eye(1, 2), np.array([[sb[0], se[0]], [0.0, 0.0]])
@@ -387,7 +383,7 @@ class _Cell:
     dx_ds: tuple
 
 
-def _inner_convex_2x2(frame, params, a0, tau0, max_newton):
+def _inner_convex_2x2(frame, params, a0, tau0):
     """Scalarized barrier Newton for one whitened 2x2 cell.
 
     Maximizes log|A| over ``0 < A < I`` under the cell constraints of
@@ -453,9 +449,9 @@ def _inner_convex_2x2(frame, params, a0, tau0, max_newton):
             final = n_constr / tau < BARRIER_GAP_TOL
             extra = 0
             for _ in range(40):
-                if total_iters >= max_newton:
+                if total_iters >= MAX_NEWTON:
                     raise MaxIterationsExceeded(
-                        f"inner solve exceeded {max_newton} Newton steps"
+                        f"inner solve exceeded {MAX_NEWTON} Newton steps"
                     )
                 det_s = a * c - b * b
                 ga, gc = 1.0 - a, 1.0 - c
@@ -494,7 +490,7 @@ def _inner_convex_2x2(frame, params, a0, tau0, max_newton):
                     centred = True
                     if (not final or extra == FINAL_CENTRING_STEPS
                             or decrement <= FINAL_DECREMENT_TOL
-                            or total_iters >= max_newton):
+                            or total_iters >= MAX_NEWTON):
                         break
                     # centre the final stage tightly, so that 1 / (tau *
                     # slack) is each constraint's multiplier; this close to
@@ -547,7 +543,7 @@ def _inner_convex_2x2(frame, params, a0, tau0, max_newton):
 
 
 def inner_convex(m: GeneralModel, params: SweepParams, *, sigma0=None,
-                 tau0: float = 1.0, max_newton: int = 400) -> SolveReport:
+                 tau0: float = 1.0) -> SolveReport:
     """Solve one sweep cell: maximize log|Q| under the cell constraints.
 
     Minimizes the public-rate contribution ``I_p(Q, s)`` over conditional
@@ -579,16 +575,17 @@ def inner_convex(m: GeneralModel, params: SweepParams, *, sigma0=None,
     the interval capped by ``b Q b^T <= s``, in closed form, does not
     exceed ``t + 1e-12 (1 + |t|)``, or ``s`` is below the float resolution
     of ``b Q b^T``; the sweep solves no cell below ``_row_edge``.  Raises
-    ``MaxIterationsExceeded`` when the Newton budget is exhausted.
+    ``MaxIterationsExceeded`` when the budget of ``MAX_NEWTON`` Newton steps
+    is exhausted.
     """
     if isinstance(m, _SpanFrame):
-        return _inner_convex_2x2(m, params, sigma0, tau0, max_newton)
+        return _inner_convex_2x2(m, params, sigma0, tau0)
     validate_model(m)
     if m.my != 1 or m.mz != 1:
         raise SolverFailure("inner_convex requires scalar observations (my = mz = 1)")
     frame = _span_reduction(m)
     a0 = None if sigma0 is None else frame.reduce(sigma0)
-    cell = _inner_convex_2x2(frame, params, a0, tau0, max_newton)
+    cell = _inner_convex_2x2(frame, params, a0, tau0)
     return SolveReport(
         optimum=ConditionalCov.for_model(m, frame.lift(cell.a2)),
         value=cell.value,
@@ -904,8 +901,9 @@ def sweep_boundary(m: GeneralModel, rp_grid, st_resolution: int = 200) -> Region
 
 # The aligned route evaluates its small matrices as stacks.  Stacked eigh,
 # Cholesky and matmul make the LAPACK/BLAS call of a per-matrix call on every
-# slice, and ``_inv_stack`` the solve of ``linalg.inv_pd``: each slice matches
-# the per-matrix helpers bit for bit, so stacked loops decide as per-point ones.
+# slice, and ``linalg.inv_chol`` makes one ``dpotrs`` solve per slice: each
+# slice matches the per-matrix helpers bit for bit, so stacked loops decide as
+# per-point ones.
 
 # Step sizes that the ascent's Armijo backtracking, and the face polish's line
 # search, test per stacked evaluation.  On the benchmark's aligned points the
@@ -927,18 +925,6 @@ def _frob_stack(a):
     return np.sqrt((flat @ np.swapaxes(flat, -1, -2))[:, 0, 0])
 
 
-def _chol_terms(m, sigma):
-    """Cholesky factors of ``Q``, ``Q + sigma_wz`` and ``Q + sigma_wy`` for
-    a stack of conditional covariances, shape ``(k, 3, n, n)``; raises
-    ``NotPositiveDefinite`` as ``linalg.chol_lower`` does."""
-    try:
-        return np.linalg.cholesky(
-            np.stack((sigma, sigma + m.sigma_wz, sigma + m.sigma_wy), axis=1))
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"conditional covariance terms have no "
-                                  f"Cholesky factor: {exc}") from exc
-
-
 def _chol_valid(m, sigma, valid):
     """``_chol_terms`` of the matrices of a stack marked ``valid``; a matrix
     whose terms have no Cholesky factor is marked invalid in place."""
@@ -953,17 +939,6 @@ def _chol_valid(m, sigma, valid):
         return _chol_terms(m, sigma[valid])
 
 
-def _logdet_stack(lower):
-    return 2.0 * np.sum(np.log(np.diagonal(lower, axis1=-2, axis2=-1)), axis=-1)
-
-
-def _inv_stack(lower):
-    eye = np.eye(lower.shape[-1])
-    inv = np.array([sla.lapack.dpotrs(c, eye, lower=1)[0]
-                    for c in lower.reshape((-1,) + eye.shape)])
-    return linalg.symmetrize(inv.reshape(lower.shape))
-
-
 def _rates_stack(m, sigma, ld_full):
     """The public and key rates ``(ip, ik)`` that ``rates_aligned`` gives
     for a stack of conditional covariances inside the matrix interval (see
@@ -971,7 +946,7 @@ def _rates_stack(m, sigma, ld_full):
     ``sigma_wz`` and ``sigma_wy``, and a mask of the valid matrices: one
     whose terms have no Cholesky factor is invalid, its rates NaN."""
     valid = np.ones(len(sigma), dtype=bool)
-    gx, gz, gy = (0.5 * (ld_full - _logdet_stack(_chol_valid(m, sigma, valid)))).T
+    gx, gz, gy = (0.5 * (ld_full - linalg.logdet_chol(_chol_valid(m, sigma, valid)))).T
     ip, ik = np.full(len(sigma), np.nan), np.full(len(sigma), np.nan)
     ip[valid], ik[valid] = gx - gy, gy - gz
     return ip, ik, valid
@@ -1035,7 +1010,7 @@ def _pga_penalty(m, rp, q0, max_iter):
         if not live.size:
             break
         iterations[live] = it
-        inv_s, inv_z, inv_y = np.moveaxis(_inv_stack(_chol_terms(m, q[live])), 1, 0)
+        inv_s, inv_z, inv_y = np.moveaxis(linalg.inv_chol(_chol_terms(m, q[live])), 1, 0)
         grad_ik, grad_ip = 0.5 * (inv_z - inv_y), 0.5 * (inv_y - inv_s)
         over = ~(ip[live] <= rp)[:, None, None]
         grad_q = np.where(over, grad_ik - rho * grad_ip, grad_ik)
@@ -1142,7 +1117,7 @@ class _FaceSystem:
         rows = np.full((len(xs), self.n_qf + self.n_rot + 1), np.nan)
         if not valid.any():
             return rows, valid
-        inv = _inv_stack(lower)
+        inv = linalg.inv_chol(lower)
         mu_v = mu[valid, None, None]
         m_w = linalg.symmetrize(mu_v * inv[:, 0] + inv[:, 1] - (1.0 + mu_v) * inv[:, 2])
         u = u[valid]  # views of it give each slice the strides of a 2-D basis
@@ -1151,7 +1126,7 @@ class _FaceSystem:
         parts = [np.einsum("kab,pab->kp", u_ft @ m_w @ u_f, self.basis_f)]
         if self.n_rot:
             parts.append((np.swapaxes(u_a, -1, -2) @ m_w @ u_f).reshape(len(m_w), -1))
-        lds = _logdet_stack(lower[:, [0, 2]])
+        lds = linalg.logdet_chol(lower[:, [0, 2]])
         ip = -0.5 * lds[:, 0] - 0.5 * (self.ld_xy - lds[:, 1])
         parts.append((ip - self.rp)[:, None])
         rows[valid] = np.concatenate(parts, axis=1)
@@ -1241,7 +1216,7 @@ def _whiten(m):
     """The whitened model ``(I, S^-1 sigma_wy S^-1, S^-1 sigma_wz S^-1)``,
     ``S = sigma_x^1/2``, whose ``Q`` has the rates of ``S Q S`` in ``m``;
     with ``S`` and ``S^-1``."""
-    s_half, s_half_inv = _roots(m.sigma_x)
+    s_half, s_half_inv = linalg.roots(m.sigma_x)
     noise = (linalg.symmetrize(s_half_inv @ w @ s_half_inv) for w in (m.sigma_wy, m.sigma_wz))
     return AlignedModel(np.eye(m.mx), *noise), s_half, s_half_inv
 
@@ -1401,11 +1376,10 @@ def contains(m, p: RatePair, tol: float, *, boundary: RegionBoundary | None = No
 
 def _boundary(m, rp_grid, *, st_resolution: int = 200, seed: int = 0) -> RegionBoundary:
     """The sweep for a general model with scalar observations, else the
-    ascent on the aligned form (``to_aligned`` for a general model)."""
+    ascent on ``to_aligned(m)``."""
     if isinstance(m, GeneralModel) and m.my == 1 and m.mz == 1:
         return sweep_boundary(m, rp_grid, st_resolution=st_resolution)
-    aligned = m if isinstance(m, AlignedModel) else to_aligned(m)
-    return ascent_boundary(aligned, rp_grid, seed=seed)
+    return ascent_boundary(to_aligned(m), rp_grid, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -1457,7 +1431,7 @@ def brute_force_grid(m: GeneralModel, rp: float, grid_density: int = 60) -> Rate
     d_min = max(1e-14, min(1e-2, math.exp(-(2.0 * rp + ld_y_full + 2.0))))
     d = np.geomspace(d_min, 1.0, grid_density)
     log_d = np.log(d)
-    s_half = linalg.sqrtm_psd(m.sigma_x)
+    s_half = linalg.roots(m.sigma_x)[0]
 
     if m.mx == 1:
         log_dq = log_d

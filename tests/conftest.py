@@ -62,7 +62,7 @@ def random_conditional(rng, sigma_x, lo=0.05, hi=0.95):
     from gausskey import linalg
 
     n = sigma_x.shape[0]
-    s_half = linalg.sqrtm_psd(sigma_x)
+    s_half = linalg.roots(sigma_x)[0]
     z = rng.standard_normal((n, n))
     v, _ = np.linalg.qr(z)
     u = rng.uniform(lo, hi, size=n)

@@ -12,8 +12,11 @@ The probe set has 265 points, built from the helpers of
 Per point it records the bytes of the value and of the optimum ``sigma``,
 ``converged``, ``kkt_residual`` and the certificate outcome (``certified``,
 ``uncertified`` or the name of the exception ``certify`` raised), or the name
-of the exception ``solve_at_rate`` raised.  A change to the aligned route is
-checked by saving the probe on the parent tree and comparing on the change:
+of the exception ``solve_at_rate`` raised.  Apart, as ``cert``, it records
+the bytes of the certificate itself: ``mu``, the ten residuals in the order
+of ``kkt.RESIDUAL_KEYS``, ``wy_tilde`` and ``m_matrix``.  A change to the
+aligned route is checked by saving the probe on the parent tree and
+comparing on the change:
 
     PYTHONPATH=src python tests/data/probe_aligned.py --save before.json
     PYTHONPATH=src python tests/data/probe_aligned.py --compare before.json
@@ -24,7 +27,9 @@ outcome, how many values rose and fell by more than ``FALL_TOL`` (listing
 each fall with both values and its certificate outcome on both trees), and
 how many points are certified now and in the file.  It exits 1 when a value
 falls by more than ``FALL_TOL``, or is lost to an exception, or a certified
-point loses its certificate.
+point loses its certificate.  It also prints how many certificates are
+bit-identical and lists the points whose certificate bytes moved; these do
+not change the exit code.
 """
 
 import json
@@ -40,7 +45,8 @@ import numpy as np  # noqa: E402
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 import test_aligned_points as tap  # noqa: E402
-from gausskey import solve_at_rate  # noqa: E402
+from gausskey import certify, solve_at_rate  # noqa: E402
+from gausskey.kkt import RESIDUAL_KEYS  # noqa: E402
 from gausskey.errors import GausskeyError  # noqa: E402
 
 FRESH_RATES = (0.7, 1.5, 3.0, 5.0)
@@ -71,12 +77,22 @@ def record(m, rp):
         report = solve_at_rate(m, rp)
     except GausskeyError as exc:
         return {"error": type(exc).__name__}
+    try:
+        cert = certify(m, report.optimum, rp)
+    except GausskeyError as exc:
+        outcome, cert_bytes = type(exc).__name__, None
+    else:
+        outcome = "certified" if cert.max_residual < tap.CERT_GATE else "uncertified"
+        fields = [cert.mu, *(cert.residuals[k] for k in RESIDUAL_KEYS)]
+        cert_bytes = b"".join(np.asarray(a, dtype=np.float64).tobytes()
+                              for a in (fields, cert.wy_tilde, cert.m_matrix)).hex()
     return {
         "value": np.float64(report.value).tobytes().hex(),
         "sigma": report.optimum.value.tobytes().hex(),
         "converged": report.converged,
         "kkt_residual": report.kkt_residual,
-        "certificate": tap._certificate_outcome(m, report.optimum, rp),
+        "certificate": outcome,
+        "cert": cert_bytes,
     }
 
 
@@ -95,9 +111,11 @@ def compare(old, new):
     def outcomes(ref, rec):
         return f"certificate {ref['certificate']} -> {rec.get('certificate', rec.get('error'))}"
 
+    cert_moved = [label for label, rec in new.items()
+                  if rec.get("cert") != old[label].get("cert")]
     for label, rec in new.items():
-        ref = old[label]
-        if rec == ref:
+        ref = {k: v for k, v in old[label].items() if k != "cert"}
+        if {k: v for k, v in rec.items() if k != "cert"} == ref:
             same += 1
             continue
         moved += 1
@@ -132,6 +150,9 @@ def compare(old, new):
           f"{changed} changed certificate outcome")
     print(f"values: {rose} rose and {fell} fell by more than {FALL_TOL:g}")
     print(f"certified: {certified[0]} (file: {certified[1]})")
+    print(f"certificates: {len(new) - len(cert_moved)} of {len(new)} bit-identical")
+    for label in cert_moved:
+        print(f"{label}: certificate bytes moved")
     return len(failed)
 
 

@@ -203,7 +203,7 @@ def test_criterion_5_enhancement_edges():
     m = AlignedModel(sigma_x=random_spd(rng, 2), sigma_wy=wz + random_spd(rng, 2),
                      sigma_wz=wz)
     sigma = 0.5 * m.sigma_x
-    m_mat = linalg.eig_floor(stationarity_matrix(m, sigma, 0.0), 0.0)
+    m_mat = linalg.eig_clip(stationarity_matrix(m, sigma, 0.0), 0.0, np.inf)
     err_mu0 = float(np.max(np.abs(enhance(m, sigma, 0.0, m_mat) - m.sigma_wz)))
     # M = 0 leaves the legitimate noise untouched
     m2 = AlignedModel(sigma_x=random_spd(rng, 2), sigma_wy=random_spd(rng, 2),
@@ -257,7 +257,7 @@ def test_criterion_7_gen_eig_identities():
             e=rng.standard_normal((int(rng.integers(1, 4)), n)),
         )
         res = gen_eigs(m)
-        s_half = linalg.sqrtm_psd(m.sigma_x)
+        s_half = linalg.roots(m.sigma_x)[0]
         a = s_half @ m.b.T @ m.b @ s_half + np.eye(n)
         c = s_half @ m.e.T @ m.e @ s_half + np.eye(n)
         ratio = np.exp(linalg.logdet_pd(a) - linalg.logdet_pd(c))

@@ -50,7 +50,7 @@ import scipy.linalg as sla
 
 from gausskey import AlignedModel, certify, kkt, linalg, solve_at_rate, solver
 from gausskey.errors import GausskeyError, NoValidMultiplier
-from gausskey.rates import RatePair, rates_aligned
+from gausskey.rates import RatePair, _chol_terms, rates_aligned
 
 from conftest import random_aligned, random_conditional, random_spd, rng_for
 
@@ -513,7 +513,7 @@ def _reference_pga_penalty(m, rp, q0, max_iter):
     q = linalg.eig_clip(np.asarray(q0, dtype=float), floor, 1.0)
     val, pairs, valid = objective(q)
     if not valid.all():
-        solver._chol_terms(m, q[~valid])
+        _chol_terms(m, q[~valid])
     eta = np.full(k, 0.1)
     iterations = np.zeros(k, dtype=int)
     live = np.arange(k)
@@ -521,8 +521,7 @@ def _reference_pga_penalty(m, rp, q0, max_iter):
         if not live.size:
             break
         iterations[live] = it
-        inv_s, inv_z, inv_y = np.moveaxis(
-            solver._inv_stack(solver._chol_terms(m, q[live])), 1, 0)
+        inv_s, inv_z, inv_y = np.moveaxis(linalg.inv_chol(_chol_terms(m, q[live])), 1, 0)
         grad_ik, grad_ip = 0.5 * (inv_z - inv_y), 0.5 * (inv_y - inv_s)
         over = np.array([not pairs[i].rp <= rp for i in live])[:, None, None]
         grad_q = np.where(over, grad_ik - rho * grad_ip, grad_ik)

@@ -70,7 +70,7 @@ def _dual_value_bound(m, params):
     function is closed form and convex; every value of it bounds log|A|
     from above, hence the cell's value from below.
     """
-    s_half = linalg.sqrtm_psd(m.sigma_x)
+    s_half = linalg.roots(m.sigma_x)[0]
     bw = s_half @ m.b[0]
     ew = s_half @ m.e[0]
     g1 = (1.0 + params.t) * np.outer(bw, bw) - np.outer(ew, ew)

@@ -159,7 +159,7 @@ def test_enhance_mu_zero_returns_z_noise():
     sigma = 0.5 * m.sigma_x
     m_mat = kkt.stationarity_matrix(m, sigma, 0.0)
     assert linalg.min_eig(m_mat) > -1e-12
-    wy_tilde = enhance(m, sigma, 0.0, linalg.eig_floor(m_mat, 0.0))
+    wy_tilde = enhance(m, sigma, 0.0, linalg.eig_clip(m_mat, 0.0, np.inf))
     assert np.allclose(wy_tilde, m.sigma_wz, atol=1e-10)
 
 
@@ -428,3 +428,21 @@ def test_certificate_requires_all_residual_keys(scalar_aligned):
             sigma_star=cert.sigma_star, mu=cert.mu, m_matrix=cert.m_matrix,
             wy_tilde=cert.wy_tilde, rp=cert.rp, residuals=partial,
         )
+
+
+def test_a_nan_residual_fails_the_gate(scalar_aligned):
+    # JSON admits NaN; a NaN residual counts as infinite, wherever it sits
+    cert = certify(scalar_aligned, solve_at_rate(scalar_aligned, 0.5).optimum, 0.5)
+    obj = kkt.certificate_to_dict(cert)
+    obj["residuals"] = {**dict.fromkeys(kkt.RESIDUAL_KEYS, 0.0), "rate_match": float("nan")}
+    back = kkt.certificate_from_dict(json.loads(json.dumps(obj)))
+    assert back.max_residual == float("inf")
+    assert not back.max_residual < 1e-6
+
+
+def test_certificate_rejects_a_nan_multiplier(scalar_aligned):
+    cert = certify(scalar_aligned, solve_at_rate(scalar_aligned, 0.5).optimum, 0.5)
+    obj = kkt.certificate_to_dict(cert)
+    obj["mu"] = float("nan")
+    with pytest.raises(ValueError):
+        kkt.certificate_from_dict(json.loads(json.dumps(obj)))

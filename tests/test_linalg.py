@@ -51,20 +51,31 @@ def test_pd_checks_and_tolerances():
 
 
 def test_sqrtm_and_inverse_roundtrip():
+    # roots(a) = (S, S^-1) with S S = a and S^-1 a S^-1 = I
     rng = rng_for(13)
     for _ in range(20):
         a = random_spd(rng, 3)
-        root = linalg.sqrtm_psd(a)
+        root, inv_root = linalg.roots(a)
         assert np.allclose(root @ root, a, atol=1e-10)
-        inv_root = linalg.inv_sqrtm_pd(a)
         assert np.allclose(inv_root @ a @ inv_root, np.eye(3), atol=1e-9)
+        assert np.allclose(root @ inv_root, np.eye(3), atol=1e-9)
         assert np.allclose(linalg.inv_pd(a) @ a, np.eye(3), atol=1e-9)
 
 
-def test_sqrtm_clamps_negative_roundoff():
-    a = np.diag([1.0, -1e-14])
-    root = linalg.sqrtm_psd(a)
-    assert linalg.min_eig(root) >= 0.0
+def test_stacked_kernels_match_per_matrix_byte_for_byte():
+    # a stack is factored, inverted and log-det'ed slice by slice, with the
+    # arithmetic of the per-matrix helpers
+    rng = rng_for(15)
+    for n in range(1, 9):
+        stack = np.array([random_spd(rng, n) for _ in range(5)]).reshape(5, 1, n, n)
+        lower = linalg.chol_lower(stack)
+        inv, logdet = linalg.inv_chol(lower), linalg.logdet_chol(lower)
+        assert lower.shape == inv.shape == (5, 1, n, n) and logdet.shape == (5, 1)
+        for k in range(5):
+            a = stack[k, 0]
+            assert linalg.chol_lower(a).tobytes() == lower[k, 0].tobytes()
+            assert linalg.inv_pd(a).tobytes() == inv[k, 0].tobytes()
+            assert np.float64(linalg.logdet_pd(a)).tobytes() == logdet[k, 0].tobytes()
 
 
 def test_gen_eig_pencil_against_char_poly():
@@ -83,7 +94,9 @@ def test_gen_eig_pencil_against_char_poly():
 
 def test_eig_floor_and_clip():
     a = np.diag([2.0, -1.0])
-    assert linalg.min_eig(linalg.eig_floor(a, 0.5)) >= 0.5 - 1e-12
+    floored = linalg.eig_clip(a, 0.5, np.inf)
+    assert linalg.min_eig(floored) >= 0.5 - 1e-12
+    assert linalg.eigvals_sym(floored)[-1] == pytest.approx(2.0, abs=1e-12)
     clipped = linalg.eig_clip(a, 0.0, 1.0)
     w = np.linalg.eigvalsh(clipped)
     assert w[0] >= -1e-12 and w[-1] <= 1.0 + 1e-12

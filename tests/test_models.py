@@ -156,6 +156,13 @@ def test_to_general_roundtrip():
     assert pg.rk == pytest.approx(pa.rk, abs=1e-10)
 
 
+def test_converters_return_a_model_already_in_form():
+    a = AlignedModel(sigma_x=np.eye(2), sigma_wy=np.eye(2), sigma_wz=2.0 * np.eye(2))
+    g = GeneralModel(sigma_x=np.eye(2), b=np.eye(2), e=[[1.0, 0.5]])
+    assert to_aligned(a) is a
+    assert to_general(g) is g
+
+
 # ---------------------------------------------------------------------------
 # SVD perturbation
 # ---------------------------------------------------------------------------
@@ -235,7 +242,7 @@ def test_gen_eigs_crossing_demo(crossing_demo):
 
 def test_gen_eigs_degraded_demo(degraded_demo):
     # brute-force determinant root-finding on the pencil
-    s_half = linalg.sqrtm_psd(degraded_demo.sigma_x)
+    s_half = linalg.roots(degraded_demo.sigma_x)[0]
     a = s_half @ degraded_demo.b.T @ degraded_demo.b @ s_half + np.eye(2)
     c = s_half @ degraded_demo.e.T @ degraded_demo.e @ s_half + np.eye(2)
     grid = np.linspace(0.0, 4.0, 5)
@@ -258,7 +265,7 @@ def test_gen_eigs_product_identity():
             e=rng.standard_normal((int(rng.integers(1, 4)), n)),
         )
         res = gen_eigs(m)
-        s_half = linalg.sqrtm_psd(sigma_x)
+        s_half = linalg.roots(sigma_x)[0]
         a = s_half @ m.b.T @ m.b @ s_half + np.eye(n)
         c = s_half @ m.e.T @ m.e @ s_half + np.eye(n)
         ratio = np.linalg.det(a) / np.linalg.det(c)

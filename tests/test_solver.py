@@ -85,7 +85,7 @@ def _cell_grid_oracle(m, params, n_theta=360, n_d=800):
     the objective is increasing in it, so that variable is eliminated in
     closed form.  A second pass refines around the coarse maximizer.
     """
-    s_half = linalg.sqrtm_psd(m.sigma_x)
+    s_half = linalg.roots(m.sigma_x)[0]
     b = m.b[0]
     e = m.e[0]
     bw = b @ s_half
@@ -405,7 +405,7 @@ def _stacked_grid_reference(m, rp, grid_density):
     gain = 0.5 * linalg.logdet_pd(m.b @ m.sigma_x @ m.b.T + np.eye(m.my))
     d_min = max(1e-14, min(1e-2, math.exp(-(2.0 * rp + 2.0 * gain + 2.0))))
     d = np.geomspace(d_min, 1.0, grid_density)
-    s_half = linalg.sqrtm_psd(m.sigma_x)
+    s_half = linalg.roots(m.sigma_x)[0]
     if m.mx == 1:
         sigmas = (s_half[0, 0] ** 2 * d)[:, None, None]
         log_dq = np.log(d)
