@@ -140,8 +140,17 @@ def _inverses(m: AlignedModel, sigma):
     return linalg.inv_chol(_chol_terms(m, sigma))
 
 
+def _check_mu(mu):
+    if not 0.0 <= mu < np.inf:
+        raise NonPsdInput(f"mu must be finite and nonnegative, got {mu!r}")
+
+
 def stationarity_matrix(m: AlignedModel, sigma, mu: float):
-    """M(mu) = mu Q^-1 + (Q + sigma_wz)^-1 - (1 + mu)(Q + sigma_wy)^-1."""
+    """M(mu) = mu Q^-1 + (Q + sigma_wz)^-1 - (1 + mu)(Q + sigma_wy)^-1.
+
+    Raises ``NonPsdInput`` unless mu is finite and nonnegative.
+    """
+    _check_mu(mu)
     inv_s, inv_z, inv_y = _inverses(m, sigma)
     return linalg.symmetrize(mu * inv_s + inv_z - (1.0 + mu) * inv_y)
 
@@ -222,13 +231,13 @@ def enhance(m: AlignedModel, sigma_star, mu: float, m_matrix) -> np.ndarray:
     W~ <= sigma_wz (strictly below sigma_wz when mu > 0); M = 0 collapses it
     to sigma_wy, and mu = 0 with the recovered M gives exactly sigma_wz.
 
-    Raises ``NonPsdInput`` when mu < 0 or M is not PSD.
+    Raises ``NonPsdInput`` when mu is not finite and nonnegative or M is
+    not PSD.
     """
     validate_model(m)
     sigma = ConditionalCov.for_model(m, sigma_star).value
     m_matrix = linalg.check_symmetric(m_matrix, "M")
-    if mu < 0.0:
-        raise NonPsdInput(f"mu must be nonnegative, got {mu!r}")
+    _check_mu(mu)
     if linalg.min_eig(m_matrix) < -M_MATRIX_PSD_TOL:
         raise NonPsdInput(
             f"M must be PSD (min eig = {linalg.min_eig(m_matrix):.3e})"
@@ -345,7 +354,8 @@ def verify_certificate(m: AlignedModel, cert: KktCertificate) -> dict:
     Never raises on a bad certificate; residuals simply come out large (or
     infinite when a construction step is impossible).  A ``sigma_star``
     outside the matrix interval, or an ``m_matrix`` or ``wy_tilde`` that is
-    not ``(mx, mx)``, makes every residual infinite.  The caller judges.
+    not a finite ``(mx, mx)`` matrix, makes every residual infinite.  The
+    caller judges.
     """
     validate_model(m)
     m_matrix, wy_tilde = (np.asarray(a, float) for a in (cert.m_matrix, cert.wy_tilde))
@@ -353,7 +363,8 @@ def verify_certificate(m: AlignedModel, cert: KktCertificate) -> dict:
         sigma = ConditionalCov.for_model(m, cert.sigma_star).value
     except InvalidConditionalCov:
         sigma = None
-    if sigma is None or not m_matrix.shape == wy_tilde.shape == sigma.shape:
+    if (sigma is None or not m_matrix.shape == wy_tilde.shape == sigma.shape
+            or not (np.isfinite(m_matrix).all() and np.isfinite(wy_tilde).all())):
         return dict.fromkeys(RESIDUAL_KEYS, float("inf"))
     return _compute_residuals(m, sigma, cert.mu, m_matrix, wy_tilde, cert.rp)
 

@@ -14,6 +14,9 @@ Three routes to the boundary R_k(R_p):
     cell is a 2x2 problem whatever the source dimension (Fischer's
     inequality fixes the rest at the identity); ``inner_convex`` solves it by
     a logarithmic-barrier Newton method, and its cost does not grow with mx.
+    Each barrier stage starts from the central path's tangent prediction of
+    its centre, and Newton's method centres it to the same tests as from
+    the last centre, so the prediction saves steps, not accuracy.
     Every cell of a ``t`` row has the same key rate, rising with ``t``, and
     the row's smallest public rate (``_row_min_rp``, a search over s) is
     nondecreasing in ``t``; a monotone search over ``t`` rows, refined by a
@@ -398,10 +401,22 @@ def _inner_convex_2x2(frame, params, a0, tau0):
     tolerance; it ends uncentred after 40 steps, at a non-positive pivot, or
     when the line search finds no decrease.  The schedule runs from ``tau0``
     up tenfold per stage until the gap proxy ``n / tau`` drops below
-    ``BARRIER_GAP_TOL``.  When a warm schedule (``tau0 > 1``) ends with its
-    last stage uncentred, it restarts once from ``tau = 1`` at the same
-    start, its steps counted on top.  ``converged`` reports whether the last stage
-    of the final schedule was centred; an uncentred solve keeps its
+    ``BARRIER_GAP_TOL``.  A stage that follows a centred one starts from the
+    predicted centre (predictor-corrector path following): the centres
+    ``x(tau)`` form a smooth path in ``1 / tau``, with tangent
+    ``dx/dtau = H^-1 grad log|A|`` (one more ``_ldl_step`` with the Hessian
+    that the last step assembled), so the next centre is about
+    ``x + (1 - 1/10) tau dx/dtau``.  A failed solve or a prediction outside
+    the barrier's domain starts the stage at ``x``, as does a stage after
+    an uncentred one.  Where a stage starts changes only how many Newton
+    steps centre it: each stage's centre is the unique minimizer of its
+    barrier, and the final stage meets the same decrement tests wherever it
+    starts, so the cell ends at the same optimum within their tolerance.
+    When a warm schedule (``tau0 > 1``) ends with its last stage uncentred,
+    it restarts once from ``tau = 1`` at the same start, its steps counted
+    on top; a warm schedule that starts at the final weight has no stage to
+    predict.  ``converged`` reports whether the last stage of the final
+    schedule was centred; an uncentred solve keeps its
     feasible, possibly suboptimal, value.  A centred final stage takes up to
     ``FINAL_CENTRING_STEPS`` more full Newton steps, until the decrement
     reaches ``FINAL_DECREMENT_TOL``, so that ``1 / (tau * slack)`` is the
@@ -513,6 +528,17 @@ def _inner_convex_2x2(frame, params, a0, tau0):
                 val = val1
             if n_constr / tau < BARRIER_GAP_TOL:
                 break
+            if centred:
+                # start the next stage at x + (1 - 1/10) tau dx/dtau, its
+                # predicted centre; h** and p** are at x, assembled by the
+                # step that ended this stage
+                step = _ldl_step(h00, h01, h02, h11, h12, h22,
+                                 -p00, -2.0 * p01, -p11)
+                if step is not None:
+                    k = 0.9 * tau
+                    pred = (a + k * step[0], b + k * step[1], c + k * step[2])
+                    if merit(*pred) is not None:
+                        a, b, c = pred
             tau *= 10.0
         if centred or tau_start <= 1.0:
             break
@@ -561,8 +587,10 @@ def inner_convex(m: GeneralModel, params: SweepParams, *, sigma0=None,
     barrier parameter growing tenfold per stage (from ``tau0``; pass the
     final value of a neighboring solve, with its optimum as ``sigma0``, to
     warm-start) until the duality-gap proxy drops below
-    ``BARRIER_GAP_TOL``; see ``_inner_convex_2x2`` for what ``converged``
-    reports.
+    ``BARRIER_GAP_TOL``.  A stage after a centred one starts from the
+    central path's prediction of its centre, which saves Newton steps and
+    leaves the final centre where it was; see ``_inner_convex_2x2`` for why
+    and for what ``converged`` reports.
 
     The public call validates the model, reduces it, solves and lifts the
     optimum.  The sweep, which reduces each model once, passes its
@@ -1248,9 +1276,12 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 8,
     a point solved on a wrong face has no valid multiplier and does not
     pass.  When none passes, the candidate within the budget with the
     highest key rate is returned unconverged, or the ascent point when no
-    candidate beats it.  ``kkt_residual`` is the returned candidate's face
-    residual, or the multiplier composite at the ascent point, both in the
-    whitened frame; ``iterations`` counts the ascent iterations actually taken, over every
+    candidate beats it.  ``kkt_residual`` is, in the whitened frame, the
+    face residual of a converged point, and for an unconverged one the
+    multiplier composite (``kkt.multiplier_composite``) at the returned
+    point with its own ``kkt.closed_form_mu``: how far that point is from
+    having a valid multiplier, not how well some face's system was solved.
+    ``iterations`` counts the ascent iterations actually taken, over every
     start; ``max_iter`` caps them per start (0 skips the ascent).  Raises
     ``MaxIterationsExceeded`` when no start ends within 1e-6 of the budget
     in ``max_iter`` iterations.
@@ -1297,7 +1328,7 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 8,
             return None
         return pair if pair.rp <= rp + 1e-7 and pair.rk >= best_pair.rk - 1e-7 else None
 
-    q_out, pair_out, res_out, converged = best_q, best_pair, None, False
+    q_out, pair_out, converged = best_q, best_pair, False
     for n_active, factor in _face_schedule(n_active_guess, m.mx):
         cand = _polish_face(w, rp, best_q, factor * mu_hint, n_active)
         if cand is None:
@@ -1317,10 +1348,10 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 8,
                 q_out, pair_out, res_out, converged = q_pol, pair_pol, res, True
                 break
         if pair_pol.rk > pair_out.rk:
-            q_out, pair_out, res_out = q_pol, pair_pol, res
+            q_out, pair_out = q_pol, pair_pol
 
-    if res_out is None:
-        res_out = kkt.multiplier_composite(w, q_out, mu_hint)[0]
+    if not converged:
+        res_out = kkt.multiplier_composite(w, q_out, kkt.closed_form_mu(w, q_out))[0]
     sigma_out = ConditionalCov.for_model(m, linalg.symmetrize(s_half @ q_out @ s_half))
     return SolveReport(optimum=sigma_out, value=pair_out.rk, iterations=iterations,
                        kkt_residual=float(res_out), converged=converged)

@@ -15,9 +15,13 @@ regenerate only to freeze a deliberately changed sweep, and only after
     PYTHONPATH=src python tests/data/make_sweep_boundaries.py > tests/data/sweep_boundaries.json
 
 ``--check`` regenerates every sweep and compares it with the committed
-file: per group of sweeps it prints how many key rates rose and the largest
-rise, and it exits non-zero when any key rate falls by more than
-``FALL_TOL`` (or a sweep's model, rates or resolution changed).
+file: per group of sweeps it prints how many key rates rose, the largest
+rise and the Newton steps of the group's ``inner_convex`` calls, and it
+exits non-zero when any key rate falls by more than ``FALL_TOL`` (or a
+sweep's model, rates or resolution changed).  The steps are counted as
+``tests/test_sweep_boundaries.py`` counts them: its ``STEP_BOUNDS`` groups
+``demo_res60`` and ``random_sweep`` are the groups ``res60`` and
+``random_sweep`` here.
 """
 
 import json
@@ -26,7 +30,7 @@ import sys
 
 import numpy as np
 
-from gausskey import GeneralModel, sweep_boundary
+from gausskey import GeneralModel, solver, sweep_boundary
 
 DEMO_GRID = [float(x) for x in np.linspace(0.0, 20.0, 41)]
 CRITERION_3_GRID = [round(float(x), 6) for x in np.linspace(1.0, 4.0, 10)]
@@ -65,20 +69,33 @@ def sweeps():
 
 
 def entries():
-    """The frozen-file entry of every sweep, run on the current solver."""
+    """The frozen-file entry of every sweep, run on the current solver, and
+    the Newton steps of the ``inner_convex`` calls of each ``group``."""
     out = []
-    for name, m, grid, res in sweeps():
-        boundary = sweep_boundary(m, grid, st_resolution=res)
-        out.append({
-            "name": name,
-            "sigma_x": m.sigma_x.tolist(),
-            "b": m.b.tolist(),
-            "e": m.e.tolist(),
-            "rp": grid,
-            "resolution": res,
-            "rk": [p.rk for p in boundary.points],
-        })
-    return out
+    steps = {}
+    inner = solver.inner_convex
+
+    def counted(*args, **kwargs):
+        cell = inner(*args, **kwargs)
+        steps[group(name)] = steps.get(group(name), 0) + cell.iterations
+        return cell
+
+    solver.inner_convex = counted
+    try:
+        for name, m, grid, res in sweeps():
+            boundary = sweep_boundary(m, grid, st_resolution=res)
+            out.append({
+                "name": name,
+                "sigma_x": m.sigma_x.tolist(),
+                "b": m.b.tolist(),
+                "e": m.e.tolist(),
+                "rp": grid,
+                "resolution": res,
+                "rk": [p.rk for p in boundary.points],
+            })
+    finally:
+        solver.inner_convex = inner
+    return out, steps
 
 
 def group(name):
@@ -89,9 +106,10 @@ def group(name):
     return name.rsplit("_", 1)[1]  # the demos, by resolution
 
 
-def check(fresh):
-    """Compare regenerated entries with the committed file; return the
-    number of failures (a fall beyond ``FALL_TOL`` or a changed input)."""
+def check(fresh, steps):
+    """Compare regenerated entries with the committed file and print the
+    Newton steps per group; return the number of failures (a fall beyond
+    ``FALL_TOL`` or a changed input)."""
     with open(FROZEN_PATH) as fh:
         frozen = {e["name"]: e for e in json.load(fh)["sweeps"]}
     failures = 0
@@ -117,14 +135,15 @@ def check(fresh):
                 rose[1] += 1
                 rose[2] = max(rose[2], now - was)
     for name, (n_points, n_rose, largest) in rises.items():
-        print(f"{name}: {n_rose} of {n_points} points rose, largest rise {largest:.3g}")
+        print(f"{name}: {n_rose} of {n_points} points rose, largest rise {largest:.3g}, "
+              f"{steps.get(name, 0):,} Newton steps")
     return failures
 
 
 def main(argv):
-    fresh = entries()
+    fresh, steps = entries()
     if argv == ["--check"]:
-        return 1 if check(fresh) else 0
+        return 1 if check(fresh, steps) else 0
     if argv:
         sys.stderr.write("usage: make_sweep_boundaries.py [--check]\n")
         return 2

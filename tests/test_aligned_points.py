@@ -146,15 +146,27 @@ def _fresh_model(key):
 
 
 @pytest.mark.parametrize("key,rp", [(5002, 1.5), (5007, 5.0), (5011, 3.0), (5011, 5.0)])
-def test_wrong_face_point_is_not_converged(key, rp):
+def test_wrong_face_point_is_not_converged(monkeypatch, key, rp):
     # the polish solves some face's system to round-off here, but the point
-    # has no valid multiplier: it must not be reported converged
+    # has no valid multiplier: it must not be reported converged, and its
+    # reported residual must say so rather than repeat the face residual
     m = _fresh_model(key)
+    solved = []
+    polish = solver._polish_face
+
+    def recorded(*args):
+        cand = polish(*args)
+        if cand is not None and cand[2] < 1e-8:
+            solved.append(rates_aligned(args[0], cand[0]).rk)
+        return cand
+
+    monkeypatch.setattr(solver, "_polish_face", recorded)
     report = solve_at_rate(m, rp)
-    assert report.kkt_residual < 1e-8
+    assert report.value in solved
     with pytest.raises(NoValidMultiplier):
         kkt.recover_multipliers(m, report.optimum, rp)
     assert not report.converged
+    assert report.kkt_residual > kkt.ACCEPT_COMPOSITE
     assert _certificate_outcome(m, report.optimum, rp) == "NoValidMultiplier"
 
 
@@ -188,6 +200,23 @@ def test_unconverged_solve_keeps_its_best_candidate(monkeypatch, model, rp):
     assert in_budget
     if not report.converged:
         assert report.value >= max(in_budget) - 1e-12
+
+
+@pytest.mark.parametrize("model,rp", [
+    ("bench-14", 4.0), ("bench-15", 4.0), ("fresh-5002", 1.5), ("degraded-6008", 2.0)])
+def test_unconverged_solve_reports_the_multiplier_composite(model, rp):
+    # not the face residual of the candidate that won on key rate: at
+    # bench-15 rp 4 that was a stalled wrong-face walk's 17,307.7
+    kind, _, key = model.partition("-")
+    m = (_bench_model(int(key), 8) if kind == "bench" else
+         _fresh_model(int(key)) if kind == "fresh" else _degraded_model(int(key)))
+    report = solve_at_rate(m, rp)
+    assert not report.converged
+    w, _, s_half_inv = solver._whiten(m)
+    q = linalg.symmetrize(s_half_inv @ report.optimum.value @ s_half_inv)
+    want = kkt.multiplier_composite(w, q, kkt.closed_form_mu(w, q))[0]
+    assert want > kkt.ACCEPT_COMPOSITE
+    assert abs(report.kkt_residual - want) <= 1e-6 * want
 
 
 @pytest.mark.parametrize("rp", [0.001, 0.01, 0.03])

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 
 import numpy as np
@@ -168,6 +169,15 @@ def test_enhance_rejects_bad_inputs(scalar_aligned):
         enhance(scalar_aligned, np.array([[1.0]]), -0.1, np.zeros((1, 1)))
     with pytest.raises(NonPsdInput):
         enhance(scalar_aligned, np.array([[1.0]]), 0.5, np.array([[-1.0]]))
+
+
+@pytest.mark.parametrize("mu", [math.nan, math.inf])
+def test_a_non_finite_multiplier_is_rejected(mu):
+    m = AlignedModel([[2.0]], [[1.0]], [[2.0]])
+    with pytest.raises(NonPsdInput):
+        enhance(m, [[1.0]], mu, [[0.0]])
+    with pytest.raises(NonPsdInput):
+        kkt.stationarity_matrix(m, [[1.0]], mu)
 
 
 def test_enhancement_orderings_at_optimum(certified_points):
@@ -416,6 +426,23 @@ def test_verify_certificate_reports_malformed_fields(scalar_aligned, field, valu
     assert residuals["proportionality"] == float("inf")
     if np.shape(value) != (1, 1):
         assert all(v == float("inf") for v in residuals.values())
+
+
+@pytest.mark.parametrize("field, value", [
+    ("wy_tilde", [[math.nan]]),
+    ("wy_tilde", [[math.inf]]),
+    ("m_matrix", [[math.nan]]),
+])
+def test_verify_certificate_reports_non_finite_fields(scalar_aligned, field, value):
+    # JSON admits NaN and Infinity; such a field fails every check instead
+    # of raising from an SVD or leaving NaN residuals
+    cert = certify(scalar_aligned, solve_at_rate(scalar_aligned, 0.5).optimum, 0.5)
+    obj = kkt.certificate_to_dict(cert)
+    obj[field] = value
+    back = kkt.certificate_from_dict(json.loads(json.dumps(obj)))
+    residuals = verify_certificate(scalar_aligned, back)
+    assert set(residuals) == set(kkt.RESIDUAL_KEYS)
+    assert all(v == float("inf") for v in residuals.values())
 
 
 def test_certificate_requires_all_residual_keys(scalar_aligned):

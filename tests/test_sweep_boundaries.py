@@ -21,7 +21,9 @@ the ``random_sweep`` models; the search on row minima alone, with a 10-step
 bisection for ``t*``, took 68,026 and 68,013; with the Anderson-Bjorck root
 find for ``t*``, 45,909 and 43,090; with the closed-form cold start,
 43,233 and 40,613; with the closed-form row edge, which leaves no probe
-below it, it takes 42,625 and 39,533.  No cell of the frozen sweeps may
+below it, 42,625 and 39,533, later 40,752 and 39,533; with each barrier
+stage started from the central path's tangent at the last centre, it takes
+24,734 and 26,050.  No cell of the frozen sweeps may
 raise ``Infeasible``: each row's feasible ``s`` range is known in closed
 form (``solver._row_edge``).  A badly centred start shows first as a cell
 that ends uncentred (``converged=False``): over all frozen sweeps at most
@@ -46,7 +48,7 @@ from conftest import random_spd, rng_for
 
 FROZEN_TOL = 1e-12
 PREDICTOR_TOL = 1e-10
-STEP_BOUNDS = {"demo_res60": 47_000, "random_sweep": 43_500}
+STEP_BOUNDS = {"demo_res60": 27_200, "random_sweep": 28_700}
 UNCENTRED_BOUND = 0
 
 
