@@ -89,7 +89,7 @@ def _cmd_validate(cfg, out):
 
 def _compute_boundary(cfg, model):
     rp_grid = list(np.linspace(0.0, cfg.rp_max, cfg.points))
-    return solver._boundary(model, rp_grid, st_resolution=cfg.resolution, seed=cfg.seed)
+    return solver._boundary(model, rp_grid, st_resolution=cfg.resolution)
 
 
 def _cmd_region(cfg, out):
@@ -138,7 +138,7 @@ def _certified_point(cfg, model):
     aligned = to_aligned(model)
     if cfg.rp is None:
         raise ValueError("this command requires --rp")
-    report = solver.solve_at_rate(aligned, cfg.rp, seed=cfg.seed)
+    report = solver.solve_at_rate(aligned, cfg.rp)
     cert = kkt.certify(aligned, report.optimum, cfg.rp)
     return aligned, report, cert
 
@@ -266,8 +266,6 @@ def build_parser():
     p.add_argument("--resolution", type=int,
                    help="number of t rows that bracket the sweep's search")
     p.add_argument("--units", choices=("nats", "bits"), help="units of the CSV values")
-    p.add_argument("--seed", type=int,
-                   help="seed for the ascent solver's random starts")
 
     add("limit", "print the infinite-communication key-rate limit")
 
@@ -276,12 +274,10 @@ def build_parser():
     p.add_argument("-o", "--output", default=None, help="certificate JSON path")
     p.add_argument("--tolerance", type=float,
                    help="max-residual gate for the certificate")
-    p.add_argument("--seed", type=int)
 
     p = add("enhance", "emit the enhanced noise covariance at one rate")
     p.add_argument("--rp", type=float, required=True, help="public rate (nats)")
     p.add_argument("-o", "--output", default=None, help="output JSON path")
-    p.add_argument("--seed", type=int)
 
     p = add("oracle", "brute-force boundary value at one rate (mx <= 2)")
     p.add_argument("--rp", type=float, required=True, help="public rate (nats)")
@@ -289,7 +285,7 @@ def build_parser():
 
     p = add("mc", "Monte-Carlo cross-check of the rate functionals")
     p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, help="seed of the Monte-Carlo draws")
     p.add_argument("--q-scale", type=float,
                    help="conditional covariance as a multiple of sigma_x")
     return parser

@@ -97,8 +97,8 @@ class KktCertificate:
     residuals: dict
 
     def __post_init__(self):
-        if not self.mu >= 0.0:
-            raise ValueError(f"mu must be nonnegative, got {self.mu!r}")
+        if not 0.0 <= self.mu < np.inf:
+            raise ValueError(f"mu must be finite and nonnegative, got {self.mu!r}")
         if linalg.min_eig(self.m_matrix) < -M_MATRIX_PSD_TOL:
             raise ValueError(
                 f"M must be PSD to {M_MATRIX_PSD_TOL:g} "
@@ -352,10 +352,10 @@ def verify_certificate(m: AlignedModel, cert: KktCertificate) -> dict:
     """Recompute every named residual of a certificate from its fields.
 
     Never raises on a bad certificate; residuals simply come out large (or
-    infinite when a construction step is impossible).  A ``sigma_star``
-    outside the matrix interval, or an ``m_matrix`` or ``wy_tilde`` that is
-    not a finite ``(mx, mx)`` matrix, makes every residual infinite.  The
-    caller judges.
+    infinite when a construction step is impossible, a NaN one included).
+    A ``sigma_star`` outside the matrix interval, or an ``m_matrix`` or
+    ``wy_tilde`` that is not a finite ``(mx, mx)`` matrix, makes every
+    residual infinite.  The caller judges.
     """
     validate_model(m)
     m_matrix, wy_tilde = (np.asarray(a, float) for a in (cert.m_matrix, cert.wy_tilde))
@@ -366,7 +366,8 @@ def verify_certificate(m: AlignedModel, cert: KktCertificate) -> dict:
     if (sigma is None or not m_matrix.shape == wy_tilde.shape == sigma.shape
             or not (np.isfinite(m_matrix).all() and np.isfinite(wy_tilde).all())):
         return dict.fromkeys(RESIDUAL_KEYS, float("inf"))
-    return _compute_residuals(m, sigma, cert.mu, m_matrix, wy_tilde, cert.rp)
+    residuals = _compute_residuals(m, sigma, cert.mu, m_matrix, wy_tilde, cert.rp)
+    return {k: np.inf if np.isnan(v) else v for k, v in residuals.items()}
 
 
 def certify(m: AlignedModel, sigma_star, rp: float) -> KktCertificate:

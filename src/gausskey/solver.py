@@ -113,7 +113,7 @@ ROW_MIN_G_TOL = 1e-6
 
 # The bracket width in key rate log(1 + t) / 2 that ends the sweep's search
 # for t*, so every reported key rate is within this many nats of its
-# bracket's t*; and the cap on the steps of either Anderson-Bjorck search.
+# bracket's t*; and the cap on the steps of any Anderson-Bjorck search.
 SWEEP_IK_TOL = 1e-7
 SECANT_STEPS = 40
 
@@ -143,8 +143,8 @@ class SolveReport:
     ``value`` is the optimal objective (the public-rate contribution for
     ``inner_convex``, the key rate for ``solve_at_rate``); ``kkt_residual``
     is a first-order optimality residual: the barrier duality-gap proxy for
-    the convex inner solve, the stationarity-system residual for the ascent
-    polish.
+    the convex inner solve, and for ``solve_at_rate`` the multiplier
+    composite of the returned point, whose test decides ``converged``.
 
     For ``inner_convex``, ``converged`` says that the last barrier stage,
     at the final weight, met its Newton-decrement test (a stalled warm
@@ -153,8 +153,8 @@ class SolveReport:
     above the cell's minimum.  For ``solve_at_rate`` it says that the point
     passed the polish's gate, a valid KKT multiplier included (see there);
     unconverged, it is the best point found within the budget.  A converged
-    point can still miss another certificate identity, so ``kkt.certify``
-    stays the final check.
+    point can still miss another certificate identity: ``kkt.certify`` has
+    the last word.
     """
 
     optimum: ConditionalCov
@@ -165,7 +165,7 @@ class SolveReport:
 
 
 # ---------------------------------------------------------------------------
-# shared small-matrix utilities
+# shared utilities of both routes
 # ---------------------------------------------------------------------------
 
 @functools.cache
@@ -175,6 +175,39 @@ def _basis(n):
     e = np.eye(n)
     return np.array([np.outer(e[i], e[j]) + (i != j) * np.outer(e[j], e[i])
                      for i in range(n) for j in range(i, n)])
+
+
+def _anderson_bjorck(f, x_lo, f_lo, x_hi, f_hi, tol, margin=0.0):
+    """Shrink a bracket ``x_lo < x_hi`` with ``f(x_lo) >= 0 > f(x_hi)`` to
+    at most ``tol`` by secant steps, scaling down the value of an end kept
+    twice in a row (the Illinois method with Anderson and Bjorck's factor).
+    While ``f(x_hi)`` is ``-inf`` it bisects.  A secant step lands at least
+    ``margin`` inside, so a search converging from one side still closes.
+    ``f`` returns None to end the search; the caller keeps what it needs
+    from the points ``f`` sees.  The one 1-D search of both routes: the
+    sweep's row minima and ``t*``, and ``_commuting_start``."""
+    kept = 0  # +1 (-1): the last step replaced x_lo (x_hi)
+    for _ in range(SECANT_STEPS):
+        if x_hi - x_lo <= tol:
+            break
+        if f_hi == -math.inf:
+            x = 0.5 * (x_lo + x_hi)
+        else:
+            x = x_hi - f_hi * (x_hi - x_lo) / (f_hi - f_lo)
+            x = min(max(x, x_lo + margin), x_hi - margin)
+        fx = f(x)
+        if fx is None:
+            break
+        if fx >= 0.0:
+            if kept == 1:
+                scale = 1.0 - fx / f_lo if f_lo > 0.0 else 0.0
+                f_hi *= scale if scale > 0.0 else 0.5
+            x_lo, f_lo, kept = x, fx, 1
+        else:
+            if kept == -1:
+                scale = 1.0 - fx / f_hi
+                f_lo *= scale if scale > 0.0 else 0.5
+            x_hi, f_hi, kept = x, fx, -1
 
 
 # ---------------------------------------------------------------------------
@@ -683,38 +716,6 @@ def _solve_row_cell(frame, params, prev):
     return inner_convex(frame, params)
 
 
-def _anderson_bjorck(f, x_lo, f_lo, x_hi, f_hi, tol, margin=0.0):
-    """Shrink a bracket ``x_lo < x_hi`` with ``f(x_lo) >= 0 > f(x_hi)`` to
-    at most ``tol`` by secant steps, scaling down the value of an end kept
-    twice in a row (the Illinois method with Anderson and Bjorck's factor).
-    While ``f(x_hi)`` is ``-inf`` it bisects.  A secant step lands at least
-    ``margin`` inside, so a search converging from one side still closes.
-    ``f`` returns None to end the search; the caller keeps what it needs
-    from the points ``f`` sees."""
-    kept = 0  # +1 (-1): the last step replaced x_lo (x_hi)
-    for _ in range(SECANT_STEPS):
-        if x_hi - x_lo <= tol:
-            break
-        if f_hi == -math.inf:
-            x = 0.5 * (x_lo + x_hi)
-        else:
-            x = x_hi - f_hi * (x_hi - x_lo) / (f_hi - f_lo)
-            x = min(max(x, x_lo + margin), x_hi - margin)
-        fx = f(x)
-        if fx is None:
-            break
-        if fx >= 0.0:
-            if kept == 1:
-                scale = 1.0 - fx / f_lo if f_lo > 0.0 else 0.0
-                f_hi *= scale if scale > 0.0 else 0.5
-            x_lo, f_lo, kept = x, fx, 1
-        else:
-            if kept == -1:
-                scale = 1.0 - fx / f_hi
-                f_lo *= scale if scale > 0.0 else 0.5
-            x_hi, f_hi, kept = x, fx, -1
-
-
 class _SearchEnd(Exception):
     """A row-minimum probe has no multiplier, which ends the search."""
 
@@ -948,6 +949,9 @@ PENALTY_RHO = 10.0
 # How far past the whitened cap ``A <= I`` a face polish may walk (scale-free).
 FACE_EXCURSION = 1e-2
 
+# How many ascent end points, best key rate first, the face polish starts from.
+POLISH_ENDS = 3
+
 def _frob_stack(a):
     flat = a.reshape(len(a), 1, -1)
     return np.sqrt((flat @ np.swapaxes(flat, -1, -2))[:, 0, 0])
@@ -980,14 +984,44 @@ def _rates_stack(m, sigma, ld_full):
     return ip, ik, valid
 
 
-def _multi_starts(m, n_starts, seed):
-    starts = [f * np.eye(m.mx) for f in (1.0, 0.75, 0.5, 0.25)][:n_starts]
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    while len(starts) < n_starts:
-        q_fac, _ = np.linalg.qr(rng.standard_normal((m.mx, m.mx)))
-        u = rng.uniform(0.05, 0.95, size=m.mx)
-        starts.append(linalg.symmetrize((q_fac * u) @ q_fac.T))
-    return starts
+def _commuting_start(w, rp, swap):
+    """The optimum at ``rp`` of the commuting part of a whitened model ``w``,
+    the noises' diagonals ``dy``, ``dz`` in the eigenbasis ``V`` of
+    ``sigma_wy`` (``sigma_wz`` when ``swap``): parallel scalar sources that
+    share one multiplier mu (the parallel-channel step of the enhancement
+    argument), at ``q_i = min(1, mu dy dz / (dz - (1 + mu) dy))`` where
+    ``dz > (1 + mu) dy``, else 1.  ``I_p`` falls as mu grows; the root in
+    log mu on [-40, 40] gives ``V diag(q) V^T`` at the last log mu within
+    the budget (``I`` when no ``dz > dy``)."""
+    wy, wz = (w.sigma_wz, w.sigma_wy) if swap else (w.sigma_wy, w.sigma_wz)
+    d_own, v = np.linalg.eigh(wy)
+    d_other = np.einsum("ji,jk,ki->i", v, wz, v)
+    dy, dz = (d_other, d_own) if swap else (d_own, d_other)
+    if not np.any(dz > dy):
+        return np.eye(w.mx)
+    kept = []
+
+    def excess(x):
+        # I_p - rp at mu = e^x; keeps q when it is within the budget
+        mu = math.exp(x)
+        gap = dz - (1.0 + mu) * dy
+        q, on = np.ones_like(dy), gap > 0.0
+        q[on] = np.minimum(1.0, mu * dy[on] * dz[on] / gap[on])
+        f = 0.5 * float(np.sum(np.log1p(dy / q) - np.log1p(dy))) - rp
+        if f <= 0.0:
+            kept.append(q)
+        return f
+
+    f_hi, f_lo = excess(40.0), excess(-40.0)
+    if f_lo > 0.0 > f_hi:
+        _anderson_bjorck(excess, -40.0, f_lo, 40.0, f_hi, 1e-12)
+    return linalg.symmetrize((v * kept[-1]) @ v.T) if kept else np.eye(w.mx)
+
+
+def _starts(w, rp, n_starts):
+    """The first ``n_starts`` ascent starts on a whitened model."""
+    starts = [f * np.eye(w.mx) for f in (1.0, 0.75, 0.5, 0.25)][:n_starts]
+    return starts + [_commuting_start(w, rp, s) for s in (False, True)[:max(0, n_starts - 4)]]
 
 
 def _penalty_weight(m):
@@ -1249,8 +1283,8 @@ def _whiten(m):
     return AlignedModel(np.eye(m.mx), *noise), s_half, s_half_inv
 
 
-def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 8,
-                  seed: int = 0, max_iter: int = 400) -> SolveReport:
+def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 6,
+                  max_iter: int = 400) -> SolveReport:
     """Maximize the key rate of an aligned model at public-rate budget ``rp``.
 
     The model is whitened once (``_whiten``): ascent, polish and gate run on
@@ -1258,41 +1292,39 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 8,
     ``sigma_x``, and the optimum is mapped back once as ``S Q S``.
 
     Projected gradient ascent with an exact penalty, its weight above every
-    multiplier of the model (``_penalty_weight``), and multi-start
-    initialization -- the source covariance scaled by {1, 0.75, 0.5, 0.25}
-    plus seeded random SPD interpolants -- followed by a Newton polish of
-    the stationarity system on candidate active faces (``_face_schedule``),
-    with the rate constraint binding.  The polish starts from the best
-    ascent point that keeps the budget, with the multiplier
-    ``kkt.closed_form_mu`` gives there (clipped to [1e-8, 1e4]).
+    multiplier of the model (``_penalty_weight``), runs from ``sigma0`` or
+    from the first ``n_starts`` (1 to 6) of ``_starts``: the source
+    covariance scaled by {1, 0.75, 0.5, 0.25}, then the optima of the
+    model's two commuting parts.  A Newton polish of the stationarity
+    system on candidate active faces (``_face_schedule``), with the rate
+    binding, starts from the ``POLISH_ENDS`` end points in budget with the
+    highest key rates, each with its own multiplier hint
+    (``kkt.closed_form_mu``, clipped to [1e-8, 1e4]), detected face and key
+    rate to keep: the best one's factor-1 candidates, then each other one's
+    faces from its detected one at factor 1, then the best one's rest.
 
-    One gate decides every polished candidate: ``rates_aligned`` (so
-    ``ConditionalCov.for_model``) takes it, it keeps the budget and the
-    ascent's key rate, its face system is solved below 1e-8, and it passes
-    the multiplier check of ``kkt.recover_multipliers`` (composite residual
-    at most ``kkt.ACCEPT_COMPOSITE``).  A point with a valid multiplier is
-    optimal whatever candidate produced it (the enhancement argument), so
-    the first candidate to pass is returned converged and the polish stops;
-    a point solved on a wrong face has no valid multiplier and does not
-    pass.  When none passes, the candidate within the budget with the
-    highest key rate is returned unconverged, or the ascent point when no
-    candidate beats it.  ``kkt_residual`` is, in the whitened frame, the
-    face residual of a converged point, and for an unconverged one the
-    multiplier composite (``kkt.multiplier_composite``) at the returned
-    point with its own ``kkt.closed_form_mu``: how far that point is from
-    having a valid multiplier, not how well some face's system was solved.
-    ``iterations`` counts the ascent iterations actually taken, over every
-    start; ``max_iter`` caps them per start (0 skips the ascent).  Raises
-    ``MaxIterationsExceeded`` when no start ends within 1e-6 of the budget
-    in ``max_iter`` iterations.
-    Heuristic for the nonconvex general case: certify the output through
-    the KKT machinery before trusting it.
+    One gate decides every polished candidate: ``rates_aligned`` takes it,
+    it keeps the budget and its end point's key rate, its face system is
+    solved below 1e-8, and its multiplier composite
+    (``kkt.multiplier_composite`` at its own ``kkt.closed_form_mu``, the
+    test of ``kkt.recover_multipliers`` as the rate binds) is at most
+    ``kkt.ACCEPT_COMPOSITE``.  A point with a valid multiplier is optimal
+    whatever candidate produced it (the enhancement argument), so the first
+    candidate to pass is returned converged; a point solved on a wrong face
+    has none.  When none passes, the candidate in budget with the highest
+    key rate is returned unconverged, or the best ascent point.
+    ``kkt_residual`` is, in the whitened frame, the multiplier composite at
+    the returned point, converged or not.  ``iterations`` counts the ascent
+    iterations taken, over every start; ``max_iter`` caps them per start (0
+    skips the ascent).  Raises ``MaxIterationsExceeded`` when no start ends
+    within 1e-6 of the budget.  Heuristic for the nonconvex general case:
+    certify the output through the KKT machinery before trusting it.
     """
     validate_model(m)
     if not rp >= 0.0:
         raise ValueError(f"rp must be nonnegative, got {rp!r}")
-    if sigma0 is None and not n_starts >= 1:
-        raise ValueError(f"n_starts must be at least 1, got {n_starts!r}")
+    if sigma0 is None and not 1 <= n_starts <= 6:
+        raise ValueError(f"n_starts must be 1 to 6, got {n_starts!r}")
     if not max_iter >= 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter!r}")
     if rp <= 1e-12:
@@ -1302,62 +1334,60 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 8,
                            kkt_residual=0.0, converged=True)
 
     w, s_half, s_half_inv = _whiten(m)
-    starts = (_multi_starts(m, n_starts, seed) if sigma0 is None else
+    starts = (_starts(w, rp, n_starts) if sigma0 is None else
               [linalg.symmetrize(s_half_inv @ np.asarray(sigma0, float) @ s_half_inv)])
 
     runs = _pga_penalty(w, rp, np.array(starts), max_iter)
     iterations = sum(run[2] for run in runs)
-    best_q = best_pair = None
-    for q, pair, _ in runs:
-        if pair.rp <= rp + 1e-6 and (best_pair is None or pair.rk > best_pair.rk):
-            best_q, best_pair = q, pair
-    if best_q is None:
+    ends = sorted((run[:2] for run in runs if run[1].rp <= rp + 1e-6),
+                  key=lambda run: -run[1].rk)[:POLISH_ENDS]
+    if not ends:
         raise MaxIterationsExceeded("no penalty run produced a feasible point")
 
-    # polish: take the closed-form multiplier of the ascent's point, then
-    # solve the optimality system on candidate active faces (the dimension
-    # is small) until one passes the gate, else keep the best in budget
-    mu_hint = min(max(kkt.closed_form_mu(w, best_q), 1e-8), 1e4)
-    n_active_guess = int(np.sum(np.linalg.eigvalsh(best_q) >= 1.0 - 1e-4))
+    # polish the end points until a candidate passes, else keep the best
+    ends = [(q, pair.rk, min(max(kkt.closed_form_mu(w, q), 1e-8), 1e4),
+             int(np.sum(np.linalg.eigvalsh(q) >= 1.0 - 1e-4))) for q, pair in ends]
+    schedule = _face_schedule(ends[0][3], m.mx)
+    order = ([(ends[0], c) for c in schedule if c[1] == 1.0]
+             + [(end, (k, 1.0)) for end in ends[1:] for k in range(end[3], m.mx)]
+             + [(ends[0], c) for c in schedule if c[1] != 1.0])
 
-    def keeps_rate(q):
-        # a candidate's rates, if it keeps the budget and the ascent's key rate
+    def composite(q):
+        # the multiplier test of kkt.recover_multipliers when the rate binds
         try:
-            pair = rates_aligned(w, q)
-        except ModelValidationError:
-            return None
-        return pair if pair.rp <= rp + 1e-7 and pair.rk >= best_pair.rk - 1e-7 else None
+            return kkt.multiplier_composite(w, q, kkt.closed_form_mu(w, q))[0]
+        except GausskeyError:
+            return math.inf
 
-    q_out, pair_out, converged = best_q, best_pair, False
-    for n_active, factor in _face_schedule(n_active_guess, m.mx):
-        cand = _polish_face(w, rp, best_q, factor * mu_hint, n_active)
+    q_out, rk_out, res_out, converged = *ends[0][:2], None, False
+    for (q_end, rk_end, mu_hint, _), (n_active, factor) in order:
+        cand = _polish_face(w, rp, q_end, factor * mu_hint, n_active)
         if cand is None:
             continue
         q_pol, _, res = cand
-        pair_pol = keeps_rate(q_pol)
-        if pair_pol is None:
+        try:
+            pair_pol = rates_aligned(w, q_pol)
+        except ModelValidationError:
             continue
-        if res < 1e-8:
-            # the gate's last test: a system solved on a wrong face leaves a
-            # point with no multiplier that makes the stationarity matrix PSD
-            try:
-                kkt.recover_multipliers(w, q_pol, rp)
-            except (GausskeyError, ValueError):
-                pass
-            else:
-                q_out, pair_out, res_out, converged = q_pol, pair_pol, res, True
-                break
-        if pair_pol.rk > pair_out.rk:
-            q_out, pair_out = q_pol, pair_pol
+        if not (pair_pol.rp <= rp + 1e-7 and pair_pol.rk >= rk_end - 1e-7):
+            continue
+        # a system solved on a wrong face leaves a point with no multiplier
+        # that makes the stationarity matrix PSD
+        comp = composite(q_pol) if res < 1e-8 else None
+        if comp is not None and comp <= kkt.ACCEPT_COMPOSITE:
+            q_out, rk_out, res_out, converged = q_pol, pair_pol.rk, comp, True
+            break
+        if pair_pol.rk > rk_out:
+            q_out, rk_out, res_out = q_pol, pair_pol.rk, comp
 
-    if not converged:
-        res_out = kkt.multiplier_composite(w, q_out, kkt.closed_form_mu(w, q_out))[0]
+    if res_out is None:
+        res_out = composite(q_out)
     sigma_out = ConditionalCov.for_model(m, linalg.symmetrize(s_half @ q_out @ s_half))
-    return SolveReport(optimum=sigma_out, value=pair_out.rk, iterations=iterations,
+    return SolveReport(optimum=sigma_out, value=rk_out, iterations=iterations,
                        kkt_residual=float(res_out), converged=converged)
 
 
-def ascent_boundary(m: AlignedModel, rp_grid, *, seed: int = 0) -> RegionBoundary:
+def ascent_boundary(m: AlignedModel, rp_grid) -> RegionBoundary:
     """Boundary of an aligned model's rate region via penalized ascent.
 
     Each grid point is solved with ``solve_at_rate`` and validated end to
@@ -1375,7 +1405,7 @@ def ascent_boundary(m: AlignedModel, rp_grid, *, seed: int = 0) -> RegionBoundar
     meta = []
     best_rk = 0.0
     for rp in rp_grid:
-        report = solve_at_rate(m, rp, seed=seed)
+        report = solve_at_rate(m, rp)
         try:
             residual = kkt.certify(m, report.optimum, rp).max_residual
         except (GausskeyError, ValueError):
@@ -1405,12 +1435,12 @@ def contains(m, p: RatePair, tol: float, *, boundary: RegionBoundary | None = No
     return boundary.rk_at(p.rp) >= p.rk - tol
 
 
-def _boundary(m, rp_grid, *, st_resolution: int = 200, seed: int = 0) -> RegionBoundary:
+def _boundary(m, rp_grid, *, st_resolution: int = 200) -> RegionBoundary:
     """The sweep for a general model with scalar observations, else the
     ascent on ``to_aligned(m)``."""
     if isinstance(m, GeneralModel) and m.my == 1 and m.mz == 1:
         return sweep_boundary(m, rp_grid, st_resolution=st_resolution)
-    return ascent_boundary(to_aligned(m), rp_grid, seed=seed)
+    return ascent_boundary(to_aligned(m), rp_grid)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,16 @@ optimum (``"certified"`` when the largest residual is below 1e-6,
 The models are the benchmark's aligned workload (fixed generator keys
 2000-2009 at mx 2, 4 and 6, rates 0.5, 1, 2 and 4), the ``scalar_aligned``
 fixture of ``tests/conftest.py`` and the mx = 2 models of the certificate
-tests.  The committed file was re-frozen from the polish whose first
-candidate to pass its gate is the answer (the child of commit e3a9220).
-Before that, 22 of its entries had moved by round-off (value by at most
+tests.  The committed file was re-frozen from the solver whose ascent
+starts from the model's structure (the two commuting-part optima in place
+of the seeded random starts) and whose polish starts from three ascent end
+points (the child of commit 69e8fc3): ``bench_mx4_key2007`` at rp 2 rose
+from 0.21939 to 0.31722 nats, still without a valid multiplier; every
+other entry moved by at most 2.2e-14 in value, with no flag or
+certificate outcome changed, and every converged entry's ``kkt_residual``
+is now its multiplier composite (at most 1.5e-13).  The freeze before came
+from the polish whose first candidate to pass its gate is the answer (the
+child of commit e3a9220).  Before that, 22 of its entries had moved by round-off (value by at most
 3.55e-15) since commit dfd4ac2 whitened the multiplier pencil in numpy; no
 flag or certificate outcome changed.  The freeze before came from the
 solver that takes the closed-form KKT multiplier (the child of commit

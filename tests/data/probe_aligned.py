@@ -21,11 +21,13 @@ comparing on the change:
     PYTHONPATH=src python tests/data/probe_aligned.py --save before.json
     PYTHONPATH=src python tests/data/probe_aligned.py --compare before.json
 
-``--compare`` prints how many points are bit-identical, how many moved (and
-the largest change of value and of ``sigma``), how many changed certificate
-outcome, how many values rose and fell by more than ``FALL_TOL`` (listing
-each fall with both values and its certificate outcome on both trees), and
-how many points are certified now and in the file.  It exits 1 when a value
+``--compare`` prints how many points are bit-identical, how many keep their
+value, ``sigma``, ``converged`` and certificate outcome (the ``kkt_residual``
+alone may move), how many moved (and the largest change of value and of
+``sigma``), how many changed certificate outcome, how many values rose and
+fell by more than ``FALL_TOL`` (listing each fall with both values and its
+certificate outcome on both trees), and how many points are certified now
+and in the file.  It exits 1 when a value
 falls by more than ``FALL_TOL``, or is lost to an exception, or a certified
 point loses its certificate.  It also prints how many certificates are
 bit-identical and lists the points whose certificate bytes moved; these do
@@ -104,7 +106,7 @@ def compare(old, new):
     """Print the comparison of two probe runs keyed by label; return the
     number of points whose value fell by more than ``FALL_TOL`` or that lost
     their certificate."""
-    same = moved = changed = rose = fell = 0
+    same = kept = moved = changed = rose = fell = 0
     value_move = sigma_move = 0.0
     failed = set()
 
@@ -118,6 +120,8 @@ def compare(old, new):
         if {k: v for k, v in rec.items() if k != "cert"} == ref:
             same += 1
             continue
+        kept += all(rec.get(k) == ref.get(k)
+                    for k in ("value", "sigma", "converged", "certificate", "error"))
         moved += 1
         if rec.get("certificate") != ref.get("certificate"):
             changed += 1
@@ -145,7 +149,8 @@ def compare(old, new):
             print(f"{label}: value fell {was!r} -> {now!r} ({outcomes(ref, rec)})")
     certified = [sum(r.get("certificate") == "certified" for r in run.values())
                  for run in (new, old)]
-    print(f"{len(new)} points: {same} bit-identical, {moved} moved "
+    print(f"{len(new)} points: {same} bit-identical, {same + kept} keep value, sigma, "
+          f"converged and certificate outcome, {moved} moved "
           f"(largest value change {value_move:.3g}, sigma {sigma_move:.3g}), "
           f"{changed} changed certificate outcome")
     print(f"values: {rose} rose and {fell} fell by more than {FALL_TOL:g}")

@@ -247,3 +247,14 @@ def test_options_left_out_take_the_run_config_defaults(argv):
     want = RunConfig(command=argv[0], model_path="m.json",
                      output_path="out.csv" if "-o" in argv else None)
     assert cfg == want
+
+
+@pytest.mark.parametrize("command", ["region", "kkt-check", "enhance"])
+def test_only_monte_carlo_takes_a_seed(command):
+    # the ascent starts from the model's structure, so no solve is seeded
+    argv = [command, "m.json", "-o", "out.csv", "--seed", "1"]
+    argv += [] if command == "region" else ["--rp", "0.5"]
+    with pytest.raises(SystemExit) as exited:
+        build_parser().parse_args(argv)
+    assert exited.value.code == 2
+    assert build_parser().parse_args(["mc", "m.json", "--seed", "1"]).seed == 1

@@ -473,3 +473,25 @@ def test_certificate_rejects_a_nan_multiplier(scalar_aligned):
     obj["mu"] = float("nan")
     with pytest.raises(ValueError):
         kkt.certificate_from_dict(json.loads(json.dumps(obj)))
+
+
+def test_certificate_rejects_an_infinite_multiplier(scalar_aligned):
+    # JSON admits Infinity; a certificate with mu = inf used to build, and
+    # its stationarity, enhancement and proportionality residuals came out NaN
+    cert = certify(scalar_aligned, solve_at_rate(scalar_aligned, 0.5).optimum, 0.5)
+    obj = kkt.certificate_to_dict(cert)
+    obj["mu"] = math.inf
+    with pytest.raises(ValueError, match="finite"):
+        kkt.certificate_from_dict(json.loads(json.dumps(obj)))
+
+
+def test_verify_certificate_reports_no_nan(scalar_aligned):
+    # an infinite budget makes the rate-slackness residual inf / inf; like
+    # every residual that cannot be formed, it reads inf
+    cert = certify(scalar_aligned, solve_at_rate(scalar_aligned, 0.5).optimum, 0.5)
+    obj = kkt.certificate_to_dict(cert)
+    obj["rp"] = math.inf
+    residuals = verify_certificate(scalar_aligned,
+                                   kkt.certificate_from_dict(json.loads(json.dumps(obj))))
+    assert not any(math.isnan(v) for v in residuals.values())
+    assert residuals["compl_slack_mu"] == math.inf

@@ -294,6 +294,16 @@ def test_ascent_rejects_fewer_than_one_start(scalar_aligned, n_starts):
     assert report.converged
 
 
+def test_ascent_takes_at_most_its_six_structured_starts(scalar_aligned):
+    # sigma_x scaled by 1, 3/4, 1/2 and 1/4 and the two commuting-part
+    # optima; there is no seed and no random start
+    with pytest.raises(ValueError, match="n_starts"):
+        solve_at_rate(scalar_aligned, 0.5, n_starts=7)
+    with pytest.raises(TypeError):
+        solve_at_rate(scalar_aligned, 0.5, seed=0)
+    assert solve_at_rate(scalar_aligned, 0.5, n_starts=6).converged
+
+
 def test_ascent_matches_scalar_oracle():
     rng = rng_for(41)
     for _ in range(8):
