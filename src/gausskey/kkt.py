@@ -29,11 +29,14 @@ every quantity of the change of variables has a closed form (see
 ``change_of_variable``).
 
 All residuals are Frobenius norms normalized by one plus the operand norms,
-so a certificate is scale-free; ``RESIDUAL_KEYS`` lists the ten named
-checks.  For mu = 0 the change of variables is undefined and its two
+relative from unit scale up like ``linalg.is_psd``; ``RESIDUAL_KEYS`` lists
+the ten named checks.  For mu = 0 the change of variables is undefined and its two
 residuals are reported as 0.0 (not applicable); otherwise
 ``k_invertibility`` is 0.0 when the change of variables passes its
 singular-value gate and infinite when it cannot be built.
+M's PSD is decided once, by ``recover_multipliers``, which returns its PSD
+projection; ``enhance`` and ``KktCertificate`` test a given M with
+``linalg.is_psd``.
 """
 
 import json
@@ -67,7 +70,6 @@ RESIDUAL_KEYS = (
     "k_invertibility",
 )
 
-M_MATRIX_PSD_TOL = 1e-8
 ACCEPT_COMPOSITE = 1e-6
 K_SMALLEST_SV = 1e-10
 
@@ -99,11 +101,8 @@ class KktCertificate:
     def __post_init__(self):
         if not 0.0 <= self.mu < np.inf:
             raise ValueError(f"mu must be finite and nonnegative, got {self.mu!r}")
-        if linalg.min_eig(self.m_matrix) < -M_MATRIX_PSD_TOL:
-            raise ValueError(
-                f"M must be PSD to {M_MATRIX_PSD_TOL:g} "
-                f"(min eig = {linalg.min_eig(self.m_matrix):.3e})"
-            )
+        if np.isfinite(self.m_matrix).all() and not linalg.is_psd(self.m_matrix):
+            raise ValueError(f"M must be PSD (min eig = {linalg.min_eig(self.m_matrix):.3e})")
         missing = set(RESIDUAL_KEYS) - set(self.residuals)
         if missing:
             raise ValueError(f"residual map missing keys: {sorted(missing)}")
@@ -145,14 +144,21 @@ def _check_mu(mu):
         raise NonPsdInput(f"mu must be finite and nonnegative, got {mu!r}")
 
 
+def stationarity_stack(inv, mu):
+    """M(mu) from the inverses of ``rates._chol_terms``'s factors (stacked
+    on axis -3) of one point or a stack of them, with one mu per point."""
+    mu = np.asarray(mu, dtype=float)[..., None, None]
+    return linalg.symmetrize(mu * inv[..., 0, :, :] + inv[..., 1, :, :]
+                             - (1.0 + mu) * inv[..., 2, :, :])
+
+
 def stationarity_matrix(m: AlignedModel, sigma, mu: float):
     """M(mu) = mu Q^-1 + (Q + sigma_wz)^-1 - (1 + mu)(Q + sigma_wy)^-1.
 
     Raises ``NonPsdInput`` unless mu is finite and nonnegative.
     """
     _check_mu(mu)
-    inv_s, inv_z, inv_y = _inverses(m, sigma)
-    return linalg.symmetrize(mu * inv_s + inv_z - (1.0 + mu) * inv_y)
+    return stationarity_stack(_inverses(m, sigma), mu)
 
 
 def multiplier_composite(m: AlignedModel, sigma, mu: float):
@@ -192,7 +198,8 @@ def recover_multipliers(m: AlignedModel, sigma_star, rp: float) -> MultiplierRec
 
     Raises ``NoValidMultiplier`` when the composite residual at that
     multiplier (PSD violation of M plus the complementarity norm) exceeds
-    ``ACCEPT_COMPOSITE``: the point is not optimal.
+    ``ACCEPT_COMPOSITE``: the point is not optimal.  Otherwise M is returned
+    as its projection on the PSD cone, so this gate decides M's PSD once.
     """
     validate_model(m)
     sigma = ConditionalCov.for_model(m, sigma_star).value
@@ -211,8 +218,7 @@ def recover_multipliers(m: AlignedModel, sigma_star, rp: float) -> MultiplierRec
             f"the multiplier mu = {mu_star:.6g} that makes M PSD fails the KKT "
             f"conditions (composite residual {comp:.3e})"
         )
-    if linalg.min_eig(m_mat) > -M_MATRIX_PSD_TOL:
-        m_mat = linalg.eig_clip(m_mat, 0.0, np.inf)
+    m_mat = linalg.eig_clip(m_mat, 0.0, np.inf)
     diff = m.sigma_x - sigma
     residuals = {
         "psd_M": linalg.psd_violation(m_mat) / (1.0 + linalg.frob(m_mat)),
@@ -231,17 +237,15 @@ def enhance(m: AlignedModel, sigma_star, mu: float, m_matrix) -> np.ndarray:
     W~ <= sigma_wz (strictly below sigma_wz when mu > 0); M = 0 collapses it
     to sigma_wy, and mu = 0 with the recovered M gives exactly sigma_wz.
 
-    Raises ``NonPsdInput`` when mu is not finite and nonnegative or M is
-    not PSD.
+    Raises ``NonPsdInput`` when mu is not finite and nonnegative or M
+    fails ``linalg.is_psd``.
     """
     validate_model(m)
     sigma = ConditionalCov.for_model(m, sigma_star).value
     m_matrix = linalg.check_symmetric(m_matrix, "M")
     _check_mu(mu)
-    if linalg.min_eig(m_matrix) < -M_MATRIX_PSD_TOL:
-        raise NonPsdInput(
-            f"M must be PSD (min eig = {linalg.min_eig(m_matrix):.3e})"
-        )
+    if not linalg.is_psd(m_matrix):
+        raise NonPsdInput(f"M must be PSD (min eig = {linalg.min_eig(m_matrix):.3e})")
     inv_y = linalg.inv_pd(sigma + m.sigma_wy, "sigma + sigma_wy")
     inner = (1.0 + mu) * inv_y + m_matrix
     wy_tilde = (1.0 + mu) * linalg.inv_pd(inner, "enhancement kernel") - sigma

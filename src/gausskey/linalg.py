@@ -18,15 +18,19 @@ never loads SciPy.
 
 Tolerance conventions
 ---------------------
-A matrix is accepted as PSD when its minimum eigenvalue is at least
-``-1e-10 * (1 + max |eig|)``; strict positive definiteness requires the
-minimum eigenvalue to exceed ``1e-10``.  Sweep iterates sit on the boundary
-of the PSD cone, so the PSD test must tolerate small negative round-off.
+Scaling a model keeps its rates, so symmetry and strict PD are judged at
+each matrix's own scale: finite entries with ``max |a - a^T|`` at most
+``SYM_RTOL * max |a|``, and a least eigenvalue above ``PD_MIN_EIG * max
+|eig|`` (a condition number above 1e10 is refused at any scale).  PSD
+allows a least eigenvalue down to ``-PSD_RTOL * (1 + max |eig|)``, relative
+only from unit scale up: on the edge of the cone (``M`` at an interior
+optimum, ``I - diag(phi)`` at ``Q = sigma_x``) a matrix is zero up to
+round-off.
 """
 
 import numpy as np
 
-from .errors import AsymmetricInput, DimensionMismatch, NotPositiveDefinite
+from .errors import AsymmetricInput, DimensionMismatch, ModelValidationError, NotPositiveDefinite
 
 SYM_RTOL = 1e-12
 PSD_RTOL = 1e-10
@@ -58,18 +62,17 @@ def symmetrize(a):
     return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
-def check_symmetric(a, name="matrix", rtol=SYM_RTOL):
-    """Validate that ``a`` is square and symmetric to relative tolerance.
-
-    Returns the symmetrized array (round-off removed).  Raises
-    ``AsymmetricInput`` or ``DimensionMismatch`` otherwise.
-    """
+def check_symmetric(a, name="matrix"):
+    """Validate that ``a`` is square, finite and symmetric (see the module
+    docstring) and return it symmetrized.  Raises ``DimensionMismatch``,
+    ``ModelValidationError`` (a non-finite entry) or ``AsymmetricInput``."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {a.shape}")
-    scale = 1.0 + np.max(np.abs(a)) if a.size else 1.0
-    if np.max(np.abs(a - a.T)) > rtol * scale:
-        raise AsymmetricInput(f"{name} is not symmetric to relative tolerance {rtol:g}")
+    if not np.isfinite(a).all():
+        raise ModelValidationError(f"{name} has a non-finite entry")
+    if np.max(np.abs(a - a.T), initial=0.0) > SYM_RTOL * np.max(np.abs(a), initial=0.0):
+        raise AsymmetricInput(f"{name} is not symmetric to relative tolerance {SYM_RTOL:g}")
     return symmetrize(a)
 
 
@@ -82,24 +85,23 @@ def min_eig(a):
     return float(eigvals_sym(a)[0])
 
 
-def is_psd(a, rtol=PSD_RTOL):
+def is_psd(a):
     """PSD test with the package tolerance (see module docstring)."""
     w = eigvals_sym(a)
-    scale = 1.0 + float(np.max(np.abs(w))) if w.size else 1.0
-    return float(w[0]) >= -rtol * scale
+    return float(w[0]) >= -PSD_RTOL * (1.0 + float(np.max(np.abs(w))))
 
 
-def is_pd(a, min_eig_tol=PD_MIN_EIG):
-    """Strict PD test: minimum eigenvalue above ``min_eig_tol``."""
-    return min_eig(a) > min_eig_tol
+def is_pd(a):
+    """Strict PD test, relative to the largest eigenvalue magnitude."""
+    w = eigvals_sym(a)
+    return float(w[0]) > PD_MIN_EIG * float(np.max(np.abs(w)))
 
 
-def require_pd(a, name, min_eig_tol=PD_MIN_EIG):
+def require_pd(a, name):
     """Raise ``NotPositiveDefinite`` naming ``name`` unless ``a`` is PD."""
-    if not is_pd(a, min_eig_tol):
-        raise NotPositiveDefinite(
-            f"{name} is not strictly positive definite (min eig = {min_eig(a):.3e})"
-        )
+    if not is_pd(a):
+        raise NotPositiveDefinite(f"{name} is not strictly positive definite (min eig = "
+                                  f"{min_eig(a):.3e}, relative tolerance {PD_MIN_EIG:g})")
 
 
 def psd_violation(a):

@@ -98,13 +98,12 @@ def build_joint(m: GeneralModel, q) -> np.ndarray:
     joint covariance is the congruence ``T sigma_x T^T`` plus ``I``, ``I``
     and ``cov V`` on the Y, Z and U diagonal blocks.  Requires q strictly
     below sigma_x; raises ``DegenerateConditional`` when the gap eigenvalues
-    fall below ``1e-5 * (1 + max eig sigma_x)`` and the auxiliary noise
-    would blow up.
+    fall below ``1e-5 * max eig sigma_x`` and the auxiliary noise would blow
+    up.
     """
     validate_model(m)
     q = ConditionalCov.for_model(m, q).value
-    gap_scale = 1.0 + float(np.max(np.abs(np.linalg.eigvalsh(m.sigma_x))))
-    if linalg.min_eig(m.sigma_x - q) <= DEGENERATE_RTOL * gap_scale:
+    if linalg.min_eig(m.sigma_x - q) <= DEGENERATE_RTOL * linalg.eigvals_sym(m.sigma_x)[-1]:
         raise DegenerateConditional(
             "conditional covariance is too close to sigma_x "
             f"(min gap eigenvalue {linalg.min_eig(m.sigma_x - q):.3e})"

@@ -24,6 +24,7 @@ from . import linalg
 from .errors import (
     DimensionMismatch,
     InvalidConditionalCov,
+    ModelValidationError,
     NearSingular,
     NonPositiveAlpha,
     NotSquare,
@@ -140,8 +141,7 @@ class ConditionalCov:
                 "conditional covariance is not strictly positive definite "
                 f"relative to sigma_x (least pencil eigenvalue = {phis[-1]:.3e})"
             )
-        gap = 1.0 - phis  # ascending; is_psd's test on I - diag(phi)
-        if gap[0] < -linalg.PSD_RTOL * (1.0 + float(np.max(np.abs(gap)))):
+        if not linalg.is_psd(np.diag(1.0 - phis)):
             raise InvalidConditionalCov(
                 "conditional covariance exceeds the source covariance "
                 f"(largest pencil eigenvalue = {phis[0]:.3e})"
@@ -182,20 +182,18 @@ def validate_model(m):
     """Check every invariant of a model; return it unchanged if valid.
 
     Raises ``NotPositiveDefinite`` (naming the offending matrix),
-    ``DimensionMismatch``, or ``AsymmetricInput``.
+    ``DimensionMismatch``, ``AsymmetricInput`` or ``ModelValidationError``
+    (a non-finite entry); ``linalg`` has the scale-relative tests.
     """
     if isinstance(m, GeneralModel):
         sigma_x = linalg.check_symmetric(m.sigma_x, "sigma_x")
         linalg.require_pd(sigma_x, "sigma_x")
         mx = sigma_x.shape[0]
-        if m.b.ndim != 2 or m.b.shape[1] != mx:
-            raise DimensionMismatch(
-                f"b has shape {m.b.shape}, expected (*, {mx})"
-            )
-        if m.e.ndim != 2 or m.e.shape[1] != mx:
-            raise DimensionMismatch(
-                f"e has shape {m.e.shape}, expected (*, {mx})"
-            )
+        for name, mat in (("b", m.b), ("e", m.e)):
+            if mat.ndim != 2 or mat.shape[1] != mx:
+                raise DimensionMismatch(f"{name} has shape {mat.shape}, expected (*, {mx})")
+            if not np.isfinite(mat).all():
+                raise ModelValidationError(f"{name} has a non-finite entry")
         return m
     if isinstance(m, AlignedModel):
         for name in ("sigma_x", "sigma_wy", "sigma_wz"):

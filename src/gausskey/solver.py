@@ -1179,9 +1179,7 @@ class _FaceSystem:
         rows = np.full((len(xs), self.n_qf + self.n_rot + 1), np.nan)
         if not valid.any():
             return rows, valid
-        inv = linalg.inv_chol(lower)
-        mu_v = mu[valid, None, None]
-        m_w = linalg.symmetrize(mu_v * inv[:, 0] + inv[:, 1] - (1.0 + mu_v) * inv[:, 2])
+        m_w = kkt.stationarity_stack(linalg.inv_chol(lower), mu[valid])
         u = u[valid]  # views of it give each slice the strides of a 2-D basis
         u_a, u_f = u[:, :, :self.n_active], u[:, :, self.n_active:]
         u_ft = np.swapaxes(u_f, -1, -2)
@@ -1408,8 +1406,7 @@ def ascent_boundary(m: AlignedModel, rp_grid) -> RegionBoundary:
         report = solve_at_rate(m, rp)
         try:
             residual = kkt.certify(m, report.optimum, rp).max_residual
-        except (GausskeyError, ValueError):
-            # ValueError: the certificate's own PSD check on M
+        except GausskeyError:
             residual = float("inf")
         best_rk = max(best_rk, report.value, 0.0)
         points.append(RatePair(rp=rp, rk=best_rk))

@@ -32,11 +32,25 @@ falls by more than ``FALL_TOL``, or is lost to an exception, or a certified
 point loses its certificate.  It also prints how many certificates are
 bit-identical and lists the points whose certificate bytes moved; these do
 not change the exit code.
+
+The rates do not change when a model's three covariances are scaled by the
+same ``C``, so a run on the scaled models must keep every value and every
+certificate outcome of an unscaled save:
+
+    PYTHONPATH=src python tests/data/probe_aligned.py --scale 1e-9 before.json
+
+``--scale`` cannot use ``--compare``, which compares ``sigma`` byte for
+byte.  It prints how many scaled models the model checks refuse (by
+exception name), how many points raise, how many values move by more than
+``SCALE_VALUE_TOL`` (listing each, and the largest move) and how many
+points lose or gain their certificate (listing each loss).  It exits 1
+when a point certified in the file loses its certificate.
 """
 
 import json
 import os
 import sys
+from collections import Counter
 
 # as in tests/conftest.py: OpenBLAS threads only contend on small matrices
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -47,13 +61,14 @@ import numpy as np  # noqa: E402
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 import test_aligned_points as tap  # noqa: E402
-from gausskey import certify, solve_at_rate  # noqa: E402
+from gausskey import AlignedModel, certify, solve_at_rate  # noqa: E402
 from gausskey.kkt import RESIDUAL_KEYS  # noqa: E402
 from gausskey.errors import GausskeyError  # noqa: E402
 
 FRESH_RATES = (0.7, 1.5, 3.0, 5.0)
 DEGRADED_RATES = (0.5, 2.0, 6.0)
 FALL_TOL = 1e-9
+SCALE_VALUE_TOL = 1e-9
 
 
 def cases():
@@ -74,7 +89,12 @@ def cases():
             yield f"degraded-{key}-rp{rp}", m, rp
 
 
-def record(m, rp):
+def record(m, rp, scale=1.0):
+    if scale != 1.0:
+        try:
+            m = AlignedModel(*(scale * np.asarray(a) for a in (m.sigma_x, m.sigma_wy, m.sigma_wz)))
+        except GausskeyError as exc:
+            return {"refused": type(exc).__name__}
     try:
         report = solve_at_rate(m, rp)
     except GausskeyError as exc:
@@ -161,20 +181,58 @@ def compare(old, new):
     return len(failed)
 
 
+def compare_scaled(old, new, scale):
+    """Print the comparison of a run on the models scaled by ``scale`` with
+    an unscaled run keyed by label; return the number of points certified
+    in ``old`` that lost their certificate."""
+    refused = Counter(rec["refused"] for rec in new.values() if "refused" in rec)
+    raised = sum("error" in rec for rec in new.values())
+    moved = lost = gained = 0
+    value_move = 0.0
+    for label, rec in new.items():
+        ref = old[label]
+        now_cert = rec.get("certificate", rec.get("refused", rec.get("error")))
+        if ref.get("certificate") == "certified" and now_cert != "certified":
+            lost += 1
+            print(f"{label}: certificate certified -> {now_cert}")
+        gained += ref.get("certificate") != "certified" and now_cert == "certified"
+        if "value" in ref and "value" in rec:
+            was, now = (float(_floats(r["value"])[0]) for r in (ref, rec))
+            value_move = max(value_move, abs(now - was))
+            if abs(now - was) > SCALE_VALUE_TOL:
+                moved += 1
+                print(f"{label}: value {was!r} -> {now!r}")
+    names = ", ".join(f"{k} {v}" for k, v in sorted(refused.items())) or "none"
+    certified = [sum(r.get("certificate") == "certified" for r in run.values())
+                 for run in (new, old)]
+    print(f"{len(new)} points at scale {scale:g}: {sum(refused.values())} on refused "
+          f"models ({names}), {raised} raised in the solve")
+    print(f"values: {moved} moved by more than {SCALE_VALUE_TOL:g} "
+          f"(largest change {value_move:.3g})")
+    print(f"certified: {certified[0]} (file: {certified[1]}); {lost} lost and "
+          f"{gained} gained a certificate")
+    return lost
+
+
 def main(argv):
-    if len(argv) != 2 or argv[0] not in ("--save", "--compare"):
-        sys.stderr.write("usage: probe_aligned.py (--save FILE | --compare FILE)\n")
+    modes = {"--save": 2, "--compare": 2, "--scale": 3}
+    if not argv or modes.get(argv[0]) != len(argv):
+        sys.stderr.write("usage: probe_aligned.py (--save FILE | --compare FILE "
+                         "| --scale C FILE)\n")
         return 2
-    run = {label: record(m, rp) for label, m, rp in cases()}
+    scale = float(argv[1]) if argv[0] == "--scale" else 1.0
+    run = {label: record(m, rp, scale) for label, m, rp in cases()}
     if argv[0] == "--save":
         with open(argv[1], "w") as fh:
             json.dump(run, fh, indent=0)
         return 0
-    with open(argv[1]) as fh:
+    with open(argv[-1]) as fh:
         old = json.load(fh)
     if set(old) != set(run):
         sys.stderr.write("the file holds a different probe set\n")
         return 2
+    if argv[0] == "--scale":
+        return 1 if compare_scaled(old, run, scale) else 0
     return 1 if compare(old, run) else 0
 
 

@@ -8,7 +8,7 @@ certificate tests.  Every point must keep its value, its optimum, its
 certificate raises ``NoValidMultiplier``, and a point reported converged
 must certify.  Scaling a model's three covariances by ``c`` scales its
 optimum by ``c`` and keeps both rates: frozen benchmark points rescaled by
-1e-6 to 1e8 must keep their value and ``sigma / c`` and certify.
+1e-12 to 1e8 must keep their value and ``sigma / c`` and certify.
 
 The ascent builds its iterates inside the matrix interval and the polish
 tests a point's whitened free block against ``1 + FACE_EXCURSION``; one
@@ -105,15 +105,18 @@ def test_frozen_point_keeps_its_optimum(point):
 
 SCALED = [(name, rp, c) for name in ("bench_mx2_key2001", "bench_mx4_key2005",
                                      "bench_mx6_key2009")
-          for rp in (0.5, 2.0, 4.0) for c in (1e-6, 1e-3, 1e4, 1e6, 1e8)]
+          for rp in (0.5, 2.0, 4.0)
+          for c in (1e-6, 1e-3, 1e4, 1e6, 1e8, 1e-12, 1e-10, 1e-8)]
 
 
 @pytest.mark.parametrize("name,rp,c", SCALED, ids=[f"{n}-rp{r}-x{c:g}" for n, r, c in SCALED])
 def test_rescaled_model_keeps_its_optimum(name, rp, c):
     # scaling all three covariances by c scales every admissible Q by c and
     # leaves both rates unchanged; the absolute tolerances of a re-checked
-    # interval used to reject the rounding of the corner start S I S, and an
-    # absolute eigenvalue floor lost certificates at rp 4 and 1e-6
+    # interval used to reject the rounding of the corner start S I S, an
+    # absolute eigenvalue floor lost certificates at rp 4 and 1e-6, and below
+    # 1e-10 the model's absolute PD test refused the model and the
+    # certificate's absolute PSD tolerance on M raised NonPsdInput
     point = next(p for p in POINTS if p["model"] == name and p["rp"] == rp)
     m = AlignedModel(*(c * np.array(point[k]) for k in ("sigma_x", "sigma_wy", "sigma_wz")))
     report = solve_at_rate(m, rp)
@@ -820,8 +823,7 @@ def test_bugs_in_the_certificate_propagate(monkeypatch):
         solver.ascent_boundary(_bench_model(2002, 2), [0.5])
 
 
-@pytest.mark.parametrize("error", [NoValidMultiplier("not optimal"),
-                                   ValueError("M must be PSD")])
+@pytest.mark.parametrize("error", [NoValidMultiplier("not optimal")])
 def test_failed_certificate_reports_infinite_residual(monkeypatch, error):
     def fail(*args, **kwargs):
         raise error
@@ -829,3 +831,14 @@ def test_failed_certificate_reports_infinite_residual(monkeypatch, error):
     monkeypatch.setattr(kkt, "certify", fail)
     boundary = solver.ascent_boundary(_bench_model(2002, 2), [0.5, 1.0])
     assert [pm.kkt_residual for pm in boundary.solver_meta] == [math.inf, math.inf]
+
+
+def test_a_value_error_in_the_certificate_propagates(monkeypatch):
+    # certify returns M's PSD projection, so its own check on M cannot
+    # raise; a ValueError out of it is a bug, not a failed certificate
+    def fail(*args, **kwargs):
+        raise ValueError("M must be PSD")
+
+    monkeypatch.setattr(kkt, "certify", fail)
+    with pytest.raises(ValueError):
+        solver.ascent_boundary(_bench_model(2002, 2), [0.5])

@@ -54,6 +54,19 @@ def test_missing_file_exits_2(model_files):
     assert main(["validate", str(model_files["root"] / "nope.json")]) == 2
 
 
+@pytest.mark.parametrize("command", ["validate", "region"])
+def test_non_finite_model_exits_2(tmp_path, command):
+    # JSON admits NaN; this model used to validate, and its region wrote
+    # rk = 0 at every rate with s = t = NaN in the sidecar
+    path = tmp_path / "nan.json"
+    path.write_text('{"sigma_x": [[2.0, 0.0], [0.0, 2.0]], "b": [[1.0, NaN]], '
+                    '"e": [[0.7, 0.35]]}')
+    out_csv = tmp_path / "region.csv"
+    argv = [command, str(path)] + (["-o", str(out_csv)] if command == "region" else [])
+    assert main(argv) == 2
+    assert not out_csv.exists()
+
+
 def test_limit_prints_both_units(model_files, capsys):
     assert main(["limit", model_files["general"]]) == 0
     out = capsys.readouterr().out

@@ -20,6 +20,7 @@ from gausskey import (
     verify_certificate,
 )
 from gausskey.errors import MuZero, NonPsdInput, NotDegraded, NoValidMultiplier
+from gausskey.rates import _chol_terms
 
 from conftest import random_aligned, random_conditional, random_spd, rng_for
 
@@ -71,6 +72,28 @@ def test_slack_rate_with_wrong_sign_rejected(scalar_aligned):
     # degraded model away from its unconstrained optimum
     with pytest.raises(NoValidMultiplier):
         recover_multipliers(scalar_aligned, np.array([[0.5]]), 10.0)
+
+
+def test_certify_returns_the_psd_projection_of_m(certified_points):
+    # the composite gate decides M's PSD once; the M it accepts is projected,
+    # whatever its round-off, so enhance and the certificate never refuse it
+    for m, cert in certified_points:
+        m_mat = kkt.stationarity_matrix(m, cert.sigma_star.value, cert.mu)
+        assert cert.m_matrix.tobytes() == linalg.eig_clip(m_mat, 0.0, np.inf).tobytes()
+
+
+def test_stacked_stationarity_matches_per_point():
+    # one M(mu) formula serves single points and the face polish's stacks,
+    # with one multiplier per point
+    rng = rng_for(66)
+    for mx in (1, 2, 4):
+        m = random_aligned(rng, m=mx)
+        sigmas = np.array([random_conditional(rng, m.sigma_x) for _ in range(4)])
+        mus = np.array([0.0, 0.3, 1.7, 25.0])
+        stack = kkt.stationarity_stack(linalg.inv_chol(_chol_terms(m, sigmas)), mus)
+        for k in range(4):
+            want = kkt.stationarity_matrix(m, sigmas[k], float(mus[k]))
+            assert stack[k].tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

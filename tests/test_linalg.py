@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from gausskey import linalg
-from gausskey.errors import AsymmetricInput, DimensionMismatch, NotPositiveDefinite
+from gausskey.errors import (AsymmetricInput, DimensionMismatch, ModelValidationError,
+                             NotPositiveDefinite)
 
 from conftest import random_spd, rng_for
 
@@ -48,6 +49,52 @@ def test_pd_checks_and_tolerances():
     assert not linalg.is_psd(np.diag([1.0, -1e-6]))
     with pytest.raises(NotPositiveDefinite):
         linalg.require_pd(np.diag([1.0, 0.0]), "probe")
+
+
+def test_model_checks_judge_each_matrix_at_its_own_scale():
+    # the rates do not change under scaling, so neither may a model check:
+    # symmetry and strict PD give the same answer on c * a at every c
+    rot = np.array([[0.8, -0.6], [0.6, 0.8]])
+    pd_cases = [
+        (np.eye(2), True), (rot @ np.diag([1.0, 1e-8]) @ rot.T, True),
+        (rot @ np.diag([1.0, 1e-11]) @ rot.T, False), (np.diag([1.0, 0.0]), False),
+        (np.diag([1.0, -1e-3]), False), (np.zeros((2, 2)), False),
+    ]
+    sym_cases = [
+        (np.array([[1.0, 0.5 + 1e-15], [0.5, 1.0]]), True), (np.zeros((2, 2)), True),
+        (np.array([[1.0, 0.5 + 1e-9], [0.5, 1.0]]), False),
+    ]
+    for c in (1e-12, 1.0, 1e12):
+        for a, pd in pd_cases:
+            assert linalg.is_pd(c * a) is pd
+            if pd:
+                linalg.require_pd(c * a, "probe")
+            else:
+                with pytest.raises(NotPositiveDefinite):
+                    linalg.require_pd(c * a, "probe")
+        for a, symmetric in sym_cases:
+            if symmetric:
+                linalg.check_symmetric(c * a)
+            else:
+                with pytest.raises(AsymmetricInput):
+                    linalg.check_symmetric(c * a)
+
+
+def test_psd_tolerance_is_relative_from_unit_scale_up():
+    # a matrix on the edge of the cone is zero up to round-off, so is_psd
+    # floors its tolerance at PSD_RTOL: relative at and above unit scale,
+    # absolute below it, where round-off of a zero matrix passes
+    for c in (1.0, 1e12):
+        assert linalg.is_psd(c * np.diag([1.0, -1e-12]))
+        assert not linalg.is_psd(c * np.diag([1.0, -1e-6]))
+    assert linalg.is_psd(1e-17 * np.diag([1.0, -1.0]))
+    assert linalg.is_psd(1e-12 * np.diag([1.0, -1e-6]))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_check_symmetric_refuses_non_finite_entries(value):
+    with pytest.raises(ModelValidationError, match="non-finite"):
+        linalg.check_symmetric(np.array([[1.0, 0.0], [0.0, value]]))
 
 
 def test_sqrtm_and_inverse_roundtrip():

@@ -48,6 +48,19 @@ def test_degenerate_conditional_gate(degraded_demo):
     build_joint(degraded_demo, 0.999 * degraded_demo.sigma_x)
 
 
+@pytest.mark.parametrize("c", [1e-9, 1e-6, 1e6])
+def test_degeneracy_gate_is_relative_to_sigma_x(crossing_demo, c):
+    # (c sigma_x, B / sqrt c, E / sqrt c) has the rates of the crossing demo
+    # at c Q; the gate used to add 1 to sigma_x's scale and refused
+    # Q = sigma_x / 2 for c = 1e-6 and 1e-9
+    m = crossing_demo
+    scaled = GeneralModel(sigma_x=c * m.sigma_x, b=m.b / np.sqrt(c), e=m.e / np.sqrt(c))
+    for est, ref in zip(cross_validate(scaled, 0.5 * scaled.sigma_x, 20000, 3),
+                        cross_validate(m, 0.5 * m.sigma_x, 20000, 3)):
+        assert est.value == pytest.approx(ref.value, abs=1e-9)
+        assert est.std_error == pytest.approx(ref.std_error, abs=1e-9)
+
+
 def test_sampling_is_bitwise_deterministic(degraded_demo):
     joint = build_joint(degraded_demo, np.eye(2))
     b1 = sample(joint, 5000, seed=123)

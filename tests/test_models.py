@@ -20,6 +20,7 @@ from gausskey.errors import (
     AsymmetricInput,
     DimensionMismatch,
     InvalidConditionalCov,
+    ModelValidationError,
     NearSingular,
     NonPositiveAlpha,
     NotPositiveDefinite,
@@ -59,6 +60,27 @@ def test_aligned_validation():
         AlignedModel(sigma_x=np.eye(2), sigma_wy=np.zeros((2, 2)), sigma_wz=np.eye(2))
     with pytest.raises(DimensionMismatch):
         AlignedModel(sigma_x=np.eye(2), sigma_wy=np.eye(3), sigma_wz=np.eye(2))
+
+
+NON_FINITE = [(kind, field, value)
+              for kind, fields in ((GeneralModel, ("sigma_x", "b", "e")),
+                                   (AlignedModel, ("sigma_x", "sigma_wy", "sigma_wz")))
+              for field in fields for value in (math.nan, math.inf, -math.inf)]
+
+
+@pytest.mark.parametrize("kind,field,value", NON_FINITE,
+                         ids=[f"{k.__name__}-{f}-{v}" for k, f, v in NON_FINITE])
+def test_non_finite_entries_are_refused(kind, field, value):
+    # a NaN passed the symmetry test (its comparison is false) and an inf
+    # entry made a - a^T NaN; such a model validated and solved to rk = 0
+    if kind is GeneralModel:
+        fields = {"sigma_x": 2.0 * np.eye(2), "b": [[1.0, 0.5]], "e": [[0.7, 0.35]]}
+    else:
+        fields = {"sigma_x": 2.0 * np.eye(2), "sigma_wy": np.eye(2), "sigma_wz": 2.0 * np.eye(2)}
+    mat = np.array(fields[field], dtype=float)
+    mat[-1, -1] = value
+    with pytest.raises(ModelValidationError, match="non-finite"):
+        kind(**{**fields, field: mat})
 
 
 def test_models_are_immutable(degraded_demo):
