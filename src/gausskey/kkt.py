@@ -28,15 +28,16 @@ The enhanced triple is degraded in the coupling ``Z = Y~ + N``, with
 every quantity of the change of variables has a closed form (see
 ``change_of_variable``).
 
-All residuals are Frobenius norms normalized by one plus the operand norms,
-relative from unit scale up like ``linalg.is_psd``; ``RESIDUAL_KEYS`` lists
-the ten named checks.  For mu = 0 the change of variables is undefined and its two
-residuals are reported as 0.0 (not applicable); otherwise
-``k_invertibility`` is 0.0 when the change of variables passes its
-singular-value gate and infinite when it cannot be built.
+All residuals are Frobenius norms normalized by one plus the operand norms
+(``RESIDUAL_KEYS`` lists the ten named checks).  ``certify`` computes them
+where ``solve_at_rate`` solves, on ``models.whiten``'s model, whose unit
+scale is the source's own: no congruence of the model changes them.  For
+mu = 0 the change of variables is undefined and its two residuals are
+reported as 0.0 (not applicable); otherwise ``k_invertibility`` is 0.0 when
+the change of variables passes its singular-value gate and infinite when it
+cannot be built.
 M's PSD is decided once, by ``recover_multipliers``, which returns its PSD
-projection; ``enhance`` and ``KktCertificate`` test a given M with
-``linalg.is_psd``.
+projection; ``enhance`` tests a given M with ``linalg.is_psd`` on ``S M S``.
 """
 
 import json
@@ -54,7 +55,7 @@ from .errors import (
     NotDegraded,
     NoValidMultiplier,
 )
-from .models import AlignedModel, ConditionalCov, validate_model
+from .models import AlignedModel, ConditionalCov, validate_model, whiten
 from .rates import _chol_terms, _rates_with_y_noise, rates_aligned
 
 RESIDUAL_KEYS = (
@@ -161,13 +162,16 @@ def stationarity_matrix(m: AlignedModel, sigma, mu: float):
     return stationarity_stack(_inverses(m, sigma), mu)
 
 
+def _composite_parts(m_mat, diff):
+    """The multiplier composite's two parts, with ``diff = sigma_x - Q``."""
+    return {"psd_M": linalg.psd_violation(m_mat) / (1.0 + linalg.frob(m_mat)),
+            "compl_slack_M": linalg.rel_residual(m_mat @ diff, m_mat, diff)}
+
+
 def multiplier_composite(m: AlignedModel, sigma, mu: float):
     """PSD violation of M(mu) plus its complementarity residual."""
     m_mat = stationarity_matrix(m, sigma, mu)
-    diff = m.sigma_x - sigma
-    psd_gap = linalg.psd_violation(m_mat) / (1.0 + linalg.frob(m_mat))
-    compl = linalg.rel_residual(m_mat @ diff, m_mat, diff)
-    return psd_gap + compl, m_mat
+    return sum(_composite_parts(m_mat, m.sigma_x - sigma).values()), m_mat
 
 
 def closed_form_mu(m: AlignedModel, sigma) -> float:
@@ -199,7 +203,8 @@ def recover_multipliers(m: AlignedModel, sigma_star, rp: float) -> MultiplierRec
     Raises ``NoValidMultiplier`` when the composite residual at that
     multiplier (PSD violation of M plus the complementarity norm) exceeds
     ``ACCEPT_COMPOSITE``: the point is not optimal.  Otherwise M is returned
-    as its projection on the PSD cone, so this gate decides M's PSD once.
+    as its projection on the PSD cone, so this gate decides M's PSD once;
+    ``psd_M`` and ``compl_slack_M`` are the composite's parts, on M unprojected.
     """
     validate_model(m)
     sigma = ConditionalCov.for_model(m, sigma_star).value
@@ -207,8 +212,9 @@ def recover_multipliers(m: AlignedModel, sigma_star, rp: float) -> MultiplierRec
     slack = rp - ip
     rate_slack = slack > max(1e-7, 1e-6 * abs(rp))
     mu_star = 0.0 if rate_slack else closed_form_mu(m, sigma)
-    comp, m_mat = multiplier_composite(m, sigma, mu_star)
-    if comp > ACCEPT_COMPOSITE:
+    m_mat = stationarity_matrix(m, sigma, mu_star)
+    residuals = _composite_parts(m_mat, m.sigma_x - sigma)
+    if (comp := sum(residuals.values())) > ACCEPT_COMPOSITE:
         if rate_slack:
             raise NoValidMultiplier(
                 "rate constraint is slack so mu must vanish, but M(0) fails "
@@ -218,14 +224,9 @@ def recover_multipliers(m: AlignedModel, sigma_star, rp: float) -> MultiplierRec
             f"the multiplier mu = {mu_star:.6g} that makes M PSD fails the KKT "
             f"conditions (composite residual {comp:.3e})"
         )
-    m_mat = linalg.eig_clip(m_mat, 0.0, np.inf)
-    diff = m.sigma_x - sigma
-    residuals = {
-        "psd_M": linalg.psd_violation(m_mat) / (1.0 + linalg.frob(m_mat)),
-        "compl_slack_M": linalg.rel_residual(m_mat @ diff, m_mat, diff),
-        "compl_slack_mu": abs(mu_star * slack) / (1.0 + abs(rp) + abs(ip)),
-    }
-    return MultiplierRecovery(mu=float(mu_star), m_matrix=m_mat, residuals=residuals)
+    residuals["compl_slack_mu"] = abs(mu_star * slack) / (1.0 + abs(rp) + abs(ip))
+    return MultiplierRecovery(mu=float(mu_star), m_matrix=linalg.eig_clip(m_mat, 0.0, np.inf),
+                              residuals=residuals)
 
 
 def enhance(m: AlignedModel, sigma_star, mu: float, m_matrix) -> np.ndarray:
@@ -237,15 +238,16 @@ def enhance(m: AlignedModel, sigma_star, mu: float, m_matrix) -> np.ndarray:
     W~ <= sigma_wz (strictly below sigma_wz when mu > 0); M = 0 collapses it
     to sigma_wy, and mu = 0 with the recovered M gives exactly sigma_wz.
 
-    Raises ``NonPsdInput`` when mu is not finite and nonnegative or M
-    fails ``linalg.is_psd``.
+    Raises ``NonPsdInput`` when mu is not finite and nonnegative or ``S M S``
+    (``S = sigma_x^1/2``) fails ``linalg.is_psd``.
     """
     validate_model(m)
     sigma = ConditionalCov.for_model(m, sigma_star).value
     m_matrix = linalg.check_symmetric(m_matrix, "M")
     _check_mu(mu)
-    if not linalg.is_psd(m_matrix):
-        raise NonPsdInput(f"M must be PSD (min eig = {linalg.min_eig(m_matrix):.3e})")
+    m_white = linalg.congruence(linalg.roots(m.sigma_x)[0], m_matrix)
+    if not linalg.is_psd(m_white):
+        raise NonPsdInput(f"M must be PSD (min eig of S M S = {linalg.min_eig(m_white):.3e})")
     inv_y = linalg.inv_pd(sigma + m.sigma_wy, "sigma + sigma_wy")
     inner = (1.0 + mu) * inv_y + m_matrix
     wy_tilde = (1.0 + mu) * linalg.inv_pd(inner, "enhancement kernel") - sigma
@@ -353,7 +355,8 @@ def _compute_residuals(m, sigma, mu, m_matrix, wy_tilde, rp):
 
 
 def verify_certificate(m: AlignedModel, cert: KktCertificate) -> dict:
-    """Recompute every named residual of a certificate from its fields.
+    """Recompute every named residual of a certificate from its fields, in
+    ``certify``'s frame: ``S^-1 Q S^-1``, ``S M S`` and ``S^-1 W~ S^-1``.
 
     Never raises on a bad certificate; residuals simply come out large (or
     infinite when a construction step is impossible, a NaN one included).
@@ -370,28 +373,30 @@ def verify_certificate(m: AlignedModel, cert: KktCertificate) -> dict:
     if (sigma is None or not m_matrix.shape == wy_tilde.shape == sigma.shape
             or not (np.isfinite(m_matrix).all() and np.isfinite(wy_tilde).all())):
         return dict.fromkeys(RESIDUAL_KEYS, float("inf"))
-    residuals = _compute_residuals(m, sigma, cert.mu, m_matrix, wy_tilde, cert.rp)
+    w, s_half, s_half_inv = whiten(m)
+    residuals = _compute_residuals(w, linalg.congruence(s_half_inv, sigma), cert.mu,
+                                   linalg.congruence(s_half, m_matrix),
+                                   linalg.congruence(s_half_inv, wy_tilde), cert.rp)
     return {k: np.inf if np.isnan(v) else v for k, v in residuals.items()}
 
 
 def certify(m: AlignedModel, sigma_star, rp: float) -> KktCertificate:
-    """Full pipeline: recover multipliers, enhance, and verify.
+    """Full pipeline on ``w, S, S^-1 = models.whiten(m)`` at ``A = S^-1 Q
+    S^-1``: recover multipliers, enhance, and verify.
 
     Raises ``NoValidMultiplier`` when the point is not optimal; otherwise
-    returns the certificate with all ten residuals filled in.
+    returns the certificate with all ten residuals, ``S^-1 M_w S^-1`` and
+    ``S W~_w S``.
     """
     sigma = ConditionalCov.for_model(m, sigma_star)
-    rec = recover_multipliers(m, sigma, rp)
-    wy_tilde = enhance(m, sigma, rec.mu, rec.m_matrix)
-    residuals = _compute_residuals(m, sigma.value, rec.mu, rec.m_matrix, wy_tilde, rp)
-    return KktCertificate(
-        sigma_star=sigma,
-        mu=rec.mu,
-        m_matrix=rec.m_matrix,
-        wy_tilde=wy_tilde,
-        rp=float(rp),
-        residuals=residuals,
-    )
+    w, s_half, s_half_inv = whiten(m)
+    a = linalg.congruence(s_half_inv, sigma.value)
+    rec = recover_multipliers(w, a, rp)
+    wy_tilde = enhance(w, a, rec.mu, rec.m_matrix)
+    return KktCertificate(sigma_star=sigma, mu=rec.mu, rp=float(rp),
+                          m_matrix=linalg.congruence(s_half_inv, rec.m_matrix),
+                          wy_tilde=linalg.congruence(s_half, wy_tilde),
+                          residuals=_compute_residuals(w, a, rec.mu, rec.m_matrix, wy_tilde, rp))
 
 
 def certificate_to_dict(cert: KktCertificate) -> dict:

@@ -4,8 +4,8 @@ The package's one home for its symmetric-matrix kernels: symmetry/PSD
 checks with the package-wide tolerances, Cholesky factors and the inverses
 and log-determinants taken from them (``chol_lower``, ``inv_chol``,
 ``logdet_chol`` and ``eig_clip`` take one matrix or a stack of them), square
-roots, and the symmetric-definite generalized eigenvalue solve via Cholesky
-whitening (which also gives the closed-form KKT multiplier).  Callers use
+roots and congruences, and the symmetric-definite generalized eigenvalue
+solve, whitened by the inverse root.  Callers use
 ``numpy.linalg`` directly only where no kernel here fits: QR and SVD, solves
 of non-symmetric systems, eigenbases that the caller reads (the face
 polish's directions) and the sampler's Cholesky, which retries with a jitter
@@ -25,7 +25,7 @@ each matrix's own scale: finite entries with ``max |a - a^T|`` at most
 allows a least eigenvalue down to ``-PSD_RTOL * (1 + max |eig|)``, relative
 only from unit scale up: on the edge of the cone (``M`` at an interior
 optimum, ``I - diag(phi)`` at ``Q = sigma_x``) a matrix is zero up to
-round-off.
+round-off.  The aligned route decides in ``models.whiten``'s frame.
 """
 
 import numpy as np
@@ -146,12 +146,19 @@ def inv_pd(a, name="matrix"):
     return inv_chol(chol_lower(a, name))
 
 
-def roots(a):
+def roots(a, name="matrix"):
     """``a^1/2`` and ``a^-1/2`` of a PD matrix, from one eigendecomposition
-    (of the lower triangle of ``a``)."""
+    (of the lower triangle of ``a``); ``NotPositiveDefinite`` otherwise."""
     w, v = np.linalg.eigh(a)
+    if not w[0] > 0.0:
+        raise NotPositiveDefinite(f"{name} has a non-positive eigenvalue ({w[0]:.3e})")
     root = np.sqrt(w)
     return (v * root) @ v.T, (v / root) @ v.T
+
+
+def congruence(t, a):
+    """``t a t`` symmetrized, for a symmetric ``t``."""
+    return symmetrize(t @ a @ t)
 
 
 def eig_clip(a, lo, hi):
@@ -166,15 +173,12 @@ def gen_eig_pencil(a, c):
     """Generalized eigenvalues of the symmetric-definite pencil ``(a, c)``.
 
     Solves ``det(a - phi c) = 0`` for symmetric ``a`` and PD ``c`` by
-    Cholesky whitening: with ``c = L L^T``, the values are the ordinary
-    eigenvalues of ``L^-1 a L^-T``.  Returned descending.
+    whitening by ``c^-1/2`` from ``roots`` (``models.whiten``'s frame for ``c
+    = sigma_x``): the eigenvalues of ``c^-1/2 a c^-1/2``, descending.
     """
     a = check_symmetric(a, "pencil lhs")
-    lower = chol_lower(c, "pencil rhs")
-    half = np.linalg.solve(lower, a)
-    white = np.linalg.solve(lower, half.T)
-    w = np.linalg.eigvalsh(symmetrize(white))
-    return w[::-1].copy()
+    inv_root = roots(c, "pencil rhs")[1]
+    return np.linalg.eigvalsh(congruence(inv_root, a))[::-1].copy()
 
 
 def frob(a):

@@ -31,8 +31,8 @@ from . import linalg
 from .errors import DegenerateConditional, NotPsd, SingularEmpiricalCov
 from .models import ConditionalCov, GeneralModel, validate_model
 
-# Relative eigenvalue gate below which sigma_x - q counts as degenerate and
-# no finite auxiliary-noise covariance exists.
+# Gate on 1 - phi_max (the pencil (q, sigma_x)) below which q counts as
+# degenerate and no finite auxiliary-noise covariance exists.
 DEGENERATE_RTOL = 1e-5
 
 DEFAULT_FOLDS = 10
@@ -97,16 +97,16 @@ def build_joint(m: GeneralModel, q) -> np.ndarray:
     vector is ``T X`` plus independent noise, ``T = [I; B; E; I]``, so the
     joint covariance is the congruence ``T sigma_x T^T`` plus ``I``, ``I``
     and ``cov V`` on the Y, Z and U diagonal blocks.  Requires q strictly
-    below sigma_x; raises ``DegenerateConditional`` when the gap eigenvalues
-    fall below ``1e-5 * max eig sigma_x`` and the auxiliary noise would blow
-    up.
+    below sigma_x; raises ``DegenerateConditional`` when the pencil ``(q,
+    sigma_x)`` has an eigenvalue within ``DEGENERATE_RTOL`` of 1.
     """
     validate_model(m)
     q = ConditionalCov.for_model(m, q).value
-    if linalg.min_eig(m.sigma_x - q) <= DEGENERATE_RTOL * linalg.eigvals_sym(m.sigma_x)[-1]:
+    phi_max = linalg.gen_eig_pencil(q, m.sigma_x)[0]
+    if 1.0 - phi_max <= DEGENERATE_RTOL:
         raise DegenerateConditional(
             "conditional covariance is too close to sigma_x "
-            f"(min gap eigenvalue {linalg.min_eig(m.sigma_x - q):.3e})"
+            f"(largest pencil eigenvalue {phi_max:.6f})"
         )
     sigma_v = linalg.inv_pd(
         linalg.inv_pd(q, "conditional covariance") - linalg.inv_pd(m.sigma_x, "sigma_x"),

@@ -250,6 +250,15 @@ def to_general(m) -> GeneralModel:
                         e=linalg.roots(m.sigma_wz)[1])
 
 
+def whiten(m: AlignedModel):
+    """The aligned route's one frame: ``(I, S^-1 sigma_wy S^-1, S^-1
+    sigma_wz S^-1)``, ``S = sigma_x^1/2``, whose ``A`` has the rates of ``S A
+    S`` in ``m``; with ``S`` and ``S^-1``."""
+    s_half, s_half_inv = linalg.roots(m.sigma_x)
+    noise = (linalg.congruence(s_half_inv, w) for w in (m.sigma_wy, m.sigma_wz))
+    return AlignedModel(np.eye(m.mx), *noise), s_half, s_half_inv
+
+
 def _square_embed(mat, mx):
     """Square m x m observation matrix equivalent to ``mat`` (k x m).
 
@@ -297,9 +306,8 @@ def gen_eigs(m: GeneralModel) -> GenEigResult:
     """Generalized eigenvalues of the pencil behind the key-rate limit.
 
     With ``S = sigma_x^1/2``, the pencil is
-    ``(S B^T B S + I, S E^T E S + I)``; the eigenvalues are computed by
-    Cholesky whitening of the second matrix followed by a symmetric
-    eigensolve.  All values are positive; ``rho`` counts those above 1.
+    ``(S B^T B S + I, S E^T E S + I)``, solved by ``linalg.gen_eig_pencil``.
+    All values are positive; ``rho`` counts those above 1.
     """
     validate_model(m)
     s_half = linalg.roots(m.sigma_x)[0]

@@ -136,9 +136,9 @@ def rates_aligned(m: AlignedModel, q) -> RatePair:
 def rates_enhanced(m: AlignedModel, wy_tilde, q) -> RatePair:
     """Aligned functionals with the Y noise replaced by an enhanced one.
 
-    ``wy_tilde`` must satisfy 0 < wy_tilde <= sigma_wy; raises
-    ``InvalidEnhancedNoise`` otherwise.  At a boundary optimum with its own
-    enhancement, these match ``rates_aligned`` exactly.
+    ``wy_tilde`` must satisfy 0 < wy_tilde <= sigma_wy (the bound on their
+    pencil); raises ``InvalidEnhancedNoise`` otherwise.  At a boundary
+    optimum with its own enhancement, these match ``rates_aligned`` exactly.
     """
     try:
         wy_tilde = linalg.check_symmetric(wy_tilde, "enhanced noise")
@@ -146,10 +146,11 @@ def rates_enhanced(m: AlignedModel, wy_tilde, q) -> RatePair:
         raise InvalidEnhancedNoise(str(exc)) from exc
     if not linalg.is_pd(wy_tilde):
         raise InvalidEnhancedNoise("enhanced noise covariance is not PD")
-    if not linalg.is_psd(m.sigma_wy - wy_tilde):
+    phis = linalg.gen_eig_pencil(wy_tilde, m.sigma_wy)
+    if not linalg.is_psd(np.diag(1.0 - phis)):
         raise InvalidEnhancedNoise(
             "enhanced noise covariance must not exceed sigma_wy "
-            f"(min eig of difference = {linalg.min_eig(m.sigma_wy - wy_tilde):.3e})"
+            f"(largest pencil eigenvalue = {phis[0]:.3e})"
         )
     return _rates_with_y_noise(m, wy_tilde, ConditionalCov.for_model(m, q).value)
 

@@ -69,6 +69,7 @@ from .models import (
     GeneralModel,
     to_aligned,
     validate_model,
+    whiten,
 )
 from .rates import PointMeta, RatePair, RegionBoundary, _chol_terms, rates_aligned
 
@@ -1039,7 +1040,7 @@ def _penalty_weight(m):
 def _pga_penalty(m, rp, q0, max_iter):
     """Projected gradient ascent on I_k - rho * max(0, I_p - rp), with
     ``rho = _penalty_weight(m)``, over ``0 < Q <= I`` of a whitened model
-    (``_whiten``), for a stack of starts ``q0``.  The clip of the
+    (``models.whiten``), for a stack of starts ``q0``.  The clip of the
     eigenvalues to ``[SIGMA_FLOOR_SCALE, 1]`` keeps every iterate in the
     interval that ``ConditionalCov`` checks, at any scale of the model.
     The starts advance in lockstep, one stacked evaluation per ascent step,
@@ -1272,21 +1273,12 @@ def _face_schedule(n_active_guess, mx):
     return [(k, f) for f in (1.0, 2.0) for k in faces] + [(g, 4.0)]
 
 
-def _whiten(m):
-    """The whitened model ``(I, S^-1 sigma_wy S^-1, S^-1 sigma_wz S^-1)``,
-    ``S = sigma_x^1/2``, whose ``Q`` has the rates of ``S Q S`` in ``m``;
-    with ``S`` and ``S^-1``."""
-    s_half, s_half_inv = linalg.roots(m.sigma_x)
-    noise = (linalg.symmetrize(s_half_inv @ w @ s_half_inv) for w in (m.sigma_wy, m.sigma_wz))
-    return AlignedModel(np.eye(m.mx), *noise), s_half, s_half_inv
-
-
 def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 6,
                   max_iter: int = 400) -> SolveReport:
     """Maximize the key rate of an aligned model at public-rate budget ``rp``.
 
-    The model is whitened once (``_whiten``): ascent, polish and gate run on
-    ``sigma_x = I``, so every floor and tolerance is relative to
+    The model is whitened once (``models.whiten``): ascent, polish and gate
+    run on ``sigma_x = I``, so every floor and tolerance is relative to
     ``sigma_x``, and the optimum is mapped back once as ``S Q S``.
 
     Projected gradient ascent with an exact penalty, its weight above every
@@ -1331,9 +1323,9 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 6,
                            value=rates_aligned(m, sigma).rk, iterations=0,
                            kkt_residual=0.0, converged=True)
 
-    w, s_half, s_half_inv = _whiten(m)
+    w, s_half, s_half_inv = whiten(m)
     starts = (_starts(w, rp, n_starts) if sigma0 is None else
-              [linalg.symmetrize(s_half_inv @ np.asarray(sigma0, float) @ s_half_inv)])
+              [linalg.congruence(s_half_inv, np.asarray(sigma0, float))])
 
     runs = _pga_penalty(w, rp, np.array(starts), max_iter)
     iterations = sum(run[2] for run in runs)
@@ -1380,7 +1372,7 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 6,
 
     if res_out is None:
         res_out = composite(q_out)
-    sigma_out = ConditionalCov.for_model(m, linalg.symmetrize(s_half @ q_out @ s_half))
+    sigma_out = ConditionalCov.for_model(m, linalg.congruence(s_half, q_out))
     return SolveReport(optimum=sigma_out, value=rk_out, iterations=iterations,
                        kkt_residual=float(res_out), converged=converged)
 

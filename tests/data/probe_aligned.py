@@ -45,6 +45,16 @@ exception name), how many points raise, how many values move by more than
 ``SCALE_VALUE_TOL`` (listing each, and the largest move) and how many
 points lose or gain their certificate (listing each loss).  It exits 1
 when a point certified in the file loses its certificate.
+
+The rates do not change under any congruence
+``(sigma_x, sigma_wy, sigma_wz) -> (T sigma_x T^T, T sigma_wy T^T, T
+sigma_wz T^T)`` either.  ``--congruence c FILE`` applies the ill-conditioned
+``T = U diag(geomspace(1, c, mx)) V`` of ``test_aligned_points._seeded_t``
+(``U`` and then ``V`` the Q factors of standard-normal draws from
+``default_rng(7)``, drawn afresh per model) and reports and exits like
+``--scale``:
+
+    PYTHONPATH=src python tests/data/probe_aligned.py --congruence 1e3 before.json
 """
 
 import json
@@ -89,10 +99,18 @@ def cases():
             yield f"degraded-{key}-rp{rp}", m, rp
 
 
-def record(m, rp, scale=1.0):
-    if scale != 1.0:
+def transformed(m, mode, c):
+    """``m`` with its three covariances scaled by ``c`` (``--scale``) or
+    under the seeded congruence of ratio ``c`` (``--congruence``)."""
+    if mode == "--congruence":
+        return tap._congruent(m, tap._seeded_t(m.mx, c))
+    return AlignedModel(*(c * np.asarray(a) for a in (m.sigma_x, m.sigma_wy, m.sigma_wz)))
+
+
+def record(m, rp, mode=None, c=1.0):
+    if mode is not None:
         try:
-            m = AlignedModel(*(scale * np.asarray(a) for a in (m.sigma_x, m.sigma_wy, m.sigma_wz)))
+            m = transformed(m, mode, c)
         except GausskeyError as exc:
             return {"refused": type(exc).__name__}
     try:
@@ -181,10 +199,11 @@ def compare(old, new):
     return len(failed)
 
 
-def compare_scaled(old, new, scale):
-    """Print the comparison of a run on the models scaled by ``scale`` with
-    an unscaled run keyed by label; return the number of points certified
-    in ``old`` that lost their certificate."""
+def compare_scaled(old, new, where):
+    """Print the comparison of a run on transformed models (``where`` says
+    how, as "at scale 1e-09") with an unscaled run keyed by label; return
+    the number of points certified in ``old`` that lost their
+    certificate."""
     refused = Counter(rec["refused"] for rec in new.values() if "refused" in rec)
     raised = sum("error" in rec for rec in new.values())
     moved = lost = gained = 0
@@ -205,7 +224,7 @@ def compare_scaled(old, new, scale):
     names = ", ".join(f"{k} {v}" for k, v in sorted(refused.items())) or "none"
     certified = [sum(r.get("certificate") == "certified" for r in run.values())
                  for run in (new, old)]
-    print(f"{len(new)} points at scale {scale:g}: {sum(refused.values())} on refused "
+    print(f"{len(new)} points {where}: {sum(refused.values())} on refused "
           f"models ({names}), {raised} raised in the solve")
     print(f"values: {moved} moved by more than {SCALE_VALUE_TOL:g} "
           f"(largest change {value_move:.3g})")
@@ -215,13 +234,13 @@ def compare_scaled(old, new, scale):
 
 
 def main(argv):
-    modes = {"--save": 2, "--compare": 2, "--scale": 3}
+    modes = {"--save": 2, "--compare": 2, "--scale": 3, "--congruence": 3}
     if not argv or modes.get(argv[0]) != len(argv):
         sys.stderr.write("usage: probe_aligned.py (--save FILE | --compare FILE "
-                         "| --scale C FILE)\n")
+                         "| --scale C FILE | --congruence C FILE)\n")
         return 2
-    scale = float(argv[1]) if argv[0] == "--scale" else 1.0
-    run = {label: record(m, rp, scale) for label, m, rp in cases()}
+    mode, c = (argv[0], float(argv[1])) if len(argv) == 3 else (None, 1.0)
+    run = {label: record(m, rp, mode, c) for label, m, rp in cases()}
     if argv[0] == "--save":
         with open(argv[1], "w") as fh:
             json.dump(run, fh, indent=0)
@@ -231,8 +250,9 @@ def main(argv):
     if set(old) != set(run):
         sys.stderr.write("the file holds a different probe set\n")
         return 2
-    if argv[0] == "--scale":
-        return 1 if compare_scaled(old, run, scale) else 0
+    if mode is not None:
+        where = f"at scale {c:g}" if mode == "--scale" else f"under congruence {c:g}"
+        return 1 if compare_scaled(old, run, where) else 0
     return 1 if compare(old, run) else 0
 
 

@@ -6,9 +6,11 @@
 certificate tests.  Every point must keep its value, its optimum, its
 ``converged`` flag and its certificate outcome, including the points whose
 certificate raises ``NoValidMultiplier``, and a point reported converged
-must certify.  Scaling a model's three covariances by ``c`` scales its
-optimum by ``c`` and keeps both rates: frozen benchmark points rescaled by
-1e-12 to 1e8 must keep their value and ``sigma / c`` and certify.
+must certify.  A congruence ``T`` of a model's three covariances maps its
+optimum to ``T Q T^T`` and keeps both rates: frozen benchmark points scaled
+by ``T = sqrt(c) I``, c from 1e-12 to 1e8, must keep their value, ``sigma /
+c`` and certificate outcome, and models under a seeded ill-conditioned
+``T`` their value and certificate outcome.
 
 The ascent builds its iterates inside the matrix interval and the polish
 tests a point's whitened free block against ``1 + FACE_EXCURSION``; one
@@ -19,7 +21,7 @@ answer.  The face schedule starts at the detected face and must keep every
 optimum of the schedule that tried every face at every factor.  The
 per-point references below mirror that.
 
-The aligned route runs on the whitened model (``solver._whiten``), and so
+The aligned route runs on the whitened model (``models.whiten``), and so
 do the internals below.  The stacked kernels are checked against plain
 per-point references: the face-polish residual against the per-point
 closure it replaces, the stacked ``expm`` against per-matrix calls, and the
@@ -50,6 +52,7 @@ import scipy.linalg as sla
 
 from gausskey import AlignedModel, certify, kkt, linalg, solve_at_rate, solver
 from gausskey.errors import GausskeyError, NoValidMultiplier
+from gausskey.models import whiten
 from gausskey.rates import RatePair, _chol_terms, rates_aligned
 
 from conftest import random_aligned, random_conditional, random_spd, rng_for
@@ -103,26 +106,60 @@ def test_frozen_point_keeps_its_optimum(point):
     assert _certificate_outcome(m, report.optimum, point["rp"]) == point["certificate"]
 
 
-SCALED = [(name, rp, c) for name in ("bench_mx2_key2001", "bench_mx4_key2005",
-                                     "bench_mx6_key2009")
-          for rp in (0.5, 2.0, 4.0)
-          for c in (1e-6, 1e-3, 1e4, 1e6, 1e8, 1e-12, 1e-10, 1e-8)]
+def _congruent(m, t):
+    """The model ``(T sigma_x T^T, T sigma_wy T^T, T sigma_wz T^T)``: it has
+    the rates of ``m``, at ``T Q T^T`` for each ``Q`` of ``m``."""
+    return AlignedModel(*(t @ a @ t.T for a in (m.sigma_x, m.sigma_wy, m.sigma_wz)))
 
 
-@pytest.mark.parametrize("name,rp,c", SCALED, ids=[f"{n}-rp{r}-x{c:g}" for n, r, c in SCALED])
-def test_rescaled_model_keeps_its_optimum(name, rp, c):
-    # scaling all three covariances by c scales every admissible Q by c and
-    # leaves both rates unchanged; the absolute tolerances of a re-checked
-    # interval used to reject the rounding of the corner start S I S, an
-    # absolute eigenvalue floor lost certificates at rp 4 and 1e-6, and below
-    # 1e-10 the model's absolute PD test refused the model and the
-    # certificate's absolute PSD tolerance on M raised NonPsdInput
-    point = next(p for p in POINTS if p["model"] == name and p["rp"] == rp)
-    m = AlignedModel(*(c * np.array(point[k]) for k in ("sigma_x", "sigma_wy", "sigma_wz")))
-    report = solve_at_rate(m, rp)
-    assert abs(report.value - point["value"]) <= 1e-9
-    assert linalg.frob(report.optimum.value / c - np.array(point["sigma"])) <= 1e-8
-    assert _certificate_outcome(m, report.optimum, rp) == "certified"
+def _seeded_t(mx, c):
+    """``T = U diag(geomspace(1, c, mx)) V``, with ``U`` and then ``V`` the Q
+    factors of standard-normal draws from ``default_rng(7)``."""
+    rng = np.random.default_rng(7)
+    u, v = (np.linalg.qr(rng.standard_normal((mx, mx)))[0] for _ in range(2))
+    return u @ np.diag(np.geomspace(1.0, c, mx)) @ v
+
+
+# (name, rp, c, seeded): a scaling T = sqrt(c) I of a frozen point, or the
+# seeded T of a model off the corpus, compared with its unscaled solve
+CONGRUENT = ([(name, rp, c, False) for name in ("bench_mx2_key2001", "bench_mx4_key2005",
+                                                "bench_mx6_key2009")
+              for rp in (0.5, 2.0, 4.0)
+              for c in (1e-6, 1e-3, 1e4, 1e6, 1e8, 1e-12, 1e-10, 1e-8)]
+             + [(name, rp, 1e-12, False) for name, rp in (("bench_mx2_key2002", 2.0),
+                                                         ("bench_mx2_key2003", 4.0),
+                                                         ("kkt_mx2_key52", 1.5))]
+             + [("rel6-3604", rp, 1e3, True) for rp in (1.0, 2.0, 4.0)]
+             + [("degraded-6007", 0.5, 1e3, True)])
+
+
+@pytest.mark.parametrize("name,rp,c,seeded", CONGRUENT,
+                         ids=[f"{n}-rp{r}-{'T' if t else 'x'}{c:g}" for n, r, c, t in CONGRUENT])
+def test_rescaled_model_keeps_its_optimum(name, rp, c, seeded):
+    # a congruence T keeps both rates and maps every admissible Q to T Q T^T;
+    # the solver and the certificate both judge in the whitened frame, which
+    # T leaves unchanged up to an orthogonal rotation.  Absolute tolerances
+    # of a re-checked interval used to reject the rounding of the corner
+    # start S I S, below 1e-10 the model's absolute PD test refused the
+    # model, at 1e-12 the certificate's original-frame multiplier gate
+    # raised NoValidMultiplier, and under the seeded T at 1e3 the solver's
+    # Cholesky-whitened interval test refused its own optimum S A S
+    if seeded:
+        kind, _, key = name.partition("-")
+        m = _bench_model(int(key), 6) if kind == "rel6" else _degraded_model(int(key))
+        ref = solve_at_rate(m, rp)
+        value, outcome = ref.value, _certificate_outcome(m, ref.optimum, rp)
+        mt = _congruent(m, _seeded_t(m.mx, c))
+    else:
+        # T = sqrt(c) I, applied as c sigma
+        point = next(p for p in POINTS if p["model"] == name and p["rp"] == rp)
+        value, outcome = point["value"], point["certificate"]
+        mt = AlignedModel(*(c * np.array(point[k]) for k in ("sigma_x", "sigma_wy", "sigma_wz")))
+    report = solve_at_rate(mt, rp)
+    assert abs(report.value - value) <= 1e-9
+    if not seeded:
+        assert linalg.frob(report.optimum.value / c - np.array(point["sigma"])) <= 1e-8
+    assert _certificate_outcome(mt, report.optimum, rp) == outcome
 
 
 def test_converged_points_certify():
@@ -238,7 +275,7 @@ def test_unconverged_solve_reports_the_multiplier_composite(model, rp):
     m = _named_model(model)
     report = solve_at_rate(m, rp)
     assert not report.converged
-    w, _, s_half_inv = solver._whiten(m)
+    w, _, s_half_inv = whiten(m)
     q = linalg.symmetrize(s_half_inv @ report.optimum.value @ s_half_inv)
     want = kkt.multiplier_composite(w, q, kkt.closed_form_mu(w, q))[0]
     assert want > kkt.ACCEPT_COMPOSITE
@@ -251,7 +288,7 @@ def test_converged_solve_reports_the_multiplier_composite():
     m = _fresh_model(5017)
     report = solve_at_rate(m, 3.0)
     assert report.converged
-    w, _, s_half_inv = solver._whiten(m)
+    w, _, s_half_inv = whiten(m)
     q = linalg.symmetrize(s_half_inv @ report.optimum.value @ s_half_inv)
     want = kkt.multiplier_composite(w, q, kkt.closed_form_mu(w, q))[0]
     assert report.kkt_residual <= kkt.ACCEPT_COMPOSITE
@@ -458,7 +495,7 @@ def _face_probes(mx, key):
     outside the whitened bound ``1 + FACE_EXCURSION``."""
     rng = rng_for(key)
     m = _bench_model(2000 + key, mx)
-    white, _, s_half_inv = solver._whiten(m)
+    white, _, s_half_inv = whiten(m)
     sigma_hat = random_conditional(rng, m.sigma_x)
     q_hat = linalg.symmetrize(s_half_inv @ sigma_hat @ s_half_inv)
     w, u0 = np.linalg.eigh(q_hat)
@@ -576,7 +613,7 @@ def _reference_ascent(m, rp, q0, max_iter):
 def test_lockstep_ascent_matches_per_start_loop(monkeypatch, mx, key, rp, rho, max_iter):
     # both ascents take their weight from _penalty_weight, floored at rho
     monkeypatch.setattr(solver, "PENALTY_RHO", rho)
-    m = solver._whiten(_bench_model(key, mx))[0]
+    m = whiten(_bench_model(key, mx))[0]
     starts = solver._starts(m, rp, 6)
     got = solver._pga_penalty(m, rp, np.array(starts), max_iter)
     for q0, (sigma, pair, iterations) in zip(starts, got):
@@ -763,7 +800,7 @@ def test_injected_invalid_trials_backtrack(monkeypatch, mx, key, rp, period, max
         return ip, ik, valid
 
     monkeypatch.setattr(solver, "_rates_stack", marking)
-    m = solver._whiten(_bench_model(key, mx))[0]
+    m = whiten(_bench_model(key, mx))[0]
     starts = np.array(solver._starts(m, rp, 6))
     outcomes, n_marked = [], []
     for search in (_reference_pga_penalty, solver._pga_penalty):

@@ -20,6 +20,7 @@ from gausskey import (
     verify_certificate,
 )
 from gausskey.errors import MuZero, NonPsdInput, NotDegraded, NoValidMultiplier
+from gausskey.models import whiten
 from gausskey.rates import _chol_terms
 
 from conftest import random_aligned, random_conditional, random_spd, rng_for
@@ -74,12 +75,36 @@ def test_slack_rate_with_wrong_sign_rejected(scalar_aligned):
         recover_multipliers(scalar_aligned, np.array([[0.5]]), 10.0)
 
 
+def _whitened(m, cert):
+    """The certificate's frame: the whitened model, ``A = S^-1 Q S^-1`` and
+    ``S^-1``."""
+    w, _, s_half_inv = whiten(m)
+    return w, linalg.congruence(s_half_inv, cert.sigma_star.value), s_half_inv
+
+
 def test_certify_returns_the_psd_projection_of_m(certified_points):
-    # the composite gate decides M's PSD once; the M it accepts is projected,
-    # whatever its round-off, so enhance and the certificate never refuse it
+    # the composite gate decides M's PSD once, in the whitened frame; the M
+    # it accepts is projected, whatever its round-off, so enhance and the
+    # certificate never refuse it, and stored in the model's frame
     for m, cert in certified_points:
-        m_mat = kkt.stationarity_matrix(m, cert.sigma_star.value, cert.mu)
-        assert cert.m_matrix.tobytes() == linalg.eig_clip(m_mat, 0.0, np.inf).tobytes()
+        w, a, s_half_inv = _whitened(m, cert)
+        m_w = linalg.eig_clip(kkt.stationarity_matrix(w, a, cert.mu), 0.0, np.inf)
+        assert cert.m_matrix.tobytes() == linalg.congruence(s_half_inv, m_w).tobytes()
+
+
+def test_recovery_reports_the_composite_it_judged(certified_points):
+    # psd_M and compl_slack_M are the two parts of the multiplier composite,
+    # on M before its projection; on the projection psd_M read about 0
+    negative = 0
+    for m, cert in certified_points:
+        rec = recover_multipliers(m, cert.sigma_star, cert.rp)
+        comp, m_mat = kkt.multiplier_composite(m, cert.sigma_star.value, rec.mu)
+        diff = m.sigma_x - cert.sigma_star.value
+        assert rec.residuals["psd_M"] == linalg.psd_violation(m_mat) / (1.0 + linalg.frob(m_mat))
+        assert rec.residuals["compl_slack_M"] == linalg.rel_residual(m_mat @ diff, m_mat, diff)
+        assert rec.residuals["psd_M"] + rec.residuals["compl_slack_M"] == comp
+        negative += rec.residuals["psd_M"] > 0.0
+    assert negative
 
 
 def test_stacked_stationarity_matches_per_point():
@@ -160,7 +185,8 @@ def test_closed_form_mu_matches_eigenvalue_root():
 def test_recovery_uses_the_closed_form(certified_points):
     for m, cert in certified_points:
         if cert.mu > 0.0:
-            assert cert.mu == kkt.closed_form_mu(m, cert.sigma_star.value)
+            w, a, _ = _whitened(m, cert)
+            assert cert.mu == kkt.closed_form_mu(w, a)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +218,18 @@ def test_enhance_rejects_bad_inputs(scalar_aligned):
         enhance(scalar_aligned, np.array([[1.0]]), -0.1, np.zeros((1, 1)))
     with pytest.raises(NonPsdInput):
         enhance(scalar_aligned, np.array([[1.0]]), 0.5, np.array([[-1.0]]))
+
+
+def test_enhance_judges_m_in_the_whitened_frame():
+    # M's PSD is tested on S M S, S = sigma_x^1/2; on M itself, the PSD
+    # test's unit floor accepted this M, 5% negative, at scale 1e9 and
+    # returned a W~ with a negative eigenvalue
+    m = AlignedModel(*(1e9 * np.array(a) for a in (2.0 * np.eye(2), np.eye(2), 2.0 * np.eye(2))))
+    for bad in ([1e-9, -5e-11], [1e-10, -5e-12]):
+        with pytest.raises(NonPsdInput):
+            enhance(m, 1e9 * np.eye(2), 0.5, np.diag(bad))
+    wy_tilde = enhance(m, 1e9 * np.eye(2), 0.5, np.diag([1e-10, 0.0]))
+    assert linalg.min_eig(wy_tilde) > 0.0
 
 
 @pytest.mark.parametrize("mu", [math.nan, math.inf])

@@ -61,6 +61,18 @@ def test_degeneracy_gate_is_relative_to_sigma_x(crossing_demo, c):
         assert est.std_error == pytest.approx(ref.std_error, abs=1e-9)
 
 
+def test_degeneracy_gate_is_congruence_free():
+    # every eigenvalue of the pencil (Q, sigma_x) is 1/2 at Q = sigma_x / 2;
+    # a gate on min eig(sigma_x - Q) against sigma_x's largest eigenvalue
+    # refused it for sigma_x = diag(1, 1e-5)
+    m = GeneralModel(sigma_x=np.diag([1.0, 1e-5]), b=[[1.0, 0.5]], e=[[0.5, 1.0]])
+    q = 0.5 * m.sigma_x
+    exact = rates_general(m, q)
+    rp, rk = cross_validate(m, q, 20000, 3)
+    assert abs(rp.value - exact.rp) <= 5.0 * rp.std_error
+    assert abs(rk.value - exact.rk) <= 5.0 * rk.std_error
+
+
 def test_sampling_is_bitwise_deterministic(degraded_demo):
     joint = build_joint(degraded_demo, np.eye(2))
     b1 = sample(joint, 5000, seed=123)

@@ -93,6 +93,16 @@ def test_enhanced_noise_gates(scalar_aligned):
         rates_enhanced(scalar_aligned, [[0.0]], [[0.5]])  # not PD
 
 
+def test_enhanced_noise_bound_is_judged_at_its_own_scale():
+    # W~ <= sigma_wy is tested on the pencil (W~, sigma_wy); on the
+    # difference, the PSD test's unit floor accepted W~ = 2 sigma_wy here
+    m = AlignedModel([[2e-12]], [[1e-12]], [[2e-12]])
+    with pytest.raises(InvalidEnhancedNoise):
+        rates_enhanced(m, 2.0 * m.sigma_wy, [[1e-12]])
+    base = rates_aligned(m, [[1e-12]])
+    assert rates_enhanced(m, m.sigma_wy, [[1e-12]]) == base
+
+
 # ---------------------------------------------------------------------------
 # asymptotic limit
 # ---------------------------------------------------------------------------
