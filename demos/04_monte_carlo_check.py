@@ -1,6 +1,6 @@
 """Cross-validate the analytic rate functionals by sampling.
 
-The auxiliary variable U = X + V is built so that the conditional
+The auxiliary variable U = G X + N is built so that the conditional
 covariance of X given U equals a prescribed Q; plug-in estimates of
 I(U;X) - I(U;Y) and I(U;Y) - I(U;Z) from empirical covariances must then
 match the analytic I_p(Q), I_k(Q).  Sampling uses a Philox counter-based

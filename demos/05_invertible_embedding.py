@@ -1,7 +1,7 @@
 """Embed rank-deficient observations into invertible ones.
 
 The aligned machinery (noise covariances, KKT certificates, enhancement)
-needs square invertible observation matrices.  A model with a 1x2
+needs observation matrices of full column rank.  A model with a 1x2
 observation row is first padded to a square matrix via its SVD, every
 singular value is shifted up by alpha, and the resulting model is reduced
 to aligned form.  The shift can only add key rate, and the added amount --

@@ -33,12 +33,8 @@ class AsymmetricInput(ModelValidationError):
     """A matrix that must be symmetric is not, beyond tolerance."""
 
 
-class NotSquare(ModelValidationError):
-    """An observation matrix must be square for this operation."""
-
-
 class NearSingular(ModelValidationError):
-    """An observation matrix is too ill-conditioned to invert."""
+    """An observation matrix lacks (numerically) full column rank."""
 
 
 class NonPositiveAlpha(ModelValidationError):
@@ -112,11 +108,6 @@ class MuZero(CertificateError):
 
 class McError(GausskeyError):
     """Base class for Monte-Carlo oracle failures."""
-
-
-class DegenerateConditional(McError):
-    """The conditional covariance is too close to Sigma_x; the auxiliary
-    noise covariance would be unbounded."""
 
 
 class NotPsd(McError):

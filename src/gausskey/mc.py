@@ -1,7 +1,7 @@
 """Monte-Carlo cross-validation of the rate functionals.
 
 The analytic functionals are cross-checked by sampling the joint Gaussian
-vector (X, Y, Z, U), with U = X + V a Gaussian auxiliary such that the
+vector (X, Y, Z, U), with U = G X + N a Gaussian auxiliary such that the
 conditional covariance of X given U equals the prescribed matrix, and
 estimating
 
@@ -19,8 +19,8 @@ caller's 64-bit seed, with a single fixed draw order (the rows of one
 (n, dim) standard-normal block, drawn a block of rows at a time), so
 batches are bitwise reproducible for a given seed and numpy version.
 Covariances come from centred Gram matrices ``X^T X - n m m^T``, one pass
-over the rows with no centred copy.  Standard errors use 10-fold batch
-splitting.
+over the rows with no centred copy.  Standard errors use ``DEFAULT_FOLDS``
+(10) contiguous folds.  The module runs on numpy alone.
 """
 
 from dataclasses import dataclass
@@ -28,13 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DegenerateConditional, NotPsd, SingularEmpiricalCov
+from .errors import NotPsd, SingularEmpiricalCov
 from .models import ConditionalCov, GeneralModel, validate_model
 
-# Gate on 1 - phi_max (the pencil (q, sigma_x)) below which q counts as
-# degenerate and no finite auxiliary-noise covariance exists.
-DEGENERATE_RTOL = 1e-5
-
+# Contiguous sub-batches behind every standard error.
 DEFAULT_FOLDS = 10
 
 # Rows drawn and transformed per block by ``sample``.
@@ -91,33 +88,26 @@ def layout_for(m: GeneralModel) -> JointLayout:
 def build_joint(m: GeneralModel, q) -> np.ndarray:
     """Joint covariance of (X, Y, Z, U) with conditional cov of X given U = q.
 
-    The auxiliary variable is U = X + V with V ~ N(0, (q^-1 - sigma_x^-1)^-1)
-    independent of everything else; by the information-form identity the
-    conditional covariance of X given U is then exactly q.  The stacked
-    vector is ``T X`` plus independent noise, ``T = [I; B; E; I]``, so the
-    joint covariance is the congruence ``T sigma_x T^T`` plus ``I``, ``I``
-    and ``cov V`` on the Y, Z and U diagonal blocks.  Requires q strictly
-    below sigma_x; raises ``DegenerateConditional`` when the pencil ``(q,
-    sigma_x)`` has an eigenvalue within ``DEGENERATE_RTOL`` of 1.
+    The auxiliary variable is U = G X + N with N ~ N(0, I) independent of
+    everything else and ``G^T G = q^-1 - sigma_x^-1``, so by the
+    information-form identity ``(sigma_x^-1 + G^T G)^-1 = q`` the
+    conditional covariance of X given U is exactly q.  With ``S =
+    sigma_x^1/2`` and the whitened ``S^-1 q S^-1 = V diag(phi) V^T``, ``G =
+    diag(sqrt(1/phi - 1)) V^T S^-1``: a direction where q meets sigma_x
+    (``phi = 1``) gets a zero row, so every q that ``ConditionalCov``
+    accepts, ``q = sigma_x`` included, has a joint law.  The stacked vector
+    is ``T X`` plus independent unit noise, ``T = [I; B; E; G]``, so the
+    joint covariance is the congruence ``T sigma_x T^T`` plus the identity
+    on every block after X, which keeps it positive definite.
     """
     validate_model(m)
     q = ConditionalCov.for_model(m, q).value
-    phi_max = linalg.gen_eig_pencil(q, m.sigma_x)[0]
-    if 1.0 - phi_max <= DEGENERATE_RTOL:
-        raise DegenerateConditional(
-            "conditional covariance is too close to sigma_x "
-            f"(largest pencil eigenvalue {phi_max:.6f})"
-        )
-    sigma_v = linalg.inv_pd(
-        linalg.inv_pd(q, "conditional covariance") - linalg.inv_pd(m.sigma_x, "sigma_x"),
-        "auxiliary precision",
-    )
-    t = np.vstack([np.eye(m.mx), m.b, m.e, np.eye(m.mx)])
+    s_half_inv = linalg.roots(m.sigma_x, "sigma_x")[1]
+    phi, v = np.linalg.eigh(linalg.congruence(s_half_inv, q))
+    g = np.sqrt(np.maximum(1.0 / phi - 1.0, 0.0))[:, None] * (v.T @ s_half_inv)
+    t = np.vstack([np.eye(m.mx), m.b, m.e, g])
     joint = t @ m.sigma_x @ t.T
-    _, iy, iz, iu = layout_for(m).slices
-    joint[iy, iy] += np.eye(m.my)
-    joint[iz, iz] += np.eye(m.mz)
-    joint[iu, iu] += sigma_v
+    joint[m.mx:, m.mx:] += np.eye(m.my + m.mz + m.mx)
     return linalg.symmetrize(joint)
 
 
@@ -194,51 +184,46 @@ def _plugin_rates(cov, lay: JointLayout):
     return i_ux - i_uy, i_uy - i_uz
 
 
-def estimate_rates(batch: SampleBatch, layout: JointLayout,
-                   folds: int = DEFAULT_FOLDS):
+def estimate_rates(batch: SampleBatch, layout: JointLayout):
     """Plug-in estimates of the rate functionals from a sample batch.
 
     Returns ``(rp_est, rk_est)`` as ``MiEstimate`` values.  The point
     estimates use the full-batch empirical covariance; standard errors come
-    from recomputing the estimates on ``folds`` contiguous sub-batches and
-    taking the standard error of the fold mean, so ``folds`` must be at
-    least 2 (``ValueError`` otherwise).  Requires at least ``folds * (dim +
-    1)`` samples so every fold covariance is nonsingular; raises
-    ``SingularEmpiricalCov`` otherwise.
+    from recomputing the estimates on ``DEFAULT_FOLDS`` contiguous
+    sub-batches and taking the standard error of the fold mean.  Requires
+    at least ``DEFAULT_FOLDS * (dim + 1)`` samples so every fold covariance
+    is nonsingular; raises ``SingularEmpiricalCov`` otherwise.
     """
-    if not folds >= 2:
-        raise ValueError(f"folds must be at least 2 for a standard error, got {folds!r}")
     if batch.samples.shape[1] != layout.dim:
         raise ValueError(
             f"batch dimension {batch.samples.shape[1]} does not match layout "
             f"dimension {layout.dim}"
         )
-    per_fold = batch.n // folds
+    per_fold = batch.n // DEFAULT_FOLDS
     if per_fold < layout.dim + 1:
         raise SingularEmpiricalCov(
-            f"{batch.n} samples cannot fill {folds} folds of at least "
+            f"{batch.n} samples cannot fill {DEFAULT_FOLDS} folds of at least "
             f"{layout.dim + 1} samples each"
         )
     rp_full, rk_full = _plugin_rates(batch.joint_cov_empirical, layout)
     rp_folds = []
     rk_folds = []
-    for k in range(folds):
+    for k in range(DEFAULT_FOLDS):
         chunk = batch.samples[k * per_fold:(k + 1) * per_fold]
         cov = _centred_cov(chunk.T @ chunk, chunk.sum(axis=0), per_fold, ddof=1)
         rp_k, rk_k = _plugin_rates(cov, layout)
         rp_folds.append(rp_k)
         rk_folds.append(rk_k)
-    rp_se = float(np.std(rp_folds, ddof=1) / np.sqrt(folds))
-    rk_se = float(np.std(rk_folds, ddof=1) / np.sqrt(folds))
+    rp_se = float(np.std(rp_folds, ddof=1) / np.sqrt(DEFAULT_FOLDS))
+    rk_se = float(np.std(rk_folds, ddof=1) / np.sqrt(DEFAULT_FOLDS))
     return (
         MiEstimate(value=float(rp_full), std_error=rp_se),
         MiEstimate(value=float(rk_full), std_error=rk_se),
     )
 
 
-def cross_validate(m: GeneralModel, q, n: int, seed: int,
-                   folds: int = DEFAULT_FOLDS):
+def cross_validate(m: GeneralModel, q, n: int, seed: int):
     """Convenience pipeline: build the joint, sample, and estimate."""
     joint = build_joint(m, q)
     batch = sample(joint, n, seed)
-    return estimate_rates(batch, layout_for(m), folds=folds)
+    return estimate_rates(batch, layout_for(m))

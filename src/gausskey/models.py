@@ -9,8 +9,8 @@ Two model kinds describe the correlated Gaussian triple (X, Y, Z):
 ``AlignedModel``
     All three vectors share the source dimension and the observations are
     ``Y = X + W_y``, ``Z = X + W_z`` with arbitrary invertible noise
-    covariances.  A general model with square invertible B and E reduces to
-    an aligned one without changing the achievable rate region.
+    covariances.  A general model whose B and E have full column rank
+    reduces to an aligned one without changing the achievable rate region.
 
 All model objects are immutable after construction (arrays are frozen), so
 they are safe to share across threads.
@@ -27,7 +27,6 @@ from .errors import (
     ModelValidationError,
     NearSingular,
     NonPositiveAlpha,
-    NotSquare,
 )
 
 # Count a generalized eigenvalue as "> 1" only above this threshold, so that
@@ -208,31 +207,31 @@ def validate_model(m):
 
 
 def to_aligned(m) -> AlignedModel:
-    """Reduce a general model with square invertible B, E to aligned form;
-    an aligned model is returned as it is.
+    """Reduce a general model whose B and E have full column rank to aligned
+    form; an aligned model is returned as it is.
 
-    Applying ``B^-1`` to Y and ``E^-1`` to Z is information preserving, so
-    the aligned model has the same rate region; its noise covariances are
-    ``B^-1 B^-T`` and ``E^-1 E^-T``.
+    ``(B^T B)^-1 B^T Y = X + (B^T B)^-1 B^T W_y`` is a sufficient statistic
+    of Y for X, so the aligned model has the same rate region; its noise
+    covariance is ``(B^T B)^-1 = R^-1 R^-T`` from the R factor of ``B = QR``
+    (``B^-1 B^-T`` for a square B), and likewise for E.  The inverse never
+    goes through ``B^T B``, whose rounding would square B's condition number.
 
-    Raises ``NotSquare`` or ``NearSingular`` (condition number >= 1e12).
+    Raises ``NearSingular``, naming the matrix, for a B or E with fewer rows
+    than ``mx`` or whose ``R^T R`` fails ``linalg.is_pd``; ``perturb_svd``
+    makes such a model reducible.
     """
     if isinstance(m, AlignedModel):
         return m
     validate_model(m)
+    noise = []
     for name, mat in (("b", m.b), ("e", m.e)):
-        if mat.shape[0] != mat.shape[1]:
-            raise NotSquare(f"{name} has shape {mat.shape}; must be square")
-        svals = np.linalg.svd(mat, compute_uv=False)
-        if svals[-1] <= 0.0 or svals[0] / svals[-1] >= 1e12:
-            raise NearSingular(f"{name} is numerically singular")
-    b_inv = np.linalg.solve(m.b, np.eye(m.mx))
-    e_inv = np.linalg.solve(m.e, np.eye(m.mx))
-    return AlignedModel(
-        sigma_x=m.sigma_x,
-        sigma_wy=linalg.symmetrize(b_inv @ b_inv.T),
-        sigma_wz=linalg.symmetrize(e_inv @ e_inv.T),
-    )
+        r = np.linalg.qr(mat, mode="r")
+        if mat.shape[0] < m.mx or not linalg.is_pd(r.T @ r):
+            raise NearSingular(f"{name} (shape {mat.shape}) does not have full column "
+                               "rank; perturb_svd makes it invertible")
+        r_inv = np.linalg.solve(r, np.eye(m.mx))
+        noise.append(linalg.symmetrize(r_inv @ r_inv.T))
+    return AlignedModel(m.sigma_x, *noise)
 
 
 def to_general(m) -> GeneralModel:

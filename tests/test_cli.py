@@ -23,6 +23,19 @@ def model_files(tmp_path_factory, degraded_demo):
     aligned.write_text(json.dumps({
         "sigma_x": [[2.0]], "sigma_wy": [[1.0]], "sigma_wz": [[2.0]],
     }))
+    # B of full column rank reduces to the aligned form; a wide B does not
+    tall = root / "tall.json"
+    tall.write_text(json.dumps({
+        "sigma_x": [[2.0, 0.0], [0.0, 2.0]],
+        "b": [[1.0, 0.5], [0.3, 1.0], [0.2, 0.1]],
+        "e": [[0.7, 0.35], [0.1, 0.6]],
+    }))
+    wide = root / "wide.json"
+    wide.write_text(json.dumps({
+        "sigma_x": [[2.0, 0.0], [0.0, 2.0]],
+        "b": [[1.0, 0.5]],
+        "e": [[0.7, 0.35], [0.1, 0.6]],
+    }))
     bad = root / "bad.json"
     bad.write_text("{not json")
     invalid = root / "invalid.json"
@@ -31,8 +44,8 @@ def model_files(tmp_path_factory, degraded_demo):
         "b": [[1.0, 0.5]],
         "e": [[0.7, 0.35]],
     }))
-    return {"general": str(general), "aligned": str(aligned),
-            "bad": str(bad), "invalid": str(invalid), "root": root}
+    return {"general": str(general), "aligned": str(aligned), "tall": str(tall),
+            "wide": str(wide), "bad": str(bad), "invalid": str(invalid), "root": root}
 
 
 def test_validate_ok(model_files, capsys):
@@ -149,14 +162,28 @@ def test_region_rows_are_members(model_files, degraded_demo):
 
 def test_kkt_check_emits_certificate(model_files, capsys):
     cert_path = str(model_files["root"] / "cert.json")
-    code = main(["kkt-check", model_files["aligned"], "--rp", "0.5",
-                 "-o", cert_path])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "certificate passed" in out
-    cert = kkt.certificate_from_dict(json.load(open(cert_path)))
-    assert cert.max_residual < 1e-6
-    assert set(cert.residuals) == set(kkt.RESIDUAL_KEYS)
+    for model in ("aligned", "tall"):
+        code = main(["kkt-check", model_files[model], "--rp", "0.5",
+                     "-o", cert_path])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "certificate passed" in out
+        cert = kkt.certificate_from_dict(json.load(open(cert_path)))
+        assert cert.max_residual < 1e-6
+        assert set(cert.residuals) == set(kkt.RESIDUAL_KEYS)
+
+
+def test_region_off_the_sweep_needs_full_column_rank(model_files, capsys, tmp_path):
+    out_csv = tmp_path / "tall.csv"
+    assert main(["region", model_files["tall"], "-o", str(out_csv), "--rp-max", "3",
+                 "--points", "4"]) == 0
+    rks = [float(ln.split(",")[1]) for ln in out_csv.read_text().splitlines()[1:]]
+    assert rks[0] == 0.0 and all(b > a for a, b in zip(rks, rks[1:]))
+    for argv in (["region", model_files["wide"], "-o", str(tmp_path / "wide.csv")],
+                 ["kkt-check", model_files["wide"], "--rp", "0.5"]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert "does not have full column rank" in capsys.readouterr().err
 
 
 def test_kkt_check_unreachable_tolerance_exits_3(model_files):
@@ -196,6 +223,12 @@ def test_mc_command(model_files, capsys):
                  "--seed", "4", "--q-scale", "0.5"]) == 0
     out = capsys.readouterr().out
     assert "rp estimate:" in out and "rk estimate:" in out
+    # at Q = sigma_x the auxiliary tells nothing: both rates are 0
+    assert main(["mc", model_files["general"], "--samples", "20000",
+                 "--seed", "4", "--q-scale", "1"]) == 0
+    for line in capsys.readouterr().out.splitlines():
+        _, _, value, _, std_error = line.split()[:5]
+        assert abs(float(value)) < 5.0 * float(std_error)
 
 
 def test_region_rejects_bad_options(model_files, capsys):

@@ -1,7 +1,7 @@
-"""SciPy stays off the scalar route.
+"""SciPy stays off the scalar route and Monte Carlo.
 
-The sweep, the oracle and the closed-form limit run on numpy alone; only the
-aligned route (KKT certificate, face polish, Monte Carlo) loads
+The sweep, the oracle, the closed-form limit and Monte Carlo run on numpy
+alone; only the aligned route (KKT certificate, face polish) loads
 ``scipy.linalg``, on first use, through ``linalg.sla``.  Each check runs in a
 fresh interpreter, so modules that other tests imported do not count.
 """
@@ -35,7 +35,7 @@ def test_scalar_route_loads_neither_scipy_nor_numpy_ma(tmp_path):
         import io, os, sys
         import numpy as np
         import gausskey
-        from gausskey import cli, rates, solver
+        from gausskey import cli, mc, rates, solver
         from gausskey.modelio import save_model
 
         def loaded():
@@ -53,6 +53,7 @@ def test_scalar_route_loads_neither_scipy_nor_numpy_ma(tmp_path):
                             output_path=os.path.join({str(tmp_path)!r}, "out.csv"),
                             rp_max=2.0, points=5, resolution=40)
         assert cli.run(cfg, out=io.StringIO()) == 0
+        mc.cross_validate(m, m.sigma_x, 2000, 0)
         print("scalar", loaded())
         aligned = gausskey.AlignedModel(sigma_x=2.0 * np.eye(2), sigma_wy=np.eye(2),
                                         sigma_wz=np.diag([2.0, 0.5]))

@@ -7,24 +7,26 @@ from gausskey import (
     AlignedModel,
     ConditionalCov,
     GeneralModel,
+    certify,
     gen_eigs,
     linalg,
     perturb_svd,
     rates_aligned,
     rates_general,
+    solve_at_rate,
     to_aligned,
     to_general,
     validate_model,
 )
 from gausskey.errors import (
     AsymmetricInput,
+    CertificateError,
     DimensionMismatch,
     InvalidConditionalCov,
     ModelValidationError,
     NearSingular,
     NonPositiveAlpha,
     NotPositiveDefinite,
-    NotSquare,
 )
 
 from conftest import random_conditional, random_spd, rng_for
@@ -138,12 +140,69 @@ def test_to_aligned_scalar_scaling():
     assert np.allclose(al.sigma_wz, np.eye(2))
 
 
-def test_to_aligned_requires_square_invertible():
-    with pytest.raises(NotSquare):
-        to_aligned(GeneralModel(sigma_x=np.eye(2), b=[[1.0, 0.5]], e=np.eye(2)))
-    singular = np.array([[1.0, 1.0], [1.0, 1.0]])
-    with pytest.raises(NearSingular):
-        to_aligned(GeneralModel(sigma_x=np.eye(2), b=singular, e=np.eye(2)))
+def test_to_aligned_requires_full_column_rank():
+    for b in ([[1.0, 0.5]], [[1.0, 1.0], [1.0, 1.0]], [[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]]):
+        with pytest.raises(NearSingular, match="perturb_svd"):
+            to_aligned(GeneralModel(sigma_x=np.eye(2), b=b, e=np.eye(2)))
+    # a tall B of full column rank reduces to (B^T B)^-1
+    b = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
+    al = to_aligned(GeneralModel(sigma_x=np.eye(2), b=b, e=np.eye(2)))
+    assert np.allclose(al.sigma_wy, np.linalg.inv(b.T @ b), rtol=0.0, atol=1e-15)
+
+
+def _rel_close(a, b, rtol):
+    return np.max(np.abs(a - b)) <= rtol * np.max(np.abs(b))
+
+
+def test_to_aligned_matches_the_square_inverse():
+    # the QR reduction against the square B's own B^-1 B^-T, to 1e-12
+    rng = rng_for(24)
+    for k in range(200):
+        mx = 1 + k % 6
+        m = GeneralModel(sigma_x=random_spd(rng, mx), b=rng.standard_normal((mx, mx)),
+                         e=rng.standard_normal((mx, mx)))
+        al = to_aligned(m)
+        for mat, noise in ((m.b, al.sigma_wy), (m.e, al.sigma_wz)):
+            inv = np.linalg.solve(mat, np.eye(mx))
+            assert _rel_close(noise, linalg.symmetrize(inv @ inv.T), 1e-12)
+
+
+def _certifies(m, q, rp):
+    try:
+        return certify(m, q, rp).max_residual < 1e-6
+    except CertificateError:
+        return False
+
+
+def test_to_aligned_keeps_the_row_laws():
+    # Y = B X + W and its transforms below carry the same information about
+    # X, so they reduce to the same aligned model and the same optimum
+    rng = rng_for(25)
+    certified = 0
+    for k in range(6):
+        mx = 1 + k % 3
+        b = rng.standard_normal((mx + k % 2, mx))
+        m = GeneralModel(sigma_x=random_spd(rng, mx), b=b,
+                         e=rng.standard_normal((mx, mx)))
+        al = to_aligned(m)
+        rotation = np.linalg.qr(rng.standard_normal((b.shape[0], b.shape[0])))[0]
+        pairs = [(np.vstack([b, np.zeros((1, mx))]), b), (rotation @ b, b),
+                 (np.vstack([b, b]), math.sqrt(2.0) * b)]
+        rp = 0.3 + 0.5 * k
+        for got_b, want_b in pairs:
+            got = to_aligned(GeneralModel(sigma_x=m.sigma_x, b=got_b, e=m.e))
+            want = to_aligned(GeneralModel(sigma_x=m.sigma_x, b=want_b, e=m.e))
+            assert _rel_close(got.sigma_wy, want.sigma_wy, 1e-12)
+            assert np.array_equal(got.sigma_wz, want.sigma_wz)
+            reports = [solve_at_rate(a, rp) for a in (got, want)]
+            if all(_certifies(a, r.optimum, rp) for a, r in zip((got, want), reports)):
+                assert reports[0].value == pytest.approx(reports[1].value, abs=1e-9)
+                certified += 1
+        back = to_aligned(to_general(al))
+        for name in ("sigma_wy", "sigma_wz"):
+            assert _rel_close(getattr(back, name), getattr(al, name), 1e-12)
+        assert np.array_equal(back.sigma_x, al.sigma_x)
+    assert certified >= 16
 
 
 def test_aligned_reduction_preserves_rates():

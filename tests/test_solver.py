@@ -346,6 +346,29 @@ def test_sweep_and_ascent_agree_on_scalar_models():
             assert abs(p_sweep.rk - p_ascent.rk) < 1e-3
 
 
+def test_tall_models_solve_through_their_reduction():
+    # Y = B X + W with a tall B of full column rank reduces to the aligned
+    # form without loss; the optimum's rates on the original model are the
+    # ascent's value and budget
+    rng = np.random.default_rng(5)
+    certified = 0
+    for _ in range(16):
+        mx = int(rng.integers(2, 4))
+        my, mz = int(rng.integers(mx, 6)), int(rng.integers(mx, 6))
+        a = rng.standard_normal((mx, mx))
+        m = GeneralModel(sigma_x=a @ a.T + 0.5 * np.eye(mx),
+                         b=rng.standard_normal((my, mx)),
+                         e=0.7 * rng.standard_normal((mz, mx)))
+        al = to_aligned(m)
+        for rp in (0.3, 1.0, 3.0):
+            report = solve_at_rate(al, rp)
+            achieved = rates_general(m, report.optimum.value)
+            assert achieved.rk == pytest.approx(report.value, abs=1e-9)
+            assert achieved.rp <= rp + 1e-9
+            certified += kkt.certify(al, report.optimum, rp).max_residual < 1e-6
+    assert certified == 48
+
+
 def test_ascent_points_certify():
     rng = rng_for(44)
     wy = random_spd(rng, 2)
