@@ -35,7 +35,7 @@ def _conditional_given_u(joint, lay):
     return joint[ix, ix] - joint[ix, iu] @ np.linalg.inv(joint[iu, iu]) @ joint[iu, ix]
 
 
-def test_conditional_covariance_roundtrip(degraded_demo):
+def test_conditional_covariance_roundtrip():
     rng = rng_for(71)
     for _ in range(100):
         m = random_general(rng, mx=2, my=int(rng.integers(1, 3)),
@@ -43,9 +43,13 @@ def test_conditional_covariance_roundtrip(degraded_demo):
         q = random_conditional(rng, m.sigma_x, hi=0.9)
         joint = build_joint(m, q)
         assert np.max(np.abs(_conditional_given_u(joint, layout_for(m)) - q)) < 1e-10
+
+
+def test_degenerate_conditional_gate(degraded_demo):
     # on and next to the face Q = sigma_x, where U carries no information
-    # about X in some directions, the joint law still exists
-    for c in (0.999999, 1.0):
+    # about X in some directions, the joint law still exists: the
+    # information form needs no gate there, so each Q builds and Cov(X|U) = Q
+    for c in (0.999, 0.999999, 1.0):
         q = c * degraded_demo.sigma_x
         joint = build_joint(degraded_demo, q)
         cond = _conditional_given_u(joint, layout_for(degraded_demo))
