@@ -7,9 +7,8 @@ and log-determinants taken from them (``chol_lower``, ``inv_chol``,
 roots and congruences, and the symmetric-definite generalized eigenvalue
 solve, whitened by the inverse root.  Callers use
 ``numpy.linalg`` directly only where no kernel here fits: QR and SVD, solves
-of non-symmetric systems, eigenbases that the caller reads (the face
-polish's directions) and the sampler's Cholesky, which retries with a jitter
-instead of raising (``mc``).
+of non-symmetric systems and eigenbases that the caller reads (the face
+polish's directions).
 The functions are pure and take ``numpy`` arrays.  All but ``inv_chol`` (so
 ``inv_pd``) run on numpy alone; ``inv_chol`` solves through LAPACK's
 ``dpotrs``, reached through ``sla``, a handle that imports ``scipy.linalg``

@@ -14,13 +14,21 @@ the joint block.  Because every law here is exactly Gaussian, the plug-in
 estimator is an independent arithmetic path to the same quantities, not an
 extra statistical assumption.
 
-Randomness comes from numpy's Philox counter-based generator keyed by the
-caller's 64-bit seed, with a single fixed draw order (the rows of one
-(n, dim) standard-normal block, drawn a block of rows at a time), so
-batches are bitwise reproducible for a given seed and numpy version.
-Covariances come from centred Gram matrices ``X^T X - n m m^T``, one pass
-over the rows with no centred copy.  Standard errors use ``DEFAULT_FOLDS``
-(10) contiguous folds.  The module runs on numpy alone.
+The estimator reads each fold's mean and scatter only, so ``sample`` draws
+those sufficient statistics directly instead of the rows behind them.  The
+``n`` rows fall into ``DEFAULT_FOLDS`` (10) folds whose sizes ``n_k`` sum
+to ``n`` and differ by at most one.  With ``L`` the joint's Cholesky factor,
+a fold's scaled mean ``sqrt(n_k) m_k`` is ``L z``, ``z ~ N(0, I)``, and its
+scatter is ``R_k^T R_k`` with ``R_k = (L A_k)^T``: ``A_k`` is the Bartlett
+factor (Bartlett 1933; Odell & Feiveson 1966), lower triangular with
+``A_ii^2 ~ chi2(n_k - i)`` and standard normals below the diagonal, so the
+scatter is ``Wishart(Sigma, n_k - 1)``.  The cost is ``O(k dim^3)``, the
+same for ``n = 1e3`` as for ``n = 1e10``.  Randomness comes from numpy's
+Philox counter-based generator keyed by the caller's 64-bit seed, with a
+single fixed draw order (means, then below-diagonal normals, then
+chi-squares), so batches are bitwise reproducible for a given seed and
+numpy version.  Standard errors come from the spread of the fold estimates.
+The module runs on numpy alone.
 """
 
 from dataclasses import dataclass
@@ -28,14 +36,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import NotPsd, SingularEmpiricalCov
+from .errors import NotPositiveDefinite, NotPsd, SingularEmpiricalCov
 from .models import ConditionalCov, GeneralModel, validate_model
 
-# Contiguous sub-batches behind every standard error.
+# Sub-batches behind every standard error.
 DEFAULT_FOLDS = 10
-
-# Rows drawn and transformed per block by ``sample``.
-SAMPLE_BLOCK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -61,10 +66,15 @@ class JointLayout:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """One reproducible batch of joint samples.
+    """The sufficient statistics of ``n`` reproducible joint samples.
 
-    ``samples`` has shape (n, dim) over the stacked (X, Y, Z, U) order;
-    ``joint_cov_empirical`` is its empirical covariance.
+    ``samples`` is the ``(DEFAULT_FOLDS, dim + 1, dim)`` stack ``C_k =
+    [sqrt(n_k) m_k^T; R_k]`` over the stacked (X, Y, Z, U) order, with
+    ``m_k`` fold k's mean and ``R_k^T R_k`` its scatter.  ``C_k^T C_k`` is
+    the fold's Gram matrix ``X_k^T X_k``: ``C_k`` is the fold's rows after
+    an orthogonal rotation, truncated to ``dim + 1`` rows, and loses nothing
+    for an estimator that reads covariances.  ``joint_cov_empirical`` is
+    the pooled covariance of all ``n`` rows.
     """
 
     n: int
@@ -111,72 +121,62 @@ def build_joint(m: GeneralModel, q) -> np.ndarray:
     return linalg.symmetrize(joint)
 
 
-def _centred_cov(gram, total, n, ddof):
-    """Covariance of ``n`` rows from their Gram matrix ``X^T X`` and column
-    sums ``total``."""
-    mean = total / n
-    return linalg.symmetrize((gram - n * np.outer(mean, mean)) / (n - ddof))
+def _fold_sizes(n):
+    """Sizes of the ``DEFAULT_FOLDS`` folds of ``n`` rows: they sum to ``n``
+    and differ by at most one."""
+    return n // DEFAULT_FOLDS + (np.arange(DEFAULT_FOLDS) < n % DEFAULT_FOLDS)
 
 
 def sample(joint_cov, n: int, seed: int) -> SampleBatch:
-    """Draw ``n`` i.i.d. joint samples; bitwise deterministic given ``seed``.
+    """Draw the fold statistics of ``n`` i.i.d. joint samples; bitwise
+    deterministic given ``seed``.
 
-    Samples are the Cholesky factor of the joint covariance applied to the
-    rows of an (n, dim) standard-normal block from a Philox generator keyed
-    by ``seed``, drawn ``SAMPLE_BLOCK_ROWS`` rows at a time straight into
-    the result.  Raises ``NotPsd`` when the covariance is not PSD.
+    See the module docstring for the draw.  A fold of ``n_k <= dim`` rows
+    has a singular scatter: its Bartlett factor keeps only its first ``n_k -
+    1`` columns.  Raises ``NotPsd``, naming the least eigenvalue, when the
+    covariance has no Cholesky factor, and ``ValueError`` when ``n < 1``.
     """
     joint_cov = linalg.check_symmetric(joint_cov, "joint covariance")
-    if not linalg.is_psd(joint_cov):
-        raise NotPsd(
-            f"joint covariance is not PSD (min eig = {linalg.min_eig(joint_cov):.3e})"
-        )
+    try:
+        factor = linalg.chol_lower(joint_cov, "joint covariance")
+    except NotPositiveDefinite as exc:
+        raise NotPsd(f"joint covariance is not positive definite "
+                     f"(min eig = {linalg.min_eig(joint_cov):.3e})") from exc
     if n < 1:
         raise ValueError("sample count must be positive")
-    # tiny jitter only to absorb round-off at the PSD boundary
-    try:
-        factor = np.linalg.cholesky(joint_cov)
-    except np.linalg.LinAlgError:
-        jitter = 1e-12 * (1.0 + float(np.trace(joint_cov)))
-        factor = np.linalg.cholesky(joint_cov + jitter * np.eye(joint_cov.shape[0]))
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     n, dim = int(n), joint_cov.shape[0]
-    samples = np.empty((n, dim))
-    gram = np.zeros((dim, dim))
-    total = np.zeros(dim)
-    lo = 0
-    while lo < n:
-        # a lone last row would go through a matrix-vector product, which
-        # rounds differently from the one-block draw; its block takes it
-        hi = n if n - lo <= SAMPLE_BLOCK_ROWS + 1 else lo + SAMPLE_BLOCK_ROWS
-        block = np.matmul(rng.standard_normal((hi - lo, dim)), factor.T,
-                          out=samples[lo:hi])
-        gram += block.T @ block
-        total += block.sum(axis=0)
-        lo = hi
-    emp = _centred_cov(gram, total, n, ddof=1 if n > 1 else 0)
-    return SampleBatch(n=n, seed=int(seed), samples=samples, joint_cov_empirical=emp)
+    sizes = _fold_sizes(n)
+    # an empty fold (n < DEFAULT_FOLDS) has a zero sum
+    z = rng.standard_normal((DEFAULT_FOLDS, dim)) * (sizes > 0)[:, None]
+    bartlett = np.tril(rng.standard_normal((DEFAULT_FOLDS, dim, dim)), -1)
+    dof = sizes[:, None] - 1 - np.arange(dim)
+    diag = np.sqrt(2.0 * rng.standard_gamma(np.maximum(dof, 0) / 2.0))
+    bartlett[:, np.arange(dim), np.arange(dim)] = diag
+    bartlett *= (dof > 0)[:, None, :]
+    roots = np.swapaxes(factor @ bartlett, 1, 2)
+    stats = np.concatenate([(z @ factor.T)[:, None], roots], axis=1)
+    gram = np.einsum("kij,kil->jl", stats, stats)
+    mean = np.sqrt(sizes) @ stats[:, 0] / n
+    emp = linalg.symmetrize((gram - n * np.outer(mean, mean)) / max(n - 1, 1))
+    return SampleBatch(n=n, seed=int(seed), samples=stats, joint_cov_empirical=emp)
 
 
-def _plugin_rates(cov, lay: JointLayout):
-    """(rp, rk) plug-in estimates from one empirical covariance matrix."""
-    ix, iy, iz, iu = lay.slices
+def _plugin_rates(covs, lay: JointLayout):
+    """(rp, rk) plug-in estimates from a stack of empirical covariances."""
+    ix, iy, iz, iu = (np.r_[s] for s in lay.slices)
 
-    def mi(sa, sb):
-        ia = np.r_[sa]
-        ib = np.r_[sb]
-        idx = np.r_[ia, ib]
-        block = cov[np.ix_(idx, idx)]
+    def logdet(idx):
         try:
-            return 0.5 * (
-                linalg.logdet_pd(cov[np.ix_(ia, ia)])
-                + linalg.logdet_pd(cov[np.ix_(ib, ib)])
-                - linalg.logdet_pd(block)
-            )
-        except Exception as exc:
+            return linalg.logdet_chol(linalg.chol_lower(covs[:, idx[:, None], idx],
+                                                        "empirical covariance block"))
+        except NotPositiveDefinite as exc:
             raise SingularEmpiricalCov(
                 f"singular empirical covariance block: {exc}"
             ) from exc
+
+    def mi(ia, ib):
+        return 0.5 * (logdet(ia) + logdet(ib) - logdet(np.r_[ia, ib]))
 
     i_ux = mi(iu, ix)
     i_uy = mi(iu, iy)
@@ -188,37 +188,29 @@ def estimate_rates(batch: SampleBatch, layout: JointLayout):
     """Plug-in estimates of the rate functionals from a sample batch.
 
     Returns ``(rp_est, rk_est)`` as ``MiEstimate`` values.  The point
-    estimates use the full-batch empirical covariance; standard errors come
-    from recomputing the estimates on ``DEFAULT_FOLDS`` contiguous
-    sub-batches and taking the standard error of the fold mean.  Requires
+    estimates use the pooled empirical covariance; standard errors come
+    from recomputing the estimates on each fold's covariance ``R_k^T R_k /
+    (n_k - 1)`` and taking the standard error of the fold mean.  Requires
     at least ``DEFAULT_FOLDS * (dim + 1)`` samples so every fold covariance
     is nonsingular; raises ``SingularEmpiricalCov`` otherwise.
     """
-    if batch.samples.shape[1] != layout.dim:
+    if batch.samples.shape[-1] != layout.dim:
         raise ValueError(
-            f"batch dimension {batch.samples.shape[1]} does not match layout "
+            f"batch dimension {batch.samples.shape[-1]} does not match layout "
             f"dimension {layout.dim}"
         )
-    per_fold = batch.n // DEFAULT_FOLDS
-    if per_fold < layout.dim + 1:
+    if batch.n // DEFAULT_FOLDS < layout.dim + 1:
         raise SingularEmpiricalCov(
             f"{batch.n} samples cannot fill {DEFAULT_FOLDS} folds of at least "
             f"{layout.dim + 1} samples each"
         )
-    rp_full, rk_full = _plugin_rates(batch.joint_cov_empirical, layout)
-    rp_folds = []
-    rk_folds = []
-    for k in range(DEFAULT_FOLDS):
-        chunk = batch.samples[k * per_fold:(k + 1) * per_fold]
-        cov = _centred_cov(chunk.T @ chunk, chunk.sum(axis=0), per_fold, ddof=1)
-        rp_k, rk_k = _plugin_rates(cov, layout)
-        rp_folds.append(rp_k)
-        rk_folds.append(rk_k)
-    rp_se = float(np.std(rp_folds, ddof=1) / np.sqrt(DEFAULT_FOLDS))
-    rk_se = float(np.std(rk_folds, ddof=1) / np.sqrt(DEFAULT_FOLDS))
-    return (
-        MiEstimate(value=float(rp_full), std_error=rp_se),
-        MiEstimate(value=float(rk_full), std_error=rk_se),
+    roots = batch.samples[:, 1:]
+    folds = np.swapaxes(roots, 1, 2) @ roots / (_fold_sizes(batch.n) - 1)[:, None, None]
+    rp, rk = _plugin_rates(np.concatenate([batch.joint_cov_empirical[None], folds]), layout)
+    return tuple(
+        MiEstimate(value=float(est[0]),
+                   std_error=float(np.std(est[1:], ddof=1) / np.sqrt(DEFAULT_FOLDS)))
+        for est in (rp, rk)
     )
 
 

@@ -15,8 +15,9 @@ from gausskey import (
     sample,
     to_general,
 )
+from gausskey.cli import main
 from gausskey.errors import NotPsd, SingularEmpiricalCov
-from gausskey.mc import JointLayout, layout_for
+from gausskey.mc import DEFAULT_FOLDS, JointLayout, layout_for
 
 from conftest import random_conditional, random_general, rng_for
 
@@ -114,6 +115,7 @@ def test_sampling_is_bitwise_deterministic(degraded_demo):
     joint = build_joint(degraded_demo, np.eye(2))
     b1 = sample(joint, 5000, seed=123)
     b2 = sample(joint, 5000, seed=123)
+    assert b1.samples.shape == (DEFAULT_FOLDS, joint.shape[0] + 1, joint.shape[0])
     assert np.array_equal(b1.samples, b2.samples)
     assert np.array_equal(b1.joint_cov_empirical, b2.joint_cov_empirical)
     b3 = sample(joint, 5000, seed=124)
@@ -123,6 +125,9 @@ def test_sampling_is_bitwise_deterministic(degraded_demo):
 def test_sampler_rejects_non_psd():
     with pytest.raises(NotPsd):
         sample(np.array([[1.0, 2.0], [2.0, 1.0]]), 100, seed=0)
+    # a PSD-singular joint has no Cholesky factor to draw through
+    with pytest.raises(NotPsd, match="min eig"):
+        sample(np.ones((2, 2)), 100, seed=0)
 
 
 def test_empirical_covariance_clt_bound(degraded_demo):
@@ -133,11 +138,92 @@ def test_empirical_covariance_clt_bound(degraded_demo):
     assert np.max(np.abs(batch.joint_cov_empirical - joint)) < bound
 
 
-def test_single_sample_fails_downstream(degraded_demo):
+def test_single_sample_fails_downstream(degraded_demo, tmp_path):
     joint = build_joint(degraded_demo, np.eye(2))
     batch = sample(joint, 1, seed=0)
     with pytest.raises(SingularEmpiricalCov):
         estimate_rates(batch, layout_for(degraded_demo))
+    for n in (0, -3):
+        with pytest.raises(ValueError):
+            sample(joint, n, seed=0)
+    # n rows span n - 1 directions about their mean, however they fall
+    # into folds
+    dim = joint.shape[0]
+    for n in (2, 5, 12, 37):
+        w = np.linalg.eigvalsh(sample(joint, n, seed=n).joint_cov_empirical)
+        assert np.sum(w > 1e-10 * w[-1]) == min(n - 1, dim)
+        assert w[0] > -1e-10 * w[-1]
+    path = tmp_path / "degraded.json"
+    path.write_text(json.dumps({"sigma_x": degraded_demo.sigma_x.tolist(),
+                                "b": degraded_demo.b.tolist(), "e": degraded_demo.e.tolist()}))
+    assert main(["mc", str(path), "--samples", "5"]) == 3
+
+
+def test_empirical_covariance_pools_the_folds(degraded_demo):
+    # the full-batch covariance is the within-fold scatters plus the spread
+    # of the fold means, over n - 1; fold sizes sum to n
+    joint = build_joint(degraded_demo, 0.5 * degraded_demo.sigma_x)
+    for n in (1003, 10**5 + 7, 10**10):
+        batch = sample(joint, n, seed=11)
+        sizes = n // DEFAULT_FOLDS + (np.arange(DEFAULT_FOLDS) < n % DEFAULT_FOLDS)
+        assert sizes.sum() == n and np.ptp(sizes) <= 1
+        means = batch.samples[:, 0] / np.sqrt(sizes)[:, None]
+        spread = means - sizes @ means / n
+        pooled = sum(r.T @ r for r in batch.samples[:, 1:])
+        pooled = pooled + sum(k * np.outer(d, d) for k, d in zip(sizes, spread))
+        pooled /= n - 1
+        err = np.max(np.abs(batch.joint_cov_empirical - pooled))
+        assert err <= 1e-12 * np.max(np.abs(pooled))
+
+
+def test_small_folds_have_the_gram_law(degraded_demo):
+    # at n_k = 10 rows a fold's whitened Gram matrix C_k^T C_k / n_k
+    # averages to I; a Bartlett factor with a wrong chi-square count, no
+    # below-diagonal normals or no mean row is biased by at least 1 / n_k
+    joint = build_joint(degraded_demo, 0.5 * degraded_demo.sigma_x)
+    white = np.linalg.inv(np.linalg.cholesky(joint))
+    dim = joint.shape[0]
+    seeds = 500
+    total = np.zeros((dim, dim))
+    for seed in range(seeds):
+        c = sample(joint, 10 * DEFAULT_FOLDS, seed).samples @ white.T
+        total += np.einsum("kij,kil->jl", c, c) / 10
+    # each entry of a whitened Wishart(I, 10) / 10 has variance at most 2 / 10
+    draws = seeds * DEFAULT_FOLDS
+    assert np.max(np.abs(total / draws - np.eye(dim))) < 5.0 * np.sqrt(0.2 / draws)
+
+
+def test_z_scores_follow_t_law(degraded_demo, crossing_demo):
+    # the full-batch estimate's deviation over the fold standard error is
+    # t-distributed with DEFAULT_FOLDS - 1 degrees of freedom
+    from scipy import stats
+
+    law = stats.t(DEFAULT_FOLDS - 1).cdf
+    for m in (degraded_demo, crossing_demo):
+        q = 0.5 * m.sigma_x
+        exact = rates_general(m, q)
+        joint = build_joint(m, q)
+        lay = layout_for(m)
+        z = np.array([[(est.value - ref) / est.std_error
+                       for est, ref in zip(estimate_rates(sample(joint, 10**5, seed), lay),
+                                           (exact.rp, exact.rk))]
+                      for seed in range(400)])
+        for column in z.T:
+            assert stats.kstest(column, law).pvalue > 0.01
+
+
+def test_estimates_at_ten_billion_samples(degraded_demo, crossing_demo):
+    # the draw costs the same at any n; one seed keys both sizes, so the
+    # fold deviations come from nearly the same standard draws and the
+    # standard errors scale by sqrt(1e10 / 1e6) = 100
+    for m in (degraded_demo, crossing_demo):
+        q = 0.5 * m.sigma_x
+        exact = rates_general(m, q)
+        big = cross_validate(m, q, 10**10, seed=21)
+        mid = cross_validate(m, q, 10**6, seed=21)
+        for b, s, ref in zip(big, mid, (exact.rp, exact.rk)):
+            assert abs(b.value - ref) < 5.0 * b.std_error
+            assert 50.0 < s.std_error / b.std_error < 200.0
 
 
 def test_estimates_match_analytic_rates(degraded_demo, crossing_demo):
