@@ -226,10 +226,7 @@ def run(cfg: RunConfig, out=None) -> int:
     handler = _HANDLERS[cfg.command]
     try:
         return handler(cfg, out)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (ModelValidationError, ValueError) as exc:
+    except (FileNotFoundError, ModelValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (SolverError, CertificateError) as exc:

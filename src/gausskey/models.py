@@ -109,6 +109,8 @@ class ConditionalCov:
     matrix Q with ``0 < Q <= sigma_x``, tested scale-free on the eigenvalues
     ``phi`` of the pencil ``(Q, sigma_x)``: the least must exceed
     ``COND_COV_MIN_EIG``, and ``I - diag(phi)`` must pass ``linalg.is_psd``.
+    ``Q = sigma_x`` (symmetrized) is accepted before the pencil, whose
+    eigenvalues there miss 1 by about ``eps cond(sigma_x)``.
     """
 
     value: np.ndarray
@@ -134,6 +136,8 @@ class ConditionalCov:
                 f"conditional covariance shape {value.shape} does not match "
                 f"source covariance shape {model.sigma_x.shape}"
             )
+        if np.array_equal(value, linalg.symmetrize(model.sigma_x)):
+            return cls(value)
         phis = linalg.gen_eig_pencil(value, model.sigma_x)
         if not phis[-1] > COND_COV_MIN_EIG:
             raise InvalidConditionalCov(

@@ -86,11 +86,11 @@ class RegionBoundary:
         if any(b < a - 1e-9 for a, b in zip(rks, rks[1:])):
             raise ValueError("boundary rk values must be nondecreasing")
 
-    def rk_at(self, rp, tol=1e-12):
+    def rk_at(self, rp):
         """Largest rk among boundary points with point.rp <= rp (step form)."""
         best = 0.0
         for p in self.points:
-            if p.rp <= rp + tol:
+            if p.rp <= rp + 1e-12:
                 best = max(best, p.rk)
         return best
 

@@ -59,11 +59,11 @@ from .errors import (
     Infeasible,
     MaxIterationsExceeded,
     ModelValidationError,
-    NotPositiveDefinite,
     SolverFailure,
 )
 from .modelio import model_digest
 from .models import (
+    COND_COV_MIN_EIG,
     AlignedModel,
     ConditionalCov,
     GeneralModel,
@@ -958,31 +958,13 @@ def _frob_stack(a):
     return np.sqrt((flat @ np.swapaxes(flat, -1, -2))[:, 0, 0])
 
 
-def _chol_valid(m, sigma, valid):
-    """``_chol_terms`` of the matrices of a stack marked ``valid``; a matrix
-    whose terms have no Cholesky factor is marked invalid in place."""
-    try:
-        return _chol_terms(m, sigma[valid])
-    except NotPositiveDefinite:
-        for i in np.flatnonzero(valid):  # find the matrices that fail
-            try:
-                _chol_terms(m, sigma[i:i + 1])
-            except NotPositiveDefinite:
-                valid[i] = False
-        return _chol_terms(m, sigma[valid])
-
-
 def _rates_stack(m, sigma, ld_full):
     """The public and key rates ``(ip, ik)`` that ``rates_aligned`` gives
     for a stack of conditional covariances inside the matrix interval (see
     ``_pga_penalty``), given the log-dets ``ld_full`` of ``sigma_x`` plus 0,
-    ``sigma_wz`` and ``sigma_wy``, and a mask of the valid matrices: one
-    whose terms have no Cholesky factor is invalid, its rates NaN."""
-    valid = np.ones(len(sigma), dtype=bool)
-    gx, gz, gy = (0.5 * (ld_full - linalg.logdet_chol(_chol_valid(m, sigma, valid)))).T
-    ip, ik = np.full(len(sigma), np.nan), np.full(len(sigma), np.nan)
-    ip[valid], ik[valid] = gx - gy, gy - gz
-    return ip, ik, valid
+    ``sigma_wz`` and ``sigma_wy``."""
+    gx, gz, gy = (0.5 * (ld_full - linalg.logdet_chol(_chol_terms(m, sigma)))).T
+    return gx - gy, gy - gz
 
 
 def _commuting_start(w, rp, swap):
@@ -1042,30 +1024,29 @@ def _pga_penalty(m, rp, q0, max_iter):
     ``rho = _penalty_weight(m)``, over ``0 < Q <= I`` of a whitened model
     (``models.whiten``), for a stack of starts ``q0``.  The clip of the
     eigenvalues to ``[SIGMA_FLOOR_SCALE, 1]`` keeps every iterate in the
-    interval that ``ConditionalCov`` checks, at any scale of the model.
-    The starts advance in lockstep, one stacked evaluation per ascent step,
-    while each keeps its own step size, Armijo test and early stop.  The
-    Armijo backtracking tests at most 30 step sizes ``eta 2^-j`` per step,
-    and each of its rounds evaluates the next ``HALVINGS_PER_STACK`` of them
-    for every start still searching as one stack.  A start takes the first
-    trial that passes the Armijo test, or stops at the first one that barely
-    moves; the later trials of the round are discarded.  An invalid trial
-    (see ``_rates_stack``) has a NaN value, fails the test and is
-    backtracked past.  Halving is exact, so every start visits the iterates
-    it would visit alone.  Returns ``(q, pair, iterations)`` per start,
+    interval that ``ConditionalCov`` checks, at any scale of the model, and
+    every trial factors: the whitened noises pass ``validate_model``, so
+    ``Q``, ``Q + sigma_wz`` and ``Q + sigma_wy`` have condition numbers
+    below about 1.1e10.  The starts advance in lockstep, one stacked
+    evaluation per ascent step, while each keeps its own step size, Armijo
+    test and early stop.  The Armijo backtracking tests at most 30 step
+    sizes ``eta 2^-j`` per step, and each of its rounds evaluates the next
+    ``HALVINGS_PER_STACK`` of them for every start still searching as one
+    stack.  A start takes the first trial that passes the Armijo test, or
+    stops at the first one that barely moves; the later trials of the round
+    are discarded.  Halving is exact, so every start visits the iterates it
+    would visit alone.  Returns ``(q, pair, iterations)`` per start,
     counting the ascent iterations it took."""
     ld_full = np.array([linalg.logdet_pd(m.sigma_x + w) for w in (0.0, m.sigma_wz, m.sigma_wy)])
     rho = _penalty_weight(m)
 
     def objective(q):
-        ip, ik, valid = _rates_stack(m, q, ld_full)
-        return ik - rho * np.maximum(0.0, ip - rp), ip, ik, valid
+        ip, ik = _rates_stack(m, q, ld_full)
+        return ik - rho * np.maximum(0.0, ip - rp), ip, ik
 
     k, n = len(q0), m.mx
     q = linalg.eig_clip(np.asarray(q0, dtype=float), SIGMA_FLOOR_SCALE, 1.0)
-    val, ip, ik, valid = objective(q)
-    if not valid.all():
-        _chol_terms(m, q[~valid])  # raises the start's Cholesky failure
+    val, ip, ik = objective(q)
     eta = np.full(k, 0.1)
     iterations = np.zeros(k, dtype=int)
     live = np.arange(k)
@@ -1095,7 +1076,7 @@ def _pga_penalty(m, rp, q0, max_iter):
             # a trial is evaluated when no trial before it, or itself, stops
             tested = np.flatnonzero(~np.logical_or.accumulate(stop, axis=1))
             owner = np.repeat(search, n_j)[tested]
-            val_t, ip_t, ik_t, _ = objective(q_new[tested])
+            val_t, ip_t, ik_t = objective(q_new[tested])
             eta_t, move_t = etas.ravel()[tested], move.ravel()[tested]
             up = np.zeros_like(stop)
             armijo = val[owner] + 1e-4 / np.maximum(eta_t, 1e-12) * move_t * move_t
@@ -1167,19 +1148,20 @@ class _FaceSystem:
     def residuals(self, xs):
         """Residual rows of points (free-block and cross-block components of
         the whitened stationarity matrix, then ``I_p - rp``) and a mask of
-        the valid ones.  A point is invalid, its row NaN, when an eigenvalue
-        of its free block is not positive or exceeds ``1 + FACE_EXCURSION``
-        (an escape toward stationary points beyond the interval), or ``Q``,
-        ``Q + sigma_wz`` or ``Q + sigma_wy`` has no Cholesky factor.
+        the valid ones: those whose free block's eigenvalues lie in
+        ``(COND_COV_MIN_EIG, 1 + FACE_EXCURSION]``, above the interval gate's
+        floor and short of an escape toward stationary points beyond the
+        interval.  With 1 on the active block of an orthogonal basis, such a
+        ``Q`` factors as an ascent trial does (see ``_pga_penalty``).  An
+        invalid point's row is NaN.
         """
-        m = self.m
         sigma, mu, u, q_f = self.build(xs)
         w = np.linalg.eigvalsh(q_f)
-        valid = (w[:, 0] > 0.0) & (w[:, -1] <= 1.0 + FACE_EXCURSION)
-        lower = _chol_valid(m, sigma, valid)
+        valid = (w[:, 0] > COND_COV_MIN_EIG) & (w[:, -1] <= 1.0 + FACE_EXCURSION)
         rows = np.full((len(xs), self.n_qf + self.n_rot + 1), np.nan)
         if not valid.any():
             return rows, valid
+        lower = _chol_terms(self.m, sigma[valid])
         m_w = kkt.stationarity_stack(linalg.inv_chol(lower), mu[valid])
         u = u[valid]  # views of it give each slice the strides of a 2-D basis
         u_a, u_f = u[:, :, :self.n_active], u[:, :, self.n_active:]

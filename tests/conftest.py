@@ -57,6 +57,15 @@ def random_aligned(rng, m=2, degraded=False):
     )
 
 
+def ill_conditioned_aligned(rng, m, cond):
+    """Aligned model whose source covariance has eigenvalues
+    ``geomspace(1, 1 / cond, m)`` on a random orthogonal basis."""
+    u, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    sigma_x = (u * np.geomspace(1.0, 1.0 / cond, m)) @ u.T
+    return AlignedModel(sigma_x=0.5 * (sigma_x + sigma_x.T), sigma_wy=random_spd(rng, m),
+                        sigma_wz=random_spd(rng, m))
+
+
 def random_conditional(rng, sigma_x, lo=0.05, hi=0.95):
     """Random conditional covariance strictly inside (0, sigma_x)."""
     from gausskey import linalg

@@ -31,9 +31,9 @@ here as references: the ascent that evaluated one backtracking trial per
 call and the polish that evaluated all 30 halvings, down to 2^-29 of the
 step, as one stack.  The polish stops at 2^-7, so on its cases the
 reference also checks that the halvings below that floor change no
-result.  An invalid backtracking trial fails the Armijo test, in both
-ascents alike.  Errors that are not a rejected face or an invalid point
-must propagate.
+result.  A backtracking trial with NaN rates fails the Armijo test, in
+both ascents alike.  Errors that are not a rejected face or an invalid
+point must propagate.
 
 Two counts guard the aligned route's cost and reliability without a
 clock: the face polishes and the residual rows they evaluate over the
@@ -346,6 +346,24 @@ def test_commuting_start_is_the_optimum_of_a_commuting_model(mx):
         assert np.array_equal(solver._commuting_start(w, 1.0, swap), np.eye(mx))
 
 
+# the benchmark's nine aligned models, (mx, key) of _bench_model
+BENCH_MODELS = [(2, key) for key in range(2000, 2005)] + [(4, 2005), (4, 2006), (4, 2007),
+                                                          (6, 2009)]
+
+
+@pytest.mark.parametrize("key, mx, rp", [(key, mx, 12.0) for mx, key in BENCH_MODELS]
+                         + [(key, None, 16.0) for key in (5001, 5002, 5003)])
+def test_solves_where_the_ascent_floor_binds(key, mx, rp):
+    # high rates drive whitened eigenvalues down to SIGMA_FLOOR_SCALE, where
+    # every trial must still factor.  Neither certification nor monotonicity
+    # in rp holds here yet, so only the solve and its budget are checked
+    m = _fresh_model(key) if mx is None else _bench_model(key, mx)
+    report = solve_at_rate(m, rp)
+    assert math.isfinite(report.value)
+    assert np.isfinite(report.optimum.value).all()
+    assert rates_aligned(m, report.optimum).rp <= rp + 1e-6
+
+
 # ---------------------------------------------------------------------------
 # the order of the face polish's candidates
 # ---------------------------------------------------------------------------
@@ -630,22 +648,20 @@ def test_lockstep_ascent_matches_per_start_loop(monkeypatch, mx, key, rp, rho, m
 def _reference_pga_penalty(m, rp, q0, max_iter):
     """The lockstep ascent with one stacked evaluation per backtracking
     trial: what ``_pga_penalty`` did before it tested several trials per
-    call.  An invalid trial's value is NaN, so it fails the Armijo test."""
+    call.  A trial with NaN rates fails the Armijo test."""
     floor = solver.SIGMA_FLOOR_SCALE
     ld_full = np.array([linalg.logdet_pd(m.sigma_x + w) for w in (0.0, m.sigma_wz, m.sigma_wy)])
     rho = solver._penalty_weight(m)
 
     def objective(q):
-        ip, ik, valid = solver._rates_stack(m, q, ld_full)
+        ip, ik = solver._rates_stack(m, q, ld_full)
         pairs = [RatePair(rp=float(a), rk=float(b)) for a, b in zip(ip, ik)]
         vals = [p.rk - rho * max(0.0, p.rp - rp) for p in pairs]
-        return np.array(vals), pairs, valid
+        return np.array(vals), pairs
 
     k = len(q0)
     q = linalg.eig_clip(np.asarray(q0, dtype=float), floor, 1.0)
-    val, pairs, valid = objective(q)
-    if not valid.all():
-        _chol_terms(m, q[~valid])
+    val, pairs = objective(q)
     eta = np.full(k, 0.1)
     iterations = np.zeros(k, dtype=int)
     live = np.arange(k)
@@ -670,7 +686,7 @@ def _reference_pga_penalty(m, rp, q0, max_iter):
             search, q_new, move, grad_q = search[keep], q_new[keep], move[keep], grad_q[keep]
             if not search.size:
                 break
-            val_new, pairs_new, _ = objective(q_new)
+            val_new, pairs_new = objective(q_new)
             up = val_new > val[search] + 1e-4 / np.maximum(eta[search], 1e-12) * move * move
             win = search[up]
             q[win], val[win] = q_new[up], val_new[up]
@@ -782,22 +798,22 @@ def test_stacked_line_searches_keep_the_sequential_iterates(monkeypatch, name):
     (4, 2005, 2.0, 13, 400, "meets"), (6, 2009, 1.0, 13, 400, "meets")])
 def test_injected_invalid_trials_backtrack(monkeypatch, mx, key, rp, period, max_iter,
                                            sequential):
-    # declare invalid every trial matrix whose bytes hash to 0 mod period: a
-    # property of the matrix alone, so both searches see the same invalid
+    # give NaN rates to every trial matrix whose bytes hash to 0 mod period:
+    # a property of the matrix alone, so both searches see the same invalid
     # trials; each fails its Armijo test, and the batched search must keep
     # the sequential one's iterates, raising in neither.  The starts, which
-    # the first call evaluates, are not trials: an invalid start raises
+    # the first call evaluates, are not trials
     rates = solver._rates_stack
     marked, calls = [], []
 
     def marking(mm, sigma, ld_full):
-        ip, ik, valid = rates(mm, sigma, ld_full)
+        ip, ik = rates(mm, sigma, ld_full)
         calls.append(len(sigma))
         for i, s in enumerate(sigma if len(calls) > 1 else ()):
             if zlib.crc32(s.tobytes()) % period == 0:
-                valid[i], ip[i], ik[i] = False, np.nan, np.nan
+                ip[i], ik[i] = np.nan, np.nan
                 marked.append(s.tobytes())
-        return ip, ik, valid
+        return ip, ik
 
     monkeypatch.setattr(solver, "_rates_stack", marking)
     m = whiten(_bench_model(key, mx))[0]

@@ -9,6 +9,8 @@ from gausskey.cli import RunConfig, _config_from_args, build_parser, main
 from gausskey.errors import MaxIterationsExceeded
 from gausskey.rates import PointMeta, RegionBoundary
 
+from conftest import ill_conditioned_aligned, rng_for
+
 
 @pytest.fixture(scope="module")
 def model_files(tmp_path_factory, degraded_demo):
@@ -229,6 +231,23 @@ def test_mc_command(model_files, capsys):
     for line in capsys.readouterr().out.splitlines():
         _, _, value, _, std_error = line.split()[:5]
         assert abs(float(value)) < 5.0 * float(std_error)
+
+
+@pytest.mark.parametrize("key", range(7000, 7003))
+def test_the_corner_of_an_ill_conditioned_model(tmp_path, key):
+    # region's grid starts at rp 0, whose optimum is the corner Q = sigma_x,
+    # and mc --q-scale 1 samples there; both ran into the pencil's round-off
+    # at cond(sigma_x) = 1e8, which validate accepts
+    m = ill_conditioned_aligned(rng_for(key), 4, 1e8)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({k: getattr(m, k).tolist()
+                                for k in ("sigma_x", "sigma_wy", "sigma_wz")}))
+    out_csv = str(tmp_path / "region.csv")
+    assert main(["validate", str(path)]) == 0
+    assert main(["region", str(path), "-o", out_csv, "--points", "5"]) == 0
+    with open(out_csv) as fh:
+        assert fh.read().splitlines()[1] == "0,0"
+    assert main(["mc", str(path), "--samples", "20000", "--seed", "4", "--q-scale", "1"]) == 0
 
 
 def test_region_rejects_bad_options(model_files, capsys):

@@ -275,7 +275,9 @@ def test_public_rate_estimate_nonnegative(degraded_demo):
 
 
 def test_estimates_tighten_with_sample_size(degraded_demo):
-    # plug-in error at n = 1e6 beats n = 1e4 for almost every seed
+    # plug-in error at n = 1e6 beats n = 1e4 for almost every pair of
+    # independent draws: with normal errors whose spreads differ tenfold, the
+    # larger sample wins with probability 1 - (2/pi) atan(1/10) ~ 0.937
     q = 0.5 * degraded_demo.sigma_x
     analytic = rates_general(degraded_demo, q)
     joint = build_joint(degraded_demo, q)
@@ -284,10 +286,10 @@ def test_estimates_tighten_with_sample_size(degraded_demo):
     trials = 60
     for seed in range(trials):
         small = estimate_rates(sample(joint, 10**4, seed=seed), lay)[1]
-        big = estimate_rates(sample(joint, 10**6, seed=seed), lay)[1]
+        big = estimate_rates(sample(joint, 10**6, seed=trials + seed), lay)[1]
         if abs(big.value - analytic.rk) < abs(small.value - analytic.rk):
             wins += 1
-    assert wins >= 0.95 * trials - 2  # binomial slack around the 95% claim
+    assert wins >= 0.95 * trials - 2  # 55 of 60; 56.2 expected at 0.937
 
 
 def test_layout_dimension_check(degraded_demo, scalar_aligned):

@@ -29,7 +29,7 @@ from gausskey.errors import (
     NotPositiveDefinite,
 )
 
-from conftest import random_conditional, random_spd, rng_for
+from conftest import ill_conditioned_aligned, random_conditional, random_spd, rng_for
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +120,17 @@ def test_conditional_cov_interval_is_scale_free(degraded_demo):
             else:
                 with pytest.raises(InvalidConditionalCov):
                     ConditionalCov.for_model(m, c * q)
+
+
+@pytest.mark.parametrize("key", range(7000, 7003))
+def test_the_corner_is_accepted_at_any_condition_number(key):
+    # the pencil (sigma_x, sigma_x) misses 1 by about eps cond(sigma_x), past
+    # the interval test's 1e-10 at cond 1e8; Q = sigma_x is the corner itself
+    m = ill_conditioned_aligned(rng_for(key), 4, 1e8)
+    assert np.array_equal(ConditionalCov.for_model(m, m.sigma_x).value, m.sigma_x)
+    pair = rates_aligned(m, m.sigma_x)
+    assert (pair.rp, pair.rk) == (0.0, 0.0)
+    assert solve_at_rate(m, 0.0).value == 0.0
 
 
 # ---------------------------------------------------------------------------
