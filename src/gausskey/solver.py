@@ -28,12 +28,14 @@ Three routes to the boundary R_k(R_p):
 ``ascent_boundary``
     For aligned models of any dimension.  The model is whitened once, to
     ``sigma_x = I`` (a congruence, which keeps both rates), so every floor
-    and tolerance is relative.  On ``0 < A <= I`` a projected gradient ascent
-    with an exact penalty on the rate constraint and multi-start
-    initialization is polished by a Newton solve of the first-order
-    optimality system on the detected active face.  The general problem is
-    nonconvex, so this route is a heuristic: every returned point is either
-    certified through the KKT machinery or flagged unconverged.
+    and tolerance is relative.  On ``0 < A <= I`` a Newton solve of the
+    first-order optimality system on a detected active face polishes the
+    optima of the model's two commuting parts; only when neither has a
+    valid KKT multiplier does a projected gradient ascent with an exact
+    penalty on the rate constraint run from several starts, its end points
+    polished alike.  The general problem is nonconvex, so this route is a
+    heuristic: every returned point is either certified through the KKT
+    machinery or flagged unconverged.
 
 ``brute_force_grid``
     An independent oracle for source dimension <= 2: exhaustive search over
@@ -1100,16 +1102,15 @@ def _pga_penalty(m, rp, q0, max_iter):
             for i in range(k)]
 
 
-def _skew_rotate(u0, n_active, thetas):
-    """Rotate an orthogonal basis by block-off-diagonal skew generators, one
-    per row of ``thetas``; returns the stack of rotated bases."""
-    n = u0.shape[0]
+def _skew_generators(n, n_active, thetas):
+    """Block-off-diagonal skew generators, one per row of ``thetas``, that
+    mix the first ``n_active`` of ``n`` directions with the rest."""
     rows = np.repeat(np.arange(n_active), n - n_active)
     cols = np.tile(np.arange(n_active, n), n_active)
     gen = np.zeros((len(thetas), n, n))
     gen[:, rows, cols] = thetas
     gen[:, cols, rows] = -thetas
-    return u0 @ sla.expm(gen)
+    return gen
 
 
 class _FaceSystem:
@@ -1129,12 +1130,15 @@ class _FaceSystem:
         self.n_rot = n_active * (m.mx - n_active)
         self.ld_xy = linalg.logdet_pd(m.sigma_x + m.sigma_wy)
 
-    def build(self, xs):
-        """Conditional covariances, multipliers, rotated bases, free blocks."""
+    def build(self, xs, rotations=None):
+        """Conditional covariances, multipliers, rotated bases, free blocks;
+        ``rotations``, when given, are the ``expm`` of the points' angles."""
         n_qf, n_rot, na = self.n_qf, self.n_rot, self.n_active
         q_f = np.einsum("pk,kab->pab", xs[:, :n_qf], self.basis_f)
         if n_rot:
-            u = _skew_rotate(self.u0, na, xs[:, n_qf:n_qf + n_rot])
+            if rotations is None:
+                rotations = sla.expm(_skew_generators(self.m.mx, na, xs[:, n_qf:-1]))
+            u = self.u0 @ rotations
         else:
             u = np.broadcast_to(self.u0, (len(xs),) + self.u0.shape)
         u_a, u_f = u[:, :, :na], u[:, :, na:]
@@ -1175,6 +1179,46 @@ class _FaceSystem:
         rows[valid] = np.concatenate(parts, axis=1)
         return rows, valid
 
+    def jacobian(self, x):
+        """The Jacobian of ``residuals`` at one valid point ``x``, in closed
+        form in the same chart at ``u0``.  In the rotated basis ``U``, where
+        ``U^T Q U = D = diag(I, q_f)`` and ``N = U^T M U``, a free coordinate
+        moves ``D`` by its basis matrix on the free block, and an angle by
+        ``F = K D - D K`` with ``K = e^{G^T} L``, ``L`` the Frechet derivative
+        of ``expm`` at the generator ``G`` in the angle's direction ``E``:
+        the top right block of ``expm([[G, E], [0, G]])`` (Al-Mohy & Higham
+        2009), one stacked call for every angle.  A move ``F`` changes ``N``
+        by ``-M(mu)`` of ``(P F P, Z F Z, Y F Y)``, the rotated inverses of
+        ``Q``, ``Q + sigma_wz`` and ``Q + sigma_wy`` (plus ``N K - K N`` for an
+        angle) and ``I_p`` by ``tr((Y - P) F) / 2``; log mu changes ``N`` by
+        ``mu (P - Y)``."""
+        n_qf, n_rot, na, n = self.n_qf, self.n_rot, self.n_active, self.m.mx
+        if n_rot:
+            block = np.zeros((n_rot, 2 * n, 2 * n))
+            block[:, :n, :n] = block[:, n:, n:] = _skew_generators(n, na, x[None, n_qf:-1])
+            block[:, :n, n:] = _skew_generators(n, na, np.eye(n_rot))
+            big = sla.expm(block)
+        (sigma,), (mu,), (u,), (q_f,) = self.build(x[None], big[:1, :n, :n] if n_rot else None)
+        inv = u.T @ linalg.inv_chol(_chol_terms(self.m, sigma[None]))[0] @ u
+        f = np.zeros((n_qf + n_rot, n, n))
+        f[:n_qf, na:, na:] = self.basis_f
+        if n_rot:
+            k = np.swapaxes(big[:, :n, :n], -1, -2) @ big[:, :n, n:]
+            d = np.eye(n)
+            d[na:, na:] = q_f
+            f[n_qf:] = k @ d - d @ k
+        dn = -kkt.stationarity_stack(inv @ f[:, None] @ inv, mu)
+        if n_rot:
+            n_mat = kkt.stationarity_stack(inv, mu)
+            dn[n_qf:] += n_mat @ k - k @ n_mat
+        dn = np.concatenate((dn, mu * (inv[None, 0] - inv[None, 2])))
+        cols = [np.einsum("kab,pab->pk", dn[:, na:, na:], self.basis_f)]
+        if n_rot:
+            cols.append(dn[:, :na, na:].reshape(len(dn), -1).T)
+        rate = 0.5 * np.einsum("ab,kab->k", inv[2] - inv[0], f)
+        cols.append(np.append(rate, 0.0)[None])
+        return np.concatenate(cols)
+
 
 def _polish_face(m, rp, q_hat, mu_hint, n_active):
     """Newton solve of the first-order system on a prescribed active face,
@@ -1187,16 +1231,16 @@ def _polish_face(m, rp, q_hat, mu_hint, n_active):
     cross-block components of the stationarity matrix, plus the rate
     equality (see ``_FaceSystem``).
 
-    A Newton step makes two or three stacked evaluations.  The
-    central-difference Jacobian evaluates its ``2 nx`` probes ``x +- h
-    e_k``, ``h = 1e-7 (1 + |x_k|)``, as one stack and abandons the face if
-    any is invalid.  The line search takes the first valid one of the
-    halvings ``x + 0.5^j step``, ``j < POLISH_HALVINGS``, that lowers the
-    max-norm residual (halving is exact, so these are a sequential search's
-    trials), ``HALVINGS_PER_STACK`` per stacked evaluation; when none does,
-    mostly on a wrong face, the polish stops, as it does after 80 steps or
-    below 1e-12.  Returns (q, mu, residual_norm), or None for an invalid
-    start or probe; ``solve_at_rate``'s gate checks the result's interval.
+    A Newton step takes the closed-form Jacobian at its point
+    (``_FaceSystem.jacobian``, in the fixed chart at ``u0``) and one or two
+    stacked residual evaluations.  The line search takes the first valid
+    one of the halvings ``x + 0.5^j step``, ``j < POLISH_HALVINGS``, that
+    lowers the max-norm residual (halving is exact, so these are a
+    sequential search's trials), ``HALVINGS_PER_STACK`` per stacked
+    evaluation; when none does, mostly on a wrong face, the polish stops, as
+    it does after 80 steps or below 1e-12.  Returns (q, mu, residual_norm),
+    or None for an invalid start; ``solve_at_rate``'s gate checks the
+    result's interval.
     """
     w, u0 = np.linalg.eigh(q_hat)
     u0 = u0[:, np.argsort(w)[::-1]]
@@ -1218,11 +1262,7 @@ def _polish_face(m, rp, q_hat, mu_hint, n_active):
         rnorm = float(np.max(np.abs(r)))
         if rnorm < 1e-12:
             break
-        h = 1e-7 * (1.0 + np.abs(x))
-        rows, valid = face.residuals(np.concatenate((x + np.diag(h), x - np.diag(h))))
-        if not valid.all():
-            return None
-        jac = ((rows[:nx] - rows[nx:]) / (2.0 * h)[:, None]).T
+        jac = face.jacobian(x)
         try:
             step = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:
@@ -1263,17 +1303,23 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 6,
     run on ``sigma_x = I``, so every floor and tolerance is relative to
     ``sigma_x``, and the optimum is mapped back once as ``S Q S``.
 
-    Projected gradient ascent with an exact penalty, its weight above every
-    multiplier of the model (``_penalty_weight``), runs from ``sigma0`` or
-    from the first ``n_starts`` (1 to 6) of ``_starts``: the source
-    covariance scaled by {1, 0.75, 0.5, 0.25}, then the optima of the
-    model's two commuting parts.  A Newton polish of the stationarity
-    system on candidate active faces (``_face_schedule``), with the rate
-    binding, starts from the ``POLISH_ENDS`` end points in budget with the
-    highest key rates, each with its own multiplier hint
+    The starts are ``sigma0`` or the first ``n_starts`` (1 to 6) of
+    ``_starts``: the source covariance scaled by {1, 0.75, 0.5, 0.25}, then
+    the optima of the model's two commuting parts.  A Newton polish of the
+    stationarity system on an active face (``_polish_face``), with the rate
+    binding, starts from a point with its own multiplier hint
     (``kkt.closed_form_mu``, clipped to [1e-8, 1e4]), detected face and key
-    rate to keep: the best one's factor-1 candidates, then each other one's
-    faces from its detected one at factor 1, then the best one's rest.
+    rate to keep.  The commuting-part optima among the starts are polished
+    first, each on its detected face at factor 1 (never on the corner face
+    ``n_active = mx``, whose polish returns ``sigma_x`` unsolved); the first
+    candidate to pass the gate below is returned with ``iterations = 0``,
+    and a ``GausskeyError`` on this path moves the solve on.  Otherwise
+    projected gradient ascent with an exact penalty, its weight above every
+    multiplier of the model (``_penalty_weight``), runs from every start,
+    and its ``POLISH_ENDS`` end points in budget with the highest key rates
+    are polished on candidate faces (``_face_schedule``): the best one's
+    factor-1 candidates, then each other one's faces from its detected one
+    at factor 1, then the best one's rest.
 
     One gate decides every polished candidate: ``rates_aligned`` takes it,
     it keeps the budget and its end point's key rate, its face system is
@@ -1284,7 +1330,11 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 6,
     whatever candidate produced it (the enhancement argument), so the first
     candidate to pass is returned converged; a point solved on a wrong face
     has none.  When none passes, the candidate in budget with the highest
-    key rate is returned unconverged, or the best ascent point.
+    key rate, the commuting-part ones included, is returned unconverged, or
+    the best ascent point.  The returned ``S Q S`` is not re-tested in the
+    model's frame: ``Q`` passed the interval test in the whitened frame, or
+    is an ascent point clipped into it, while ``S Q S`` carries round-off
+    of about ``eps cond(sigma_x)`` there.
     ``kkt_residual`` is, in the whitened frame, the multiplier composite at
     the returned point, converged or not.  ``iterations`` counts the ascent
     iterations taken, over every start; ``max_iter`` caps them per start (0
@@ -1309,6 +1359,55 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 6,
     starts = (_starts(w, rp, n_starts) if sigma0 is None else
               [linalg.congruence(s_half_inv, np.asarray(sigma0, float))])
 
+    def composite(q):
+        # the multiplier test of kkt.recover_multipliers when the rate binds
+        try:
+            return kkt.multiplier_composite(w, q, kkt.closed_form_mu(w, q))[0]
+        except GausskeyError:
+            return math.inf
+
+    def end_point(q, rk):
+        # a point to polish, with its multiplier hint and detected face
+        return (q, rk, min(max(kkt.closed_form_mu(w, q), 1e-8), 1e4),
+                int(np.sum(np.linalg.eigvalsh(q) >= 1.0 - 1e-4)))
+
+    def polished(q_end, rk_end, mu_hint, n_active):
+        # (q, rk, composite, passed) of a candidate that rates_aligned takes
+        # and that keeps the budget and its end point's key rate, else None.
+        # A system solved on a wrong face leaves a point with no multiplier
+        # that makes the stationarity matrix PSD
+        cand = _polish_face(w, rp, q_end, mu_hint, n_active)
+        if cand is None:
+            return None
+        try:
+            pair = rates_aligned(w, cand[0])
+        except ModelValidationError:
+            return None
+        if not (pair.rp <= rp + 1e-7 and pair.rk >= rk_end - 1e-7):
+            return None
+        comp = composite(cand[0]) if cand[2] < 1e-8 else None
+        return cand[0], pair.rk, comp, comp is not None and comp <= kkt.ACCEPT_COMPOSITE
+
+    def report(q, rk, res, converged, iterations):
+        return SolveReport(optimum=ConditionalCov(linalg.congruence(s_half, q)), value=rk,
+                           iterations=iterations, converged=converged,
+                           kkt_residual=float(composite(q) if res is None else res))
+
+    # the commuting-part optima first (the starts after the first four),
+    # each on its detected face but the corner, whose polish returns I
+    # without solving the rate equation
+    pool = []
+    try:
+        for q in starts[4:]:
+            point = end_point(q, rates_aligned(w, q).rk)
+            cand = polished(*point) if point[3] < m.mx else None
+            if cand and cand[3]:
+                return report(*cand, 0)
+            if cand:
+                pool.append(cand)
+    except GausskeyError:
+        pass
+
     runs = _pga_penalty(w, rp, np.array(starts), max_iter)
     iterations = sum(run[2] for run in runs)
     ends = sorted((run[:2] for run in runs if run[1].rp <= rp + 1e-6),
@@ -1317,46 +1416,19 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 6,
         raise MaxIterationsExceeded("no penalty run produced a feasible point")
 
     # polish the end points until a candidate passes, else keep the best
-    ends = [(q, pair.rk, min(max(kkt.closed_form_mu(w, q), 1e-8), 1e4),
-             int(np.sum(np.linalg.eigvalsh(q) >= 1.0 - 1e-4))) for q, pair in ends]
+    ends = [end_point(q, pair.rk) for q, pair in ends]
     schedule = _face_schedule(ends[0][3], m.mx)
     order = ([(ends[0], c) for c in schedule if c[1] == 1.0]
              + [(end, (k, 1.0)) for end in ends[1:] for k in range(end[3], m.mx)]
              + [(ends[0], c) for c in schedule if c[1] != 1.0])
-
-    def composite(q):
-        # the multiplier test of kkt.recover_multipliers when the rate binds
-        try:
-            return kkt.multiplier_composite(w, q, kkt.closed_form_mu(w, q))[0]
-        except GausskeyError:
-            return math.inf
-
-    q_out, rk_out, res_out, converged = *ends[0][:2], None, False
+    best = max([(*ends[0][:2], None, False), *pool], key=lambda cand: cand[1])
     for (q_end, rk_end, mu_hint, _), (n_active, factor) in order:
-        cand = _polish_face(w, rp, q_end, factor * mu_hint, n_active)
-        if cand is None:
-            continue
-        q_pol, _, res = cand
-        try:
-            pair_pol = rates_aligned(w, q_pol)
-        except ModelValidationError:
-            continue
-        if not (pair_pol.rp <= rp + 1e-7 and pair_pol.rk >= rk_end - 1e-7):
-            continue
-        # a system solved on a wrong face leaves a point with no multiplier
-        # that makes the stationarity matrix PSD
-        comp = composite(q_pol) if res < 1e-8 else None
-        if comp is not None and comp <= kkt.ACCEPT_COMPOSITE:
-            q_out, rk_out, res_out, converged = q_pol, pair_pol.rk, comp, True
-            break
-        if pair_pol.rk > rk_out:
-            q_out, rk_out, res_out = q_pol, pair_pol.rk, comp
-
-    if res_out is None:
-        res_out = composite(q_out)
-    sigma_out = ConditionalCov.for_model(m, linalg.congruence(s_half, q_out))
-    return SolveReport(optimum=sigma_out, value=rk_out, iterations=iterations,
-                       kkt_residual=float(res_out), converged=converged)
+        cand = polished(q_end, rk_end, factor * mu_hint, n_active)
+        if cand and cand[3]:
+            return report(*cand, iterations)
+        if cand and cand[1] > best[1]:
+            best = cand
+    return report(*best, iterations)
 
 
 def ascent_boundary(m: AlignedModel, rp_grid) -> RegionBoundary:

@@ -14,7 +14,8 @@ Per point it records the bytes of the value and of the optimum ``sigma``,
 ``uncertified`` or the name of the exception ``certify`` raised), or the name
 of the exception ``solve_at_rate`` raised.  Apart, as ``cert``, it records
 the bytes of the certificate itself: ``mu``, the ten residuals in the order
-of ``kkt.RESIDUAL_KEYS``, ``wy_tilde`` and ``m_matrix``.  A change to the
+of ``kkt.RESIDUAL_KEYS``, ``wy_tilde`` and ``m_matrix``, and as ``cpu_s`` the
+process CPU seconds of the point's solve and certificate.  A change to the
 aligned route is checked by saving the probe on the parent tree and
 comparing on the change:
 
@@ -27,7 +28,9 @@ alone may move), how many moved (and the largest change of value and of
 ``sigma``), how many changed certificate outcome, how many values rose and
 fell by more than ``FALL_TOL`` (listing each fall with both values and its
 certificate outcome on both trees), and how many points are certified now
-and in the file.  It exits 1 when a value
+and in the file, and the summed ``cpu_s`` of the run beside the file's
+(a file saved before ``cpu_s`` was recorded reads "not recorded"; ``--save``
+prints the run's sum too).  It exits 1 when a value
 falls by more than ``FALL_TOL``, or is lost to an exception, or a certified
 point loses its certificate.  It also prints how many certificates are
 bit-identical and lists the points whose certificate bytes moved; these do
@@ -60,6 +63,7 @@ sigma_wz T^T)`` either.  ``--congruence c FILE`` applies the ill-conditioned
 import json
 import os
 import sys
+import time
 from collections import Counter
 
 # as in tests/conftest.py: OpenBLAS threads only contend on small matrices
@@ -136,6 +140,18 @@ def record(m, rp, mode=None, c=1.0):
     }
 
 
+def timed(m, rp, mode, c):
+    """``record`` with the process CPU seconds it took, as ``cpu_s``."""
+    start = time.process_time()
+    rec = record(m, rp, mode, c)
+    rec["cpu_s"] = time.process_time() - start
+    return rec
+
+
+def cpu_seconds(run):
+    return sum(rec["cpu_s"] for rec in run.values())
+
+
 def _floats(hexed):
     return np.frombuffer(bytes.fromhex(hexed), dtype=np.float64)
 
@@ -154,8 +170,8 @@ def compare(old, new):
     cert_moved = [label for label, rec in new.items()
                   if rec.get("cert") != old[label].get("cert")]
     for label, rec in new.items():
-        ref = {k: v for k, v in old[label].items() if k != "cert"}
-        if {k: v for k, v in rec.items() if k != "cert"} == ref:
+        ref = {k: v for k, v in old[label].items() if k not in ("cert", "cpu_s")}
+        if {k: v for k, v in rec.items() if k not in ("cert", "cpu_s")} == ref:
             same += 1
             continue
         kept += all(rec.get(k) == ref.get(k)
@@ -194,6 +210,9 @@ def compare(old, new):
     print(f"values: {rose} rose and {fell} fell by more than {FALL_TOL:g}")
     print(f"certified: {certified[0]} (file: {certified[1]})")
     print(f"certificates: {len(new) - len(cert_moved)} of {len(new)} bit-identical")
+    was = (f"{cpu_seconds(old):.2f}" if all("cpu_s" in r for r in old.values())
+           else "not recorded")
+    print(f"CPU seconds of the solves and certificates: {cpu_seconds(new):.2f} (file: {was})")
     for label in cert_moved:
         print(f"{label}: certificate bytes moved")
     return len(failed)
@@ -240,10 +259,11 @@ def main(argv):
                          "| --scale C FILE | --congruence C FILE)\n")
         return 2
     mode, c = (argv[0], float(argv[1])) if len(argv) == 3 else (None, 1.0)
-    run = {label: record(m, rp, mode, c) for label, m, rp in cases()}
+    run = {label: timed(m, rp, mode, c) for label, m, rp in cases()}
     if argv[0] == "--save":
         with open(argv[1], "w") as fh:
             json.dump(run, fh, indent=0)
+        print(f"CPU seconds of the solves and certificates: {cpu_seconds(run):.2f}")
         return 0
     with open(argv[-1]) as fh:
         old = json.load(fh)

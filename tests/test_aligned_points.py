@@ -24,8 +24,9 @@ per-point references below mirror that.
 The aligned route runs on the whitened model (``models.whiten``), and so
 do the internals below.  The stacked kernels are checked against plain
 per-point references: the face-polish residual against the per-point
-closure it replaces, the stacked ``expm`` against per-matrix calls, and the
-lockstep multi-start ascent against the per-start loop.  The line searches that test several step sizes
+closure it replaces, its closed-form Jacobian against central differences,
+the stacked ``expm`` against per-matrix calls, and the lockstep
+multi-start ascent against the per-start loop.  The line searches that test several step sizes
 per stacked call must keep every iterate of the ones they replaced, kept
 here as references: the ascent that evaluated one backtracking trial per
 call and the polish that evaluated all 30 halvings, down to 2^-29 of the
@@ -36,9 +37,9 @@ both ascents alike.  Errors that are not a rejected face or an invalid
 point must propagate.
 
 Two counts guard the aligned route's cost and reliability without a
-clock: the face polishes and the residual rows they evaluate over the
-benchmark's points, and the certified points per model on models off the
-corpus at mx 3 to 8.
+clock: the face polishes, the residual rows they evaluate and the ascent
+runs over the benchmark's points, and the certified points per model on
+models off the corpus at mx 3 to 8.
 """
 
 import json
@@ -55,7 +56,8 @@ from gausskey.errors import GausskeyError, NoValidMultiplier
 from gausskey.models import whiten
 from gausskey.rates import RatePair, _chol_terms, rates_aligned
 
-from conftest import random_aligned, random_conditional, random_spd, rng_for
+from conftest import (ill_conditioned_aligned, random_aligned, random_conditional, random_spd,
+                      rng_for)
 
 VALUE_TOL = 1e-10
 SIGMA_TOL = 1e-8
@@ -364,6 +366,30 @@ def test_solves_where_the_ascent_floor_binds(key, mx, rp):
     assert rates_aligned(m, report.optimum).rp <= rp + 1e-6
 
 
+@pytest.mark.parametrize("key", range(7000, 7003))
+def test_ill_conditioned_solves_keep_their_own_output(monkeypatch, key):
+    # at cond(sigma_x) = 1e8 the answer S A S carries round-off of about
+    # eps cond(sigma_x) in the whitened frame, so a re-test of it in the
+    # model's frame refused the solver's own output, and mapping it back
+    # cannot recover A's rates.  The budget is judged on the whitened A
+    # that the solve maps back, by its last congruence with S
+    m = ill_conditioned_aligned(rng_for(key), 4, 1e8)
+    white, s_half, _ = whiten(m)
+    congruence, mapped = linalg.congruence, []
+
+    def recorded(t, a):
+        mapped.append((t, a))
+        return congruence(t, a)
+
+    monkeypatch.setattr(linalg, "congruence", recorded)
+    for rp in (1.25, 2.5, 3.75, 5.0, 7.5, 10.0):
+        mapped.clear()
+        report = solve_at_rate(m, rp)
+        a = [a for t, a in mapped if np.array_equal(t, s_half)][-1]
+        assert np.array_equal(report.optimum.value, congruence(s_half, a))
+        assert rates_aligned(white, a).rp <= rp + 1e-7
+
+
 # ---------------------------------------------------------------------------
 # the order of the face polish's candidates
 # ---------------------------------------------------------------------------
@@ -399,11 +425,16 @@ def test_face_polish_calls_on_the_benchmark_points(monkeypatch):
     # 68 calls and 9,590 rows once the first candidate to pass the gate
     # ends the polish and no face below the detected one is tried; 9,584
     # rows in the whitened frame; 74 calls and 10,354 rows from the
-    # structured starts and three ascent end points
+    # structured starts and three ascent end points (10,164 measured, 36
+    # ascent runs, bounds 81 calls and 11,050 rows); 103 calls, 4,047 rows
+    # and 10 ascent runs once the Jacobian is closed form and the
+    # commuting-part optima are polished before the ascent
     calls = []
     rows = []
+    runs = []
     polish = solver._polish_face
     residuals = solver._FaceSystem.residuals
+    pga = solver._pga_penalty
 
     def counted(*args, **kwargs):
         calls.append(args)
@@ -413,13 +444,19 @@ def test_face_polish_calls_on_the_benchmark_points(monkeypatch):
         rows.append(len(xs))
         return residuals(face, xs)
 
+    def counted_runs(*args):
+        runs.append(1)
+        return pga(*args)
+
     monkeypatch.setattr(solver, "_polish_face", counted)
     monkeypatch.setattr(solver._FaceSystem, "residuals", counted_rows)
+    monkeypatch.setattr(solver, "_pga_penalty", counted_runs)
     for point in POINTS:
         if point["model"].startswith("bench_"):
             solve_at_rate(_model(point), point["rp"])
-    assert len(calls) <= 81
-    assert sum(rows) <= 11_050
+    assert len(calls) <= 113
+    assert sum(rows) <= 4_450
+    assert len(runs) <= 12
 
 
 # Certified points per model off the corpus, at rates 0.25, 0.5, 1, 2 and 4
@@ -562,6 +599,34 @@ def test_stacked_face_residual_matches_per_point(mx):
     assert n_valid and n_invalid and n_outside
 
 
+@pytest.mark.parametrize("mx", range(2, 7))
+def test_face_jacobian_matches_central_differences(mx):
+    # every face below the corner, at seeded angles and multipliers away
+    # from the chart's centre; central differences of step 1e-6 (1 + |x|)
+    # are good to about 1e-9 here
+    for key in range(2):
+        rng = rng_for(9100 + 10 * mx + key)
+        m = AlignedModel(*(random_spd(rng, mx) for _ in range(3)))
+        white, _, s_half_inv = whiten(m)
+        q_hat = linalg.congruence(s_half_inv, random_conditional(rng, m.sigma_x))
+        w, u0 = np.linalg.eigh(q_hat)
+        u0 = u0[:, np.argsort(w)[::-1]]
+        for n_active in range(mx):
+            face = solver._FaceSystem(white, 1.0, u0, n_active)
+            nx = face.n_qf + face.n_rot + 1
+            u_f0 = u0[:, n_active:]
+            x = np.concatenate((
+                [np.sum((u_f0.T @ q_hat @ u_f0) * s) / np.sum(s * s) for s in face.basis_f],
+                0.3 * rng.standard_normal(face.n_rot),
+                [math.log(0.7) + 0.5 * rng.standard_normal()]))
+            h = 1e-6 * (1.0 + np.abs(x))
+            rows, valid = face.residuals(np.concatenate((x + np.diag(h), x - np.diag(h))))
+            assert valid.all()
+            want = ((rows[:nx] - rows[nx:]) / (2.0 * h)[:, None]).T
+            got = face.jacobian(x)
+            assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
+
+
 def test_stacked_expm_matches_per_matrix_calls():
     rng = rng_for(71)
     for n in (2, 4, 6):
@@ -702,7 +767,9 @@ def _reference_pga_penalty(m, rp, q0, max_iter):
 
 def _reference_polish_face(m, rp, q_hat, mu_hint, n_active):
     """The face polish whose line search evaluates all 30 halvings as one
-    stack: what ``_polish_face`` did before it tried the first few alone."""
+    stack: what ``_polish_face`` did before it tried the first few alone.
+    Both take the closed-form ``_FaceSystem.jacobian``, so the line search
+    is what this reference checks."""
     w, u0 = np.linalg.eigh(q_hat)
     u0 = u0[:, np.argsort(w)[::-1]]
     if n_active == m.mx:
@@ -723,11 +790,7 @@ def _reference_polish_face(m, rp, q_hat, mu_hint, n_active):
         rnorm = float(np.max(np.abs(r)))
         if rnorm < 1e-12:
             break
-        h = 1e-7 * (1.0 + np.abs(x))
-        rows, valid = face.residuals(np.concatenate((x + np.diag(h), x - np.diag(h))))
-        if not valid.all():
-            return None
-        jac = ((rows[:nx] - rows[nx:]) / (2.0 * h)[:, None]).T
+        jac = face.jacobian(x)
         try:
             step = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:
@@ -761,33 +824,27 @@ def _case_model(name):
 
 @pytest.mark.parametrize("name", sorted({n for n, _ in _STACKED_SEARCH_CASES}))
 def test_stacked_line_searches_keep_the_sequential_iterates(monkeypatch, name):
+    # the solve runs the ascent only when no polished commuting-part optimum
+    # passes the gate, so the ascent half is checked on the starts it would
+    # take, whether or not the solve reaches it
     m = _case_model(name)
-    calls = []
-    pga = solver._pga_penalty
-
-    def recorded(mm, rp, q0, max_iter):
-        out = pga(mm, rp, q0, max_iter)
-        calls.append(((mm, rp, np.array(q0), max_iter), out))
-        return out
-
+    w = whiten(m)[0]
     for rp in sorted({rp for n, rp in _STACKED_SEARCH_CASES if n == name}):
         with monkeypatch.context() as patch:
             patch.setattr(solver, "_pga_penalty", _reference_pga_penalty)
             patch.setattr(solver, "_polish_face", _reference_polish_face)
             want = solve_at_rate(m, rp)
-        with monkeypatch.context() as patch:
-            patch.setattr(solver, "_pga_penalty", recorded)
-            got = solve_at_rate(m, rp)
+        got = solve_at_rate(m, rp)
         assert got.value == want.value
         assert got.optimum.value.tobytes() == want.optimum.value.tobytes()
         assert (got.iterations, got.kkt_residual, got.converged) == (
             want.iterations, want.kkt_residual, want.converged)
         assert (_certificate_outcome(m, got.optimum, rp)
                 == _certificate_outcome(m, want.optimum, rp))
-    assert calls
-    for args, out in calls:
+        starts = np.array(solver._starts(w, rp, 6))
         for (sigma, pair, its), (sigma_r, pair_r, its_r) in zip(
-                out, _reference_pga_penalty(*args)):
+                solver._pga_penalty(w, rp, starts, 400),
+                _reference_pga_penalty(w, rp, starts, 400)):
             assert sigma.tobytes() == sigma_r.tobytes()
             assert (pair.rp, pair.rk, its) == (pair_r.rp, pair_r.rk, its_r)
 
