@@ -30,12 +30,14 @@ Three routes to the boundary R_k(R_p):
     ``sigma_x = I`` (a congruence, which keeps both rates), so every floor
     and tolerance is relative.  On ``0 < A <= I`` a Newton solve of the
     first-order optimality system on a detected active face polishes the
-    optima of the model's two commuting parts; only when neither has a
-    valid KKT multiplier does a projected gradient ascent with an exact
-    penalty on the rate constraint run from several starts, its end points
-    polished alike.  The general problem is nonconvex, so this route is a
-    heuristic: every returned point is either certified through the KKT
-    machinery or flagged unconverged.
+    optima of the model's two commuting parts.  When neither has a valid
+    KKT multiplier, a homotopy moves the model from its commuting part to
+    itself, polishing the last optimum at each step; only when that fails
+    does a projected gradient ascent with an exact penalty on the rate
+    constraint run from several starts, its end points polished alike.  The
+    general problem is nonconvex, so this route is a heuristic: every
+    returned point is either certified through the KKT machinery or flagged
+    unconverged.
 
 ``brute_force_grid``
     An independent oracle for source dimension <= 2: exhaustive search over
@@ -969,19 +971,25 @@ def _rates_stack(m, sigma, ld_full):
     return gx - gy, gy - gz
 
 
-def _commuting_start(w, rp, swap):
-    """The optimum at ``rp`` of the commuting part of a whitened model ``w``,
-    the noises' diagonals ``dy``, ``dz`` in the eigenbasis ``V`` of
-    ``sigma_wy`` (``sigma_wz`` when ``swap``): parallel scalar sources that
-    share one multiplier mu (the parallel-channel step of the enhancement
-    argument), at ``q_i = min(1, mu dy dz / (dz - (1 + mu) dy))`` where
-    ``dz > (1 + mu) dy``, else 1.  ``I_p`` falls as mu grows; the root in
-    log mu on [-40, 40] gives ``V diag(q) V^T`` at the last log mu within
-    the budget (``I`` when no ``dz > dy``)."""
+def _commuting_part(w, swap):
+    """``(V, dy, dz)``: the eigenbasis ``V`` of a whitened model's
+    ``sigma_wy`` (``sigma_wz`` when ``swap``) and the noises' diagonals in
+    it, the model's commuting part."""
     wy, wz = (w.sigma_wz, w.sigma_wy) if swap else (w.sigma_wy, w.sigma_wz)
     d_own, v = np.linalg.eigh(wy)
     d_other = np.einsum("ji,jk,ki->i", v, wz, v)
-    dy, dz = (d_other, d_own) if swap else (d_own, d_other)
+    return (v, d_other, d_own) if swap else (v, d_own, d_other)
+
+
+def _commuting_start(w, rp, swap):
+    """The optimum at ``rp`` of the commuting part of a whitened model ``w``
+    (``_commuting_part``): parallel scalar sources that share one
+    multiplier mu (the parallel-channel step of the enhancement argument),
+    at ``q_i = min(1, mu dy dz / (dz - (1 + mu) dy))`` where
+    ``dz > (1 + mu) dy``, else 1.  ``I_p`` falls as mu grows; the root in
+    log mu on [-40, 40] gives ``V diag(q) V^T`` at the last log mu within
+    the budget (``I`` when no ``dz > dy``)."""
+    v, dy, dz = _commuting_part(w, swap)
     if not np.any(dz > dy):
         return np.eye(w.mx)
     kept = []
@@ -1295,6 +1303,106 @@ def _face_schedule(n_active_guess, mx):
     return [(k, f) for f in (1.0, 2.0) for k in faces] + [(g, 4.0)]
 
 
+def _composite(w, rp, q, ip=None):
+    """The multiplier test of ``kkt.recover_multipliers`` at ``q`` on a
+    whitened model, whose public rate ``ip`` is computed when not given: the
+    composite at mu = 0 when the rate is slack, else at
+    ``kkt.closed_form_mu``; ``inf`` when ``q`` or its multiplier is
+    refused."""
+    try:
+        ip = rates_aligned(w, q).rp if ip is None else ip
+        slack = rp - ip > max(1e-7, 1e-6 * rp)
+        mu = 0.0 if slack else kkt.closed_form_mu(w, q)
+        return kkt.multiplier_composite(w, q, mu)[0]
+    except GausskeyError:
+        return math.inf
+
+
+def _end_point(w, q, rk):
+    """A point to polish: ``(q, rk, mu_hint, n_active)``, with its multiplier
+    hint (``kkt.closed_form_mu``, clipped to [1e-8, 1e4]) and detected face."""
+    return (q, rk, min(max(kkt.closed_form_mu(w, q), 1e-8), 1e4),
+            int(np.sum(np.linalg.eigvalsh(q) >= 1.0 - 1e-4)))
+
+
+def _polished(w, rp, q_end, rk_end, mu_hint, n_active):
+    """``(q, rk, composite, passed)`` of the face polish of an end point when
+    ``rates_aligned`` takes it and it keeps the budget and the end point's
+    key rate, else None; ``composite`` is None unless the face system is
+    solved below 1e-8.  A system solved on a wrong face leaves a point with
+    no multiplier that makes the stationarity matrix PSD."""
+    cand = _polish_face(w, rp, q_end, mu_hint, n_active)
+    if cand is None:
+        return None
+    try:
+        pair = rates_aligned(w, cand[0])
+    except ModelValidationError:
+        return None
+    if not (pair.rp <= rp + 1e-7 and pair.rk >= rk_end - 1e-7):
+        return None
+    comp = _composite(w, rp, cand[0], pair.rp) if cand[2] < 1e-8 else None
+    return cand[0], pair.rk, comp, comp is not None and comp <= kkt.ACCEPT_COMPOSITE
+
+
+# Step counts of the homotopy from the commuting part: the finer grid takes
+# over from the last t that passed when a step of the coarser one fails.
+HOMOTOPY_STEPS = (3, 20)
+
+
+def _homotopy_step(w, rp, q):
+    """The face polish of ``q`` on a whitened model ``w`` that passes the
+    gate, or None.  A step moves the optimum a little, so only its detected
+    face ``g`` and ``g + 1`` are tried, in the order of ``_face_schedule``:
+    over the benchmark's and the probe's steps, and at rates up to 16, no
+    step passed on a face above ``g + 1``."""
+    q, rk, mu_hint, g = _end_point(w, q, rates_aligned(w, q).rk)
+    for n_active, factor in _face_schedule(g, min(g + 2, w.mx)):
+        cand = _polished(w, rp, q, rk, factor * mu_hint, n_active)
+        if cand and cand[3]:
+            return cand
+    return None
+
+
+def _homotopy(w, rp, start):
+    """The optimum of a whitened model ``w`` at ``rp`` by continuation from
+    its commuting part (Allgower & Georg 1990), or None.
+
+    With ``(V, dy, dz) = _commuting_part(w, False)``, the path keeps
+    ``sigma_wy`` and moves ``sigma_wz(t) = (1 - t) V diag(dz) V^T + t
+    sigma_wz`` from ``t = 0``, where ``start = _commuting_start(w, rp,
+    False)`` is the optimum, to the model at ``t = 1``.  The budget depends
+    on ``sigma_wy`` alone, so every step's start keeps it.  Each step
+    polishes the last optimum on the model at ``t`` (``_homotopy_step``),
+    on the grid ``k / n`` for the first ``n`` of ``HOMOTOPY_STEPS``.  A step
+    that passes no gate, or raises a ``GausskeyError``, hands over to the
+    next grid, which goes on from the last ``t`` that passed; when the last
+    grid fails too, None.  Returns the candidate at ``t = 1``.  No ``dz >
+    dy``: the start is the corner ``I``, where the path stays, so there is
+    no path."""
+    v, dy, dz = _commuting_part(w, False)
+    if not np.any(dz > dy):
+        return None
+    commuting = (v * dz) @ v.T
+    q, t_passed = start, 0.0
+    for n in HOMOTOPY_STEPS:
+        for t in np.arange(1, n + 1) / n:
+            if t <= t_passed:
+                continue
+            w_t = w if t == 1.0 else AlignedModel(
+                w.sigma_x, w.sigma_wy,
+                linalg.symmetrize((1.0 - t) * commuting + t * w.sigma_wz))
+            try:
+                cand = _homotopy_step(w_t, rp, q)
+            except GausskeyError:
+                cand = None
+            if cand is None:
+                break
+            q, t_passed = cand[0], t
+        else:
+            return cand
+    return None
+
+
 def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 6,
                   max_iter: int = 400) -> SolveReport:
     """Maximize the key rate of an aligned model at public-rate budget ``rp``.
@@ -1307,34 +1415,38 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 6,
     ``_starts``: the source covariance scaled by {1, 0.75, 0.5, 0.25}, then
     the optima of the model's two commuting parts.  A Newton polish of the
     stationarity system on an active face (``_polish_face``), with the rate
-    binding, starts from a point with its own multiplier hint
-    (``kkt.closed_form_mu``, clipped to [1e-8, 1e4]), detected face and key
-    rate to keep.  The commuting-part optima among the starts are polished
-    first, each on its detected face at factor 1 (never on the corner face
-    ``n_active = mx``, whose polish returns ``sigma_x`` unsolved); the first
-    candidate to pass the gate below is returned with ``iterations = 0``,
-    and a ``GausskeyError`` on this path moves the solve on.  Otherwise
-    projected gradient ascent with an exact penalty, its weight above every
-    multiplier of the model (``_penalty_weight``), runs from every start,
-    and its ``POLISH_ENDS`` end points in budget with the highest key rates
-    are polished on candidate faces (``_face_schedule``): the best one's
-    factor-1 candidates, then each other one's faces from its detected one
-    at factor 1, then the best one's rest.
+    binding, starts from an end point with its own multiplier hint, detected
+    face and key rate to keep (``_end_point``).  The routes, in order:
 
-    One gate decides every polished candidate: ``rates_aligned`` takes it,
-    it keeps the budget and its end point's key rate, its face system is
-    solved below 1e-8, and its multiplier composite
-    (``kkt.multiplier_composite`` at its own ``kkt.closed_form_mu``, the
-    test of ``kkt.recover_multipliers`` as the rate binds) is at most
-    ``kkt.ACCEPT_COMPOSITE``.  A point with a valid multiplier is optimal
-    whatever candidate produced it (the enhancement argument), so the first
-    candidate to pass is returned converged; a point solved on a wrong face
-    has none.  When none passes, the candidate in budget with the highest
-    key rate, the commuting-part ones included, is returned unconverged, or
-    the best ascent point.  The returned ``S Q S`` is not re-tested in the
-    model's frame: ``Q`` passed the interval test in the whitened frame, or
-    is an ascent point clipped into it, while ``S Q S`` carries round-off
-    of about ``eps cond(sigma_x)`` there.
+    1. the commuting-part optima among the starts, each polished on its
+       detected face at factor 1 (never on the corner face
+       ``n_active = mx``, whose polish returns ``sigma_x`` unsolved); a
+       ``GausskeyError`` here moves the solve on;
+    2. when the first commuting-part optimum is among the starts, the
+       homotopy from it to the model (``_homotopy``);
+    3. projected gradient ascent with an exact penalty, its weight above
+       every multiplier of the model (``_penalty_weight``), from every
+       start, whose ``POLISH_ENDS`` end points in budget with the highest
+       key rates are polished on candidate faces (``_face_schedule``): the
+       best one's factor-1 candidates, then each other one's faces from its
+       detected one at factor 1, then the best one's rest.
+
+    The first two return a candidate that passes the gate below with
+    ``iterations = 0``.  One gate decides every polished candidate:
+    ``rates_aligned`` takes it, it keeps the budget and its end point's key
+    rate, its face system is solved below 1e-8, and its multiplier
+    composite (``_composite``: the test of ``kkt.recover_multipliers``, at
+    mu = 0 when the rate is slack and at ``kkt.closed_form_mu`` when it
+    binds) is at most ``kkt.ACCEPT_COMPOSITE``.  A point with a valid
+    multiplier is optimal whatever candidate produced it (the enhancement
+    argument), so the first candidate to pass is returned converged; a
+    point solved on a wrong face has none.  When none passes, the candidate
+    in budget with the highest key rate, the commuting-part ones included,
+    is returned unconverged, or the best ascent point.  The returned
+    ``S Q S`` is not re-tested in the model's frame: ``Q`` passed the
+    interval test in the whitened frame, or is an ascent point clipped into
+    it, while ``S Q S`` carries round-off of about ``eps cond(sigma_x)``
+    there.
     ``kkt_residual`` is, in the whitened frame, the multiplier composite at
     the returned point, converged or not.  ``iterations`` counts the ascent
     iterations taken, over every start; ``max_iter`` caps them per start (0
@@ -1359,54 +1471,28 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 6,
     starts = (_starts(w, rp, n_starts) if sigma0 is None else
               [linalg.congruence(s_half_inv, np.asarray(sigma0, float))])
 
-    def composite(q):
-        # the multiplier test of kkt.recover_multipliers when the rate binds
-        try:
-            return kkt.multiplier_composite(w, q, kkt.closed_form_mu(w, q))[0]
-        except GausskeyError:
-            return math.inf
-
-    def end_point(q, rk):
-        # a point to polish, with its multiplier hint and detected face
-        return (q, rk, min(max(kkt.closed_form_mu(w, q), 1e-8), 1e4),
-                int(np.sum(np.linalg.eigvalsh(q) >= 1.0 - 1e-4)))
-
-    def polished(q_end, rk_end, mu_hint, n_active):
-        # (q, rk, composite, passed) of a candidate that rates_aligned takes
-        # and that keeps the budget and its end point's key rate, else None.
-        # A system solved on a wrong face leaves a point with no multiplier
-        # that makes the stationarity matrix PSD
-        cand = _polish_face(w, rp, q_end, mu_hint, n_active)
-        if cand is None:
-            return None
-        try:
-            pair = rates_aligned(w, cand[0])
-        except ModelValidationError:
-            return None
-        if not (pair.rp <= rp + 1e-7 and pair.rk >= rk_end - 1e-7):
-            return None
-        comp = composite(cand[0]) if cand[2] < 1e-8 else None
-        return cand[0], pair.rk, comp, comp is not None and comp <= kkt.ACCEPT_COMPOSITE
-
     def report(q, rk, res, converged, iterations):
         return SolveReport(optimum=ConditionalCov(linalg.congruence(s_half, q)), value=rk,
                            iterations=iterations, converged=converged,
-                           kkt_residual=float(composite(q) if res is None else res))
+                           kkt_residual=float(_composite(w, rp, q) if res is None else res))
 
     # the commuting-part optima first (the starts after the first four),
     # each on its detected face but the corner, whose polish returns I
-    # without solving the rate equation
+    # without solving the rate equation; then the path from the commuting
+    # part
     pool = []
     try:
         for q in starts[4:]:
-            point = end_point(q, rates_aligned(w, q).rk)
-            cand = polished(*point) if point[3] < m.mx else None
+            point = _end_point(w, q, rates_aligned(w, q).rk)
+            cand = _polished(w, rp, *point) if point[3] < m.mx else None
             if cand and cand[3]:
                 return report(*cand, 0)
             if cand:
                 pool.append(cand)
     except GausskeyError:
         pass
+    if len(starts) > 4 and (cand := _homotopy(w, rp, starts[4])):
+        return report(*cand, 0)
 
     runs = _pga_penalty(w, rp, np.array(starts), max_iter)
     iterations = sum(run[2] for run in runs)
@@ -1416,14 +1502,14 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 6,
         raise MaxIterationsExceeded("no penalty run produced a feasible point")
 
     # polish the end points until a candidate passes, else keep the best
-    ends = [end_point(q, pair.rk) for q, pair in ends]
+    ends = [_end_point(w, q, pair.rk) for q, pair in ends]
     schedule = _face_schedule(ends[0][3], m.mx)
     order = ([(ends[0], c) for c in schedule if c[1] == 1.0]
              + [(end, (k, 1.0)) for end in ends[1:] for k in range(end[3], m.mx)]
              + [(ends[0], c) for c in schedule if c[1] != 1.0])
     best = max([(*ends[0][:2], None, False), *pool], key=lambda cand: cand[1])
     for (q_end, rk_end, mu_hint, _), (n_active, factor) in order:
-        cand = polished(q_end, rk_end, factor * mu_hint, n_active)
+        cand = _polished(w, rp, q_end, rk_end, factor * mu_hint, n_active)
         if cand and cand[3]:
             return report(*cand, iterations)
         if cand and cand[1] > best[1]:

@@ -10,9 +10,14 @@ optimum (``"certified"`` when the largest residual is below 1e-6,
 The models are the benchmark's aligned workload (fixed generator keys
 2000-2009 at mx 2, 4 and 6, rates 0.5, 1, 2 and 4), the ``scalar_aligned``
 fixture of ``tests/conftest.py`` and the mx = 2 models of the certificate
-tests.  The committed file was re-frozen from the solver whose ascent
-starts from the model's structure (the two commuting-part optima in place
-of the seeded random starts) and whose polish starts from three ascent end
+tests.  Its two ``bench_mx4_key2007`` entries at rp 2 and 4 were last
+re-frozen, alone, from the solver that follows a homotopy from the
+commuting part before any ascent (the child of commit 691d555): both rose
+(0.31722 -> 0.39640 and 0.22818 -> 0.43436 nats) and now certify, so every
+entry is converged and certified, and ``--check`` moved no other value by
+more than 1.2e-14.  The whole file was re-frozen before from the solver
+whose ascent starts from the model's structure (the two commuting-part
+optima in place of the seeded random starts) and whose polish starts from three ascent end
 points (the child of commit 69e8fc3): ``bench_mx4_key2007`` at rp 2 rose
 from 0.21939 to 0.31722 nats, still without a valid multiplier; every
 other entry moved by at most 2.2e-14 in value, with no flag or

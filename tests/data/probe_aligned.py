@@ -14,8 +14,9 @@ Per point it records the bytes of the value and of the optimum ``sigma``,
 ``uncertified`` or the name of the exception ``certify`` raised), or the name
 of the exception ``solve_at_rate`` raised.  Apart, as ``cert``, it records
 the bytes of the certificate itself: ``mu``, the ten residuals in the order
-of ``kkt.RESIDUAL_KEYS``, ``wy_tilde`` and ``m_matrix``, and as ``cpu_s`` the
-process CPU seconds of the point's solve and certificate.  A change to the
+of ``kkt.RESIDUAL_KEYS``, ``wy_tilde`` and ``m_matrix``, as ``cpu_s`` the
+process CPU seconds of the point's solve and certificate, and as
+``iterations`` the solve's ascent iterations (0 when it ran no ascent).  A change to the
 aligned route is checked by saving the probe on the parent tree and
 comparing on the change:
 
@@ -28,9 +29,10 @@ alone may move), how many moved (and the largest change of value and of
 ``sigma``), how many changed certificate outcome, how many values rose and
 fell by more than ``FALL_TOL`` (listing each fall with both values and its
 certificate outcome on both trees), and how many points are certified now
-and in the file, and the summed ``cpu_s`` of the run beside the file's
-(a file saved before ``cpu_s`` was recorded reads "not recorded"; ``--save``
-prints the run's sum too).  It exits 1 when a value
+and in the file, and the summed ``cpu_s`` of the run beside the file's,
+with how many solves ran the ascent now and in the file (a file saved
+before ``cpu_s`` or ``iterations`` was recorded reads "not recorded";
+``--save`` prints the run's figures too).  It exits 1 when a value
 falls by more than ``FALL_TOL``, or is lost to an exception, or a certified
 point loses its certificate.  It also prints how many certificates are
 bit-identical and lists the points whose certificate bytes moved; these do
@@ -137,6 +139,7 @@ def record(m, rp, mode=None, c=1.0):
         "kkt_residual": report.kkt_residual,
         "certificate": outcome,
         "cert": cert_bytes,
+        "iterations": report.iterations,
     }
 
 
@@ -148,8 +151,20 @@ def timed(m, rp, mode, c):
     return rec
 
 
-def cpu_seconds(run):
-    return sum(rec["cpu_s"] for rec in run.values())
+# fields left out of the bit-identity test: the certificate's bytes are
+# listed apart, and time and ascent iterations are cost, not outcome
+COST_KEYS = ("cert", "cpu_s", "iterations")
+
+
+def cost_figures(run):
+    """The run's summed CPU seconds and how many of its solves ran the
+    ascent, each "not recorded" when the run lacks the field."""
+    solved = [rec for rec in run.values() if "value" in rec]
+    cpu = (f"{sum(rec['cpu_s'] for rec in run.values()):.2f}"
+           if all("cpu_s" in rec for rec in run.values()) else "not recorded")
+    ascents = (str(sum(rec["iterations"] > 0 for rec in solved))
+               if all("iterations" in rec for rec in solved) else "not recorded")
+    return cpu, ascents
 
 
 def _floats(hexed):
@@ -170,8 +185,8 @@ def compare(old, new):
     cert_moved = [label for label, rec in new.items()
                   if rec.get("cert") != old[label].get("cert")]
     for label, rec in new.items():
-        ref = {k: v for k, v in old[label].items() if k not in ("cert", "cpu_s")}
-        if {k: v for k, v in rec.items() if k not in ("cert", "cpu_s")} == ref:
+        ref = {k: v for k, v in old[label].items() if k not in COST_KEYS}
+        if {k: v for k, v in rec.items() if k not in COST_KEYS} == ref:
             same += 1
             continue
         kept += all(rec.get(k) == ref.get(k)
@@ -210,9 +225,9 @@ def compare(old, new):
     print(f"values: {rose} rose and {fell} fell by more than {FALL_TOL:g}")
     print(f"certified: {certified[0]} (file: {certified[1]})")
     print(f"certificates: {len(new) - len(cert_moved)} of {len(new)} bit-identical")
-    was = (f"{cpu_seconds(old):.2f}" if all("cpu_s" in r for r in old.values())
-           else "not recorded")
-    print(f"CPU seconds of the solves and certificates: {cpu_seconds(new):.2f} (file: {was})")
+    (cpu, ascents), (cpu_was, ascents_was) = cost_figures(new), cost_figures(old)
+    print(f"CPU seconds of the solves and certificates: {cpu} (file: {cpu_was}); "
+          f"solves that ran the ascent: {ascents} (file: {ascents_was})")
     for label in cert_moved:
         print(f"{label}: certificate bytes moved")
     return len(failed)
@@ -263,7 +278,9 @@ def main(argv):
     if argv[0] == "--save":
         with open(argv[1], "w") as fh:
             json.dump(run, fh, indent=0)
-        print(f"CPU seconds of the solves and certificates: {cpu_seconds(run):.2f}")
+        cpu, ascents = cost_figures(run)
+        print(f"CPU seconds of the solves and certificates: {cpu}; "
+              f"solves that ran the ascent: {ascents}")
         return 0
     with open(argv[-1]) as fh:
         old = json.load(fh)
