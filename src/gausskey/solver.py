@@ -986,11 +986,14 @@ def _commuting_start(w, rp, swap):
     (``_commuting_part``): parallel scalar sources that share one
     multiplier mu (the parallel-channel step of the enhancement argument),
     at ``q_i = min(1, mu dy dz / (dz - (1 + mu) dy))`` where
-    ``dz > (1 + mu) dy``, else 1.  ``I_p`` falls as mu grows; the root in
-    log mu on [-40, 40] gives ``V diag(q) V^T`` at the last log mu within
-    the budget (``I`` when no ``dz > dy``)."""
+    ``dz > (1 + mu) dy``, else 1.  ``I_p`` falls as mu grows, to 0 at
+    ``x_top = log max (dz - dy) / (dy (1 + dz))`` over ``dz > dy``, where
+    every ``q_i`` reaches 1; the root in log mu on [-40, x_top] gives
+    ``V diag(q) V^T`` at the last log mu within the budget (``I`` when no
+    ``dz > dy``)."""
     v, dy, dz = _commuting_part(w, swap)
-    if not np.any(dz > dy):
+    useful = dz > dy
+    if not useful.any():
         return np.eye(w.mx)
     kept = []
 
@@ -1005,9 +1008,11 @@ def _commuting_start(w, rp, swap):
             kept.append(q)
         return f
 
-    f_hi, f_lo = excess(40.0), excess(-40.0)
+    dy_u, dz_u = dy[useful], dz[useful]
+    x_top = math.log(float(np.max((dz_u - dy_u) / (dy_u * (1.0 + dz_u)))))
+    f_hi, f_lo = excess(x_top), excess(-40.0)
     if f_lo > 0.0 > f_hi:
-        _anderson_bjorck(excess, -40.0, f_lo, 40.0, f_hi, 1e-12)
+        _anderson_bjorck(excess, -40.0, f_lo, x_top, f_hi, 1e-12)
     return linalg.symmetrize((v * kept[-1]) @ v.T) if kept else np.eye(w.mx)
 
 
@@ -1042,11 +1047,11 @@ def _pga_penalty(m, rp, q0, max_iter):
     test and early stop.  The Armijo backtracking tests at most 30 step
     sizes ``eta 2^-j`` per step, and each of its rounds evaluates the next
     ``HALVINGS_PER_STACK`` of them for every start still searching as one
-    stack.  A start takes the first trial that passes the Armijo test, or
-    stops at the first one that barely moves; the later trials of the round
-    are discarded.  Halving is exact, so every start visits the iterates it
-    would visit alone.  Returns ``(q, pair, iterations)`` per start,
-    counting the ascent iterations it took."""
+    stack.  A start takes the first trial of its round that passes the
+    Armijo test, or stops at the first one that barely moves.  Halving is
+    exact, so every start visits the iterates it would visit alone.
+    Returns ``(q, pair, iterations)`` per start, counting the ascent
+    iterations it took."""
     ld_full = np.array([linalg.logdet_pd(m.sigma_x + w) for w in (0.0, m.sigma_wz, m.sigma_wy)])
     rho = _penalty_weight(m)
 
@@ -1074,33 +1079,22 @@ def _pga_penalty(m, rp, q0, max_iter):
         tried = 0
         while search.size and tried < 30:
             n_j = min(HALVINGS_PER_STACK, 30 - tried)
-            etas = np.empty((len(search), n_j))
-            etas[:, 0] = eta[search]
-            for j in range(1, n_j):
-                etas[:, j] = etas[:, j - 1] * 0.5
+            etas = eta[search, None] * 0.5 ** np.arange(n_j)
             q_s = q[search]
             q_new = linalg.eig_clip(q_s[:, None] + etas[:, :, None, None] * grad_q[:, None],
-                                    SIGMA_FLOOR_SCALE, 1.0).reshape(-1, n, n)
-            move = _frob_stack(q_new - np.repeat(q_s, n_j, axis=0)).reshape(-1, n_j)
+                                    SIGMA_FLOOR_SCALE, 1.0)
+            move = _frob_stack((q_new - q_s[:, None]).reshape(-1, n, n)).reshape(-1, n_j)
             stop = move < 1e-14 * (1.0 + _frob_stack(q_s))[:, None]
-            # a trial is evaluated when no trial before it, or itself, stops
-            tested = np.flatnonzero(~np.logical_or.accumulate(stop, axis=1))
-            owner = np.repeat(search, n_j)[tested]
-            val_t, ip_t, ik_t = objective(q_new[tested])
-            eta_t, move_t = etas.ravel()[tested], move.ravel()[tested]
-            up = np.zeros_like(stop)
-            armijo = val[owner] + 1e-4 / np.maximum(eta_t, 1e-12) * move_t * move_t
-            up.flat[tested] = val_t > armijo
+            val_t, ip_t, ik_t = (a.reshape(-1, n_j) for a in objective(q_new.reshape(-1, n, n)))
+            up = val_t > val[search, None] + 1e-4 / np.maximum(etas, 1e-12) * move * move
             # each start ends at its first stop or Armijo pass
             ends = stop | up
             first = np.argmax(ends, axis=1)
-            ended = ends[np.arange(len(search)), first]
-            at = np.arange(len(search)) * n_j + first
-            won = ended & up.ravel()[at]
-            win, pos = search[won], np.searchsorted(tested, at[won])
-            q[win], val[win] = q_new[at[won]], val_t[pos]
-            ip[win], ik[win] = ip_t[pos], ik_t[pos]
-            eta[win] = np.minimum(etas[won, first[won]] * 1.5, 10.0)
+            ended = ends.any(axis=1)
+            won = np.flatnonzero(ended & ~stop[np.arange(len(search)), first])
+            at, win = (won, first[won]), search[won]
+            q[win], val[win], ip[win], ik[win] = q_new[at], val_t[at], ip_t[at], ik_t[at]
+            eta[win] = np.minimum(etas[at] * 1.5, 10.0)
             accepted.extend(win)
             eta[search[~ended]] = etas[~ended, -1] * 0.5
             search, grad_q = search[~ended], grad_q[~ended]
@@ -1127,8 +1121,7 @@ class _FaceSystem:
     eigendirections, largest first; the top ``n_active`` are pinned to the
     source covariance.  A point holds the free-block coordinates (in
     ``_basis(n_free)``), the angles of the rotation mixing active and free
-    directions and log mu.  The rotated basis stays orthogonal, so the free
-    block alone places a point in the matrix interval.
+    directions and log mu.
     """
 
     def __init__(self, m, rp, u0, n_active):
@@ -1160,15 +1153,16 @@ class _FaceSystem:
     def residuals(self, xs):
         """Residual rows of points (free-block and cross-block components of
         the whitened stationarity matrix, then ``I_p - rp``) and a mask of
-        the valid ones: those whose free block's eigenvalues lie in
+        the valid ones: those whose ``Q`` has its eigenvalues in
         ``(COND_COV_MIN_EIG, 1 + FACE_EXCURSION]``, above the interval gate's
         floor and short of an escape toward stationary points beyond the
-        interval.  With 1 on the active block of an orthogonal basis, such a
-        ``Q`` factors as an ascent trial does (see ``_pga_penalty``).  An
-        invalid point's row is NaN.
+        interval.  Such a ``Q`` factors as an ascent trial does (see
+        ``_pga_penalty``).  The whole ``Q`` is tested, not its free block:
+        the ``expm`` of angles of order 1e14, which a Newton step can
+        reach, is far from orthogonal.  An invalid point's row is NaN.
         """
-        sigma, mu, u, q_f = self.build(xs)
-        w = np.linalg.eigvalsh(q_f)
+        sigma, mu, u, _ = self.build(xs)
+        w = np.linalg.eigvalsh(sigma)
         valid = (w[:, 0] > COND_COV_MIN_EIG) & (w[:, -1] <= 1.0 + FACE_EXCURSION)
         rows = np.full((len(xs), self.n_qf + self.n_rot + 1), np.nan)
         if not valid.any():
@@ -1419,8 +1413,8 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 6,
     face and key rate to keep (``_end_point``).  The routes, in order:
 
     1. the commuting-part optima among the starts, each polished on its
-       detected face at factor 1 (never on the corner face
-       ``n_active = mx``, whose polish returns ``sigma_x`` unsolved); a
+       detected face at factor 1 (on the corner face ``n_active = mx`` the
+       polish returns ``sigma_x``, which the gate judges at mu = 0); a
        ``GausskeyError`` here moves the solve on;
     2. when the first commuting-part optimum is among the starts, the
        homotopy from it to the model (``_homotopy``);
@@ -1477,14 +1471,11 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 6,
                            kkt_residual=float(_composite(w, rp, q) if res is None else res))
 
     # the commuting-part optima first (the starts after the first four),
-    # each on its detected face but the corner, whose polish returns I
-    # without solving the rate equation; then the path from the commuting
-    # part
+    # each on its detected face; then the path from the commuting part
     pool = []
     try:
         for q in starts[4:]:
-            point = _end_point(w, q, rates_aligned(w, q).rk)
-            cand = _polished(w, rp, *point) if point[3] < m.mx else None
+            cand = _polished(w, rp, *_end_point(w, q, rates_aligned(w, q).rk))
             if cand and cand[3]:
                 return report(*cand, 0)
             if cand:

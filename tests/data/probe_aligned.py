@@ -30,13 +30,14 @@ alone may move), how many moved (and the largest change of value and of
 fell by more than ``FALL_TOL`` (listing each fall with both values and its
 certificate outcome on both trees), and how many points are certified now
 and in the file, and the summed ``cpu_s`` of the run beside the file's,
-with how many solves ran the ascent now and in the file (a file saved
-before ``cpu_s`` or ``iterations`` was recorded reads "not recorded";
-``--save`` prints the run's figures too).  It exits 1 when a value
-falls by more than ``FALL_TOL``, or is lost to an exception, or a certified
-point loses its certificate.  It also prints how many certificates are
-bit-identical and lists the points whose certificate bytes moved; these do
-not change the exit code.
+with how many solves ran the ascent now and in the file, listing each
+point solved on both runs whose solve ran the ascent on one run only (a
+file saved before ``cpu_s`` or ``iterations`` was recorded reads "not
+recorded" and lists none; ``--save`` prints the run's figures too).  It
+exits 1 when a value falls by more than ``FALL_TOL``, or is lost to an
+exception, or a certified point loses its certificate.  It also prints how
+many certificates are bit-identical and lists the points whose certificate
+bytes moved; these do not change the exit code.
 
 The rates do not change when a model's three covariances are scaled by the
 same ``C``, so a run on the scaled models must keep every value and every
@@ -228,6 +229,12 @@ def compare(old, new):
     (cpu, ascents), (cpu_was, ascents_was) = cost_figures(new), cost_figures(old)
     print(f"CPU seconds of the solves and certificates: {cpu} (file: {cpu_was}); "
           f"solves that ran the ascent: {ascents} (file: {ascents_was})")
+    if "not recorded" not in (ascents, ascents_was):
+        for label, rec in new.items():
+            ran, ran_was = (r["iterations"] > 0 if "value" in r else None
+                            for r in (rec, old[label]))
+            if None not in (ran, ran_was) and ran != ran_was:
+                print(f"{label}: ascent {'did not run -> ran' if ran else 'ran -> did not run'}")
     for label in cert_moved:
         print(f"{label}: certificate bytes moved")
     return len(failed)
