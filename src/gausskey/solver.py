@@ -45,11 +45,15 @@ Three routes to the boundary R_k(R_p):
     rotation angle, each evaluated in closed form through 2x2 Gram
     determinants.
 
-Each grid point is an independent pure computation, and so is each row
-minimum: its cells are solved in order, each started from the tangent of
-the one before, so output is run-to-run identical.
+Each grid point is a pure computation.  A row minimum is not independent
+of the sweep that asks for it: its cells are solved in order, each started
+from the tangent of the one before, and its first cell from the tangent in
+``t`` of the nearest row solved before it in the same sweep.  Where a cell
+starts changes only its Newton steps, and the rows are visited in an order
+fixed by the model and the rate grid, so output is run-to-run identical.
 """
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -90,6 +94,12 @@ MAX_NEWTON = 400
 # interval bound and the two linear constraints), so this weight meets
 # BARRIER_GAP_TOL whatever the source dimension.
 TAU_FINAL = 10.0 ** math.ceil(math.log10(4 / BARRIER_GAP_TOL))
+
+# Weights by which a tangent prediction outside its cell is pulled toward
+# the cell's closed-form start before the warm schedule runs from it.  On
+# the frozen sweeps a pull of 1e-2 or more costs more Newton steps than the
+# cold schedule, so the ladder stops at 1e-3.
+START_PULLS = (1e-8, 1e-6, 1e-4, 1e-3)
 
 # Sweep floors: the smallest s a row-minimum search probes (relative to
 # b sigma_x b^T) and the smallest gap of a t row below the maximal t
@@ -411,9 +421,12 @@ class _Cell:
     ``(a, b, c)``, the fields of ``SolveReport`` that a sweep keeps, and,
     for a centred (``converged``) cell only, else None: ``lam_s``, the
     multiplier of ``b Q b^T <= s``, which by the envelope theorem gives
-    ``d value / d s = 1 / (2 (1 + s)) - lam_s / 2``; and ``dx_ds``, the
+    ``d value / d s = 1 / (2 (1 + s)) - lam_s / 2``; ``dx_ds``, the
     central path's tangent ``-H^-1 d(grad phi)/ds`` at ``a2``, from which
-    the next cell of a row starts at ``a2 + (s' - s) dx_ds``."""
+    the next cell of a row starts at ``a2 + (s' - s) dx_ds``; and ``dx_dt``,
+    its tangent in t (None also when the ratio constraint is dropped), from
+    which the top cell of a neighbouring row starts at
+    ``a2 + (t' - t) dx_dt``."""
 
     a2: tuple
     value: float
@@ -422,6 +435,7 @@ class _Cell:
     converged: bool
     lam_s: float
     dx_ds: tuple
+    dx_dt: tuple
 
 
 def _inner_convex_2x2(frame, params, a0, tau0):
@@ -458,8 +472,9 @@ def _inner_convex_2x2(frame, params, a0, tau0):
     feasible, possibly suboptimal, value.  A centred final stage takes up to
     ``FINAL_CENTRING_STEPS`` more full Newton steps, until the decrement
     reaches ``FINAL_DECREMENT_TOL``, so that ``1 / (tau * slack)`` is the
-    multiplier ``lam_s`` of ``b Q b^T <= s``; one more ``_ldl_step`` with
-    the Hessian of that last centring step gives the tangent ``dx_ds``.
+    multiplier ``lam_s`` of ``b Q b^T <= s``; one more ``_ldl_step`` each
+    with the Hessian of that last centring step gives the tangents ``dx_ds``
+    and ``dx_dt``.
     """
     cons = _cell_constraints(frame, params)
     n_constr = 2 + len(cons)
@@ -587,23 +602,34 @@ def _inner_convex_2x2(frame, params, a0, tau0):
         logdet = math.log(a * c - b * b)
     bb = frame.bw[0] * frame.bw[0]
     value = -0.5 * logdet - 0.5 * math.log1p(bb) + 0.5 * math.log1p(params.s)
-    lam_s = dx_ds = None
-    if centred and bb * bb <= _VANISHING_GAIN:
-        lam_s, dx_ds = 0.0, (0.0, 0.0, 0.0)  # s is not constrained
-    elif centred:  # b Q b^T <= s is the last constraint
-        g00, g01, g11, _ = cons[-1]
-        slack = params.s - frame.signal_power((a, b, c))
-        lam_s = 1.0 / (tau * slack)
-        # d(grad phi)/ds = -(g00, 2 g01, g11) / slack^2; h** is the Hessian
-        # at (a, b, c), assembled by the step that ended the stage
-        w = -1.0 / (slack * slack)
-        step = _ldl_step(h00, h01, h02, h11, h12, h22,
-                         g00 * w, 2.0 * g01 * w, g11 * w)
-        if step is not None:
-            dx_ds = step[:3]
+    lam_s = dx_ds = dx_dt = None
+    if centred:
+        def tangent(d0, d1, d2):
+            # -H^-1 d(grad phi); h** is the Hessian at (a, b, c), assembled
+            # by the step that ended the stage
+            step = _ldl_step(h00, h01, h02, h11, h12, h22, d0, d1, d2)
+            return None if step is None else step[:3]
+
+        s_con = bb * bb > _VANISHING_GAIN  # b Q b^T <= s, when kept, is last
+        if not s_con:
+            lam_s, dx_ds = 0.0, (0.0, 0.0, 0.0)  # s is not constrained
+        else:
+            g00, g01, g11, _ = cons[-1]
+            slack = params.s - frame.signal_power((a, b, c))
+            lam_s = 1.0 / (tau * slack)
+            # d(grad phi)/ds = -(g00, 2 g01, g11) / slack^2
+            w = -1.0 / (slack * slack)
+            dx_ds = tangent(g00 * w, 2.0 * g01 * w, g11 * w)
+        if len(cons) > s_con:  # the ratio constraint g <= 0 is first
+            g00, g01, g11, cst = cons[0]
+            gv = g00 * a + 2.0 * g01 * b + g11 * c + cst
+            # dg/dt = beta^2 a + 1 and d(grad g)/dt = (beta^2, 0, 0), so
+            # d(grad phi)/dt = (beta^2, 0, 0) / -g + grad g (dg/dt) / g^2
+            w = (bb * a + 1.0) / (gv * gv)
+            dx_dt = tangent(bb / -gv + g00 * w, 2.0 * g01 * w, g11 * w)
     return _Cell(a2=(a, b, c), value=value, iterations=total_iters,
                  kkt_residual=n_constr / tau, converged=centred, lam_s=lam_s,
-                 dx_ds=dx_ds)
+                 dx_ds=dx_ds, dx_dt=dx_dt)
 
 
 def inner_convex(m: GeneralModel, params: SweepParams, *, sigma0=None,
@@ -706,17 +732,44 @@ def _row_edge(frame, t):
     return frame.bw[0] ** 2 * (w * w / (1.0 + w * w))
 
 
-def _solve_row_cell(frame, params, prev):
-    """Solve one cell of a t row.  With ``prev = (s_prev, cell)``, the
-    previous cell of the row, the start is its tangent predictor
-    ``a2 + (s - s_prev) dx_ds``; when that is strictly feasible the cell
-    runs the warm schedule (the final barrier weight only) from it.  Any
-    other cell runs cold on the full schedule."""
-    if prev is not None and prev[1].dx_ds is not None:
-        s_prev, cell = prev
-        ds = params.s - s_prev
-        a2 = tuple(x + ds * dx for x, dx in zip(cell.a2, cell.dx_ds))
-        if _strictly_feasible(a2, _cell_constraints(frame, params)):
+def _predicted(a2, tangent, step):
+    """The tangent predictor ``a2 + step * tangent``; None without a
+    tangent."""
+    if tangent is None:
+        return None
+    return tuple(x + step * dx for x, dx in zip(a2, tangent))
+
+
+def _pulled_start(frame, params, cons, a2):
+    """``a2`` moved toward the cell's closed-form start (``_cell_start``) by
+    the first weight of ``START_PULLS`` that makes it strictly feasible, or
+    None when none does or the cell has no closed-form start."""
+    try:
+        start = _cell_start(frame, params, cons)[0]
+    except Infeasible:
+        return None  # the cold solve raises it
+    for theta in START_PULLS:
+        pulled = tuple(x + theta * (x0 - x) for x, x0 in zip(a2, start))
+        if _strictly_feasible(pulled, cons):
+            return pulled
+    return None
+
+
+def _solve_row_cell(frame, params, a2):
+    """Solve one cell of a t row from a predicted start ``a2``, or cold
+    when it is None.
+
+    A strictly feasible prediction runs the warm schedule (the final
+    barrier weight only) from it.  One that is not, typically because a
+    linear step raised the top whitened eigenvalue past 1, is pulled a
+    little toward the cell's closed-form start (``_pulled_start``) and runs
+    the warm schedule from there.  Only when no pull makes it strictly
+    feasible does the cell run cold on the full schedule."""
+    if a2 is not None:
+        cons = _cell_constraints(frame, params)
+        if not _strictly_feasible(a2, cons):
+            a2 = _pulled_start(frame, params, cons, a2)
+        if a2 is not None:
             return inner_convex(frame, params, sigma0=a2, tau0=TAU_FINAL)
     return inner_convex(frame, params)
 
@@ -725,7 +778,7 @@ class _SearchEnd(Exception):
     """A row-minimum probe has no multiplier, which ends the search."""
 
 
-def _row_min_rp(frame, t, s_max, ik_t):
+def _row_min_rp(frame, t, s_max, ik_t, near=None):
     """Smallest achievable public rate on one t row.
 
     The cell value is ``rp(s) = -log|Q*(s)| / 2 + log(1 + s) / 2 + const``
@@ -743,26 +796,37 @@ def _row_min_rp(frame, t, s_max, ik_t):
     smooth root of ``g`` further down: steps in log s, doubling, bracket it
     down to ``SWEEP_S_FLOOR s_max``, or bisect towards an edge above that
     floor, where rp may still be rising; and ``_anderson_bjorck`` on ``g``
-    closes the bracket.  ``_solve_row_cell`` starts each probe.  A cell
-    over its Newton budget raises ``MaxIterationsExceeded`` out of the
-    search.  A probe without a multiplier (uncentred, or ``Infeasible``
-    from its start's float check) counts with its value, if any, and ends
-    the search.
+    closes the bracket.  ``_solve_row_cell`` starts each probe: the top
+    cell from ``near = (t', top')``, the top cell of a row already solved,
+    moved by ``(t - t') dx_dt``, and every later probe from the last one,
+    moved by ``(s - s') dx_ds``; without ``near`` the top cell runs cold.
+    Where a probe starts changes only its Newton steps, not the centre it
+    reaches.  A cell over its Newton budget raises
+    ``MaxIterationsExceeded`` out of the search.  A probe without a
+    multiplier (uncentred, or ``Infeasible`` from its start's float check)
+    counts with its value, if any, and ends the search.
 
-    Returns ``(rp_min, cell)`` where ``cell`` is the achieved-cell tuple of
-    the best cell seen, with key-rate level ``ik_t``, or ``(inf, None)``
-    when the row is infeasible at ``s_max``.
+    Returns ``(rp_min, cell, top)`` where ``cell`` is the achieved-cell
+    tuple of the best cell seen, with key-rate level ``ik_t``, and ``top``
+    the ``_Cell`` solved at ``s_max``; or ``(inf, None, None)`` when the row
+    is infeasible at ``s_max``.
     """
     edge = _row_edge(frame, t)
     if edge is None or not edge < s_max:
-        return float("inf"), None
+        return float("inf"), None, None
     prev = None
 
     def solve(s):
         nonlocal prev
         params = SweepParams(s=s, t=float(t))
+        if prev is not None:
+            start = _predicted(prev[1].a2, prev[1].dx_ds, s - prev[0])
+        elif near is not None:
+            start = _predicted(near[1].a2, near[1].dx_dt, t - near[0])
+        else:
+            start = None
         try:
-            cell = _solve_row_cell(frame, params, prev)
+            cell = _solve_row_cell(frame, params, start)
         except Infeasible:
             return None
         prev = (s, cell)
@@ -770,7 +834,7 @@ def _row_min_rp(frame, t, s_max, ik_t):
 
     top = solve(s_max)
     if top is None:
-        return float("inf"), None
+        return float("inf"), None, None
     s_free = frame.signal_power(top.a2)
     best = (top.value + 0.5 * (math.log1p(s_free) - math.log1p(s_max)), s_free,
             top.kkt_residual)
@@ -789,7 +853,7 @@ def _row_min_rp(frame, t, s_max, ik_t):
         return cell.lam_s * (1.0 + s) - 1.0
 
     def result():
-        return best[0], (best[0], ik_t, best[1], float(t), best[2])
+        return best[0], (best[0], ik_t, best[1], float(t), best[2]), top
 
     s_floor = s_max * SWEEP_S_FLOOR
     s_low = max(s_floor, edge)
@@ -860,6 +924,9 @@ def sweep_boundary(m: GeneralModel, rp_grid, st_resolution: int = 200) -> Region
     when higher) to the next row, an Anderson-Bjorck search on
     ``F(t) = rp`` in ``log(1 + t) / 2`` shrinks the bracket to
     ``SWEEP_IK_TOL`` and reports its lower end and winning cell's ``s``.
+    Each row is evaluated once; its top cell starts from the top cell of
+    the nearest row evaluated before it (``_row_min_rp``'s ``near``), and
+    the sweep's first row runs cold.
     """
     validate_model(m)
     if m.my != 1 or m.mz != 1:
@@ -887,11 +954,19 @@ def sweep_boundary(m: GeneralModel, rp_grid, st_resolution: int = 200) -> Region
     rows = [t for t in sorted({float(t) for t in np.concatenate([t_uniform, t_refine])})
             if ik_const + 0.5 * math.log1p(t) > 0.0]
 
-    reach = {}  # t -> (F(t), cell) of every row evaluated
+    reach = {}  # t -> (F(t), cell, top cell) of every row evaluated
+    started = []  # sorted t of the rows whose top cell has a tangent in t
 
     def row_min(t):
         if t not in reach:
-            reach[t] = _row_min_rp(frame, t, s_max, ik_const + 0.5 * math.log1p(t))
+            # the top cell starts from the nearest row solved before it
+            k = bisect.bisect(started, t)
+            near = min(started[max(k - 1, 0):k + 1], key=lambda u: abs(u - t),
+                       default=None)
+            reach[t] = _row_min_rp(frame, t, s_max, ik_const + 0.5 * math.log1p(t),
+                                   None if near is None else (near, reach[near][2]))
+            if reach[t][2] is not None and reach[t][2].dx_dt is not None:
+                started.insert(k, t)
         return reach[t]
 
     points, meta = [], []
@@ -902,7 +977,7 @@ def sweep_boundary(m: GeneralModel, rp_grid, st_resolution: int = 200) -> Region
     def slack(u):
         # bound - F(t) at u = log(1 + t) / 2; a qualifying t is the best yet
         nonlocal winner
-        rp_min, cell = row_min(math.expm1(2.0 * u))
+        rp_min, cell, _ = row_min(math.expm1(2.0 * u))
         if rp_min <= bound:
             winner = cell
         return bound - rp_min
@@ -1312,11 +1387,14 @@ def _composite(w, rp, q, ip=None):
         return math.inf
 
 
-def _end_point(w, q, rk):
+def _end_point(w, rp, q, rk):
     """A point to polish: ``(q, rk, mu_hint, n_active)``, with its multiplier
-    hint (``kkt.closed_form_mu``, clipped to [1e-8, 1e4]) and detected face."""
+    hint (``kkt.closed_form_mu``, clipped to [1e-8, 1e4]) and detected face:
+    the eigenvalues within ``min(1e-4, rp)`` of 1.  A budget ``rp`` moves a
+    free eigenvalue off 1 by about that much, so below 1e-4 a fixed
+    threshold would count it as active."""
     return (q, rk, min(max(kkt.closed_form_mu(w, q), 1e-8), 1e4),
-            int(np.sum(np.linalg.eigvalsh(q) >= 1.0 - 1e-4)))
+            int(np.sum(np.linalg.eigvalsh(q) >= 1.0 - min(1e-4, rp))))
 
 
 def _polished(w, rp, q_end, rk_end, mu_hint, n_active):
@@ -1349,7 +1427,7 @@ def _homotopy_step(w, rp, q):
     face ``g`` and ``g + 1`` are tried, in the order of ``_face_schedule``:
     over the benchmark's and the probe's steps, and at rates up to 16, no
     step passed on a face above ``g + 1``."""
-    q, rk, mu_hint, g = _end_point(w, q, rates_aligned(w, q).rk)
+    q, rk, mu_hint, g = _end_point(w, rp, q, rates_aligned(w, q).rk)
     for n_active, factor in _face_schedule(g, min(g + 2, w.mx)):
         cand = _polished(w, rp, q, rk, factor * mu_hint, n_active)
         if cand and cand[3]:
@@ -1475,7 +1553,7 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 6,
     pool = []
     try:
         for q in starts[4:]:
-            cand = _polished(w, rp, *_end_point(w, q, rates_aligned(w, q).rk))
+            cand = _polished(w, rp, *_end_point(w, rp, q, rates_aligned(w, q).rk))
             if cand and cand[3]:
                 return report(*cand, 0)
             if cand:
@@ -1493,7 +1571,7 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 6,
         raise MaxIterationsExceeded("no penalty run produced a feasible point")
 
     # polish the end points until a candidate passes, else keep the best
-    ends = [_end_point(w, q, pair.rk) for q, pair in ends]
+    ends = [_end_point(w, rp, q, pair.rk) for q, pair in ends]
     schedule = _face_schedule(ends[0][3], m.mx)
     order = ([(ends[0], c) for c in schedule if c[1] == 1.0]
              + [(end, (k, 1.0)) for end in ends[1:] for k in range(end[3], m.mx)]

@@ -353,17 +353,19 @@ def test_points_that_ran_the_ascent_certify_from_the_commuting_part(key, rp, bef
     assert _certificate_outcome(m, report.optimum, rp) == "certified"
 
 
-@pytest.mark.xfail(strict=True, reason="the detected face counts the start's free "
-                   "eigenvalue, within 1e-4 of 1, as active")
-def test_a_rate_below_the_face_threshold_certifies():
-    # at rp 1e-6 the budget moves the commuting-part start's free
-    # eigenvalue by less than 1e-4, so _end_point detects the corner face
-    # and no polish solves the rate equation; the solve ends unconverged
-    # with NoValidMultiplier
-    m = _fresh_model(5002)
-    report = solve_at_rate(m, 1e-6)
-    assert report.converged
-    assert _certificate_outcome(m, report.optimum, 1e-6) == "certified"
+@pytest.mark.parametrize("key", [5001, 5002, 5004, 5007])
+@pytest.mark.parametrize("rp", [1e-7, 1e-6, 1e-5])
+def test_a_rate_below_the_face_threshold_certifies(key, rp):
+    # below rp 1e-4 the budget moves the commuting-part start's free
+    # eigenvalue by less than 1e-4; with a fixed threshold _end_point
+    # detected the corner face, no polish solved the rate equation and the
+    # solve ran the ascent, ending unconverged with NoValidMultiplier at
+    # 5002 rp 1e-6 and 5001, 5004 rp 1e-5.  The threshold now scales with
+    # the budget
+    m = _fresh_model(key)
+    report = solve_at_rate(m, rp)
+    assert report.converged and report.iterations == 0
+    assert _certificate_outcome(m, report.optimum, rp) == "certified"
 
 
 @pytest.mark.parametrize("rp", [12.0, 13.0])

@@ -10,8 +10,9 @@ meet the Lagrangian dual bound of the cell within the same tolerance.
 
 Every feasible corpus cell must also meet its dual bound and report
 convergence, and its multiplier of ``b Q b^T <= s`` must be the derivative
-of its value in ``s`` (the envelope theorem) and its central-path tangent
-the derivative of its optimum in ``s``, both checked by finite differences.
+of its value in ``s`` (the envelope theorem) and its central-path tangents
+the derivatives of its optimum in ``s`` and, for the top cell of its row,
+in ``t``, all checked by finite differences.
 The float kernel's parts are checked against plain references: the LDL^T
 Newton step against a dense solve, and the closed-form start's largest
 ratio slack against a numerical minimum of its one-variable Lagrangian
@@ -234,6 +235,47 @@ def test_s_tangent_is_the_derivative_of_the_centred_optimum():
             misses.append((k, cell["model"], s, cell["t"], mid.dx_ds, central))
     assert not misses, misses
     assert checked >= 80, checked
+
+
+def test_t_tangent_is_the_derivative_of_the_centred_optimum():
+    # The cell's dx_dt is the tangent of the final barrier centre in t, from
+    # which a row's top cell (s = b sigma_x b^T, where the s cap is
+    # redundant) starts the next row's.  On each corpus cell's row a central
+    # difference of cold top cells must match it where the ratio constraint
+    # is active and the active set persists over t +- h; on a slack ratio
+    # constraint the tangent is below the differences' rounding.  Where the
+    # top whitened eigenvalue also sits at the barrier's floor (within 1e-11
+    # of 1, near t_max) the Newton system's condition number reaches
+    # 1e11-1e12, and the tangent keeps about four digits; those cells are
+    # held to 5e-4, the rest to 1e-5.
+    loose_tol = 5e-4
+    checked = loose = 0
+    misses = []
+    for k, cell in enumerate(_corpus()):
+        if cell["value"] == "infeasible":
+            continue
+        m = GeneralModel(sigma_x=cell["sigma_x"], b=cell["b"], e=cell["e"])
+        frame = solver._span_reduction(m)
+        s_max = float(m.b[0] @ m.sigma_x @ m.b[0])
+        t = cell["t"]
+        h = 1e-5 * (1.0 + abs(t))
+        lo, mid, hi = (inner_convex(frame, SweepParams(s=s_max, t=x))
+                       for x in (t - h, t, t + h))
+        x_lo, x_mid, x_hi = (np.array(c.a2) for c in (lo, mid, hi))
+        central = (x_hi - x_lo) / (2.0 * h)
+        persists = (np.linalg.norm((x_hi - x_mid) - (x_mid - x_lo)) / h
+                    <= 1e-2 * np.linalg.norm(central))
+        if not (np.linalg.norm(central) > 1e-6 and persists):
+            continue
+        a, b, c = mid.a2
+        floored = 1.0 - np.linalg.eigvalsh([[a, b], [b, c]])[-1] <= 1e-11
+        loose += floored
+        checked += not floored
+        err = np.linalg.norm(np.array(mid.dx_dt) - central)
+        if not err <= (loose_tol if floored else 1e-5) * np.linalg.norm(central):
+            misses.append((k, cell["model"], t, floored, mid.dx_dt, central))
+    assert not misses, misses
+    assert checked >= 80, (checked, loose)
 
 
 # ---------------------------------------------------------------------------

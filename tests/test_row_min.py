@@ -120,9 +120,11 @@ def _golden_section(f, lo, hi, iters):
             break
 
 
-def _scan_golden_row_min(frame, t, s_max, ik_t, n_scan=16, n_golden=18):
+def _scan_golden_row_min(frame, t, s_max, ik_t, near=None, n_scan=16, n_golden=18):
     """The former ``_row_min_rp``: a log-s scan, then a golden section on
-    the bracket around the best scan point; returns it in the same form."""
+    the bracket around the best scan point; returns it in the same form,
+    with no top cell, so no row starts from it.  ``near`` is ignored: every
+    probe runs cold."""
     solve = _solver(frame, t)
     evals = []
     for s in s_max * np.geomspace(1.0, solver.SWEEP_S_FLOOR, n_scan):
@@ -131,7 +133,7 @@ def _scan_golden_row_min(frame, t, s_max, ik_t, n_scan=16, n_golden=18):
             break
         evals.append((value, float(s)))
     if not evals:
-        return float("inf"), None
+        return float("inf"), None, None
     k = int(np.argmin([e[0] for e in evals]))
     lo = evals[k + 1][1] if k + 1 < len(evals) else \
         evals[k][1] * solver.SWEEP_S_FLOOR ** (1.0 / n_scan)
@@ -147,7 +149,7 @@ def _scan_golden_row_min(frame, t, s_max, ik_t, n_scan=16, n_golden=18):
         return value
 
     _golden_section(f, math.log(lo), math.log(hi), n_golden)
-    return best[0], (best[0], ik_t, best[1], float(t), 0.0)
+    return best[0], (best[0], ik_t, best[1], float(t), 0.0), None
 
 
 def _dense_row_min(frame, t, s_max):
@@ -196,11 +198,11 @@ def refined_rows():
     for name, m, grid, res in MODELS:
         rows = []
 
-        def recorded(frame, t, s_max, ik_t):
+        def recorded(frame, t, s_max, ik_t, near=None):
             before = calls[0]
-            rp_min, cell = row_min(frame, t, s_max, ik_t)
-            rows.append((frame, t, s_max, ik_t, rp_min, calls[0] - before))
-            return rp_min, cell
+            out = row_min(frame, t, s_max, ik_t, near)
+            rows.append((frame, t, s_max, ik_t, out[0], calls[0] - before))
+            return out
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "_row_min_rp", recorded)
@@ -216,7 +218,7 @@ def test_reach_never_above_the_scan_reference(refined_rows, name):
     assert rows
     misses = []
     for frame, t, s_max, ik_t, reach, _ in rows:
-        ref, _ = _scan_golden_row_min(frame, t, s_max, ik_t)
+        ref, *_ = _scan_golden_row_min(frame, t, s_max, ik_t)
         if not reach <= ref + REACH_TOL:
             misses.append((t, reach, ref))
     assert not misses, misses
@@ -277,7 +279,7 @@ def test_key_rates_are_within_the_tolerance_of_t_star(refined_rows, name):
             continue
         checked += 1
         t_up = math.expm1(2.0 * (0.5 * math.log1p(meta.t) + solver.SWEEP_IK_TOL))
-        reach, _ = solver._row_min_rp(frame, t_up, s_max, 0.0)
+        reach, *_ = solver._row_min_rp(frame, t_up, s_max, 0.0)
         if not reach > point.rp + 1e-12:
             misses.append((point.rp, meta.t, t_up, reach))
     assert checked
@@ -321,7 +323,7 @@ def test_an_uncentred_cell_ends_the_row_search(refined_rows, monkeypatch, forced
         return cell
 
     monkeypatch.setattr(solver, "inner_convex", forcing)
-    rp_min, best = solver._row_min_rp(frame, t, s_max, ik_t)
+    rp_min, best, _ = solver._row_min_rp(frame, t, s_max, ik_t)
     assert len(cells) == forced < n_calls
     s_free = frame.signal_power(cells[0].a2)
     kink = cells[0].value + 0.5 * (math.log1p(s_free) - math.log1p(s_max))
@@ -347,7 +349,7 @@ def test_an_infeasible_probe_above_the_edge_ends_the_row_search(refined_rows,
         return cells[-1]
 
     monkeypatch.setattr(solver, "inner_convex", failing)
-    rp_min, best = solver._row_min_rp(frame, t, s_max, ik_t)
+    rp_min, best, _ = solver._row_min_rp(frame, t, s_max, ik_t)
     assert len(cells) == 3 < n_calls
     s_free = frame.signal_power(cells[0].a2)
     kink = cells[0].value + 0.5 * (math.log1p(s_free) - math.log1p(s_max))

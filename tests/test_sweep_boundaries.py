@@ -22,14 +22,20 @@ bisection for ``t*``, took 68,026 and 68,013; with the Anderson-Bjorck root
 find for ``t*``, 45,909 and 43,090; with the closed-form cold start,
 43,233 and 40,613; with the closed-form row edge, which leaves no probe
 below it, 42,625 and 39,533, later 40,752 and 39,533; with each barrier
-stage started from the central path's tangent at the last centre, it takes
-24,734 and 26,050.  No cell of the frozen sweeps may
+stage started from the central path's tangent at the last centre, 24,734
+and 26,050; with each row's top cell started from the nearest row solved
+before it and each prediction outside its cell pulled inside, it takes
+14,561 and 16,677.  Cold cells, which run the whole barrier schedule, are
+counted too: 610 of the 704 cells of the demos at resolution 60 ran cold
+before rows started from rows, 194 now, and at most ``COLD_CELL_BOUND``
+may.  No cell of the frozen sweeps may
 raise ``Infeasible``: each row's feasible ``s`` range is known in closed
 form (``solver._row_edge``).  A badly centred start shows first as a cell
 that ends uncentred (``converged=False``): over all frozen sweeps at most
 ``UNCENTRED_BOUND`` may.  A cell started from the tangent predictor of its
 neighbour must also land where a cold solve of the same cell does; those
-cells are drawn from every frozen sweep.
+cells are drawn from every frozen sweep, and they include top cells started
+from another row and predictions pulled toward the closed-form start.
 
 The sweep's ``t`` range, now the two roots of a quadratic, is checked
 against the bisection on an eigenvalue test that it replaced.
@@ -48,7 +54,9 @@ from conftest import random_spd, rng_for
 
 FROZEN_TOL = 1e-12
 PREDICTOR_TOL = 1e-10
-STEP_BOUNDS = {"demo_res60": 27_200, "random_sweep": 28_700}
+STEP_BOUNDS = {"demo_res60": 16_000, "random_sweep": 18_300}
+COLD_CELL_BOUND = 215  # of demo_res60
+KIND_MIN = 500  # predictor-started cells of each new kind
 UNCENTRED_BOUND = 0
 
 
@@ -61,17 +69,23 @@ def _group(name):
 @pytest.fixture(scope="module")
 def swept():
     """Per frozen sweep: its entry, its boundary and each row minimum it
-    evaluated as ``(t, F(t))``; per group of sweeps: the Newton steps of all
-    its cells; over all sweeps: the predictor-started cells as
-    ``(frame, params, value)``, and the uncentred cells and the cells that
-    raise ``Infeasible``, each as ``(name, params)``."""
+    evaluated as ``(t, F(t))``; per group of sweeps: the Newton steps and
+    the cold calls of all its cells; over all sweeps: the predictor-started
+    cells as ``(frame, params, value, kind)``, where ``kind`` is "top" for
+    a row's top cell started from another row, "pulled" for a prediction
+    pulled toward the closed-form start and "row" for the rest, and the
+    uncentred cells and the cells that raise ``Infeasible``, each as
+    ``(name, params)``."""
     path = os.path.join(os.path.dirname(__file__), "data", "sweep_boundaries.json")
     with open(path) as fh:
         entries = json.load(fh)["sweeps"]
     inner = solver.inner_convex
     row_min = solver._row_min_rp
+    pull = solver._pulled_start
     steps = {}
+    cold = {}
     predicted = []
+    last_pull = [None]
     uncentred = []
     infeasible = []
     group = None
@@ -85,28 +99,38 @@ def swept():
             raise
         steps[group] = steps.get(group, 0) + cell.iterations
         if "tau0" in kwargs:
-            predicted.append((m, params, cell.value))
+            kind = ("pulled" if kwargs["sigma0"] is last_pull[0] else
+                    "top" if params.s == s_max else "row")
+            predicted.append((m, params, cell.value, kind))
+        else:
+            cold[group] = cold.get(group, 0) + 1
         if not cell.converged:
             uncentred.append((entry["name"], params))
         return cell
 
-    def recorded(frame, t, s_max, ik_t):
-        rp_min, cell = row_min(frame, t, s_max, ik_t)
-        reaches.append((t, rp_min))
-        return rp_min, cell
+    def recorded(frame, t, s_max, ik_t, near=None):
+        out = row_min(frame, t, s_max, ik_t, near)
+        reaches.append((t, out[0]))
+        return out
+
+    def pulled(*args):
+        last_pull[0] = pull(*args)
+        return last_pull[0]
 
     out = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "inner_convex", counted)
         mp.setattr(solver, "_row_min_rp", recorded)
+        mp.setattr(solver, "_pulled_start", pulled)
         for entry in entries:
             group = _group(entry["name"])
             reaches = []
             m = GeneralModel(sigma_x=entry["sigma_x"], b=entry["b"], e=entry["e"])
+            s_max = float(m.b[0] @ m.sigma_x @ m.b[0])
             boundary = solver.sweep_boundary(m, entry["rp"],
                                              st_resolution=entry["resolution"])
             out.append((entry, boundary, reaches))
-    return out, steps, predicted, uncentred, infeasible
+    return out, (steps, cold), predicted, uncentred, infeasible
 
 
 def test_boundaries_match_the_frozen_sweeps(swept):
@@ -140,8 +164,14 @@ def test_row_minimum_is_nondecreasing_in_t(swept):
 
 @pytest.mark.parametrize("group", sorted(STEP_BOUNDS))
 def test_newton_steps_stay_within_their_bound(swept, group):
-    _, steps, *_ = swept
+    _, (steps, _), *_ = swept
     assert 0 < steps[group] <= STEP_BOUNDS[group], steps
+
+
+def test_cold_cells_stay_within_their_bound(swept):
+    # every row minimum but a sweep's first starts from a neighbouring row
+    _, (_, cold), *_ = swept
+    assert 0 < cold["demo_res60"] <= COLD_CELL_BOUND, cold
 
 
 def _interval_linear_max(g_w):
@@ -240,9 +270,13 @@ def test_no_cell_of_the_frozen_sweeps_is_infeasible(swept):
 
 def test_predictor_started_cells_match_cold_solves(swept):
     _, _, cells, *_ = swept
+    kinds = {}
+    for *_, kind in cells:
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert kinds.get("top", 0) >= KIND_MIN and kinds.get("pulled", 0) >= KIND_MIN, kinds
     assert len(cells) >= 1000
     misses = []
-    for frame, params, value in cells:
+    for frame, params, value, _ in cells:
         cold = solver.inner_convex(frame, params).value
         if not abs(value - cold) <= PREDICTOR_TOL:
             misses.append((params, value, cold))
