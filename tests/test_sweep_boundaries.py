@@ -71,9 +71,10 @@ def swept():
     """Per frozen sweep: its entry, its boundary and each row minimum it
     evaluated as ``(t, F(t))``; per group of sweeps: the Newton steps and
     the cold calls of all its cells; over all sweeps: the predictor-started
-    cells as ``(frame, params, value, kind)``, where ``kind`` is "top" for
-    a row's top cell started from another row, "pulled" for a prediction
-    pulled toward the closed-form start and "row" for the rest, and the
+    cells as ``(frame, params, value, kind)``, where ``kind`` is "pulled"
+    for a prediction pulled toward the closed-form start (a top cell's
+    included), "top" for a row's top cell started from another row without
+    a pull and "row" for the rest, and the
     uncentred cells and the cells that raise ``Infeasible``, each as
     ``(name, params)``."""
     path = os.path.join(os.path.dirname(__file__), "data", "sweep_boundaries.json")
