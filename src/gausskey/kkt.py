@@ -191,6 +191,13 @@ def closed_form_mu(m: AlignedModel, sigma) -> float:
     return max(0.0, float(top))
 
 
+def rate_is_slack(rp: float, ip: float) -> bool:
+    """Whether the public rate ``ip`` leaves the budget ``rp`` slack, so
+    complementary slackness forces ``mu = 0``: by more than
+    ``max(1e-7, 1e-6 |rp|)``."""
+    return rp - ip > max(1e-7, 1e-6 * abs(rp))
+
+
 def recover_multipliers(m: AlignedModel, sigma_star, rp: float) -> MultiplierRecovery:
     """Recover KKT multipliers (mu, M) for a candidate boundary optimum.
 
@@ -210,7 +217,7 @@ def recover_multipliers(m: AlignedModel, sigma_star, rp: float) -> MultiplierRec
     sigma = ConditionalCov.for_model(m, sigma_star).value
     ip = rates_aligned(m, sigma).rp
     slack = rp - ip
-    rate_slack = slack > max(1e-7, 1e-6 * abs(rp))
+    rate_slack = rate_is_slack(rp, ip)
     mu_star = 0.0 if rate_slack else closed_form_mu(m, sigma)
     m_mat = stationarity_matrix(m, sigma, mu_star)
     residuals = _composite_parts(m_mat, m.sigma_x - sigma)

@@ -95,8 +95,8 @@ MAX_NEWTON = 400
 # BARRIER_GAP_TOL whatever the source dimension.
 TAU_FINAL = 10.0 ** math.ceil(math.log10(4 / BARRIER_GAP_TOL))
 
-# Weights by which a tangent prediction outside its cell is pulled toward
-# the cell's closed-form start before the warm schedule runs from it.  On
+# Weights by which a start outside its cell is pulled toward the cell's
+# closed-form start before the requested schedule runs from it.  On
 # the frozen sweeps a pull of 1e-2 or more costs more Newton steps than the
 # cold schedule, so the ladder stops at 1e-3.
 START_PULLS = (1e-8, 1e-6, 1e-4, 1e-3)
@@ -426,7 +426,8 @@ class _Cell:
     the next cell of a row starts at ``a2 + (s' - s) dx_ds``; and ``dx_dt``,
     its tangent in t (None also when the ratio constraint is dropped), from
     which the top cell of a neighbouring row starts at
-    ``a2 + (t' - t) dx_dt``."""
+    ``a2 + (t' - t) dx_dt``; and ``start``, where the solve started:
+    ``"given"``, ``"pulled"`` or ``"cold"`` (see ``_inner_convex_2x2``)."""
 
     a2: tuple
     value: float
@@ -436,6 +437,7 @@ class _Cell:
     lam_s: float
     dx_ds: tuple
     dx_dt: tuple
+    start: str
 
 
 def _inner_convex_2x2(frame, params, a0, tau0):
@@ -445,9 +447,15 @@ def _inner_convex_2x2(frame, params, a0, tau0):
     ``_cell_constraints``.  The iterate is the float triple ``(a, b, c)``,
     so PD checks, inverses and log-dets are closed form and each Newton
     system is solved by ``_ldl_step``; no array is built inside the loop.
-    ``a0`` is a start ``(a, b, c)`` or None; a start that is not strictly
-    feasible is replaced by the closed-form start of ``_cell_start``, which
-    raises ``Infeasible`` for an empty cell.
+
+    Only this kernel decides where a cell starts (``_Cell.start``): at
+    ``a0`` on the schedule from ``tau0`` when ``a0`` is strictly inside the
+    cell (``"given"``); else at ``a0`` pulled toward the closed-form start
+    of ``_cell_start`` by the first weight of ``START_PULLS`` that brings it
+    strictly inside (``"pulled"``), as when a linear prediction lifts the
+    top whitened eigenvalue past 1; else, or without ``a0``, at the
+    closed-form start on the full schedule (``"cold"``).  ``_cell_start``
+    runs at most once and raises ``Infeasible`` for an empty cell.
 
     A barrier stage is *centred* when the Newton decrement drops below its
     tolerance; it ends uncentred after 40 steps, at a non-positive pivot, or
@@ -498,8 +506,16 @@ def _inner_convex_2x2(frame, params, a0, tau0):
 
     if padded and a0 is not None:
         a0 = (a0[0], 0.0, 0.5)  # the padding coordinate is reset below
-    if a0 is None or merit(*a0) is None:
-        a0 = _cell_start(frame, params, cons)[0]
+    start = "given"
+    if a0 is None or not _strictly_feasible(a0, cons):
+        x0 = _cell_start(frame, params, cons)[0]
+        for theta in START_PULLS if a0 is not None else ():
+            pulled = tuple(x + theta * (y - x) for x, y in zip(a0, x0))
+            if _strictly_feasible(pulled, cons):
+                start, a0 = "pulled", pulled
+                break
+        else:
+            start, a0, tau = "cold", x0, 1.0
     total_iters = 0
     while True:
         tau_start = tau
@@ -629,7 +645,7 @@ def _inner_convex_2x2(frame, params, a0, tau0):
             dx_dt = tangent(bb / -gv + g00 * w, 2.0 * g01 * w, g11 * w)
     return _Cell(a2=(a, b, c), value=value, iterations=total_iters,
                  kkt_residual=n_constr / tau, converged=centred, lam_s=lam_s,
-                 dx_ds=dx_ds, dx_dt=dx_dt)
+                 dx_ds=dx_ds, dx_dt=dx_dt, start=start)
 
 
 def inner_convex(m: GeneralModel, params: SweepParams, *, sigma0=None,
@@ -651,10 +667,13 @@ def inner_convex(m: GeneralModel, params: SweepParams, *, sigma0=None,
     barrier parameter growing tenfold per stage (from ``tau0``; pass the
     final value of a neighboring solve, with its optimum as ``sigma0``, to
     warm-start) until the duality-gap proxy drops below
-    ``BARRIER_GAP_TOL``.  A stage after a centred one starts from the
-    central path's prediction of its centre, which saves Newton steps and
-    leaves the final centre where it was; see ``_inner_convex_2x2`` for why
-    and for what ``converged`` reports.
+    ``BARRIER_GAP_TOL``.  A ``sigma0`` outside the cell is pulled inside,
+    toward the closed-form start; without ``sigma0``, or when no pull
+    brings it inside, the full schedule runs from that start.  A stage after
+    a centred one starts from the central path's prediction of its centre,
+    which saves Newton steps and leaves the final centre where it was; see
+    ``_inner_convex_2x2`` for the start rule, for why and for what
+    ``converged`` reports.
 
     The public call validates the model, reduces it, solves and lifts the
     optimum.  The sweep, which reduces each model once, passes its
@@ -740,40 +759,6 @@ def _predicted(a2, tangent, step):
     return tuple(x + step * dx for x, dx in zip(a2, tangent))
 
 
-def _pulled_start(frame, params, cons, a2):
-    """``a2`` moved toward the cell's closed-form start (``_cell_start``) by
-    the first weight of ``START_PULLS`` that makes it strictly feasible, or
-    None when none does or the cell has no closed-form start."""
-    try:
-        start = _cell_start(frame, params, cons)[0]
-    except Infeasible:
-        return None  # the cold solve raises it
-    for theta in START_PULLS:
-        pulled = tuple(x + theta * (x0 - x) for x, x0 in zip(a2, start))
-        if _strictly_feasible(pulled, cons):
-            return pulled
-    return None
-
-
-def _solve_row_cell(frame, params, a2):
-    """Solve one cell of a t row from a predicted start ``a2``, or cold
-    when it is None.
-
-    A strictly feasible prediction runs the warm schedule (the final
-    barrier weight only) from it.  One that is not, typically because a
-    linear step raised the top whitened eigenvalue past 1, is pulled a
-    little toward the cell's closed-form start (``_pulled_start``) and runs
-    the warm schedule from there.  Only when no pull makes it strictly
-    feasible does the cell run cold on the full schedule."""
-    if a2 is not None:
-        cons = _cell_constraints(frame, params)
-        if not _strictly_feasible(a2, cons):
-            a2 = _pulled_start(frame, params, cons, a2)
-        if a2 is not None:
-            return inner_convex(frame, params, sigma0=a2, tau0=TAU_FINAL)
-    return inner_convex(frame, params)
-
-
 class _SearchEnd(Exception):
     """A row-minimum probe has no multiplier, which ends the search."""
 
@@ -796,12 +781,13 @@ def _row_min_rp(frame, t, s_max, ik_t, near=None):
     smooth root of ``g`` further down: steps in log s, doubling, bracket it
     down to ``SWEEP_S_FLOOR s_max``, or bisect towards an edge above that
     floor, where rp may still be rising; and ``_anderson_bjorck`` on ``g``
-    closes the bracket.  ``_solve_row_cell`` starts each probe: the top
-    cell from ``near = (t', top')``, the top cell of a row already solved,
-    moved by ``(t - t') dx_dt``, and every later probe from the last one,
-    moved by ``(s - s') dx_ds``; without ``near`` the top cell runs cold.
-    Where a probe starts changes only its Newton steps, not the centre it
-    reaches.  A cell over its Newton budget raises
+    closes the bracket.  Each probe is predicted on the final barrier
+    weight: the top cell from ``near = (t', top')``, the top cell of a row
+    already solved, moved by ``(t - t') dx_dt``, and every later probe from
+    the last one, moved by ``(s - s') dx_ds``; the kernel pulls a prediction
+    outside its cell inside, or runs the cell cold, as does the top cell
+    without ``near``.  Where a probe starts changes only its Newton steps,
+    not the centre it reaches.  A cell over its Newton budget raises
     ``MaxIterationsExceeded`` out of the search.  A probe without a
     multiplier (uncentred, or ``Infeasible`` from its start's float check)
     counts with its value, if any, and ends the search.
@@ -820,13 +806,14 @@ def _row_min_rp(frame, t, s_max, ik_t, near=None):
         nonlocal prev
         params = SweepParams(s=s, t=float(t))
         if prev is not None:
-            start = _predicted(prev[1].a2, prev[1].dx_ds, s - prev[0])
+            pred = _predicted(prev[1].a2, prev[1].dx_ds, s - prev[0])
         elif near is not None:
-            start = _predicted(near[1].a2, near[1].dx_dt, t - near[0])
+            pred = _predicted(near[1].a2, near[1].dx_dt, t - near[0])
         else:
-            start = None
+            pred = None
         try:
-            cell = _solve_row_cell(frame, params, start)
+            cell = (inner_convex(frame, params) if pred is None else
+                    inner_convex(frame, params, sigma0=pred, tau0=TAU_FINAL))
         except Infeasible:
             return None
         prev = (s, cell)
@@ -1380,8 +1367,7 @@ def _composite(w, rp, q, ip=None):
     refused."""
     try:
         ip = rates_aligned(w, q).rp if ip is None else ip
-        slack = rp - ip > max(1e-7, 1e-6 * rp)
-        mu = 0.0 if slack else kkt.closed_form_mu(w, q)
+        mu = 0.0 if kkt.rate_is_slack(rp, ip) else kkt.closed_form_mu(w, q)
         return kkt.multiplier_composite(w, q, mu)[0]
     except GausskeyError:
         return math.inf
@@ -1616,20 +1602,18 @@ def ascent_boundary(m: AlignedModel, rp_grid) -> RegionBoundary:
                           solver_meta=tuple(meta))
 
 
-def contains(m, p: RatePair, tol: float, *, boundary: RegionBoundary | None = None,
-             st_resolution: int = 200) -> bool:
+def contains(m, p: RatePair, tol: float, *, boundary: RegionBoundary | None = None) -> bool:
     """Region membership: is the pair within ``tol`` of achievable?
 
     True iff the computed boundary at ``p.rp`` reaches ``p.rk - tol``.  A
-    precomputed ``boundary`` for the same model may be supplied to avoid
-    re-running the solver (it is trusted as-is); otherwise ``_boundary``
-    computes it at the single grid point ``p.rp``, with the requested sweep
-    resolution when the model takes the sweep.
+    precomputed ``boundary`` for the same model, at any sweep resolution,
+    may be supplied to avoid re-running the solver (it is trusted as-is);
+    otherwise ``_boundary`` computes it at the single grid point ``p.rp``.
     """
     if p.rk <= tol:
         return True
     if boundary is None:
-        boundary = _boundary(m, [p.rp], st_resolution=st_resolution)
+        boundary = _boundary(m, [p.rp])
     return boundary.rk_at(p.rp) >= p.rk - tol
 
 

@@ -17,9 +17,10 @@ regenerate only to freeze a deliberately changed sweep, and only after
 ``--check`` regenerates every sweep and compares it with the committed
 file: per group of sweeps it prints how many key rates rose, the largest
 rise, the Newton steps of the group's ``inner_convex`` calls and how many
-of those calls started warm (from a predicted start, ``tau0`` given) and
-how many cold, and it exits non-zero when any key rate falls by more than ``FALL_TOL`` (or a
-sweep's model, rates or resolution changed).  The steps are counted as
+of those cells started from their prediction, from a prediction pulled
+inside the cell and cold (``_Cell.start`` "given", "pulled" and "cold"),
+and it exits non-zero when any key rate falls by more than ``FALL_TOL``
+(or a sweep's model, rates or resolution changed).  The steps are counted as
 ``tests/test_sweep_boundaries.py`` counts them: its ``STEP_BOUNDS`` groups
 ``demo_res60`` and ``random_sweep`` are the groups ``res60`` and
 ``random_sweep`` here.
@@ -71,17 +72,17 @@ def sweeps():
 
 def entries():
     """The frozen-file entry of every sweep, run on the current solver, and
-    per ``group`` the Newton steps, warm calls and cold calls of its
-    ``inner_convex`` calls."""
+    per ``group`` the Newton steps of its ``inner_convex`` calls and how
+    many of its cells started given, pulled and cold."""
     out = []
     steps = {}
     inner = solver.inner_convex
 
     def counted(*args, **kwargs):
         cell = inner(*args, **kwargs)
-        count = steps.setdefault(group(name), [0, 0, 0])
+        count = steps.setdefault(group(name), [0, 0, 0, 0])
         count[0] += cell.iterations
-        count[1 if "tau0" in kwargs else 2] += 1
+        count[1 + ("given", "pulled", "cold").index(cell.start)] += 1
         return cell
 
     solver.inner_convex = counted
@@ -112,8 +113,8 @@ def group(name):
 
 def check(fresh, steps):
     """Compare regenerated entries with the committed file and print the
-    Newton steps and the warm/cold cell split per group; return the number of failures (a fall beyond
-    ``FALL_TOL`` or a changed input)."""
+    Newton steps and the given/pulled/cold cell split per group; return the
+    number of failures (a fall beyond ``FALL_TOL`` or a changed input)."""
     with open(FROZEN_PATH) as fh:
         frozen = {e["name"]: e for e in json.load(fh)["sweeps"]}
     failures = 0
@@ -139,9 +140,10 @@ def check(fresh, steps):
                 rose[1] += 1
                 rose[2] = max(rose[2], now - was)
     for name, (n_points, n_rose, largest) in rises.items():
-        n_steps, n_warm, n_cold = steps.get(name, (0, 0, 0))
+        n_steps, n_given, n_pulled, n_cold = steps.get(name, (0, 0, 0, 0))
         print(f"{name}: {n_rose} of {n_points} points rose, largest rise {largest:.3g}, "
-              f"{n_steps:,} Newton steps, {n_warm:,} warm / {n_cold:,} cold cells")
+              f"{n_steps:,} Newton steps, {n_given:,} given / {n_pulled:,} pulled / "
+              f"{n_cold:,} cold cells")
     return failures
 
 

@@ -226,8 +226,7 @@ def test_region_boundary_validation(degraded_demo):
 def test_contains_origin_and_above_limit(degraded_demo):
     assert contains(degraded_demo, RatePair(0.0, 0.0), 1e-9)
     limit = asymptotic_limit(degraded_demo)
-    assert not contains(degraded_demo, RatePair(2.0, limit + 0.01), 1e-6,
-                        st_resolution=40)
+    assert not contains(degraded_demo, RatePair(2.0, limit + 0.01), 1e-6)
 
 
 def test_contains_boundary_self_consistency(crossing_demo):
@@ -236,5 +235,5 @@ def test_contains_boundary_self_consistency(crossing_demo):
     bnd = sweep_boundary(crossing_demo, [1.0], st_resolution=40)
     point = RatePair(1.0, bnd.points[0].rk)
     assert contains(crossing_demo, point, 1e-6, boundary=bnd)
-    # direct recomputation route (deterministic, same resolution)
-    assert contains(crossing_demo, point, 1e-6, st_resolution=40)
+    # direct recomputation route, at the default resolution
+    assert contains(crossing_demo, point, 1e-6)

@@ -69,28 +69,32 @@ def _group(name):
 @pytest.fixture(scope="module")
 def swept():
     """Per frozen sweep: its entry, its boundary and each row minimum it
-    evaluated as ``(t, F(t))``; per group of sweeps: the Newton steps and
-    the cold calls of all its cells; over all sweeps: the predictor-started
-    cells as ``(frame, params, value, kind)``, where ``kind`` is "pulled"
-    for a prediction pulled toward the closed-form start (a top cell's
-    included), "top" for a row's top cell started from another row without
-    a pull and "row" for the rest, and the
-    uncentred cells and the cells that raise ``Infeasible``, each as
+    evaluated as ``(t, F(t))``; per group of sweeps, as
+    ``counts[key][group]``: the Newton steps, the cells, the cells of each
+    start kind (``_Cell.start``), the constraint builds
+    (``solver._cell_constraints``) and the closed-form starts
+    (``solver._cell_start``) of its ``inner_convex`` calls; over all sweeps:
+    the predictor-started cells as ``(frame, params, value, kind)``, where
+    ``kind`` is "pulled" for a prediction pulled toward the closed-form
+    start (a top cell's included), "top" for a row's top cell started from
+    another row without a pull and "row" for the rest, and the uncentred
+    cells and the cells that raise ``Infeasible``, each as
     ``(name, params)``."""
     path = os.path.join(os.path.dirname(__file__), "data", "sweep_boundaries.json")
     with open(path) as fh:
         entries = json.load(fh)["sweeps"]
     inner = solver.inner_convex
     row_min = solver._row_min_rp
-    pull = solver._pulled_start
-    steps = {}
-    cold = {}
+    counts = {}
     predicted = []
-    last_pull = [None]
     uncentred = []
     infeasible = []
     group = None
     reaches = None
+
+    def count(key, n=1):
+        per_group = counts.setdefault(key, {})
+        per_group[group] = per_group.get(group, 0) + n
 
     def counted(m, params, **kwargs):
         try:
@@ -98,13 +102,13 @@ def swept():
         except Infeasible:
             infeasible.append((entry["name"], params))
             raise
-        steps[group] = steps.get(group, 0) + cell.iterations
-        if "tau0" in kwargs:
-            kind = ("pulled" if kwargs["sigma0"] is last_pull[0] else
+        count("steps", cell.iterations)
+        count("cells")
+        count(cell.start)
+        if cell.start != "cold":
+            kind = ("pulled" if cell.start == "pulled" else
                     "top" if params.s == s_max else "row")
             predicted.append((m, params, cell.value, kind))
-        else:
-            cold[group] = cold.get(group, 0) + 1
         if not cell.converged:
             uncentred.append((entry["name"], params))
         return cell
@@ -114,15 +118,19 @@ def swept():
         reaches.append((t, out[0]))
         return out
 
-    def pulled(*args):
-        last_pull[0] = pull(*args)
-        return last_pull[0]
+    def counting(key, func):
+        def wrapped(*args):
+            count(key)
+            return func(*args)
+        return wrapped
 
     out = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "inner_convex", counted)
         mp.setattr(solver, "_row_min_rp", recorded)
-        mp.setattr(solver, "_pulled_start", pulled)
+        mp.setattr(solver, "_cell_constraints",
+                   counting("builds", solver._cell_constraints))
+        mp.setattr(solver, "_cell_start", counting("starts", solver._cell_start))
         for entry in entries:
             group = _group(entry["name"])
             reaches = []
@@ -131,7 +139,7 @@ def swept():
             boundary = solver.sweep_boundary(m, entry["rp"],
                                              st_resolution=entry["resolution"])
             out.append((entry, boundary, reaches))
-    return out, (steps, cold), predicted, uncentred, infeasible
+    return out, counts, predicted, uncentred, infeasible
 
 
 def test_boundaries_match_the_frozen_sweeps(swept):
@@ -165,14 +173,26 @@ def test_row_minimum_is_nondecreasing_in_t(swept):
 
 @pytest.mark.parametrize("group", sorted(STEP_BOUNDS))
 def test_newton_steps_stay_within_their_bound(swept, group):
-    _, (steps, _), *_ = swept
-    assert 0 < steps[group] <= STEP_BOUNDS[group], steps
+    _, counts, *_ = swept
+    assert 0 < counts["steps"][group] <= STEP_BOUNDS[group], counts["steps"]
 
 
 def test_cold_cells_stay_within_their_bound(swept):
     # every row minimum but a sweep's first starts from a neighbouring row
-    _, (_, cold), *_ = swept
-    assert 0 < cold["demo_res60"] <= COLD_CELL_BOUND, cold
+    _, counts, *_ = swept
+    assert 0 < counts["cold"]["demo_res60"] <= COLD_CELL_BOUND, counts["cold"]
+
+
+def test_each_cell_builds_its_constraints_and_start_once(swept):
+    # the cell kernel alone decides a cell's start: every cell builds its
+    # constraints once, and only a pulled or cold cell computes the
+    # closed-form start, once (704 builds and 506 starts on the demos at
+    # resolution 60)
+    _, counts, *_ = swept
+    group = "demo_res60"
+    assert counts["builds"][group] == counts["cells"][group]
+    assert counts["starts"][group] == counts["pulled"][group] + counts["cold"][group]
+    assert counts["starts"][group] < counts["cells"][group]
 
 
 def _interval_linear_max(g_w):
@@ -282,6 +302,26 @@ def test_predictor_started_cells_match_cold_solves(swept):
         if not abs(value - cold) <= PREDICTOR_TOL:
             misses.append((params, value, cold))
     assert not misses, misses
+
+
+@pytest.mark.parametrize("s, t", [(1.0, 0.3), (2.0, 0.5), (0.5, 0.2), (1.5, 0.8)])
+def test_a_start_just_outside_the_interval_is_pulled_inside(crossing_demo, s, t):
+    # the cold centre with its top whitened eigenvalue lifted to 1 + 1e-6,
+    # as a linear prediction lifts it: pulled inside, the final weight
+    # centres it in 13-21 Newton steps, against 32-37 for the cold solve
+    frame = solver._span_reduction(crossing_demo)
+    params = solver.SweepParams(s=s, t=t)
+    cold = solver.inner_convex(frame, params)
+    a, b, c = cold.a2
+    w, v = np.linalg.eigh([[a, b], [b, c]])
+    w[-1] = 1.0 + 1e-6
+    x = (v * w) @ v.T
+    cell = solver.inner_convex(frame, params, sigma0=(x[0, 0], x[0, 1], x[1, 1]),
+                               tau0=solver.TAU_FINAL)
+    assert cold.start == "cold" and cell.start == "pulled"
+    assert max(abs(p - q) for p, q in zip(cell.a2, cold.a2)) <= PREDICTOR_TOL
+    assert abs(cell.value - cold.value) <= PREDICTOR_TOL
+    assert cell.iterations < cold.iterations
 
 
 def test_small_rates_reach_the_oracle(degraded_demo, crossing_demo):
