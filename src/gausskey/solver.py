@@ -46,11 +46,12 @@ Three routes to the boundary R_k(R_p):
     determinants.
 
 Each grid point is a pure computation.  A row minimum is not independent
-of the sweep that asks for it: its cells are solved in order, each started
-from the tangent of the one before, and its first cell from the tangent in
-``t`` of the nearest row solved before it in the same sweep.  Where a cell
-starts changes only its Newton steps, and the rows are visited in an order
-fixed by the model and the rate grid, so output is run-to-run identical.
+of the sweep that asks for it: its first cell starts from the tangent in
+``t`` of the nearest row solved before it in the same sweep, and every
+later probe, below the row's kink, at its cell's closed-form optimum
+(``_capped_optimum``).  Where a cell starts changes only its Newton steps,
+and the rows are visited in an order fixed by the model and the rate grid,
+so output is run-to-run identical.
 """
 
 import bisect
@@ -95,11 +96,13 @@ MAX_NEWTON = 400
 # BARRIER_GAP_TOL whatever the source dimension.
 TAU_FINAL = 10.0 ** math.ceil(math.log10(4 / BARRIER_GAP_TOL))
 
-# Weights by which a start outside its cell is pulled toward the cell's
-# closed-form start before the requested schedule runs from it.  On
-# the frozen sweeps a pull of 1e-2 or more costs more Newton steps than the
-# cold schedule, so the ladder stops at 1e-3.
-START_PULLS = (1e-8, 1e-6, 1e-4, 1e-3)
+# Weights by which a start outside its cell, or a capped optimum on its
+# boundary, is pulled toward the cell's closed-form start before the
+# requested schedule runs from it.  On the frozen sweeps a pull of 1e-2 or
+# more costs more Newton steps than the cold schedule, so the ladder stops
+# at 1e-3.  It starts at 1e-6: a first weight of 1e-8 or 1e-5 raises the
+# resolution-60 demos from 9,622 Newton steps to 10,434 or 10,009.
+START_PULLS = (1e-6, 1e-4, 1e-3)
 
 # Sweep floors: the smallest s a row-minimum search probes (relative to
 # b sigma_x b^T) and the smallest gap of a t row below the maximal t
@@ -115,7 +118,8 @@ SWEEP_T_GAP_FLOOR = 1e-6
 # on the cell corpus; three more full Newton steps bring it within 3e-7 of
 # a finite difference of the cell value, and the decrement stop of 1e-14
 # bounds the relative error of each slack by 1e-7.  The central-path
-# tangent that starts the next cell of a row is taken at this tight centre.
+# tangent in t that starts the top cell of the next row is taken at this
+# tight centre.
 FINAL_CENTRING_STEPS = 6
 FINAL_DECREMENT_TOL = 1e-14
 
@@ -386,6 +390,35 @@ def _cell_start(frame, params, cons):
     return a2, v_max
 
 
+def _capped_optimum(frame, params):
+    """The cell's optimum ``(a, b, c)`` in the limit of a binding s cap, or
+    None when ``a = s / beta^2 >= 1`` or the ratio constraint has no root.
+
+    With ``a`` fixed the determinant ``a - b^2 / (1 - a)`` on the face
+    ``c = 1 - b^2 / (1 - a)`` of ``A <= I`` falls with ``|b|``, so on that
+    face ``b`` is the root nearest 0 of ``r(b) = t``, ``r(b) = <N, A>`` (N
+    of ``_ratio_form``), taken in cancellation-free form, or 0 when
+    ``r(0) >= t``.  Below a row's kink ``s_free`` the cap binds at
+    every cell optimum (the cell problem is strictly convex, and the row's
+    top optimum breaks the cap), so this is the optimum of every such cell.
+    The point lies on the cell's boundary, however rounding judges it.
+    """
+    bb = frame.bw[0] * frame.bw[0]
+    if not params.s < bb:
+        return None
+    a = params.s / bb
+    (n00, n01, n11), _ = _ratio_form(frame, params.t)
+    gap = params.t - n00 * a - n11  # t - r(0)
+    if gap <= 0.0:
+        return a, 0.0, 1.0
+    # n11 / (1 - a) b^2 - 2 n01 b + gap = 0
+    disc = n01 * n01 - n11 / (1.0 - a) * gap
+    if disc < 0.0 or n01 == 0.0:
+        return None
+    b = gap / (n01 + math.copysign(math.sqrt(disc), n01))
+    return a, b, 1.0 - b * b / (1.0 - a)
+
+
 def _ldl_step(h00, h01, h02, h11, h12, h22, g0, g1, g2):
     """Newton step ``-H^-1 g`` and decrement ``g^T H^-1 g`` for a symmetric
     3x3 H (upper triangle given), by an unpivoted LDL^T factorization.
@@ -421,13 +454,12 @@ class _Cell:
     ``(a, b, c)``, the fields of ``SolveReport`` that a sweep keeps, and,
     for a centred (``converged``) cell only, else None: ``lam_s``, the
     multiplier of ``b Q b^T <= s``, which by the envelope theorem gives
-    ``d value / d s = 1 / (2 (1 + s)) - lam_s / 2``; ``dx_ds``, the
-    central path's tangent ``-H^-1 d(grad phi)/ds`` at ``a2``, from which
-    the next cell of a row starts at ``a2 + (s' - s) dx_ds``; and ``dx_dt``,
-    its tangent in t (None also when the ratio constraint is dropped), from
-    which the top cell of a neighbouring row starts at
-    ``a2 + (t' - t) dx_dt``; and ``start``, where the solve started:
-    ``"given"``, ``"pulled"`` or ``"cold"`` (see ``_inner_convex_2x2``)."""
+    ``d value / d s = 1 / (2 (1 + s)) - lam_s / 2``; and ``dx_dt``, the
+    central path's tangent ``-H^-1 d(grad phi)/dt`` at ``a2`` (None also
+    when the ratio constraint is dropped), from which the top cell of a
+    neighbouring row starts at ``a2 + (t' - t) dx_dt``; and ``start``, where
+    the solve started: ``"given"``, ``"pulled"`` or ``"cold"`` (see
+    ``_inner_convex_2x2``)."""
 
     a2: tuple
     value: float
@@ -435,7 +467,6 @@ class _Cell:
     kkt_residual: float
     converged: bool
     lam_s: float
-    dx_ds: tuple
     dx_dt: tuple
     start: str
 
@@ -453,9 +484,13 @@ def _inner_convex_2x2(frame, params, a0, tau0):
     cell (``"given"``); else at ``a0`` pulled toward the closed-form start
     of ``_cell_start`` by the first weight of ``START_PULLS`` that brings it
     strictly inside (``"pulled"``), as when a linear prediction lifts the
-    top whitened eigenvalue past 1; else, or without ``a0``, at the
-    closed-form start on the full schedule (``"cold"``).  ``_cell_start``
-    runs at most once and raises ``Infeasible`` for an empty cell.
+    top whitened eigenvalue past 1; else at the closed-form start on the
+    full schedule (``"cold"``).  Without ``a0`` a warm schedule
+    (``tau0 > 1``) takes the capped optimum of ``_capped_optimum`` as
+    ``a0`` and always pulls it, as it lies on the cell's boundary even
+    where rounding judges it strictly inside; without either the cell runs
+    cold.  ``_cell_start`` runs at most once and raises ``Infeasible`` for
+    an empty cell.
 
     A barrier stage is *centred* when the Newton decrement drops below its
     tolerance; it ends uncentred after 40 steps, at a non-positive pivot, or
@@ -480,9 +515,8 @@ def _inner_convex_2x2(frame, params, a0, tau0):
     feasible, possibly suboptimal, value.  A centred final stage takes up to
     ``FINAL_CENTRING_STEPS`` more full Newton steps, until the decrement
     reaches ``FINAL_DECREMENT_TOL``, so that ``1 / (tau * slack)`` is the
-    multiplier ``lam_s`` of ``b Q b^T <= s``; one more ``_ldl_step`` each
-    with the Hessian of that last centring step gives the tangents ``dx_ds``
-    and ``dx_dt``.
+    multiplier ``lam_s`` of ``b Q b^T <= s``; one more ``_ldl_step`` with
+    the Hessian of that last centring step gives the tangent ``dx_dt``.
     """
     cons = _cell_constraints(frame, params)
     n_constr = 2 + len(cons)
@@ -504,10 +538,13 @@ def _inner_convex_2x2(frame, params, a0, tau0):
             val -= math.log(-gv)
         return val
 
+    capped = a0 is None and tau > 1.0
+    if capped:
+        a0 = _capped_optimum(frame, params)  # on the boundary: always pulled
     if padded and a0 is not None:
         a0 = (a0[0], 0.0, 0.5)  # the padding coordinate is reset below
     start = "given"
-    if a0 is None or not _strictly_feasible(a0, cons):
+    if capped or a0 is None or not _strictly_feasible(a0, cons):
         x0 = _cell_start(frame, params, cons)[0]
         for theta in START_PULLS if a0 is not None else ():
             pulled = tuple(x + theta * (y - x) for x, y in zip(a0, x0))
@@ -618,34 +655,25 @@ def _inner_convex_2x2(frame, params, a0, tau0):
         logdet = math.log(a * c - b * b)
     bb = frame.bw[0] * frame.bw[0]
     value = -0.5 * logdet - 0.5 * math.log1p(bb) + 0.5 * math.log1p(params.s)
-    lam_s = dx_ds = dx_dt = None
+    lam_s = dx_dt = None
     if centred:
-        def tangent(d0, d1, d2):
-            # -H^-1 d(grad phi); h** is the Hessian at (a, b, c), assembled
-            # by the step that ended the stage
-            step = _ldl_step(h00, h01, h02, h11, h12, h22, d0, d1, d2)
-            return None if step is None else step[:3]
-
         s_con = bb * bb > _VANISHING_GAIN  # b Q b^T <= s, when kept, is last
-        if not s_con:
-            lam_s, dx_ds = 0.0, (0.0, 0.0, 0.0)  # s is not constrained
-        else:
-            g00, g01, g11, _ = cons[-1]
-            slack = params.s - frame.signal_power((a, b, c))
-            lam_s = 1.0 / (tau * slack)
-            # d(grad phi)/ds = -(g00, 2 g01, g11) / slack^2
-            w = -1.0 / (slack * slack)
-            dx_ds = tangent(g00 * w, 2.0 * g01 * w, g11 * w)
+        lam_s = (1.0 / (tau * (params.s - frame.signal_power((a, b, c))))
+                 if s_con else 0.0)
         if len(cons) > s_con:  # the ratio constraint g <= 0 is first
             g00, g01, g11, cst = cons[0]
             gv = g00 * a + 2.0 * g01 * b + g11 * c + cst
-            # dg/dt = beta^2 a + 1 and d(grad g)/dt = (beta^2, 0, 0), so
-            # d(grad phi)/dt = (beta^2, 0, 0) / -g + grad g (dg/dt) / g^2
+            # -H^-1 d(grad phi)/dt, H assembled at (a, b, c) by the step
+            # that ended the stage: dg/dt = beta^2 a + 1 and d(grad g)/dt =
+            # (beta^2, 0, 0), so d(grad phi)/dt = (beta^2, 0, 0) / -g +
+            # grad g (dg/dt) / g^2
             w = (bb * a + 1.0) / (gv * gv)
-            dx_dt = tangent(bb / -gv + g00 * w, 2.0 * g01 * w, g11 * w)
+            step = _ldl_step(h00, h01, h02, h11, h12, h22,
+                             bb / -gv + g00 * w, 2.0 * g01 * w, g11 * w)
+            dx_dt = None if step is None else step[:3]
     return _Cell(a2=(a, b, c), value=value, iterations=total_iters,
                  kkt_residual=n_constr / tau, converged=centred, lam_s=lam_s,
-                 dx_ds=dx_ds, dx_dt=dx_dt, start=start)
+                 dx_dt=dx_dt, start=start)
 
 
 def inner_convex(m: GeneralModel, params: SweepParams, *, sigma0=None,
@@ -668,8 +696,10 @@ def inner_convex(m: GeneralModel, params: SweepParams, *, sigma0=None,
     final value of a neighboring solve, with its optimum as ``sigma0``, to
     warm-start) until the duality-gap proxy drops below
     ``BARRIER_GAP_TOL``.  A ``sigma0`` outside the cell is pulled inside,
-    toward the closed-form start; without ``sigma0``, or when no pull
-    brings it inside, the full schedule runs from that start.  A stage after
+    toward the closed-form start; without ``sigma0`` a ``tau0 > 1`` starts
+    the cell at its optimum under a binding s cap, pulled inside alike.
+    With ``tau0 = 1`` and no ``sigma0``, or when no pull brings a start
+    inside, the full schedule runs from the closed-form start.  A stage after
     a centred one starts from the central path's prediction of its centre,
     which saves Newton steps and leaves the final centre where it was; see
     ``_inner_convex_2x2`` for the start rule, for why and for what
@@ -751,14 +781,6 @@ def _row_edge(frame, t):
     return frame.bw[0] ** 2 * (w * w / (1.0 + w * w))
 
 
-def _predicted(a2, tangent, step):
-    """The tangent predictor ``a2 + step * tangent``; None without a
-    tangent."""
-    if tangent is None:
-        return None
-    return tuple(x + step * dx for x, dx in zip(a2, tangent))
-
-
 class _SearchEnd(Exception):
     """A row-minimum probe has no multiplier, which ends the search."""
 
@@ -781,14 +803,15 @@ def _row_min_rp(frame, t, s_max, ik_t, near=None):
     smooth root of ``g`` further down: steps in log s, doubling, bracket it
     down to ``SWEEP_S_FLOOR s_max``, or bisect towards an edge above that
     floor, where rp may still be rising; and ``_anderson_bjorck`` on ``g``
-    closes the bracket.  Each probe is predicted on the final barrier
-    weight: the top cell from ``near = (t', top')``, the top cell of a row
-    already solved, moved by ``(t - t') dx_dt``, and every later probe from
-    the last one, moved by ``(s - s') dx_ds``; the kernel pulls a prediction
-    outside its cell inside, or runs the cell cold, as does the top cell
-    without ``near``.  Where a probe starts changes only its Newton steps,
-    not the centre it reaches.  A cell over its Newton budget raises
-    ``MaxIterationsExceeded`` out of the search.  A probe without a
+    closes the bracket.  The top cell starts from ``near = (t', top')``,
+    the top cell of a row already solved, moved by ``(t - t') dx_dt``, or
+    runs cold without ``near``; every later probe lies below ``s_free``,
+    where the s cap binds, and starts from its cell's closed-form optimum
+    (``_capped_optimum``).  Both starts run on the final barrier weight,
+    and the kernel pulls either inside or runs the cell cold.  Where a
+    probe starts changes only its Newton steps, not the centre it reaches.
+    A cell over its Newton budget raises ``MaxIterationsExceeded`` out of
+    the search.  A probe without a
     multiplier (uncentred, or ``Infeasible`` from its start's float check)
     counts with its value, if any, and ends the search.
 
@@ -800,26 +823,19 @@ def _row_min_rp(frame, t, s_max, ik_t, near=None):
     edge = _row_edge(frame, t)
     if edge is None or not edge < s_max:
         return float("inf"), None, None
-    prev = None
 
-    def solve(s):
-        nonlocal prev
-        params = SweepParams(s=s, t=float(t))
-        if prev is not None:
-            pred = _predicted(prev[1].a2, prev[1].dx_ds, s - prev[0])
-        elif near is not None:
-            pred = _predicted(near[1].a2, near[1].dx_dt, t - near[0])
-        else:
-            pred = None
+    def solve(s, **start):
         try:
-            cell = (inner_convex(frame, params) if pred is None else
-                    inner_convex(frame, params, sigma0=pred, tau0=TAU_FINAL))
+            return inner_convex(frame, SweepParams(s=s, t=float(t)), **start)
         except Infeasible:
             return None
-        prev = (s, cell)
-        return cell
 
-    top = solve(s_max)
+    if near is None or near[1].dx_dt is None:
+        top = solve(s_max)
+    else:
+        top = solve(s_max, sigma0=tuple(x + (t - near[0]) * dx for x, dx
+                                        in zip(near[1].a2, near[1].dx_dt)),
+                    tau0=TAU_FINAL)
     if top is None:
         return float("inf"), None, None
     s_free = frame.signal_power(top.a2)
@@ -830,7 +846,7 @@ def _row_min_rp(frame, t, s_max, ik_t, near=None):
         # g at s = e^x; keeps the best cell seen
         nonlocal best
         s = math.exp(x)
-        cell = solve(s)
+        cell = solve(s, tau0=TAU_FINAL)
         if cell is None:
             raise _SearchEnd
         if cell.value < best[0]:

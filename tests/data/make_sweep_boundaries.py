@@ -17,8 +17,8 @@ regenerate only to freeze a deliberately changed sweep, and only after
 ``--check`` regenerates every sweep and compares it with the committed
 file: per group of sweeps it prints how many key rates rose, the largest
 rise, the Newton steps of the group's ``inner_convex`` calls and how many
-of those cells started from their prediction, from a prediction pulled
-inside the cell and cold (``_Cell.start`` "given", "pulled" and "cold"),
+of those cells started at their given start, at a start pulled inside the
+cell and cold (``_Cell.start`` "given", "pulled" and "cold"),
 and it exits non-zero when any key rate falls by more than ``FALL_TOL``
 (or a sweep's model, rates or resolution changed).  The steps are counted as
 ``tests/test_sweep_boundaries.py`` counts them: its ``STEP_BOUNDS`` groups

@@ -10,9 +10,10 @@ meet the Lagrangian dual bound of the cell within the same tolerance.
 
 Every feasible corpus cell must also meet its dual bound and report
 convergence, and its multiplier of ``b Q b^T <= s`` must be the derivative
-of its value in ``s`` (the envelope theorem) and its central-path tangents
-the derivatives of its optimum in ``s`` and, for the top cell of its row,
-in ``t``, all checked by finite differences.
+of its value in ``s`` (the envelope theorem) and, for the top cell of its
+row, its central-path tangent the derivative of its optimum in ``t``, both
+checked by finite differences.  Where the s cap binds, the cold optimum
+must be the closed-form capped optimum that starts such cells.
 The float kernel's parts are checked against plain references: the LDL^T
 Newton step against a dense solve, and the closed-form start's largest
 ratio slack against a numerical minimum of its one-variable Lagrangian
@@ -49,6 +50,7 @@ from conftest import random_conditional, random_spd, rng_for
 CORPUS_TOL = 1e-8
 INVARIANCE_TOL = 1e-8
 FEASIBILITY_TOL = 1e-9
+PREDICTOR_TOL = 1e-10  # a started cell against its cold solve
 COLD_STEP_BOUND = 4_200
 
 
@@ -206,35 +208,35 @@ def test_s_multiplier_is_the_derivative_of_the_cell_value():
     assert counts["active"] >= 80 and counts["slack"] >= 80, counts
 
 
-def test_s_tangent_is_the_derivative_of_the_centred_optimum():
-    # The cell's dx_ds is the tangent of the final barrier centre in s; where
-    # the s constraint is active and the active set persists over s +- h
-    # (the one-sided difference quotients of the optimum agree), a central
-    # difference of the centre must match it.  On a slack constraint the
-    # tangent is below the differences' rounding, so those cells are skipped.
-    checked = 0
+def test_capped_optimum_starts_the_cells_whose_cap_binds():
+    # Where the s cap binds, the cold centre sits at the closed-form optimum
+    # of solver._capped_optimum within the final barrier weight's offset, and
+    # a call on the final weight without a start, which starts there pulled
+    # inside, reaches the cold value in under half the cold Newton steps.
+    checked = warm_steps = cold_steps = 0
     misses = []
     for k, cell in enumerate(_corpus()):
         if cell["value"] == "infeasible":
             continue
         m = GeneralModel(sigma_x=cell["sigma_x"], b=cell["b"], e=cell["e"])
         frame = solver._span_reduction(m)
-        s = cell["s"]
-        h = 1e-5 * s
-        lo, mid, hi = (inner_convex(frame, SweepParams(s=x, t=cell["t"]))
-                       for x in (s - h, s, s + h))
-        x_lo, x_mid, x_hi = (np.array(c.a2) for c in (lo, mid, hi))
-        central = (x_hi - x_lo) / (2.0 * h)
-        persists = (np.linalg.norm((x_hi - x_mid) - (x_mid - x_lo)) / h
-                    <= 1e-2 * np.linalg.norm(central))
-        if not (mid.lam_s * s > 1e-6 and persists):
+        params = SweepParams(s=cell["s"], t=cell["t"])
+        cold = inner_convex(frame, params)
+        if not cold.lam_s * params.s > 1e-6:
             continue
         checked += 1
-        err = np.linalg.norm(np.array(mid.dx_ds) - central)
-        if not err <= 1e-5 * np.linalg.norm(central):
-            misses.append((k, cell["model"], s, cell["t"], mid.dx_ds, central))
+        capped = solver._capped_optimum(frame, params)
+        warm = inner_convex(frame, params, tau0=solver.TAU_FINAL)
+        warm_steps += warm.iterations
+        cold_steps += cold.iterations
+        if not (capped is not None
+                and max(abs(p - q) for p, q in zip(capped, cold.a2)) <= 1e-8
+                and warm.start == "pulled" and warm.converged
+                and abs(warm.value - cold.value) <= PREDICTOR_TOL):
+            misses.append((k, cell["model"], params, capped, cold.a2, warm))
     assert not misses, misses
     assert checked >= 80, checked
+    assert 2 * warm_steps < cold_steps, (warm_steps, cold_steps)
 
 
 def test_t_tangent_is_the_derivative_of_the_centred_optimum():

@@ -24,18 +24,21 @@ find for ``t*``, 45,909 and 43,090; with the closed-form cold start,
 below it, 42,625 and 39,533, later 40,752 and 39,533; with each barrier
 stage started from the central path's tangent at the last centre, 24,734
 and 26,050; with each row's top cell started from the nearest row solved
-before it and each prediction outside its cell pulled inside, it takes
-14,561 and 16,677.  Cold cells, which run the whole barrier schedule, are
-counted too: 610 of the 704 cells of the demos at resolution 60 ran cold
-before rows started from rows, 194 now, and at most ``COLD_CELL_BOUND``
-may.  No cell of the frozen sweeps may
+before it and each prediction outside its cell pulled inside, 14,561 and
+16,677; with every probe below a row's top cell started from its
+closed-form capped optimum (``solver._capped_optimum``) pulled inside, in
+place of the last probe's tangent in s, it takes 9,622 and 10,076.  Cold
+cells, which run the whole barrier schedule, are counted too: 610 of the
+704 cells of the demos at resolution 60 ran cold before rows started from
+rows, 194 before probes started from the capped optimum, 8 now, and at
+most ``COLD_CELL_BOUND`` may.  No cell of the frozen sweeps may
 raise ``Infeasible``: each row's feasible ``s`` range is known in closed
 form (``solver._row_edge``).  A badly centred start shows first as a cell
 that ends uncentred (``converged=False``): over all frozen sweeps at most
-``UNCENTRED_BOUND`` may.  A cell started from the tangent predictor of its
-neighbour must also land where a cold solve of the same cell does; those
-cells are drawn from every frozen sweep, and they include top cells started
-from another row and predictions pulled toward the closed-form start.
+``UNCENTRED_BOUND`` may.  A cell that does not start cold must also land
+where a cold solve of the same cell does; those cells are drawn from every
+frozen sweep, and they include top cells started from another row and
+starts pulled toward the closed-form start.
 
 The sweep's ``t`` range, now the two roots of a quadratic, is checked
 against the bisection on an eigenvalue test that it replaced.
@@ -54,8 +57,8 @@ from conftest import random_spd, rng_for
 
 FROZEN_TOL = 1e-12
 PREDICTOR_TOL = 1e-10
-STEP_BOUNDS = {"demo_res60": 16_000, "random_sweep": 18_300}
-COLD_CELL_BOUND = 215  # of demo_res60
+STEP_BOUNDS = {"demo_res60": 10_600, "random_sweep": 11_100}
+COLD_CELL_BOUND = 12  # of demo_res60
 KIND_MIN = 500  # predictor-started cells of each new kind
 UNCENTRED_BOUND = 0
 
@@ -75,9 +78,10 @@ def swept():
     (``solver._cell_constraints``) and the closed-form starts
     (``solver._cell_start``) of its ``inner_convex`` calls; over all sweeps:
     the predictor-started cells as ``(frame, params, value, kind)``, where
-    ``kind`` is "pulled" for a prediction pulled toward the closed-form
-    start (a top cell's included), "top" for a row's top cell started from
-    another row without a pull and "row" for the rest, and the uncentred
+    ``kind`` is "pulled" for a start pulled toward the closed-form start (a
+    probe's capped optimum, or a top cell's prediction from another row),
+    "top" for a row's top cell started from another row without a pull and
+    "row" for the rest, and the uncentred
     cells and the cells that raise ``Infeasible``, each as
     ``(name, params)``."""
     path = os.path.join(os.path.dirname(__file__), "data", "sweep_boundaries.json")
@@ -186,7 +190,7 @@ def test_cold_cells_stay_within_their_bound(swept):
 def test_each_cell_builds_its_constraints_and_start_once(swept):
     # the cell kernel alone decides a cell's start: every cell builds its
     # constraints once, and only a pulled or cold cell computes the
-    # closed-form start, once (704 builds and 506 starts on the demos at
+    # closed-form start, once (704 builds and 600 starts on the demos at
     # resolution 60)
     _, counts, *_ = swept
     group = "demo_res60"
@@ -322,6 +326,23 @@ def test_a_start_just_outside_the_interval_is_pulled_inside(crossing_demo, s, t)
     assert max(abs(p - q) for p, q in zip(cell.a2, cold.a2)) <= PREDICTOR_TOL
     assert abs(cell.value - cold.value) <= PREDICTOR_TOL
     assert cell.iterations < cold.iterations
+
+
+def test_a_capped_optimum_that_rounds_inside_is_still_pulled():
+    # At this cell of the random_sweep model of key 900 the capped optimum,
+    # which lies on the cell's boundary, passes the strict feasibility test
+    # by rounding; started there as given, the barrier exceeds MAX_NEWTON.
+    # The kernel's own start pulls it toward the closed-form start first.
+    rng = rng_for(900)
+    m = GeneralModel(sigma_x=random_spd(rng, 2, floor=0.5),
+                     b=rng.standard_normal((1, 2)), e=rng.standard_normal((1, 2)))
+    frame = solver._span_reduction(m)
+    params = solver.SweepParams(s=0.11773567843399703, t=-0.084257122616871)
+    capped = solver._capped_optimum(frame, params)
+    assert solver._strictly_feasible(capped, solver._cell_constraints(frame, params))
+    cell = solver.inner_convex(frame, params, tau0=solver.TAU_FINAL)
+    assert cell.start == "pulled" and cell.converged and cell.iterations < 40
+    assert abs(cell.value - solver.inner_convex(frame, params).value) <= PREDICTOR_TOL
 
 
 def test_small_rates_reach_the_oracle(degraded_demo, crossing_demo):
