@@ -419,11 +419,21 @@ def certificate_to_dict(cert: KktCertificate) -> dict:
 
 
 def certificate_from_dict(obj: dict) -> KktCertificate:
+    """The certificate of ``certificate_to_dict``; ``ValueError`` naming the
+    field when ``sigma_star``, ``m_matrix`` or ``wy_tilde`` is not a square
+    matrix.  A square one of the wrong size is ``verify_certificate``'s to
+    judge."""
+    square = {}
+    for key in ("sigma_star", "m_matrix", "wy_tilde"):
+        a = np.array(obj[key], dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"{key} must be a square matrix, got shape {a.shape}")
+        square[key] = a
     return KktCertificate(
-        sigma_star=ConditionalCov(np.array(obj["sigma_star"], dtype=float)),
+        sigma_star=ConditionalCov(square["sigma_star"]),
         mu=float(obj["mu"]),
-        m_matrix=np.array(obj["m_matrix"], dtype=float),
-        wy_tilde=np.array(obj["wy_tilde"], dtype=float),
+        m_matrix=square["m_matrix"],
+        wy_tilde=square["wy_tilde"],
         rp=float(obj["rp"]),
         residuals={k: float(v) for k, v in obj["residuals"].items()},
     )

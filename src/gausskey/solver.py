@@ -1021,9 +1021,15 @@ def sweep_boundary(m: GeneralModel, rp_grid, st_resolution: int = 200) -> Region
 # search, test per stacked evaluation.  On the benchmark's aligned points the
 # ascent accepts one of its first four trials on about four steps in five, so
 # four trials per call cut its stacked evaluations about threefold.  The polish
-# stops at the damping floor 2^-7, its ``POLISH_HALVINGS``-th trial.
+# stops at the damping floor 2^-8, its ``POLISH_HALVINGS``-th trial: at 2^-7,
+# a first step from the commuting-part optimum of ``bench_mx4_key2006`` at rp 4
+# found no lower residual, where 2^-8 starts a walk that crosses to the face of
+# the optimum (see ``_polish_face``).  Each halving below the floor lets walks
+# that lead nowhere go on: at rates 8 and 12 on the probe's 52 models off the
+# corpus, the polish evaluates 37,204, 45,114 and 51,776 residual rows with the
+# floor at 2^-7, 2^-8 and 2^-9.
 HALVINGS_PER_STACK = 4
-POLISH_HALVINGS = 8
+POLISH_HALVINGS = 9
 
 # Least weight of the ascent's penalty on the rate constraint: the ascent need
 # only land near the boundary, as the polish solves the rate equation exactly.
@@ -1312,15 +1318,26 @@ def _polish_face(m, rp, q_hat, mu_hint, n_active):
     equality (see ``_FaceSystem``).
 
     A Newton step takes the closed-form Jacobian at its point
-    (``_FaceSystem.jacobian``, in the fixed chart at ``u0``) and one or two
-    stacked residual evaluations.  The line search takes the first valid
+    (``_FaceSystem.jacobian``, in the fixed chart at ``u0``) and one to
+    three stacked residual evaluations.  The line search takes the first valid
     one of the halvings ``x + 0.5^j step``, ``j < POLISH_HALVINGS``, that
     lowers the max-norm residual (halving is exact, so these are a
     sequential search's trials), ``HALVINGS_PER_STACK`` per stacked
-    evaluation; when none does, mostly on a wrong face, the polish stops, as
-    it does after 80 steps or below 1e-12.  Returns (q, mu, residual_norm),
-    or None for an invalid start; ``solve_at_rate``'s gate checks the
-    result's interval.
+    evaluation; when none does, the polish stops, as it does after 80 steps
+    or below 1e-12.
+
+    A step that lifts a free eigenvalue above 1 has left the interval
+    through a free direction, which belongs to the face: at the optimum each
+    direction pinned at 1 carries a PSD block of ``M(mu)`` (the enhancement
+    argument).  The polish then goes on, in place of that step, on face
+    ``n_active + 1`` from the iterate before it, which lies inside the
+    interval, with its ``Q`` and mu: the directions it pins are that
+    iterate's top ``n_active + 1`` eigendirections, the pinned ones and its
+    largest free one.  So a polish started on a face too low climbs to the
+    face of the optimum instead of walking past the cap until it stalls.
+
+    Returns (q, mu, residual_norm), or None for an invalid start;
+    ``solve_at_rate``'s gate checks the result's interval.
     """
     w, u0 = np.linalg.eigh(q_hat)
     u0 = u0[:, np.argsort(w)[::-1]]
@@ -1355,7 +1372,11 @@ def _polish_face(m, rp, q_hat, mu_hint, n_active):
                 break
         if not better.size:
             break
-        x, r = trials[lo + better[0]], rows[better[0]]
+        x_new = trials[lo + better[0]]
+        if np.linalg.eigvalsh(np.tensordot(x_new[:face.n_qf], face.basis_f, 1))[-1] > 1.0:
+            (sigma,), (mu,), _, _ = face.build(x[None])
+            return _polish_face(m, rp, sigma, float(mu), n_active + 1)
+        x, r = x_new, rows[better[0]]
     (sigma,), (mu,), _, _ = face.build(x[None])
     return sigma, float(mu), float(np.max(np.abs(r)))
 
@@ -1428,9 +1449,11 @@ def _homotopy_step(w, rp, q):
     gate, or None.  A step moves the optimum a little, so only its detected
     face ``g`` and ``g + 1`` are tried, in the order of ``_face_schedule``:
     over the benchmark's and the probe's steps, and at rates up to 16, no
-    step passed on a face above ``g + 1``."""
+    step passed on a face above ``g + 1``.  Unlike an ascent end point, a
+    step's optimum can also lose a pinned direction, so ``g - 1`` is tried
+    last; a polish there pins a free direction again when one crosses 1."""
     q, rk, mu_hint, g = _end_point(w, rp, q, rates_aligned(w, q).rk)
-    for n_active, factor in _face_schedule(g, min(g + 2, w.mx)):
+    for n_active, factor in _face_schedule(g, min(g + 2, w.mx)) + ([(g - 1, 1.0)] if g else []):
         cand = _polished(w, rp, q, rk, factor * mu_hint, n_active)
         if cand and cand[3]:
             return cand
@@ -1490,7 +1513,11 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 6,
     the optima of the model's two commuting parts.  A Newton polish of the
     stationarity system on an active face (``_polish_face``), with the rate
     binding, starts from an end point with its own multiplier hint, detected
-    face and key rate to keep (``_end_point``).  The routes, in order:
+    face and key rate to keep (``_end_point``).  A polish step that lifts a
+    free eigenvalue above 1 pins that direction: the polish goes on on the
+    next face from the iterate before the step, so a candidate's face is
+    only the one it starts on, and a polish started below the optimum's face
+    climbs to it.  The routes, in order:
 
     1. the commuting-part optima among the starts, each polished on its
        detected face at factor 1 (on the corner face ``n_active = mx`` the

@@ -9,6 +9,14 @@ The probe set has 265 points, built from the helpers of
   its rates 0.25, 0.5, 1, 2 and 4;
 - ``_degraded_model`` keys 6000-6011 at rates 0.5, 2 and 6.
 
+``--high`` before the mode runs the high-rate set instead: the 52 models
+off the corpus above (fresh, reliability and degraded) at rates 8, 12 and
+16, 156 points, where the aligned route still fails to certify some
+points.  Every mode takes it, and a file saved with it is compared with it:
+
+    PYTHONPATH=src python tests/data/probe_aligned.py --high --save high.json
+    PYTHONPATH=src python tests/data/probe_aligned.py --high --compare high.json
+
 Per point it records the bytes of the value and of the optimum ``sigma``,
 ``converged``, ``kkt_residual`` and the certificate outcome (``certified``,
 ``uncertified`` or the name of the exception ``certify`` raised), or the name
@@ -33,7 +41,8 @@ and in the file, and the summed ``cpu_s`` of the run beside the file's,
 with how many solves ran the ascent now and in the file, listing each
 point solved on both runs whose solve ran the ascent on one run only (a
 file saved before ``cpu_s`` or ``iterations`` was recorded reads "not
-recorded" and lists none; ``--save`` prints the run's figures too).  It
+recorded" and lists none; ``--save`` prints the run's certified points
+and these figures too).  It
 exits 1 when a value falls by more than ``FALL_TOL``, or is lost to an
 exception, or a certified point loses its certificate.  It also prints how
 many certificates are bit-identical and lists the points whose certificate
@@ -49,8 +58,9 @@ certificate outcome of an unscaled save:
 byte.  It prints how many scaled models the model checks refuse (by
 exception name), how many points raise, how many values move by more than
 ``SCALE_VALUE_TOL`` (listing each, and the largest move) and how many
-points lose or gain their certificate (listing each loss).  It exits 1
-when a point certified in the file loses its certificate.
+points lose or gain their certificate (listing each loss), then the run's
+CPU seconds and ascent runs.  It exits 1 when a point certified in the
+file loses its certificate.
 
 The rates do not change under any congruence
 ``(sigma_x, sigma_wy, sigma_wz) -> (T sigma_x T^T, T sigma_wy T^T, T
@@ -84,26 +94,31 @@ from gausskey.errors import GausskeyError  # noqa: E402
 
 FRESH_RATES = (0.7, 1.5, 3.0, 5.0)
 DEGRADED_RATES = (0.5, 2.0, 6.0)
+HIGH_RATES = (8.0, 12.0, 16.0)
 FALL_TOL = 1e-9
 SCALE_VALUE_TOL = 1e-9
 
 
-def cases():
-    """``(label, model, rp)`` of every probe point, in a fixed order."""
-    for p in tap.POINTS:
-        yield f"corpus-{p['model']}-rp{p['rp']}", tap._model(p), p["rp"]
+def models():
+    """``(label, model, rates)`` of the 52 models off the corpus, with the
+    rates of the main probe set, in a fixed order."""
     for key in range(5000, 5018):
-        m = tap._fresh_model(key)
-        for rp in FRESH_RATES:
-            yield f"fresh-{key}-rp{rp}", m, rp
+        yield f"fresh-{key}", tap._fresh_model(key), FRESH_RATES
     for mx, key in sorted(tap.RELIABILITY_CERTIFIED):
-        m = tap._bench_model(key, mx)
-        for rp in tap.RELIABILITY_RATES:
-            yield f"rel{mx}-{key}-rp{rp}", m, rp
+        yield f"rel{mx}-{key}", tap._bench_model(key, mx), tap.RELIABILITY_RATES
     for key in range(6000, 6012):
-        m = tap._degraded_model(key)
-        for rp in DEGRADED_RATES:
-            yield f"degraded-{key}-rp{rp}", m, rp
+        yield f"degraded-{key}", tap._degraded_model(key), DEGRADED_RATES
+
+
+def cases(high=False):
+    """``(label, model, rp)`` of every probe point, in a fixed order: the
+    main set, or with ``high`` the models off the corpus at ``HIGH_RATES``."""
+    if not high:
+        for p in tap.POINTS:
+            yield f"corpus-{p['model']}-rp{p['rp']}", tap._model(p), p["rp"]
+    for name, m, rates in models():
+        for rp in HIGH_RATES if high else rates:
+            yield f"{name}-rp{rp}", m, rp
 
 
 def transformed(m, mode, c):
@@ -275,17 +290,21 @@ def compare_scaled(old, new, where):
 
 
 def main(argv):
+    high = argv[:1] == ["--high"]
+    argv = argv[high:]
     modes = {"--save": 2, "--compare": 2, "--scale": 3, "--congruence": 3}
     if not argv or modes.get(argv[0]) != len(argv):
-        sys.stderr.write("usage: probe_aligned.py (--save FILE | --compare FILE "
+        sys.stderr.write("usage: probe_aligned.py [--high] (--save FILE | --compare FILE "
                          "| --scale C FILE | --congruence C FILE)\n")
         return 2
     mode, c = (argv[0], float(argv[1])) if len(argv) == 3 else (None, 1.0)
-    run = {label: timed(m, rp, mode, c) for label, m, rp in cases()}
+    run = {label: timed(m, rp, mode, c) for label, m, rp in cases(high)}
     if argv[0] == "--save":
         with open(argv[1], "w") as fh:
             json.dump(run, fh, indent=0)
         cpu, ascents = cost_figures(run)
+        certified = sum(r.get("certificate") == "certified" for r in run.values())
+        print(f"certified: {certified} of {len(run)}")
         print(f"CPU seconds of the solves and certificates: {cpu}; "
               f"solves that ran the ascent: {ascents}")
         return 0
@@ -296,7 +315,11 @@ def main(argv):
         return 2
     if mode is not None:
         where = f"at scale {c:g}" if mode == "--scale" else f"under congruence {c:g}"
-        return 1 if compare_scaled(old, run, where) else 0
+        lost = compare_scaled(old, run, where)
+        cpu, ascents = cost_figures(run)
+        print(f"CPU seconds of the solves and certificates: {cpu}; "
+              f"solves that ran the ascent: {ascents}")
+        return 1 if lost else 0
     return 1 if compare(old, run) else 0
 
 

@@ -13,16 +13,17 @@ models under a seeded ill-conditioned ``T`` their value and certificate
 outcome.
 
 The ascent builds its iterates inside the matrix interval and the polish
-tests a point's whitened free block against ``1 + FACE_EXCURSION``; one
-gate in ``solve_at_rate`` checks every polished candidate, a valid KKT
-multiplier included, at mu = 0 when the candidate's rate is slack.  The
-first candidate to pass is the answer; when none passes, no candidate
-within the budget may have a higher key rate than the answer.  The
-homotopy from the commuting part certifies every point of the corpus, so
-the tests of unconverged answers switch it off (``_no_homotopy``) to reach
-the ascent, the route they are about.  The face schedule starts at the
-detected face and must keep every optimum of the schedule that tried every
-face at every factor.  The per-point references below mirror that.
+tests a point's whitened free block against ``1 + FACE_EXCURSION``; a
+polish step that lifts a free eigenvalue above 1 hands over to the next
+face, and one gate in ``solve_at_rate`` checks every polished candidate,
+a valid KKT multiplier included, at mu = 0 when the candidate's rate is
+slack.  The first candidate to pass is the answer; when none passes, no
+candidate within the budget may have a higher key rate than the answer.
+The homotopy from the commuting part certifies every point of the corpus,
+so the tests of unconverged answers switch it off (``_no_homotopy``) to
+reach the ascent, the route they are about.  The face schedule starts at
+the detected face and must keep every optimum of the schedule that tried
+every face at every factor.  The per-point references below mirror that.
 
 The aligned route runs on the whitened model (``models.whiten``), and so
 do the internals below.  The stacked kernels are checked against plain
@@ -33,17 +34,17 @@ multi-start ascent against the per-start loop.  The line searches that test seve
 per stacked call must keep every iterate of the ones they replaced, kept
 here as references: the ascent that evaluated one backtracking trial per
 call and the polish that evaluated all 30 halvings, down to 2^-29 of the
-step, as one stack.  The polish stops at 2^-7, so on its cases the
+step, as one stack.  The polish stops at 2^-8, so on its cases the
 reference also checks that the halvings below that floor change no
 result.  A backtracking trial with NaN rates fails the Armijo test, in
 both ascents alike.  Errors that are not a rejected face or an invalid
 point must propagate.
 
 Three counts guard the aligned route's cost and reliability without a
-clock: the face polishes, the residual rows they evaluate and the ascent
-runs over the benchmark's points, the ascent's stacked rate evaluations on
-points that still reach it, and the certified points per model on models
-off the corpus at mx 3 to 8.
+clock: the face polishes, the residual rows they evaluate, the homotopy
+runs and the ascent runs over the benchmark's points, the ascent's stacked
+rate evaluations on points that still reach it, and the certified points
+per model on models off the corpus at mx 3 to 8.
 """
 
 import json
@@ -193,10 +194,15 @@ def _fresh_model(key):
     return AlignedModel(sigma_x=sigma_x, sigma_wy=sigma_wy, sigma_wz=random_spd(rng, mx))
 
 
-# The points where no candidate of the commuting-part polishes or the
-# ascent has a valid multiplier: each raises NoValidMultiplier in the
-# certificate when the homotopy is off, and certifies through it.
-UNCERTIFIED = [("bench-2007", 2.0), ("bench-2007", 4.0), ("fresh-5011", 5.0)]
+# Points where no candidate of the commuting-part polishes, the homotopy
+# or the ascent has a valid multiplier: each raises NoValidMultiplier in the
+# certificate, and each spends its whole budget.  They are among the
+# uncertified points of ``probe_aligned.py --high`` (bench-15 and bench-16
+# are its rel8-15 and rel8-16).  bench-2007 at rp 2 and 4 and fresh-5011 at
+# rp 5 were such points with the homotopy off, until the face polish pinned
+# a free direction that crosses 1 and certified them from the commuting
+# parts; they stay in the test of the best candidate as converged points.
+UNCERTIFIED = [("bench-16", 8.0), ("bench-15", 12.0), ("bench-15", 16.0)]
 
 
 def _no_homotopy(patch):
@@ -214,8 +220,12 @@ def _named_model(name):
     return _bench_model(int(key), 8 if int(key) < 2000 else 4)
 
 
-@pytest.mark.parametrize("key,rp", [(5002, 1.5), (5007, 5.0), (5011, 3.0), (5011, 5.0),
-                                    (2007, 2.0), (2007, 4.0)])
+# 5002 at rp 1.5 and 2007 at rp 2 and 4 solved no wrong face to round-off
+# once the polish pinned a free direction that crosses 1; uncertified points
+# of ``probe_aligned.py --high`` took their places: fresh-5013 and
+# fresh-5001 at rp 12 and bench-16 at rp 8
+@pytest.mark.parametrize("key,rp", [(5007, 5.0), (5011, 3.0), (5011, 5.0),
+                                    (5013, 12.0), (5001, 12.0), (16, 8.0)])
 def test_wrong_face_point_is_not_converged(monkeypatch, key, rp):
     # the polish solves some faces' systems to round-off here at points with
     # no valid multiplier: none may be reported converged.  The answer is a
@@ -253,7 +263,8 @@ def test_wrong_face_point_is_not_converged(monkeypatch, key, rp):
 
 @pytest.mark.parametrize("model,rp", [
     ("bench-14", 4.0), ("bench-15", 4.0),
-    ("fresh-5002", 1.5), ("fresh-5007", 5.0), ("fresh-5011", 3.0), *UNCERTIFIED])
+    ("fresh-5002", 1.5), ("fresh-5007", 5.0), ("fresh-5011", 3.0),
+    ("bench-2007", 2.0), ("bench-2007", 4.0), ("fresh-5011", 5.0), *UNCERTIFIED])
 def test_unconverged_solve_keeps_its_best_candidate(monkeypatch, model, rp):
     # with no candidate passing the gate, the answer is the best point the
     # polish reached within the budget, not the smallest face residual; a
@@ -552,13 +563,19 @@ def test_face_polish_calls_on_the_benchmark_points(monkeypatch):
     # runs); 101 calls, 3,321 rows in 906 evaluations and no ascent run
     # once the homotopy from the commuting part runs before it, the same
     # once its steps try two faces and a failed step refines from the last
-    # t that passed
+    # t that passed, with 10 homotopy runs; 68 calls, 1,810 rows in 505
+    # evaluations and 1 homotopy run once a step that lifts a free
+    # eigenvalue above 1 moves the polish to the next face.  Such a move
+    # calls ``_polish_face`` again, from inside the polish, so it counts
+    # as one more call
     calls = []
     rows = []
     runs = []
+    homotopies = []
     polish = solver._polish_face
     residuals = solver._FaceSystem.residuals
     pga = solver._pga_penalty
+    homotopy = solver._homotopy
 
     def counted(*args, **kwargs):
         calls.append(args)
@@ -572,14 +589,20 @@ def test_face_polish_calls_on_the_benchmark_points(monkeypatch):
         runs.append(1)
         return pga(*args)
 
+    def counted_homotopies(*args):
+        homotopies.append(1)
+        return homotopy(*args)
+
     monkeypatch.setattr(solver, "_polish_face", counted)
     monkeypatch.setattr(solver._FaceSystem, "residuals", counted_rows)
     monkeypatch.setattr(solver, "_pga_penalty", counted_runs)
+    monkeypatch.setattr(solver, "_homotopy", counted_homotopies)
     for point in POINTS:
         if point["model"].startswith("bench_"):
             solve_at_rate(_model(point), point["rp"])
-    assert len(calls) <= 113
-    assert sum(rows) <= 4_450
+    assert len(calls) <= 75
+    assert sum(rows) <= 2_000
+    assert len(homotopies) <= 1
     assert not runs
 
 
@@ -889,11 +912,15 @@ def _reference_pga_penalty(m, rp, q0, max_iter):
     return [(q[i], pairs[i], int(iterations[i])) for i in range(k)]
 
 
-def _reference_polish_face(m, rp, q_hat, mu_hint, n_active):
-    """The face polish whose line search evaluates all 30 halvings as one
-    stack: what ``_polish_face`` did before it tried the first few alone.
-    Both take the closed-form ``_FaceSystem.jacobian``, so the line search
-    is what this reference checks."""
+def _reference_polish_face(m, rp, q_hat, mu_hint, n_active, n_halvings=30, pin=True):
+    """The face polish whose line search evaluates all ``n_halvings`` (30)
+    halvings as one stack: what ``_polish_face`` did before it tried the
+    first few alone.  Both take the closed-form ``_FaceSystem.jacobian`` and
+    the same pin rule (a step that lifts a free eigenvalue above 1 hands
+    over to face ``n_active + 1`` from the iterate before it), so the line
+    search is what this reference checks.  With ``pin=False`` and
+    ``n_halvings=solver.POLISH_HALVINGS`` it is the polish without the pin
+    rule."""
     w, u0 = np.linalg.eigh(q_hat)
     u0 = u0[:, np.argsort(w)[::-1]]
     if n_active == m.mx:
@@ -909,7 +936,7 @@ def _reference_polish_face(m, rp, q_hat, mu_hint, n_active):
     if not valid[0]:
         return None
     r = rows[0]
-    halvings = 0.5 ** np.arange(30)[:, None]
+    halvings = 0.5 ** np.arange(n_halvings)[:, None]
     for _ in range(80):
         rnorm = float(np.max(np.abs(r)))
         if rnorm < 1e-12:
@@ -924,7 +951,11 @@ def _reference_polish_face(m, rp, q_hat, mu_hint, n_active):
         better = np.flatnonzero(valid & (np.max(np.abs(rows), axis=1) < rnorm))
         if not better.size:
             break
-        x, r = trials[better[0]], rows[better[0]]
+        x_new = trials[better[0]]
+        if pin and np.linalg.eigvalsh(np.tensordot(x_new[:face.n_qf], face.basis_f, 1))[-1] > 1.0:
+            sigma, mu, _, _ = face.build(x[None])
+            return _reference_polish_face(m, rp, sigma[0], float(mu[0]), n_active + 1)
+        x, r = x_new, rows[better[0]]
     sigma, mu, _, _ = face.build(x[None])
     return sigma[0], float(mu[0]), float(np.max(np.abs(r)))
 
@@ -975,6 +1006,63 @@ def test_stacked_line_searches_keep_the_sequential_iterates(monkeypatch, name):
                 _reference_pga_penalty(w, rp, starts, 400)):
             assert sigma.tobytes() == sigma_r.tobytes()
             assert (pair.rp, pair.rk, its) == (pair_r.rp, pair_r.rk, its_r)
+
+
+def test_a_free_eigenvalue_crossing_1_moves_the_polish_to_the_next_face(monkeypatch):
+    # the first commuting-part optimum of bench_mx4_key2005 at rp 2 is
+    # detected on face 1; its polish there lifts a free eigenvalue above 1
+    # and goes on on face 2, where the optimum is.  Before the pin rule it
+    # walked face 1 until no halving helped (residual 1.69)
+    w = whiten(_bench_model(2005, 4))[0]
+    rp = 2.0
+    q0 = solver._commuting_start(w, rp, False)
+    q, rk, mu_hint, g = solver._end_point(w, rp, q0, rates_aligned(w, q0).rk)
+    assert g == 1
+    faces = []
+    polish = solver._polish_face
+
+    def recorded(*args):
+        faces.append(args[4])
+        return polish(*args)
+
+    monkeypatch.setattr(solver, "_polish_face", recorded)
+    pinned = solver._polished(w, rp, q, rk, mu_hint, 1)
+    assert faces == [1, 2]
+    direct = solver._polished(w, rp, q, rk, mu_hint, 2)
+    assert pinned[3] and direct[3]
+    assert abs(pinned[1] - direct[1]) <= 1e-12
+    unpinned = _reference_polish_face(w, rp, q, mu_hint, 1, solver.POLISH_HALVINGS, pin=False)
+    assert unpinned[2] > 1e-8
+
+
+def test_a_polish_that_never_crosses_keeps_its_iterates(monkeypatch):
+    # over the benchmark's points, every polish in which no free eigenvalue
+    # crosses 1 returns the bytes of the polish without the pin rule
+    calls = []
+    polish = solver._polish_face
+
+    def recorded(*args):
+        entry = [args, False]
+        calls.append(entry)
+        n = len(calls)
+        out = polish(*args)
+        entry[1] = len(calls) > n  # it moved to the next face
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_polish_face", recorded)
+        for point in POINTS:
+            if point["model"].startswith("bench_"):
+                solve_at_rate(_model(point), point["rp"])
+    kept = [args for args, moved in calls if not moved]
+    assert len(kept) < len(calls)
+    for args in kept:
+        got = solver._polish_face(*args)
+        want = _reference_polish_face(*args, solver.POLISH_HALVINGS, pin=False)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got[0].tobytes() == want[0].tobytes()
+            assert (got[1], got[2]) == (want[1], want[2])
 
 
 @pytest.mark.parametrize("mx, key, rp, period, max_iter, sequential", [

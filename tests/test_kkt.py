@@ -474,11 +474,12 @@ def test_verify_certificate_reports_an_invalid_point(scalar_aligned, value):
     ("wy_tilde", [[-1.0]]),
     ("m_matrix", [[0.0, 0.0], [0.0, 0.0]]),
     ("wy_tilde", [[0.5, 0.0], [0.0, 0.5]]),
+    ("sigma_star", [[0.5, 0.0], [0.0, 0.5]]),
 ])
 def test_verify_certificate_reports_malformed_fields(scalar_aligned, field, value):
     # a negative W~ leaves sigma_xuz + sigma_n3 without a Cholesky factor,
-    # which fails the proportionality check; a field that is not mx x mx
-    # fails every check instead of raising or broadcasting
+    # which fails the proportionality check; a square field that is not
+    # mx x mx fails every check instead of raising or broadcasting
     cert = certify(scalar_aligned, solve_at_rate(scalar_aligned, 0.5).optimum, 0.5)
     obj = kkt.certificate_to_dict(cert)
     obj[field] = value
@@ -487,6 +488,23 @@ def test_verify_certificate_reports_malformed_fields(scalar_aligned, field, valu
     assert residuals["proportionality"] == float("inf")
     if np.shape(value) != (1, 1):
         assert all(v == float("inf") for v in residuals.values())
+
+
+@pytest.mark.parametrize("field, value", [
+    ("m_matrix", [1.0, 0.0]),
+    ("wy_tilde", 0.5),
+    ("sigma_star", [[1.0, 0.0]]),
+    ("m_matrix", [[[1.0]]]),
+])
+def test_certificate_from_dict_refuses_a_field_that_is_not_square(scalar_aligned, field,
+                                                                   value):
+    # a 1-D m_matrix used to leak numpy's AxisError from the PSD check of
+    # KktCertificate; every matrix field must be a square 2-D array
+    cert = certify(scalar_aligned, solve_at_rate(scalar_aligned, 0.5).optimum, 0.5)
+    obj = kkt.certificate_to_dict(cert)
+    obj[field] = value
+    with pytest.raises(ValueError, match=field):
+        kkt.certificate_from_dict(json.loads(json.dumps(obj)))
 
 
 @pytest.mark.parametrize("field, value", [
