@@ -160,6 +160,19 @@ def congruence(t, a):
     return symmetrize(t @ a @ t)
 
 
+def congruence_rounded(t, a):
+    """``t a t`` for a symmetric ``t``, summed and symmetrized in long double
+    and rounded to float once.  Rounded term by term, a product that cancels
+    loses bits which a later ``t^-1 (.) t^-1`` magnifies up to ``cond(t)^2``
+    fold; an x86-64 long double's 11 extra bits absorb a cancellation of up to
+    about 2^11.  Where numpy's long double is the double, this is
+    ``congruence``'s arithmetic.
+    """
+    t = np.asarray(t, dtype=np.longdouble)
+    x = t @ np.asarray(a, dtype=np.longdouble) @ t
+    return (0.5 * (x + x.T)).astype(float)
+
+
 def eig_clip(a, lo, hi):
     """Clamp the eigenvalues of a symmetric matrix, or of each matrix of a
     stack, into ``[lo, hi]``."""

@@ -1547,7 +1547,11 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 6,
     ``S Q S`` is not re-tested in the model's frame: ``Q`` passed the
     interval test in the whitened frame, or is an ascent point clipped into
     it, while ``S Q S`` carries round-off of about ``eps cond(sigma_x)``
-    there.
+    there.  It is formed in long double and rounded once
+    (``linalg.congruence_rounded``): the floor stays, and so does the
+    re-test's own round-off, but the product's cancellation adds little to
+    them, so more answers with directions pinned at 1 pass ``certify``'s
+    re-test in the model's frame.
     ``kkt_residual`` is, in the whitened frame, the multiplier composite at
     the returned point, converged or not.  ``iterations`` counts the ascent
     iterations taken, over every start; ``max_iter`` caps them per start (0
@@ -1573,7 +1577,8 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 6,
               [linalg.congruence(s_half_inv, np.asarray(sigma0, float))])
 
     def report(q, rk, res, converged, iterations):
-        return SolveReport(optimum=ConditionalCov(linalg.congruence(s_half, q)), value=rk,
+        return SolveReport(optimum=ConditionalCov(linalg.congruence_rounded(s_half, q)),
+                           value=rk,
                            iterations=iterations, converged=converged,
                            kkt_residual=float(_composite(w, rp, q) if res is None else res))
 

@@ -503,16 +503,16 @@ def test_ill_conditioned_solves_keep_their_own_output(monkeypatch, key):
     # eps cond(sigma_x) in the whitened frame, so a re-test of it in the
     # model's frame refused the solver's own output, and mapping it back
     # cannot recover A's rates.  The budget is judged on the whitened A
-    # that the solve maps back, by its last congruence with S
+    # that the solve maps back, by its last once-rounded congruence with S
     m = ill_conditioned_aligned(rng_for(key), 4, 1e8)
     white, s_half, _ = whiten(m)
-    congruence, mapped = linalg.congruence, []
+    congruence, mapped = linalg.congruence_rounded, []
 
     def recorded(t, a):
         mapped.append((t, a))
         return congruence(t, a)
 
-    monkeypatch.setattr(linalg, "congruence", recorded)
+    monkeypatch.setattr(linalg, "congruence_rounded", recorded)
     for rp in (1.25, 2.5, 3.75, 5.0, 7.5, 10.0):
         mapped.clear()
         report = solve_at_rate(m, rp)
@@ -954,7 +954,8 @@ def _reference_polish_face(m, rp, q_hat, mu_hint, n_active, n_halvings=30, pin=T
         x_new = trials[better[0]]
         if pin and np.linalg.eigvalsh(np.tensordot(x_new[:face.n_qf], face.basis_f, 1))[-1] > 1.0:
             sigma, mu, _, _ = face.build(x[None])
-            return _reference_polish_face(m, rp, sigma[0], float(mu[0]), n_active + 1)
+            return _reference_polish_face(m, rp, sigma[0], float(mu[0]), n_active + 1,
+                                          n_halvings)
         x, r = x_new, rows[better[0]]
     sigma, mu, _, _ = face.build(x[None])
     return sigma[0], float(mu[0]), float(np.max(np.abs(r)))

@@ -156,3 +156,34 @@ def test_rel_residual_normalization():
     assert linalg.rel_residual(x, 3.0 * np.eye(2)) == pytest.approx(
         math.sqrt(2.0) / denom
     )
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="numpy's long double is the double here")
+def test_congruence_rounded_is_the_product_rounded_once():
+    # t a t cancels where a shrinks t's largest direction, as an optimum
+    # whose free direction is the source's strongest does: the once-rounded
+    # product is within an ulp of the exact one, which the product rounded
+    # term by term misses by far more
+    from fractions import Fraction
+    rng = rng_for(13)
+    worst_once = worst_naive = 0.0
+    for _ in range(20):
+        w = np.geomspace(1.0, 1e4, 4)
+        v = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        t = linalg.symmetrize((v * w) @ v.T)
+        top = v[:, -1] + 1e-3 * rng.standard_normal(4)
+        a = linalg.symmetrize(np.eye(4) - 0.9 * np.outer(top, top) / (top @ top))
+        tf = [[Fraction(x) for x in row] for row in t]
+        af = [[Fraction(x) for x in row] for row in a]
+        ta = [[sum(tf[i][k] * af[k][j] for k in range(4)) for j in range(4)] for i in range(4)]
+        exact = np.array([[float(sum(ta[i][k] * tf[k][j] for k in range(4)))
+                           for j in range(4)] for i in range(4)])
+        exact = linalg.symmetrize(exact)
+        once, naive = linalg.congruence_rounded(t, a), linalg.congruence(t, a)
+        assert np.array_equal(once, once.T)
+        scale = np.spacing(np.abs(exact))
+        worst_once = max(worst_once, float(np.max(np.abs(once - exact) / scale)))
+        worst_naive = max(worst_naive, float(np.max(np.abs(naive - exact) / scale)))
+    assert worst_once <= 1.0
+    assert worst_naive > 8.0
