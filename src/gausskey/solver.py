@@ -34,8 +34,8 @@ Three routes to the boundary R_k(R_p):
     KKT multiplier, a homotopy moves the model from its commuting part to
     itself, polishing the last optimum at each step; only when that fails
     does a projected gradient ascent with an exact penalty on the rate
-    constraint run from several starts, its end points polished alike.  The
-    general problem is nonconvex, so this route is a heuristic: every
+    constraint run from several starts, its best end point polished alike.
+    The general problem is nonconvex, so this route is a heuristic: every
     returned point is either certified through the KKT machinery or flagged
     unconverged.
 
@@ -1038,9 +1038,6 @@ PENALTY_RHO = 10.0
 # How far past the whitened cap ``A <= I`` a face polish may walk (scale-free).
 FACE_EXCURSION = 1e-2
 
-# How many ascent end points, best key rate first, the face polish starts from.
-POLISH_ENDS = 3
-
 def _frob_stack(a):
     flat = a.reshape(len(a), 1, -1)
     return np.sqrt((flat @ np.swapaxes(flat, -1, -2))[:, 0, 0])
@@ -1382,18 +1379,20 @@ def _polish_face(m, rp, q_hat, mu_hint, n_active):
 
 
 def _face_schedule(n_active_guess, mx):
-    """Candidates ``(n_active, factor)`` of the face polish, in the order
-    ``solve_at_rate`` tries them.
+    """Candidates ``(n_active, factor)`` of the face polish of an end point,
+    in the order ``_polish_end`` tries them.
 
-    Faces run from the detected count ``g`` (which may be ``mx``) up to
-    ``mx - 1``, with the multiplier factor 1 on every face, then 2 on every
-    face, then the detected face's 4.  No face below ``g`` is tried: the
-    ascent reaches ``A <= I`` from inside and counts an eigenvalue still
-    converging to 1 as free, so the detected count can fall short of the
-    true one but never exceed it."""
+    The detected face ``g`` (which may be ``mx``) and ``g + 1`` when it is
+    below ``mx``, at the multiplier factor 1, then 2; then ``g`` at 4; then
+    ``g - 1``.  A polish climbs to a higher face by itself when a free
+    eigenvalue crosses 1 (``_polish_face``), so over the benchmark's and the
+    probe's solves, at rates up to 16, no candidate passed on a face above
+    ``g + 1``.  A homotopy step's optimum can lose a pinned direction, which
+    ``g - 1`` covers."""
     g = n_active_guess
-    faces = [g, *range(g + 1, mx)]
-    return [(k, f) for f in (1.0, 2.0) for k in faces] + [(g, 4.0)]
+    faces = [g, *range(g + 1, min(g + 2, mx))]
+    return ([(k, f) for f in (1.0, 2.0) for k in faces] + [(g, 4.0)]
+            + ([(g - 1, 1.0)] if g else []))
 
 
 def _composite(w, rp, q, ip=None):
@@ -1439,25 +1438,25 @@ def _polished(w, rp, q_end, rk_end, mu_hint, n_active):
     return cand[0], pair.rk, comp, comp is not None and comp <= kkt.ACCEPT_COMPOSITE
 
 
-# Step counts of the homotopy from the commuting part: the finer grid takes
-# over from the last t that passed when a step of the coarser one fails.
-HOMOTOPY_STEPS = (3, 20)
-
-
-def _homotopy_step(w, rp, q):
-    """The face polish of ``q`` on a whitened model ``w`` that passes the
-    gate, or None.  A step moves the optimum a little, so only its detected
-    face ``g`` and ``g + 1`` are tried, in the order of ``_face_schedule``:
-    over the benchmark's and the probe's steps, and at rates up to 16, no
-    step passed on a face above ``g + 1``.  Unlike an ascent end point, a
-    step's optimum can also lose a pinned direction, so ``g - 1`` is tried
-    last; a polish there pins a free direction again when one crosses 1."""
-    q, rk, mu_hint, g = _end_point(w, rp, q, rates_aligned(w, q).rk)
-    for n_active, factor in _face_schedule(g, min(g + 2, w.mx)) + ([(g - 1, 1.0)] if g else []):
+def _polish_end(w, rp, q, rk):
+    """The face polish of an end point ``q`` of key rate ``rk`` on a
+    whitened model (``_end_point``), over the candidates of
+    ``_face_schedule``: the first ``_polished`` candidate that passes the
+    gate, else the one with the highest key rate, else None."""
+    q, rk, mu_hint, g = _end_point(w, rp, q, rk)
+    kept = []
+    for n_active, factor in _face_schedule(g, w.mx):
         cand = _polished(w, rp, q, rk, factor * mu_hint, n_active)
         if cand and cand[3]:
             return cand
-    return None
+        if cand:
+            kept.append(cand)
+    return max(kept, key=lambda cand: cand[1], default=None)
+
+
+# Step counts of the homotopy from the commuting part: the finer grid takes
+# over from the last t that passed when a step of the coarser one fails.
+HOMOTOPY_STEPS = (3, 20)
 
 
 def _homotopy(w, rp, start):
@@ -1469,13 +1468,13 @@ def _homotopy(w, rp, start):
     sigma_wz`` from ``t = 0``, where ``start = _commuting_start(w, rp,
     False)`` is the optimum, to the model at ``t = 1``.  The budget depends
     on ``sigma_wy`` alone, so every step's start keeps it.  Each step
-    polishes the last optimum on the model at ``t`` (``_homotopy_step``),
-    on the grid ``k / n`` for the first ``n`` of ``HOMOTOPY_STEPS``.  A step
-    that passes no gate, or raises a ``GausskeyError``, hands over to the
-    next grid, which goes on from the last ``t`` that passed; when the last
-    grid fails too, None.  Returns the candidate at ``t = 1``.  No ``dz >
-    dy``: the start is the corner ``I``, where the path stays, so there is
-    no path."""
+    polishes the last optimum on the model at ``t`` (``_polish_end``), on
+    the grid ``k / n`` for the first ``n`` of ``HOMOTOPY_STEPS``.  A step
+    whose candidates pass no gate, or that raises a ``GausskeyError``, hands
+    over to the next grid, which goes on from the last ``t`` that passed;
+    when the last grid fails too, None.  Returns the candidate at ``t = 1``.
+    No ``dz > dy``: the start is the corner ``I``, where the path stays, so
+    there is no path."""
     v, dy, dz = _commuting_part(w, False)
     if not np.any(dz > dy):
         return None
@@ -1489,10 +1488,10 @@ def _homotopy(w, rp, start):
                 w.sigma_x, w.sigma_wy,
                 linalg.symmetrize((1.0 - t) * commuting + t * w.sigma_wz))
             try:
-                cand = _homotopy_step(w_t, rp, q)
+                cand = _polish_end(w_t, rp, q, rates_aligned(w_t, q).rk)
             except GausskeyError:
                 cand = None
-            if cand is None:
+            if not (cand and cand[3]):
                 break
             q, t_passed = cand[0], t
         else:
@@ -1500,7 +1499,7 @@ def _homotopy(w, rp, start):
     return None
 
 
-def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 6,
+def solve_at_rate(m: AlignedModel, rp: float, *, n_starts: int = 6,
                   max_iter: int = 400) -> SolveReport:
     """Maximize the key rate of an aligned model at public-rate budget ``rp``.
 
@@ -1508,16 +1507,16 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 6,
     run on ``sigma_x = I``, so every floor and tolerance is relative to
     ``sigma_x``, and the optimum is mapped back once as ``S Q S``.
 
-    The starts are ``sigma0`` or the first ``n_starts`` (1 to 6) of
-    ``_starts``: the source covariance scaled by {1, 0.75, 0.5, 0.25}, then
-    the optima of the model's two commuting parts.  A Newton polish of the
-    stationarity system on an active face (``_polish_face``), with the rate
-    binding, starts from an end point with its own multiplier hint, detected
-    face and key rate to keep (``_end_point``).  A polish step that lifts a
-    free eigenvalue above 1 pins that direction: the polish goes on on the
-    next face from the iterate before the step, so a candidate's face is
-    only the one it starts on, and a polish started below the optimum's face
-    climbs to it.  The routes, in order:
+    The starts are the first ``n_starts`` (1 to 6) of ``_starts``: the
+    source covariance scaled by {1, 0.75, 0.5, 0.25}, then the optima of the
+    model's two commuting parts.  A Newton polish of the stationarity system
+    on an active face (``_polish_face``), with the rate binding, starts from
+    an end point with its own multiplier hint, detected face and key rate to
+    keep (``_end_point``).  A polish step that lifts a free eigenvalue above
+    1 pins that direction: the polish goes on on the next face from the
+    iterate before the step, so a candidate's face is only the one it starts
+    on, and a polish started below the optimum's face climbs to it.  The
+    routes, in order:
 
     1. the commuting-part optima among the starts, each polished on its
        detected face at factor 1 (on the corner face ``n_active = mx`` the
@@ -1527,10 +1526,10 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 6,
        homotopy from it to the model (``_homotopy``);
     3. projected gradient ascent with an exact penalty, its weight above
        every multiplier of the model (``_penalty_weight``), from every
-       start, whose ``POLISH_ENDS`` end points in budget with the highest
-       key rates are polished on candidate faces (``_face_schedule``): the
-       best one's factor-1 candidates, then each other one's faces from its
-       detected one at factor 1, then the best one's rest.
+       start; the end point in budget with the highest key rate is polished
+       like a homotopy step (``_polish_end``).  Over the probe's and the
+       benchmark's solves, every one that this route certified passed on
+       that end point's first candidate.
 
     The first two return a candidate that passes the gate below with
     ``iterations = 0``.  One gate decides every polished candidate:
@@ -1562,7 +1561,7 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 6,
     validate_model(m)
     if not rp >= 0.0:
         raise ValueError(f"rp must be nonnegative, got {rp!r}")
-    if sigma0 is None and not 1 <= n_starts <= 6:
+    if not 1 <= n_starts <= 6:
         raise ValueError(f"n_starts must be 1 to 6, got {n_starts!r}")
     if not max_iter >= 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter!r}")
@@ -1572,9 +1571,8 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 6,
                            value=rates_aligned(m, sigma).rk, iterations=0,
                            kkt_residual=0.0, converged=True)
 
-    w, s_half, s_half_inv = whiten(m)
-    starts = (_starts(w, rp, n_starts) if sigma0 is None else
-              [linalg.congruence(s_half_inv, np.asarray(sigma0, float))])
+    w, s_half, _ = whiten(m)
+    starts = _starts(w, rp, n_starts)
 
     def report(q, rk, res, converged, iterations):
         return SolveReport(optimum=ConditionalCov(linalg.congruence_rounded(s_half, q)),
@@ -1599,37 +1597,31 @@ def solve_at_rate(m: AlignedModel, rp: float, *, sigma0=None, n_starts: int = 6,
 
     runs = _pga_penalty(w, rp, np.array(starts), max_iter)
     iterations = sum(run[2] for run in runs)
-    ends = sorted((run[:2] for run in runs if run[1].rp <= rp + 1e-6),
-                  key=lambda run: -run[1].rk)[:POLISH_ENDS]
+    ends = [run[:2] for run in runs if run[1].rp <= rp + 1e-6]
     if not ends:
         raise MaxIterationsExceeded("no penalty run produced a feasible point")
 
-    # polish the end points until a candidate passes, else keep the best
-    ends = [_end_point(w, rp, q, pair.rk) for q, pair in ends]
-    schedule = _face_schedule(ends[0][3], m.mx)
-    order = ([(ends[0], c) for c in schedule if c[1] == 1.0]
-             + [(end, (k, 1.0)) for end in ends[1:] for k in range(end[3], m.mx)]
-             + [(ends[0], c) for c in schedule if c[1] != 1.0])
-    best = max([(*ends[0][:2], None, False), *pool], key=lambda cand: cand[1])
-    for (q_end, rk_end, mu_hint, _), (n_active, factor) in order:
-        cand = _polished(w, rp, q_end, rk_end, factor * mu_hint, n_active)
-        if cand and cand[3]:
-            return report(*cand, iterations)
-        if cand and cand[1] > best[1]:
-            best = cand
+    # polish the best end point, else keep the best candidate in budget
+    q_end, pair = max(ends, key=lambda end: end[1].rk)
+    cand = _polish_end(w, rp, q_end, pair.rk)
+    if cand and cand[3]:
+        return report(*cand, iterations)
+    best = max([(q_end, pair.rk, None, False), *pool, *([cand] if cand else [])],
+               key=lambda c: c[1])
     return report(*best, iterations)
 
 
 def ascent_boundary(m: AlignedModel, rp_grid) -> RegionBoundary:
-    """Boundary of an aligned model's rate region via penalized ascent.
+    """Boundary of an aligned model's rate region, point by point.
 
-    Each grid point is solved with ``solve_at_rate`` and validated end to
-    end through the KKT/enhancement pipeline; the point's ``kkt_residual``
-    is the maximum certificate residual (``inf`` when the certificate
-    raises), and points whose certificate fails the 1e-6 gate are reported
-    with it so downstream code can reject them.  Key rates are clamped at
-    zero and made monotone by running maximum, matching the region's
-    closure under discarding communication.
+    Each grid point is solved with ``solve_at_rate`` (the commuting-part
+    polish, the homotopy from it, and the penalised ascent only when both
+    fail) and validated end to end through the KKT/enhancement pipeline;
+    the point's ``kkt_residual`` is the maximum certificate residual
+    (``inf`` when the certificate raises), and points whose certificate
+    fails the 1e-6 gate are reported with it so downstream code can reject
+    them.  Key rates are clamped at zero and made monotone by running
+    maximum, matching the region's closure under discarding communication.
     """
     validate_model(m)
     rp_grid = _rate_grid(rp_grid)

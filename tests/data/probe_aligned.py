@@ -23,8 +23,13 @@ Per point it records the bytes of the value and of the optimum ``sigma``,
 of the exception ``solve_at_rate`` raised.  Apart, as ``cert``, it records
 the bytes of the certificate itself: ``mu``, the ten residuals in the order
 of ``kkt.RESIDUAL_KEYS``, ``wy_tilde`` and ``m_matrix``, as ``cpu_s`` the
-process CPU seconds of the point's solve and certificate, and as
-``iterations`` the solve's ascent iterations (0 when it ran no ascent).  A change to the
+process CPU seconds of the point's solve and certificate, as
+``iterations`` the solve's ascent iterations (0 when it ran no ascent), and
+as ``polish_calls`` and ``residual_rows`` the calls of
+``solver._polish_face`` (a polish that moves to the next face calls it once
+more) and the rows ``solver._FaceSystem.residuals`` evaluated.  CPU seconds
+are noisy on a shared machine; the two counts are deterministic, so they
+tell a change in the polish's cost apart from noise.  A change to the
 aligned route is checked by saving the probe on the parent tree and
 comparing on the change:
 
@@ -37,12 +42,12 @@ alone may move), how many moved (and the largest change of value and of
 ``sigma``), how many changed certificate outcome, how many values rose and
 fell by more than ``FALL_TOL`` (listing each fall with both values and its
 certificate outcome on both trees), and how many points are certified now
-and in the file, and the summed ``cpu_s`` of the run beside the file's,
-with how many solves ran the ascent now and in the file, listing each
-point solved on both runs whose solve ran the ascent on one run only (a
-file saved before ``cpu_s`` or ``iterations`` was recorded reads "not
-recorded" and lists none; ``--save`` prints the run's certified points
-and these figures too).  It
+and in the file, and the run's cost beside the file's: the summed
+``cpu_s``, how many solves ran the ascent, and the summed polish calls and
+residual rows, listing each point solved on both runs whose solve ran the
+ascent on one run only (a figure the file did not record reads "not
+recorded", and a file without ``iterations`` lists none; ``--save`` prints
+the run's certified points and its cost too).  It
 exits 1 when a value falls by more than ``FALL_TOL``, or is lost to an
 exception, or a certified point loses its certificate.  It also prints how
 many certificates are bit-identical and lists the points whose certificate
@@ -59,8 +64,8 @@ byte.  It prints how many scaled models the model checks refuse (by
 exception name), how many points raise, how many values move by more than
 ``SCALE_VALUE_TOL`` (listing each, and the largest move) and how many
 points lose or gain their certificate (listing each loss), then the run's
-CPU seconds and ascent runs.  It exits 1 when a point certified in the
-file loses its certificate.
+cost.  It exits 1 when a point certified in the file loses its
+certificate.
 
 The rates do not change under any congruence
 ``(sigma_x, sigma_wy, sigma_wz) -> (T sigma_x T^T, T sigma_wy T^T, T
@@ -88,7 +93,7 @@ import numpy as np  # noqa: E402
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 import test_aligned_points as tap  # noqa: E402
-from gausskey import AlignedModel, certify, solve_at_rate  # noqa: E402
+from gausskey import AlignedModel, certify, solve_at_rate, solver  # noqa: E402
 from gausskey.kkt import RESIDUAL_KEYS  # noqa: E402
 from gausskey.errors import GausskeyError  # noqa: E402
 
@@ -159,28 +164,71 @@ def record(m, rp, mode=None, c=1.0):
     }
 
 
+# face-polish calls and residual rows since the start of the run
+COUNTS = Counter()
+
+
+def count_the_polish():
+    """Make ``solver._polish_face`` and ``solver._FaceSystem.residuals``
+    add their calls and rows to ``COUNTS``."""
+    polish, residuals = solver._polish_face, solver._FaceSystem.residuals
+
+    def counted_polish(*args):
+        COUNTS["polish_calls"] += 1
+        return polish(*args)
+
+    def counted_rows(face, xs):
+        COUNTS["residual_rows"] += len(xs)
+        return residuals(face, xs)
+
+    solver._polish_face = counted_polish
+    solver._FaceSystem.residuals = counted_rows
+
+
 def timed(m, rp, mode, c):
-    """``record`` with the process CPU seconds it took, as ``cpu_s``."""
+    """``record`` with the process CPU seconds it took, as ``cpu_s``, and
+    the polish calls and residual rows it made."""
+    before = Counter(COUNTS)
     start = time.process_time()
     rec = record(m, rp, mode, c)
     rec["cpu_s"] = time.process_time() - start
+    for key in ("polish_calls", "residual_rows"):
+        rec[key] = COUNTS[key] - before[key]
     return rec
 
 
 # fields left out of the bit-identity test: the certificate's bytes are
-# listed apart, and time and ascent iterations are cost, not outcome
-COST_KEYS = ("cert", "cpu_s", "iterations")
+# listed apart, and time, ascent iterations and polish counts are cost, not
+# outcome
+COST_KEYS = ("cert", "cpu_s", "iterations", "polish_calls", "residual_rows")
 
 
 def cost_figures(run):
-    """The run's summed CPU seconds and how many of its solves ran the
-    ascent, each "not recorded" when the run lacks the field."""
-    solved = [rec for rec in run.values() if "value" in rec]
-    cpu = (f"{sum(rec['cpu_s'] for rec in run.values()):.2f}"
-           if all("cpu_s" in rec for rec in run.values()) else "not recorded")
-    ascents = (str(sum(rec["iterations"] > 0 for rec in solved))
-               if all("iterations" in rec for rec in solved) else "not recorded")
-    return cpu, ascents
+    """``(name, figure)`` of the run's cost: its summed CPU seconds, how many
+    of its solves ran the ascent, and its summed polish calls and residual
+    rows, each "not recorded" when the run lacks the field."""
+    recs = list(run.values())
+    solved = [rec for rec in recs if "value" in rec]
+
+    def total(key, of, term=lambda x: x, spec=""):
+        if not all(key in r for r in of):
+            return "not recorded"
+        return format(sum(term(r[key]) for r in of), spec)
+
+    return [("CPU seconds of the solves and certificates", total("cpu_s", recs, spec=".2f")),
+            ("solves that ran the ascent", total("iterations", solved, lambda it: it > 0)),
+            ("face polish calls", total("polish_calls", recs)),
+            ("residual rows", total("residual_rows", recs))]
+
+
+def cost_line(run, old=None):
+    """The run's cost figures, each beside the file's when ``old`` is
+    given."""
+    figures = cost_figures(run)
+    if old is None:
+        return "; ".join(f"{name}: {fig}" for name, fig in figures)
+    return "; ".join(f"{name}: {fig} (file: {was})"
+                     for (name, fig), (_, was) in zip(figures, cost_figures(old)))
 
 
 def _floats(hexed):
@@ -241,15 +289,12 @@ def compare(old, new):
     print(f"values: {rose} rose and {fell} fell by more than {FALL_TOL:g}")
     print(f"certified: {certified[0]} (file: {certified[1]})")
     print(f"certificates: {len(new) - len(cert_moved)} of {len(new)} bit-identical")
-    (cpu, ascents), (cpu_was, ascents_was) = cost_figures(new), cost_figures(old)
-    print(f"CPU seconds of the solves and certificates: {cpu} (file: {cpu_was}); "
-          f"solves that ran the ascent: {ascents} (file: {ascents_was})")
-    if "not recorded" not in (ascents, ascents_was):
-        for label, rec in new.items():
-            ran, ran_was = (r["iterations"] > 0 if "value" in r else None
-                            for r in (rec, old[label]))
-            if None not in (ran, ran_was) and ran != ran_was:
-                print(f"{label}: ascent {'did not run -> ran' if ran else 'ran -> did not run'}")
+    print(cost_line(new, old))
+    for label, rec in new.items():
+        ran, ran_was = (r["iterations"] > 0 if "iterations" in r else None
+                        for r in (rec, old[label]))
+        if None not in (ran, ran_was) and ran != ran_was:
+            print(f"{label}: ascent {'did not run -> ran' if ran else 'ran -> did not run'}")
     for label in cert_moved:
         print(f"{label}: certificate bytes moved")
     return len(failed)
@@ -298,15 +343,14 @@ def main(argv):
                          "| --scale C FILE | --congruence C FILE)\n")
         return 2
     mode, c = (argv[0], float(argv[1])) if len(argv) == 3 else (None, 1.0)
+    count_the_polish()
     run = {label: timed(m, rp, mode, c) for label, m, rp in cases(high)}
     if argv[0] == "--save":
         with open(argv[1], "w") as fh:
             json.dump(run, fh, indent=0)
-        cpu, ascents = cost_figures(run)
         certified = sum(r.get("certificate") == "certified" for r in run.values())
         print(f"certified: {certified} of {len(run)}")
-        print(f"CPU seconds of the solves and certificates: {cpu}; "
-              f"solves that ran the ascent: {ascents}")
+        print(cost_line(run))
         return 0
     with open(argv[-1]) as fh:
         old = json.load(fh)
@@ -316,9 +360,7 @@ def main(argv):
     if mode is not None:
         where = f"at scale {c:g}" if mode == "--scale" else f"under congruence {c:g}"
         lost = compare_scaled(old, run, where)
-        cpu, ascents = cost_figures(run)
-        print(f"CPU seconds of the solves and certificates: {cpu}; "
-              f"solves that ran the ascent: {ascents}")
+        print(cost_line(run))
         return 1 if lost else 0
     return 1 if compare(old, run) else 0
 

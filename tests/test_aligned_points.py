@@ -325,16 +325,15 @@ def test_converged_solve_reports_the_multiplier_composite():
 
 
 @pytest.mark.parametrize("rp", [0.7, 3.0])
-def test_a_corner_start_with_the_rate_slack_is_not_converged(rp):
+def test_the_corner_with_the_rate_slack_fails_the_gate(rp):
     # Q = sigma_x spends no public rate, so its multiplier must vanish, and
     # M(0) is not PSD here (a cold solve reaches 0.0629 at rp 0.7).  The gate
     # judged it at closed_form_mu, which passes at the corner, and returned
-    # the warm start converged at value 0
+    # a corner start converged at value 0
     m = _fresh_model(5013)
-    report = solve_at_rate(m, rp, sigma0=m.sigma_x, max_iter=0)
-    assert not report.converged
-    assert report.kkt_residual > kkt.ACCEPT_COMPOSITE
-    assert _certificate_outcome(m, report.optimum, rp) == "NoValidMultiplier"
+    w = whiten(m)[0]
+    assert solver._composite(w, rp, np.eye(w.mx)) > kkt.ACCEPT_COMPOSITE
+    assert _certificate_outcome(m, m.sigma_x, rp) == "NoValidMultiplier"
 
 
 # (key, rp, value): points where the solve ran the ascent to end at or
@@ -416,14 +415,80 @@ def test_the_homotopy_refines_from_the_last_step_that_passed(monkeypatch):
     span = w.sigma_wz - commuting
     ts = []
 
-    def step(w_t, rp_t, q):
+    def step(w_t, rp_t, q, rk):
         ts.append(float(np.sum((w_t.sigma_wz - commuting) * span) / np.sum(span * span)))
         return None if len(ts) == 3 else (q, 0.0, 0.0, True)
 
-    monkeypatch.setattr(solver, "_homotopy_step", step)
+    monkeypatch.setattr(solver, "_polish_end", step)
     assert solver._homotopy(w, rp, solver._commuting_start(w, rp, False)) is not None
     want = [1 / 3, 2 / 3, 1.0] + [k / 20 for k in range(14, 21)]
     assert np.allclose(ts, want, rtol=0, atol=1e-12)
+
+
+def _fallback_trace(patch):
+    """Record, per solve, the key rates of the ascent's end points in
+    budget, the ``_polish_end`` calls made after the ascent, and the key
+    rates of the ``_polished`` candidates made outside the homotopy."""
+    trace = {"ends": [], "polish_ends": 0, "candidates": []}
+    phase = ["route 1"]
+    homotopy, pga, polish_end, polished = (
+        solver._homotopy, solver._pga_penalty, solver._polish_end, solver._polished)
+
+    def on_the_path(*args):
+        phase[0] = "homotopy"
+        try:
+            return homotopy(*args)
+        finally:
+            phase[0] = "route 1"
+
+    def ascent(w, rp, q0, max_iter):
+        runs = pga(w, rp, q0, max_iter)
+        phase[0] = "ascent"
+        trace["ends"] += [pair.rk for _, pair, _ in runs if pair.rp <= rp + 1e-6]
+        return runs
+
+    def counted(*args):
+        trace["polish_ends"] += phase[0] == "ascent"
+        return polish_end(*args)
+
+    def kept(*args):
+        cand = polished(*args)
+        if cand and phase[0] != "homotopy":
+            trace["candidates"].append(cand[1])
+        return cand
+
+    patch.setattr(solver, "_homotopy", on_the_path)
+    patch.setattr(solver, "_pga_penalty", ascent)
+    patch.setattr(solver, "_polish_end", counted)
+    patch.setattr(solver, "_polished", kept)
+    return trace
+
+
+@pytest.mark.parametrize("model,rp", [("fresh-5013", 0.7), ("rel3-3300", 4.0)])
+def test_the_ascent_fallback_polishes_one_end_point(monkeypatch, model, rp):
+    # the commuting-part polish and the homotopy fail here, so the solve
+    # runs the ascent; of its six end points, only the best in budget is
+    # polished, and its first candidate passes the gate
+    trace = _fallback_trace(monkeypatch)
+    m = _fresh_model(5013) if model == "fresh-5013" else _bench_model(3300, 3)
+    report = solve_at_rate(m, rp)
+    assert report.iterations > 0
+    assert trace["polish_ends"] == 1
+    assert report.converged
+    assert _certificate_outcome(m, report.optimum, rp) == "certified"
+
+
+def test_an_unconverged_fallback_returns_the_best_candidate_in_budget(monkeypatch):
+    # fresh-5009 at rp 12: no candidate passes the gate, and the best one
+    # is the best end point's second candidate, above the end point itself
+    trace = _fallback_trace(monkeypatch)
+    m = _fresh_model(5009)
+    report = solve_at_rate(m, 12.0)
+    assert not report.converged and report.iterations > 0
+    assert trace["polish_ends"] == 1
+    assert trace["candidates"]
+    assert report.value == max(trace["ends"] + trace["candidates"])
+    assert report.value > max(trace["ends"])
 
 
 @pytest.mark.parametrize("rp", [0.001, 0.01, 0.03])
@@ -535,15 +600,16 @@ def _reference_schedule(n_active_guess, mx):
 
 @pytest.mark.parametrize("mx", range(1, 7))
 def test_face_schedule_tries_each_candidate_once(mx):
-    # faces from the detected count up, never below it; the factor 1 on
-    # every face, then 2, then the detected face's 4
+    # the detected face and the one above it when below mx, at the factor
+    # 1, then 2; then the detected face's 4; then the face below it
     for g in range(mx + 1):
         got = solver._face_schedule(g, mx)
         assert len(got) == len(set(got))
-        faces = [g, *range(g + 1, mx)]
+        faces = [g, g + 1] if g + 1 < mx else [g]
+        below = [g - 1] if g else []
         n = len(faces)
-        assert [k for k, _ in got] == faces + faces + [g]
-        assert [f for _, f in got] == [1.0] * n + [2.0] * n + [4.0]
+        assert [k for k, _ in got] == faces + faces + [g] + below
+        assert [f for _, f in got] == [1.0] * n + [2.0] * n + [4.0] + [1.0] * len(below)
 
 
 def test_face_polish_calls_on_the_benchmark_points(monkeypatch):

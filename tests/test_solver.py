@@ -288,10 +288,6 @@ def test_ascent_rejects_a_negative_iteration_cap(scalar_aligned):
 def test_ascent_rejects_fewer_than_one_start(scalar_aligned, n_starts):
     with pytest.raises(ValueError, match="n_starts"):
         solve_at_rate(scalar_aligned, 0.5, n_starts=n_starts)
-    # a given start replaces the multi-start set, whose size is then unused
-    report = solve_at_rate(scalar_aligned, 0.5, sigma0=0.5 * scalar_aligned.sigma_x,
-                           n_starts=n_starts)
-    assert report.converged
 
 
 def test_ascent_takes_at_most_its_six_structured_starts(scalar_aligned):
