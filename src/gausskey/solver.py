@@ -43,7 +43,10 @@ Three routes to the boundary R_k(R_p):
     An independent oracle for source dimension <= 2: exhaustive search over
     conditional covariances parameterized by whitened eigenvalues and a
     rotation angle, each evaluated in closed form through 2x2 Gram
-    determinants.
+    determinants.  Along one eigenvalue both rates are monotone, so each
+    (angle, other eigenvalue) row is settled by a binary search for its
+    first feasible cell and a key rate at two cells, and no grid point that
+    could win is skipped.
 
 Each grid point is a pure computation.  A row minimum is not independent
 of the sweep that asks for it: its first cell starts from the tangent in
@@ -1520,8 +1523,9 @@ def solve_at_rate(m: AlignedModel, rp: float, *, n_starts: int = 6,
 
     1. the commuting-part optima among the starts, each polished on its
        detected face at factor 1 (on the corner face ``n_active = mx`` the
-       polish returns ``sigma_x``, which the gate judges at mu = 0); a
-       ``GausskeyError`` here moves the solve on;
+       polish returns ``sigma_x``, which the gate judges at mu = 0), the
+       second formed only when the first fails; a ``GausskeyError`` here
+       moves the solve on;
     2. when the first commuting-part optimum is among the starts, the
        homotopy from it to the model (``_homotopy``);
     3. projected gradient ascent with an exact penalty, its weight above
@@ -1572,7 +1576,7 @@ def solve_at_rate(m: AlignedModel, rp: float, *, n_starts: int = 6,
                            kkt_residual=0.0, converged=True)
 
     w, s_half, _ = whiten(m)
-    starts = _starts(w, rp, n_starts)
+    starts = _starts(w, rp, min(n_starts, 5))
 
     def report(q, rk, res, converged, iterations):
         return SolveReport(optimum=ConditionalCov(linalg.congruence_rounded(s_half, q)),
@@ -1581,17 +1585,23 @@ def solve_at_rate(m: AlignedModel, rp: float, *, n_starts: int = 6,
                            kkt_residual=float(_composite(w, rp, q) if res is None else res))
 
     # the commuting-part optima first (the starts after the first four),
-    # each on its detected face; then the path from the commuting part
+    # each on its detected face, the second formed only when the first
+    # fails; then the path from the commuting part
     pool = []
     try:
-        for q in starts[4:]:
-            cand = _polished(w, rp, *_end_point(w, rp, q, rates_aligned(w, q).rk))
+        for swap in (False, True)[:max(0, n_starts - 4)]:
+            if swap:
+                starts.append(_commuting_start(w, rp, True))
+            cand = _polished(w, rp, *_end_point(w, rp, starts[-1],
+                                                rates_aligned(w, starts[-1]).rk))
             if cand and cand[3]:
                 return report(*cand, 0)
             if cand:
                 pool.append(cand)
     except GausskeyError:
         pass
+    if len(starts) < n_starts:
+        starts.append(_commuting_start(w, rp, True))
     if len(starts) > 4 and (cand := _homotopy(w, rp, starts[4])):
         return report(*cand, 0)
 
@@ -1694,10 +1704,34 @@ def brute_force_grid(m: GeneralModel, rp: float, grid_density: int = 60) -> Rate
     of ``a``, so every term is nonnegative and ``log1p`` takes it without
     cancellation (an ``a`` with one row has no minors: ``det G = 0``
     exactly).  For mx = 1 there is one direction and the determinant is
-    ``1 + d g``.  The cost is ``O(T N^2)`` flops for ``T = N =
-    grid_density``, a few multiplies and one logarithm per grid point and
-    observation, in a few ``T x N x N`` float arrays.  The oracle uses no
-    part of the sweep, so it stays an independent arithmetic path.
+    ``1 + d g``, and every grid point is scored.
+
+    For mx = 2 the grid has ``T = N = grid_density`` rows ``(theta, d1)``
+    of ``N`` cells ``d2``, and a row is searched, not scored whole.  On a
+    row each log-det is ``log1p(alpha + beta d2)`` with ``alpha = d1 g11``
+    and ``beta = g22 + d1 det G``, both nonnegative, so
+
+    * ``I_p = -1/2 log(d1 d2) - 1/2 (ld_y_full - log1p(alpha_b + beta_b
+      d2))`` strictly falls along ``d2``: its derivative ``-1/(2 d2) +
+      beta_b / (2 (1 + alpha_b + beta_b d2))`` is negative.  The feasible
+      cells ``I_p <= rp`` of a row are therefore a suffix of the ``d`` grid,
+      found by a binary search on its first cell;
+    * ``I_k = 1/2 log1p(alpha_e + beta_e d2) - 1/2 log1p(alpha_b + beta_b
+      d2) + const`` has a derivative of the fixed sign of ``beta_e (1 +
+      alpha_b) - beta_b (1 + alpha_e)``, so it is monotone along ``d2``,
+      and its maximum over the suffix is at the suffix's first cell or at
+      ``d2 = 1``.
+
+    So the best feasible grid point is among the two cells per row that are
+    scored, and the result is the exhaustive search's: every cell that is
+    evaluated is evaluated with the same expression, in the same order, so
+    it is the same float.  (Both facts are exact; the computed rates keep
+    them wherever one grid step moves a rate by more than its round-off.)
+    The cost is ``O(T N log N)`` flops: the search takes ``floor(log2 N) +
+    1`` passes, each a few multiplies and one logarithm per row, and the
+    scoring two more per observation, all in a few ``T x N`` float arrays
+    (a density-60 call peaks near 0.3 MB of allocations).  The oracle uses
+    no part of the sweep, so it stays an independent arithmetic path.
     """
     validate_model(m)
     if m.mx > 2:
@@ -1717,35 +1751,59 @@ def brute_force_grid(m: GeneralModel, rp: float, grid_density: int = 60) -> Rate
     s_half = linalg.roots(m.sigma_x)[0]
 
     if m.mx == 1:
-        log_dq = log_d
-
         def log_det(a):
             # log det(I + a Q a^T) on the d grid: one direction, G = g
             return np.log1p(d * float(np.sum((a @ s_half) ** 2)))
-    else:
-        theta = np.linspace(0.0, math.pi, grid_density, endpoint=False)
-        c, s = np.cos(theta), np.sin(theta)
-        w = s_half @ np.stack([np.stack([c, -s], axis=-1),
-                               np.stack([s, c], axis=-1)], axis=-2)
-        log_dq = log_d[:, None] + log_d[None, :]
-        d1 = d[None, :, None]
-        d2 = d[None, None, :]
-        d12 = d[:, None] * d[None, :]
-        det_x = float(np.linalg.det(m.sigma_x))
 
-        def log_det(a):
-            # log det(I + a Q a^T) on the (theta, d1, d2) grid from the
-            # diagonal of G(theta) and its theta-free determinant
-            aw = a @ w
-            g = np.sum(aw * aw, axis=-2)
-            minors = a[:, None, 0] * a[None, :, 1] - a[:, None, 1] * a[None, :, 0]
-            det_g = det_x * 0.5 * float(np.sum(minors * minors))
-            out = d1 * g[:, 0, None, None] + d2 * g[:, 1, None, None]
-            out += det_g * d12
+        gy = 0.5 * (ld_y_full - log_det(m.b))
+        ip = -0.5 * log_d - gy
+        ik = np.subtract(gy, 0.5 * (ld_z_full - log_det(m.e)), out=gy)
+        best = float(np.max(ik, where=ip <= rp + 1e-12, initial=-np.inf))
+        return RatePair(rp=rp, rk=max(0.0, best))
+
+    n = len(d)
+    theta = np.linspace(0.0, math.pi, n, endpoint=False)
+    c, s = np.cos(theta), np.sin(theta)
+    w = s_half @ np.stack([np.stack([c, -s], axis=-1),
+                           np.stack([s, c], axis=-1)], axis=-2)
+    d1, log_d1 = d[None, :], log_d[None, :]
+    det_x = float(np.linalg.det(m.sigma_x))
+
+    def row_log_det(a):
+        # log det(I + a Q a^T) at the cells (theta, d1, d[j]) for a d2
+        # index j, one or a T x N array, from the diagonal of G(theta) and
+        # its theta-free determinant
+        aw = a @ w
+        g = np.sum(aw * aw, axis=-2)
+        minors = a[:, None, 0] * a[None, :, 1] - a[:, None, 1] * a[None, :, 0]
+        det_g = det_x * 0.5 * float(np.sum(minors * minors))
+
+        def at(j):
+            d2 = d[j]
+            out = d1 * g[:, 0, None] + d2 * g[:, 1, None]
+            out += det_g * (d1 * d2)
             return np.log1p(out, out=out)
+        return at
 
-    gy = 0.5 * (ld_y_full - log_det(m.b))
-    ip = -0.5 * log_dq - gy
-    ik = np.subtract(gy, 0.5 * (ld_z_full - log_det(m.e)), out=gy)
-    best = float(np.max(ik, where=ip <= rp + 1e-12, initial=-np.inf))
+    log_det_y, log_det_z = row_log_det(m.b), row_log_det(m.e)
+
+    def gain_y(j):
+        return 0.5 * (ld_y_full - log_det_y(j))
+
+    def key_rate(j):
+        return gain_y(j) - 0.5 * (ld_z_full - log_det_z(j))
+
+    # each (theta, d1) row's feasible cells are a suffix of the d grid:
+    # first[t, i] counts the infeasible cells before it, by a binary search
+    # that tests cell first + step - 1 (the last cell when past it) for
+    # step = 2^k, ..., 2, 1
+    first = np.zeros((n, n), dtype=np.intp)
+    step = 1 << n.bit_length()
+    while step := step >> 1:
+        probe = np.minimum(first + step, n)
+        ip = -0.5 * (log_d1 + log_d[probe - 1]) - gain_y(probe - 1)
+        first = np.where(ip <= rp + 1e-12, first, probe)
+    # a row's best key rate is at its first feasible cell or at d2 = 1
+    ik = np.maximum(key_rate(np.minimum(first, n - 1)), key_rate(n - 1))
+    best = float(np.max(ik, where=first < n, initial=-np.inf))
     return RatePair(rp=rp, rk=max(0.0, best))

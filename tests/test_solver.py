@@ -426,11 +426,13 @@ def test_grid_scalar_model_matches_oracle():
     assert got <= want + 1e-12
 
 
-def _stacked_grid_reference(m, rp, grid_density):
+def _stacked_grid_rates(m, rp, grid_density):
     """The oracle's grid evaluated the long way: every conditional
     covariance of the grid is formed, and each observation's log-det is a
-    ``slogdet`` over the whole stack.  Same enumeration, same coverage rule,
-    same feasibility test as ``brute_force_grid``."""
+    ``slogdet`` over the whole stack.  Same enumeration and coverage rule as
+    ``brute_force_grid``; returns ``(ip, ik)`` on the grid, shaped
+    ``(T, N, N)`` over ``(theta, d1, d2)`` for mx = 2 and ``(N,)`` for
+    mx = 1."""
     gain = 0.5 * linalg.logdet_pd(m.b @ m.sigma_x @ m.b.T + np.eye(m.my))
     d_min = max(1e-14, min(1e-2, math.exp(-(2.0 * rp + 2.0 * gain + 2.0))))
     d = np.geomspace(d_min, 1.0, grid_density)
@@ -455,11 +457,55 @@ def _stacked_grid_reference(m, rp, grid_density):
     ld_z = np.linalg.slogdet(np.einsum("ij,njk,lk->nil", m.e, sigmas, m.e) + eye_z)[1]
     gy = 0.5 * (linalg.logdet_pd(m.b @ m.sigma_x @ m.b.T + eye_y) - ld_y)
     gz = 0.5 * (linalg.logdet_pd(m.e @ m.sigma_x @ m.e.T + eye_z) - ld_z)
-    ip = -0.5 * log_dq - gy
-    ik = gy - gz
+    shape = (grid_density,) * (1 if m.mx == 1 else 3)
+    return (-0.5 * log_dq - gy).reshape(shape), (gy - gz).reshape(shape)
+
+
+def _stacked_grid_reference(m, rp, grid_density):
+    """The best key rate of ``_stacked_grid_rates`` under the feasibility
+    test of ``brute_force_grid``, clamped at zero."""
+    ip, ik = _stacked_grid_rates(m, rp, grid_density)
     feasible = ip <= rp + 1e-12
     best = float(np.max(ik[feasible])) if feasible.any() else 0.0
     return max(0.0, best)
+
+
+@pytest.mark.parametrize("my", (1, 2, 3))
+@pytest.mark.parametrize("mz", (1, 2, 3))
+def test_grid_rows_are_monotone(my, mz):
+    # the two facts the oracle's row search rests on: ip does not rise along
+    # d2 (nor along d1), so each row's feasible cells are a suffix, and ik
+    # is monotone along d2, so a suffix's best key rate is at one of its ends
+    rng = rng_for(7400 + 10 * my + mz)
+    for _ in range(2):
+        m = random_general(rng, 2, my, mz)
+        for rp in (0.5, 6.0):
+            ip, ik = _stacked_grid_rates(m, rp, 30)
+            assert np.all(np.diff(ip, axis=2) <= 1e-12)
+            assert np.all(np.diff(ip, axis=1) <= 1e-12)
+            step = np.diff(ik, axis=2)
+            assert np.all(np.all(step >= -1e-12, axis=2) | np.all(step <= 1e-12, axis=2))
+
+
+@pytest.mark.parametrize("my,mz", ((1, 1), (2, 3)))
+def test_grid_row_search_edges(my, mz):
+    # rp = 0 leaves rows with no feasible cell, rp = 1e-9 rows feasible in
+    # their last cells only, and rp = 40 makes every cell feasible.  An odd
+    # density puts no angle a quarter turn from another, so a row's d2 = 1
+    # cell has no mirror (d1 = 1, d2) cell in another row to stand in for it
+    rng = rng_for(7500 + 10 * my + mz)
+    m = random_general(rng, 2, my, mz)
+    for density in (8, 30, 31):
+        for rp in (0.0, 1e-9, 40.0):
+            ip = _stacked_grid_rates(m, rp, density)[0]
+            feasible = ip <= rp + 1e-12
+            if rp == 40.0:
+                assert feasible.all()
+            else:
+                assert feasible[:, :, -1].any() and not feasible[:, :, -1].all()
+                assert not feasible[:, :, 0].any()
+            got = brute_force_grid(m, rp, grid_density=density).rk
+            assert got == pytest.approx(_stacked_grid_reference(m, rp, density), abs=1e-12)
 
 
 @pytest.mark.parametrize("mx", (1, 2))
@@ -495,8 +541,10 @@ def test_grid_rejects_degenerate_density(degraded_demo, density):
 
 
 def test_grid_memory_stays_closed_form(crossing_demo):
-    # a density-60 call holds a few T x N x N float arrays (1.7 MB each);
-    # forming the grid's 2x2 covariance stacks takes 30 MB
+    # a density-60 call holds a few T x N float arrays (29 kB each), as
+    # its row search probes one d2 cell per (theta, d1) row at a time;
+    # scoring every T x N x N cell takes 7 MB, and forming the grid's 2x2
+    # covariance stacks 30 MB
     brute_force_grid(crossing_demo, 2.0, grid_density=8)  # warm caches
     tracemalloc.start()
     try:
@@ -504,4 +552,4 @@ def test_grid_memory_stays_closed_form(crossing_demo):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 12e6
+    assert peak <= 1e6
