@@ -60,6 +60,7 @@ so output is run-to-run identical.
 import bisect
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -784,10 +785,6 @@ def _row_edge(frame, t):
     return frame.bw[0] ** 2 * (w * w / (1.0 + w * w))
 
 
-class _SearchEnd(Exception):
-    """A row-minimum probe has no multiplier, which ends the search."""
-
-
 def _row_min_rp(frame, t, s_max, ik_t, near=None):
     """Smallest achievable public rate on one t row.
 
@@ -846,17 +843,15 @@ def _row_min_rp(frame, t, s_max, ik_t, near=None):
             top.kkt_residual)
 
     def probe(x):
-        # g at s = e^x; keeps the best cell seen
+        # g at s = e^x, or None to end the search; keeps the best cell seen
         nonlocal best
         s = math.exp(x)
         cell = solve(s, tau0=TAU_FINAL)
         if cell is None:
-            raise _SearchEnd
+            return None
         if cell.value < best[0]:
             best = (cell.value, s, cell.kkt_residual)
-        if not cell.converged:
-            raise _SearchEnd
-        return cell.lam_s * (1.0 + s) - 1.0
+        return cell.lam_s * (1.0 + s) - 1.0 if cell.converged else None
 
     def result():
         return best[0], (best[0], ik_t, best[1], float(t), best[2]), top
@@ -864,37 +859,36 @@ def _row_min_rp(frame, t, s_max, ik_t, near=None):
     s_floor = s_max * SWEEP_S_FLOOR
     s_low = max(s_floor, edge)
     s_hi = s_free * (1.0 - 1e-6)
-    try:
-        g_hi = probe(math.log(s_hi)) if top.converged and s_hi > s_low else 0.0
-        if g_hi >= 0.0:
-            return result()  # the kink is the row minimum
-        x_low, x_hi = math.log(s_low), math.log(s_hi)
+    g_hi = probe(math.log(s_hi)) if top.converged and s_hi > s_low else 0.0
+    if g_hi is None or g_hi >= 0.0:
+        return result()  # the kink is the row minimum, or the search ended
+    x_low, x_hi = math.log(s_low), math.log(s_hi)
 
-        # bracket the root of g below x_hi, where g < 0; the floor may be
-        # probed, the edge only approached
-        near_edge = edge > s_floor
-        step = ROW_MIN_LOG_STEP
-        while True:
-            if near_edge and x_hi - step <= x_low:
-                x = 0.5 * (x_hi + x_low)
-            else:
-                x = max(x_hi - step, x_low)
-                step *= 2.0
-            g = probe(x)
-            if g >= 0.0:
-                x_lo, g_lo = x, g
-                break
-            x_hi, g_hi = x, g
-            if x <= x_low or x_hi - x_low <= ROW_MIN_LOG_TOL:
-                return result()  # rp still rises at the floor or the edge
+    # bracket the root of g below x_hi, where g < 0; the floor may be
+    # probed, the edge only approached
+    near_edge = edge > s_floor
+    step = ROW_MIN_LOG_STEP
+    while True:
+        if near_edge and x_hi - step <= x_low:
+            x = 0.5 * (x_hi + x_low)
+        else:
+            x = max(x_hi - step, x_low)
+            step *= 2.0
+        g = probe(x)
+        if g is None:
+            return result()
+        if g >= 0.0:
+            x_lo, g_lo = x, g
+            break
+        x_hi, g_hi = x, g
+        if x <= x_low or x_hi - x_low <= ROW_MIN_LOG_TOL:
+            return result()  # rp still rises at the floor or the edge
 
-        def g_or_stop(x):
-            g = probe(x)
-            return None if abs(g) <= ROW_MIN_G_TOL else g
+    def g_or_stop(x):
+        g = probe(x)
+        return None if g is None or abs(g) <= ROW_MIN_G_TOL else g
 
-        _anderson_bjorck(g_or_stop, x_lo, g_lo, x_hi, g_hi, ROW_MIN_LOG_TOL)
-    except _SearchEnd:
-        pass
+    _anderson_bjorck(g_or_stop, x_lo, g_lo, x_hi, g_hi, ROW_MIN_LOG_TOL)
     return result()
 
 
@@ -906,6 +900,14 @@ def _rate_grid(rp_grid):
     if not all(rp >= 0.0 for rp in rp_grid):
         raise ValueError("public rates must be nonnegative")
     return rp_grid
+
+
+def _count(name, value):
+    """``operator.index(value)``, or a ``ValueError`` naming the parameter."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def sweep_boundary(m: GeneralModel, rp_grid, st_resolution: int = 200) -> RegionBoundary:
@@ -938,6 +940,7 @@ def sweep_boundary(m: GeneralModel, rp_grid, st_resolution: int = 200) -> Region
     if m.my != 1 or m.mz != 1:
         raise SolverFailure("sweep_boundary requires scalar observations (my = mz = 1)")
     rp_grid = _rate_grid(rp_grid)
+    st_resolution = _count("st_resolution", st_resolution)
     if not st_resolution >= 2:
         raise ValueError(f"st_resolution must be at least 2, got {st_resolution!r}")
 
@@ -1020,17 +1023,14 @@ def sweep_boundary(m: GeneralModel, rp_grid, st_resolution: int = 200) -> Region
 # slice matches the per-matrix helpers bit for bit, so stacked loops decide as
 # per-point ones.
 
-# Step sizes that the ascent's Armijo backtracking, and the face polish's line
-# search, test per stacked evaluation.  On the benchmark's aligned points the
-# ascent accepts one of its first four trials on about four steps in five, so
-# four trials per call cut its stacked evaluations about threefold.  The polish
-# stops at the damping floor 2^-8, its ``POLISH_HALVINGS``-th trial: at 2^-7,
-# a first step from the commuting-part optimum of ``bench_mx4_key2006`` at rp 4
-# found no lower residual, where 2^-8 starts a walk that crosses to the face of
-# the optimum (see ``_polish_face``).  Each halving below the floor lets walks
-# that lead nowhere go on: at rates 8 and 12 on the probe's 52 models off the
-# corpus, the polish evaluates 37,204, 45,114 and 51,776 residual rows with the
-# floor at 2^-7, 2^-8 and 2^-9.
+# Step sizes that the face polish's line search tests per stacked evaluation.
+# The polish stops at the damping floor 2^-8, its ``POLISH_HALVINGS``-th trial:
+# at 2^-7, a first step from the commuting-part optimum of ``bench_mx4_key2006``
+# at rp 4 found no lower residual, where 2^-8 starts a walk that crosses to the
+# face of the optimum (see ``_polish_face``).  Each halving below the floor lets
+# walks that lead nowhere go on: at rates 8 and 12 on the probe's 52 models off
+# the corpus, the polish evaluates 37,204, 45,114 and 51,776 residual rows with
+# the floor at 2^-7, 2^-8 and 2^-9.
 HALVINGS_PER_STACK = 4
 POLISH_HALVINGS = 9
 
@@ -1101,7 +1101,8 @@ def _commuting_start(w, rp, swap):
 
 
 def _starts(w, rp, n_starts):
-    """The first ``n_starts`` ascent starts on a whitened model."""
+    """The first ``n_starts`` ascent starts on a whitened model: ``I``
+    scaled by 1, 0.75, 0.5 and 0.25, then the two commuting-part optima."""
     starts = [f * np.eye(w.mx) for f in (1.0, 0.75, 0.5, 0.25)][:n_starts]
     return starts + [_commuting_start(w, rp, s) for s in (False, True)[:max(0, n_starts - 4)]]
 
@@ -1121,21 +1122,17 @@ def _penalty_weight(m):
 def _pga_penalty(m, rp, q0, max_iter):
     """Projected gradient ascent on I_k - rho * max(0, I_p - rp), with
     ``rho = _penalty_weight(m)``, over ``0 < Q <= I`` of a whitened model
-    (``models.whiten``), for a stack of starts ``q0``.  The clip of the
-    eigenvalues to ``[SIGMA_FLOOR_SCALE, 1]`` keeps every iterate in the
-    interval that ``ConditionalCov`` checks, at any scale of the model, and
-    every trial factors: the whitened noises pass ``validate_model``, so
-    ``Q``, ``Q + sigma_wz`` and ``Q + sigma_wy`` have condition numbers
-    below about 1.1e10.  The starts advance in lockstep, one stacked
-    evaluation per ascent step, while each keeps its own step size, Armijo
-    test and early stop.  The Armijo backtracking tests at most 30 step
-    sizes ``eta 2^-j`` per step, and each of its rounds evaluates the next
-    ``HALVINGS_PER_STACK`` of them for every start still searching as one
-    stack.  A start takes the first trial of its round that passes the
-    Armijo test, or stops at the first one that barely moves.  Halving is
-    exact, so every start visits the iterates it would visit alone.
-    Returns ``(q, pair, iterations)`` per start, counting the ascent
-    iterations it took."""
+    (``models.whiten``), from each of a stack of starts ``q0`` alone.  The
+    clip of the eigenvalues to ``[SIGMA_FLOOR_SCALE, 1]`` keeps every
+    iterate in the interval that ``ConditionalCov`` checks, at any scale of
+    the model, and every trial factors: the whitened noises pass
+    ``validate_model``, so ``Q``, ``Q + sigma_wz`` and ``Q + sigma_wy`` have
+    condition numbers below about 1.1e10.  The starts are evaluated as one
+    stack, then a step's Armijo backtracking evaluates at most 30 step sizes
+    ``eta 2^-j`` one by one and takes the first that passes.  A start ends
+    when none passes, when a trial barely moves, when its gradient vanishes
+    or after ``max_iter`` steps.  Returns ``(q, pair, iterations)`` per
+    start, counting the ascent iterations it took."""
     ld_full = np.array([linalg.logdet_pd(m.sigma_x + w) for w in (0.0, m.sigma_wz, m.sigma_wy)])
     rho = _penalty_weight(m)
 
@@ -1143,49 +1140,32 @@ def _pga_penalty(m, rp, q0, max_iter):
         ip, ik = _rates_stack(m, q, ld_full)
         return ik - rho * np.maximum(0.0, ip - rp), ip, ik
 
-    k, n = len(q0), m.mx
-    q = linalg.eig_clip(np.asarray(q0, dtype=float), SIGMA_FLOOR_SCALE, 1.0)
-    val, ip, ik = objective(q)
-    eta = np.full(k, 0.1)
-    iterations = np.zeros(k, dtype=int)
-    live = np.arange(k)
-    for it in range(1, max_iter + 1):
-        if not live.size:
-            break
-        iterations[live] = it
-        inv_s, inv_z, inv_y = np.moveaxis(linalg.inv_chol(_chol_terms(m, q[live])), 1, 0)
-        grad_ik, grad_ip = 0.5 * (inv_z - inv_y), 0.5 * (inv_y - inv_s)
-        over = ~(ip[live] <= rp)[:, None, None]
-        grad_q = np.where(over, grad_ik - rho * grad_ip, grad_ik)
-        moving = ~(_frob_stack(grad_q) < 1e-13)
-        search, grad_q = live[moving], grad_q[moving]
-        accepted = []
-        tried = 0
-        while search.size and tried < 30:
-            n_j = min(HALVINGS_PER_STACK, 30 - tried)
-            etas = eta[search, None] * 0.5 ** np.arange(n_j)
-            q_s = q[search]
-            q_new = linalg.eig_clip(q_s[:, None] + etas[:, :, None, None] * grad_q[:, None],
-                                    SIGMA_FLOOR_SCALE, 1.0)
-            move = _frob_stack((q_new - q_s[:, None]).reshape(-1, n, n)).reshape(-1, n_j)
-            stop = move < 1e-14 * (1.0 + _frob_stack(q_s))[:, None]
-            val_t, ip_t, ik_t = (a.reshape(-1, n_j) for a in objective(q_new.reshape(-1, n, n)))
-            up = val_t > val[search, None] + 1e-4 / np.maximum(etas, 1e-12) * move * move
-            # each start ends at its first stop or Armijo pass
-            ends = stop | up
-            first = np.argmax(ends, axis=1)
-            ended = ends.any(axis=1)
-            won = np.flatnonzero(ended & ~stop[np.arange(len(search)), first])
-            at, win = (won, first[won]), search[won]
-            q[win], val[win], ip[win], ik[win] = q_new[at], val_t[at], ip_t[at], ik_t[at]
-            eta[win] = np.minimum(etas[at] * 1.5, 10.0)
-            accepted.extend(win)
-            eta[search[~ended]] = etas[~ended, -1] * 0.5
-            search, grad_q = search[~ended], grad_q[~ended]
-            tried += n_j
-        live = np.sort(np.array(accepted, dtype=int))
-    return [(q[i], RatePair(rp=float(ip[i]), rk=float(ik[i])), int(iterations[i]))
-            for i in range(k)]
+    q0 = linalg.eig_clip(np.asarray(q0, dtype=float), SIGMA_FLOOR_SCALE, 1.0)
+    runs = []
+    for q, val, ip, ik in zip(q0[:, None], *objective(q0)):
+        eta, iterations = 0.1, 0
+        for iterations in range(1, max_iter + 1):
+            inv_s, inv_z, inv_y = linalg.inv_chol(_chol_terms(m, q))[0]
+            grad_ik, grad_ip = 0.5 * (inv_z - inv_y), 0.5 * (inv_y - inv_s)
+            grad = grad_ik if ip <= rp else grad_ik - rho * grad_ip
+            if _frob_stack(grad[None])[0] < 1e-13:
+                break
+            accepted = False
+            for _ in range(30):
+                q_new = linalg.eig_clip(q + eta * grad, SIGMA_FLOOR_SCALE, 1.0)
+                move = _frob_stack(q_new - q)[0]
+                if move < 1e-14 * (1.0 + _frob_stack(q)[0]):
+                    break
+                val_new, ip_new, ik_new = (a[0] for a in objective(q_new))
+                if val_new > val + 1e-4 / max(eta, 1e-12) * move * move:
+                    q, val, ip, ik = q_new, val_new, ip_new, ik_new
+                    eta, accepted = min(eta * 1.5, 10.0), True
+                    break
+                eta *= 0.5
+            if not accepted:
+                break
+        runs.append((q[0], RatePair(rp=float(ip), rk=float(ik)), iterations))
+    return runs
 
 
 def _skew_generators(n, n_active, thetas):
@@ -1510,31 +1490,30 @@ def solve_at_rate(m: AlignedModel, rp: float, *, n_starts: int = 6,
     run on ``sigma_x = I``, so every floor and tolerance is relative to
     ``sigma_x``, and the optimum is mapped back once as ``S Q S``.
 
-    The starts are the first ``n_starts`` (1 to 6) of ``_starts``: the
-    source covariance scaled by {1, 0.75, 0.5, 0.25}, then the optima of the
-    model's two commuting parts.  A Newton polish of the stationarity system
-    on an active face (``_polish_face``), with the rate binding, starts from
-    an end point with its own multiplier hint, detected face and key rate to
-    keep (``_end_point``).  A polish step that lifts a free eigenvalue above
-    1 pins that direction: the polish goes on on the next face from the
-    iterate before the step, so a candidate's face is only the one it starts
-    on, and a polish started below the optimum's face climbs to it.  The
-    routes, in order:
+    A Newton polish of the stationarity system on an active face
+    (``_polish_face``), with the rate binding, starts from an end point with
+    its own multiplier hint, detected face and key rate to keep
+    (``_end_point``).  A polish step that lifts a free eigenvalue above 1
+    pins that direction: the polish goes on on the next face from the
+    iterate before the step, so a candidate's face is only the one it
+    starts on, and a polish started below the optimum's face climbs to it.
+    The routes, in order:
 
-    1. the commuting-part optima among the starts, each polished on its
-       detected face at factor 1 (on the corner face ``n_active = mx`` the
-       polish returns ``sigma_x``, which the gate judges at mu = 0), the
-       second formed only when the first fails; a ``GausskeyError`` here
-       moves the solve on;
-    2. when the first commuting-part optimum is among the starts, the
-       homotopy from it to the model (``_homotopy``);
-    3. projected gradient ascent with an exact penalty, its weight above
-       every multiplier of the model (``_penalty_weight``), from every
-       start; the end point in budget with the highest key rate is polished
-       like a homotopy step (``_polish_end``).  Over the probe's and the
-       benchmark's solves, every one that this route certified passed on
-       that end point's first candidate.
-
+    1. the optima of the model's two commuting parts (``_commuting_start``),
+       each polished on its detected face at factor 1 (on the corner face
+       ``n_active = mx`` the polish returns ``sigma_x``, which the gate
+       judges at mu = 0), the second formed only when the first fails; a
+       ``GausskeyError`` here moves the solve on;
+    2. the homotopy from the first commuting-part optimum to the model
+       (``_homotopy``);
+    3. the fallback, which ``n_starts`` and ``max_iter`` alone size:
+       projected gradient ascent with an exact penalty, its weight above
+       every multiplier of the model (``_penalty_weight``), from the first
+       ``n_starts`` (1 to 6) of ``_starts``, for at most ``max_iter`` steps
+       each (0 skips the ascent).  The end point in budget with the highest
+       key rate is polished like a homotopy step (``_polish_end``).  Over
+       the probe's and the benchmark's solves, every one that this route
+       certified passed on that end point's first candidate.
     The first two return a candidate that passes the gate below with
     ``iterations = 0``.  One gate decides every polished candidate:
     ``rates_aligned`` takes it, it keeps the budget and its end point's key
@@ -1557,14 +1536,15 @@ def solve_at_rate(m: AlignedModel, rp: float, *, n_starts: int = 6,
     re-test in the model's frame.
     ``kkt_residual`` is, in the whitened frame, the multiplier composite at
     the returned point, converged or not.  ``iterations`` counts the ascent
-    iterations taken, over every start; ``max_iter`` caps them per start (0
-    skips the ascent).  Raises ``MaxIterationsExceeded`` when no start ends
-    within 1e-6 of the budget.  Heuristic for the nonconvex general case:
-    certify the output through the KKT machinery before trusting it.
+    iterations taken, over every start.  Raises ``MaxIterationsExceeded``
+    when the fallback runs and no start ends within 1e-6 of the budget.
+    Heuristic for the nonconvex general case: certify the output through
+    the KKT machinery before trusting it.
     """
     validate_model(m)
     if not rp >= 0.0:
         raise ValueError(f"rp must be nonnegative, got {rp!r}")
+    n_starts, max_iter = _count("n_starts", n_starts), _count("max_iter", max_iter)
     if not 1 <= n_starts <= 6:
         raise ValueError(f"n_starts must be 1 to 6, got {n_starts!r}")
     if not max_iter >= 0:
@@ -1576,36 +1556,29 @@ def solve_at_rate(m: AlignedModel, rp: float, *, n_starts: int = 6,
                            kkt_residual=0.0, converged=True)
 
     w, s_half, _ = whiten(m)
-    starts = _starts(w, rp, min(n_starts, 5))
 
     def report(q, rk, res, converged, iterations):
         return SolveReport(optimum=ConditionalCov(linalg.congruence_rounded(s_half, q)),
-                           value=rk,
-                           iterations=iterations, converged=converged,
+                           value=rk, iterations=iterations, converged=converged,
                            kkt_residual=float(_composite(w, rp, q) if res is None else res))
 
-    # the commuting-part optima first (the starts after the first four),
-    # each on its detected face, the second formed only when the first
-    # fails; then the path from the commuting part
-    pool = []
+    # the commuting-part optima first, each on its detected face, the second
+    # formed only when the first fails; then the path from the first
+    start, pool = _commuting_start(w, rp, False), []
     try:
-        for swap in (False, True)[:max(0, n_starts - 4)]:
-            if swap:
-                starts.append(_commuting_start(w, rp, True))
-            cand = _polished(w, rp, *_end_point(w, rp, starts[-1],
-                                                rates_aligned(w, starts[-1]).rk))
+        for swap in (False, True):
+            q0 = _commuting_start(w, rp, True) if swap else start
+            cand = _polished(w, rp, *_end_point(w, rp, q0, rates_aligned(w, q0).rk))
             if cand and cand[3]:
                 return report(*cand, 0)
             if cand:
                 pool.append(cand)
     except GausskeyError:
         pass
-    if len(starts) < n_starts:
-        starts.append(_commuting_start(w, rp, True))
-    if len(starts) > 4 and (cand := _homotopy(w, rp, starts[4])):
+    if cand := _homotopy(w, rp, start):
         return report(*cand, 0)
 
-    runs = _pga_penalty(w, rp, np.array(starts), max_iter)
+    runs = _pga_penalty(w, rp, np.array(_starts(w, rp, n_starts)), max_iter)
     iterations = sum(run[2] for run in runs)
     ends = [run[:2] for run in runs if run[1].rp <= rp + 1e-6]
     if not ends:
@@ -1738,6 +1711,7 @@ def brute_force_grid(m: GeneralModel, rp: float, grid_density: int = 60) -> Rate
         raise DimensionTooLarge(f"brute-force oracle supports mx <= 2, got {m.mx}")
     if not rp >= 0.0:
         raise ValueError(f"rp must be nonnegative, got {rp!r}")
+    grid_density = _count("grid_density", grid_density)
     if grid_density < 2:
         raise ValueError(f"grid_density must be at least 2, got {grid_density!r}")
     ld_y_full = linalg.logdet_pd(m.b @ m.sigma_x @ m.b.T + np.eye(m.my))

@@ -24,12 +24,15 @@ of the exception ``solve_at_rate`` raised.  Apart, as ``cert``, it records
 the bytes of the certificate itself: ``mu``, the ten residuals in the order
 of ``kkt.RESIDUAL_KEYS``, ``wy_tilde`` and ``m_matrix``, as ``cpu_s`` the
 process CPU seconds of the point's solve and certificate, as
-``iterations`` the solve's ascent iterations (0 when it ran no ascent), and
-as ``polish_calls`` and ``residual_rows`` the calls of
-``solver._polish_face`` (a polish that moves to the next face calls it once
-more) and the rows ``solver._FaceSystem.residuals`` evaluated.  CPU seconds
-are noisy on a shared machine; the two counts are deterministic, so they
-tell a change in the polish's cost apart from noise.  A change to the
+``iterations`` the solve's ascent iterations (0 when it ran no ascent), as
+``polish_calls`` and ``residual_rows`` the calls of ``solver._polish_face``
+(a polish that moves to the next face calls it once more) and the rows
+``solver._FaceSystem.residuals`` evaluated, and as ``ascent_calls``,
+``ascent_matrices`` and ``ascent_cpu_s`` the ascent's calls of
+``solver._rates_stack``, the matrices they evaluated and the process CPU
+seconds spent inside ``solver._pga_penalty``.  CPU seconds are noisy on a
+shared machine; the counts are deterministic, so they tell a change in the
+polish's or the ascent's cost apart from noise.  A change to the
 aligned route is checked by saving the probe on the parent tree and
 comparing on the change:
 
@@ -43,9 +46,10 @@ alone may move), how many moved (and the largest change of value and of
 fell by more than ``FALL_TOL`` (listing each fall with both values and its
 certificate outcome on both trees), and how many points are certified now
 and in the file, and the run's cost beside the file's: the summed
-``cpu_s``, how many solves ran the ascent, and the summed polish calls and
-residual rows, listing each point solved on both runs whose solve ran the
-ascent on one run only (a figure the file did not record reads "not
+``cpu_s``, how many solves ran the ascent, the summed polish calls and
+residual rows, and the ascent's summed calls, matrices and CPU seconds,
+listing each point solved on both runs whose solve ran the ascent on one
+run only (a figure the file did not record reads "not
 recorded", and a file without ``iterations`` lists none; ``--save`` prints
 the run's certified points and its cost too).  It
 exits 1 when a value falls by more than ``FALL_TOL``, or is lost to an
@@ -164,14 +168,19 @@ def record(m, rp, mode=None, c=1.0):
     }
 
 
-# face-polish calls and residual rows since the start of the run
+# face-polish calls and residual rows, and the ascent's rate evaluations,
+# matrices and CPU seconds, since the start of the run
 COUNTS = Counter()
+COUNTED = ("polish_calls", "residual_rows", "ascent_calls", "ascent_matrices", "ascent_cpu_s")
 
 
-def count_the_polish():
-    """Make ``solver._polish_face`` and ``solver._FaceSystem.residuals``
-    add their calls and rows to ``COUNTS``."""
+def count_the_work():
+    """Make ``solver._polish_face``, ``solver._FaceSystem.residuals``,
+    ``solver._rates_stack`` (which only the ascent calls) and
+    ``solver._pga_penalty`` add their calls, rows, matrices and CPU seconds
+    to ``COUNTS``."""
     polish, residuals = solver._polish_face, solver._FaceSystem.residuals
+    rates, ascent = solver._rates_stack, solver._pga_penalty
 
     def counted_polish(*args):
         COUNTS["polish_calls"] += 1
@@ -181,32 +190,47 @@ def count_the_polish():
         COUNTS["residual_rows"] += len(xs)
         return residuals(face, xs)
 
+    def counted_rates(m, sigma, ld_full):
+        COUNTS["ascent_calls"] += 1
+        COUNTS["ascent_matrices"] += len(sigma)
+        return rates(m, sigma, ld_full)
+
+    def timed_ascent(*args):
+        start = time.process_time()
+        try:
+            return ascent(*args)
+        finally:
+            COUNTS["ascent_cpu_s"] += time.process_time() - start
+
     solver._polish_face = counted_polish
     solver._FaceSystem.residuals = counted_rows
+    solver._rates_stack = counted_rates
+    solver._pga_penalty = timed_ascent
 
 
 def timed(m, rp, mode, c):
     """``record`` with the process CPU seconds it took, as ``cpu_s``, and
-    the polish calls and residual rows it made."""
+    the work of ``COUNTED`` it did."""
     before = Counter(COUNTS)
     start = time.process_time()
     rec = record(m, rp, mode, c)
     rec["cpu_s"] = time.process_time() - start
-    for key in ("polish_calls", "residual_rows"):
+    for key in COUNTED:
         rec[key] = COUNTS[key] - before[key]
     return rec
 
 
 # fields left out of the bit-identity test: the certificate's bytes are
-# listed apart, and time, ascent iterations and polish counts are cost, not
-# outcome
-COST_KEYS = ("cert", "cpu_s", "iterations", "polish_calls", "residual_rows")
+# listed apart, and time, ascent iterations, polish and ascent counts are
+# cost, not outcome
+COST_KEYS = ("cert", "cpu_s", "iterations") + COUNTED
 
 
 def cost_figures(run):
     """``(name, figure)`` of the run's cost: its summed CPU seconds, how many
-    of its solves ran the ascent, and its summed polish calls and residual
-    rows, each "not recorded" when the run lacks the field."""
+    of its solves ran the ascent, its summed polish calls and residual rows,
+    and the ascent's summed rate evaluations, matrices and CPU seconds, each
+    "not recorded" when the run lacks the field."""
     recs = list(run.values())
     solved = [rec for rec in recs if "value" in rec]
 
@@ -218,7 +242,10 @@ def cost_figures(run):
     return [("CPU seconds of the solves and certificates", total("cpu_s", recs, spec=".2f")),
             ("solves that ran the ascent", total("iterations", solved, lambda it: it > 0)),
             ("face polish calls", total("polish_calls", recs)),
-            ("residual rows", total("residual_rows", recs))]
+            ("residual rows", total("residual_rows", recs)),
+            ("ascent rate calls", total("ascent_calls", recs)),
+            ("ascent matrices", total("ascent_matrices", recs)),
+            ("ascent CPU seconds", total("ascent_cpu_s", recs, spec=".2f"))]
 
 
 def cost_line(run, old=None):
@@ -343,7 +370,7 @@ def main(argv):
                          "| --scale C FILE | --congruence C FILE)\n")
         return 2
     mode, c = (argv[0], float(argv[1])) if len(argv) == 3 else (None, 1.0)
-    count_the_polish()
+    count_the_work()
     run = {label: timed(m, rp, mode, c) for label, m, rp in cases(high)}
     if argv[0] == "--save":
         with open(argv[1], "w") as fh:

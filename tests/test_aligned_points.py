@@ -29,21 +29,22 @@ The aligned route runs on the whitened model (``models.whiten``), and so
 do the internals below.  The stacked kernels are checked against plain
 per-point references: the face-polish residual against the per-point
 closure it replaces, its closed-form Jacobian against central differences,
-the stacked ``expm`` against per-matrix calls, and the lockstep
-multi-start ascent against the per-start loop.  The line searches that test several step sizes
-per stacked call must keep every iterate of the ones they replaced, kept
-here as references: the ascent that evaluated one backtracking trial per
-call and the polish that evaluated all 30 halvings, down to 2^-29 of the
-step, as one stack.  The polish stops at 2^-8, so on its cases the
-reference also checks that the halvings below that floor change no
-result.  A backtracking trial with NaN rates fails the Armijo test, in
+the stacked ``expm`` against per-matrix calls, and the ascent against a
+per-start loop on per-point rates and inverses.  The ascent, which runs
+each start alone, must keep every iterate of the lockstep ascent that
+advanced every start at once, one backtracking trial per stacked call, and
+the polish, which tests four halvings per stacked call, every iterate of
+the polish that evaluated all 30 halvings, down to 2^-29 of the step, as
+one stack; both are kept here as references.  The polish stops at 2^-8,
+so on its cases the reference also checks that the halvings below that
+floor change no result.  A backtracking trial with NaN rates fails the Armijo test, in
 both ascents alike.  Errors that are not a rejected face or an invalid
 point must propagate.
 
 Three counts guard the aligned route's cost and reliability without a
 clock: the face polishes, the residual rows they evaluate, the homotopy
-runs and the ascent runs over the benchmark's points, the ascent's stacked
-rate evaluations on points that still reach it, and the certified points
+runs and the ascent runs over the benchmark's points, the matrices the
+ascent evaluates on points that still reach it, and the certified points
 per model on models off the corpus at mx 3 to 8.
 """
 
@@ -478,6 +479,21 @@ def test_the_ascent_fallback_polishes_one_end_point(monkeypatch, model, rp):
     assert _certificate_outcome(m, report.optimum, rp) == "certified"
 
 
+@pytest.mark.parametrize("key, mx", [(2001, 2), (2005, 4), (2009, 6)])
+def test_n_starts_sizes_only_the_ascent(key, mx):
+    # the structured routes run first at every start count and certify these
+    # benchmark points, so every n_starts returns the default call's optimum.
+    # Up to four starts used to skip both routes: with n_starts=1 and
+    # max_iter=20 the benchmark's warm-up ran 20 ascent iterations
+    m = _bench_model(key, mx)
+    want = solve_at_rate(m, 1.0)
+    assert want.converged and want.iterations == 0
+    for n_starts in range(1, 7):
+        got = solve_at_rate(m, 1.0, n_starts=n_starts)
+        assert got.optimum.value.tobytes() == want.optimum.value.tobytes()
+        assert (got.value, got.iterations, got.converged) == (want.value, 0, True)
+
+
 def test_an_unconverged_fallback_returns_the_best_candidate_in_budget(monkeypatch):
     # fresh-5009 at rp 12: no candidate passes the gate, and the best one
     # is the best end point's second candidate, above the end point itself
@@ -851,13 +867,13 @@ def test_stacked_expm_matches_per_matrix_calls():
 
 
 # ---------------------------------------------------------------------------
-# lockstep ascent against the per-start loop
+# the ascent against a per-start loop on per-point kernels
 # ---------------------------------------------------------------------------
 
 def _reference_ascent(m, rp, q0, max_iter):
     """Penalised projected-gradient ascent from one start on a whitened
-    model, one call per point: the loop that the lockstep ascent runs for
-    every start at once."""
+    model, with ``rates_aligned`` and ``linalg.inv_pd`` per point: the loop
+    that ``_pga_penalty`` runs for each start on stacked kernels."""
     rho = solver._penalty_weight(m)
     floor = solver.SIGMA_FLOOR_SCALE
 
@@ -924,9 +940,10 @@ def test_lockstep_ascent_matches_per_start_loop(monkeypatch, mx, key, rp, rho, m
 # ---------------------------------------------------------------------------
 
 def _reference_pga_penalty(m, rp, q0, max_iter):
-    """The lockstep ascent with one stacked evaluation per backtracking
-    trial: what ``_pga_penalty`` did before it tested several trials per
-    call.  A trial with NaN rates fails the Armijo test."""
+    """The lockstep ascent, which advances every start at once with one
+    stacked evaluation per backtracking trial: what ``_pga_penalty`` did
+    before it tested several trials per call, and before it ran each start
+    alone.  A trial with NaN rates fails the Armijo test."""
     floor = solver.SIGMA_FLOOR_SCALE
     ld_full = np.array([linalg.logdet_pd(m.sigma_x + w) for w in (0.0, m.sigma_wz, m.sigma_wy)])
     rho = solver._penalty_weight(m)
@@ -1140,9 +1157,9 @@ def test_injected_invalid_trials_backtrack(monkeypatch, mx, key, rp, period, max
                                            sequential):
     # give NaN rates to every trial matrix whose bytes hash to 0 mod period:
     # a property of the matrix alone, so both searches see the same invalid
-    # trials; each fails its Armijo test, and the batched search must keep
-    # the sequential one's iterates, raising in neither.  The starts, which
-    # the first call evaluates, are not trials
+    # trials; each fails its Armijo test, and the per-start ascent must keep
+    # the lockstep reference's iterates, raising in neither.  The starts,
+    # which the first call evaluates as one stack in both, are not trials
     rates = solver._rates_stack
     marked, calls = [], []
 
@@ -1166,33 +1183,32 @@ def test_injected_invalid_trials_backtrack(monkeypatch, mx, key, rp, period, max
         outcomes.append([(s.tobytes(), p.rp, p.rk, its) for s, p, its in out])
         n_marked.append(len(set(marked)))
     assert outcomes[0] == outcomes[1]
-    # the batched search met invalid trials that the sequential one never
-    # reached; where the sequential one met some, it backtracked past them
-    assert n_marked[1] > n_marked[0]
+    # each start evaluates one trial per call, as the reference's stacked
+    # rounds do, so both meet the same invalid trials; where they meet
+    # some, they backtrack past them
+    assert n_marked[1] == n_marked[0]
     assert (n_marked[0] > 0) == (sequential == "meets")
 
 
 def test_ascent_evaluations_where_the_ascent_runs(monkeypatch):
-    # on the benchmark's points: 6,496 stacked evaluations with one
-    # backtracking trial per call; with four, 2,220 (of 37,766 matrices)
-    # from eight starts, four of them seeded random ones, and 2,144 (of
-    # 25,163) from the six structured ones; 605 once the commuting-part
-    # optima were polished first, and none since the homotopy runs before
-    # the ascent.  Here on _fresh_model(5013), whose commuting part has no
-    # dz > dy, so it has no homotopy path: 205 at its four rates.  Move the
-    # guard when these points no longer reach the ascent
-    calls = []
+    # the benchmark's points no longer reach the ascent: the homotopy runs
+    # before it.  Here on _fresh_model(5013), whose commuting part has no
+    # dz > dy, so it has no homotopy path, the ascent evaluates 2,150
+    # matrices at its four rates, one backtracking trial per matrix (3,516
+    # when the starts searched in lockstep, four trials per stack).  Move
+    # the guard when these points no longer reach the ascent
+    matrices = []
     rates = solver._rates_stack
 
-    def counted(*args):
-        calls.append(1)
-        return rates(*args)
+    def counted(m, sigma, ld_full):
+        matrices.append(len(sigma))
+        return rates(m, sigma, ld_full)
 
     monkeypatch.setattr(solver, "_rates_stack", counted)
     m = _fresh_model(5013)
     for rp in (0.7, 1.5, 3.0, 5.0):
         assert solve_at_rate(m, rp).iterations > 0
-    assert len(calls) <= 255
+    assert sum(matrices) <= 2200
 
 
 # ---------------------------------------------------------------------------

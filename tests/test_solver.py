@@ -268,10 +268,15 @@ def test_ascent_zero_rate_returns_full_covariance(scalar_aligned):
     assert report.value == pytest.approx(0.0, abs=1e-12)
 
 
-def test_ascent_reports_iterations_taken(scalar_aligned):
-    # a scalar model converges long before the iteration cap, and the
-    # report counts the iterations of every start rather than the cap
-    report = solve_at_rate(scalar_aligned, 0.5, n_starts=4, max_iter=400)
+def test_ascent_reports_iterations_taken():
+    # test_aligned_points._fresh_model(5013): at rp 0.7 the commuting-part
+    # polishes fail and there is no homotopy path, so the solve runs the
+    # ascent from its first four starts.  It converges long before the
+    # iteration cap, and the report counts the iterations of every start
+    # rather than the cap
+    rng = rng_for(5013)
+    m = AlignedModel(*(random_spd(rng, 3) for _ in range(3)))
+    report = solve_at_rate(m, 0.7, n_starts=4, max_iter=400)
     assert report.converged
     assert 0 < report.iterations < 4 * 400
 
@@ -279,9 +284,22 @@ def test_ascent_reports_iterations_taken(scalar_aligned):
 def test_ascent_rejects_a_negative_iteration_cap(scalar_aligned):
     with pytest.raises(ValueError, match="max_iter"):
         solve_at_rate(scalar_aligned, 0.5, max_iter=-1)
-    # no ascent at all is legal: the polish starts from the clipped starts
+    # no ascent at all is legal; the structured routes run first anyway
     report = solve_at_rate(scalar_aligned, 0.5, max_iter=0)
     assert report.iterations == 0
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, np.float64(3.0), "3"])
+@pytest.mark.parametrize("name", ["n_starts", "max_iter", "st_resolution", "grid_density"])
+def test_counts_must_be_integers(degraded_demo, scalar_aligned, name, value):
+    # a float count raised a TypeError from deep inside, and max_iter was
+    # taken whenever the solve did not reach the ascent
+    call = {"n_starts": lambda: solve_at_rate(scalar_aligned, 0.5, n_starts=value),
+            "max_iter": lambda: solve_at_rate(scalar_aligned, 0.5, max_iter=value),
+            "st_resolution": lambda: sweep_boundary(degraded_demo, [0.5], st_resolution=value),
+            "grid_density": lambda: brute_force_grid(degraded_demo, 0.5, grid_density=value)}
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        call[name]()
 
 
 @pytest.mark.parametrize("n_starts", [0, -1])
