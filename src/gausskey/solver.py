@@ -51,10 +51,12 @@ Three routes to the boundary R_k(R_p):
 Each grid point is a pure computation.  A row minimum is not independent
 of the sweep that asks for it: its first cell starts from the tangent in
 ``t`` of the nearest row solved before it in the same sweep, and every
-later probe, below the row's kink, at its cell's closed-form optimum
-(``_capped_optimum``).  Where a cell starts changes only its Newton steps,
-and the rows are visited in an order fixed by the model and the rate grid,
-so output is run-to-run identical.
+later probe, below the row's kink, near its cell's closed-form optimum
+(``_capped_optimum``): on the barrier's central path, computed from that
+optimum's closed-form KKT multipliers (``_capped_multipliers``), where all
+three are positive, else pulled inside.  Where a cell starts changes only
+its Newton steps, and the rows are visited in an order fixed by the model
+and the rate grid, so output is run-to-run identical.
 """
 
 import bisect
@@ -121,9 +123,11 @@ SWEEP_T_GAP_FLOOR = 1e-6
 # tau = 1e9) leaves 1 / (tau * slack) up to 40% off a constraint multiplier
 # on the cell corpus; three more full Newton steps bring it within 3e-7 of
 # a finite difference of the cell value, and the decrement stop of 1e-14
-# bounds the relative error of each slack by 1e-7.  The central-path
-# tangent in t that starts the top cell of the next row is taken at this
-# tight centre.
+# bounds the relative error of each slack by 1e-7.  Both are caps: the
+# centring also ends at its round-off floor, when a full step no longer
+# lowers the decrement (often near 1e-13), where further steps would move
+# the iterate only within round-off.  The central-path tangent in t that
+# starts the top cell of the next row is taken at this tight centre.
 FINAL_CENTRING_STEPS = 6
 FINAL_DECREMENT_TOL = 1e-14
 
@@ -423,6 +427,68 @@ def _capped_optimum(frame, params):
     return a, b, 1.0 - b * b / (1.0 - a)
 
 
+def _capped_multipliers(frame, params, a2):
+    """KKT multipliers ``(lam_s, lam_r, zeta)`` of a capped optimum ``a2``
+    (``_capped_optimum``), or None where they are not unique.
+
+    In the b frame ``v = (b, 1 - a)`` spans the null space of ``I - A``, and
+    stationarity of log|A| reads ``A^-1 = lam_s beta^2 E_00 - lam_r N +
+    zeta v v^T`` (N of ``_ratio_form``; ``lam_s`` of ``b Q b^T <= s``,
+    ``lam_r`` of the ratio constraint, ``zeta v v^T`` of ``A <= I``).
+    Entries 01 and 11 give ``lam_r`` and ``zeta``, entry 00 then ``lam_s``.
+    The cell is convex, so three positive multipliers certify ``a2`` as its
+    unique optimum.  Where the ratio constraint is slack (``b = 0`` and
+    ``r(0)`` above the level of ``_ratio_form``), ``lam_r = 0``.  Otherwise
+    the system's determinant is ``beta^2 (1 - a) k`` with ``k = n11 b - n01
+    (1 - a)``, and the multipliers are not unique where it vanishes against
+    the product of its columns' norms (below 1e-12 of it): so at ``b = 0``
+    with ``e`` parallel to ``b``, where ``n01`` is the rounding of the span's
+    QR and both constraints bound ``a`` alone.
+    """
+    a, b, c = a2
+    (n00, n01, n11), level = _ratio_form(frame, params.t)
+    ga = 1.0 - a
+    det = a * c - b * b
+    k = n11 * b - n01 * ga
+    if b == 0.0 and n00 * a + n11 > level:
+        lam_r, zeta = 0.0, a / (det * ga * ga)
+    elif abs(ga * k) > 1e-12 * (math.sqrt(n00 * n00 + 2.0 * n01 * n01 + n11 * n11)
+                                * (b * b + ga * ga)):
+        lam_r = -b / (det * k)
+        zeta = -(n01 * a + n11 * b) / (det * ga * k)
+    else:
+        return None
+    lam_s = (c / det + lam_r * n00 - zeta * b * b) / (frame.bw[0] * frame.bw[0])
+    return lam_s, lam_r, zeta
+
+
+def _centred_capped_start(frame, params, a2, tau):
+    """The barrier's centre at weight ``tau`` near a capped optimum ``a2``,
+    to first order, or None where a multiplier of ``_capped_multipliers``
+    is not positive.
+
+    At the centre each slack times its multiplier is ``1 / tau``; moving
+    ``a2`` by ``d`` gives ``beta^2 d_a = -1 / (tau lam_s)``, ``<N, d> = 1 /
+    (tau lam_r)`` and ``v^T d v = -1 / (tau zeta)``, one 2x2 solve for
+    ``d_b`` and ``d_c`` once ``d_a`` is known.
+    """
+    mults = _capped_multipliers(frame, params, a2)
+    if mults is None or not min(mults) > 0.0:
+        return None
+    lam_s, lam_r, zeta = mults
+    a, b, c = a2
+    (n00, n01, n11), _ = _ratio_form(frame, params.t)
+    ga = 1.0 - a
+    da = -1.0 / (tau * lam_s * frame.bw[0] * frame.bw[0])
+    # 2 n01 db + n11 dc = r0, 2 b ga db + ga^2 dc = r1
+    r0 = 1.0 / (tau * lam_r) - n00 * da
+    r1 = -1.0 / (tau * zeta) - b * b * da
+    det2 = 2.0 * ga * (n01 * ga - n11 * b)
+    db = (ga * ga * r0 - n11 * r1) / det2
+    dc = 2.0 * (n01 * r1 - b * ga * r0) / det2
+    return a + da, b + db, c + dc
+
+
 def _ldl_step(h00, h01, h02, h11, h12, h22, g0, g1, g2):
     """Newton step ``-H^-1 g`` and decrement ``g^T H^-1 g`` for a symmetric
     3x3 H (upper triangle given), by an unpivoted LDL^T factorization.
@@ -462,8 +528,8 @@ class _Cell:
     central path's tangent ``-H^-1 d(grad phi)/dt`` at ``a2`` (None also
     when the ratio constraint is dropped), from which the top cell of a
     neighbouring row starts at ``a2 + (t' - t) dx_dt``; and ``start``, where
-    the solve started: ``"given"``, ``"pulled"`` or ``"cold"`` (see
-    ``_inner_convex_2x2``)."""
+    the solve started: ``"given"``, ``"centred"``, ``"pulled"`` or
+    ``"cold"`` (see ``_inner_convex_2x2``)."""
 
     a2: tuple
     value: float
@@ -490,9 +556,13 @@ def _inner_convex_2x2(frame, params, a0, tau0):
     strictly inside (``"pulled"``), as when a linear prediction lifts the
     top whitened eigenvalue past 1; else at the closed-form start on the
     full schedule (``"cold"``).  Without ``a0`` a warm schedule
-    (``tau0 > 1``) takes the capped optimum of ``_capped_optimum`` as
-    ``a0`` and always pulls it, as it lies on the cell's boundary even
-    where rounding judges it strictly inside; without either the cell runs
+    (``tau0 > 1``) starts near the capped optimum of ``_capped_optimum``:
+    where its three KKT multipliers (``_capped_multipliers``) are positive,
+    at the barrier's centre at ``tau0`` predicted from them
+    (``_centred_capped_start``) when that lies strictly inside the cell
+    (``"centred"``, and ``_cell_start`` does not run); else it pulls the
+    capped optimum itself, which lies on the cell's boundary even where
+    rounding judges it strictly inside.  Without either the cell runs
     cold.  ``_cell_start`` runs at most once and raises ``Infeasible`` for
     an empty cell.
 
@@ -518,9 +588,10 @@ def _inner_convex_2x2(frame, params, a0, tau0):
     schedule was centred; an uncentred solve keeps its
     feasible, possibly suboptimal, value.  A centred final stage takes up to
     ``FINAL_CENTRING_STEPS`` more full Newton steps, until the decrement
-    reaches ``FINAL_DECREMENT_TOL``, so that ``1 / (tau * slack)`` is the
-    multiplier ``lam_s`` of ``b Q b^T <= s``; one more ``_ldl_step`` with
-    the Hessian of that last centring step gives the tangent ``dx_dt``.
+    reaches ``FINAL_DECREMENT_TOL`` or a full step no longer lowers it (its
+    round-off floor), so that ``1 / (tau * slack)`` is the multiplier
+    ``lam_s`` of ``b Q b^T <= s``; one more ``_ldl_step`` with the Hessian
+    of that last centring step gives the tangent ``dx_dt``.
     """
     cons = _cell_constraints(frame, params)
     n_constr = 2 + len(cons)
@@ -543,11 +614,15 @@ def _inner_convex_2x2(frame, params, a0, tau0):
         return val
 
     capped = a0 is None and tau > 1.0
+    start = "given"
     if capped:
-        a0 = _capped_optimum(frame, params)  # on the boundary: always pulled
+        a0 = _capped_optimum(frame, params)  # on the boundary: never given
+        if a0 is not None and len(cons) == 2:  # the centre assumes both kept
+            centre = _centred_capped_start(frame, params, a0, tau)
+            if centre is not None and _strictly_feasible(centre, cons):
+                capped, start, a0 = False, "centred", centre
     if padded and a0 is not None:
         a0 = (a0[0], 0.0, 0.5)  # the padding coordinate is reset below
-    start = "given"
     if capped or a0 is None or not _strictly_feasible(a0, cons):
         x0 = _cell_start(frame, params, cons)[0]
         for theta in START_PULLS if a0 is not None else ():
@@ -573,6 +648,7 @@ def _inner_convex_2x2(frame, params, a0, tau0):
             centred = False
             final = n_constr / tau < BARRIER_GAP_TOL
             extra = 0
+            last_decrement = math.inf
             for _ in range(40):
                 if total_iters >= MAX_NEWTON:
                     raise MaxIterationsExceeded(
@@ -615,16 +691,19 @@ def _inner_convex_2x2(frame, params, a0, tau0):
                     centred = True
                     if (not final or extra == FINAL_CENTRING_STEPS
                             or decrement <= FINAL_DECREMENT_TOL
+                            or decrement >= last_decrement
                             or total_iters >= MAX_NEWTON):
                         break
                     # centre the final stage tightly, so that 1 / (tau *
                     # slack) is each constraint's multiplier; this close to
-                    # the centre full Newton steps converge quadratically
+                    # the centre full Newton steps converge quadratically,
+                    # until a step no longer lowers the decrement: round-off
                     extra += 1
                     val1 = merit(a + da, b + db, c + dc)
                     if val1 is None:
                         break
                     a, b, c, val = a + da, b + db, c + dc, val1
+                    last_decrement = decrement
                     continue
                 alpha = 1.0
                 for _ in range(40):
@@ -701,7 +780,9 @@ def inner_convex(m: GeneralModel, params: SweepParams, *, sigma0=None,
     warm-start) until the duality-gap proxy drops below
     ``BARRIER_GAP_TOL``.  A ``sigma0`` outside the cell is pulled inside,
     toward the closed-form start; without ``sigma0`` a ``tau0 > 1`` starts
-    the cell at its optimum under a binding s cap, pulled inside alike.
+    the cell near its optimum under a binding s cap: on the central path at
+    ``tau0``, from that optimum's closed-form KKT multipliers, where all
+    three are positive, else at the optimum pulled inside alike.
     With ``tau0 = 1`` and no ``sigma0``, or when no pull brings a start
     inside, the full schedule runs from the closed-form start.  A stage after
     a centred one starts from the central path's prediction of its centre,
@@ -806,9 +887,10 @@ def _row_min_rp(frame, t, s_max, ik_t, near=None):
     closes the bracket.  The top cell starts from ``near = (t', top')``,
     the top cell of a row already solved, moved by ``(t - t') dx_dt``, or
     runs cold without ``near``; every later probe lies below ``s_free``,
-    where the s cap binds, and starts from its cell's closed-form optimum
-    (``_capped_optimum``).  Both starts run on the final barrier weight,
-    and the kernel pulls either inside or runs the cell cold.  Where a
+    where the s cap binds, and starts near its cell's closed-form optimum
+    (``_capped_optimum``), centred from its KKT multipliers where they are
+    positive.  Both starts run on the final barrier weight, and the kernel
+    pulls either inside or runs the cell cold.  Where a
     probe starts changes only its Newton steps, not the centre it reaches.
     A cell over its Newton budget raises ``MaxIterationsExceeded`` out of
     the search.  A probe without a
@@ -1074,7 +1156,10 @@ def _commuting_start(w, rp, swap):
     ``x_top = log max (dz - dy) / (dy (1 + dz))`` over ``dz > dy``, where
     every ``q_i`` reaches 1; the root in log mu on [-40, x_top] gives
     ``V diag(q) V^T`` at the last log mu within the budget (``I`` when no
-    ``dz > dy``)."""
+    ``dz > dy``), each ``q_i`` clipped from below to the ascent's floor
+    ``SIGMA_FLOOR_SCALE``: at high rates the root's ``q_i`` fall to 1e-15,
+    which no conditional covariance may have, and raising ``q_i`` only
+    lowers ``I_p``."""
     v, dy, dz = _commuting_part(w, swap)
     useful = dz > dy
     if not useful.any():
@@ -1097,7 +1182,9 @@ def _commuting_start(w, rp, swap):
     f_hi, f_lo = excess(x_top), excess(-40.0)
     if f_lo > 0.0 > f_hi:
         _anderson_bjorck(excess, -40.0, f_lo, x_top, f_hi, 1e-12)
-    return linalg.symmetrize((v * kept[-1]) @ v.T) if kept else np.eye(w.mx)
+    if not kept:
+        return np.eye(w.mx)
+    return linalg.symmetrize((v * np.maximum(kept[-1], SIGMA_FLOOR_SCALE)) @ v.T)
 
 
 def _starts(w, rp, n_starts):

@@ -16,10 +16,9 @@ regenerate only to freeze a deliberately changed sweep, and only after
 
 ``--check`` regenerates every sweep and compares it with the committed
 file: per group of sweeps it prints how many key rates rose, the largest
-rise, the Newton steps of the group's ``inner_convex`` calls and how many
-of those cells started at their given start, at a start pulled inside the
-cell and cold (``_Cell.start`` "given", "pulled" and "cold"),
-and it exits non-zero when any key rate falls by more than ``FALL_TOL``
+rise, the Newton steps of the group's ``inner_convex`` calls, and per
+start kind seen (``_Cell.start``: "given", "centred", "pulled" or "cold")
+the cells that started so and their Newton steps; and it exits non-zero when any key rate falls by more than ``FALL_TOL``
 (or a sweep's model, rates or resolution changed).  The steps are counted as
 ``tests/test_sweep_boundaries.py`` counts them: its ``STEP_BOUNDS`` groups
 ``demo_res60`` and ``random_sweep`` are the groups ``res60`` and
@@ -72,17 +71,20 @@ def sweeps():
 
 def entries():
     """The frozen-file entry of every sweep, run on the current solver, and
-    per ``group`` the Newton steps of its ``inner_convex`` calls and how
-    many of its cells started given, pulled and cold."""
+    per ``group`` the Newton steps of its ``inner_convex`` calls, and per
+    start kind its cells and their Newton steps, as ``(steps, {kind:
+    [cells, steps]})``."""
     out = []
     steps = {}
     inner = solver.inner_convex
 
     def counted(*args, **kwargs):
         cell = inner(*args, **kwargs)
-        count = steps.setdefault(group(name), [0, 0, 0, 0])
+        count = steps.setdefault(group(name), [0, {}])
         count[0] += cell.iterations
-        count[1 + ("given", "pulled", "cold").index(cell.start)] += 1
+        kind = count[1].setdefault(cell.start, [0, 0])
+        kind[0] += 1
+        kind[1] += cell.iterations
         return cell
 
     solver.inner_convex = counted
@@ -113,7 +115,7 @@ def group(name):
 
 def check(fresh, steps):
     """Compare regenerated entries with the committed file and print the
-    Newton steps and the given/pulled/cold cell split per group; return the
+    Newton steps and the cells and steps of each start kind per group; return the
     number of failures (a fall beyond ``FALL_TOL`` or a changed input)."""
     with open(FROZEN_PATH) as fh:
         frozen = {e["name"]: e for e in json.load(fh)["sweeps"]}
@@ -140,10 +142,11 @@ def check(fresh, steps):
                 rose[1] += 1
                 rose[2] = max(rose[2], now - was)
     for name, (n_points, n_rose, largest) in rises.items():
-        n_steps, n_given, n_pulled, n_cold = steps.get(name, (0, 0, 0, 0))
+        n_steps, kinds = steps.get(name, (0, {}))
+        split = " / ".join(f"{kind} {n:,} cells, {k:,} steps"
+                           for kind, (n, k) in sorted(kinds.items()))
         print(f"{name}: {n_rose} of {n_points} points rose, largest rise {largest:.3g}, "
-              f"{n_steps:,} Newton steps, {n_given:,} given / {n_pulled:,} pulled / "
-              f"{n_cold:,} cold cells")
+              f"{n_steps:,} Newton steps ({split})")
     return failures
 
 

@@ -10,7 +10,9 @@ model's three covariances maps its optimum to ``T Q T^T`` and keeps both
 rates: frozen benchmark points scaled by ``T = sqrt(c) I``, c from 1e-12 to
 1e8, must keep their value, ``sigma / c`` and certificate outcome, and
 models under a seeded ill-conditioned ``T`` their value and certificate
-outcome.
+outcome.  Every frozen value lies under the curve's head tangent ``mu0 rp``
+(``mu0`` the multiplier of the corner) and under the limit at unbounded
+public rate.
 
 The ascent builds its iterates inside the matrix interval and the polish
 tests a point's whitened free block against ``1 + FACE_EXCURSION``; a
@@ -60,7 +62,7 @@ import scipy.linalg as sla
 from gausskey import AlignedModel, certify, kkt, linalg, solve_at_rate, solver
 from gausskey.errors import GausskeyError, NoValidMultiplier
 from gausskey.models import whiten
-from gausskey.rates import RatePair, _chol_terms, rates_aligned
+from gausskey.rates import RatePair, _chol_terms, asymptotic_limit, rates_aligned
 
 from conftest import (ill_conditioned_aligned, random_aligned, random_conditional, random_spd,
                       rng_for)
@@ -532,6 +534,23 @@ def test_the_corner_multiplier_bounds_the_interval():
             for hi in np.repeat((0.1, 0.5, 0.9, 0.99, 0.9999), 4):
                 sigma = random_conditional(rng, m.sigma_x, lo=0.01, hi=hi)
                 assert kkt.closed_form_mu(m, sigma) <= corner * (1.0 + 1e-9) + 1e-12
+
+
+def test_frozen_points_lie_under_the_head_tangent_and_the_limit():
+    # The corner sigma_x maximises the Lagrangian at mu0 =
+    # closed_form_mu(w, I) on the whitened model, so R_k(r) <= mu0 r is a
+    # global tangent at the head of the curve; and no key rate exceeds the
+    # limit at unbounded public rate.  The largest value / (mu0 rp) over
+    # the corpus is 0.678.
+    misses = []
+    for p in POINTS:
+        m = _model(p)
+        mu0 = kkt.closed_form_mu(whiten(m)[0], np.eye(m.mx))
+        if not (p["value"] <= mu0 * p["rp"] * (1.0 + 1e-9)
+                and p["value"] <= asymptotic_limit(m) + 1e-12):
+            misses.append((p["model"], p["rp"], p["value"], mu0 * p["rp"]))
+    assert not misses, misses
+    assert len(POINTS) == 47
 
 
 @pytest.mark.parametrize("mx", [1, 2, 3, 5])

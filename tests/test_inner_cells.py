@@ -13,7 +13,8 @@ convergence, and its multiplier of ``b Q b^T <= s`` must be the derivative
 of its value in ``s`` (the envelope theorem) and, for the top cell of its
 row, its central-path tangent the derivative of its optimum in ``t``, both
 checked by finite differences.  Where the s cap binds, the cold optimum
-must be the closed-form capped optimum that starts such cells.
+must be the closed-form capped optimum that starts such cells, and its
+closed-form KKT multipliers, where unique, the cold cell's.
 The float kernel's parts are checked against plain references: the LDL^T
 Newton step against a dense solve, and the closed-form start's largest
 ratio slack against a numerical minimum of its one-variable Lagrangian
@@ -208,13 +209,9 @@ def test_s_multiplier_is_the_derivative_of_the_cell_value():
     assert counts["active"] >= 80 and counts["slack"] >= 80, counts
 
 
-def test_capped_optimum_starts_the_cells_whose_cap_binds():
-    # Where the s cap binds, the cold centre sits at the closed-form optimum
-    # of solver._capped_optimum within the final barrier weight's offset, and
-    # a call on the final weight without a start, which starts there pulled
-    # inside, reaches the cold value in under half the cold Newton steps.
-    checked = warm_steps = cold_steps = 0
-    misses = []
+def _capped_cells():
+    """Per feasible corpus cell whose cold solve's s cap binds (``lam_s s >
+    1e-6``): its index, model name, frame, params and cold ``_Cell``."""
     for k, cell in enumerate(_corpus()):
         if cell["value"] == "infeasible":
             continue
@@ -222,21 +219,81 @@ def test_capped_optimum_starts_the_cells_whose_cap_binds():
         frame = solver._span_reduction(m)
         params = SweepParams(s=cell["s"], t=cell["t"])
         cold = inner_convex(frame, params)
-        if not cold.lam_s * params.s > 1e-6:
-            continue
+        if cold.lam_s * params.s > 1e-6:
+            yield k, cell["model"], frame, params, cold
+
+
+def test_capped_optimum_starts_the_cells_whose_cap_binds():
+    # Where the s cap binds, the cold centre sits at the closed-form optimum
+    # of solver._capped_optimum within the final barrier weight's offset,
+    # and a call on the final weight without a start reaches the cold
+    # value.  It starts on the central path near that optimum ("centred")
+    # where its three KKT multipliers are positive, and pulled inside
+    # otherwise (here a slack ratio constraint at b = 0, or multipliers
+    # that are not unique).  The 7 centred cells take 15 Newton steps
+    # against 267 cold; all 88 cells 807 against 2,976 (2 * 807 < 2,976
+    # when every capped start was pulled).
+    checked = warm_steps = cold_steps = 0
+    centred_steps = [0, 0]
+    misses = []
+    for k, model, frame, params, cold in _capped_cells():
         checked += 1
         capped = solver._capped_optimum(frame, params)
+        mults = solver._capped_multipliers(frame, params, capped)
         warm = inner_convex(frame, params, tau0=solver.TAU_FINAL)
         warm_steps += warm.iterations
         cold_steps += cold.iterations
+        if warm.start == "centred":
+            centred_steps[0] += warm.iterations
+            centred_steps[1] += cold.iterations
+        start_ok = (warm.start == "centred" or warm.start == "pulled"
+                    and (mults is None or not min(mults) > 0.0))
         if not (capped is not None
                 and max(abs(p - q) for p, q in zip(capped, cold.a2)) <= 1e-8
-                and warm.start == "pulled" and warm.converged
+                and start_ok and warm.converged
                 and abs(warm.value - cold.value) <= PREDICTOR_TOL):
-            misses.append((k, cell["model"], params, capped, cold.a2, warm))
+            misses.append((k, model, params, capped, cold.a2, warm))
     assert not misses, misses
     assert checked >= 80, checked
-    assert 2 * warm_steps < cold_steps, (warm_steps, cold_steps)
+    assert centred_steps[1] > 0 and 10 * centred_steps[0] < centred_steps[1], centred_steps
+    assert 3 * warm_steps < cold_steps, (warm_steps, cold_steps)
+
+
+def test_closed_form_multipliers_match_the_cold_cells():
+    # Where the cap binds and the closed-form multipliers of the capped
+    # optimum are unique (87 of 88 cells), its lam_s is the cold cell's
+    # 1 / (tau * slack) (median error 4e-8, largest 2.7e-7), and none of
+    # the three is negative, as the cold optimum is the cell's.
+    checked = 0
+    misses = []
+    for k, model, frame, params, cold in _capped_cells():
+        capped = solver._capped_optimum(frame, params)
+        mults = solver._capped_multipliers(frame, params, capped)
+        if mults is None:
+            continue
+        checked += 1
+        if not (abs(mults[0] - cold.lam_s) <= 1e-6 * cold.lam_s and min(mults) >= 0.0):
+            misses.append((k, model, params, mults, cold.lam_s))
+    assert not misses, misses
+    assert checked >= 80, checked
+
+
+def test_degenerate_capped_multipliers_fall_back_to_the_pull(degraded_demo):
+    # The degraded demo's e is parallel to b: in the b frame n01 is the QR's
+    # rounding (about 5e-17).  At s = 1, t = -0.255 both constraints bound
+    # a = 0.4 at b = 0, so the multipliers are not unique: the barrier's
+    # centre splits them as lam_s = 0.5, the split with lam_r = 0 would give
+    # lam_s = 1.  The closed form refuses them and the start is pulled.
+    frame = solver._span_reduction(degraded_demo)
+    params = SweepParams(s=1.0, t=-0.25500000000000006)
+    capped = solver._capped_optimum(frame, params)
+    assert capped == (0.3999999999999999, 0.0, 1.0)
+    assert solver._capped_multipliers(frame, params, capped) is None
+    cold = inner_convex(frame, params)
+    warm = inner_convex(frame, params, tau0=solver.TAU_FINAL)
+    assert cold.lam_s == pytest.approx(0.5, rel=1e-6)
+    assert warm.start == "pulled" and warm.converged
+    assert abs(warm.value - cold.value) <= PREDICTOR_TOL
 
 
 def test_t_tangent_is_the_derivative_of_the_centred_optimum():

@@ -27,7 +27,11 @@ and 26,050; with each row's top cell started from the nearest row solved
 before it and each prediction outside its cell pulled inside, 14,561 and
 16,677; with every probe below a row's top cell started from its
 closed-form capped optimum (``solver._capped_optimum``) pulled inside, in
-place of the last probe's tangent in s, it takes 9,622 and 10,076.  Cold
+place of the last probe's tangent in s, 9,622 and 10,076; with each such
+probe whose closed-form KKT multipliers are positive started on its
+central path instead (``solver._centred_capped_start``) and the final
+centring stopped where a full step no longer lowers the Newton
+decrement, it takes 4,678 and 5,094.  Cold
 cells, which run the whole barrier schedule, are counted too: 610 of the
 704 cells of the demos at resolution 60 ran cold before rows started from
 rows, 194 before probes started from the capped optimum, 8 now, and at
@@ -37,8 +41,8 @@ form (``solver._row_edge``).  A badly centred start shows first as a cell
 that ends uncentred (``converged=False``): over all frozen sweeps at most
 ``UNCENTRED_BOUND`` may.  A cell that does not start cold must also land
 where a cold solve of the same cell does; those cells are drawn from every
-frozen sweep, and they include top cells started from another row and
-starts pulled toward the closed-form start.
+frozen sweep, and they include top cells started from another row,
+starts pulled toward the closed-form start and centred starts.
 
 The sweep's ``t`` range, now the two roots of a quadratic, is checked
 against the bisection on an eigenvalue test that it replaced.
@@ -57,7 +61,7 @@ from conftest import random_spd, rng_for
 
 FROZEN_TOL = 1e-12
 PREDICTOR_TOL = 1e-10
-STEP_BOUNDS = {"demo_res60": 10_600, "random_sweep": 11_100}
+STEP_BOUNDS = {"demo_res60": 5_150, "random_sweep": 5_600}
 COLD_CELL_BOUND = 12  # of demo_res60
 KIND_MIN = 500  # predictor-started cells of each new kind
 UNCENTRED_BOUND = 0
@@ -80,8 +84,9 @@ def swept():
     the predictor-started cells as ``(frame, params, value, kind)``, where
     ``kind`` is "pulled" for a start pulled toward the closed-form start (a
     probe's capped optimum, or a top cell's prediction from another row),
-    "top" for a row's top cell started from another row without a pull and
-    "row" for the rest, and the uncentred
+    "centred" for a probe started on its central path near the capped
+    optimum, "top" for a row's top cell started from another row without a
+    pull and "row" for the rest, and the uncentred
     cells and the cells that raise ``Infeasible``, each as
     ``(name, params)``."""
     path = os.path.join(os.path.dirname(__file__), "data", "sweep_boundaries.json")
@@ -110,7 +115,7 @@ def swept():
         count("cells")
         count(cell.start)
         if cell.start != "cold":
-            kind = ("pulled" if cell.start == "pulled" else
+            kind = (cell.start if cell.start in ("pulled", "centred") else
                     "top" if params.s == s_max else "row")
             predicted.append((m, params, cell.value, kind))
         if not cell.converged:
@@ -190,7 +195,7 @@ def test_cold_cells_stay_within_their_bound(swept):
 def test_each_cell_builds_its_constraints_and_start_once(swept):
     # the cell kernel alone decides a cell's start: every cell builds its
     # constraints once, and only a pulled or cold cell computes the
-    # closed-form start, once (704 builds and 600 starts on the demos at
+    # closed-form start, once (706 builds and 175 starts on the demos at
     # resolution 60)
     _, counts, *_ = swept
     group = "demo_res60"
@@ -298,7 +303,7 @@ def test_predictor_started_cells_match_cold_solves(swept):
     kinds = {}
     for *_, kind in cells:
         kinds[kind] = kinds.get(kind, 0) + 1
-    assert kinds.get("top", 0) >= KIND_MIN and kinds.get("pulled", 0) >= KIND_MIN, kinds
+    assert all(kinds.get(kind, 0) >= KIND_MIN for kind in ("top", "pulled", "centred")), kinds
     assert len(cells) >= 1000
     misses = []
     for frame, params, value, _ in cells:
@@ -328,11 +333,13 @@ def test_a_start_just_outside_the_interval_is_pulled_inside(crossing_demo, s, t)
     assert cell.iterations < cold.iterations
 
 
-def test_a_capped_optimum_that_rounds_inside_is_still_pulled():
+def test_a_capped_optimum_that_rounds_inside_starts_centred():
     # At this cell of the random_sweep model of key 900 the capped optimum,
     # which lies on the cell's boundary, passes the strict feasibility test
     # by rounding; started there as given, the barrier exceeds MAX_NEWTON.
-    # The kernel's own start pulls it toward the closed-form start first.
+    # Its three KKT multipliers are positive, so the kernel starts at the
+    # barrier's centre predicted from them, strictly inside: 7 Newton steps,
+    # against 47 for the cold solve.
     rng = rng_for(900)
     m = GeneralModel(sigma_x=random_spd(rng, 2, floor=0.5),
                      b=rng.standard_normal((1, 2)), e=rng.standard_normal((1, 2)))
@@ -340,9 +347,26 @@ def test_a_capped_optimum_that_rounds_inside_is_still_pulled():
     params = solver.SweepParams(s=0.11773567843399703, t=-0.084257122616871)
     capped = solver._capped_optimum(frame, params)
     assert solver._strictly_feasible(capped, solver._cell_constraints(frame, params))
+    assert min(solver._capped_multipliers(frame, params, capped)) > 0.0
     cell = solver.inner_convex(frame, params, tau0=solver.TAU_FINAL)
-    assert cell.start == "pulled" and cell.converged and cell.iterations < 40
+    assert cell.start == "centred" and cell.converged and cell.iterations < 10
     assert abs(cell.value - solver.inner_convex(frame, params).value) <= PREDICTOR_TOL
+
+
+def test_a_capped_optimum_with_a_slack_ratio_constraint_is_pulled(crossing_demo):
+    # At b = 0 the ratio constraint is slack (lam_r = 0), so no centred
+    # start is predicted and the capped optimum is pulled toward the
+    # closed-form start: 10 Newton steps, against 32 for the cold solve.
+    frame = solver._span_reduction(crossing_demo)
+    params = solver.SweepParams(s=1.25, t=-0.024096760641366344)
+    capped = solver._capped_optimum(frame, params)
+    assert capped[1] == 0.0
+    assert solver._capped_multipliers(frame, params, capped)[1] == 0.0
+    cell = solver.inner_convex(frame, params, tau0=solver.TAU_FINAL)
+    cold = solver.inner_convex(frame, params)
+    assert cell.start == "pulled" and cell.converged
+    assert cell.iterations < cold.iterations
+    assert abs(cell.value - cold.value) <= PREDICTOR_TOL
 
 
 def test_small_rates_reach_the_oracle(degraded_demo, crossing_demo):
