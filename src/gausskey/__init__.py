@@ -43,6 +43,7 @@ from .models import (
     to_general,
     validate_model,
 )
+from .oracle import brute_force_grid
 from .rates import (
     PointMeta,
     RatePair,
@@ -56,7 +57,6 @@ from .solver import (
     SolveReport,
     SweepParams,
     ascent_boundary,
-    brute_force_grid,
     contains,
     inner_convex,
     solve_at_rate,

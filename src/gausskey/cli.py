@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import kkt, mc, solver
+from . import kkt, mc, oracle, solver
 from .errors import CertificateError, GausskeyError, ModelValidationError, SolverError
 from .modelio import load_model, model_digest
 from .models import GeneralModel, to_aligned, to_general
@@ -184,10 +184,10 @@ def _cmd_enhance(cfg, out):
 
 
 def _cmd_oracle(cfg, out):
-    model = to_general(load_model(cfg.model_path))
+    model = load_model(cfg.model_path)
     if cfg.rp is None:
         raise ValueError("oracle requires --rp")
-    pair = solver.brute_force_grid(model, cfg.rp, grid_density=cfg.density)
+    pair = oracle.brute_force_grid(model, cfg.rp, grid_density=cfg.density)
     out.write(f"rp={_fmt(pair.rp)} rk={_fmt(pair.rk)}\n")
     out.write(f"rk: {_both_units(pair.rk)}\n")
     return EXIT_OK

@@ -107,7 +107,7 @@ class MuZero(CertificateError):
 # ---------------------------------------------------------------------------
 
 class McError(GausskeyError):
-    """Base class for Monte-Carlo oracle failures."""
+    """Base class for Monte-Carlo cross-validation failures."""
 
 
 class NotPsd(McError):

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import linalg
 from .errors import NotPositiveDefinite, NotPsd, SingularEmpiricalCov
-from .models import ConditionalCov, GeneralModel, validate_model
+from .models import ConditionalCov, to_general, validate_model
 
 # Sub-batches behind every standard error.
 DEFAULT_FOLDS = 10
@@ -91,11 +91,13 @@ class MiEstimate:
     std_error: float
 
 
-def layout_for(m: GeneralModel) -> JointLayout:
+def layout_for(m) -> JointLayout:
+    """Block sizes for a model of either kind, as ``to_general(m)``."""
+    m = to_general(m)
     return JointLayout(mx=m.mx, my=m.my, mz=m.mz)
 
 
-def build_joint(m: GeneralModel, q) -> np.ndarray:
+def build_joint(m, q) -> np.ndarray:
     """Joint covariance of (X, Y, Z, U) with conditional cov of X given U = q.
 
     The auxiliary variable is U = G X + N with N ~ N(0, I) independent of
@@ -108,9 +110,10 @@ def build_joint(m: GeneralModel, q) -> np.ndarray:
     accepts, ``q = sigma_x`` included, has a joint law.  The stacked vector
     is ``T X`` plus independent unit noise, ``T = [I; B; E; G]``, so the
     joint covariance is the congruence ``T sigma_x T^T`` plus the identity
-    on every block after X, which keeps it positive definite.
+    on every block after X, which keeps it positive definite.  An aligned
+    model is built as ``to_general(m)``, which has the same rates.
     """
-    validate_model(m)
+    m = to_general(validate_model(m))
     q = ConditionalCov.for_model(m, q).value
     s_half_inv = linalg.roots(m.sigma_x, "sigma_x")[1]
     phi, v = np.linalg.eigh(linalg.congruence(s_half_inv, q))
@@ -214,7 +217,7 @@ def estimate_rates(batch: SampleBatch, layout: JointLayout):
     )
 
 
-def cross_validate(m: GeneralModel, q, n: int, seed: int):
+def cross_validate(m, q, n: int, seed: int):
     """Convenience pipeline: build the joint, sample, and estimate."""
     joint = build_joint(m, q)
     batch = sample(joint, n, seed)

@@ -16,6 +16,7 @@ All model objects are immutable after construction (arrays are frozen), so
 they are safe to share across threads.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,6 +180,14 @@ class PerturbedPair:
     model_bar: GeneralModel
     alpha: float
     gap: float
+
+
+def _count(name, value):
+    """``operator.index(value)``, or a ``ValueError`` naming the parameter."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def validate_model(m):

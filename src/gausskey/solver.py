@@ -1,9 +1,10 @@
 """Boundary solvers for the key-rate / public-rate trade-off.
 
-Three routes to the boundary R_k(R_p):
+Two routes to the boundary R_k(R_p); the third truth, the brute-force
+oracle ``brute_force_grid``, lives in ``oracle`` and is re-imported here:
 
 ``sweep_boundary``
-    For models with scalar observations (my = mz = 1).  The boundary search
+    For general models with scalar observations.  The boundary search
     is rewritten with two scalar sweep parameters: ``s`` caps the observed
     signal power ``b Q b^T`` and ``t`` lower-bounds the achieved ratio
     ``(e Q e^T - b Q b^T) / (b Q b^T + 1)``.  For fixed (s, t) the remaining
@@ -39,15 +40,6 @@ Three routes to the boundary R_k(R_p):
     returned point is either certified through the KKT machinery or flagged
     unconverged.
 
-``brute_force_grid``
-    An independent oracle for source dimension <= 2: exhaustive search over
-    conditional covariances parameterized by whitened eigenvalues and a
-    rotation angle, each evaluated in closed form through 2x2 Gram
-    determinants.  Along one eigenvalue both rates are monotone, so each
-    (angle, other eigenvalue) row is settled by a binary search for its
-    first feasible cell and a key rate at two cells, and no grid point that
-    could win is skipped.
-
 Each grid point is a pure computation.  A row minimum is not independent
 of the sweep that asks for it: its first cell starts from the tangent in
 ``t`` of the nearest row solved before it in the same sweep, and every
@@ -62,14 +54,12 @@ and the rate grid, so output is run-to-run identical.
 import bisect
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kkt, linalg
 from .errors import (
-    DimensionTooLarge,
     GausskeyError,
     Infeasible,
     MaxIterationsExceeded,
@@ -82,10 +72,12 @@ from .models import (
     AlignedModel,
     ConditionalCov,
     GeneralModel,
+    _count,
     to_aligned,
     validate_model,
     whiten,
 )
+from .oracle import brute_force_grid  # noqa: F401  (re-exported)
 from .rates import PointMeta, RatePair, RegionBoundary, _chol_terms, rates_aligned
 
 sla = linalg.sla  # scipy.linalg, loaded on the aligned route's first use
@@ -807,8 +799,9 @@ def inner_convex(m: GeneralModel, params: SweepParams, *, sigma0=None,
     if isinstance(m, _SpanFrame):
         return _inner_convex_2x2(m, params, sigma0, tau0)
     validate_model(m)
-    if m.my != 1 or m.mz != 1:
-        raise SolverFailure("inner_convex requires scalar observations (my = mz = 1)")
+    if not isinstance(m, GeneralModel) or m.my != 1 or m.mz != 1:
+        raise SolverFailure("inner_convex requires a general model with scalar "
+                            "observations (my = mz = 1)")
     frame = _span_reduction(m)
     a0 = None if sigma0 is None else frame.reduce(sigma0)
     cell = _inner_convex_2x2(frame, params, a0, tau0)
@@ -984,14 +977,6 @@ def _rate_grid(rp_grid):
     return rp_grid
 
 
-def _count(name, value):
-    """``operator.index(value)``, or a ``ValueError`` naming the parameter."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
 def sweep_boundary(m: GeneralModel, rp_grid, st_resolution: int = 200) -> RegionBoundary:
     """Boundary of the rate region for a model with scalar observations.
 
@@ -1019,8 +1004,9 @@ def sweep_boundary(m: GeneralModel, rp_grid, st_resolution: int = 200) -> Region
     the sweep's first row runs cold.
     """
     validate_model(m)
-    if m.my != 1 or m.mz != 1:
-        raise SolverFailure("sweep_boundary requires scalar observations (my = mz = 1)")
+    if not isinstance(m, GeneralModel) or m.my != 1 or m.mz != 1:
+        raise SolverFailure("sweep_boundary requires a general model with scalar "
+                            "observations (my = mz = 1)")
     rp_grid = _rate_grid(rp_grid)
     st_resolution = _count("st_resolution", st_resolution)
     if not st_resolution >= 2:
@@ -1733,138 +1719,3 @@ def _boundary(m, rp_grid, *, st_resolution: int = 200) -> RegionBoundary:
     if isinstance(m, GeneralModel) and m.my == 1 and m.mz == 1:
         return sweep_boundary(m, rp_grid, st_resolution=st_resolution)
     return ascent_boundary(to_aligned(m), rp_grid)
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracle
-# ---------------------------------------------------------------------------
-
-def brute_force_grid(m: GeneralModel, rp: float, grid_density: int = 60) -> RatePair:
-    """Exhaustive-search oracle for the boundary at one public rate.
-
-    Conditional covariances are enumerated as
-    ``sigma_x^1/2 R(theta) diag(d) R(theta)^T sigma_x^1/2`` with the
-    whitened eigenvalues ``d`` on a geometric grid in (0, 1] (endpoint
-    included, so ``grid_density`` must be at least 2) and ``theta`` uniform
-    over half a turn; the best feasible key rate is returned, clamped at
-    zero to match boundary semantics.  Only source dimensions 1 and 2 are
-    supported (``DimensionTooLarge``).
-
-    Every grid point is evaluated in closed form.  A candidate is
-    ``Q = d1 w1 w1^T + d2 w2 w2^T`` with ``w_k = sigma_x^1/2 u_k(theta)``,
-    so by Sylvester's determinant identity, for an observation matrix ``a``
-    (``b`` or ``e``, any number of rows),
-
-        det(I + a Q a^T) = det(I_2 + diag(d) G(theta))
-                         = 1 + d1 g11 + d2 g22 + d1 d2 det G,
-
-    with the 2x2 Gram matrix ``G(theta) = W^T a^T a W``, ``W = [w1 w2]``.
-    ``det G = det(sigma_x) det(a^T a)`` does not depend on theta, and
-    Cauchy-Binet writes ``det(a^T a)`` as the sum of the squared 2x2 minors
-    of ``a``, so every term is nonnegative and ``log1p`` takes it without
-    cancellation (an ``a`` with one row has no minors: ``det G = 0``
-    exactly).  For mx = 1 there is one direction and the determinant is
-    ``1 + d g``, and every grid point is scored.
-
-    For mx = 2 the grid has ``T = N = grid_density`` rows ``(theta, d1)``
-    of ``N`` cells ``d2``, and a row is searched, not scored whole.  On a
-    row each log-det is ``log1p(alpha + beta d2)`` with ``alpha = d1 g11``
-    and ``beta = g22 + d1 det G``, both nonnegative, so
-
-    * ``I_p = -1/2 log(d1 d2) - 1/2 (ld_y_full - log1p(alpha_b + beta_b
-      d2))`` strictly falls along ``d2``: its derivative ``-1/(2 d2) +
-      beta_b / (2 (1 + alpha_b + beta_b d2))`` is negative.  The feasible
-      cells ``I_p <= rp`` of a row are therefore a suffix of the ``d`` grid,
-      found by a binary search on its first cell;
-    * ``I_k = 1/2 log1p(alpha_e + beta_e d2) - 1/2 log1p(alpha_b + beta_b
-      d2) + const`` has a derivative of the fixed sign of ``beta_e (1 +
-      alpha_b) - beta_b (1 + alpha_e)``, so it is monotone along ``d2``,
-      and its maximum over the suffix is at the suffix's first cell or at
-      ``d2 = 1``.
-
-    So the best feasible grid point is among the two cells per row that are
-    scored, and the result is the exhaustive search's: every cell that is
-    evaluated is evaluated with the same expression, in the same order, so
-    it is the same float.  (Both facts are exact; the computed rates keep
-    them wherever one grid step moves a rate by more than its round-off.)
-    The cost is ``O(T N log N)`` flops: the search takes ``floor(log2 N) +
-    1`` passes, each a few multiplies and one logarithm per row, and the
-    scoring two more per observation, all in a few ``T x N`` float arrays
-    (a density-60 call peaks near 0.3 MB of allocations).  The oracle uses
-    no part of the sweep, so it stays an independent arithmetic path.
-    """
-    validate_model(m)
-    if m.mx > 2:
-        raise DimensionTooLarge(f"brute-force oracle supports mx <= 2, got {m.mx}")
-    if not rp >= 0.0:
-        raise ValueError(f"rp must be nonnegative, got {rp!r}")
-    grid_density = _count("grid_density", grid_density)
-    if grid_density < 2:
-        raise ValueError(f"grid_density must be at least 2, got {grid_density!r}")
-    ld_y_full = linalg.logdet_pd(m.b @ m.sigma_x @ m.b.T + np.eye(m.my))
-    ld_z_full = linalg.logdet_pd(m.e @ m.sigma_x @ m.e.T + np.eye(m.mz))
-    # coverage: the public rate affords roughly rp plus the full observation
-    # information gain (ld_y_full / 2) in log-det shrinkage, so the smallest
-    # useful eigenvalue scales with both
-    d_min = max(1e-14, min(1e-2, math.exp(-(2.0 * rp + ld_y_full + 2.0))))
-    d = np.geomspace(d_min, 1.0, grid_density)
-    log_d = np.log(d)
-    s_half = linalg.roots(m.sigma_x)[0]
-
-    if m.mx == 1:
-        def log_det(a):
-            # log det(I + a Q a^T) on the d grid: one direction, G = g
-            return np.log1p(d * float(np.sum((a @ s_half) ** 2)))
-
-        gy = 0.5 * (ld_y_full - log_det(m.b))
-        ip = -0.5 * log_d - gy
-        ik = np.subtract(gy, 0.5 * (ld_z_full - log_det(m.e)), out=gy)
-        best = float(np.max(ik, where=ip <= rp + 1e-12, initial=-np.inf))
-        return RatePair(rp=rp, rk=max(0.0, best))
-
-    n = len(d)
-    theta = np.linspace(0.0, math.pi, n, endpoint=False)
-    c, s = np.cos(theta), np.sin(theta)
-    w = s_half @ np.stack([np.stack([c, -s], axis=-1),
-                           np.stack([s, c], axis=-1)], axis=-2)
-    d1, log_d1 = d[None, :], log_d[None, :]
-    det_x = float(np.linalg.det(m.sigma_x))
-
-    def row_log_det(a):
-        # log det(I + a Q a^T) at the cells (theta, d1, d[j]) for a d2
-        # index j, one or a T x N array, from the diagonal of G(theta) and
-        # its theta-free determinant
-        aw = a @ w
-        g = np.sum(aw * aw, axis=-2)
-        minors = a[:, None, 0] * a[None, :, 1] - a[:, None, 1] * a[None, :, 0]
-        det_g = det_x * 0.5 * float(np.sum(minors * minors))
-
-        def at(j):
-            d2 = d[j]
-            out = d1 * g[:, 0, None] + d2 * g[:, 1, None]
-            out += det_g * (d1 * d2)
-            return np.log1p(out, out=out)
-        return at
-
-    log_det_y, log_det_z = row_log_det(m.b), row_log_det(m.e)
-
-    def gain_y(j):
-        return 0.5 * (ld_y_full - log_det_y(j))
-
-    def key_rate(j):
-        return gain_y(j) - 0.5 * (ld_z_full - log_det_z(j))
-
-    # each (theta, d1) row's feasible cells are a suffix of the d grid:
-    # first[t, i] counts the infeasible cells before it, by a binary search
-    # that tests cell first + step - 1 (the last cell when past it) for
-    # step = 2^k, ..., 2, 1
-    first = np.zeros((n, n), dtype=np.intp)
-    step = 1 << n.bit_length()
-    while step := step >> 1:
-        probe = np.minimum(first + step, n)
-        ip = -0.5 * (log_d1 + log_d[probe - 1]) - gain_y(probe - 1)
-        first = np.where(ip <= rp + 1e-12, first, probe)
-    # a row's best key rate is at its first feasible cell or at d2 = 1
-    ik = np.maximum(key_rate(np.minimum(first, n - 1)), key_rate(n - 1))
-    best = float(np.max(ik, where=first < n, initial=-np.inf))
-    return RatePair(rp=rp, rk=max(0.0, best))

@@ -7,13 +7,18 @@ from gausskey import (
     AlignedModel,
     ConditionalCov,
     GeneralModel,
+    SweepParams,
+    brute_force_grid,
     certify,
+    cross_validate,
     gen_eigs,
+    inner_convex,
     linalg,
     perturb_svd,
     rates_aligned,
     rates_general,
     solve_at_rate,
+    sweep_boundary,
     to_aligned,
     to_general,
     validate_model,
@@ -27,6 +32,7 @@ from gausskey.errors import (
     NearSingular,
     NonPositiveAlpha,
     NotPositiveDefinite,
+    SolverFailure,
 )
 
 from conftest import ill_conditioned_aligned, random_conditional, random_spd, rng_for
@@ -253,6 +259,26 @@ def test_converters_return_a_model_already_in_form():
     g = GeneralModel(sigma_x=np.eye(2), b=np.eye(2), e=[[1.0, 0.5]])
     assert to_aligned(a) is a
     assert to_general(g) is g
+
+
+@pytest.mark.parametrize("entry, call", [
+    ("brute_force_grid", lambda m: brute_force_grid(m, 0.5, grid_density=20)),
+    ("cross_validate", lambda m: cross_validate(m, 0.5 * m.sigma_x, 2000, 0)),
+    ("sweep_boundary", lambda m: sweep_boundary(m, [0.5], st_resolution=20)),
+    ("inner_convex", lambda m: inner_convex(m, SweepParams(s=1.0, t=0.0))),
+])
+def test_general_model_entries_take_or_refuse_an_aligned_model(entry, call):
+    """The oracle and Monte Carlo work on ``to_general(m)``, which has the
+    same rates; the sweep and its cell kernel refuse an aligned model with a
+    ``SolverFailure``, as they refuse vector observations."""
+    rng = rng_for(23)
+    al = AlignedModel(sigma_x=random_spd(rng, 2), sigma_wy=random_spd(rng, 2),
+                      sigma_wz=random_spd(rng, 2))
+    if entry in ("sweep_boundary", "inner_convex"):
+        with pytest.raises(SolverFailure, match="general model"):
+            call(al)
+    else:
+        assert call(al) == call(to_general(al))
 
 
 # ---------------------------------------------------------------------------
