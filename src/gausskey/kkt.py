@@ -55,7 +55,7 @@ from .errors import (
     NotDegraded,
     NoValidMultiplier,
 )
-from .models import AlignedModel, ConditionalCov, validate_model, whiten
+from .models import AlignedModel, ConditionalCov, _budget, validate_model, whiten
 from .rates import _chol_terms, _rates_with_y_noise, rates_aligned
 
 RESIDUAL_KEYS = (
@@ -212,8 +212,11 @@ def recover_multipliers(m: AlignedModel, sigma_star, rp: float) -> MultiplierRec
     ``ACCEPT_COMPOSITE``: the point is not optimal.  Otherwise M is returned
     as its projection on the PSD cone, so this gate decides M's PSD once;
     ``psd_M`` and ``compl_slack_M`` are the composite's parts, on M unprojected.
+    Raises ``ValueError`` for a budget ``rp`` that is not nonnegative (NaN
+    included), as ``solver.solve_at_rate`` does.
     """
     validate_model(m)
+    _budget(rp)
     sigma = ConditionalCov.for_model(m, sigma_star).value
     ip = rates_aligned(m, sigma).rp
     slack = rp - ip
@@ -391,9 +394,10 @@ def certify(m: AlignedModel, sigma_star, rp: float) -> KktCertificate:
     """Full pipeline on ``w, S, S^-1 = models.whiten(m)`` at ``A = S^-1 Q
     S^-1``: recover multipliers, enhance, and verify.
 
-    Raises ``NoValidMultiplier`` when the point is not optimal; otherwise
-    returns the certificate with all ten residuals, ``S^-1 M_w S^-1`` and
-    ``S W~_w S``.
+    Raises ``NoValidMultiplier`` when the point is not optimal, and
+    ``ValueError`` when ``rp`` is not nonnegative (``recover_multipliers``);
+    otherwise returns the certificate with all ten residuals, ``S^-1 M_w
+    S^-1`` and ``S W~_w S``.
     """
     sigma = ConditionalCov.for_model(m, sigma_star)
     w, s_half, s_half_inv = whiten(m)

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import linalg
 from .errors import NotPositiveDefinite, NotPsd, SingularEmpiricalCov
-from .models import ConditionalCov, to_general, validate_model
+from .models import ConditionalCov, _count, to_general, validate_model
 
 # Sub-batches behind every standard error.
 DEFAULT_FOLDS = 10
@@ -137,8 +137,13 @@ def sample(joint_cov, n: int, seed: int) -> SampleBatch:
     See the module docstring for the draw.  A fold of ``n_k <= dim`` rows
     has a singular scatter: its Bartlett factor keeps only its first ``n_k -
     1`` columns.  Raises ``NotPsd``, naming the least eigenvalue, when the
-    covariance has no Cholesky factor, and ``ValueError`` when ``n < 1``.
+    covariance has no Cholesky factor, and ``ValueError``, naming the
+    parameter, when ``n`` or ``seed`` is not an integer, ``n < 1`` or
+    ``seed < 0``.
     """
+    n, seed = _count("n", n), _count("seed", seed)
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed!r}")
     joint_cov = linalg.check_symmetric(joint_cov, "joint covariance")
     try:
         factor = linalg.chol_lower(joint_cov, "joint covariance")
@@ -146,9 +151,9 @@ def sample(joint_cov, n: int, seed: int) -> SampleBatch:
         raise NotPsd(f"joint covariance is not positive definite "
                      f"(min eig = {linalg.min_eig(joint_cov):.3e})") from exc
     if n < 1:
-        raise ValueError("sample count must be positive")
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    n, dim = int(n), joint_cov.shape[0]
+        raise ValueError(f"sample count n must be positive, got {n!r}")
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    dim = joint_cov.shape[0]
     sizes = _fold_sizes(n)
     # an empty fold (n < DEFAULT_FOLDS) has a zero sum
     z = rng.standard_normal((DEFAULT_FOLDS, dim)) * (sizes > 0)[:, None]
@@ -162,7 +167,7 @@ def sample(joint_cov, n: int, seed: int) -> SampleBatch:
     gram = np.einsum("kij,kil->jl", stats, stats)
     mean = np.sqrt(sizes) @ stats[:, 0] / n
     emp = linalg.symmetrize((gram - n * np.outer(mean, mean)) / max(n - 1, 1))
-    return SampleBatch(n=n, seed=int(seed), samples=stats, joint_cov_empirical=emp)
+    return SampleBatch(n=n, seed=seed, samples=stats, joint_cov_empirical=emp)
 
 
 def _plugin_rates(covs, lay: JointLayout):

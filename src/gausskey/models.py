@@ -190,6 +190,14 @@ def _count(name, value):
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _budget(rp):
+    """``rp``, or a ``ValueError`` when it is not a nonnegative public-rate
+    budget (NaN included)."""
+    if not rp >= 0.0:
+        raise ValueError(f"rp must be nonnegative, got {rp!r}")
+    return rp
+
+
 def validate_model(m):
     """Check every invariant of a model; return it unchanged if valid.
 

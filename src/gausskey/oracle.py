@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionTooLarge
-from .models import _count, to_general, validate_model
+from .models import _budget, _count, to_general, validate_model
 from .rates import RatePair
 
 
@@ -78,8 +78,7 @@ def brute_force_grid(m, rp: float, grid_density: int = 60) -> RatePair:
     m = to_general(validate_model(m))
     if m.mx > 2:
         raise DimensionTooLarge(f"brute-force oracle supports mx <= 2, got {m.mx}")
-    if not rp >= 0.0:
-        raise ValueError(f"rp must be nonnegative, got {rp!r}")
+    _budget(rp)
     grid_density = _count("grid_density", grid_density)
     if grid_density < 2:
         raise ValueError(f"grid_density must be at least 2, got {grid_density!r}")

@@ -16,6 +16,7 @@ log-dets.  I_k may be negative for some Q on non-degraded models; the
 functionals return the raw value and only boundary reporting clamps at 0.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,7 @@ from .models import (
     AlignedModel,
     ConditionalCov,
     GeneralModel,
+    _budget,
     gen_eigs,
     to_general,
 )
@@ -36,19 +38,20 @@ _NEG_RATE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class RatePair:
-    """A (public-rate, key-rate) point in nats per source symbol."""
+    """A (public-rate, key-rate) point in nats per source symbol.  Neither
+    rate may be NaN; ``rp = inf`` (the oracle's answer at an unbounded
+    budget) and a negative ``rk`` are kept."""
 
     rp: float
     rk: float
 
     def __post_init__(self):
-        rp = float(self.rp)
-        if rp < 0.0:
-            if rp < -_NEG_RATE_TOL:
-                raise ValueError(f"rp must be nonnegative, got {rp!r}")
-            rp = 0.0
-        object.__setattr__(self, "rp", rp)
-        object.__setattr__(self, "rk", float(self.rk))
+        rp, rk = float(self.rp), float(self.rk)
+        if math.isnan(rk):
+            raise ValueError("rk must not be NaN")
+        # round-off below 0 reads as 0; a budget further below, or NaN, is refused
+        object.__setattr__(self, "rp", _budget(0.0 if -_NEG_RATE_TOL <= rp < 0.0 else rp))
+        object.__setattr__(self, "rk", rk)
 
 
 @dataclass(frozen=True)

@@ -72,6 +72,7 @@ from .models import (
     AlignedModel,
     ConditionalCov,
     GeneralModel,
+    _budget,
     _count,
     to_aligned,
     validate_model,
@@ -1142,10 +1143,9 @@ def _commuting_start(w, rp, swap):
     ``x_top = log max (dz - dy) / (dy (1 + dz))`` over ``dz > dy``, where
     every ``q_i`` reaches 1; the root in log mu on [-40, x_top] gives
     ``V diag(q) V^T`` at the last log mu within the budget (``I`` when no
-    ``dz > dy``), each ``q_i`` clipped from below to the ascent's floor
-    ``SIGMA_FLOOR_SCALE``: at high rates the root's ``q_i`` fall to 1e-15,
-    which no conditional covariance may have, and raising ``q_i`` only
-    lowers ``I_p``."""
+    ``dz > dy``).  At high rates the root's ``q_i`` fall to about 1e-15,
+    which ``rates_aligned`` refuses, so the routes that start here move on;
+    the ascent clips its starts itself (``_pga_penalty``)."""
     v, dy, dz = _commuting_part(w, swap)
     useful = dz > dy
     if not useful.any():
@@ -1170,7 +1170,7 @@ def _commuting_start(w, rp, swap):
         _anderson_bjorck(excess, -40.0, f_lo, x_top, f_hi, 1e-12)
     if not kept:
         return np.eye(w.mx)
-    return linalg.symmetrize((v * np.maximum(kept[-1], SIGMA_FLOOR_SCALE)) @ v.T)
+    return linalg.symmetrize((v * kept[-1]) @ v.T)
 
 
 def _starts(w, rp, n_starts):
@@ -1438,17 +1438,17 @@ def _face_schedule(n_active_guess, mx):
     """Candidates ``(n_active, factor)`` of the face polish of an end point,
     in the order ``_polish_end`` tries them.
 
-    The detected face ``g`` (which may be ``mx``) and ``g + 1`` when it is
-    below ``mx``, at the multiplier factor 1, then 2; then ``g`` at 4; then
-    ``g - 1``.  A polish climbs to a higher face by itself when a free
-    eigenvalue crosses 1 (``_polish_face``), so over the benchmark's and the
-    probe's solves, at rates up to 16, no candidate passed on a face above
-    ``g + 1``.  A homotopy step's optimum can lose a pinned direction, which
-    ``g - 1`` covers."""
+    The detected face ``g`` (which may be ``mx``) at the multiplier factor
+    1, ``g + 1`` at 1 when it is below ``mx``, ``g`` at 2 and 4, then
+    ``g - 1`` at 1.  A polish climbs to a higher face by itself when a free
+    eigenvalue crosses 1 (``_polish_face``), so ``g`` at 2 covers ``g + 1``
+    at 2, and over the benchmark's and the probe's solves, at rates up to
+    16, no candidate passed on a face above ``g + 1``.  A homotopy step's
+    optimum can lose a pinned direction, which ``g - 1`` covers."""
     g = n_active_guess
-    faces = [g, *range(g + 1, min(g + 2, mx))]
-    return ([(k, f) for f in (1.0, 2.0) for k in faces] + [(g, 4.0)]
-            + ([(g - 1, 1.0)] if g else []))
+    above = [(g + 1, 1.0)] if g + 1 < mx else []
+    below = [(g - 1, 1.0)] if g else []
+    return [(g, 1.0), *above, (g, 2.0), (g, 4.0), *below]
 
 
 def _composite(w, rp, q, ip=None):
@@ -1576,7 +1576,8 @@ def solve_at_rate(m: AlignedModel, rp: float, *, n_starts: int = 6,
        each polished on its detected face at factor 1 (on the corner face
        ``n_active = mx`` the polish returns ``sigma_x``, which the gate
        judges at mu = 0), the second formed only when the first fails; a
-       ``GausskeyError`` here moves the solve on;
+       ``GausskeyError`` here, as from an optimum that ``rates_aligned``
+       refuses at high rates, moves the solve on;
     2. the homotopy from the first commuting-part optimum to the model
        (``_homotopy``);
     3. the fallback, which ``n_starts`` and ``max_iter`` alone size:
@@ -1615,8 +1616,7 @@ def solve_at_rate(m: AlignedModel, rp: float, *, n_starts: int = 6,
     the KKT machinery before trusting it.
     """
     validate_model(m)
-    if not rp >= 0.0:
-        raise ValueError(f"rp must be nonnegative, got {rp!r}")
+    _budget(rp)
     n_starts, max_iter = _count("n_starts", n_starts), _count("max_iter", max_iter)
     if not 1 <= n_starts <= 6:
         raise ValueError(f"n_starts must be 1 to 6, got {n_starts!r}")

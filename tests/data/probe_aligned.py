@@ -32,7 +32,17 @@ process CPU seconds of the point's solve and certificate, as
 ``solver._rates_stack``, the matrices they evaluated and the process CPU
 seconds spent inside ``solver._pga_penalty``.  CPU seconds are noisy on a
 shared machine; the counts are deterministic, so they tell a change in the
-polish's or the ascent's cost apart from noise.  A change to the
+polish's or the ascent's cost apart from noise.
+
+It also records what decided each point.  As ``route``, the route that
+returned it: ``commuting part 1`` or ``commuting part 2`` (the polish of
+the first or the second commuting-part optimum), ``homotopy``, ``ascent``
+(the fallback's end point passed the gate) or ``none`` (no candidate
+passed, or the solve raised).  As ``entry_tries`` and ``entry_passes``,
+per entry of ``solver._face_schedule`` relative to the detected face ``g``
+(``(g, 1)``, ``(g + 1, 1)``, ...), how often a ``solver._polish_end`` call
+tried it and how often it was the call's first candidate to pass the
+gate.  A change to the
 aligned route is checked by saving the probe on the parent tree and
 comparing on the change:
 
@@ -51,7 +61,9 @@ residual rows, and the ascent's summed calls, matrices and CPU seconds,
 listing each point solved on both runs whose solve ran the ascent on one
 run only (a figure the file did not record reads "not
 recorded", and a file without ``iterations`` lists none; ``--save`` prints
-the run's certified points and its cost too).  It
+the run's certified points and its cost too).  Both print the points per
+route and the tries and first passes per schedule entry, beside the file's
+under ``--compare``.  It
 exits 1 when a value falls by more than ``FALL_TOL``, or is lost to an
 exception, or a certified point loses its certificate.  It also prints how
 many certificates are bit-identical and lists the points whose certificate
@@ -147,7 +159,7 @@ def record(m, rp, mode=None, c=1.0):
     try:
         report = solve_at_rate(m, rp)
     except GausskeyError as exc:
-        return {"error": type(exc).__name__}
+        return {"error": type(exc).__name__, "route": "none"}
     try:
         cert = certify(m, report.optimum, rp)
     except GausskeyError as exc:
@@ -165,6 +177,7 @@ def record(m, rp, mode=None, c=1.0):
         "certificate": outcome,
         "cert": cert_bytes,
         "iterations": report.iterations,
+        "route": route(report.converged),
     }
 
 
@@ -173,14 +186,42 @@ def record(m, rp, mode=None, c=1.0):
 COUNTS = Counter()
 COUNTED = ("polish_calls", "residual_rows", "ascent_calls", "ascent_matrices", "ascent_cpu_s")
 
+# what the current solve ran: how many commuting-part optima it polished
+# (the ``_polished`` calls made outside ``_polish_end``, which only the
+# first route makes), whether ``_homotopy`` returned a candidate and
+# whether the ascent ran; and per ``_face_schedule`` entry, its tries and
+# first passes in ``_polish_end``
+TRACE = {}
+ROUTES = ("commuting part 1", "commuting part 2", "homotopy", "ascent", "none")
+ENTRIES = ("(g, 1)", "(g + 1, 1)", "(g, 2)", "(g + 1, 2)", "(g, 4)", "(g - 1, 1)")
+
+
+def route(converged):
+    """The route that returned the current solve's answer (``ROUTES``)."""
+    if TRACE["ascent"]:
+        return "ascent" if converged else "none"
+    if TRACE["homotopy"]:
+        return "homotopy"
+    return f"commuting part {TRACE['commuting']}"
+
+
+def _entry(n_active, factor, g):
+    """A schedule entry's label relative to the detected face ``g``."""
+    face = "g" if n_active == g else f"g {'+' if n_active > g else '-'} {abs(n_active - g)}"
+    return f"({face}, {factor:g})"
+
 
 def count_the_work():
     """Make ``solver._polish_face``, ``solver._FaceSystem.residuals``,
     ``solver._rates_stack`` (which only the ascent calls) and
     ``solver._pga_penalty`` add their calls, rows, matrices and CPU seconds
-    to ``COUNTS``."""
+    to ``COUNTS``, and ``solver._homotopy``, ``solver._polish_end`` and its
+    ``solver._face_schedule`` and ``solver._polished`` calls note in
+    ``TRACE`` what decided the solve."""
     polish, residuals = solver._polish_face, solver._FaceSystem.residuals
     rates, ascent = solver._rates_stack, solver._pga_penalty
+    homotopy = solver._homotopy
+    polish_end, polished, schedule = solver._polish_end, solver._polished, solver._face_schedule
 
     def counted_polish(*args):
         COUNTS["polish_calls"] += 1
@@ -196,34 +237,72 @@ def count_the_work():
         return rates(m, sigma, ld_full)
 
     def timed_ascent(*args):
+        TRACE["ascent"] = True
         start = time.process_time()
         try:
             return ascent(*args)
         finally:
             COUNTS["ascent_cpu_s"] += time.process_time() - start
 
+    def traced_homotopy(*args):
+        cand = homotopy(*args)
+        TRACE["homotopy"] = cand is not None
+        return cand
+
+    def traced_schedule(g, mx):
+        entries = schedule(g, mx)
+        TRACE["entries"] = [_entry(k, f, g) for k, f in entries]
+        return entries
+
+    def traced_polished(*args):
+        if TRACE["entries"] is None:
+            TRACE["commuting"] += 1
+        else:
+            TRACE["tried"] += 1
+        return polished(*args)
+
+    def traced_polish_end(*args):
+        TRACE["entries"], TRACE["tried"], cand = None, 0, None
+        try:
+            cand = polish_end(*args)
+            return cand
+        finally:
+            # a GausskeyError may end the call before or inside the schedule
+            tried, TRACE["entries"] = (TRACE["entries"] or [])[:TRACE["tried"]], None
+            TRACE["entry_tries"].update(tried)
+            if cand and cand[3]:
+                TRACE["entry_passes"][tried[-1]] += 1
+
     solver._polish_face = counted_polish
     solver._FaceSystem.residuals = counted_rows
     solver._rates_stack = counted_rates
     solver._pga_penalty = timed_ascent
+    solver._homotopy = traced_homotopy
+    solver._face_schedule = traced_schedule
+    solver._polished = traced_polished
+    solver._polish_end = traced_polish_end
 
 
 def timed(m, rp, mode, c):
     """``record`` with the process CPU seconds it took, as ``cpu_s``, and
     the work of ``COUNTED`` it did."""
     before = Counter(COUNTS)
+    TRACE.update(commuting=0, homotopy=False, ascent=False, entries=None,
+                 entry_tries=Counter(), entry_passes=Counter())
     start = time.process_time()
     rec = record(m, rp, mode, c)
     rec["cpu_s"] = time.process_time() - start
     for key in COUNTED:
         rec[key] = COUNTS[key] - before[key]
+    rec["entry_tries"] = dict(TRACE["entry_tries"])
+    rec["entry_passes"] = dict(TRACE["entry_passes"])
     return rec
 
 
 # fields left out of the bit-identity test: the certificate's bytes are
-# listed apart, and time, ascent iterations, polish and ascent counts are
-# cost, not outcome
-COST_KEYS = ("cert", "cpu_s", "iterations") + COUNTED
+# listed apart, and time, ascent iterations, polish and ascent counts, the
+# route and the schedule entries are cost, not outcome
+COST_KEYS = ("cert", "cpu_s", "iterations", "route", "entry_tries", "entry_passes") + COUNTED
 
 
 def cost_figures(run):
@@ -256,6 +335,40 @@ def cost_line(run, old=None):
         return "; ".join(f"{name}: {fig}" for name, fig in figures)
     return "; ".join(f"{name}: {fig} (file: {was})"
                      for (name, fig), (_, was) in zip(figures, cost_figures(old)))
+
+
+def decisions(run, old=None):
+    """Lines of the run's points per route and of its tries and first
+    passes per schedule entry, each beside the file's when ``old`` is given
+    ("not recorded" when a run lacks the field)."""
+    def routes(r):
+        if not all("route" in rec for rec in r.values()):
+            return dict.fromkeys(ROUTES, "not recorded")
+        return Counter(rec["route"] for rec in r.values())
+
+    def entries(r):
+        if not all("entry_tries" in rec for rec in r.values()):
+            return dict.fromkeys(ENTRIES, "not recorded")
+        tries, passes = Counter(), Counter()
+        for rec in r.values():
+            tries.update(rec["entry_tries"])
+            passes.update(rec["entry_passes"])
+        return {e: f"{tries[e]}/{passes[e]}" for e in {*ENTRIES, *tries}}
+
+    runs = [run] if old is None else [run, old]
+    by_route = [routes(r) for r in runs]
+    by_entry = [entries(r) for r in runs]
+    order = [*ENTRIES, *sorted({e for t in by_entry for e in t} - set(ENTRIES))]
+
+    def line(title, keys, tables):
+        cells = []
+        for key in keys:
+            now, *was = (t.get(key, 0) for t in tables)
+            cells.append(f"{key} {now}" + (f" (file: {was[0]})" if was else ""))
+        return f"{title}: " + "; ".join(cells)
+
+    return [line("points per route", ROUTES, by_route),
+            line("schedule entry tries/first passes", order, by_entry)]
 
 
 def _floats(hexed):
@@ -317,6 +430,7 @@ def compare(old, new):
     print(f"certified: {certified[0]} (file: {certified[1]})")
     print(f"certificates: {len(new) - len(cert_moved)} of {len(new)} bit-identical")
     print(cost_line(new, old))
+    print(*decisions(new, old), sep="\n")
     for label, rec in new.items():
         ran, ran_was = (r["iterations"] > 0 if "iterations" in r else None
                         for r in (rec, old[label]))
@@ -378,6 +492,7 @@ def main(argv):
         certified = sum(r.get("certificate") == "certified" for r in run.values())
         print(f"certified: {certified} of {len(run)}")
         print(cost_line(run))
+        print(*decisions(run), sep="\n")
         return 0
     with open(argv[-1]) as fh:
         old = json.load(fh)

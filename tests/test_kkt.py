@@ -8,6 +8,8 @@ import pytest
 
 from gausskey import (
     AlignedModel,
+    GeneralModel,
+    RatePair,
     certify,
     change_of_variable,
     enhance,
@@ -17,6 +19,7 @@ from gausskey import (
     rates_enhanced,
     recover_multipliers,
     solve_at_rate,
+    to_aligned,
     verify_certificate,
 )
 from gausskey.errors import MuZero, NonPsdInput, NotDegraded, NoValidMultiplier
@@ -574,3 +577,24 @@ def test_verify_certificate_reports_no_nan(scalar_aligned):
                                    kkt.certificate_from_dict(json.loads(json.dumps(obj))))
     assert not any(math.isnan(v) for v in residuals.values())
     assert residuals["compl_slack_mu"] == math.inf
+
+
+@pytest.mark.parametrize("rp", [-1.0, math.nan])
+def test_a_budget_that_is_not_nonnegative_is_refused(rp):
+    # at Q = sigma_x the certificate came back with rp = -1 (mu 1.2127, max
+    # residual 0.606) or, at NaN, with max residual inf; a rate pair took
+    # NaN in either field, and so did a boundary's sortedness check
+    m = to_aligned(GeneralModel(2.0 * np.eye(2), np.eye(2), np.array([[0.5, 0.2], [0.1, 0.7]])))
+    for check in (recover_multipliers, certify):
+        with pytest.raises(ValueError, match="rp must be nonnegative"):
+            check(m, m.sigma_x, rp)
+    with pytest.raises(ValueError, match="rp"):
+        RatePair(rp, 0.0)
+    if math.isnan(rp):
+        with pytest.raises(ValueError, match="rk must not be NaN"):
+            RatePair(0.5, rp)
+    else:
+        # a negative key rate is a value of the functional, and the oracle
+        # answers an unbounded budget with rp = inf
+        assert RatePair(0.5, rp).rk == rp
+        assert RatePair(math.inf, 0.0).rp == math.inf

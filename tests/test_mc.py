@@ -297,3 +297,18 @@ def test_layout_dimension_check(degraded_demo, scalar_aligned):
     batch = sample(joint, 1000, seed=0)
     with pytest.raises(ValueError):
         estimate_rates(batch, JointLayout(mx=1, my=1, mz=1))
+
+
+@pytest.mark.parametrize("n,seed,name", [(500, 1.7, "seed"), (1.5, 0, "n"), (500, -1, "seed")])
+def test_counts_and_seeds_are_never_truncated(degraded_demo, n, seed, name):
+    # a float seed drew the truncated seed's batch, a float count failed
+    # downstream as one sample, and a negative seed reached numpy's key check
+    q = 0.5 * degraded_demo.sigma_x
+    joint = build_joint(degraded_demo, q)
+    for draw in (lambda: sample(joint, n, seed), lambda: cross_validate(degraded_demo, q, n, seed)):
+        with pytest.raises(ValueError, match=rf"^{name} must"):
+            draw()
+    # numpy integers are counts too, and draw the same batch
+    got, want = sample(joint, np.int64(500), np.uint8(1)), sample(joint, 500, 1)
+    assert (got.n, got.seed) == (500, 1)
+    assert got.samples.tobytes() == want.samples.tobytes()
