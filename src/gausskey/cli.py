@@ -63,6 +63,8 @@ class RunConfig:
                 raise ValueError("region requires --output")
         if self.units not in ("nats", "bits"):
             raise ValueError("--units must be 'nats' or 'bits'")
+        if not self.tolerance > 0.0:
+            raise ValueError("--tolerance must be positive")
 
 
 def _fmt(x):

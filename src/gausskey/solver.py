@@ -171,10 +171,10 @@ class SolveReport:
     schedule is first rerun in full).  A cell that is not converged still
     returns a strictly feasible optimum and its value, which may then lie
     above the cell's minimum.  For ``solve_at_rate`` it says that the point
-    passed the polish's gate, a valid KKT multiplier included (see there);
-    unconverged, it is the best point found within the budget.  A converged
-    point can still miss another certificate identity: ``kkt.certify`` has
-    the last word.
+    passed the polish's gate, whose one optimality test is that multiplier
+    composite (see there); unconverged, it is the best point found within
+    the budget.  A converged point can still miss another certificate
+    identity: ``kkt.certify`` has the last word.
     """
 
     optimum: ConditionalCov
@@ -1389,13 +1389,12 @@ def _polish_face(m, rp, q_hat, mu_hint, n_active):
     largest free one.  So a polish started on a face too low climbs to the
     face of the optimum instead of walking past the cap until it stalls.
 
-    Returns (q, mu, residual_norm), or None for an invalid start;
-    ``solve_at_rate``'s gate checks the result's interval.
+    Returns ``q``, or None for an invalid start; ``_polished`` judges it.
     """
     w, u0 = np.linalg.eigh(q_hat)
     u0 = u0[:, np.argsort(w)[::-1]]
     if n_active == m.mx:
-        return np.array(m.sigma_x), mu_hint, 0.0
+        return np.array(m.sigma_x)
     face = _FaceSystem(m, rp, u0, n_active)
     nx = face.n_qf + face.n_rot + 1
     x = np.zeros(nx)
@@ -1430,8 +1429,7 @@ def _polish_face(m, rp, q_hat, mu_hint, n_active):
             (sigma,), (mu,), _, _ = face.build(x[None])
             return _polish_face(m, rp, sigma, float(mu), n_active + 1)
         x, r = x_new, rows[better[0]]
-    (sigma,), (mu,), _, _ = face.build(x[None])
-    return sigma, float(mu), float(np.max(np.abs(r)))
+    return face.build(x[None])[0][0]
 
 
 def _face_schedule(n_active_guess, mx):
@@ -1465,44 +1463,46 @@ def _composite(w, rp, q, ip=None):
         return math.inf
 
 
-def _end_point(w, rp, q, rk):
-    """A point to polish: ``(q, rk, mu_hint, n_active)``, with its multiplier
+def _end_point(w, rp, q):
+    """A point to polish: ``(q, mu_hint, n_active)``, with its multiplier
     hint (``kkt.closed_form_mu``, clipped to [1e-8, 1e4]) and detected face:
     the eigenvalues within ``min(1e-4, rp)`` of 1.  A budget ``rp`` moves a
     free eigenvalue off 1 by about that much, so below 1e-4 a fixed
-    threshold would count it as active."""
-    return (q, rk, min(max(kkt.closed_form_mu(w, q), 1e-8), 1e4),
+    threshold would count it as active.  A ``q`` that ``rates_aligned``
+    refuses raises here, before any polish."""
+    rates_aligned(w, q)
+    return (q, min(max(kkt.closed_form_mu(w, q), 1e-8), 1e4),
             int(np.sum(np.linalg.eigvalsh(q) >= 1.0 - min(1e-4, rp))))
 
 
-def _polished(w, rp, q_end, rk_end, mu_hint, n_active):
+def _polished(w, rp, q_end, mu_hint, n_active):
     """``(q, rk, composite, passed)`` of the face polish of an end point when
-    ``rates_aligned`` takes it and it keeps the budget and the end point's
-    key rate, else None; ``composite`` is None unless the face system is
-    solved below 1e-8.  A system solved on a wrong face leaves a point with
-    no multiplier that makes the stationarity matrix PSD."""
-    cand = _polish_face(w, rp, q_end, mu_hint, n_active)
-    if cand is None:
+    ``rates_aligned`` takes it and it keeps the budget, else None; its
+    multiplier composite (``_composite``) alone decides ``passed``.  A
+    point solved on a wrong face has no multiplier that makes the
+    stationarity matrix PSD; a point with one is optimal."""
+    q = _polish_face(w, rp, q_end, mu_hint, n_active)
+    if q is None:
         return None
     try:
-        pair = rates_aligned(w, cand[0])
+        pair = rates_aligned(w, q)
     except ModelValidationError:
         return None
-    if not (pair.rp <= rp + 1e-7 and pair.rk >= rk_end - 1e-7):
+    if not pair.rp <= rp + 1e-7:
         return None
-    comp = _composite(w, rp, cand[0], pair.rp) if cand[2] < 1e-8 else None
-    return cand[0], pair.rk, comp, comp is not None and comp <= kkt.ACCEPT_COMPOSITE
+    comp = _composite(w, rp, q, pair.rp)
+    return q, pair.rk, comp, comp <= kkt.ACCEPT_COMPOSITE
 
 
-def _polish_end(w, rp, q, rk):
-    """The face polish of an end point ``q`` of key rate ``rk`` on a
-    whitened model (``_end_point``), over the candidates of
-    ``_face_schedule``: the first ``_polished`` candidate that passes the
-    gate, else the one with the highest key rate, else None."""
-    q, rk, mu_hint, g = _end_point(w, rp, q, rk)
+def _polish_end(w, rp, q):
+    """The face polish of an end point ``q`` on a whitened model
+    (``_end_point``), over the candidates of ``_face_schedule``: the first
+    ``_polished`` candidate that passes the gate, else the one with the
+    highest key rate, else None."""
+    q, mu_hint, g = _end_point(w, rp, q)
     kept = []
     for n_active, factor in _face_schedule(g, w.mx):
-        cand = _polished(w, rp, q, rk, factor * mu_hint, n_active)
+        cand = _polished(w, rp, q, factor * mu_hint, n_active)
         if cand and cand[3]:
             return cand
         if cand:
@@ -1544,7 +1544,7 @@ def _homotopy(w, rp, start):
                 w.sigma_x, w.sigma_wy,
                 linalg.symmetrize((1.0 - t) * commuting + t * w.sigma_wz))
             try:
-                cand = _polish_end(w_t, rp, q, rates_aligned(w_t, q).rk)
+                cand = _polish_end(w_t, rp, q)
             except GausskeyError:
                 cand = None
             if not (cand and cand[3]):
@@ -1565,11 +1565,11 @@ def solve_at_rate(m: AlignedModel, rp: float, *, n_starts: int = 6,
 
     A Newton polish of the stationarity system on an active face
     (``_polish_face``), with the rate binding, starts from an end point with
-    its own multiplier hint, detected face and key rate to keep
-    (``_end_point``).  A polish step that lifts a free eigenvalue above 1
-    pins that direction: the polish goes on on the next face from the
-    iterate before the step, so a candidate's face is only the one it
-    starts on, and a polish started below the optimum's face climbs to it.
+    its own multiplier hint and detected face (``_end_point``).  A polish
+    step that lifts a free eigenvalue above 1 pins that direction: the
+    polish goes on on the next face from the iterate before the step, so a
+    candidate's face is only the one it starts on, and a polish started
+    below the optimum's face climbs to it.
     The routes, in order:
 
     1. the optima of the model's two commuting parts (``_commuting_start``),
@@ -1590,21 +1590,20 @@ def solve_at_rate(m: AlignedModel, rp: float, *, n_starts: int = 6,
        certified passed on that end point's first candidate.
     The first two return a candidate that passes the gate below with
     ``iterations = 0``.  One gate decides every polished candidate:
-    ``rates_aligned`` takes it, it keeps the budget and its end point's key
-    rate, its face system is solved below 1e-8, and its multiplier
+    ``rates_aligned`` takes it, it keeps the budget, and its multiplier
     composite (``_composite``: the test of ``kkt.recover_multipliers``, at
     mu = 0 when the rate is slack and at ``kkt.closed_form_mu`` when it
     binds) is at most ``kkt.ACCEPT_COMPOSITE``.  A point with a valid
-    multiplier is optimal whatever candidate produced it (the enhancement
-    argument), so the first candidate to pass is returned converged; a
-    point solved on a wrong face has none.  When none passes, the candidate
-    in budget with the highest key rate, the commuting-part ones included,
-    is returned unconverged, or the best ascent point.  The returned
-    ``S Q S`` is not re-tested in the model's frame: ``Q`` passed the
-    interval test in the whitened frame, or is an ascent point clipped into
-    it, while ``S Q S`` carries round-off of about ``eps cond(sigma_x)``
-    there.  It is formed in long double and rounded once
-    (``linalg.congruence_rounded``): the floor stays, and so does the
+    multiplier is optimal whatever candidate produced it, however far its
+    polish got (the enhancement argument), so the first candidate to pass
+    is returned converged; a point solved on a wrong face has none.  When
+    none passes, the candidate in budget with the highest key rate, the
+    commuting-part ones included, is returned unconverged, or the best
+    ascent point.  The returned ``S Q S`` is not re-tested in the model's
+    frame: ``Q`` passed the interval test in the whitened frame, or is an
+    ascent point clipped into it, while ``S Q S`` carries round-off of about
+    ``eps cond(sigma_x)`` there.  It is formed in long double and rounded
+    once (``linalg.congruence_rounded``): the floor stays, and so does the
     re-test's own round-off, but the product's cancellation adds little to
     them, so more answers with directions pinned at 1 pass ``certify``'s
     re-test in the model's frame.
@@ -1641,7 +1640,7 @@ def solve_at_rate(m: AlignedModel, rp: float, *, n_starts: int = 6,
     try:
         for swap in (False, True):
             q0 = _commuting_start(w, rp, True) if swap else start
-            cand = _polished(w, rp, *_end_point(w, rp, q0, rates_aligned(w, q0).rk))
+            cand = _polished(w, rp, *_end_point(w, rp, q0))
             if cand and cand[3]:
                 return report(*cand, 0)
             if cand:
@@ -1659,7 +1658,7 @@ def solve_at_rate(m: AlignedModel, rp: float, *, n_starts: int = 6,
 
     # polish the best end point, else keep the best candidate in budget
     q_end, pair = max(ends, key=lambda end: end[1].rk)
-    cand = _polish_end(w, rp, q_end, pair.rk)
+    cand = _polish_end(w, rp, q_end)
     if cand and cand[3]:
         return report(*cand, iterations)
     best = max([(q_end, pair.rk, None, False), *pool, *([cand] if cand else [])],

@@ -54,18 +54,22 @@ value, ``sigma``, ``converged`` and certificate outcome (the ``kkt_residual``
 alone may move), how many moved (and the largest change of value and of
 ``sigma``), how many changed certificate outcome, how many values rose and
 fell by more than ``FALL_TOL`` (listing each fall with both values and its
-certificate outcome on both trees), and how many points are certified now
-and in the file, and the run's cost beside the file's: the summed
+certificate outcome on both trees), how many points are certified now
+and in the file, how many points have ``converged != (kkt_residual <=
+kkt.ACCEPT_COMPOSITE)`` (listing each: that multiplier test alone decides
+``converged``), and the run's cost beside the file's: the summed
 ``cpu_s``, how many solves ran the ascent, the summed polish calls and
 residual rows, and the ascent's summed calls, matrices and CPU seconds,
 listing each point solved on both runs whose solve ran the ascent on one
 run only (a figure the file did not record reads "not
 recorded", and a file without ``iterations`` lists none; ``--save`` prints
-the run's certified points and its cost too).  Both print the points per
+the run's certified points, its points that test disagrees with and its
+cost too).  Both print the points per
 route and the tries and first passes per schedule entry, beside the file's
 under ``--compare``.  It
 exits 1 when a value falls by more than ``FALL_TOL``, or is lost to an
-exception, or a certified point loses its certificate.  It also prints how
+exception, or a certified point loses its certificate, or that test
+disagrees with a point's ``converged``.  It also prints how
 many certificates are bit-identical and lists the points whose certificate
 bytes moved; these do not change the exit code.
 
@@ -110,7 +114,7 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 import test_aligned_points as tap  # noqa: E402
 from gausskey import AlignedModel, certify, solve_at_rate, solver  # noqa: E402
-from gausskey.kkt import RESIDUAL_KEYS  # noqa: E402
+from gausskey.kkt import ACCEPT_COMPOSITE, RESIDUAL_KEYS  # noqa: E402
 from gausskey.errors import GausskeyError  # noqa: E402
 
 FRESH_RATES = (0.7, 1.5, 3.0, 5.0)
@@ -193,7 +197,7 @@ COUNTED = ("polish_calls", "residual_rows", "ascent_calls", "ascent_matrices", "
 # first passes in ``_polish_end``
 TRACE = {}
 ROUTES = ("commuting part 1", "commuting part 2", "homotopy", "ascent", "none")
-ENTRIES = ("(g, 1)", "(g + 1, 1)", "(g, 2)", "(g + 1, 2)", "(g, 4)", "(g - 1, 1)")
+ENTRIES = ("(g, 1)", "(g + 1, 1)", "(g, 2)", "(g, 4)", "(g - 1, 1)")
 
 
 def route(converged):
@@ -371,14 +375,29 @@ def decisions(run, old=None):
             line("schedule entry tries/first passes", order, by_entry)]
 
 
+def undecided(run):
+    """Print how many of the run's solved points have a ``converged`` that
+    is not the multiplier test of their ``kkt_residual`` (at most
+    ``kkt.ACCEPT_COMPOSITE``), which alone decides it, listing each; return
+    their labels."""
+    labels = [label for label, rec in run.items() if "converged" in rec
+              and rec["converged"] != (rec["kkt_residual"] <= ACCEPT_COMPOSITE)]
+    print(f"converged != (kkt_residual <= {ACCEPT_COMPOSITE:g}): {len(labels)} points")
+    for label in labels:
+        print(f"{label}: converged {run[label]['converged']}, "
+              f"kkt_residual {run[label]['kkt_residual']:.3g}")
+    return labels
+
+
 def _floats(hexed):
     return np.frombuffer(bytes.fromhex(hexed), dtype=np.float64)
 
 
 def compare(old, new):
     """Print the comparison of two probe runs keyed by label; return the
-    number of points whose value fell by more than ``FALL_TOL`` or that lost
-    their certificate."""
+    number of points whose value fell by more than ``FALL_TOL``, that lost
+    their certificate, or whose ``converged`` the multiplier test of their
+    ``kkt_residual`` does not decide (``undecided``)."""
     same = kept = moved = changed = rose = fell = 0
     value_move = sigma_move = 0.0
     failed = set()
@@ -429,6 +448,7 @@ def compare(old, new):
     print(f"values: {rose} rose and {fell} fell by more than {FALL_TOL:g}")
     print(f"certified: {certified[0]} (file: {certified[1]})")
     print(f"certificates: {len(new) - len(cert_moved)} of {len(new)} bit-identical")
+    failed.update(undecided(new))
     print(cost_line(new, old))
     print(*decisions(new, old), sep="\n")
     for label, rec in new.items():
@@ -491,6 +511,7 @@ def main(argv):
             json.dump(run, fh, indent=0)
         certified = sum(r.get("certificate") == "certified" for r in run.values())
         print(f"certified: {certified} of {len(run)}")
+        undecided(run)
         print(cost_line(run))
         print(*decisions(run), sep="\n")
         return 0

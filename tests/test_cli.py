@@ -193,6 +193,19 @@ def test_kkt_check_unreachable_tolerance_exits_3(model_files):
                  "--tolerance", "1e-18"]) == 3
 
 
+@pytest.mark.parametrize("tolerance", ("nan", "0", "-1"))
+def test_kkt_check_refuses_a_tolerance_that_is_not_positive(model_files, capsys, monkeypatch,
+                                                            tolerance):
+    # such a tolerance fails every certificate: the command ran a full solve,
+    # printed "certificate FAILED at tolerance nan" and exited 3
+    calls = []
+    monkeypatch.setattr(solver, "solve_at_rate", lambda *args, **kwargs: calls.append(args))
+    assert main(["kkt-check", model_files["aligned"], "--rp", "0.5",
+                 "--tolerance", tolerance]) == 2
+    assert "--tolerance must be positive" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_enhance_outputs_noise(model_files, capsys):
     code = main(["enhance", model_files["aligned"], "--rp", "0.5"])
     assert code == 0

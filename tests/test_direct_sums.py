@@ -14,7 +14,9 @@ curve is known:
   ``R``'s frame;
 - ``asymptotic_limit`` adds over the blocks, and the slope at the corner,
   ``mu0 = kkt.closed_form_mu(w, I)`` on the whitened model ``w``, is the
-  blocks' largest.
+  blocks' largest;
+- the curve depends on the blocks alone, so a second rotation of the same
+  blocks has the same curve.
 
 The blocks have mx 1 or 2, where ``brute_force_grid`` gives each block's
 curve by an arithmetic path of its own, so the sup-convolution of the
@@ -35,7 +37,8 @@ from conftest import random_aligned, rng_for
 
 # each direct sum, named by its mx: the seed of its first block and the
 # block sizes.  Block k of a sum is random_aligned(rng_for(first + k), d),
-# and a sum of size mx is rotated by the Haar draw of rng_for(9100 + mx).
+# and a sum of size mx is rotated by the Haar draw of rng_for(9100 + mx),
+# or of rng_for(9200 + mx) for the second rotation.
 # The seeds run on over the sums in this order, but mx3b's follow the last
 # sum's: the blocks of seeds 9011 and 9012 have no key rate at any public
 # rate, so their curve is 0, which no value can fall below
@@ -48,6 +51,10 @@ ORACLE_GRID = np.round(np.arange(801) * 0.02, 12)
 # (sum, rp) whose solve ends below the blocks' oracle curves: on mx8a the
 # solve returns unconverged there, and certify raises NoValidMultiplier
 BELOW_THE_ORACLE = {("mx8a", 3.0), ("mx8a", 6.0)}
+# (sum, rp) whose two rotations end at different values: on mx8a at rp 3
+# the first rotation's solve returns unconverged 2.2e-3 nats below the
+# second's, which certifies
+ROTATION_DEPENDENT = {("mx8a", 3.0)}
 
 
 def _haar(rng, n):
@@ -58,12 +65,13 @@ def _haar(rng, n):
 
 
 @functools.cache
-def _direct_sum(name):
-    """``(m, blocks, R)``: the rotated direct sum ``name`` of ``SUMS``."""
+def _direct_sum(name, rotation=9100):
+    """``(m, blocks, R)``: the direct sum ``name`` of ``SUMS``, rotated by
+    the Haar draw of ``rng_for(rotation + mx)``."""
     first, dims = SUMS[name]
     blocks = [random_aligned(rng_for(first + k), d) for k, d in enumerate(dims)]
     mx = sum(dims)
-    r = _haar(rng_for(9100 + mx), mx)
+    r = _haar(rng_for(rotation + mx), mx)
 
     def summed(field):
         out = np.zeros((mx, mx))
@@ -77,8 +85,8 @@ def _direct_sum(name):
 
 
 @functools.cache
-def _solve(name, rp):
-    return solve_at_rate(_direct_sum(name)[0], rp)
+def _solve(name, rp, rotation=9100):
+    return solve_at_rate(_direct_sum(name, rotation)[0], rp)
 
 
 @functools.cache
@@ -136,3 +144,15 @@ def test_the_value_meets_the_blocks_oracle_curves(request, name, rp):
                                 "the optimum (ROADMAP item 8)"))
     bound = _oracle_curve(name)[np.searchsorted(ORACLE_GRID, rp, side="right") - 1]
     assert _solve(name, rp).value >= bound - 1e-9
+
+
+@pytest.mark.parametrize("rp", RATES)
+@pytest.mark.parametrize("name", SUMS)
+def test_a_second_rotation_gives_the_same_value(request, name, rp):
+    # also where both solves end unconverged (mx8a at rp 6, mx6b at rp
+    # 0.05): the other 63 pairs agree to 5.6e-14
+    if (name, rp) in ROTATION_DEPENDENT:
+        request.applymarker(pytest.mark.xfail(
+            strict=True, reason="the aligned route leaves an mx = 8 point unconverged "
+                                "below the optimum in one frame only (ROADMAP item 8)"))
+    assert abs(_solve(name, rp, 9200).value - _solve(name, rp).value) <= 1e-9
