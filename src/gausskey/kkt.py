@@ -194,8 +194,8 @@ def closed_form_mu(m: AlignedModel, sigma) -> float:
 def rate_is_slack(rp: float, ip: float) -> bool:
     """Whether the public rate ``ip`` leaves the budget ``rp`` slack, so
     complementary slackness forces ``mu = 0``: by more than
-    ``max(1e-7, 1e-6 |rp|)``."""
-    return rp - ip > max(1e-7, 1e-6 * abs(rp))
+    ``max(1e-7, 1e-6 |rp|)``, or the budget is infinite."""
+    return rp == np.inf or rp - ip > max(1e-7, 1e-6 * abs(rp))
 
 
 def recover_multipliers(m: AlignedModel, sigma_star, rp: float) -> MultiplierRecovery:
@@ -234,7 +234,8 @@ def recover_multipliers(m: AlignedModel, sigma_star, rp: float) -> MultiplierRec
             f"the multiplier mu = {mu_star:.6g} that makes M PSD fails the KKT "
             f"conditions (composite residual {comp:.3e})"
         )
-    residuals["compl_slack_mu"] = abs(mu_star * slack) / (1.0 + abs(rp) + abs(ip))
+    # 0 at mu = 0, an infinite budget included
+    residuals["compl_slack_mu"] = mu_star and abs(mu_star * slack) / (1.0 + abs(rp) + abs(ip))
     return MultiplierRecovery(mu=float(mu_star), m_matrix=linalg.eig_clip(m_mat, 0.0, np.inf),
                               residuals=residuals)
 
@@ -255,7 +256,7 @@ def enhance(m: AlignedModel, sigma_star, mu: float, m_matrix) -> np.ndarray:
     sigma = ConditionalCov.for_model(m, sigma_star).value
     m_matrix = linalg.check_symmetric(m_matrix, "M")
     _check_mu(mu)
-    m_white = linalg.congruence(linalg.roots(m.sigma_x)[0], m_matrix)
+    m_white = linalg.congruence(m._roots[0], m_matrix)
     if not linalg.is_psd(m_white):
         raise NonPsdInput(f"M must be PSD (min eig of S M S = {linalg.min_eig(m_white):.3e})")
     inv_y = linalg.inv_pd(sigma + m.sigma_wy, "sigma + sigma_wy")
@@ -293,14 +294,14 @@ def change_of_variable(m: AlignedModel, wy_tilde, sigma_star, mu: float) -> Chan
             "enhanced noise must lie strictly below sigma_wz "
             f"(min eig of gap = {linalg.min_eig(gap):.3e})"
         )
-    inv_wz = linalg.inv_pd(m.sigma_wz, "sigma_wz")
+    inv_wz, inv_xz = m._inverses
     k_yx = gap @ inv_wz
     sv_min = float(np.linalg.svd(k_yx, compute_uv=False)[-1])
     if sv_min <= K_SMALLEST_SV:
         raise CertificateError(
             f"regression coefficient is numerically singular (sv_min = {sv_min:.3e})"
         )
-    k_xz = m.sigma_x @ linalg.inv_pd(m.sigma_x + m.sigma_wz, "sigma_z")
+    k_xz = m.sigma_x @ inv_xz
     return ChangeOfVariable(
         sigma_xz=linalg.symmetrize(m.sigma_x - k_xz @ m.sigma_x),
         sigma_xuz=linalg.inv_pd(linalg.inv_pd(sigma, "sigma_star") + inv_wz,
@@ -324,7 +325,7 @@ def _compute_residuals(m, sigma, mu, m_matrix, wy_tilde, rp):
     residuals = {
         "stationarity": linalg.rel_residual(stat_lhs - stat_rhs, stat_lhs, stat_rhs),
         "compl_slack_M": linalg.rel_residual(m_matrix @ diff, m_matrix, diff),
-        "compl_slack_mu": abs(mu * (rp - pair.rp)) / (1.0 + abs(rp) + abs(pair.rp)),
+        "compl_slack_mu": mu and abs(mu * (rp - pair.rp)) / (1.0 + abs(rp) + abs(pair.rp)),
         "order_wy": (linalg.psd_violation(m.sigma_wy - wy_tilde)
                      + linalg.psd_violation(wy_tilde))
                     / (1.0 + linalg.frob(m.sigma_wy) + linalg.frob(wy_tilde)),

@@ -12,12 +12,16 @@ Two model kinds describe the correlated Gaussian triple (X, Y, Z):
     covariances.  A general model whose B and E have full column rank
     reduces to an aligned one without changing the achievable rate region.
 
-All model objects are immutable after construction (arrays are frozen), so
-they are safe to share across threads.
+All model objects are immutable (each array is a read-only view of a
+read-only copy, and a copied or unpickled one is rebuilt by its constructor),
+so they are safe to share across threads, are validated once, by their
+constructor, and cache read-only on first use what they derive from their
+own arrays: the roots of ``sigma_x``, ``whiten``'s frame, log-dets, inverses.
 """
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -38,13 +42,31 @@ COND_COV_MIN_EIG = 1e-10
 
 
 def _frozen(a):
+    """A read-only view of a read-only float copy of ``a``."""
     arr = np.array(a, dtype=float)
     arr.setflags(write=False)
-    return arr
+    return arr.view()
+
+
+class _Source:
+    """What both model kinds share: copies rebuilt through the constructor,
+    and the cached constants of ``sigma_x``."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+    @cached_property
+    def _roots(self):
+        """``linalg.roots(sigma_x)``: ``sigma_x^1/2`` and ``sigma_x^-1/2``."""
+        return tuple(map(_frozen, linalg.roots(self.sigma_x)))
+
+    @cached_property
+    def _sigma_x_sym(self):
+        return _frozen(linalg.symmetrize(self.sigma_x))
 
 
 @dataclass(frozen=True)
-class GeneralModel:
+class GeneralModel(_Source):
     """Source covariance plus observation matrices for Y and Z.
 
     Parameters
@@ -65,7 +87,7 @@ class GeneralModel:
         object.__setattr__(self, "sigma_x", _frozen(self.sigma_x))
         object.__setattr__(self, "b", _frozen(np.atleast_2d(self.b)))
         object.__setattr__(self, "e", _frozen(np.atleast_2d(self.e)))
-        validate_model(self)
+        object.__setattr__(validate_model(self), "_valid", True)
 
     @property
     def mx(self):
@@ -81,7 +103,7 @@ class GeneralModel:
 
 
 @dataclass(frozen=True)
-class AlignedModel:
+class AlignedModel(_Source):
     """Aligned source model: Y = X + W_y, Z = X + W_z.
 
     All three covariances are m x m and strictly positive definite.
@@ -95,11 +117,31 @@ class AlignedModel:
         object.__setattr__(self, "sigma_x", _frozen(self.sigma_x))
         object.__setattr__(self, "sigma_wy", _frozen(self.sigma_wy))
         object.__setattr__(self, "sigma_wz", _frozen(self.sigma_wz))
-        validate_model(self)
+        object.__setattr__(validate_model(self), "_valid", True)
 
     @property
     def mx(self):
         return self.sigma_x.shape[0]
+
+    @cached_property
+    def _white(self):
+        """``whiten``'s frame."""
+        s_half, s_half_inv = self._roots
+        noise = (linalg.congruence(s_half_inv, w) for w in (self.sigma_wy, self.sigma_wz))
+        return AlignedModel(np.eye(self.mx), *noise), s_half, s_half_inv
+
+    @cached_property
+    def _logdets(self):
+        """``log|sigma_x|``, ``log|sigma_x + sigma_wz|`` and ``log|sigma_x +
+        sigma_wy|``, in the order of ``rates._chol_terms``."""
+        return tuple(linalg.logdet_pd(self.sigma_x + w)
+                     for w in (0.0, self.sigma_wz, self.sigma_wy))
+
+    @cached_property
+    def _inverses(self):
+        """``sigma_wz^-1`` and ``(sigma_x + sigma_wz)^-1``."""
+        return (_frozen(linalg.inv_pd(self.sigma_wz, "sigma_wz")),
+                _frozen(linalg.inv_pd(self.sigma_x + self.sigma_wz, "sigma_z")))
 
 
 @dataclass(frozen=True)
@@ -119,6 +161,9 @@ class ConditionalCov:
     def __post_init__(self):
         object.__setattr__(self, "value", _frozen(self.value))
 
+    def __reduce__(self):
+        return ConditionalCov, (self.value,)
+
     @classmethod
     def for_model(cls, model, value):
         """Validate ``value`` against ``model.sigma_x`` and wrap it.
@@ -137,15 +182,15 @@ class ConditionalCov:
                 f"conditional covariance shape {value.shape} does not match "
                 f"source covariance shape {model.sigma_x.shape}"
             )
-        if np.array_equal(value, linalg.symmetrize(model.sigma_x)):
+        if np.array_equal(value, model._sigma_x_sym):
             return cls(value)
-        phis = linalg.gen_eig_pencil(value, model.sigma_x)
+        phis = np.linalg.eigvalsh(linalg.congruence(model._roots[1], value))[::-1]
         if not phis[-1] > COND_COV_MIN_EIG:
             raise InvalidConditionalCov(
                 "conditional covariance is not strictly positive definite "
                 f"relative to sigma_x (least pencil eigenvalue = {phis[-1]:.3e})"
             )
-        if not linalg.is_psd(np.diag(1.0 - phis)):
+        if not (1.0 - phis).min() >= -linalg.PSD_RTOL * (1.0 + np.abs(1.0 - phis).max()):
             raise InvalidConditionalCov(
                 "conditional covariance exceeds the source covariance "
                 f"(largest pencil eigenvalue = {phis[0]:.3e})"
@@ -203,8 +248,11 @@ def validate_model(m):
 
     Raises ``NotPositiveDefinite`` (naming the offending matrix),
     ``DimensionMismatch``, ``AsymmetricInput`` or ``ModelValidationError``
-    (a non-finite entry); ``linalg`` has the scale-relative tests.
+    (a non-finite entry); ``linalg`` has the scale-relative tests.  A model
+    that its constructor validated is returned at once.
     """
+    if getattr(m, "_valid", False):
+        return m
     if isinstance(m, GeneralModel):
         sigma_x = linalg.check_symmetric(m.sigma_x, "sigma_x")
         linalg.require_pd(sigma_x, "sigma_x")
@@ -273,10 +321,8 @@ def to_general(m) -> GeneralModel:
 def whiten(m: AlignedModel):
     """The aligned route's one frame: ``(I, S^-1 sigma_wy S^-1, S^-1
     sigma_wz S^-1)``, ``S = sigma_x^1/2``, whose ``A`` has the rates of ``S A
-    S`` in ``m``; with ``S`` and ``S^-1``."""
-    s_half, s_half_inv = linalg.roots(m.sigma_x)
-    noise = (linalg.congruence(s_half_inv, w) for w in (m.sigma_wy, m.sigma_wz))
-    return AlignedModel(np.eye(m.mx), *noise), s_half, s_half_inv
+    S`` in ``m``; with ``S`` and ``S^-1``.  Computed once per model."""
+    return m._white
 
 
 def _square_embed(mat, mx):
@@ -330,7 +376,7 @@ def gen_eigs(m: GeneralModel) -> GenEigResult:
     All values are positive; ``rho`` counts those above 1.
     """
     validate_model(m)
-    s_half = linalg.roots(m.sigma_x)[0]
+    s_half = m._roots[0]
     eye = np.eye(m.mx)
     a = s_half @ (m.b.T @ m.b) @ s_half + eye
     c = s_half @ (m.e.T @ m.e) @ s_half + eye

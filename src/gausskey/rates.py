@@ -117,9 +117,12 @@ def rates_general(m: GeneralModel, q) -> RatePair:
 
 
 def _rates_with_y_noise(m: AlignedModel, wy, q) -> RatePair:
-    gx = _hgap(m.sigma_x, q, "sigma_x terms")
-    gy = _hgap(m.sigma_x + wy, q + wy, "Y terms")
-    gz = _hgap(m.sigma_x + m.sigma_wz, q + m.sigma_wz, "Z terms")
+    ld_x, ld_z, ld_y = m._logdets
+    if wy is not m.sigma_wy:
+        ld_y = linalg.logdet_pd(m.sigma_x + wy, "Y terms")
+    gx = 0.5 * (ld_x - linalg.logdet_pd(q, "sigma_x terms"))
+    gy = 0.5 * (ld_y - linalg.logdet_pd(q + wy, "Y terms"))
+    gz = 0.5 * (ld_z - linalg.logdet_pd(q + m.sigma_wz, "Z terms"))
     return RatePair(rp=gx - gy, rk=gy - gz)
 
 

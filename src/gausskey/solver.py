@@ -1092,11 +1092,13 @@ def sweep_boundary(m: GeneralModel, rp_grid, st_resolution: int = 200) -> Region
 # slice matches the per-matrix helpers bit for bit, so stacked loops decide as
 # per-point ones.
 
-# Step sizes that the face polish's line search tests per stacked evaluation.
-# The polish stops at the damping floor 2^-8, its ``POLISH_HALVINGS``-th trial:
-# at 2^-7, a first step from the commuting-part optimum of ``bench_mx4_key2006``
-# at rp 4 found no lower residual, where 2^-8 starts a walk that crosses to the
-# face of the optimum (see ``_polish_face``).  Each halving below the floor lets
+# Step sizes that the face polish's line search tests per stacked evaluation
+# after the full step, which it tests alone: 293 of the 369 steps that the
+# benchmark's 36 solves take are full ones.  The polish stops at the damping
+# floor 2^-8, its ``POLISH_HALVINGS``-th trial: at 2^-7, a first step from the
+# commuting-part optimum of ``bench_mx4_key2006`` at rp 4 found no lower
+# residual, where 2^-8 starts a walk that crosses to the face of the optimum
+# (see ``_polish_face``).  Each halving below the floor lets
 # walks that lead nowhere go on: at rates 8 and 12 on the probe's 52 models off
 # the corpus, the polish evaluates 37,204, 45,114 and 51,776 residual rows with
 # the floor at 2^-7, 2^-8 and 2^-9.
@@ -1206,7 +1208,7 @@ def _pga_penalty(m, rp, q0, max_iter):
     when none passes, when a trial barely moves, when its gradient vanishes
     or after ``max_iter`` steps.  Returns ``(q, pair, iterations)`` per
     start, counting the ascent iterations it took."""
-    ld_full = np.array([linalg.logdet_pd(m.sigma_x + w) for w in (0.0, m.sigma_wz, m.sigma_wy)])
+    ld_full = np.array(m._logdets)
     rho = _penalty_weight(m)
 
     def objective(q):
@@ -1241,42 +1243,58 @@ def _pga_penalty(m, rp, q0, max_iter):
     return runs
 
 
-def _skew_generators(n, n_active, thetas):
-    """Block-off-diagonal skew generators, one per row of ``thetas``, that
-    mix the first ``n_active`` of ``n`` directions with the rest."""
-    rows = np.repeat(np.arange(n_active), n - n_active)
-    cols = np.tile(np.arange(n_active, n), n_active)
-    gen = np.zeros((len(thetas), n, n))
-    gen[:, rows, cols] = thetas
-    gen[:, cols, rows] = -thetas
-    return gen
-
-
 class _FaceSystem:
     """The first-order system of ``_polish_face`` on one active face of a
     whitened model (``sigma_x = I``), for stacks of points.  ``u0`` holds
     eigendirections, largest first; the top ``n_active`` are pinned to the
     source covariance.  A point holds the free-block coordinates (in
     ``_basis(n_free)``), the angles of the rotation mixing active and free
-    directions and log mu.
+    directions and log mu.  The chart's rotation at the angles' generator
+    ``G`` is the top left block of ``exp`` at the first unit generator, whose
+    top right block is the Jacobian's first Frechet block.
     """
 
     def __init__(self, m, rp, u0, n_active):
         self.m, self.rp, self.u0, self.n_active = m, rp, u0, n_active
-        self.basis_f = _basis(m.mx - n_active)
+        n = m.mx
+        self.basis_f = _basis(n - n_active)
         self.n_qf = len(self.basis_f)
-        self.n_rot = n_active * (m.mx - n_active)
-        self.ld_xy = linalg.logdet_pd(m.sigma_x + m.sigma_wy)
+        self.n_rot = n_active * (n - n_active)
+        self.ld_xy = m._logdets[2]
+        self.gen_at = (np.repeat(np.arange(n_active), n - n_active),
+                       np.tile(np.arange(n_active, n), n_active))
+        self.units = self.skew(np.eye(self.n_rot))
 
-    def build(self, xs, rotations=None):
+    def skew(self, thetas):
+        """Block-off-diagonal skew generators, one per row of ``thetas``, that
+        mix the active directions with the free ones."""
+        rows, cols = self.gen_at
+        gen = np.zeros((len(thetas), self.m.mx, self.m.mx))
+        gen[:, rows, cols] = thetas
+        gen[:, cols, rows] = -thetas
+        return gen
+
+    def exp(self, xs, units):
+        """``expm([[G, E], [0, G]])`` for the points' generators ``G`` and unit
+        generators ``E``, paired by broadcasting: ``e^G`` on the top left, the
+        Frechet derivative of ``expm`` at ``G`` in ``E`` on the top right
+        (Al-Mohy & Higham 2009)."""
+        n = self.m.mx
+        gens = self.skew(xs[:, self.n_qf:-1])
+        block = np.zeros(np.broadcast_shapes(gens.shape, units.shape)[:1] + (2 * n, 2 * n))
+        block[:, :n, :n] = block[:, n:, n:] = gens
+        block[:, :n, n:] = units
+        return sla.expm(block)
+
+    def build(self, xs, big=None):
         """Conditional covariances, multipliers, rotated bases, free blocks;
-        ``rotations``, when given, are the ``expm`` of the points' angles."""
-        n_qf, n_rot, na = self.n_qf, self.n_rot, self.n_active
+        ``big``, when given, is the points' ``exp`` at the first unit
+        generator, whose top left blocks rotate the chart."""
+        n_qf, n_rot, na, n = self.n_qf, self.n_rot, self.n_active, self.m.mx
         q_f = np.einsum("pk,kab->pab", xs[:, :n_qf], self.basis_f)
         if n_rot:
-            if rotations is None:
-                rotations = sla.expm(_skew_generators(self.m.mx, na, xs[:, n_qf:-1]))
-            u = self.u0 @ rotations
+            big = self.exp(xs, self.units[:1]) if big is None else big
+            u = self.u0 @ big[:, :n, :n]
         else:
             u = np.broadcast_to(self.u0, (len(xs),) + self.u0.shape)
         u_a, u_f = u[:, :, :na], u[:, :, na:]
@@ -1297,16 +1315,22 @@ class _FaceSystem:
         ``_pga_penalty``).  The whole ``Q`` is tested, not its free block:
         the ``expm`` of angles of order 1e14, which a Newton step can
         reach, is far from orthogonal.  An invalid point's row is NaN.
+        ``kept[i]`` holds what ``jacobian`` needs of ``xs[i]``, None when invalid.
         """
-        sigma, mu, u, _ = self.build(xs)
+        big = self.exp(xs, self.units[:1]) if self.n_rot else None
+        sigma, mu, u, q_f = self.build(xs, big)
         w = np.linalg.eigvalsh(sigma)
         valid = (w[:, 0] > COND_COV_MIN_EIG) & (w[:, -1] <= 1.0 + FACE_EXCURSION)
         rows = np.full((len(xs), self.n_qf + self.n_rot + 1), np.nan)
+        self.kept = [None] * len(xs)
         if not valid.any():
             return rows, valid
         lower = _chol_terms(self.m, sigma[valid])
-        m_w = kkt.stationarity_stack(linalg.inv_chol(lower), mu[valid])
+        inv = linalg.inv_chol(lower)
+        m_w = kkt.stationarity_stack(inv, mu[valid])
         u = u[valid]  # views of it give each slice the strides of a 2-D basis
+        for j, i in enumerate(np.flatnonzero(valid)):
+            self.kept[i] = (xs[i], None if big is None else big[i], u[j], inv[j], mu[i], q_f[i])
         u_a, u_f = u[:, :, :self.n_active], u[:, :, self.n_active:]
         u_ft = np.swapaxes(u_f, -1, -2)
         parts = [np.einsum("kab,pab->kp", u_ft @ m_w @ u_f, self.basis_f)]
@@ -1318,30 +1342,27 @@ class _FaceSystem:
         rows[valid] = np.concatenate(parts, axis=1)
         return rows, valid
 
-    def jacobian(self, x):
-        """The Jacobian of ``residuals`` at one valid point ``x``, in closed
-        form in the same chart at ``u0``.  In the rotated basis ``U``, where
-        ``U^T Q U = D = diag(I, q_f)`` and ``N = U^T M U``, a free coordinate
-        moves ``D`` by its basis matrix on the free block, and an angle by
-        ``F = K D - D K`` with ``K = e^{G^T} L``, ``L`` the Frechet derivative
-        of ``expm`` at the generator ``G`` in the angle's direction ``E``:
-        the top right block of ``expm([[G, E], [0, G]])`` (Al-Mohy & Higham
-        2009), one stacked call for every angle.  A move ``F`` changes ``N``
-        by ``-M(mu)`` of ``(P F P, Z F Z, Y F Y)``, the rotated inverses of
-        ``Q``, ``Q + sigma_wz`` and ``Q + sigma_wy`` (plus ``N K - K N`` for an
-        angle) and ``I_p`` by ``tr((Y - P) F) / 2``; log mu changes ``N`` by
-        ``mu (P - Y)``."""
+    def jacobian(self, kept):
+        """The Jacobian of ``residuals`` at a valid point, from the factors
+        that the call which evaluated it kept for it (``kept``), in closed
+        form in the same chart at ``u0``; it factors nothing.  In the rotated
+        basis ``U``, where ``U^T Q U = D = diag(I, q_f)`` and ``N = U^T M U``,
+        a free coordinate moves ``D`` by its basis matrix on the free block,
+        and an angle by ``F = K D - D K`` with ``K = e^{G^T} L``, ``L`` the
+        Frechet derivative of ``expm`` at the generator ``G`` in the angle's
+        direction ``E`` and ``e^G`` the top left block of the same ``exp``,
+        one stacked call for every angle but the first, whose call ``kept``
+        holds.  A move ``F`` changes ``N`` by ``-M(mu)`` of ``(P F P, Z F Z,
+        Y F Y)``, the rotated inverses of ``Q``, ``Q + sigma_wz`` and ``Q +
+        sigma_wy`` (plus ``N K - K N`` for an angle) and ``I_p`` by ``tr((Y -
+        P) F) / 2``; log mu changes ``N`` by ``mu (P - Y)``."""
         n_qf, n_rot, na, n = self.n_qf, self.n_rot, self.n_active, self.m.mx
-        if n_rot:
-            block = np.zeros((n_rot, 2 * n, 2 * n))
-            block[:, :n, :n] = block[:, n:, n:] = _skew_generators(n, na, x[None, n_qf:-1])
-            block[:, :n, n:] = _skew_generators(n, na, np.eye(n_rot))
-            big = sla.expm(block)
-        (sigma,), (mu,), (u,), (q_f,) = self.build(x[None], big[:1, :n, :n] if n_rot else None)
-        inv = u.T @ linalg.inv_chol(_chol_terms(self.m, sigma[None]))[0] @ u
+        x, big, u, inv, mu, q_f = kept
+        inv = u.T @ inv @ u
         f = np.zeros((n_qf + n_rot, n, n))
         f[:n_qf, na:, na:] = self.basis_f
         if n_rot:
+            big = np.concatenate((big[None], self.exp(x[None], self.units[1:])))
             k = np.swapaxes(big[:, :n, :n], -1, -2) @ big[:, :n, n:]
             d = np.eye(n)
             d[na:, na:] = q_f
@@ -1371,13 +1392,14 @@ def _polish_face(m, rp, q_hat, mu_hint, n_active):
     equality (see ``_FaceSystem``).
 
     A Newton step takes the closed-form Jacobian at its point
-    (``_FaceSystem.jacobian``, in the fixed chart at ``u0``) and one to
-    three stacked residual evaluations.  The line search takes the first valid
+    (``_FaceSystem.jacobian``, in the fixed chart at ``u0``), on the
+    factors that the point's own residual evaluation kept, and one to three
+    stacked residual evaluations.  The line search takes the first valid
     one of the halvings ``x + 0.5^j step``, ``j < POLISH_HALVINGS``, that
     lowers the max-norm residual (halving is exact, so these are a
-    sequential search's trials), ``HALVINGS_PER_STACK`` per stacked
-    evaluation; when none does, the polish stops, as it does after 80 steps
-    or below 1e-12.
+    sequential search's trials): the full step alone, then
+    ``HALVINGS_PER_STACK`` per stacked evaluation; when none does, the
+    polish stops, as it does after 80 steps or below 1e-12.
 
     A step that lifts a free eigenvalue above 1 has left the interval
     through a free direction, which belongs to the face: at the optimum each
@@ -1405,20 +1427,20 @@ def _polish_face(m, rp, q_hat, mu_hint, n_active):
     rows, valid = face.residuals(x[None])
     if not valid[0]:
         return None
-    r = rows[0]
+    r, kept = rows[0], face.kept[0]
     halvings = 0.5 ** np.arange(POLISH_HALVINGS)[:, None]
     for _ in range(80):
         rnorm = float(np.max(np.abs(r)))
         if rnorm < 1e-12:
             break
-        jac = face.jacobian(x)
+        jac = face.jacobian(kept)
         try:
             step = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:
             step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         trials = x + halvings * step
-        for lo in range(0, POLISH_HALVINGS, HALVINGS_PER_STACK):
-            rows, valid = face.residuals(trials[lo:lo + HALVINGS_PER_STACK])
+        for lo in (0, *range(1, POLISH_HALVINGS, HALVINGS_PER_STACK)):
+            rows, valid = face.residuals(trials[lo:lo + HALVINGS_PER_STACK if lo else 1])
             better = np.flatnonzero(valid & (np.max(np.abs(rows), axis=1) < rnorm))
             if better.size:
                 break
@@ -1428,7 +1450,7 @@ def _polish_face(m, rp, q_hat, mu_hint, n_active):
         if np.linalg.eigvalsh(np.tensordot(x_new[:face.n_qf], face.basis_f, 1))[-1] > 1.0:
             (sigma,), (mu,), _, _ = face.build(x[None])
             return _polish_face(m, rp, sigma, float(mu), n_active + 1)
-        x, r = x_new, rows[better[0]]
+        x, r, kept = x_new, rows[better[0]], face.kept[better[0]]
     return face.build(x[None])[0][0]
 
 

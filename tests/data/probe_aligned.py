@@ -25,9 +25,11 @@ the bytes of the certificate itself: ``mu``, the ten residuals in the order
 of ``kkt.RESIDUAL_KEYS``, ``wy_tilde`` and ``m_matrix``, as ``cpu_s`` the
 process CPU seconds of the point's solve and certificate, as
 ``iterations`` the solve's ascent iterations (0 when it ran no ascent), as
-``polish_calls`` and ``residual_rows`` the calls of ``solver._polish_face``
-(a polish that moves to the next face calls it once more) and the rows
-``solver._FaceSystem.residuals`` evaluated, and as ``ascent_calls``,
+``polish_calls``, ``residual_rows`` and ``jacobian_calls`` the calls of
+``solver._polish_face`` (a polish that moves to the next face calls it once
+more), the rows ``solver._FaceSystem.residuals`` evaluated and the calls of
+``solver._FaceSystem.jacobian`` (one per Newton iterate, each on the factors
+its point's residual evaluation kept), and as ``ascent_calls``,
 ``ascent_matrices`` and ``ascent_cpu_s`` the ascent's calls of
 ``solver._rates_stack``, the matrices they evaluated and the process CPU
 seconds spent inside ``solver._pga_penalty``.  CPU seconds are noisy on a
@@ -58,9 +60,9 @@ certificate outcome on both trees), how many points are certified now
 and in the file, how many points have ``converged != (kkt_residual <=
 kkt.ACCEPT_COMPOSITE)`` (listing each: that multiplier test alone decides
 ``converged``), and the run's cost beside the file's: the summed
-``cpu_s``, how many solves ran the ascent, the summed polish calls and
-residual rows, and the ascent's summed calls, matrices and CPU seconds,
-listing each point solved on both runs whose solve ran the ascent on one
+``cpu_s``, how many solves ran the ascent, the summed polish calls,
+residual rows and Jacobians, and the ascent's summed calls, matrices and
+CPU seconds, listing each point solved on both runs whose solve ran the ascent on one
 run only (a figure the file did not record reads "not
 recorded", and a file without ``iterations`` lists none; ``--save`` prints
 the run's certified points, its points that test disagrees with and its
@@ -185,10 +187,11 @@ def record(m, rp, mode=None, c=1.0):
     }
 
 
-# face-polish calls and residual rows, and the ascent's rate evaluations,
-# matrices and CPU seconds, since the start of the run
+# face-polish calls, residual rows and Jacobians, and the ascent's rate
+# evaluations, matrices and CPU seconds, since the start of the run
 COUNTS = Counter()
-COUNTED = ("polish_calls", "residual_rows", "ascent_calls", "ascent_matrices", "ascent_cpu_s")
+COUNTED = ("polish_calls", "residual_rows", "jacobian_calls", "ascent_calls",
+           "ascent_matrices", "ascent_cpu_s")
 
 # what the current solve ran: how many commuting-part optima it polished
 # (the ``_polished`` calls made outside ``_polish_end``, which only the
@@ -216,13 +219,14 @@ def _entry(n_active, factor, g):
 
 
 def count_the_work():
-    """Make ``solver._polish_face``, ``solver._FaceSystem.residuals``,
-    ``solver._rates_stack`` (which only the ascent calls) and
+    """Make ``solver._polish_face``, ``solver._FaceSystem.residuals`` and
+    ``jacobian``, ``solver._rates_stack`` (which only the ascent calls) and
     ``solver._pga_penalty`` add their calls, rows, matrices and CPU seconds
     to ``COUNTS``, and ``solver._homotopy``, ``solver._polish_end`` and its
     ``solver._face_schedule`` and ``solver._polished`` calls note in
     ``TRACE`` what decided the solve."""
     polish, residuals = solver._polish_face, solver._FaceSystem.residuals
+    jacobian = solver._FaceSystem.jacobian
     rates, ascent = solver._rates_stack, solver._pga_penalty
     homotopy = solver._homotopy
     polish_end, polished, schedule = solver._polish_end, solver._polished, solver._face_schedule
@@ -234,6 +238,10 @@ def count_the_work():
     def counted_rows(face, xs):
         COUNTS["residual_rows"] += len(xs)
         return residuals(face, xs)
+
+    def counted_jacobian(face, *args):
+        COUNTS["jacobian_calls"] += 1
+        return jacobian(face, *args)
 
     def counted_rates(m, sigma, ld_full):
         COUNTS["ascent_calls"] += 1
@@ -279,6 +287,7 @@ def count_the_work():
 
     solver._polish_face = counted_polish
     solver._FaceSystem.residuals = counted_rows
+    solver._FaceSystem.jacobian = counted_jacobian
     solver._rates_stack = counted_rates
     solver._pga_penalty = timed_ascent
     solver._homotopy = traced_homotopy
@@ -311,9 +320,9 @@ COST_KEYS = ("cert", "cpu_s", "iterations", "route", "entry_tries", "entry_passe
 
 def cost_figures(run):
     """``(name, figure)`` of the run's cost: its summed CPU seconds, how many
-    of its solves ran the ascent, its summed polish calls and residual rows,
-    and the ascent's summed rate evaluations, matrices and CPU seconds, each
-    "not recorded" when the run lacks the field."""
+    of its solves ran the ascent, its summed polish calls, residual rows and
+    Jacobians, and the ascent's summed rate evaluations, matrices and CPU
+    seconds, each "not recorded" when the run lacks the field."""
     recs = list(run.values())
     solved = [rec for rec in recs if "value" in rec]
 
@@ -326,6 +335,7 @@ def cost_figures(run):
             ("solves that ran the ascent", total("iterations", solved, lambda it: it > 0)),
             ("face polish calls", total("polish_calls", recs)),
             ("residual rows", total("residual_rows", recs)),
+            ("Jacobians", total("jacobian_calls", recs)),
             ("ascent rate calls", total("ascent_calls", recs)),
             ("ascent matrices", total("ascent_matrices", recs)),
             ("ascent CPU seconds", total("ascent_cpu_s", recs, spec=".2f"))]

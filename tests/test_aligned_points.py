@@ -727,7 +727,10 @@ def test_face_polish_calls_on_the_benchmark_points(monkeypatch):
     # evaluations and 1 homotopy run once a step that lifts a free
     # eigenvalue above 1 moves the polish to the next face; 67 calls,
     # 1,785 rows in 498 evaluations once the schedule dropped ``g + 1`` at
-    # the factor 2.  A move to the next face calls ``_polish_face`` again,
+    # the factor 2; 932 rows in 578 evaluations once the line search tried
+    # the full step alone before its stacks of four, with 393 Jacobians,
+    # each on the factors of its point's residual evaluation.  A move to
+    # the next face calls ``_polish_face`` again,
     # from inside the polish, so it counts as one more call
     calls = []
     rows = []
@@ -931,8 +934,39 @@ def test_face_jacobian_matches_central_differences(mx):
             rows, valid = face.residuals(np.concatenate((x + np.diag(h), x - np.diag(h))))
             assert valid.all()
             want = ((rows[:nx] - rows[nx:]) / (2.0 * h)[:, None]).T
-            got = face.jacobian(x)
+            face.residuals(x[None])
+            got = face.jacobian(face.kept[0])
             assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("mx", range(2, 7))
+def test_kept_factors_give_the_fresh_jacobian(mx):
+    # the polish takes each Jacobian from the factors that the line search's
+    # stacked residual call kept for the accepted trial: for every face and
+    # stacks of 1, 4 and 30 trials they give the Jacobian of one single-point
+    # evaluation bit for bit, and the residual rows match too
+    rng = rng_for(9200 + mx)
+    m = AlignedModel(*(random_spd(rng, mx) for _ in range(3)))
+    white, _, s_half_inv = whiten(m)
+    q_hat = linalg.congruence(s_half_inv, random_conditional(rng, m.sigma_x))
+    w, u0 = np.linalg.eigh(q_hat)
+    u0 = u0[:, np.argsort(w)[::-1]]
+    for n_active in range(mx):
+        face = solver._FaceSystem(white, 1.0, u0, n_active)
+        nx = face.n_qf + face.n_rot + 1
+        x0 = np.zeros(nx)
+        x0[:face.n_qf] = [0.5 * float(s.sum() == 1.0) for s in face.basis_f]
+        x0[-1] = math.log(0.7)
+        for size in (1, 4, 30):
+            trials = x0 + 0.05 * rng.standard_normal((size, nx))
+            rows, valid = face.residuals(trials)
+            kept = face.kept
+            assert valid.all()
+            for x, row, factors in zip(trials, rows, kept):
+                single, _ = face.residuals(x[None])
+                assert row.tobytes() == single[0].tobytes()
+                assert (face.jacobian(factors).tobytes()
+                        == face.jacobian(face.kept[0]).tobytes())
 
 
 def test_stacked_expm_matches_per_matrix_calls():
@@ -1105,7 +1139,8 @@ def _reference_polish_face(m, rp, q_hat, mu_hint, n_active, n_halvings=30, pin=T
         rnorm = float(np.max(np.abs(r)))
         if rnorm < 1e-12:
             break
-        jac = face.jacobian(x)
+        face.residuals(x[None])
+        jac = face.jacobian(face.kept[0])
         try:
             step = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:

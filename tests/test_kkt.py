@@ -579,6 +579,27 @@ def test_verify_certificate_reports_no_nan(scalar_aligned):
     assert residuals["compl_slack_mu"] == math.inf
 
 
+@pytest.mark.parametrize("m", [
+    AlignedModel(2.0 * np.eye(2), np.diag([1.0, 3.0]), np.diag([2.0, 1.0])),
+    AlignedModel(np.eye(2), np.diag([2.0, 3.0]), np.diag([1.0, 0.5])),  # no key rate
+], ids=["keyed", "keyless"])
+def test_an_infinite_budget_is_slack(m):
+    # rate_is_slack(inf, ip) reduced to inf > inf: the solve at inf gated at
+    # a multiplier near 1e-9 and came back converged where 1e300 does not,
+    # and the certificate's compl_slack_mu at mu = 0 was 0 * inf = NaN
+    assert kkt.rate_is_slack(math.inf, rates_aligned(m, 0.5 * m.sigma_x).rp)
+    big, inf = solve_at_rate(m, 1e300), solve_at_rate(m, math.inf)
+    assert (inf.converged, inf.kkt_residual, inf.value) == (
+        big.converged, big.kkt_residual, big.value)
+    for rp in (1e300, math.inf):
+        try:
+            cert = certify(m, inf.optimum, rp)
+        except NoValidMultiplier:
+            continue
+        assert cert.mu == 0.0 and cert.residuals["compl_slack_mu"] == 0.0
+        assert cert.max_residual < 1e-6
+
+
 @pytest.mark.parametrize("rp", [-1.0, math.nan])
 def test_a_budget_that_is_not_nonnegative_is_refused(rp):
     # at Q = sigma_x the certificate came back with rp = -1 (mu 1.2127, max

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -34,8 +37,16 @@ from gausskey.errors import (
     NotPositiveDefinite,
     SolverFailure,
 )
+from gausskey.models import whiten
 
-from conftest import ill_conditioned_aligned, random_conditional, random_spd, rng_for
+from conftest import (
+    ill_conditioned_aligned,
+    random_aligned,
+    random_conditional,
+    random_general,
+    random_spd,
+    rng_for,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +105,79 @@ def test_non_finite_entries_are_refused(kind, field, value):
 def test_models_are_immutable(degraded_demo):
     with pytest.raises(ValueError):
         degraded_demo.sigma_x[0, 0] = 5.0
+
+
+@pytest.mark.parametrize("kind", ["general", "aligned", "conditional"])
+def test_frozen_arrays_cannot_be_made_writable(kind):
+    # each array was a read-only array that owned its data, so
+    # setflags(write=True) succeeded and a validated model could be mutated
+    rng = rng_for(7100)
+    obj = {"general": lambda: random_general(rng, 2),
+           "aligned": lambda: random_aligned(rng, 2),
+           "conditional": lambda: ConditionalCov(np.eye(2))}[kind]()
+    for f in dataclasses.fields(obj):
+        arr = getattr(obj, f.name)
+        with pytest.raises(ValueError):
+            arr.setflags(write=True)
+        with pytest.raises(ValueError):
+            arr[0, 0] = -5.0
+
+
+@pytest.mark.parametrize("copy_of", [copy.copy, copy.deepcopy,
+                                     lambda obj: pickle.loads(pickle.dumps(obj))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_copies_are_rebuilt_through_the_constructor(copy_of):
+    # an unpickled model came back with writable arrays, and without running
+    # __post_init__; it would also have carried the original's caches
+    rng = rng_for(7101)
+    m = random_aligned(rng, 3)
+    whiten(m)
+    for obj in (m, random_general(rng, 2), ConditionalCov(np.eye(2))):
+        twin = copy_of(obj)
+        assert type(twin) is type(obj)
+        for f in dataclasses.fields(obj):
+            assert np.array_equal(getattr(twin, f.name), getattr(obj, f.name))
+            assert not getattr(twin, f.name).flags.writeable
+        assert "_white" not in vars(twin)
+    bad = copy.copy(m)
+    object.__setattr__(bad, "sigma_wz", -np.eye(3))
+    with pytest.raises(NotPositiveDefinite):
+        pickle.loads(pickle.dumps(bad))
+
+
+def test_cached_constants_match_fresh_computations():
+    rng = rng_for(7102)
+    for mx in (1, 2, 4):
+        m = random_aligned(rng, mx)
+        fresh = {
+            "_roots": linalg.roots(m.sigma_x),
+            "_sigma_x_sym": (linalg.symmetrize(m.sigma_x),),
+            "_logdets": tuple(linalg.logdet_pd(m.sigma_x + w)
+                              for w in (0.0, m.sigma_wz, m.sigma_wy)),
+            "_inverses": (linalg.inv_pd(m.sigma_wz), linalg.inv_pd(m.sigma_x + m.sigma_wz)),
+        }
+        for name, want in fresh.items():
+            got = getattr(m, name)
+            got = got if isinstance(got, tuple) else (got,)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+                assert not isinstance(a, np.ndarray) or not a.flags.writeable
+            assert getattr(m, name) is getattr(m, name)
+        s_half, s_half_inv = linalg.roots(m.sigma_x)
+        w, s, s_inv = whiten(m)
+        assert whiten(m) is whiten(m)
+        assert s.tobytes() == s_half.tobytes() and s_inv.tobytes() == s_half_inv.tobytes()
+        assert w.sigma_x.tobytes() == np.eye(mx).tobytes()
+        for got, noise in ((w.sigma_wy, m.sigma_wy), (w.sigma_wz, m.sigma_wz)):
+            assert got.tobytes() == linalg.congruence(s_half_inv, noise).tobytes()
+        assert not (s.flags.writeable or s_inv.flags.writeable)
+
+
+def test_a_constructed_model_is_validated_once(monkeypatch):
+    m = random_aligned(rng_for(7103), 2)
+    monkeypatch.setattr(linalg, "require_pd", lambda *args: pytest.fail("validated again"))
+    assert validate_model(m) is m
 
 
 def test_conditional_cov_gates(degraded_demo):
