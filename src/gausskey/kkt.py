@@ -36,6 +36,8 @@ mu = 0 the change of variables is undefined and its two residuals are
 reported as 0.0 (not applicable); otherwise ``k_invertibility`` is 0.0 when
 the change of variables passes its singular-value gate and infinite when it
 cannot be built.
+One test, ``multiplier_test``, decides whether a point is optimal: it gates
+every candidate of ``solver.solve_at_rate`` and opens every certificate.
 M's PSD is decided once, by ``recover_multipliers``, which returns its PSD
 projection; ``enhance`` tests a given M with ``linalg.is_psd`` on ``S M S``.
 """
@@ -198,45 +200,42 @@ def rate_is_slack(rp: float, ip: float) -> bool:
     return rp == np.inf or rp - ip > max(1e-7, 1e-6 * abs(rp))
 
 
+def multiplier_test(m: AlignedModel, sigma, rp: float, ip: float):
+    """``(composite, mu, M)``: the one optimality test of a validated point
+    ``sigma`` of public rate ``ip`` at the budget ``rp``.  mu is 0 when the
+    rate is slack (``rate_is_slack``: complementary slackness), else
+    ``closed_form_mu``, the smallest multiplier that makes M PSD and the only
+    admissible one (at a corner with a multiplier plateau, the extreme one,
+    where M is singular).  The point passes when the composite at that mu
+    (``multiplier_composite``) is at most ``ACCEPT_COMPOSITE``."""
+    mu = 0.0 if rate_is_slack(rp, ip) else closed_form_mu(m, sigma)
+    comp, m_mat = multiplier_composite(m, sigma, mu)
+    return comp, mu, m_mat
+
+
 def recover_multipliers(m: AlignedModel, sigma_star, rp: float) -> MultiplierRecovery:
-    """Recover KKT multipliers (mu, M) for a candidate boundary optimum.
+    """Recover KKT multipliers (mu, M) for a candidate boundary optimum by
+    ``multiplier_test``.
 
-    When the rate constraint is slack (I_p < rp), complementary slackness
-    forces mu = 0.  Otherwise mu is ``closed_form_mu``, the smallest
-    multiplier that makes M PSD (see there for why it is the only
-    admissible one); at a corner point with a multiplier plateau this is
-    the extreme multiplier, where M is singular.
-
-    Raises ``NoValidMultiplier`` when the composite residual at that
-    multiplier (PSD violation of M plus the complementarity norm) exceeds
-    ``ACCEPT_COMPOSITE``: the point is not optimal.  Otherwise M is returned
-    as its projection on the PSD cone, so this gate decides M's PSD once;
-    ``psd_M`` and ``compl_slack_M`` are the composite's parts, on M unprojected.
-    Raises ``ValueError`` for a budget ``rp`` that is not nonnegative (NaN
-    included), as ``solver.solve_at_rate`` does.
+    Raises ``NoValidMultiplier`` when the point fails the test: it is not
+    optimal.  Otherwise M is returned as its projection on the PSD cone, so
+    this gate decides M's PSD once; ``psd_M`` and ``compl_slack_M`` are the
+    composite's parts, on M unprojected.  Raises ``ValueError`` for a budget
+    ``rp`` that is not nonnegative (NaN included), as
+    ``solver.solve_at_rate`` does.
     """
     validate_model(m)
     _budget(rp)
     sigma = ConditionalCov.for_model(m, sigma_star).value
     ip = rates_aligned(m, sigma).rp
-    slack = rp - ip
-    rate_slack = rate_is_slack(rp, ip)
-    mu_star = 0.0 if rate_slack else closed_form_mu(m, sigma)
-    m_mat = stationarity_matrix(m, sigma, mu_star)
+    comp, mu, m_mat = multiplier_test(m, sigma, rp, ip)
+    if comp > ACCEPT_COMPOSITE:
+        raise NoValidMultiplier(f"the admissible multiplier mu = {mu:.6g} fails the KKT "
+                                f"conditions (composite residual {comp:.3e})")
     residuals = _composite_parts(m_mat, m.sigma_x - sigma)
-    if (comp := sum(residuals.values())) > ACCEPT_COMPOSITE:
-        if rate_slack:
-            raise NoValidMultiplier(
-                "rate constraint is slack so mu must vanish, but M(0) fails "
-                f"the KKT conditions (composite residual {comp:.3e})"
-            )
-        raise NoValidMultiplier(
-            f"the multiplier mu = {mu_star:.6g} that makes M PSD fails the KKT "
-            f"conditions (composite residual {comp:.3e})"
-        )
     # 0 at mu = 0, an infinite budget included
-    residuals["compl_slack_mu"] = mu_star and abs(mu_star * slack) / (1.0 + abs(rp) + abs(ip))
-    return MultiplierRecovery(mu=float(mu_star), m_matrix=linalg.eig_clip(m_mat, 0.0, np.inf),
+    residuals["compl_slack_mu"] = mu and abs(mu * (rp - ip)) / (1.0 + abs(rp) + abs(ip))
+    return MultiplierRecovery(mu=float(mu), m_matrix=linalg.eig_clip(m_mat, 0.0, np.inf),
                               residuals=residuals)
 
 

@@ -163,18 +163,18 @@ class SolveReport:
     ``value`` is the optimal objective (the public-rate contribution for
     ``inner_convex``, the key rate for ``solve_at_rate``); ``kkt_residual``
     is a first-order optimality residual: the barrier duality-gap proxy for
-    the convex inner solve, and for ``solve_at_rate`` the multiplier
-    composite of the returned point, whose test decides ``converged``.
+    the convex inner solve, and for ``solve_at_rate`` the composite of
+    ``kkt.multiplier_test`` at the returned point.
 
     For ``inner_convex``, ``converged`` says that the last barrier stage,
     at the final weight, met its Newton-decrement test (a stalled warm
     schedule is first rerun in full).  A cell that is not converged still
     returns a strictly feasible optimum and its value, which may then lie
-    above the cell's minimum.  For ``solve_at_rate`` it says that the point
-    passed the polish's gate, whose one optimality test is that multiplier
-    composite (see there); unconverged, it is the best point found within
-    the budget.  A converged point can still miss another certificate
-    identity: ``kkt.certify`` has the last word.
+    above the cell's minimum.  For ``solve_at_rate`` it is that test's
+    verdict, ``kkt_residual <= kkt.ACCEPT_COMPOSITE``; unconverged, the
+    point is the best found within the budget (see there).  A converged
+    point can still miss another certificate identity: ``kkt.certify`` has
+    the last word.
     """
 
     optimum: ConditionalCov
@@ -1471,18 +1471,18 @@ def _face_schedule(n_active_guess, mx):
     return [(g, 1.0), *above, (g, 2.0), (g, 4.0), *below]
 
 
-def _composite(w, rp, q, ip=None):
-    """The multiplier test of ``kkt.recover_multipliers`` at ``q`` on a
-    whitened model, whose public rate ``ip`` is computed when not given: the
-    composite at mu = 0 when the rate is slack, else at
-    ``kkt.closed_form_mu``; ``inf`` when ``q`` or its multiplier is
-    refused."""
+def _composite(w, rp, q, ip):
+    """The composite of ``kkt.multiplier_test`` at ``q``, of public rate
+    ``ip``, on a whitened model; ``inf`` when its multiplier is refused."""
     try:
-        ip = rates_aligned(w, q).rp if ip is None else ip
-        mu = 0.0 if kkt.rate_is_slack(rp, ip) else kkt.closed_form_mu(w, q)
-        return kkt.multiplier_composite(w, q, mu)[0]
+        return kkt.multiplier_test(w, q, rp, ip)[0]
     except GausskeyError:
         return math.inf
+
+
+def _passes(cand):
+    """Whether a candidate ``(q, rk, composite)`` passes the multiplier test."""
+    return cand is not None and cand[2] <= kkt.ACCEPT_COMPOSITE
 
 
 def _end_point(w, rp, q):
@@ -1498,11 +1498,12 @@ def _end_point(w, rp, q):
 
 
 def _polished(w, rp, q_end, mu_hint, n_active):
-    """``(q, rk, composite, passed)`` of the face polish of an end point when
-    ``rates_aligned`` takes it and it keeps the budget, else None; its
-    multiplier composite (``_composite``) alone decides ``passed``.  A
-    point solved on a wrong face has no multiplier that makes the
-    stationarity matrix PSD; a point with one is optimal."""
+    """``(q, rk, composite)`` of the face polish of an end point, with the
+    composite of ``kkt.multiplier_test`` (``_composite``), when
+    ``rates_aligned`` takes it, it keeps the budget and its key rate is not
+    below the corner's 0 by more than ``1e-9 min(1, rp)`` (at small budgets
+    the composite is O(rp) at any point); else None.  A point solved on a
+    wrong face has no multiplier that makes ``M`` PSD; one with it is optimal."""
     q = _polish_face(w, rp, q_end, mu_hint, n_active)
     if q is None:
         return None
@@ -1510,22 +1511,21 @@ def _polished(w, rp, q_end, mu_hint, n_active):
         pair = rates_aligned(w, q)
     except ModelValidationError:
         return None
-    if not pair.rp <= rp + 1e-7:
+    if not (pair.rp <= rp + 1e-7 and pair.rk >= -1e-9 * min(1.0, rp)):
         return None
-    comp = _composite(w, rp, q, pair.rp)
-    return q, pair.rk, comp, comp <= kkt.ACCEPT_COMPOSITE
+    return q, pair.rk, _composite(w, rp, q, pair.rp)
 
 
 def _polish_end(w, rp, q):
     """The face polish of an end point ``q`` on a whitened model
     (``_end_point``), over the candidates of ``_face_schedule``: the first
-    ``_polished`` candidate that passes the gate, else the one with the
-    highest key rate, else None."""
+    ``_polished`` candidate that passes the multiplier test, else the one
+    with the highest key rate, else None."""
     q, mu_hint, g = _end_point(w, rp, q)
     kept = []
     for n_active, factor in _face_schedule(g, w.mx):
         cand = _polished(w, rp, q, factor * mu_hint, n_active)
-        if cand and cand[3]:
+        if _passes(cand):
             return cand
         if cand:
             kept.append(cand)
@@ -1548,7 +1548,7 @@ def _homotopy(w, rp, start):
     on ``sigma_wy`` alone, so every step's start keeps it.  Each step
     polishes the last optimum on the model at ``t`` (``_polish_end``), on
     the grid ``k / n`` for the first ``n`` of ``HOMOTOPY_STEPS``.  A step
-    whose candidates pass no gate, or that raises a ``GausskeyError``, hands
+    whose candidates pass no test, or that raises a ``GausskeyError``, hands
     over to the next grid, which goes on from the last ``t`` that passed;
     when the last grid fails too, None.  Returns the candidate at ``t = 1``.
     No ``dz > dy``: the start is the corner ``I``, where the path stays, so
@@ -1569,7 +1569,7 @@ def _homotopy(w, rp, start):
                 cand = _polish_end(w_t, rp, q)
             except GausskeyError:
                 cand = None
-            if not (cand and cand[3]):
+            if not _passes(cand):
                 break
             q, t_passed = cand[0], t
         else:
@@ -1596,7 +1596,7 @@ def solve_at_rate(m: AlignedModel, rp: float, *, n_starts: int = 6,
 
     1. the optima of the model's two commuting parts (``_commuting_start``),
        each polished on its detected face at factor 1 (on the corner face
-       ``n_active = mx`` the polish returns ``sigma_x``, which the gate
+       ``n_active = mx`` the polish returns ``sigma_x``, which the test
        judges at mu = 0), the second formed only when the first fails; a
        ``GausskeyError`` here, as from an optimum that ``rates_aligned``
        refuses at high rates, moves the solve on;
@@ -1610,18 +1610,19 @@ def solve_at_rate(m: AlignedModel, rp: float, *, n_starts: int = 6,
        key rate is polished like a homotopy step (``_polish_end``).  Over
        the probe's and the benchmark's solves, every one that this route
        certified passed on that end point's first candidate.
-    The first two return a candidate that passes the gate below with
-    ``iterations = 0``.  One gate decides every polished candidate:
-    ``rates_aligned`` takes it, it keeps the budget, and its multiplier
-    composite (``_composite``: the test of ``kkt.recover_multipliers``, at
-    mu = 0 when the rate is slack and at ``kkt.closed_form_mu`` when it
-    binds) is at most ``kkt.ACCEPT_COMPOSITE``.  A point with a valid
+    The first two return a candidate that passes the test below with
+    ``iterations = 0``.  A polished candidate is kept when ``rates_aligned``
+    takes it, it keeps the budget and its key rate is not below the
+    corner's 0 (``_polished``).  One test then decides it:
+    ``kkt.multiplier_test``, which also opens every certificate (at mu = 0
+    when the rate is slack and at ``kkt.closed_form_mu`` when it binds), its
+    composite at most ``kkt.ACCEPT_COMPOSITE``.  A point with a valid
     multiplier is optimal whatever candidate produced it, however far its
     polish got (the enhancement argument), so the first candidate to pass
-    is returned converged; a point solved on a wrong face has none.  When
-    none passes, the candidate in budget with the highest key rate, the
-    commuting-part ones included, is returned unconverged, or the best
-    ascent point.  The returned ``S Q S`` is not re-tested in the model's
+    is returned; a point solved on a wrong face has none.  When none
+    passes, the answer is the ascent's polished candidate when its key
+    rate is higher than its end point's, else that end point (on a tie,
+    the end point).  The returned ``S Q S`` is not re-tested in the model's
     frame: ``Q`` passed the interval test in the whitened frame, or is an
     ascent point clipped into it, while ``S Q S`` carries round-off of about
     ``eps cond(sigma_x)`` there.  It is formed in long double and rounded
@@ -1629,8 +1630,9 @@ def solve_at_rate(m: AlignedModel, rp: float, *, n_starts: int = 6,
     re-test's own round-off, but the product's cancellation adds little to
     them, so more answers with directions pinned at 1 pass ``certify``'s
     re-test in the model's frame.
-    ``kkt_residual`` is, in the whitened frame, the multiplier composite at
-    the returned point, converged or not.  ``iterations`` counts the ascent
+    ``kkt_residual`` is, in the whitened frame, the test's composite at the
+    returned point, and ``converged`` is its verdict, ``kkt_residual <=
+    kkt.ACCEPT_COMPOSITE``.  ``iterations`` counts the ascent
     iterations taken, over every start.  Raises ``MaxIterationsExceeded``
     when the fallback runs and no start ends within 1e-6 of the budget.
     Heuristic for the nonconvex general case: certify the output through
@@ -1651,22 +1653,20 @@ def solve_at_rate(m: AlignedModel, rp: float, *, n_starts: int = 6,
 
     w, s_half, _ = whiten(m)
 
-    def report(q, rk, res, converged, iterations):
+    def report(q, rk, composite, iterations):
         return SolveReport(optimum=ConditionalCov(linalg.congruence_rounded(s_half, q)),
-                           value=rk, iterations=iterations, converged=converged,
-                           kkt_residual=float(_composite(w, rp, q) if res is None else res))
+                           value=rk, iterations=iterations, kkt_residual=float(composite),
+                           converged=composite <= kkt.ACCEPT_COMPOSITE)
 
     # the commuting-part optima first, each on its detected face, the second
     # formed only when the first fails; then the path from the first
-    start, pool = _commuting_start(w, rp, False), []
+    start = _commuting_start(w, rp, False)
     try:
         for swap in (False, True):
             q0 = _commuting_start(w, rp, True) if swap else start
             cand = _polished(w, rp, *_end_point(w, rp, q0))
-            if cand and cand[3]:
+            if _passes(cand):
                 return report(*cand, 0)
-            if cand:
-                pool.append(cand)
     except GausskeyError:
         pass
     if cand := _homotopy(w, rp, start):
@@ -1678,14 +1678,12 @@ def solve_at_rate(m: AlignedModel, rp: float, *, n_starts: int = 6,
     if not ends:
         raise MaxIterationsExceeded("no penalty run produced a feasible point")
 
-    # polish the best end point, else keep the best candidate in budget
+    # polish the best end point; keep it unless its candidate wins
     q_end, pair = max(ends, key=lambda end: end[1].rk)
     cand = _polish_end(w, rp, q_end)
-    if cand and cand[3]:
+    if _passes(cand) or (cand and cand[1] > pair.rk):
         return report(*cand, iterations)
-    best = max([(q_end, pair.rk, None, False), *pool, *([cand] if cand else [])],
-               key=lambda c: c[1])
-    return report(*best, iterations)
+    return report(q_end, pair.rk, _composite(w, rp, q_end, pair.rp), iterations)
 
 
 def ascent_boundary(m: AlignedModel, rp_grid) -> RegionBoundary:

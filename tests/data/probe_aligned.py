@@ -98,6 +98,21 @@ sigma_wz T^T)`` either.  ``--congruence c FILE`` applies the ill-conditioned
 ``--scale``:
 
     PYTHONPATH=src python tests/data/probe_aligned.py --congruence 1e3 before.json
+
+``--head`` probes the head of the curve, where ``R_k(rp)`` is ``mu0 rp``
+to O(rp^2), with ``mu0 = kkt.closed_form_mu`` at the whitened corner
+``I``, the slope at zero.  It solves ``_fresh_model`` keys 5000-5017 and
+``_degraded_model`` keys 6000-6011 at rates 1e-8, 1e-7, 1e-6, 1e-5 and
+1e-4 and prints each value beside ``mu0 rp``:
+
+    PYTHONPATH=src python tests/data/probe_aligned.py --head
+
+It counts the negative values (below the corner, which is always
+feasible), the values above ``mu0 rp (1 + HEAD_ROUNDOFF) + 1e-14`` (over
+the bound ``R_k(rp) <= mu0 rp``, up to round-off) and, at rates up to
+1e-6, the values below ``(1 - HEAD_SHORTFALL) mu0 rp``, listing these as
+the head's remaining defects (ROADMAP item 1).  It exits 1 when a value is
+negative or above the bound, or a solve raises.
 """
 
 import json
@@ -115,15 +130,19 @@ import numpy as np  # noqa: E402
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 import test_aligned_points as tap  # noqa: E402
-from gausskey import AlignedModel, certify, solve_at_rate, solver  # noqa: E402
+from gausskey import AlignedModel, certify, kkt, solve_at_rate, solver  # noqa: E402
 from gausskey.kkt import ACCEPT_COMPOSITE, RESIDUAL_KEYS  # noqa: E402
 from gausskey.errors import GausskeyError  # noqa: E402
+from gausskey.models import whiten  # noqa: E402
 
 FRESH_RATES = (0.7, 1.5, 3.0, 5.0)
 DEGRADED_RATES = (0.5, 2.0, 6.0)
 HIGH_RATES = (8.0, 12.0, 16.0)
 FALL_TOL = 1e-9
 SCALE_VALUE_TOL = 1e-9
+HEAD_RATES = (1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
+HEAD_ROUNDOFF = 1e-9
+HEAD_SHORTFALL = 1e-3
 
 
 def models():
@@ -282,7 +301,7 @@ def count_the_work():
             # a GausskeyError may end the call before or inside the schedule
             tried, TRACE["entries"] = (TRACE["entries"] or [])[:TRACE["tried"]], None
             TRACE["entry_tries"].update(tried)
-            if cand and cand[3]:
+            if cand and cand[2] <= ACCEPT_COMPOSITE:
                 TRACE["entry_passes"][tried[-1]] += 1
 
     solver._polish_face = counted_polish
@@ -505,13 +524,44 @@ def compare_scaled(old, new, where):
     return lost
 
 
+def head():
+    """Run and print the ``--head`` probe; return its exit code."""
+    negative, above, short, raised = [], [], [], []
+    for name, m, _ in models():
+        if name.startswith("rel"):
+            continue
+        w = whiten(m)[0]
+        mu0 = kkt.closed_form_mu(w, np.eye(w.mx))
+        for rp in HEAD_RATES:
+            label, bound = f"{name}-rp{rp:g}", mu0 * rp
+            try:
+                value = solve_at_rate(m, rp).value
+            except GausskeyError as exc:
+                raised.append(label)
+                print(f"{label}: {type(exc).__name__}, mu0 rp {bound:.6g}")
+                continue
+            print(f"{label}: value {value:.6g}, mu0 rp {bound:.6g}")
+            if value < 0.0:
+                negative.append(label)
+            if value > bound * (1.0 + HEAD_ROUNDOFF) + 1e-14:
+                above.append(label)
+            if rp <= 1e-6 and value < (1.0 - HEAD_SHORTFALL) * bound:
+                short.append(label)
+    print(f"{len(negative)} negative, {len(above)} above mu0 rp, {len(raised)} raised; "
+          f"{len(short)} at rp <= 1e-6 below (1 - {HEAD_SHORTFALL:g}) mu0 rp "
+          f"(ROADMAP item 1): {', '.join(short) or 'none'}")
+    return 1 if negative or above or raised else 0
+
+
 def main(argv):
+    if argv == ["--head"]:
+        return head()
     high = argv[:1] == ["--high"]
     argv = argv[high:]
     modes = {"--save": 2, "--compare": 2, "--scale": 3, "--congruence": 3}
     if not argv or modes.get(argv[0]) != len(argv):
-        sys.stderr.write("usage: probe_aligned.py [--high] (--save FILE | --compare FILE "
-                         "| --scale C FILE | --congruence C FILE)\n")
+        sys.stderr.write("usage: probe_aligned.py --head | [--high] (--save FILE "
+                         "| --compare FILE | --scale C FILE | --congruence C FILE)\n")
         return 2
     mode, c = (argv[0], float(argv[1])) if len(argv) == 3 else (None, 1.0)
     count_the_work()
