@@ -40,6 +40,9 @@ One test, ``multiplier_test``, decides whether a point is optimal: it gates
 every candidate of ``solver.solve_at_rate`` and opens every certificate.
 M's PSD is decided once, by ``recover_multipliers``, which returns its PSD
 projection; ``enhance`` tests a given M with ``linalg.is_psd`` on ``S M S``.
+A function here that takes a conditional covariance also takes its
+``rates._Point`` and reads its factors; ``certify`` passes one point
+through every step, so a certificate tests and factors its point once.
 """
 
 import json
@@ -58,7 +61,7 @@ from .errors import (
     NoValidMultiplier,
 )
 from .models import AlignedModel, ConditionalCov, _budget, validate_model, whiten
-from .rates import _chol_terms, _rates_with_y_noise, rates_aligned
+from .rates import _Point, _point, _rates_with_y_noise, rates_aligned
 
 RESIDUAL_KEYS = (
     "stationarity",
@@ -137,9 +140,10 @@ class ChangeOfVariable:
     gamma: float
 
 
-def _inverses(m: AlignedModel, sigma):
-    """``Q^-1``, ``(Q + sigma_wz)^-1`` and ``(Q + sigma_wy)^-1``."""
-    return linalg.inv_chol(_chol_terms(m, sigma))
+def _factored(m: AlignedModel, sigma) -> _Point:
+    """``sigma`` as a ``rates._Point``, factored but not tested: its ``inv``
+    are ``Q^-1``, ``(Q + sigma_wz)^-1`` and ``(Q + sigma_wy)^-1``."""
+    return sigma if isinstance(sigma, _Point) else _Point(m, sigma)
 
 
 def _check_mu(mu):
@@ -161,19 +165,19 @@ def stationarity_matrix(m: AlignedModel, sigma, mu: float):
     Raises ``NonPsdInput`` unless mu is finite and nonnegative.
     """
     _check_mu(mu)
-    return stationarity_stack(_inverses(m, sigma), mu)
-
-
-def _composite_parts(m_mat, diff):
-    """The multiplier composite's two parts, with ``diff = sigma_x - Q``."""
-    return {"psd_M": linalg.psd_violation(m_mat) / (1.0 + linalg.frob(m_mat)),
-            "compl_slack_M": linalg.rel_residual(m_mat @ diff, m_mat, diff)}
+    return stationarity_stack(_factored(m, sigma).inv, mu)
 
 
 def multiplier_composite(m: AlignedModel, sigma, mu: float):
-    """PSD violation of M(mu) plus its complementarity residual."""
+    """``(composite, M, parts)``: the PSD violation of M(mu) plus its
+    complementarity residual, M(mu), and the two parts, ``psd_M`` and
+    ``compl_slack_M``, by name."""
+    sigma = _factored(m, sigma)
     m_mat = stationarity_matrix(m, sigma, mu)
-    return sum(_composite_parts(m_mat, m.sigma_x - sigma).values()), m_mat
+    diff = m.sigma_x - sigma.q
+    parts = {"psd_M": linalg.psd_violation(m_mat) / (1.0 + linalg.frob(m_mat)),
+             "compl_slack_M": linalg.rel_residual(m_mat @ diff, m_mat, diff)}
+    return sum(parts.values()), m_mat, parts
 
 
 def closed_form_mu(m: AlignedModel, sigma) -> float:
@@ -187,7 +191,7 @@ def closed_form_mu(m: AlignedModel, sigma) -> float:
     threshold, floored at zero, is the multiplier, and there ``M`` is
     singular whenever it is positive.
     """
-    inv_s, inv_z, inv_y = _inverses(m, sigma)
+    inv_s, inv_z, inv_y = _factored(m, sigma).inv
     top = linalg.gen_eig_pencil(linalg.symmetrize(inv_y - inv_z),
                                 linalg.symmetrize(inv_s - inv_y))[0]
     return max(0.0, float(top))
@@ -201,16 +205,18 @@ def rate_is_slack(rp: float, ip: float) -> bool:
 
 
 def multiplier_test(m: AlignedModel, sigma, rp: float, ip: float):
-    """``(composite, mu, M)``: the one optimality test of a validated point
-    ``sigma`` of public rate ``ip`` at the budget ``rp``.  mu is 0 when the
-    rate is slack (``rate_is_slack``: complementary slackness), else
-    ``closed_form_mu``, the smallest multiplier that makes M PSD and the only
-    admissible one (at a corner with a multiplier plateau, the extreme one,
-    where M is singular).  The point passes when the composite at that mu
-    (``multiplier_composite``) is at most ``ACCEPT_COMPOSITE``."""
+    """``(composite, mu, M, parts)``: the one optimality test of a validated
+    point ``sigma`` (or its ``rates._Point``) of public rate ``ip`` at the
+    budget ``rp``.  mu is 0 when the rate is slack (``rate_is_slack``:
+    complementary slackness), else ``closed_form_mu``, the smallest
+    multiplier that makes M PSD and the only admissible one (at a corner with
+    a multiplier plateau, the extreme one, where M is singular).  The point
+    passes when the composite at that mu (``multiplier_composite``, whose
+    parts come with it) is at most ``ACCEPT_COMPOSITE``."""
+    sigma = _factored(m, sigma)
     mu = 0.0 if rate_is_slack(rp, ip) else closed_form_mu(m, sigma)
-    comp, m_mat = multiplier_composite(m, sigma, mu)
-    return comp, mu, m_mat
+    comp, m_mat, parts = multiplier_composite(m, sigma, mu)
+    return comp, mu, m_mat, parts
 
 
 def recover_multipliers(m: AlignedModel, sigma_star, rp: float) -> MultiplierRecovery:
@@ -222,17 +228,17 @@ def recover_multipliers(m: AlignedModel, sigma_star, rp: float) -> MultiplierRec
     this gate decides M's PSD once; ``psd_M`` and ``compl_slack_M`` are the
     composite's parts, on M unprojected.  Raises ``ValueError`` for a budget
     ``rp`` that is not nonnegative (NaN included), as
-    ``solver.solve_at_rate`` does.
+    ``solver.solve_at_rate`` does.  ``sigma_star`` may be a ``rates._Point``,
+    taken as tested.
     """
     validate_model(m)
     _budget(rp)
-    sigma = ConditionalCov.for_model(m, sigma_star).value
+    sigma = _point(m, sigma_star)
     ip = rates_aligned(m, sigma).rp
-    comp, mu, m_mat = multiplier_test(m, sigma, rp, ip)
+    comp, mu, m_mat, residuals = multiplier_test(m, sigma, rp, ip)
     if comp > ACCEPT_COMPOSITE:
         raise NoValidMultiplier(f"the admissible multiplier mu = {mu:.6g} fails the KKT "
                                 f"conditions (composite residual {comp:.3e})")
-    residuals = _composite_parts(m_mat, m.sigma_x - sigma)
     # 0 at mu = 0, an infinite budget included
     residuals["compl_slack_mu"] = mu and abs(mu * (rp - ip)) / (1.0 + abs(rp) + abs(ip))
     return MultiplierRecovery(mu=float(mu), m_matrix=linalg.eig_clip(m_mat, 0.0, np.inf),
@@ -249,19 +255,28 @@ def enhance(m: AlignedModel, sigma_star, mu: float, m_matrix) -> np.ndarray:
     to sigma_wy, and mu = 0 with the recovered M gives exactly sigma_wz.
 
     Raises ``NonPsdInput`` when mu is not finite and nonnegative or ``S M S``
-    (``S = sigma_x^1/2``) fails ``linalg.is_psd``.
+    (``S = sigma_x^1/2``) fails ``linalg.is_psd``.  ``sigma_star`` may be a
+    ``rates._Point``, taken as tested.
     """
     validate_model(m)
-    sigma = ConditionalCov.for_model(m, sigma_star).value
+    sigma = _point(m, sigma_star)
     m_matrix = linalg.check_symmetric(m_matrix, "M")
     _check_mu(mu)
     m_white = linalg.congruence(m._roots[0], m_matrix)
     if not linalg.is_psd(m_white):
         raise NonPsdInput(f"M must be PSD (min eig of S M S = {linalg.min_eig(m_white):.3e})")
-    inv_y = linalg.inv_pd(sigma + m.sigma_wy, "sigma + sigma_wy")
-    inner = (1.0 + mu) * inv_y + m_matrix
-    wy_tilde = (1.0 + mu) * linalg.inv_pd(inner, "enhancement kernel") - sigma
+    inner = (1.0 + mu) * sigma.inv[2] + m_matrix
+    wy_tilde = (1.0 + mu) * linalg.inv_pd(inner, "enhancement kernel") - sigma.q
     return linalg.symmetrize(wy_tilde)
+
+
+def _white_point(m: AlignedModel, sigma) -> _Point:
+    """The ``rates._Point`` of ``A = S^-1 Q S^-1`` on ``models.whiten(m)`` for
+    a ``Q`` that ``ConditionalCov.for_model`` passed, ``I`` at the corner
+    ``Q = sigma_x``, which that test takes as it is."""
+    w, _, s_half_inv = whiten(m)
+    corner = np.array_equal(sigma, m._sigma_x_sym)
+    return _Point(w, np.eye(m.mx) if corner else linalg.congruence(s_half_inv, sigma))
 
 
 def change_of_variable(m: AlignedModel, wy_tilde, sigma_star, mu: float) -> ChangeOfVariable:
@@ -280,12 +295,13 @@ def change_of_variable(m: AlignedModel, wy_tilde, sigma_star, mu: float) -> Chan
         sigma_n3 = W~ gap^-1 sigma_wz = (W~^-1 - sigma_wz^-1)^-1.
 
     ``k_yx`` is checked to be invertible (smallest singular value above
-    1e-10, ``CertificateError`` otherwise).
+    1e-10, ``CertificateError`` otherwise).  ``sigma_star`` may be a
+    ``rates._Point``, taken as tested.
     """
     validate_model(m)
     if mu <= 0.0:
         raise MuZero("gamma = (1 + mu)/mu is undefined for mu = 0")
-    sigma = ConditionalCov.for_model(m, sigma_star).value
+    sigma = _point(m, sigma_star)
     wy_tilde = linalg.check_symmetric(wy_tilde, "enhanced noise")
     gap = m.sigma_wz - wy_tilde
     if linalg.min_eig(gap) <= 0.0:
@@ -303,8 +319,7 @@ def change_of_variable(m: AlignedModel, wy_tilde, sigma_star, mu: float) -> Chan
     k_xz = m.sigma_x @ inv_xz
     return ChangeOfVariable(
         sigma_xz=linalg.symmetrize(m.sigma_x - k_xz @ m.sigma_x),
-        sigma_xuz=linalg.inv_pd(linalg.inv_pd(sigma, "sigma_star") + inv_wz,
-                                "posterior precision"),
+        sigma_xuz=linalg.inv_pd(sigma.inv[0] + inv_wz, "posterior precision"),
         k_xz=k_xz,
         k_yx=k_yx,
         k_yz=wy_tilde @ inv_wz,
@@ -313,31 +328,34 @@ def change_of_variable(m: AlignedModel, wy_tilde, sigma_star, mu: float) -> Chan
     )
 
 
-def _compute_residuals(m, sigma, mu, m_matrix, wy_tilde, rp):
-    inv_s, inv_z, inv_y = _inverses(m, sigma)
+def _compute_residuals(m, point, mu, m_matrix, wy_tilde, rp):
+    """The ten residuals at a ``rates._Point`` of ``m``, from its factors."""
+    sigma = point.q
+    inv_s, inv_z, inv_y = point.inv
     diff = m.sigma_x - sigma
 
     stat_lhs = mu * inv_s + inv_z
     stat_rhs = (1.0 + mu) * inv_y + m_matrix
-    pair = rates_aligned(m, sigma)
+    pair = rates_aligned(m, point)
 
+    # linalg.psd_violation of sigma_wy - W~, W~ and sigma_wz - W~, in one call
+    low = linalg.eigvals_sym(np.stack((m.sigma_wy - wy_tilde, wy_tilde, m.sigma_wz - wy_tilde)))
+    viol = [max(0.0, -float(w)) for w in low[:, 0]]
+    norm_wt = linalg.frob(wy_tilde)
     residuals = {
         "stationarity": linalg.rel_residual(stat_lhs - stat_rhs, stat_lhs, stat_rhs),
         "compl_slack_M": linalg.rel_residual(m_matrix @ diff, m_matrix, diff),
         "compl_slack_mu": mu and abs(mu * (rp - pair.rp)) / (1.0 + abs(rp) + abs(pair.rp)),
-        "order_wy": (linalg.psd_violation(m.sigma_wy - wy_tilde)
-                     + linalg.psd_violation(wy_tilde))
-                    / (1.0 + linalg.frob(m.sigma_wy) + linalg.frob(wy_tilde)),
-        "order_wz": linalg.psd_violation(m.sigma_wz - wy_tilde)
-                    / (1.0 + linalg.frob(m.sigma_wz) + linalg.frob(wy_tilde)),
+        "order_wy": (viol[0] + viol[1]) / (1.0 + linalg.frob(m.sigma_wy) + norm_wt),
+        "order_wz": viol[2] / (1.0 + linalg.frob(m.sigma_wz) + norm_wt),
     }
     try:
-        inv_yt = linalg.inv_pd(sigma + wy_tilde, "sigma + enhanced noise")
         # ungated: order_wy reports how far W~ is from 0 < W~ <= sigma_wy
-        pair_t = _rates_with_y_noise(m, wy_tilde, sigma)
+        pair_t, lower_t = _rates_with_y_noise(m, wy_tilde, point)
     except ModelValidationError:
         residuals.update(dict.fromkeys(("enhancement_def", "preservation", "rate_match"), np.inf))
     else:
+        inv_yt = linalg.inv_chol(lower_t[0])
         enh_lhs = (1.0 + mu) * inv_yt
         enh_rhs = (1.0 + mu) * inv_y + m_matrix
         pres_lhs = (m.sigma_x + wy_tilde) @ inv_yt
@@ -354,12 +372,13 @@ def _compute_residuals(m, sigma, mu, m_matrix, wy_tilde, rp):
         # not degraded or a singular regression coefficient: no change of
         # variables, so neither of its two checks can pass; a factor that
         # fails after it fails the proportionality check only
-        cov = change_of_variable(m, wy_tilde, sigma, mu)
+        cov = change_of_variable(m, wy_tilde, point, mu)
         residuals["k_invertibility"] = 0.0  # its singular-value gate passed
-        prop_lhs = linalg.inv_pd(cov.sigma_xuz, "sigma_xuz")
-        prop_rhs = cov.gamma * linalg.inv_pd(cov.sigma_xuz + cov.sigma_n3, "sigma_xuz + sigma_n3")
+        prop_lhs, prop_rhs = linalg.inv_pd(np.stack((cov.sigma_xuz, cov.sigma_xuz + cov.sigma_n3)),
+                                           "sigma_xuz or sigma_xuz + sigma_n3")
     except (CertificateError, ModelValidationError):
         return residuals
+    prop_rhs = cov.gamma * prop_rhs
     residuals["proportionality"] = linalg.rel_residual(prop_lhs - prop_rhs, prop_lhs, prop_rhs)
     return residuals
 
@@ -384,7 +403,7 @@ def verify_certificate(m: AlignedModel, cert: KktCertificate) -> dict:
             or not (np.isfinite(m_matrix).all() and np.isfinite(wy_tilde).all())):
         return dict.fromkeys(RESIDUAL_KEYS, float("inf"))
     w, s_half, s_half_inv = whiten(m)
-    residuals = _compute_residuals(w, linalg.congruence(s_half_inv, sigma), cert.mu,
+    residuals = _compute_residuals(w, _white_point(m, sigma), cert.mu,
                                    linalg.congruence(s_half, m_matrix),
                                    linalg.congruence(s_half_inv, wy_tilde), cert.rp)
     return {k: np.inf if np.isnan(v) else v for k, v in residuals.items()}
@@ -394,14 +413,16 @@ def certify(m: AlignedModel, sigma_star, rp: float) -> KktCertificate:
     """Full pipeline on ``w, S, S^-1 = models.whiten(m)`` at ``A = S^-1 Q
     S^-1``: recover multipliers, enhance, and verify.
 
-    Raises ``NoValidMultiplier`` when the point is not optimal, and
-    ``ValueError`` when ``rp`` is not nonnegative (``recover_multipliers``);
-    otherwise returns the certificate with all ten residuals, ``S^-1 M_w
-    S^-1`` and ``S W~_w S``.
+    ``Q`` is tested once, by ``ConditionalCov.for_model``, whose pencil test
+    is the interval test of ``A``, and ``A``, ``A + W~z`` and ``A + W~y``
+    are factored once (``_white_point``).  Raises ``NoValidMultiplier`` when
+    the point is not optimal, and ``ValueError`` when ``rp`` is not
+    nonnegative (``recover_multipliers``); otherwise returns the certificate
+    with all ten residuals, ``S^-1 M_w S^-1`` and ``S W~_w S``.
     """
     sigma = ConditionalCov.for_model(m, sigma_star)
     w, s_half, s_half_inv = whiten(m)
-    a = linalg.congruence(s_half_inv, sigma.value)
+    a = _white_point(m, sigma.value)
     rec = recover_multipliers(w, a, rp)
     wy_tilde = enhance(w, a, rec.mu, rec.m_matrix)
     return KktCertificate(sigma_star=sigma, mu=rec.mu, rp=float(rp),

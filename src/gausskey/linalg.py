@@ -4,8 +4,9 @@ The package's one home for its symmetric-matrix kernels: symmetry/PSD
 checks with the package-wide tolerances, Cholesky factors and the inverses
 and log-determinants taken from them (``chol_lower``, ``inv_chol``,
 ``logdet_chol`` and ``eig_clip`` take one matrix or a stack of them), square
-roots and congruences, and the symmetric-definite generalized eigenvalue
-solve, whitened by the inverse root.  Callers use
+roots and congruences, the symmetric-definite generalized eigenvalue
+solve, whitened by the inverse root, and ``expm``'s Frechet derivative at a
+skew matrix (``skew_expm_frechet``).  Callers use
 ``numpy.linalg`` directly only where no kernel here fits: QR and SVD, solves
 of non-symmetric systems and eigenbases that the caller reads (the face
 polish's directions).
@@ -141,7 +142,7 @@ def logdet_pd(a, name="matrix"):
 
 
 def inv_pd(a, name="matrix"):
-    """Inverse of a PD matrix via Cholesky."""
+    """Inverse of a PD matrix, or of each of a stack of them, via Cholesky."""
     return inv_chol(chol_lower(a, name))
 
 
@@ -191,6 +192,24 @@ def gen_eig_pencil(a, c):
     a = check_symmetric(a, "pencil lhs")
     inv_root = roots(c, "pencil rhs")[1]
     return np.linalg.eigvalsh(congruence(inv_root, a))[::-1].copy()
+
+
+def skew_expm_frechet(gen, dirs):
+    """``e^-G L(G, E)``, ``L`` the Frechet derivative of ``expm`` at a real
+    skew ``G``, for each of a stack of directions ``E`` (Daleckii & Krein):
+    in the eigenbasis of ``-iG``, ``E``'s entries scale by ``(1 - e^-id) /
+    (id) = sin d / d - i sin(d/2)^2 / (d/2)``, ``d`` the eigenvalue gaps.
+    ``-iG`` is eigensolved in its real form ``[[0, G], [-G, 0]]`` (basis
+    ``[U_t; U_b]``), so no complex arithmetic is needed."""
+    n = len(gen)
+    r = np.zeros((2 * n, 2 * n))
+    r[:n, n:], r[n:, :n] = gen, -gen
+    lam, u = np.linalg.eigh(r)
+    u_t, u_b = u[:n], u[n:]
+    f = u_t.T @ dirs @ u_t + u_b.T @ dirs @ u_b
+    d = lam[:, None] - lam
+    half = np.sinc(d / (2.0 * np.pi))
+    return (u_t @ (f * np.sinc(d / np.pi)) + u_b @ (f * (np.sin(0.5 * d) * half))) @ u_t.T
 
 
 def frob(a):

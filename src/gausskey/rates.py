@@ -18,6 +18,7 @@ functionals return the raw value and only boundary reporting clamps at 0.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -116,16 +117,6 @@ def rates_general(m: GeneralModel, q) -> RatePair:
     return RatePair(rp=gx - gy, rk=gy - gz)
 
 
-def _rates_with_y_noise(m: AlignedModel, wy, q) -> RatePair:
-    ld_x, ld_z, ld_y = m._logdets
-    if wy is not m.sigma_wy:
-        ld_y = linalg.logdet_pd(m.sigma_x + wy, "Y terms")
-    gx = 0.5 * (ld_x - linalg.logdet_pd(q, "sigma_x terms"))
-    gy = 0.5 * (ld_y - linalg.logdet_pd(q + wy, "Y terms"))
-    gz = 0.5 * (ld_z - linalg.logdet_pd(q + m.sigma_wz, "Z terms"))
-    return RatePair(rp=gx - gy, rk=gy - gz)
-
-
 def _chol_terms(m: AlignedModel, q):
     """Lower Cholesky factors of ``Q``, ``Q + sigma_wz`` and ``Q + sigma_wy``
     for one conditional covariance or a stack of them, stacked on axis -3;
@@ -134,9 +125,45 @@ def _chol_terms(m: AlignedModel, q):
                              "Q, Q + sigma_wz or Q + sigma_wy")
 
 
+class _Point:
+    """A tested conditional covariance ``q`` with its factors ``lower``
+    (``_chol_terms``) and, on first read, their inverses ``inv``: what
+    ``rates_aligned`` and ``kkt`` read in place of testing and factoring ``q``."""
+
+    def __init__(self, m: AlignedModel, q):
+        self.q, self.lower = q, _chol_terms(m, q)
+
+    @cached_property
+    def inv(self):
+        return linalg.inv_chol(self.lower)
+
+
+def _point(m: AlignedModel, q) -> _Point:
+    """``q`` as a ``_Point`` of ``m``: a point passes through, anything else
+    is tested by ``ConditionalCov.for_model`` and factored."""
+    return q if isinstance(q, _Point) else _Point(m, ConditionalCov.for_model(m, q).value)
+
+
+def _pair(ld_full, ld) -> RatePair:
+    """The rate pair from the log-dets of ``sigma_x`` (``ld_full``) and of
+    ``Q`` (``ld``), each plus 0, ``sigma_wz`` and the Y noise."""
+    gx, gz, gy = 0.5 * (np.asarray(ld_full) - ld)
+    return RatePair(rp=gx - gy, rk=gy - gz)
+
+
+def _rates_with_y_noise(m: AlignedModel, wy, point: _Point):
+    """``(pair, lower)``: the rates at a ``_Point`` with the Y noise replaced
+    by ``wy``, and the factors of ``Q + wy`` and ``sigma_x + wy`` they read."""
+    lower = linalg.chol_lower(np.stack((point.q, m.sigma_x)) + wy, "Q + W_y or sigma_x + W_y")
+    ld_q, ld_qz, _ = linalg.logdet_chol(point.lower)
+    ld_qy, ld_xy = linalg.logdet_chol(lower)
+    return _pair((*m._logdets[:2], ld_xy), (ld_q, ld_qz, ld_qy)), lower
+
+
 def rates_aligned(m: AlignedModel, q) -> RatePair:
-    """Evaluate (I_p, I_k) for an aligned model at conditional covariance q."""
-    return _rates_with_y_noise(m, m.sigma_wy, ConditionalCov.for_model(m, q).value)
+    """Evaluate (I_p, I_k) for an aligned model at conditional covariance q,
+    or at a ``_Point`` of one, from its factors."""
+    return _pair(m._logdets, linalg.logdet_chol(_point(m, q).lower))
 
 
 def rates_enhanced(m: AlignedModel, wy_tilde, q) -> RatePair:
@@ -158,7 +185,7 @@ def rates_enhanced(m: AlignedModel, wy_tilde, q) -> RatePair:
             "enhanced noise covariance must not exceed sigma_wy "
             f"(largest pencil eigenvalue = {phis[0]:.3e})"
         )
-    return _rates_with_y_noise(m, wy_tilde, ConditionalCov.for_model(m, q).value)
+    return _rates_with_y_noise(m, wy_tilde, _point(m, q))[0]
 
 
 def asymptotic_limit(m) -> float:

@@ -79,7 +79,7 @@ from .models import (
     whiten,
 )
 from .oracle import brute_force_grid  # noqa: F401  (re-exported)
-from .rates import PointMeta, RatePair, RegionBoundary, _chol_terms, rates_aligned
+from .rates import PointMeta, RatePair, RegionBoundary, _chol_terms, _point, rates_aligned
 
 sla = linalg.sla  # scipy.linalg, loaded on the aligned route's first use
 BARRIER_GAP_TOL = 1e-8
@@ -1086,11 +1086,9 @@ def sweep_boundary(m: GeneralModel, rp_grid, st_resolution: int = 200) -> Region
 # projected-gradient ascent for aligned models
 # ---------------------------------------------------------------------------
 
-# The aligned route evaluates its small matrices as stacks.  Stacked eigh,
-# Cholesky and matmul make the LAPACK/BLAS call of a per-matrix call on every
-# slice, and ``linalg.inv_chol`` makes one ``dpotrs`` solve per slice: each
-# slice matches the per-matrix helpers bit for bit, so stacked loops decide as
-# per-point ones.
+# The aligned route evaluates its small matrices as stacks: stacked eigh,
+# Cholesky, matmul, ``expm`` and ``linalg.inv_chol`` make a per-matrix call's
+# LAPACK/BLAS calls slice by slice, so stacked loops decide as per-point ones.
 
 # Step sizes that the face polish's line search tests per stacked evaluation
 # after the full step, which it tests alone: 293 of the 369 steps that the
@@ -1274,16 +1272,14 @@ class _FaceSystem:
         gen[:, cols, rows] = -thetas
         return gen
 
-    def exp(self, xs, units):
-        """``expm([[G, E], [0, G]])`` for the points' generators ``G`` and unit
-        generators ``E``, paired by broadcasting: ``e^G`` on the top left, the
-        Frechet derivative of ``expm`` at ``G`` in ``E`` on the top right
-        (Al-Mohy & Higham 2009)."""
+    def exp(self, xs):
+        """``expm([[G, E], [0, G]])`` for the points' generators ``G`` and the
+        first unit generator ``E``: ``e^G`` on the top left, on the top right
+        the Frechet derivative of ``expm`` at ``G`` in ``E`` (Al-Mohy & Higham)."""
         n = self.m.mx
-        gens = self.skew(xs[:, self.n_qf:-1])
-        block = np.zeros(np.broadcast_shapes(gens.shape, units.shape)[:1] + (2 * n, 2 * n))
-        block[:, :n, :n] = block[:, n:, n:] = gens
-        block[:, :n, n:] = units
+        block = np.zeros((len(xs), 2 * n, 2 * n))
+        block[:, :n, :n] = block[:, n:, n:] = self.skew(xs[:, self.n_qf:-1])
+        block[:, :n, n:] = self.units[0]
         return sla.expm(block)
 
     def build(self, xs, big=None):
@@ -1293,7 +1289,7 @@ class _FaceSystem:
         n_qf, n_rot, na, n = self.n_qf, self.n_rot, self.n_active, self.m.mx
         q_f = np.einsum("pk,kab->pab", xs[:, :n_qf], self.basis_f)
         if n_rot:
-            big = self.exp(xs, self.units[:1]) if big is None else big
+            big = self.exp(xs) if big is None else big
             u = self.u0 @ big[:, :n, :n]
         else:
             u = np.broadcast_to(self.u0, (len(xs),) + self.u0.shape)
@@ -1317,7 +1313,7 @@ class _FaceSystem:
         reach, is far from orthogonal.  An invalid point's row is NaN.
         ``kept[i]`` holds what ``jacobian`` needs of ``xs[i]``, None when invalid.
         """
-        big = self.exp(xs, self.units[:1]) if self.n_rot else None
+        big = self.exp(xs) if self.n_rot else None
         sigma, mu, u, q_f = self.build(xs, big)
         w = np.linalg.eigvalsh(sigma)
         valid = (w[:, 0] > COND_COV_MIN_EIG) & (w[:, -1] <= 1.0 + FACE_EXCURSION)
@@ -1336,8 +1332,8 @@ class _FaceSystem:
         parts = [np.einsum("kab,pab->kp", u_ft @ m_w @ u_f, self.basis_f)]
         if self.n_rot:
             parts.append((np.swapaxes(u_a, -1, -2) @ m_w @ u_f).reshape(len(m_w), -1))
-        lds = linalg.logdet_chol(lower[:, [0, 2]])
-        ip = -0.5 * lds[:, 0] - 0.5 * (self.ld_xy - lds[:, 1])
+        lds = linalg.logdet_chol(lower)
+        ip = -0.5 * lds[:, 0] - 0.5 * (self.ld_xy - lds[:, 2])
         parts.append((ip - self.rp)[:, None])
         rows[valid] = np.concatenate(parts, axis=1)
         return rows, valid
@@ -1350,20 +1346,22 @@ class _FaceSystem:
         a free coordinate moves ``D`` by its basis matrix on the free block,
         and an angle by ``F = K D - D K`` with ``K = e^{G^T} L``, ``L`` the
         Frechet derivative of ``expm`` at the generator ``G`` in the angle's
-        direction ``E`` and ``e^G`` the top left block of the same ``exp``,
-        one stacked call for every angle but the first, whose call ``kept``
-        holds.  A move ``F`` changes ``N`` by ``-M(mu)`` of ``(P F P, Z F Z,
-        Y F Y)``, the rotated inverses of ``Q``, ``Q + sigma_wz`` and ``Q +
-        sigma_wy`` (plus ``N K - K N`` for an angle) and ``I_p`` by ``tr((Y -
-        P) F) / 2``; log mu changes ``N`` by ``mu (P - Y)``."""
+        direction ``E``: the first angle's from the kept ``exp``, the others'
+        in closed form (``linalg.skew_expm_frechet``).  A move ``F`` changes
+        ``N`` by ``-M(mu)`` of ``(P F P, Z F Z, Y F Y)``, the rotated inverses
+        of ``Q``, ``Q + sigma_wz`` and ``Q + sigma_wy`` (plus ``N K - K N``
+        for an angle) and ``I_p`` by ``tr((Y - P) F) / 2``; log mu changes
+        ``N`` by ``mu (P - Y)``."""
         n_qf, n_rot, na, n = self.n_qf, self.n_rot, self.n_active, self.m.mx
         x, big, u, inv, mu, q_f = kept
         inv = u.T @ inv @ u
         f = np.zeros((n_qf + n_rot, n, n))
         f[:n_qf, na:, na:] = self.basis_f
         if n_rot:
-            big = np.concatenate((big[None], self.exp(x[None], self.units[1:])))
-            k = np.swapaxes(big[:, :n, :n], -1, -2) @ big[:, :n, n:]
+            k = (big[:n, :n].T @ big[:n, n:])[None]
+            if n_rot > 1:
+                k = np.concatenate((k, linalg.skew_expm_frechet(
+                    self.skew(x[None, n_qf:-1])[0], self.units[1:])))
             d = np.eye(n)
             d[na:, na:] = q_f
             f[n_qf:] = k @ d - d @ k
@@ -1447,7 +1445,8 @@ def _polish_face(m, rp, q_hat, mu_hint, n_active):
         if not better.size:
             break
         x_new = trials[lo + better[0]]
-        if np.linalg.eigvalsh(np.tensordot(x_new[:face.n_qf], face.basis_f, 1))[-1] > 1.0:
+        q_free = np.dot(x_new[None, :face.n_qf], face.basis_f.reshape(face.n_qf, -1))
+        if np.linalg.eigvalsh(q_free.reshape(face.basis_f.shape[1:]))[-1] > 1.0:
             (sigma,), (mu,), _, _ = face.build(x[None])
             return _polish_face(m, rp, sigma, float(mu), n_active + 1)
         x, r, kept = x_new, rows[better[0]], face.kept[better[0]]
@@ -1490,30 +1489,31 @@ def _end_point(w, rp, q):
     hint (``kkt.closed_form_mu``, clipped to [1e-8, 1e4]) and detected face:
     the eigenvalues within ``min(1e-4, rp)`` of 1.  A budget ``rp`` moves a
     free eigenvalue off 1 by about that much, so below 1e-4 a fixed
-    threshold would count it as active.  A ``q`` that ``rates_aligned``
+    threshold would count it as active.  A ``q`` that ``rates._point``
     refuses raises here, before any polish."""
-    rates_aligned(w, q)
-    return (q, min(max(kkt.closed_form_mu(w, q), 1e-8), 1e4),
+    return (q, min(max(kkt.closed_form_mu(w, _point(w, q)), 1e-8), 1e4),
             int(np.sum(np.linalg.eigvalsh(q) >= 1.0 - min(1e-4, rp))))
 
 
 def _polished(w, rp, q_end, mu_hint, n_active):
     """``(q, rk, composite)`` of the face polish of an end point, with the
     composite of ``kkt.multiplier_test`` (``_composite``), when
-    ``rates_aligned`` takes it, it keeps the budget and its key rate is not
+    ``rates._point`` takes it, it keeps the budget and its key rate is not
     below the corner's 0 by more than ``1e-9 min(1, rp)`` (at small budgets
-    the composite is O(rp) at any point); else None.  A point solved on a
-    wrong face has no multiplier that makes ``M`` PSD; one with it is optimal."""
+    the composite is O(rp) at any point), all read from one ``rates._point``;
+    else None.  A point solved on a wrong face has no multiplier that makes
+    ``M`` PSD; one with it is optimal."""
     q = _polish_face(w, rp, q_end, mu_hint, n_active)
     if q is None:
         return None
     try:
-        pair = rates_aligned(w, q)
+        point = _point(w, q)
     except ModelValidationError:
         return None
+    pair = rates_aligned(w, point)
     if not (pair.rp <= rp + 1e-7 and pair.rk >= -1e-9 * min(1.0, rp)):
         return None
-    return q, pair.rk, _composite(w, rp, q, pair.rp)
+    return q, pair.rk, _composite(w, rp, point, pair.rp)
 
 
 def _polish_end(w, rp, q):

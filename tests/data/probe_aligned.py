@@ -22,8 +22,11 @@ Per point it records the bytes of the value and of the optimum ``sigma``,
 ``uncertified`` or the name of the exception ``certify`` raised), or the name
 of the exception ``solve_at_rate`` raised.  Apart, as ``cert``, it records
 the bytes of the certificate itself: ``mu``, the ten residuals in the order
-of ``kkt.RESIDUAL_KEYS``, ``wy_tilde`` and ``m_matrix``, as ``cpu_s`` the
-process CPU seconds of the point's solve and certificate, as
+of ``kkt.RESIDUAL_KEYS``, ``wy_tilde`` and ``m_matrix``, as ``cpu_s`` and
+``certify_cpu_s`` the process CPU seconds of the point's solve and of its
+certificate (a file saved before ``certify_cpu_s`` was recorded holds both
+in ``cpu_s``), as ``cholesky_calls`` and ``certify_cholesky_calls`` the
+``np.linalg.cholesky`` calls of each (a stacked call counts once), as
 ``iterations`` the solve's ascent iterations (0 when it ran no ascent), as
 ``polish_calls``, ``residual_rows`` and ``jacobian_calls`` the calls of
 ``solver._polish_face`` (a polish that moves to the next face calls it once
@@ -60,8 +63,9 @@ certificate outcome on both trees), how many points are certified now
 and in the file, how many points have ``converged != (kkt_residual <=
 kkt.ACCEPT_COMPOSITE)`` (listing each: that multiplier test alone decides
 ``converged``), and the run's cost beside the file's: the summed
-``cpu_s``, how many solves ran the ascent, the summed polish calls,
-residual rows and Jacobians, and the ascent's summed calls, matrices and
+``cpu_s`` and ``certify_cpu_s``, the summed Cholesky calls of the solves
+and of the certificates, how many solves ran the ascent, the summed
+polish calls, residual rows and Jacobians, and the ascent's summed calls, matrices and
 CPU seconds, listing each point solved on both runs whose solve ran the ascent on one
 run only (a figure the file did not record reads "not
 recorded", and a file without ``iterations`` lists none; ``--save`` prints
@@ -185,6 +189,7 @@ def record(m, rp, mode=None, c=1.0):
         report = solve_at_rate(m, rp)
     except GausskeyError as exc:
         return {"error": type(exc).__name__, "route": "none"}
+    start, cholesky_calls = time.process_time(), COUNTS["cholesky_calls"]
     try:
         cert = certify(m, report.optimum, rp)
     except GausskeyError as exc:
@@ -194,7 +199,10 @@ def record(m, rp, mode=None, c=1.0):
         fields = [cert.mu, *(cert.residuals[k] for k in RESIDUAL_KEYS)]
         cert_bytes = b"".join(np.asarray(a, dtype=np.float64).tobytes()
                               for a in (fields, cert.wy_tilde, cert.m_matrix)).hex()
+    certify_cpu_s = time.process_time() - start
     return {
+        "certify_cpu_s": certify_cpu_s,
+        "certify_cholesky_calls": COUNTS["cholesky_calls"] - cholesky_calls,
         "value": np.float64(report.value).tobytes().hex(),
         "sigma": report.optimum.value.tobytes().hex(),
         "converged": report.converged,
@@ -206,11 +214,12 @@ def record(m, rp, mode=None, c=1.0):
     }
 
 
-# face-polish calls, residual rows and Jacobians, and the ascent's rate
-# evaluations, matrices and CPU seconds, since the start of the run
+# face-polish calls, residual rows and Jacobians, the ascent's rate
+# evaluations, matrices and CPU seconds, and np.linalg.cholesky calls, since
+# the start of the run
 COUNTS = Counter()
 COUNTED = ("polish_calls", "residual_rows", "jacobian_calls", "ascent_calls",
-           "ascent_matrices", "ascent_cpu_s")
+           "ascent_matrices", "ascent_cpu_s", "cholesky_calls")
 
 # what the current solve ran: how many commuting-part optima it polished
 # (the ``_polished`` calls made outside ``_polish_end``, which only the
@@ -241,7 +250,8 @@ def count_the_work():
     """Make ``solver._polish_face``, ``solver._FaceSystem.residuals`` and
     ``jacobian``, ``solver._rates_stack`` (which only the ascent calls) and
     ``solver._pga_penalty`` add their calls, rows, matrices and CPU seconds
-    to ``COUNTS``, and ``solver._homotopy``, ``solver._polish_end`` and its
+    to ``COUNTS``, and ``np.linalg.cholesky`` its calls, and
+    ``solver._homotopy``, ``solver._polish_end`` and its
     ``solver._face_schedule`` and ``solver._polished`` calls note in
     ``TRACE`` what decided the solve."""
     polish, residuals = solver._polish_face, solver._FaceSystem.residuals
@@ -304,6 +314,12 @@ def count_the_work():
             if cand and cand[2] <= ACCEPT_COMPOSITE:
                 TRACE["entry_passes"][tried[-1]] += 1
 
+    def counted_cholesky(a):
+        COUNTS["cholesky_calls"] += 1
+        return cholesky(a)
+
+    cholesky = np.linalg.cholesky
+    np.linalg.cholesky = counted_cholesky
     solver._polish_face = counted_polish
     solver._FaceSystem.residuals = counted_rows
     solver._FaceSystem.jacobian = counted_jacobian
@@ -316,16 +332,18 @@ def count_the_work():
 
 
 def timed(m, rp, mode, c):
-    """``record`` with the process CPU seconds it took, as ``cpu_s``, and
-    the work of ``COUNTED`` it did."""
+    """``record`` with the process CPU seconds its solve took, as ``cpu_s``,
+    and the work of ``COUNTED`` it did, the certificate's Cholesky calls
+    apart."""
     before = Counter(COUNTS)
     TRACE.update(commuting=0, homotopy=False, ascent=False, entries=None,
                  entry_tries=Counter(), entry_passes=Counter())
     start = time.process_time()
     rec = record(m, rp, mode, c)
-    rec["cpu_s"] = time.process_time() - start
+    rec["cpu_s"] = time.process_time() - start - rec.get("certify_cpu_s", 0.0)
     for key in COUNTED:
         rec[key] = COUNTS[key] - before[key]
+    rec["cholesky_calls"] -= rec.get("certify_cholesky_calls", 0)
     rec["entry_tries"] = dict(TRACE["entry_tries"])
     rec["entry_passes"] = dict(TRACE["entry_passes"])
     return rec
@@ -334,12 +352,14 @@ def timed(m, rp, mode, c):
 # fields left out of the bit-identity test: the certificate's bytes are
 # listed apart, and time, ascent iterations, polish and ascent counts, the
 # route and the schedule entries are cost, not outcome
-COST_KEYS = ("cert", "cpu_s", "iterations", "route", "entry_tries", "entry_passes") + COUNTED
+COST_KEYS = ("cert", "cpu_s", "certify_cpu_s", "certify_cholesky_calls", "iterations",
+             "route", "entry_tries", "entry_passes") + COUNTED
 
 
 def cost_figures(run):
-    """``(name, figure)`` of the run's cost: its summed CPU seconds, how many
-    of its solves ran the ascent, its summed polish calls, residual rows and
+    """``(name, figure)`` of the run's cost: its summed CPU seconds and
+    Cholesky calls of the solves and of the certificates, how many of its
+    solves ran the ascent, its summed polish calls, residual rows and
     Jacobians, and the ascent's summed rate evaluations, matrices and CPU
     seconds, each "not recorded" when the run lacks the field."""
     recs = list(run.values())
@@ -350,7 +370,10 @@ def cost_figures(run):
             return "not recorded"
         return format(sum(term(r[key]) for r in of), spec)
 
-    return [("CPU seconds of the solves and certificates", total("cpu_s", recs, spec=".2f")),
+    return [("CPU seconds of the solves", total("cpu_s", recs, spec=".2f")),
+            ("of the certificates", total("certify_cpu_s", solved, spec=".2f")),
+            ("Cholesky calls of the solves", total("cholesky_calls", recs)),
+            ("of the certificates", total("certify_cholesky_calls", solved)),
             ("solves that ran the ascent", total("iterations", solved, lambda it: it > 0)),
             ("face polish calls", total("polish_calls", recs)),
             ("residual rows", total("residual_rows", recs)),

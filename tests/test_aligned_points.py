@@ -54,6 +54,7 @@ import json
 import math
 import os
 import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -61,7 +62,7 @@ import scipy.linalg as sla
 
 from gausskey import AlignedModel, certify, kkt, linalg, solve_at_rate, solver
 from gausskey.errors import GausskeyError, NoValidMultiplier
-from gausskey.models import whiten
+from gausskey.models import ConditionalCov, whiten
 from gausskey.rates import RatePair, _chol_terms, asymptotic_limit, rates_aligned
 
 from conftest import (ill_conditioned_aligned, random_aligned, random_conditional, random_spd,
@@ -1407,3 +1408,99 @@ def test_a_value_error_in_the_certificate_propagates(monkeypatch):
     monkeypatch.setattr(kkt, "certify", fail)
     with pytest.raises(ValueError):
         solver.ascent_boundary(_bench_model(2002, 2), [0.5])
+
+
+# ---------------------------------------------------------------------------
+# one test and one factoring per point
+# ---------------------------------------------------------------------------
+
+def _counted(monkeypatch):
+    """Count ``ConditionalCov.for_model``, ``np.linalg.cholesky``,
+    ``linalg.inv_chol`` and ``solver.sla.expm`` calls from here on."""
+    calls = dict.fromkeys(("for_model", "cholesky", "inv_chol", "expm"), 0)
+
+    def counting(key, fn):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for_model = ConditionalCov.for_model.__func__
+    monkeypatch.setattr(ConditionalCov, "for_model",
+                        classmethod(counting("for_model", for_model)))
+    monkeypatch.setattr(np.linalg, "cholesky", counting("cholesky", np.linalg.cholesky))
+    monkeypatch.setattr(linalg, "inv_chol", counting("inv_chol", linalg.inv_chol))
+    monkeypatch.setattr(solver, "sla", SimpleNamespace(expm=counting("expm", sla.expm)))
+    return calls
+
+
+def _benchmark_key_point(rp=1.0):
+    point = next(p for p in POINTS if p["model"] == "bench_mx4_key2005" and p["rp"] == rp)
+    return _model(point), point
+
+
+def test_a_certificate_tests_and_factors_its_point_once(monkeypatch):
+    # bench_mx4_key2005 (the benchmark's key) at rp 1, its model's cached
+    # constants warm: certify tests Q once (6 ConditionalCov.for_model calls
+    # when recover_multipliers, enhance and the residuals each tested it
+    # again) and makes 5 Cholesky calls and 5 inverse calls (20 and 10
+    # before): A, A + W~z and A + W~y as one stack, the enhancement kernel,
+    # Q + W~ with sigma_x + W~, the posterior precision, and sigma_xuz with
+    # sigma_xuz + sigma_n3
+    m, point = _benchmark_key_point()
+    want = certify(m, point["sigma"], 1.0)
+    calls = _counted(monkeypatch)
+    cert = certify(m, point["sigma"], 1.0)
+    assert cert.max_residual < CERT_GATE
+    assert kkt.certificate_to_json(cert) == kkt.certificate_to_json(want)
+    assert calls["for_model"] == 1
+    assert (calls["cholesky"], calls["inv_chol"]) == (5, 5)
+
+
+@pytest.mark.parametrize("size", [1, 4])
+def test_a_face_residual_call_factors_its_rows_once(monkeypatch, size):
+    # one _FaceSystem.residuals call of k valid rows makes one stacked
+    # Cholesky and one stacked inverse, and one stacked expm when the face
+    # has angles; the Jacobian from the kept factors makes none of the three
+    m, _ = _benchmark_key_point()
+    w = whiten(m)[0]
+    q, mu_hint, g = solver._end_point(w, 1.0, solver._commuting_start(w, 1.0, False))
+    evals, u0 = np.linalg.eigh(q)
+    face = solver._FaceSystem(w, 1.0, u0[:, np.argsort(evals)[::-1]], max(g, 1))
+    nx = face.n_qf + face.n_rot + 1
+    x0 = np.zeros(nx)
+    x0[:face.n_qf] = [0.5 * float(s.sum() == 1.0) for s in face.basis_f]
+    x0[-1] = math.log(mu_hint)
+    trials = x0 + 0.01 * rng_for(9300 + size).standard_normal((size, nx))
+    calls = _counted(monkeypatch)
+    rows, valid = face.residuals(trials)
+    assert valid.all() and face.n_rot
+    assert calls == {"for_model": 0, "cholesky": 1, "inv_chol": 1, "expm": 1}
+    face.jacobian(face.kept[0])
+    assert calls == {"for_model": 0, "cholesky": 1, "inv_chol": 1, "expm": 1}
+
+
+def _rel_close(got, want, tol=1e-12):
+    return np.linalg.norm(np.asarray(got) - want) <= tol * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("point", POINTS, ids=lambda p: f"{p['model']}-rp{p['rp']}")
+def test_the_one_pass_certificate_is_the_public_steps(point):
+    # certify passes one tested and factored point through
+    # recover_multipliers, enhance and its residuals; called one by one on
+    # raw arrays, in its frame, they give its mu, M and W~ within 1e-12
+    # relative, and verify_certificate gives its ten residuals within 1e-12
+    # on the residuals' own scale (1 + |r|)
+    m, rp = _model(point), point["rp"]
+    cert = certify(m, point["sigma"], rp)
+    assert cert.max_residual < CERT_GATE
+    w, s_half, s_half_inv = whiten(m)
+    a = linalg.congruence(s_half_inv, cert.sigma_star.value)
+    rec = kkt.recover_multipliers(w, a, rp)
+    wy_tilde = kkt.enhance(w, a, rec.mu, rec.m_matrix)
+    assert abs(cert.mu - rec.mu) <= 1e-12 * abs(rec.mu)
+    assert _rel_close(cert.m_matrix, linalg.congruence(s_half_inv, rec.m_matrix))
+    assert _rel_close(cert.wy_tilde, linalg.congruence(s_half, wy_tilde))
+    ref = kkt.verify_certificate(m, cert)
+    for key in kkt.RESIDUAL_KEYS:
+        assert abs(cert.residuals[key] - ref[key]) <= 1e-12 * (1.0 + abs(ref[key])), key

@@ -26,7 +26,7 @@ from gausskey.errors import MuZero, NonPsdInput, NotDegraded, NoValidMultiplier
 from gausskey.models import whiten
 from gausskey.rates import _chol_terms
 
-from conftest import random_aligned, random_conditional, random_spd, rng_for
+from conftest import ill_conditioned_aligned, random_aligned, random_conditional, random_spd, rng_for
 
 
 @pytest.fixture(scope="module")
@@ -101,11 +101,12 @@ def test_recovery_reports_the_composite_it_judged(certified_points):
     negative = 0
     for m, cert in certified_points:
         rec = recover_multipliers(m, cert.sigma_star, cert.rp)
-        comp, m_mat = kkt.multiplier_composite(m, cert.sigma_star.value, rec.mu)
+        comp, m_mat, parts = kkt.multiplier_composite(m, cert.sigma_star.value, rec.mu)
         diff = m.sigma_x - cert.sigma_star.value
         assert rec.residuals["psd_M"] == linalg.psd_violation(m_mat) / (1.0 + linalg.frob(m_mat))
         assert rec.residuals["compl_slack_M"] == linalg.rel_residual(m_mat @ diff, m_mat, diff)
         assert rec.residuals["psd_M"] + rec.residuals["compl_slack_M"] == comp
+        assert {k: rec.residuals[k] for k in parts} == parts
         negative += rec.residuals["psd_M"] > 0.0
     assert negative
 
@@ -619,3 +620,15 @@ def test_a_budget_that_is_not_nonnegative_is_refused(rp):
         # answers an unbounded budget with rp = inf
         assert RatePair(0.5, rp).rk == rp
         assert RatePair(math.inf, 0.0).rp == math.inf
+
+
+@pytest.mark.parametrize("key", range(7000, 7003))
+def test_the_corner_of_an_ill_conditioned_model_certifies(key):
+    # the interval test takes Q = sigma_x as it is, and certify takes it as
+    # A = I in the whitened frame, where S^-1 sigma_x S^-1 misses I by about
+    # eps cond(sigma_x) and was refused at cond 1e8
+    m = ill_conditioned_aligned(rng_for(key), 4, 1e8)
+    cert = certify(m, m.sigma_x, 0.0)
+    assert cert.max_residual < 1e-6
+    # its fields, stored in the model's frame, verify there too
+    assert max(kkt.verify_certificate(m, cert).values()) < 1e-6
