@@ -8,8 +8,9 @@ roots and congruences, the symmetric-definite generalized eigenvalue
 solve, whitened by the inverse root, and ``expm``'s Frechet derivative at a
 skew matrix (``skew_expm_frechet``).  Callers use
 ``numpy.linalg`` directly only where no kernel here fits: QR and SVD, solves
-of non-symmetric systems and eigenbases that the caller reads (the face
-polish's directions).
+of non-symmetric systems, eigenbases that the caller reads (the face
+polish's directions) and the face polish's stacked inverse of its Cholesky
+factors, one numpy call where ``inv_chol`` makes one per matrix.
 The functions are pure and take ``numpy`` arrays.  All but ``inv_chol`` (so
 ``inv_pd``) run on numpy alone; ``inv_chol`` solves through LAPACK's
 ``dpotrs``, reached through ``sla``, a handle that imports ``scipy.linalg``

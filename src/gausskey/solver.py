@@ -204,8 +204,7 @@ def _anderson_bjorck(f, x_lo, f_lo, x_hi, f_hi, tol, margin=0.0):
     While ``f(x_hi)`` is ``-inf`` it bisects.  A secant step lands at least
     ``margin`` inside, so a search converging from one side still closes.
     ``f`` returns None to end the search; the caller keeps what it needs
-    from the points ``f`` sees.  The one 1-D search of both routes: the
-    sweep's row minima and ``t*``, and ``_commuting_start``."""
+    from the points ``f`` sees: the sweep's row minima and ``t*``."""
     kept = 0  # +1 (-1): the last step replaced x_lo (x_hi)
     for _ in range(SECANT_STEPS):
         if x_hi - x_lo <= tol:
@@ -1087,8 +1086,8 @@ def sweep_boundary(m: GeneralModel, rp_grid, st_resolution: int = 200) -> Region
 # ---------------------------------------------------------------------------
 
 # The aligned route evaluates its small matrices as stacks: stacked eigh,
-# Cholesky, matmul, ``expm`` and ``linalg.inv_chol`` make a per-matrix call's
-# LAPACK/BLAS calls slice by slice, so stacked loops decide as per-point ones.
+# Cholesky, inverse, matmul, ``expm`` and ``linalg.inv_chol`` make a per-matrix
+# call's LAPACK/BLAS calls slice by slice, so stacked loops decide as per-point ones.
 
 # Step sizes that the face polish's line search tests per stacked evaluation
 # after the full step, which it tests alone: 293 of the 369 steps that the
@@ -1107,8 +1106,10 @@ POLISH_HALVINGS = 9
 # only land near the boundary, as the polish solves the rate equation exactly.
 PENALTY_RHO = 10.0
 
-# How far past the whitened cap ``A <= I`` a face polish may walk (scale-free).
+# How far past the whitened cap ``A <= I`` a face polish may walk (scale-free),
+# and how far from orthogonal a face point's rotation ``e^G`` may be.
 FACE_EXCURSION = 1e-2
+FACE_ORTHO_TOL = 1e-10
 
 def _frob_stack(a):
     flat = a.reshape(len(a), 1, -1)
@@ -1134,43 +1135,47 @@ def _commuting_part(w, swap):
     return (v, d_other, d_own) if swap else (v, d_own, d_other)
 
 
-def _commuting_start(w, rp, swap):
-    """The optimum at ``rp`` of the commuting part of a whitened model ``w``
-    (``_commuting_part``): parallel scalar sources that share one
-    multiplier mu (the parallel-channel step of the enhancement argument),
-    at ``q_i = min(1, mu dy dz / (dz - (1 + mu) dy))`` where
-    ``dz > (1 + mu) dy``, else 1.  ``I_p`` falls as mu grows, to 0 at
-    ``x_top = log max (dz - dy) / (dy (1 + dz))`` over ``dz > dy``, where
-    every ``q_i`` reaches 1; the root in log mu on [-40, x_top] gives
-    ``V diag(q) V^T`` at the last log mu within the budget (``I`` when no
-    ``dz > dy``).  At high rates the root's ``q_i`` fall to about 1e-15,
-    which ``rates_aligned`` refuses, so the routes that start here move on;
-    the ascent clips its starts itself (``_pga_penalty``)."""
-    v, dy, dz = _commuting_part(w, swap)
+def _commuting_q(dy, dz, rp):
+    """The optimum ``q`` at ``rp`` of parallel scalar sources with noises
+    ``dy``, ``dz`` and one shared multiplier mu (a whitened model's commuting
+    part; the parallel-channel step of the enhancement argument), None when
+    no ``dz > dy``.  ``q_i = min(1, mu dy dz / (dz - (1 + mu) dy))`` is below
+    1 for ``mu < mu_i = (dz - dy) / (dy (1 + dz))``, where ``1 + dy / q_i =
+    (1 + mu)(dz - dy) / (mu dz)``: over the ``k`` such, ``I_p(mu) = k/2
+    log((1 + mu) / mu) + 1/2 sum c_i``, ``c_i = log((dz - dy) / (dz (1 +
+    dy)))``, falling in mu, so ``I_p = rp`` is closed form on each piece
+    between the sorted ``mu_i``; the first piece from the top whose root
+    lies above its next ``mu_i`` holds it.  Mu is floored at e^-40 and
+    raised by 1e-12 relative while round-off puts ``I_p`` over ``rp``; at
+    high rates the ``q_i`` fall to about 1e-15, which ``rates_aligned``
+    refuses."""
     useful = dz > dy
     if not useful.any():
-        return np.eye(w.mx)
-    kept = []
-
-    def excess(x):
-        # I_p - rp at mu = e^x; keeps q when it is within the budget
-        mu = math.exp(x)
+        return None
+    dy_u, dz_u = dy[useful], dz[useful]
+    pieces = sorted(zip(((dz_u - dy_u) / (dy_u * (1.0 + dz_u))).tolist(),
+                        np.log((dz_u - dy_u) / (dz_u * (1.0 + dy_u))).tolist()), reverse=True)
+    for k in range(1, len(pieces) + 1):
+        ell = (2.0 * rp - sum(c for _, c in pieces[:k])) / k  # log((1 + mu) / mu)
+        mu = 1.0 / math.expm1(ell) if ell < 50.0 else 0.0  # past 50, below the floor
+        if k == len(pieces) or mu >= pieces[k][0]:
+            break
+    mu = max(mu, math.exp(-40.0))
+    for _ in range(4):
         gap = dz - (1.0 + mu) * dy
         q, on = np.ones_like(dy), gap > 0.0
         q[on] = np.minimum(1.0, mu * dy[on] * dz[on] / gap[on])
-        f = 0.5 * float(np.sum(np.log1p(dy / q) - np.log1p(dy))) - rp
-        if f <= 0.0:
-            kept.append(q)
-        return f
+        if 0.5 * float(np.sum(np.log1p(dy / q) - np.log1p(dy))) <= rp:
+            return q
+        mu *= 1.0 + 1e-12
+    return None
 
-    dy_u, dz_u = dy[useful], dz[useful]
-    x_top = math.log(float(np.max((dz_u - dy_u) / (dy_u * (1.0 + dz_u)))))
-    f_hi, f_lo = excess(x_top), excess(-40.0)
-    if f_lo > 0.0 > f_hi:
-        _anderson_bjorck(excess, -40.0, f_lo, x_top, f_hi, 1e-12)
-    if not kept:
-        return np.eye(w.mx)
-    return linalg.symmetrize((v * kept[-1]) @ v.T)
+
+def _commuting_start(w, rp, swap):
+    """``V diag(q) V^T`` at the commuting part's optimum (``_commuting_q``), else ``I``."""
+    v, dy, dz = _commuting_part(w, swap)
+    q = _commuting_q(dy, dz, rp)
+    return np.eye(w.mx) if q is None else linalg.symmetrize((v * q) @ v.T)
 
 
 def _starts(w, rp, n_starts):
@@ -1247,10 +1252,11 @@ class _FaceSystem:
     eigendirections, largest first; the top ``n_active`` are pinned to the
     source covariance.  A point holds the free-block coordinates (in
     ``_basis(n_free)``), the angles of the rotation mixing active and free
-    directions and log mu.  The chart's rotation at the angles' generator
-    ``G`` is the top left block of ``exp`` at the first unit generator, whose
-    top right block is the Jacobian's first Frechet block.
-    """
+    directions and log mu.  At the angles' generator ``G``, ``Q = U D U^T``
+    with ``U = u0 e^G`` and ``D = diag(I, q_f)``.  The system lives in that
+    rotated frame: ``w0`` holds ``u0^T W u0`` for ``W = 0, Wz, Wy``, ``W~ =
+    e^{G^T} w0 e^G``, and ``N = U^T M(mu) U`` is ``M(mu)`` of ``D + W~``.
+    ``e^G`` and the Jacobian's first Frechet block come from ``exp``."""
 
     def __init__(self, m, rp, u0, n_active):
         self.m, self.rp, self.u0, self.n_active = m, rp, u0, n_active
@@ -1259,6 +1265,9 @@ class _FaceSystem:
         self.n_qf = len(self.basis_f)
         self.n_rot = n_active * (n - n_active)
         self.ld_xy = m._logdets[2]
+        self.w0 = linalg.symmetrize(u0.T @ np.stack((0 * m.sigma_wz, m.sigma_wz, m.sigma_wy)) @ u0)
+        self.basis_d = np.pad(self.basis_f, ((0, 0), (n_active, 0), (n_active, 0)))
+        self.eye_a = np.diag(np.arange(n) < n_active) * 1.0
         self.gen_at = (np.repeat(np.arange(n_active), n - n_active),
                        np.tile(np.arange(n_active, n), n_active))
         self.units = self.skew(np.eye(self.n_rot))
@@ -1282,79 +1291,75 @@ class _FaceSystem:
         block[:, :n, n:] = self.units[0]
         return sla.expm(block)
 
-    def build(self, xs, big=None):
-        """Conditional covariances, multipliers, rotated bases, free blocks;
-        ``big``, when given, is the points' ``exp`` at the first unit
-        generator, whose top left blocks rotate the chart."""
-        n_qf, n_rot, na, n = self.n_qf, self.n_rot, self.n_active, self.m.mx
+    @staticmethod
+    def mu(xs):  # log mu clamped, so the line search backs off runaway probes
+        return np.array([math.exp(min(max(v, -700.0), 60.0)) for v in xs[:, -1]])
+
+    def build(self, xs):
+        """Conditional covariances, multipliers, rotated bases, free blocks."""
+        n_qf, na, n = self.n_qf, self.n_active, self.m.mx
         q_f = np.einsum("pk,kab->pab", xs[:, :n_qf], self.basis_f)
-        if n_rot:
-            big = self.exp(xs) if big is None else big
-            u = self.u0 @ big[:, :n, :n]
-        else:
-            u = np.broadcast_to(self.u0, (len(xs),) + self.u0.shape)
+        u = (self.u0 @ self.exp(xs)[:, :n, :n] if self.n_rot
+             else np.broadcast_to(self.u0, (len(xs),) + self.u0.shape))
         u_a, u_f = u[:, :, :na], u[:, :, na:]
         sigma = linalg.symmetrize(u_a @ np.swapaxes(u_a, -1, -2)
                                   + u_f @ q_f @ np.swapaxes(u_f, -1, -2))
-        # the multiplier lives on a log scale; clamp runaway probes so the
-        # line search can back off instead of overflowing
-        mu = np.array([math.exp(min(max(v, -700.0), 60.0)) for v in xs[:, -1]])
-        return sigma, mu, u, q_f
+        return sigma, self.mu(xs), u, q_f
 
     def residuals(self, xs):
         """Residual rows of points (free-block and cross-block components of
-        the whitened stationarity matrix, then ``I_p - rp``) and a mask of
-        the valid ones: those whose ``Q`` has its eigenvalues in
-        ``(COND_COV_MIN_EIG, 1 + FACE_EXCURSION]``, above the interval gate's
-        floor and short of an escape toward stationary points beyond the
-        interval.  Such a ``Q`` factors as an ascent trial does (see
-        ``_pga_penalty``).  The whole ``Q`` is tested, not its free block:
-        the ``expm`` of angles of order 1e14, which a Newton step can
-        reach, is far from orthogonal.  An invalid point's row is NaN.
-        ``kept[i]`` holds what ``jacobian`` needs of ``xs[i]``, None when invalid.
-        """
-        big = self.exp(xs) if self.n_rot else None
-        sigma, mu, u, q_f = self.build(xs, big)
-        w = np.linalg.eigvalsh(sigma)
-        valid = (w[:, 0] > COND_COV_MIN_EIG) & (w[:, -1] <= 1.0 + FACE_EXCURSION)
-        rows = np.full((len(xs), self.n_qf + self.n_rot + 1), np.nan)
-        self.kept = [None] * len(xs)
-        if not valid.any():
+        ``N``, then ``I_p - rp``) and a mask of the valid ones: ``q_f`` has
+        its eigenvalues in ``(COND_COV_MIN_EIG, 1 + FACE_EXCURSION]`` (the
+        interval gate's floor; short of an escape beyond the interval),
+        tested before any ``expm``, and ``e^G`` is orthogonal to
+        ``FACE_ORTHO_TOL``, unlike the ``expm`` of angles of order 1e14,
+        which a Newton step can reach.  The valid ``D``, ``D + W~z`` and ``D
+        + W~y`` take one stacked Cholesky (``log|D|``, ``log|D + W~y|``) and
+        one stacked inverse of its factors; invalid rows are NaN.
+        ``kept[i]`` holds what ``jacobian`` needs of ``xs[i]``, then its
+        free eigenvalues; None when invalid."""
+        n_qf, n_rot, na, n = self.n_qf, self.n_rot, self.n_active, self.m.mx
+        d = self.eye_a + np.einsum("pk,kab->pab", xs[:, :n_qf], self.basis_d)
+        lam = np.linalg.eigvalsh(d[:, na:, na:])
+        valid = (lam[:, 0] > COND_COV_MIN_EIG) & (lam[:, -1] <= 1.0 + FACE_EXCURSION)
+        rows, self.kept = np.full((len(xs), n_qf + n_rot + 1), np.nan), [None] * len(xs)
+        at, big, w_t = np.flatnonzero(valid), [None] * len(xs), self.w0
+        if n_rot and at.size:
+            big = self.exp(xs[at])
+            e = big[:, :n, :n]
+            err = np.abs(np.swapaxes(e, -1, -2) @ e - np.eye(n)).reshape(at.size, -1)
+            valid[at] = err.max(axis=1) <= FACE_ORTHO_TOL  # False on NaN too
+            big, at = big[valid[at]], np.flatnonzero(valid)
+            e = big[:, None, :n, :n]
+            w_t = np.swapaxes(e, -1, -2) @ self.w0 @ e
+        if not at.size:
             return rows, valid
-        lower = _chol_terms(self.m, sigma[valid])
-        inv = linalg.inv_chol(lower)
-        m_w = kkt.stationarity_stack(inv, mu[valid])
-        u = u[valid]  # views of it give each slice the strides of a 2-D basis
-        for j, i in enumerate(np.flatnonzero(valid)):
-            self.kept[i] = (xs[i], None if big is None else big[i], u[j], inv[j], mu[i], q_f[i])
-        u_a, u_f = u[:, :, :self.n_active], u[:, :, self.n_active:]
-        u_ft = np.swapaxes(u_f, -1, -2)
-        parts = [np.einsum("kab,pab->kp", u_ft @ m_w @ u_f, self.basis_f)]
-        if self.n_rot:
-            parts.append((np.swapaxes(u_a, -1, -2) @ m_w @ u_f).reshape(len(m_w), -1))
-        lds = linalg.logdet_chol(lower)
-        ip = -0.5 * lds[:, 0] - 0.5 * (self.ld_xy - lds[:, 2])
-        parts.append((ip - self.rp)[:, None])
-        rows[valid] = np.concatenate(parts, axis=1)
+        lower = linalg.chol_lower(d[at, None] + w_t, "D, D + W~z or D + W~y")
+        lds, inv_l = linalg.logdet_chol(lower), np.linalg.inv(lower)
+        inv = np.swapaxes(inv_l, -1, -2) @ inv_l
+        mu, ip = self.mu(xs[at]), -0.5 * lds[:, 0] - 0.5 * (self.ld_xy - lds[:, 2])
+        n_mat = kkt.stationarity_stack(inv, mu)
+        rows[at] = np.concatenate((np.einsum("kab,pab->kp", n_mat[:, na:, na:], self.basis_f),
+                                   n_mat[:, :na, na:].reshape(at.size, -1),
+                                   (ip - self.rp)[:, None]), axis=1)
+        for j, i in enumerate(at):
+            self.kept[i] = (xs[i], big[j], d[i], inv[j], n_mat[j], mu[j], lam[i])
         return rows, valid
 
     def jacobian(self, kept):
-        """The Jacobian of ``residuals`` at a valid point, from the factors
-        that the call which evaluated it kept for it (``kept``), in closed
-        form in the same chart at ``u0``; it factors nothing.  In the rotated
-        basis ``U``, where ``U^T Q U = D = diag(I, q_f)`` and ``N = U^T M U``,
-        a free coordinate moves ``D`` by its basis matrix on the free block,
-        and an angle by ``F = K D - D K`` with ``K = e^{G^T} L``, ``L`` the
-        Frechet derivative of ``expm`` at the generator ``G`` in the angle's
-        direction ``E``: the first angle's from the kept ``exp``, the others'
-        in closed form (``linalg.skew_expm_frechet``).  A move ``F`` changes
-        ``N`` by ``-M(mu)`` of ``(P F P, Z F Z, Y F Y)``, the rotated inverses
-        of ``Q``, ``Q + sigma_wz`` and ``Q + sigma_wy`` (plus ``N K - K N``
+        """The Jacobian of ``residuals`` at a valid point, in closed form from
+        what the call that evaluated it kept (``kept``): ``D``, ``N`` and the
+        rotated inverses ``(P, Z, Y)`` of ``D``, ``D + W~z`` and ``D + W~y``,
+        taken as they are.  A free coordinate moves ``D`` by its basis matrix
+        on the free block, an angle by ``F = K D - D K`` with ``K = e^{G^T}
+        L``, ``L`` the Frechet derivative of ``expm`` at ``G`` in the angle's
+        direction: the first angle's from the kept ``exp``, the others' in
+        closed form (``linalg.skew_expm_frechet``).  A move ``F`` changes
+        ``N`` by ``-M(mu)`` of ``(P F P, Z F Z, Y F Y)`` (plus ``N K - K N``
         for an angle) and ``I_p`` by ``tr((Y - P) F) / 2``; log mu changes
         ``N`` by ``mu (P - Y)``."""
         n_qf, n_rot, na, n = self.n_qf, self.n_rot, self.n_active, self.m.mx
-        x, big, u, inv, mu, q_f = kept
-        inv = u.T @ inv @ u
+        x, big, d, inv, n_mat, mu, _ = kept
         f = np.zeros((n_qf + n_rot, n, n))
         f[:n_qf, na:, na:] = self.basis_f
         if n_rot:
@@ -1362,17 +1367,13 @@ class _FaceSystem:
             if n_rot > 1:
                 k = np.concatenate((k, linalg.skew_expm_frechet(
                     self.skew(x[None, n_qf:-1])[0], self.units[1:])))
-            d = np.eye(n)
-            d[na:, na:] = q_f
             f[n_qf:] = k @ d - d @ k
         dn = -kkt.stationarity_stack(inv @ f[:, None] @ inv, mu)
         if n_rot:
-            n_mat = kkt.stationarity_stack(inv, mu)
             dn[n_qf:] += n_mat @ k - k @ n_mat
         dn = np.concatenate((dn, mu * (inv[None, 0] - inv[None, 2])))
-        cols = [np.einsum("kab,pab->pk", dn[:, na:, na:], self.basis_f)]
-        if n_rot:
-            cols.append(dn[:, :na, na:].reshape(len(dn), -1).T)
+        cols = [np.einsum("kab,pab->pk", dn[:, na:, na:], self.basis_f),
+                dn[:, :na, na:].reshape(len(dn), -1).T]
         rate = 0.5 * np.einsum("ab,kab->k", inv[2] - inv[0], f)
         cols.append(np.append(rate, 0.0)[None])
         return np.concatenate(cols)
@@ -1444,12 +1445,11 @@ def _polish_face(m, rp, q_hat, mu_hint, n_active):
                 break
         if not better.size:
             break
-        x_new = trials[lo + better[0]]
-        q_free = np.dot(x_new[None, :face.n_qf], face.basis_f.reshape(face.n_qf, -1))
-        if np.linalg.eigvalsh(q_free.reshape(face.basis_f.shape[1:]))[-1] > 1.0:
+        x_new, kept_new = trials[lo + better[0]], face.kept[better[0]]
+        if kept_new[-1][-1] > 1.0:  # its top free eigenvalue
             (sigma,), (mu,), _, _ = face.build(x[None])
             return _polish_face(m, rp, sigma, float(mu), n_active + 1)
-        x, r, kept = x_new, rows[better[0]], face.kept[better[0]]
+        x, r, kept = x_new, rows[better[0]], kept_new
     return face.build(x[None])[0][0]
 
 

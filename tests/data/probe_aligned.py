@@ -32,7 +32,9 @@ in ``cpu_s``), as ``cholesky_calls`` and ``certify_cholesky_calls`` the
 ``solver._polish_face`` (a polish that moves to the next face calls it once
 more), the rows ``solver._FaceSystem.residuals`` evaluated and the calls of
 ``solver._FaceSystem.jacobian`` (one per Newton iterate, each on the factors
-its point's residual evaluation kept), and as ``ascent_calls``,
+its point's residual evaluation kept), as ``invalid_rows`` the residual rows
+that held no valid point and as ``expm_calls`` the calls of ``solver.sla.expm``
+(a stacked call counts once), and as ``ascent_calls``,
 ``ascent_matrices`` and ``ascent_cpu_s`` the ascent's calls of
 ``solver._rates_stack``, the matrices they evaluated and the process CPU
 seconds spent inside ``solver._pga_penalty``.  CPU seconds are noisy on a
@@ -65,7 +67,8 @@ kkt.ACCEPT_COMPOSITE)`` (listing each: that multiplier test alone decides
 ``converged``), and the run's cost beside the file's: the summed
 ``cpu_s`` and ``certify_cpu_s``, the summed Cholesky calls of the solves
 and of the certificates, how many solves ran the ascent, the summed
-polish calls, residual rows and Jacobians, and the ascent's summed calls, matrices and
+polish calls, residual rows, invalid residual rows, ``expm`` calls and
+Jacobians, and the ascent's summed calls, matrices and
 CPU seconds, listing each point solved on both runs whose solve ran the ascent on one
 run only (a figure the file did not record reads "not
 recorded", and a file without ``iterations`` lists none; ``--save`` prints
@@ -214,12 +217,13 @@ def record(m, rp, mode=None, c=1.0):
     }
 
 
-# face-polish calls, residual rows and Jacobians, the ascent's rate
+# face-polish calls, residual rows (all and invalid), expm calls and
+# Jacobians, the ascent's rate
 # evaluations, matrices and CPU seconds, and np.linalg.cholesky calls, since
 # the start of the run
 COUNTS = Counter()
-COUNTED = ("polish_calls", "residual_rows", "jacobian_calls", "ascent_calls",
-           "ascent_matrices", "ascent_cpu_s", "cholesky_calls")
+COUNTED = ("polish_calls", "residual_rows", "invalid_rows", "expm_calls", "jacobian_calls",
+           "ascent_calls", "ascent_matrices", "ascent_cpu_s", "cholesky_calls")
 
 # what the current solve ran: how many commuting-part optima it polished
 # (the ``_polished`` calls made outside ``_polish_end``, which only the
@@ -246,11 +250,26 @@ def _entry(n_active, factor, g):
     return f"({face}, {factor:g})"
 
 
+class _CountedExpm:
+    """``scipy.linalg`` as ``solver`` reads it, with ``expm`` calls counted."""
+
+    def __init__(self, sla):
+        self._sla = sla
+
+    def __getattr__(self, name):
+        return getattr(self._sla, name)
+
+    def expm(self, a):
+        COUNTS["expm_calls"] += 1
+        return self._sla.expm(a)
+
+
 def count_the_work():
     """Make ``solver._polish_face``, ``solver._FaceSystem.residuals`` and
     ``jacobian``, ``solver._rates_stack`` (which only the ascent calls) and
-    ``solver._pga_penalty`` add their calls, rows, matrices and CPU seconds
-    to ``COUNTS``, and ``np.linalg.cholesky`` its calls, and
+    ``solver._pga_penalty`` add their calls, rows (and invalid rows),
+    matrices and CPU seconds to ``COUNTS``, and ``np.linalg.cholesky`` and
+    ``solver.sla.expm`` their calls, and
     ``solver._homotopy``, ``solver._polish_end`` and its
     ``solver._face_schedule`` and ``solver._polished`` calls note in
     ``TRACE`` what decided the solve."""
@@ -265,8 +284,10 @@ def count_the_work():
         return polish(*args)
 
     def counted_rows(face, xs):
+        rows, valid = residuals(face, xs)
         COUNTS["residual_rows"] += len(xs)
-        return residuals(face, xs)
+        COUNTS["invalid_rows"] += int(np.sum(~valid))
+        return rows, valid
 
     def counted_jacobian(face, *args):
         COUNTS["jacobian_calls"] += 1
@@ -320,6 +341,7 @@ def count_the_work():
 
     cholesky = np.linalg.cholesky
     np.linalg.cholesky = counted_cholesky
+    solver.sla = _CountedExpm(solver.sla)
     solver._polish_face = counted_polish
     solver._FaceSystem.residuals = counted_rows
     solver._FaceSystem.jacobian = counted_jacobian
@@ -359,9 +381,10 @@ COST_KEYS = ("cert", "cpu_s", "certify_cpu_s", "certify_cholesky_calls", "iterat
 def cost_figures(run):
     """``(name, figure)`` of the run's cost: its summed CPU seconds and
     Cholesky calls of the solves and of the certificates, how many of its
-    solves ran the ascent, its summed polish calls, residual rows and
-    Jacobians, and the ascent's summed rate evaluations, matrices and CPU
-    seconds, each "not recorded" when the run lacks the field."""
+    solves ran the ascent, its summed polish calls, residual rows, invalid
+    residual rows, ``expm`` calls and Jacobians, and the ascent's summed
+    rate evaluations, matrices and CPU seconds, each "not recorded" when the
+    run lacks the field."""
     recs = list(run.values())
     solved = [rec for rec in recs if "value" in rec]
 
@@ -377,6 +400,8 @@ def cost_figures(run):
             ("solves that ran the ascent", total("iterations", solved, lambda it: it > 0)),
             ("face polish calls", total("polish_calls", recs)),
             ("residual rows", total("residual_rows", recs)),
+            ("invalid residual rows", total("invalid_rows", recs)),
+            ("expm calls", total("expm_calls", recs)),
             ("Jacobians", total("jacobian_calls", recs)),
             ("ascent rate calls", total("ascent_calls", recs)),
             ("ascent matrices", total("ascent_matrices", recs)),

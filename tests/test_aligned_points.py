@@ -62,7 +62,7 @@ import scipy.linalg as sla
 
 from gausskey import AlignedModel, certify, kkt, linalg, solve_at_rate, solver
 from gausskey.errors import GausskeyError, NoValidMultiplier
-from gausskey.models import ConditionalCov, whiten
+from gausskey.models import COND_COV_MIN_EIG, ConditionalCov, whiten
 from gausskey.rates import RatePair, _chol_terms, asymptotic_limit, rates_aligned
 
 from conftest import (ill_conditioned_aligned, random_aligned, random_conditional, random_spd,
@@ -644,6 +644,62 @@ def test_commuting_start_is_the_optimum_of_a_commuting_model(mx):
         assert np.array_equal(solver._commuting_start(w, 1.0, swap), np.eye(mx))
 
 
+def _root_search_q(dy, dz, rp):
+    """The commuting-part optimum by the search the closed form replaced:
+    an Anderson-Bjorck root search of ``I_p - rp`` in log mu on [-40,
+    log max mu_i] to 1e-12, keeping the ``q`` of the last log mu within the
+    budget; None when no ``dz > dy``."""
+    useful = dz > dy
+    if not useful.any():
+        return None
+    kept = []
+
+    def excess(x):
+        mu = math.exp(x)
+        gap = dz - (1.0 + mu) * dy
+        q, on = np.ones_like(dy), gap > 0.0
+        q[on] = np.minimum(1.0, mu * dy[on] * dz[on] / gap[on])
+        f = 0.5 * float(np.sum(np.log1p(dy / q) - np.log1p(dy))) - rp
+        if f <= 0.0:
+            kept.append(q)
+        return f
+
+    dy_u, dz_u = dy[useful], dz[useful]
+    x_top = math.log(float(np.max((dz_u - dy_u) / (dy_u * (1.0 + dz_u)))))
+    f_hi, f_lo = excess(x_top), excess(-40.0)
+    if f_lo > 0.0 > f_hi:
+        solver._anderson_bjorck(excess, -40.0, f_lo, x_top, f_hi, 1e-12)
+    return kept[-1] if kept else None
+
+
+@pytest.mark.parametrize("mx", range(1, 9))
+def test_the_commuting_optimum_in_closed_form_is_the_root_search(mx):
+    # I_p(mu) is piecewise k/2 log((1 + mu) / mu) + 1/2 sum c_i between
+    # the sorted thresholds mu_i, so its root is closed form: on seeded
+    # models, both commuting parts and rates from 1e-8 to inf (where mu
+    # stops at its floor e^-40), it is the root search's q within 1e-10 and
+    # keeps the budget, and no dz > dy gives I
+    checked = 0
+    for key in range(8):
+        w = whiten(random_aligned(rng_for(9400 + 10 * mx + key), mx))[0]
+        for swap in (False, True):
+            v, dy, dz = solver._commuting_part(w, swap)
+            for rp in (1e-8, 1e-4, 0.5, 4.0, 16.0, 1e300, math.inf):
+                q, want = solver._commuting_q(dy, dz, rp), _root_search_q(dy, dz, rp)
+                assert (q is None) == (want is None) == (not np.any(dz > dy))
+                if q is None:
+                    assert np.array_equal(solver._commuting_start(w, rp, swap), np.eye(mx))
+                    continue
+                checked += 1
+                assert np.max(np.abs(q - want)) <= 1e-10
+                assert 0.5 * float(np.sum(np.log1p(dy / q) - np.log1p(dy))) <= rp * (1.0 + 1e-12)
+                assert np.array_equal(solver._commuting_start(w, rp, swap),
+                                      linalg.symmetrize((v * q) @ v.T))
+    assert checked >= 7 * 2
+    dy = np.linspace(0.5, 1.0, mx)
+    assert solver._commuting_q(dy, 0.5 * dy, 1.0) is None
+
+
 # the benchmark's nine aligned models, (mx, key) of _bench_model
 BENCH_MODELS = [(2, key) for key in range(2000, 2005)] + [(4, 2005), (4, 2006), (4, 2007),
                                                           (6, 2009)]
@@ -938,6 +994,101 @@ def test_stacked_face_residual_matches_per_point(mx):
                 assert list(valid[-2:]) == [True, False]
                 n_outside += 1
     assert n_valid and n_invalid and n_outside
+
+
+def _model_frame_residuals(face, xs):
+    """The face residual as it was computed in the model's frame: each
+    point's ``Q = U D U^T`` (``face.build``), valid when the eigenvalues of
+    the whole ``Q`` lie in ``(COND_COV_MIN_EIG, 1 + FACE_EXCURSION]``, then
+    ``M(mu)`` of ``Q``, ``Q + sigma_wz`` and ``Q + sigma_wy`` rotated back
+    as ``U^T M U``."""
+    sigma, mu, u, _ = face.build(xs)
+    w = np.linalg.eigvalsh(sigma)
+    valid = (w[:, 0] > COND_COV_MIN_EIG) & (w[:, -1] <= 1.0 + solver.FACE_EXCURSION)
+    rows = np.full((len(xs), face.n_qf + face.n_rot + 1), np.nan)
+    if not valid.any():
+        return rows, valid
+    lower = _chol_terms(face.m, sigma[valid])
+    m_w = kkt.stationarity_stack(linalg.inv_chol(lower), mu[valid])
+    u = u[valid]
+    u_a, u_f = u[:, :, :face.n_active], u[:, :, face.n_active:]
+    lds = linalg.logdet_chol(lower)
+    ip = -0.5 * lds[:, 0] - 0.5 * (face.ld_xy - lds[:, 2])
+    rows[valid] = np.concatenate((
+        np.einsum("kab,pab->kp", np.swapaxes(u_f, -1, -2) @ m_w @ u_f, face.basis_f),
+        (np.swapaxes(u_a, -1, -2) @ m_w @ u_f).reshape(len(u), -1),
+        (ip - face.rp)[:, None]), axis=1)
+    return rows, valid
+
+
+def _seeded_faces(mx, key):
+    """``(face, x0)`` on every face below the corner of a seeded whitened
+    model, ``x0`` the chart's centre at mu 0.7."""
+    rng = rng_for(key)
+    m = AlignedModel(*(random_spd(rng, mx) for _ in range(3)))
+    white, _, s_half_inv = whiten(m)
+    q_hat = linalg.congruence(s_half_inv, random_conditional(rng, m.sigma_x))
+    w, u0 = np.linalg.eigh(q_hat)
+    u0 = u0[:, np.argsort(w)[::-1]]
+    for n_active in range(mx):
+        face = solver._FaceSystem(white, 1.0, u0, n_active)
+        u_f0 = u0[:, n_active:]
+        yield face, np.concatenate((
+            [np.sum((u_f0.T @ q_hat @ u_f0) * s) / np.sum(s * s) for s in face.basis_f],
+            np.zeros(face.n_rot), [math.log(0.7)]))
+
+
+@pytest.mark.parametrize("mx", range(2, 7))
+def test_the_rotated_frame_gives_the_model_frame_rows(mx):
+    # the residual reads N = U^T M U from D, D + W~z and D + W~y in the
+    # rotated frame; the model frame built Q = U D U^T, factored its three
+    # terms and rotated M back.  At seeded valid points on every face, with
+    # angles of order 0.5, both take the same points and give the same rows
+    # within 1e-12 on the rows' own scale (1 + |r|)
+    n_valid = 0
+    for key in range(3):
+        rng = rng_for(9500 + 10 * mx + key)
+        for face, x0 in _seeded_faces(mx, 9500 + 10 * mx + key):
+            steps = np.concatenate((0.02 * rng.standard_normal((8, face.n_qf)),
+                                    0.5 * rng.standard_normal((8, face.n_rot)),
+                                    0.5 * rng.standard_normal((8, 1))), axis=1)
+            rows, valid = face.residuals(x0 + steps)
+            want, want_valid = _model_frame_residuals(face, x0 + steps)
+            assert np.array_equal(valid, want_valid)
+            n_valid += int(valid.sum())
+            assert np.all(np.abs(rows - want)[valid]
+                          <= ROW_RTOL * (1.0 + np.abs(want[valid])))
+    assert n_valid >= 8 * 3 * mx - 4
+
+
+@pytest.mark.parametrize("case", ["above the cap", "below the floor", "angles near 1e14"])
+def test_an_invalid_trial_has_nan_rows_and_factors_nothing(monkeypatch, case):
+    # a trial whose free eigenvalue passes 1 + FACE_EXCURSION or falls to
+    # the interval gate's floor is refused before any expm; one whose angles
+    # are of order 1e14 has an expm far from orthogonal, refused before any
+    # factorisation.  Each row is NaN and keeps nothing, and a valid trial
+    # beside it keeps the rows of a call on its own
+    face, x0 = next(f for f in _seeded_faces(4, 9600) if f[0].n_active == 1)
+    bad = np.repeat(x0[None], 3, axis=0)
+    eye_f = np.array([float(s.sum() == 1.0) for s in face.basis_f])
+    if case == "above the cap":
+        bad[:, :face.n_qf] = (1.0 + np.array([1.01, 2.0, 10.0])[:, None]
+                              * solver.FACE_EXCURSION) * eye_f
+    elif case == "below the floor":
+        bad[:, :face.n_qf] = np.array([0.5, 1e-11, -0.1])[:, None] * eye_f
+        bad[0, 0] = 1e-11  # one free eigenvalue at the floor, the others at 0.5
+    else:
+        bad[:, face.n_qf:-1] = np.geomspace(1e13, 1e15, 3)[:, None]
+    calls = _counted(monkeypatch)
+    rows, valid = face.residuals(bad)
+    assert not valid.any() and np.isnan(rows).all() and face.kept == [None] * 3
+    expm = int(case == "angles near 1e14")
+    assert calls == {"for_model": 0, "cholesky": 0, "inv_chol": 0, "inv": 0, "expm": expm}
+    single, _ = face.residuals(x0[None])
+    mixed, valid = face.residuals(np.concatenate((bad[:1], x0[None], bad[1:])))
+    assert list(valid) == [False, True, False, False]
+    assert mixed[1].tobytes() == single[0].tobytes()
+    assert np.isnan(mixed[[0, 2, 3]]).all()
 
 
 @pytest.mark.parametrize("mx", range(2, 7))
@@ -1303,7 +1454,7 @@ def test_a_polish_that_never_crosses_keeps_its_iterates(monkeypatch):
 
 @pytest.mark.parametrize("mx, key, rp, period, max_iter, sequential", [
     (2, 2001, 1.0, 5, 400, "meets"), (2, 2003, 0.5, 13, 400, "meets"),
-    (2, 2003, 0.5, 25, 3, "misses"), (4, 2005, 2.0, 13, 3, "misses"),
+    (2, 2003, 0.5, 25, 3, "misses"), (4, 2005, 2.0, 13, 3, "meets"),
     (4, 2005, 2.0, 13, 400, "meets"), (6, 2009, 1.0, 13, 400, "meets")])
 def test_injected_invalid_trials_backtrack(monkeypatch, mx, key, rp, period, max_iter,
                                            sequential):
@@ -1416,8 +1567,9 @@ def test_a_value_error_in_the_certificate_propagates(monkeypatch):
 
 def _counted(monkeypatch):
     """Count ``ConditionalCov.for_model``, ``np.linalg.cholesky``,
-    ``linalg.inv_chol`` and ``solver.sla.expm`` calls from here on."""
-    calls = dict.fromkeys(("for_model", "cholesky", "inv_chol", "expm"), 0)
+    ``linalg.inv_chol``, ``np.linalg.inv`` and ``solver.sla.expm`` calls from
+    here on."""
+    calls = dict.fromkeys(("for_model", "cholesky", "inv_chol", "inv", "expm"), 0)
 
     def counting(key, fn):
         def counted(*args, **kwargs):
@@ -1430,6 +1582,7 @@ def _counted(monkeypatch):
                         classmethod(counting("for_model", for_model)))
     monkeypatch.setattr(np.linalg, "cholesky", counting("cholesky", np.linalg.cholesky))
     monkeypatch.setattr(linalg, "inv_chol", counting("inv_chol", linalg.inv_chol))
+    monkeypatch.setattr(np.linalg, "inv", counting("inv", np.linalg.inv))
     monkeypatch.setattr(solver, "sla", SimpleNamespace(expm=counting("expm", sla.expm)))
     return calls
 
@@ -1460,8 +1613,9 @@ def test_a_certificate_tests_and_factors_its_point_once(monkeypatch):
 @pytest.mark.parametrize("size", [1, 4])
 def test_a_face_residual_call_factors_its_rows_once(monkeypatch, size):
     # one _FaceSystem.residuals call of k valid rows makes one stacked
-    # Cholesky and one stacked inverse, and one stacked expm when the face
-    # has angles; the Jacobian from the kept factors makes none of the three
+    # Cholesky and one stacked inverse of its factors, and one stacked expm
+    # when the face has angles; the Jacobian from the kept factors makes
+    # none of the three, and a stack of trials past the cap makes none
     m, _ = _benchmark_key_point()
     w = whiten(m)[0]
     q, mu_hint, g = solver._end_point(w, 1.0, solver._commuting_start(w, 1.0, False))
@@ -1475,9 +1629,15 @@ def test_a_face_residual_call_factors_its_rows_once(monkeypatch, size):
     calls = _counted(monkeypatch)
     rows, valid = face.residuals(trials)
     assert valid.all() and face.n_rot
-    assert calls == {"for_model": 0, "cholesky": 1, "inv_chol": 1, "expm": 1}
+    once = {"for_model": 0, "cholesky": 1, "inv_chol": 0, "inv": 1, "expm": 1}
+    assert calls == once
     face.jacobian(face.kept[0])
-    assert calls == {"for_model": 0, "cholesky": 1, "inv_chol": 1, "expm": 1}
+    assert calls == once
+    past = trials.copy()
+    past[:, :face.n_qf] *= 2.0 * (1.0 + solver.FACE_EXCURSION) / 0.5
+    rows, valid = face.residuals(past)
+    assert not valid.any() and np.isnan(rows).all()
+    assert calls == once
 
 
 def _rel_close(got, want, tol=1e-12):
