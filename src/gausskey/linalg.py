@@ -8,14 +8,12 @@ roots and congruences, the symmetric-definite generalized eigenvalue
 solve, whitened by the inverse root, and ``expm``'s Frechet derivative at a
 skew matrix (``skew_expm_frechet``).  Callers use
 ``numpy.linalg`` directly only where no kernel here fits: QR and SVD, solves
-of non-symmetric systems, eigenbases that the caller reads (the face
-polish's directions) and the face polish's stacked inverse of its Cholesky
-factors, one numpy call where ``inv_chol`` makes one per matrix.
-The functions are pure and take ``numpy`` arrays.  All but ``inv_chol`` (so
-``inv_pd``) run on numpy alone; ``inv_chol`` solves through LAPACK's
-``dpotrs``, reached through ``sla``, a handle that imports ``scipy.linalg``
-on first use, so the scalar route (sweep, oracle and closed-form limit)
-never loads SciPy.
+of non-symmetric systems and eigenbases that the caller reads (the face
+polish's directions).  The functions are pure, take ``numpy`` arrays and run
+on numpy alone.  SciPy sits behind ``sla``, a handle that imports
+``scipy.linalg`` on first use, for ``expm`` alone (the face polish's
+rotations, ``solver.sla.expm``), so the sweep, the oracle, the rates, the
+certificate and Monte Carlo never load SciPy.
 
 Tolerance conventions
 ---------------------
@@ -129,12 +127,10 @@ def logdet_chol(lower):
 
 
 def inv_chol(lower):
-    """Inverse of ``a`` from its lower Cholesky factor, for one factor or a
-    stack of them: one LAPACK ``dpotrs`` solve per matrix."""
-    eye = np.eye(lower.shape[-1])
-    inv = np.array([sla.lapack.dpotrs(c, eye, lower=1)[0]
-                    for c in lower.reshape((-1,) + eye.shape)])
-    return symmetrize(inv.reshape(lower.shape))
+    """Inverse of ``a`` from its lower Cholesky factor ``L``, for one factor
+    or a stack of them: ``L^-T L^-1`` from one (stacked) numpy inverse."""
+    inv_l = np.linalg.inv(lower)
+    return symmetrize(np.swapaxes(inv_l, -1, -2) @ inv_l)
 
 
 def logdet_pd(a, name="matrix"):

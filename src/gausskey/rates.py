@@ -144,11 +144,12 @@ def _point(m: AlignedModel, q) -> _Point:
     return q if isinstance(q, _Point) else _Point(m, ConditionalCov.for_model(m, q).value)
 
 
-def _pair(ld_full, ld) -> RatePair:
-    """The rate pair from the log-dets of ``sigma_x`` (``ld_full``) and of
-    ``Q`` (``ld``), each plus 0, ``sigma_wz`` and the Y noise."""
-    gx, gz, gy = 0.5 * (np.asarray(ld_full) - ld)
-    return RatePair(rp=gx - gy, rk=gy - gz)
+def _logdet_rates(ld_full, ld):
+    """``(I_p, I_k)`` from the log-dets of ``sigma_x`` (``ld_full``) and of
+    ``Q`` (``ld``), each plus 0, ``sigma_wz`` and the Y noise, for one point
+    or a stack of them (``ld`` of shape ``(p, 3)``)."""
+    gx, gz, gy = (0.5 * (np.asarray(ld_full) - ld)).T
+    return gx - gy, gy - gz
 
 
 def _rates_with_y_noise(m: AlignedModel, wy, point: _Point):
@@ -157,13 +158,13 @@ def _rates_with_y_noise(m: AlignedModel, wy, point: _Point):
     lower = linalg.chol_lower(np.stack((point.q, m.sigma_x)) + wy, "Q + W_y or sigma_x + W_y")
     ld_q, ld_qz, _ = linalg.logdet_chol(point.lower)
     ld_qy, ld_xy = linalg.logdet_chol(lower)
-    return _pair((*m._logdets[:2], ld_xy), (ld_q, ld_qz, ld_qy)), lower
+    return RatePair(*_logdet_rates((*m._logdets[:2], ld_xy), (ld_q, ld_qz, ld_qy))), lower
 
 
 def rates_aligned(m: AlignedModel, q) -> RatePair:
     """Evaluate (I_p, I_k) for an aligned model at conditional covariance q,
     or at a ``_Point`` of one, from its factors."""
-    return _pair(m._logdets, linalg.logdet_chol(_point(m, q).lower))
+    return RatePair(*_logdet_rates(m._logdets, linalg.logdet_chol(_point(m, q).lower)))
 
 
 def rates_enhanced(m: AlignedModel, wy_tilde, q) -> RatePair:

@@ -79,9 +79,10 @@ from .models import (
     whiten,
 )
 from .oracle import brute_force_grid  # noqa: F401  (re-exported)
-from .rates import PointMeta, RatePair, RegionBoundary, _chol_terms, _point, rates_aligned
+from .rates import (PointMeta, RatePair, RegionBoundary, _chol_terms, _logdet_rates, _point,
+                    rates_aligned)
 
-sla = linalg.sla  # scipy.linalg, loaded on the aligned route's first use
+sla = linalg.sla  # scipy.linalg, loaded at the face polish's first expm
 BARRIER_GAP_TOL = 1e-8
 NEWTON_DECREMENT_TOL = 1e-10
 SIGMA_FLOOR_SCALE = 1e-9
@@ -1086,8 +1087,8 @@ def sweep_boundary(m: GeneralModel, rp_grid, st_resolution: int = 200) -> Region
 # ---------------------------------------------------------------------------
 
 # The aligned route evaluates its small matrices as stacks: stacked eigh,
-# Cholesky, inverse, matmul, ``expm`` and ``linalg.inv_chol`` make a per-matrix
-# call's LAPACK/BLAS calls slice by slice, so stacked loops decide as per-point ones.
+# Cholesky, inverse, matmul and ``expm`` make a per-matrix call's LAPACK/BLAS
+# calls slice by slice, so stacked loops decide as per-point ones.
 
 # Step sizes that the face polish's line search tests per stacked evaluation
 # after the full step, which it tests alone: 293 of the 369 steps that the
@@ -1121,8 +1122,7 @@ def _rates_stack(m, sigma, ld_full):
     for a stack of conditional covariances inside the matrix interval (see
     ``_pga_penalty``), given the log-dets ``ld_full`` of ``sigma_x`` plus 0,
     ``sigma_wz`` and ``sigma_wy``."""
-    gx, gz, gy = (0.5 * (ld_full - linalg.logdet_chol(_chol_terms(m, sigma)))).T
-    return gx - gy, gy - gz
+    return _logdet_rates(ld_full, linalg.logdet_chol(_chol_terms(m, sigma)))
 
 
 def _commuting_part(w, swap):
@@ -1255,8 +1255,9 @@ class _FaceSystem:
     directions and log mu.  At the angles' generator ``G``, ``Q = U D U^T``
     with ``U = u0 e^G`` and ``D = diag(I, q_f)``.  The system lives in that
     rotated frame: ``w0`` holds ``u0^T W u0`` for ``W = 0, Wz, Wy``, ``W~ =
-    e^{G^T} w0 e^G``, and ``N = U^T M(mu) U`` is ``M(mu)`` of ``D + W~``.
-    ``e^G`` and the Jacobian's first Frechet block come from ``exp``."""
+    e^{G^T} w0 e^G``, and ``N = U^T M(mu) U`` is ``M(mu)`` of ``D + W~``,
+    whose log-dets are those of ``Q + W``.  ``e^G`` and the Jacobian's
+    first Frechet block come from ``exp``."""
 
     def __init__(self, m, rp, u0, n_active):
         self.m, self.rp, self.u0, self.n_active = m, rp, u0, n_active
@@ -1264,7 +1265,7 @@ class _FaceSystem:
         self.basis_f = _basis(n - n_active)
         self.n_qf = len(self.basis_f)
         self.n_rot = n_active * (n - n_active)
-        self.ld_xy = m._logdets[2]
+        self.ld_full = m._logdets
         self.w0 = linalg.symmetrize(u0.T @ np.stack((0 * m.sigma_wz, m.sigma_wz, m.sigma_wy)) @ u0)
         self.basis_d = np.pad(self.basis_f, ((0, 0), (n_active, 0), (n_active, 0)))
         self.eye_a = np.diag(np.arange(n) < n_active) * 1.0
@@ -1295,16 +1296,16 @@ class _FaceSystem:
     def mu(xs):  # log mu clamped, so the line search backs off runaway probes
         return np.array([math.exp(min(max(v, -700.0), 60.0)) for v in xs[:, -1]])
 
-    def build(self, xs):
-        """Conditional covariances, multipliers, rotated bases, free blocks."""
-        n_qf, na, n = self.n_qf, self.n_active, self.m.mx
-        q_f = np.einsum("pk,kab->pab", xs[:, :n_qf], self.basis_f)
-        u = (self.u0 @ self.exp(xs)[:, :n, :n] if self.n_rot
-             else np.broadcast_to(self.u0, (len(xs),) + self.u0.shape))
-        u_a, u_f = u[:, :, :na], u[:, :, na:]
-        sigma = linalg.symmetrize(u_a @ np.swapaxes(u_a, -1, -2)
-                                  + u_f @ q_f @ np.swapaxes(u_f, -1, -2))
-        return sigma, self.mu(xs), u, q_f
+    def point(self, kept):
+        """``(Q, mu)`` at a valid point from what its residual call kept
+        (``kept``): ``U = u0 e^G`` with ``e^G`` the kept ``expm`` block, and
+        ``Q = u_a u_a^T + u_f q_f u_f^T`` over ``U``'s active and free
+        columns, with ``q_f`` the free block of the kept ``D``."""
+        _, big, d, *_, mu, _ = kept
+        na, n = self.n_active, self.m.mx
+        u = self.u0 @ big[:n, :n] if self.n_rot else self.u0
+        u_a, u_f = u[:, :na], u[:, na:]
+        return linalg.symmetrize(u_a @ u_a.T + u_f @ d[na:, na:] @ u_f.T), mu
 
     def residuals(self, xs):
         """Residual rows of points (free-block and cross-block components of
@@ -1335,9 +1336,8 @@ class _FaceSystem:
         if not at.size:
             return rows, valid
         lower = linalg.chol_lower(d[at, None] + w_t, "D, D + W~z or D + W~y")
-        lds, inv_l = linalg.logdet_chol(lower), np.linalg.inv(lower)
-        inv = np.swapaxes(inv_l, -1, -2) @ inv_l
-        mu, ip = self.mu(xs[at]), -0.5 * lds[:, 0] - 0.5 * (self.ld_xy - lds[:, 2])
+        lds, inv = linalg.logdet_chol(lower), linalg.inv_chol(lower)
+        mu, ip = self.mu(xs[at]), _logdet_rates(self.ld_full, lds)[0]
         n_mat = kkt.stationarity_stack(inv, mu)
         rows[at] = np.concatenate((np.einsum("kab,pab->kp", n_mat[:, na:, na:], self.basis_f),
                                    n_mat[:, :na, na:].reshape(at.size, -1),
@@ -1420,8 +1420,7 @@ def _polish_face(m, rp, q_hat, mu_hint, n_active):
     nx = face.n_qf + face.n_rot + 1
     x = np.zeros(nx)
     q_free0 = u0[:, n_active:].T @ q_hat @ u0[:, n_active:]
-    x[:face.n_qf] = [float(np.sum(q_free0 * s)) / float(np.sum(s * s))
-                     for s in face.basis_f]
+    x[:face.n_qf] = linalg.symmetrize(q_free0)[np.triu_indices(m.mx - n_active)]
     x[-1] = math.log(max(mu_hint, 1e-12))
     rows, valid = face.residuals(x[None])
     if not valid[0]:
@@ -1447,10 +1446,10 @@ def _polish_face(m, rp, q_hat, mu_hint, n_active):
             break
         x_new, kept_new = trials[lo + better[0]], face.kept[better[0]]
         if kept_new[-1][-1] > 1.0:  # its top free eigenvalue
-            (sigma,), (mu,), _, _ = face.build(x[None])
+            sigma, mu = face.point(kept)
             return _polish_face(m, rp, sigma, float(mu), n_active + 1)
         x, r, kept = x_new, rows[better[0]], kept_new
-    return face.build(x[None])[0][0]
+    return face.point(kept)[0]
 
 
 def _face_schedule(n_active_guess, mx):

@@ -34,8 +34,9 @@ more), the rows ``solver._FaceSystem.residuals`` evaluated and the calls of
 ``solver._FaceSystem.jacobian`` (one per Newton iterate, each on the factors
 its point's residual evaluation kept), as ``invalid_rows`` the residual rows
 that held no valid point and as ``expm_calls`` the calls of ``solver.sla.expm``
-(a stacked call counts once), and as ``ascent_calls``,
-``ascent_matrices`` and ``ascent_cpu_s`` the ascent's calls of
+(a stacked call counts once; residual evaluations make them all, as
+``_FaceSystem.point`` reads a polished point from its kept block), and as
+``ascent_calls``, ``ascent_matrices`` and ``ascent_cpu_s`` the ascent's calls of
 ``solver._rates_stack``, the matrices they evaluated and the process CPU
 seconds spent inside ``solver._pga_penalty``.  CPU seconds are noisy on a
 shared machine; the counts are deterministic, so they tell a change in the

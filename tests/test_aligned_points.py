@@ -897,6 +897,20 @@ def test_face_schedule_keeps_the_reference_schedule_optima(monkeypatch, key):
 # stacked face residual against the per-point closure
 # ---------------------------------------------------------------------------
 
+def _build(face, xs):
+    """Conditional covariances, multipliers, rotated bases and free blocks of
+    a stack of points, each rotation from its own ``expm``: what
+    ``_FaceSystem.point`` reads from a residual call's kept entry instead."""
+    n_qf, na, n = face.n_qf, face.n_active, face.m.mx
+    q_f = np.einsum("pk,kab->pab", xs[:, :n_qf], face.basis_f)
+    u = (face.u0 @ face.exp(xs)[:, :n, :n] if face.n_rot
+         else np.broadcast_to(face.u0, (len(xs),) + face.u0.shape))
+    u_a, u_f = u[:, :, :na], u[:, :, na:]
+    sigma = linalg.symmetrize(u_a @ np.swapaxes(u_a, -1, -2)
+                              + u_f @ q_f @ np.swapaxes(u_f, -1, -2))
+    return sigma, face.mu(xs), u, q_f
+
+
 def _reference_residual(face, xv):
     """The per-point residual of the face polish, one call per point."""
     m = face.m
@@ -927,7 +941,7 @@ def _reference_residual(face, xv):
         if n_rot:
             parts.append((u_a.T @ m_w @ u_f).ravel())
         ip = 0.5 * (linalg.logdet_pd(m.sigma_x) - linalg.logdet_pd(sigma)) - 0.5 * (
-            face.ld_xy - linalg.logdet_pd(sigma + m.sigma_wy))
+            face.m._logdets[2] - linalg.logdet_pd(sigma + m.sigma_wy))
         parts.append(np.array([ip - face.rp]))
     except GausskeyError:
         return None
@@ -998,11 +1012,11 @@ def test_stacked_face_residual_matches_per_point(mx):
 
 def _model_frame_residuals(face, xs):
     """The face residual as it was computed in the model's frame: each
-    point's ``Q = U D U^T`` (``face.build``), valid when the eigenvalues of
+    point's ``Q = U D U^T`` (``_build``), valid when the eigenvalues of
     the whole ``Q`` lie in ``(COND_COV_MIN_EIG, 1 + FACE_EXCURSION]``, then
     ``M(mu)`` of ``Q``, ``Q + sigma_wz`` and ``Q + sigma_wy`` rotated back
     as ``U^T M U``."""
-    sigma, mu, u, _ = face.build(xs)
+    sigma, mu, u, _ = _build(face, xs)
     w = np.linalg.eigvalsh(sigma)
     valid = (w[:, 0] > COND_COV_MIN_EIG) & (w[:, -1] <= 1.0 + solver.FACE_EXCURSION)
     rows = np.full((len(xs), face.n_qf + face.n_rot + 1), np.nan)
@@ -1013,7 +1027,7 @@ def _model_frame_residuals(face, xs):
     u = u[valid]
     u_a, u_f = u[:, :, :face.n_active], u[:, :, face.n_active:]
     lds = linalg.logdet_chol(lower)
-    ip = -0.5 * lds[:, 0] - 0.5 * (face.ld_xy - lds[:, 2])
+    ip = -0.5 * lds[:, 0] - 0.5 * (face.m._logdets[2] - lds[:, 2])
     rows[valid] = np.concatenate((
         np.einsum("kab,pab->kp", np.swapaxes(u_f, -1, -2) @ m_w @ u_f, face.basis_f),
         (np.swapaxes(u_a, -1, -2) @ m_w @ u_f).reshape(len(u), -1),
@@ -1333,11 +1347,11 @@ def _reference_polish_face(m, rp, q_hat, mu_hint, n_active, n_halvings=30, pin=T
             break
         x_new = trials[better[0]]
         if pin and np.linalg.eigvalsh(np.tensordot(x_new[:face.n_qf], face.basis_f, 1))[-1] > 1.0:
-            sigma, mu, _, _ = face.build(x[None])
+            sigma, mu, _, _ = _build(face, x[None])
             return _reference_polish_face(m, rp, sigma[0], float(mu[0]), n_active + 1,
                                           n_halvings)
         x, r = x_new, rows[better[0]]
-    sigma, mu, _, _ = face.build(x[None])
+    sigma, mu, _, _ = _build(face, x[None])
     return sigma[0], float(mu[0]), float(np.max(np.abs(r)))
 
 
@@ -1629,7 +1643,7 @@ def test_a_face_residual_call_factors_its_rows_once(monkeypatch, size):
     calls = _counted(monkeypatch)
     rows, valid = face.residuals(trials)
     assert valid.all() and face.n_rot
-    once = {"for_model": 0, "cholesky": 1, "inv_chol": 0, "inv": 1, "expm": 1}
+    once = {"for_model": 0, "cholesky": 1, "inv_chol": 1, "inv": 1, "expm": 1}
     assert calls == once
     face.jacobian(face.kept[0])
     assert calls == once
@@ -1638,6 +1652,62 @@ def test_a_face_residual_call_factors_its_rows_once(monkeypatch, size):
     rows, valid = face.residuals(past)
     assert not valid.any() and np.isnan(rows).all()
     assert calls == once
+
+
+@pytest.mark.parametrize("rp, faces", [(1.0, [2]), (2.0, [1, 2]), (0.5, [2, 3])])
+def test_a_polish_calls_expm_once_per_rotated_evaluation(monkeypatch, rp, faces):
+    # the polishes of bench_mx4_key2005's first commuting-part optimum, on
+    # its detected face and, at rp 2 and 0.5, climbing to the next one: one
+    # expm call per residual evaluation that holds a trial inside the free
+    # eigenvalue gate on a face with angles, and none for the point that
+    # starts the next face or the point returned, both read from kept entries
+    w = whiten(_bench_model(2005, 4))[0]
+    q, mu_hint, g = solver._end_point(w, rp, solver._commuting_start(w, rp, False))
+    want = solver._polish_face(w, rp, q, mu_hint, g)
+    polish, residuals = solver._polish_face, solver._FaceSystem.residuals
+    seen, rotated = [], [0]
+
+    def recorded(*args):
+        seen.append(args[4])
+        return polish(*args)
+
+    def gated(face, xs):
+        q_f = np.einsum("pk,kab->pab", xs[:, :face.n_qf], face.basis_f)
+        lam = np.linalg.eigvalsh(q_f)
+        inside = (lam[:, 0] > COND_COV_MIN_EIG) & (lam[:, -1] <= 1.0 + solver.FACE_EXCURSION)
+        rotated[0] += bool(face.n_rot and inside.any())
+        return residuals(face, xs)
+
+    calls = _counted(monkeypatch)
+    monkeypatch.setattr(solver, "_polish_face", recorded)
+    monkeypatch.setattr(solver._FaceSystem, "residuals", gated)
+    got = solver._polish_face(w, rp, q, mu_hint, g)
+    assert seen == faces
+    assert got.tobytes() == want.tobytes()
+    assert calls["expm"] == rotated[0] > 0
+
+
+@pytest.mark.parametrize("mx", range(2, 7))
+def test_the_kept_point_is_the_built_point(mx):
+    # at seeded valid points on every face, the face without angles
+    # included, the Q and mu that a residual call's kept entry gives are the
+    # bytes of those built from the point's coordinates and its own expm
+    n_valid = n_plain = 0
+    for key in range(3):
+        rng = rng_for(9700 + 10 * mx + key)
+        for face, x0 in _seeded_faces(mx, 9700 + 10 * mx + key):
+            xs = x0 + np.concatenate((0.02 * rng.standard_normal((8, face.n_qf)),
+                                      0.5 * rng.standard_normal((8, face.n_rot)),
+                                      0.5 * rng.standard_normal((8, 1))), axis=1)
+            _, valid = face.residuals(xs)
+            for i in np.flatnonzero(valid):
+                sigma, mu = face.point(face.kept[i])
+                want_sigma, want_mu, _, _ = _build(face, xs[i][None])
+                assert sigma.tobytes() == want_sigma[0].tobytes()
+                assert np.float64(mu).tobytes() == want_mu[0].tobytes()
+                n_valid += 1
+                n_plain += not face.n_rot
+    assert n_valid >= 8 * 3 * mx - 4 and n_plain
 
 
 def _rel_close(got, want, tol=1e-12):

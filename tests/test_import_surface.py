@@ -1,8 +1,8 @@
 """SciPy stays off the scalar route and Monte Carlo.
 
 The sweep, the oracle, the closed-form limit and Monte Carlo run on numpy
-alone; only the aligned route (KKT certificate, face polish) loads
-``scipy.linalg``, on first use, through ``linalg.sla``.  Each check runs in a
+alone; only the aligned route's face polish loads ``scipy.linalg``, for its
+``expm``, on first use, through ``linalg.sla``.  Each check runs in a
 fresh interpreter, so modules that other tests imported do not count.
 """
 

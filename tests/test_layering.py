@@ -9,12 +9,17 @@ The modules form one order, each tier importing only from tiers to its left:
 to its right, and no module imports another from its own tier, so the
 certificate (``kkt``), Monte Carlo (``mc``) and the brute-force oracle
 (``oracle``) share no arithmetic with either solver route or with each
-other.  The oracle and Monte Carlo also stay on numpy alone: neither imports
-``scipy`` nor reads ``linalg.sla``.
+other.  The checking layer stays on numpy alone: no module of its tiers
+(models, rates, the certificate, Monte Carlo, the oracle and the model
+files) imports ``scipy`` or reads ``linalg.sla``, and certifying, verifying,
+evaluating rates, Monte Carlo, the oracle and the sweep load no ``scipy``.
 """
 
 import ast
 import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -36,7 +41,7 @@ TIERS = {
     "solver": 5,
     "cli": 6,
 }
-NUMPY_ONLY = ("oracle", "mc")
+NUMPY_ONLY = ("models", "rates", "kkt", "mc", "oracle", "modelio")
 
 
 def _sources():
@@ -142,3 +147,38 @@ def test_independent_checks_stay_numpy_only(module):
                                   "from .linalg import sla", "linalg.sla.expm(x)"])
 def test_the_numpy_guard_sees_scipy(line):
     assert len(_scipy_uses(_sources()["oracle"] + f"\n{line}\n")) == 1
+
+
+def test_the_checking_layer_runs_without_scipy():
+    # in a fresh interpreter, so that modules other tests imported do not
+    # count: the frozen aligned points certified, their certificates
+    # verified and their rates evaluated, then Monte Carlo, the oracle and
+    # the sweep on a scalar model
+    points = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                          "aligned_points.json")
+    code = f"""
+        import json, sys
+        import numpy as np
+        import gausskey
+        from gausskey import kkt, mc, oracle, solver
+        from gausskey.rates import rates_aligned
+
+        with open({points!r}) as fh:
+            points = json.load(fh)["points"]
+        certified = 0
+        for p in points:
+            m = gausskey.AlignedModel(p["sigma_x"], p["sigma_wy"], p["sigma_wz"])
+            cert = kkt.certify(m, p["sigma"], p["rp"])
+            certified += max(kkt.verify_certificate(m, cert).values()) < 1e-6
+            rates_aligned(m, p["sigma"])
+        m = gausskey.GeneralModel(sigma_x=2.0 * np.eye(2), b=[[1.0, 0.5]], e=[[0.7, 0.35]])
+        mc.cross_validate(m, m.sigma_x, 2000, 0)
+        oracle.brute_force_grid(m, 1.0, grid_density=20)
+        solver.sweep_boundary(m, [0.0, 0.5, 1.0], st_resolution=40)
+        print(len(points), certified, "scipy" in sys.modules)
+    """
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(PACKAGE_DIR)}
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["47", "47", "False"]
