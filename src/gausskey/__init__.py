@@ -48,20 +48,14 @@ from .rates import (
     PointMeta,
     RatePair,
     RegionBoundary,
+    SolveReport,
     asymptotic_limit,
     rates_aligned,
     rates_enhanced,
     rates_general,
 )
-from .solver import (
-    SolveReport,
-    SweepParams,
-    ascent_boundary,
-    contains,
-    inner_convex,
-    solve_at_rate,
-    sweep_boundary,
-)
+from .solver import ascent_boundary, contains, solve_at_rate
+from .sweep import SweepParams, inner_convex, sweep_boundary
 
 __version__ = "0.1.0"
 

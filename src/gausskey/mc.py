@@ -115,7 +115,7 @@ def build_joint(m, q) -> np.ndarray:
     """
     m = to_general(validate_model(m))
     q = ConditionalCov.for_model(m, q).value
-    s_half_inv = linalg.roots(m.sigma_x, "sigma_x")[1]
+    s_half_inv = m._roots[1]
     phi, v = np.linalg.eigh(linalg.congruence(s_half_inv, q))
     g = np.sqrt(np.maximum(1.0 / phi - 1.0, 0.0))[:, None] * (v.T @ s_half_inv)
     t = np.vstack([np.eye(m.mx), m.b, m.e, g])

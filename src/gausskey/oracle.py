@@ -7,8 +7,9 @@ through 2x2 Gram determinants.  Along one eigenvalue both rates are
 monotone, so each (angle, other eigenvalue) row is settled by a binary
 search for its first feasible cell and a key rate at two cells, and no grid
 point that could win is skipped.  It searches the problem's own set, every
-``0 < Q <= sigma_x``, and shares no arithmetic with either route of
-``solver``, so it is an independent check of both; it runs on numpy alone.
+``0 < Q <= sigma_x``, and shares no arithmetic with either route, the
+sweep of ``sweep`` or the ascent of ``solver``, so it is an independent
+check of both; it runs on numpy alone.
 """
 
 import math
@@ -90,7 +91,7 @@ def brute_force_grid(m, rp: float, grid_density: int = 60) -> RatePair:
     d_min = max(1e-14, min(1e-2, math.exp(-(2.0 * rp + ld_y_full + 2.0))))
     d = np.geomspace(d_min, 1.0, grid_density)
     log_d = np.log(d)
-    s_half = linalg.roots(m.sigma_x)[0]
+    s_half = m._roots[0]
 
     if m.mx == 1:
         def log_det(a):

@@ -99,6 +99,44 @@ class RegionBoundary:
         return best
 
 
+@dataclass(frozen=True)
+class SolveReport:
+    """Outcome of one constrained solve.
+
+    ``value`` is the optimal objective (the public-rate contribution for
+    ``inner_convex``, the key rate for ``solve_at_rate``); ``kkt_residual``
+    is a first-order optimality residual: the barrier duality-gap proxy for
+    the convex inner solve, and for ``solve_at_rate`` the composite of
+    ``kkt.multiplier_test`` at the returned point.
+
+    For ``inner_convex``, ``converged`` says that the last barrier stage,
+    at the final weight, met its Newton-decrement test (a stalled warm
+    schedule is first rerun in full).  A cell that is not converged still
+    returns a strictly feasible optimum and its value, which may then lie
+    above the cell's minimum.  For ``solve_at_rate`` it is that test's
+    verdict, ``kkt_residual <= kkt.ACCEPT_COMPOSITE``; unconverged, the
+    point is the best found within the budget (see there).  A converged
+    point can still miss another certificate identity: ``kkt.certify`` has
+    the last word.
+    """
+
+    optimum: ConditionalCov
+    value: float
+    iterations: int
+    kkt_residual: float
+    converged: bool
+
+
+def _rate_grid(rp_grid):
+    """A boundary's public rates as floats: sorted, nonnegative, not NaN."""
+    rp_grid = [float(r) for r in rp_grid]
+    if any(y < x for x, y in zip(rp_grid, rp_grid[1:])):
+        raise ValueError("rp_grid must be sorted ascending")
+    if not all(rp >= 0.0 for rp in rp_grid):
+        raise ValueError("public rates must be nonnegative")
+    return rp_grid
+
+
 def _hgap(cov_full, cov_cond, name):
     return 0.5 * (linalg.logdet_pd(cov_full, name) - linalg.logdet_pd(cov_cond, name))
 

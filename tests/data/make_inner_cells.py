@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from gausskey import GeneralModel, SweepParams, inner_convex, solver
+from gausskey import GeneralModel, SweepParams, inner_convex, sweep
 from gausskey.errors import Infeasible, MaxIterationsExceeded
 
 WARM_TAU0 = 1e9
@@ -57,7 +57,7 @@ def scaled_start(frame, params, warm):
         beta = (1.0 - 1e-6) * params.s / qb_warm
     ca, cb, cc = beta * warm[0], beta * warm[1], beta * warm[2]
     if all(g00 * ca + 2.0 * g01 * cb + g11 * cc + cst < 0.0
-           for g00, g01, g11, cst in solver._cell_constraints(frame, params)):
+           for g00, g01, g11, cst in sweep._cell_constraints(frame, params)):
         return ca, cb, cc
     return None
 
@@ -89,9 +89,9 @@ def entry(name, m, params, sigma0=None, tau0=None):
 
 
 def cells_for(name, m):
-    frame = solver._span_reduction(m)
+    frame = sweep._span_reduction(m)
     s_max = float(m.b[0] @ m.sigma_x @ m.b[0])
-    t_min, t_max = solver._t_range(frame)
+    t_min, t_max = sweep._t_range(frame)
     span = t_max - t_min
     out = []
     for t in (t_min + 0.3 * span, t_min + 0.7 * span, t_max - 1e-3 * span,

@@ -19,7 +19,8 @@ file: per group of sweeps it prints how many key rates rose, the largest
 rise, the Newton steps of the group's ``inner_convex`` calls, and per
 start kind seen (``_Cell.start``: "given", "centred", "pulled" or "cold")
 the cells that started so and their Newton steps; and it exits non-zero when any key rate falls by more than ``FALL_TOL``
-(or a sweep's model, rates or resolution changed).  The steps are counted as
+(or a sweep's model, rates or resolution changed), or when its counter of
+``sweep.inner_convex`` saw no call (a count of zero steps checks nothing).  The steps are counted as
 ``tests/test_sweep_boundaries.py`` counts them: its ``STEP_BOUNDS`` groups
 ``demo_res60`` and ``random_sweep`` are the groups ``res60`` and
 ``random_sweep`` here.
@@ -31,7 +32,7 @@ import sys
 
 import numpy as np
 
-from gausskey import GeneralModel, solver, sweep_boundary
+from gausskey import GeneralModel, sweep, sweep_boundary
 
 DEMO_GRID = [float(x) for x in np.linspace(0.0, 20.0, 41)]
 CRITERION_3_GRID = [round(float(x), 6) for x in np.linspace(1.0, 4.0, 10)]
@@ -76,7 +77,7 @@ def entries():
     [cells, steps]})``."""
     out = []
     steps = {}
-    inner = solver.inner_convex
+    inner = sweep.inner_convex
 
     def counted(*args, **kwargs):
         cell = inner(*args, **kwargs)
@@ -87,7 +88,7 @@ def entries():
         kind[1] += cell.iterations
         return cell
 
-    solver.inner_convex = counted
+    sweep.inner_convex = counted
     try:
         for name, m, grid, res in sweeps():
             boundary = sweep_boundary(m, grid, st_resolution=res)
@@ -101,7 +102,7 @@ def entries():
                 "rk": [p.rk for p in boundary.points],
             })
     finally:
-        solver.inner_convex = inner
+        sweep.inner_convex = inner
     return out, steps
 
 
@@ -153,6 +154,9 @@ def check(fresh, steps):
 def main(argv):
     fresh, steps = entries()
     if argv == ["--check"]:
+        if not steps:
+            sys.stderr.write("no inner_convex call was counted\n")
+            return 1
         return 1 if check(fresh, steps) else 0
     if argv:
         sys.stderr.write("usage: make_sweep_boundaries.py [--check]\n")

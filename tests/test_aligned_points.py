@@ -60,7 +60,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from gausskey import AlignedModel, certify, kkt, linalg, solve_at_rate, solver
+from gausskey import AlignedModel, certify, kkt, linalg, solve_at_rate, solver, sweep
 from gausskey.errors import GausskeyError, NoValidMultiplier
 from gausskey.models import COND_COV_MIN_EIG, ConditionalCov, whiten
 from gausskey.rates import RatePair, _chol_terms, asymptotic_limit, rates_aligned
@@ -668,7 +668,7 @@ def _root_search_q(dy, dz, rp):
     x_top = math.log(float(np.max((dz_u - dy_u) / (dy_u * (1.0 + dz_u)))))
     f_hi, f_lo = excess(x_top), excess(-40.0)
     if f_lo > 0.0 > f_hi:
-        solver._anderson_bjorck(excess, -40.0, f_lo, x_top, f_hi, 1e-12)
+        sweep._anderson_bjorck(excess, -40.0, f_lo, x_top, f_hi, 1e-12)
     return kept[-1] if kept else None
 
 

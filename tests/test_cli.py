@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from gausskey import RatePair, contains, kkt, load_model, solver
+from gausskey import RatePair, contains, kkt, load_model, solver, sweep
 from gausskey.cli import RunConfig, _config_from_args, build_parser, main
 from gausskey.errors import MaxIterationsExceeded
 from gausskey.rates import PointMeta, RegionBoundary
@@ -297,11 +297,14 @@ def test_region_without_output_fails_before_the_sweep(model_files, monkeypatch):
         main(["region", model_files["general"]])
     assert exited.value.code == 2
     assert calls == []
+    # the recorder sits where the region command's boundary looks
+    solver._boundary(load_model(model_files["general"]), [1.0])
+    assert calls
 
 
 def test_region_exits_3_when_a_cell_exceeds_its_newton_budget(model_files, monkeypatch,
                                                               tmp_path):
-    inner = solver.inner_convex
+    inner = sweep.inner_convex
     calls = []
 
     def failing(*args, **kwargs):
@@ -310,7 +313,7 @@ def test_region_exits_3_when_a_cell_exceeds_its_newton_budget(model_files, monke
             raise MaxIterationsExceeded("injected")
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "inner_convex", failing)
+    monkeypatch.setattr(sweep, "inner_convex", failing)
     code = main(["region", model_files["general"], "-o", str(tmp_path / "out.csv")])
     assert code == 3
     assert len(calls) == 3

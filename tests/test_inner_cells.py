@@ -43,7 +43,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
-from gausskey import GeneralModel, SweepParams, inner_convex, linalg, solver
+from gausskey import GeneralModel, SweepParams, inner_convex, linalg, sweep
 from gausskey.errors import Infeasible
 
 from conftest import random_conditional, random_spd, rng_for
@@ -179,7 +179,7 @@ def test_s_multiplier_is_the_derivative_of_the_cell_value():
         if cell["value"] == "infeasible":
             continue
         m = GeneralModel(sigma_x=cell["sigma_x"], b=cell["b"], e=cell["e"])
-        frame = solver._span_reduction(m)
+        frame = sweep._span_reduction(m)
         warm = {} if cell["sigma0"] is None else {
             "sigma0": frame.reduce(np.array(cell["sigma0"])), "tau0": cell["tau0"]}
 
@@ -216,7 +216,7 @@ def _capped_cells():
         if cell["value"] == "infeasible":
             continue
         m = GeneralModel(sigma_x=cell["sigma_x"], b=cell["b"], e=cell["e"])
-        frame = solver._span_reduction(m)
+        frame = sweep._span_reduction(m)
         params = SweepParams(s=cell["s"], t=cell["t"])
         cold = inner_convex(frame, params)
         if cold.lam_s * params.s > 1e-6:
@@ -225,7 +225,7 @@ def _capped_cells():
 
 def test_capped_optimum_starts_the_cells_whose_cap_binds():
     # Where the s cap binds, the cold centre sits at the closed-form optimum
-    # of solver._capped_optimum within the final barrier weight's offset,
+    # of sweep._capped_optimum within the final barrier weight's offset,
     # and a call on the final weight without a start reaches the cold
     # value.  It starts on the central path near that optimum ("centred")
     # where its three KKT multipliers are positive, and pulled inside
@@ -238,9 +238,9 @@ def test_capped_optimum_starts_the_cells_whose_cap_binds():
     misses = []
     for k, model, frame, params, cold in _capped_cells():
         checked += 1
-        capped = solver._capped_optimum(frame, params)
-        mults = solver._capped_multipliers(frame, params, capped)
-        warm = inner_convex(frame, params, tau0=solver.TAU_FINAL)
+        capped = sweep._capped_optimum(frame, params)
+        mults = sweep._capped_multipliers(frame, params, capped)
+        warm = inner_convex(frame, params, tau0=sweep.TAU_FINAL)
         warm_steps += warm.iterations
         cold_steps += cold.iterations
         if warm.start == "centred":
@@ -267,8 +267,8 @@ def test_closed_form_multipliers_match_the_cold_cells():
     checked = 0
     misses = []
     for k, model, frame, params, cold in _capped_cells():
-        capped = solver._capped_optimum(frame, params)
-        mults = solver._capped_multipliers(frame, params, capped)
+        capped = sweep._capped_optimum(frame, params)
+        mults = sweep._capped_multipliers(frame, params, capped)
         if mults is None:
             continue
         checked += 1
@@ -284,13 +284,13 @@ def test_degenerate_capped_multipliers_fall_back_to_the_pull(degraded_demo):
     # a = 0.4 at b = 0, so the multipliers are not unique: the barrier's
     # centre splits them as lam_s = 0.5, the split with lam_r = 0 would give
     # lam_s = 1.  The closed form refuses them and the start is pulled.
-    frame = solver._span_reduction(degraded_demo)
+    frame = sweep._span_reduction(degraded_demo)
     params = SweepParams(s=1.0, t=-0.25500000000000006)
-    capped = solver._capped_optimum(frame, params)
+    capped = sweep._capped_optimum(frame, params)
     assert capped == (0.3999999999999999, 0.0, 1.0)
-    assert solver._capped_multipliers(frame, params, capped) is None
+    assert sweep._capped_multipliers(frame, params, capped) is None
     cold = inner_convex(frame, params)
-    warm = inner_convex(frame, params, tau0=solver.TAU_FINAL)
+    warm = inner_convex(frame, params, tau0=sweep.TAU_FINAL)
     assert cold.lam_s == pytest.approx(0.5, rel=1e-6)
     assert warm.start == "pulled" and warm.converged
     assert abs(warm.value - cold.value) <= PREDICTOR_TOL
@@ -314,7 +314,7 @@ def test_t_tangent_is_the_derivative_of_the_centred_optimum():
         if cell["value"] == "infeasible":
             continue
         m = GeneralModel(sigma_x=cell["sigma_x"], b=cell["b"], e=cell["e"])
-        frame = solver._span_reduction(m)
+        frame = sweep._span_reduction(m)
         s_max = float(m.b[0] @ m.sigma_x @ m.b[0])
         t = cell["t"]
         h = 1e-5 * (1.0 + abs(t))
@@ -434,7 +434,7 @@ def _barrier_hessian(a2, tau, gs, gvs):
 
 
 def _ldl_vs_dense(h, g):
-    step = solver._ldl_step(h[0, 0], h[0, 1], h[0, 2], h[1, 1], h[1, 2], h[2, 2], *g)
+    step = sweep._ldl_step(h[0, 0], h[0, 1], h[0, 2], h[1, 1], h[1, 2], h[2, 2], *g)
     assert step is not None
     ref = -np.linalg.solve(h, g)
     assert np.linalg.norm(np.array(step[:3]) - ref) <= 1e-10 * np.linalg.norm(ref)
@@ -461,7 +461,7 @@ def test_ldl_step_matches_dense_solve_on_barrier_hessians():
 
 def test_ldl_step_refuses_an_indefinite_hessian():
     h = np.diag([1.0, -2.0, 3.0]) + 0.1
-    assert solver._ldl_step(h[0, 0], h[0, 1], h[0, 2], h[1, 1], h[1, 2], h[2, 2],
+    assert sweep._ldl_step(h[0, 0], h[0, 1], h[0, 2], h[1, 1], h[1, 2], h[2, 2],
                             1.0, 1.0, 1.0) is None
 
 
@@ -470,7 +470,7 @@ def test_failed_newton_systems_end_stages_unconverged(monkeypatch, degraded_demo
     # schedule restarts in full, and the solve returns its feasible start
     params = SweepParams(s=1.0, t=-0.3)
     cold = inner_convex(degraded_demo, params)
-    monkeypatch.setattr(solver, "_ldl_step", lambda *args: None)
+    monkeypatch.setattr(sweep, "_ldl_step", lambda *args: None)
     for kwargs in ({}, {"sigma0": 0.9 * cold.optimum.value, "tau0": 1e9}):
         report = inner_convex(degraded_demo, params, **kwargs)
         assert not report.converged
@@ -526,9 +526,9 @@ def _start_cells():
         e = rng.uniform(0.3, 2.0) * b if key >= 8 else rng.standard_normal((1, mx))
         models.append(GeneralModel(sigma_x=random_spd(rng, mx), b=b, e=e))
     for m in models:
-        frame = solver._span_reduction(m)
+        frame = sweep._span_reduction(m)
         s_max = float(m.b[0] @ m.sigma_x @ m.b[0])
-        t_min, t_max = solver._t_range(frame)
+        t_min, t_max = sweep._t_range(frame)
         ts = list(np.linspace(t_min, t_max, 9)[1:-1]) + [t_max - 1e-6, t_max - 1e-9]
         for s in s_max * np.geomspace(1e-7, 1.0, 8):
             for t in ts:
@@ -539,11 +539,11 @@ def test_closed_form_start_meets_the_dual_and_is_strictly_feasible():
     counts = {"feasible": 0, "infeasible": 0, "near_t_max": 0}
     misses = []
     for frame, params, near_t_max in _start_cells():
-        cons = solver._cell_constraints(frame, params)
+        cons = sweep._cell_constraints(frame, params)
         dual = _dual_minimum(frame, params)
         margin = 1e-12 * (1.0 + abs(params.t))
         try:
-            a2, v_max = solver._cell_start(frame, params, cons)
+            a2, v_max = sweep._cell_start(frame, params, cons)
         except Infeasible:
             counts["infeasible"] += 1
             if not dual <= params.t + margin + 1e-10 * abs(dual):
@@ -582,8 +582,8 @@ def _edge_rows():
         models.append(GeneralModel(sigma_x=random_spd(rng, mx), b=b, e=e))
     fractions = list(np.linspace(0.0, 1.0, 16)[:-1]) + [1.0 - 1e-3, 1.0 - 1e-6]
     for m in models:
-        frame = solver._span_reduction(m)
-        t_min, t_max = solver._t_range(frame)
+        frame = sweep._span_reduction(m)
+        t_min, t_max = sweep._t_range(frame)
         lo = max(0.0, frame.ew[1] ** 2)
         for f in fractions:
             t = float(lo + f * (t_max - lo))
@@ -598,14 +598,14 @@ def test_row_edge_inverts_the_cell_test():
     n_rows = 0
     for frame, t in _edge_rows():
         n_rows += 1
-        edge = solver._row_edge(frame, t)
+        edge = sweep._row_edge(frame, t)
         if edge is None or not edge > 0.0:
             misses.append(("no edge", t, edge))
             continue
         for factor, feasible in ((1.0 + 1e-7, True), (1.0 - 1e-7, False)):
             params = SweepParams(s=edge * factor, t=t)
             try:
-                solver._cell_start(frame, params, solver._cell_constraints(frame, params))
+                sweep._cell_start(frame, params, sweep._cell_constraints(frame, params))
             except Infeasible:
                 if feasible:
                     misses.append(("infeasible above", params, edge))
@@ -623,7 +623,7 @@ def _edge_cells():
     scalar = GeneralModel(sigma_x=[[1.0]], b=[[1.0]], e=[[2.0]])
     blind = GeneralModel(sigma_x=2.0 * np.eye(2), b=[[0.0, 0.0]], e=[[0.5, 1.0]])
     for m in (crossing, scalar):
-        t_min, t_max = solver._t_range(solver._span_reduction(m))
+        t_min, t_max = sweep._t_range(sweep._span_reduction(m))
         for s in (0.0, 1e-300):
             for t in (t_min, -0.5 * (1.0 + t_min), 0.0, 0.5 * t_max):
                 yield m, SweepParams(s=s, t=t)
@@ -668,7 +668,7 @@ def test_sweep_reduces_the_model_once(monkeypatch, crossing_demo):
     calls = {"validate_model": 0, "_span_reduction": 0}
 
     def counted(name):
-        original = getattr(solver, name)
+        original = getattr(sweep, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
@@ -676,6 +676,6 @@ def test_sweep_reduces_the_model_once(monkeypatch, crossing_demo):
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(solver, name, counted(name))
-    solver.sweep_boundary(crossing_demo, [0.0, 0.5, 1.0], st_resolution=12)
+        monkeypatch.setattr(sweep, name, counted(name))
+    sweep.sweep_boundary(crossing_demo, [0.0, 0.5, 1.0], st_resolution=12)
     assert calls == {"validate_model": 1, "_span_reduction": 1}

@@ -3,15 +3,20 @@
 The modules form one order, each tier importing only from tiers to its left:
 
     errors -> linalg -> models -> rates -> {kkt, mc, oracle, modelio}
-           -> solver -> cli
+           -> sweep -> solver -> cli
 
 ``__init__`` re-exports from every tier and is exempt.  No module imports one
 to its right, and no module imports another from its own tier, so the
 certificate (``kkt``), Monte Carlo (``mc``) and the brute-force oracle
 (``oracle``) share no arithmetic with either solver route or with each
-other.  The checking layer stays on numpy alone: no module of its tiers
-(models, rates, the certificate, Monte Carlo, the oracle and the model
-files) imports ``scipy`` or reads ``linalg.sla``, and certifying, verifying,
+other.  The sweep (``sweep``) sits to the right of the model files only for
+``modelio.model_digest``: it imports none of the certificate, Monte Carlo
+or the oracle, and the aligned route (``solver``) takes from it only the
+names it re-exports and the test of which models the sweep takes, so the
+two routes share no arithmetic either.  The checking layer and the sweep
+stay on numpy alone: no module of their tiers (models, rates, the
+certificate, Monte Carlo, the oracle, the model files and the sweep)
+imports ``scipy`` or reads ``linalg.sla``, and certifying, verifying,
 evaluating rates, Monte Carlo, the oracle and the sweep load no ``scipy``.
 """
 
@@ -24,7 +29,7 @@ import textwrap
 import pytest
 
 import gausskey
-from gausskey import oracle, solver
+from gausskey import oracle, solver, sweep
 
 PACKAGE_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                            "src", "gausskey")
@@ -38,10 +43,15 @@ TIERS = {
     "mc": 4,
     "oracle": 4,
     "modelio": 4,
-    "solver": 5,
-    "cli": 6,
+    "sweep": 5,
+    "solver": 6,
+    "cli": 7,
 }
-NUMPY_ONLY = ("models", "rates", "kkt", "mc", "oracle", "modelio")
+# Imports that the tiers allow but the layering forbids.
+SHUNNED = {"sweep": ("kkt", "mc", "oracle")}
+# The only names ``solver`` takes from ``sweep``.
+SWEEP_NAMES = {"SweepParams", "inner_convex", "sweep_boundary", "_scalar_model"}
+NUMPY_ONLY = ("models", "rates", "kkt", "mc", "oracle", "modelio", "sweep")
 
 
 def _sources():
@@ -55,14 +65,15 @@ def _sources():
 
 def _imported(tree):
     """The package modules that a module's syntax tree imports, wherever the
-    import statement stands."""
-    out = set()
+    import statement stands, each with the names taken from it (``*`` for
+    the module itself)."""
+    out = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 parts = alias.name.split(".")
                 if parts[0] == "gausskey" and len(parts) > 1:
-                    out.add(parts[1])
+                    out.setdefault(parts[1], set()).add("*")
         elif isinstance(node, ast.ImportFrom):
             parts = node.module.split(".") if node.module else []
             if node.level == 0:
@@ -70,9 +81,10 @@ def _imported(tree):
                     continue
                 parts = parts[1:]
             if parts:
-                out.add(parts[0])
+                out.setdefault(parts[0], set()).update(alias.name for alias in node.names)
             else:
-                out.update(alias.name for alias in node.names)
+                for alias in node.names:
+                    out.setdefault(alias.name, set()).add("*")
     return out
 
 
@@ -86,13 +98,19 @@ def _violations(sources):
         if name not in TIERS:
             out.append(f"{name} has no tier")
             continue
-        for dep in sorted(_imported(ast.parse(source))):
+        imported = _imported(ast.parse(source))
+        for dep in sorted(imported):
             if dep not in TIERS:
                 out.append(f"{name} imports {dep}, which has no tier")
             elif TIERS[dep] > TIERS[name]:
                 out.append(f"{name} imports {dep}, to its right")
             elif TIERS[dep] == TIERS[name]:
                 out.append(f"{name} imports {dep}, from its own tier")
+            elif dep in SHUNNED.get(name, ()):
+                out.append(f"{name} imports {dep}, which it must not")
+        if name == "solver":
+            out += [f"solver takes {n} from sweep"
+                    for n in sorted(imported.get("sweep", set()) - SWEEP_NAMES)]
     return out
 
 
@@ -127,6 +145,10 @@ def test_imports_follow_the_layering():
      "oracle imports solver, to its right"),
     ("kkt", "from .mc import build_joint", "kkt imports mc, from its own tier"),
     ("models", "import gausskey.rates", "models imports rates, to its right"),
+    ("sweep", "from . import kkt", "sweep imports kkt, which it must not"),
+    ("sweep", "from .solver import SIGMA_FLOOR_SCALE", "sweep imports solver, to its right"),
+    ("solver", "from .sweep import _row_min_rp", "solver takes _row_min_rp from sweep"),
+    ("solver", "from . import sweep", "solver takes * from sweep"),
 ])
 def test_the_checker_sees_a_bad_import(module, line, expected):
     sources = _sources()
@@ -136,6 +158,11 @@ def test_the_checker_sees_a_bad_import(module, line, expected):
 
 def test_the_oracle_is_one_object():
     assert gausskey.brute_force_grid is solver.brute_force_grid is oracle.brute_force_grid
+
+
+@pytest.mark.parametrize("name", ["sweep_boundary", "inner_convex", "SweepParams"])
+def test_the_sweep_names_are_one_object(name):
+    assert getattr(solver, name) is getattr(sweep, name) is getattr(gausskey, name)
 
 
 @pytest.mark.parametrize("module", NUMPY_ONLY)
@@ -160,7 +187,7 @@ def test_the_checking_layer_runs_without_scipy():
         import json, sys
         import numpy as np
         import gausskey
-        from gausskey import kkt, mc, oracle, solver
+        from gausskey import kkt, mc, oracle, sweep
         from gausskey.rates import rates_aligned
 
         with open({points!r}) as fh:
@@ -174,7 +201,7 @@ def test_the_checking_layer_runs_without_scipy():
         m = gausskey.GeneralModel(sigma_x=2.0 * np.eye(2), b=[[1.0, 0.5]], e=[[0.7, 0.35]])
         mc.cross_validate(m, m.sigma_x, 2000, 0)
         oracle.brute_force_grid(m, 1.0, grid_density=20)
-        solver.sweep_boundary(m, [0.0, 0.5, 1.0], st_resolution=40)
+        sweep.sweep_boundary(m, [0.0, 0.5, 1.0], st_resolution=40)
         print(len(points), certified, "scipy" in sys.modules)
     """
     env = {**os.environ, "PYTHONPATH": os.path.dirname(PACKAGE_DIR)}

@@ -1,4 +1,4 @@
-"""The sweep's row minimum (``solver._row_min_rp``) against references.
+"""The sweep's row minimum (``sweep._row_min_rp``) against references.
 
 ``_scan_golden_row_min`` is the search that the envelope-theorem search
 replaced: a 16-point log-s scan, then 18 golden-section steps around the
@@ -32,7 +32,7 @@ import math
 import numpy as np
 import pytest
 
-from gausskey import GeneralModel, SweepParams, solver
+from gausskey import GeneralModel, SweepParams, sweep
 from gausskey.errors import Infeasible, MaxIterationsExceeded
 
 from conftest import random_spd, rng_for
@@ -77,7 +77,7 @@ def _scaled_start(frame, params, warm):
         beta = (1.0 - 1e-6) * params.s / qb_warm
     ca, cb, cc = beta * warm[0], beta * warm[1], beta * warm[2]
     if all(g00 * ca + 2.0 * g01 * cb + g11 * cc + cst < 0.0
-           for g00, g01, g11, cst in solver._cell_constraints(frame, params)):
+           for g00, g01, g11, cst in sweep._cell_constraints(frame, params)):
         return ca, cb, cc
     return None
 
@@ -91,7 +91,7 @@ def _solver(frame, t):
     def solve(s):
         params = SweepParams(s=float(s), t=float(t))
         try:
-            cell = solver.inner_convex(
+            cell = sweep.inner_convex(
                 frame, params, sigma0=_scaled_start(frame, params, warm["a2"]))
         except (Infeasible, MaxIterationsExceeded):
             return None
@@ -127,7 +127,7 @@ def _scan_golden_row_min(frame, t, s_max, ik_t, near=None, n_scan=16, n_golden=1
     probe runs cold."""
     solve = _solver(frame, t)
     evals = []
-    for s in s_max * np.geomspace(1.0, solver.SWEEP_S_FLOOR, n_scan):
+    for s in s_max * np.geomspace(1.0, sweep.SWEEP_S_FLOOR, n_scan):
         value = solve(s)
         if value is None:
             break
@@ -136,7 +136,7 @@ def _scan_golden_row_min(frame, t, s_max, ik_t, near=None, n_scan=16, n_golden=1
         return float("inf"), None, None
     k = int(np.argmin([e[0] for e in evals]))
     lo = evals[k + 1][1] if k + 1 < len(evals) else \
-        evals[k][1] * solver.SWEEP_S_FLOOR ** (1.0 / n_scan)
+        evals[k][1] * sweep.SWEEP_S_FLOOR ** (1.0 / n_scan)
     hi = evals[k - 1][1] if k > 0 else s_max
     best = list(evals[k])
 
@@ -187,8 +187,8 @@ def refined_rows():
     """Per model: the boundary, and each ``_row_min_rp`` call of its sweep as
     ``(frame, t, s_max, ik_t, reach, inner_convex calls)``."""
     out = {}
-    row_min = solver._row_min_rp
-    inner = solver.inner_convex
+    row_min = sweep._row_min_rp
+    inner = sweep.inner_convex
     calls = [0]
 
     def counted_inner(*args, **kwargs):
@@ -205,9 +205,11 @@ def refined_rows():
             return out
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver, "_row_min_rp", recorded)
-            mp.setattr(solver, "inner_convex", counted_inner)
-            boundary = solver.sweep_boundary(m, grid, st_resolution=res)
+            mp.setattr(sweep, "_row_min_rp", recorded)
+            mp.setattr(sweep, "inner_convex", counted_inner)
+            boundary = sweep.sweep_boundary(m, grid, st_resolution=res)
+        # the counter sits where the sweep looks: every row solves a cell
+        assert rows and all(row[-1] >= 1 for row in rows), name
         out[name] = (boundary, rows)
     return out
 
@@ -229,8 +231,8 @@ def test_demo_boundaries_match_the_scan_reference(refined_rows, monkeypatch, nam
     # one-sided: each sweep converges to the t* of its own row minimum, and
     # the reference's is never below ours, so its t* is the lower one
     _, m, grid, res = next(entry for entry in MODELS if entry[0] == name)
-    monkeypatch.setattr(solver, "_row_min_rp", _scan_golden_row_min)
-    reference = solver.sweep_boundary(m, grid, st_resolution=res)
+    monkeypatch.setattr(sweep, "_row_min_rp", _scan_golden_row_min)
+    reference = sweep.sweep_boundary(m, grid, st_resolution=res)
     got = refined_rows[name][0]
     diffs = [p.rk - q.rk for p, q in zip(got.points, reference.points)]
     assert min(diffs) >= -REACH_TOL, diffs
@@ -248,7 +250,7 @@ def test_root_find_bisects_an_infeasible_end_and_closes_the_bracket():
         return fx
 
     seen = []
-    solver._anderson_bjorck(f, 0.0, 0.5, 1.0, -math.inf, 1e-7, margin=1e-8)
+    sweep._anderson_bjorck(f, 0.0, 0.5, 1.0, -math.inf, 1e-7, margin=1e-8)
     lo = max(x for x, fx in seen if fx >= 0.0)
     hi = min(x for x, fx in seen if fx < 0.0)
     assert lo <= root < hi and hi - lo <= 1e-7
@@ -260,8 +262,8 @@ def _top_row(frame):
     """The highest ``t`` row of ``sweep_boundary``'s grid: the last of its
     uniform rows, ``t_max`` less the smallest gap, or the first of its gap
     rows, which should be the same."""
-    t_min, t_max = solver._t_range(frame)
-    top = t_max - solver.SWEEP_T_GAP_FLOOR * max(t_max - t_min, 1e-9)
+    t_min, t_max = sweep._t_range(frame)
+    top = t_max - sweep.SWEEP_T_GAP_FLOOR * max(t_max - t_min, 1e-9)
     return max(top, float(np.expm1(np.log1p(top))))
 
 
@@ -278,8 +280,8 @@ def test_key_rates_are_within_the_tolerance_of_t_star(refined_rows, name):
         if meta.t is None or not meta.t < top:
             continue
         checked += 1
-        t_up = math.expm1(2.0 * (0.5 * math.log1p(meta.t) + solver.SWEEP_IK_TOL))
-        reach, *_ = solver._row_min_rp(frame, t_up, s_max, 0.0)
+        t_up = math.expm1(2.0 * (0.5 * math.log1p(meta.t) + sweep.SWEEP_IK_TOL))
+        reach, *_ = sweep._row_min_rp(frame, t_up, s_max, 0.0)
         if not reach > point.rp + 1e-12:
             misses.append((point.rp, meta.t, t_up, reach))
     assert checked
@@ -311,7 +313,7 @@ def test_an_uncentred_cell_ends_the_row_search(refined_rows, monkeypatch, forced
     # solves; its cell number `forced` is made to report converged=False
     frame, t, s_max, ik_t, _, n_calls = next(
         row for row in refined_rows["crossing"][1] if row[-1] > 3)
-    inner = solver.inner_convex
+    inner = sweep.inner_convex
     cells = []
 
     def forcing(*args, **kwargs):
@@ -322,8 +324,8 @@ def test_an_uncentred_cell_ends_the_row_search(refined_rows, monkeypatch, forced
         cells.append(cell)
         return cell
 
-    monkeypatch.setattr(solver, "inner_convex", forcing)
-    rp_min, best, _ = solver._row_min_rp(frame, t, s_max, ik_t)
+    monkeypatch.setattr(sweep, "inner_convex", forcing)
+    rp_min, best, _ = sweep._row_min_rp(frame, t, s_max, ik_t)
     assert len(cells) == forced < n_calls
     s_free = frame.signal_power(cells[0].a2)
     kink = cells[0].value + 0.5 * (math.log1p(s_free) - math.log1p(s_max))
@@ -337,7 +339,7 @@ def test_an_infeasible_probe_above_the_edge_ends_the_row_search(refined_rows,
     # the best value seen and stops, as at an uncentred cell
     frame, t, s_max, ik_t, _, n_calls = next(
         row for row in refined_rows["crossing"][1] if row[-1] > 3)
-    inner = solver.inner_convex
+    inner = sweep.inner_convex
     cells = []
 
     def failing(*args, **kwargs):
@@ -348,8 +350,8 @@ def test_an_infeasible_probe_above_the_edge_ends_the_row_search(refined_rows,
         cells.append(inner(*args, **kwargs))
         return cells[-1]
 
-    monkeypatch.setattr(solver, "inner_convex", failing)
-    rp_min, best, _ = solver._row_min_rp(frame, t, s_max, ik_t)
+    monkeypatch.setattr(sweep, "inner_convex", failing)
+    rp_min, best, _ = sweep._row_min_rp(frame, t, s_max, ik_t)
     assert len(cells) == 3 < n_calls
     s_free = frame.signal_power(cells[0].a2)
     kink = cells[0].value + 0.5 * (math.log1p(s_free) - math.log1p(s_max))
@@ -360,7 +362,7 @@ def test_a_cell_over_its_newton_budget_is_not_read_as_infeasible(monkeypatch):
     # a cell that exceeds its Newton budget must leave the sweep instead of
     # being dropped or read as the end of a row
     _, m, grid, res = MODELS[1]
-    inner = solver.inner_convex
+    inner = sweep.inner_convex
     calls = []
 
     def failing(*args, **kwargs):
@@ -369,7 +371,7 @@ def test_a_cell_over_its_newton_budget_is_not_read_as_infeasible(monkeypatch):
             raise MaxIterationsExceeded("injected")
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "inner_convex", failing)
+    monkeypatch.setattr(sweep, "inner_convex", failing)
     with pytest.raises(MaxIterationsExceeded, match="injected"):
-        solver.sweep_boundary(m, grid, st_resolution=res)
+        sweep.sweep_boundary(m, grid, st_resolution=res)
     assert len(calls) == 5

@@ -22,7 +22,7 @@ is the unconstrained maximiser ``e0 (1 - a) / e1`` clipped to that interval
 so the scan is a lower bound that meets the truth as the grid refines.
 
 This shares no arithmetic with the sweep: the frame comes from numpy's
-``eigh`` and ``qr`` here, not from ``solver._span_reduction``, and no cell
+``eigh`` and ``qr`` here, not from ``sweep._span_reduction``, and no cell
 is solved.  The frozen key rates stand for the sweep's, which
 ``test_sweep_boundaries`` holds to them within 1e-12.  The scan takes 4,001
 uniform and 4,001 geometric points from ``a_min``, then six rounds of 201

@@ -16,7 +16,7 @@ from gausskey import (
     linalg,
     rates_general,
     solve_at_rate,
-    solver,
+    sweep,
     sweep_boundary,
     to_aligned,
     to_general,
@@ -203,7 +203,7 @@ def test_sweep_at_zero_rate_solves_no_cell(degraded_demo, crossing_demo, monkeyp
         calls.append(args)
         return inner_convex(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "inner_convex", counted)
+    monkeypatch.setattr(sweep, "inner_convex", counted)
     for m in (degraded_demo, crossing_demo):
         boundary = sweep_boundary(m, [0.0], st_resolution=60)
         s_max = float(m.b[0] @ m.sigma_x @ m.b[0])
@@ -212,6 +212,9 @@ def test_sweep_at_zero_rate_solves_no_cell(degraded_demo, crossing_demo, monkeyp
         assert boundary.solver_meta[0] == PointMeta(
             s=s_max, t=math.expm1(math.log1p(ez) - math.log1p(s_max)), kkt_residual=0.0)
     assert not calls
+    # the counter sits where the sweep looks: above rp 0 it sees the cells
+    sweep_boundary(degraded_demo, [0.5], st_resolution=60)
+    assert calls
 
 
 def test_sweep_reaches_limit_degraded(demo_sweeps, degraded_demo):
@@ -546,9 +549,17 @@ def test_grid_uses_no_part_of_the_sweep(degraded_demo, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle reached the sweep")
 
-    monkeypatch.setattr(solver, "_span_reduction", forbidden)
-    monkeypatch.setattr(solver, "inner_convex", forbidden)
+    frame = sweep._span_reduction(degraded_demo)
+    t_min, t_max = sweep._t_range(frame)
+    monkeypatch.setattr(sweep, "_span_reduction", forbidden)
+    monkeypatch.setattr(sweep, "inner_convex", forbidden)
     assert brute_force_grid(degraded_demo, 1.0, grid_density=20).rk > 0.0
+    # both patches sit where the sweep looks: for its frame and for its cells
+    with pytest.raises(AssertionError, match="reached the sweep"):
+        sweep_boundary(degraded_demo, [1.0], st_resolution=20)
+    with pytest.raises(AssertionError, match="reached the sweep"):
+        s_max = float(degraded_demo.b[0] @ degraded_demo.sigma_x @ degraded_demo.b[0])
+        sweep._row_min_rp(frame, 0.5 * (t_min + t_max), s_max, 0.0)
 
 
 @pytest.mark.parametrize("density", (-1, 0, 1))

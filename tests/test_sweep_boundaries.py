@@ -10,7 +10,7 @@ re-frozen after ``make_sweep_boundaries.py --check``, which fails on any
 key rate that falls, so frozen values only ever rise.
 
 The sweep searches its ``t`` rows for the last one whose row minimum
-``F(t)`` (``solver._row_min_rp``) is within the public rate, which is sound
+``F(t)`` (``sweep._row_min_rp``) is within the public rate, which is sound
 only because ``F`` is nondecreasing in ``t``; every row minimum that the
 frozen sweeps evaluate is checked for that.
 
@@ -26,10 +26,10 @@ stage started from the central path's tangent at the last centre, 24,734
 and 26,050; with each row's top cell started from the nearest row solved
 before it and each prediction outside its cell pulled inside, 14,561 and
 16,677; with every probe below a row's top cell started from its
-closed-form capped optimum (``solver._capped_optimum``) pulled inside, in
+closed-form capped optimum (``sweep._capped_optimum``) pulled inside, in
 place of the last probe's tangent in s, 9,622 and 10,076; with each such
 probe whose closed-form KKT multipliers are positive started on its
-central path instead (``solver._centred_capped_start``) and the final
+central path instead (``sweep._centred_capped_start``) and the final
 centring stopped where a full step no longer lowers the Newton
 decrement, it takes 4,678 and 5,094.  Cold
 cells, which run the whole barrier schedule, are counted too: 610 of the
@@ -37,7 +37,7 @@ cells, which run the whole barrier schedule, are counted too: 610 of the
 rows, 194 before probes started from the capped optimum, 8 now, and at
 most ``COLD_CELL_BOUND`` may.  No cell of the frozen sweeps may
 raise ``Infeasible``: each row's feasible ``s`` range is known in closed
-form (``solver._row_edge``).  A badly centred start shows first as a cell
+form (``sweep._row_edge``).  A badly centred start shows first as a cell
 that ends uncentred (``converged=False``): over all frozen sweeps at most
 ``UNCENTRED_BOUND`` may.  A cell that does not start cold must also land
 where a cold solve of the same cell does; those cells are drawn from every
@@ -54,7 +54,7 @@ import os
 import numpy as np
 import pytest
 
-from gausskey import GeneralModel, solver
+from gausskey import GeneralModel, solver, sweep
 from gausskey.errors import Infeasible
 
 from conftest import random_spd, rng_for
@@ -79,8 +79,8 @@ def swept():
     evaluated as ``(t, F(t))``; per group of sweeps, as
     ``counts[key][group]``: the Newton steps, the cells, the cells of each
     start kind (``_Cell.start``), the constraint builds
-    (``solver._cell_constraints``) and the closed-form starts
-    (``solver._cell_start``) of its ``inner_convex`` calls; over all sweeps:
+    (``sweep._cell_constraints``) and the closed-form starts
+    (``sweep._cell_start``) of its ``inner_convex`` calls; over all sweeps:
     the predictor-started cells as ``(frame, params, value, kind)``, where
     ``kind`` is "pulled" for a start pulled toward the closed-form start (a
     probe's capped optimum, or a top cell's prediction from another row),
@@ -92,8 +92,8 @@ def swept():
     path = os.path.join(os.path.dirname(__file__), "data", "sweep_boundaries.json")
     with open(path) as fh:
         entries = json.load(fh)["sweeps"]
-    inner = solver.inner_convex
-    row_min = solver._row_min_rp
+    inner = sweep.inner_convex
+    row_min = sweep._row_min_rp
     counts = {}
     predicted = []
     uncentred = []
@@ -135,17 +135,17 @@ def swept():
 
     out = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "inner_convex", counted)
-        mp.setattr(solver, "_row_min_rp", recorded)
-        mp.setattr(solver, "_cell_constraints",
-                   counting("builds", solver._cell_constraints))
-        mp.setattr(solver, "_cell_start", counting("starts", solver._cell_start))
+        mp.setattr(sweep, "inner_convex", counted)
+        mp.setattr(sweep, "_row_min_rp", recorded)
+        mp.setattr(sweep, "_cell_constraints",
+                   counting("builds", sweep._cell_constraints))
+        mp.setattr(sweep, "_cell_start", counting("starts", sweep._cell_start))
         for entry in entries:
             group = _group(entry["name"])
             reaches = []
             m = GeneralModel(sigma_x=entry["sigma_x"], b=entry["b"], e=entry["e"])
             s_max = float(m.b[0] @ m.sigma_x @ m.b[0])
-            boundary = solver.sweep_boundary(m, entry["rp"],
+            boundary = sweep.sweep_boundary(m, entry["rp"],
                                              st_resolution=entry["resolution"])
             out.append((entry, boundary, reaches))
     return out, counts, predicted, uncentred, infeasible
@@ -212,7 +212,7 @@ def _interval_linear_max(g_w):
 
 
 def _reference_t_range(frame):
-    """The former ``solver._t_range``: doubling, then 200 bisection steps on
+    """The former ``sweep._t_range``: doubling, then 200 bisection steps on
     the linear feasibility test of each end over the matrix interval."""
     bb = np.outer(frame.bw, frame.bw)
     ee = np.outer(frame.ew, frame.ew)
@@ -275,8 +275,8 @@ def test_closed_form_t_range_matches_the_bisection():
     # about 1e-33, the rounding of its parallel b and e
     misses = []
     for name, m in _t_range_models():
-        frame = solver._span_reduction(m)
-        got, want = solver._t_range(frame), _reference_t_range(frame)
+        frame = sweep._span_reduction(m)
+        got, want = sweep._t_range(frame), _reference_t_range(frame)
         if not all(abs(g - w) <= 1e-13 * abs(w) + 1e-30 for g, w in zip(got, want)):
             misses.append((name, got, want))
     assert not misses, misses
@@ -307,7 +307,7 @@ def test_predictor_started_cells_match_cold_solves(swept):
     assert len(cells) >= 1000
     misses = []
     for frame, params, value, _ in cells:
-        cold = solver.inner_convex(frame, params).value
+        cold = sweep.inner_convex(frame, params).value
         if not abs(value - cold) <= PREDICTOR_TOL:
             misses.append((params, value, cold))
     assert not misses, misses
@@ -318,15 +318,15 @@ def test_a_start_just_outside_the_interval_is_pulled_inside(crossing_demo, s, t)
     # the cold centre with its top whitened eigenvalue lifted to 1 + 1e-6,
     # as a linear prediction lifts it: pulled inside, the final weight
     # centres it in 13-21 Newton steps, against 32-37 for the cold solve
-    frame = solver._span_reduction(crossing_demo)
-    params = solver.SweepParams(s=s, t=t)
-    cold = solver.inner_convex(frame, params)
+    frame = sweep._span_reduction(crossing_demo)
+    params = sweep.SweepParams(s=s, t=t)
+    cold = sweep.inner_convex(frame, params)
     a, b, c = cold.a2
     w, v = np.linalg.eigh([[a, b], [b, c]])
     w[-1] = 1.0 + 1e-6
     x = (v * w) @ v.T
-    cell = solver.inner_convex(frame, params, sigma0=(x[0, 0], x[0, 1], x[1, 1]),
-                               tau0=solver.TAU_FINAL)
+    cell = sweep.inner_convex(frame, params, sigma0=(x[0, 0], x[0, 1], x[1, 1]),
+                               tau0=sweep.TAU_FINAL)
     assert cold.start == "cold" and cell.start == "pulled"
     assert max(abs(p - q) for p, q in zip(cell.a2, cold.a2)) <= PREDICTOR_TOL
     assert abs(cell.value - cold.value) <= PREDICTOR_TOL
@@ -343,27 +343,27 @@ def test_a_capped_optimum_that_rounds_inside_starts_centred():
     rng = rng_for(900)
     m = GeneralModel(sigma_x=random_spd(rng, 2, floor=0.5),
                      b=rng.standard_normal((1, 2)), e=rng.standard_normal((1, 2)))
-    frame = solver._span_reduction(m)
-    params = solver.SweepParams(s=0.11773567843399703, t=-0.084257122616871)
-    capped = solver._capped_optimum(frame, params)
-    assert solver._strictly_feasible(capped, solver._cell_constraints(frame, params))
-    assert min(solver._capped_multipliers(frame, params, capped)) > 0.0
-    cell = solver.inner_convex(frame, params, tau0=solver.TAU_FINAL)
+    frame = sweep._span_reduction(m)
+    params = sweep.SweepParams(s=0.11773567843399703, t=-0.084257122616871)
+    capped = sweep._capped_optimum(frame, params)
+    assert sweep._strictly_feasible(capped, sweep._cell_constraints(frame, params))
+    assert min(sweep._capped_multipliers(frame, params, capped)) > 0.0
+    cell = sweep.inner_convex(frame, params, tau0=sweep.TAU_FINAL)
     assert cell.start == "centred" and cell.converged and cell.iterations < 10
-    assert abs(cell.value - solver.inner_convex(frame, params).value) <= PREDICTOR_TOL
+    assert abs(cell.value - sweep.inner_convex(frame, params).value) <= PREDICTOR_TOL
 
 
 def test_a_capped_optimum_with_a_slack_ratio_constraint_is_pulled(crossing_demo):
     # At b = 0 the ratio constraint is slack (lam_r = 0), so no centred
     # start is predicted and the capped optimum is pulled toward the
     # closed-form start: 10 Newton steps, against 32 for the cold solve.
-    frame = solver._span_reduction(crossing_demo)
-    params = solver.SweepParams(s=1.25, t=-0.024096760641366344)
-    capped = solver._capped_optimum(frame, params)
+    frame = sweep._span_reduction(crossing_demo)
+    params = sweep.SweepParams(s=1.25, t=-0.024096760641366344)
+    capped = sweep._capped_optimum(frame, params)
     assert capped[1] == 0.0
-    assert solver._capped_multipliers(frame, params, capped)[1] == 0.0
-    cell = solver.inner_convex(frame, params, tau0=solver.TAU_FINAL)
-    cold = solver.inner_convex(frame, params)
+    assert sweep._capped_multipliers(frame, params, capped)[1] == 0.0
+    cell = sweep.inner_convex(frame, params, tau0=sweep.TAU_FINAL)
+    cold = sweep.inner_convex(frame, params)
     assert cell.start == "pulled" and cell.converged
     assert cell.iterations < cold.iterations
     assert abs(cell.value - cold.value) <= PREDICTOR_TOL
@@ -384,7 +384,7 @@ def test_small_rates_reach_the_oracle(degraded_demo, crossing_demo):
     for name, m in models:
         oracle = [solver.brute_force_grid(m, rp, 60).rk for rp in rates]
         for res in (60, 200):
-            boundary = solver.sweep_boundary(m, rates, st_resolution=res)
+            boundary = sweep.sweep_boundary(m, rates, st_resolution=res)
             for rp, want, point in zip(rates, oracle, boundary.points):
                 if not point.rk >= want - 1e-6:
                     misses.append((name, res, rp, point.rk, want))
