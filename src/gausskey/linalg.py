@@ -5,15 +5,13 @@ checks with the package-wide tolerances, Cholesky factors and the inverses
 and log-determinants taken from them (``chol_lower``, ``inv_chol``,
 ``logdet_chol`` and ``eig_clip`` take one matrix or a stack of them), square
 roots and congruences, the symmetric-definite generalized eigenvalue
-solve, whitened by the inverse root, and ``expm``'s Frechet derivative at a
-skew matrix (``skew_expm_frechet``).  Callers use
-``numpy.linalg`` directly only where no kernel here fits: QR and SVD, solves
-of non-symmetric systems and eigenbases that the caller reads (the face
-polish's directions).  The functions are pure, take ``numpy`` arrays and run
-on numpy alone.  SciPy sits behind ``sla``, a handle that imports
-``scipy.linalg`` on first use, for ``expm`` alone (the face polish's
-rotations, ``solver.sla.expm``), so the sweep, the oracle, the rates, the
-certificate and Monte Carlo never load SciPy.
+solve, whitened by the inverse root, and the exponential of a skew matrix
+with its Frechet derivative (``skew_expm``, ``skew_expm_frechet``: the face
+polish's rotations, ``solver.sla.expm``).  Callers use ``numpy.linalg``
+directly only where no kernel here fits: QR and SVD, solves of non-symmetric
+systems and eigenbases that the caller reads (the face polish's directions).
+The functions are pure, take ``numpy`` arrays and run on numpy alone, so
+no part of the package loads SciPy.
 
 Tolerance conventions
 ---------------------
@@ -34,25 +32,6 @@ from .errors import AsymmetricInput, DimensionMismatch, ModelValidationError, No
 SYM_RTOL = 1e-12
 PSD_RTOL = 1e-10
 PD_MIN_EIG = 1e-10
-
-
-class _LazySciPyLinalg:
-    """``scipy.linalg``, imported on the first attribute read.
-
-    The plain ``import`` holds the import lock, so concurrent first reads
-    all see the fully executed module; each attribute is then cached on the
-    handle.
-    """
-
-    def __getattr__(self, name):
-        import scipy.linalg
-
-        value = getattr(scipy.linalg, name)
-        setattr(self, name, value)
-        return value
-
-
-sla = _LazySciPyLinalg()
 
 
 def symmetrize(a):
@@ -191,18 +170,36 @@ def gen_eig_pencil(a, c):
     return np.linalg.eigvalsh(congruence(inv_root, a))[::-1].copy()
 
 
+def _skew_eigh(gen):
+    """``(lam, U_t, U_b)``: the eigensolution of ``-iG`` for a real skew
+    ``G``, or each of a stack, in its real form ``[[0, G], [-G, 0]]`` (basis
+    ``[U_t; U_b]``, each of ``-iG``'s eigenvalues twice), so no complex
+    arithmetic is needed."""
+    n = gen.shape[-1]
+    r = np.zeros((*gen.shape[:-2], 2 * n, 2 * n))
+    r[..., :n, n:], r[..., n:, :n] = gen, -gen
+    lam, u = np.linalg.eigh(r)
+    return lam, u[..., :n, :], u[..., n:, :]
+
+
+def skew_expm(gens):
+    """``e^G`` for a real skew ``G``, or each of a stack, from the spectral
+    form of a normal matrix (Higham, *Functions of Matrices*, ch. 10): in
+    ``_skew_eigh``'s basis, ``e^G = (U_t C U_t^T + U_b C U_b^T + U_t S U_b^T
+    - U_b S U_t^T) / 2`` with ``C = cos(lam)`` and ``S = sin(lam)``."""
+    lam, u_t, u_b = _skew_eigh(np.asarray(gens, dtype=float))
+    c, s = np.cos(lam)[..., None], np.sin(lam)[..., None]
+    t_t, t_b = np.swapaxes(u_t, -1, -2), np.swapaxes(u_b, -1, -2)
+    return 0.5 * (u_t @ (c * t_t + s * t_b) + u_b @ (c * t_b - s * t_t))
+
+
 def skew_expm_frechet(gen, dirs):
     """``e^-G L(G, E)``, ``L`` the Frechet derivative of ``expm`` at a real
     skew ``G``, for each of a stack of directions ``E`` (Daleckii & Krein):
-    in the eigenbasis of ``-iG``, ``E``'s entries scale by ``(1 - e^-id) /
-    (id) = sin d / d - i sin(d/2)^2 / (d/2)``, ``d`` the eigenvalue gaps.
-    ``-iG`` is eigensolved in its real form ``[[0, G], [-G, 0]]`` (basis
-    ``[U_t; U_b]``), so no complex arithmetic is needed."""
-    n = len(gen)
-    r = np.zeros((2 * n, 2 * n))
-    r[:n, n:], r[n:, :n] = gen, -gen
-    lam, u = np.linalg.eigh(r)
-    u_t, u_b = u[:n], u[n:]
+    in the eigenbasis of ``-iG`` (``_skew_eigh``), ``E``'s entries scale by
+    ``(1 - e^-id) / (id) = sin d / d - i sin(d/2)^2 / (d/2)``, ``d`` the
+    eigenvalue gaps."""
+    lam, u_t, u_b = _skew_eigh(gen)
     f = u_t.T @ dirs @ u_t + u_b.T @ dirs @ u_b
     d = lam[:, None] - lam
     half = np.sinc(d / (2.0 * np.pi))

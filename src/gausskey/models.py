@@ -131,6 +131,12 @@ class AlignedModel(_Source):
         return AlignedModel(np.eye(self.mx), *noise), s_half, s_half_inv
 
     @cached_property
+    def _general(self):
+        """``to_general``'s form."""
+        return GeneralModel(sigma_x=self.sigma_x, b=linalg.roots(self.sigma_wy)[1],
+                            e=linalg.roots(self.sigma_wz)[1])
+
+    @cached_property
     def _logdets(self):
         """``log|sigma_x|``, ``log|sigma_x + sigma_wz|`` and ``log|sigma_x +
         sigma_wy|``, in the order of ``rates._chol_terms``."""
@@ -309,13 +315,11 @@ def to_general(m) -> GeneralModel:
 
     Whitening each observation by the inverse square root of its noise
     covariance is information preserving, giving ``B = sigma_wy^-1/2`` and
-    ``E = sigma_wz^-1/2``.
+    ``E = sigma_wz^-1/2``.  Computed once per model.
     """
     if isinstance(m, GeneralModel):
         return m
-    validate_model(m)
-    return GeneralModel(sigma_x=m.sigma_x, b=linalg.roots(m.sigma_wy)[1],
-                        e=linalg.roots(m.sigma_wz)[1])
+    return validate_model(m)._general
 
 
 def whiten(m: AlignedModel):

@@ -23,6 +23,7 @@ to the ascent.  The sweep's ``sweep_boundary``, ``inner_convex`` and
 
 import functools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -45,7 +46,9 @@ from .rates import (PointMeta, RatePair, RegionBoundary, SolveReport, _chol_term
 from .sweep import (SweepParams, _scalar_model, inner_convex,  # noqa: F401  (re-exported)
                     sweep_boundary)
 
-sla = linalg.sla  # scipy.linalg, loaded at the face polish's first expm
+# The face polish's rotations ``e^G``, called through this name, which
+# ``perfbench/spans.py`` traces: ``linalg.skew_expm``, on numpy alone.
+sla = SimpleNamespace(expm=linalg.skew_expm)
 SIGMA_FLOOR_SCALE = 1e-9
 
 
@@ -63,7 +66,7 @@ def _basis(n):
 # ---------------------------------------------------------------------------
 
 # The aligned route evaluates its small matrices as stacks: stacked eigh,
-# Cholesky, inverse, matmul and ``expm`` make a per-matrix call's LAPACK/BLAS
+# Cholesky, inverse and matmul make a per-matrix call's LAPACK/BLAS
 # calls slice by slice, so stacked loops decide as per-point ones.
 
 # Step sizes that the face polish's line search tests per stacked evaluation
@@ -232,8 +235,7 @@ class _FaceSystem:
     with ``U = u0 e^G`` and ``D = diag(I, q_f)``.  The system lives in that
     rotated frame: ``w0`` holds ``u0^T W u0`` for ``W = 0, Wz, Wy``, ``W~ =
     e^{G^T} w0 e^G``, and ``N = U^T M(mu) U`` is ``M(mu)`` of ``D + W~``,
-    whose log-dets are those of ``Q + W``.  ``e^G`` and the Jacobian's
-    first Frechet block come from ``exp``."""
+    whose log-dets are those of ``Q + W``.  ``e^G`` comes from ``exp``."""
 
     def __init__(self, m, rp, u0, n_active):
         self.m, self.rp, self.u0, self.n_active = m, rp, u0, n_active
@@ -259,14 +261,8 @@ class _FaceSystem:
         return gen
 
     def exp(self, xs):
-        """``expm([[G, E], [0, G]])`` for the points' generators ``G`` and the
-        first unit generator ``E``: ``e^G`` on the top left, on the top right
-        the Frechet derivative of ``expm`` at ``G`` in ``E`` (Al-Mohy & Higham)."""
-        n = self.m.mx
-        block = np.zeros((len(xs), 2 * n, 2 * n))
-        block[:, :n, :n] = block[:, n:, n:] = self.skew(xs[:, self.n_qf:-1])
-        block[:, :n, n:] = self.units[0]
-        return sla.expm(block)
+        """``e^G`` for the points' generators ``G``, one stacked call."""
+        return sla.expm(self.skew(xs[:, self.n_qf:-1]))
 
     @staticmethod
     def mu(xs):  # log mu clamped, so the line search backs off runaway probes
@@ -274,12 +270,12 @@ class _FaceSystem:
 
     def point(self, kept):
         """``(Q, mu)`` at a valid point from what its residual call kept
-        (``kept``): ``U = u0 e^G`` with ``e^G`` the kept ``expm`` block, and
+        (``kept``): ``U = u0 e^G`` with the kept ``e^G``, and
         ``Q = u_a u_a^T + u_f q_f u_f^T`` over ``U``'s active and free
         columns, with ``q_f`` the free block of the kept ``D``."""
-        _, big, d, *_, mu, _ = kept
-        na, n = self.n_active, self.m.mx
-        u = self.u0 @ big[:n, :n] if self.n_rot else self.u0
+        _, e, d, *_, mu, _ = kept
+        na = self.n_active
+        u = self.u0 @ e if self.n_rot else self.u0
         u_a, u_f = u[:, :na], u[:, na:]
         return linalg.symmetrize(u_a @ u_a.T + u_f @ d[na:, na:] @ u_f.T), mu
 
@@ -300,15 +296,13 @@ class _FaceSystem:
         lam = np.linalg.eigvalsh(d[:, na:, na:])
         valid = (lam[:, 0] > COND_COV_MIN_EIG) & (lam[:, -1] <= 1.0 + FACE_EXCURSION)
         rows, self.kept = np.full((len(xs), n_qf + n_rot + 1), np.nan), [None] * len(xs)
-        at, big, w_t = np.flatnonzero(valid), [None] * len(xs), self.w0
+        at, e, w_t = np.flatnonzero(valid), [None] * len(xs), self.w0
         if n_rot and at.size:
-            big = self.exp(xs[at])
-            e = big[:, :n, :n]
+            e = self.exp(xs[at])
             err = np.abs(np.swapaxes(e, -1, -2) @ e - np.eye(n)).reshape(at.size, -1)
             valid[at] = err.max(axis=1) <= FACE_ORTHO_TOL  # False on NaN too
-            big, at = big[valid[at]], np.flatnonzero(valid)
-            e = big[:, None, :n, :n]
-            w_t = np.swapaxes(e, -1, -2) @ self.w0 @ e
+            e, at = e[valid[at]], np.flatnonzero(valid)
+            w_t = np.swapaxes(e[:, None], -1, -2) @ self.w0 @ e[:, None]
         if not at.size:
             return rows, valid
         lower = linalg.chol_lower(d[at, None] + w_t, "D, D + W~z or D + W~y")
@@ -319,7 +313,7 @@ class _FaceSystem:
                                    n_mat[:, :na, na:].reshape(at.size, -1),
                                    (ip - self.rp)[:, None]), axis=1)
         for j, i in enumerate(at):
-            self.kept[i] = (xs[i], big[j], d[i], inv[j], n_mat[j], mu[j], lam[i])
+            self.kept[i] = (xs[i], e[j], d[i], inv[j], n_mat[j], mu[j], lam[i])
         return rows, valid
 
     def jacobian(self, kept):
@@ -329,20 +323,17 @@ class _FaceSystem:
         taken as they are.  A free coordinate moves ``D`` by its basis matrix
         on the free block, an angle by ``F = K D - D K`` with ``K = e^{G^T}
         L``, ``L`` the Frechet derivative of ``expm`` at ``G`` in the angle's
-        direction: the first angle's from the kept ``exp``, the others' in
-        closed form (``linalg.skew_expm_frechet``).  A move ``F`` changes
+        direction, every angle's in closed form from one eigensolve
+        (``linalg.skew_expm_frechet``).  A move ``F`` changes
         ``N`` by ``-M(mu)`` of ``(P F P, Z F Z, Y F Y)`` (plus ``N K - K N``
         for an angle) and ``I_p`` by ``tr((Y - P) F) / 2``; log mu changes
         ``N`` by ``mu (P - Y)``."""
         n_qf, n_rot, na, n = self.n_qf, self.n_rot, self.n_active, self.m.mx
-        x, big, d, inv, n_mat, mu, _ = kept
+        x, _, d, inv, n_mat, mu, _ = kept
         f = np.zeros((n_qf + n_rot, n, n))
         f[:n_qf, na:, na:] = self.basis_f
         if n_rot:
-            k = (big[:n, :n].T @ big[:n, n:])[None]
-            if n_rot > 1:
-                k = np.concatenate((k, linalg.skew_expm_frechet(
-                    self.skew(x[None, n_qf:-1])[0], self.units[1:])))
+            k = linalg.skew_expm_frechet(self.skew(x[None, n_qf:-1])[0], self.units)
             f[n_qf:] = k @ d - d @ k
         dn = -kkt.stationarity_stack(inv @ f[:, None] @ inv, mu)
         if n_rot:

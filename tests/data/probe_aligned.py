@@ -33,9 +33,11 @@ in ``cpu_s``), as ``cholesky_calls`` and ``certify_cholesky_calls`` the
 more), the rows ``solver._FaceSystem.residuals`` evaluated and the calls of
 ``solver._FaceSystem.jacobian`` (one per Newton iterate, each on the factors
 its point's residual evaluation kept), as ``invalid_rows`` the residual rows
-that held no valid point and as ``expm_calls`` the calls of ``solver.sla.expm``
-(a stacked call counts once; residual evaluations make them all, as
-``_FaceSystem.point`` reads a polished point from its kept block), and as
+that held no valid point and as ``expm_calls`` the calls of ``solver.sla.expm``,
+the rotations ``linalg.skew_expm`` (a stacked call counts once; residual
+evaluations make them all, as ``_FaceSystem.point`` reads a polished point
+from its kept rotation and the Jacobian takes its Frechet blocks from
+``linalg.skew_expm_frechet``), and as
 ``ascent_calls``, ``ascent_matrices`` and ``ascent_cpu_s`` the ascent's calls of
 ``solver._rates_stack``, the matrices they evaluated and the process CPU
 seconds spent inside ``solver._pga_penalty``.  CPU seconds are noisy on a
@@ -128,6 +130,7 @@ import os
 import sys
 import time
 from collections import Counter
+from types import SimpleNamespace
 
 # as in tests/conftest.py: OpenBLAS threads only contend on small matrices
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -251,20 +254,6 @@ def _entry(n_active, factor, g):
     return f"({face}, {factor:g})"
 
 
-class _CountedExpm:
-    """``scipy.linalg`` as ``solver`` reads it, with ``expm`` calls counted."""
-
-    def __init__(self, sla):
-        self._sla = sla
-
-    def __getattr__(self, name):
-        return getattr(self._sla, name)
-
-    def expm(self, a):
-        COUNTS["expm_calls"] += 1
-        return self._sla.expm(a)
-
-
 def count_the_work():
     """Make ``solver._polish_face``, ``solver._FaceSystem.residuals`` and
     ``jacobian``, ``solver._rates_stack`` (which only the ascent calls) and
@@ -340,9 +329,13 @@ def count_the_work():
         COUNTS["cholesky_calls"] += 1
         return cholesky(a)
 
-    cholesky = np.linalg.cholesky
+    def counted_expm(gens):
+        COUNTS["expm_calls"] += 1
+        return expm(gens)
+
+    cholesky, expm = np.linalg.cholesky, solver.sla.expm
     np.linalg.cholesky = counted_cholesky
-    solver.sla = _CountedExpm(solver.sla)
+    solver.sla = SimpleNamespace(expm=counted_expm)
     solver._polish_face = counted_polish
     solver._FaceSystem.residuals = counted_rows
     solver._FaceSystem.jacobian = counted_jacobian

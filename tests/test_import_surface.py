@@ -1,9 +1,10 @@
-"""SciPy stays off the scalar route and Monte Carlo.
+"""The package runs on numpy alone.
 
-The sweep, the oracle, the closed-form limit and Monte Carlo run on numpy
-alone; only the aligned route's face polish loads ``scipy.linalg``, for its
-``expm``, on first use, through ``linalg.sla``.  Each check runs in a
-fresh interpreter, so modules that other tests imported do not count.
+The sweep, the oracle, the closed-form limit and Monte Carlo load neither
+SciPy nor ``numpy.ma``, and the aligned route, whose face polish takes its
+rotations from ``linalg.skew_expm``, loads no SciPy either.  Each check runs
+in a fresh interpreter, so modules that other tests imported do not count.
+SciPy serves these tests as a reference alone.
 """
 
 import os
@@ -55,39 +56,45 @@ def test_scalar_route_loads_neither_scipy_nor_numpy_ma(tmp_path):
         assert cli.run(cfg, out=io.StringIO()) == 0
         mc.cross_validate(m, m.sigma_x, 2000, 0)
         print("scalar", loaded())
-        aligned = gausskey.AlignedModel(sigma_x=2.0 * np.eye(2), sigma_wy=np.eye(2),
-                                        sigma_wz=np.diag([2.0, 0.5]))
-        solver.solve_at_rate(aligned, 0.5, n_starts=1, max_iter=20)
-        print("aligned", "scipy.linalg" in sys.modules)
     """)
     assert "scalar []" in out
-    assert "aligned True" in out
 
 
-def test_scipy_handle_is_thread_safe():
-    out = _run_fresh("""
-        import sys, threading
-        from gausskey import linalg
+def test_aligned_route_loads_no_scipy(tmp_path):
+    # solve_at_rate and certify, then region, kkt-check and mc on an aligned
+    # model file; the polish's rotations are counted, so the route is seen to
+    # reach the call that once loaded scipy.linalg
+    out = _run_fresh(f"""
+        import io, os, sys
+        from types import SimpleNamespace
+        import numpy as np
+        import gausskey
+        from gausskey import cli, kkt, solver
+        from gausskey.modelio import save_model
 
-        assert "scipy" not in sys.modules
-        sys.setswitchinterval(1e-6)
-        barrier = threading.Barrier(8)
-        got = [None] * 8
+        rotations = [0]
 
-        def read(i):
-            barrier.wait()
-            got[i] = linalg.sla.expm
+        def counted(gens, expm=solver.sla.expm):
+            rotations[0] += 1
+            return expm(gens)
 
-        threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-        assert not any(t.is_alive() for t in threads)
-        import scipy.linalg
-        print(all(f is scipy.linalg.expm for f in got))
+        solver.sla = SimpleNamespace(expm=counted)
+        m = gausskey.AlignedModel(sigma_x=2.0 * np.eye(2), sigma_wy=np.eye(2),
+                                  sigma_wz=np.diag([2.0, 0.5]))
+        report = solver.solve_at_rate(m, 0.5, n_starts=1, max_iter=20)
+        kkt.certify(m, report.optimum, 0.5)
+        path = os.path.join({str(tmp_path)!r}, "aligned.json")
+        save_model(m, path)
+        out_csv = os.path.join({str(tmp_path)!r}, "out.csv")
+        for cfg in (cli.RunConfig(command="region", model_path=path, output_path=out_csv,
+                                  rp_max=1.0, points=3),
+                    cli.RunConfig(command="kkt-check", model_path=path, rp=0.5),
+                    cli.RunConfig(command="mc", model_path=path, samples=2000)):
+            assert cli.run(cfg, out=io.StringIO()) == 0, cfg.command
+        print(rotations[0] > 0, sorted(k for k in sys.modules
+                                       if k == "scipy" or k.startswith("scipy.")))
     """)
-    assert out.strip() == "True"
+    assert out.split() == ["True", "[]"]
 
 
 @pytest.mark.parametrize("cond", [1.0, 1e4, 1e8])

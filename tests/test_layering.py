@@ -13,11 +13,10 @@ other.  The sweep (``sweep``) sits to the right of the model files only for
 ``modelio.model_digest``: it imports none of the certificate, Monte Carlo
 or the oracle, and the aligned route (``solver``) takes from it only the
 names it re-exports and the test of which models the sweep takes, so the
-two routes share no arithmetic either.  The checking layer and the sweep
-stay on numpy alone: no module of their tiers (models, rates, the
-certificate, Monte Carlo, the oracle, the model files and the sweep)
-imports ``scipy`` or reads ``linalg.sla``, and certifying, verifying,
-evaluating rates, Monte Carlo, the oracle and the sweep load no ``scipy``.
+two routes share no arithmetic either.  The package runs on numpy alone:
+no module imports ``scipy`` or reads a ``linalg.sla`` handle, and
+certifying, verifying, evaluating rates, Monte Carlo, the oracle and the
+sweep load no ``scipy``.
 """
 
 import ast
@@ -51,7 +50,7 @@ TIERS = {
 SHUNNED = {"sweep": ("kkt", "mc", "oracle")}
 # The only names ``solver`` takes from ``sweep``.
 SWEEP_NAMES = {"SweepParams", "inner_convex", "sweep_boundary", "_scalar_model"}
-NUMPY_ONLY = ("models", "rates", "kkt", "mc", "oracle", "modelio", "sweep")
+NUMPY_ONLY = ("__init__", *TIERS)
 
 
 def _sources():

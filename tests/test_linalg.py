@@ -200,12 +200,31 @@ def _face_units(n, n_active):
     return units
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_skew_expm_matches_scipy(n):
+    # e^G from the eigensolve of -iG against SciPy's expm, for generators of
+    # spectral norm (largest rotation angle) 1e-8 to 10, and a stacked call
+    # byte for byte against per-matrix calls
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    rng = rng_for(1890 + n)
+    gen = rng.standard_normal((12, n, n))
+    gen = gen - np.swapaxes(gen, -1, -2)
+    gen *= (np.geomspace(1e-8, 10.0, 12) / np.linalg.norm(gen, 2, axis=(1, 2)))[:, None, None]
+    stacked = linalg.skew_expm(gen)
+    for g, e in zip(gen, stacked):
+        assert np.max(np.abs(e - scipy_linalg.expm(g))) <= 1e-13
+        assert e.tobytes() == linalg.skew_expm(g).tobytes()
+
+
 @pytest.mark.parametrize("n", range(2, 7))
 def test_skew_expm_frechet_matches_the_block_expm(n):
     # e^-G L(G, E) in closed form against the top right block L of
     # expm([[G, E], [0, G]]) (Al-Mohy & Higham 2009), mapped back by that
     # call's own top left block e^G, for every face's angles at generator
-    # scales 1e-6 to 3; at the largest the block expm is good to about 1e-13
+    # scales 1e-6 to 3; at the largest the block expm is good to about 1e-13.
+    # The face polish's Jacobian reads every angle's block from the closed
+    # form; it matches e^{G^T} L, which it read for the first angle from the
+    # block expm, to 1e-12
     scipy_linalg = pytest.importorskip("scipy.linalg")
     rng = rng_for(1900 + n)
     for n_active in range(1, n):
@@ -217,9 +236,11 @@ def test_skew_expm_frechet_matches_the_block_expm(n):
             block[:, :n, n:] = units
             big = scipy_linalg.expm(block)
             want = big[:, :n, n:]
-            got = big[:, :n, :n] @ linalg.skew_expm_frechet(gen, units)
+            k = linalg.skew_expm_frechet(gen, units)
+            got = big[:, :n, :n] @ k
             err = np.linalg.norm(got - want, axis=(1, 2))
             assert np.all(err <= 1e-13 * np.linalg.norm(want, axis=(1, 2)))
+            assert np.max(np.abs(np.swapaxes(big[:, :n, :n], -1, -2) @ want - k)) <= 1e-12
 
 
 def test_skew_expm_frechet_is_the_derivative_of_a_rotation():

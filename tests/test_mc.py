@@ -36,6 +36,27 @@ def _conditional_given_u(joint, lay):
     return joint[ix, ix] - joint[ix, iu] @ np.linalg.inv(joint[iu, iu]) @ joint[iu, ix]
 
 
+def test_an_aligned_model_is_rewritten_once(monkeypatch):
+    # build_joint works on to_general(m): the general form and its sigma_x
+    # roots are computed on the first call alone (3 linalg.roots calls each
+    # time when to_general built a fresh model)
+    m = AlignedModel(sigma_x=2.0 * np.eye(2), sigma_wy=np.diag([1.0, 2.0]),
+                     sigma_wz=np.array([[3.0, 0.5], [0.5, 1.0]]))
+    roots, calls = linalg.roots, []
+
+    def counted(*args, **kwargs):
+        calls[-1] += 1
+        return roots(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "roots", counted)
+    joints = []
+    for _ in range(3):
+        calls.append(0)
+        joints.append(build_joint(m, np.eye(2)))
+    assert calls == [3, 0, 0]
+    assert joints[0].tobytes() == joints[2].tobytes()
+
+
 def test_conditional_covariance_roundtrip():
     rng = rng_for(71)
     for _ in range(100):

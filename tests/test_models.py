@@ -131,14 +131,14 @@ def test_copies_are_rebuilt_through_the_constructor(copy_of):
     # __post_init__; it would also have carried the original's caches
     rng = rng_for(7101)
     m = random_aligned(rng, 3)
-    whiten(m)
+    whiten(m), to_general(m)
     for obj in (m, random_general(rng, 2), ConditionalCov(np.eye(2))):
         twin = copy_of(obj)
         assert type(twin) is type(obj)
         for f in dataclasses.fields(obj):
             assert np.array_equal(getattr(twin, f.name), getattr(obj, f.name))
             assert not getattr(twin, f.name).flags.writeable
-        assert "_white" not in vars(twin)
+        assert "_white" not in vars(twin) and "_general" not in vars(twin)
     bad = copy.copy(m)
     object.__setattr__(bad, "sigma_wz", -np.eye(3))
     with pytest.raises(NotPositiveDefinite):
@@ -167,6 +167,10 @@ def test_cached_constants_match_fresh_computations():
         s_half, s_half_inv = linalg.roots(m.sigma_x)
         w, s, s_inv = whiten(m)
         assert whiten(m) is whiten(m)
+        gen = to_general(m)
+        assert to_general(m) is gen
+        assert gen.b.tobytes() == linalg.roots(m.sigma_wy)[1].tobytes()
+        assert gen.e.tobytes() == linalg.roots(m.sigma_wz)[1].tobytes()
         assert s.tobytes() == s_half.tobytes() and s_inv.tobytes() == s_half_inv.tobytes()
         assert w.sigma_x.tobytes() == np.eye(mx).tobytes()
         for got, noise in ((w.sigma_wy, m.sigma_wy), (w.sigma_wz, m.sigma_wz)):
