@@ -6,10 +6,10 @@
     and tolerance is relative.  On ``0 < A <= I`` a Newton solve of the
     first-order optimality system on a detected active face polishes the
     optima of the model's two commuting parts.  When neither has a valid
-    KKT multiplier, a homotopy moves the model from its commuting part to
-    itself, polishing the last optimum at each step; only when that fails
-    does a projected gradient ascent with an exact penalty on the rate
-    constraint run from several starts, its best end point polished alike.
+    KKT multiplier, a path in the budget runs from the corner, polishing
+    the last optimum at each higher rate; only when that fails does a
+    projected gradient ascent with an exact penalty on the rate constraint
+    run from several starts, its best end point polished alike.
     The general problem is nonconvex, so this route is a heuristic: every
     returned point is either certified through the KKT machinery or flagged
     unconverged.
@@ -352,10 +352,14 @@ def _polish_face(m, rp, q_hat, mu_hint, n_active):
 
     On a whitened model (``sigma_x = I``), the top ``n_active``
     eigendirections of the candidate ``q_hat`` are pinned to the source
-    covariance.  Unknowns: the free-block coordinates, the rotation mixing
-    active and free subspaces, and log mu.  Residuals: the free-block and
-    cross-block components of the stationarity matrix, plus the rate
-    equality (see ``_FaceSystem``).
+    covariance.  When more than ``n_active`` of its eigenvalues are 1
+    (within 1e-9), the pinned ones are the top eigenvectors of ``U_c^T
+    M(mu_hint) U_c`` on that unit eigenspace ``U_c``, not round-off's pick:
+    at an optimum, ``M(mu)`` is PSD on each pinned direction (active-set
+    identification from the multiplier, Burke & More 1988).  Unknowns: the
+    free-block coordinates, the rotation mixing active and free subspaces,
+    and log mu.  Residuals: the free-block and cross-block components of
+    the stationarity matrix, plus the rate equality (see ``_FaceSystem``).
 
     A Newton step takes the closed-form Jacobian at its point
     (``_FaceSystem.jacobian``, in the fixed chart at ``u0``), on the
@@ -365,7 +369,8 @@ def _polish_face(m, rp, q_hat, mu_hint, n_active):
     lowers the max-norm residual (halving is exact, so these are a
     sequential search's trials): the full step alone, then
     ``HALVINGS_PER_STACK`` per stacked evaluation; when none does, the
-    polish stops, as it does after 80 steps or below 1e-12.
+    polish stops, as it does after 80 steps or below ``1e-12 min(1, rp)``:
+    the rate row's error overruns the budget, so it shrinks with it.
 
     A step that lifts a free eigenvalue above 1 has left the interval
     through a free direction, which belongs to the face: at the optimum each
@@ -379,13 +384,18 @@ def _polish_face(m, rp, q_hat, mu_hint, n_active):
 
     Returns ``q``, or None for an invalid start; ``_polished`` judges it.
     """
-    w, u0 = np.linalg.eigh(q_hat)
-    u0 = u0[:, np.argsort(w)[::-1]]
+    lam, u0 = np.linalg.eigh(q_hat)
+    order = np.argsort(lam)[::-1]
+    lam, u0 = lam[order], u0[:, order]
     if n_active == m.mx:
         return np.array(m.sigma_x)
+    n_unit = int(np.sum(lam >= 1.0 - 1e-9))
+    if 0 < n_active < n_unit:  # pin the unit directions where M(mu_hint) is largest
+        u_c = u0[:, :n_unit]
+        _, v = np.linalg.eigh(u_c.T @ kkt.stationarity_matrix(m, q_hat, mu_hint) @ u_c)
+        u0[:, :n_unit] = u_c @ v[:, ::-1]
     face = _FaceSystem(m, rp, u0, n_active)
-    nx = face.n_qf + face.n_rot + 1
-    x = np.zeros(nx)
+    x = np.zeros(face.n_qf + face.n_rot + 1)
     q_free0 = u0[:, n_active:].T @ q_hat @ u0[:, n_active:]
     x[:face.n_qf] = linalg.symmetrize(q_free0)[np.triu_indices(m.mx - n_active)]
     x[-1] = math.log(max(mu_hint, 1e-12))
@@ -396,7 +406,7 @@ def _polish_face(m, rp, q_hat, mu_hint, n_active):
     halvings = 0.5 ** np.arange(POLISH_HALVINGS)[:, None]
     for _ in range(80):
         rnorm = float(np.max(np.abs(r)))
-        if rnorm < 1e-12:
+        if rnorm < 1e-12 * min(1.0, rp):
             break
         jac = face.jacobian(kept)
         try:
@@ -417,23 +427,6 @@ def _polish_face(m, rp, q_hat, mu_hint, n_active):
             return _polish_face(m, rp, sigma, float(mu), n_active + 1)
         x, r, kept = x_new, rows[better[0]], kept_new
     return face.point(kept)[0]
-
-
-def _face_schedule(n_active_guess, mx):
-    """Candidates ``(n_active, factor)`` of the face polish of an end point,
-    in the order ``_polish_end`` tries them.
-
-    The detected face ``g`` (which may be ``mx``) at the multiplier factor
-    1, ``g + 1`` at 1 when it is below ``mx``, ``g`` at 2 and 4, then
-    ``g - 1`` at 1.  A polish climbs to a higher face by itself when a free
-    eigenvalue crosses 1 (``_polish_face``), so ``g`` at 2 covers ``g + 1``
-    at 2, and over the benchmark's and the probe's solves, at rates up to
-    16, no candidate passed on a face above ``g + 1``.  A homotopy step's
-    optimum can lose a pinned direction, which ``g - 1`` covers."""
-    g = n_active_guess
-    above = [(g + 1, 1.0)] if g + 1 < mx else []
-    below = [(g - 1, 1.0)] if g else []
-    return [(g, 1.0), *above, (g, 2.0), (g, 4.0), *below]
 
 
 def _composite(w, rp, q, ip):
@@ -484,13 +477,15 @@ def _polished(w, rp, q_end, mu_hint, n_active):
 
 def _polish_end(w, rp, q):
     """The face polish of an end point ``q`` on a whitened model
-    (``_end_point``), over the candidates of ``_face_schedule``: the first
-    ``_polished`` candidate that passes the multiplier test, else the one
-    with the highest key rate, else None."""
+    (``_end_point``) at its multiplier hint, on the detected face ``g`` and
+    then on ``g - 1``: the first ``_polished`` candidate that passes the
+    multiplier test, else the one with the highest key rate, else None.  A
+    polish climbs to a higher face by itself (``_polish_face``); a path
+    step's optimum can lose a pinned direction, which ``g - 1`` covers."""
     q, mu_hint, g = _end_point(w, rp, q)
     kept = []
-    for n_active, factor in _face_schedule(g, w.mx):
-        cand = _polished(w, rp, q, factor * mu_hint, n_active)
+    for n_active in (g, g - 1) if g else (0,):
+        cand = _polished(w, rp, q, mu_hint, n_active)
         if _passes(cand):
             return cand
         if cand:
@@ -498,49 +493,35 @@ def _polish_end(w, rp, q):
     return max(kept, key=lambda cand: cand[1], default=None)
 
 
-# Step counts of the homotopy from the commuting part: the finer grid takes
-# over from the last t that passed when a step of the coarser one fails.
-HOMOTOPY_STEPS = (3, 20)
+def _rate_path(w, rp):
+    """The optimum of a whitened model ``w`` at ``rp`` by continuation in
+    the budget from the corner (Allgower & Georg 1990), or None.
 
-
-def _homotopy(w, rp, start):
-    """The optimum of a whitened model ``w`` at ``rp`` by continuation from
-    its commuting part (Allgower & Georg 1990), or None.
-
-    With ``(V, dy, dz) = _commuting_part(w, False)``, the path keeps
-    ``sigma_wy`` and moves ``sigma_wz(t) = (1 - t) V diag(dz) V^T + t
-    sigma_wz`` from ``t = 0``, where ``start = _commuting_start(w, rp,
-    False)`` is the optimum, to the model at ``t = 1``.  The budget depends
-    on ``sigma_wy`` alone, so every step's start keeps it.  Each step
-    polishes the last optimum on the model at ``t`` (``_polish_end``), on
-    the grid ``k / n`` for the first ``n`` of ``HOMOTOPY_STEPS``.  A step
-    whose candidates pass no test, or that raises a ``GausskeyError``, hands
-    over to the next grid, which goes on from the last ``t`` that passed;
-    when the last grid fails too, None.  Returns the candidate at ``t = 1``.
-    No ``dz > dy``: the start is the corner ``I``, where the path stays, so
-    there is no path."""
-    v, dy, dz = _commuting_part(w, False)
-    if not np.any(dz > dy):
-        return None
-    commuting = (v * dz) @ v.T
-    q, t_passed = start, 0.0
-    for n in HOMOTOPY_STEPS:
-        for t in np.arange(1, n + 1) / n:
-            if t <= t_passed:
-                continue
-            w_t = w if t == 1.0 else AlignedModel(
-                w.sigma_x, w.sigma_wy,
-                linalg.symmetrize((1.0 - t) * commuting + t * w.sigma_wz))
-            try:
-                cand = _polish_end(w_t, rp, q)
-            except GausskeyError:
-                cand = None
-            if not _passes(cand):
-                break
-            q, t_passed = cand[0], t
-        else:
-            return cand
-    return None
+    Neighbouring optima lie on the same face or one face apart, so each
+    step polishes the last optimum at a higher rate (``_polish_end``).  The
+    seed is the corner ``I`` polished on face ``mx - 1`` at ``min(1e-4,
+    rp)`` with the corner's multiplier ``mu0``, which frees the corner
+    pencil's top direction; its own face is not tried, as at rates up to
+    1e-7 the corner passes the test.  Each step goes up to three times the
+    last rate that passed; one that passes no test, or raises a
+    ``GausskeyError``, is tried again from that rate at the square root of
+    its ratio, giving up below 1.1.  Returns the passed candidate at rp."""
+    r, ratio = min(1e-4, rp), 3.0
+    try:
+        cand = _polished(w, r, *_end_point(w, r, np.eye(w.mx))[:2], w.mx - 1)
+    except GausskeyError:
+        cand = None
+    while _passes(cand) and r < rp:
+        r_next = min(rp, r * ratio)
+        try:
+            step = _polish_end(w, r_next, cand[0])
+        except GausskeyError:
+            step = None
+        if _passes(step):
+            cand, r, ratio = step, r_next, 3.0
+        elif (ratio := math.sqrt(r_next / r)) < 1.1:
+            return None
+    return cand if _passes(cand) else None
 
 
 def solve_at_rate(m: AlignedModel, rp: float, *, n_starts: int = 6,
@@ -561,21 +542,20 @@ def solve_at_rate(m: AlignedModel, rp: float, *, n_starts: int = 6,
     The routes, in order:
 
     1. the optima of the model's two commuting parts (``_commuting_start``),
-       each polished on its detected face at factor 1 (on the corner face
-       ``n_active = mx`` the polish returns ``sigma_x``, which the test
-       judges at mu = 0), the second formed only when the first fails; a
+       each polished on its detected face (on the corner face ``n_active =
+       mx`` the polish returns ``sigma_x``, which the test judges at mu =
+       0), the second formed only when the first fails; a
        ``GausskeyError`` here, as from an optimum that ``rates_aligned``
        refuses at high rates, moves the solve on;
-    2. the homotopy from the first commuting-part optimum to the model
-       (``_homotopy``);
+    2. the path in the budget from the corner (``_rate_path``);
     3. the fallback, which ``n_starts`` and ``max_iter`` alone size:
        projected gradient ascent with an exact penalty, its weight above
        every multiplier of the model (``_penalty_weight``), from the first
        ``n_starts`` (1 to 6) of ``_starts``, for at most ``max_iter`` steps
        each (0 skips the ascent).  The end point in budget with the highest
-       key rate is polished like a homotopy step (``_polish_end``).  Over
-       the probe's and the benchmark's solves, every one that this route
-       certified passed on that end point's first candidate.
+       key rate is polished like a path step (``_polish_end``).  It
+       certifies no point of the probe's sets, the direct sums or the
+       benchmark.
     The first two return a candidate that passes the test below with
     ``iterations = 0``.  A polished candidate is kept when ``rates_aligned``
     takes it, it keeps the budget and its key rate is not below the
@@ -625,17 +605,15 @@ def solve_at_rate(m: AlignedModel, rp: float, *, n_starts: int = 6,
                            converged=composite <= kkt.ACCEPT_COMPOSITE)
 
     # the commuting-part optima first, each on its detected face, the second
-    # formed only when the first fails; then the path from the first
-    start = _commuting_start(w, rp, False)
+    # formed only when the first fails; then the path from the corner
     try:
         for swap in (False, True):
-            q0 = _commuting_start(w, rp, True) if swap else start
-            cand = _polished(w, rp, *_end_point(w, rp, q0))
+            cand = _polished(w, rp, *_end_point(w, rp, _commuting_start(w, rp, swap)))
             if _passes(cand):
                 return report(*cand, 0)
     except GausskeyError:
         pass
-    if cand := _homotopy(w, rp, start):
+    if cand := _rate_path(w, rp):
         return report(*cand, 0)
 
     runs = _pga_penalty(w, rp, np.array(_starts(w, rp, n_starts)), max_iter)
@@ -656,8 +634,9 @@ def ascent_boundary(m: AlignedModel, rp_grid) -> RegionBoundary:
     """Boundary of an aligned model's rate region, point by point.
 
     Each grid point is solved with ``solve_at_rate`` (the commuting-part
-    polish, the homotopy from it, and the penalised ascent only when both
-    fail) and validated end to end through the KKT/enhancement pipeline;
+    polish, the path in the budget from the corner, and the penalised
+    ascent only when both fail) and validated end to end through the
+    KKT/enhancement pipeline;
     the point's ``kkt_residual`` is the maximum certificate residual
     (``inf`` when the certificate raises), and points whose certificate
     fails the 1e-6 gate are reported with it so downstream code can reject

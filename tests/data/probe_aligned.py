@@ -46,14 +46,20 @@ polish's or the ascent's cost apart from noise.
 
 It also records what decided each point.  As ``route``, the route that
 returned it: ``commuting part 1`` or ``commuting part 2`` (the polish of
-the first or the second commuting-part optimum), ``homotopy``, ``ascent``
-(the fallback's end point passed the gate) or ``none`` (no candidate
-passed, or the solve raised).  As ``entry_tries`` and ``entry_passes``,
-per entry of ``solver._face_schedule`` relative to the detected face ``g``
-(``(g, 1)``, ``(g + 1, 1)``, ...), how often a ``solver._polish_end`` call
-tried it and how often it was the call's first candidate to pass the
-gate.  A change to the
-aligned route is checked by saving the probe on the parent tree and
+the first or the second commuting-part optimum), ``path`` (the path in
+``rp`` from the corner, ``solver._rate_path``), ``ascent`` (the fallback's
+end point passed the gate) or ``none`` (no candidate passed, or the solve
+raised); a file saved before the path replaced the ``t``-homotopy holds
+``homotopy`` there.  As ``path_steps`` and ``path_halvings``, the
+``solver._polish_end`` calls the path made and how many of them passed no
+test (each such step is tried again at the square root of its ratio, or
+ends the path).  As ``entry_tries`` and ``entry_passes``, per face that a
+``solver._polish_end`` call polishes, relative to the detected face ``g``
+(``(g)``, then ``(g - 1)``), how often a call tried it and how often it was
+the call's first candidate to pass the gate; a file saved before holds the
+entries of the old schedule, ``(g, 1)``, ``(g + 1, 1)``, ``(g, 2)``, ``(g,
+4)`` and ``(g - 1, 1)``, which ``--compare`` prints beside them.  A change
+to the aligned route is checked by saving the probe on the parent tree and
 comparing on the change:
 
     PYTHONPATH=src python tests/data/probe_aligned.py --save before.json
@@ -76,9 +82,9 @@ CPU seconds, listing each point solved on both runs whose solve ran the ascent o
 run only (a figure the file did not record reads "not
 recorded", and a file without ``iterations`` lists none; ``--save`` prints
 the run's certified points, its points that test disagrees with and its
-cost too).  Both print the points per
-route and the tries and first passes per schedule entry, beside the file's
-under ``--compare``.  It
+cost too, the path's summed steps and halvings among it).  Both print
+the points per route and the tries and first passes per face entry,
+beside the file's under ``--compare``.  It
 exits 1 when a value falls by more than ``FALL_TOL``, or is lost to an
 exception, or a certified point loses its certificate, or that test
 disagrees with a point's ``converged``.  It also prints how
@@ -222,36 +228,31 @@ def record(m, rp, mode=None, c=1.0):
 
 
 # face-polish calls, residual rows (all and invalid), expm calls and
-# Jacobians, the ascent's rate
+# Jacobians, the path's steps and failed steps, the ascent's rate
 # evaluations, matrices and CPU seconds, and np.linalg.cholesky calls, since
 # the start of the run
 COUNTS = Counter()
 COUNTED = ("polish_calls", "residual_rows", "invalid_rows", "expm_calls", "jacobian_calls",
-           "ascent_calls", "ascent_matrices", "ascent_cpu_s", "cholesky_calls")
+           "path_steps", "path_halvings", "ascent_calls", "ascent_matrices", "ascent_cpu_s",
+           "cholesky_calls")
 
 # what the current solve ran: how many commuting-part optima it polished
-# (the ``_polished`` calls made outside ``_polish_end``, which only the
-# first route makes), whether ``_homotopy`` returned a candidate and
-# whether the ascent ran; and per ``_face_schedule`` entry, its tries and
-# first passes in ``_polish_end``
+# (the ``_polished`` calls made outside ``_polish_end`` and the path, which
+# only the first route makes), whether ``_rate_path`` ran and whether it
+# returned a candidate, and whether the ascent ran; and per face entry, its
+# tries and first passes in ``_polish_end``
 TRACE = {}
-ROUTES = ("commuting part 1", "commuting part 2", "homotopy", "ascent", "none")
-ENTRIES = ("(g, 1)", "(g + 1, 1)", "(g, 2)", "(g, 4)", "(g - 1, 1)")
+ROUTES = ("commuting part 1", "commuting part 2", "path", "ascent", "none")
+ENTRIES = ("(g)", "(g - 1)")
 
 
 def route(converged):
     """The route that returned the current solve's answer (``ROUTES``)."""
     if TRACE["ascent"]:
         return "ascent" if converged else "none"
-    if TRACE["homotopy"]:
-        return "homotopy"
+    if TRACE["path"]:
+        return "path"
     return f"commuting part {TRACE['commuting']}"
-
-
-def _entry(n_active, factor, g):
-    """A schedule entry's label relative to the detected face ``g``."""
-    face = "g" if n_active == g else f"g {'+' if n_active > g else '-'} {abs(n_active - g)}"
-    return f"({face}, {factor:g})"
 
 
 def count_the_work():
@@ -260,14 +261,13 @@ def count_the_work():
     ``solver._pga_penalty`` add their calls, rows (and invalid rows),
     matrices and CPU seconds to ``COUNTS``, and ``np.linalg.cholesky`` and
     ``solver.sla.expm`` their calls, and
-    ``solver._homotopy``, ``solver._polish_end`` and its
-    ``solver._face_schedule`` and ``solver._polished`` calls note in
-    ``TRACE`` what decided the solve."""
+    ``solver._rate_path``, ``solver._polish_end`` and the
+    ``solver._polished`` calls note in ``TRACE`` what decided the solve
+    and ``COUNTS`` the path's steps."""
     polish, residuals = solver._polish_face, solver._FaceSystem.residuals
     jacobian = solver._FaceSystem.jacobian
     rates, ascent = solver._rates_stack, solver._pga_penalty
-    homotopy = solver._homotopy
-    polish_end, polished, schedule = solver._polish_end, solver._polished, solver._face_schedule
+    polish_end, polished, rate_path = solver._polish_end, solver._polished, solver._rate_path
 
     def counted_polish(*args):
         COUNTS["polish_calls"] += 1
@@ -296,34 +296,37 @@ def count_the_work():
         finally:
             COUNTS["ascent_cpu_s"] += time.process_time() - start
 
-    def traced_homotopy(*args):
-        cand = homotopy(*args)
-        TRACE["homotopy"] = cand is not None
+    def traced_path(*args):
+        TRACE["in_path"] = True
+        try:
+            cand = rate_path(*args)
+        finally:
+            TRACE["in_path"] = False
+        TRACE["path"] = cand is not None
         return cand
 
-    def traced_schedule(g, mx):
-        entries = schedule(g, mx)
-        TRACE["entries"] = [_entry(k, f, g) for k, f in entries]
-        return entries
-
     def traced_polished(*args):
-        if TRACE["entries"] is None:
-            TRACE["commuting"] += 1
-        else:
+        if TRACE["tried"] is not None:
             TRACE["tried"] += 1
+        elif not TRACE["in_path"]:
+            TRACE["commuting"] += 1
         return polished(*args)
 
     def traced_polish_end(*args):
-        TRACE["entries"], TRACE["tried"], cand = None, 0, None
+        TRACE["tried"], cand = 0, None
         try:
             cand = polish_end(*args)
             return cand
         finally:
-            # a GausskeyError may end the call before or inside the schedule
-            tried, TRACE["entries"] = (TRACE["entries"] or [])[:TRACE["tried"]], None
+            # a GausskeyError may end the call before its first polish
+            tried, TRACE["tried"] = ENTRIES[:TRACE["tried"]], None
             TRACE["entry_tries"].update(tried)
-            if cand and cand[2] <= ACCEPT_COMPOSITE:
+            passed = bool(cand) and cand[2] <= ACCEPT_COMPOSITE
+            if passed:
                 TRACE["entry_passes"][tried[-1]] += 1
+            if TRACE["in_path"]:
+                COUNTS["path_steps"] += 1
+                COUNTS["path_halvings"] += not passed
 
     def counted_cholesky(a):
         COUNTS["cholesky_calls"] += 1
@@ -341,8 +344,7 @@ def count_the_work():
     solver._FaceSystem.jacobian = counted_jacobian
     solver._rates_stack = counted_rates
     solver._pga_penalty = timed_ascent
-    solver._homotopy = traced_homotopy
-    solver._face_schedule = traced_schedule
+    solver._rate_path = traced_path
     solver._polished = traced_polished
     solver._polish_end = traced_polish_end
 
@@ -352,7 +354,7 @@ def timed(m, rp, mode, c):
     and the work of ``COUNTED`` it did, the certificate's Cholesky calls
     apart."""
     before = Counter(COUNTS)
-    TRACE.update(commuting=0, homotopy=False, ascent=False, entries=None,
+    TRACE.update(commuting=0, in_path=False, path=False, ascent=False, tried=None,
                  entry_tries=Counter(), entry_passes=Counter())
     start = time.process_time()
     rec = record(m, rp, mode, c)
@@ -376,9 +378,9 @@ def cost_figures(run):
     """``(name, figure)`` of the run's cost: its summed CPU seconds and
     Cholesky calls of the solves and of the certificates, how many of its
     solves ran the ascent, its summed polish calls, residual rows, invalid
-    residual rows, ``expm`` calls and Jacobians, and the ascent's summed
-    rate evaluations, matrices and CPU seconds, each "not recorded" when the
-    run lacks the field."""
+    residual rows, ``expm`` calls and Jacobians, the path's summed steps
+    and failed steps, and the ascent's summed rate evaluations, matrices
+    and CPU seconds, each "not recorded" when the run lacks the field."""
     recs = list(run.values())
     solved = [rec for rec in recs if "value" in rec]
 
@@ -397,6 +399,8 @@ def cost_figures(run):
             ("invalid residual rows", total("invalid_rows", recs)),
             ("expm calls", total("expm_calls", recs)),
             ("Jacobians", total("jacobian_calls", recs)),
+            ("path steps", total("path_steps", recs)),
+            ("failed path steps", total("path_halvings", recs)),
             ("ascent rate calls", total("ascent_calls", recs)),
             ("ascent matrices", total("ascent_matrices", recs)),
             ("ascent CPU seconds", total("ascent_cpu_s", recs, spec=".2f"))]
@@ -414,8 +418,10 @@ def cost_line(run, old=None):
 
 def decisions(run, old=None):
     """Lines of the run's points per route and of its tries and first
-    passes per schedule entry, each beside the file's when ``old`` is given
-    ("not recorded" when a run lacks the field)."""
+    passes per face entry, each beside the file's when ``old`` is given
+    ("not recorded" when a run lacks the field); a route or an entry that
+    only a file saved before holds (``homotopy``, ``(g, 2)``, ...) follows
+    the current ones."""
     def routes(r):
         if not all("route" in rec for rec in r.values()):
             return dict.fromkeys(ROUTES, "not recorded")
@@ -433,7 +439,9 @@ def decisions(run, old=None):
     runs = [run] if old is None else [run, old]
     by_route = [routes(r) for r in runs]
     by_entry = [entries(r) for r in runs]
-    order = [*ENTRIES, *sorted({e for t in by_entry for e in t} - set(ENTRIES))]
+
+    def order(names, tables):
+        return [*names, *sorted({k for t in tables for k in t} - set(names))]
 
     def line(title, keys, tables):
         cells = []
@@ -442,8 +450,8 @@ def decisions(run, old=None):
             cells.append(f"{key} {now}" + (f" (file: {was[0]})" if was else ""))
         return f"{title}: " + "; ".join(cells)
 
-    return [line("points per route", ROUTES, by_route),
-            line("schedule entry tries/first passes", order, by_entry)]
+    return [line("points per route", order(ROUTES, by_route), by_route),
+            line("face entry tries/first passes", order(ENTRIES, by_entry), by_entry)]
 
 
 def undecided(run):

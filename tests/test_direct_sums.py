@@ -16,7 +16,9 @@ curve is known:
   ``mu0 = kkt.closed_form_mu(w, I)`` on the whitened model ``w``, is the
   blocks' largest;
 - the curve depends on the blocks alone, so a second rotation of the same
-  blocks has the same curve.
+  blocks has the same curve;
+- every optimum above is a KKT point, so every solve, in either rotation,
+  is converged and certifies, with no ascent.
 
 The blocks have mx 1 or 2, where ``brute_force_grid`` gives each block's
 curve by an arithmetic path of its own, so the sup-convolution of the
@@ -29,8 +31,8 @@ import functools
 import numpy as np
 import pytest
 
-from gausskey import AlignedModel, asymptotic_limit, brute_force_grid, kkt, rates_aligned
-from gausskey import solve_at_rate
+from gausskey import AlignedModel, asymptotic_limit, brute_force_grid, certify, kkt
+from gausskey import rates_aligned, solve_at_rate
 from gausskey.models import whiten
 
 from conftest import random_aligned, rng_for
@@ -48,14 +50,7 @@ SUMS = {"mx3a": (9000, (1, 2)), "mx4a": (9002, (2, 2)), "mx6a": (9004, (2, 2, 2)
 RATES = (1e-6, 0.05, 0.3, 1.0, 3.0, 6.0, 12.0, 16.0)
 # the rates of the blocks' oracle curves
 ORACLE_GRID = np.round(np.arange(801) * 0.02, 12)
-# (sum, rp) whose solve ends below the blocks' oracle curves: on mx8a the
-# solve returns unconverged there, and certify raises NoValidMultiplier
-BELOW_THE_ORACLE = {("mx8a", 3.0), ("mx8a", 6.0)}
-# (sum, rp) whose two rotations end at different values: none.  On mx8a at
-# rp 3 the first rotation's solve returns unconverged 0.93642; the second's
-# certified 0.93857 while the face polish read its rows in the model's frame
-# and now ends unconverged at 0.93642 too (ROADMAP item 10)
-ROTATION_DEPENDENT = set()
+ROTATIONS = (9100, 9200)
 
 
 def _haar(rng, n):
@@ -138,22 +133,30 @@ def test_the_optimum_is_block_diagonal_in_the_rotated_frame(name, rp):
 
 @pytest.mark.parametrize("rp", RATES)
 @pytest.mark.parametrize("name", SUMS)
-def test_the_value_meets_the_blocks_oracle_curves(request, name, rp):
-    if (name, rp) in BELOW_THE_ORACLE:
-        request.applymarker(pytest.mark.xfail(
-            strict=True, reason="the aligned route leaves mx = 8 points unconverged below "
-                                "the optimum (ROADMAP item 8)"))
+def test_every_solve_converges_and_certifies(name, rp):
+    # in both rotations, with no ascent.  Six solves ended unconverged (mx8a
+    # at rp 3 and 6 and mx6b at rp 0.05, in both rotations: 0.93642 for
+    # 0.93857, 1.00649 for 1.03194 and 0.031675 for 0.034898), and these and
+    # six more ran the ascent, while the face polish took the unit
+    # directions it freed from the basis ``eigh`` gave, not from M(mu)
+    for rotation in ROTATIONS:
+        report = _solve(name, rp, rotation)
+        assert report.converged and report.iterations == 0
+        cert = certify(_direct_sum(name, rotation)[0], report.optimum, rp)
+        assert cert.max_residual < 1e-6
+
+
+@pytest.mark.parametrize("rp", RATES)
+@pytest.mark.parametrize("name", SUMS)
+def test_the_value_meets_the_blocks_oracle_curves(name, rp):
     bound = _oracle_curve(name)[np.searchsorted(ORACLE_GRID, rp, side="right") - 1]
     assert _solve(name, rp).value >= bound - 1e-9
 
 
 @pytest.mark.parametrize("rp", RATES)
 @pytest.mark.parametrize("name", SUMS)
-def test_a_second_rotation_gives_the_same_value(request, name, rp):
-    # also where both solves end unconverged (mx8a at rp 3 and 6, mx6b at
-    # rp 0.05): the 64 pairs agree to 6.2e-15
-    if (name, rp) in ROTATION_DEPENDENT:
-        request.applymarker(pytest.mark.xfail(
-            strict=True, reason="the aligned route leaves an mx = 8 point unconverged "
-                                "below the optimum in one frame only (ROADMAP item 8)"))
-    assert abs(_solve(name, rp, 9200).value - _solve(name, rp).value) <= 1e-9
+def test_a_second_rotation_gives_the_same_value(name, rp):
+    # the 64 pairs agree to 6.0e-15.  At mx8a rp 3 the two rotations once
+    # ended at 0.93642 and 0.93857, as round-off picked the unit direction
+    # that the face polish freed
+    assert abs(_solve(name, rp, ROTATIONS[1]).value - _solve(name, rp).value) <= 1e-12

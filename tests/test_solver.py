@@ -16,6 +16,7 @@ from gausskey import (
     linalg,
     rates_general,
     solve_at_rate,
+    solver,
     sweep,
     sweep_boundary,
     to_aligned,
@@ -271,12 +272,13 @@ def test_ascent_zero_rate_returns_full_covariance(scalar_aligned):
     assert report.value == pytest.approx(0.0, abs=1e-12)
 
 
-def test_ascent_reports_iterations_taken():
+def test_ascent_reports_iterations_taken(monkeypatch):
     # test_aligned_points._fresh_model(5013): at rp 0.7 the commuting-part
-    # polishes fail and there is no homotopy path, so the solve runs the
-    # ascent from its first four starts.  It converges long before the
-    # iteration cap, and the report counts the iterations of every start
-    # rather than the cap
+    # polishes fail and, with the path in rp off (the default solve
+    # certifies the point on it), the solve runs the ascent from its first
+    # four starts.  It converges long before the iteration cap, and the
+    # report counts the iterations of every start rather than the cap
+    monkeypatch.setattr(solver, "_rate_path", lambda *args: None)
     rng = rng_for(5013)
     m = AlignedModel(*(random_spd(rng, 3) for _ in range(3)))
     report = solve_at_rate(m, 0.7, n_starts=4, max_iter=400)
