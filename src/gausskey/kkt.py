@@ -199,9 +199,10 @@ def closed_form_mu(m: AlignedModel, sigma) -> float:
 
 def rate_is_slack(rp: float, ip: float) -> bool:
     """Whether the public rate ``ip`` leaves the budget ``rp`` slack, so
-    complementary slackness forces ``mu = 0``: by more than
-    ``max(1e-7, 1e-6 |rp|)``, or the budget is infinite."""
-    return rp == np.inf or rp - ip > max(1e-7, 1e-6 * abs(rp))
+    complementary slackness forces ``mu = 0``: by more than ``1e-6 |rp|``
+    (relative, so the corner's rate 0 leaves every positive budget slack),
+    or the budget is infinite."""
+    return rp == np.inf or rp - ip > 1e-6 * abs(rp)
 
 
 def multiplier_test(m: AlignedModel, sigma, rp: float, ip: float):

@@ -5,9 +5,9 @@
     ``sigma_x = I`` (a congruence, which keeps both rates), so every floor
     and tolerance is relative.  On ``0 < A <= I`` a Newton solve of the
     first-order optimality system on a detected active face polishes the
-    optima of the model's two commuting parts.  When neither has a valid
-    KKT multiplier, a path in the budget runs from the corner, polishing
-    the last optimum at each higher rate; only when that fails does a
+    optimum of the model's commuting part.  When that has no valid KKT
+    multiplier, a path in the budget runs from the corner, polishing the
+    last optimum at each higher rate; only when that fails does a
     projected gradient ascent with an exact penalty on the rate constraint
     run from several starts, its best end point polished alike.
     The general problem is nonconvex, so this route is a heuristic: every
@@ -70,7 +70,7 @@ def _basis(n):
 # calls slice by slice, so stacked loops decide as per-point ones.
 
 # Step sizes that the face polish's line search tests per stacked evaluation
-# after the full step, which it tests alone: 293 of the 369 steps that the
+# after the full step, which it tests alone: 291 of the 397 steps that the
 # benchmark's 36 solves take are full ones.  The polish stops at the damping
 # floor 2^-8, its ``POLISH_HALVINGS``-th trial: at 2^-7, a first step from the
 # commuting-part optimum of ``bench_mx4_key2006`` at rp 4 found no lower
@@ -443,17 +443,6 @@ def _passes(cand):
     return cand is not None and cand[2] <= kkt.ACCEPT_COMPOSITE
 
 
-def _end_point(w, rp, q):
-    """A point to polish: ``(q, mu_hint, n_active)``, with its multiplier
-    hint (``kkt.closed_form_mu``, clipped to [1e-8, 1e4]) and detected face:
-    the eigenvalues within ``min(1e-4, rp)`` of 1.  A budget ``rp`` moves a
-    free eigenvalue off 1 by about that much, so below 1e-4 a fixed
-    threshold would count it as active.  A ``q`` that ``rates._point``
-    refuses raises here, before any polish."""
-    return (q, min(max(kkt.closed_form_mu(w, _point(w, q)), 1e-8), 1e4),
-            int(np.sum(np.linalg.eigvalsh(q) >= 1.0 - min(1e-4, rp))))
-
-
 def _polished(w, rp, q_end, mu_hint, n_active):
     """``(q, rk, composite)`` of the face polish of an end point, with the
     composite of ``kkt.multiplier_test`` (``_composite``), when
@@ -476,13 +465,18 @@ def _polished(w, rp, q_end, mu_hint, n_active):
 
 
 def _polish_end(w, rp, q):
-    """The face polish of an end point ``q`` on a whitened model
-    (``_end_point``) at its multiplier hint, on the detected face ``g`` and
-    then on ``g - 1``: the first ``_polished`` candidate that passes the
-    multiplier test, else the one with the highest key rate, else None.  A
-    polish climbs to a higher face by itself (``_polish_face``); a path
-    step's optimum can lose a pinned direction, which ``g - 1`` covers."""
-    q, mu_hint, g = _end_point(w, rp, q)
+    """The face polish of an end point ``q`` on a whitened model at its
+    multiplier hint (``kkt.closed_form_mu``, clipped to [1e-8, 1e4]), on
+    the detected face ``g`` and then on ``g - 1``: the first ``_polished``
+    candidate that passes the multiplier test, else the one with the
+    highest key rate, else None.  ``g`` counts the eigenvalues within
+    ``min(1e-4, rp)`` of 1: a budget ``rp`` moves a free eigenvalue off 1
+    by about that much, so below 1e-4 a fixed threshold would count it as
+    active.  A polish climbs to a higher face by itself (``_polish_face``);
+    an optimum can lose a pinned direction, which ``g - 1`` covers.  A
+    ``q`` that ``rates._point`` refuses raises, before any polish."""
+    mu_hint = min(max(kkt.closed_form_mu(w, _point(w, q)), 1e-8), 1e4)
+    g = int(np.sum(np.linalg.eigvalsh(q) >= 1.0 - min(1e-4, rp)))
     kept = []
     for n_active in (g, g - 1) if g else (0,):
         cand = _polished(w, rp, q, mu_hint, n_active)
@@ -499,16 +493,16 @@ def _rate_path(w, rp):
 
     Neighbouring optima lie on the same face or one face apart, so each
     step polishes the last optimum at a higher rate (``_polish_end``).  The
-    seed is the corner ``I`` polished on face ``mx - 1`` at ``min(1e-4,
-    rp)`` with the corner's multiplier ``mu0``, which frees the corner
-    pencil's top direction; its own face is not tried, as at rates up to
-    1e-7 the corner passes the test.  Each step goes up to three times the
-    last rate that passed; one that passes no test, or raises a
-    ``GausskeyError``, is tried again from that rate at the square root of
-    its ratio, giving up below 1.1.  Returns the passed candidate at rp."""
+    seed is the corner ``I`` polished alike at ``min(1e-4, rp)``: on its
+    own face it stays ``I``, whose slack rate fails the test unless the
+    curve is 0, and face ``mx - 1`` frees the corner pencil's top
+    direction.  Each step goes up to three times the last rate that
+    passed; one that passes no test, or raises a ``GausskeyError``, is
+    tried again from that rate at the square root of its ratio, giving up
+    below 1.1.  Returns the passed candidate at rp."""
     r, ratio = min(1e-4, rp), 3.0
     try:
-        cand = _polished(w, r, *_end_point(w, r, np.eye(w.mx))[:2], w.mx - 1)
+        cand = _polish_end(w, r, np.eye(w.mx))
     except GausskeyError:
         cand = None
     while _passes(cand) and r < rp:
@@ -532,30 +526,28 @@ def solve_at_rate(m: AlignedModel, rp: float, *, n_starts: int = 6,
     run on ``sigma_x = I``, so every floor and tolerance is relative to
     ``sigma_x``, and the optimum is mapped back once as ``S Q S``.
 
-    A Newton polish of the stationarity system on an active face
-    (``_polish_face``), with the rate binding, starts from an end point with
-    its own multiplier hint and detected face (``_end_point``).  A polish
-    step that lifts a free eigenvalue above 1 pins that direction: the
-    polish goes on on the next face from the iterate before the step, so a
-    candidate's face is only the one it starts on, and a polish started
-    below the optimum's face climbs to it.
-    The routes, in order:
+    Every candidate is an end point polished by ``_polish_end``: a Newton
+    polish of the stationarity system on an active face (``_polish_face``),
+    with the rate binding, from the end point's own multiplier hint, on its
+    detected face and then on the one below.  A polish step that lifts a
+    free eigenvalue above 1 pins that direction: the polish goes on on the
+    next face from the iterate before the step, so a polish started below
+    the optimum's face climbs to it.  On the corner face ``n_active = mx``
+    the polish returns ``sigma_x``.  The end points, in order:
 
-    1. the optima of the model's two commuting parts (``_commuting_start``),
-       each polished on its detected face (on the corner face ``n_active =
-       mx`` the polish returns ``sigma_x``, which the test judges at mu =
-       0), the second formed only when the first fails; a
-       ``GausskeyError`` here, as from an optimum that ``rates_aligned``
-       refuses at high rates, moves the solve on;
+    1. the optimum of the model's commuting part in ``sigma_wy``'s
+       eigenbasis (``_commuting_start``; the one in ``sigma_wz``'s is only
+       the ascent's sixth start); a ``GausskeyError`` here, as from an
+       optimum that ``rates_aligned`` refuses at high rates, moves the
+       solve on;
     2. the path in the budget from the corner (``_rate_path``);
     3. the fallback, which ``n_starts`` and ``max_iter`` alone size:
        projected gradient ascent with an exact penalty, its weight above
        every multiplier of the model (``_penalty_weight``), from the first
        ``n_starts`` (1 to 6) of ``_starts``, for at most ``max_iter`` steps
        each (0 skips the ascent).  The end point in budget with the highest
-       key rate is polished like a path step (``_polish_end``).  It
-       certifies no point of the probe's sets, the direct sums or the
-       benchmark.
+       key rate is polished.  It certifies no point of the probe's sets,
+       the direct sums or the benchmark.
     The first two return a candidate that passes the test below with
     ``iterations = 0``.  A polished candidate is kept when ``rates_aligned``
     takes it, it keeps the budget and its key rate is not below the
@@ -604,16 +596,12 @@ def solve_at_rate(m: AlignedModel, rp: float, *, n_starts: int = 6,
                            value=rk, iterations=iterations, kkt_residual=float(composite),
                            converged=composite <= kkt.ACCEPT_COMPOSITE)
 
-    # the commuting-part optima first, each on its detected face, the second
-    # formed only when the first fails; then the path from the corner
+    # the commuting-part optimum first, then the path from the corner
     try:
-        for swap in (False, True):
-            cand = _polished(w, rp, *_end_point(w, rp, _commuting_start(w, rp, swap)))
-            if _passes(cand):
-                return report(*cand, 0)
+        cand = _polish_end(w, rp, _commuting_start(w, rp, False))
     except GausskeyError:
-        pass
-    if cand := _rate_path(w, rp):
+        cand = None
+    if _passes(cand) or (cand := _rate_path(w, rp)):
         return report(*cand, 0)
 
     runs = _pga_penalty(w, rp, np.array(_starts(w, rp, n_starts)), max_iter)

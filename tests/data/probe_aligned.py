@@ -45,15 +45,17 @@ shared machine; the counts are deterministic, so they tell a change in the
 polish's or the ascent's cost apart from noise.
 
 It also records what decided each point.  As ``route``, the route that
-returned it: ``commuting part 1`` or ``commuting part 2`` (the polish of
-the first or the second commuting-part optimum), ``path`` (the path in
-``rp`` from the corner, ``solver._rate_path``), ``ascent`` (the fallback's
-end point passed the gate) or ``none`` (no candidate passed, or the solve
-raised); a file saved before the path replaced the ``t``-homotopy holds
-``homotopy`` there.  As ``path_steps`` and ``path_halvings``, the
-``solver._polish_end`` calls the path made and how many of them passed no
-test (each such step is tried again at the square root of its ratio, or
-ends the path).  As ``entry_tries`` and ``entry_passes``, per face that a
+returned it: ``commuting part`` (the polish of the commuting-part
+optimum), ``path`` (the path in ``rp`` from the corner,
+``solver._rate_path``), ``ascent`` (the fallback's end point passed the
+gate) or ``none`` (no candidate passed, or the solve raised); a file saved
+before holds ``commuting part 1`` or ``commuting part 2`` (the first or
+the second of two commuting-part optima) or ``homotopy`` there, which
+``--compare`` prints after the current routes.  As ``path_steps`` and
+``path_halvings``, the ``solver._polish_end`` calls the path made, its
+seed at the corner among them, and how many of them passed no test (each
+such step is tried again at the square root of its ratio, or ends the
+path).  As ``entry_tries`` and ``entry_passes``, per face that a
 ``solver._polish_end`` call polishes, relative to the detected face ``g``
 (``(g)``, then ``(g - 1)``), how often a call tried it and how often it was
 the call's first candidate to pass the gate; a file saved before holds the
@@ -236,13 +238,11 @@ COUNTED = ("polish_calls", "residual_rows", "invalid_rows", "expm_calls", "jacob
            "path_steps", "path_halvings", "ascent_calls", "ascent_matrices", "ascent_cpu_s",
            "cholesky_calls")
 
-# what the current solve ran: how many commuting-part optima it polished
-# (the ``_polished`` calls made outside ``_polish_end`` and the path, which
-# only the first route makes), whether ``_rate_path`` ran and whether it
+# what the current solve ran: whether ``_rate_path`` ran and whether it
 # returned a candidate, and whether the ascent ran; and per face entry, its
 # tries and first passes in ``_polish_end``
 TRACE = {}
-ROUTES = ("commuting part 1", "commuting part 2", "path", "ascent", "none")
+ROUTES = ("commuting part", "path", "ascent", "none")
 ENTRIES = ("(g)", "(g - 1)")
 
 
@@ -252,7 +252,7 @@ def route(converged):
         return "ascent" if converged else "none"
     if TRACE["path"]:
         return "path"
-    return f"commuting part {TRACE['commuting']}"
+    return "commuting part"
 
 
 def count_the_work():
@@ -260,10 +260,9 @@ def count_the_work():
     ``jacobian``, ``solver._rates_stack`` (which only the ascent calls) and
     ``solver._pga_penalty`` add their calls, rows (and invalid rows),
     matrices and CPU seconds to ``COUNTS``, and ``np.linalg.cholesky`` and
-    ``solver.sla.expm`` their calls, and
-    ``solver._rate_path``, ``solver._polish_end`` and the
-    ``solver._polished`` calls note in ``TRACE`` what decided the solve
-    and ``COUNTS`` the path's steps."""
+    ``solver.sla.expm`` their calls, and ``solver._rate_path``,
+    ``solver._polish_end`` and ``solver._polished`` note in ``TRACE`` what
+    decided the solve and ``COUNTS`` the path's steps."""
     polish, residuals = solver._polish_face, solver._FaceSystem.residuals
     jacobian = solver._FaceSystem.jacobian
     rates, ascent = solver._rates_stack, solver._pga_penalty
@@ -306,10 +305,7 @@ def count_the_work():
         return cand
 
     def traced_polished(*args):
-        if TRACE["tried"] is not None:
-            TRACE["tried"] += 1
-        elif not TRACE["in_path"]:
-            TRACE["commuting"] += 1
+        TRACE["tried"] += 1
         return polished(*args)
 
     def traced_polish_end(*args):
@@ -354,7 +350,7 @@ def timed(m, rp, mode, c):
     and the work of ``COUNTED`` it did, the certificate's Cholesky calls
     apart."""
     before = Counter(COUNTS)
-    TRACE.update(commuting=0, in_path=False, path=False, ascent=False, tried=None,
+    TRACE.update(in_path=False, path=False, ascent=False, tried=None,
                  entry_tries=Counter(), entry_passes=Counter())
     start = time.process_time()
     rec = record(m, rp, mode, c)

@@ -23,7 +23,9 @@ slack.  The first candidate to pass is the answer; when none passes, no
 candidate within the budget may have a higher key rate than the answer.
 The path in ``rp`` from the corner certifies every point of the corpus,
 so the tests of unconverged answers switch it off (``_no_path``) to
-reach the ascent, the route they are about.  An end point's polish tries
+reach the ascent, the route they are about.  Every candidate is the
+polish of an end point (the commuting-part optimum, the corner that seeds
+the path, a path step's start or the ascent's best end point), which tries
 the detected face, then the one below it, and must keep every optimum of
 the schedule that tried every face at every factor.  When a unit
 eigenspace of the start holds more directions than the face pins, the
@@ -105,8 +107,8 @@ def test_frozen_corpus_covers_its_cases():
     assert len(bench) == 36
     assert {len(p["sigma_x"]) for p in bench} == {2, 4, 6}
     assert {p["rp"] for p in bench} == {0.5, 1.0, 2.0, 4.0}
-    # bench_mx4_key2007 at rp 2 and 4 raised NoValidMultiplier until a
-    # homotopy from the commuting part certified them
+    # bench_mx4_key2007 at rp 2 and 4 once raised NoValidMultiplier; the
+    # commuting-part polish certifies them
     assert sum(p["certificate"] == "NoValidMultiplier" for p in bench) == 0
     assert all(p["converged"] and p["certificate"] == "certified" for p in POINTS)
     assert "scalar_aligned" in {p["model"] for p in POINTS}
@@ -203,23 +205,42 @@ def _fresh_model(key):
 
 
 # Points where, with the path off (``_no_path``), no candidate of the
-# commuting-part polishes or the ascent has a valid multiplier: each raises
+# commuting-part polish or the ascent has a valid multiplier: each raises
 # NoValidMultiplier in the certificate, and each spends its whole budget.
 # The default solve certifies every one of them on the path.  bench-15 and
 # bench-16 are ``probe_aligned.py``'s rel8-15 and rel8-16.  bench-2007 at rp
 # 2 and 4 and fresh-5011 at rp 5 were such points until the face polish
-# pinned a free direction that crosses 1 and certified them from the
-# commuting parts; they stay in the test of the best candidate as converged
-# points.  bench-14 at rp 4 joined once an end point's polish tried two
+# pinned a free direction that crosses 1; they stay in the test of the best
+# candidate as converged points.  bench-14 at rp 4 joined once an end point's polish tried two
 # faces at the hint mu: the ascent's end point there passed only on the
 # detected face at four times the hint.
 UNCERTIFIED = [("bench-16", 8.0), ("bench-15", 12.0), ("bench-15", 16.0), ("bench-14", 4.0)]
 
 
 def _no_path(patch):
-    """Send ``solve_at_rate`` from the commuting-part polishes straight to
+    """Send ``solve_at_rate`` from the commuting-part polish straight to
     the ascent, with no path in ``rp`` between them."""
     patch.setattr(solver, "_rate_path", lambda *args: None)
+
+
+class _FirstFace(Exception):
+    pass
+
+
+def _end_point(w, rp, q, polish_end=solver._polish_end):
+    """``(q, mu_hint, g)``: the multiplier hint and detected face at which
+    ``solver._polish_end`` polishes the end point ``q``, read from its
+    first ``_polished`` call (``polish_end`` is the unpatched one)."""
+    def first(w, rp, q, mu_hint, n_active):
+        raise _FirstFace(q, mu_hint, n_active)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_polished", first)
+        try:
+            polish_end(w, rp, q)
+        except _FirstFace as face:
+            return face.args
+    raise AssertionError("the end point was not polished")
 
 
 def _named_model(name):
@@ -234,12 +255,13 @@ def _named_model(name):
     return _bench_model(int(key), 8 if int(key) < 2000 else 4)
 
 
-# 5002 at rp 1.5 and 2007 at rp 2 and 4 solved no wrong face to round-off
-# once the polish pinned a free direction that crosses 1; uncertified points
-# of ``probe_aligned.py --high`` took their places: fresh-5013 and
-# fresh-5001 at rp 12 and bench-16 at rp 8
-@pytest.mark.parametrize("key,rp", [(5007, 5.0), (5011, 3.0), (5011, 5.0),
-                                    (5013, 12.0), (5001, 12.0), (16, 8.0)])
+# Points where, with the path off, the commuting-part polish fails and some
+# polish solves a wrong face to round-off: fresh-5007 at rp 3 and fresh-5011
+# at rp 3 and 5 end certified on the ascent, and the uncertified points of
+# ``probe_aligned.py --high`` fresh-5013 at rp 12 and 16 and bench-16 at rp
+# 8 end unconverged
+@pytest.mark.parametrize("key,rp", [(5007, 3.0), (5011, 3.0), (5011, 5.0),
+                                    (5013, 12.0), (5013, 16.0), (16, 8.0)])
 def test_wrong_face_point_is_not_converged(monkeypatch, key, rp):
     # the polish solves some faces' systems to round-off here at points with
     # no valid multiplier: none may be reported converged.  The answer is a
@@ -394,7 +416,7 @@ def test_the_corner_with_the_rate_slack_fails_the_gate(rp):
 
 
 # (key, rp, value): points where the solve ran the ascent to end at or
-# below what the commuting-part polish, or the homotopy from it, now
+# below what the commuting-part polish, or the path from the corner, now
 # certifies with iterations = 0, with the values it returned.
 # _fresh_model(5000) has no key rate at any public rate: its optimum is the
 # corner Q = sigma_x, where M(0) is PSD, and the polish skipped the corner
@@ -424,11 +446,11 @@ def test_points_that_ran_the_ascent_certify_from_the_commuting_part(key, rp, bef
 @pytest.mark.parametrize("rp", [1e-7, 1e-6, 1e-5])
 def test_a_rate_below_the_face_threshold_certifies(key, rp):
     # below rp 1e-4 the budget moves the commuting-part start's free
-    # eigenvalue by less than 1e-4; with a fixed threshold _end_point
-    # detected the corner face, no polish solved the rate equation and the
-    # solve ran the ascent, ending unconverged with NoValidMultiplier at
-    # 5002 rp 1e-6 and 5001, 5004 rp 1e-5.  The threshold now scales with
-    # the budget
+    # eigenvalue by less than 1e-4, so _polish_end's face threshold scales
+    # with the budget: a fixed one detected the corner face, no polish
+    # solved the rate equation and the solve ran the ascent, ending
+    # unconverged with NoValidMultiplier at 5002 rp 1e-6 and 5001, 5004 rp
+    # 1e-5
     m = _fresh_model(key)
     report = solve_at_rate(m, rp)
     assert report.converged and report.iterations == 0
@@ -436,12 +458,10 @@ def test_a_rate_below_the_face_threshold_certifies(key, rp):
     assert _certificate_outcome(m, report.optimum, rp) == "certified"
 
 
-# (key, rp) of the head points still more than 0.1% below mu0 rp: the gate's
-# tolerances are absolute, so at these budgets a point short of the slope
-# at zero passes (ROADMAP item 1); 5005 returns 0.642 of it and the others
-# the corner's 0
-HEAD_LOW = {(5001, 1e-8), (5001, 1e-7), (5005, 1e-8), (5005, 1e-7), (5005, 1e-6),
-            (5013, 1e-8), (5013, 1e-7)}
+# (key, rp) of the head points still more than 0.1% below mu0 rp: the
+# gate's composite tolerance is absolute, so at these budgets a point short
+# of the slope at zero passes (ROADMAP item 1); 5005 returns 0.642 of it
+HEAD_LOW = {(5005, 1e-8), (5005, 1e-7), (5005, 1e-6)}
 
 
 @pytest.mark.parametrize("key,rp", [
@@ -495,29 +515,41 @@ def test_the_path_resumes_from_the_last_rate_that_passed(monkeypatch):
     # three times the last rate that passed, from its optimum.  A failed
     # step is tried again from that rate at the square root of its ratio:
     # no rate is solved twice, and the last step lands on rp itself.  A
-    # path whose steps all fail gives up once the ratio falls below 1.1
+    # path whose steps all fail gives up once the ratio falls below 1.1,
+    # and one whose seed fails makes no step
     w = whiten(_bench_model(2005, 4))[0]
     rp = 2.0
     steps = []
 
     def step(w_step, r, q):
         steps.append((r, q))
-        return None if len(steps) == 3 else (r * np.eye(w.mx), 0.0, 0.0)
+        return None if len(steps) == 4 else (r * np.eye(w.mx), 0.0, 0.0)
 
     monkeypatch.setattr(solver, "_polish_end", step)
     cand = solver._rate_path(w, rp)
     rates = [r for r, _ in steps]
-    assert np.allclose(rates[:4], [3e-4, 9e-4, 2.7e-3, 9e-4 * math.sqrt(3.0)], rtol=1e-12)
+    assert rates[0] == 1e-4 and np.array_equal(steps[0][1], np.eye(w.mx))  # the seed
+    assert np.allclose(rates[1:5], [3e-4, 9e-4, 2.7e-3, 9e-4 * math.sqrt(3.0)], rtol=1e-12)
     assert len(set(rates)) == len(rates) and rates[-1] == rp
     assert np.array_equal(cand[0], rp * np.eye(w.mx))
-    passed = [1e-4] + rates[:2] + rates[3:]
+    passed = rates[:3] + rates[4:]
     assert all(1.0 < b / a <= 3.0 * (1.0 + 1e-12) for a, b in zip(passed, passed[1:]))
     for i in range(1, len(steps)):  # each starts from the last optimum that passed
-        assert np.array_equal(steps[i][1], passed[i - (i > 2)] * np.eye(w.mx))
+        assert np.array_equal(steps[i][1], passed[i - 1 - (i > 3)] * np.eye(w.mx))
+    steps.clear()
+
+    def seed_only(w_step, r, q):
+        steps.append(r)
+        return (r * np.eye(w.mx), 0.0, 0.0) if len(steps) == 1 else None
+
+    monkeypatch.setattr(solver, "_polish_end", seed_only)
+    assert solver._rate_path(w, rp) is None
+    assert steps[0] == 1e-4
+    assert np.allclose(steps[1:], 1e-4 * 3.0 ** (1.0 / 2.0 ** np.arange(4)), rtol=1e-12)
     steps.clear()
     monkeypatch.setattr(solver, "_polish_end", lambda w_step, r, q: steps.append(r))
     assert solver._rate_path(w, rp) is None
-    assert np.allclose(steps, 1e-4 * 3.0 ** (1.0 / 2.0 ** np.arange(4)), rtol=1e-12)
+    assert steps == [1e-4]
 
 
 def _fallback_trace(patch):
@@ -559,15 +591,15 @@ def _fallback_trace(patch):
     return trace
 
 
-@pytest.mark.parametrize("model,rp", [("fresh-5013", 0.7), ("rel3-3300", 4.0)])
+@pytest.mark.parametrize("model,rp", [("fresh-5006", 1.5), ("rel3-3301", 1.0)])
 def test_the_ascent_fallback_polishes_one_end_point(monkeypatch, model, rp):
-    # the commuting-part polishes fail here and the path is off, so the
+    # the commuting-part polish fails here and the path is off, so the
     # solve runs the ascent; of its six end points, only the best in budget
-    # is polished, and its first candidate passes the gate.  With the path
-    # on, both certify on it
+    # is polished, and it passes the gate.  With the path on, both certify
+    # on it
     trace = _fallback_trace(monkeypatch)
     _no_path(monkeypatch)
-    m = _fresh_model(5013) if model == "fresh-5013" else _bench_model(3300, 3)
+    m = _named_model(model)
     report = solve_at_rate(m, rp)
     assert report.iterations > 0
     assert trace["polish_ends"] == 1
@@ -787,7 +819,7 @@ def _reference_polish_end(w, rp, q):
     """``solver._polish_end`` over ``_reference_schedule``: the first
     candidate that passes the gate, else the one with the highest key
     rate."""
-    q, mu_hint, g = solver._end_point(w, rp, q)
+    q, mu_hint, g = _end_point(w, rp, q)
     kept = []
     for n_active, factor in _reference_schedule(g, w.mx):
         cand = solver._polished(w, rp, q, factor * mu_hint, n_active)
@@ -803,10 +835,10 @@ def test_face_schedule_tries_each_candidate_once(monkeypatch, mx):
     # an end point's polish tries the detected face g, then g - 1, both at
     # the end point's own multiplier hint, stops at the first candidate that
     # passes the gate and else returns the one with the highest key rate.
-    # The schedule's (g + 1, 1), (g, 2) and (g, 4) entries are gone: once
-    # the pick of the pinned unit directions came from M(mu) and the path in
-    # rp replaced the homotopy, no point of the probe's two sets, of the
-    # direct sums or of the benchmark needed them
+    # The pick of the pinned unit directions comes from M(mu) and the path
+    # in rp walks the curve, so no other face or multiplier factor decides
+    # a point of the probe's two sets, of the direct sums or of the
+    # benchmark
     w = SimpleNamespace(mx=mx)
     tried = []
 
@@ -819,28 +851,29 @@ def test_face_schedule_tries_each_candidate_once(monkeypatch, mx):
         return q, 0.0, 0.0
 
     monkeypatch.setattr(solver, "_polished", failing)
+    monkeypatch.setattr(solver, "_point", lambda w, q: q)
+    monkeypatch.setattr(kkt, "closed_form_mu", lambda w, q: 0.25)
     for g in range(mx + 1):
-        monkeypatch.setattr(solver, "_end_point", lambda w, rp, q, g=g: (q, 0.25, g))
+        q = np.diag([1.0] * g + [0.5] * (mx - g))  # g eigenvalues at 1
         tried.clear()
-        cand = solver._polish_end(w, 1.0, "q")
+        cand = solver._polish_end(w, 1.0, q)
         faces = [g, g - 1] if g else [0]
         assert tried == [(k, 0.25) for k in faces]
         assert cand[1] == max(faces)
         with monkeypatch.context() as patch:
             patch.setattr(solver, "_polished", passing)
             tried.clear()
-            solver._polish_end(w, 1.0, "q")
+            solver._polish_end(w, 1.0, q)
             assert tried == [(g, 0.25)]
 
 
 @pytest.mark.parametrize("key,rp", [(5004, 12.0), (5009, 12.0), (5012, 16.0)])
 def test_no_face_polish_runs_on_a_start_the_rates_refuse(monkeypatch, key, rp):
-    # the commuting-part optima here have whitened eigenvalues of about
-    # 1e-15, which ``rates_aligned`` refuses: the routes that start from
-    # them move on to the ascent at once, with no face polish before it
-    # (11 before each ascent when the start was clipped to the ascent's
-    # floor, none of which certified).  The path in rp, which starts from the
-    # corner, runs next, so the solve makes no polish before it
+    # the commuting-part optimum here has whitened eigenvalues of about
+    # 1e-15, which ``rates_aligned`` refuses: the solve moves on at once to
+    # the path in rp, which starts from the corner, with no face polish
+    # before it (11 before each ascent when the start was clipped to the
+    # ascent's floor, none of which certified)
     calls, before_path = [], []
     polish, rate_path = solver._polish_face, solver._rate_path
 
@@ -859,35 +892,15 @@ def test_no_face_polish_runs_on_a_start_the_rates_refuse(monkeypatch, key, rp):
 
 
 def test_face_polish_calls_on_the_benchmark_points(monkeypatch):
-    # 169 calls at the schedule that tried every factor of the detected
-    # face before the next face; 34,532 residual rows with the line search
-    # that halved down to 2^-29, 10,824 with the floor at 2^-7; 80 calls
-    # with the rate-slack faces, 72 and 10,054 rows without them; 10,262
-    # once the pencil whitening moved to numpy (last bits of the mu hint);
-    # 10,010 with the polish's interval test on the whitened free block;
-    # 68 calls and 9,590 rows once the first candidate to pass the gate
-    # ends the polish and no face below the detected one is tried; 9,584
-    # rows in the whitened frame; 74 calls and 10,354 rows from the
-    # structured starts and three ascent end points (10,164 measured, 36
-    # ascent runs, bounds 81 calls and 11,050 rows); 103 calls, 4,047 rows
-    # and 10 ascent runs once the Jacobian is closed form and the
-    # commuting-part optima are polished before the ascent (bound 12 ascent
-    # runs); 101 calls, 3,321 rows in 906 evaluations and no ascent run
-    # once the homotopy from the commuting part runs before it, the same
-    # once its steps try two faces and a failed step refines from the last
-    # t that passed, with 10 homotopy runs; 68 calls, 1,810 rows in 505
-    # evaluations and 1 homotopy run once a step that lifts a free
-    # eigenvalue above 1 moves the polish to the next face; 67 calls,
-    # 1,785 rows in 498 evaluations once the schedule dropped ``g + 1`` at
-    # the factor 2; 932 rows in 578 evaluations once the line search tried
-    # the full step alone before its stacks of four, with 393 Jacobians,
-    # each on the factors of its point's residual evaluation; 69 calls and
-    # 972 rows in 594 evaluations once the path in rp from the corner
-    # replaced the homotopy (one path run, at bench_mx4_key2007 rp 0.5,
-    # with 13 polishes), an end point's polish tried two faces and the
-    # polish stopped below 1e-12 min(1, rp), not 1e-12 (952 in 586).  A move
-    # to the next face calls ``_polish_face`` again,
-    # from inside the polish, so it counts as one more call
+    # every candidate is an end point polished on its detected face, then
+    # on the one below: the commuting-part optimum of each point, and on
+    # the one path run (bench_mx4_key2007 rp 0.5, 11 polishes) the corner
+    # and each step's optimum.  The 36 solves make 72 polish calls and 968
+    # residual rows in 593 evaluations, with 397 Jacobians, and no ascent
+    # run (169 calls and 34,532 rows when every face was tried at five
+    # multiplier factors and the line search halved down to 2^-29).  A
+    # move to the next face calls ``_polish_face`` again, from inside the
+    # polish, so it counts as one more call
     calls = []
     rows = []
     runs = []
@@ -926,6 +939,24 @@ def test_face_polish_calls_on_the_benchmark_points(monkeypatch):
     assert not runs
 
 
+def test_no_benchmark_solve_forms_the_second_commuting_part(monkeypatch):
+    # each default solve of the benchmark's points forms the commuting part
+    # in sigma_wy's eigenbasis once, for its first route, and never the one
+    # in sigma_wz's (swap), which only the ascent's sixth start takes: with
+    # the path off at fresh-5007 rp 3, a six-start ascent forms it
+    swaps = []
+    start = solver._commuting_start
+    monkeypatch.setattr(solver, "_commuting_start",
+                        lambda w, rp, swap: swaps.append(swap) or start(w, rp, swap))
+    bench = [p for p in POINTS if p["model"].startswith("bench_")]
+    for point in bench:
+        solve_at_rate(_model(point), point["rp"])
+    assert swaps == [False] * len(bench)
+    _no_path(monkeypatch)
+    assert solve_at_rate(_fresh_model(5007), 3.0, n_starts=6).iterations > 0
+    assert True in swaps
+
+
 # Certified points per model off the corpus, at rates 0.25, 0.5, 1, 2 and 4
 # (110 of 110; 102 before the ascent started from the commuting parts and
 # the polish from three end points): the benchmark's draw at keys 3300-3305
@@ -951,11 +982,11 @@ def test_certified_points_off_the_corpus_do_not_fall(mx, key):
 @pytest.mark.parametrize("key", range(5000, 5018))
 def test_face_schedule_keeps_the_reference_schedule_optima(monkeypatch, key):
     # the two faces of an end point's polish keep every optimum of the
-    # schedule that tried every face at every factor.  The path polishes
-    # each step's end point, so the two schedules can walk to the same
-    # optimum through different steps: 65 of the 72 optima are the same
-    # bytes, and the other 7 (at 5006, 5007, 5010 and 5011) differ by at
-    # most 1.2e-14 in value and 2.2e-14 relative in sigma
+    # schedule that tried every face at every factor.  Every route polishes
+    # end points, so the two schedules can reach the same optimum through
+    # different candidates and path steps: 58 of the 72 optima are the same
+    # bytes, and the other 14 (at 5001, 5006, 5007, 5008, 5010, 5011 and
+    # 5013) differ by at most 1.1e-14 in value and 1.6e-14 relative in sigma
     m = _fresh_model(key)
     for rp in (0.7, 1.5, 3.0, 5.0):
         with monkeypatch.context() as patch:
@@ -1472,12 +1503,12 @@ def _case_model(name):
 
 @pytest.mark.parametrize("name", sorted({n for n, _ in _STACKED_SEARCH_CASES}))
 def test_stacked_line_searches_keep_the_sequential_iterates(monkeypatch, name):
-    # the solve runs the ascent only when no polished commuting-part optimum
-    # passes the gate and the path fails, so the ascent half is checked on
-    # the starts it would take, whether or not the solve reaches it.  Both
-    # solves skip the path: on fresh-5006, 5007, 5010 and 5013 its steps
-    # reach the same optima by different halvings in the two polishes, as
-    # the homotopy's did at fresh-5008 rp 1.5
+    # the solve runs the ascent only when the polished commuting-part
+    # optimum fails the gate and the path fails, so the ascent half is
+    # checked on the starts it would take, whether or not the solve reaches
+    # it.  Both solves skip the path: on fresh-5006, 5007 and 5010 and
+    # degraded-6004 its steps reach the same optima by different halvings
+    # in the two polishes
     m = _case_model(name)
     w = whiten(m)[0]
     _no_path(monkeypatch)
@@ -1509,7 +1540,7 @@ def test_a_free_eigenvalue_crossing_1_moves_the_polish_to_the_next_face(monkeypa
     w = whiten(_bench_model(2005, 4))[0]
     rp = 2.0
     q0 = solver._commuting_start(w, rp, False)
-    q, mu_hint, g = solver._end_point(w, rp, q0)
+    q, mu_hint, g = _end_point(w, rp, q0)
     assert g == 1
     faces = []
     polish = solver._polish_face
@@ -1552,7 +1583,7 @@ def test_the_pick_does_not_depend_on_the_unit_basis(key, mx, rp):
     w = whiten(_bench_model(key, mx))[0]
     start = np.eye(mx) if rp < 1e-3 else solver._polish_end(
         w, rp, solver._commuting_start(w, rp, False))[0]
-    q, mu_hint, g = solver._end_point(w, rp, start)
+    q, mu_hint, g = _end_point(w, rp, start)
     assert int(np.sum(np.linalg.eigvalsh(q) >= 1.0 - 1e-9)) == g >= 2
     want = solver._polish_face(w, rp, q, mu_hint, g - 1)
 
@@ -1640,10 +1671,9 @@ def test_injected_invalid_trials_backtrack(monkeypatch, mx, key, rp, period, max
 
 def test_ascent_evaluations_where_the_ascent_runs(monkeypatch):
     # no point of the benchmark or of the main probe set reaches the ascent:
-    # the path in rp runs before it.  Here on _fresh_model(5013), whose
-    # commuting part has no dz > dy, with the path off, the ascent evaluates
-    # 2,150 matrices at its four rates, one backtracking trial per matrix
-    # (3,516 when the starts searched in lockstep, four trials per stack)
+    # the path in rp runs before it.  Here on fresh-5007 and fresh-5008 at
+    # rp 3 and 5, where the commuting-part polish fails, with the path off,
+    # the ascent evaluates 1,752 matrices, one backtracking trial per matrix
     _no_path(monkeypatch)
     matrices = []
     rates = solver._rates_stack
@@ -1653,10 +1683,10 @@ def test_ascent_evaluations_where_the_ascent_runs(monkeypatch):
         return rates(m, sigma, ld_full)
 
     monkeypatch.setattr(solver, "_rates_stack", counted)
-    m = _fresh_model(5013)
-    for rp in (0.7, 1.5, 3.0, 5.0):
-        assert solve_at_rate(m, rp).iterations > 0
-    assert sum(matrices) <= 2200
+    for key in (5007, 5008):
+        for rp in (3.0, 5.0):
+            assert solve_at_rate(_fresh_model(key), rp).iterations > 0
+    assert sum(matrices) <= 1800
 
 
 # ---------------------------------------------------------------------------
@@ -1763,7 +1793,7 @@ def test_a_face_residual_call_factors_its_rows_once(monkeypatch, size):
     # none of the three, and a stack of trials past the cap makes none
     m, _ = _benchmark_key_point()
     w = whiten(m)[0]
-    q, mu_hint, g = solver._end_point(w, 1.0, solver._commuting_start(w, 1.0, False))
+    q, mu_hint, g = _end_point(w, 1.0, solver._commuting_start(w, 1.0, False))
     evals, u0 = np.linalg.eigh(q)
     face = solver._FaceSystem(w, 1.0, u0[:, np.argsort(evals)[::-1]], max(g, 1))
     nx = face.n_qf + face.n_rot + 1
@@ -1793,7 +1823,7 @@ def test_a_polish_calls_expm_once_per_rotated_evaluation(monkeypatch, rp, faces)
     # eigenvalue gate on a face with angles, and none for the point that
     # starts the next face or the point returned, both read from kept entries
     w = whiten(_bench_model(2005, 4))[0]
-    q, mu_hint, g = solver._end_point(w, rp, solver._commuting_start(w, rp, False))
+    q, mu_hint, g = _end_point(w, rp, solver._commuting_start(w, rp, False))
     want = solver._polish_face(w, rp, q, mu_hint, g)
     polish, residuals = solver._polish_face, solver._FaceSystem.residuals
     seen, rotated = [], [0]

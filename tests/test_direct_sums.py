@@ -32,7 +32,7 @@ import numpy as np
 import pytest
 
 from gausskey import AlignedModel, asymptotic_limit, brute_force_grid, certify, kkt
-from gausskey import rates_aligned, solve_at_rate
+from gausskey import rates_aligned, solve_at_rate, solver
 from gausskey.models import whiten
 
 from conftest import random_aligned, rng_for
@@ -160,3 +160,19 @@ def test_a_second_rotation_gives_the_same_value(name, rp):
     # ended at 0.93642 and 0.93857, as round-off picked the unit direction
     # that the face polish freed
     assert abs(_solve(name, rp, ROTATIONS[1]).value - _solve(name, rp).value) <= 1e-12
+
+
+def test_no_solve_forms_the_second_commuting_part(monkeypatch):
+    # the solve polishes the commuting part in sigma_wy's eigenbasis; the
+    # one in sigma_wz's (swap) is only the ascent's sixth start, and no
+    # solve here runs the ascent.  The forced ascent's positive control is
+    # test_aligned_points.test_no_benchmark_solve_forms_the_second_commuting_part
+    swaps = []
+    start = solver._commuting_start
+    monkeypatch.setattr(solver, "_commuting_start",
+                        lambda w, rp, swap: swaps.append(swap) or start(w, rp, swap))
+    for name in SUMS:
+        for rotation in ROTATIONS:
+            for rp in RATES:
+                solve_at_rate(_direct_sum(name, rotation)[0], rp)
+    assert swaps == [False] * len(SUMS) * len(ROTATIONS) * len(RATES)
