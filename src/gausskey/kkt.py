@@ -60,7 +60,7 @@ from .errors import (
     NotDegraded,
     NoValidMultiplier,
 )
-from .models import AlignedModel, ConditionalCov, _budget, validate_model, whiten
+from .models import AlignedModel, ConditionalCov, _budget, to_white, validate_model, whiten
 from .rates import _Point, _point, _rates_with_y_noise, rates_aligned
 
 RESIDUAL_KEYS = (
@@ -271,15 +271,6 @@ def enhance(m: AlignedModel, sigma_star, mu: float, m_matrix) -> np.ndarray:
     return linalg.symmetrize(wy_tilde)
 
 
-def _white_point(m: AlignedModel, sigma) -> _Point:
-    """The ``rates._Point`` of ``A = S^-1 Q S^-1`` on ``models.whiten(m)`` for
-    a ``Q`` that ``ConditionalCov.for_model`` passed, ``I`` at the corner
-    ``Q = sigma_x``, which that test takes as it is."""
-    w, _, s_half_inv = whiten(m)
-    corner = np.array_equal(sigma, m._sigma_x_sym)
-    return _Point(w, np.eye(m.mx) if corner else linalg.congruence(s_half_inv, sigma))
-
-
 def change_of_variable(m: AlignedModel, wy_tilde, sigma_star, mu: float) -> ChangeOfVariable:
     """Reparameterize the optimum by the conditional covariance given Z.
 
@@ -386,7 +377,7 @@ def _compute_residuals(m, point, mu, m_matrix, wy_tilde, rp):
 
 def verify_certificate(m: AlignedModel, cert: KktCertificate) -> dict:
     """Recompute every named residual of a certificate from its fields, in
-    ``certify``'s frame: ``S^-1 Q S^-1``, ``S M S`` and ``S^-1 W~ S^-1``.
+    ``certify``'s frame: ``models.to_white(m, Q)``, ``S M S`` and ``S^-1 W~ S^-1``.
 
     Never raises on a bad certificate; residuals simply come out large (or
     infinite when a construction step is impossible, a NaN one included).
@@ -404,26 +395,27 @@ def verify_certificate(m: AlignedModel, cert: KktCertificate) -> dict:
             or not (np.isfinite(m_matrix).all() and np.isfinite(wy_tilde).all())):
         return dict.fromkeys(RESIDUAL_KEYS, float("inf"))
     w, s_half, s_half_inv = whiten(m)
-    residuals = _compute_residuals(w, _white_point(m, sigma), cert.mu,
+    residuals = _compute_residuals(w, _Point(w, to_white(m, sigma)), cert.mu,
                                    linalg.congruence(s_half, m_matrix),
                                    linalg.congruence(s_half_inv, wy_tilde), cert.rp)
     return {k: np.inf if np.isnan(v) else v for k, v in residuals.items()}
 
 
 def certify(m: AlignedModel, sigma_star, rp: float) -> KktCertificate:
-    """Full pipeline on ``w, S, S^-1 = models.whiten(m)`` at ``A = S^-1 Q
-    S^-1``: recover multipliers, enhance, and verify.
+    """Full pipeline on ``w, S, S^-1 = models.whiten(m)`` at ``A =
+    models.to_white(m, Q)``, ``S^-1 Q S^-1`` and ``I`` exactly at the corner
+    ``Q = sigma_x``: recover multipliers, enhance, and verify.
 
     ``Q`` is tested once, by ``ConditionalCov.for_model``, whose pencil test
-    is the interval test of ``A``, and ``A``, ``A + W~z`` and ``A + W~y``
-    are factored once (``_white_point``).  Raises ``NoValidMultiplier`` when
-    the point is not optimal, and ``ValueError`` when ``rp`` is not
+    is the interval test of ``A``, and ``A``, ``A + W~z`` and ``A + W~y`` are
+    factored once, as one ``rates._Point``.  Raises ``NoValidMultiplier``
+    when the point is not optimal, and ``ValueError`` when ``rp`` is not
     nonnegative (``recover_multipliers``); otherwise returns the certificate
     with all ten residuals, ``S^-1 M_w S^-1`` and ``S W~_w S``.
     """
     sigma = ConditionalCov.for_model(m, sigma_star)
     w, s_half, s_half_inv = whiten(m)
-    a = _white_point(m, sigma.value)
+    a = _Point(w, to_white(m, sigma.value))
     rec = recover_multipliers(w, a, rp)
     wy_tilde = enhance(w, a, rec.mu, rec.m_matrix)
     return KktCertificate(sigma_star=sigma, mu=rec.mu, rp=float(rp),

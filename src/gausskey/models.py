@@ -17,6 +17,8 @@ read-only copy, and a copied or unpickled one is rebuilt by its constructor),
 so they are safe to share across threads, are validated once, by their
 constructor, and cache read-only on first use what they derive from their
 own arrays: the roots of ``sigma_x``, ``whiten``'s frame, log-dets, inverses.
+``to_white`` and ``from_white`` map a conditional covariance into that frame,
+``sigma_x = I``, and back, the corner ``sigma_x`` to ``I`` and back exactly.
 """
 
 import operator
@@ -156,10 +158,9 @@ class ConditionalCov:
 
     The optimization variable of the rate characterization: a symmetric
     matrix Q with ``0 < Q <= sigma_x``, tested scale-free on the eigenvalues
-    ``phi`` of the pencil ``(Q, sigma_x)``: the least must exceed
-    ``COND_COV_MIN_EIG``, and ``I - diag(phi)`` must pass ``linalg.is_psd``.
-    ``Q = sigma_x`` (symmetrized) is accepted before the pencil, whose
-    eigenvalues there miss 1 by about ``eps cond(sigma_x)``.
+    ``phi`` of the pencil ``(Q, sigma_x)``, those of ``to_white(model, Q)``
+    (``I`` at the corner): the least must exceed ``COND_COV_MIN_EIG``, and
+    ``I - diag(phi)`` must pass ``linalg.is_psd``.
     """
 
     value: np.ndarray
@@ -188,9 +189,7 @@ class ConditionalCov:
                 f"conditional covariance shape {value.shape} does not match "
                 f"source covariance shape {model.sigma_x.shape}"
             )
-        if np.array_equal(value, model._sigma_x_sym):
-            return cls(value)
-        phis = np.linalg.eigvalsh(linalg.congruence(model._roots[1], value))[::-1]
+        phis = np.linalg.eigvalsh(to_white(model, value))[::-1]
         if not phis[-1] > COND_COV_MIN_EIG:
             raise InvalidConditionalCov(
                 "conditional covariance is not strictly positive definite "
@@ -327,6 +326,23 @@ def whiten(m: AlignedModel):
     sigma_wz S^-1)``, ``S = sigma_x^1/2``, whose ``A`` has the rates of ``S A
     S`` in ``m``; with ``S`` and ``S^-1``.  Computed once per model."""
     return m._white
+
+
+def to_white(m, q):
+    """``q`` in ``whiten``'s frame, ``S^-1 q S^-1`` symmetrized; the corner
+    ``sigma_x`` (symmetrized) is ``I`` exactly, which the product misses by
+    about ``eps cond(sigma_x)``."""
+    if np.array_equal(q, m._sigma_x_sym):
+        return np.eye(m.mx)
+    return linalg.congruence(m._roots[1], q)
+
+
+def from_white(m, a):
+    """``a`` of ``whiten``'s frame in ``m``'s, ``S a S`` rounded once
+    (``linalg.congruence_rounded``); ``I`` is the corner exactly."""
+    if np.array_equal(a, np.eye(m.mx)):
+        return m._sigma_x_sym
+    return linalg.congruence_rounded(m._roots[0], a)
 
 
 def _square_embed(mat, mx):

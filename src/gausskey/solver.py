@@ -36,6 +36,7 @@ from .models import (
     ConditionalCov,
     _budget,
     _count,
+    from_white,
     to_aligned,
     validate_model,
     whiten,
@@ -473,17 +474,21 @@ def _polish_end(w, rp, q):
     ``min(1e-4, rp)`` of 1: a budget ``rp`` moves a free eigenvalue off 1
     by about that much, so below 1e-4 a fixed threshold would count it as
     active.  A polish climbs to a higher face by itself (``_polish_face``);
-    an optimum can lose a pinned direction, which ``g - 1`` covers.  A
-    ``q`` that ``rates._point`` refuses raises, before any polish."""
-    mu_hint = min(max(kkt.closed_form_mu(w, _point(w, q)), 1e-8), 1e4)
-    g = int(np.sum(np.linalg.eigvalsh(q) >= 1.0 - min(1e-4, rp)))
-    kept = []
-    for n_active in (g, g - 1) if g else (0,):
-        cand = _polished(w, rp, q, mu_hint, n_active)
-        if _passes(cand):
-            return cand
-        if cand:
-            kept.append(cand)
+    an optimum can lose a pinned direction, which ``g - 1`` covers.
+    Returns None when a ``GausskeyError`` ends the call, as for a ``q`` that
+    ``rates._point`` refuses, before any polish: a refused start."""
+    try:
+        mu_hint = min(max(kkt.closed_form_mu(w, _point(w, q)), 1e-8), 1e4)
+        g = int(np.sum(np.linalg.eigvalsh(q) >= 1.0 - min(1e-4, rp)))
+        kept = []
+        for n_active in (g, g - 1) if g else (0,):
+            cand = _polished(w, rp, q, mu_hint, n_active)
+            if _passes(cand):
+                return cand
+            if cand:
+                kept.append(cand)
+    except GausskeyError:
+        return None
     return max(kept, key=lambda cand: cand[1], default=None)
 
 
@@ -497,20 +502,14 @@ def _rate_path(w, rp):
     own face it stays ``I``, whose slack rate fails the test unless the
     curve is 0, and face ``mx - 1`` frees the corner pencil's top
     direction.  Each step goes up to three times the last rate that
-    passed; one that passes no test, or raises a ``GausskeyError``, is
-    tried again from that rate at the square root of its ratio, giving up
-    below 1.1.  Returns the passed candidate at rp."""
+    passed; one that passes no test (a refused start included) is tried
+    again from that rate at the square root of its ratio, giving up below
+    1.1.  Returns the passed candidate at rp."""
     r, ratio = min(1e-4, rp), 3.0
-    try:
-        cand = _polish_end(w, r, np.eye(w.mx))
-    except GausskeyError:
-        cand = None
+    cand = _polish_end(w, r, np.eye(w.mx))
     while _passes(cand) and r < rp:
         r_next = min(rp, r * ratio)
-        try:
-            step = _polish_end(w, r_next, cand[0])
-        except GausskeyError:
-            step = None
+        step = _polish_end(w, r_next, cand[0])
         if _passes(step):
             cand, r, ratio = step, r_next, 3.0
         elif (ratio := math.sqrt(r_next / r)) < 1.1:
@@ -524,7 +523,11 @@ def solve_at_rate(m: AlignedModel, rp: float, *, n_starts: int = 6,
 
     The model is whitened once (``models.whiten``): ascent, polish and gate
     run on ``sigma_x = I``, so every floor and tolerance is relative to
-    ``sigma_x``, and the optimum is mapped back once as ``S Q S``.
+    ``sigma_x``.  Every answer leaves by one exit: ``models.from_white``
+    maps it back once, ``S Q S`` rounded once and the corner ``I`` to
+    ``sigma_x`` exactly, and one test judges it (below).  At ``rp <=
+    1e-12``, where the route's answers are round-off, the answer is the
+    corner.
 
     Every candidate is an end point polished by ``_polish_end``: a Newton
     polish of the stationarity system on an active face (``_polish_face``),
@@ -533,13 +536,14 @@ def solve_at_rate(m: AlignedModel, rp: float, *, n_starts: int = 6,
     free eigenvalue above 1 pins that direction: the polish goes on on the
     next face from the iterate before the step, so a polish started below
     the optimum's face climbs to it.  On the corner face ``n_active = mx``
-    the polish returns ``sigma_x``.  The end points, in order:
+    the polish returns ``sigma_x``.  A start that raises a
+    ``GausskeyError``, as an optimum that ``rates_aligned`` refuses at high
+    rates, is refused (``_polish_end`` returns None).  The end points, in
+    order:
 
     1. the optimum of the model's commuting part in ``sigma_wy``'s
        eigenbasis (``_commuting_start``; the one in ``sigma_wz``'s is only
-       the ascent's sixth start); a ``GausskeyError`` here, as from an
-       optimum that ``rates_aligned`` refuses at high rates, moves the
-       solve on;
+       the ascent's sixth start);
     2. the path in the budget from the corner (``_rate_path``);
     3. the fallback, which ``n_starts`` and ``max_iter`` alone size:
        projected gradient ascent with an exact penalty, its weight above
@@ -560,14 +564,8 @@ def solve_at_rate(m: AlignedModel, rp: float, *, n_starts: int = 6,
     is returned; a point solved on a wrong face has none.  When none
     passes, the answer is the ascent's polished candidate when its key
     rate is higher than its end point's, else that end point (on a tie,
-    the end point).  The returned ``S Q S`` is not re-tested in the model's
-    frame: ``Q`` passed the interval test in the whitened frame, or is an
-    ascent point clipped into it, while ``S Q S`` carries round-off of about
-    ``eps cond(sigma_x)`` there.  It is formed in long double and rounded
-    once (``linalg.congruence_rounded``): the floor stays, and so does the
-    re-test's own round-off, but the product's cancellation adds little to
-    them, so more answers with directions pinned at 1 pass ``certify``'s
-    re-test in the model's frame.
+    the end point).  The mapped answer is not re-tested in the model's
+    frame, where it carries round-off of about ``eps cond(sigma_x)``.
     ``kkt_residual`` is, in the whitened frame, the test's composite at the
     returned point, and ``converged`` is its verdict, ``kkt_residual <=
     kkt.ACCEPT_COMPOSITE``.  ``iterations`` counts the ascent
@@ -583,24 +581,17 @@ def solve_at_rate(m: AlignedModel, rp: float, *, n_starts: int = 6,
         raise ValueError(f"n_starts must be 1 to 6, got {n_starts!r}")
     if not max_iter >= 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter!r}")
-    if rp <= 1e-12:
-        sigma = np.array(m.sigma_x)
-        return SolveReport(optimum=ConditionalCov.for_model(m, sigma),
-                           value=rates_aligned(m, sigma).rk, iterations=0,
-                           kkt_residual=0.0, converged=True)
-
-    w, s_half, _ = whiten(m)
+    w = whiten(m)[0]
 
     def report(q, rk, composite, iterations):
-        return SolveReport(optimum=ConditionalCov(linalg.congruence_rounded(s_half, q)),
+        return SolveReport(optimum=ConditionalCov(from_white(m, q)),
                            value=rk, iterations=iterations, kkt_residual=float(composite),
                            converged=composite <= kkt.ACCEPT_COMPOSITE)
 
+    if rp <= 1e-12:  # the corner: below this, the route's answers are round-off
+        return report(w.sigma_x, 0.0, _composite(w, rp, w.sigma_x, 0.0), 0)
     # the commuting-part optimum first, then the path from the corner
-    try:
-        cand = _polish_end(w, rp, _commuting_start(w, rp, False))
-    except GausskeyError:
-        cand = None
+    cand = _polish_end(w, rp, _commuting_start(w, rp, False))
     if _passes(cand) or (cand := _rate_path(w, rp)):
         return report(*cand, 0)
 

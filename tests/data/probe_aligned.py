@@ -24,8 +24,7 @@ of the exception ``solve_at_rate`` raised.  Apart, as ``cert``, it records
 the bytes of the certificate itself: ``mu``, the ten residuals in the order
 of ``kkt.RESIDUAL_KEYS``, ``wy_tilde`` and ``m_matrix``, as ``cpu_s`` and
 ``certify_cpu_s`` the process CPU seconds of the point's solve and of its
-certificate (a file saved before ``certify_cpu_s`` was recorded holds both
-in ``cpu_s``), as ``cholesky_calls`` and ``certify_cholesky_calls`` the
+certificate, as ``cholesky_calls`` and ``certify_cholesky_calls`` the
 ``np.linalg.cholesky`` calls of each (a stacked call counts once), as
 ``iterations`` the solve's ascent iterations (0 when it ran no ascent), as
 ``polish_calls``, ``residual_rows`` and ``jacobian_calls`` the calls of
@@ -48,21 +47,16 @@ It also records what decided each point.  As ``route``, the route that
 returned it: ``commuting part`` (the polish of the commuting-part
 optimum), ``path`` (the path in ``rp`` from the corner,
 ``solver._rate_path``), ``ascent`` (the fallback's end point passed the
-gate) or ``none`` (no candidate passed, or the solve raised); a file saved
-before holds ``commuting part 1`` or ``commuting part 2`` (the first or
-the second of two commuting-part optima) or ``homotopy`` there, which
-``--compare`` prints after the current routes.  As ``path_steps`` and
-``path_halvings``, the ``solver._polish_end`` calls the path made, its
-seed at the corner among them, and how many of them passed no test (each
-such step is tried again at the square root of its ratio, or ends the
-path).  As ``entry_tries`` and ``entry_passes``, per face that a
+gate) or ``none`` (no candidate passed, or the solve raised).  As
+``path_steps`` and ``path_halvings``, the ``solver._polish_end`` calls the
+path made, its seed at the corner among them, and how many of them passed
+no test (each such step is tried again at the square root of its ratio, or
+ends the path).  As ``entry_tries`` and ``entry_passes``, per face that a
 ``solver._polish_end`` call polishes, relative to the detected face ``g``
 (``(g)``, then ``(g - 1)``), how often a call tried it and how often it was
-the call's first candidate to pass the gate; a file saved before holds the
-entries of the old schedule, ``(g, 1)``, ``(g + 1, 1)``, ``(g, 2)``, ``(g,
-4)`` and ``(g - 1, 1)``, which ``--compare`` prints beside them.  A change
-to the aligned route is checked by saving the probe on the parent tree and
-comparing on the change:
+the call's first candidate to pass the gate.  A change to the aligned route
+is checked by saving the probe on the parent tree and comparing on the
+change:
 
     PYTHONPATH=src python tests/data/probe_aligned.py --save before.json
     PYTHONPATH=src python tests/data/probe_aligned.py --compare before.json
@@ -80,11 +74,10 @@ kkt.ACCEPT_COMPOSITE)`` (listing each: that multiplier test alone decides
 and of the certificates, how many solves ran the ascent, the summed
 polish calls, residual rows, invalid residual rows, ``expm`` calls and
 Jacobians, and the ascent's summed calls, matrices and
-CPU seconds, listing each point solved on both runs whose solve ran the ascent on one
-run only (a figure the file did not record reads "not
-recorded", and a file without ``iterations`` lists none; ``--save`` prints
-the run's certified points, its points that test disagrees with and its
-cost too, the path's summed steps and halvings among it).  Both print
+CPU seconds, listing each point solved on both runs whose solve ran the
+ascent on one run only (``--save`` prints the run's certified points, its
+points that test disagrees with and its cost too, the path's summed steps
+and halvings among it).  Both print
 the points per route and the tries and first passes per face entry,
 beside the file's under ``--compare``.  It
 exits 1 when a value falls by more than ``FALL_TOL``, or is lost to an
@@ -309,20 +302,17 @@ def count_the_work():
         return polished(*args)
 
     def traced_polish_end(*args):
-        TRACE["tried"], cand = 0, None
-        try:
-            cand = polish_end(*args)
-            return cand
-        finally:
-            # a GausskeyError may end the call before its first polish
-            tried, TRACE["tried"] = ENTRIES[:TRACE["tried"]], None
-            TRACE["entry_tries"].update(tried)
-            passed = bool(cand) and cand[2] <= ACCEPT_COMPOSITE
-            if passed:
-                TRACE["entry_passes"][tried[-1]] += 1
-            if TRACE["in_path"]:
-                COUNTS["path_steps"] += 1
-                COUNTS["path_halvings"] += not passed
+        TRACE["tried"] = 0
+        cand = polish_end(*args)  # None for a refused start, maybe before any polish
+        tried, TRACE["tried"] = ENTRIES[:TRACE["tried"]], None
+        TRACE["entry_tries"].update(tried)
+        passed = bool(cand) and cand[2] <= ACCEPT_COMPOSITE
+        if passed:
+            TRACE["entry_passes"][tried[-1]] += 1
+        if TRACE["in_path"]:
+            COUNTS["path_steps"] += 1
+            COUNTS["path_halvings"] += not passed
+        return cand
 
     def counted_cholesky(a):
         COUNTS["cholesky_calls"] += 1
@@ -376,13 +366,11 @@ def cost_figures(run):
     solves ran the ascent, its summed polish calls, residual rows, invalid
     residual rows, ``expm`` calls and Jacobians, the path's summed steps
     and failed steps, and the ascent's summed rate evaluations, matrices
-    and CPU seconds, each "not recorded" when the run lacks the field."""
+    and CPU seconds."""
     recs = list(run.values())
     solved = [rec for rec in recs if "value" in rec]
 
     def total(key, of, term=lambda x: x, spec=""):
-        if not all(key in r for r in of):
-            return "not recorded"
         return format(sum(term(r[key]) for r in of), spec)
 
     return [("CPU seconds of the solves", total("cpu_s", recs, spec=".2f")),
@@ -414,40 +402,28 @@ def cost_line(run, old=None):
 
 def decisions(run, old=None):
     """Lines of the run's points per route and of its tries and first
-    passes per face entry, each beside the file's when ``old`` is given
-    ("not recorded" when a run lacks the field); a route or an entry that
-    only a file saved before holds (``homotopy``, ``(g, 2)``, ...) follows
-    the current ones."""
+    passes per face entry, each beside the file's when ``old`` is given."""
     def routes(r):
-        if not all("route" in rec for rec in r.values()):
-            return dict.fromkeys(ROUTES, "not recorded")
         return Counter(rec["route"] for rec in r.values())
 
     def entries(r):
-        if not all("entry_tries" in rec for rec in r.values()):
-            return dict.fromkeys(ENTRIES, "not recorded")
         tries, passes = Counter(), Counter()
         for rec in r.values():
             tries.update(rec["entry_tries"])
             passes.update(rec["entry_passes"])
-        return {e: f"{tries[e]}/{passes[e]}" for e in {*ENTRIES, *tries}}
+        return {e: f"{tries[e]}/{passes[e]}" for e in ENTRIES}
 
     runs = [run] if old is None else [run, old]
-    by_route = [routes(r) for r in runs]
-    by_entry = [entries(r) for r in runs]
-
-    def order(names, tables):
-        return [*names, *sorted({k for t in tables for k in t} - set(names))]
 
     def line(title, keys, tables):
         cells = []
         for key in keys:
-            now, *was = (t.get(key, 0) for t in tables)
+            now, *was = (t[key] for t in tables)
             cells.append(f"{key} {now}" + (f" (file: {was[0]})" if was else ""))
         return f"{title}: " + "; ".join(cells)
 
-    return [line("points per route", order(ROUTES, by_route), by_route),
-            line("face entry tries/first passes", order(ENTRIES, by_entry), by_entry)]
+    return [line("points per route", ROUTES, [routes(r) for r in runs]),
+            line("face entry tries/first passes", ENTRIES, [entries(r) for r in runs])]
 
 
 def undecided(run):
@@ -527,10 +503,11 @@ def compare(old, new):
     print(cost_line(new, old))
     print(*decisions(new, old), sep="\n")
     for label, rec in new.items():
-        ran, ran_was = (r["iterations"] > 0 if "iterations" in r else None
-                        for r in (rec, old[label]))
-        if None not in (ran, ran_was) and ran != ran_was:
-            print(f"{label}: ascent {'did not run -> ran' if ran else 'ran -> did not run'}")
+        ref = old[label]
+        if "value" in rec and "value" in ref:
+            ran = rec["iterations"] > 0
+            if ran != (ref["iterations"] > 0):
+                print(f"{label}: ascent {'did not run -> ran' if ran else 'ran -> did not run'}")
     for label in cert_moved:
         print(f"{label}: certificate bytes moved")
     return len(failed)

@@ -67,7 +67,7 @@ import pytest
 import scipy.linalg as sla
 
 from gausskey import AlignedModel, certify, kkt, linalg, solve_at_rate, solver, sweep
-from gausskey.errors import GausskeyError, NoValidMultiplier
+from gausskey.errors import GausskeyError, NotPositiveDefinite, NoValidMultiplier
 from gausskey.models import COND_COV_MIN_EIG, ConditionalCov, whiten
 from gausskey.rates import RatePair, _chol_terms, asymptotic_limit, rates_aligned
 
@@ -481,6 +481,24 @@ def test_the_head_of_the_curve_is_the_slope_at_zero(key, rp):
     report = solve_at_rate(m, rp)
     assert report.value >= 0.0
     assert report.value >= (1.0 - 1e-3) * mu0 * rp
+
+
+@pytest.mark.parametrize("rp", [1e-15, 1e-12, 0.0])
+def test_a_tiny_budget_answers_the_corner_judged_by_the_common_test(rp):
+    # at rp <= 1e-12 the answer is the corner, judged by the multiplier test
+    # that judges every other answer: reported converged with kkt_residual
+    # 0.0 on every model, it was refused by certify on all of these but
+    # fresh-5000, whose curve is 0.  At rp 0 the rate binds and the corner
+    # is optimal
+    for m in [_fresh_model(key) for key in range(5000, 5018)] + [
+            _degraded_model(key) for key in range(6000, 6012)]:
+        report = solve_at_rate(m, rp)
+        assert report.optimum.value.tobytes() == m._sigma_x_sym.tobytes()
+        assert report.value == 0.0 and report.iterations == 0
+        assert report.converged == (report.kkt_residual <= kkt.ACCEPT_COMPOSITE)
+        certified = _certificate_outcome(m, report.optimum, rp) == "certified"
+        assert report.converged == certified
+        assert report.converged or rp > 0.0
 
 
 @pytest.mark.parametrize("rp", [12.0, 13.0])
@@ -1707,6 +1725,17 @@ def test_bugs_in_the_polish_propagate(monkeypatch, target):
         monkeypatch.setattr(solver._FaceSystem, "residuals", _bug)
     with pytest.raises(TypeError):
         solve_at_rate(_bench_model(2002, 2), 1.0)
+
+
+def test_a_refused_polish_start_is_refused_on_every_route(monkeypatch):
+    # a GausskeyError inside the face polish refuses its start: route 1, the
+    # path and the fallback all go on, where the fallback's polish raised
+    def refused(*args, **kwargs):
+        raise NotPositiveDefinite("a trial's factor")
+
+    monkeypatch.setattr(solver._FaceSystem, "residuals", refused)
+    report = solve_at_rate(_bench_model(2002, 2), 1.0)
+    assert not report.converged and report.iterations > 0
 
 
 def test_bugs_in_the_certificate_propagate(monkeypatch):

@@ -261,6 +261,16 @@ def test_the_corner_of_an_ill_conditioned_model(tmp_path, key):
     with open(out_csv) as fh:
         assert fh.read().splitlines()[1] == "0,0"
     assert main(["mc", str(path), "--samples", "20000", "--seed", "4", "--q-scale", "1"]) == 0
+    # its zero-curve twin answers the corner at every rate, which certifies
+    twin = tmp_path / "twin.json"
+    twin.write_text(json.dumps({"sigma_x": m.sigma_x.tolist(),
+                                "sigma_wy": (2 * m.sigma_wz).tolist(),
+                                "sigma_wz": m.sigma_wz.tolist()}))
+    twin_csv = str(tmp_path / "twin.csv")
+    assert main(["region", str(twin), "-o", twin_csv, "--points", "5"]) == 0
+    with open(os.path.splitext(twin_csv)[0] + ".meta.json") as fh:
+        assert all(math.isfinite(p["kkt_residual"]) for p in json.load(fh)["points"])
+    assert main(["kkt-check", str(twin), "--rp", "1"]) == 0
 
 
 def test_region_rejects_bad_options(model_files, capsys):

@@ -225,6 +225,14 @@ def test_the_corner_is_accepted_at_any_condition_number(key):
     pair = rates_aligned(m, m.sigma_x)
     assert (pair.rp, pair.rk) == (0.0, 0.0)
     assert solve_at_rate(m, 0.0).value == 0.0
+    # a zero curve answers the corner at every budget; it leaves the whitened
+    # frame as sigma_x exactly, where S I S missed it and certify refused it
+    twin = AlignedModel(m.sigma_x, 2 * m.sigma_wz, m.sigma_wz)
+    for rp in (0.5, 4.0):
+        report = solve_at_rate(twin, rp)
+        assert report.optimum.value.tobytes() == twin._sigma_x_sym.tobytes()
+        assert report.converged and report.value == 0.0
+        assert certify(twin, report.optimum, rp).max_residual < 1e-6
 
 
 # ---------------------------------------------------------------------------
