@@ -6,8 +6,7 @@ and log-determinants taken from them (``chol_lower``, ``inv_chol``,
 ``logdet_chol`` and ``eig_clip`` take one matrix or a stack of them), square
 roots and congruences, the symmetric-definite generalized eigenvalue
 solve, whitened by the inverse root, and the exponential of a skew matrix
-with its Frechet derivative (``skew_expm``, ``skew_expm_frechet``: the face
-polish's rotations, ``solver.sla.expm``).  Callers use ``numpy.linalg``
+(``skew_expm``: the face polish's rotations, ``solver.sla.expm``).  Callers use ``numpy.linalg``
 directly only where no kernel here fits: QR and SVD, solves of non-symmetric
 systems and eigenbases that the caller reads (the face polish's directions).
 The functions are pure, take ``numpy`` arrays and run on numpy alone, so
@@ -191,19 +190,6 @@ def skew_expm(gens):
     c, s = np.cos(lam)[..., None], np.sin(lam)[..., None]
     t_t, t_b = np.swapaxes(u_t, -1, -2), np.swapaxes(u_b, -1, -2)
     return 0.5 * (u_t @ (c * t_t + s * t_b) + u_b @ (c * t_b - s * t_t))
-
-
-def skew_expm_frechet(gen, dirs):
-    """``e^-G L(G, E)``, ``L`` the Frechet derivative of ``expm`` at a real
-    skew ``G``, for each of a stack of directions ``E`` (Daleckii & Krein):
-    in the eigenbasis of ``-iG`` (``_skew_eigh``), ``E``'s entries scale by
-    ``(1 - e^-id) / (id) = sin d / d - i sin(d/2)^2 / (d/2)``, ``d`` the
-    eigenvalue gaps."""
-    lam, u_t, u_b = _skew_eigh(gen)
-    f = u_t.T @ dirs @ u_t + u_b.T @ dirs @ u_b
-    d = lam[:, None] - lam
-    half = np.sinc(d / (2.0 * np.pi))
-    return (u_t @ (f * np.sinc(d / np.pi)) + u_b @ (f * (np.sin(0.5 * d) * half))) @ u_t.T
 
 
 def frob(a):

@@ -71,7 +71,7 @@ def _basis(n):
 # calls slice by slice, so stacked loops decide as per-point ones.
 
 # Step sizes that the face polish's line search tests per stacked evaluation
-# after the full step, which it tests alone: 291 of the 397 steps that the
+# after the full step, which it tests alone: 249 of the 336 steps that the
 # benchmark's 36 solves take are full ones.  The polish stops at the damping
 # floor 2^-8, its ``POLISH_HALVINGS``-th trial: at 2^-7, a first step from the
 # commuting-part optimum of ``bench_mx4_key2006`` at rp 4 found no lower
@@ -228,15 +228,18 @@ def _pga_penalty(m, rp, q0, max_iter):
 
 class _FaceSystem:
     """The first-order system of ``_polish_face`` on one active face of a
-    whitened model (``sigma_x = I``), for stacks of points.  ``u0`` holds
-    eigendirections, largest first; the top ``n_active`` are pinned to the
-    source covariance.  A point holds the free-block coordinates (in
-    ``_basis(n_free)``), the angles of the rotation mixing active and free
-    directions and log mu.  At the angles' generator ``G``, ``Q = U D U^T``
-    with ``U = u0 e^G`` and ``D = diag(I, q_f)``.  The system lives in that
-    rotated frame: ``w0`` holds ``u0^T W u0`` for ``W = 0, Wz, Wy``, ``W~ =
-    e^{G^T} w0 e^G``, and ``N = U^T M(mu) U`` is ``M(mu)`` of ``D + W~``,
-    whose log-dets are those of ``Q + W``.  ``e^G`` comes from ``exp``."""
+    whitened model (``sigma_x = I``), for stacks of points, in a chart
+    centred at the polish's iterate.  ``u0`` holds eigendirections, largest
+    first; the top ``n_active`` are pinned to the source covariance.  A
+    point holds the free-block coordinates (in ``_basis(n_free)``), the
+    angles of the rotation mixing active and free directions and log mu.  At
+    the angles' generator ``G``, ``Q = U D U^T`` with ``U = u0 e^G`` and ``D
+    = diag(I, q_f)``.  The system lives in that rotated frame: ``w0`` holds
+    ``u0^T W u0`` for ``W = 0, Wz, Wy``, ``W~ = e^{G^T} w0 e^G``
+    symmetrized, and ``N = U^T M(mu) U`` is ``M(mu)`` of ``D + W~``, whose
+    log-dets are those of ``Q + W``.  ``e^G`` comes from ``exp``.
+    ``centre`` moves the chart to a valid point (Absil, Mahony & Sepulchre
+    2008, ch. 6), so the polish takes every Jacobian at ``G = 0``."""
 
     def __init__(self, m, rp, u0, n_active):
         self.m, self.rp, self.u0, self.n_active = m, rp, u0, n_active
@@ -267,17 +270,28 @@ class _FaceSystem:
 
     @staticmethod
     def mu(xs):  # log mu clamped, so the line search backs off runaway probes
-        return np.array([math.exp(min(max(v, -700.0), 60.0)) for v in xs[:, -1]])
+        return np.exp(np.clip(xs[:, -1], -700.0, 60.0))
+
+    def centre(self, kept):
+        """Move the chart's centre to a valid point from what its residual
+        call kept (``kept``): ``u0 <- u0 e^G`` and ``w0 <- W~``, the kept
+        rotated noises; returns the point's coordinates in the new chart,
+        its angles 0.  ``e^0`` is ``I`` exactly, so a residual call at the
+        centre keeps the point's ``D``, factors and ``N`` bit for bit."""
+        x, e, *_, w_t, _ = kept
+        x = x.copy()
+        if self.n_rot:
+            self.u0, self.w0 = self.u0 @ e, w_t
+            x[self.n_qf:-1] = 0.0
+        return x
 
     def point(self, kept):
-        """``(Q, mu)`` at a valid point from what its residual call kept
-        (``kept``): ``U = u0 e^G`` with the kept ``e^G``, and
-        ``Q = u_a u_a^T + u_f q_f u_f^T`` over ``U``'s active and free
-        columns, with ``q_f`` the free block of the kept ``D``."""
-        _, e, d, *_, mu, _ = kept
+        """``(Q, mu)`` at the chart's centre from what its residual call kept
+        (``kept``): ``Q = u_a u_a^T + u_f q_f u_f^T`` over ``u0``'s active
+        and free columns, with ``q_f`` the free block of the kept ``D``."""
+        _, _, d, *_, mu, _, _ = kept
         na = self.n_active
-        u = self.u0 @ e if self.n_rot else self.u0
-        u_a, u_f = u[:, :na], u[:, na:]
+        u_a, u_f = self.u0[:, :na], self.u0[:, na:]
         return linalg.symmetrize(u_a @ u_a.T + u_f @ d[na:, na:] @ u_f.T), mu
 
     def residuals(self, xs):
@@ -290,20 +304,21 @@ class _FaceSystem:
         which a Newton step can reach.  The valid ``D``, ``D + W~z`` and ``D
         + W~y`` take one stacked Cholesky (``log|D|``, ``log|D + W~y|``) and
         one stacked inverse of its factors; invalid rows are NaN.
-        ``kept[i]`` holds what ``jacobian`` needs of ``xs[i]``, then its
-        free eigenvalues; None when invalid."""
+        ``kept[i]`` holds what ``jacobian`` and ``centre`` need of
+        ``xs[i]``: its coordinates, ``e^G``, ``D``, the inverses, ``N``, mu,
+        ``W~`` and its free eigenvalues; None when invalid."""
         n_qf, n_rot, na, n = self.n_qf, self.n_rot, self.n_active, self.m.mx
         d = self.eye_a + np.einsum("pk,kab->pab", xs[:, :n_qf], self.basis_d)
         lam = np.linalg.eigvalsh(d[:, na:, na:])
         valid = (lam[:, 0] > COND_COV_MIN_EIG) & (lam[:, -1] <= 1.0 + FACE_EXCURSION)
         rows, self.kept = np.full((len(xs), n_qf + n_rot + 1), np.nan), [None] * len(xs)
-        at, e, w_t = np.flatnonzero(valid), [None] * len(xs), self.w0
+        at, e, w_t = np.flatnonzero(valid), [None] * len(xs), self.w0[None]
         if n_rot and at.size:
             e = self.exp(xs[at])
             err = np.abs(np.swapaxes(e, -1, -2) @ e - np.eye(n)).reshape(at.size, -1)
             valid[at] = err.max(axis=1) <= FACE_ORTHO_TOL  # False on NaN too
             e, at = e[valid[at]], np.flatnonzero(valid)
-            w_t = np.swapaxes(e[:, None], -1, -2) @ self.w0 @ e[:, None]
+            w_t = linalg.symmetrize(np.swapaxes(e[:, None], -1, -2) @ self.w0 @ e[:, None])
         if not at.size:
             return rows, valid
         lower = linalg.chol_lower(d[at, None] + w_t, "D, D + W~z or D + W~y")
@@ -314,31 +329,29 @@ class _FaceSystem:
                                    n_mat[:, :na, na:].reshape(at.size, -1),
                                    (ip - self.rp)[:, None]), axis=1)
         for j, i in enumerate(at):
-            self.kept[i] = (xs[i], e[j], d[i], inv[j], n_mat[j], mu[j], lam[i])
+            self.kept[i] = (xs[i], e[j], d[i], inv[j], n_mat[j], mu[j], w_t[j if n_rot else 0],
+                            lam[i])
         return rows, valid
 
     def jacobian(self, kept):
-        """The Jacobian of ``residuals`` at a valid point, in closed form from
-        what the call that evaluated it kept (``kept``): ``D``, ``N`` and the
-        rotated inverses ``(P, Z, Y)`` of ``D``, ``D + W~z`` and ``D + W~y``,
-        taken as they are.  A free coordinate moves ``D`` by its basis matrix
-        on the free block, an angle by ``F = K D - D K`` with ``K = e^{G^T}
-        L``, ``L`` the Frechet derivative of ``expm`` at ``G`` in the angle's
-        direction, every angle's in closed form from one eigensolve
-        (``linalg.skew_expm_frechet``).  A move ``F`` changes
-        ``N`` by ``-M(mu)`` of ``(P F P, Z F Z, Y F Y)`` (plus ``N K - K N``
-        for an angle) and ``I_p`` by ``tr((Y - P) F) / 2``; log mu changes
-        ``N`` by ``mu (P - Y)``."""
+        """The Jacobian of ``residuals`` at the chart's centre (``G = 0``), in
+        closed form from what the call that evaluated it kept (``kept``):
+        ``D``, ``N`` and the rotated inverses ``(P, Z, Y)`` of ``D``, ``D +
+        W~z`` and ``D + W~y``, taken as they are.  A free coordinate moves
+        ``D`` by its basis matrix on the free block, an angle by ``F = K D -
+        D K`` with ``K`` its unit generator (``units``: at ``G = 0``, ``e^-G
+        L(G, K) = K`` for the Frechet derivative ``L`` of ``expm``).  A move
+        ``F`` changes ``N`` by ``-M(mu)`` of ``(P F P, Z F Z, Y F Y)`` (plus
+        ``N K - K N`` for an angle) and ``I_p`` by ``tr((Y - P) F) / 2``; log
+        mu changes ``N`` by ``mu (P - Y)``."""
         n_qf, n_rot, na, n = self.n_qf, self.n_rot, self.n_active, self.m.mx
-        x, _, d, inv, n_mat, mu, _ = kept
+        _, _, d, inv, n_mat, mu, *_ = kept
         f = np.zeros((n_qf + n_rot, n, n))
         f[:n_qf, na:, na:] = self.basis_f
-        if n_rot:
-            k = linalg.skew_expm_frechet(self.skew(x[None, n_qf:-1])[0], self.units)
-            f[n_qf:] = k @ d - d @ k
+        k = self.units
+        f[n_qf:] = k @ d - d @ k
         dn = -kkt.stationarity_stack(inv @ f[:, None] @ inv, mu)
-        if n_rot:
-            dn[n_qf:] += n_mat @ k - k @ n_mat
+        dn[n_qf:] += n_mat @ k - k @ n_mat
         dn = np.concatenate((dn, mu * (inv[None, 0] - inv[None, 2])))
         cols = [np.einsum("kab,pab->pk", dn[:, na:, na:], self.basis_f),
                 dn[:, :na, na:].reshape(len(dn), -1).T]
@@ -363,11 +376,12 @@ def _polish_face(m, rp, q_hat, mu_hint, n_active):
     the stationarity matrix, plus the rate equality (see ``_FaceSystem``).
 
     A Newton step takes the closed-form Jacobian at its point
-    (``_FaceSystem.jacobian``, in the fixed chart at ``u0``), on the
-    factors that the point's own residual evaluation kept, and one to three
-    stacked residual evaluations.  The line search takes the first valid
-    one of the halvings ``x + 0.5^j step``, ``j < POLISH_HALVINGS``, that
-    lowers the max-norm residual (halving is exact, so these are a
+    (``_FaceSystem.jacobian``, at ``G = 0`` of a chart centred there: the
+    start and each accepted iterate re-centre it, ``_FaceSystem.centre``),
+    on the factors that the point's own residual evaluation kept, and one
+    to three stacked residual evaluations.  The line search takes the first
+    valid one of the halvings ``x + 0.5^j step``, ``j < POLISH_HALVINGS``,
+    that lowers the max-norm residual (halving is exact, so these are a
     sequential search's trials): the full step alone, then
     ``HALVINGS_PER_STACK`` per stacked evaluation; when none does, the
     polish stops, as it does after 80 steps or below ``1e-12 min(1, rp)``:
@@ -404,6 +418,7 @@ def _polish_face(m, rp, q_hat, mu_hint, n_active):
     if not valid[0]:
         return None
     r, kept = rows[0], face.kept[0]
+    x = face.centre(kept)
     halvings = 0.5 ** np.arange(POLISH_HALVINGS)[:, None]
     for _ in range(80):
         rnorm = float(np.max(np.abs(r)))
@@ -422,11 +437,12 @@ def _polish_face(m, rp, q_hat, mu_hint, n_active):
                 break
         if not better.size:
             break
-        x_new, kept_new = trials[lo + better[0]], face.kept[better[0]]
+        kept_new = face.kept[better[0]]
         if kept_new[-1][-1] > 1.0:  # its top free eigenvalue
             sigma, mu = face.point(kept)
             return _polish_face(m, rp, sigma, float(mu), n_active + 1)
-        x, r, kept = x_new, rows[better[0]], kept_new
+        r, kept = rows[better[0]], kept_new
+        x = face.centre(kept)
     return face.point(kept)[0]
 
 
@@ -466,30 +482,40 @@ def _polished(w, rp, q_end, mu_hint, n_active):
 
 
 def _polish_end(w, rp, q):
-    """The face polish of an end point ``q`` on a whitened model at its
-    multiplier hint (``kkt.closed_form_mu``, clipped to [1e-8, 1e4]), on
-    the detected face ``g`` and then on ``g - 1``: the first ``_polished``
-    candidate that passes the multiplier test, else the one with the
-    highest key rate, else None.  ``g`` counts the eigenvalues within
-    ``min(1e-4, rp)`` of 1: a budget ``rp`` moves a free eigenvalue off 1
-    by about that much, so below 1e-4 a fixed threshold would count it as
-    active.  A polish climbs to a higher face by itself (``_polish_face``);
-    an optimum can lose a pinned direction, which ``g - 1`` covers.
-    Returns None when a ``GausskeyError`` ends the call, as for a ``q`` that
-    ``rates._point`` refuses, before any polish: a refused start."""
+    """The face polish of an end point ``q`` on a whitened model, on its
+    detected face ``g`` at its multiplier hint (``_polish_start``); when
+    that candidate fails the multiplier test, the active-set drop step
+    (Burke & More 1988): a face that pins a direction whose block of
+    ``M(mu)`` is not PSD has no valid multiplier, so the candidate is
+    polished on the face below its own, at its own hint (``q`` on ``g - 1``
+    when the first polish returned none).  Returns the first ``_polished``
+    candidate that passes, else the one with the highest key rate, else
+    None; None too when a ``GausskeyError`` ends the call, as for a ``q``
+    that ``rates._point`` refuses: a refused start."""
     try:
-        mu_hint = min(max(kkt.closed_form_mu(w, _point(w, q)), 1e-8), 1e4)
-        g = int(np.sum(np.linalg.eigvalsh(q) >= 1.0 - min(1e-4, rp)))
-        kept = []
-        for n_active in (g, g - 1) if g else (0,):
-            cand = _polished(w, rp, q, mu_hint, n_active)
-            if _passes(cand):
-                return cand
-            if cand:
-                kept.append(cand)
+        g, mu_hint = _polish_start(w, rp, q)
+        first = _polished(w, rp, q, mu_hint, g)
+        if _passes(first):
+            return first
+        if first:
+            q, (g, mu_hint) = first[0], _polish_start(w, rp, first[0])
+        second = _polished(w, rp, q, mu_hint, g - 1) if g else None
     except GausskeyError:
         return None
-    return max(kept, key=lambda cand: cand[1], default=None)
+    if _passes(second):
+        return second
+    return max((cand for cand in (first, second) if cand), key=lambda cand: cand[1],
+               default=None)
+
+
+def _polish_start(w, rp, q):
+    """``(g, mu_hint)`` of an end point ``q`` on a whitened model: ``g``
+    counts its eigenvalues within ``min(1e-4, rp)`` of 1 (a budget ``rp``
+    moves a free eigenvalue off 1 by about that much, so below 1e-4 a fixed
+    threshold would count it as active), and ``mu_hint`` is
+    ``kkt.closed_form_mu`` at ``q``, clipped to [1e-8, 1e4]."""
+    mu_hint = min(max(kkt.closed_form_mu(w, _point(w, q)), 1e-8), 1e4)
+    return int(np.sum(np.linalg.eigvalsh(q) >= 1.0 - min(1e-4, rp))), mu_hint
 
 
 def _rate_path(w, rp):
@@ -532,10 +558,11 @@ def solve_at_rate(m: AlignedModel, rp: float, *, n_starts: int = 6,
     Every candidate is an end point polished by ``_polish_end``: a Newton
     polish of the stationarity system on an active face (``_polish_face``),
     with the rate binding, from the end point's own multiplier hint, on its
-    detected face and then on the one below.  A polish step that lifts a
-    free eigenvalue above 1 pins that direction: the polish goes on on the
-    next face from the iterate before the step, so a polish started below
-    the optimum's face climbs to it.  On the corner face ``n_active = mx``
+    detected face; a candidate that fails the test below is polished again,
+    from itself at its own hint, on the face below its own.  A polish step
+    that lifts a free eigenvalue above 1 pins that direction: the polish
+    goes on on the next face from the iterate before the step, so a polish
+    started below the optimum's face climbs to it.  On the corner face ``n_active = mx``
     the polish returns ``sigma_x``.  A start that raises a
     ``GausskeyError``, as an optimum that ``rates_aligned`` refuses at high
     rates, is refused (``_polish_end`` returns None).  The end points, in

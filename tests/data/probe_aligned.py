@@ -34,9 +34,9 @@ more), the rows ``solver._FaceSystem.residuals`` evaluated and the calls of
 its point's residual evaluation kept), as ``invalid_rows`` the residual rows
 that held no valid point and as ``expm_calls`` the calls of ``solver.sla.expm``,
 the rotations ``linalg.skew_expm`` (a stacked call counts once; residual
-evaluations make them all, as ``_FaceSystem.point`` reads a polished point
-from its kept rotation and the Jacobian takes its Frechet blocks from
-``linalg.skew_expm_frechet``), and as
+evaluations make them all, as ``_FaceSystem.centre`` moves the chart to a
+point by its kept rotation and the Jacobian, taken at the chart's centre,
+needs none), and as
 ``ascent_calls``, ``ascent_matrices`` and ``ascent_cpu_s`` the ascent's calls of
 ``solver._rates_stack``, the matrices they evaluated and the process CPU
 seconds spent inside ``solver._pga_penalty``.  CPU seconds are noisy on a
@@ -52,11 +52,13 @@ gate) or ``none`` (no candidate passed, or the solve raised).  As
 path made, its seed at the corner among them, and how many of them passed
 no test (each such step is tried again at the square root of its ratio, or
 ends the path).  As ``entry_tries`` and ``entry_passes``, per face that a
-``solver._polish_end`` call polishes, relative to the detected face ``g``
-(``(g)``, then ``(g - 1)``), how often a call tried it and how often it was
-the call's first candidate to pass the gate.  A change to the aligned route
-is checked by saving the probe on the parent tree and comparing on the
-change:
+``solver._polish_end`` call polishes (``(g)``, the end point's detected
+face, then ``(g' - 1)``, the face below the first candidate's own, or
+``g - 1`` when that polish returned none), how often a call tried it and
+how often it was the call's first candidate to pass the gate; older saves
+name the second entry ``(g - 1)``, which reads as ``(g' - 1)``.  A change
+to the aligned route is checked by saving the probe on the parent tree and
+comparing on the change:
 
     PYTHONPATH=src python tests/data/probe_aligned.py --save before.json
     PYTHONPATH=src python tests/data/probe_aligned.py --compare before.json
@@ -236,7 +238,8 @@ COUNTED = ("polish_calls", "residual_rows", "invalid_rows", "expm_calls", "jacob
 # tries and first passes in ``_polish_end``
 TRACE = {}
 ROUTES = ("commuting part", "path", "ascent", "none")
-ENTRIES = ("(g)", "(g - 1)")
+ENTRIES = ("(g)", "(g' - 1)")
+OLD_ENTRIES = {"(g - 1)": "(g' - 1)"}  # the second entry's name in older saves
 
 
 def route(converged):
@@ -409,8 +412,8 @@ def decisions(run, old=None):
     def entries(r):
         tries, passes = Counter(), Counter()
         for rec in r.values():
-            tries.update(rec["entry_tries"])
-            passes.update(rec["entry_passes"])
+            for counts, key in ((tries, "entry_tries"), (passes, "entry_passes")):
+                counts.update({OLD_ENTRIES.get(e, e): n for e, n in rec[key].items()})
         return {e: f"{tries[e]}/{passes[e]}" for e in ENTRIES}
 
     runs = [run] if old is None else [run, old]

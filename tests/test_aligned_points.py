@@ -26,8 +26,9 @@ so the tests of unconverged answers switch it off (``_no_path``) to
 reach the ascent, the route they are about.  Every candidate is the
 polish of an end point (the commuting-part optimum, the corner that seeds
 the path, a path step's start or the ascent's best end point), which tries
-the detected face, then the one below it, and must keep every optimum of
-the schedule that tried every face at every factor.  When a unit
+the detected face, then, when that candidate fails, the candidate on the
+face below its own, and must keep every optimum of the schedule that tried
+every face at every factor.  When a unit
 eigenspace of the start holds more directions than the face pins, the
 polish pins those where ``M(mu)`` is largest, so the basis ``eigh`` gives
 that eigenspace changes no polished point.  The per-point references below
@@ -43,7 +44,8 @@ each start alone, must keep every iterate of the lockstep ascent that
 advanced every start at once, one backtracking trial per stacked call, and
 the polish, which tests four halvings per stacked call, every iterate of
 the polish that evaluated all 30 halvings, down to 2^-29 of the step, as
-one stack; both are kept here as references.  The polish stops at 2^-8,
+one stack, each in a chart re-centred at its iterate; both are kept here
+as references.  The polish stops at 2^-8,
 so on its cases the reference also checks that the halvings below that
 floor change no result.  A backtracking trial with NaN rates fails the Armijo test, in
 both ascents alike.  Errors that are not a rejected face or an invalid
@@ -56,6 +58,7 @@ ascent evaluates on points that still reach it, and the certified points
 per model on models off the corpus at mx 3 to 8.
 """
 
+import copy
 import json
 import math
 import os
@@ -207,14 +210,16 @@ def _fresh_model(key):
 # Points where, with the path off (``_no_path``), no candidate of the
 # commuting-part polish or the ascent has a valid multiplier: each raises
 # NoValidMultiplier in the certificate, and each spends its whole budget.
-# The default solve certifies every one of them on the path.  bench-15 and
-# bench-16 are ``probe_aligned.py``'s rel8-15 and rel8-16.  bench-2007 at rp
-# 2 and 4 and fresh-5011 at rp 5 were such points until the face polish
-# pinned a free direction that crosses 1; they stay in the test of the best
-# candidate as converged points.  bench-14 at rp 4 joined once an end point's polish tried two
-# faces at the hint mu: the ascent's end point there passed only on the
-# detected face at four times the hint.
-UNCERTIFIED = [("bench-16", 8.0), ("bench-15", 12.0), ("bench-15", 16.0), ("bench-14", 4.0)]
+# The default solve certifies every one of them on the path.  bench-15 is
+# ``probe_aligned.py``'s rel8-15.  bench-2007 at rp 2 and 4 and fresh-5011
+# at rp 5 were such points until the face polish pinned a free direction
+# that crosses 1; they stay in the test of the best candidate as converged
+# points.  bench-16 at rp 8, bench-15 at rp 12 and bench-14 at rp 4 were
+# such points until an end point's second polish started from the first
+# candidate, on the face below its own: route 1 certifies them now
+# (``ROUTE_1_CERTIFIES``).
+UNCERTIFIED = [("rel3-3302", 6.0), ("rel3-3302", 8.0), ("rel4-3402", 10.0), ("bench-15", 16.0)]
+ROUTE_1_CERTIFIES = [("bench-16", 8.0), ("bench-15", 12.0), ("bench-14", 4.0)]
 
 
 def _no_path(patch):
@@ -255,12 +260,14 @@ def _named_model(name):
     return _bench_model(int(key), 8 if int(key) < 2000 else 4)
 
 
-# Points where, with the path off, the commuting-part polish fails and some
-# polish solves a wrong face to round-off: fresh-5007 at rp 3 and fresh-5011
-# at rp 3 and 5 end certified on the ascent, and the uncertified points of
-# ``probe_aligned.py --high`` fresh-5013 at rp 12 and 16 and bench-16 at rp
-# 8 end unconverged
-@pytest.mark.parametrize("key,rp", [(5007, 3.0), (5011, 3.0), (5011, 5.0),
+# Points where, with the path off, some polish solves a wrong face to
+# round-off: fresh-5007 and fresh-5011 at rp 3, fresh-5013 at rp 8 and
+# bench-16 at rp 8 end certified from the commuting part, and the
+# uncertified points of ``probe_aligned.py --high`` fresh-5013 at rp 12 and
+# 16 end unconverged on the ascent.  fresh-5011 at rp 5 was such a point
+# until an end point's second polish started from the first candidate: no
+# polish there solves a wrong face now
+@pytest.mark.parametrize("key,rp", [(5007, 3.0), (5011, 3.0), (5013, 8.0),
                                     (5013, 12.0), (5013, 16.0), (16, 8.0)])
 def test_wrong_face_point_is_not_converged(monkeypatch, key, rp):
     # the polish solves some faces' systems to round-off here at points with
@@ -313,7 +320,8 @@ def test_wrong_face_point_is_not_converged(monkeypatch, key, rp):
 @pytest.mark.parametrize("model,rp", [
     ("bench-15", 4.0),
     ("fresh-5002", 1.5), ("fresh-5007", 5.0), ("fresh-5011", 3.0),
-    ("bench-2007", 2.0), ("bench-2007", 4.0), ("fresh-5011", 5.0), *UNCERTIFIED])
+    ("bench-2007", 2.0), ("bench-2007", 4.0), ("fresh-5011", 5.0), *UNCERTIFIED,
+    *ROUTE_1_CERTIFIES])
 def test_unconverged_solve_keeps_its_best_candidate(monkeypatch, model, rp):
     # with no candidate passing the gate, the answer is the best point the
     # polish reached within the budget, not the smallest face residual; a
@@ -345,10 +353,11 @@ def test_unconverged_solve_keeps_its_best_candidate(monkeypatch, model, rp):
     assert report.converged == ((model, rp) not in UNCERTIFIED)
 
 
-@pytest.mark.parametrize("model,rp", UNCERTIFIED)
+@pytest.mark.parametrize("model,rp", UNCERTIFIED + ROUTE_1_CERTIFIES)
 def test_the_path_certifies_what_the_forced_fallback_leaves(model, rp):
     # the points the solve leaves unconverged with the path off certify on
-    # the path, with no ascent
+    # the path, with no ascent; those that route 1 now certifies, with the
+    # path off or on, certify with no ascent too
     m = _named_model(model)
     report = solve_at_rate(m, rp)
     assert report.converged and report.iterations == 0
@@ -609,12 +618,13 @@ def _fallback_trace(patch):
     return trace
 
 
-@pytest.mark.parametrize("model,rp", [("fresh-5006", 1.5), ("rel3-3301", 1.0)])
+@pytest.mark.parametrize("model,rp", [("fresh-5001", 5.0), ("fresh-5007", 5.0)])
 def test_the_ascent_fallback_polishes_one_end_point(monkeypatch, model, rp):
     # the commuting-part polish fails here and the path is off, so the
     # solve runs the ascent; of its six end points, only the best in budget
     # is polished, and it passes the gate.  With the path on, both certify
-    # on it
+    # on it.  fresh-5006 at rp 1.5 and rel3-3301 at rp 1 were such points
+    # until an end point's second polish started from the first candidate
     trace = _fallback_trace(monkeypatch)
     _no_path(monkeypatch)
     m = _named_model(model)
@@ -850,9 +860,11 @@ def _reference_polish_end(w, rp, q):
 
 @pytest.mark.parametrize("mx", range(1, 7))
 def test_face_schedule_tries_each_candidate_once(monkeypatch, mx):
-    # an end point's polish tries the detected face g, then g - 1, both at
-    # the end point's own multiplier hint, stops at the first candidate that
-    # passes the gate and else returns the one with the highest key rate.
+    # an end point's polish tries the detected face g, then, for a failed
+    # candidate that stays on face g (as here), g - 1, at the candidate's
+    # own multiplier hint (here the end point's), stops at the first
+    # candidate that passes the gate and else returns the one with the
+    # highest key rate.
     # The pick of the pinned unit directions comes from M(mu) and the path
     # in rp walks the curve, so no other face or multiplier factor decides
     # a point of the probe's two sets, of the direct sums or of the
@@ -885,6 +897,39 @@ def test_face_schedule_tries_each_candidate_once(monkeypatch, mx):
             assert tried == [(g, 0.25)]
 
 
+def test_the_drop_step_polishes_the_failed_candidate(monkeypatch):
+    # a first candidate that fails the test is polished next on the face
+    # below its own (here it climbed from face 1 to 3, so face 2), at its
+    # own hint; one on face 0 frees nothing, so no second polish runs.  When
+    # the first polish returns none, the second polishes the end point on
+    # g - 1 at the end point's hint
+    w = SimpleNamespace(mx=4)
+    q = np.diag([1.0, 0.5, 0.5, 0.5])  # face 1
+    tried, firsts = [], []
+
+    def polished(w, rp, start, mu, n_active):
+        tried.append((start, mu, n_active))
+        return firsts[0] if len(tried) == 1 else None
+
+    monkeypatch.setattr(solver, "_polished", polished)
+    monkeypatch.setattr(solver, "_point", lambda w, q: q)
+    monkeypatch.setattr(kkt, "closed_form_mu", lambda w, q: float(np.trace(q)))
+    climbed = (np.diag([1.0, 1.0, 1.0, 0.5]), 1.0, 1.0)  # face 3, failing
+    firsts.append(climbed)
+    assert solver._polish_end(w, 1.0, q) is climbed
+    assert [(mu, n) for _, mu, n in tried] == [(2.5, 1), (3.5, 2)]
+    assert tried[1][0] is climbed[0]
+    tried.clear()
+    firsts[0] = (np.diag([0.9, 0.5, 0.5, 0.5]), 1.0, 1.0)  # face 0, failing
+    assert solver._polish_end(w, 1.0, q) is firsts[0]
+    assert [(mu, n) for _, mu, n in tried] == [(2.5, 1)]
+    tried.clear()
+    firsts[0] = None
+    assert solver._polish_end(w, 1.0, q) is None
+    assert [(mu, n) for _, mu, n in tried] == [(2.5, 1), (2.5, 0)]
+    assert all(start is q for start, _, _ in tried)
+
+
 @pytest.mark.parametrize("key,rp", [(5004, 12.0), (5009, 12.0), (5012, 16.0)])
 def test_no_face_polish_runs_on_a_start_the_rates_refuse(monkeypatch, key, rp):
     # the commuting-part optimum here has whitened eigenvalues of about
@@ -910,21 +955,25 @@ def test_no_face_polish_runs_on_a_start_the_rates_refuse(monkeypatch, key, rp):
 
 
 def test_face_polish_calls_on_the_benchmark_points(monkeypatch):
-    # every candidate is an end point polished on its detected face, then
-    # on the one below: the commuting-part optimum of each point, and on
-    # the one path run (bench_mx4_key2007 rp 0.5, 11 polishes) the corner
-    # and each step's optimum.  The 36 solves make 72 polish calls and 968
-    # residual rows in 593 evaluations, with 397 Jacobians, and no ascent
-    # run (169 calls and 34,532 rows when every face was tried at five
-    # multiplier factors and the line search halved down to 2^-29).  A
-    # move to the next face calls ``_polish_face`` again, from inside the
-    # polish, so it counts as one more call
+    # every candidate is an end point polished on its detected face, then,
+    # when that candidate fails, the candidate on the face below its own:
+    # the commuting-part optimum of each point.  The 36 solves make 59
+    # polish calls and 827 residual rows in 503 evaluations, with 336
+    # Jacobians, and no path or ascent run (72 calls, 968 rows, 593
+    # evaluations, 397 Jacobians and one path run when the second polish
+    # restarted from the end point and each Jacobian was taken away from
+    # its chart's centre; 169 calls and 34,532 rows when every face was
+    # tried at five multiplier factors and the line search halved down to
+    # 2^-29).  A move to the next face calls ``_polish_face`` again, from
+    # inside the polish, so it counts as one more call
     calls = []
     rows = []
     runs = []
     paths = []
+    jacobians = []
     polish = solver._polish_face
     residuals = solver._FaceSystem.residuals
+    jacobian = solver._FaceSystem.jacobian
     pga = solver._pga_penalty
     rate_path = solver._rate_path
 
@@ -936,6 +985,10 @@ def test_face_polish_calls_on_the_benchmark_points(monkeypatch):
         rows.append(len(xs))
         return residuals(face, xs)
 
+    def counted_jacobians(face, kept):
+        jacobians.append(1)
+        return jacobian(face, kept)
+
     def counted_runs(*args):
         runs.append(1)
         return pga(*args)
@@ -946,6 +999,7 @@ def test_face_polish_calls_on_the_benchmark_points(monkeypatch):
 
     monkeypatch.setattr(solver, "_polish_face", counted)
     monkeypatch.setattr(solver._FaceSystem, "residuals", counted_rows)
+    monkeypatch.setattr(solver._FaceSystem, "jacobian", counted_jacobians)
     monkeypatch.setattr(solver, "_pga_penalty", counted_runs)
     monkeypatch.setattr(solver, "_rate_path", counted_paths)
     for point in POINTS:
@@ -953,15 +1007,53 @@ def test_face_polish_calls_on_the_benchmark_points(monkeypatch):
             solve_at_rate(_model(point), point["rp"])
     assert len(calls) <= 75
     assert sum(rows) <= 2_000
+    assert len(rows) <= 520
+    assert len(jacobians) <= 345
     assert len(paths) <= 1
     assert not runs
+
+
+def test_route_1_decides_the_benchmark_point_the_path_took(monkeypatch):
+    # bench_mx4_key2007 at rp 0.5: the commuting-part optimum's polish on
+    # its detected face fails the test; the second polish, of that
+    # candidate on the face below its own, certifies it, with no path run.
+    # When the second polish restarted from the end point on g - 1, route 1
+    # failed and a 10-call path from the corner certified the point.
+    # fresh-5008 at rp 3, where route 1 still fails, is the positive
+    # control: the path runs there and certifies
+    paths, tried = [], []
+    rate_path, polished = solver._rate_path, solver._polished
+
+    def counted_paths(w, rp):
+        paths.append(rp)
+        return rate_path(w, rp)
+
+    def traced(w, rp, q, mu_hint, n_active):
+        cand = polished(w, rp, q, mu_hint, n_active)
+        tried.append((q, cand))
+        return cand
+
+    monkeypatch.setattr(solver, "_rate_path", counted_paths)
+    monkeypatch.setattr(solver, "_polished", traced)
+    point = next(p for p in POINTS if p["model"] == "bench_mx4_key2007" and p["rp"] == 0.5)
+    m = _model(point)
+    report = solve_at_rate(m, 0.5)
+    assert report.converged and report.iterations == 0 and not paths
+    assert _certificate_outcome(m, report.optimum, 0.5) == "certified"
+    assert abs(report.value - point["value"]) <= VALUE_TOL
+    (_, first), (start, second) = tried
+    assert not solver._passes(first) and start is first[0] and solver._passes(second)
+    report = solve_at_rate(_fresh_model(5008), 3.0)
+    assert report.converged and report.iterations == 0 and paths == [3.0]
 
 
 def test_no_benchmark_solve_forms_the_second_commuting_part(monkeypatch):
     # each default solve of the benchmark's points forms the commuting part
     # in sigma_wy's eigenbasis once, for its first route, and never the one
     # in sigma_wz's (swap), which only the ascent's sixth start takes: with
-    # the path off at fresh-5007 rp 3, a six-start ascent forms it
+    # the path off at fresh-5007 rp 5, a six-start ascent forms it (route 1
+    # certifies rp 3 since the second polish starts from the first
+    # candidate)
     swaps = []
     start = solver._commuting_start
     monkeypatch.setattr(solver, "_commuting_start",
@@ -971,7 +1063,7 @@ def test_no_benchmark_solve_forms_the_second_commuting_part(monkeypatch):
         solve_at_rate(_model(point), point["rp"])
     assert swaps == [False] * len(bench)
     _no_path(monkeypatch)
-    assert solve_at_rate(_fresh_model(5007), 3.0, n_starts=6).iterations > 0
+    assert solve_at_rate(_fresh_model(5007), 5.0, n_starts=6).iterations > 0
     assert True in swaps
 
 
@@ -1232,8 +1324,9 @@ def test_an_invalid_trial_has_nan_rows_and_factors_nothing(monkeypatch, case):
 
 @pytest.mark.parametrize("mx", range(2, 7))
 def test_face_jacobian_matches_central_differences(mx):
-    # every face below the corner, at seeded angles and multipliers away
-    # from the chart's centre; central differences of step 1e-6 (1 + |x|)
+    # every face below the corner, in a chart centred at seeded angles and
+    # multipliers away from the start's (``_FaceSystem.centre``), where the
+    # polish takes its Jacobians; central differences of step 1e-6 (1 + |x|)
     # are good to about 1e-9 here
     for key in range(2):
         rng = rng_for(9100 + 10 * mx + key)
@@ -1250,6 +1343,10 @@ def test_face_jacobian_matches_central_differences(mx):
                 [np.sum((u_f0.T @ q_hat @ u_f0) * s) / np.sum(s * s) for s in face.basis_f],
                 0.3 * rng.standard_normal(face.n_rot),
                 [math.log(0.7) + 0.5 * rng.standard_normal()]))
+            _, valid = face.residuals(x[None])
+            assert valid.all()
+            x = face.centre(face.kept[0])
+            assert not x[face.n_qf:-1].any()
             h = 1e-6 * (1.0 + np.abs(x))
             rows, valid = face.residuals(np.concatenate((x + np.diag(h), x - np.diag(h))))
             assert valid.all()
@@ -1264,7 +1361,9 @@ def test_kept_factors_give_the_fresh_jacobian(mx):
     # the polish takes each Jacobian from the factors that the line search's
     # stacked residual call kept for the accepted trial: for every face and
     # stacks of 1, 4 and 30 trials they give the Jacobian of one single-point
-    # evaluation bit for bit, and the residual rows match too
+    # evaluation bit for bit, and the residual rows match too.  So does one
+    # evaluation at the centre of the chart moved to the trial
+    # (``_FaceSystem.centre``), where the polish takes the Jacobian
     rng = rng_for(9200 + mx)
     m = AlignedModel(*(random_spd(rng, mx) for _ in range(3)))
     white, _, s_half_inv = whiten(m)
@@ -1287,6 +1386,11 @@ def test_kept_factors_give_the_fresh_jacobian(mx):
                 assert row.tobytes() == single[0].tobytes()
                 assert (face.jacobian(factors).tobytes()
                         == face.jacobian(face.kept[0]).tobytes())
+                centred = copy.copy(face)
+                at_centre, _ = centred.residuals(centred.centre(factors)[None])
+                assert row.tobytes() == at_centre[0].tobytes()
+                assert (face.jacobian(factors).tobytes()
+                        == centred.jacobian(centred.kept[0]).tobytes())
 
 
 def test_stacked_expm_matches_per_matrix_calls():
@@ -1448,11 +1552,13 @@ def _picked_frame(m, q_hat, mu_hint, n_active):
 def _reference_polish_face(m, rp, q_hat, mu_hint, n_active, n_halvings=30, pin=True):
     """The face polish whose line search evaluates all ``n_halvings`` (30)
     halvings as one stack: what ``_polish_face`` did before it tried the
-    first few alone.  Both take the closed-form ``_FaceSystem.jacobian``,
-    the same pick of the pinned unit directions (``_picked_frame``) and the
+    first few alone.  Both take the closed-form ``_FaceSystem.jacobian``
+    in a chart re-centred at each iterate (``_FaceSystem.centre``), the
+    same pick of the pinned unit directions (``_picked_frame``) and the
     same pin rule (a step that lifts a free eigenvalue above 1 hands over
     to face ``n_active + 1`` from the iterate before it), so the line
-    search is what this reference checks.  With ``pin=False`` and
+    search is what this reference checks; it takes each Jacobian from a
+    fresh evaluation at the chart's centre.  With ``pin=False`` and
     ``n_halvings=solver.POLISH_HALVINGS`` it is the polish without the pin
     rule."""
     u0 = _picked_frame(m, q_hat, mu_hint, n_active)
@@ -1468,7 +1574,7 @@ def _reference_polish_face(m, rp, q_hat, mu_hint, n_active, n_halvings=30, pin=T
     rows, valid = face.residuals(x[None])
     if not valid[0]:
         return None
-    r = rows[0]
+    r, x = rows[0], face.centre(face.kept[0])
     halvings = 0.5 ** np.arange(n_halvings)[:, None]
     for _ in range(80):
         rnorm = float(np.max(np.abs(r)))
@@ -1490,7 +1596,7 @@ def _reference_polish_face(m, rp, q_hat, mu_hint, n_active, n_halvings=30, pin=T
             sigma, mu, _, _ = _build(face, x[None])
             return _reference_polish_face(m, rp, sigma[0], float(mu[0]), n_active + 1,
                                           n_halvings)
-        x, r = x_new, rows[better[0]]
+        x, r = face.centre(face.kept[better[0]]), rows[better[0]]
     sigma, mu, _, _ = _build(face, x[None])
     return sigma[0], float(mu[0]), float(np.max(np.abs(r)))
 
@@ -1506,9 +1612,12 @@ def _degraded_model(key):
     return random_aligned(rng_for(key), 2 + key % 5, degraded=True)
 
 
+# fresh-5007 takes rp 4 for rp 5, where the damping floor decides route 1
+# (``test_the_halving_floor_sends_one_polish_to_the_ascent``)
 _STACKED_SEARCH_CASES = (
     [(f"corpus-{p['model']}", p["rp"]) for p in POINTS]
-    + [(f"fresh-{key}", rp) for key in range(5000, 5018) for rp in (0.7, 1.5, 3.0, 5.0)]
+    + [(f"fresh-{key}", 4.0 if (key, rp) == (5007, 5.0) else rp)
+       for key in range(5000, 5018) for rp in (0.7, 1.5, 3.0, 5.0)]
     + [(f"degraded-{key}", rp) for key in range(6000, 6012) for rp in (0.5, 2.0, 6.0)])
 
 
@@ -1548,6 +1657,25 @@ def test_stacked_line_searches_keep_the_sequential_iterates(monkeypatch, name):
                 _reference_pga_penalty(w, rp, starts, 400)):
             assert sigma.tobytes() == sigma_r.tobytes()
             assert (pair.rp, pair.rk, its) == (pair_r.rp, pair_r.rk, its_r)
+
+
+def test_the_halving_floor_sends_one_polish_to_the_ascent(monkeypatch):
+    # fresh-5007 at rp 5 (and 6), with the path off: route 1's second
+    # polish, from the first candidate, passes only with halvings below the
+    # floor 2^-8, so the solve runs the ascent there, where the reference's
+    # 30 halvings certify from route 1.  Both answers certify, 4e-15 apart;
+    # with the path on, the path certifies the point
+    m = _fresh_model(5007)
+    _no_path(monkeypatch)
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_polish_face", _reference_point)
+        want = solve_at_rate(m, 5.0)
+    got = solve_at_rate(m, 5.0)
+    assert want.iterations == 0 < got.iterations
+    assert want.converged and got.converged
+    assert abs(got.value - want.value) <= 1e-12
+    for report in (got, want):
+        assert _certificate_outcome(m, report.optimum, 5.0) == "certified"
 
 
 def test_a_free_eigenvalue_crossing_1_moves_the_polish_to_the_next_face(monkeypatch):
@@ -1689,9 +1817,12 @@ def test_injected_invalid_trials_backtrack(monkeypatch, mx, key, rp, period, max
 
 def test_ascent_evaluations_where_the_ascent_runs(monkeypatch):
     # no point of the benchmark or of the main probe set reaches the ascent:
-    # the path in rp runs before it.  Here on fresh-5007 and fresh-5008 at
-    # rp 3 and 5, where the commuting-part polish fails, with the path off,
-    # the ascent evaluates 1,752 matrices, one backtracking trial per matrix
+    # the path in rp runs before it.  Here on fresh-5001 and fresh-5007 at
+    # rp 5 and fresh-5008 at rp 3 and 5, four of the five main-set points
+    # where the commuting-part polish fails, with the path off, the
+    # ascent evaluates 1,765 matrices, one backtracking trial per matrix
+    # (1,752 on fresh-5007 and fresh-5008 at rp 3 and 5, before route 1
+    # certified fresh-5007 at rp 3)
     _no_path(monkeypatch)
     matrices = []
     rates = solver._rates_stack
@@ -1701,9 +1832,8 @@ def test_ascent_evaluations_where_the_ascent_runs(monkeypatch):
         return rates(m, sigma, ld_full)
 
     monkeypatch.setattr(solver, "_rates_stack", counted)
-    for key in (5007, 5008):
-        for rp in (3.0, 5.0):
-            assert solve_at_rate(_fresh_model(key), rp).iterations > 0
+    for key, rp in ((5001, 5.0), (5007, 5.0), (5008, 3.0), (5008, 5.0)):
+        assert solve_at_rate(_fresh_model(key), rp).iterations > 0
     assert sum(matrices) <= 1800
 
 
@@ -1880,8 +2010,9 @@ def test_a_polish_calls_expm_once_per_rotated_evaluation(monkeypatch, rp, faces)
 @pytest.mark.parametrize("mx", range(2, 7))
 def test_the_kept_point_is_the_built_point(mx):
     # at seeded valid points on every face, the face without angles
-    # included, the Q and mu that a residual call's kept entry gives are the
-    # bytes of those built from the point's coordinates and its own expm
+    # included, the Q and mu that a residual call's kept entry gives, once
+    # the chart is centred there, are the bytes of those built from the
+    # point's coordinates and its own expm
     n_valid = n_plain = 0
     for key in range(3):
         rng = rng_for(9700 + 10 * mx + key)
@@ -1891,7 +2022,9 @@ def test_the_kept_point_is_the_built_point(mx):
                                       0.5 * rng.standard_normal((8, 1))), axis=1)
             _, valid = face.residuals(xs)
             for i in np.flatnonzero(valid):
-                sigma, mu = face.point(face.kept[i])
+                centred = copy.copy(face)
+                centred.centre(face.kept[i])
+                sigma, mu = centred.point(face.kept[i])
                 want_sigma, want_mu, _, _ = _build(face, xs[i][None])
                 assert sigma.tobytes() == want_sigma[0].tobytes()
                 assert np.float64(mu).tobytes() == want_mu[0].tobytes()

@@ -189,17 +189,6 @@ def test_congruence_rounded_is_the_product_rounded_once():
     assert worst_naive > 8.0
 
 
-def _face_units(n, n_active):
-    """The unit skew generators that mix the first ``n_active`` coordinates
-    with the rest, one per pair, as the aligned face polish's angles do."""
-    rows = np.repeat(np.arange(n_active), n - n_active)
-    cols = np.tile(np.arange(n_active, n), n_active)
-    units = np.zeros((len(rows), n, n))
-    units[np.arange(len(rows)), rows, cols] = 1.0
-    units[np.arange(len(rows)), cols, rows] = -1.0
-    return units
-
-
 @pytest.mark.parametrize("n", range(2, 9))
 def test_skew_expm_matches_scipy(n):
     # e^G from the eigensolve of -iG against SciPy's expm, for generators of
@@ -214,45 +203,3 @@ def test_skew_expm_matches_scipy(n):
     for g, e in zip(gen, stacked):
         assert np.max(np.abs(e - scipy_linalg.expm(g))) <= 1e-13
         assert e.tobytes() == linalg.skew_expm(g).tobytes()
-
-
-@pytest.mark.parametrize("n", range(2, 7))
-def test_skew_expm_frechet_matches_the_block_expm(n):
-    # e^-G L(G, E) in closed form against the top right block L of
-    # expm([[G, E], [0, G]]) (Al-Mohy & Higham 2009), mapped back by that
-    # call's own top left block e^G, for every face's angles at generator
-    # scales 1e-6 to 3; at the largest the block expm is good to about 1e-13.
-    # The face polish's Jacobian reads every angle's block from the closed
-    # form; it matches e^{G^T} L, which it read for the first angle from the
-    # block expm, to 1e-12
-    scipy_linalg = pytest.importorskip("scipy.linalg")
-    rng = rng_for(1900 + n)
-    for n_active in range(1, n):
-        units = _face_units(n, n_active)
-        for scale in np.geomspace(1e-6, 3.0, 8):
-            gen = np.tensordot(scale * rng.standard_normal(len(units)), units, 1)
-            block = np.zeros((len(units), 2 * n, 2 * n))
-            block[:, :n, :n] = block[:, n:, n:] = gen
-            block[:, :n, n:] = units
-            big = scipy_linalg.expm(block)
-            want = big[:, :n, n:]
-            k = linalg.skew_expm_frechet(gen, units)
-            got = big[:, :n, :n] @ k
-            err = np.linalg.norm(got - want, axis=(1, 2))
-            assert np.all(err <= 1e-13 * np.linalg.norm(want, axis=(1, 2)))
-            assert np.max(np.abs(np.swapaxes(big[:, :n, :n], -1, -2) @ want - k)) <= 1e-12
-
-
-def test_skew_expm_frechet_is_the_derivative_of_a_rotation():
-    # at G = 0 it is the direction itself; elsewhere it matches central
-    # differences of expm, e^-G (e^{G + hE} - e^{G - hE}) / 2h, to about 1e-9
-    scipy_linalg = pytest.importorskip("scipy.linalg")
-    rng = rng_for(1910)
-    units = _face_units(5, 2)
-    assert np.max(np.abs(linalg.skew_expm_frechet(np.zeros((5, 5)), units) - units)) <= 1e-15
-    gen = np.tensordot(rng.standard_normal(len(units)), units, 1)
-    got = linalg.skew_expm_frechet(gen, units)
-    h = 1e-6
-    for unit, k in zip(units, got):
-        diff = (scipy_linalg.expm(gen + h * unit) - scipy_linalg.expm(gen - h * unit)) / (2 * h)
-        assert np.max(np.abs(scipy_linalg.expm(-gen) @ diff - k)) <= 1e-8
