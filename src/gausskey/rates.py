@@ -19,6 +19,7 @@ functionals return the raw value and only boundary reporting clamps at 0.
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -118,6 +119,16 @@ class SolveReport:
     point is the best found within the budget (see there).  A converged
     point can still miss another certificate identity: ``kkt.certify`` has
     the last word.
+
+    ``stats``, a read-only copy of the solve's work, is empty for
+    ``inner_convex``.  ``solve_at_rate`` gives the ``route`` that decided
+    (``corner`` at ``rp <= 1e-12``, ``commuting part``, ``path``, ``ascent``;
+    ``none`` exactly when not converged), the counts ``polish_calls``,
+    ``residual_calls``, ``residual_rows``, ``invalid_rows``, ``jacobians``,
+    ``expm_calls``, ``path_steps``, ``path_failed_steps``, ``face_tries``,
+    ``face_passes``, ``drop_tries``, ``drop_passes``, ``ascent_rate_calls``
+    and ``ascent_matrices``, and each phase's CPU seconds (0 if it did not
+    run): ``commuting_part_cpu_s``, ``path_cpu_s`` and ``ascent_cpu_s``.
     """
 
     optimum: ConditionalCov
@@ -125,6 +136,13 @@ class SolveReport:
     iterations: int
     kkt_residual: float
     converged: bool
+    stats: MappingProxyType
+
+    def __post_init__(self):
+        object.__setattr__(self, "stats", MappingProxyType(dict(self.stats)))
+
+    def __reduce__(self):  # a mappingproxy does not pickle: the fields, ``stats`` a dict
+        return SolveReport, tuple({**vars(self), "stats": dict(self.stats)}.values())
 
 
 def _rate_grid(rp_grid):

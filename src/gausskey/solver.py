@@ -23,6 +23,8 @@ to the ascent.  The sweep's ``sweep_boundary``, ``inner_convex`` and
 
 import functools
 import math
+import time
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -51,6 +53,10 @@ from .sweep import (SweepParams, _scalar_model, inner_convex,  # noqa: F401  (re
 # ``perfbench/spans.py`` traces: ``linalg.skew_expm``, on numpy alone.
 sla = SimpleNamespace(expm=linalg.skew_expm)
 SIGMA_FLOOR_SCALE = 1e-9
+_STATS = ("route", "polish_calls", "residual_calls", "residual_rows", "invalid_rows", "jacobians",
+          "expm_calls", "path_steps", "path_failed_steps", "face_tries", "face_passes", "drop_tries",
+          "drop_passes", "ascent_rate_calls", "ascent_matrices", "commuting_part_cpu_s",
+          "path_cpu_s", "ascent_cpu_s")  # the phases' CPU seconds last, in order
 
 
 @functools.cache
@@ -177,7 +183,7 @@ def _penalty_weight(m):
     return max(PENALTY_RHO, 1.25 * kkt.closed_form_mu(m, m.sigma_x))
 
 
-def _pga_penalty(m, rp, q0, max_iter):
+def _pga_penalty(m, rp, q0, max_iter, stats):
     """Projected gradient ascent on I_k - rho * max(0, I_p - rp), with
     ``rho = _penalty_weight(m)``, over ``0 < Q <= I`` of a whitened model
     (``models.whiten``), from each of a stack of starts ``q0`` alone.  The
@@ -190,11 +196,12 @@ def _pga_penalty(m, rp, q0, max_iter):
     ``eta 2^-j`` one by one and takes the first that passes.  A start ends
     when none passes, when a trial barely moves, when its gradient vanishes
     or after ``max_iter`` steps.  Returns ``(q, pair, iterations)`` per
-    start, counting the ascent iterations it took."""
+    start, counting the ascent iterations it took (its work in ``stats``)."""
     ld_full = np.array(m._logdets)
     rho = _penalty_weight(m)
 
     def objective(q):
+        stats.update(ascent_rate_calls=1, ascent_matrices=len(q))
         ip, ik = _rates_stack(m, q, ld_full)
         return ik - rho * np.maximum(0.0, ip - rp), ip, ik
 
@@ -241,8 +248,8 @@ class _FaceSystem:
     ``centre`` moves the chart to a valid point (Absil, Mahony & Sepulchre
     2008, ch. 6), so the polish takes every Jacobian at ``G = 0``."""
 
-    def __init__(self, m, rp, u0, n_active):
-        self.m, self.rp, self.u0, self.n_active = m, rp, u0, n_active
+    def __init__(self, m, rp, u0, n_active, stats):
+        self.m, self.rp, self.u0, self.n_active, self.stats = m, rp, u0, n_active, stats
         n = m.mx
         self.basis_f = _basis(n - n_active)
         self.n_qf = len(self.basis_f)
@@ -266,6 +273,7 @@ class _FaceSystem:
 
     def exp(self, xs):
         """``e^G`` for the points' generators ``G``, one stacked call."""
+        self.stats["expm_calls"] += 1
         return sla.expm(self.skew(xs[:, self.n_qf:-1]))
 
     @staticmethod
@@ -319,6 +327,7 @@ class _FaceSystem:
             valid[at] = err.max(axis=1) <= FACE_ORTHO_TOL  # False on NaN too
             e, at = e[valid[at]], np.flatnonzero(valid)
             w_t = linalg.symmetrize(np.swapaxes(e[:, None], -1, -2) @ self.w0 @ e[:, None])
+        self.stats.update(residual_calls=1, residual_rows=len(xs), invalid_rows=len(xs) - at.size)
         if not at.size:
             return rows, valid
         lower = linalg.chol_lower(d[at, None] + w_t, "D, D + W~z or D + W~y")
@@ -345,6 +354,7 @@ class _FaceSystem:
         ``N K - K N`` for an angle) and ``I_p`` by ``tr((Y - P) F) / 2``; log
         mu changes ``N`` by ``mu (P - Y)``."""
         n_qf, n_rot, na, n = self.n_qf, self.n_rot, self.n_active, self.m.mx
+        self.stats["jacobians"] += 1
         _, _, d, inv, n_mat, mu, *_ = kept
         f = np.zeros((n_qf + n_rot, n, n))
         f[:n_qf, na:, na:] = self.basis_f
@@ -360,7 +370,7 @@ class _FaceSystem:
         return np.concatenate(cols)
 
 
-def _polish_face(m, rp, q_hat, mu_hint, n_active):
+def _polish_face(m, rp, q_hat, mu_hint, n_active, stats):
     """Newton solve of the first-order system on a prescribed active face,
     with the rate constraint binding.
 
@@ -399,6 +409,7 @@ def _polish_face(m, rp, q_hat, mu_hint, n_active):
 
     Returns ``q``, or None for an invalid start; ``_polished`` judges it.
     """
+    stats["polish_calls"] += 1
     lam, u0 = np.linalg.eigh(q_hat)
     order = np.argsort(lam)[::-1]
     lam, u0 = lam[order], u0[:, order]
@@ -409,7 +420,7 @@ def _polish_face(m, rp, q_hat, mu_hint, n_active):
         u_c = u0[:, :n_unit]
         _, v = np.linalg.eigh(u_c.T @ kkt.stationarity_matrix(m, q_hat, mu_hint) @ u_c)
         u0[:, :n_unit] = u_c @ v[:, ::-1]
-    face = _FaceSystem(m, rp, u0, n_active)
+    face = _FaceSystem(m, rp, u0, n_active, stats)
     x = np.zeros(face.n_qf + face.n_rot + 1)
     q_free0 = u0[:, n_active:].T @ q_hat @ u0[:, n_active:]
     x[:face.n_qf] = linalg.symmetrize(q_free0)[np.triu_indices(m.mx - n_active)]
@@ -440,7 +451,7 @@ def _polish_face(m, rp, q_hat, mu_hint, n_active):
         kept_new = face.kept[better[0]]
         if kept_new[-1][-1] > 1.0:  # its top free eigenvalue
             sigma, mu = face.point(kept)
-            return _polish_face(m, rp, sigma, float(mu), n_active + 1)
+            return _polish_face(m, rp, sigma, float(mu), n_active + 1, stats)
         r, kept = rows[better[0]], kept_new
         x = face.centre(kept)
     return face.point(kept)[0]
@@ -460,7 +471,7 @@ def _passes(cand):
     return cand is not None and cand[2] <= kkt.ACCEPT_COMPOSITE
 
 
-def _polished(w, rp, q_end, mu_hint, n_active):
+def _polished(w, rp, q_end, mu_hint, n_active, stats):
     """``(q, rk, composite)`` of the face polish of an end point, with the
     composite of ``kkt.multiplier_test`` (``_composite``), when
     ``rates._point`` takes it, it keeps the budget and its key rate is not
@@ -468,7 +479,7 @@ def _polished(w, rp, q_end, mu_hint, n_active):
     the composite is O(rp) at any point), all read from one ``rates._point``;
     else None.  A point solved on a wrong face has no multiplier that makes
     ``M`` PSD; one with it is optimal."""
-    q = _polish_face(w, rp, q_end, mu_hint, n_active)
+    q = _polish_face(w, rp, q_end, mu_hint, n_active, stats)
     if q is None:
         return None
     try:
@@ -481,7 +492,7 @@ def _polished(w, rp, q_end, mu_hint, n_active):
     return q, pair.rk, _composite(w, rp, point, pair.rp)
 
 
-def _polish_end(w, rp, q):
+def _polish_end(w, rp, q, stats):
     """The face polish of an end point ``q`` on a whitened model, on its
     detected face ``g`` at its multiplier hint (``_polish_start``); when
     that candidate fails the multiplier test, the active-set drop step
@@ -494,15 +505,19 @@ def _polish_end(w, rp, q):
     that ``rates._point`` refuses: a refused start."""
     try:
         g, mu_hint = _polish_start(w, rp, q)
-        first = _polished(w, rp, q, mu_hint, g)
+        stats["face_tries"] += 1
+        first = _polished(w, rp, q, mu_hint, g, stats)
         if _passes(first):
+            stats["face_passes"] += 1
             return first
         if first:
             q, (g, mu_hint) = first[0], _polish_start(w, rp, first[0])
-        second = _polished(w, rp, q, mu_hint, g - 1) if g else None
+        stats["drop_tries"] += g > 0
+        second = _polished(w, rp, q, mu_hint, g - 1, stats) if g else None
     except GausskeyError:
         return None
     if _passes(second):
+        stats["drop_passes"] += 1
         return second
     return max((cand for cand in (first, second) if cand), key=lambda cand: cand[1],
                default=None)
@@ -518,7 +533,7 @@ def _polish_start(w, rp, q):
     return int(np.sum(np.linalg.eigvalsh(q) >= 1.0 - min(1e-4, rp))), mu_hint
 
 
-def _rate_path(w, rp):
+def _rate_path(w, rp, stats):
     """The optimum of a whitened model ``w`` at ``rp`` by continuation in
     the budget from the corner (Allgower & Georg 1990), or None.
 
@@ -530,12 +545,14 @@ def _rate_path(w, rp):
     direction.  Each step goes up to three times the last rate that
     passed; one that passes no test (a refused start included) is tried
     again from that rate at the square root of its ratio, giving up below
-    1.1.  Returns the passed candidate at rp."""
+    1.1.  Returns the passed candidate at rp; ``stats`` counts the steps."""
     r, ratio = min(1e-4, rp), 3.0
-    cand = _polish_end(w, r, np.eye(w.mx))
+    cand = _polish_end(w, r, np.eye(w.mx), stats)
+    stats.update(path_steps=1, path_failed_steps=not _passes(cand))
     while _passes(cand) and r < rp:
         r_next = min(rp, r * ratio)
-        step = _polish_end(w, r_next, cand[0])
+        step = _polish_end(w, r_next, cand[0], stats)
+        stats.update(path_steps=1, path_failed_steps=not _passes(step))
         if _passes(step):
             cand, r, ratio = step, r_next, 3.0
         elif (ratio := math.sqrt(r_next / r)) < 1.1:
@@ -555,24 +572,18 @@ def solve_at_rate(m: AlignedModel, rp: float, *, n_starts: int = 6,
     1e-12``, where the route's answers are round-off, the answer is the
     corner.
 
-    Every candidate is an end point polished by ``_polish_end``: a Newton
-    polish of the stationarity system on an active face (``_polish_face``),
-    with the rate binding, from the end point's own multiplier hint, on its
-    detected face; a candidate that fails the test below is polished again,
-    from itself at its own hint, on the face below its own.  A polish step
-    that lifts a free eigenvalue above 1 pins that direction: the polish
-    goes on on the next face from the iterate before the step, so a polish
-    started below the optimum's face climbs to it.  On the corner face ``n_active = mx``
-    the polish returns ``sigma_x``.  A start that raises a
-    ``GausskeyError``, as an optimum that ``rates_aligned`` refuses at high
-    rates, is refused (``_polish_end`` returns None).  The end points, in
-    order:
+    Every candidate is an end point polished by ``_polish_end``, on its
+    detected face and then by the drop step (see there and
+    ``_polish_face``); a start that raises a ``GausskeyError``, as an
+    optimum that ``rates_aligned`` refuses at high rates, is refused.  The
+    end points, in order, each under the name that ``stats["route"]`` gives
+    it when it decides the answer:
 
-    1. the optimum of the model's commuting part in ``sigma_wy``'s
-       eigenbasis (``_commuting_start``; the one in ``sigma_wz``'s is only
-       the ascent's sixth start);
-    2. the path in the budget from the corner (``_rate_path``);
-    3. the fallback, which ``n_starts`` and ``max_iter`` alone size:
+    1. ``commuting part``: the optimum of the model's commuting part in
+       ``sigma_wy``'s eigenbasis (``_commuting_start``; the one in
+       ``sigma_wz``'s is only the ascent's sixth start);
+    2. ``path``: the path in the budget from the corner (``_rate_path``);
+    3. ``ascent``: the fallback, which ``n_starts`` and ``max_iter`` alone size:
        projected gradient ascent with an exact penalty, its weight above
        every multiplier of the model (``_penalty_weight``), from the first
        ``n_starts`` (1 to 6) of ``_starts``, for at most ``max_iter`` steps
@@ -596,7 +607,8 @@ def solve_at_rate(m: AlignedModel, rp: float, *, n_starts: int = 6,
     ``kkt_residual`` is, in the whitened frame, the test's composite at the
     returned point, and ``converged`` is its verdict, ``kkt_residual <=
     kkt.ACCEPT_COMPOSITE``.  ``iterations`` counts the ascent
-    iterations taken, over every start.  Raises ``MaxIterationsExceeded``
+    iterations taken, over every start, and ``stats`` the solve's work.
+    Raises ``MaxIterationsExceeded``
     when the fallback runs and no start ends within 1e-6 of the budget.
     Heuristic for the nonconvex general case: certify the output through
     the KKT machinery before trusting it.
@@ -609,20 +621,29 @@ def solve_at_rate(m: AlignedModel, rp: float, *, n_starts: int = 6,
     if not max_iter >= 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter!r}")
     w = whiten(m)[0]
+    stats, marks = Counter(dict.fromkeys(_STATS, 0)), []  # marks: each phase's start
 
-    def report(q, rk, composite, iterations):
+    def report(q, rk, composite, iterations, route):
+        marks.append(time.process_time())
+        stats.update({key: b - a for key, a, b in zip(_STATS[-3:], marks, marks[1:])})
+        stats["route"] = route if composite <= kkt.ACCEPT_COMPOSITE else "none"
         return SolveReport(optimum=ConditionalCov(from_white(m, q)),
                            value=rk, iterations=iterations, kkt_residual=float(composite),
-                           converged=composite <= kkt.ACCEPT_COMPOSITE)
+                           converged=composite <= kkt.ACCEPT_COMPOSITE, stats=stats)
 
     if rp <= 1e-12:  # the corner: below this, the route's answers are round-off
-        return report(w.sigma_x, 0.0, _composite(w, rp, w.sigma_x, 0.0), 0)
+        return report(w.sigma_x, 0.0, _composite(w, rp, w.sigma_x, 0.0), 0, "corner")
     # the commuting-part optimum first, then the path from the corner
-    cand = _polish_end(w, rp, _commuting_start(w, rp, False))
-    if _passes(cand) or (cand := _rate_path(w, rp)):
-        return report(*cand, 0)
+    marks.append(time.process_time())
+    cand = _polish_end(w, rp, _commuting_start(w, rp, False), stats)
+    if _passes(cand):
+        return report(*cand, 0, "commuting part")
+    marks.append(time.process_time())
+    if cand := _rate_path(w, rp, stats):
+        return report(*cand, 0, "path")
 
-    runs = _pga_penalty(w, rp, np.array(_starts(w, rp, n_starts)), max_iter)
+    marks.append(time.process_time())
+    runs = _pga_penalty(w, rp, np.array(_starts(w, rp, n_starts)), max_iter, stats)
     iterations = sum(run[2] for run in runs)
     ends = [run[:2] for run in runs if run[1].rp <= rp + 1e-6]
     if not ends:
@@ -630,10 +651,10 @@ def solve_at_rate(m: AlignedModel, rp: float, *, n_starts: int = 6,
 
     # polish the best end point; keep it unless its candidate wins
     q_end, pair = max(ends, key=lambda end: end[1].rk)
-    cand = _polish_end(w, rp, q_end)
+    cand = _polish_end(w, rp, q_end, stats)
     if _passes(cand) or (cand and cand[1] > pair.rk):
-        return report(*cand, iterations)
-    return report(q_end, pair.rk, _composite(w, rp, q_end, pair.rp), iterations)
+        return report(*cand, iterations, "ascent")
+    return report(q_end, pair.rk, _composite(w, rp, q_end, pair.rp), iterations, "ascent")
 
 
 def ascent_boundary(m: AlignedModel, rp_grid) -> RegionBoundary:

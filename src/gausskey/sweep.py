@@ -737,6 +737,7 @@ def inner_convex(m: GeneralModel, params: SweepParams, *, sigma0=None,
         iterations=cell.iterations,
         kkt_residual=cell.kkt_residual,
         converged=cell.converged,
+        stats={},
     )
 
 

@@ -25,40 +25,28 @@ the bytes of the certificate itself: ``mu``, the ten residuals in the order
 of ``kkt.RESIDUAL_KEYS``, ``wy_tilde`` and ``m_matrix``, as ``cpu_s`` and
 ``certify_cpu_s`` the process CPU seconds of the point's solve and of its
 certificate, as ``cholesky_calls`` and ``certify_cholesky_calls`` the
-``np.linalg.cholesky`` calls of each (a stacked call counts once), as
-``iterations`` the solve's ascent iterations (0 when it ran no ascent), as
-``polish_calls``, ``residual_rows`` and ``jacobian_calls`` the calls of
-``solver._polish_face`` (a polish that moves to the next face calls it once
-more), the rows ``solver._FaceSystem.residuals`` evaluated and the calls of
-``solver._FaceSystem.jacobian`` (one per Newton iterate, each on the factors
-its point's residual evaluation kept), as ``invalid_rows`` the residual rows
-that held no valid point and as ``expm_calls`` the calls of ``solver.sla.expm``,
-the rotations ``linalg.skew_expm`` (a stacked call counts once; residual
-evaluations make them all, as ``_FaceSystem.centre`` moves the chart to a
-point by its kept rotation and the Jacobian, taken at the chart's centre,
-needs none), and as
-``ascent_calls``, ``ascent_matrices`` and ``ascent_cpu_s`` the ascent's calls of
-``solver._rates_stack``, the matrices they evaluated and the process CPU
-seconds spent inside ``solver._pga_penalty``.  CPU seconds are noisy on a
-shared machine; the counts are deterministic, so they tell a change in the
-polish's or the ascent's cost apart from noise.
+``np.linalg.cholesky`` calls of each (a stacked call counts once), and as
+``iterations`` the solve's ascent iterations (0 when it ran no ascent).
 
-It also records what decided each point.  As ``route``, the route that
-returned it: ``commuting part`` (the polish of the commuting-part
-optimum), ``path`` (the path in ``rp`` from the corner,
-``solver._rate_path``), ``ascent`` (the fallback's end point passed the
-gate) or ``none`` (no candidate passed, or the solve raised).  As
-``path_steps`` and ``path_halvings``, the ``solver._polish_end`` calls the
-path made, its seed at the corner among them, and how many of them passed
-no test (each such step is tried again at the square root of its ratio, or
-ends the path).  As ``entry_tries`` and ``entry_passes``, per face that a
-``solver._polish_end`` call polishes (``(g)``, the end point's detected
-face, then ``(g' - 1)``, the face below the first candidate's own, or
-``g - 1`` when that polish returned none), how often a call tried it and
-how often it was the call's first candidate to pass the gate; older saves
-name the second entry ``(g - 1)``, which reads as ``(g' - 1)``.  A change
-to the aligned route is checked by saving the probe on the parent tree and
-comparing on the change:
+Every other figure is read from the solve's ``SolveReport.stats`` (a solve
+that raised reads 0), each named as ``COUNTED`` names it:
+``polish_calls``, ``residual_rows``, ``invalid_rows`` (rows that held no
+valid point), ``expm_calls`` (stacked rotations; residual evaluations make
+them all), ``jacobian_calls`` (one per Newton iterate), ``path_steps`` and
+``path_halvings`` (the path's end-point polishes, its seed at the corner
+among them, and those that passed no test), ``ascent_calls`` and
+``ascent_matrices`` (the ascent's stacked rate evaluations and their
+matrices) and ``ascent_cpu_s`` (the ascent phase's CPU seconds, its end
+point's polish included).  CPU seconds are noisy on a shared machine; the
+counts are deterministic, so they tell a change in the polish's or the
+ascent's cost apart from noise.  As ``route``, it records what returned the
+point: ``commuting part``, ``path``, ``ascent``, or ``none`` (no candidate
+passed, or the solve raised).  As ``entry_tries`` and ``entry_passes``, per
+face that an end point's polish tries (``(g)``, its detected face, and ``(g'
+- 1)``, the drop step below the first candidate's own), how often a call
+tried it and how often it gave the call's first candidate to pass the gate.
+A change to the aligned route is checked by saving the probe on the parent
+tree and comparing on the change:
 
     PYTHONPATH=src python tests/data/probe_aligned.py --save before.json
     PYTHONPATH=src python tests/data/probe_aligned.py --compare before.json
@@ -133,7 +121,6 @@ import os
 import sys
 import time
 from collections import Counter
-from types import SimpleNamespace
 
 # as in tests/conftest.py: OpenBLAS threads only contend on small matrices
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -144,7 +131,7 @@ import numpy as np  # noqa: E402
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 import test_aligned_points as tap  # noqa: E402
-from gausskey import AlignedModel, certify, kkt, solve_at_rate, solver  # noqa: E402
+from gausskey import AlignedModel, certify, kkt, solve_at_rate  # noqa: E402
 from gausskey.kkt import ACCEPT_COMPOSITE, RESIDUAL_KEYS  # noqa: E402
 from gausskey.errors import GausskeyError  # noqa: E402
 from gausskey.models import whiten  # noqa: E402
@@ -198,8 +185,8 @@ def record(m, rp, mode=None, c=1.0):
     try:
         report = solve_at_rate(m, rp)
     except GausskeyError as exc:
-        return {"error": type(exc).__name__, "route": "none"}
-    start, cholesky_calls = time.process_time(), COUNTS["cholesky_calls"]
+        return {"error": type(exc).__name__}
+    start, cholesky_calls = time.process_time(), CHOLESKY["calls"]
     try:
         cert = certify(m, report.optimum, rp)
     except GausskeyError as exc:
@@ -212,7 +199,7 @@ def record(m, rp, mode=None, c=1.0):
     certify_cpu_s = time.process_time() - start
     return {
         "certify_cpu_s": certify_cpu_s,
-        "certify_cholesky_calls": COUNTS["cholesky_calls"] - cholesky_calls,
+        "certify_cholesky_calls": CHOLESKY["calls"] - cholesky_calls,
         "value": np.float64(report.value).tobytes().hex(),
         "sigma": report.optimum.value.tobytes().hex(),
         "converged": report.converged,
@@ -220,147 +207,57 @@ def record(m, rp, mode=None, c=1.0):
         "certificate": outcome,
         "cert": cert_bytes,
         "iterations": report.iterations,
-        "route": route(report.converged),
+        **work(report.stats),
     }
 
 
-# face-polish calls, residual rows (all and invalid), expm calls and
-# Jacobians, the path's steps and failed steps, the ascent's rate
-# evaluations, matrices and CPU seconds, and np.linalg.cholesky calls, since
-# the start of the run
-COUNTS = Counter()
-COUNTED = ("polish_calls", "residual_rows", "invalid_rows", "expm_calls", "jacobian_calls",
-           "path_steps", "path_halvings", "ascent_calls", "ascent_matrices", "ascent_cpu_s",
-           "cholesky_calls")
-
-# what the current solve ran: whether ``_rate_path`` ran and whether it
-# returned a candidate, and whether the ascent ran; and per face entry, its
-# tries and first passes in ``_polish_end``
-TRACE = {}
+# the record's name of each count that it reads from ``SolveReport.stats``
+COUNTED = {"polish_calls": "polish_calls", "residual_rows": "residual_rows",
+           "invalid_rows": "invalid_rows", "expm_calls": "expm_calls",
+           "jacobian_calls": "jacobians", "path_steps": "path_steps",
+           "path_halvings": "path_failed_steps", "ascent_calls": "ascent_rate_calls",
+           "ascent_matrices": "ascent_matrices", "ascent_cpu_s": "ascent_cpu_s"}
 ROUTES = ("commuting part", "path", "ascent", "none")
-ENTRIES = ("(g)", "(g' - 1)")
-OLD_ENTRIES = {"(g - 1)": "(g' - 1)"}  # the second entry's name in older saves
+ENTRIES = {"(g)": "face", "(g' - 1)": "drop"}  # the stats' name of each face entry
+CHOLESKY = Counter()  # np.linalg.cholesky calls since the start of the run
 
 
-def route(converged):
-    """The route that returned the current solve's answer (``ROUTES``)."""
-    if TRACE["ascent"]:
-        return "ascent" if converged else "none"
-    if TRACE["path"]:
-        return "path"
-    return "commuting part"
+def work(stats):
+    """The record's route, counts and per face entry tries and first passes,
+    read from a solve's ``stats``."""
+    return {"route": stats["route"], **{key: stats[name] for key, name in COUNTED.items()},
+            **{f"entry_{kind}": {e: stats[f"{name}_{kind}"] for e, name in ENTRIES.items()}
+               for kind in ("tries", "passes")}}
 
 
-def count_the_work():
-    """Make ``solver._polish_face``, ``solver._FaceSystem.residuals`` and
-    ``jacobian``, ``solver._rates_stack`` (which only the ascent calls) and
-    ``solver._pga_penalty`` add their calls, rows (and invalid rows),
-    matrices and CPU seconds to ``COUNTS``, and ``np.linalg.cholesky`` and
-    ``solver.sla.expm`` their calls, and ``solver._rate_path``,
-    ``solver._polish_end`` and ``solver._polished`` note in ``TRACE`` what
-    decided the solve and ``COUNTS`` the path's steps."""
-    polish, residuals = solver._polish_face, solver._FaceSystem.residuals
-    jacobian = solver._FaceSystem.jacobian
-    rates, ascent = solver._rates_stack, solver._pga_penalty
-    polish_end, polished, rate_path = solver._polish_end, solver._polished, solver._rate_path
+def count_cholesky():
+    """Make ``np.linalg.cholesky`` add its calls to ``CHOLESKY``."""
+    cholesky = np.linalg.cholesky
 
-    def counted_polish(*args):
-        COUNTS["polish_calls"] += 1
-        return polish(*args)
-
-    def counted_rows(face, xs):
-        rows, valid = residuals(face, xs)
-        COUNTS["residual_rows"] += len(xs)
-        COUNTS["invalid_rows"] += int(np.sum(~valid))
-        return rows, valid
-
-    def counted_jacobian(face, *args):
-        COUNTS["jacobian_calls"] += 1
-        return jacobian(face, *args)
-
-    def counted_rates(m, sigma, ld_full):
-        COUNTS["ascent_calls"] += 1
-        COUNTS["ascent_matrices"] += len(sigma)
-        return rates(m, sigma, ld_full)
-
-    def timed_ascent(*args):
-        TRACE["ascent"] = True
-        start = time.process_time()
-        try:
-            return ascent(*args)
-        finally:
-            COUNTS["ascent_cpu_s"] += time.process_time() - start
-
-    def traced_path(*args):
-        TRACE["in_path"] = True
-        try:
-            cand = rate_path(*args)
-        finally:
-            TRACE["in_path"] = False
-        TRACE["path"] = cand is not None
-        return cand
-
-    def traced_polished(*args):
-        TRACE["tried"] += 1
-        return polished(*args)
-
-    def traced_polish_end(*args):
-        TRACE["tried"] = 0
-        cand = polish_end(*args)  # None for a refused start, maybe before any polish
-        tried, TRACE["tried"] = ENTRIES[:TRACE["tried"]], None
-        TRACE["entry_tries"].update(tried)
-        passed = bool(cand) and cand[2] <= ACCEPT_COMPOSITE
-        if passed:
-            TRACE["entry_passes"][tried[-1]] += 1
-        if TRACE["in_path"]:
-            COUNTS["path_steps"] += 1
-            COUNTS["path_halvings"] += not passed
-        return cand
-
-    def counted_cholesky(a):
-        COUNTS["cholesky_calls"] += 1
+    def counted(a):
+        CHOLESKY["calls"] += 1
         return cholesky(a)
 
-    def counted_expm(gens):
-        COUNTS["expm_calls"] += 1
-        return expm(gens)
-
-    cholesky, expm = np.linalg.cholesky, solver.sla.expm
-    np.linalg.cholesky = counted_cholesky
-    solver.sla = SimpleNamespace(expm=counted_expm)
-    solver._polish_face = counted_polish
-    solver._FaceSystem.residuals = counted_rows
-    solver._FaceSystem.jacobian = counted_jacobian
-    solver._rates_stack = counted_rates
-    solver._pga_penalty = timed_ascent
-    solver._rate_path = traced_path
-    solver._polished = traced_polished
-    solver._polish_end = traced_polish_end
+    np.linalg.cholesky = counted
 
 
 def timed(m, rp, mode, c):
-    """``record`` with the process CPU seconds its solve took, as ``cpu_s``,
-    and the work of ``COUNTED`` it did, the certificate's Cholesky calls
-    apart."""
-    before = Counter(COUNTS)
-    TRACE.update(in_path=False, path=False, ascent=False, tried=None,
-                 entry_tries=Counter(), entry_passes=Counter())
-    start = time.process_time()
-    rec = record(m, rp, mode, c)
+    """``record`` with the process CPU seconds and Cholesky calls its solve
+    took, as ``cpu_s`` and ``cholesky_calls``, the certificate's apart; a
+    point with no solve reads 0 work and the route ``none``."""
+    cholesky_calls, start = CHOLESKY["calls"], time.process_time()
+    rec = {**work(Counter(route="none")), **record(m, rp, mode, c)}
     rec["cpu_s"] = time.process_time() - start - rec.get("certify_cpu_s", 0.0)
-    for key in COUNTED:
-        rec[key] = COUNTS[key] - before[key]
-    rec["cholesky_calls"] -= rec.get("certify_cholesky_calls", 0)
-    rec["entry_tries"] = dict(TRACE["entry_tries"])
-    rec["entry_passes"] = dict(TRACE["entry_passes"])
+    rec["cholesky_calls"] = (CHOLESKY["calls"] - cholesky_calls
+                             - rec.get("certify_cholesky_calls", 0))
     return rec
 
 
 # fields left out of the bit-identity test: the certificate's bytes are
 # listed apart, and time, ascent iterations, polish and ascent counts, the
 # route and the schedule entries are cost, not outcome
-COST_KEYS = ("cert", "cpu_s", "certify_cpu_s", "certify_cholesky_calls", "iterations",
-             "route", "entry_tries", "entry_passes") + COUNTED
+COST_KEYS = ("cert", "cpu_s", "certify_cpu_s", "cholesky_calls", "certify_cholesky_calls",
+             "iterations", "route", "entry_tries", "entry_passes", *COUNTED)
 
 
 def cost_figures(run):
@@ -413,7 +310,7 @@ def decisions(run, old=None):
         tries, passes = Counter(), Counter()
         for rec in r.values():
             for counts, key in ((tries, "entry_tries"), (passes, "entry_passes")):
-                counts.update({OLD_ENTRIES.get(e, e): n for e, n in rec[key].items()})
+                counts.update(rec[key])
         return {e: f"{tries[e]}/{passes[e]}" for e in ENTRIES}
 
     runs = [run] if old is None else [run, old]
@@ -590,7 +487,7 @@ def main(argv):
                          "| --compare FILE | --scale C FILE | --congruence C FILE)\n")
         return 2
     mode, c = (argv[0], float(argv[1])) if len(argv) == 3 else (None, 1.0)
-    count_the_work()
+    count_cholesky()
     run = {label: timed(m, rp, mode, c) for label, m, rp in cases(high)}
     if argv[0] == "--save":
         with open(argv[1], "w") as fh:

@@ -63,6 +63,7 @@ import json
 import math
 import os
 import zlib
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -236,13 +237,13 @@ def _end_point(w, rp, q, polish_end=solver._polish_end):
     """``(q, mu_hint, g)``: the multiplier hint and detected face at which
     ``solver._polish_end`` polishes the end point ``q``, read from its
     first ``_polished`` call (``polish_end`` is the unpatched one)."""
-    def first(w, rp, q, mu_hint, n_active):
+    def first(w, rp, q, mu_hint, n_active, stats):
         raise _FirstFace(q, mu_hint, n_active)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "_polished", first)
         try:
-            polish_end(w, rp, q)
+            polish_end(w, rp, q, Counter())
         except _FirstFace as face:
             return face.args
     raise AssertionError("the end point was not polished")
@@ -508,6 +509,9 @@ def test_a_tiny_budget_answers_the_corner_judged_by_the_common_test(rp):
         certified = _certificate_outcome(m, report.optimum, rp) == "certified"
         assert report.converged == certified
         assert report.converged or rp > 0.0
+        # no work beyond the test: the route names the corner, or none
+        assert report.stats["route"] == ("corner" if report.converged else "none")
+        assert not any(v for key, v in report.stats.items() if key != "route")
 
 
 @pytest.mark.parametrize("rp", [12.0, 13.0])
@@ -548,12 +552,12 @@ def test_the_path_resumes_from_the_last_rate_that_passed(monkeypatch):
     rp = 2.0
     steps = []
 
-    def step(w_step, r, q):
+    def step(w_step, r, q, stats):
         steps.append((r, q))
         return None if len(steps) == 4 else (r * np.eye(w.mx), 0.0, 0.0)
 
     monkeypatch.setattr(solver, "_polish_end", step)
-    cand = solver._rate_path(w, rp)
+    cand = solver._rate_path(w, rp, Counter())
     rates = [r for r, _ in steps]
     assert rates[0] == 1e-4 and np.array_equal(steps[0][1], np.eye(w.mx))  # the seed
     assert np.allclose(rates[1:5], [3e-4, 9e-4, 2.7e-3, 9e-4 * math.sqrt(3.0)], rtol=1e-12)
@@ -565,17 +569,17 @@ def test_the_path_resumes_from_the_last_rate_that_passed(monkeypatch):
         assert np.array_equal(steps[i][1], passed[i - 1 - (i > 3)] * np.eye(w.mx))
     steps.clear()
 
-    def seed_only(w_step, r, q):
+    def seed_only(w_step, r, q, stats):
         steps.append(r)
         return (r * np.eye(w.mx), 0.0, 0.0) if len(steps) == 1 else None
 
     monkeypatch.setattr(solver, "_polish_end", seed_only)
-    assert solver._rate_path(w, rp) is None
+    assert solver._rate_path(w, rp, Counter()) is None
     assert steps[0] == 1e-4
     assert np.allclose(steps[1:], 1e-4 * 3.0 ** (1.0 / 2.0 ** np.arange(4)), rtol=1e-12)
     steps.clear()
-    monkeypatch.setattr(solver, "_polish_end", lambda w_step, r, q: steps.append(r))
-    assert solver._rate_path(w, rp) is None
+    monkeypatch.setattr(solver, "_polish_end", lambda w_step, r, q, stats: steps.append(r))
+    assert solver._rate_path(w, rp, Counter()) is None
     assert steps == [1e-4]
 
 
@@ -595,8 +599,8 @@ def _fallback_trace(patch):
         finally:
             phase[0] = "route 1"
 
-    def ascent(w, rp, q0, max_iter):
-        runs = pga(w, rp, q0, max_iter)
+    def ascent(w, rp, q0, max_iter, stats):
+        runs = pga(w, rp, q0, max_iter, stats)
         phase[0] = "ascent"
         trace["ends"] += [pair.rk for _, pair, _ in runs if pair.rp <= rp + 1e-6]
         return runs
@@ -843,14 +847,14 @@ def _reference_schedule(n_active_guess, mx):
             for f in ((1.0, 2.0, 0.5, 4.0, 0.25) if idx == 0 else (1.0, 2.0))]
 
 
-def _reference_polish_end(w, rp, q):
+def _reference_polish_end(w, rp, q, stats):
     """``solver._polish_end`` over ``_reference_schedule``: the first
     candidate that passes the gate, else the one with the highest key
     rate."""
     q, mu_hint, g = _end_point(w, rp, q)
     kept = []
     for n_active, factor in _reference_schedule(g, w.mx):
-        cand = solver._polished(w, rp, q, factor * mu_hint, n_active)
+        cand = solver._polished(w, rp, q, factor * mu_hint, n_active, stats)
         if solver._passes(cand):
             return cand
         if cand:
@@ -872,11 +876,11 @@ def test_face_schedule_tries_each_candidate_once(monkeypatch, mx):
     w = SimpleNamespace(mx=mx)
     tried = []
 
-    def failing(w, rp, q, mu, n_active):
+    def failing(w, rp, q, mu, n_active, stats):
         tried.append((n_active, mu))
         return q, float(n_active), 1.0  # the composite fails the gate
 
-    def passing(w, rp, q, mu, n_active):
+    def passing(w, rp, q, mu, n_active, stats):
         tried.append((n_active, mu))
         return q, 0.0, 0.0
 
@@ -886,14 +890,14 @@ def test_face_schedule_tries_each_candidate_once(monkeypatch, mx):
     for g in range(mx + 1):
         q = np.diag([1.0] * g + [0.5] * (mx - g))  # g eigenvalues at 1
         tried.clear()
-        cand = solver._polish_end(w, 1.0, q)
+        cand = solver._polish_end(w, 1.0, q, Counter())
         faces = [g, g - 1] if g else [0]
         assert tried == [(k, 0.25) for k in faces]
         assert cand[1] == max(faces)
         with monkeypatch.context() as patch:
             patch.setattr(solver, "_polished", passing)
             tried.clear()
-            solver._polish_end(w, 1.0, q)
+            solver._polish_end(w, 1.0, q, Counter())
             assert tried == [(g, 0.25)]
 
 
@@ -907,7 +911,7 @@ def test_the_drop_step_polishes_the_failed_candidate(monkeypatch):
     q = np.diag([1.0, 0.5, 0.5, 0.5])  # face 1
     tried, firsts = [], []
 
-    def polished(w, rp, start, mu, n_active):
+    def polished(w, rp, start, mu, n_active, stats):
         tried.append((start, mu, n_active))
         return firsts[0] if len(tried) == 1 else None
 
@@ -916,45 +920,35 @@ def test_the_drop_step_polishes_the_failed_candidate(monkeypatch):
     monkeypatch.setattr(kkt, "closed_form_mu", lambda w, q: float(np.trace(q)))
     climbed = (np.diag([1.0, 1.0, 1.0, 0.5]), 1.0, 1.0)  # face 3, failing
     firsts.append(climbed)
-    assert solver._polish_end(w, 1.0, q) is climbed
+    assert solver._polish_end(w, 1.0, q, Counter()) is climbed
     assert [(mu, n) for _, mu, n in tried] == [(2.5, 1), (3.5, 2)]
     assert tried[1][0] is climbed[0]
     tried.clear()
     firsts[0] = (np.diag([0.9, 0.5, 0.5, 0.5]), 1.0, 1.0)  # face 0, failing
-    assert solver._polish_end(w, 1.0, q) is firsts[0]
+    assert solver._polish_end(w, 1.0, q, Counter()) is firsts[0]
     assert [(mu, n) for _, mu, n in tried] == [(2.5, 1)]
     tried.clear()
     firsts[0] = None
-    assert solver._polish_end(w, 1.0, q) is None
+    assert solver._polish_end(w, 1.0, q, Counter()) is None
     assert [(mu, n) for _, mu, n in tried] == [(2.5, 1), (2.5, 0)]
     assert all(start is q for start, _, _ in tried)
 
 
 @pytest.mark.parametrize("key,rp", [(5004, 12.0), (5009, 12.0), (5012, 16.0)])
-def test_no_face_polish_runs_on_a_start_the_rates_refuse(monkeypatch, key, rp):
+def test_no_face_polish_runs_on_a_start_the_rates_refuse(key, rp):
     # the commuting-part optimum here has whitened eigenvalues of about
     # 1e-15, which ``rates_aligned`` refuses: the solve moves on at once to
     # the path in rp, which starts from the corner, with no face polish
     # before it (11 before each ascent when the start was clipped to the
     # ascent's floor, none of which certified)
-    calls, before_path = [], []
-    polish, rate_path = solver._polish_face, solver._rate_path
-
-    def counted(*args):
-        calls.append(1)
-        return polish(*args)
-
-    def noted(*args):
-        before_path.append(len(calls))
-        return rate_path(*args)
-
-    monkeypatch.setattr(solver, "_polish_face", counted)
-    monkeypatch.setattr(solver, "_rate_path", noted)
-    solve_at_rate(_fresh_model(key), rp)
-    assert before_path == [0]
+    m = _fresh_model(key)
+    w, route_1 = whiten(m)[0], Counter()
+    assert solver._polish_end(w, rp, solver._commuting_start(w, rp, False), route_1) is None
+    assert route_1["polish_calls"] == 0
+    assert solve_at_rate(m, rp).stats["path_steps"] > 0
 
 
-def test_face_polish_calls_on_the_benchmark_points(monkeypatch):
+def test_face_polish_calls_on_the_benchmark_points():
     # every candidate is an end point polished on its detected face, then,
     # when that candidate fails, the candidate on the face below its own:
     # the commuting-part optimum of each point.  The 36 solves make 59
@@ -964,53 +958,20 @@ def test_face_polish_calls_on_the_benchmark_points(monkeypatch):
     # restarted from the end point and each Jacobian was taken away from
     # its chart's centre; 169 calls and 34,532 rows when every face was
     # tried at five multiplier factors and the line search halved down to
-    # 2^-29).  A move to the next face calls ``_polish_face`` again, from
-    # inside the polish, so it counts as one more call
-    calls = []
-    rows = []
-    runs = []
-    paths = []
-    jacobians = []
-    polish = solver._polish_face
-    residuals = solver._FaceSystem.residuals
-    jacobian = solver._FaceSystem.jacobian
-    pga = solver._pga_penalty
-    rate_path = solver._rate_path
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return polish(*args, **kwargs)
-
-    def counted_rows(face, xs):
-        rows.append(len(xs))
-        return residuals(face, xs)
-
-    def counted_jacobians(face, kept):
-        jacobians.append(1)
-        return jacobian(face, kept)
-
-    def counted_runs(*args):
-        runs.append(1)
-        return pga(*args)
-
-    def counted_paths(*args):
-        paths.append(1)
-        return rate_path(*args)
-
-    monkeypatch.setattr(solver, "_polish_face", counted)
-    monkeypatch.setattr(solver._FaceSystem, "residuals", counted_rows)
-    monkeypatch.setattr(solver._FaceSystem, "jacobian", counted_jacobians)
-    monkeypatch.setattr(solver, "_pga_penalty", counted_runs)
-    monkeypatch.setattr(solver, "_rate_path", counted_paths)
+    # 2^-29).  A move to the next face is one more polish call
+    work = Counter()
     for point in POINTS:
         if point["model"].startswith("bench_"):
-            solve_at_rate(_model(point), point["rp"])
-    assert len(calls) <= 75
-    assert sum(rows) <= 2_000
-    assert len(rows) <= 520
-    assert len(jacobians) <= 345
-    assert len(paths) <= 1
-    assert not runs
+            stats = solve_at_rate(_model(point), point["rp"]).stats
+            work.update({key: stats[key] for key in ("polish_calls", "residual_rows",
+                                                     "residual_calls", "jacobians")})
+            work.update(paths=stats["path_steps"] > 0, ascents=stats["ascent_rate_calls"] > 0)
+    assert work["polish_calls"] <= 75
+    assert work["residual_rows"] <= 2_000
+    assert work["residual_calls"] <= 520
+    assert work["jacobians"] <= 345
+    assert work["paths"] <= 1
+    assert not work["ascents"]
 
 
 def test_route_1_decides_the_benchmark_point_the_path_took(monkeypatch):
@@ -1021,30 +982,27 @@ def test_route_1_decides_the_benchmark_point_the_path_took(monkeypatch):
     # failed and a 10-call path from the corner certified the point.
     # fresh-5008 at rp 3, where route 1 still fails, is the positive
     # control: the path runs there and certifies
-    paths, tried = [], []
-    rate_path, polished = solver._rate_path, solver._polished
+    tried = []
+    polished = solver._polished
 
-    def counted_paths(w, rp):
-        paths.append(rp)
-        return rate_path(w, rp)
-
-    def traced(w, rp, q, mu_hint, n_active):
-        cand = polished(w, rp, q, mu_hint, n_active)
+    def traced(w, rp, q, mu_hint, n_active, stats):
+        cand = polished(w, rp, q, mu_hint, n_active, stats)
         tried.append((q, cand))
         return cand
 
-    monkeypatch.setattr(solver, "_rate_path", counted_paths)
     monkeypatch.setattr(solver, "_polished", traced)
     point = next(p for p in POINTS if p["model"] == "bench_mx4_key2007" and p["rp"] == 0.5)
     m = _model(point)
     report = solve_at_rate(m, 0.5)
-    assert report.converged and report.iterations == 0 and not paths
+    assert report.converged and report.iterations == 0
+    assert report.stats["route"] == "commuting part" and report.stats["path_steps"] == 0
     assert _certificate_outcome(m, report.optimum, 0.5) == "certified"
     assert abs(report.value - point["value"]) <= VALUE_TOL
     (_, first), (start, second) = tried
     assert not solver._passes(first) and start is first[0] and solver._passes(second)
     report = solve_at_rate(_fresh_model(5008), 3.0)
-    assert report.converged and report.iterations == 0 and paths == [3.0]
+    assert report.converged and report.iterations == 0
+    assert report.stats["route"] == "path" and report.stats["path_steps"] > 0
 
 
 def test_no_benchmark_solve_forms_the_second_commuting_part(monkeypatch):
@@ -1065,6 +1023,35 @@ def test_no_benchmark_solve_forms_the_second_commuting_part(monkeypatch):
     _no_path(monkeypatch)
     assert solve_at_rate(_fresh_model(5007), 5.0, n_starts=6).iterations > 0
     assert True in swaps
+
+
+# (model, rp, route): a point that each route decides, the ascent with the
+# path off, and one that none does
+STATS_CASES = [("bench-2005", 1.0, "commuting part"), ("fresh-5008", 3.0, "path"),
+               ("fresh-5001", 5.0, "ascent"), ("fresh-5009", 12.0, "none")]
+
+
+@pytest.mark.parametrize("model,rp,route", STATS_CASES)
+def test_a_solve_run_twice_counts_the_same_work(monkeypatch, model, rp, route):
+    # a solve's stats are deterministic but for its CPU seconds: a second
+    # run gives the same counts and the same bytes.  The route is none
+    # exactly when the point is not converged, and a phase that did not run
+    # took no CPU time
+    if route == "ascent":
+        _no_path(monkeypatch)
+    m = _named_model(model)
+    first, second = solve_at_rate(m, rp), solve_at_rate(m, rp)
+    assert first.stats["route"] == route and (route == "none") == (not first.converged)
+    cpu = ("commuting_part_cpu_s", "path_cpu_s", "ascent_cpu_s")
+    assert ({k: v for k, v in first.stats.items() if k not in cpu}
+            == {k: v for k, v in second.stats.items() if k not in cpu})
+    assert np.float64(first.value).tobytes() == np.float64(second.value).tobytes()
+    assert first.optimum.value.tobytes() == second.optimum.value.tobytes()
+    ran = {"commuting part": 1, "path": 2}.get(route, 3)  # the phases that ran
+    assert all(first.stats[k] > 0 for k in cpu[:ran])
+    assert not any(first.stats[k] for k in cpu[ran:])
+    assert (first.stats["path_steps"] > 0) == (route in ("path", "none"))  # else off
+    assert (first.stats["ascent_matrices"] > 0) == (ran > 2) == (first.iterations > 0)
 
 
 # Certified points per model off the corpus, at rates 0.25, 0.5, 1, 2 and 4
@@ -1184,7 +1171,7 @@ def _face_probes(mx, key):
     w, u0 = np.linalg.eigh(q_hat)
     u0 = u0[:, np.argsort(w)[::-1]]
     for n_active in range(mx):
-        face = solver._FaceSystem(white, 1.0, u0, n_active)
+        face = solver._FaceSystem(white, 1.0, u0, n_active, Counter())
         nx = face.n_qf + face.n_rot + 1
         x0 = np.zeros(nx)
         u_f0 = u0[:, n_active:]
@@ -1262,7 +1249,7 @@ def _seeded_faces(mx, key):
     w, u0 = np.linalg.eigh(q_hat)
     u0 = u0[:, np.argsort(w)[::-1]]
     for n_active in range(mx):
-        face = solver._FaceSystem(white, 1.0, u0, n_active)
+        face = solver._FaceSystem(white, 1.0, u0, n_active, Counter())
         u_f0 = u0[:, n_active:]
         yield face, np.concatenate((
             [np.sum((u_f0.T @ q_hat @ u_f0) * s) / np.sum(s * s) for s in face.basis_f],
@@ -1313,8 +1300,8 @@ def test_an_invalid_trial_has_nan_rows_and_factors_nothing(monkeypatch, case):
     calls = _counted(monkeypatch)
     rows, valid = face.residuals(bad)
     assert not valid.any() and np.isnan(rows).all() and face.kept == [None] * 3
-    expm = int(case == "angles near 1e14")
-    assert calls == {"for_model": 0, "cholesky": 0, "inv_chol": 0, "inv": 0, "expm": expm}
+    assert calls == {"for_model": 0, "cholesky": 0, "inv_chol": 0, "inv": 0}
+    assert face.stats["expm_calls"] == int(case == "angles near 1e14")
     single, _ = face.residuals(x0[None])
     mixed, valid = face.residuals(np.concatenate((bad[:1], x0[None], bad[1:])))
     assert list(valid) == [False, True, False, False]
@@ -1336,7 +1323,7 @@ def test_face_jacobian_matches_central_differences(mx):
         w, u0 = np.linalg.eigh(q_hat)
         u0 = u0[:, np.argsort(w)[::-1]]
         for n_active in range(mx):
-            face = solver._FaceSystem(white, 1.0, u0, n_active)
+            face = solver._FaceSystem(white, 1.0, u0, n_active, Counter())
             nx = face.n_qf + face.n_rot + 1
             u_f0 = u0[:, n_active:]
             x = np.concatenate((
@@ -1371,7 +1358,7 @@ def test_kept_factors_give_the_fresh_jacobian(mx):
     w, u0 = np.linalg.eigh(q_hat)
     u0 = u0[:, np.argsort(w)[::-1]]
     for n_active in range(mx):
-        face = solver._FaceSystem(white, 1.0, u0, n_active)
+        face = solver._FaceSystem(white, 1.0, u0, n_active, Counter())
         nx = face.n_qf + face.n_rot + 1
         x0 = np.zeros(nx)
         x0[:face.n_qf] = [0.5 * float(s.sum() == 1.0) for s in face.basis_f]
@@ -1464,7 +1451,7 @@ def test_lockstep_ascent_matches_per_start_loop(monkeypatch, mx, key, rp, rho, m
     monkeypatch.setattr(solver, "PENALTY_RHO", rho)
     m = whiten(_bench_model(key, mx))[0]
     starts = solver._starts(m, rp, 6)
-    got = solver._pga_penalty(m, rp, np.array(starts), max_iter)
+    got = solver._pga_penalty(m, rp, np.array(starts), max_iter, Counter())
     for q0, (sigma, pair, iterations) in zip(starts, got):
         want = _reference_ascent(m, rp, q0, max_iter)
         assert iterations == want[2]
@@ -1476,11 +1463,12 @@ def test_lockstep_ascent_matches_per_start_loop(monkeypatch, mx, key, rp, rho, m
 # line searches that test several step sizes per stacked call
 # ---------------------------------------------------------------------------
 
-def _reference_pga_penalty(m, rp, q0, max_iter):
+def _reference_pga_penalty(m, rp, q0, max_iter, stats):
     """The lockstep ascent, which advances every start at once with one
     stacked evaluation per backtracking trial: what ``_pga_penalty`` did
     before it tested several trials per call, and before it ran each start
-    alone.  A trial with NaN rates fails the Armijo test."""
+    alone.  A trial with NaN rates fails the Armijo test.  It counts
+    nothing in ``stats``."""
     floor = solver.SIGMA_FLOOR_SCALE
     ld_full = np.array([linalg.logdet_pd(m.sigma_x + w) for w in (0.0, m.sigma_wz, m.sigma_wy)])
     rho = solver._penalty_weight(m)
@@ -1549,7 +1537,7 @@ def _picked_frame(m, q_hat, mu_hint, n_active):
     return u0
 
 
-def _reference_polish_face(m, rp, q_hat, mu_hint, n_active, n_halvings=30, pin=True):
+def _reference_polish_face(m, rp, q_hat, mu_hint, n_active, stats, n_halvings=30, pin=True):
     """The face polish whose line search evaluates all ``n_halvings`` (30)
     halvings as one stack: what ``_polish_face`` did before it tried the
     first few alone.  Both take the closed-form ``_FaceSystem.jacobian``
@@ -1564,7 +1552,7 @@ def _reference_polish_face(m, rp, q_hat, mu_hint, n_active, n_halvings=30, pin=T
     u0 = _picked_frame(m, q_hat, mu_hint, n_active)
     if n_active == m.mx:
         return np.array(m.sigma_x), mu_hint, 0.0
-    face = solver._FaceSystem(m, rp, u0, n_active)
+    face = solver._FaceSystem(m, rp, u0, n_active, stats)
     nx = face.n_qf + face.n_rot + 1
     x = np.zeros(nx)
     q_free0 = u0[:, n_active:].T @ q_hat @ u0[:, n_active:]
@@ -1594,7 +1582,7 @@ def _reference_polish_face(m, rp, q_hat, mu_hint, n_active, n_halvings=30, pin=T
         x_new = trials[better[0]]
         if pin and np.linalg.eigvalsh(np.tensordot(x_new[:face.n_qf], face.basis_f, 1))[-1] > 1.0:
             sigma, mu, _, _ = _build(face, x[None])
-            return _reference_polish_face(m, rp, sigma[0], float(mu[0]), n_active + 1,
+            return _reference_polish_face(m, rp, sigma[0], float(mu[0]), n_active + 1, stats,
                                           n_halvings)
         x, r = face.centre(face.kept[better[0]]), rows[better[0]]
     sigma, mu, _, _ = _build(face, x[None])
@@ -1653,8 +1641,8 @@ def test_stacked_line_searches_keep_the_sequential_iterates(monkeypatch, name):
                 == _certificate_outcome(m, want.optimum, rp))
         starts = np.array(solver._starts(w, rp, 6))
         for (sigma, pair, its), (sigma_r, pair_r, its_r) in zip(
-                solver._pga_penalty(w, rp, starts, 400),
-                _reference_pga_penalty(w, rp, starts, 400)):
+                solver._pga_penalty(w, rp, starts, 400, Counter()),
+                _reference_pga_penalty(w, rp, starts, 400, Counter())):
             assert sigma.tobytes() == sigma_r.tobytes()
             assert (pair.rp, pair.rk, its) == (pair_r.rp, pair_r.rk, its_r)
 
@@ -1696,12 +1684,13 @@ def test_a_free_eigenvalue_crossing_1_moves_the_polish_to_the_next_face(monkeypa
         return polish(*args)
 
     monkeypatch.setattr(solver, "_polish_face", recorded)
-    pinned = solver._polished(w, rp, q, mu_hint, 1)
+    pinned = solver._polished(w, rp, q, mu_hint, 1, Counter())
     assert faces == [1, 2]
-    direct = solver._polished(w, rp, q, mu_hint, 2)
+    direct = solver._polished(w, rp, q, mu_hint, 2, Counter())
     assert max(pinned[2], direct[2]) <= kkt.ACCEPT_COMPOSITE
     assert abs(pinned[1] - direct[1]) <= 1e-12
-    unpinned = _reference_polish_face(w, rp, q, mu_hint, 1, solver.POLISH_HALVINGS, pin=False)
+    unpinned = _reference_polish_face(w, rp, q, mu_hint, 1, Counter(), solver.POLISH_HALVINGS,
+                                      pin=False)
     assert unpinned[2] > 1e-8
 
 
@@ -1728,10 +1717,10 @@ def test_the_pick_does_not_depend_on_the_unit_basis(key, mx, rp):
     # would free moves (|cos| down to 0.02)
     w = whiten(_bench_model(key, mx))[0]
     start = np.eye(mx) if rp < 1e-3 else solver._polish_end(
-        w, rp, solver._commuting_start(w, rp, False))[0]
+        w, rp, solver._commuting_start(w, rp, False), Counter())[0]
     q, mu_hint, g = _end_point(w, rp, start)
     assert int(np.sum(np.linalg.eigvalsh(q) >= 1.0 - 1e-9)) == g >= 2
-    want = solver._polish_face(w, rp, q, mu_hint, g - 1)
+    want = solver._polish_face(w, rp, q, mu_hint, g - 1, Counter())
 
     def by_order(a):  # the eigenvector that eigh's order would free
         lam, u = np.linalg.eigh(a)
@@ -1740,7 +1729,7 @@ def test_the_pick_does_not_depend_on_the_unit_basis(key, mx, rp):
     freed = []
     for seed in range(9800, 9803):
         mixed = _mixed_unit_basis(q, seed)
-        assert _rel_close(solver._polish_face(w, rp, mixed, mu_hint, g - 1), want)
+        assert _rel_close(solver._polish_face(w, rp, mixed, mu_hint, g - 1, Counter()), want)
         freed.append(abs(by_order(mixed) @ by_order(q)))
     assert min(freed) < 0.9
 
@@ -1804,7 +1793,7 @@ def test_injected_invalid_trials_backtrack(monkeypatch, mx, key, rp, period, max
     for search in (_reference_pga_penalty, solver._pga_penalty):
         marked.clear()
         calls.clear()
-        out = search(m, rp, starts, max_iter)
+        out = search(m, rp, starts, max_iter, Counter())
         outcomes.append([(s.tobytes(), p.rp, p.rk, its) for s, p, its in out])
         n_marked.append(len(set(marked)))
     assert outcomes[0] == outcomes[1]
@@ -1824,17 +1813,12 @@ def test_ascent_evaluations_where_the_ascent_runs(monkeypatch):
     # (1,752 on fresh-5007 and fresh-5008 at rp 3 and 5, before route 1
     # certified fresh-5007 at rp 3)
     _no_path(monkeypatch)
-    matrices = []
-    rates = solver._rates_stack
-
-    def counted(m, sigma, ld_full):
-        matrices.append(len(sigma))
-        return rates(m, sigma, ld_full)
-
-    monkeypatch.setattr(solver, "_rates_stack", counted)
+    matrices = 0
     for key, rp in ((5001, 5.0), (5007, 5.0), (5008, 3.0), (5008, 5.0)):
-        assert solve_at_rate(_fresh_model(key), rp).iterations > 0
-    assert sum(matrices) <= 1800
+        report = solve_at_rate(_fresh_model(key), rp)
+        assert report.iterations > 0
+        matrices += report.stats["ascent_matrices"]
+    assert matrices <= 1800
 
 
 # ---------------------------------------------------------------------------
@@ -1901,9 +1885,8 @@ def test_a_value_error_in_the_certificate_propagates(monkeypatch):
 
 def _counted(monkeypatch):
     """Count ``ConditionalCov.for_model``, ``np.linalg.cholesky``,
-    ``linalg.inv_chol``, ``np.linalg.inv`` and ``solver.sla.expm`` calls from
-    here on."""
-    calls = dict.fromkeys(("for_model", "cholesky", "inv_chol", "inv", "expm"), 0)
+    ``linalg.inv_chol`` and ``np.linalg.inv`` calls from here on."""
+    calls = dict.fromkeys(("for_model", "cholesky", "inv_chol", "inv"), 0)
 
     def counting(key, fn):
         def counted(*args, **kwargs):
@@ -1917,7 +1900,6 @@ def _counted(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", counting("cholesky", np.linalg.cholesky))
     monkeypatch.setattr(linalg, "inv_chol", counting("inv_chol", linalg.inv_chol))
     monkeypatch.setattr(np.linalg, "inv", counting("inv", np.linalg.inv))
-    monkeypatch.setattr(solver, "sla", SimpleNamespace(expm=counting("expm", solver.sla.expm)))
     return calls
 
 
@@ -1954,7 +1936,7 @@ def test_a_face_residual_call_factors_its_rows_once(monkeypatch, size):
     w = whiten(m)[0]
     q, mu_hint, g = _end_point(w, 1.0, solver._commuting_start(w, 1.0, False))
     evals, u0 = np.linalg.eigh(q)
-    face = solver._FaceSystem(w, 1.0, u0[:, np.argsort(evals)[::-1]], max(g, 1))
+    face = solver._FaceSystem(w, 1.0, u0[:, np.argsort(evals)[::-1]], max(g, 1), Counter())
     nx = face.n_qf + face.n_rot + 1
     x0 = np.zeros(nx)
     x0[:face.n_qf] = [0.5 * float(s.sum() == 1.0) for s in face.basis_f]
@@ -1963,15 +1945,15 @@ def test_a_face_residual_call_factors_its_rows_once(monkeypatch, size):
     calls = _counted(monkeypatch)
     rows, valid = face.residuals(trials)
     assert valid.all() and face.n_rot
-    once = {"for_model": 0, "cholesky": 1, "inv_chol": 1, "inv": 1, "expm": 1}
-    assert calls == once
+    once = {"for_model": 0, "cholesky": 1, "inv_chol": 1, "inv": 1}
+    assert calls == once and face.stats["expm_calls"] == 1
     face.jacobian(face.kept[0])
-    assert calls == once
+    assert calls == once and face.stats["expm_calls"] == 1
     past = trials.copy()
     past[:, :face.n_qf] *= 2.0 * (1.0 + solver.FACE_EXCURSION) / 0.5
     rows, valid = face.residuals(past)
     assert not valid.any() and np.isnan(rows).all()
-    assert calls == once
+    assert calls == once and face.stats["expm_calls"] == 1
 
 
 @pytest.mark.parametrize("rp, faces", [(1.0, [2]), (2.0, [1, 2]), (0.5, [2, 3])])
@@ -1983,9 +1965,9 @@ def test_a_polish_calls_expm_once_per_rotated_evaluation(monkeypatch, rp, faces)
     # starts the next face or the point returned, both read from kept entries
     w = whiten(_bench_model(2005, 4))[0]
     q, mu_hint, g = _end_point(w, rp, solver._commuting_start(w, rp, False))
-    want = solver._polish_face(w, rp, q, mu_hint, g)
+    want = solver._polish_face(w, rp, q, mu_hint, g, Counter())
     polish, residuals = solver._polish_face, solver._FaceSystem.residuals
-    seen, rotated = [], [0]
+    seen, rotated, stats = [], [0], Counter()
 
     def recorded(*args):
         seen.append(args[4])
@@ -1998,13 +1980,12 @@ def test_a_polish_calls_expm_once_per_rotated_evaluation(monkeypatch, rp, faces)
         rotated[0] += bool(face.n_rot and inside.any())
         return residuals(face, xs)
 
-    calls = _counted(monkeypatch)
     monkeypatch.setattr(solver, "_polish_face", recorded)
     monkeypatch.setattr(solver._FaceSystem, "residuals", gated)
-    got = solver._polish_face(w, rp, q, mu_hint, g)
+    got = solver._polish_face(w, rp, q, mu_hint, g, stats)
     assert seen == faces
     assert got.tobytes() == want.tobytes()
-    assert calls["expm"] == rotated[0] > 0
+    assert stats["expm_calls"] == rotated[0] > 0
 
 
 @pytest.mark.parametrize("mx", range(2, 7))

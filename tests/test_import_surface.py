@@ -62,23 +62,15 @@ def test_scalar_route_loads_neither_scipy_nor_numpy_ma(tmp_path):
 
 def test_aligned_route_loads_no_scipy(tmp_path):
     # solve_at_rate and certify, then region, kkt-check and mc on an aligned
-    # model file; the polish's rotations are counted, so the route is seen to
-    # reach the call that once loaded scipy.linalg
+    # model file; the solve counts the polish's rotations, so the route is
+    # seen to reach the call that once loaded scipy.linalg
     out = _run_fresh(f"""
         import io, os, sys
-        from types import SimpleNamespace
         import numpy as np
         import gausskey
         from gausskey import cli, kkt, solver
         from gausskey.modelio import save_model
 
-        rotations = [0]
-
-        def counted(gens, expm=solver.sla.expm):
-            rotations[0] += 1
-            return expm(gens)
-
-        solver.sla = SimpleNamespace(expm=counted)
         m = gausskey.AlignedModel(sigma_x=2.0 * np.eye(2), sigma_wy=np.eye(2),
                                   sigma_wz=np.diag([2.0, 0.5]))
         report = solver.solve_at_rate(m, 0.5, n_starts=1, max_iter=20)
@@ -91,7 +83,7 @@ def test_aligned_route_loads_no_scipy(tmp_path):
                     cli.RunConfig(command="kkt-check", model_path=path, rp=0.5),
                     cli.RunConfig(command="mc", model_path=path, samples=2000)):
             assert cli.run(cfg, out=io.StringIO()) == 0, cfg.command
-        print(rotations[0] > 0, sorted(k for k in sys.modules
+        print(report.stats["expm_calls"] > 0, sorted(k for k in sys.modules
                                        if k == "scipy" or k.startswith("scipy.")))
     """)
     assert out.split() == ["True", "[]"]

@@ -17,6 +17,10 @@ two routes share no arithmetic either.  The package runs on numpy alone:
 no module imports ``scipy`` or reads a ``linalg.sla`` handle, and
 certifying, verifying, evaluating rates, Monte Carlo, the oracle and the
 sweep load no ``scipy``.
+
+The aligned route reports its own work (``SolveReport.stats``), so the
+probe script ``tests/data/probe_aligned.py`` reads it there: it assigns to
+no attribute of ``gausskey.solver`` and passes none to ``setattr``.
 """
 
 import ast
@@ -32,6 +36,7 @@ from gausskey import oracle, solver, sweep
 
 PACKAGE_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                            "src", "gausskey")
+PROBE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "probe_aligned.py")
 
 TIERS = {
     "errors": 0,
@@ -128,6 +133,57 @@ def _scipy_uses(source):
               and isinstance(node.value, ast.Name) and node.value.id == "linalg"):
             out.append("linalg.sla")
     return out
+
+
+def _solver_patches(source):
+    """Every assignment to (or deletion of) an attribute of
+    ``gausskey.solver``, or of a name taken from it, and every ``setattr``
+    call on one, in a script's source."""
+    tree = ast.parse(source)
+    names = set()  # the names bound to the module, or taken from it
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "gausskey":
+            names |= {a.asname or a.name for a in node.names if a.name == "solver"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "gausskey.solver":
+            names |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            names |= {a.asname for a in node.names if a.name == "gausskey.solver" and a.asname}
+
+    def in_solver(node):
+        while isinstance(node, ast.Attribute):
+            if node.attr == "solver" and isinstance(node.value, ast.Name) \
+                    and node.value.id == "gausskey":
+                return True
+            node = node.value
+        return isinstance(node, ast.Name) and node.id in names
+
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load) \
+                and in_solver(node.value):
+            out.append(ast.unparse(node))
+        elif (isinstance(node, ast.Call) and "setattr" in (getattr(node.func, "id", None),
+                                                           getattr(node.func, "attr", None))
+              and node.args and in_solver(node.args[0])):
+            out.append(ast.unparse(node))
+    return out
+
+
+def test_the_probe_patches_no_solver_name():
+    with open(PROBE, encoding="utf-8") as fh:
+        assert _solver_patches(fh.read()) == []
+
+
+@pytest.mark.parametrize("line", [
+    "solver._polish_face = counted", "solver._FaceSystem.residuals = counted",
+    "solver.sla = SimpleNamespace(expm=counted)", "solver.POLISH_HALVINGS += 1",
+    "setattr(solver, '_rate_path', traced)", "patch.setattr(solver._FaceSystem, 'jacobian', f)",
+    "import gausskey.solver as s\ns._pga_penalty = timed", "gausskey.solver._polished = traced",
+    "from gausskey.solver import _FaceSystem\n_FaceSystem.jacobian = counted"])
+def test_the_guard_sees_a_solver_patch(line):
+    with open(PROBE, encoding="utf-8") as fh:
+        assert len(_solver_patches(fh.read() + f"\nfrom gausskey import solver\n{line}\n")) == 1
+    assert _solver_patches("np.linalg.cholesky = counted\nsetattr(np.linalg, 'inv', f)\n") == []
 
 
 def test_every_module_has_a_tier():

@@ -1,5 +1,8 @@
+import copy
 import math
+import pickle
 import tracemalloc
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -284,6 +287,24 @@ def test_ascent_reports_iterations_taken(monkeypatch):
     report = solve_at_rate(m, 5.0, n_starts=4, max_iter=400)
     assert report.converged
     assert 0 < report.iterations < 4 * 400
+
+
+def test_a_report_keeps_its_read_only_stats_through_pickle_and_deepcopy(degraded_demo,
+                                                                        scalar_aligned):
+    # SolveReport.stats is a read-only mapping, which a mappingproxy alone
+    # does not pickle; the sweep's cell reports no work, the aligned solve
+    # its own
+    cell = inner_convex(degraded_demo, SweepParams(s=3.5, t=(1.225 - 2.5) / 3.5 - 0.05))
+    aligned = solve_at_rate(scalar_aligned, 0.5)
+    assert dict(cell.stats) == {} and aligned.stats["polish_calls"] > 0
+    for report in (cell, aligned):
+        for copied in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report)):
+            assert type(copied.stats) is MappingProxyType and copied.stats == report.stats
+            assert copied.optimum.value.tobytes() == report.optimum.value.tobytes()
+            assert ((copied.value, copied.iterations, copied.kkt_residual, copied.converged)
+                    == (report.value, report.iterations, report.kkt_residual, report.converged))
+        with pytest.raises(TypeError):
+            report.stats["route"] = "none"
 
 
 def test_ascent_rejects_a_negative_iteration_cap(scalar_aligned):
