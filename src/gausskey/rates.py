@@ -17,7 +17,7 @@ functionals return the raw value and only boundary reporting clamps at 0.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from types import MappingProxyType
 
@@ -142,7 +142,8 @@ class SolveReport:
         object.__setattr__(self, "stats", MappingProxyType(dict(self.stats)))
 
     def __reduce__(self):  # a mappingproxy does not pickle: the fields, ``stats`` a dict
-        return SolveReport, tuple({**vars(self), "stats": dict(self.stats)}.values())
+        return SolveReport, tuple(dict(self.stats) if f.name == "stats" else getattr(self, f.name)
+                                  for f in fields(self))
 
 
 def _rate_grid(rp_grid):

@@ -56,7 +56,7 @@ SIGMA_FLOOR_SCALE = 1e-9
 _STATS = ("route", "polish_calls", "residual_calls", "residual_rows", "invalid_rows", "jacobians",
           "expm_calls", "path_steps", "path_failed_steps", "face_tries", "face_passes", "drop_tries",
           "drop_passes", "ascent_rate_calls", "ascent_matrices", "commuting_part_cpu_s",
-          "path_cpu_s", "ascent_cpu_s")  # the phases' CPU seconds last, in order
+          "path_cpu_s", "ascent_cpu_s")
 
 
 @functools.cache
@@ -625,7 +625,8 @@ def solve_at_rate(m: AlignedModel, rp: float, *, n_starts: int = 6,
 
     def report(q, rk, composite, iterations, route):
         marks.append(time.process_time())
-        stats.update({key: b - a for key, a, b in zip(_STATS[-3:], marks, marks[1:])})
+        phases = ("commuting_part_cpu_s", "path_cpu_s", "ascent_cpu_s")
+        stats.update({key: b - a for key, a, b in zip(phases, marks, marks[1:])})
         stats["route"] = route if composite <= kkt.ACCEPT_COMPOSITE else "none"
         return SolveReport(optimum=ConditionalCov(from_white(m, q)),
                            value=rk, iterations=iterations, kkt_residual=float(composite),

@@ -28,23 +28,19 @@ certificate, as ``cholesky_calls`` and ``certify_cholesky_calls`` the
 ``np.linalg.cholesky`` calls of each (a stacked call counts once), and as
 ``iterations`` the solve's ascent iterations (0 when it ran no ascent).
 
-Every other figure is read from the solve's ``SolveReport.stats`` (a solve
-that raised reads 0), each named as ``COUNTED`` names it:
-``polish_calls``, ``residual_rows``, ``invalid_rows`` (rows that held no
-valid point), ``expm_calls`` (stacked rotations; residual evaluations make
-them all), ``jacobian_calls`` (one per Newton iterate), ``path_steps`` and
-``path_halvings`` (the path's end-point polishes, its seed at the corner
-among them, and those that passed no test), ``ascent_calls`` and
-``ascent_matrices`` (the ascent's stacked rate evaluations and their
-matrices) and ``ascent_cpu_s`` (the ascent phase's CPU seconds, its end
-point's polish included).  CPU seconds are noisy on a shared machine; the
-counts are deterministic, so they tell a change in the polish's or the
-ascent's cost apart from noise.  As ``route``, it records what returned the
-point: ``commuting part``, ``path``, ``ascent``, or ``none`` (no candidate
-passed, or the solve raised).  As ``entry_tries`` and ``entry_passes``, per
-face that an end point's polish tries (``(g)``, its detected face, and ``(g'
-- 1)``, the drop step below the first candidate's own), how often a call
-tried it and how often it gave the call's first candidate to pass the gate.
+As ``stats`` it records a copy of the solve's ``SolveReport.stats``, under
+its keys (``{"route": "none"}`` when the solve raised), which the
+``SolveReport`` docstring names: the ``route`` that returned the point, the
+polish, residual, ``expm``, Jacobian, path and ascent counts, per face
+entry (``face``, the end point's detected face ``g``, and ``drop``, the
+face ``g' - 1`` below the first candidate's own) its tries and first
+passes, and each phase's CPU seconds.  CPU seconds are noisy on a shared
+machine; the counts are deterministic, so they tell a change in the
+polish's or the ascent's cost apart from noise.  Saves made before
+``SolveReport.stats`` keep their counts under other keys and no
+``stats``: ``--compare`` shows the run's cost and routes alone beside
+them.
+
 A change to the aligned route is checked by saving the probe on the parent
 tree and comparing on the change:
 
@@ -63,13 +59,13 @@ kkt.ACCEPT_COMPOSITE)`` (listing each: that multiplier test alone decides
 ``cpu_s`` and ``certify_cpu_s``, the summed Cholesky calls of the solves
 and of the certificates, how many solves ran the ascent, the summed
 polish calls, residual rows, invalid residual rows, ``expm`` calls and
-Jacobians, and the ascent's summed calls, matrices and
-CPU seconds, listing each point solved on both runs whose solve ran the
-ascent on one run only (``--save`` prints the run's certified points, its
-points that test disagrees with and its cost too, the path's summed steps
-and halvings among it).  Both print
-the points per route and the tries and first passes per face entry,
-beside the file's under ``--compare``.  It
+Jacobians, the path's summed steps and failed steps, and the ascent's
+summed rate evaluations, matrices and CPU seconds, listing each point
+solved on both runs whose solve ran the ascent on one run only
+(``--save`` prints the run's certified points, its points that test
+disagrees with and its cost too).  Both print the points per route and
+the tries and first passes per face entry, beside the file's under
+``--compare``.  It
 exits 1 when a value falls by more than ``FALL_TOL``, or is lost to an
 exception, or a certified point loses its certificate, or that test
 disagrees with a point's ``converged``.  It also prints how
@@ -207,27 +203,12 @@ def record(m, rp, mode=None, c=1.0):
         "certificate": outcome,
         "cert": cert_bytes,
         "iterations": report.iterations,
-        **work(report.stats),
+        "stats": dict(report.stats),
     }
 
 
-# the record's name of each count that it reads from ``SolveReport.stats``
-COUNTED = {"polish_calls": "polish_calls", "residual_rows": "residual_rows",
-           "invalid_rows": "invalid_rows", "expm_calls": "expm_calls",
-           "jacobian_calls": "jacobians", "path_steps": "path_steps",
-           "path_halvings": "path_failed_steps", "ascent_calls": "ascent_rate_calls",
-           "ascent_matrices": "ascent_matrices", "ascent_cpu_s": "ascent_cpu_s"}
 ROUTES = ("commuting part", "path", "ascent", "none")
-ENTRIES = {"(g)": "face", "(g' - 1)": "drop"}  # the stats' name of each face entry
 CHOLESKY = Counter()  # np.linalg.cholesky calls since the start of the run
-
-
-def work(stats):
-    """The record's route, counts and per face entry tries and first passes,
-    read from a solve's ``stats``."""
-    return {"route": stats["route"], **{key: stats[name] for key, name in COUNTED.items()},
-            **{f"entry_{kind}": {e: stats[f"{name}_{kind}"] for e, name in ENTRIES.items()}
-               for kind in ("tries", "passes")}}
 
 
 def count_cholesky():
@@ -244,20 +225,18 @@ def count_cholesky():
 def timed(m, rp, mode, c):
     """``record`` with the process CPU seconds and Cholesky calls its solve
     took, as ``cpu_s`` and ``cholesky_calls``, the certificate's apart; a
-    point with no solve reads 0 work and the route ``none``."""
+    point with no solve has the route ``none`` and no other stats."""
     cholesky_calls, start = CHOLESKY["calls"], time.process_time()
-    rec = {**work(Counter(route="none")), **record(m, rp, mode, c)}
+    rec = {"stats": {"route": "none"}, **record(m, rp, mode, c)}
     rec["cpu_s"] = time.process_time() - start - rec.get("certify_cpu_s", 0.0)
     rec["cholesky_calls"] = (CHOLESKY["calls"] - cholesky_calls
                              - rec.get("certify_cholesky_calls", 0))
     return rec
 
 
-# fields left out of the bit-identity test: the certificate's bytes are
-# listed apart, and time, ascent iterations, polish and ascent counts, the
-# route and the schedule entries are cost, not outcome
-COST_KEYS = ("cert", "cpu_s", "certify_cpu_s", "cholesky_calls", "certify_cholesky_calls",
-             "iterations", "route", "entry_tries", "entry_passes", *COUNTED)
+# the fields of the bit-identity test: the certificate's bytes are listed
+# apart, and time, Cholesky calls, ascent iterations and stats are cost
+OUTCOME_KEYS = ("value", "sigma", "converged", "kkt_residual", "certificate", "error")
 
 
 def cost_figures(run):
@@ -273,21 +252,24 @@ def cost_figures(run):
     def total(key, of, term=lambda x: x, spec=""):
         return format(sum(term(r[key]) for r in of), spec)
 
+    def spent(key, spec=""):  # a stats count; a solve that raised has none
+        return format(sum(r["stats"].get(key, 0) for r in recs), spec)
+
     return [("CPU seconds of the solves", total("cpu_s", recs, spec=".2f")),
             ("of the certificates", total("certify_cpu_s", solved, spec=".2f")),
             ("Cholesky calls of the solves", total("cholesky_calls", recs)),
             ("of the certificates", total("certify_cholesky_calls", solved)),
             ("solves that ran the ascent", total("iterations", solved, lambda it: it > 0)),
-            ("face polish calls", total("polish_calls", recs)),
-            ("residual rows", total("residual_rows", recs)),
-            ("invalid residual rows", total("invalid_rows", recs)),
-            ("expm calls", total("expm_calls", recs)),
-            ("Jacobians", total("jacobian_calls", recs)),
-            ("path steps", total("path_steps", recs)),
-            ("failed path steps", total("path_halvings", recs)),
-            ("ascent rate calls", total("ascent_calls", recs)),
-            ("ascent matrices", total("ascent_matrices", recs)),
-            ("ascent CPU seconds", total("ascent_cpu_s", recs, spec=".2f"))]
+            ("face polish calls", spent("polish_calls")),
+            ("residual rows", spent("residual_rows")),
+            ("invalid residual rows", spent("invalid_rows")),
+            ("expm calls", spent("expm_calls")),
+            ("Jacobians", spent("jacobians")),
+            ("path steps", spent("path_steps")),
+            ("failed path steps", spent("path_failed_steps")),
+            ("ascent rate calls", spent("ascent_rate_calls")),
+            ("ascent matrices", spent("ascent_matrices")),
+            ("ascent CPU seconds", spent("ascent_cpu_s", ".2f"))]
 
 
 def cost_line(run, old=None):
@@ -304,14 +286,13 @@ def decisions(run, old=None):
     """Lines of the run's points per route and of its tries and first
     passes per face entry, each beside the file's when ``old`` is given."""
     def routes(r):
-        return Counter(rec["route"] for rec in r.values())
+        return Counter(rec["stats"]["route"] for rec in r.values())
 
     def entries(r):
-        tries, passes = Counter(), Counter()
+        done = Counter()
         for rec in r.values():
-            for counts, key in ((tries, "entry_tries"), (passes, "entry_passes")):
-                counts.update(rec[key])
-        return {e: f"{tries[e]}/{passes[e]}" for e in ENTRIES}
+            done.update(rec["stats"])
+        return {e: f"{done[e + '_tries']}/{done[e + '_passes']}" for e in ("face", "drop")}
 
     runs = [run] if old is None else [run, old]
 
@@ -323,7 +304,8 @@ def decisions(run, old=None):
         return f"{title}: " + "; ".join(cells)
 
     return [line("points per route", ROUTES, [routes(r) for r in runs]),
-            line("face entry tries/first passes", ENTRIES, [entries(r) for r in runs])]
+            line("face entry tries/first passes", ("face", "drop"),
+                 [entries(r) for r in runs])]
 
 
 def undecided(run):
@@ -359,8 +341,8 @@ def compare(old, new):
     cert_moved = [label for label, rec in new.items()
                   if rec.get("cert") != old[label].get("cert")]
     for label, rec in new.items():
-        ref = {k: v for k, v in old[label].items() if k not in COST_KEYS}
-        if {k: v for k, v in rec.items() if k not in COST_KEYS} == ref:
+        ref = {k: v for k, v in old[label].items() if k in OUTCOME_KEYS}
+        if {k: v for k, v in rec.items() if k in OUTCOME_KEYS} == ref:
             same += 1
             continue
         kept += all(rec.get(k) == ref.get(k)
@@ -400,8 +382,9 @@ def compare(old, new):
     print(f"certified: {certified[0]} (file: {certified[1]})")
     print(f"certificates: {len(new) - len(cert_moved)} of {len(new)} bit-identical")
     failed.update(undecided(new))
-    print(cost_line(new, old))
-    print(*decisions(new, old), sep="\n")
+    file = old if all("stats" in rec for rec in old.values()) else None  # older saves: no stats
+    print(cost_line(new, file))
+    print(*decisions(new, file), sep="\n")
     for label, rec in new.items():
         ref = old[label]
         if "value" in rec and "value" in ref:
