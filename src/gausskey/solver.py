@@ -53,10 +53,10 @@ from .sweep import (SweepParams, _scalar_model, inner_convex,  # noqa: F401  (re
 # ``perfbench/spans.py`` traces: ``linalg.skew_expm``, on numpy alone.
 sla = SimpleNamespace(expm=linalg.skew_expm)
 SIGMA_FLOOR_SCALE = 1e-9
+_PHASES = ("commuting_part_cpu_s", "path_cpu_s", "ascent_cpu_s")  # stats: each phase's CPU s
 _STATS = ("route", "polish_calls", "residual_calls", "residual_rows", "invalid_rows", "jacobians",
           "expm_calls", "path_steps", "path_failed_steps", "face_tries", "face_passes", "drop_tries",
-          "drop_passes", "ascent_rate_calls", "ascent_matrices", "commuting_part_cpu_s",
-          "path_cpu_s", "ascent_cpu_s")
+          "drop_passes", "ascent_rate_calls", "ascent_matrices", *_PHASES)
 
 
 @functools.cache
@@ -606,12 +606,11 @@ def solve_at_rate(m: AlignedModel, rp: float, *, n_starts: int = 6,
     frame, where it carries round-off of about ``eps cond(sigma_x)``.
     ``kkt_residual`` is, in the whitened frame, the test's composite at the
     returned point, and ``converged`` is its verdict, ``kkt_residual <=
-    kkt.ACCEPT_COMPOSITE``.  ``iterations`` counts the ascent
-    iterations taken, over every start, and ``stats`` the solve's work.
-    Raises ``MaxIterationsExceeded``
-    when the fallback runs and no start ends within 1e-6 of the budget.
-    Heuristic for the nonconvex general case: certify the output through
-    the KKT machinery before trusting it.
+    kkt.ACCEPT_COMPOSITE``.  ``iterations`` counts the ascent iterations
+    taken, over every start, and ``stats`` the solve's work.  Raises
+    ``MaxIterationsExceeded`` when the fallback runs and no start ends
+    within 1e-6 of the budget.  Heuristic for the nonconvex general case:
+    certify the output through the KKT machinery before trusting it.
     """
     validate_model(m)
     _budget(rp)
@@ -625,8 +624,7 @@ def solve_at_rate(m: AlignedModel, rp: float, *, n_starts: int = 6,
 
     def report(q, rk, composite, iterations, route):
         marks.append(time.process_time())
-        phases = ("commuting_part_cpu_s", "path_cpu_s", "ascent_cpu_s")
-        stats.update({key: b - a for key, a, b in zip(phases, marks, marks[1:])})
+        stats.update({key: b - a for key, a, b in zip(_PHASES, marks, marks[1:])})
         stats["route"] = route if composite <= kkt.ACCEPT_COMPOSITE else "none"
         return SolveReport(optimum=ConditionalCov(from_white(m, q)),
                            value=rk, iterations=iterations, kkt_residual=float(composite),
