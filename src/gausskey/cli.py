@@ -3,9 +3,9 @@
 Subcommands: ``validate``, ``region``, ``limit``, ``kkt-check``, ``enhance``,
 ``oracle``, ``mc``.  Models are JSON files (see ``modelio``); ``region``
 writes a ``rp,rk`` CSV at full double precision plus a JSON sidecar with the
-per-point solver metadata and the infinite-communication limit.  Values are
-stored in nats by default (``--units bits`` rescales the CSV); human-readable
-summaries always show both.
+per-point solver metadata (with each aligned solve's ``stats``) and the
+infinite-communication limit.  Values are stored in nats by default (``--units
+bits`` rescales the CSV); human-readable summaries always show both.
 
 Exit codes: 0 success, 2 validation or input error, 3 solver or
 certification failure.
@@ -114,6 +114,7 @@ def _cmd_region(cfg, out):
                 "s": pm.s,
                 "t": pm.t,
                 "kkt_residual": pm.kkt_residual,
+                **({} if pm.stats is None else {"stats": pm.stats}),
             }
             for p, pm in zip(boundary.points, boundary.solver_meta)
         ],

@@ -2,11 +2,11 @@
 
 The package's one home for its symmetric-matrix kernels: symmetry/PSD
 checks with the package-wide tolerances, Cholesky factors and the inverses
-and log-determinants taken from them (``chol_lower``, ``inv_chol``,
+and log-determinants taken from them (``chol_lower``, ``chol_sym``, ``inv_chol``,
 ``logdet_chol`` and ``eig_clip`` take one matrix or a stack of them), square
 roots and congruences, the symmetric-definite generalized eigenvalue
-solve, whitened by the inverse root, and the exponential of a skew matrix
-(``skew_expm``: the face polish's rotations, ``solver.sla.expm``).  Callers use ``numpy.linalg``
+solve, whitened by the inverse root, and the Cayley map of a skew matrix
+(``cayley``: the face polish's rotations, ``solver.sla.expm``).  Callers use ``numpy.linalg``
 directly only where no kernel here fits: QR and SVD, solves of non-symmetric
 systems and eigenbases that the caller reads (the face polish's directions).
 The functions are pure, take ``numpy`` arrays and run on numpy alone, so
@@ -87,9 +87,15 @@ def psd_violation(a):
 
 
 def chol_lower(a, name="matrix"):
-    """Lower Cholesky factor; raises ``NotPositiveDefinite`` on failure."""
+    """Lower Cholesky factor of ``a`` symmetrized (``chol_sym``)."""
+    return chol_sym(symmetrize(a), name)
+
+
+def chol_sym(a, name="matrix"):
+    """Lower Cholesky factor of an exactly symmetric ``a``, or of each of a
+    stack (numpy reads its lower triangle); ``NotPositiveDefinite`` else."""
     try:
-        return np.linalg.cholesky(symmetrize(a))
+        return np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"{name} has no Cholesky factor: {exc}") from exc
 
@@ -169,27 +175,13 @@ def gen_eig_pencil(a, c):
     return np.linalg.eigvalsh(congruence(inv_root, a))[::-1].copy()
 
 
-def _skew_eigh(gen):
-    """``(lam, U_t, U_b)``: the eigensolution of ``-iG`` for a real skew
-    ``G``, or each of a stack, in its real form ``[[0, G], [-G, 0]]`` (basis
-    ``[U_t; U_b]``, each of ``-iG``'s eigenvalues twice), so no complex
-    arithmetic is needed."""
-    n = gen.shape[-1]
-    r = np.zeros((*gen.shape[:-2], 2 * n, 2 * n))
-    r[..., :n, n:], r[..., n:, :n] = gen, -gen
-    lam, u = np.linalg.eigh(r)
-    return lam, u[..., :n, :], u[..., n:, :]
-
-
-def skew_expm(gens):
-    """``e^G`` for a real skew ``G``, or each of a stack, from the spectral
-    form of a normal matrix (Higham, *Functions of Matrices*, ch. 10): in
-    ``_skew_eigh``'s basis, ``e^G = (U_t C U_t^T + U_b C U_b^T + U_t S U_b^T
-    - U_b S U_t^T) / 2`` with ``C = cos(lam)`` and ``S = sin(lam)``."""
-    lam, u_t, u_b = _skew_eigh(np.asarray(gens, dtype=float))
-    c, s = np.cos(lam)[..., None], np.sin(lam)[..., None]
-    t_t, t_b = np.swapaxes(u_t, -1, -2), np.swapaxes(u_b, -1, -2)
-    return 0.5 * (u_t @ (c * t_t + s * t_b) + u_b @ (c * t_b - s * t_t))
+def cayley(gens):
+    """The Cayley map ``(I - G/2)^-1 (I + G/2)`` of a real skew ``G``, or of
+    each of a stack, by one solve: ``e^G`` to second order, and orthogonal
+    up to round-off, which grows like ``eps |G|`` where ``G`` is singular."""
+    half = 0.5 * np.asarray(gens, dtype=float)
+    eye = np.eye(half.shape[-1])
+    return np.linalg.solve(eye - half, eye + half)
 
 
 def frob(a):

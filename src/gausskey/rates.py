@@ -64,12 +64,13 @@ class PointMeta:
     the zero-communication corner ``Q = sigma_x`` its signal power
     ``b sigma_x b^T`` and ratio (None for points produced by the ascent
     solver); ``kkt_residual`` is the certificate or inner-solver residual
-    attached to the point.
+    attached to the point, and ``stats`` the ascent's ``SolveReport.stats``.
     """
 
     s: float | None
     t: float | None
     kkt_residual: float
+    stats: dict | None = None
 
 
 @dataclass(frozen=True)
@@ -125,10 +126,11 @@ class SolveReport:
     (``corner`` at ``rp <= 1e-12``, ``commuting part``, ``path``, ``ascent``;
     ``none`` exactly when not converged), the counts ``polish_calls``,
     ``residual_calls``, ``residual_rows``, ``invalid_rows``, ``jacobians``,
-    ``expm_calls``, ``path_steps``, ``path_failed_steps``, ``face_tries``,
-    ``face_passes``, ``drop_tries``, ``drop_passes``, ``ascent_rate_calls``
-    and ``ascent_matrices``, and each phase's CPU seconds (0 if it did not
-    run): ``commuting_part_cpu_s``, ``path_cpu_s`` and ``ascent_cpu_s``.
+    ``expm_calls`` (the face polish's Cayley rotations), ``path_steps``,
+    ``path_failed_steps``, ``face_tries``, ``face_passes``, ``drop_tries``,
+    ``drop_passes``, ``ascent_rate_calls`` and ``ascent_matrices``, and each
+    phase's CPU seconds (0 if it did not run): ``commuting_part_cpu_s``,
+    ``path_cpu_s`` and ``ascent_cpu_s``.
     """
 
     optimum: ConditionalCov

@@ -49,9 +49,9 @@ from .rates import (PointMeta, RatePair, RegionBoundary, SolveReport, _chol_term
 from .sweep import (SweepParams, _scalar_model, inner_convex,  # noqa: F401  (re-exported)
                     sweep_boundary)
 
-# The face polish's rotations ``e^G``, called through this name, which
-# ``perfbench/spans.py`` traces: ``linalg.skew_expm``, on numpy alone.
-sla = SimpleNamespace(expm=linalg.skew_expm)
+# The face polish's rotations, called through this name, which
+# ``perfbench/spans.py`` traces: the Cayley map ``linalg.cayley``.
+sla = SimpleNamespace(expm=linalg.cayley)
 SIGMA_FLOOR_SCALE = 1e-9
 _PHASES = ("commuting_part_cpu_s", "path_cpu_s", "ascent_cpu_s")  # stats: each phase's CPU s
 _STATS = ("route", "polish_calls", "residual_calls", "residual_rows", "invalid_rows", "jacobians",
@@ -94,7 +94,7 @@ POLISH_HALVINGS = 9
 PENALTY_RHO = 10.0
 
 # How far past the whitened cap ``A <= I`` a face polish may walk (scale-free),
-# and how far from orthogonal a face point's rotation ``e^G`` may be.
+# and how far from orthogonal a face point's rotation may be.
 FACE_EXCURSION = 1e-2
 FACE_ORTHO_TOL = 1e-10
 
@@ -240,11 +240,11 @@ class _FaceSystem:
     first; the top ``n_active`` are pinned to the source covariance.  A
     point holds the free-block coordinates (in ``_basis(n_free)``), the
     angles of the rotation mixing active and free directions and log mu.  At
-    the angles' generator ``G``, ``Q = U D U^T`` with ``U = u0 e^G`` and ``D
-    = diag(I, q_f)``.  The system lives in that rotated frame: ``w0`` holds
-    ``u0^T W u0`` for ``W = 0, Wz, Wy``, ``W~ = e^{G^T} w0 e^G``
-    symmetrized, and ``N = U^T M(mu) U`` is ``M(mu)`` of ``D + W~``, whose
-    log-dets are those of ``Q + W``.  ``e^G`` comes from ``exp``.
+    the angles' generator ``G``, ``Q = U D U^T`` with ``U = u0 R`` and ``D
+    = diag(I, q_f)``, ``R`` the Cayley map of ``G`` (``exp``).  The system
+    lives in that rotated frame: ``w0`` holds ``u0^T W u0`` for ``W = 0, Wz,
+    Wy``, ``W~ = R^T w0 R`` symmetrized, and ``N = U^T M(mu) U`` is
+    ``M(mu)`` of ``D + W~``, whose log-dets are those of ``Q + W``.
     ``centre`` moves the chart to a valid point (Absil, Mahony & Sepulchre
     2008, ch. 6), so the polish takes every Jacobian at ``G = 0``."""
 
@@ -272,7 +272,8 @@ class _FaceSystem:
         return gen
 
     def exp(self, xs):
-        """``e^G`` for the points' generators ``G``, one stacked call."""
+        """The Cayley rotations ``R = (I - G/2)^-1 (I + G/2)`` of the points'
+        generators ``G``, one stacked call (``e^G`` to second order)."""
         self.stats["expm_calls"] += 1
         return sla.expm(self.skew(xs[:, self.n_qf:-1]))
 
@@ -282,11 +283,11 @@ class _FaceSystem:
 
     def centre(self, kept):
         """Move the chart's centre to a valid point from what its residual
-        call kept (``kept``): ``u0 <- u0 e^G`` and ``w0 <- W~``, the kept
+        call kept (``kept``): ``u0 <- u0 R`` and ``w0 <- W~``, the kept
         rotated noises; returns the point's coordinates in the new chart,
-        its angles 0.  ``e^0`` is ``I`` exactly, so a residual call at the
+        its angles 0.  ``R`` is ``I`` exactly at 0, so a residual call at the
         centre keeps the point's ``D``, factors and ``N`` bit for bit."""
-        x, e, *_, w_t, _ = kept
+        x, e, *_, w_t = kept
         x = x.copy()
         if self.n_rot:
             self.u0, self.w0 = self.u0 @ e, w_t
@@ -297,7 +298,7 @@ class _FaceSystem:
         """``(Q, mu)`` at the chart's centre from what its residual call kept
         (``kept``): ``Q = u_a u_a^T + u_f q_f u_f^T`` over ``u0``'s active
         and free columns, with ``q_f`` the free block of the kept ``D``."""
-        _, _, d, *_, mu, _, _ = kept
+        _, _, d, *_, mu, _ = kept
         na = self.n_active
         u_a, u_f = self.u0[:, :na], self.u0[:, na:]
         return linalg.symmetrize(u_a @ u_a.T + u_f @ d[na:, na:] @ u_f.T), mu
@@ -307,18 +308,19 @@ class _FaceSystem:
         ``N``, then ``I_p - rp``) and a mask of the valid ones: ``q_f`` has
         its eigenvalues in ``(COND_COV_MIN_EIG, 1 + FACE_EXCURSION]`` (the
         interval gate's floor; short of an escape beyond the interval),
-        tested before any ``expm``, and ``e^G`` is orthogonal to
-        ``FACE_ORTHO_TOL``, unlike the ``expm`` of angles of order 1e14,
-        which a Newton step can reach.  The valid ``D``, ``D + W~z`` and ``D
-        + W~y`` take one stacked Cholesky (``log|D|``, ``log|D + W~y|``) and
-        one stacked inverse of its factors; invalid rows are NaN.
-        ``kept[i]`` holds what ``jacobian`` and ``centre`` need of
-        ``xs[i]``: its coordinates, ``e^G``, ``D``, the inverses, ``N``, mu,
-        ``W~`` and its free eigenvalues; None when invalid."""
+        tested before any rotation, and ``R`` is orthogonal to
+        ``FACE_ORTHO_TOL`` (not at NaN angles, nor at huge ones of a singular
+        ``G``).  The valid ``D``, ``D + W~z`` and ``D + W~y``, exactly
+        symmetric, take one stacked Cholesky (``log|D|``, ``log|D + W~y|``)
+        and one stacked inverse of its factors; invalid rows are NaN.
+        ``top`` holds each point's top free eigenvalue, and ``kept[i]`` what
+        ``jacobian`` and ``centre`` need of ``xs[i]``: its coordinates,
+        ``R``, ``D``, the inverses, ``N``, mu and ``W~``; None when invalid."""
         n_qf, n_rot, na, n = self.n_qf, self.n_rot, self.n_active, self.m.mx
         d = self.eye_a + np.einsum("pk,kab->pab", xs[:, :n_qf], self.basis_d)
         lam = np.linalg.eigvalsh(d[:, na:, na:])
-        valid = (lam[:, 0] > COND_COV_MIN_EIG) & (lam[:, -1] <= 1.0 + FACE_EXCURSION)
+        self.top = lam[:, -1]
+        valid = (lam[:, 0] > COND_COV_MIN_EIG) & (self.top <= 1.0 + FACE_EXCURSION)
         rows, self.kept = np.full((len(xs), n_qf + n_rot + 1), np.nan), [None] * len(xs)
         at, e, w_t = np.flatnonzero(valid), [None] * len(xs), self.w0[None]
         if n_rot and at.size:
@@ -327,10 +329,12 @@ class _FaceSystem:
             valid[at] = err.max(axis=1) <= FACE_ORTHO_TOL  # False on NaN too
             e, at = e[valid[at]], np.flatnonzero(valid)
             w_t = linalg.symmetrize(np.swapaxes(e[:, None], -1, -2) @ self.w0 @ e[:, None])
-        self.stats.update(residual_calls=1, residual_rows=len(xs), invalid_rows=len(xs) - at.size)
+        self.stats["residual_calls"] += 1
+        self.stats["residual_rows"] += len(xs)
+        self.stats["invalid_rows"] += len(xs) - at.size
         if not at.size:
             return rows, valid
-        lower = linalg.chol_lower(d[at, None] + w_t, "D, D + W~z or D + W~y")
+        lower = linalg.chol_sym(d[at, None] + w_t, "D, D + W~z or D + W~y")
         lds, inv = linalg.logdet_chol(lower), linalg.inv_chol(lower)
         mu, ip = self.mu(xs[at]), _logdet_rates(self.ld_full, lds)[0]
         n_mat = kkt.stationarity_stack(inv, mu)
@@ -338,8 +342,7 @@ class _FaceSystem:
                                    n_mat[:, :na, na:].reshape(at.size, -1),
                                    (ip - self.rp)[:, None]), axis=1)
         for j, i in enumerate(at):
-            self.kept[i] = (xs[i], e[j], d[i], inv[j], n_mat[j], mu[j], w_t[j if n_rot else 0],
-                            lam[i])
+            self.kept[i] = (xs[i], e[j], d[i], inv[j], n_mat[j], mu[j], w_t[j if n_rot else 0])
         return rows, valid
 
     def jacobian(self, kept):
@@ -348,8 +351,8 @@ class _FaceSystem:
         ``D``, ``N`` and the rotated inverses ``(P, Z, Y)`` of ``D``, ``D +
         W~z`` and ``D + W~y``, taken as they are.  A free coordinate moves
         ``D`` by its basis matrix on the free block, an angle by ``F = K D -
-        D K`` with ``K`` its unit generator (``units``: at ``G = 0``, ``e^-G
-        L(G, K) = K`` for the Frechet derivative ``L`` of ``expm``).  A move
+        D K`` with ``K`` its unit generator (``units``: at ``G = 0`` the
+        derivative of the rotation ``R`` along ``K`` is ``K``).  A move
         ``F`` changes ``N`` by ``-M(mu)`` of ``(P F P, Z F Z, Y F Y)`` (plus
         ``N K - K N`` for an angle) and ``I_p`` by ``tr((Y - P) F) / 2``; log
         mu changes ``N`` by ``mu (P - Y)``."""
@@ -397,15 +400,15 @@ def _polish_face(m, rp, q_hat, mu_hint, n_active, stats):
     polish stops, as it does after 80 steps or below ``1e-12 min(1, rp)``:
     the rate row's error overruns the budget, so it shrinks with it.
 
-    A step that lifts a free eigenvalue above 1 has left the interval
+    A full step that lifts a free eigenvalue above 1, valid or not (below
+    the corner's face), or an accepted one that does, leaves the interval
     through a free direction, which belongs to the face: at the optimum each
     direction pinned at 1 carries a PSD block of ``M(mu)`` (the enhancement
     argument).  The polish then goes on, in place of that step, on face
-    ``n_active + 1`` from the iterate before it, which lies inside the
-    interval, with its ``Q`` and mu: the directions it pins are that
-    iterate's top ``n_active + 1`` eigendirections, the pinned ones and its
-    largest free one.  So a polish started on a face too low climbs to the
-    face of the optimum instead of walking past the cap until it stalls.
+    ``n_active + 1`` from the iterate, with its ``Q`` and mu: the directions
+    it pins are the iterate's top ``n_active + 1`` eigendirections, the
+    pinned ones and its largest free one.  So a polish started on a face
+    too low climbs to the face of the optimum instead of walking past the cap.
 
     Returns ``q``, or None for an invalid start; ``_polished`` judges it.
     """
@@ -444,15 +447,16 @@ def _polish_face(m, rp, q_hat, mu_hint, n_active, stats):
         for lo in (0, *range(1, POLISH_HALVINGS, HALVINGS_PER_STACK)):
             rows, valid = face.residuals(trials[lo:lo + HALVINGS_PER_STACK if lo else 1])
             better = np.flatnonzero(valid & (np.max(np.abs(rows), axis=1) < rnorm))
-            if better.size:
+            exits = ((not lo and face.top[0] > 1.0 and n_active + 1 < m.mx)  # the full step
+                     or (better.size and face.top[better[0]] > 1.0))  # the accepted one
+            if better.size or exits:
                 break
-        if not better.size:
-            break
-        kept_new = face.kept[better[0]]
-        if kept_new[-1][-1] > 1.0:  # its top free eigenvalue
+        if exits:
             sigma, mu = face.point(kept)
             return _polish_face(m, rp, sigma, float(mu), n_active + 1, stats)
-        r, kept = rows[better[0]], kept_new
+        if not better.size:
+            break
+        r, kept = rows[better[0]], face.kept[better[0]]
         x = face.centre(kept)
     return face.point(kept)[0]
 
@@ -662,12 +666,12 @@ def ascent_boundary(m: AlignedModel, rp_grid) -> RegionBoundary:
     Each grid point is solved with ``solve_at_rate`` (the commuting-part
     polish, the path in the budget from the corner, and the penalised
     ascent only when both fail) and validated end to end through the
-    KKT/enhancement pipeline;
-    the point's ``kkt_residual`` is the maximum certificate residual
-    (``inf`` when the certificate raises), and points whose certificate
-    fails the 1e-6 gate are reported with it so downstream code can reject
-    them.  Key rates are clamped at zero and made monotone by running
-    maximum, matching the region's closure under discarding communication.
+    KKT/enhancement pipeline; the point's meta holds its solve's ``stats``
+    and as ``kkt_residual`` the maximum certificate residual (``inf`` when
+    the certificate raises), and points whose certificate fails the 1e-6
+    gate are reported with it so downstream code can reject them.  Key rates
+    are clamped at zero and made monotone by running maximum, matching the
+    region's closure under discarding communication.
     """
     validate_model(m)
     rp_grid = _rate_grid(rp_grid)
@@ -683,7 +687,7 @@ def ascent_boundary(m: AlignedModel, rp_grid) -> RegionBoundary:
             residual = float("inf")
         best_rk = max(best_rk, report.value, 0.0)
         points.append(RatePair(rp=rp, rk=best_rk))
-        meta.append(PointMeta(s=None, t=None, kkt_residual=float(residual)))
+        meta.append(PointMeta(None, None, float(residual), dict(report.stats)))
     return RegionBoundary(points=tuple(points), model_digest=model_digest(m),
                           solver_meta=tuple(meta))
 

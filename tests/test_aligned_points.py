@@ -38,14 +38,13 @@ The aligned route runs on the whitened model (``models.whiten``), and so
 do the internals below.  The stacked kernels are checked against plain
 per-point references: the face-polish residual against the per-point
 closure it replaces, its closed-form Jacobian against central differences,
-the stacked ``expm`` against per-matrix calls, and the ascent against a
-per-start loop on per-point rates and inverses.  The ascent, which runs
-each start alone, must keep every iterate of the lockstep ascent that
-advanced every start at once, one backtracking trial per stacked call, and
-the polish, which tests four halvings per stacked call, every iterate of
-the polish that evaluated all 30 halvings, down to 2^-29 of the step, as
-one stack, each in a chart re-centred at its iterate; both are kept here
-as references.  The polish stops at 2^-8,
+and the ascent against a per-start loop on per-point rates and inverses.
+The ascent, which runs each start alone, must keep every iterate of the
+lockstep ascent that advanced every start at once, one backtracking
+trial per stacked call, and the polish, which tests four halvings per
+stacked call, every iterate of the polish that evaluated all 30
+halvings, down to 2^-29 of the step, as one stack, each in a chart
+re-centred at its iterate; both are kept here as references.  The polish stops at 2^-8,
 so on its cases the reference also checks that the halvings below that
 floor change no result.  A backtracking trial with NaN rates fails the Armijo test, in
 both ascents alike.  Errors that are not a rejected face or an invalid
@@ -68,7 +67,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.linalg as sla
 
 from gausskey import AlignedModel, certify, kkt, linalg, solve_at_rate, solver, sweep
 from gausskey.errors import GausskeyError, NotPositiveDefinite, NoValidMultiplier
@@ -217,10 +215,20 @@ def _fresh_model(key):
 # that crosses 1; they stay in the test of the best candidate as converged
 # points.  bench-16 at rp 8, bench-15 at rp 12 and bench-14 at rp 4 were
 # such points until an end point's second polish started from the first
-# candidate, on the face below its own: route 1 certifies them now
-# (``ROUTE_1_CERTIFIES``).
-UNCERTIFIED = [("rel3-3302", 6.0), ("rel3-3302", 8.0), ("rel4-3402", 10.0), ("bench-15", 16.0)]
-ROUTE_1_CERTIFIES = [("bench-16", 8.0), ("bench-15", 12.0), ("bench-14", 4.0)]
+# candidate, on the face below its own, and bench-15 at rp 16 until the
+# polish climbed on the full Newton step's exit: route 1 certifies them now
+# (``ROUTE_1_CERTIFIES``).  bench-13 at rp 4 (probe_aligned.py's rel8-13),
+# bench-14 at rp 6 and bench-16 at rp 5 joined then: route 1 fails there,
+# and the path certifies them.
+UNCERTIFIED = [("rel3-3302", 6.0), ("rel3-3302", 8.0), ("rel4-3402", 10.0), ("bench-13", 4.0),
+               ("bench-14", 6.0), ("bench-16", 5.0)]
+ROUTE_1_CERTIFIES = [("bench-16", 8.0), ("bench-15", 12.0), ("bench-14", 4.0), ("bench-15", 16.0)]
+# With the path off, no polish candidate of rel3-3302 at rp 6 and 8 keeps
+# the budget: the drop step's face-0 polish, whose candidate kept it and
+# was the ascent's end point to 4e-15, climbs back to face 1 on the full
+# step's exit, whose candidates overrun it (rp 6.13 and 8.12).  The answer,
+# that end point, is unchanged.
+NO_CANDIDATE_IN_BUDGET = [("rel3-3302", 6.0), ("rel3-3302", 8.0)]
 
 
 def _no_path(patch):
@@ -321,8 +329,8 @@ def test_wrong_face_point_is_not_converged(monkeypatch, key, rp):
 @pytest.mark.parametrize("model,rp", [
     ("bench-15", 4.0),
     ("fresh-5002", 1.5), ("fresh-5007", 5.0), ("fresh-5011", 3.0),
-    ("bench-2007", 2.0), ("bench-2007", 4.0), ("fresh-5011", 5.0), *UNCERTIFIED,
-    *ROUTE_1_CERTIFIES])
+    ("bench-2007", 2.0), ("bench-2007", 4.0), ("fresh-5011", 5.0),
+    *(point for point in UNCERTIFIED if point not in NO_CANDIDATE_IN_BUDGET), *ROUTE_1_CERTIFIES])
 def test_unconverged_solve_keeps_its_best_candidate(monkeypatch, model, rp):
     # with no candidate passing the gate, the answer is the best point the
     # polish reached within the budget, not the smallest face residual; a
@@ -622,13 +630,15 @@ def _fallback_trace(patch):
     return trace
 
 
-@pytest.mark.parametrize("model,rp", [("fresh-5001", 5.0), ("fresh-5007", 5.0)])
+@pytest.mark.parametrize("model,rp", [("fresh-5008", 5.0), ("fresh-5007", 16.0)])
 def test_the_ascent_fallback_polishes_one_end_point(monkeypatch, model, rp):
     # the commuting-part polish fails here and the path is off, so the
     # solve runs the ascent; of its six end points, only the best in budget
     # is polished, and it passes the gate.  With the path on, both certify
     # on it.  fresh-5006 at rp 1.5 and rel3-3301 at rp 1 were such points
-    # until an end point's second polish started from the first candidate
+    # until an end point's second polish started from the first candidate,
+    # and fresh-5001 and fresh-5007 at rp 5 until the polish climbed on the
+    # full Newton step's exit
     trace = _fallback_trace(monkeypatch)
     _no_path(monkeypatch)
     m = _named_model(model)
@@ -952,13 +962,15 @@ def test_face_polish_calls_on_the_benchmark_points():
     # every candidate is an end point polished on its detected face, then,
     # when that candidate fails, the candidate on the face below its own:
     # the commuting-part optimum of each point.  The 36 solves make 59
-    # polish calls and 827 residual rows in 503 evaluations, with 336
-    # Jacobians, and no path or ascent run (72 calls, 968 rows, 593
-    # evaluations, 397 Jacobians and one path run when the second polish
-    # restarted from the end point and each Jacobian was taken away from
-    # its chart's centre; 169 calls and 34,532 rows when every face was
-    # tried at five multiplier factors and the line search halved down to
-    # 2^-29).  A move to the next face is one more polish call
+    # polish calls and 534 residual rows in 411 evaluations, with 311
+    # Jacobians, and no path or ascent run (827 rows, 503 evaluations and
+    # 336 Jacobians when the polish climbed only on an accepted step; 72
+    # calls, 968 rows, 593 evaluations, 397 Jacobians and one path run when
+    # the second polish restarted from the end point and each Jacobian was
+    # taken away from its chart's centre; 169 calls and 34,532 rows when
+    # every face was tried at five multiplier factors and the line search
+    # halved down to 2^-29).  A move to the next face is one more polish
+    # call
     work = Counter()
     for point in POINTS:
         if point["model"].startswith("bench_"):
@@ -966,10 +978,10 @@ def test_face_polish_calls_on_the_benchmark_points():
             work.update({key: stats[key] for key in ("polish_calls", "residual_rows",
                                                      "residual_calls", "jacobians")})
             work.update(paths=stats["path_steps"] > 0, ascents=stats["ascent_rate_calls"] > 0)
-    assert work["polish_calls"] <= 75
-    assert work["residual_rows"] <= 2_000
-    assert work["residual_calls"] <= 520
-    assert work["jacobians"] <= 345
+    assert work["polish_calls"] <= 62
+    assert work["residual_rows"] <= 600
+    assert work["residual_calls"] <= 430
+    assert work["jacobians"] <= 320
     assert work["paths"] <= 1
     assert not work["ascents"]
 
@@ -1009,9 +1021,10 @@ def test_no_benchmark_solve_forms_the_second_commuting_part(monkeypatch):
     # each default solve of the benchmark's points forms the commuting part
     # in sigma_wy's eigenbasis once, for its first route, and never the one
     # in sigma_wz's (swap), which only the ascent's sixth start takes: with
-    # the path off at fresh-5007 rp 5, a six-start ascent forms it (route 1
+    # the path off at fresh-5007 rp 16, a six-start ascent forms it (route 1
     # certifies rp 3 since the second polish starts from the first
-    # candidate)
+    # candidate, and rp 5 since the polish climbs on the full Newton step's
+    # exit)
     swaps = []
     start = solver._commuting_start
     monkeypatch.setattr(solver, "_commuting_start",
@@ -1021,14 +1034,14 @@ def test_no_benchmark_solve_forms_the_second_commuting_part(monkeypatch):
         solve_at_rate(_model(point), point["rp"])
     assert swaps == [False] * len(bench)
     _no_path(monkeypatch)
-    assert solve_at_rate(_fresh_model(5007), 5.0, n_starts=6).iterations > 0
+    assert solve_at_rate(_fresh_model(5007), 16.0, n_starts=6).iterations > 0
     assert True in swaps
 
 
 # (model, rp, route): a point that each route decides, the ascent with the
 # path off, and one that none does
 STATS_CASES = [("bench-2005", 1.0, "commuting part"), ("fresh-5008", 3.0, "path"),
-               ("fresh-5001", 5.0, "ascent"), ("fresh-5009", 12.0, "none")]
+               ("fresh-5007", 16.0, "ascent"), ("fresh-5009", 12.0, "none")]
 
 
 @pytest.mark.parametrize("model,rp,route", STATS_CASES)
@@ -1103,7 +1116,7 @@ def test_face_schedule_keeps_the_reference_schedule_optima(monkeypatch, key):
 
 def _build(face, xs):
     """Conditional covariances, multipliers, rotated bases and free blocks of
-    a stack of points, each rotation from its own ``expm``: what
+    a stack of points, each rotation from the chart's own ``exp``: what
     ``_FaceSystem.point`` reads from a residual call's kept entry instead."""
     n_qf, na = face.n_qf, face.n_active
     q_f = np.einsum("pk,kab->pab", xs[:, :n_qf], face.basis_f)
@@ -1116,7 +1129,8 @@ def _build(face, xs):
 
 
 def _reference_residual(face, xv):
-    """The per-point residual of the face polish, one call per point."""
+    """The per-point residual of the face polish, one call per point, each
+    rotation from its own call of the chart's map ``solver.sla.expm``."""
     m = face.m
     n_qf, n_rot, n_active = face.n_qf, face.n_rot, face.n_active
     q_f = np.einsum("k,kab->ab", xv[:n_qf], face.basis_f)
@@ -1133,7 +1147,7 @@ def _reference_residual(face, xv):
                 gen[i, j] = xv[n_qf + idx]
                 gen[j, i] = -xv[n_qf + idx]
                 idx += 1
-        u = u @ sla.expm(gen)
+        u = u @ solver.sla.expm(gen)
     u_a = u[:, :n_active]
     u_f = u[:, n_active:]
     sigma = linalg.symmetrize(u_a @ u_a.T + u_f @ q_f @ u_f.T)
@@ -1279,13 +1293,16 @@ def test_the_rotated_frame_gives_the_model_frame_rows(mx):
     assert n_valid >= 8 * 3 * mx - 4
 
 
-@pytest.mark.parametrize("case", ["above the cap", "below the floor", "angles near 1e14"])
+@pytest.mark.parametrize("case", ["above the cap", "below the floor", "NaN angles"])
 def test_an_invalid_trial_has_nan_rows_and_factors_nothing(monkeypatch, case):
     # a trial whose free eigenvalue passes 1 + FACE_EXCURSION or falls to
-    # the interval gate's floor is refused before any expm; one whose angles
-    # are of order 1e14 has an expm far from orthogonal, refused before any
-    # factorisation.  Each row is NaN and keeps nothing, and a valid trial
-    # beside it keeps the rows of a call on its own
+    # the interval gate's floor is refused before any rotation; one with a
+    # NaN angle has a NaN rotation, which the orthogonality gate refuses
+    # before any factorisation (the Cayley map of this face's generators,
+    # three equal angles of order 1e14, is orthogonal to round-off, where
+    # the exponential by eigensolve that it replaced was not).  Each row is
+    # NaN and keeps nothing, and a valid trial beside it keeps the rows of a
+    # call on its own
     face, x0 = next(f for f in _seeded_faces(4, 9600) if f[0].n_active == 1)
     bad = np.repeat(x0[None], 3, axis=0)
     eye_f = np.array([float(s.sum() == 1.0) for s in face.basis_f])
@@ -1296,12 +1313,14 @@ def test_an_invalid_trial_has_nan_rows_and_factors_nothing(monkeypatch, case):
         bad[:, :face.n_qf] = np.array([0.5, 1e-11, -0.1])[:, None] * eye_f
         bad[0, 0] = 1e-11  # one free eigenvalue at the floor, the others at 0.5
     else:
-        bad[:, face.n_qf:-1] = np.geomspace(1e13, 1e15, 3)[:, None]
+        bad[:, face.n_qf:-1] = 0.1
+        bad[0, face.n_qf:-1] = np.nan  # every angle NaN, then the first or the last alone
+        bad[1, face.n_qf] = bad[2, -2] = np.nan
     calls = _counted(monkeypatch)
     rows, valid = face.residuals(bad)
     assert not valid.any() and np.isnan(rows).all() and face.kept == [None] * 3
     assert calls == {"for_model": 0, "cholesky": 0, "inv_chol": 0, "inv": 0}
-    assert face.stats["expm_calls"] == int(case == "angles near 1e14")
+    assert face.stats["expm_calls"] == int(case == "NaN angles")
     single, _ = face.residuals(x0[None])
     mixed, valid = face.residuals(np.concatenate((bad[:1], x0[None], bad[1:])))
     assert list(valid) == [False, True, False, False]
@@ -1378,16 +1397,6 @@ def test_kept_factors_give_the_fresh_jacobian(mx):
                 assert row.tobytes() == at_centre[0].tobytes()
                 assert (face.jacobian(factors).tobytes()
                         == centred.jacobian(centred.kept[0]).tobytes())
-
-
-def test_stacked_expm_matches_per_matrix_calls():
-    rng = rng_for(71)
-    for n in (2, 4, 6):
-        gen = rng.standard_normal((9, n, n)) * np.geomspace(1e-6, 3.0, 9)[:, None, None]
-        gen = gen - np.swapaxes(gen, -1, -2)
-        stacked = linalg.skew_expm(gen)
-        for g, e in zip(gen, stacked):
-            assert np.array_equal(e, linalg.skew_expm(g))
 
 
 # ---------------------------------------------------------------------------
@@ -1543,10 +1552,11 @@ def _reference_polish_face(m, rp, q_hat, mu_hint, n_active, stats, n_halvings=30
     first few alone.  Both take the closed-form ``_FaceSystem.jacobian``
     in a chart re-centred at each iterate (``_FaceSystem.centre``), the
     same pick of the pinned unit directions (``_picked_frame``) and the
-    same pin rule (a step that lifts a free eigenvalue above 1 hands over
-    to face ``n_active + 1`` from the iterate before it), so the line
-    search is what this reference checks; it takes each Jacobian from a
-    fresh evaluation at the chart's centre.  With ``pin=False`` and
+    same pin rule (a full Newton step that lifts a free eigenvalue above 1,
+    below the corner's face, or an accepted step that does, hands over to
+    face ``n_active + 1`` from the iterate before it), so the line search
+    is what this reference checks; it takes each Jacobian from a fresh
+    evaluation at the chart's centre.  With ``pin=False`` and
     ``n_halvings=solver.POLISH_HALVINGS`` it is the polish without the pin
     rule."""
     u0 = _picked_frame(m, q_hat, mu_hint, n_active)
@@ -1564,6 +1574,10 @@ def _reference_polish_face(m, rp, q_hat, mu_hint, n_active, stats, n_halvings=30
         return None
     r, x = rows[0], face.centre(face.kept[0])
     halvings = 0.5 ** np.arange(n_halvings)[:, None]
+
+    def top(t):  # the top free eigenvalue of a trial
+        return np.linalg.eigvalsh(np.tensordot(t[:face.n_qf], face.basis_f, 1))[-1]
+
     for _ in range(80):
         rnorm = float(np.max(np.abs(r)))
         if rnorm < 1e-12 * min(1.0, rp):
@@ -1577,10 +1591,10 @@ def _reference_polish_face(m, rp, q_hat, mu_hint, n_active, stats, n_halvings=30
         trials = x + halvings * step
         rows, valid = face.residuals(trials)
         better = np.flatnonzero(valid & (np.max(np.abs(rows), axis=1) < rnorm))
-        if not better.size:
+        exits = pin and top(trials[0]) > 1.0 and n_active + 1 < m.mx
+        if not (better.size or exits):
             break
-        x_new = trials[better[0]]
-        if pin and np.linalg.eigvalsh(np.tensordot(x_new[:face.n_qf], face.basis_f, 1))[-1] > 1.0:
+        if exits or pin and top(trials[better[0]]) > 1.0:
             sigma, mu, _, _ = _build(face, x[None])
             return _reference_polish_face(m, rp, sigma[0], float(mu[0]), n_active + 1, stats,
                                           n_halvings)
@@ -1600,11 +1614,16 @@ def _degraded_model(key):
     return random_aligned(rng_for(key), 2 + key % 5, degraded=True)
 
 
-# fresh-5007 takes rp 4 for rp 5, where the damping floor decides route 1
-# (``test_the_halving_floor_sends_one_polish_to_the_ascent``)
+# fresh-5007 takes rp 4 for rp 5, where the damping floor decided route 1
+# (``test_the_halving_floor_sends_one_polish_to_the_ascent``), and
+# fresh-5008 rp 1.4 for rp 1.5, where the halvings below the floor move the
+# value by 3.3e-16 (a first polish on face 1 that goes on below the floor;
+# both certify).  They move it at rp 1.25 and 1.6 too, and at 1.25 and 2
+# before the polish climbed on the full Newton step's exit
+_STEPPED_AROUND = {(5007, 5.0): 4.0, (5008, 1.5): 1.4}
 _STACKED_SEARCH_CASES = (
     [(f"corpus-{p['model']}", p["rp"]) for p in POINTS]
-    + [(f"fresh-{key}", 4.0 if (key, rp) == (5007, 5.0) else rp)
+    + [(f"fresh-{key}", _STEPPED_AROUND.get((key, rp), rp))
        for key in range(5000, 5018) for rp in (0.7, 1.5, 3.0, 5.0)]
     + [(f"degraded-{key}", rp) for key in range(6000, 6012) for rp in (0.5, 2.0, 6.0)])
 
@@ -1648,22 +1667,23 @@ def test_stacked_line_searches_keep_the_sequential_iterates(monkeypatch, name):
 
 
 def test_the_halving_floor_sends_one_polish_to_the_ascent(monkeypatch):
-    # fresh-5007 at rp 5 (and 6), with the path off: route 1's second
-    # polish, from the first candidate, passes only with halvings below the
-    # floor 2^-8, so the solve runs the ascent there, where the reference's
-    # 30 halvings certify from route 1.  Both answers certify, 4e-15 apart;
-    # with the path on, the path certifies the point
-    m = _fresh_model(5007)
+    # rel6-3600 at rp 12, with the path off: route 1 passes only with
+    # halvings below the floor 2^-8, so the solve runs the ascent there,
+    # where the reference's 30 halvings certify from route 1.  Both answers
+    # certify, 4e-16 apart; with the path on, the path certifies the point.
+    # fresh-5007 at rp 5 was such a point until the polish climbed on the
+    # full Newton step's exit: route 1 certifies it now
+    m = _named_model("rel6-3600")
     _no_path(monkeypatch)
     with monkeypatch.context() as patch:
         patch.setattr(solver, "_polish_face", _reference_point)
-        want = solve_at_rate(m, 5.0)
-    got = solve_at_rate(m, 5.0)
+        want = solve_at_rate(m, 12.0)
+    got = solve_at_rate(m, 12.0)
     assert want.iterations == 0 < got.iterations
     assert want.converged and got.converged
     assert abs(got.value - want.value) <= 1e-12
     for report in (got, want):
-        assert _certificate_outcome(m, report.optimum, 5.0) == "certified"
+        assert _certificate_outcome(m, report.optimum, 12.0) == "certified"
 
 
 def test_a_free_eigenvalue_crossing_1_moves_the_polish_to_the_next_face(monkeypatch):
@@ -1806,16 +1826,17 @@ def test_injected_invalid_trials_backtrack(monkeypatch, mx, key, rp, period, max
 
 def test_ascent_evaluations_where_the_ascent_runs(monkeypatch):
     # no point of the benchmark or of the main probe set reaches the ascent:
-    # the path in rp runs before it.  Here on fresh-5001 and fresh-5007 at
-    # rp 5 and fresh-5008 at rp 3 and 5, four of the five main-set points
-    # where the commuting-part polish fails, with the path off, the
-    # ascent evaluates 1,765 matrices, one backtracking trial per matrix
-    # (1,752 on fresh-5007 and fresh-5008 at rp 3 and 5, before route 1
-    # certified fresh-5007 at rp 3)
+    # the path in rp runs before it.  Here on fresh-5008 at rp 3 and 5,
+    # rel6-3605 at rp 1 and rel8-13 (bench-13) at rp 4, the four main-set
+    # points where the commuting-part polish fails, with the path off, the
+    # ascent evaluates 1,747 matrices, one backtracking trial per matrix
+    # (1,765 on fresh-5001 and fresh-5007 at rp 5 and fresh-5008 at rp 3
+    # and 5, before the polish climbed on the full Newton step's exit)
     _no_path(monkeypatch)
     matrices = 0
-    for key, rp in ((5001, 5.0), (5007, 5.0), (5008, 3.0), (5008, 5.0)):
-        report = solve_at_rate(_fresh_model(key), rp)
+    for name, rp in (("fresh-5008", 3.0), ("fresh-5008", 5.0), ("rel6-3605", 1.0),
+                     ("bench-13", 4.0)):
+        report = solve_at_rate(_named_model(name), rp)
         assert report.iterations > 0
         matrices += report.stats["ascent_matrices"]
     assert matrices <= 1800

@@ -116,6 +116,30 @@ def test_region_csv_and_sidecar(model_files, capsys):
     assert {"rp", "rk", "s", "t", "kkt_residual"} <= set(meta["points"][0])
 
 
+def test_region_sidecar_holds_each_aligned_solves_stats(model_files, tmp_path):
+    # an aligned point's sidecar entry holds its solve's SolveReport.stats
+    # (the same counts a direct solve at its rate gives; CPU seconds vary),
+    # and a sweep point's has no stats key, so its bytes are as before
+    cpu = ("commuting_part_cpu_s", "path_cpu_s", "ascent_cpu_s")
+    sidecars = {}
+    for kind in ("aligned", "general"):
+        out_csv = str(tmp_path / f"{kind}.csv")
+        assert main(["region", model_files[kind], "-o", out_csv, "--rp-max", "2",
+                     "--points", "4", "--resolution", "40"]) == 0
+        with open(os.path.splitext(out_csv)[0] + ".meta.json") as fh:
+            sidecars[kind] = json.load(fh)["points"]
+    assert not any("stats" in p for p in sidecars["general"])
+    m = load_model(model_files["aligned"])
+    routes = []
+    for p in sidecars["aligned"]:
+        want = solver.solve_at_rate(m, p["rp"]).stats
+        assert set(p["stats"]) == set(want)
+        assert {k: v for k, v in p["stats"].items() if k not in cpu} == {
+            k: v for k, v in want.items() if k not in cpu}
+        routes.append(p["stats"]["route"])
+    assert routes[0] == "corner" and "commuting part" in routes
+
+
 def test_region_outputs_reproducible(model_files):
     c1 = str(model_files["root"] / "r1.csv")
     c2 = str(model_files["root"] / "r2.csv")

@@ -2,7 +2,7 @@
 
 The sweep, the oracle, the closed-form limit and Monte Carlo load neither
 SciPy nor ``numpy.ma``, and the aligned route, whose face polish takes its
-rotations from ``linalg.skew_expm``, loads no SciPy either.  Each check runs
+rotations from ``linalg.cayley``, loads no SciPy either.  Each check runs
 in a fresh interpreter, so modules that other tests imported do not count.
 SciPy serves these tests as a reference alone.
 """

@@ -189,17 +189,50 @@ def test_congruence_rounded_is_the_product_rounded_once():
     assert worst_naive > 8.0
 
 
-@pytest.mark.parametrize("n", range(2, 9))
-def test_skew_expm_matches_scipy(n):
-    # e^G from the eigensolve of -iG against SciPy's expm, for generators of
-    # spectral norm (largest rotation angle) 1e-8 to 10, and a stacked call
-    # byte for byte against per-matrix calls
-    scipy_linalg = pytest.importorskip("scipy.linalg")
-    rng = rng_for(1890 + n)
-    gen = rng.standard_normal((12, n, n))
+def _skew(rng, shape, norms):
+    """Skew generators of the given spectral norms (largest rotation angles)."""
+    gen = rng.standard_normal(shape)
     gen = gen - np.swapaxes(gen, -1, -2)
-    gen *= (np.geomspace(1e-8, 10.0, 12) / np.linalg.norm(gen, 2, axis=(1, 2)))[:, None, None]
-    stacked = linalg.skew_expm(gen)
-    for g, e in zip(gen, stacked):
-        assert np.max(np.abs(e - scipy_linalg.expm(g))) <= 1e-13
-        assert e.tobytes() == linalg.skew_expm(g).tobytes()
+    return gen * (norms / np.linalg.norm(gen, 2, axis=(-2, -1)))[..., None, None]
+
+
+def _ortho_error(e):
+    return np.max(np.abs(np.swapaxes(e, -1, -2) @ e - np.eye(e.shape[-1])), axis=(-2, -1))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_cayley_map_is_orthogonal_and_first_order(n):
+    # (I - G/2)^-1 (I + G/2) for generators of spectral norm 1e-8 to 1e14:
+    # orthogonal within 1e-13 where G is nonsingular (a random skew G of
+    # even order), and within 4 eps (1 + |G|) for every G, the face polish's
+    # block generators included: where G is singular (odd order, or blocks
+    # of unequal size) the solve's round-off of order eps |G| reaches its
+    # null directions.  Its central difference at 0 is the generator to
+    # O(h^2)
+    rng = rng_for(1890 + n)
+    norms = np.geomspace(1e-8, 1e14, 12)
+    full = _skew(rng, (12, n, n), norms)
+    err = _ortho_error(linalg.cayley(full))
+    if n % 2 == 0:
+        assert np.all(err <= 1e-13)
+    blocks = np.zeros((n - 1, 12, n, n))
+    for na in range(1, n):
+        b = rng.standard_normal((12, na, n - na))
+        blocks[na - 1, :, :na, na:], blocks[na - 1, :, na:, :na] = b, -np.swapaxes(b, 1, 2)
+    blocks *= (norms / np.linalg.norm(blocks, 2, axis=(-2, -1)))[..., None, None]
+    eps = np.finfo(float).eps
+    for gen in (full, *blocks):
+        assert np.all(_ortho_error(linalg.cayley(gen)) <= 4.0 * eps * (1.0 + norms))
+    h = 1e-5
+    for g in _skew(rng, (6, n, n), np.ones(6)):
+        slope = (linalg.cayley(h * g) - linalg.cayley(-h * g)) / (2.0 * h)
+        assert np.max(np.abs(slope - g)) <= 1e-9
+
+
+def test_stacked_cayley_matches_per_matrix_calls():
+    rng = rng_for(71)
+    for n in (2, 3, 4, 6):
+        gen = _skew(rng, (9, n, n), np.geomspace(1e-6, 3.0, 9))
+        stacked = linalg.cayley(gen)
+        for g, e in zip(gen, stacked):
+            assert e.tobytes() == linalg.cayley(g).tobytes()

@@ -276,15 +276,15 @@ def test_ascent_zero_rate_returns_full_covariance(scalar_aligned):
 
 
 def test_ascent_reports_iterations_taken(monkeypatch):
-    # test_aligned_points._fresh_model(5001): at rp 5 the commuting-part
+    # test_aligned_points._fresh_model(5007): at rp 16 the commuting-part
     # polish fails and, with the path in rp off (the default solve
     # certifies the point on it), the solve runs the ascent from its first
     # four starts.  It converges long before the iteration cap, and the
     # report counts the iterations of every start rather than the cap
     monkeypatch.setattr(solver, "_rate_path", lambda *args: None)
-    rng = rng_for(5001)
-    m = AlignedModel(*(random_spd(rng, 3) for _ in range(3)))
-    report = solve_at_rate(m, 5.0, n_starts=4, max_iter=400)
+    rng = rng_for(5007)
+    m = AlignedModel(*(random_spd(rng, 5) for _ in range(3)))
+    report = solve_at_rate(m, 16.0, n_starts=4, max_iter=400)
     assert report.converged
     assert 0 < report.iterations < 4 * 400
 
